@@ -159,29 +159,10 @@ type CollectiveAlgo interface {
 	Complete(ex *Exchange) []float64
 }
 
-// algoImpl maps an Algo to its schedule; nil means the legacy linear path.
-func algoImpl(a Algo) CollectiveAlgo {
-	switch a {
-	case AlgoPairwise:
-		return pairwiseAlgo{}
-	case AlgoRing:
-		return ringAlgo{}
-	case AlgoBruck:
-		return bruckAlgo{}
-	case AlgoNodeAware:
-		return nodeAwareAlgo{}
-	}
-	return nil
-}
-
-// linearAlgo reproduces the legacy per-destination Alltoallv cost inside the
-// scheduled machinery. The blocking AlltoallvWith keeps the original code
-// path for AlgoLinear — timing-identical to Alltoallv — but the non-blocking
-// flavour used by the chunked pipeline runs here, where back-to-back chunks
-// gate on the injection port: otherwise two in-flight chunks would each see
-// the full wire and overlap for free, which no NIC allows. The naive loop
-// keeps the saturated FlowBW; its unscheduled traffic is exactly what the
-// fabric's adaptive routing degrades under.
+// linearAlgo reproduces the vendor per-destination Alltoallv loop inside the
+// scheduled machinery (see priceLinearGated for why both exist). The naive
+// loop keeps the saturated FlowBW; its unscheduled traffic is exactly what
+// the fabric's adaptive routing degrades under.
 type linearAlgo struct{}
 
 func (linearAlgo) Name() string       { return "linear" }

@@ -309,369 +309,6 @@ func (c *Comm) Scatterv(root int, bufs []Buf) Buf {
 	return out.buf.clone()
 }
 
-// alltoallKind distinguishes the three All-to-All flavours of Table I.
-type alltoallKind int
-
-const (
-	kindAlltoall alltoallKind = iota
-	kindAlltoallv
-	kindAlltoallw
-)
-
-func (k alltoallKind) name() string {
-	switch k {
-	case kindAlltoall:
-		return "MPI_Alltoall"
-	case kindAlltoallv:
-		return "MPI_Alltoallv"
-	default:
-		return "MPI_Alltoallw"
-	}
-}
-
-// Alltoall exchanges send[dst] → recv[src] with MPI_Alltoall semantics: all
-// blocks are padded to the maximum block size in the communicator (the
-// padding cost the paper observes on brick↔pencil reshapes, Figs. 2 and 6),
-// in exchange for the most optimized vendor algorithm.
-func (c *Comm) Alltoall(send []Buf) []Buf { return c.alltoall(send, kindAlltoall) }
-
-// Alltoallv exchanges exact per-pair sizes with the optimized collective
-// path.
-func (c *Comm) Alltoallv(send []Buf) []Buf { return c.alltoall(send, kindAlltoallv) }
-
-// Alltoallw models the generalized all-to-all on derived sub-array datatypes
-// used by Algorithm 2 (Dalcin et al.): a naive Isend/Irecv loop with high
-// per-message setup, and — on SpectrumMPI-like stacks — no GPU-awareness, so
-// device buffers stage through PCIe per message.
-func (c *Comm) Alltoallw(send []Buf) []Buf { return c.alltoall(send, kindAlltoallw) }
-
-func (c *Comm) alltoall(send []Buf, kind alltoallKind) []Buf {
-	size := c.Size()
-	if len(send) != size {
-		panic(fmt.Sprintf("mpisim: %s send slice has %d entries for size-%d comm", kind.name(), len(send), size))
-	}
-	st := c.state()
-	start := st.clock
-	w := c.core.world
-	m := c.Model()
-
-	eff := c.faultEnter(kind.name())
-	c.chargeSendChecksums(send)
-	in := collIn{clock: st.clock, send: make([]Buf, size), lost: eff.Drop}
-	if eff.Factor > 1 {
-		in.factor = eff.Factor
-	}
-	for i, b := range send {
-		in.send[i] = b.clone()
-		if i == c.rank {
-			continue
-		}
-		if eff.Corrupt {
-			in.send[i].Corrupt = true
-		}
-		if eff.Silent > 0 {
-			in.send[i].silent = eff.Silent
-			in.send[i].flipSeed = mixSeed(eff.SilentSeed, i)
-		}
-	}
-	out := c.core.rv.exchange(w, c.rank, in, func(ins []collIn) []collOut {
-		t0 := maxClock(ins)
-		outs := make([]collOut, size)
-
-		// Determine padding for MPI_Alltoall: every block is the max block.
-		pad := 0
-		if kind == kindAlltoall {
-			for _, inp := range ins {
-				for _, b := range inp.send {
-					if b.Bytes() > pad {
-						pad = b.Bytes()
-					}
-				}
-			}
-		}
-
-		for r := 0; r < size; r++ {
-			srcW := c.WorldRank(r)
-			dev := false
-			var totalSend, totalRecv int
-			for _, b := range ins[r].send {
-				if b.Loc == machine.Device {
-					dev = true
-				}
-				totalSend += b.Bytes()
-			}
-			for s := 0; s < size; s++ {
-				totalRecv += ins[s].send[r].Bytes()
-			}
-
-			var t float64
-			switch kind {
-			case kindAlltoall, kindAlltoallv:
-				staged := dev && !w.opts.GPUAware
-				// Bulk staging: heFFTe's -no-gpu-aware path copies the whole
-				// packed buffer to the host once, calls the host collective,
-				// and copies the result back.
-				if staged {
-					t += 2*m.StagingOverhead +
-						(1-m.StagingOverlap)*(float64(totalSend)/m.PCIeBW+float64(totalRecv)/m.PCIeBW)
-				}
-				oh := m.HostOverheadColl
-				if dev && !staged {
-					oh = m.DeviceOverheadColl
-				}
-				for dst := 0; dst < size; dst++ {
-					if dst == r {
-						// Self block: a device-local copy.
-						t += float64(ins[r].send[dst].Bytes()) * 2 / m.GPU.MemBW
-						continue
-					}
-					bytes := ins[r].send[dst].Bytes()
-					if kind == kindAlltoall {
-						// MPI_Alltoall pads every pair to the max block.
-						bytes = pad
-					} else if bytes == 0 {
-						// MPI_Alltoallv short-circuits zero-size blocks.
-						continue
-					}
-					dstW := c.WorldRank(dst)
-					t += oh + float64(bytes)/w.topo.NaiveFlowBW(srcW, dstW) + w.topo.Latency(srcW, dstW)
-				}
-			case kindAlltoallw:
-				// Naive per-message loop with derived datatypes; staging (if
-				// any) happens per message inside MsgCost. Zero-size blocks
-				// are short-circuited by MPI.
-				for dst := 0; dst < size; dst++ {
-					if dst == r {
-						t += float64(ins[r].send[dst].Bytes()) * 2 / m.GPU.MemBW
-						continue
-					}
-					if ins[r].send[dst].Bytes() == 0 {
-						continue
-					}
-					dstW := c.WorldRank(dst)
-					mc := m.MsgCostOn(ins[r].send[dst].Bytes(), w.topo.Path(srcW, dstW), w.nodes, dev, w.opts.GPUAware, machine.ClassAlltoallw)
-					t += mc.Total()
-				}
-			}
-
-			if f := ins[r].factor; f > 1 {
-				// Degraded link: this rank's whole exchange slows down.
-				t *= f
-			}
-
-			recv := make([]Buf, size)
-			for s := 0; s < size; s++ {
-				recv[s] = ins[s].send[r]
-			}
-			outs[r] = collOut{clock: t0 + t, recv: recv}
-		}
-		// Dropped contributions: every rank expecting a nonzero block from a
-		// lost sender waits forever — its completion moves past any finite
-		// bound and surfaces as ErrExchangeTimeout in collClock below.
-		for r := 0; r < size; r++ {
-			if !ins[r].lost {
-				continue
-			}
-			for dst := 0; dst < size; dst++ {
-				if dst == r || ins[r].send[dst].Bytes() == 0 {
-					continue
-				}
-				outs[dst].clock = math.Inf(1)
-			}
-		}
-		return outs
-	})
-	st.clock = c.collClock(kind.name(), start, out.clock)
-	var bytes int
-	for _, b := range send {
-		bytes += b.Bytes()
-	}
-	c.record(kind.name(), start, st.clock, bytes)
-	c.checkCorrupt(out.recv, kind.name())
-	c.deliverIntegrity(out.recv, kind.name())
-	return out.recv
-}
-
-// AlltoallvWith exchanges exact per-pair sizes like Alltoallv, but scheduled
-// by the selected algorithm (pairwise exchange, ring streaming, or Bruck
-// log-step). The received bytes are identical for every algorithm; only the
-// virtual-time cost differs. AlgoLinear takes the legacy per-destination
-// path and is timing-identical to Alltoallv. Scheduled exchanges also
-// serialize through each rank's injection port, so chunked back-to-back
-// exchanges pipeline honestly instead of overlapping for free.
-func (c *Comm) AlltoallvWith(send []Buf, a Algo) []Buf {
-	impl := algoImpl(a)
-	if impl == nil {
-		return c.alltoall(send, kindAlltoallv)
-	}
-	st := c.state()
-	start := st.clock
-	out, bytes := c.schedExchange(send, impl, "MPI_Alltoallv")
-	if out.port > st.portFreeAt {
-		st.portFreeAt = out.port
-	}
-	st.clock = c.collClock("MPI_Alltoallv", start, out.clock)
-	c.record("MPI_Alltoallv", start, st.clock, bytes)
-	c.checkCorrupt(out.recv, "MPI_Alltoallv")
-	c.deliverIntegrity(out.recv, "MPI_Alltoallv")
-	return out.recv
-}
-
-// IalltoallvWith posts a non-blocking algorithm-scheduled all-to-all-v: the
-// caller pays only the posting overhead now and the remaining exchange time
-// at WaitColl, where it overlaps whatever local work ran in between (the
-// chunked pipelined reshape packs the next chunk there).
-func (c *Comm) IalltoallvWith(send []Buf, a Algo) *CollRequest {
-	impl := algoImpl(a)
-	if impl == nil {
-		// AlgoLinear runs its per-destination cost through the scheduled
-		// machinery here (unlike the blocking call): chunked pipelines post
-		// these back to back, and only the injection-port gate keeps two
-		// in-flight chunks from overlapping on the wire for free.
-		impl = linearAlgo{}
-	}
-	st := c.state()
-	start := st.clock
-	out, bytes := c.schedExchange(send, impl, "MPI_Ialltoallv")
-	if out.port > st.portFreeAt {
-		st.portFreeAt = out.port
-	}
-	st.clock += c.Model().HostOverheadColl
-	c.record("MPI_Ialltoallv", start, st.clock, bytes)
-	return &CollRequest{comm: c, postedAt: start, completeAt: out.clock, recv: out.recv, bytes: bytes, waitName: "MPI_Alltoallv"}
-}
-
-// schedExchange runs the rendezvous and cost computation shared by the
-// algorithm-scheduled Alltoallv flavours. The wrapper handles everything the
-// schedule itself does not model: PCIe staging for non-GPU-aware device
-// buffers, the self block's device copy, injection-port gating, and the
-// fault effects (degrade factors travel to the schedule, dropped blocks push
-// receivers' completions to +Inf exactly like the legacy path).
-func (c *Comm) schedExchange(send []Buf, impl CollectiveAlgo, opName string) (collOut, int) {
-	size := c.Size()
-	if len(send) != size {
-		panic(fmt.Sprintf("mpisim: %s send slice has %d entries for size-%d comm", opName, len(send), size))
-	}
-	st := c.state()
-	w := c.core.world
-	m := c.Model()
-
-	eff := c.faultEnter(opName)
-	c.chargeSendChecksums(send)
-	in := collIn{clock: st.clock, port: st.portFreeAt, send: make([]Buf, size), lost: eff.Drop}
-	if eff.Factor > 1 {
-		in.factor = eff.Factor
-	}
-	total := 0
-	for i, b := range send {
-		in.send[i] = b.clone()
-		total += b.Bytes()
-		if i == c.rank {
-			continue
-		}
-		if eff.Corrupt {
-			in.send[i].Corrupt = true
-		}
-		if eff.Silent > 0 {
-			in.send[i].silent = eff.Silent
-			in.send[i].flipSeed = mixSeed(eff.SilentSeed, i)
-		}
-	}
-	out := c.core.rv.exchange(w, c.rank, in, func(ins []collIn) []collOut {
-		// Synchronized schedules (lock-step rounds) gate every rank on the
-		// group's last entry; unsynchronized ones start each rank at its own
-		// arrival and let receiver-side data dependencies carry the skew.
-		t0 := math.Inf(-1)
-		if impl.Synchronized() {
-			t0 = maxClock(ins)
-		}
-		ex := &Exchange{
-			Size:   size,
-			Bytes:  make([][]int, size),
-			Dev:    make([]bool, size),
-			Factor: make([]float64, size),
-			Start:  make([]float64, size),
-			Ranks:  make([]int, size),
-			Nodes:  w.nodes,
-			Topo:   w.topo,
-			M:      m,
-		}
-		for r := range ins {
-			ex.Ranks[r] = c.WorldRank(r)
-			ex.Factor[r] = ins[r].factor
-			row := make([]int, size)
-			dev := false
-			var totalSend, totalRecv int
-			for d, b := range ins[r].send {
-				if b.Loc == machine.Device {
-					dev = true
-				}
-				row[d] = b.Bytes()
-				totalSend += b.Bytes()
-			}
-			for s := range ins {
-				totalRecv += ins[s].send[r].Bytes()
-			}
-			ex.Bytes[r] = row
-			// Bulk staging of non-GPU-aware device buffers precedes the
-			// network schedule, same accounting as the legacy path.
-			stage := 0.0
-			staged := dev && !w.opts.GPUAware
-			if staged {
-				stage = 2*m.StagingOverhead +
-					(1-m.StagingOverlap)*(float64(totalSend)/m.PCIeBW+float64(totalRecv)/m.PCIeBW)
-			}
-			ex.Dev[r] = dev && !staged
-			// Staging copies ride PCIe, not the NIC: they start at local
-			// arrival and overlap whatever transfer still occupies the
-			// injection port — which is how a chunked pipeline hides the
-			// host↔device hops of chunk k+1 under the wire time of chunk k.
-			ex.Start[r] = math.Max(math.Max(t0, ins[r].clock+stage), ins[r].port)
-		}
-		comp := impl.Complete(ex)
-		outs := make([]collOut, size)
-		for r := range ins {
-			t := comp[r]
-			if by := ins[r].send[r].Bytes(); by > 0 {
-				f := ins[r].factor
-				if f < 1 {
-					f = 1
-				}
-				t += float64(by) * 2 / m.GPU.MemBW * f
-			}
-			recv := make([]Buf, size)
-			for s := range ins {
-				recv[s] = ins[s].send[r]
-			}
-			outs[r] = collOut{clock: t, recv: recv, port: comp[r]}
-		}
-		for r := range ins {
-			if !ins[r].lost {
-				continue
-			}
-			for dst := 0; dst < size; dst++ {
-				if dst == r || ins[r].send[dst].Bytes() == 0 {
-					continue
-				}
-				outs[dst].clock = math.Inf(1)
-			}
-		}
-		return outs
-	})
-	return out, total
-}
-
-// checkCorrupt raises ErrMessageCorrupt for any off-diagonal received block
-// marked corrupted in transit (modeling transport checksums).
-func (c *Comm) checkCorrupt(recv []Buf, op string) {
-	for s, b := range recv {
-		if b.Corrupt && s != c.rank {
-			c.raiseFault(fmt.Errorf("mpisim: %w: rank %d: %s block from rank %d failed verification",
-				ErrMessageCorrupt, c.WorldRank(c.rank), op, c.WorldRank(s)))
-		}
-	}
-}
-
 // Split partitions the communicator like MPI_Comm_split: ranks with the same
 // color form a new communicator, ordered by (key, rank). Ranks passing a
 // negative color receive nil.

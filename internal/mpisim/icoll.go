@@ -1,12 +1,5 @@
 package mpisim
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/machine"
-)
-
 // CollRequest is the handle of a non-blocking collective (MPI_Ialltoallv),
 // the mechanism behind the asynchronous communication/computation overlap
 // explored by the turbulence and GPUDirect studies the paper cites ([28],
@@ -19,9 +12,11 @@ type CollRequest struct {
 	recv       []Buf
 	done       bool
 	bytes      int
-	// waitName is the trace name of the completing wait. The legacy async
-	// pipeline records "MPI_Wait(coll)"; the algorithm-scheduled chunked
-	// exchanges record "MPI_Alltoallv", so per-call breakdowns attribute the
+	// op names the posting call in timeout and corruption errors.
+	op string
+	// waitName is the trace name of the completing wait. The vendor
+	// Ialltoallv records "MPI_Wait(coll)"; the algorithm-scheduled exchanges
+	// record "MPI_Alltoallv", so per-call breakdowns attribute the
 	// communication time to the collective regardless of pipelining.
 	waitName string
 }
@@ -37,106 +32,38 @@ type CollRequest struct {
 // returned request completes at the same virtual instant the blocking
 // Alltoallv would have returned.
 func (c *Comm) Ialltoallv(send []Buf) *CollRequest {
-	size := c.Size()
-	if len(send) != size {
-		panic(fmt.Sprintf("mpisim: Ialltoallv send slice has %d entries for size-%d comm", len(send), size))
-	}
-	st := c.state()
-	start := st.clock
-	w := c.core.world
-	m := c.Model()
+	return c.ipostAlltoall(send, priceAlltoallv, "MPI_Wait(coll)")
+}
 
-	eff := c.faultEnter("MPI_Ialltoallv")
-	c.chargeSendChecksums(send)
-	in := collIn{clock: st.clock, send: make([]Buf, size), lost: eff.Drop}
-	if eff.Factor > 1 {
-		in.factor = eff.Factor
+// IalltoallvWith posts a non-blocking algorithm-scheduled all-to-all-v: the
+// caller pays only the posting overhead now and the remaining exchange time
+// at WaitColl, where it overlaps whatever local work ran in between (the
+// chunked pipelined reshape packs the next chunk there). Unlike the blocking
+// call, AlgoLinear is port-gated here (see priceLinearGated).
+func (c *Comm) IalltoallvWith(send []Buf, a Algo) *CollRequest {
+	p := priceLinearGated
+	if a != AlgoLinear {
+		p = schedulePricer(a)
 	}
-	totalBytes := 0
-	for i, b := range send {
-		in.send[i] = b.clone()
-		totalBytes += b.Bytes()
-		if i == c.rank {
-			continue
-		}
-		if eff.Corrupt {
-			in.send[i].Corrupt = true
-		}
-		if eff.Silent > 0 {
-			in.send[i].silent = eff.Silent
-			in.send[i].flipSeed = mixSeed(eff.SilentSeed, i)
-		}
-	}
-	out := c.core.rv.exchange(w, c.rank, in, func(ins []collIn) []collOut {
-		t0 := maxClock(ins)
-		outs := make([]collOut, size)
-		for r := 0; r < size; r++ {
-			srcW := c.WorldRank(r)
-			dev := false
-			var totalSend, totalRecv int
-			for _, b := range ins[r].send {
-				if b.Loc == machine.Device {
-					dev = true
-				}
-				totalSend += b.Bytes()
-			}
-			for s := 0; s < size; s++ {
-				totalRecv += ins[s].send[r].Bytes()
-			}
-			var t float64
-			staged := dev && !w.opts.GPUAware
-			if staged {
-				t += 2*m.StagingOverhead +
-					(1-m.StagingOverlap)*(float64(totalSend)/m.PCIeBW+float64(totalRecv)/m.PCIeBW)
-			}
-			oh := m.HostOverheadColl
-			if dev && !staged {
-				oh = m.DeviceOverheadColl
-			}
-			for dst := 0; dst < size; dst++ {
-				if dst == r {
-					t += float64(ins[r].send[dst].Bytes()) * 2 / m.GPU.MemBW
-					continue
-				}
-				bytes := ins[r].send[dst].Bytes()
-				if bytes == 0 {
-					continue
-				}
-				dstW := c.WorldRank(dst)
-				t += oh + float64(bytes)/w.topo.NaiveFlowBW(srcW, dstW) + w.topo.Latency(srcW, dstW)
-			}
-			if f := ins[r].factor; f > 1 {
-				t *= f
-			}
-			recv := make([]Buf, size)
-			for s := 0; s < size; s++ {
-				recv[s] = ins[s].send[r]
-			}
-			outs[r] = collOut{clock: t0 + t, recv: recv}
-		}
-		for r := 0; r < size; r++ {
-			if !ins[r].lost {
-				continue
-			}
-			for dst := 0; dst < size; dst++ {
-				if dst == r || ins[r].send[dst].Bytes() == 0 {
-					continue
-				}
-				outs[dst].clock = math.Inf(1)
-			}
-		}
-		return outs
-	})
-	// Post cost only; the bulk completes at Wait.
-	post := m.HostOverheadColl
-	st.clock += post
-	c.record("MPI_Ialltoallv", start, st.clock, totalBytes)
-	return &CollRequest{comm: c, postedAt: start, completeAt: out.clock, recv: out.recv, bytes: totalBytes}
+	return c.ipostAlltoall(send, p, "MPI_Alltoallv")
+}
+
+// ipostAlltoall is the non-blocking post: the engine's rendezvous plus the
+// posting overhead, which is all the caller pays until WaitColl.
+func (c *Comm) ipostAlltoall(send []Buf, p pricer, waitName string) *CollRequest {
+	r := c.postAlltoall(send, p, "MPI_Ialltoallv")
+	r.waitName = waitName
+	st := c.state()
+	st.clock += c.Model().HostOverheadColl
+	c.record("MPI_Ialltoallv", r.postedAt, st.clock, r.bytes)
+	return &r
 }
 
 // WaitColl completes a non-blocking collective, advancing the clock to the
 // exchange's completion (or not at all if local work already covered it) and
-// returning the received buffers.
+// returning the received buffers. The timeout bound covers post →
+// completion: a straggler or a dropped contribution fails the wait instead
+// of stretching it unboundedly.
 func (c *Comm) WaitColl(r *CollRequest) []Buf {
 	if r.done {
 		panic("mpisim: WaitColl on completed request")
@@ -144,25 +71,5 @@ func (c *Comm) WaitColl(r *CollRequest) []Buf {
 	if r.comm.core != c.core || r.comm.rank != c.rank {
 		panic("mpisim: WaitColl on another rank's request")
 	}
-	st := c.state()
-	start := st.clock
-	// The timeout bound covers post → completion: a straggler or a dropped
-	// contribution fails the wait instead of stretching it unboundedly.
-	if end := c.collClock("MPI_Ialltoallv", r.postedAt, r.completeAt); end > st.clock {
-		st.clock = end
-	}
-	r.done = true
-	name := r.waitName
-	if name == "" {
-		name = "MPI_Wait(coll)"
-	}
-	c.record(name, start, st.clock, r.bytes)
-	for s, b := range r.recv {
-		if b.Corrupt && s != c.rank {
-			c.raiseFault(fmt.Errorf("mpisim: %w: rank %d: Ialltoallv block from rank %d failed verification",
-				ErrMessageCorrupt, c.WorldRank(c.rank), c.WorldRank(s)))
-		}
-	}
-	c.deliverIntegrity(r.recv, "MPI_Ialltoallv")
-	return r.recv
+	return c.finishAlltoall(r, r.waitName, c.state().clock)
 }
