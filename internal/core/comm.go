@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/machine"
 	"repro/internal/model"
 	"repro/internal/mpisim"
 	"repro/internal/tensor"
@@ -12,8 +11,7 @@ import (
 
 // This file is the plan-level half of the pluggable collective subsystem:
 // per-phase exchange statistics, the regime heuristic behind CollAuto, and
-// the chunked pack→exchange→unpack pipeline in which packing of chunk k+1
-// (and unpacking of chunk k-1) overlaps the exchange in flight.
+// the chunking policy the exchange driver (exchange.go) executes.
 
 // autoChunkBytes is the per-rank send volume above which the auto policy
 // splits a *staged* reshape into pipeline chunks. Chunking only pays where
@@ -304,173 +302,4 @@ func (p *Plan) CommPhases() []CommPhase {
 		out = append(out, cp)
 	}
 	return out
-}
-
-// runReshapeAlltoallv is the Alltoallv backend's exchange: the resolved
-// schedule in a single shot, or the chunked (optionally pipelined) variant
-// of the same exchange.
-func runReshapeAlltoallv[T any](rs *reshapePlan, ctx execCtx, datas [][]T, phantom, recycleIn bool) [][]T {
-	// Algorithm selection and chunking see the on-wire element size: a
-	// compressed exchange sits at a different point of the (bytes, latency)
-	// regime map than its full-precision twin.
-	web := WireElemSize(rs.wireOf(ctx.opts), elemBytes[T]())
-	algo, chunks, overlap := rs.resolve(ctx.opts, web, len(datas))
-	if chunks <= 1 {
-		return runReshapeSingle(rs, ctx, datas, phantom, recycleIn, algo)
-	}
-	return runReshapeChunked(rs, ctx, datas, phantom, recycleIn, algo, chunks, overlap)
-}
-
-// runReshapeSingle is the unchunked Alltoallv exchange. With AlgoLinear it
-// is timing- and trace-identical to the legacy path.
-func runReshapeSingle[T any](rs *reshapePlan, ctx execCtx, datas [][]T, phantom, recycleIn bool, algo mpisim.Algo) [][]T {
-	ctx.Check()
-	bufs, sendBytes := packSendBufs(rs, ctx, datas, phantom)
-	recycleDatas(datas, recycleIn)
-	ctx.dev.Pack(sendBytes, ctx.opts.Contiguous)
-	recv := rs.group.AlltoallvWith(bufs, algo)
-	newData := allocNewArrays[T](rs, len(datas), phantom)
-	recvBytes, recvFull := 0, 0
-	wire := rs.wireOf(ctx.opts)
-	eb := elemBytes[T]()
-	web := WireElemSize(wire, eb)
-	for gi := range recv {
-		vol := rs.recvs[gi].Volume()
-		if vol == 0 {
-			continue
-		}
-		recvBytes += web * vol * len(datas)
-		recvFull += eb * vol * len(datas)
-		if newData != nil {
-			unpackBufInto(rs, newData, gi, recv[gi])
-			recycleRecv[T](recv[gi])
-		}
-	}
-	rs.chargeEnvelopeVerify(recvBytes)
-	ctx.dev.Unpack(recvBytes, ctx.opts.Contiguous)
-	if wire != WireFp64 {
-		ctx.dev.Convert(recvFull)
-	}
-	return newData
-}
-
-// runReshapeChunked splits the exchange into chunks of whole axis-0 rows of
-// every pair box. Without overlap each chunk runs pack→exchange→unpack
-// serially; with overlap the exchange of chunk k is posted non-blocking and
-// the pack of chunk k+1 plus the unpack of chunk k-1 execute while it is in
-// flight (double-buffered through the pooled staging buffers). The
-// simulator's injection-port gating keeps back-to-back chunk exchanges
-// honest on the wire, and each chunk passes through the fault machinery
-// independently, so kills/corruption mid-reshape surface at the failing
-// chunk with the PR 3 typed errors.
-func runReshapeChunked[T any](rs *reshapePlan, ctx execCtx, datas [][]T, phantom, recycleIn bool, algo mpisim.Algo, chunks int, overlap bool) [][]T {
-	g := rs.group
-	gs := g.Size()
-	wire := rs.wireOf(ctx.opts)
-	eb := elemBytes[T]()
-	web := WireElemSize(wire, eb)
-	newData := allocNewArrays[T](rs, len(datas), phantom)
-	ic := g.Integrity()
-
-	packChunk := func(ci int) ([]mpisim.Buf, int) {
-		bufs := make([]mpisim.Buf, gs)
-		total, full := 0, 0
-		for gi := 0; gi < gs; gi++ {
-			cb := chunkBox(rs.sends[gi], ci, chunks)
-			vol := cb.Volume()
-			if vol == 0 {
-				bufs[gi] = mpisim.Buf{Loc: machine.Device}
-				continue
-			}
-			elems := vol * len(datas)
-			total += web * elems
-			full += eb * elems
-			if phantom {
-				bufs[gi] = mkBuf[T](nil, elems, wire)
-				continue
-			}
-			data := getBuf[T](elems)
-			off := 0
-			for _, d := range datas {
-				tensor.Pack(d, rs.from, cb, data[off:off+vol])
-				off += vol
-			}
-			bufs[gi] = mkBuf(data, 0, wire)
-			bufs[gi].Move = true
-			if ic.Invariants {
-				envelopeSum(&bufs[gi], data)
-			}
-			quantizeSlice(wire, data)
-		}
-		if wire != WireFp64 {
-			ctx.dev.Convert(full)
-		}
-		if ic.Invariants && !ic.Checksums {
-			g.ChargeChecksum(total)
-		}
-		if ci == chunks-1 {
-			// The inputs are fully drained once the last chunk is packed.
-			recycleDatas(datas, recycleIn)
-		}
-		return bufs, total
-	}
-	unpackChunk := func(ci int, recv []mpisim.Buf) int {
-		total, full := 0, 0
-		for gi := range recv {
-			cb := chunkBox(rs.recvs[gi], ci, chunks)
-			vol := cb.Volume()
-			if vol == 0 {
-				continue
-			}
-			total += web * vol * len(datas)
-			full += eb * vol * len(datas)
-			if newData == nil {
-				continue
-			}
-			verifyEnvelope[T](rs, gi, recv[gi])
-			src := bufSlice[T](recv[gi])
-			off := 0
-			for fi := range newData {
-				tensor.Unpack(newData[fi], rs.to, cb, src[off:off+vol])
-				off += vol
-			}
-			recycleRecv[T](recv[gi])
-		}
-		rs.chargeEnvelopeVerify(total)
-		if wire != WireFp64 {
-			ctx.dev.Convert(full)
-		}
-		return total
-	}
-
-	if !overlap {
-		for ci := 0; ci < chunks; ci++ {
-			ctx.Check()
-			bufs, sb := packChunk(ci)
-			ctx.dev.Pack(sb, ctx.opts.Contiguous)
-			recv := g.AlltoallvWith(bufs, algo)
-			rb := unpackChunk(ci, recv)
-			ctx.dev.Unpack(rb, ctx.opts.Contiguous)
-		}
-		return newData
-	}
-
-	ctx.Check()
-	bufs, sb := packChunk(0)
-	ctx.dev.Pack(sb, ctx.opts.Contiguous)
-	req := g.IalltoallvWith(bufs, algo)
-	for ci := 1; ci <= chunks; ci++ {
-		var next *mpisim.CollRequest
-		if ci < chunks {
-			ctx.Check()
-			bufsN, sbN := packChunk(ci)
-			ctx.dev.Pack(sbN, ctx.opts.Contiguous)
-			next = g.IalltoallvWith(bufsN, algo)
-		}
-		recv := g.WaitColl(req)
-		rb := unpackChunk(ci-1, recv)
-		ctx.dev.Unpack(rb, ctx.opts.Contiguous)
-		req = next
-	}
-	return newData
 }

@@ -1,0 +1,328 @@
+package core
+
+import (
+	"repro/internal/machine"
+	"repro/internal/mpisim"
+	"repro/internal/tensor"
+)
+
+// exchange drives one reshape of a batch: pack(chunk) → post → wait →
+// unpack(chunk), generic over the element type (complex128 for the transform
+// pipeline, float64 for R2C input/output). Single-shot (one chunk),
+// chunked-serial and chunked-overlapped are loop shapes over those four steps
+// (run); per-entry-async splits them across the stage runner (start, finish).
+// P2P, Alltoall, Alltoallw and scheduled Alltoallv are transports for the
+// post/wait step.
+//
+// Pack buffers are drawn from the staging pool and shipped with Move: the
+// receiver takes ownership and returns them to the pool after unpacking, so
+// no defensive copy is made anywhere on the path.
+type exchange[T any] struct {
+	rs *reshapePlan
+	e  *engine
+	// datas[i] is batch entry i's local array over rs.from (nil slices for
+	// phantom batches); out holds the new arrays over rs.to, drawn on the
+	// first unpack — after a single-shot exchange has recycled its inputs.
+	datas, out [][]T
+	phantom    bool
+	// recycleIn marks datas as plan-owned (produced by an earlier reshape of
+	// the same execution): they return to the staging pool once packed. The
+	// arrays of the very first reshape belong to the caller and never do.
+	recycleIn bool
+
+	algo    mpisim.Algo
+	chunks  int
+	overlap bool
+	wire    WirePrecision
+	eb, web int // full-precision and on-wire bytes per element
+
+	// P2P receives, posted before packing (open).
+	rreqs []*mpisim.Request
+	rsrcs []int
+	// inflight is the exchange posted by start, completed by finish.
+	inflight posted
+}
+
+// posted is one chunk's exchange after the post step.
+type posted struct {
+	req   *mpisim.CollRequest // non-blocking collective still in flight
+	bufs  []mpisim.Buf        // blocking collective: received blocks; P2P: the packed blocks
+	sreqs []*mpisim.Request   // P2P: non-blocking sends to complete
+}
+
+// newExchange resolves how this reshape runs for the batch: wire precision,
+// and for the Alltoallv backend the schedule and chunking. Algorithm selection
+// and chunking see the on-wire element size: a compressed exchange sits at a
+// different point of the (bytes, latency) regime map than its full-precision
+// twin. async (per-entry non-blocking exchanges) always runs one chunk.
+func newExchange[T any](e *engine, rs *reshapePlan, datas [][]T, phantom, recycleIn, async bool) exchange[T] {
+	x := exchange[T]{rs: rs, e: e, datas: datas, phantom: phantom, recycleIn: recycleIn, chunks: 1}
+	if rs.group == nil {
+		return x
+	}
+	x.wire = rs.wireOf(e.opts)
+	x.eb = elemBytes[T]()
+	x.web = WireElemSize(x.wire, x.eb)
+	if e.opts.Backend == BackendAlltoallv {
+		x.algo, x.chunks, x.overlap = rs.resolve(e.opts, x.web, len(datas))
+		if async {
+			x.chunks, x.overlap = 1, false
+		}
+	}
+	return x
+}
+
+// run executes the whole exchange and returns the arrays over rs.to (nil for
+// phantom batches). Without overlap each chunk runs pack→post→wait→unpack
+// serially; with overlap the exchange of chunk k is posted non-blocking and
+// the pack of chunk k+1 plus the unpack of chunk k-1 execute while it is in
+// flight (double-buffered through the pooled staging buffers). The
+// simulator's injection-port gating keeps back-to-back chunk exchanges honest
+// on the wire, and each chunk passes through the fault machinery
+// independently, so kills/corruption mid-reshape surface at the failing chunk
+// with the typed fault errors.
+func (x *exchange[T]) run() [][]T {
+	if x.rs.group == nil {
+		return x.bypass()
+	}
+	x.open()
+	if !x.overlap {
+		for ci := 0; ci < x.chunks; ci++ {
+			x.e.checkCtx()
+			x.unpack(ci, x.post(x.pack(ci), false))
+		}
+		return x.out
+	}
+	x.e.checkCtx()
+	h := x.post(x.pack(0), true)
+	for ci := 1; ci <= x.chunks; ci++ {
+		var next posted
+		if ci < x.chunks {
+			x.e.checkCtx()
+			next = x.post(x.pack(ci), true)
+		}
+		x.unpack(ci-1, h)
+		h = next
+	}
+	return x.out
+}
+
+// start packs and posts the exchange non-blocking; finish completes it. Ranks
+// outside the exchange group post nothing and take the new (empty) box at
+// finish.
+func (x *exchange[T]) start() {
+	if x.rs.group != nil {
+		x.inflight = x.post(x.pack(0), true)
+	}
+}
+
+func (x *exchange[T]) finish() [][]T {
+	if x.rs.group == nil {
+		return x.bypass()
+	}
+	x.unpack(0, x.inflight)
+	return x.out
+}
+
+// bypass is the exchange of a rank that holds no data on either side: its
+// local share simply becomes empty (or stays untouched when the rank re-enters
+// later via another stage).
+func (x *exchange[T]) bypass() [][]T {
+	x.alloc()
+	recycleDatas(x.datas, x.recycleIn)
+	return x.out
+}
+
+// alloc draws the target-distribution arrays from the staging pool. They are
+// not zeroed: the receive boxes of a group tile rs.to exactly (the source
+// boxes tile the global grid), so unpacking overwrites every element.
+func (x *exchange[T]) alloc() {
+	if x.phantom || x.out != nil {
+		return
+	}
+	x.out = make([][]T, len(x.datas))
+	for i := range x.out {
+		x.out[i] = getBuf[T](x.rs.to.Volume())
+	}
+}
+
+// open readies the transport before anything is packed: the P2P backends post
+// all their receives first (heFFTe's MPI_Irecv loop).
+func (x *exchange[T]) open() {
+	if x.e.opts.Backend.Collective() {
+		return
+	}
+	g, rs := x.rs.group, x.rs
+	for gi := 0; gi < g.Size(); gi++ {
+		if gi != rs.myGroupRank && !rs.recvs[gi].Empty() {
+			x.rreqs = append(x.rreqs, g.Irecv(gi, rs.tag))
+			x.rsrcs = append(x.rsrcs, gi)
+		}
+	}
+}
+
+// pack builds chunk ci's per-member send buffers, fusing the batch — the
+// mechanism behind the batched-transform speedups of Fig. 13. Chunks are whole
+// axis-0 rows of every pair box. With ABFT invariants on, every packed block
+// carries its element sum in the message envelope (verified after unpack) and
+// the fused sum pass is charged — unless the transport's checksummed envelopes
+// already bill that stream.
+//
+// On a compressed wire the down-conversion fuses into the pack: each block is
+// rounded to the wire grid in place after packing — the exact values a
+// receiver observes after the down/up round trip — every buffer is stamped
+// with the wire format so all transport costs price the narrow bytes, and one
+// convert pass over the full-width side of the stream is charged. The
+// envelope sum is taken before rounding (it rides the pack kernel's
+// full-precision read), so envelope verification under compression is
+// tolerance-based (see verifyEnvelope). The pack kernel is charged for the
+// on-wire bytes it writes; MPI_Alltoallw (Algorithm 2) hands the library
+// derived sub-array datatypes and has no pack kernel.
+func (x *exchange[T]) pack(ci int) []mpisim.Buf {
+	rs, dev := x.rs, x.e.dev
+	gs := rs.group.Size()
+	bufs := make([]mpisim.Buf, gs)
+	ic := rs.group.Integrity()
+	wireBytes, fullBytes := 0, 0
+	for gi := 0; gi < gs; gi++ {
+		cb := chunkBox(rs.sends[gi], ci, x.chunks)
+		vol := cb.Volume()
+		if vol == 0 {
+			bufs[gi] = mpisim.Buf{Loc: machine.Device}
+			continue
+		}
+		elems := vol * len(x.datas)
+		wireBytes += x.web * elems
+		fullBytes += x.eb * elems
+		if x.phantom {
+			bufs[gi] = mkBuf[T](nil, elems, x.wire)
+			continue
+		}
+		data := getBuf[T](elems)
+		off := 0
+		for _, d := range x.datas {
+			tensor.Pack(d, rs.from, cb, data[off:off+vol])
+			off += vol
+		}
+		bufs[gi] = mkBuf(data, 0, x.wire)
+		bufs[gi].Move = true
+		if ic.Invariants {
+			envelopeSum(&bufs[gi], data)
+		}
+		quantizeSlice(x.wire, data)
+	}
+	if x.wire != WireFp64 {
+		dev.Convert(fullBytes)
+	}
+	if ic.Invariants && !ic.Checksums {
+		rs.group.ChargeChecksum(wireBytes)
+	}
+	if ci == x.chunks-1 {
+		// The inputs are fully drained once the last chunk is packed.
+		recycleDatas(x.datas, x.recycleIn)
+	}
+	if x.e.opts.Backend != BackendAlltoallw {
+		dev.Pack(wireBytes, x.e.opts.Contiguous)
+	}
+	return bufs
+}
+
+// post hands one chunk's packed blocks to the transport. Blocking transports
+// complete here; async (Alltoallv only) posts MPI_Ialltoallv under the
+// resolved schedule and leaves the exchange in flight.
+func (x *exchange[T]) post(bufs []mpisim.Buf, async bool) posted {
+	g, rs := x.rs.group, x.rs
+	switch x.e.opts.Backend {
+	case BackendAlltoallv:
+		if async {
+			return posted{req: g.IalltoallvWith(bufs, x.algo)}
+		}
+		return posted{bufs: g.AlltoallvWith(bufs, x.algo)}
+	case BackendAlltoall:
+		return posted{bufs: g.Alltoall(bufs)}
+	case BackendAlltoallw:
+		return posted{bufs: g.Alltoallw(bufs)}
+	}
+	// Point-to-Point (Table I): stream the sends, MPI_Isend or blocking
+	// MPI_Send.
+	h := posted{bufs: bufs}
+	for gi := range bufs {
+		if gi == rs.myGroupRank || rs.sends[gi].Empty() {
+			continue
+		}
+		if x.e.opts.Backend == BackendP2PBlocking {
+			g.Send(gi, rs.tag, bufs[gi])
+		} else {
+			h.sreqs = append(h.sreqs, g.Isend(gi, rs.tag, bufs[gi]))
+		}
+	}
+	return h
+}
+
+// unpack waits for chunk ci and scatters it into the new arrays, then charges
+// the receive side once: ABFT envelope verification, the unpack kernel over
+// the on-wire bytes, and the up-conversion of a compressed stream. Collective
+// transports unpack in one kernel after the call; the P2P transports unpack
+// arrivals in completion order (MPI_Waitany) and charge a kernel per message,
+// the local share first — it never touches the network; MPI_Alltoallw has no
+// unpack kernel.
+func (x *exchange[T]) unpack(ci int, h posted) {
+	g, rs, dev, opts := x.rs.group, x.rs, x.e.dev, x.e.opts
+	x.alloc()
+	bulk := opts.Backend == BackendAlltoallv || opts.Backend == BackendAlltoall
+	if opts.Backend.Collective() {
+		recv := h.bufs
+		if h.req != nil {
+			recv = g.WaitColl(h.req)
+		}
+		for gi := range recv {
+			x.unpackBlock(ci, gi, recv[gi])
+		}
+	} else {
+		me := rs.myGroupRank
+		if self := rs.sends[me]; !self.Empty() {
+			x.unpackBlock(ci, me, h.bufs[me])
+			dev.Unpack(x.web*self.Volume()*len(x.datas), opts.Contiguous)
+		}
+		for range x.rreqs {
+			i, buf := g.Waitany(x.rreqs)
+			x.unpackBlock(ci, x.rsrcs[i], buf)
+			dev.Unpack(buf.Bytes(), opts.Contiguous)
+		}
+		if h.sreqs != nil {
+			g.Waitall(h.sreqs)
+		}
+	}
+	wireBytes, fullBytes := 0, 0
+	for gi := range rs.recvs {
+		elems := chunkBox(rs.recvs[gi], ci, x.chunks).Volume() * len(x.datas)
+		wireBytes += x.web * elems
+		fullBytes += x.eb * elems
+	}
+	rs.chargeEnvelopeVerify(wireBytes)
+	if bulk {
+		dev.Unpack(wireBytes, opts.Contiguous)
+	}
+	if x.wire != WireFp64 {
+		dev.Convert(fullBytes)
+	}
+}
+
+// unpackBlock scatters member gi's received block of chunk ci into the new
+// arrays — verifying its ABFT envelope sum first when one is attached — and
+// returns the buffer to the staging pool.
+func (x *exchange[T]) unpackBlock(ci, gi int, buf mpisim.Buf) {
+	cb := chunkBox(x.rs.recvs[gi], ci, x.chunks)
+	vol := cb.Volume()
+	if vol == 0 || x.out == nil {
+		return
+	}
+	verifyEnvelope[T](x.rs, gi, buf)
+	src := bufSlice[T](buf)
+	off := 0
+	for fi := range x.out {
+		tensor.Unpack(x.out[fi], x.rs.to, cb, src[off:off+vol])
+		off += vol
+	}
+	recycleRecv[T](buf)
+}

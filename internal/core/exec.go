@@ -5,85 +5,164 @@ import (
 	"fmt"
 
 	"repro/internal/fft"
+	"repro/internal/gpu"
+	"repro/internal/mpisim"
 	"repro/internal/tensor"
 	"repro/internal/trace"
 )
 
-// Forward computes the forward transform of one field (in place: the field's
-// box and data become the output distribution). The single-field batch rides
-// in plan-held scratch, so steady-state execution allocates nothing.
-func (p *Plan) Forward(f *Field) error {
-	p.one[0] = f
-	return p.execute(p.one[:], fft.Forward)
+// engine is the execution state Plan and RealPlan share: one stage runner
+// (run) walks either plan's stage list, and the cross-cutting layers — fault
+// errors with (rank, phase) context, context cancellation, phase checkpoints,
+// ABFT invariants, ExecInfo — hang off it once, at stage boundaries, so they
+// hold on every execution path or the combination is rejected with
+// ErrBadConfig.
+type engine struct {
+	comm *mpisim.Comm
+	dev  *gpu.Device
+	opts Options
+	// global is the extents of the grid the complex stages transform (the
+	// Hermitian half grid for a RealPlan); decomp the resolved decomposition.
+	// Both describe the execution to the checkpoint store.
+	global [3]int
+	decomp Decomposition // never DecompAuto
+	// abftEps widens the ABFT invariant floor by the wire's quantization noise
+	// when the plan compresses any exchange (abftEpsOf); zero otherwise.
+	abftEps float64
+
+	closed bool
+	// lastExec describes the most recent execution on this rank (LastExec).
+	lastExec ExecInfo
+	// curPhase is the stage label currently executing, read by recoverFault to
+	// attach phase context to fault errors. Rank-local, like the plan itself.
+	curPhase string
+	// ctx is the cancellation context of an in-flight *Ctx call (nil
+	// otherwise); checked at stage and chunk boundaries.
+	ctx context.Context
 }
 
-// Inverse computes the inverse transform (scaled by 1/N, so
-// Inverse(Forward(x)) == x).
-func (p *Plan) Inverse(f *Field) error {
-	p.one[0] = f
-	return p.execute(p.one[:], fft.Inverse)
+type stageKind int
+
+const (
+	stageReshape stageKind = iota
+	stageFFT1D
+	stageFFT2D
+	// stageR2C and stageC2R are the local real↔half-spectrum transforms along
+	// axis 2 that turn a RealPlan's real batch into the complex batch the
+	// remaining stages carry, and back.
+	stageR2C
+	stageC2R
+)
+
+type stage struct {
+	kind  stageKind
+	label string       // phase name reported in fault errors
+	rs    *reshapePlan // stageReshape
+	axis  int          // stageFFT1D: transform axis
+	// myBox is the local box during a compute stage; for stageR2C/stageC2R the
+	// real z-pencil box, with specBox its half-spectrum shadow.
+	myBox, specBox tensor.Box3
+	fplan          *fft.Plan     // stageFFT1D: kernel plan, resolved at build time
+	rplan          *fft.RealPlan // stageR2C/stageC2R: real kernel plan
 }
 
-// ForwardCtx is Forward with a cancellation context: the context is checked
-// at every stage and pipeline-chunk boundary, and an expired context fails
-// the execution with an error wrapping ctx.Err(). Cancellation is
-// collective — a distributed transform cannot complete once one rank stops
-// participating — so the rank observing the expired context aborts the
-// world and every other rank's execution returns the same error. Callers
-// are expected to pass equivalent contexts on all ranks, the same contract
-// as every other collective argument.
-func (p *Plan) ForwardCtx(ctx context.Context, f *Field) error {
-	p.ctx = ctx
-	defer func() { p.ctx = nil }()
-	return p.Forward(f)
-}
-
-// InverseCtx is Inverse with a cancellation context; see ForwardCtx.
-func (p *Plan) InverseCtx(ctx context.Context, f *Field) error {
-	p.ctx = ctx
-	defer func() { p.ctx = nil }()
-	return p.Inverse(f)
-}
-
-// ForwardBatchCtx is ForwardBatch with a cancellation context; see ForwardCtx.
-func (p *Plan) ForwardBatchCtx(ctx context.Context, fs []*Field) error {
-	p.ctx = ctx
-	defer func() { p.ctx = nil }()
-	return p.ForwardBatch(fs)
-}
-
-// InverseBatchCtx is InverseBatch with a cancellation context; see ForwardCtx.
-func (p *Plan) InverseBatchCtx(ctx context.Context, fs []*Field) error {
-	p.ctx = ctx
-	defer func() { p.ctx = nil }()
-	return p.InverseBatch(fs)
-}
-
-// checkCtx fails the world when the plan's attached context has expired.
-// Runs at stage and chunk boundaries on the execution path; the resulting
-// error satisfies errors.Is against ctx.Err() (context.Canceled or
-// context.DeadlineExceeded).
-func (p *Plan) checkCtx() {
-	if p.ctx == nil {
-		return
+// in and out are the local boxes a batch enters and leaves the stage on.
+func (st stage) in() tensor.Box3 {
+	switch st.kind {
+	case stageReshape:
+		return st.rs.from
+	case stageC2R:
+		return st.specBox
 	}
-	select {
-	case <-p.ctx.Done():
-		p.comm.Fail(fmt.Errorf("core: rank %d: execution canceled: %w",
-			p.comm.WorldRank(p.comm.Rank()), p.ctx.Err()))
-	default:
-	}
+	return st.myBox
 }
 
-// ForwardBatch transforms a batch of fields through one fused plan
-// execution: exchange messages carry all batch payloads (amortizing latency
-// and per-message overheads) and the local FFTs of later batch entries
-// overlap the network exchanges — the batched-transform feature of
-// Algorithm 1 evaluated in Fig. 13.
-func (p *Plan) ForwardBatch(fs []*Field) error { return p.execute(fs, fft.Forward) }
+func (st stage) out() tensor.Box3 {
+	switch st.kind {
+	case stageReshape:
+		return st.rs.to
+	case stageR2C:
+		return st.specBox
+	}
+	return st.myBox
+}
 
-// InverseBatch is the batched inverse transform.
-func (p *Plan) InverseBatch(fs []*Field) error { return p.execute(fs, fft.Inverse) }
+// batch is the data one execution carries: complex fields, or — before the
+// r2c stage and after the c2r stage of a RealPlan — real fields. Exactly one
+// representation is live at a time.
+type batch struct {
+	fields []*Field
+	reals  []*RealField
+	real   bool
+}
+
+func (b *batch) len() int {
+	if b.real {
+		return len(b.reals)
+	}
+	return len(b.fields)
+}
+
+func (b *batch) phantom() bool {
+	if b.real {
+		return b.reals[0].Phantom()
+	}
+	return b.fields[0].Phantom()
+}
+
+// validate checks every entry against the box the batch must sit on.
+func (b *batch) validate(want tensor.Box3) error {
+	if b.real {
+		return validateFields[float64](b.reals, want)
+	}
+	return validateFields[complex128](b.fields, want)
+}
+
+// fieldOf abstracts Field and RealField over their element type: ref exposes
+// the box and the local array so the runner can validate and re-point either.
+type fieldOf[T any] interface {
+	ref() (*tensor.Box3, *[]T)
+}
+
+func (f *Field) ref() (*tensor.Box3, *[]complex128)  { return &f.Box, &f.Data }
+func (f *RealField) ref() (*tensor.Box3, *[]float64) { return &f.Box, &f.Data }
+
+// validateFields checks that every entry covers the expected box with an
+// array of matching length, and that phantom (size-only) and real payloads
+// are not mixed within the batch.
+func validateFields[T any, F fieldOf[T]](fs []F, want tensor.Box3) error {
+	for _, f := range fs {
+		box, data := f.ref()
+		if !box.Equal(want) {
+			return fmt.Errorf("core: field box %v does not match plan box %v", *box, want)
+		}
+		if *data != nil && len(*data) != box.Volume() {
+			return fmt.Errorf("core: field data length %d != box volume %d", len(*data), box.Volume())
+		}
+		if _, first := fs[0].ref(); (*data == nil) != (*first == nil) {
+			return fmt.Errorf("core: batch mixes phantom and real fields")
+		}
+	}
+	return nil
+}
+
+// policy is how the runner schedules a batch over the stages. It is selected
+// by the public method called, never by an option.
+type policy int
+
+const (
+	// batchFused fuses the batch into one exchange per reshape (one message
+	// per pair carries every entry, amortizing latency and per-message
+	// overheads), charges ONE entry's compute per stage and hides the other
+	// entries' compute behind the next exchange — the batched transform of
+	// Algorithm 1 evaluated in Fig. 13.
+	batchFused policy = iota
+	// entryAsync posts one non-blocking exchange per entry and computes entry
+	// i while later entries' messages fly — the explicit asynchronous overlap
+	// of the turbulence/GPUDirect studies the paper cites ([28], [34], [35]).
+	// It trades message fusion for finer-grained overlap.
+	entryAsync
+)
 
 // ExecInfo describes one execution on this rank: how many fields the batch
 // fused and the virtual-time interval it spanned. The serving layer uses it
@@ -96,162 +175,267 @@ type ExecInfo struct {
 	Start, End float64
 }
 
-// LastExec returns information about the most recent (possibly failed)
-// execution on this rank. Like execution itself, it is rank-local: call it
-// from the goroutine that ran the plan.
-func (p *Plan) LastExec() ExecInfo { return p.lastExec }
-
-func (p *Plan) execute(fields []*Field, dir fft.Direction) error {
-	return p.executeFrom(fields, dir, 0, false)
-}
-
-// executeFrom runs the pipeline from stage index from (0 = the full
-// transform): the fields must carry the data distribution of that stage
-// boundary (p.dists[from]). ResumeBatch uses it to re-enter a shrunken
-// world's pipeline at the last globally completed boundary; recycleFirst
-// marks the fields' arrays as pool-drawn so the first reshape recycles them.
-func (p *Plan) executeFrom(fields []*Field, dir fft.Direction, from int, recycleFirst bool) (err error) {
-	if p.closed {
+// run executes stages[from:] on the batch — the only function in the package
+// that walks a stage list to execute it. The batch must sit on the
+// distribution of that stage boundary (from > 0 re-enters a shrunken world's
+// pipeline at the last globally completed boundary, see ResumeBatch).
+//
+// The boundary hooks apply here once: the entry check (closed plan, empty or
+// mixed batch, boxes), curPhase + recoverFault (injected faults and exchange
+// timeouts unwind as panics from deep inside the exchange machinery and
+// surface as errors with (rank, phase) context), checkCtx, checkpoint
+// saveBoundary, lastExec; the ABFT invariant wraps the kernel inside
+// computeStage and the envelope sums ride the exchange driver.
+func (e *engine) run(stages []stage, b *batch, dir fft.Direction, from int, pol policy) (err error) {
+	if e.closed {
 		return fmt.Errorf("core: %w", ErrPlanClosed)
 	}
-	if len(fields) == 0 {
+	n := b.len()
+	if n == 0 {
 		return fmt.Errorf("core: empty batch")
 	}
-	// Injected faults and exchange timeouts unwind as panics from deep inside
-	// the reshape machinery; surface them as errors with (rank, phase) context
-	// instead of crashing the rank goroutine.
-	p.curPhase = ""
-	defer p.recoverFault(&err)
-	// Validation failures leave End == Start: nothing executed, no cost.
-	p.lastExec = ExecInfo{Batch: len(fields), Start: p.comm.Clock()}
-	p.lastExec.End = p.lastExec.Start
-	phantom := fields[0].Phantom()
-	startBox := p.dists[from][p.comm.Rank()]
-	for _, f := range fields {
-		if err := f.validate(startBox); err != nil {
-			return err
-		}
-		if f.Phantom() != phantom {
-			return fmt.Errorf("core: batch mixes phantom and real fields")
+	ck := e.opts.Checkpoints
+	if pol == entryAsync {
+		// Per-entry exchanges exist only as MPI_Ialltoallv, carry one
+		// unchunked message per entry, and leave no whole-batch stage boundary
+		// to checkpoint while entries are in flight.
+		switch {
+		case e.opts.Backend != BackendAlltoallv:
+			return fmt.Errorf("core: %w: pipelined execution requires the alltoallv backend, have %v", ErrBadConfig, e.opts.Backend)
+		case e.opts.Comm.Chunks > 1:
+			return fmt.Errorf("core: %w: pipelined execution cannot chunk its per-entry exchanges (Comm.Chunks = %d)", ErrBadConfig, e.opts.Comm.Chunks)
+		case ck != nil:
+			return fmt.Errorf("core: %w: pipelined execution cannot checkpoint whole-batch stage boundaries", ErrBadConfig)
 		}
 	}
-	ck := p.opts.Checkpoints
+	e.curPhase = ""
+	defer e.recoverFault(&err)
+	// Validation failures leave End == Start: nothing executed, no cost.
+	e.lastExec = ExecInfo{Batch: n, Start: e.comm.Clock()}
+	e.lastExec.End = e.lastExec.Start
+	startBox, endBox := stages[len(stages)-1].out(), stages[len(stages)-1].out()
+	if from < len(stages) {
+		startBox = stages[from].in()
+	}
+	if err := b.validate(startBox); err != nil {
+		return err
+	}
+	phantom := b.phantom()
 	if ck != nil {
 		// Open this rank's checkpoint trail with the boundary being entered:
 		// the caller's input, or (on resume) the boundary restored, so a
 		// second shrink can cascade from there.
-		p.beginCheckpoints(ck, dir, len(fields), phantom)
+		e.beginCheckpoints(ck, dir, n, phantom)
 		label := inputBoundary
 		if from > 0 {
-			label = p.stages[from-1].label
+			label = stages[from-1].label
 		}
-		p.saveBoundary(ck, label, fields, phantom)
+		e.saveBoundary(ck, label, b.fields, phantom)
 	}
 
-	// pending is local FFT work of batch entries beyond the first whose
-	// execution overlaps the next exchange: the pipeline charges the first
-	// entry's compute up front (its results must be packed before anything
-	// can be sent) and hides the rest behind communication.
+	// pending is local compute of batch entries beyond the first whose
+	// execution overlaps the next exchange (batchFused): the pipeline charges
+	// the first entry's compute up front (its results must be packed before
+	// anything can be sent) and hides the rest behind communication.
 	pending := 0.0
 	// The first reshape packs from caller-owned arrays; every later one packs
 	// from arrays the previous reshape drew from the staging pool, which are
 	// recycled once packed.
-	recycle := recycleFirst
-	var check func()
-	if p.ctx != nil {
-		check = p.checkCtx
-	}
-	for si := from; si < len(p.stages); si++ {
-		st := p.stages[si]
-		p.curPhase = st.label
-		p.checkCtx()
-		switch st.kind {
-		case stageReshape:
-			t0 := p.comm.Clock()
-			st.rs.run(execCtx{dev: p.dev, opts: p.opts, check: check}, fields, recycle)
+	recycle := false
+	// flights holds each entry's posted exchange (entryAsync): set by a
+	// reshape stage, drained entry by entry as the next stage needs the data.
+	var flights []exchange[complex128]
+	for si := from; si < len(stages); si++ {
+		st := stages[si]
+		e.curPhase = st.label
+		e.checkCtx()
+		switch {
+		case st.kind == stageReshape && pol == batchFused:
+			t0 := e.comm.Clock()
+			e.reshape(st.rs, b, recycle)
 			recycle = true
-			comm := p.comm.Clock() - t0
-			if pending > comm {
-				p.chargeOverlap(pending - comm)
+			if comm := e.comm.Clock() - t0; pending > comm {
+				e.chargeOverlap(pending - comm)
 			}
 			pending = 0
-		case stageFFT1D, stageFFT2D:
-			per := p.fftStage(st, fields, dir)
-			pending += per * float64(len(fields)-1)
+		case st.kind == stageReshape:
+			if flights == nil {
+				flights = make([]exchange[complex128], n)
+			}
+			for i, f := range b.fields {
+				checkBox(st.rs, f.Box)
+				flights[i] = newExchange(e, st.rs, [][]complex128{f.Data}, phantom, recycle, true)
+				flights[i].start()
+			}
+			recycle = true
+		case pol == batchFused:
+			per := e.computeStage(st, b, dir)
+			pending += per * float64(n-1)
+		default:
+			for i := range b.fields {
+				land(b.fields[i], flights, i)
+				// Compute this entry while later entries' exchanges fly.
+				one := batch{fields: b.fields[i : i+1]}
+				e.computeStage(st, &one, dir)
+			}
 		}
 		if ck != nil {
-			p.saveBoundary(ck, st.label, fields, phantom)
+			e.saveBoundary(ck, st.label, b.fields, phantom)
 		}
+	}
+	for i := range flights {
+		land(b.fields[i], flights, i)
 	}
 	if pending > 0 {
-		p.chargeOverlap(pending)
+		e.chargeOverlap(pending)
 	}
-	p.lastExec.End = p.comm.Clock()
-	for _, f := range fields {
-		if err := f.validate(p.outBox); err != nil {
-			return fmt.Errorf("core: after execution: %w", err)
-		}
+	e.lastExec.End = e.comm.Clock()
+	if err := b.validate(endBox); err != nil {
+		return fmt.Errorf("core: after execution: %w", err)
 	}
 	return nil
 }
 
+// land completes entry i's in-flight exchange, if one is posted, and points
+// the field at its array over the new distribution.
+func land(f *Field, flights []exchange[complex128], i int) {
+	if flights == nil || flights[i].rs == nil {
+		return
+	}
+	out := flights[i].finish()
+	f.Box = flights[i].rs.to
+	if out != nil {
+		f.Data = out[0]
+	}
+	flights[i].rs = nil
+}
+
+// reshape moves the whole batch through one fused exchange and re-points
+// every entry at its array over the target distribution.
+func (e *engine) reshape(rs *reshapePlan, b *batch, recycleIn bool) {
+	if b.real {
+		reshapeFields[float64](e, rs, b.reals, recycleIn)
+	} else {
+		reshapeFields[complex128](e, rs, b.fields, recycleIn)
+	}
+}
+
+func reshapeFields[T any, F fieldOf[T]](e *engine, rs *reshapePlan, fs []F, recycleIn bool) {
+	datas := make([][]T, len(fs))
+	for i, f := range fs {
+		box, data := f.ref()
+		checkBox(rs, *box)
+		datas[i] = *data
+	}
+	x := newExchange(e, rs, datas, datas[0] == nil, recycleIn, false)
+	out := x.run()
+	for i, f := range fs {
+		box, data := f.ref()
+		*box = rs.to
+		if out != nil {
+			*data = out[i]
+		}
+	}
+}
+
+func checkBox(rs *reshapePlan, have tensor.Box3) {
+	if !have.Equal(rs.from) {
+		panic(fmt.Sprintf("core: reshape %s: field box %v != expected %v", rs.label, have, rs.from))
+	}
+}
+
+// checkCtx fails the world when the attached context has expired. Runs at
+// stage and chunk boundaries on the execution path; the resulting error
+// satisfies errors.Is against ctx.Err() (context.Canceled or
+// context.DeadlineExceeded). Cancellation is collective — a distributed
+// transform cannot complete once one rank stops participating — so the rank
+// observing the expired context aborts the world and every other rank's
+// execution returns the same error.
+func (e *engine) checkCtx() {
+	if e.ctx == nil {
+		return
+	}
+	select {
+	case <-e.ctx.Done():
+		e.comm.Fail(fmt.Errorf("core: rank %d: execution canceled: %w",
+			e.comm.WorldRank(e.comm.Rank()), e.ctx.Err()))
+	default:
+	}
+}
+
 // chargeOverlap accounts batched compute that did not fit under the
 // exchanges.
-func (p *Plan) chargeOverlap(dt float64) {
-	start := p.comm.Clock()
-	p.comm.Advance(dt)
-	p.comm.Tracer().Record(trace.Event{
-		Rank: p.comm.WorldRank(p.comm.Rank()), Name: "batched_fft",
+func (e *engine) chargeOverlap(dt float64) {
+	start := e.comm.Clock()
+	e.comm.Advance(dt)
+	e.comm.Tracer().Record(trace.Event{
+		Rank: e.comm.WorldRank(e.comm.Rank()), Name: "batched_fft",
 		Start: start, End: start + dt,
 	})
 }
 
-// fftStage computes the local transforms of every batch entry (numerically)
-// and charges the virtual cost of ONE entry, returning that per-entry cost
-// so execute can pipeline the remainder.
-func (p *Plan) fftStage(st stage, fields []*Field, dir fft.Direction) float64 {
-	box := st.myBox
-	if box.Empty() {
+// computeStage computes the local transforms of every batch entry
+// (numerically) and charges the virtual cost of ONE entry, returning that
+// per-entry cost so the batchFused policy can pipeline the remainder. With
+// ABFT invariants on, the complex stages run under the phase invariant
+// (runABFT); the r2c/c2r kernels stay outside it — their real-side sums obey
+// no DFT-linearity identity against the half spectrum the invariant could
+// check without a second transform.
+func (e *engine) computeStage(st stage, b *batch, dir fft.Direction) float64 {
+	switch st.kind {
+	case stageR2C:
+		return e.r2c(st, b)
+	case stageC2R:
+		return e.c2r(st, b)
+	}
+	if st.myBox.Empty() {
 		return 0
 	}
-	if p.comm.Integrity().Invariants {
-		return p.fftStageABFT(st, fields, dir)
+	if e.comm.Integrity().Invariants {
+		return e.runABFT(st, b.fields, dir)
 	}
-	s := box.Sizes()
-	g := p.dev.Model()
+	if !b.phantom() {
+		for _, f := range b.fields {
+			e.kernel(st, f, dir)
+		}
+	}
+	return e.chargeKernel(st)
+}
 
+// kernel runs one field's local transforms of a complex compute stage.
+func (e *engine) kernel(st stage, f *Field, dir fft.Direction) {
+	s := st.myBox.Sizes()
 	if st.kind == stageFFT2D {
 		// Slab stage: batched 2-D transforms over axes (1, 2), contiguous.
-		if !fields[0].Phantom() {
-			for _, f := range fields {
-				for i0 := 0; i0 < s[0]; i0++ {
-					plane := f.Data[i0*s[1]*s[2] : (i0+1)*s[1]*s[2]]
-					fft.Transform2D(plane, s[1], s[2], dir)
-				}
-			}
+		for i0 := 0; i0 < s[0]; i0++ {
+			plane := f.Data[i0*s[1]*s[2] : (i0+1)*s[1]*s[2]]
+			fft.Transform2D(plane, s[1], s[2], dir)
 		}
-		p.dev.FFT2D(s[1], s[2], s[0], false)
+		return
+	}
+	localFFT1D(st.fplan, f.Data, st.myBox, st.axis, e.opts.Contiguous, dir)
+}
+
+// chargeKernel charges one entry's kernel of a complex compute stage and
+// returns its cost.
+func (e *engine) chargeKernel(st stage) float64 {
+	s := st.myBox.Sizes()
+	g := e.dev.Model()
+	if st.kind == stageFFT2D {
+		e.dev.FFT2D(s[1], s[2], s[0], false)
 		return g.FFT2DCost(s[1], s[2], s[0], false)
 	}
-
-	axis := st.axis
-	n := s[axis]
-	if n != p.global[axis] {
-		panic(fmt.Sprintf("core: fft stage axis %d spans %d of %d", axis, n, p.global[axis]))
+	n := s[st.axis]
+	if n != st.fplan.N() {
+		panic(fmt.Sprintf("core: fft stage axis %d spans %d of %d", st.axis, n, st.fplan.N()))
 	}
-	batch := box.Volume() / n
+	batch := st.myBox.Volume() / n
 	// Axis 2 is contiguous in the local layout; axes 0 and 1 are strided.
 	// In the "contiguous/transposed" mode the data is reordered so the kernel
 	// runs contiguous (charged as transposed pack/unpack); otherwise the
 	// strided kernel pays the Fig. 10 penalty.
-	strided := axis != 2 && !p.opts.Contiguous
-
-	if !fields[0].Phantom() {
-		for _, f := range fields {
-			localFFT1D(st.fplan, f.Data, box, axis, p.opts.Contiguous, dir)
-		}
-	}
-	p.dev.FFT1D(n, batch, strided)
+	strided := st.axis != 2 && !e.opts.Contiguous
+	e.dev.FFT1D(n, batch, strided)
 	return g.FFT1DCost(n, batch, strided)
 }
 
@@ -287,4 +471,133 @@ func localFFT1D(plan *fft.Plan, data []complex128, box tensor.Box3, axis int, co
 	case 0:
 		plan.TransformBatch(data, s[1]*s[2], 1, s[1]*s[2], dir)
 	}
+}
+
+// r2c converts the batch's real z-pencils to complex half-spectrum fields
+// (the whole pencil as one advanced-layout D2Z batch: zero-copy, parallel
+// fan-out inside the fft package). The half-spectrum arrays are drawn from
+// the staging pool and fully overwritten, so every later reshape recycles the
+// arrays it replaces.
+func (e *engine) r2c(st stage, b *batch) float64 {
+	n2, h := st.rplan.N(), st.rplan.SpectrumLen()
+	rows := st.myBox.Size(0) * st.myBox.Size(1)
+	for i, rf := range b.reals {
+		f := &Field{Box: st.specBox}
+		if !rf.Phantom() {
+			f.Data = getBuf[complex128](st.specBox.Volume())
+			if err := st.rplan.ForwardBatch(rf.Data, 1, n2, f.Data, 1, h, rows); err != nil {
+				panic(err)
+			}
+		}
+		b.fields[i] = f
+	}
+	b.real = false
+	return e.chargeR2C(n2, rows)
+}
+
+// c2r converts half-spectrum z-pencils back to real values.
+func (e *engine) c2r(st stage, b *batch) float64 {
+	n2, h := st.rplan.N(), st.rplan.SpectrumLen()
+	rows := st.specBox.Size(0) * st.specBox.Size(1)
+	for i, f := range b.fields {
+		rf := &RealField{Box: st.myBox}
+		if !f.Phantom() {
+			rf.Data = getBuf[float64](st.myBox.Volume())
+			if err := st.rplan.InverseBatch(f.Data, 1, h, rf.Data, 1, n2, rows); err != nil {
+				panic(err)
+			}
+		}
+		b.reals[i] = rf
+	}
+	b.real = true
+	return e.chargeR2C(n2, rows)
+}
+
+// chargeR2C charges one entry's batch of real transforms of length n.
+func (e *engine) chargeR2C(n, rows int) float64 {
+	if rows == 0 {
+		return 0
+	}
+	e.dev.FFTR2C(n, rows)
+	return e.dev.Model().FFTR2CCost(n, rows)
+}
+
+// recoverFault is the deferred fault handler of run. It is a method taking
+// the error pointer (not a closure) so deferring it in the execution hot path
+// allocates nothing — the steady-state zero-allocation guarantee of
+// Forward/Inverse holds with fault handling armed.
+func (e *engine) recoverFault(errp *error) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	err := faultErrFrom(r, e.comm, e.curPhase)
+	if err == nil {
+		panic(r)
+	}
+	e.lastExec.End = e.comm.Clock()
+	*errp = err
+}
+
+// Forward computes the forward transform of one field (in place: the field's
+// box and data become the output distribution). The single-field batch rides
+// in plan-held scratch, so steady-state execution allocates nothing.
+func (p *Plan) Forward(f *Field) error {
+	p.one[0] = f
+	return p.execute(p.one[:], fft.Forward)
+}
+
+// Inverse computes the inverse transform (scaled by 1/N, so
+// Inverse(Forward(x)) == x).
+func (p *Plan) Inverse(f *Field) error {
+	p.one[0] = f
+	return p.execute(p.one[:], fft.Inverse)
+}
+
+// ForwardCtx is Forward with a cancellation context: the context is checked
+// at every stage and pipeline-chunk boundary, and an expired context fails
+// the execution with an error wrapping ctx.Err() (see checkCtx). Callers are
+// expected to pass equivalent contexts on all ranks, the same contract as
+// every other collective argument.
+func (p *Plan) ForwardCtx(ctx context.Context, f *Field) error {
+	p.ctx = ctx
+	defer func() { p.ctx = nil }()
+	return p.Forward(f)
+}
+
+// InverseCtx is Inverse with a cancellation context; see ForwardCtx.
+func (p *Plan) InverseCtx(ctx context.Context, f *Field) error {
+	p.ctx = ctx
+	defer func() { p.ctx = nil }()
+	return p.Inverse(f)
+}
+
+// ForwardBatchCtx is ForwardBatch with a cancellation context; see ForwardCtx.
+func (p *Plan) ForwardBatchCtx(ctx context.Context, fs []*Field) error {
+	p.ctx = ctx
+	defer func() { p.ctx = nil }()
+	return p.ForwardBatch(fs)
+}
+
+// InverseBatchCtx is InverseBatch with a cancellation context; see ForwardCtx.
+func (p *Plan) InverseBatchCtx(ctx context.Context, fs []*Field) error {
+	p.ctx = ctx
+	defer func() { p.ctx = nil }()
+	return p.InverseBatch(fs)
+}
+
+// ForwardBatch transforms a batch of fields through one fused plan execution
+// (the batchFused policy).
+func (p *Plan) ForwardBatch(fs []*Field) error { return p.execute(fs, fft.Forward) }
+
+// InverseBatch is the batched inverse transform.
+func (p *Plan) InverseBatch(fs []*Field) error { return p.execute(fs, fft.Inverse) }
+
+// LastExec returns information about the most recent (possibly failed)
+// execution on this rank. Like execution itself, it is rank-local: call it
+// from the goroutine that ran the plan.
+func (p *Plan) LastExec() ExecInfo { return p.lastExec }
+
+func (p *Plan) execute(fields []*Field, dir fft.Direction) error {
+	return p.run(p.stages, &batch{fields: fields}, dir, 0, batchFused)
 }

@@ -21,33 +21,3 @@ func faultErrFrom(r any, c *mpisim.Comm, phase string) error {
 	}
 	return fmt.Errorf("core: rank %d: phase %q: %w", c.WorldRank(c.Rank()), phase, fe)
 }
-
-// recoverFault is the deferred fault handler of Plan.execute. It is a method
-// taking the error pointer (not a closure) so deferring it in the execution
-// hot path allocates nothing — the steady-state zero-allocation guarantee of
-// Forward/Inverse holds with fault handling armed.
-func (p *Plan) recoverFault(errp *error) {
-	r := recover()
-	if r == nil {
-		return
-	}
-	err := faultErrFrom(r, p.comm, p.curPhase)
-	if err == nil {
-		panic(r)
-	}
-	p.lastExec.End = p.comm.Clock()
-	*errp = err
-}
-
-// recoverFault is RealPlan's counterpart.
-func (p *RealPlan) recoverFault(errp *error) {
-	r := recover()
-	if r == nil {
-		return
-	}
-	err := faultErrFrom(r, p.comm, p.curPhase)
-	if err == nil {
-		panic(r)
-	}
-	*errp = err
-}

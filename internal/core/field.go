@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/machine"
@@ -45,15 +44,4 @@ func (f *Field) FillRandom(seed int64) {
 	for i := range f.Data {
 		f.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-}
-
-// validate checks the field against an expected box.
-func (f *Field) validate(want tensor.Box3) error {
-	if !f.Box.Equal(want) {
-		return fmt.Errorf("core: field box %v does not match plan box %v", f.Box, want)
-	}
-	if !f.Phantom() && len(f.Data) != f.Box.Volume() {
-		return fmt.Errorf("core: field data length %d != box volume %d", len(f.Data), f.Box.Volume())
-	}
-	return nil
 }

@@ -230,12 +230,12 @@ var fpWant = map[string]uint64{
 	"real/alltoallv":                      0x975e48ebfd0945a7,
 	"real/p2p":                            0x3473e90c62ebe8a6,
 	"real/alltoallw/phantom":              0xd81b02da17019a44,
-	"real/p2p/batch4":                     0xe5df715fe360684a,
-	"real/alltoallv/invariants":           0xdd727abe11de639b,
-	"pipelined/aware/batch3":              0x7fab8a5e2591a0f6,
-	"pipelined/staged/batch4":             0xa8787074c8e5f752,
-	"pipelined/slabs/batch2":              0x2d22d72e0af9f082,
-	"pipelined/invariants/batch2":         0xd5e6fb9402c435c3,
+	"real/p2p/batch4":                     0xcfc2c1029c70b839,
+	"real/alltoallv/invariants":           0xad3cdc8c2046bce2,
+	"pipelined/aware/batch3":              0xfc7144f88407684f,
+	"pipelined/staged/batch4":             0xbf1ee1388b0e7da8,
+	"pipelined/slabs/batch2":              0xa81438d2916d1c08,
+	"pipelined/invariants/batch2":         0x19b42539f4c934bd,
 	"fault/degrade":                       0x698cd64be7613d25,
 	"fault/degrade/chunks3":               0xf2395c090164421d,
 	"fault/brick-flip-healed":             0xae5bbe1b77f32afc,
@@ -287,6 +287,7 @@ func fpExecute(t *testing.T, c fpCase) uint64 {
 	if res.Err != nil {
 		t.Fatalf("%s: world failed: %v", c.name, res.Err)
 	}
+	t.Logf("%s: makespan %.9g µs", c.name, res.MaxClock*1e6)
 	return fpFold(outs, res.Clocks)
 }
 

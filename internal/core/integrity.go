@@ -219,50 +219,33 @@ func (rs *reshapePlan) chargeEnvelopeVerify(bytes int) {
 	}
 }
 
-// fftStageABFT is fftStage with the ABFT phase invariant armed: snapshot the
-// phase input (fused with its plane sum), execute, verify the DFT-linearity
-// invariant over the output brick, and re-execute the phase from the
-// retained input on mismatch — at most twice before the corruption surfaces
-// as ErrIntegrity. Every execution attempt consumes one brick-corruption
-// probe, so injected Brick faults with Count=1 are healed by the first
-// re-execution and Count≥3 exhausts the budget deterministically.
-func (p *Plan) fftStageABFT(st stage, fields []*Field, dir fft.Direction) float64 {
-	box := st.myBox
-	s := box.Sizes()
-	g := p.dev.Model()
-	vol := box.Volume()
+// runABFT is computeStage's body with the ABFT phase invariant armed: snapshot
+// the phase input (fused with its plane sum), run the kernel, verify the
+// DFT-linearity invariant over the output brick, and re-execute the phase from
+// the retained input on mismatch — at most twice before the corruption
+// surfaces as ErrIntegrity. Every execution attempt consumes one
+// brick-corruption probe, so injected Brick faults with Count=1 are healed by
+// the first re-execution and Count≥3 exhausts the budget deterministically.
+func (e *engine) runABFT(st stage, fields []*Field, dir fft.Direction) float64 {
+	s := st.myBox.Sizes()
+	g := e.dev.Model()
+	vol := st.myBox.Volume()
 	bytes := 16 * vol
-	ctr := p.comm.IntegrityCounters()
-
-	var kernelCost float64
-	var axis, n, batch int
-	var strided bool
-	if st.kind == stageFFT2D {
-		kernelCost = g.FFT2DCost(s[1], s[2], s[0], false)
-	} else {
-		axis = st.axis
-		n = s[axis]
-		if n != p.global[axis] {
-			panic(fmt.Sprintf("core: fft stage axis %d spans %d of %d", axis, n, p.global[axis]))
-		}
-		batch = vol / n
-		strided = axis != 2 && !p.opts.Contiguous
-	}
-	chargeKernel := func() {
-		if st.kind == stageFFT2D {
-			p.dev.FFT2D(s[1], s[2], s[0], false)
-		} else {
-			p.dev.FFT1D(n, batch, strided)
-		}
-	}
+	ctr := e.comm.IntegrityCounters()
 
 	// Steady-state per-entry charges: the retained snapshot fused with the
 	// pre-sum, the kernel itself, and the verification sum over the output.
 	// Batch entries beyond the first ride the overlap pipeline through the
 	// returned per-entry cost, exactly like the plain path.
-	p.dev.Retain(bytes)
-	chargeKernel()
-	p.dev.Checksum(bytes)
+	e.dev.Retain(bytes)
+	kernelCost := e.chargeKernel(st)
+	e.dev.Checksum(bytes)
+	if st.kind != stageFFT2D {
+		// A 1-D stage's deferred per-entry cost has left its kernel out since
+		// the invariants were introduced (only the slab stage counted it).
+		// Kept: batched clocks under Invariants must not move in a refactor.
+		kernelCost = 0
+	}
 	per := kernelCost + g.RetainCost(bytes) + g.ChecksumCost(bytes)
 
 	if fields[0].Phantom() {
@@ -270,23 +253,22 @@ func (p *Plan) fftStageABFT(st stage, fields []*Field, dir fft.Direction) float6
 		// plans keep deterministic coordinates, no numerics and no retries.
 		ctr.InvariantChecks.Add(int64(len(fields)))
 		for range fields {
-			p.comm.BrickProbe()
+			e.comm.BrickProbe()
 		}
 		return per
 	}
 
 	// Forward stages check Σ(out) == n·Σ(in plane); the inverse kernels fuse
 	// the 1/n scaling, collapsing the factor to 1.
-	scale := float64(n)
+	scale := float64(s[st.axis])
 	if st.kind == stageFFT2D {
 		scale = float64(s[1] * s[2])
 	}
 	if dir == fft.Inverse {
 		scale = 1
 	}
-	tol := p.comm.Integrity().Tol()
-	eps := p.abftEps()
-	me := p.comm.WorldRank(p.comm.Rank())
+	tol := e.comm.Integrity().Tol()
+	me := e.comm.WorldRank(e.comm.Rank())
 
 	retained := getBuf[complex128](vol)
 	for _, f := range fields {
@@ -295,30 +277,23 @@ func (p *Plan) fftStageABFT(st stage, fields []*Field, dir fft.Direction) float6
 		if st.kind == stageFFT2D {
 			pre = sumLine(f.Data, s)
 		} else {
-			pre = sumPlane(f.Data, s, axis)
+			pre = sumPlane(f.Data, s, st.axis)
 		}
 		for attempt := 0; ; attempt++ {
-			if st.kind == stageFFT2D {
-				for i0 := 0; i0 < s[0]; i0++ {
-					plane := f.Data[i0*s[1]*s[2] : (i0+1)*s[1]*s[2]]
-					fft.Transform2D(plane, s[1], s[2], dir)
-				}
-			} else {
-				localFFT1D(st.fplan, f.Data, box, axis, p.opts.Contiguous, dir)
-			}
-			if hit, seed := p.comm.BrickProbe(); hit {
+			e.kernel(st, f, dir)
+			if hit, seed := e.comm.BrickProbe(); hit {
 				mpisim.CorruptComplex(f.Data, seed)
 			}
 			post := sumAll(f.Data)
 			ctr.InvariantChecks.Add(1)
-			if invariantOK(pre, post, scale, tol, eps) {
+			if invariantOK(pre, post, scale, tol, e.abftEps) {
 				break
 			}
 			ctr.InvariantFailures.Add(1)
-			p.comm.NoteSuspicion(me, 1)
+			e.comm.NoteSuspicion(me, 1)
 			if attempt >= 2 {
 				putBuf(retained)
-				p.comm.Fail(fmt.Errorf("core: %w: rank %d: phase invariant still failing after %d re-executions",
+				e.comm.Fail(fmt.Errorf("core: %w: rank %d: phase invariant still failing after %d re-executions",
 					mpisim.ErrIntegrity, me, attempt))
 			}
 			// Phase-scoped re-execution from the retained input: restore the
@@ -326,9 +301,9 @@ func (p *Plan) fftStageABFT(st stage, fields []*Field, dir fft.Direction) float6
 			// and verification.
 			ctr.PhaseReexecs.Add(1)
 			copy(f.Data, retained)
-			p.dev.Retain(bytes)
-			chargeKernel()
-			p.dev.Checksum(bytes)
+			e.dev.Retain(bytes)
+			e.chargeKernel(st)
+			e.dev.Checksum(bytes)
 		}
 	}
 	putBuf(retained)

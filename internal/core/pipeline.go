@@ -1,192 +1,20 @@
 package core
 
-import (
-	"fmt"
+import "repro/internal/fft"
 
-	"repro/internal/fft"
-	"repro/internal/mpisim"
-)
-
-// Pipelined execution: an alternative batched mode that posts each batch
-// entry's exchange as a non-blocking MPI_Ialltoallv and computes other
-// entries' local FFTs while the messages fly — the explicit
-// asynchronous-overlap technique of the turbulence/GPUDirect studies the
-// paper cites ([28], [34], [35]). It trades the message fusion of
-// ForwardBatch (fewer, bigger messages) for finer-grained overlap, and is
-// exposed so the two batching strategies can be compared (the `async`
-// ablation experiment).
+// Pipelined execution: the entryAsync policy of the stage runner, exposed so
+// the two batching strategies can be compared (the `async` ablation
+// experiment). Requires the Alltoallv backend (the only one with a
+// non-blocking variant, mirroring MPI_Ialltoallv); explicit chunking and
+// checkpoints do not compose with per-entry exchanges and are rejected with
+// ErrBadConfig.
 
 // ForwardPipelined transforms a batch with per-entry asynchronous exchanges.
-// Requires the Alltoallv backend (the only one with a non-blocking variant
-// here, mirroring MPI_Ialltoallv).
 func (p *Plan) ForwardPipelined(fields []*Field) error {
-	return p.executePipelined(fields, fft.Forward)
+	return p.run(p.stages, &batch{fields: fields}, fft.Forward, 0, entryAsync)
 }
 
 // InversePipelined is the inverse-direction pipelined batch.
 func (p *Plan) InversePipelined(fields []*Field) error {
-	return p.executePipelined(fields, fft.Inverse)
-}
-
-func (p *Plan) executePipelined(fields []*Field, dir fft.Direction) error {
-	if p.closed {
-		return fmt.Errorf("core: %w", ErrPlanClosed)
-	}
-	if p.opts.Backend != BackendAlltoallv {
-		return fmt.Errorf("core: pipelined execution requires the alltoallv backend, have %v", p.opts.Backend)
-	}
-	if len(fields) == 0 {
-		return fmt.Errorf("core: empty batch")
-	}
-	phantom := fields[0].Phantom()
-	for _, f := range fields {
-		if err := f.validate(p.inBox); err != nil {
-			return err
-		}
-		if f.Phantom() != phantom {
-			return fmt.Errorf("core: batch mixes phantom and real fields")
-		}
-	}
-
-	pending := make([]*mpisim.CollRequest, len(fields))
-	var pendingRS *reshapePlan
-	// Arrays produced by an earlier reshape of this execution are plan-owned
-	// and recycled when replaced; the caller's input arrays are not.
-	recycle, recycleNext := false, false
-
-	drain := func(i int) {
-		if pending[i] == nil {
-			if pendingRS != nil {
-				// Uninvolved ranks still take the new (empty) box.
-				completeAsyncNone(pendingRS, fields[i], recycle)
-			}
-			return
-		}
-		pendingRS.completeAsync(p.ctxExec(), fields[i], pending[i], recycle)
-		pending[i] = nil
-	}
-
-	for _, st := range p.stages {
-		switch st.kind {
-		case stageReshape:
-			// Drain any leftovers from a previous reshape (two reshapes can
-			// be adjacent when a compute stage was skipped).
-			for i := range fields {
-				drain(i)
-			}
-			pendingRS = st.rs
-			recycle, recycleNext = recycleNext, true
-			for i, f := range fields {
-				pending[i] = st.rs.postAsync(p.ctxExec(), f)
-			}
-		case stageFFT1D, stageFFT2D:
-			for i := range fields {
-				drain(i)
-				// Compute this entry while later entries' exchanges fly.
-				p.fftStageSingle(st, fields[i], dir)
-			}
-			pendingRS = nil
-		}
-	}
-	for i := range fields {
-		drain(i)
-	}
-	for _, f := range fields {
-		if err := f.validate(p.outBox); err != nil {
-			return fmt.Errorf("core: after pipelined execution: %w", err)
-		}
-	}
-	return nil
-}
-
-func (p *Plan) ctxExec() execCtx { return execCtx{dev: p.dev, opts: p.opts} }
-
-// fftStageSingle computes and charges one entry's local FFT (unlike
-// fftStage, which charges one entry and defers the rest analytically).
-func (p *Plan) fftStageSingle(st stage, f *Field, dir fft.Direction) {
-	box := st.myBox
-	if box.Empty() {
-		return
-	}
-	s := box.Sizes()
-	if st.kind == stageFFT2D {
-		if !f.Phantom() {
-			for i0 := 0; i0 < s[0]; i0++ {
-				plane := f.Data[i0*s[1]*s[2] : (i0+1)*s[1]*s[2]]
-				fft.Transform2D(plane, s[1], s[2], dir)
-			}
-		}
-		p.dev.FFT2D(s[1], s[2], s[0], false)
-		return
-	}
-	axis := st.axis
-	n := s[axis]
-	batch := box.Volume() / n
-	strided := axis != 2 && !p.opts.Contiguous
-	if !f.Phantom() {
-		localFFT1D(st.fplan, f.Data, box, axis, p.opts.Contiguous, dir)
-	}
-	p.dev.FFT1D(n, batch, strided)
-}
-
-// postAsync packs one field and posts its exchange; returns nil when this
-// rank is not in the exchange group.
-func (rs *reshapePlan) postAsync(ctx execCtx, f *Field) *mpisim.CollRequest {
-	if !f.Box.Equal(rs.from) {
-		panic(fmt.Sprintf("core: reshape %s: field box %v != expected %v", rs.label, f.Box, rs.from))
-	}
-	if rs.group == nil {
-		return nil
-	}
-	bufs, sendBytes := packSendBufs(rs, ctx, [][]complex128{f.Data}, f.Phantom())
-	ctx.dev.Pack(sendBytes, ctx.opts.Contiguous)
-	return rs.group.Ialltoallv(bufs)
-}
-
-// completeAsync waits for the exchange and unpacks into the new box. With
-// recycle set, the field's packed-from array (plan-owned) returns to the
-// staging pool once replaced.
-func (rs *reshapePlan) completeAsync(ctx execCtx, f *Field, req *mpisim.CollRequest, recycle bool) {
-	recv := rs.group.WaitColl(req)
-	var newData [][]complex128
-	if !f.Phantom() {
-		newData = [][]complex128{getBuf[complex128](rs.to.Volume())}
-	}
-	wire := rs.wireOf(ctx.opts)
-	web := WireElemSize(wire, 16)
-	recvBytes, recvFull := 0, 0
-	for gi := range recv {
-		vol := rs.recvs[gi].Volume()
-		if vol == 0 {
-			continue
-		}
-		recvBytes += web * vol
-		recvFull += 16 * vol
-		if newData != nil {
-			unpackBufInto(rs, newData, gi, recv[gi])
-			recycleRecv[complex128](recv[gi])
-		}
-	}
-	ctx.dev.Unpack(recvBytes, ctx.opts.Contiguous)
-	if wire != WireFp64 {
-		ctx.dev.Convert(recvFull)
-	}
-	f.Box = rs.to
-	if newData != nil {
-		if recycle {
-			putBuf(f.Data)
-		}
-		f.Data = newData[0]
-	}
-}
-
-// completeAsyncNone updates an uninvolved rank's field to the target box.
-func completeAsyncNone(rs *reshapePlan, f *Field, recycle bool) {
-	f.Box = rs.to
-	if !f.Phantom() {
-		if recycle {
-			putBuf(f.Data)
-		}
-		f.Data = getBuf[complex128](rs.to.Volume())
-	}
+	return p.run(p.stages, &batch{fields: fields}, fft.Inverse, 0, entryAsync)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/fft"
@@ -27,11 +26,7 @@ type Config struct {
 // (Algorithm 1). Safe to execute repeatedly; not safe for concurrent use by
 // the same rank.
 type Plan struct {
-	comm   *mpisim.Comm
-	dev    *gpu.Device
-	global [3]int
-	opts   Options
-	decomp Decomposition // resolved (never DecompAuto)
+	engine
 
 	inBox, outBox tensor.Box3
 	stages        []stage
@@ -50,36 +45,10 @@ type Plan struct {
 
 	// one is the single-field batch scratch of Forward/Inverse, so the
 	// steady-state execution path performs no allocations.
-	one    [1]*Field
-	closed bool
+	one [1]*Field
 	// refs counts logical owners (Retain/Close). Rank-local, like every other
 	// Plan field: a plan is confined to its rank goroutine by contract.
 	refs int
-	// lastExec describes the most recent execution on this rank (LastExec).
-	lastExec ExecInfo
-	// curPhase is the stage label currently executing, read by recoverFault to
-	// attach phase context to fault errors. Rank-local, like the plan itself.
-	curPhase string
-	// ctx is the cancellation context of an in-flight ForwardCtx/InverseCtx
-	// call (nil otherwise); checked at stage and chunk boundaries.
-	ctx context.Context
-}
-
-type stageKind int
-
-const (
-	stageReshape stageKind = iota
-	stageFFT1D
-	stageFFT2D
-)
-
-type stage struct {
-	kind  stageKind
-	label string       // phase name reported in fault errors
-	rs    *reshapePlan // stageReshape
-	axis  int          // stageFFT1D: transform axis
-	myBox tensor.Box3  // local box during a compute stage
-	fplan *fft.Plan    // stageFFT1D: kernel plan, resolved at build time
 }
 
 // NewPlan collectively creates a plan. Every rank of c must call NewPlan with
@@ -125,10 +94,7 @@ func NewPlan(c *mpisim.Comm, cfg Config) (*Plan, error) {
 	}
 
 	p := &Plan{
-		comm:   c,
-		dev:    gpu.New(c),
-		global: cfg.Global,
-		opts:   cfg.Opts,
+		engine: engine{comm: c, dev: gpu.New(c), opts: cfg.Opts, global: cfg.Global},
 		inBox:  inBoxes[c.Rank()],
 		outBox: outBoxes[c.Rank()],
 		lp:     size,
@@ -171,6 +137,7 @@ func NewPlan(c *mpisim.Comm, cfg Config) (*Plan, error) {
 	if err := p.buildStages(inBoxes, outBoxes); err != nil {
 		return nil, err
 	}
+	p.abftEps = abftEpsOf(p.opts, p.stages)
 	// An accuracy budget caps the analytic error bound of wire compression;
 	// the check needs the built stages (the bound scales with the number of
 	// compressed exchanges).

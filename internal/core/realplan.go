@@ -44,40 +44,23 @@ type RealConfig struct {
 	Opts     Options
 }
 
-// RealPlan is a collectively created distributed R2C/C2R plan. The pipeline
-// reshapes the real input to z-pencils (at 8 bytes/element), runs the local
-// real-to-complex transform along axis 2, and continues with the complex
-// pencil pipeline on the half grid.
+// RealPlan is a collectively created distributed R2C/C2R plan. It executes on
+// the same stage runner as Plan: the pipeline reshapes the real input to
+// z-pencils (at 8 bytes/element), runs the local real-to-complex transform
+// along axis 2 (the r2c stage), and continues with the complex pencil stages
+// on the half grid; the inverse walks the mirrored list through a c2r stage.
 type RealPlan struct {
-	comm *mpisim.Comm
-	dev  *gpu.Device
-	opts Options
-
-	global [3]int // real grid
-	half   [3]int // Hermitian half grid
+	engine // global is the Hermitian half grid the complex stages transform
 
 	inBox  tensor.Box3 // real grid
 	outBox tensor.Box3 // half grid
 
-	inReshape *reshapePlan // real bricks → real z-pencils (reversed for C2R output)
+	// stages is the forward pipeline, revStages the precomputed reversed one
+	// used by InverseBatch — built once here so repeated inverse transforms
+	// construct nothing.
+	stages, revStages []stage
 
-	zBoxReal tensor.Box3 // my real z-pencil box
-	zBoxHalf tensor.Box3 // my half-grid z-pencil box
-
-	// Complex stages from half-grid z-pencils to OutBoxes (forward order),
-	// plus the precomputed reversed pipeline used by InverseBatch — built once
-	// here so repeated inverse transforms construct nothing.
-	stages     []stage
-	revStages  []stage
-	outReshape *reshapePlan // reversed inReshape: real z-pencils → InBoxes
-
-	// rplan is the cached 1-D real-to-complex kernel plan along axis 2.
-	rplan *fft.RealPlan
-
-	p, q   int
-	closed bool
-	// curPhase is the stage label currently executing (fault-error context).
-	curPhase string
+	p, q int
 }
 
 // NewRealPlan collectively creates an R2C plan; all ranks pass identical
@@ -112,12 +95,12 @@ func NewRealPlan(c *mpisim.Comm, cfg RealConfig) (*RealPlan, error) {
 		return nil, fmt.Errorf("core: %w: output boxes: %w", ErrMismatchedBoxes, err)
 	}
 
+	if cfg.Opts.Checkpoints != nil {
+		return nil, fmt.Errorf("core: %w: checkpoints hold complex whole-batch boundaries; a real-to-complex plan cannot record them", ErrBadConfig)
+	}
+
 	p := &RealPlan{
-		comm:   c,
-		dev:    gpu.New(c),
-		opts:   cfg.Opts,
-		global: cfg.Global,
-		half:   half,
+		engine: engine{comm: c, dev: gpu.New(c), opts: cfg.Opts, global: half, decomp: DecompPencils},
 		inBox:  inBoxes[c.Rank()],
 		outBox: outBoxes[c.Rank()],
 	}
@@ -131,18 +114,19 @@ func NewRealPlan(c *mpisim.Comm, cfg RealConfig) (*RealPlan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w: %w", ErrBadConfig, err)
 	}
-	p.rplan = rp
 
 	// Real z-pencils and their half-grid shadows share the P×Q grid, so the
 	// r2c stage is purely local.
 	zReal := pencilBoxes(cfg.Global, 2, p.p, p.q)
 	zHalf := pencilBoxes(half, 2, p.p, p.q)
-	p.zBoxReal = zReal[c.Rank()]
-	p.zBoxHalf = zHalf[c.Rank()]
 
-	// Reshape tags must not collide with the complex-stage tags below;
-	// buildStagesReal allocates from 900 upward.
-	p.inReshape = buildReshape(c, inBoxes, zReal, "r2c-input", 901)
+	// The input reshape moves real data (half the bytes of a complex reshape)
+	// and is built even when the input already sits on z-pencils. Its tag must
+	// not collide with the complex-stage tags, allocated from 910 upward.
+	p.stages = []stage{
+		{kind: stageReshape, label: "reshape r2c-input", rs: buildReshape(c, inBoxes, zReal, "r2c-input", 901)},
+		{kind: stageR2C, label: "r2c axis 2", myBox: zReal[c.Rank()], specBox: zHalf[c.Rank()], rplan: rp},
+	}
 
 	// Complex pipeline on the half grid: z-pencils → y FFT → x FFT → out.
 	cur := zHalf
@@ -172,17 +156,22 @@ func NewRealPlan(c *mpisim.Comm, cfg RealConfig) (*RealPlan, error) {
 	addReshape(pencilBoxes(half, 0, p.p, p.q), "r2c-pencil-x", true)
 	addFFT(0)
 	addReshape(outBoxes, "r2c-output", false)
+	p.abftEps = abftEpsOf(p.opts, p.stages)
 
-	// Precompute the reversed pipeline for InverseBatch.
+	// Precompute the reversed pipeline for InverseBatch: reshapes swap source
+	// and destination, the r2c stage becomes c2r.
 	p.revStages = make([]stage, 0, len(p.stages))
 	for i := len(p.stages) - 1; i >= 0; i-- {
 		st := p.stages[i]
-		if st.kind == stageReshape {
-			st = stage{kind: stageReshape, label: st.label + "-rev", rs: reverseReshape(st.rs)}
+		switch st.kind {
+		case stageReshape:
+			st.label += "-rev"
+			st.rs = reverseReshape(st.rs)
+		case stageR2C:
+			st.kind, st.label = stageC2R, "c2r axis 2"
 		}
 		p.revStages = append(p.revStages, st)
 	}
-	p.outReshape = reverseReshape(p.inReshape)
 	return p, nil
 }
 
@@ -199,10 +188,7 @@ func (p *RealPlan) InBox() tensor.Box3  { return p.inBox }
 func (p *RealPlan) OutBox() tensor.Box3 { return p.outBox }
 
 // HalfGlobal returns the Hermitian half-grid extents (N0, N1, N2/2+1).
-func (p *RealPlan) HalfGlobal() [3]int { return p.half }
-
-// ctx returns the reshape execution context.
-func (p *RealPlan) ctx() execCtx { return execCtx{dev: p.dev, opts: p.opts} }
+func (p *RealPlan) HalfGlobal() [3]int { return p.global }
 
 // Forward transforms a real field into its half-spectrum, returned as a
 // complex field distributed over OutBoxes.
@@ -215,59 +201,14 @@ func (p *RealPlan) Forward(rf *RealField) (*Field, error) {
 }
 
 // ForwardBatch transforms a batch of real fields through fused exchanges,
-// like Plan.ForwardBatch (the Fig. 13 batching feature, here for R2C).
-func (p *RealPlan) ForwardBatch(rfs []*RealField) (_ []*Field, err error) {
-	p.curPhase = ""
-	defer p.recoverFault(&err)
-	if p.closed {
-		return nil, fmt.Errorf("core: %w", ErrPlanClosed)
+// like Plan.ForwardBatch (the Fig. 13 batching feature, here for R2C). The
+// input fields are consumed: the runner moves them to z-pencils in place.
+func (p *RealPlan) ForwardBatch(rfs []*RealField) ([]*Field, error) {
+	b := batch{reals: rfs, fields: make([]*Field, len(rfs)), real: true}
+	if err := p.run(p.stages, &b, fft.Forward, 0, batchFused); err != nil {
+		return nil, err
 	}
-	if len(rfs) == 0 {
-		return nil, fmt.Errorf("core: empty batch")
-	}
-	phantom := rfs[0].Phantom()
-	for _, rf := range rfs {
-		if !rf.Box.Equal(p.inBox) {
-			return nil, fmt.Errorf("core: real field box %v != plan input box %v", rf.Box, p.inBox)
-		}
-		if !rf.Phantom() && len(rf.Data) != rf.Box.Volume() {
-			return nil, fmt.Errorf("core: real field length %d != box volume %d", len(rf.Data), rf.Box.Volume())
-		}
-		if rf.Phantom() != phantom {
-			return nil, fmt.Errorf("core: batch mixes phantom and real fields")
-		}
-	}
-
-	// Move the real data to z-pencils (half the bytes of a complex reshape).
-	// The caller still owns the brick arrays, so they are not recycled.
-	p.curPhase = "reshape r2c-input"
-	p.inReshape.runReal(p.ctx(), rfs, false)
-
-	// Local r2c along axis 2, then the complex pipeline with fused
-	// exchanges. r2cLocal draws the half-spectrum arrays from the staging
-	// pool, so every complex reshape recycles the arrays it replaces.
-	fields := make([]*Field, len(rfs))
-	for i, rf := range rfs {
-		fields[i] = p.r2cLocal(rf)
-	}
-	dir := fft.Forward
-	for _, st := range p.stages {
-		p.curPhase = st.label
-		switch st.kind {
-		case stageReshape:
-			st.rs.run(p.ctx(), fields, true)
-		case stageFFT1D:
-			for _, f := range fields {
-				p.fft1D(st, f, dir)
-			}
-		}
-	}
-	for _, f := range fields {
-		if !f.Box.Equal(p.outBox) {
-			return nil, fmt.Errorf("core: R2C ended on box %v, want %v", f.Box, p.outBox)
-		}
-	}
-	return fields, nil
+	return b.fields, nil
 }
 
 // Inverse transforms a half-spectrum field (distributed over OutBoxes) back
@@ -281,47 +222,12 @@ func (p *RealPlan) Inverse(f *Field) (*RealField, error) {
 }
 
 // InverseBatch is the batched complex-to-real transform.
-func (p *RealPlan) InverseBatch(fields []*Field) (_ []*RealField, err error) {
-	p.curPhase = ""
-	defer p.recoverFault(&err)
-	if p.closed {
-		return nil, fmt.Errorf("core: %w", ErrPlanClosed)
+func (p *RealPlan) InverseBatch(fields []*Field) ([]*RealField, error) {
+	b := batch{fields: fields, reals: make([]*RealField, len(fields))}
+	if err := p.run(p.revStages, &b, fft.Inverse, 0, batchFused); err != nil {
+		return nil, err
 	}
-	if len(fields) == 0 {
-		return nil, fmt.Errorf("core: empty batch")
-	}
-	for _, f := range fields {
-		if !f.Box.Equal(p.outBox) {
-			return nil, fmt.Errorf("core: field box %v != plan output box %v", f.Box, p.outBox)
-		}
-	}
-	dir := fft.Inverse
-	// Walk the precomputed reversed pipeline. The caller owns the input
-	// arrays; anything a reshape produced mid-pipeline is pool-drawn and
-	// recycled when the next reshape replaces it.
-	recycle := false
-	for _, st := range p.revStages {
-		p.curPhase = st.label
-		switch st.kind {
-		case stageReshape:
-			st.rs.run(p.ctx(), fields, recycle)
-			recycle = true
-		case stageFFT1D:
-			for _, f := range fields {
-				p.fft1D(st, f, dir)
-			}
-		}
-	}
-	rfs := make([]*RealField, len(fields))
-	for i, f := range fields {
-		if !f.Box.Equal(p.zBoxHalf) {
-			return nil, fmt.Errorf("core: C2R reached box %v, want z-pencils %v", f.Box, p.zBoxHalf)
-		}
-		rfs[i] = p.c2rLocal(f)
-	}
-	p.curPhase = "reshape r2c-input-rev"
-	p.outReshape.runReal(p.ctx(), rfs, true)
-	return rfs, nil
+	return b.reals, nil
 }
 
 // reverseReshape returns the reshape with source and destination swapped.
@@ -346,65 +252,11 @@ func reverseReshape(rs *reshapePlan) *reshapePlan {
 	return rev
 }
 
-// r2cLocal converts a real z-pencil field to its complex half-spectrum.
-func (p *RealPlan) r2cLocal(rf *RealField) *Field {
-	box := p.zBoxReal
-	out := &Field{Box: p.zBoxHalf}
-	n2 := p.global[2]
-	h := p.half[2]
-	rows := box.Size(0) * box.Size(1)
-	p.dev.FFTR2C(n2, rows)
-	if rf.Phantom() {
-		return out
-	}
-	// Pool-drawn and fully overwritten: rows*h covers the volume exactly. The
-	// whole pencil runs as one advanced-layout D2Z batch (zero-copy, parallel
-	// fan-out inside the fft package).
-	out.Data = getBuf[complex128](p.zBoxHalf.Volume())
-	if err := p.rplan.ForwardBatch(rf.Data, 1, n2, out.Data, 1, h, rows); err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// c2rLocal converts a half-spectrum z-pencil field back to real values.
-func (p *RealPlan) c2rLocal(f *Field) *RealField {
-	n2 := p.global[2]
-	h := p.half[2]
-	rows := p.zBoxHalf.Size(0) * p.zBoxHalf.Size(1)
-	p.dev.FFTR2C(n2, rows)
-	rf := &RealField{Box: p.zBoxReal}
-	if f.Phantom() {
-		return rf
-	}
-	rf.Data = getBuf[float64](p.zBoxReal.Volume())
-	if err := p.rplan.InverseBatch(f.Data, 1, h, rf.Data, 1, n2, rows); err != nil {
-		panic(err)
-	}
-	return rf
-}
-
-// fft1D runs one complex 1-D stage of the half-grid pipeline.
-func (p *RealPlan) fft1D(st stage, f *Field, dir fft.Direction) {
-	box := st.myBox
-	if box.Empty() {
-		return
-	}
-	s := box.Sizes()
-	n := s[st.axis]
-	batch := box.Volume() / n
-	strided := st.axis != 2 && !p.opts.Contiguous
-	if !f.Phantom() {
-		localFFT1D(st.fplan, f.Data, box, st.axis, p.opts.Contiguous, dir)
-	}
-	p.dev.FFT1D(n, batch, strided)
-}
-
 // PredictComm evaluates the bandwidth model for this plan's geometry — the
 // complex phases move half-grid volumes, plus the half-byte real reshape.
 func (p *RealPlan) PredictComm() float64 {
 	m := p.comm.Model()
 	params := model.Params{Latency: m.InterLatency, Bandwidth: m.NodeInjectionBW}
-	n := p.half[0] * p.half[1] * p.half[2]
+	n := p.global[0] * p.global[1] * p.global[2]
 	return model.PencilTime(n, p.p, p.q, params)
 }

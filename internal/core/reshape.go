@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/gpu"
 	"repro/internal/machine"
 	"repro/internal/mpisim"
 	"repro/internal/tensor"
@@ -180,67 +179,6 @@ func hashBoxes(lists ...[]tensor.Box3) uint64 {
 	return h
 }
 
-// run executes the exchange for a batch of complex fields (all sharing the
-// same distribution). Batch payloads are fused into single messages per pair
-// — the mechanism behind the batched-transform speedups of Fig. 13.
-//
-// recycleIn marks the fields' current arrays as plan-owned (produced by an
-// earlier reshape of the same execution): they are returned to the staging
-// pool once packed. The arrays of the very first reshape belong to the
-// caller and are never recycled.
-func (rs *reshapePlan) run(ctx execCtx, fields []*Field, recycleIn bool) {
-	datas := make([][]complex128, len(fields))
-	for i, f := range fields {
-		if !f.Box.Equal(rs.from) {
-			panic(fmt.Sprintf("core: reshape %s: field box %v != expected %v", rs.label, f.Box, rs.from))
-		}
-		datas[i] = f.Data
-	}
-	out := runReshape(rs, ctx, datas, fields[0].Phantom(), recycleIn)
-	for i, f := range fields {
-		f.Box = rs.to
-		if out != nil {
-			f.Data = out[i]
-		}
-	}
-}
-
-// runReal is the float64 flavour, used for the input/output reshapes of
-// real-to-complex transforms: real elements are 8 bytes, so these phases
-// move half the bytes of their complex counterparts.
-func (rs *reshapePlan) runReal(ctx execCtx, fields []*RealField, recycleIn bool) {
-	datas := make([][]float64, len(fields))
-	for i, f := range fields {
-		if !f.Box.Equal(rs.from) {
-			panic(fmt.Sprintf("core: reshape %s: field box %v != expected %v", rs.label, f.Box, rs.from))
-		}
-		datas[i] = f.Data
-	}
-	out := runReshape(rs, ctx, datas, fields[0].Phantom(), recycleIn)
-	for i, f := range fields {
-		f.Box = rs.to
-		if out != nil {
-			f.Data = out[i]
-		}
-	}
-}
-
-// execCtx carries what a reshape needs from its plan.
-type execCtx struct {
-	dev  *gpu.Device
-	opts Options
-	// check is the context-cancellation hook of the Ctx entry points, invoked
-	// at chunk boundaries; nil means no context is attached.
-	check func()
-}
-
-// check runs the cancellation hook if one is attached.
-func (e execCtx) Check() {
-	if e.check != nil {
-		e.check()
-	}
-}
-
 // mkBuf wraps a typed slice (or a phantom element count) as a message
 // payload at the given wire precision. Phantom buffers carry the precision
 // too, so cost-only runs bill byte-identical transport charges.
@@ -281,31 +219,6 @@ func elemBytes[T any]() int {
 	return 16
 }
 
-// runReshape executes one exchange generically over the element type:
-// complex128 for the transform pipeline, float64 for R2C input/output.
-// datas[i] is batch entry i's local array over rs.from (nil slices for
-// phantom batches); the return value holds the new arrays over rs.to (nil
-// for phantom).
-func runReshape[T any](rs *reshapePlan, ctx execCtx, datas [][]T, phantom, recycleIn bool) [][]T {
-	if rs.group == nil {
-		// Not involved: the local share simply becomes empty (or stays
-		// untouched when this rank re-enters later via another stage).
-		if phantom {
-			return nil
-		}
-		out := make([][]T, len(datas))
-		for i := range out {
-			out[i] = getBuf[T](rs.to.Volume())
-		}
-		recycleDatas(datas, recycleIn)
-		return out
-	}
-	if ctx.opts.Backend.Collective() {
-		return runReshapeCollective(rs, ctx, datas, phantom, recycleIn)
-	}
-	return runReshapeP2P(rs, ctx, datas, phantom, recycleIn)
-}
-
 // recycleDatas returns plan-owned input arrays to the staging pool once their
 // contents have been packed into send buffers. Arrays still owned by the
 // caller (recycle == false) are left alone.
@@ -327,67 +240,6 @@ func recycleRecv[T any](b mpisim.Buf) {
 	}
 }
 
-// packSendBufs builds the per-member send buffers, fusing the batch. With
-// ABFT invariants on, every packed block carries its element sum in the
-// message envelope (verified after unpack) and the fused sum pass is charged
-// — unless the transport's checksummed envelopes already bill that stream.
-//
-// On a compressed wire (rs.wireOf != fp64) the down-conversion fuses into the
-// pack: each block is rounded to the wire grid in place after packing — the
-// exact values a receiver observes after the down/up round trip — every
-// buffer is stamped with the wire format so all transport costs price the
-// narrow bytes, and one convert pass over the full-width side of the stream
-// is charged. The envelope sum is taken before rounding (it rides the pack
-// kernel's full-precision read), so envelope verification under compression
-// is tolerance-based (see verifyEnvelope). The returned byte count is the
-// on-wire total — what the pack kernel writes.
-func packSendBufs[T any](rs *reshapePlan, ctx execCtx, datas [][]T, phantom bool) ([]mpisim.Buf, int) {
-	gs := rs.group.Size()
-	bufs := make([]mpisim.Buf, gs)
-	wire := rs.wireOf(ctx.opts)
-	eb := elemBytes[T]()
-	web := WireElemSize(wire, eb)
-	wireBytes, fullBytes := 0, 0
-	ic := rs.group.Integrity()
-	for gi := 0; gi < gs; gi++ {
-		sb := rs.sends[gi]
-		vol := sb.Volume()
-		if vol == 0 {
-			bufs[gi] = mpisim.Buf{Loc: machine.Device}
-			continue
-		}
-		elems := vol * len(datas)
-		wireBytes += web * elems
-		fullBytes += eb * elems
-		if phantom {
-			bufs[gi] = mkBuf[T](nil, elems, wire)
-			continue
-		}
-		data := getBuf[T](elems)
-		off := 0
-		for _, d := range datas {
-			tensor.Pack(d, rs.from, sb, data[off:off+vol])
-			off += vol
-		}
-		// Pack buffers are shipped with Move: the receiver takes ownership
-		// and returns them to the pool after unpacking, so no defensive copy
-		// is made anywhere on the path.
-		bufs[gi] = mkBuf(data, 0, wire)
-		bufs[gi].Move = true
-		if ic.Invariants {
-			envelopeSum(&bufs[gi], data)
-		}
-		quantizeSlice(wire, data)
-	}
-	if wire != WireFp64 {
-		ctx.dev.Convert(fullBytes)
-	}
-	if ic.Invariants && !ic.Checksums {
-		rs.group.ChargeChecksum(wireBytes)
-	}
-	return bufs, wireBytes
-}
-
 // quantizeSlice rounds a packed block to the wire grid in place (no-op for
 // fp64 and for phantom/nil slices).
 func quantizeSlice[T any](w WirePrecision, data []T) {
@@ -400,163 +252,4 @@ func quantizeSlice[T any](w WirePrecision, data []T) {
 	case []float64:
 		w.QuantizeReal(d)
 	}
-}
-
-// unpackBufInto scatters one member's received buffer into the new arrays,
-// verifying the block's ABFT envelope sum first when one is attached.
-func unpackBufInto[T any](rs *reshapePlan, newData [][]T, gi int, buf mpisim.Buf) {
-	rb := rs.recvs[gi]
-	vol := rb.Volume()
-	if vol == 0 || newData == nil {
-		return
-	}
-	verifyEnvelope[T](rs, gi, buf)
-	src := bufSlice[T](buf)
-	off := 0
-	for fi := range newData {
-		tensor.Unpack(newData[fi], rs.to, rb, src[off:off+vol])
-		off += vol
-	}
-}
-
-// allocNewArrays draws the target-distribution arrays from the staging pool.
-// They are not zeroed: the receive boxes of a group tile rs.to exactly (the
-// source boxes tile the global grid), so unpacking overwrites every element.
-func allocNewArrays[T any](rs *reshapePlan, n int, phantom bool) [][]T {
-	if phantom {
-		return nil
-	}
-	out := make([][]T, n)
-	for i := range out {
-		out[i] = getBuf[T](rs.to.Volume())
-	}
-	return out
-}
-
-// runReshapeCollective implements the All-to-All flavours. MPI_Alltoall and
-// MPI_Alltoallv pack/unpack on the device around one collective call
-// (Algorithm 1); MPI_Alltoallw (Algorithm 2) hands the library derived
-// sub-array datatypes, eliminating the pack/unpack kernels but paying the
-// naive, non-GPU-aware transport.
-func runReshapeCollective[T any](rs *reshapePlan, ctx execCtx, datas [][]T, phantom, recycleIn bool) [][]T {
-	// MPI_Alltoallv has the pluggable-schedule and chunked-pipeline path.
-	if ctx.opts.Backend == BackendAlltoallv {
-		return runReshapeAlltoallv(rs, ctx, datas, phantom, recycleIn)
-	}
-	useW := ctx.opts.Backend == BackendAlltoallw
-	bufs, sendBytes := packSendBufs(rs, ctx, datas, phantom)
-	recycleDatas(datas, recycleIn)
-	if !useW {
-		ctx.dev.Pack(sendBytes, ctx.opts.Contiguous)
-	}
-	g := rs.group
-	var recv []mpisim.Buf
-	switch ctx.opts.Backend {
-	case BackendAlltoall:
-		recv = g.Alltoall(bufs)
-	case BackendAlltoallw:
-		recv = g.Alltoallw(bufs)
-	default:
-		panic("core: runReshapeCollective with P2P backend")
-	}
-	newData := allocNewArrays[T](rs, len(datas), phantom)
-	recvBytes, recvFull := 0, 0
-	wire := rs.wireOf(ctx.opts)
-	eb := elemBytes[T]()
-	web := WireElemSize(wire, eb)
-	for gi := range recv {
-		vol := rs.recvs[gi].Volume()
-		if vol == 0 {
-			continue
-		}
-		recvBytes += web * vol * len(datas)
-		recvFull += eb * vol * len(datas)
-		if newData != nil {
-			unpackBufInto(rs, newData, gi, recv[gi])
-			recycleRecv[T](recv[gi])
-		}
-	}
-	rs.chargeEnvelopeVerify(recvBytes)
-	if !useW {
-		ctx.dev.Unpack(recvBytes, ctx.opts.Contiguous)
-		if wire != WireFp64 {
-			ctx.dev.Convert(recvFull)
-		}
-	}
-	return newData
-}
-
-// runReshapeP2P implements the Point-to-Point exchanges of Table I: heFFTe's
-// MPI_Isend/MPI_Irecv/Waitany (non-blocking) or MPI_Send/MPI_Irecv
-// (blocking). Receives are posted first, sends streamed, and arrivals
-// unpacked as they complete.
-func runReshapeP2P[T any](rs *reshapePlan, ctx execCtx, datas [][]T, phantom, recycleIn bool) [][]T {
-	g := rs.group
-	gs := g.Size()
-	me := rs.myGroupRank
-	blocking := ctx.opts.Backend == BackendP2PBlocking
-
-	// Post all receives.
-	var rreqs []*mpisim.Request
-	var rsrcs []int
-	for gi := 0; gi < gs; gi++ {
-		if gi != me && !rs.recvs[gi].Empty() {
-			rreqs = append(rreqs, g.Irecv(gi, rs.tag))
-			rsrcs = append(rsrcs, gi)
-		}
-	}
-
-	bufs, sendBytes := packSendBufs(rs, ctx, datas, phantom)
-	recycleDatas(datas, recycleIn)
-	ctx.dev.Pack(sendBytes, ctx.opts.Contiguous)
-
-	// Stream the sends.
-	var sreqs []*mpisim.Request
-	for gi := 0; gi < gs; gi++ {
-		if gi == me || rs.sends[gi].Empty() {
-			continue
-		}
-		if blocking {
-			g.Send(gi, rs.tag, bufs[gi])
-		} else {
-			sreqs = append(sreqs, g.Isend(gi, rs.tag, bufs[gi]))
-		}
-	}
-
-	newData := allocNewArrays[T](rs, len(datas), phantom)
-	wire := rs.wireOf(ctx.opts)
-	eb := elemBytes[T]()
-	web := WireElemSize(wire, eb)
-
-	// The local share never touches the network.
-	if self := rs.sends[me]; !self.Empty() {
-		if newData != nil {
-			unpackBufInto(rs, newData, me, bufs[me])
-			recycleRecv[T](bufs[me])
-		}
-		ctx.dev.Unpack(web*self.Volume()*len(datas), ctx.opts.Contiguous)
-	}
-
-	// Drain arrivals in completion order (MPI_Waitany), unpacking each.
-	for range rreqs {
-		i, buf := g.Waitany(rreqs)
-		if newData != nil {
-			unpackBufInto(rs, newData, rsrcs[i], buf)
-			recycleRecv[T](buf)
-		}
-		ctx.dev.Unpack(buf.Bytes(), ctx.opts.Contiguous)
-	}
-	if !blocking {
-		g.Waitall(sreqs)
-	}
-	recvTotal, recvFull := 0, 0
-	for gi := range rs.recvs {
-		recvTotal += web * rs.recvs[gi].Volume() * len(datas)
-		recvFull += eb * rs.recvs[gi].Volume() * len(datas)
-	}
-	rs.chargeEnvelopeVerify(recvTotal)
-	if wire != WireFp64 {
-		ctx.dev.Convert(recvFull)
-	}
-	return newData
 }

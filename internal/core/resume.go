@@ -22,21 +22,21 @@ import (
 // by world rank and located by physical GPU slot (the host DRAM that holds
 // them survives the GPU), so elastic plans are built on the world
 // communicator, as the serving layer does.
-func (p *Plan) beginCheckpoints(ck *CheckpointStore, dir fft.Direction, batch int, phantom bool) {
-	w := p.comm.World()
-	wr := p.comm.WorldRank(p.comm.Rank())
+func (e *engine) beginCheckpoints(ck *CheckpointStore, dir fft.Direction, batch int, phantom bool) {
+	w := e.comm.World()
+	wr := e.comm.WorldRank(e.comm.Rank())
 	slots := w.Topo().Placement().Slots(w.Model(), w.Size())
-	ck.begin(wr, slots[wr], p.global, p.decomp, dir, batch, phantom, w.Size())
+	ck.begin(wr, slots[wr], e.global, e.decomp, dir, batch, phantom, w.Size())
 }
 
 // saveBoundary checkpoints the batch's current state under label: a host
 // staging copy of every entry, charged through the device's Retain kernel
 // (the ABFT snapshot price — Fig. 10's fused-copy bandwidth).
-func (p *Plan) saveBoundary(ck *CheckpointStore, label string, fields []*Field, phantom bool) {
+func (e *engine) saveBoundary(ck *CheckpointStore, label string, fields []*Field, phantom bool) {
 	box := fields[0].Box
 	vol := box.Volume()
 	if bytes := 16 * vol * len(fields); bytes > 0 {
-		p.dev.Retain(bytes)
+		e.dev.Retain(bytes)
 	}
 	var datas [][]complex128
 	if !phantom {
@@ -47,7 +47,7 @@ func (p *Plan) saveBoundary(ck *CheckpointStore, label string, fields []*Field, 
 			datas[i] = d
 		}
 	}
-	ck.save(p.comm.WorldRank(p.comm.Rank()), label, box, datas)
+	ck.save(e.comm.WorldRank(e.comm.Rank()), label, box, datas)
 }
 
 // ResumeBatch finishes the execution interrupted by the rank failure that
@@ -127,7 +127,7 @@ func (p *Plan) ResumeBatch() (fs []*Field, err error) {
 		if snap.phantom {
 			fields[i] = NewPhantom(myBox)
 		} else {
-			fields[i] = &Field{Box: myBox, Data: getBuf[complex128](myBox.Volume())}
+			fields[i] = NewField(myBox)
 		}
 	}
 
@@ -135,7 +135,7 @@ func (p *Plan) ResumeBatch() (fs []*Field, err error) {
 	if err := p.recoveryReshape(snap, cut, dist, fields); err != nil {
 		return nil, err
 	}
-	if err := p.executeFrom(fields, snap.dir, from, true); err != nil {
+	if err := p.run(p.stages, &batch{fields: fields}, snap.dir, from, batchFused); err != nil {
 		return nil, err
 	}
 	return fields, nil

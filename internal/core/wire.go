@@ -84,13 +84,15 @@ func (p *Plan) Wire() WirePrecision {
 // CompressedExchanges returns the number of reshape phases that ship at
 // reduced precision under the plan's configuration (zero when the wire is
 // fp64).
-func (p *Plan) CompressedExchanges() int {
-	if p.opts.Comm.Wire == WireFp64 {
+func (p *Plan) CompressedExchanges() int { return compressedExchanges(p.opts, p.stages) }
+
+func compressedExchanges(opts Options, stages []stage) int {
+	if opts.Comm.Wire == WireFp64 {
 		return 0
 	}
 	n := 0
-	for _, st := range p.stages {
-		if st.kind == stageReshape && st.rs.wireOf(p.opts) != WireFp64 {
+	for _, st := range stages {
+		if st.kind == stageReshape && st.rs.wireOf(opts) != WireFp64 {
 			n++
 		}
 	}
@@ -103,12 +105,12 @@ func (p *Plan) WireBound() float64 {
 	return WireErrorBound(p.opts.Comm.Wire, p.CompressedExchanges())
 }
 
-// abftEps returns the quantization-noise unit widening the plan's ABFT
-// invariant floor (see invariantOK): the wire epsilon when any exchange is
-// compressed — data reaching a compute stage then carries wire-grid rounding
-// — and zero otherwise, keeping the fp64 path bit-identical.
-func (p *Plan) abftEps() float64 {
-	if eps := p.opts.Comm.Wire.Eps(); p.CompressedExchanges() > 0 && eps > sumEps {
+// abftEpsOf returns the quantization-noise unit widening the ABFT invariant
+// floor of a stage list (see invariantOK): the wire epsilon when any exchange
+// is compressed — data reaching a compute stage then carries wire-grid
+// rounding — and zero otherwise, keeping the fp64 path bit-identical.
+func abftEpsOf(opts Options, stages []stage) float64 {
+	if eps := opts.Comm.Wire.Eps(); compressedExchanges(opts, stages) > 0 && eps > sumEps {
 		return eps
 	}
 	return 0
