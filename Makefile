@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: all build vet test test-race race race-serve bench bench-forward bench-kernel bench-exchange bench-topo bench-precision bench-elastic bench-serve smoke-serve chaos chaos-sdc chaos-elastic examples experiments quick-experiments
+.PHONY: all build vet test test-race race race-serve bench bench-kernel bench-exchange bench-topo bench-precision bench-elastic bench-serve smoke-serve chaos chaos-sdc chaos-elastic examples experiments quick-experiments
 
 all: build vet test
 
@@ -29,11 +29,6 @@ race: test-race race-serve
 
 bench:
 	go test -bench=. -benchmem ./...
-
-# Host wall-clock of the execution engine (the BENCH_PR1.json numbers):
-# one full distributed Forward per iteration, 64 ranks, real payloads.
-bench-forward:
-	go test -run '^$$' -bench 'BenchmarkForward' -benchmem -benchtime 5x .
 
 # Single-line kernel ladder, strided/contiguous batches, and the blocked
 # reorder transposes (the BENCH_PR4.json numbers).

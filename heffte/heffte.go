@@ -230,9 +230,6 @@ const (
 	FaultDrop    = faults.Drop
 	FaultCorrupt = faults.Corrupt
 	FaultKill    = faults.Kill
-	// FaultCorruptDetected is the precise name of FaultCorrupt: corruption
-	// the modeled transport detects on receipt (ErrMessageCorrupt).
-	FaultCorruptDetected = faults.CorruptDetected
 	// FaultCorruptSilent really flips payload bits in delivered buffers with
 	// no modeled detection — the silent-data-corruption threat the integrity
 	// layer (WithIntegrity) exists to defeat.

@@ -185,7 +185,7 @@ func (x *exchange[T]) pack(ci int) []mpisim.Buf {
 	ic := rs.group.Integrity()
 	wireBytes, fullBytes := 0, 0
 	for gi := 0; gi < gs; gi++ {
-		cb := chunkBox(rs.sends[gi], ci, x.chunks)
+		cb := x.chunk(rs.sends[gi], ci)
 		vol := cb.Volume()
 		if vol == 0 {
 			bufs[gi] = mpisim.Buf{Loc: machine.Device}
@@ -269,38 +269,40 @@ func (x *exchange[T]) post(bufs []mpisim.Buf, async bool) posted {
 func (x *exchange[T]) unpack(ci int, h posted) {
 	g, rs, dev, opts := x.rs.group, x.rs, x.e.dev, x.e.opts
 	x.alloc()
-	bulk := opts.Backend == BackendAlltoallv || opts.Backend == BackendAlltoall
+	// Every non-empty block of the chunk is delivered exactly once, so the
+	// received byte counts accumulate as the blocks land.
+	wireBytes, fullBytes := 0, 0
 	if opts.Backend.Collective() {
 		recv := h.bufs
 		if h.req != nil {
 			recv = g.WaitColl(h.req)
 		}
 		for gi := range recv {
-			x.unpackBlock(ci, gi, recv[gi])
+			elems := x.unpackBlock(ci, gi, recv[gi])
+			wireBytes += x.web * elems
+			fullBytes += x.eb * elems
 		}
 	} else {
 		me := rs.myGroupRank
-		if self := rs.sends[me]; !self.Empty() {
-			x.unpackBlock(ci, me, h.bufs[me])
-			dev.Unpack(x.web*self.Volume()*len(x.datas), opts.Contiguous)
+		if !rs.sends[me].Empty() {
+			elems := x.unpackBlock(ci, me, h.bufs[me])
+			wireBytes += x.web * elems
+			fullBytes += x.eb * elems
+			dev.Unpack(x.web*elems, opts.Contiguous)
 		}
 		for range x.rreqs {
 			i, buf := g.Waitany(x.rreqs)
-			x.unpackBlock(ci, x.rsrcs[i], buf)
+			elems := x.unpackBlock(ci, x.rsrcs[i], buf)
+			wireBytes += x.web * elems
+			fullBytes += x.eb * elems
 			dev.Unpack(buf.Bytes(), opts.Contiguous)
 		}
 		if h.sreqs != nil {
 			g.Waitall(h.sreqs)
 		}
 	}
-	wireBytes, fullBytes := 0, 0
-	for gi := range rs.recvs {
-		elems := chunkBox(rs.recvs[gi], ci, x.chunks).Volume() * len(x.datas)
-		wireBytes += x.web * elems
-		fullBytes += x.eb * elems
-	}
 	rs.chargeEnvelopeVerify(wireBytes)
-	if bulk {
+	if opts.Backend == BackendAlltoallv || opts.Backend == BackendAlltoall {
 		dev.Unpack(wireBytes, opts.Contiguous)
 	}
 	if x.wire != WireFp64 {
@@ -309,15 +311,15 @@ func (x *exchange[T]) unpack(ci int, h posted) {
 }
 
 // unpackBlock scatters member gi's received block of chunk ci into the new
-// arrays — verifying its ABFT envelope sum first when one is attached — and
-// returns the buffer to the staging pool.
-func (x *exchange[T]) unpackBlock(ci, gi int, buf mpisim.Buf) {
-	cb := chunkBox(x.rs.recvs[gi], ci, x.chunks)
+// arrays — verifying its ABFT envelope sum first when one is attached —
+// returns the buffer to the staging pool, and reports the elements received.
+func (x *exchange[T]) unpackBlock(ci, gi int, buf mpisim.Buf) int {
+	cb := x.chunk(x.rs.recvs[gi], ci)
 	vol := cb.Volume()
 	if vol == 0 || x.out == nil {
-		return
+		return vol * len(x.datas)
 	}
-	verifyEnvelope[T](x.rs, gi, buf)
+	verifyEnvelope[T](x.rs.group, gi, buf, x.rs.label)
 	src := bufSlice[T](buf)
 	off := 0
 	for fi := range x.out {
@@ -325,4 +327,13 @@ func (x *exchange[T]) unpackBlock(ci, gi int, buf mpisim.Buf) {
 		off += vol
 	}
 	recycleRecv[T](buf)
+	return vol * len(x.datas)
+}
+
+// chunk returns slice ci of pair box b (the whole box when unchunked).
+func (x *exchange[T]) chunk(b tensor.Box3, ci int) tensor.Box3 {
+	if x.chunks == 1 {
+		return b
+	}
+	return chunkBox(b, ci, x.chunks)
 }

@@ -382,11 +382,8 @@ func (e *engine) chargeOverlap(dt float64) {
 // no DFT-linearity identity against the half spectrum the invariant could
 // check without a second transform.
 func (e *engine) computeStage(st stage, b *batch, dir fft.Direction) float64 {
-	switch st.kind {
-	case stageR2C:
-		return e.r2c(st, b)
-	case stageC2R:
-		return e.c2r(st, b)
+	if st.kind == stageR2C || st.kind == stageC2R {
+		return e.realStage(st, b)
 	}
 	if st.myBox.Empty() {
 		return 0
@@ -473,53 +470,43 @@ func localFFT1D(plan *fft.Plan, data []complex128, box tensor.Box3, axis int, co
 	}
 }
 
-// r2c converts the batch's real z-pencils to complex half-spectrum fields
-// (the whole pencil as one advanced-layout D2Z batch: zero-copy, parallel
-// fan-out inside the fft package). The half-spectrum arrays are drawn from
-// the staging pool and fully overwritten, so every later reshape recycles the
-// arrays it replaces.
-func (e *engine) r2c(st stage, b *batch) float64 {
+// realStage converts the batch's real z-pencils to complex half-spectrum
+// fields (r2c) or back (c2r), each pencil as one advanced-layout D2Z/Z2D batch
+// (zero-copy, parallel fan-out inside the fft package). The new arrays are
+// drawn from the staging pool and fully overwritten, so every later reshape
+// recycles the arrays it replaces. Charges one entry's batch of real
+// transforms and returns its cost.
+func (e *engine) realStage(st stage, b *batch) float64 {
 	n2, h := st.rplan.N(), st.rplan.SpectrumLen()
+	// Real pencils and their half-spectrum shadows share the P×Q grid.
 	rows := st.myBox.Size(0) * st.myBox.Size(1)
-	for i, rf := range b.reals {
-		f := &Field{Box: st.specBox}
-		if !rf.Phantom() {
-			f.Data = getBuf[complex128](st.specBox.Volume())
-			if err := st.rplan.ForwardBatch(rf.Data, 1, n2, f.Data, 1, h, rows); err != nil {
-				panic(err)
+	var err error
+	for i := 0; i < b.len(); i++ {
+		if st.kind == stageR2C {
+			rf, f := b.reals[i], &Field{Box: st.specBox}
+			if !rf.Phantom() {
+				f.Data = getBuf[complex128](st.specBox.Volume())
+				err = st.rplan.ForwardBatch(rf.Data, 1, n2, f.Data, 1, h, rows)
 			}
-		}
-		b.fields[i] = f
-	}
-	b.real = false
-	return e.chargeR2C(n2, rows)
-}
-
-// c2r converts half-spectrum z-pencils back to real values.
-func (e *engine) c2r(st stage, b *batch) float64 {
-	n2, h := st.rplan.N(), st.rplan.SpectrumLen()
-	rows := st.specBox.Size(0) * st.specBox.Size(1)
-	for i, f := range b.fields {
-		rf := &RealField{Box: st.myBox}
-		if !f.Phantom() {
-			rf.Data = getBuf[float64](st.myBox.Volume())
-			if err := st.rplan.InverseBatch(f.Data, 1, h, rf.Data, 1, n2, rows); err != nil {
-				panic(err)
+			b.fields[i] = f
+		} else {
+			f, rf := b.fields[i], &RealField{Box: st.myBox}
+			if !f.Phantom() {
+				rf.Data = getBuf[float64](st.myBox.Volume())
+				err = st.rplan.InverseBatch(f.Data, 1, h, rf.Data, 1, n2, rows)
 			}
+			b.reals[i] = rf
 		}
-		b.reals[i] = rf
+		if err != nil {
+			panic(err)
+		}
 	}
-	b.real = true
-	return e.chargeR2C(n2, rows)
-}
-
-// chargeR2C charges one entry's batch of real transforms of length n.
-func (e *engine) chargeR2C(n, rows int) float64 {
+	b.real = st.kind == stageC2R
 	if rows == 0 {
 		return 0
 	}
-	e.dev.FFTR2C(n, rows)
-	return e.dev.Model().FFTR2CCost(n, rows)
+	e.dev.FFTR2C(n2, rows)
+	return e.dev.Model().FFTR2CCost(n2, rows)
 }
 
 // recoverFault is the deferred fault handler of run. It is a method taking
@@ -560,30 +547,30 @@ func (p *Plan) Inverse(f *Field) error {
 // expected to pass equivalent contexts on all ranks, the same contract as
 // every other collective argument.
 func (p *Plan) ForwardCtx(ctx context.Context, f *Field) error {
-	p.ctx = ctx
-	defer func() { p.ctx = nil }()
-	return p.Forward(f)
+	p.one[0] = f
+	return p.executeCtx(ctx, p.one[:], fft.Forward)
 }
 
 // InverseCtx is Inverse with a cancellation context; see ForwardCtx.
 func (p *Plan) InverseCtx(ctx context.Context, f *Field) error {
-	p.ctx = ctx
-	defer func() { p.ctx = nil }()
-	return p.Inverse(f)
+	p.one[0] = f
+	return p.executeCtx(ctx, p.one[:], fft.Inverse)
 }
 
 // ForwardBatchCtx is ForwardBatch with a cancellation context; see ForwardCtx.
 func (p *Plan) ForwardBatchCtx(ctx context.Context, fs []*Field) error {
-	p.ctx = ctx
-	defer func() { p.ctx = nil }()
-	return p.ForwardBatch(fs)
+	return p.executeCtx(ctx, fs, fft.Forward)
 }
 
 // InverseBatchCtx is InverseBatch with a cancellation context; see ForwardCtx.
 func (p *Plan) InverseBatchCtx(ctx context.Context, fs []*Field) error {
+	return p.executeCtx(ctx, fs, fft.Inverse)
+}
+
+func (p *Plan) executeCtx(ctx context.Context, fs []*Field, dir fft.Direction) error {
 	p.ctx = ctx
 	defer func() { p.ctx = nil }()
-	return p.InverseBatch(fs)
+	return p.execute(fs, dir)
 }
 
 // ForwardBatch transforms a batch of fields through one fused plan execution

@@ -160,16 +160,16 @@ func envelopeSum[T any](b *mpisim.Buf, data []T) {
 	b.Summed = true
 }
 
-// verifyEnvelope recomputes a received block's sum against its envelope.
-// Mismatch means the payload changed in flight past every transport defense:
-// the sender's link is suspected and the exchange fails with ErrIntegrity —
-// the block cannot be repaired locally and a reshape cannot be re-executed
-// from retained input the way a compute phase can.
-func verifyEnvelope[T any](rs *reshapePlan, gi int, b mpisim.Buf) {
+// verifyEnvelope recomputes the sum of a block received from rank gi of g
+// against its envelope. Mismatch means the payload changed in flight past
+// every transport defense: the sender's link is suspected and the exchange
+// (named by what) fails with ErrIntegrity — the block cannot be repaired
+// locally and a reshape cannot be re-executed from retained input the way a
+// compute phase can.
+func verifyEnvelope[T any](g *mpisim.Comm, gi int, b mpisim.Buf, what string) {
 	if !b.Summed {
 		return
 	}
-	g := rs.group
 	ctr := g.IntegrityCounters()
 	ctr.InvariantChecks.Add(1)
 	var s brickSum
@@ -201,8 +201,8 @@ func verifyEnvelope[T any](rs *reshapePlan, gi int, b mpisim.Buf) {
 		ctr.InvariantFailures.Add(1)
 		srcW := g.WorldRank(gi)
 		g.NoteSuspicion(srcW, 1)
-		g.Fail(fmt.Errorf("core: %w: rank %d: block from rank %d failed envelope sum after reshape %s",
-			mpisim.ErrIntegrity, g.WorldRank(g.Rank()), srcW, rs.label))
+		g.Fail(fmt.Errorf("core: %w: rank %d: block from rank %d failed envelope sum after the %s exchange",
+			mpisim.ErrIntegrity, g.WorldRank(g.Rank()), srcW, what))
 	}
 }
 

@@ -43,7 +43,7 @@ const (
 	// actually changing. It exercises error propagation, not data integrity.
 	// Contrast CorruptSilent, which really flips delivered payload bits and
 	// relies on the integrity subsystem (checksummed envelopes, ABFT phase
-	// invariants) to notice. CorruptDetected is the preferred alias.
+	// invariants) to notice.
 	Corrupt
 	// Kill fails the rank at the op: it raises ErrRankFailed and the whole
 	// world aborts with that error, unblocking every survivor.
@@ -58,10 +58,6 @@ const (
 	// than a wire block.
 	CorruptSilent
 )
-
-// CorruptDetected is the preferred name for the legacy Corrupt kind: the
-// corruption is modeled as already detected by the transport.
-const CorruptDetected = Corrupt
 
 func (k Kind) String() string {
 	switch k {

@@ -26,9 +26,12 @@ var (
 	// priceAlltoall pads every pair to the communicator's largest block (the
 	// padding cost the paper observes on brick↔pencil reshapes, Figs. 2 and 6)
 	// in exchange for the most optimized vendor loop.
-	priceAlltoall pricer = func(c *Comm, ins []collIn, outs []collOut) { priceVendor(c, ins, outs, true) }
+	priceAlltoall pricer = func(c *Comm, ins []collIn, outs []collOut) { priceNaive(c, ins, outs, kindAlltoall) }
 	// priceAlltoallv is the vendor per-destination loop over exact sizes.
-	priceAlltoallv pricer = func(c *Comm, ins []collIn, outs []collOut) { priceVendor(c, ins, outs, false) }
+	priceAlltoallv pricer = func(c *Comm, ins []collIn, outs []collOut) { priceNaive(c, ins, outs, kindAlltoallv) }
+	// priceAlltoallw is the generalized all-to-all on derived sub-array
+	// datatypes.
+	priceAlltoallw pricer = func(c *Comm, ins []collIn, outs []collOut) { priceNaive(c, ins, outs, kindAlltoallw) }
 
 	pricePairwise  = scheduled(pairwiseAlgo{})
 	priceRing      = scheduled(ringAlgo{})
@@ -90,17 +93,30 @@ func stagingCost(m *machine.Model, totalSend, totalRecv int) float64 {
 		(1-m.StagingOverlap)*(float64(totalSend)/m.PCIeBW+float64(totalRecv)/m.PCIeBW)
 }
 
-// priceVendor is the optimized vendor collective (MPI_Alltoall/v): every
-// rank starts at the group's last entry, stages in bulk when the stack is not
-// GPU-aware, then walks its destinations paying the collective's per-message
-// overhead, the saturated per-flow bandwidth and the wire latency. The port
-// is not modeled: the vendor loop owns the wire for the whole call.
-func priceVendor(c *Comm, ins []collIn, outs []collOut, padded bool) {
+// naiveKind distinguishes the three unscheduled All-to-All flavours of
+// Table I.
+type naiveKind int
+
+const (
+	kindAlltoall  naiveKind = iota // vendor loop, every pair padded to the max block
+	kindAlltoallv                  // vendor loop over exact sizes
+	kindAlltoallw                  // per-message datatype loop
+)
+
+// priceNaive prices the unscheduled collectives: every rank starts at the
+// group's last entry and walks its destinations. The vendor loops
+// (MPI_Alltoall/v) stage in bulk when the stack is not GPU-aware and pay the
+// collective's per-message overhead, the saturated per-flow bandwidth and the
+// wire latency per destination. MPI_Alltoallw (Algorithm 2, Dalcin et al.) is
+// a naive per-message loop with high setup cost; staging (if any) happens per
+// message inside MsgCost — SpectrumMPI-like stacks are not GPU-aware on this
+// path. The port is not modeled: the call owns the wire until it returns.
+func priceNaive(c *Comm, ins []collIn, outs []collOut, kind naiveKind) {
 	w := c.core.world
 	m := w.model
 	t0 := maxClock(ins)
 	pad := 0
-	if padded {
+	if kind == kindAlltoall {
 		for _, inp := range ins {
 			for _, b := range inp.send {
 				if b.Bytes() > pad {
@@ -113,7 +129,7 @@ func priceVendor(c *Comm, ins []collIn, outs []collOut, padded bool) {
 		srcW := c.WorldRank(r)
 		dev, totalSend, totalRecv := traffic(ins, r, nil)
 		var t float64
-		staged := dev && !w.opts.GPUAware
+		staged := dev && !w.opts.GPUAware && kind != kindAlltoallw
 		if staged {
 			t += stagingCost(m, totalSend, totalRecv)
 		}
@@ -122,56 +138,27 @@ func priceVendor(c *Comm, ins []collIn, outs []collOut, padded bool) {
 			oh = m.DeviceOverheadColl
 		}
 		for dst := range ins {
+			bytes := ins[r].send[dst].Bytes()
 			if dst == r {
 				// Self block: a device-local copy.
-				t += float64(ins[r].send[dst].Bytes()) * 2 / m.GPU.MemBW
+				t += float64(bytes) * 2 / m.GPU.MemBW
 				continue
 			}
-			bytes := ins[r].send[dst].Bytes()
-			if padded {
-				// MPI_Alltoall pads every pair to the max block.
+			if kind == kindAlltoall {
 				bytes = pad
 			} else if bytes == 0 {
-				// MPI_Alltoallv short-circuits zero-size blocks.
+				// MPI short-circuits zero-size blocks of the v and w flavours.
 				continue
 			}
 			dstW := c.WorldRank(dst)
-			t += oh + float64(bytes)/w.topo.NaiveFlowBW(srcW, dstW) + w.topo.Latency(srcW, dstW)
+			if kind == kindAlltoallw {
+				t += m.MsgCostOn(bytes, w.topo.Path(srcW, dstW), w.nodes, dev, w.opts.GPUAware, machine.ClassAlltoallw).Total()
+			} else {
+				t += oh + float64(bytes)/w.topo.NaiveFlowBW(srcW, dstW) + w.topo.Latency(srcW, dstW)
+			}
 		}
 		if f := ins[r].factor; f > 1 {
 			// Degraded link: this rank's whole exchange slows down.
-			t *= f
-		}
-		outs[r].clock = t0 + t
-	}
-}
-
-// priceAlltoallw is the generalized all-to-all on derived sub-array datatypes
-// (Algorithm 2, Dalcin et al.): a naive per-message loop with high setup
-// cost; staging (if any) happens per message inside MsgCost — SpectrumMPI-like
-// stacks are not GPU-aware on this path. Zero-size blocks are short-circuited
-// by MPI.
-func priceAlltoallw(c *Comm, ins []collIn, outs []collOut) {
-	w := c.core.world
-	m := w.model
-	t0 := maxClock(ins)
-	for r := range ins {
-		srcW := c.WorldRank(r)
-		dev, _, _ := traffic(ins, r, nil)
-		var t float64
-		for dst := range ins {
-			by := ins[r].send[dst].Bytes()
-			if dst == r {
-				t += float64(by) * 2 / m.GPU.MemBW
-				continue
-			}
-			if by == 0 {
-				continue
-			}
-			mc := m.MsgCostOn(by, w.topo.Path(srcW, c.WorldRank(dst)), w.nodes, dev, w.opts.GPUAware, machine.ClassAlltoallw)
-			t += mc.Total()
-		}
-		if f := ins[r].factor; f > 1 {
 			t *= f
 		}
 		outs[r].clock = t0 + t
