@@ -225,7 +225,7 @@ func (rs *reshapePlan) resolve(opts Options, eb, batch int) (mpisim.Algo, int, b
 // receiver derive their chunks from the same intersection box, so the
 // payloads of every chunk match without negotiation.
 func chunkBox(b tensor.Box3, ci, n int) tensor.Box3 {
-	if b.Empty() {
+	if n == 1 || b.Empty() {
 		return b
 	}
 	sz := b.Hi[0] - b.Lo[0]

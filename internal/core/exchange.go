@@ -185,7 +185,7 @@ func (x *exchange[T]) pack(ci int) []mpisim.Buf {
 	ic := rs.group.Integrity()
 	wireBytes, fullBytes := 0, 0
 	for gi := 0; gi < gs; gi++ {
-		cb := x.chunk(rs.sends[gi], ci)
+		cb := chunkBox(rs.sends[gi], ci, x.chunks)
 		vol := cb.Volume()
 		if vol == 0 {
 			bufs[gi] = mpisim.Buf{Loc: machine.Device}
@@ -270,43 +270,42 @@ func (x *exchange[T]) unpack(ci int, h posted) {
 	g, rs, dev, opts := x.rs.group, x.rs, x.e.dev, x.e.opts
 	x.alloc()
 	// Every non-empty block of the chunk is delivered exactly once, so the
-	// received byte counts accumulate as the blocks land.
-	wireBytes, fullBytes := 0, 0
+	// received element count accumulates as the blocks land.
+	elems := 0
 	if opts.Backend.Collective() {
 		recv := h.bufs
 		if h.req != nil {
 			recv = g.WaitColl(h.req)
 		}
 		for gi := range recv {
-			elems := x.unpackBlock(ci, gi, recv[gi])
-			wireBytes += x.web * elems
-			fullBytes += x.eb * elems
+			elems += x.unpackBlock(ci, gi, recv[gi])
 		}
 	} else {
-		me := rs.myGroupRank
-		if !rs.sends[me].Empty() {
-			elems := x.unpackBlock(ci, me, h.bufs[me])
-			wireBytes += x.web * elems
-			fullBytes += x.eb * elems
+		if me := rs.myGroupRank; !rs.sends[me].Empty() {
+			elems = x.unpackBlock(ci, me, h.bufs[me])
 			dev.Unpack(x.web*elems, opts.Contiguous)
 		}
 		for range x.rreqs {
 			i, buf := g.Waitany(x.rreqs)
-			elems := x.unpackBlock(ci, x.rsrcs[i], buf)
-			wireBytes += x.web * elems
-			fullBytes += x.eb * elems
+			elems += x.unpackBlock(ci, x.rsrcs[i], buf)
 			dev.Unpack(buf.Bytes(), opts.Contiguous)
 		}
 		if h.sreqs != nil {
 			g.Waitall(h.sreqs)
 		}
 	}
-	rs.chargeEnvelopeVerify(wireBytes)
+	wireBytes := x.web * elems
+	// The transport's checksummed delivery charges its own verify pass over
+	// the same read stream, so the envelope pass is only billed when the
+	// envelopes are the sole line of defense.
+	if ic := g.Integrity(); ic.Invariants && !ic.Checksums {
+		g.ChargeChecksumVerify(wireBytes)
+	}
 	if opts.Backend == BackendAlltoallv || opts.Backend == BackendAlltoall {
 		dev.Unpack(wireBytes, opts.Contiguous)
 	}
 	if x.wire != WireFp64 {
-		dev.Convert(fullBytes)
+		dev.Convert(x.eb * elems)
 	}
 }
 
@@ -314,7 +313,7 @@ func (x *exchange[T]) unpack(ci int, h posted) {
 // arrays — verifying its ABFT envelope sum first when one is attached —
 // returns the buffer to the staging pool, and reports the elements received.
 func (x *exchange[T]) unpackBlock(ci, gi int, buf mpisim.Buf) int {
-	cb := x.chunk(x.rs.recvs[gi], ci)
+	cb := chunkBox(x.rs.recvs[gi], ci, x.chunks)
 	vol := cb.Volume()
 	if vol == 0 || x.out == nil {
 		return vol * len(x.datas)
@@ -328,12 +327,4 @@ func (x *exchange[T]) unpackBlock(ci, gi int, buf mpisim.Buf) int {
 	}
 	recycleRecv[T](buf)
 	return vol * len(x.datas)
-}
-
-// chunk returns slice ci of pair box b (the whole box when unchunked).
-func (x *exchange[T]) chunk(b tensor.Box3, ci int) tensor.Box3 {
-	if x.chunks == 1 {
-		return b
-	}
-	return chunkBox(b, ci, x.chunks)
 }

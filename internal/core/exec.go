@@ -213,7 +213,8 @@ func (e *engine) run(stages []stage, b *batch, dir fft.Direction, from int, pol 
 	// Validation failures leave End == Start: nothing executed, no cost.
 	e.lastExec = ExecInfo{Batch: n, Start: e.comm.Clock()}
 	e.lastExec.End = e.lastExec.Start
-	startBox, endBox := stages[len(stages)-1].out(), stages[len(stages)-1].out()
+	endBox := stages[len(stages)-1].out()
+	startBox := endBox
 	if from < len(stages) {
 		startBox = stages[from].in()
 	}
@@ -378,9 +379,8 @@ func (e *engine) chargeOverlap(dt float64) {
 // (numerically) and charges the virtual cost of ONE entry, returning that
 // per-entry cost so the batchFused policy can pipeline the remainder. With
 // ABFT invariants on, the complex stages run under the phase invariant
-// (runABFT); the r2c/c2r kernels stay outside it — their real-side sums obey
-// no DFT-linearity identity against the half spectrum the invariant could
-// check without a second transform.
+// (runABFT); the r2c/c2r kernels stay outside it — the invariant is defined
+// over complex bricks, and the half-spectrum kernels are not covered.
 func (e *engine) computeStage(st stage, b *batch, dir fft.Direction) float64 {
 	if st.kind == stageR2C || st.kind == stageC2R {
 		return e.realStage(st, b)

@@ -206,19 +206,6 @@ func verifyEnvelope[T any](g *mpisim.Comm, gi int, b mpisim.Buf, what string) {
 	}
 }
 
-// chargeEnvelopeVerify charges the ABFT envelope verification pass over the
-// received bytes of one exchange. The transport's checksummed delivery
-// charges its own verify pass over the same read stream, so the work is only
-// billed here when the envelopes are the sole line of defense.
-func (rs *reshapePlan) chargeEnvelopeVerify(bytes int) {
-	if rs.group == nil || bytes == 0 {
-		return
-	}
-	if ic := rs.group.Integrity(); ic.Invariants && !ic.Checksums {
-		rs.group.ChargeChecksumVerify(bytes)
-	}
-}
-
 // runABFT is computeStage's body with the ABFT phase invariant armed: snapshot
 // the phase input (fused with its plane sum), run the kernel, verify the
 // DFT-linearity invariant over the output brick, and re-execute the phase from

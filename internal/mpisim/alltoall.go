@@ -17,51 +17,59 @@ import (
 
 // pricer is one pricing policy: given every member's contribution (entry
 // clock, send blocks, injection-port snapshot, degrade factor) it fills each
-// rank's completion time outs[r].clock and, for policies that occupy the
-// injection port, its new busy-until time outs[r].port (zero leaves the port
-// untouched).
-type pricer func(c *Comm, ins []collIn, outs []collOut)
+// rank's completion time outs[r].clock and, for the scheduled policies, which
+// occupy the injection port, its new busy-until time outs[r].port (zero
+// leaves the port untouched).
+type pricer struct {
+	naive naiveKind      // the unscheduled flavour, when sched is nil
+	sched CollectiveAlgo // a port-gated schedule
+}
 
-var (
-	// priceAlltoall pads every pair to the communicator's largest block (the
+func (p pricer) price(c *Comm, ins []collIn, outs []collOut) {
+	if p.sched != nil {
+		priceScheduled(c, ins, outs, p.sched)
+	} else {
+		priceNaive(c, ins, outs, p.naive)
+	}
+}
+
+// naiveKind distinguishes the three unscheduled All-to-All flavours of
+// Table I.
+type naiveKind int
+
+const (
+	// kindAlltoall pads every pair to the communicator's largest block (the
 	// padding cost the paper observes on brick↔pencil reshapes, Figs. 2 and 6)
 	// in exchange for the most optimized vendor loop.
-	priceAlltoall pricer = func(c *Comm, ins []collIn, outs []collOut) { priceNaive(c, ins, outs, kindAlltoall) }
-	// priceAlltoallv is the vendor per-destination loop over exact sizes.
-	priceAlltoallv pricer = func(c *Comm, ins []collIn, outs []collOut) { priceNaive(c, ins, outs, kindAlltoallv) }
-	// priceAlltoallw is the generalized all-to-all on derived sub-array
-	// datatypes.
-	priceAlltoallw pricer = func(c *Comm, ins []collIn, outs []collOut) { priceNaive(c, ins, outs, kindAlltoallw) }
-
-	pricePairwise  = scheduled(pairwiseAlgo{})
-	priceRing      = scheduled(ringAlgo{})
-	priceBruck     = scheduled(bruckAlgo{})
-	priceNodeAware = scheduled(nodeAwareAlgo{})
-	// priceLinearGated is the per-destination loop inside the scheduled
-	// machinery. It is not folded into priceAlltoallv: the vendor loop charges
-	// staging after the group's last entry and multiplies the degrade factor
-	// over staging, self copy and wire alike, while a scheduled exchange
-	// starts staging at local arrival and gates on the injection port — the
-	// same traffic lands on different clocks. Blocking AlgoLinear keeps the
-	// vendor pricing (timing-identical to Alltoallv); the non-blocking flavour
-	// runs here because chunked pipelines post it back to back, and only the
-	// port gate keeps two in-flight chunks from sharing the wire for free.
-	priceLinearGated = scheduled(linearAlgo{})
+	kindAlltoall  naiveKind = iota
+	kindAlltoallv           // vendor per-destination loop over exact sizes
+	kindAlltoallw           // per-message loop over derived sub-array datatypes
 )
+
+// priceLinearGated is the per-destination loop inside the scheduled
+// machinery. It is not folded into the vendor Alltoallv pricing: the vendor
+// loop charges staging after the group's last entry and multiplies the degrade
+// factor over staging, self copy and wire alike, while a scheduled exchange
+// starts staging at local arrival and gates on the injection port — the same
+// traffic lands on different clocks. Blocking AlgoLinear keeps the vendor
+// pricing (timing-identical to Alltoallv); the non-blocking flavour runs here
+// because chunked pipelines post it back to back, and only the port gate keeps
+// two in-flight chunks from sharing the wire for free.
+var priceLinearGated = pricer{sched: linearAlgo{}}
 
 // schedulePricer maps an Algo to its pricing policy for blocking calls.
 func schedulePricer(a Algo) pricer {
 	switch a {
 	case AlgoPairwise:
-		return pricePairwise
+		return pricer{sched: pairwiseAlgo{}}
 	case AlgoRing:
-		return priceRing
+		return pricer{sched: ringAlgo{}}
 	case AlgoBruck:
-		return priceBruck
+		return pricer{sched: bruckAlgo{}}
 	case AlgoNodeAware:
-		return priceNodeAware
+		return pricer{sched: nodeAwareAlgo{}}
 	}
-	return priceAlltoallv
+	return pricer{naive: kindAlltoallv}
 }
 
 // traffic scans rank r's row and column of the exchange matrix: whether any
@@ -92,16 +100,6 @@ func stagingCost(m *machine.Model, totalSend, totalRecv int) float64 {
 	return 2*m.StagingOverhead +
 		(1-m.StagingOverlap)*(float64(totalSend)/m.PCIeBW+float64(totalRecv)/m.PCIeBW)
 }
-
-// naiveKind distinguishes the three unscheduled All-to-All flavours of
-// Table I.
-type naiveKind int
-
-const (
-	kindAlltoall  naiveKind = iota // vendor loop, every pair padded to the max block
-	kindAlltoallv                  // vendor loop over exact sizes
-	kindAlltoallw                  // per-message datatype loop
-)
 
 // priceNaive prices the unscheduled collectives: every rank starts at the
 // group's last entry and walks its destinations. The vendor loops
@@ -165,60 +163,58 @@ func priceNaive(c *Comm, ins []collIn, outs []collOut, kind naiveKind) {
 	}
 }
 
-// scheduled wraps a CollectiveAlgo as a pricing policy. The wrapper handles
+// priceScheduled prices an exchange under a CollectiveAlgo. It handles
 // everything the schedule itself does not model: PCIe staging for
 // non-GPU-aware device buffers, the self block's device copy, and
 // injection-port gating, so back-to-back exchanges serialize honestly on the
 // wire instead of overlapping for free.
-func scheduled(impl CollectiveAlgo) pricer {
-	return func(c *Comm, ins []collIn, outs []collOut) {
-		w := c.core.world
-		m := w.model
-		size := len(ins)
-		// Synchronized schedules (lock-step rounds) gate every rank on the
-		// group's last entry; unsynchronized ones start each rank at its own
-		// arrival and let receiver-side data dependencies carry the skew.
-		t0 := math.Inf(-1)
-		if impl.Synchronized() {
-			t0 = maxClock(ins)
+func priceScheduled(c *Comm, ins []collIn, outs []collOut, impl CollectiveAlgo) {
+	w := c.core.world
+	m := w.model
+	size := len(ins)
+	// Synchronized schedules (lock-step rounds) gate every rank on the
+	// group's last entry; unsynchronized ones start each rank at its own
+	// arrival and let receiver-side data dependencies carry the skew.
+	t0 := math.Inf(-1)
+	if impl.Synchronized() {
+		t0 = maxClock(ins)
+	}
+	ex := &Exchange{
+		Size:   size,
+		Bytes:  make([][]int, size),
+		Dev:    make([]bool, size),
+		Factor: make([]float64, size),
+		Start:  make([]float64, size),
+		Ranks:  make([]int, size),
+		Nodes:  w.nodes,
+		Topo:   w.topo,
+		M:      m,
+	}
+	for r := range ins {
+		ex.Ranks[r] = c.WorldRank(r)
+		ex.Factor[r] = ins[r].factor
+		row := make([]int, size)
+		dev, totalSend, totalRecv := traffic(ins, r, row)
+		ex.Bytes[r] = row
+		stage := 0.0
+		staged := dev && !w.opts.GPUAware
+		if staged {
+			stage = stagingCost(m, totalSend, totalRecv)
 		}
-		ex := &Exchange{
-			Size:   size,
-			Bytes:  make([][]int, size),
-			Dev:    make([]bool, size),
-			Factor: make([]float64, size),
-			Start:  make([]float64, size),
-			Ranks:  make([]int, size),
-			Nodes:  w.nodes,
-			Topo:   w.topo,
-			M:      m,
+		ex.Dev[r] = dev && !staged
+		// Staging copies ride PCIe, not the NIC: they start at local
+		// arrival and overlap whatever transfer still occupies the
+		// injection port — which is how a chunked pipeline hides the
+		// host↔device hops of chunk k+1 under the wire time of chunk k.
+		ex.Start[r] = math.Max(math.Max(t0, ins[r].clock+stage), ins[r].port)
+	}
+	comp := impl.Complete(ex)
+	for r := range ins {
+		t := comp[r]
+		if by := ins[r].send[r].Bytes(); by > 0 {
+			t += float64(by) * 2 / m.GPU.MemBW * ex.factor(r)
 		}
-		for r := range ins {
-			ex.Ranks[r] = c.WorldRank(r)
-			ex.Factor[r] = ins[r].factor
-			row := make([]int, size)
-			dev, totalSend, totalRecv := traffic(ins, r, row)
-			ex.Bytes[r] = row
-			stage := 0.0
-			staged := dev && !w.opts.GPUAware
-			if staged {
-				stage = stagingCost(m, totalSend, totalRecv)
-			}
-			ex.Dev[r] = dev && !staged
-			// Staging copies ride PCIe, not the NIC: they start at local
-			// arrival and overlap whatever transfer still occupies the
-			// injection port — which is how a chunked pipeline hides the
-			// host↔device hops of chunk k+1 under the wire time of chunk k.
-			ex.Start[r] = math.Max(math.Max(t0, ins[r].clock+stage), ins[r].port)
-		}
-		comp := impl.Complete(ex)
-		for r := range ins {
-			t := comp[r]
-			if by := ins[r].send[r].Bytes(); by > 0 {
-				t += float64(by) * 2 / m.GPU.MemBW * ex.factor(r)
-			}
-			outs[r].clock, outs[r].port = t, comp[r]
-		}
+		outs[r].clock, outs[r].port = t, comp[r]
 	}
 }
 
@@ -262,7 +258,7 @@ func (c *Comm) postAlltoall(send []Buf, p pricer, op string) CollRequest {
 	}
 	out := c.core.rv.exchange(c.core.world, c.rank, in, func(ins []collIn) []collOut {
 		outs := make([]collOut, size)
-		p(c, ins, outs)
+		p.price(c, ins, outs)
 		for r := range outs {
 			recv := make([]Buf, size)
 			for s := range ins {
@@ -325,13 +321,13 @@ func (c *Comm) blockingAlltoall(send []Buf, p pricer, op string) []Buf {
 // blocks are padded to the maximum block size in the communicator, in
 // exchange for the most optimized vendor algorithm.
 func (c *Comm) Alltoall(send []Buf) []Buf {
-	return c.blockingAlltoall(send, priceAlltoall, "MPI_Alltoall")
+	return c.blockingAlltoall(send, pricer{naive: kindAlltoall}, "MPI_Alltoall")
 }
 
 // Alltoallv exchanges exact per-pair sizes with the optimized collective
 // path.
 func (c *Comm) Alltoallv(send []Buf) []Buf {
-	return c.blockingAlltoall(send, priceAlltoallv, "MPI_Alltoallv")
+	return c.blockingAlltoall(send, pricer{naive: kindAlltoallv}, "MPI_Alltoallv")
 }
 
 // Alltoallw models the generalized all-to-all on derived sub-array datatypes
@@ -339,7 +335,7 @@ func (c *Comm) Alltoallv(send []Buf) []Buf {
 // per-message setup, and — on SpectrumMPI-like stacks — no GPU-awareness, so
 // device buffers stage through PCIe per message.
 func (c *Comm) Alltoallw(send []Buf) []Buf {
-	return c.blockingAlltoall(send, priceAlltoallw, "MPI_Alltoallw")
+	return c.blockingAlltoall(send, pricer{naive: kindAlltoallw}, "MPI_Alltoallw")
 }
 
 // AlltoallvWith exchanges exact per-pair sizes like Alltoallv, but scheduled

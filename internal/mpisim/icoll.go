@@ -32,7 +32,7 @@ type CollRequest struct {
 // returned request completes at the same virtual instant the blocking
 // Alltoallv would have returned.
 func (c *Comm) Ialltoallv(send []Buf) *CollRequest {
-	return c.ipostAlltoall(send, priceAlltoallv, "MPI_Wait(coll)")
+	return c.ipostAlltoall(send, pricer{naive: kindAlltoallv}, "MPI_Wait(coll)")
 }
 
 // IalltoallvWith posts a non-blocking algorithm-scheduled all-to-all-v: the
