@@ -3,6 +3,7 @@ package mpisim
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/machine"
 	"repro/internal/topo"
@@ -74,13 +75,26 @@ func Algos() []Algo {
 	return []Algo{AlgoLinear, AlgoPairwise, AlgoRing, AlgoBruck, AlgoNodeAware}
 }
 
+// Flow is one entry of a sparse row of the exchange matrix: Bytes > 0 of
+// payload addressed to exchange rank Dst.
+type Flow struct {
+	Dst, Bytes int
+}
+
 // Exchange describes one all-to-all-v instance to a CollectiveAlgo: who
 // sends how many bytes to whom, where the buffers live, each rank's fault
 // degrade factor, and the earliest virtual time each rank's network activity
 // may start (after staging and after its injection port frees up).
+//
+// A schedule must accumulate floating-point time over the flows in the order
+// its dense formulation would meet them (a zero entry adds nothing there):
+// the accumulation order is the virtual clock.
 type Exchange struct {
-	Size   int
-	Bytes  [][]int   // [src][dst] payload bytes; the diagonal (self) is handled by the caller
+	Size int
+	// Bytes[src] lists src's non-empty off-diagonal blocks in ascending
+	// destination order — the sparse rows of the exchange matrix. The diagonal
+	// (self) is handled by the caller.
+	Bytes  [][]Flow
 	Dev    []bool    // rank's buffers are device-resident (GPU-aware path)
 	Factor []float64 // fault degrade factor per rank (0 or 1 = healthy)
 	Start  []float64 // earliest network start per rank
@@ -88,17 +102,18 @@ type Exchange struct {
 	Nodes  int       // nodes occupied by the job
 	Topo   *topo.System
 	M      *machine.Model
+
+	// Active[r]: rank r moves off-diagonal bytes, as sender or receiver.
+	// Inactive ranks leave a schedule immediately.
+	Active []bool
 }
 
-// active reports whether rank r moves any off-diagonal bytes (as sender or
-// receiver). Inactive ranks leave a schedule immediately.
-func (e *Exchange) active(r int) bool {
-	for d := 0; d < e.Size; d++ {
-		if d != r && (e.Bytes[r][d] > 0 || e.Bytes[d][r] > 0) {
-			return true
-		}
-	}
-	return false
+// cyclicStart returns where row r starts when visited in increasing cyclic
+// distance (dst − r) mod p — the order the streaming schedules send in: the
+// first flow to a destination above r, wrapping around to those below.
+func (e *Exchange) cyclicStart(r int) int {
+	row := e.Bytes[r]
+	return sort.Search(len(row), func(i int) bool { return row[i].Dst > r })
 }
 
 // overhead is the one-time collective call setup cost on rank r.
@@ -174,12 +189,9 @@ func (linearAlgo) Complete(ex *Exchange) []float64 {
 		srcW := ex.Ranks[r]
 		oh := ex.overhead(r)
 		t := 0.0
-		for d := 0; d < ex.Size; d++ {
-			if d == r || ex.Bytes[r][d] == 0 {
-				continue
-			}
-			dstW := ex.Ranks[d]
-			t += oh + float64(ex.Bytes[r][d])/ex.Topo.NaiveFlowBW(srcW, dstW) + ex.latency(srcW, dstW)
+		for _, f := range ex.Bytes[r] {
+			dstW := ex.Ranks[f.Dst]
+			t += oh + float64(f.Bytes)/ex.Topo.NaiveFlowBW(srcW, dstW) + ex.latency(srcW, dstW)
 		}
 		comp[r] = ex.Start[r] + t*ex.factor(r)
 	}
@@ -204,7 +216,7 @@ func (pairwiseAlgo) Complete(ex *Exchange) []float64 {
 	any := false
 	for r := 0; r < p; r++ {
 		comp[r] = ex.Start[r]
-		if ex.active(r) {
+		if ex.Active[r] {
 			any = true
 			if s := ex.Start[r] + ex.overhead(r); s > t {
 				t = s
@@ -214,24 +226,25 @@ func (pairwiseAlgo) Complete(ex *Exchange) []float64 {
 	if !any || p == 1 {
 		return comp
 	}
-	for k := 1; k < p; k++ {
-		dur := 0.0
-		for r := 0; r < p; r++ {
-			dst := (r + k) % p
-			by := ex.Bytes[r][dst]
-			if by == 0 {
-				continue
-			}
-			src, dw := ex.Ranks[r], ex.Ranks[dst]
-			d := (m.CollInject + float64(by)/ex.flowBW(src, dw) + ex.latency(src, dw)) * ex.factor(r)
-			if d > dur {
-				dur = d
+	// Bucket the flows by round: round k lasts as long as the slowest pair at
+	// cyclic distance k (a maximum, so the bucketing order is immaterial), and
+	// the rounds add up in ascending k — empty ones add nothing.
+	dur := make([]float64, p)
+	for r := 0; r < p; r++ {
+		for _, f := range ex.Bytes[r] {
+			k := (f.Dst - r + p) % p
+			src, dw := ex.Ranks[r], ex.Ranks[f.Dst]
+			d := (m.CollInject + float64(f.Bytes)/ex.flowBW(src, dw) + ex.latency(src, dw)) * ex.factor(r)
+			if d > dur[k] {
+				dur[k] = d
 			}
 		}
-		t += dur
+	}
+	for k := 1; k < p; k++ {
+		t += dur[k]
 	}
 	for r := 0; r < p; r++ {
-		if ex.active(r) {
+		if ex.Active[r] {
 			comp[r] = t
 		}
 	}
@@ -258,31 +271,28 @@ func (ringAlgo) Complete(ex *Exchange) []float64 {
 		comp[r] = ex.Start[r]
 	}
 	for r := 0; r < p; r++ {
-		if !ex.active(r) {
+		if !ex.Active[r] {
 			continue
 		}
 		t0 := ex.Start[r] + ex.overhead(r)
 		intra, inter := t0, t0
 		f := ex.factor(r)
 		sw := ex.Ranks[r]
-		for k := 1; k < p; k++ {
-			dst := (r + k) % p
-			by := ex.Bytes[r][dst]
-			if by == 0 {
-				continue
-			}
-			dw := ex.Ranks[dst]
+		row, i0 := ex.Bytes[r], ex.cyclicStart(r)
+		for i := range row {
+			fl := row[(i0+i)%len(row)]
+			dw := ex.Ranks[fl.Dst]
 			var arr float64
 			if ex.Topo.SameNode(sw, dw) {
-				intra += (m.CollInject + float64(by)/m.IntraBW) * f
+				intra += (m.CollInject + float64(fl.Bytes)/m.IntraBW) * f
 				arr = intra + m.IntraLatency
 			} else {
 				bw := ex.flowBW(sw, dw) / (1 + m.CollCongestion)
-				inter += (m.CollInject + float64(by)/bw) * f
+				inter += (m.CollInject + float64(fl.Bytes)/bw) * f
 				arr = inter + m.InterLatency
 			}
-			if arr > arrival[dst] {
-				arrival[dst] = arr
+			if arr > arrival[fl.Dst] {
+				arrival[fl.Dst] = arr
 			}
 		}
 		done := math.Max(intra, inter)
@@ -320,7 +330,7 @@ func (bruckAlgo) Complete(ex *Exchange) []float64 {
 	fmax := 1.0
 	for r := 0; r < p; r++ {
 		comp[r] = ex.Start[r]
-		if !ex.active(r) {
+		if !ex.Active[r] {
 			continue
 		}
 		anyActive = true
@@ -330,10 +340,8 @@ func (bruckAlgo) Complete(ex *Exchange) []float64 {
 		if f := ex.factor(r); f > fmax {
 			fmax = f
 		}
-		for d := 0; d < p; d++ {
-			if d != r {
-				total += ex.Bytes[r][d]
-			}
+		for _, fl := range ex.Bytes[r] {
+			total += fl.Bytes
 		}
 	}
 	if !anyActive || p == 1 {
@@ -371,7 +379,7 @@ func (bruckAlgo) Complete(ex *Exchange) []float64 {
 		t += (m.CollInject + lat + s/bw + 2*s/m.GPU.MemBW) * fmax
 	}
 	for r := 0; r < p; r++ {
-		if ex.active(r) {
+		if ex.Active[r] {
 			comp[r] = t
 		}
 	}

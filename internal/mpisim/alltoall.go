@@ -14,6 +14,32 @@ import (
 // followed by a finish. What differs between flavours is only how the exchange
 // is priced, and the pricing policies are plain values beside each other
 // below.
+//
+// The engine speaks sparse exchange vectors. An FFT reshape is a fixed
+// neighbour pattern — a rank of a 768-rank brick↔pencil exchange talks to
+// about twenty peers — so a rank deposits only the blocks that exist, the
+// leader touches each of them once, and every rank leaves with only the blocks
+// addressed to it. Nothing on the path is sized by the communicator. The dense
+// []Buf entry points (Alltoall, Alltoallv, Alltoallw, AlltoallvWith and the
+// non-blocking pair in icoll.go) compress into and expand out of this format
+// around the same engine.
+//
+// The visiting-order contract: floating-point accumulation order is the
+// virtual clock, so every pricer walks the non-empty blocks in exactly the
+// order its dense loop would have met them — ascending destination for the
+// vendor and linear loops, cyclic distance (dst − src) mod p for pairwise and
+// ring, node order for the two-level schedule, integer totals for Bruck. A
+// block the list does not name adds nothing in any of those loops, which is
+// what makes the sparse walk bit-identical to the dense one.
+
+// Block is one entry of a sparse exchange vector: the payload addressed to
+// (in a send list) or delivered from (in a receive list) comm rank Peer. A
+// list names each peer at most once, in ascending rank order; the self block
+// is listed like any other. Peers a list does not name exchange nothing.
+type Block struct {
+	Peer int
+	Buf  Buf
+}
 
 // pricer is one pricing policy: given every member's contribution (entry
 // clock, send blocks, injection-port snapshot, degrade factor) it fills each
@@ -72,25 +98,16 @@ func schedulePricer(a Algo) pricer {
 	return pricer{naive: kindAlltoallv}
 }
 
-// traffic scans rank r's row and column of the exchange matrix: whether any
-// of its send blocks is device-resident, and the bytes it sends and receives
-// (self block included). row, when non-nil, receives the per-destination
-// byte counts.
-func traffic(ins []collIn, r int, row []int) (dev bool, totalSend, totalRecv int) {
-	for d, b := range ins[r].send {
-		if b.Loc == machine.Device {
-			dev = true
+// columnBytes sums every rank's received bytes (self block included) in one
+// pass over the blocks that exist — the column totals of the exchange matrix.
+func columnBytes(ins []collIn) []int {
+	recv := make([]int, len(ins))
+	for _, in := range ins {
+		for _, b := range in.blocks {
+			recv[b.Peer] += b.Buf.Bytes()
 		}
-		by := b.Bytes()
-		if row != nil {
-			row[d] = by
-		}
-		totalSend += by
 	}
-	for s := range ins {
-		totalRecv += ins[s].send[r].Bytes()
-	}
-	return dev, totalSend, totalRecv
+	return recv
 }
 
 // stagingCost is the bulk PCIe staging of a non-GPU-aware exchange of device
@@ -102,57 +119,80 @@ func stagingCost(m *machine.Model, totalSend, totalRecv int) float64 {
 }
 
 // priceNaive prices the unscheduled collectives: every rank starts at the
-// group's last entry and walks its destinations. The vendor loops
-// (MPI_Alltoall/v) stage in bulk when the stack is not GPU-aware and pay the
-// collective's per-message overhead, the saturated per-flow bandwidth and the
-// wire latency per destination. MPI_Alltoallw (Algorithm 2, Dalcin et al.) is
-// a naive per-message loop with high setup cost; staging (if any) happens per
-// message inside MsgCost — SpectrumMPI-like stacks are not GPU-aware on this
-// path. The port is not modeled: the call owns the wire until it returns.
+// group's last entry and walks its destinations in ascending rank order. The
+// vendor loops (MPI_Alltoall/v) stage in bulk when the stack is not GPU-aware
+// and pay the collective's per-message overhead, the saturated per-flow
+// bandwidth and the wire latency per destination. MPI_Alltoallw (Algorithm 2,
+// Dalcin et al.) is a naive per-message loop with high setup cost; staging (if
+// any) happens per message inside MsgCost — SpectrumMPI-like stacks are not
+// GPU-aware on this path. The port is not modeled: the call owns the wire
+// until it returns.
 func priceNaive(c *Comm, ins []collIn, outs []collOut, kind naiveKind) {
 	w := c.core.world
 	m := w.model
 	t0 := maxClock(ins)
+	recvBytes := columnBytes(ins)
 	pad := 0
 	if kind == kindAlltoall {
-		for _, inp := range ins {
-			for _, b := range inp.send {
-				if b.Bytes() > pad {
-					pad = b.Bytes()
+		for _, in := range ins {
+			for _, b := range in.blocks {
+				if by := b.Buf.Bytes(); by > pad {
+					pad = by
 				}
 			}
 		}
 	}
 	for r := range ins {
 		srcW := c.WorldRank(r)
-		dev, totalSend, totalRecv := traffic(ins, r, nil)
+		dev := ins[r].dev
+		totalSend, self := 0, 0
+		for _, b := range ins[r].blocks {
+			by := b.Buf.Bytes()
+			totalSend += by
+			if b.Peer == r {
+				self = by
+			}
+		}
 		var t float64
 		staged := dev && !w.opts.GPUAware && kind != kindAlltoallw
 		if staged {
-			t += stagingCost(m, totalSend, totalRecv)
+			t += stagingCost(m, totalSend, recvBytes[r])
 		}
 		oh := m.HostOverheadColl
 		if dev && !staged {
 			oh = m.DeviceOverheadColl
 		}
-		for dst := range ins {
-			bytes := ins[r].send[dst].Bytes()
-			if dst == r {
-				// Self block: a device-local copy.
-				t += float64(bytes) * 2 / m.GPU.MemBW
-				continue
+		// Self block: a device-local copy, charged at its place in the
+		// destination order.
+		selfCopy := float64(self) * 2 / m.GPU.MemBW
+		if kind == kindAlltoall {
+			// The padded call charges every destination, whether or not a
+			// block is addressed to it.
+			for dst := range ins {
+				if dst == r {
+					t += selfCopy
+					continue
+				}
+				dstW := c.WorldRank(dst)
+				t += oh + float64(pad)/w.topo.NaiveFlowBW(srcW, dstW) + w.topo.Latency(srcW, dstW)
 			}
-			if kind == kindAlltoall {
-				bytes = pad
-			} else if bytes == 0 {
-				// MPI short-circuits zero-size blocks of the v and w flavours.
-				continue
-			}
-			dstW := c.WorldRank(dst)
-			if kind == kindAlltoallw {
-				t += m.MsgCostOn(bytes, w.topo.Path(srcW, dstW), w.nodes, dev, w.opts.GPUAware, machine.ClassAlltoallw).Total()
-			} else {
-				t += oh + float64(bytes)/w.topo.NaiveFlowBW(srcW, dstW) + w.topo.Latency(srcW, dstW)
+		} else {
+			for _, b := range ins[r].blocks {
+				if b.Peer == r {
+					t += selfCopy
+					continue
+				}
+				bytes := b.Buf.Bytes()
+				if bytes == 0 {
+					// MPI short-circuits zero-size blocks of the v and w flavours.
+					continue
+				}
+				dstW := c.WorldRank(b.Peer)
+				if kind == kindAlltoallw {
+					t += m.MsgCostOn(bytes, w.topo.Path(srcW, dstW), w.nodes, dev, w.opts.GPUAware, machine.ClassAlltoallw).Total()
+				} else {
+					t += oh + float64(bytes)/w.topo.NaiveFlowBW(srcW, dstW) + w.topo.Latency(srcW, dstW)
+				}
 			}
 		}
 		if f := ins[r].factor; f > 1 {
@@ -181,25 +221,49 @@ func priceScheduled(c *Comm, ins []collIn, outs []collOut, impl CollectiveAlgo) 
 	}
 	ex := &Exchange{
 		Size:   size,
-		Bytes:  make([][]int, size),
+		Bytes:  make([][]Flow, size),
 		Dev:    make([]bool, size),
 		Factor: make([]float64, size),
 		Start:  make([]float64, size),
-		Ranks:  make([]int, size),
+		Ranks:  c.core.worldRanks,
 		Nodes:  w.nodes,
 		Topo:   w.topo,
 		M:      m,
+		Active: make([]bool, size),
+	}
+	nnz := 0
+	for r := range ins {
+		nnz += len(ins[r].blocks)
+	}
+	// One pass over the blocks that exist builds the sparse rows (one backing
+	// array, ascending destination within a row) and every rank's send, receive
+	// and self totals.
+	flows := make([]Flow, 0, nnz)
+	sendBytes, recvBytes, self := make([]int, size), make([]int, size), make([]int, size)
+	for r := range ins {
+		row := flows[len(flows):len(flows):cap(flows)]
+		for _, b := range ins[r].blocks {
+			by := b.Buf.Bytes()
+			sendBytes[r] += by
+			recvBytes[b.Peer] += by
+			switch {
+			case b.Peer == r:
+				self[r] = by
+			case by > 0:
+				row = append(row, Flow{Dst: b.Peer, Bytes: by})
+				ex.Active[r], ex.Active[b.Peer] = true, true
+			}
+		}
+		ex.Bytes[r] = row[:len(row):len(row)]
+		flows = flows[:len(flows)+len(row)]
 	}
 	for r := range ins {
-		ex.Ranks[r] = c.WorldRank(r)
 		ex.Factor[r] = ins[r].factor
-		row := make([]int, size)
-		dev, totalSend, totalRecv := traffic(ins, r, row)
-		ex.Bytes[r] = row
+		dev := ins[r].dev
 		stage := 0.0
 		staged := dev && !w.opts.GPUAware
 		if staged {
-			stage = stagingCost(m, totalSend, totalRecv)
+			stage = stagingCost(m, sendBytes[r], recvBytes[r])
 		}
 		ex.Dev[r] = dev && !staged
 		// Staging copies ride PCIe, not the NIC: they start at local
@@ -211,61 +275,114 @@ func priceScheduled(c *Comm, ins []collIn, outs []collOut, impl CollectiveAlgo) 
 	comp := impl.Complete(ex)
 	for r := range ins {
 		t := comp[r]
-		if by := ins[r].send[r].Bytes(); by > 0 {
+		if by := self[r]; by > 0 {
 			t += float64(by) * 2 / m.GPU.MemBW * ex.factor(r)
 		}
 		outs[r].clock, outs[r].port = t, comp[r]
 	}
 }
 
-// postAlltoall runs the one all-to-all rendezvous. Prologue: fault entry
-// (stalls, kills), the send-side envelope charge, defensive clones tagged with
-// the rank's fault effects, and the injection-port snapshot. Rendezvous: the
-// last arrival prices the exchange with p, transposes the send matrix into
-// per-rank receive vectors, and pushes the completion of every rank expecting
-// a block from a lost sender to +Inf. Epilogue: the port adopts the new
-// busy-until time. The returned request is complete in every respect except
-// that the caller's clock has not moved: finishAlltoall adopts the completion
-// time. op names the call in fault errors and timeouts.
-func (c *Comm) postAlltoall(send []Buf, p pricer, op string) CollRequest {
-	size := c.Size()
-	if len(send) != size {
-		panic(fmt.Sprintf("mpisim: %s send slice has %d entries for size-%d comm", op, len(send), size))
+// checkBlocks enforces the sparse-vector contract on the caller's goroutine:
+// peers in range, strictly ascending.
+func checkBlocks(send []Block, size int, op string) {
+	prev := -1
+	for _, b := range send {
+		if b.Peer <= prev || b.Peer >= size {
+			panic(fmt.Sprintf("mpisim: %s send list names peer %d after %d on a size-%d comm (peers must be in range and strictly ascending)", op, b.Peer, prev, size))
+		}
+		prev = b.Peer
 	}
+}
+
+// everyPeer returns the send list with a zero-size block filled in for every
+// peer it does not name.
+func everyPeer(send []Block, size int, loc machine.Location) []Block {
+	full := make([]Block, size)
+	for i := range full {
+		full[i] = Block{Peer: i, Buf: Buf{Loc: loc}}
+	}
+	for _, b := range send {
+		full[b.Peer] = b
+	}
+	return full
+}
+
+// transpose turns the members' send lists into their receive lists with one
+// pass over the blocks that exist. Sources are visited in ascending rank
+// order, so every receive list comes out ascending by source; all lists share
+// one backing array, each capped to its own span.
+func transpose(ins []collIn, outs []collOut) {
+	counts := make([]int, len(ins))
+	nnz := 0
+	for s := range ins {
+		for _, b := range ins[s].blocks {
+			counts[b.Peer]++
+		}
+		nnz += len(ins[s].blocks)
+	}
+	backing := make([]Block, nnz)
+	off := 0
+	for r, n := range counts {
+		outs[r].blocks = backing[off : off : off+n]
+		off += n
+	}
+	for s := range ins {
+		for _, b := range ins[s].blocks {
+			o := &outs[b.Peer]
+			o.blocks = append(o.blocks, Block{Peer: s, Buf: b.Buf})
+		}
+	}
+}
+
+// postAlltoall runs the one all-to-all rendezvous over sparse exchange
+// vectors; loc is where the rank's send buffer lives (it decides staging and
+// the overhead class even for a rank that sends nothing). Prologue: fault
+// entry (stalls, kills), the send-side envelope charge, defensive clones
+// tagged with the rank's fault effects, and the injection-port snapshot.
+// Rendezvous: the last arrival prices the exchange with p, transposes the send
+// lists into per-rank receive lists, and pushes the completion of every rank
+// expecting a block from a lost sender to +Inf. Epilogue: the port adopts the
+// new busy-until time. The returned request is complete in every respect
+// except that the caller's clock has not moved: finishAlltoall adopts the
+// completion time. op names the call in fault errors and timeouts.
+func (c *Comm) postAlltoall(send []Block, loc machine.Location, p pricer, op string) CollRequest {
+	size := c.Size()
+	checkBlocks(send, size, op)
 	st := c.state()
 	start := st.clock
 
 	eff := c.faultEnter(op)
 	c.chargeSendChecksums(send)
-	in := collIn{clock: st.clock, port: st.portFreeAt, send: make([]Buf, size), lost: eff.Drop}
+	if eff.Corrupt || eff.Silent > 0 {
+		// A fault that damages this rank's transmissions damages the block to
+		// every destination, zero-size ones included (an empty message still
+		// fails verification, or costs its receiver a retransmit round trip):
+		// name them all so each one carries the tag.
+		send = everyPeer(send, size, loc)
+	}
+	in := collIn{clock: st.clock, port: st.portFreeAt, blocks: make([]Block, len(send)), dev: loc == machine.Device, lost: eff.Drop}
 	if eff.Factor > 1 {
 		in.factor = eff.Factor
 	}
 	total := 0
 	for i, b := range send {
-		in.send[i] = b.clone()
-		total += b.Bytes()
-		if i == c.rank {
-			continue
+		total += b.Buf.Bytes()
+		b.Buf = b.Buf.clone()
+		if b.Peer != c.rank {
+			if eff.Corrupt {
+				b.Buf.Corrupt = true
+			}
+			if eff.Silent > 0 {
+				b.Buf.silent = eff.Silent
+				b.Buf.flipSeed = mixSeed(eff.SilentSeed, b.Peer)
+			}
 		}
-		if eff.Corrupt {
-			in.send[i].Corrupt = true
-		}
-		if eff.Silent > 0 {
-			in.send[i].silent = eff.Silent
-			in.send[i].flipSeed = mixSeed(eff.SilentSeed, i)
-		}
+		in.blocks[i] = b
 	}
 	out := c.core.rv.exchange(c.core.world, c.rank, in, func(ins []collIn) []collOut {
 		outs := make([]collOut, size)
 		p.price(c, ins, outs)
-		for r := range outs {
-			recv := make([]Buf, size)
-			for s := range ins {
-				recv[s] = ins[s].send[r]
-			}
-			outs[r].recv = recv
-		}
+		transpose(ins, outs)
 		// Dropped contributions: every rank expecting a nonzero block from a
 		// lost sender waits forever — its completion moves past any finite
 		// bound and surfaces as ErrExchangeTimeout at completion.
@@ -273,9 +390,9 @@ func (c *Comm) postAlltoall(send []Buf, p pricer, op string) CollRequest {
 			if !ins[r].lost {
 				continue
 			}
-			for dst := range ins {
-				if dst != r && ins[r].send[dst].Bytes() > 0 {
-					outs[dst].clock = math.Inf(1)
+			for _, b := range ins[r].blocks {
+				if b.Peer != r && b.Buf.Bytes() > 0 {
+					outs[b.Peer].clock = math.Inf(1)
 				}
 			}
 		}
@@ -284,27 +401,28 @@ func (c *Comm) postAlltoall(send []Buf, p pricer, op string) CollRequest {
 	if out.port > st.portFreeAt {
 		st.portFreeAt = out.port
 	}
-	return CollRequest{comm: c, postedAt: start, completeAt: out.clock, recv: out.recv, bytes: total, op: op}
+	return CollRequest{comm: c, postedAt: start, completeAt: out.clock, recv: out.blocks, bytes: total, op: op}
 }
 
 // finishAlltoall completes a posted exchange: the clock advances to the
 // exchange's completion (not at all if local work since the post already
 // covered it), under the per-exchange timeout measured from the post; blocks
-// flagged corrupt in transit fail verification; the integrity layer verifies,
-// repairs or really corrupts the delivered payload. The trace event is named
-// traceName and starts at traceStart — the post for a blocking call (one
-// event per collective), the wait's own entry for a non-blocking one.
-func (c *Comm) finishAlltoall(r *CollRequest, traceName string, traceStart float64) []Buf {
+// flagged corrupt in transit fail verification, the lowest-ranked source
+// first; the integrity layer verifies, repairs or really corrupts the
+// delivered payload. The trace event is named traceName and starts at
+// traceStart — the post for a blocking call (one event per collective), the
+// wait's own entry for a non-blocking one.
+func (c *Comm) finishAlltoall(r *CollRequest, traceName string, traceStart float64) []Block {
 	st := c.state()
 	if end := c.collClock(r.op, r.postedAt, r.completeAt); end > st.clock {
 		st.clock = end
 	}
 	r.done = true
 	c.record(traceName, traceStart, st.clock, r.bytes)
-	for s, b := range r.recv {
-		if b.Corrupt && s != c.rank {
+	for _, b := range r.recv {
+		if b.Buf.Corrupt && b.Peer != c.rank {
 			c.raiseFault(fmt.Errorf("mpisim: %w: rank %d: %s block from rank %d failed verification",
-				ErrMessageCorrupt, c.WorldRank(c.rank), r.op, c.WorldRank(s)))
+				ErrMessageCorrupt, c.WorldRank(c.rank), r.op, c.WorldRank(b.Peer)))
 		}
 	}
 	c.deliverIntegrity(r.recv, r.op)
@@ -312,39 +430,106 @@ func (c *Comm) finishAlltoall(r *CollRequest, traceName string, traceStart float
 }
 
 // blockingAlltoall is post + finish with nothing in between.
-func (c *Comm) blockingAlltoall(send []Buf, p pricer, op string) []Buf {
-	r := c.postAlltoall(send, p, op)
+func (c *Comm) blockingAlltoall(send []Block, loc machine.Location, p pricer, op string) []Block {
+	r := c.postAlltoall(send, loc, p, op)
 	return c.finishAlltoall(&r, op, r.postedAt)
+}
+
+// AlltoallSparse exchanges sparse vectors with MPI_Alltoall semantics: all
+// pairs — named or not — are padded to the maximum block size in the
+// communicator, in exchange for the most optimized vendor algorithm. loc is
+// where the rank's send buffer lives. The returned list holds the blocks
+// addressed to this rank, ascending by source.
+func (c *Comm) AlltoallSparse(send []Block, loc machine.Location) []Block {
+	return c.blockingAlltoall(send, loc, pricer{naive: kindAlltoall}, "MPI_Alltoall")
+}
+
+// AlltoallwSparse is the sparse-vector form of Alltoallw: the generalized
+// all-to-all on derived sub-array datatypes used by Algorithm 2 (Dalcin et
+// al.) — a naive Isend/Irecv loop with high per-message setup, and, on
+// SpectrumMPI-like stacks, no GPU-awareness, so device buffers stage through
+// PCIe per message.
+func (c *Comm) AlltoallwSparse(send []Block, loc machine.Location) []Block {
+	return c.blockingAlltoall(send, loc, pricer{naive: kindAlltoallw}, "MPI_Alltoallw")
+}
+
+// AlltoallvSparse exchanges exact per-pair sizes, scheduled by the selected
+// algorithm (pairwise exchange, ring streaming, Bruck log-step, or the
+// node-aware two-level schedule). The received bytes are identical for every
+// algorithm; only the virtual-time cost differs. AlgoLinear is the vendor
+// MPI_Alltoallv loop. Scheduled exchanges also serialize through each rank's
+// injection port, so chunked back-to-back exchanges pipeline honestly instead
+// of overlapping for free.
+func (c *Comm) AlltoallvSparse(send []Block, loc machine.Location, a Algo) []Block {
+	return c.blockingAlltoall(send, loc, schedulePricer(a), "MPI_Alltoallv")
+}
+
+// The dense entry points: send[dst] → recv[src] over vectors of one Buf per
+// comm rank. Each compresses its vector into the sparse form, runs the engine
+// and expands the result, so a dense caller and a sparse caller handing over
+// the same blocks land on the same clocks and receive the same payloads.
+
+// compress lists the non-empty blocks of a dense send vector and finds where
+// the send buffer lives (on the device if any block, empty or not, is).
+func (c *Comm) compress(send []Buf, op string) ([]Block, machine.Location) {
+	if len(send) != c.Size() {
+		panic(fmt.Sprintf("mpisim: %s send slice has %d entries for size-%d comm", op, len(send), c.Size()))
+	}
+	loc := machine.Host
+	n := 0
+	for _, b := range send {
+		if b.Loc == machine.Device {
+			loc = machine.Device
+		}
+		if b.Bytes() > 0 {
+			n++
+		}
+	}
+	blocks := make([]Block, 0, n)
+	for i, b := range send {
+		if b.Bytes() > 0 {
+			blocks = append(blocks, Block{Peer: i, Buf: b})
+		}
+	}
+	return blocks, loc
+}
+
+// expand spreads a receive list over a dense vector indexed by source rank.
+func (c *Comm) expand(recv []Block) []Buf {
+	out := make([]Buf, c.Size())
+	for _, b := range recv {
+		out[b.Peer] = b.Buf
+	}
+	return out
+}
+
+func (c *Comm) denseAlltoall(send []Buf, p pricer, op string) []Buf {
+	blocks, loc := c.compress(send, op)
+	return c.expand(c.blockingAlltoall(blocks, loc, p, op))
 }
 
 // Alltoall exchanges send[dst] → recv[src] with MPI_Alltoall semantics: all
 // blocks are padded to the maximum block size in the communicator, in
 // exchange for the most optimized vendor algorithm.
 func (c *Comm) Alltoall(send []Buf) []Buf {
-	return c.blockingAlltoall(send, pricer{naive: kindAlltoall}, "MPI_Alltoall")
+	return c.denseAlltoall(send, pricer{naive: kindAlltoall}, "MPI_Alltoall")
 }
 
 // Alltoallv exchanges exact per-pair sizes with the optimized collective
 // path.
 func (c *Comm) Alltoallv(send []Buf) []Buf {
-	return c.blockingAlltoall(send, pricer{naive: kindAlltoallv}, "MPI_Alltoallv")
+	return c.denseAlltoall(send, pricer{naive: kindAlltoallv}, "MPI_Alltoallv")
 }
 
 // Alltoallw models the generalized all-to-all on derived sub-array datatypes
-// used by Algorithm 2 (Dalcin et al.): a naive Isend/Irecv loop with high
-// per-message setup, and — on SpectrumMPI-like stacks — no GPU-awareness, so
-// device buffers stage through PCIe per message.
+// (see AlltoallwSparse).
 func (c *Comm) Alltoallw(send []Buf) []Buf {
-	return c.blockingAlltoall(send, pricer{naive: kindAlltoallw}, "MPI_Alltoallw")
+	return c.denseAlltoall(send, pricer{naive: kindAlltoallw}, "MPI_Alltoallw")
 }
 
 // AlltoallvWith exchanges exact per-pair sizes like Alltoallv, but scheduled
-// by the selected algorithm (pairwise exchange, ring streaming, Bruck
-// log-step, or the node-aware two-level schedule). The received bytes are
-// identical for every algorithm; only the virtual-time cost differs.
-// AlgoLinear is timing-identical to Alltoallv. Scheduled exchanges also
-// serialize through each rank's injection port, so chunked back-to-back
-// exchanges pipeline honestly instead of overlapping for free.
+// by the selected algorithm (see AlltoallvSparse). AlgoLinear is
+// timing-identical to Alltoallv.
 func (c *Comm) AlltoallvWith(send []Buf, a Algo) []Buf {
-	return c.blockingAlltoall(send, schedulePricer(a), "MPI_Alltoallv")
+	return c.denseAlltoall(send, schedulePricer(a), "MPI_Alltoallv")
 }

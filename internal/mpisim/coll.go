@@ -26,9 +26,13 @@ type rendezvous struct {
 
 type collIn struct {
 	clock float64
-	send  []Buf
-	val   float64
-	buf   Buf
+	send  []Buf // Scatterv: the root's per-rank buffers
+	// blocks is the rank's sparse all-to-all send list (non-empty blocks,
+	// ascending destination); dev says its send buffer is device-resident.
+	blocks []Block
+	dev    bool
+	val    float64
+	buf    Buf
 	// port snapshots the rank's injection-port busy-until time; the
 	// scheduled all-to-all algorithms gate their network start on it so
 	// back-to-back chunked exchanges serialize honestly on the wire.
@@ -42,9 +46,11 @@ type collIn struct {
 
 type collOut struct {
 	clock float64
-	recv  []Buf
-	val   float64
-	buf   Buf
+	recv  []Buf // Gatherv: every rank's buffer, at the root
+	// blocks is the rank's sparse all-to-all receive list, ascending source.
+	blocks []Block
+	val    float64
+	buf    Buf
 	// port is the new injection-port busy-until time of the receiving rank
 	// (scheduled all-to-all algorithms only; zero otherwise).
 	port      float64
@@ -59,7 +65,10 @@ func newRendezvous(size int) *rendezvous {
 }
 
 // exchange runs one collective round. compute is executed exactly once, by
-// the last arriving rank, over the dense input slice.
+// the last arriving rank, over the dense input slice. The rendezvous keeps no
+// reference to a round once it is over: the inputs go when compute returns,
+// the outputs when the last member has picked up its own — they hold every
+// delivered payload, and the communicator's next collective may be far off.
 func (rv *rendezvous) exchange(w *World, rank int, in collIn, compute func(ins []collIn) []collOut) collOut {
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
@@ -97,6 +106,7 @@ func (rv *rendezvous) exchange(w *World, rank int, in collIn, compute func(ins [
 	out := rv.outputs[rank]
 	rv.leaving--
 	if rv.leaving == 0 {
+		rv.outputs = nil
 		rv.cond.Broadcast()
 	}
 	return out

@@ -1,5 +1,7 @@
 package mpisim
 
+import "repro/internal/machine"
+
 // CollRequest is the handle of a non-blocking collective (MPI_Ialltoallv),
 // the mechanism behind the asynchronous communication/computation overlap
 // explored by the turbulence and GPUDirect studies the paper cites ([28],
@@ -9,7 +11,7 @@ type CollRequest struct {
 	comm       *Comm
 	postedAt   float64
 	completeAt float64
-	recv       []Buf
+	recv       []Block // the blocks addressed to this rank, ascending by source
 	done       bool
 	bytes      int
 	// op names the posting call in timeout and corruption errors.
@@ -32,7 +34,8 @@ type CollRequest struct {
 // returned request completes at the same virtual instant the blocking
 // Alltoallv would have returned.
 func (c *Comm) Ialltoallv(send []Buf) *CollRequest {
-	return c.ipostAlltoall(send, pricer{naive: kindAlltoallv}, "MPI_Wait(coll)")
+	blocks, loc := c.compress(send, "MPI_Ialltoallv")
+	return c.ipostAlltoall(blocks, loc, pricer{naive: kindAlltoallv}, "MPI_Wait(coll)")
 }
 
 // IalltoallvWith posts a non-blocking algorithm-scheduled all-to-all-v: the
@@ -41,17 +44,24 @@ func (c *Comm) Ialltoallv(send []Buf) *CollRequest {
 // chunked pipelined reshape packs the next chunk there). Unlike the blocking
 // call, AlgoLinear is port-gated here (see priceLinearGated).
 func (c *Comm) IalltoallvWith(send []Buf, a Algo) *CollRequest {
+	blocks, loc := c.compress(send, "MPI_Ialltoallv")
+	return c.IalltoallvSparse(blocks, loc, a)
+}
+
+// IalltoallvSparse is IalltoallvWith over sparse exchange vectors (see
+// AlltoallvSparse); complete it with WaitSparse or WaitColl.
+func (c *Comm) IalltoallvSparse(send []Block, loc machine.Location, a Algo) *CollRequest {
 	p := priceLinearGated
 	if a != AlgoLinear {
 		p = schedulePricer(a)
 	}
-	return c.ipostAlltoall(send, p, "MPI_Alltoallv")
+	return c.ipostAlltoall(send, loc, p, "MPI_Alltoallv")
 }
 
 // ipostAlltoall is the non-blocking post: the engine's rendezvous plus the
-// posting overhead, which is all the caller pays until WaitColl.
-func (c *Comm) ipostAlltoall(send []Buf, p pricer, waitName string) *CollRequest {
-	r := c.postAlltoall(send, p, "MPI_Ialltoallv")
+// posting overhead, which is all the caller pays until the wait.
+func (c *Comm) ipostAlltoall(send []Block, loc machine.Location, p pricer, waitName string) *CollRequest {
+	r := c.postAlltoall(send, loc, p, "MPI_Ialltoallv")
 	r.waitName = waitName
 	st := c.state()
 	st.clock += c.Model().HostOverheadColl
@@ -61,10 +71,16 @@ func (c *Comm) ipostAlltoall(send []Buf, p pricer, waitName string) *CollRequest
 
 // WaitColl completes a non-blocking collective, advancing the clock to the
 // exchange's completion (or not at all if local work already covered it) and
-// returning the received buffers. The timeout bound covers post →
-// completion: a straggler or a dropped contribution fails the wait instead
-// of stretching it unboundedly.
+// returning the received buffers, indexed by source rank. The timeout bound
+// covers post → completion: a straggler or a dropped contribution fails the
+// wait instead of stretching it unboundedly.
 func (c *Comm) WaitColl(r *CollRequest) []Buf {
+	return c.expand(c.WaitSparse(r))
+}
+
+// WaitSparse is WaitColl returning the sparse receive list: the blocks
+// addressed to this rank, ascending by source.
+func (c *Comm) WaitSparse(r *CollRequest) []Block {
 	if r.done {
 		panic("mpisim: WaitColl on completed request")
 	}

@@ -176,14 +176,14 @@ func (c *Comm) ChargeChecksumVerify(bytes int) { c.chargeChecksum("checksum_veri
 
 // chargeSendChecksums charges the envelope compute pass over a collective's
 // off-diagonal send blocks (the self block never leaves the device).
-func (c *Comm) chargeSendChecksums(send []Buf) {
+func (c *Comm) chargeSendChecksums(send []Block) {
 	if !c.core.world.opts.Integrity.Checksums {
 		return
 	}
 	var bytes int
-	for i := range send {
-		if i != c.rank {
-			bytes += send[i].Bytes()
+	for _, b := range send {
+		if b.Peer != c.rank {
+			bytes += b.Buf.Bytes()
 		}
 	}
 	c.chargeChecksum("checksum", bytes)
@@ -241,12 +241,13 @@ func (c *Comm) recoverBlock(src int, b *Buf, op string) {
 }
 
 // deliverIntegrity finishes the receive side of a collective exchange, where
-// recv is indexed by source comm rank: it charges the envelope verify pass
-// over the received payload, then either repairs silently-corrupted blocks
-// through the retransmit protocol (Checksums on) or really flips their
+// recv lists the delivered blocks in ascending source rank: it charges the
+// envelope verify pass over the received payload, then — lowest source first,
+// each attributed to its source's rank — either repairs silently-corrupted
+// blocks through the retransmit protocol (Checksums on) or really flips their
 // payload bits (Checksums off — the corruption reaches the caller, and only
 // the ABFT invariants can catch it downstream).
-func (c *Comm) deliverIntegrity(recv []Buf, op string) {
+func (c *Comm) deliverIntegrity(recv []Block, op string) {
 	w := c.core.world
 	if !w.opts.Integrity.Enabled() && !w.opts.Faults.Active() {
 		return
@@ -254,16 +255,16 @@ func (c *Comm) deliverIntegrity(recv []Buf, op string) {
 	checksums := w.opts.Integrity.Checksums
 	if checksums {
 		var bytes int
-		for s := range recv {
-			if s != c.rank {
-				bytes += recv[s].Bytes()
+		for _, b := range recv {
+			if b.Peer != c.rank {
+				bytes += b.Buf.Bytes()
 			}
 		}
 		c.chargeChecksum("checksum_verify", bytes)
 		w.integ.ChecksumChecks.Add(1)
 	}
-	for s := range recv {
-		b := &recv[s]
+	for i := range recv {
+		s, b := recv[i].Peer, &recv[i].Buf
 		if s == c.rank || b.silent == 0 {
 			continue
 		}

@@ -1,6 +1,9 @@
 package mpisim
 
-import "math"
+import (
+	"math"
+	"sort"
+)
 
 // nodeAwareAlgo is the hierarchical two-level all-to-all (AlgoNodeAware).
 //
@@ -68,52 +71,6 @@ func (nodeAwareAlgo) Complete(ex *Exchange) []float64 {
 		return ringAlgo{}.Complete(ex)
 	}
 
-	// Per-node start: a node's gather and leader rounds begin once its own
-	// active members have arrived. Nodes with no active member carry no
-	// traffic (their agg rows are zero) and are skipped below.
-	startN := make([]float64, n)
-	any := false
-	for a := 0; a < n; a++ {
-		startN[a] = math.Inf(-1)
-		for _, r := range groups[a] {
-			if !ex.active(r) {
-				continue
-			}
-			any = true
-			if s := ex.Start[r] + ex.overhead(r); s > startN[a] {
-				startN[a] = s
-			}
-		}
-	}
-	if !any {
-		return comp
-	}
-
-	// Aggregate per node-pair payloads.
-	agg := make([][]int, n)
-	for a := range agg {
-		agg[a] = make([]int, n)
-	}
-	for r := 0; r < p; r++ {
-		for d := 0; d < p; d++ {
-			if d == r || nodeID[d] == nodeID[r] {
-				continue
-			}
-			agg[nodeID[r]][nodeID[d]] += ex.Bytes[r][d]
-		}
-	}
-
-	// Worst degrade factor per node: its gather and leader flows gate on it.
-	fnode := make([]float64, n)
-	for a := range fnode {
-		fnode[a] = 1
-	}
-	for r := 0; r < p; r++ {
-		if f := ex.factor(r); f > fnode[nodeID[r]] {
-			fnode[nodeID[r]] = f
-		}
-	}
-
 	// Fragment pipeline depth: each round's aggregate is cut into pipe
 	// fragments that forward cut-through, so only about one fragment of the
 	// gather is exposed before a round's wire transfer starts, and one
@@ -125,156 +82,165 @@ func (nodeAwareAlgo) Complete(ex *Exchange) []float64 {
 		pipe = 1
 	}
 
-	// Gather pipeline: gready[a][k] is when the first fragment of node a's
-	// aggregate for its k-th cyclic destination is leader-resident (the wire
-	// may start streaming then); gdone[a][k] is when the slice's last byte
-	// has left its source NVLink (the wire cannot finish before it).
-	// Non-leader flows to the leader run concurrently on distinct NVLinks; a
-	// slice is gated by its slowest contributor, and slices drain in round
-	// order. The leader's own blocks need no gather.
-	gready := make([][]float64, n)
-	gdone := make([][]float64, n)
+	// Each sending node is scheduled on its own from the flows its members
+	// emit — its rounds chain on its own NIC and nothing but arrivals couples
+	// it to the others — so the per-node-pair quantities live in scratch rows
+	// that are cleared after every node: state is O(ranks + nodes), work is
+	// O(flows). Every cross-rank combination below is a maximum or an integer
+	// sum, so visiting flows instead of a dense node-pair matrix changes no
+	// result; the floating-point chains (a sender's egress, a node's rounds)
+	// run in the order they always did.
+	var (
+		agg     = make([]int, n)     // this node's aggregate per destination node
+		slice   = make([]float64, n) // slowest non-leader gather contribution per destination node
+		arrive  = make([]float64, n) // when this node's aggregate lands at each destination node
+		up      = make([]int, n)     // one member's off-node bytes per destination node
+		inbound = make([]int, p)     // this node's bytes per off-node receiver
+		// The entries of the rows above that are in use: this node's rounds
+		// (cyclic distances to the nodes it sends to), one member's
+		// destination nodes, this node's off-node receivers.
+		rounds, upNodes, receivers []int
+	)
 	for a := 0; a < n; a++ {
-		gready[a] = make([]float64, n)
-		gdone[a] = make([]float64, n)
-		t := startN[a]
-		for k := 1; k < n; k++ {
-			b := (a + k) % n
-			slice := 0.0
-			for _, r := range groups[a][1:] {
-				by := 0
-				for _, d := range groups[b] {
-					by += ex.Bytes[r][d]
-				}
-				if by == 0 {
-					continue
-				}
-				if c := (m.CollInject + float64(by)/m.IntraBW) * ex.factor(r); c > slice {
-					slice = c
-				}
-			}
-			if slice > 0 {
-				gready[a][k] = t + slice/pipe + m.IntraLatency
-				t += slice
-				gdone[a][k] = t + m.IntraLatency
-			} else {
-				gready[a][k] = t
-				gdone[a][k] = t
-			}
-		}
-	}
-
-	// Leader exchange: n−1 rounds per sender, chained on that sender's NIC —
-	// round k starts once round k−1 drained and the k-th gather slice's first
-	// fragment is leader-resident, and cannot end before the slice's last
-	// byte (a slow gather — single sparse contributor — starves the wire).
-	// Rounds with no traffic cost nothing. arrive[b][k] is when round k's
-	// aggregate lands at node b.
-	sendEnd := make([]float64, n)
-	arrive := make([][]float64, n)
-	for b := range arrive {
-		arrive[b] = make([]float64, n)
-		for k := range arrive[b] {
-			arrive[b][k] = math.Inf(-1)
-		}
-	}
-	for a := 0; a < n; a++ {
-		t := startN[a]
-		for k := 1; k < n; k++ {
-			b := (a + k) % n
-			if agg[a][b] == 0 {
-				continue
-			}
-			ready := t
-			if g := gready[a][k]; g > ready {
-				ready = g
-			}
-			bw := ex.Topo.LeaderBW(worldNode[a], worldNode[b], len(groups[a]))
-			t = ready + (m.CollInject+float64(agg[a][b])/bw)*fnode[a]
-			if g := gdone[a][k]; g > t {
-				t = g
-			}
-			arrive[b][k] = t + m.InterLatency
-		}
-		sendEnd[a] = t
-	}
-
-	// Scatter: when round k lands at node b, the aggregate forwards
-	// cut-through — each receiver's last fragment hops the NVLink after the
-	// wire finishes; scatters of earlier rounds overlap later rounds. The
-	// leader holds its own blocks at arrival.
-	for b := 0; b < n; b++ {
-		leader := groups[b][0]
-		for k := 1; k < n; k++ {
-			a := (b - k + n) % n
-			if agg[a][b] == 0 {
-				continue
-			}
-			for _, r := range groups[b] {
-				by := 0
-				for _, s := range groups[a] {
-					by += ex.Bytes[s][r]
-				}
-				if by == 0 {
-					continue
-				}
-				done := arrive[b][k]
-				if r != leader {
-					done += (m.CollInject+float64(by)/pipe/m.IntraBW)*ex.factor(r) + m.IntraLatency
-				}
-				if done > comp[r] {
-					comp[r] = done
-				}
-			}
-		}
-	}
-
-	// Sender-side egress and direct intra-node traffic. A non-leader's NVLink
-	// port first drains its gather slices, then streams its intra-node blocks
-	// directly to their destinations; leaders stream intra-node blocks from
-	// the start (their NIC activity rides a separate port) and finish no
-	// earlier than their last send round drained.
-	for a := 0; a < n; a++ {
-		leader := groups[a][0]
+		// Per-node start: a node's gather and leader rounds begin once its own
+		// active members have arrived. A node with no active member carries no
+		// traffic and is skipped. Its gather and leader flows gate on the worst
+		// degrade factor among its members.
+		startN, fnode := math.Inf(-1), 1.0
 		for _, r := range groups[a] {
-			if !ex.active(r) {
+			if f := ex.factor(r); f > fnode {
+				fnode = f
+			}
+			if !ex.Active[r] {
 				continue
 			}
-			eg := ex.Start[r] + ex.overhead(r)
-			if r != leader {
-				up, kd := 0, 0
-				for b := 0; b < n; b++ {
-					if b == a {
-						continue
-					}
-					by := 0
-					for _, d := range groups[b] {
-						by += ex.Bytes[r][d]
-					}
-					if by > 0 {
-						up += by
-						kd++
-					}
-				}
-				if up > 0 {
-					eg += (float64(kd)*m.CollInject + float64(up)/m.IntraBW) * ex.factor(r)
-				}
+			if s := ex.Start[r] + ex.overhead(r); s > startN {
+				startN = s
 			}
-			for _, d := range groups[a] {
-				if d == r || ex.Bytes[r][d] == 0 {
+		}
+		if math.IsInf(startN, -1) {
+			continue
+		}
+		leader := groups[a][0]
+
+		// Members' rows: aggregate the node's off-node traffic per destination
+		// node and per receiver, find the slowest gather contribution per
+		// destination node, and run each sender's egress.
+		rounds, receivers = rounds[:0], receivers[:0]
+		for _, r := range groups[a] {
+			upNodes = upNodes[:0]
+			for _, f := range ex.Bytes[r] {
+				b := nodeID[f.Dst]
+				if b == a {
 					continue
 				}
-				eg += (m.CollInject + float64(ex.Bytes[r][d])/m.IntraBW) * ex.factor(r)
-				if arr := eg + m.IntraLatency; arr > comp[d] {
-					comp[d] = arr
+				if agg[b] == 0 {
+					rounds = append(rounds, (b-a+n)%n)
+				}
+				agg[b] += f.Bytes
+				if inbound[f.Dst] == 0 {
+					receivers = append(receivers, f.Dst)
+				}
+				inbound[f.Dst] += f.Bytes
+				if r != leader {
+					if up[b] == 0 {
+						upNodes = append(upNodes, b)
+					}
+					up[b] += f.Bytes
+				}
+			}
+			// Gather: a non-leader packs its off-node blocks per destination
+			// node and sends each slice to the leader; the flows of different
+			// members run concurrently on distinct NVLinks, so a slice is gated
+			// by its slowest contributor. The leader's own blocks need no
+			// gather.
+			gathered := 0
+			for _, b := range upNodes {
+				if c := (m.CollInject + float64(up[b])/m.IntraBW) * ex.factor(r); c > slice[b] {
+					slice[b] = c
+				}
+				gathered += up[b]
+				up[b] = 0
+			}
+			if !ex.Active[r] {
+				continue
+			}
+			// Sender-side egress and direct intra-node traffic. A non-leader's
+			// NVLink port first drains its gather slices, then streams its
+			// intra-node blocks directly to their destinations; leaders stream
+			// intra-node blocks from the start (their NIC activity rides a
+			// separate port).
+			eg := ex.Start[r] + ex.overhead(r)
+			if gathered > 0 {
+				eg += (float64(len(upNodes))*m.CollInject + float64(gathered)/m.IntraBW) * ex.factor(r)
+			}
+			for _, f := range ex.Bytes[r] {
+				if nodeID[f.Dst] != a {
+					continue
+				}
+				eg += (m.CollInject + float64(f.Bytes)/m.IntraBW) * ex.factor(r)
+				if arr := eg + m.IntraLatency; arr > comp[f.Dst] {
+					comp[f.Dst] = arr
 				}
 			}
 			if eg > comp[r] {
 				comp[r] = eg
 			}
-			if r == leader && sendEnd[a] > comp[r] {
-				comp[r] = sendEnd[a]
+		}
+
+		// Gather pipeline and leader exchange, in round order: in its k-th
+		// round the node sends its aggregate to node (a+k) mod n. Slices drain
+		// in round order: a slice's first fragment is leader-resident one
+		// fragment after the gather reaches it (the wire may start streaming
+		// then), its last byte leaves its source NVLink a full slice later (the
+		// wire cannot finish before it). Rounds chain on the node's NIC — a
+		// round starts once the previous one drained and its slice's first
+		// fragment is there, and cannot end before the slice's last byte (a
+		// slow gather — single sparse contributor — starves the wire). Rounds
+		// with no traffic cost nothing. An aggregate lands one wire latency
+		// after its round ends.
+		sort.Ints(rounds)
+		gather, wire := startN, startN
+		for _, k := range rounds {
+			b := (a + k) % n
+			gready, gdone := gather, gather
+			if slice[b] > 0 {
+				gready = gather + slice[b]/pipe + m.IntraLatency
+				gather += slice[b]
+				gdone = gather + m.IntraLatency
 			}
+			ready := wire
+			if gready > ready {
+				ready = gready
+			}
+			bw := ex.Topo.LeaderBW(worldNode[a], worldNode[b], len(groups[a]))
+			wire = ready + (m.CollInject+float64(agg[b])/bw)*fnode
+			if gdone > wire {
+				wire = gdone
+			}
+			arrive[b] = wire + m.InterLatency
+			agg[b], slice[b] = 0, 0
+		}
+		// The leader finishes no earlier than its last send round drained.
+		if ex.Active[leader] && wire > comp[leader] {
+			comp[leader] = wire
+		}
+
+		// Scatter: when a round lands, the aggregate forwards cut-through —
+		// each receiver's last fragment hops the NVLink after the wire
+		// finishes; scatters of earlier rounds overlap later rounds (NVLink
+		// and the NIC are distinct ports). The receiving leader holds its own
+		// blocks at arrival.
+		for _, d := range receivers {
+			b := nodeID[d]
+			done := arrive[b]
+			if d != groups[b][0] {
+				done += (m.CollInject+float64(inbound[d])/pipe/m.IntraBW)*ex.factor(d) + m.IntraLatency
+			}
+			if done > comp[d] {
+				comp[d] = done
+			}
+			inbound[d] = 0
 		}
 	}
 	return comp
