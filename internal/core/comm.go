@@ -45,63 +45,70 @@ type exchStats struct {
 	leaderBW   float64 // slowest aggregated leader flow of the two-level schedule
 }
 
-// computeExchStats walks the off-diagonal pair boxes of one exchange group.
-// O(group²) box intersections — memoized per world by buildReshape. Link
-// bandwidths come from the world's resolved topology, so placement maps and
-// explicit fabrics feed straight into algorithm selection.
-func computeExchStats(sys *topo.System, worldOf func(int) int, from, to []tensor.Box3, members []int) exchStats {
-	st := exchStats{gs: len(members)}
-	perNode := map[int]int{}
+// statsAcc accumulates one exchange group's exchStats from the off-diagonal
+// overlaps the reshape analysis finds (computeReshapeTable) — the blocks that
+// exist, not a second sweep over every pair. Link bandwidths come from the
+// world's resolved topology, so placement maps and explicit fabrics feed
+// straight into algorithm selection.
+type statsAcc struct {
+	st      exchStats
+	sys     *topo.System
+	perNode map[int]int // node → members on it
+	offsets []bool      // cyclic offsets carrying payload
+}
+
+func newStatsAcc(sys *topo.System, worldOf func(int) int, members []int) *statsAcc {
+	a := &statsAcc{st: exchStats{gs: len(members)}, sys: sys, perNode: map[int]int{}, offsets: make([]bool, len(members))}
 	for _, r := range members {
-		perNode[sys.Node(worldOf(r))]++
+		a.perNode[sys.Node(worldOf(r))]++
 	}
-	st.nodes = len(perNode)
-	for _, c := range perNode {
-		if c > st.maxPerNode {
-			st.maxPerNode = c
+	a.st.nodes = len(a.perNode)
+	for _, c := range a.perNode {
+		if c > a.st.maxPerNode {
+			a.st.maxPerNode = c
 		}
 	}
-	offsets := map[int]bool{}
-	for i, ri := range members {
-		for j, rj := range members {
-			if i == j {
-				continue
-			}
-			b := tensor.Intersect(from[ri], to[rj])
-			v := b.Volume()
-			if v == 0 {
-				continue
-			}
-			st.pairs++
-			st.totalElems += v
-			if v > st.maxElems {
-				st.maxElems = v
-			}
-			if r := b.Size(0); r > st.maxRows {
-				st.maxRows = r
-			}
-			offsets[(j-i+st.gs)%st.gs] = true
-			wi, wj := worldOf(ri), worldOf(rj)
-			if !sys.SameNode(wi, wj) {
-				st.interFrac++
-				if bw := sys.NaiveFlowBW(wi, wj); st.interBW == 0 || bw < st.interBW {
-					st.interBW = bw
-				}
-				if bw := sys.SchedFlowBW(wi, wj); st.schedBW == 0 || bw < st.schedBW {
-					st.schedBW = bw
-				}
-				ni, nj := sys.Node(wi), sys.Node(wj)
-				if bw := sys.LeaderBW(ni, nj, perNode[ni]); st.leaderBW == 0 || bw < st.leaderBW {
-					st.leaderBW = bw
-				}
-			}
+	return a
+}
+
+// add records the block b that group rank i (world rank wi) sends to group
+// rank j ≠ i (world rank wj).
+func (a *statsAcc) add(i, j, wi, wj int, b tensor.Box3) {
+	st, sys := &a.st, a.sys
+	v := b.Volume()
+	st.pairs++
+	st.totalElems += v
+	if v > st.maxElems {
+		st.maxElems = v
+	}
+	if r := b.Size(0); r > st.maxRows {
+		st.maxRows = r
+	}
+	if off := (j - i + st.gs) % st.gs; !a.offsets[off] {
+		a.offsets[off] = true
+		st.rounds++
+	}
+	if !sys.SameNode(wi, wj) {
+		st.interFrac++
+		if bw := sys.NaiveFlowBW(wi, wj); st.interBW == 0 || bw < st.interBW {
+			st.interBW = bw
+		}
+		if bw := sys.SchedFlowBW(wi, wj); st.schedBW == 0 || bw < st.schedBW {
+			st.schedBW = bw
+		}
+		ni, nj := sys.Node(wi), sys.Node(wj)
+		if bw := sys.LeaderBW(ni, nj, a.perNode[ni]); st.leaderBW == 0 || bw < st.leaderBW {
+			st.leaderBW = bw
 		}
 	}
-	st.rounds = len(offsets)
-	if st.pairs > 0 {
-		st.interFrac /= float64(st.pairs)
+}
+
+// done closes the accumulation: interFrac turns from a count into a fraction.
+func (a *statsAcc) done() exchStats {
+	if a.st.pairs > 0 {
+		a.st.interFrac /= float64(a.st.pairs)
 	}
-	return st
+	return a.st
 }
 
 // collAlgoOf maps a simulator schedule back to its facade-level name.

@@ -31,11 +31,7 @@ func TestComputeExchStatsTopology(t *testing.T) {
 	const p = 12          // two full nodes
 	sys := topo.Default(m, p)
 	from, to := rowColBoxes(p)
-	members := make([]int, p)
-	for i := range members {
-		members[i] = i
-	}
-	st := computeExchStats(sys, func(r int) int { return r }, from, to, members)
+	st := computeReshapeTable(sys, func(r int) int { return r }, from, to).stats[0] // one group, rooted at rank 0
 
 	if st.gs != p || st.pairs != p*(p-1) || st.totalElems != p*(p-1) {
 		t.Fatalf("gs=%d pairs=%d total=%d, want 12/132/132", st.gs, st.pairs, st.totalElems)
@@ -67,8 +63,7 @@ func TestComputeExchStatsIntraOnly(t *testing.T) {
 	m := machine.Summit()
 	sys := topo.Default(m, 6)
 	from, to := rowColBoxes(6)
-	members := []int{0, 1, 2, 3, 4, 5}
-	st := computeExchStats(sys, func(r int) int { return r }, from, to, members)
+	st := computeReshapeTable(sys, func(r int) int { return r }, from, to).stats[0]
 	if st.nodes != 1 || st.maxPerNode != 6 {
 		t.Errorf("nodes=%d maxPerNode=%d, want 1/6", st.nodes, st.maxPerNode)
 	}

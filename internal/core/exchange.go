@@ -17,6 +17,11 @@ import (
 // Pack buffers are drawn from the staging pool and shipped with Move: the
 // receiver takes ownership and returns them to the pool after unpacking, so
 // no defensive copy is made anywhere on the path.
+//
+// Every step walks the reshape's peer lists (rs.sendPeers, rs.recvPeers) and
+// speaks the transport's sparse exchange vectors, so what one call allocates
+// and touches is proportional to the blocks this rank exchanges, not to the
+// group.
 type exchange[T any] struct {
 	rs *reshapePlan
 	e  *engine
@@ -36,7 +41,8 @@ type exchange[T any] struct {
 	wire    WirePrecision
 	eb, web int // full-precision and on-wire bytes per element
 
-	// P2P receives, posted before packing (open).
+	// P2P receives, posted before packing (open): rreqs[i] receives block
+	// rsrcs[i] of rs.recvs.
 	rreqs []*mpisim.Request
 	rsrcs []int
 	// inflight is the exchange posted by start, completed by finish.
@@ -45,9 +51,9 @@ type exchange[T any] struct {
 
 // posted is one chunk's exchange after the post step.
 type posted struct {
-	req   *mpisim.CollRequest // non-blocking collective still in flight
-	bufs  []mpisim.Buf        // blocking collective: received blocks; P2P: the packed blocks
-	sreqs []*mpisim.Request   // P2P: non-blocking sends to complete
+	req    *mpisim.CollRequest // non-blocking collective still in flight
+	blocks []mpisim.Block      // blocking collective: received blocks; P2P: the packed blocks
+	sreqs  []*mpisim.Request   // P2P: non-blocking sends to complete
 }
 
 // newExchange resolves how this reshape runs for the batch: wire precision,
@@ -153,15 +159,16 @@ func (x *exchange[T]) open() {
 		return
 	}
 	g, rs := x.rs.group, x.rs
-	for gi := 0; gi < g.Size(); gi++ {
-		if gi != rs.myGroupRank && !rs.recvs[gi].Empty() {
+	for k, gi := range rs.recvPeers {
+		if k != rs.selfRecv {
 			x.rreqs = append(x.rreqs, g.Irecv(gi, rs.tag))
-			x.rsrcs = append(x.rsrcs, gi)
+			x.rsrcs = append(x.rsrcs, k)
 		}
 	}
 }
 
-// pack builds chunk ci's per-member send buffers, fusing the batch — the
+// pack builds chunk ci's send list — one block per peer the chunk has data
+// for, ascending — fusing the batch — the
 // mechanism behind the batched-transform speedups of Fig. 13. Chunks are whole
 // axis-0 rows of every pair box. With ABFT invariants on, every packed block
 // carries its element sum in the message envelope (verified after unpack) and
@@ -178,24 +185,22 @@ func (x *exchange[T]) open() {
 // tolerance-based (see verifyEnvelope). The pack kernel is charged for the
 // on-wire bytes it writes; MPI_Alltoallw (Algorithm 2) hands the library
 // derived sub-array datatypes and has no pack kernel.
-func (x *exchange[T]) pack(ci int) []mpisim.Buf {
+func (x *exchange[T]) pack(ci int) []mpisim.Block {
 	rs, dev := x.rs, x.e.dev
-	gs := rs.group.Size()
-	bufs := make([]mpisim.Buf, gs)
+	blocks := make([]mpisim.Block, 0, len(rs.sendPeers))
 	ic := rs.group.Integrity()
 	wireBytes, fullBytes := 0, 0
-	for gi := 0; gi < gs; gi++ {
-		cb := chunkBox(rs.sends[gi], ci, x.chunks)
+	for k, gi := range rs.sendPeers {
+		cb := chunkBox(rs.sends[k], ci, x.chunks)
 		vol := cb.Volume()
 		if vol == 0 {
-			bufs[gi] = mpisim.Buf{Loc: machine.Device}
 			continue
 		}
 		elems := vol * len(x.datas)
 		wireBytes += x.web * elems
 		fullBytes += x.eb * elems
 		if x.phantom {
-			bufs[gi] = mkBuf[T](nil, elems, x.wire)
+			blocks = append(blocks, mpisim.Block{Peer: gi, Buf: mkBuf[T](nil, elems, x.wire)})
 			continue
 		}
 		data := getBuf[T](elems)
@@ -204,12 +209,13 @@ func (x *exchange[T]) pack(ci int) []mpisim.Buf {
 			tensor.Pack(d, rs.from, cb, data[off:off+vol])
 			off += vol
 		}
-		bufs[gi] = mkBuf(data, 0, x.wire)
-		bufs[gi].Move = true
+		buf := mkBuf(data, 0, x.wire)
+		buf.Move = true
 		if ic.Invariants {
-			envelopeSum(&bufs[gi], data)
+			envelopeSum(&buf, data)
 		}
 		quantizeSlice(x.wire, data)
+		blocks = append(blocks, mpisim.Block{Peer: gi, Buf: buf})
 	}
 	if x.wire != WireFp64 {
 		dev.Convert(fullBytes)
@@ -224,36 +230,39 @@ func (x *exchange[T]) pack(ci int) []mpisim.Buf {
 	if x.e.opts.Backend != BackendAlltoallw {
 		dev.Pack(wireBytes, x.e.opts.Contiguous)
 	}
-	return bufs
+	return blocks
 }
 
 // post hands one chunk's packed blocks to the transport. Blocking transports
 // complete here; async (Alltoallv only) posts MPI_Ialltoallv under the
 // resolved schedule and leaves the exchange in flight.
-func (x *exchange[T]) post(bufs []mpisim.Buf, async bool) posted {
+func (x *exchange[T]) post(blocks []mpisim.Block, async bool) posted {
 	g, rs := x.rs.group, x.rs
+	// Pack buffers live on the device, whether or not this rank packed any.
+	const loc = machine.Device
 	switch x.e.opts.Backend {
 	case BackendAlltoallv:
 		if async {
-			return posted{req: g.IalltoallvWith(bufs, x.algo)}
+			return posted{req: g.IalltoallvSparse(blocks, loc, x.algo)}
 		}
-		return posted{bufs: g.AlltoallvWith(bufs, x.algo)}
+		return posted{blocks: g.AlltoallvSparse(blocks, loc, x.algo)}
 	case BackendAlltoall:
-		return posted{bufs: g.Alltoall(bufs)}
+		return posted{blocks: g.AlltoallSparse(blocks, loc)}
 	case BackendAlltoallw:
-		return posted{bufs: g.Alltoallw(bufs)}
+		return posted{blocks: g.AlltoallwSparse(blocks, loc)}
 	}
 	// Point-to-Point (Table I): stream the sends, MPI_Isend or blocking
-	// MPI_Send.
-	h := posted{bufs: bufs}
-	for gi := range bufs {
-		if gi == rs.myGroupRank || rs.sends[gi].Empty() {
+	// MPI_Send. The P2P transports never chunk, so every peer has a block:
+	// blocks[k] is the block for rs.sendPeers[k].
+	h := posted{blocks: blocks}
+	for k, b := range blocks {
+		if k == rs.selfSend {
 			continue
 		}
 		if x.e.opts.Backend == BackendP2PBlocking {
-			g.Send(gi, rs.tag, bufs[gi])
+			g.Send(b.Peer, rs.tag, b.Buf)
 		} else {
-			h.sreqs = append(h.sreqs, g.Isend(gi, rs.tag, bufs[gi]))
+			h.sreqs = append(h.sreqs, g.Isend(b.Peer, rs.tag, b.Buf))
 		}
 	}
 	return h
@@ -273,16 +282,26 @@ func (x *exchange[T]) unpack(ci int, h posted) {
 	// received element count accumulates as the blocks land.
 	elems := 0
 	if opts.Backend.Collective() {
-		recv := h.bufs
+		recv := h.blocks
 		if h.req != nil {
-			recv = g.WaitColl(h.req)
+			recv = g.WaitSparse(h.req)
 		}
-		for gi := range recv {
-			elems += x.unpackBlock(ci, gi, recv[gi])
+		// Both lists ascend by source, and a source sends a block exactly when
+		// its chunk of the pair box is non-empty — walk them together. (A
+		// faulty sender's zero-size blocks are passed over.)
+		for k, gi := range rs.recvPeers {
+			for len(recv) > 0 && recv[0].Peer < gi {
+				recv = recv[1:]
+			}
+			var buf mpisim.Buf
+			if len(recv) > 0 && recv[0].Peer == gi {
+				buf = recv[0].Buf
+			}
+			elems += x.unpackBlock(ci, k, buf)
 		}
 	} else {
-		if me := rs.myGroupRank; !rs.sends[me].Empty() {
-			elems = x.unpackBlock(ci, me, h.bufs[me])
+		if rs.selfSend >= 0 {
+			elems = x.unpackBlock(ci, rs.selfRecv, h.blocks[rs.selfSend].Buf)
 			dev.Unpack(x.web*elems, opts.Contiguous)
 		}
 		for range x.rreqs {
@@ -309,16 +328,17 @@ func (x *exchange[T]) unpack(ci int, h posted) {
 	}
 }
 
-// unpackBlock scatters member gi's received block of chunk ci into the new
-// arrays — verifying its ABFT envelope sum first when one is attached —
-// returns the buffer to the staging pool, and reports the elements received.
-func (x *exchange[T]) unpackBlock(ci, gi int, buf mpisim.Buf) int {
-	cb := chunkBox(x.rs.recvs[gi], ci, x.chunks)
+// unpackBlock scatters the received block of chunk ci of pair box rs.recvs[k]
+// into the new arrays — verifying its ABFT envelope sum first when one is
+// attached — returns the buffer to the staging pool, and reports the elements
+// received.
+func (x *exchange[T]) unpackBlock(ci, k int, buf mpisim.Buf) int {
+	cb := chunkBox(x.rs.recvs[k], ci, x.chunks)
 	vol := cb.Volume()
 	if vol == 0 || x.out == nil {
 		return vol * len(x.datas)
 	}
-	verifyEnvelope[T](x.rs.group, gi, buf, x.rs.label)
+	verifyEnvelope[T](x.rs.group, x.rs.recvPeers[k], buf, x.rs.label)
 	src := bufSlice[T](buf)
 	off := 0
 	for fi := range x.out {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/mpisim"
 	"repro/internal/tensor"
 )
 
@@ -65,6 +66,88 @@ func pencilBoxes(global [3]int, axis, p, q int) []tensor.Box3 {
 // slabBoxes returns the per-rank boxes for slabs distributed along axis.
 func slabBoxes(global [3]int, axis, nprocs int) []tensor.Box3 {
 	return tensor.SlabGrid(axis, nprocs).Decompose(global)
+}
+
+// dist is one data distribution of a plan — a box per rank of its
+// communicator — in world-shared form: every rank of the world holds the same
+// immutable list, and the content hash that keys the analyses over it (box
+// validation, reshape tables) is computed once per list instead of once per
+// rank per use.
+type dist struct {
+	boxes []tensor.Box3
+	hash  uint64
+}
+
+// derivedDist returns the world's one copy of a decomposition the plan
+// builders derive. Such a list is a pure function of its parameters, which
+// key names in full: the first rank to ask computes it (padded with empty
+// boxes to size ranks — distributions over fewer active ranks leave the rest
+// idle), every other rank shares it.
+func derivedDist(c *mpisim.Comm, key string, build func() []tensor.Box3) *dist {
+	size := c.Size()
+	return c.World().Shared(fmt.Sprintf("core/dist/%s/%d", key, size), func() any {
+		boxes := build()
+		if len(boxes) < size {
+			padded := make([]tensor.Box3, size)
+			copy(padded, boxes)
+			boxes = padded
+		}
+		return &dist{boxes: boxes, hash: hashBoxes(boxes)}
+	}).(*dist)
+}
+
+// gridDist is the shared decomposition of a global grid over a process grid.
+func gridDist(c *mpisim.Comm, global [3]int, g tensor.ProcGrid) *dist {
+	return derivedDist(c, fmt.Sprintf("grid/%v/%v", global, g.Dims), func() []tensor.Box3 { return g.Decompose(global) })
+}
+
+// callerDist returns the world's one copy of a caller-supplied distribution.
+// Ranks may hand in separate but equal lists, so each hashes its own — the
+// only per-rank pass over a list — and the first rank's (copied: the caller
+// keeps its slice) becomes the one every rank plans from.
+func callerDist(c *mpisim.Comm, boxes []tensor.Box3) *dist {
+	h := hashBoxes(boxes)
+	return c.World().Shared(fmt.Sprintf("core/dist/caller/%x", h), func() any {
+		return &dist{boxes: append([]tensor.Box3(nil), boxes...), hash: h}
+	}).(*dist)
+}
+
+// inOutDists resolves a plan's input and output distributions: the caller's
+// lists, or the minimum-surface bricks of the respective grid when nil.
+func inOutDists(c *mpisim.Comm, in, out []tensor.Box3, inGlobal, outGlobal [3]int) (din, dout *dist) {
+	size := c.Size()
+	resolve := func(boxes []tensor.Box3, global [3]int) *dist {
+		if boxes == nil {
+			return derivedDist(c, fmt.Sprintf("bricks/%v", global), func() []tensor.Box3 { return DefaultBricks(size, global) })
+		}
+		return callerDist(c, boxes)
+	}
+	din = resolve(in, inGlobal)
+	if len(in) > 0 && len(in) == len(out) && &in[0] == &out[0] {
+		return din, din // one list handed in twice: one pass
+	}
+	return din, resolve(out, outGlobal)
+}
+
+// sameDist reports whether two distributions assign every rank the same
+// points (all empty boxes alike, as Box3.Equal has it). Distinct lists are
+// compared once per world.
+func sameDist(c *mpisim.Comm, a, b *dist) bool {
+	if a == b {
+		return true
+	}
+	return c.World().Shared(fmt.Sprintf("core/dist-equal/%x/%x", a.hash, b.hash), func() any {
+		return boxesEqual(a.boxes, b.boxes)
+	}).(bool)
+}
+
+// validateDist checks that a distribution tiles the global grid. The check is
+// O(ranks²), so it runs once per world, not once per rank.
+func validateDist(c *mpisim.Comm, global [3]int, d *dist) error {
+	err, _ := c.World().Shared(fmt.Sprintf("core/validate/%v/%x", global, d.hash), func() any {
+		return validateBoxes(global, d.boxes)
+	}).(error)
+	return err
 }
 
 // validateBoxes checks that boxes tile the global grid exactly: every point

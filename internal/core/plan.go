@@ -60,43 +60,21 @@ func NewPlan(c *mpisim.Comm, cfg Config) (*Plan, error) {
 			return nil, fmt.Errorf("core: %w: invalid global grid %v", ErrBadConfig, cfg.Global)
 		}
 	}
-	inBoxes := cfg.InBoxes
-	if inBoxes == nil {
-		inBoxes = DefaultBricks(size, cfg.Global)
+	if (cfg.InBoxes != nil && len(cfg.InBoxes) != size) || (cfg.OutBoxes != nil && len(cfg.OutBoxes) != size) {
+		return nil, fmt.Errorf("core: %w: got %d in / %d out boxes for %d ranks", ErrMismatchedBoxes, len(cfg.InBoxes), len(cfg.OutBoxes), size)
 	}
-	outBoxes := cfg.OutBoxes
-	if outBoxes == nil {
-		outBoxes = DefaultBricks(size, cfg.Global)
-	}
-	if len(inBoxes) != size || len(outBoxes) != size {
-		return nil, fmt.Errorf("core: %w: got %d in / %d out boxes for %d ranks", ErrMismatchedBoxes, len(inBoxes), len(outBoxes), size)
-	}
-	// Box validation is O(ranks²); memoize it per world so it runs once, not
-	// once per rank (pure function of the boxes, content-keyed).
-	validate := func(boxes []tensor.Box3) error {
-		key := fmt.Sprintf("core/validate/%v/%x", cfg.Global, hashBoxes(boxes))
-		v := c.World().Shared(key, func() any {
-			if err := validateBoxes(cfg.Global, boxes); err != nil {
-				return err
-			}
-			return nil
-		})
-		if v != nil {
-			return v.(error)
-		}
-		return nil
-	}
-	if err := validate(inBoxes); err != nil {
+	in, out := inOutDists(c, cfg.InBoxes, cfg.OutBoxes, cfg.Global, cfg.Global)
+	if err := validateDist(c, cfg.Global, in); err != nil {
 		return nil, fmt.Errorf("core: %w: input boxes: %w", ErrMismatchedBoxes, err)
 	}
-	if err := validate(outBoxes); err != nil {
+	if err := validateDist(c, cfg.Global, out); err != nil {
 		return nil, fmt.Errorf("core: %w: output boxes: %w", ErrMismatchedBoxes, err)
 	}
 
 	p := &Plan{
 		engine: engine{comm: c, dev: gpu.New(c), opts: cfg.Opts, global: cfg.Global},
-		inBox:  inBoxes[c.Rank()],
-		outBox: outBoxes[c.Rank()],
+		inBox:  in.boxes[c.Rank()],
+		outBox: out.boxes[c.Rank()],
 		lp:     size,
 		refs:   1,
 	}
@@ -134,7 +112,7 @@ func NewPlan(c *mpisim.Comm, cfg Config) (*Plan, error) {
 			p.decomp = DecompPencils
 		}
 	}
-	if err := p.buildStages(inBoxes, outBoxes); err != nil {
+	if err := p.buildStages(in, out); err != nil {
 		return nil, err
 	}
 	p.abftEps = abftEpsOf(p.opts, p.stages)
@@ -152,56 +130,54 @@ func NewPlan(c *mpisim.Comm, cfg Config) (*Plan, error) {
 
 // buildStages constructs the reshape/compute pipeline. All ranks execute the
 // same deterministic sequence, so the collective Split calls inside reshape
-// construction stay matched.
-func (p *Plan) buildStages(inBoxes, outBoxes []tensor.Box3) error {
-	size := p.comm.Size()
-	pad := func(boxes []tensor.Box3) []tensor.Box3 {
-		// Distributions over lp active ranks padded with empty boxes.
-		if len(boxes) == size {
-			return boxes
-		}
-		out := make([]tensor.Box3, size)
-		copy(out, boxes)
-		return out
-	}
-	cur := inBoxes
-	p.dists = [][]tensor.Box3{inBoxes}
+// construction stay matched. Every intermediate distribution comes through
+// gridDist — over lp active ranks, padded with empty boxes to the communicator
+// — so the world holds each list once.
+func (p *Plan) buildStages(in, out *dist) error {
+	c, me := p.comm, p.comm.Rank()
+	ck := commKey(c)
+	grid := func(g tensor.ProcGrid) *dist { return gridDist(c, p.global, g) }
+	pencils := func(axis int) *dist { return grid(tensor.PencilGrid(axis, p.p, p.q)) }
+	slabs := func(axis int) *dist { return grid(tensor.SlabGrid(axis, p.lp)) }
+
+	cur := in
+	p.dists = [][]tensor.Box3{in.boxes}
 	tagSeq := 0
 
 	// interior marks reshapes strictly between compute stages, the ones
 	// eligible for wire compression (input/output reshapes move caller data
 	// and always ship full precision — see wire.go).
-	addReshape := func(target []tensor.Box3, label string, interior bool) {
+	addReshape := func(target *dist, label string, interior bool) {
 		tagSeq++
-		if boxesEqual(cur, target) {
+		if sameDist(c, cur, target) {
 			return
 		}
-		rs := buildReshape(p.comm, cur, target, label, tagSeq)
+		rs := buildReshape(c, ck, cur, target, label, tagSeq)
 		rs.interior = interior
 		p.stages = append(p.stages, stage{kind: stageReshape, label: "reshape " + label, rs: rs})
 		cur = target
-		p.dists = append(p.dists, target)
+		p.dists = append(p.dists, target.boxes)
 	}
 	addFFT1D := func(axis int) {
 		p.stages = append(p.stages, stage{
 			kind: stageFFT1D, label: fmt.Sprintf("fft axis %d", axis),
-			axis: axis, myBox: cur[p.comm.Rank()],
+			axis: axis, myBox: cur.boxes[me],
 			// Resolve the 1-D kernel plan now so execution never takes the
 			// plan-cache lock; twiddle tables are shared across all lookups.
 			fplan: fft.NewPlan(p.global[axis]),
 		})
-		p.dists = append(p.dists, cur)
+		p.dists = append(p.dists, cur.boxes)
 	}
 
 	switch p.decomp {
 	case DecompPencils:
-		addReshape(pad(pencilBoxes(p.global, 0, p.p, p.q)), "pencil-x", false)
+		addReshape(pencils(0), "pencil-x", false)
 		addFFT1D(0)
-		addReshape(pad(pencilBoxes(p.global, 1, p.p, p.q)), "pencil-y", true)
+		addReshape(pencils(1), "pencil-y", true)
 		addFFT1D(1)
-		addReshape(pad(pencilBoxes(p.global, 2, p.p, p.q)), "pencil-z", true)
+		addReshape(pencils(2), "pencil-z", true)
 		addFFT1D(2)
-		addReshape(outBoxes, "output", false)
+		addReshape(out, "output", false)
 
 	case DecompBricks:
 		// The brick variant (fftMPI/SWFFT style): intermediate grids are
@@ -209,23 +185,23 @@ func (p *Plan) buildStages(inBoxes, outBoxes []tensor.Box3) error {
 		// phases exchanges within smaller groups that share a coordinate of
 		// the brick grid — cheaper phases at the price of more of them.
 		a, b, c2 := p.brickGrid()
-		addReshape(pad(tensor.NewProcGrid(1, a*b, c2).Decompose(p.global)), "brick-x", false)
+		addReshape(grid(tensor.NewProcGrid(1, a*b, c2)), "brick-x", false)
 		addFFT1D(0)
-		addReshape(pad(tensor.NewProcGrid(a, 1, b*c2).Decompose(p.global)), "brick-y", true)
+		addReshape(grid(tensor.NewProcGrid(a, 1, b*c2)), "brick-y", true)
 		addFFT1D(1)
-		addReshape(pad(tensor.NewProcGrid(a*b, c2, 1).Decompose(p.global)), "brick-z", true)
+		addReshape(grid(tensor.NewProcGrid(a*b, c2, 1)), "brick-z", true)
 		addFFT1D(2)
-		addReshape(outBoxes, "output", false)
+		addReshape(out, "output", false)
 
 	case DecompSlabs:
 		// Slabs along axis 0: local 2-D FFTs over axes (1,2), one exchange
 		// to slabs along axis 1, then 1-D FFTs along axis 0.
-		addReshape(pad(slabBoxes(p.global, 0, p.lp)), "slab-0", false)
-		p.stages = append(p.stages, stage{kind: stageFFT2D, label: "fft planes", myBox: cur[p.comm.Rank()]})
-		p.dists = append(p.dists, cur)
-		addReshape(pad(slabBoxes(p.global, 1, p.lp)), "slab-1", true)
+		addReshape(slabs(0), "slab-0", false)
+		p.stages = append(p.stages, stage{kind: stageFFT2D, label: "fft planes", myBox: cur.boxes[me]})
+		p.dists = append(p.dists, cur.boxes)
+		addReshape(slabs(1), "slab-1", true)
 		addFFT1D(0)
-		addReshape(outBoxes, "output", false)
+		addReshape(out, "output", false)
 
 	default:
 		return fmt.Errorf("core: %w: unresolved decomposition %v", ErrBadConfig, p.decomp)
@@ -335,23 +311,23 @@ func (p *Plan) CommVolumes() []ExchangeVolume {
 			continue
 		}
 		v.GroupSize = rs.group.Size()
-		me := rs.myGroupRank
 		web := WireElemSize(rs.wireOf(p.opts), 16)
-		for gi := range rs.members {
-			sb := web * rs.sends[gi].Volume()
-			rb := web * rs.recvs[gi].Volume()
-			if gi == me {
+		for k, gi := range rs.sendPeers {
+			sb := web * rs.sends[k].Volume()
+			if gi == rs.myGroupRank {
 				v.SelfBytes += sb
 				continue
 			}
-			if sb > 0 {
-				v.SendBytes += sb
-				v.NumDst++
-				if sb > v.MaxMsg {
-					v.MaxMsg = sb
-				}
+			v.SendBytes += sb
+			v.NumDst++
+			if sb > v.MaxMsg {
+				v.MaxMsg = sb
 			}
-			v.RecvBytes += rb
+		}
+		for k, gi := range rs.recvPeers {
+			if gi != rs.myGroupRank {
+				v.RecvBytes += web * rs.recvs[k].Volume()
+			}
 		}
 		out = append(out, v)
 	}

@@ -77,21 +77,14 @@ func NewRealPlan(c *mpisim.Comm, cfg RealConfig) (*RealPlan, error) {
 	}
 	half := [3]int{cfg.Global[0], cfg.Global[1], cfg.Global[2]/2 + 1}
 
-	inBoxes := cfg.InBoxes
-	if inBoxes == nil {
-		inBoxes = DefaultBricks(size, cfg.Global)
+	if (cfg.InBoxes != nil && len(cfg.InBoxes) != size) || (cfg.OutBoxes != nil && len(cfg.OutBoxes) != size) {
+		return nil, fmt.Errorf("core: %w: got %d in / %d out boxes for %d ranks", ErrMismatchedBoxes, len(cfg.InBoxes), len(cfg.OutBoxes), size)
 	}
-	outBoxes := cfg.OutBoxes
-	if outBoxes == nil {
-		outBoxes = DefaultBricks(size, half)
-	}
-	if len(inBoxes) != size || len(outBoxes) != size {
-		return nil, fmt.Errorf("core: %w: got %d in / %d out boxes for %d ranks", ErrMismatchedBoxes, len(inBoxes), len(outBoxes), size)
-	}
-	if err := validateBoxes(cfg.Global, inBoxes); err != nil {
+	in, out := inOutDists(c, cfg.InBoxes, cfg.OutBoxes, cfg.Global, half)
+	if err := validateDist(c, cfg.Global, in); err != nil {
 		return nil, fmt.Errorf("core: %w: input boxes: %w", ErrMismatchedBoxes, err)
 	}
-	if err := validateBoxes(half, outBoxes); err != nil {
+	if err := validateDist(c, half, out); err != nil {
 		return nil, fmt.Errorf("core: %w: output boxes: %w", ErrMismatchedBoxes, err)
 	}
 
@@ -101,8 +94,8 @@ func NewRealPlan(c *mpisim.Comm, cfg RealConfig) (*RealPlan, error) {
 
 	p := &RealPlan{
 		engine: engine{comm: c, dev: gpu.New(c), opts: cfg.Opts, global: half, decomp: DecompPencils},
-		inBox:  inBoxes[c.Rank()],
-		outBox: outBoxes[c.Rank()],
+		inBox:  in.boxes[c.Rank()],
+		outBox: out.boxes[c.Rank()],
 	}
 	p.p, p.q = cfg.Opts.PQ[0], cfg.Opts.PQ[1]
 	if p.p <= 0 || p.q <= 0 {
@@ -117,26 +110,27 @@ func NewRealPlan(c *mpisim.Comm, cfg RealConfig) (*RealPlan, error) {
 
 	// Real z-pencils and their half-grid shadows share the P×Q grid, so the
 	// r2c stage is purely local.
-	zReal := pencilBoxes(cfg.Global, 2, p.p, p.q)
-	zHalf := pencilBoxes(half, 2, p.p, p.q)
+	me, ck := c.Rank(), commKey(c)
+	pencils := func(global [3]int, axis int) *dist { return gridDist(c, global, tensor.PencilGrid(axis, p.p, p.q)) }
+	zReal, zHalf := pencils(cfg.Global, 2), pencils(half, 2)
 
 	// The input reshape moves real data (half the bytes of a complex reshape)
 	// and is built even when the input already sits on z-pencils. Its tag must
 	// not collide with the complex-stage tags, allocated from 910 upward.
 	p.stages = []stage{
-		{kind: stageReshape, label: "reshape r2c-input", rs: buildReshape(c, inBoxes, zReal, "r2c-input", 901)},
-		{kind: stageR2C, label: "r2c axis 2", myBox: zReal[c.Rank()], specBox: zHalf[c.Rank()], rplan: rp},
+		{kind: stageReshape, label: "reshape r2c-input", rs: buildReshape(c, ck, in, zReal, "r2c-input", 901)},
+		{kind: stageR2C, label: "r2c axis 2", myBox: zReal.boxes[me], specBox: zHalf.boxes[me], rplan: rp},
 	}
 
 	// Complex pipeline on the half grid: z-pencils → y FFT → x FFT → out.
 	cur := zHalf
 	tag := 910
-	addReshape := func(target []tensor.Box3, label string, interior bool) {
+	addReshape := func(target *dist, label string, interior bool) {
 		tag++
-		if boxesEqual(cur, target) {
+		if sameDist(c, cur, target) {
 			return
 		}
-		rs := buildReshape(c, cur, target, label, tag)
+		rs := buildReshape(c, ck, cur, target, label, tag)
 		rs.interior = interior
 		p.stages = append(p.stages, stage{kind: stageReshape, label: "reshape " + label, rs: rs})
 		cur = target
@@ -144,18 +138,18 @@ func NewRealPlan(c *mpisim.Comm, cfg RealConfig) (*RealPlan, error) {
 	addFFT := func(axis int) {
 		p.stages = append(p.stages, stage{
 			kind: stageFFT1D, label: fmt.Sprintf("fft axis %d", axis),
-			axis: axis, myBox: cur[c.Rank()],
+			axis: axis, myBox: cur.boxes[me],
 			fplan: fft.NewPlan(half[axis]),
 		})
 	}
 	// The two pencil reshapes sit strictly between compute stages (the local
 	// r2c/c2r counts as one on the input side), so they are wire-compressible
 	// in both directions; the output reshape moves caller data.
-	addReshape(pencilBoxes(half, 1, p.p, p.q), "r2c-pencil-y", true)
+	addReshape(pencils(half, 1), "r2c-pencil-y", true)
 	addFFT(1)
-	addReshape(pencilBoxes(half, 0, p.p, p.q), "r2c-pencil-x", true)
+	addReshape(pencils(half, 0), "r2c-pencil-x", true)
 	addFFT(0)
-	addReshape(outBoxes, "r2c-output", false)
+	addReshape(out, "r2c-output", false)
 	p.abftEps = abftEpsOf(p.opts, p.stages)
 
 	// Precompute the reversed pipeline for InverseBatch: reshapes swap source
@@ -231,25 +225,18 @@ func (p *RealPlan) InverseBatch(fields []*Field) ([]*RealField, error) {
 }
 
 // reverseReshape returns the reshape with source and destination swapped.
-// Group structure and member lists are identical; only the box roles flip.
-// The interior flag carries over: a reshape between compute stages stays
-// between compute stages in the reversed pipeline.
+// The group is the same; the box roles flip, so the send and receive sides of
+// the shared overlap table trade places. The interior flag carries over: a
+// reshape between compute stages stays between compute stages in the reversed
+// pipeline.
 func reverseReshape(rs *reshapePlan) *reshapePlan {
-	rev := &reshapePlan{
+	return &reshapePlan{
 		label: rs.label + "-rev", tag: rs.tag + 50,
 		from: rs.to, to: rs.from, interior: rs.interior,
-		group: rs.group, members: rs.members, myGroupRank: rs.myGroupRank,
+		group: rs.group, myGroupRank: rs.myGroupRank,
+		sendPeers: rs.recvPeers, sends: rs.recvs, selfSend: rs.selfRecv,
+		recvPeers: rs.sendPeers, recvs: rs.sends, selfRecv: rs.selfSend,
 	}
-	if rs.group != nil {
-		n := len(rs.members)
-		rev.sends = make([]tensor.Box3, n)
-		rev.recvs = make([]tensor.Box3, n)
-		for i := range rs.members {
-			rev.sends[i] = rs.recvs[i]
-			rev.recvs[i] = rs.sends[i]
-		}
-	}
-	return rev
 }
 
 // PredictComm evaluates the bandwidth model for this plan's geometry — the

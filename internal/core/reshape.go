@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/machine"
 	"repro/internal/mpisim"
 	"repro/internal/tensor"
+	"repro/internal/topo"
 )
 
 // reshapePlan is one data transfer phase of Algorithm 1: moving the
@@ -26,31 +28,50 @@ type reshapePlan struct {
 
 	// group is the subcommunicator of ranks touching this exchange; nil when
 	// this rank is not involved.
-	group *mpisim.Comm
-	// members maps group rank → parent comm rank (sorted ascending).
-	members     []int
+	group       *mpisim.Comm
 	myGroupRank int
-	// sends[gi] is the part of my `from` box that group member gi owns in
-	// the target distribution; recvs[gi] the part of my `to` box that gi
-	// owns in the source distribution. Either may be empty.
-	sends, recvs []tensor.Box3
+	// The blocks that exist, as slices into the world's shared reshapeTable:
+	// sends[k] is the part of my `from` box that group rank sendPeers[k] owns
+	// in the target distribution, recvs[k] the part of my `to` box that group
+	// rank recvPeers[k] owns in the source distribution. Peers ascend; a pair
+	// with an empty intersection is not listed, so nothing here is sized by
+	// the group. The self block, when there is one, is sends[selfSend] ==
+	// recvs[selfRecv] (-1 otherwise).
+	sendPeers, recvPeers []int
+	sends, recvs         []tensor.Box3
+	selfSend, selfRecv   int
 
 	// stats is the group-global exchange shape driving collective-algorithm
 	// selection and chunking (see comm.go).
 	stats exchStats
 }
 
-// reshapeGroups is the once-per-world group analysis of a reshape: the
-// connected components of the "data moves between i and j" graph.
-type reshapeGroups struct {
-	color   []int         // component root per rank, -1 when uninvolved
-	members map[int][]int // root → sorted member ranks
+// reshapeTable is the once-per-world analysis of a reshape between two
+// distributions over one communicator: the exchange groups (connected
+// components of the "data moves between i and j" graph), every group's
+// exchange statistics, and the overlap adjacency — for each rank the peers it
+// sends to and receives from, in ascending group rank, with the boxes that
+// move. All ranks read the same immutable table; what a rank keeps
+// (reshapePlan) is slices into it.
+type reshapeTable struct {
+	color     []int             // exchange-group root per rank, -1 when uninvolved
+	groupRank []int             // rank within its exchange group
+	stats     map[int]exchStats // root → group statistics (stats.gs is the group size)
+
+	// Rank r sends the blocks [sendOff[r], sendOff[r+1]) of sendPeers/sendBoxes
+	// and receives the blocks [recvOff[r], recvOff[r+1]) of recvPeers/recvBoxes.
+	sendOff, recvOff     []int
+	sendPeers, recvPeers []int
+	sendBoxes, recvBoxes []tensor.Box3
 }
 
-// computeReshapeGroups runs union-find over the rank overlap graph. This is
-// O(size²) box intersections, so it is memoized per world (see buildReshape)
-// instead of being repeated by all 3072 ranks of the biggest experiments.
-func computeReshapeGroups(from, to []tensor.Box3) *reshapeGroups {
+// computeReshapeTable intersects every (from[i], to[j]) pair once — O(size²)
+// box intersections, which is why the result is memoized per world (see
+// buildReshape) instead of being repeated by all 3072 ranks of the biggest
+// experiments — and keeps what the pass finds: union-find over the overlap
+// graph gives the groups, the non-empty overlaps are the adjacency, and the
+// statistics are accumulated from those same entries.
+func computeReshapeTable(sys *topo.System, worldOf func(int) int, from, to []tensor.Box3) *reshapeTable {
 	size := len(from)
 	parent := make([]int, size)
 	for i := range parent {
@@ -73,107 +94,152 @@ func computeReshapeGroups(from, to []tensor.Box3) *reshapeGroups {
 			parent[rb] = ra // root is the smallest rank, for determinism
 		}
 	}
+	// Overlaps in (source, destination) order: source i's sends are the span
+	// [off[i], off[i+1]), ascending in destination.
+	t := &reshapeTable{color: make([]int, size), groupRank: make([]int, size), stats: map[int]exchStats{},
+		sendOff: make([]int, size+1), recvOff: make([]int, size+1)}
+	var dsts []int
+	var boxes []tensor.Box3
 	for i := 0; i < size; i++ {
+		t.sendOff[i] = len(dsts)
 		if from[i].Empty() {
 			continue
 		}
 		for j := 0; j < size; j++ {
-			if !tensor.Intersect(from[i], to[j]).Empty() {
+			if b := tensor.Intersect(from[i], to[j]); !b.Empty() {
 				union(i, j)
+				dsts = append(dsts, j)
+				boxes = append(boxes, b)
+				t.recvOff[j+1]++
 			}
 		}
 	}
-	g := &reshapeGroups{color: make([]int, size), members: map[int][]int{}}
+	t.sendOff[size] = len(dsts)
+	nnz := len(dsts)
+
+	members := map[int][]int{} // root → member ranks, ascending by construction
 	for r := 0; r < size; r++ {
 		if from[r].Empty() && to[r].Empty() {
-			g.color[r] = -1
+			t.color[r] = -1
 			continue
 		}
 		root := find(r)
-		g.color[r] = root
-		g.members[root] = append(g.members[root], r) // ascending by construction
+		t.color[r] = root
+		t.groupRank[r] = len(members[root])
+		members[root] = append(members[root], r)
 	}
-	return g
+
+	// Statistics, from the off-diagonal overlaps. Every quantity is a count, an
+	// integer sum or an extremum, so the order the entries are met in does not
+	// matter.
+	acc := map[int]*statsAcc{}
+	for root, ms := range members {
+		acc[root] = newStatsAcc(sys, worldOf, ms)
+	}
+	for i := 0; i < size; i++ {
+		for k := t.sendOff[i]; k < t.sendOff[i+1]; k++ {
+			if j := dsts[k]; j != i {
+				acc[t.color[i]].add(t.groupRank[i], t.groupRank[j], worldOf(i), worldOf(j), boxes[k])
+			}
+		}
+	}
+	for root, a := range acc {
+		t.stats[root] = a.done()
+	}
+
+	// The adjacency in group ranks, exactly sized. The receive side is the
+	// transpose: sources are visited in ascending order, so every receive list
+	// comes out ascending too.
+	t.sendPeers, t.sendBoxes = make([]int, nnz), make([]tensor.Box3, nnz)
+	t.recvPeers, t.recvBoxes = make([]int, nnz), make([]tensor.Box3, nnz)
+	copy(t.sendBoxes, boxes)
+	for j := 0; j < size; j++ {
+		t.recvOff[j+1] += t.recvOff[j]
+	}
+	next := append([]int(nil), t.recvOff[:size]...)
+	for i := 0; i < size; i++ {
+		for k := t.sendOff[i]; k < t.sendOff[i+1]; k++ {
+			j := dsts[k]
+			t.sendPeers[k] = t.groupRank[j]
+			t.recvPeers[next[j]], t.recvBoxes[next[j]] = t.groupRank[i], boxes[k]
+			next[j]++
+		}
+	}
+	return t
 }
 
-// buildReshape collectively constructs a reshape phase. Every rank of c must
-// call it with identical box lists.
-func buildReshape(c *mpisim.Comm, from, to []tensor.Box3, label string, tag int) *reshapePlan {
-	key := fmt.Sprintf("core/reshape/%x", hashBoxes(from, to))
-	g := c.World().Shared(key, func() any { return computeReshapeGroups(from, to) }).(*reshapeGroups)
+// buildReshape collectively constructs a reshape phase between two
+// distributions of c. Every rank of c must call it with the same
+// distributions.
+func buildReshape(c *mpisim.Comm, ck uint64, from, to *dist, label string, tag int) *reshapePlan {
+	// The analysis is a pure function of the boxes and of the communicator's
+	// placement (different parent comms may share box lists but map to
+	// different nodes).
+	key := fmt.Sprintf("core/reshape/%x/%x/%x", from.hash, to.hash, ck)
+	t := c.World().Shared(key, func() any {
+		return computeReshapeTable(c.Topo(), c.WorldRank, from.boxes, to.boxes)
+	}).(*reshapeTable)
 
 	me := c.Rank()
-	color := g.color[me]
+	color := t.color[me]
 	group := c.Split(color, me)
 
-	rs := &reshapePlan{label: label, tag: tag, from: from[me], to: to[me]}
+	rs := &reshapePlan{label: label, tag: tag, from: from.boxes[me], to: to.boxes[me], selfSend: -1, selfRecv: -1}
 	if group == nil {
 		return rs
 	}
 	rs.group = group
 	rs.myGroupRank = group.Rank()
-	rs.members = g.members[color]
-	if len(rs.members) != group.Size() {
-		panic(fmt.Sprintf("core: reshape %s: computed %d members, split gave %d", label, len(rs.members), group.Size()))
+	rs.stats = t.stats[color]
+	if rs.stats.gs != group.Size() || t.groupRank[me] != rs.myGroupRank {
+		panic(fmt.Sprintf("core: reshape %s: computed rank %d of %d members, split gave %d of %d",
+			label, t.groupRank[me], rs.stats.gs, rs.myGroupRank, group.Size()))
 	}
-	rs.sends = make([]tensor.Box3, group.Size())
-	rs.recvs = make([]tensor.Box3, group.Size())
-	for gi, r := range rs.members {
-		rs.sends[gi] = tensor.Intersect(from[me], to[r])
-		rs.recvs[gi] = tensor.Intersect(from[r], to[me])
-	}
-	// Exchange-shape statistics are O(group²) and identical for every member;
-	// memoize per world, keyed by boxes + placement (different parent comms
-	// may share box lists but map to different nodes).
-	statsKey := fmt.Sprintf("core/reshape-stats/%x/%d/%x", hashBoxes(from, to), color, hashInts(worldRanksOf(c, rs.members)))
-	rs.stats = c.World().Shared(statsKey, func() any {
-		return computeExchStats(c.Topo(), c.WorldRank, from, to, rs.members)
-	}).(exchStats)
+	lo, hi := t.sendOff[me], t.sendOff[me+1]
+	rs.sendPeers, rs.sends = t.sendPeers[lo:hi:hi], t.sendBoxes[lo:hi:hi]
+	lo, hi = t.recvOff[me], t.recvOff[me+1]
+	rs.recvPeers, rs.recvs = t.recvPeers[lo:hi:hi], t.recvBoxes[lo:hi:hi]
+	rs.selfSend, rs.selfRecv = indexOf(rs.sendPeers, rs.myGroupRank), indexOf(rs.recvPeers, rs.myGroupRank)
 	return rs
 }
 
-// worldRanksOf maps parent-comm ranks to world ranks.
-func worldRanksOf(c *mpisim.Comm, ranks []int) []int {
-	out := make([]int, len(ranks))
-	for i, r := range ranks {
-		out[i] = c.WorldRank(r)
+// indexOf finds v in an ascending list (-1 when absent).
+func indexOf(sorted []int, v int) int {
+	if i := sort.SearchInts(sorted, v); i < len(sorted) && sorted[i] == v {
+		return i
 	}
-	return out
+	return -1
 }
 
-// hashInts is hashBoxes' flavour for rank lists.
-func hashInts(vs []int) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, v := range vs {
-		h ^= uint64(uint32(v))
-		h *= prime
+// commKey fingerprints a communicator's rank → world-rank map for the keys
+// of placement-dependent shared analyses.
+func commKey(c *mpisim.Comm) uint64 {
+	h := uint64(fnvOffset)
+	for r := 0; r < c.Size(); r++ {
+		h ^= uint64(uint32(c.WorldRank(r)))
+		h *= fnvPrime
 	}
 	return h
 }
 
-// hashBoxes returns an FNV-1a content hash of box lists, used as the
-// memoization key for the group analysis (a pure function of the boxes).
-func hashBoxes(lists ...[]tensor.Box3) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// hashBoxes returns an FNV-1a content hash of a box list, the memoization key
+// of the analyses that are pure functions of the boxes.
+func hashBoxes(l []tensor.Box3) uint64 {
+	h := uint64(fnvOffset)
 	mix := func(v int) {
 		h ^= uint64(uint32(v))
-		h *= prime
+		h *= fnvPrime
 	}
-	for _, l := range lists {
-		mix(len(l))
-		for _, b := range l {
-			for d := 0; d < 3; d++ {
-				mix(b.Lo[d])
-				mix(b.Hi[d])
-			}
+	mix(len(l))
+	for _, b := range l {
+		for d := 0; d < 3; d++ {
+			mix(b.Lo[d])
+			mix(b.Hi[d])
 		}
 	}
 	return h

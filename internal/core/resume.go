@@ -203,11 +203,11 @@ func (p *Plan) recoveryReshape(snap *ckptSnapshot, cut int, dist []tensor.Box3, 
 		}
 	}
 
-	// Build the collective: send[d] concatenates, in old-rank order, every
-	// share this rank serves that lands on d's survivor box, all batch
-	// entries fused. Both sides derive the same (src, old-rank) order from
-	// the shared snapshot, so no headers travel.
-	send := make([]mpisim.Buf, newSize)
+	// Build the collective: the block for survivor d concatenates, in old-rank
+	// order, every share this rank serves that lands on d's survivor box, all
+	// batch entries fused. Both sides derive the same (src, old-rank) order
+	// from the shared snapshot, so no headers travel.
+	var send []mpisim.Block
 	sendBytes := 0
 	for d := 0; d < newSize; d++ {
 		elems := 0
@@ -220,12 +220,11 @@ func (p *Plan) recoveryReshape(snap *ckptSnapshot, cut int, dist []tensor.Box3, 
 			}
 		}
 		if elems == 0 {
-			send[d] = mpisim.Buf{Loc: machine.Device}
 			continue
 		}
 		sendBytes += 16 * elems
 		if snap.phantom {
-			send[d] = mpisim.Buf{N: elems, Loc: machine.Device}
+			send = append(send, mpisim.Block{Peer: d, Buf: mpisim.Buf{N: elems, Loc: machine.Device}})
 			continue
 		}
 		payload := getBuf[complex128](elems)
@@ -245,22 +244,23 @@ func (p *Plan) recoveryReshape(snap *ckptSnapshot, cut int, dist []tensor.Box3, 
 				off += vol
 			}
 		}
-		send[d] = mpisim.Buf{Data: payload, Loc: machine.Device, Move: true}
+		buf := mpisim.Buf{Data: payload, Loc: machine.Device, Move: true}
 		if ic.Invariants {
-			envelopeSum(&send[d], payload)
+			envelopeSum(&buf, payload)
 		}
+		send = append(send, mpisim.Block{Peer: d, Buf: buf})
 	}
 	p.dev.Pack(sendBytes, false)
 	if ic.Invariants && !ic.Checksums {
 		c.ChargeChecksum(sendBytes)
 	}
 
-	recv := c.Alltoallv(send)
+	recv := c.AlltoallvSparse(send, machine.Device, mpisim.AlgoLinear)
 
 	// Unpack arrivals in the mirrored deterministic order.
 	recvBytes := 0
-	for s := 0; s < newSize; s++ {
-		buf := recv[s]
+	for _, blk := range recv {
+		s, buf := blk.Peer, blk.Buf
 		off := 0
 		for o := 0; o < snap.ranks; o++ {
 			if src[o] != s {
