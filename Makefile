@@ -104,7 +104,8 @@ examples:
 	go run ./examples/lammps_kspace
 	go run ./examples/serving
 
-# Paper-scale reproduction of every table and figure (~10 minutes).
+# Paper-scale reproduction of every table and figure, up to the 3072-GPU
+# sweeps (~2 minutes on 2 cores; fits a 15 GB host with room to spare).
 experiments:
 	go run ./cmd/fftbench -all | tee experiments_full.txt
 

@@ -159,6 +159,8 @@ func (x *exchange[T]) open() {
 		return
 	}
 	g, rs := x.rs.group, x.rs
+	x.rreqs = make([]*mpisim.Request, 0, len(rs.recvPeers))
+	x.rsrcs = make([]int, 0, len(rs.recvPeers))
 	for k, gi := range rs.recvPeers {
 		if k != rs.selfRecv {
 			x.rreqs = append(x.rreqs, g.Irecv(gi, rs.tag))
@@ -167,10 +169,10 @@ func (x *exchange[T]) open() {
 	}
 }
 
-// pack builds chunk ci's send list — one block per peer the chunk has data
-// for, ascending — fusing the batch — the
-// mechanism behind the batched-transform speedups of Fig. 13. Chunks are whole
-// axis-0 rows of every pair box. With ABFT invariants on, every packed block
+// pack builds chunk ci's send list: one block per peer the chunk has data for,
+// in ascending peer order, the batch fused into each block — the mechanism
+// behind the batched-transform speedups of Fig. 13. Chunks are whole axis-0
+// rows of every pair box. With ABFT invariants on, every packed block
 // carries its element sum in the message envelope (verified after unpack) and
 // the fused sum pass is charged — unless the transport's checksummed envelopes
 // already bill that stream.
@@ -255,6 +257,9 @@ func (x *exchange[T]) post(blocks []mpisim.Block, async bool) posted {
 	// MPI_Send. The P2P transports never chunk, so every peer has a block:
 	// blocks[k] is the block for rs.sendPeers[k].
 	h := posted{blocks: blocks}
+	if x.e.opts.Backend != BackendP2PBlocking {
+		h.sreqs = make([]*mpisim.Request, 0, len(blocks))
+	}
 	for k, b := range blocks {
 		if k == rs.selfSend {
 			continue
@@ -309,7 +314,7 @@ func (x *exchange[T]) unpack(ci int, h posted) {
 			elems += x.unpackBlock(ci, x.rsrcs[i], buf)
 			dev.Unpack(buf.Bytes(), opts.Contiguous)
 		}
-		if h.sreqs != nil {
+		if len(h.sreqs) > 0 {
 			g.Waitall(h.sreqs)
 		}
 	}

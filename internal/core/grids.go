@@ -112,21 +112,28 @@ func callerDist(c *mpisim.Comm, boxes []tensor.Box3) *dist {
 	}).(*dist)
 }
 
-// inOutDists resolves a plan's input and output distributions: the caller's
-// lists, or the minimum-surface bricks of the respective grid when nil.
-func inOutDists(c *mpisim.Comm, in, out []tensor.Box3, inGlobal, outGlobal [3]int) (din, dout *dist) {
+// inOutDists resolves and validates a plan's input and output distributions:
+// the caller's lists, or the minimum-surface bricks of the respective grid
+// when nil; each must tile its grid with one box per rank.
+func inOutDists(c *mpisim.Comm, in, out []tensor.Box3, inGlobal, outGlobal [3]int) (din, dout *dist, err error) {
 	size := c.Size()
+	if (in != nil && len(in) != size) || (out != nil && len(out) != size) {
+		return nil, nil, fmt.Errorf("core: %w: got %d in / %d out boxes for %d ranks", ErrMismatchedBoxes, len(in), len(out), size)
+	}
 	resolve := func(boxes []tensor.Box3, global [3]int) *dist {
 		if boxes == nil {
 			return derivedDist(c, fmt.Sprintf("bricks/%v", global), func() []tensor.Box3 { return DefaultBricks(size, global) })
 		}
 		return callerDist(c, boxes)
 	}
-	din = resolve(in, inGlobal)
-	if len(in) > 0 && len(in) == len(out) && &in[0] == &out[0] {
-		return din, din // one list handed in twice: one pass
+	din, dout = resolve(in, inGlobal), resolve(out, outGlobal)
+	if err := validateDist(c, inGlobal, din); err != nil {
+		return nil, nil, fmt.Errorf("core: %w: input boxes: %w", ErrMismatchedBoxes, err)
 	}
-	return din, resolve(out, outGlobal)
+	if err := validateDist(c, outGlobal, dout); err != nil {
+		return nil, nil, fmt.Errorf("core: %w: output boxes: %w", ErrMismatchedBoxes, err)
+	}
+	return din, dout, nil
 }
 
 // sameDist reports whether two distributions assign every rank the same

@@ -60,15 +60,9 @@ func NewPlan(c *mpisim.Comm, cfg Config) (*Plan, error) {
 			return nil, fmt.Errorf("core: %w: invalid global grid %v", ErrBadConfig, cfg.Global)
 		}
 	}
-	if (cfg.InBoxes != nil && len(cfg.InBoxes) != size) || (cfg.OutBoxes != nil && len(cfg.OutBoxes) != size) {
-		return nil, fmt.Errorf("core: %w: got %d in / %d out boxes for %d ranks", ErrMismatchedBoxes, len(cfg.InBoxes), len(cfg.OutBoxes), size)
-	}
-	in, out := inOutDists(c, cfg.InBoxes, cfg.OutBoxes, cfg.Global, cfg.Global)
-	if err := validateDist(c, cfg.Global, in); err != nil {
-		return nil, fmt.Errorf("core: %w: input boxes: %w", ErrMismatchedBoxes, err)
-	}
-	if err := validateDist(c, cfg.Global, out); err != nil {
-		return nil, fmt.Errorf("core: %w: output boxes: %w", ErrMismatchedBoxes, err)
+	in, out, err := inOutDists(c, cfg.InBoxes, cfg.OutBoxes, cfg.Global, cfg.Global)
+	if err != nil {
+		return nil, err
 	}
 
 	p := &Plan{

@@ -77,15 +77,9 @@ func NewRealPlan(c *mpisim.Comm, cfg RealConfig) (*RealPlan, error) {
 	}
 	half := [3]int{cfg.Global[0], cfg.Global[1], cfg.Global[2]/2 + 1}
 
-	if (cfg.InBoxes != nil && len(cfg.InBoxes) != size) || (cfg.OutBoxes != nil && len(cfg.OutBoxes) != size) {
-		return nil, fmt.Errorf("core: %w: got %d in / %d out boxes for %d ranks", ErrMismatchedBoxes, len(cfg.InBoxes), len(cfg.OutBoxes), size)
-	}
-	in, out := inOutDists(c, cfg.InBoxes, cfg.OutBoxes, cfg.Global, half)
-	if err := validateDist(c, cfg.Global, in); err != nil {
-		return nil, fmt.Errorf("core: %w: input boxes: %w", ErrMismatchedBoxes, err)
-	}
-	if err := validateDist(c, half, out); err != nil {
-		return nil, fmt.Errorf("core: %w: output boxes: %w", ErrMismatchedBoxes, err)
+	in, out, err := inOutDists(c, cfg.InBoxes, cfg.OutBoxes, cfg.Global, half)
+	if err != nil {
+		return nil, err
 	}
 
 	if cfg.Opts.Checkpoints != nil {

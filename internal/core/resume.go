@@ -25,8 +25,15 @@ import (
 func (e *engine) beginCheckpoints(ck *CheckpointStore, dir fft.Direction, batch int, phantom bool) {
 	w := e.comm.World()
 	wr := e.comm.WorldRank(e.comm.Rank())
-	slots := w.Topo().Placement().Slots(w.Model(), w.Size())
-	ck.begin(wr, slots[wr], e.global, e.decomp, dir, batch, phantom, w.Size())
+	ck.begin(wr, worldSlots(w)[wr], e.global, e.decomp, dir, batch, phantom, w.Size())
+}
+
+// worldSlots is the world's rank → physical GPU slot map, built once per
+// world.
+func worldSlots(w *mpisim.World) []int {
+	return w.Shared("core/slots", func() any {
+		return w.Topo().Placement().Slots(w.Model(), w.Size())
+	}).([]int)
 }
 
 // saveBoundary checkpoints the batch's current state under label: a host
@@ -141,6 +148,40 @@ func (p *Plan) ResumeBatch() (fs []*Field, err error) {
 	return fields, nil
 }
 
+// sources maps every old rank to the survivor of world w serving its
+// checkpoint of boundary cut: the survivor on the old rank's own slot when it
+// lived, the lowest-ranked survivor on its node when it died (-1 when the
+// node is gone and the checkpoint held nothing anyone needs).
+func (snap *ckptSnapshot) sources(w *mpisim.World, cut int) ([]int, error) {
+	gpn := w.Model().GPUsPerNode
+	newSlots := worldSlots(w)
+	// slot → the survivor occupying it, and node → lowest survivor there.
+	slotOwner := make(map[int]int, len(newSlots))
+	host := make(map[int]int, len(newSlots))
+	for r := len(newSlots) - 1; r >= 0; r-- {
+		slotOwner[newSlots[r]] = r
+		host[newSlots[r]/gpn] = r
+	}
+	src := make([]int, snap.ranks)
+	for o := 0; o < snap.ranks; o++ {
+		if r, ok := slotOwner[snap.logs[o].slot]; ok {
+			src[o] = r
+			continue
+		}
+		node := snap.logs[o].slot / gpn
+		r, ok := host[node]
+		if !ok {
+			if !snap.boundary(o, cut).box.Empty() {
+				return nil, fmt.Errorf("core: resume infeasible: no survivor on node %d to serve rank %d's checkpoint", node, o)
+			}
+			src[o] = -1
+			continue
+		}
+		src[o] = r
+	}
+	return src, nil
+}
+
 // recoveryReshape redistributes the cut boundary from the old world's
 // checkpoints to the survivor distribution dist. A surviving rank still sits
 // on its old physical slot, so it serves its own checkpoint — the recovery
@@ -158,36 +199,20 @@ func (p *Plan) recoveryReshape(snap *ckptSnapshot, cut int, dist []tensor.Box3, 
 	w := c.World()
 	me := c.Rank()
 	newSize := c.Size()
-	gpn := w.Model().GPUsPerNode
-	newSlots := w.Topo().Placement().Slots(w.Model(), newSize)
-
-	// slot → the survivor occupying it, and node → lowest survivor there.
-	slotOwner := make(map[int]int, newSize)
-	host := make(map[int]int, newSize)
-	for r := newSize - 1; r >= 0; r-- {
-		slotOwner[newSlots[r]] = r
-		host[newSlots[r]/gpn] = r
+	// Who serves which checkpoint is the same answer on every survivor: work
+	// it out once per world.
+	type sources struct {
+		src []int
+		err error
 	}
-	// src[o] is the survivor serving old rank o's checkpoint: the slot's own
-	// survivor when o lived, the node host when o died (-1 when the node is
-	// gone and the checkpoint held nothing anyone needs).
-	src := make([]int, snap.ranks)
-	for o := 0; o < snap.ranks; o++ {
-		if r, ok := slotOwner[snap.logs[o].slot]; ok {
-			src[o] = r
-			continue
-		}
-		node := snap.logs[o].slot / gpn
-		r, ok := host[node]
-		if !ok {
-			if !snap.boundary(o, cut).box.Empty() {
-				return fmt.Errorf("core: resume infeasible: no survivor on node %d to serve rank %d's checkpoint", node, o)
-			}
-			src[o] = -1
-			continue
-		}
-		src[o] = r
+	srcs := w.Shared(fmt.Sprintf("core/resume-sources/%v/%d/%d", p.global, w.Epoch(), cut), func() any {
+		src, err := snap.sources(w, cut)
+		return sources{src, err}
+	}).(sources)
+	if srcs.err != nil {
+		return srcs.err
 	}
+	src := srcs.src
 
 	batch := snap.batch
 	ic := c.Integrity()

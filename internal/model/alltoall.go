@@ -302,11 +302,12 @@ func PickAlltoall(s AlltoallShape, cp CollParams) AlltoallAlgo {
 		return AlltoallLinear
 	}
 	best, bt := AlltoallLinear, LinearAlltoallTime(s, cp)
-	cands := []AlltoallAlgo{AlltoallRing, AlltoallPairwise, AlltoallBruck}
-	if s.Nodes > 1 && cp.LeaderBW > 0 {
-		cands = append(cands, AlltoallNodeAware)
+	cands := [...]AlltoallAlgo{AlltoallRing, AlltoallPairwise, AlltoallBruck, AlltoallNodeAware}
+	n := len(cands)
+	if s.Nodes <= 1 || cp.LeaderBW <= 0 {
+		n-- // no second level to schedule
 	}
-	for _, a := range cands {
+	for _, a := range cands[:n] {
 		if t := AlltoallTime(a, s, cp); t < bt {
 			best, bt = a, t
 		}

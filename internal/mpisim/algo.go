@@ -81,6 +81,22 @@ type Flow struct {
 	Dst, Bytes int
 }
 
+// Member is one rank's share of an Exchange.
+type Member struct {
+	World int // world rank
+	// Flows lists the rank's non-empty off-diagonal blocks in ascending
+	// destination order — its sparse row of the exchange matrix. The diagonal
+	// (self) is handled by the caller.
+	Flows  []Flow
+	Dev    bool    // buffers are device-resident (GPU-aware path)
+	Active bool    // moves off-diagonal bytes, as sender or receiver; inactive ranks leave a schedule immediately
+	Factor float64 // fault degrade factor (0 or 1 = healthy)
+	Start  float64 // earliest network start
+
+	// The caller's totals in bytes, self block included.
+	send, recv, self int
+}
+
 // Exchange describes one all-to-all-v instance to a CollectiveAlgo: who
 // sends how many bytes to whom, where the buffers live, each rank's fault
 // degrade factor, and the earliest virtual time each rank's network activity
@@ -90,35 +106,24 @@ type Flow struct {
 // its dense formulation would meet them (a zero entry adds nothing there):
 // the accumulation order is the virtual clock.
 type Exchange struct {
-	Size int
-	// Bytes[src] lists src's non-empty off-diagonal blocks in ascending
-	// destination order — the sparse rows of the exchange matrix. The diagonal
-	// (self) is handled by the caller.
-	Bytes  [][]Flow
-	Dev    []bool    // rank's buffers are device-resident (GPU-aware path)
-	Factor []float64 // fault degrade factor per rank (0 or 1 = healthy)
-	Start  []float64 // earliest network start per rank
-	Ranks  []int     // world rank of each exchange rank
-	Nodes  int       // nodes occupied by the job
-	Topo   *topo.System
-	M      *machine.Model
-
-	// Active[r]: rank r moves off-diagonal bytes, as sender or receiver.
-	// Inactive ranks leave a schedule immediately.
-	Active []bool
+	Size    int
+	Members []Member // by exchange rank
+	Nodes   int      // nodes occupied by the job
+	Topo    *topo.System
+	M       *machine.Model
 }
 
-// cyclicStart returns where row r starts when visited in increasing cyclic
-// distance (dst − r) mod p — the order the streaming schedules send in: the
-// first flow to a destination above r, wrapping around to those below.
+// cyclicStart returns where rank r's flows start when visited in increasing
+// cyclic distance (dst − r) mod p — the order the streaming schedules send
+// in: the first flow to a destination above r, wrapping around to those below.
 func (e *Exchange) cyclicStart(r int) int {
-	row := e.Bytes[r]
+	row := e.Members[r].Flows
 	return sort.Search(len(row), func(i int) bool { return row[i].Dst > r })
 }
 
 // overhead is the one-time collective call setup cost on rank r.
 func (e *Exchange) overhead(r int) float64 {
-	if e.Dev[r] {
+	if e.Members[r].Dev {
 		return e.M.DeviceOverheadColl
 	}
 	return e.M.HostOverheadColl
@@ -126,7 +131,7 @@ func (e *Exchange) overhead(r int) float64 {
 
 // factor returns rank r's degrade multiplier (≥ 1).
 func (e *Exchange) factor(r int) float64 {
-	if f := e.Factor[r]; f > 1 {
+	if f := e.Members[r].Factor; f > 1 {
 		return f
 	}
 	return 1
@@ -150,8 +155,8 @@ func (e *Exchange) latency(srcW, dstW int) float64 {
 
 // spansNodes reports whether any two exchange ranks live on different nodes.
 func (e *Exchange) spansNodes() bool {
-	for _, r := range e.Ranks[1:] {
-		if !e.Topo.SameNode(e.Ranks[0], r) {
+	for _, m := range e.Members[1:] {
+		if !e.Topo.SameNode(e.Members[0].World, m.World) {
 			return true
 		}
 	}
@@ -186,14 +191,14 @@ func (linearAlgo) Synchronized() bool { return true }
 func (linearAlgo) Complete(ex *Exchange) []float64 {
 	comp := make([]float64, ex.Size)
 	for r := 0; r < ex.Size; r++ {
-		srcW := ex.Ranks[r]
+		srcW := ex.Members[r].World
 		oh := ex.overhead(r)
 		t := 0.0
-		for _, f := range ex.Bytes[r] {
-			dstW := ex.Ranks[f.Dst]
+		for _, f := range ex.Members[r].Flows {
+			dstW := ex.Members[f.Dst].World
 			t += oh + float64(f.Bytes)/ex.Topo.NaiveFlowBW(srcW, dstW) + ex.latency(srcW, dstW)
 		}
-		comp[r] = ex.Start[r] + t*ex.factor(r)
+		comp[r] = ex.Members[r].Start + t*ex.factor(r)
 	}
 	return comp
 }
@@ -215,10 +220,10 @@ func (pairwiseAlgo) Complete(ex *Exchange) []float64 {
 	t := math.Inf(-1)
 	any := false
 	for r := 0; r < p; r++ {
-		comp[r] = ex.Start[r]
-		if ex.Active[r] {
+		comp[r] = ex.Members[r].Start
+		if ex.Members[r].Active {
 			any = true
-			if s := ex.Start[r] + ex.overhead(r); s > t {
+			if s := ex.Members[r].Start + ex.overhead(r); s > t {
 				t = s
 			}
 		}
@@ -231,9 +236,9 @@ func (pairwiseAlgo) Complete(ex *Exchange) []float64 {
 	// the rounds add up in ascending k — empty ones add nothing.
 	dur := make([]float64, p)
 	for r := 0; r < p; r++ {
-		for _, f := range ex.Bytes[r] {
+		for _, f := range ex.Members[r].Flows {
 			k := (f.Dst - r + p) % p
-			src, dw := ex.Ranks[r], ex.Ranks[f.Dst]
+			src, dw := ex.Members[r].World, ex.Members[f.Dst].World
 			d := (m.CollInject + float64(f.Bytes)/ex.flowBW(src, dw) + ex.latency(src, dw)) * ex.factor(r)
 			if d > dur[k] {
 				dur[k] = d
@@ -244,7 +249,7 @@ func (pairwiseAlgo) Complete(ex *Exchange) []float64 {
 		t += dur[k]
 	}
 	for r := 0; r < p; r++ {
-		if ex.Active[r] {
+		if ex.Members[r].Active {
 			comp[r] = t
 		}
 	}
@@ -268,20 +273,20 @@ func (ringAlgo) Complete(ex *Exchange) []float64 {
 	comp := make([]float64, p)
 	arrival := make([]float64, p)
 	for r := 0; r < p; r++ {
-		comp[r] = ex.Start[r]
+		comp[r] = ex.Members[r].Start
 	}
 	for r := 0; r < p; r++ {
-		if !ex.Active[r] {
+		if !ex.Members[r].Active {
 			continue
 		}
-		t0 := ex.Start[r] + ex.overhead(r)
+		t0 := ex.Members[r].Start + ex.overhead(r)
 		intra, inter := t0, t0
 		f := ex.factor(r)
-		sw := ex.Ranks[r]
-		row, i0 := ex.Bytes[r], ex.cyclicStart(r)
+		sw := ex.Members[r].World
+		row, i0 := ex.Members[r].Flows, ex.cyclicStart(r)
 		for i := range row {
 			fl := row[(i0+i)%len(row)]
-			dw := ex.Ranks[fl.Dst]
+			dw := ex.Members[fl.Dst].World
 			var arr float64
 			if ex.Topo.SameNode(sw, dw) {
 				intra += (m.CollInject + float64(fl.Bytes)/m.IntraBW) * f
@@ -329,18 +334,18 @@ func (bruckAlgo) Complete(ex *Exchange) []float64 {
 	total := 0
 	fmax := 1.0
 	for r := 0; r < p; r++ {
-		comp[r] = ex.Start[r]
-		if !ex.Active[r] {
+		comp[r] = ex.Members[r].Start
+		if !ex.Members[r].Active {
 			continue
 		}
 		anyActive = true
-		if s := ex.Start[r] + ex.overhead(r); s > t {
+		if s := ex.Members[r].Start + ex.overhead(r); s > t {
 			t = s
 		}
 		if f := ex.factor(r); f > fmax {
 			fmax = f
 		}
-		for _, fl := range ex.Bytes[r] {
+		for _, fl := range ex.Members[r].Flows {
 			total += fl.Bytes
 		}
 	}
@@ -353,8 +358,8 @@ func (bruckAlgo) Complete(ex *Exchange) []float64 {
 	bw, lat := m.IntraBW, m.IntraLatency
 	if ex.spansNodes() {
 		seen := make(map[int]bool, 8)
-		for _, wr := range ex.Ranks {
-			n := ex.Topo.Node(wr)
+		for _, mb := range ex.Members {
+			n := ex.Topo.Node(mb.World)
 			if seen[n] {
 				continue
 			}
@@ -379,7 +384,7 @@ func (bruckAlgo) Complete(ex *Exchange) []float64 {
 		t += (m.CollInject + lat + s/bw + 2*s/m.GPU.MemBW) * fmax
 	}
 	for r := 0; r < p; r++ {
-		if ex.Active[r] {
+		if ex.Members[r].Active {
 			comp[r] = t
 		}
 	}

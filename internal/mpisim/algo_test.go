@@ -1,9 +1,11 @@
 package mpisim
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/machine"
 )
 
@@ -27,62 +29,233 @@ func randomSendMatrix(rng *rand.Rand, size int) [][][]complex128 {
 	return data
 }
 
-// runExchange executes one AlltoallvWith (or post+wait when async) on a
-// fresh world and returns every rank's received blocks.
-func runExchange(t *testing.T, size int, seed int64, a Algo, async bool) [][][]complex128 {
-	t.Helper()
-	data := randomSendMatrix(rand.New(rand.NewSource(seed)), size)
-	got := make([][][]complex128, size)
-	w := NewWorld(machine.Summit(), size, Options{GPUAware: true})
-	res := w.Run(func(c *Comm) {
-		r := c.Rank()
-		send := make([]Buf, size)
-		for d := 0; d < size; d++ {
-			send[d] = Buf{Data: append([]complex128(nil), data[r][d]...), Loc: machine.Device}
-		}
-		var recv []Buf
-		if async {
-			recv = c.WaitColl(c.IalltoallvWith(send, a))
-		} else {
-			recv = c.AlltoallvWith(send, a)
-		}
-		rows := make([][]complex128, size)
-		for s := 0; s < size; s++ {
-			rows[s] = recv[s].Data
-		}
-		got[r] = rows
-	})
-	if res.Err != nil {
-		t.Fatalf("size=%d algo=%v: %v", size, a, res.Err)
+// exchCall is one way of invoking an all-to-all, once through the dense
+// adapter and once through the sparse entry point. Each returns what every
+// call of the sequence received; send yields a fresh send vector per call.
+type exchCall struct {
+	name   string
+	dense  func(c *Comm, send func() []Buf) [][]Buf
+	sparse func(c *Comm, send func() []Block, loc machine.Location) [][]Block
+}
+
+// exchCalls lists the three naive flavours and, per schedule, the blocking
+// call, the non-blocking call and a back-to-back non-blocking pair.
+func exchCalls() []exchCall {
+	calls := []exchCall{
+		{"alltoall",
+			func(c *Comm, send func() []Buf) [][]Buf { return [][]Buf{c.Alltoall(send())} },
+			func(c *Comm, send func() []Block, loc machine.Location) [][]Block {
+				return [][]Block{c.AlltoallSparse(send(), loc)}
+			}},
+		{"alltoallv",
+			func(c *Comm, send func() []Buf) [][]Buf { return [][]Buf{c.Alltoallv(send())} },
+			func(c *Comm, send func() []Block, loc machine.Location) [][]Block {
+				return [][]Block{c.AlltoallvSparse(send(), loc, AlgoLinear)}
+			}},
+		{"alltoallw",
+			func(c *Comm, send func() []Buf) [][]Buf { return [][]Buf{c.Alltoallw(send())} },
+			func(c *Comm, send func() []Block, loc machine.Location) [][]Block {
+				return [][]Block{c.AlltoallwSparse(send(), loc)}
+			}},
 	}
-	// Every schedule must deliver exactly the transposed matrix.
-	for r := 0; r < size; r++ {
-		for s := 0; s < size; s++ {
-			want, have := data[s][r], got[r][s]
-			if len(want) != len(have) {
-				t.Fatalf("size=%d algo=%v rank %d from %d: got %d elems, want %d",
-					size, a, r, s, len(have), len(want))
-			}
-			for i := range want {
-				if want[i] != have[i] {
-					t.Fatalf("size=%d algo=%v rank %d from %d elem %d: got %v want %v",
-						size, a, r, s, i, have[i], want[i])
+	for _, a := range Algos() {
+		a := a
+		calls = append(calls,
+			exchCall{"with/" + a.String(),
+				func(c *Comm, send func() []Buf) [][]Buf { return [][]Buf{c.AlltoallvWith(send(), a)} },
+				func(c *Comm, send func() []Block, loc machine.Location) [][]Block {
+					return [][]Block{c.AlltoallvSparse(send(), loc, a)}
+				}},
+			exchCall{"iwith/" + a.String(),
+				func(c *Comm, send func() []Buf) [][]Buf {
+					req := c.IalltoallvWith(send(), a)
+					c.Advance(3e-6)
+					return [][]Buf{c.WaitColl(req)}
+				},
+				func(c *Comm, send func() []Block, loc machine.Location) [][]Block {
+					req := c.IalltoallvSparse(send(), loc, a)
+					c.Advance(3e-6)
+					return [][]Block{c.WaitSparse(req)}
+				}},
+			exchCall{"pair/iwith/" + a.String(),
+				func(c *Comm, send func() []Buf) [][]Buf {
+					x, y := c.IalltoallvWith(send(), a), c.IalltoallvWith(send(), a)
+					c.Advance(1e-6)
+					return [][]Buf{c.WaitColl(x), c.WaitColl(y)}
+				},
+				func(c *Comm, send func() []Block, loc machine.Location) [][]Block {
+					x, y := c.IalltoallvSparse(send(), loc, a), c.IalltoallvSparse(send(), loc, a)
+					c.Advance(1e-6)
+					return [][]Block{c.WaitSparse(x), c.WaitSparse(y)}
+				}},
+		)
+	}
+	return calls
+}
+
+// exchCase is one exchange matrix (data[src][dst]) under one set of world
+// options. wantErr is the fault the world must fail with, if any.
+type exchCase struct {
+	name    string
+	data    [][][]complex128
+	opts    Options
+	wantErr error
+}
+
+// blank empties the listed (src, dst) blocks of a matrix; -1 is a wildcard.
+func blank(data [][][]complex128, pairs ...[2]int) [][][]complex128 {
+	for _, p := range pairs {
+		for s := range data {
+			for d := range data[s] {
+				if (p[0] == -1 || p[0] == s) && (p[1] == -1 || p[1] == d) {
+					data[s][d] = nil
 				}
 			}
 		}
 	}
-	return got
+	return data
 }
 
-// TestAlltoallvWithBitIdentical: every schedule routes random non-uniform
-// exchanges (empty blocks included, 1-rank edge case included) bit-identically
-// to the legacy linear path, blocking and non-blocking alike.
-func TestAlltoallvWithBitIdentical(t *testing.T) {
-	for _, size := range []int{1, 5, 12} {
-		for _, a := range Algos() {
-			for _, async := range []bool{false, true} {
-				runExchange(t, size, int64(size)*7+int64(a), a, async)
+func exchCases() []exchCase {
+	matrix := func(seed int64, size int) [][][]complex128 {
+		return randomSendMatrix(rand.New(rand.NewSource(seed)), size)
+	}
+	aware := Options{GPUAware: true}
+	// Rank 1 keeps only its self block and nobody sends to it.
+	selfOnly := blank(matrix(3, 5), [2]int{1, -1}, [2]int{-1, 1})
+	selfOnly[1][1] = []complex128{7, 8i}
+	// Rank 2's contribution is lost; only rank 4 expects bytes from it.
+	dropped := blank(matrix(4, 6), [2]int{2, -1})
+	dropped[2][2], dropped[2][4] = []complex128{1}, []complex128{2, 3}
+	return []exchCase{
+		{name: "non-uniform", data: matrix(1, 12), opts: aware},
+		{name: "non-uniform/staged", data: matrix(1, 12), opts: Options{}},
+		// Ranks 2 and 5 send nothing, rank 3 receives nothing.
+		{name: "empty-rows", data: blank(matrix(2, 7), [2]int{2, -1}, [2]int{5, -1}, [2]int{-1, 3}), opts: aware},
+		{name: "empty-rows/staged", data: blank(matrix(2, 7), [2]int{2, -1}, [2]int{5, -1}, [2]int{-1, 3}), opts: Options{}},
+		{name: "self-only", data: selfOnly, opts: aware},
+		{name: "one-rank", data: [][][]complex128{{{1, 2, 3}}}, opts: aware},
+		{name: "degrade", data: matrix(5, 12), opts: Options{GPUAware: true, Faults: &faults.Plan{Events: []faults.Event{
+			{Kind: faults.Degrade, Rank: 3, Op: 0, Factor: 2.5, Count: 2},
+			{Kind: faults.Stall, Rank: 7, Op: 0, Delay: 2e-5}}}}},
+		{name: "degrade/staged", data: matrix(5, 12), opts: Options{Faults: &faults.Plan{Events: []faults.Event{
+			{Kind: faults.Degrade, Rank: 9, Op: 0, Factor: 4, Count: 2}}}}},
+		{name: "dropped-sender", data: dropped, wantErr: ErrExchangeTimeout, opts: Options{GPUAware: true,
+			Faults: &faults.Plan{Timeout: 1, Events: []faults.Event{{Kind: faults.Drop, Rank: 2, Op: 0}}}}},
+	}
+}
+
+// exchOutcome is what one run of a case delivered: every rank's final clock,
+// the blocks each rank received per call and source, and the world's fault.
+type exchOutcome struct {
+	clocks []float64
+	recv   [][][][]complex128 // [rank][call][src]
+	err    error
+}
+
+// runExchangeCase executes call on a fresh world of the case, through the
+// dense adapter or the sparse entry point.
+func runExchangeCase(tc exchCase, call exchCall, sparse bool) exchOutcome {
+	size := len(tc.data)
+	out := exchOutcome{recv: make([][][][]complex128, size)}
+	w := NewWorld(machine.Summit(), size, tc.opts)
+	res := w.Run(func(c *Comm) {
+		row := tc.data[c.Rank()]
+		block := func(d int) Buf {
+			return Buf{Data: append([]complex128(nil), row[d]...), Loc: machine.Device}
+		}
+		var got [][][]complex128
+		if sparse {
+			recv := call.sparse(c, func() []Block {
+				var send []Block
+				for d := range row {
+					if len(row[d]) > 0 {
+						send = append(send, Block{Peer: d, Buf: block(d)})
+					}
+				}
+				return send
+			}, machine.Device)
+			for _, blocks := range recv {
+				rows := make([][]complex128, size)
+				for _, b := range blocks {
+					rows[b.Peer] = b.Buf.Data
+				}
+				got = append(got, rows)
 			}
+		} else {
+			recv := call.dense(c, func() []Buf {
+				send := make([]Buf, size)
+				for d := range send {
+					send[d] = block(d)
+				}
+				return send
+			})
+			for _, bufs := range recv {
+				rows := make([][]complex128, size)
+				for s, b := range bufs {
+					rows[s] = b.Data
+				}
+				got = append(got, rows)
+			}
+		}
+		out.recv[c.Rank()] = got
+	})
+	out.clocks, out.err = res.Clocks, res.Err
+	return out
+}
+
+// TestAlltoallvWithBitIdentical: every all-to-all flavour — the three naive
+// collectives and each schedule, blocking, non-blocking and as a back-to-back
+// non-blocking pair — routes non-uniform exchanges (empty blocks, empty rows
+// and columns, a self-only rank and the 1-rank edge case included, with and
+// without faults) to exactly the transposed matrix, and the dense adapter and
+// the sparse entry point agree on it bit for bit: the same clock on every rank
+// (==) and the same delivered blocks, element by element.
+func TestAlltoallvWithBitIdentical(t *testing.T) {
+	for _, tc := range exchCases() {
+		for _, call := range exchCalls() {
+			tc, call := tc, call
+			t.Run(tc.name+"/"+call.name, func(t *testing.T) {
+				dense, sparse := runExchangeCase(tc, call, false), runExchangeCase(tc, call, true)
+				if tc.wantErr != nil {
+					if !errors.Is(dense.err, tc.wantErr) || !errors.Is(sparse.err, tc.wantErr) {
+						t.Fatalf("dense err = %v, sparse err = %v, want %v from both", dense.err, sparse.err, tc.wantErr)
+					}
+					// The only rank expecting bytes from the lost sender raises.
+					if dense.err.Error() != sparse.err.Error() {
+						t.Errorf("dense failed with %q, sparse with %q", dense.err, sparse.err)
+					}
+					return
+				}
+				if dense.err != nil || sparse.err != nil {
+					t.Fatalf("dense err = %v, sparse err = %v", dense.err, sparse.err)
+				}
+				for r := range dense.clocks {
+					if dense.clocks[r] != sparse.clocks[r] {
+						t.Errorf("rank %d: dense clock %v != sparse clock %v", r, dense.clocks[r], sparse.clocks[r])
+					}
+				}
+				for _, o := range []struct {
+					name string
+					out  exchOutcome
+				}{{"dense", dense}, {"sparse", sparse}} {
+					for r, calls := range o.out.recv {
+						for ci, rows := range calls {
+							for s, have := range rows {
+								want := tc.data[s][r]
+								if len(have) != len(want) {
+									t.Fatalf("%s: rank %d call %d from %d: got %d elems, want %d", o.name, r, ci, s, len(have), len(want))
+								}
+								for i := range want {
+									if have[i] != want[i] {
+										t.Fatalf("%s: rank %d call %d from %d elem %d: got %v want %v", o.name, r, ci, s, i, have[i], want[i])
+									}
+								}
+							}
+						}
+					}
+				}
+			})
 		}
 	}
 }

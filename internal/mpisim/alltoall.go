@@ -36,6 +36,10 @@ import (
 // (in a send list) or delivered from (in a receive list) comm rank Peer. A
 // list names each peer at most once, in ascending rank order; the self block
 // is listed like any other. Peers a list does not name exchange nothing.
+//
+// The sparse entry points take ownership of the send list they are handed,
+// as the transport does of a Move payload: the list itself is what the rank
+// deposits at the rendezvous, and the caller must not touch it again.
 type Block struct {
 	Peer int
 	Buf  Buf
@@ -98,18 +102,6 @@ func schedulePricer(a Algo) pricer {
 	return pricer{naive: kindAlltoallv}
 }
 
-// columnBytes sums every rank's received bytes (self block included) in one
-// pass over the blocks that exist — the column totals of the exchange matrix.
-func columnBytes(ins []collIn) []int {
-	recv := make([]int, len(ins))
-	for _, in := range ins {
-		for _, b := range in.blocks {
-			recv[b.Peer] += b.Buf.Bytes()
-		}
-	}
-	return recv
-}
-
 // stagingCost is the bulk PCIe staging of a non-GPU-aware exchange of device
 // buffers: heFFTe's -no-gpu-aware path copies the whole packed buffer to the
 // host once, calls the host collective, and copies the result back.
@@ -131,14 +123,17 @@ func priceNaive(c *Comm, ins []collIn, outs []collOut, kind naiveKind) {
 	w := c.core.world
 	m := w.model
 	t0 := maxClock(ins)
-	recvBytes := columnBytes(ins)
+	// One pass over the blocks that exist: every rank's received bytes (the
+	// column totals of the exchange matrix, self block included) and the
+	// largest block, which the padded flavour charges for every pair.
+	recvBytes := make([]int, len(ins))
 	pad := 0
-	if kind == kindAlltoall {
-		for _, in := range ins {
-			for _, b := range in.blocks {
-				if by := b.Buf.Bytes(); by > pad {
-					pad = by
-				}
+	for _, in := range ins {
+		for _, b := range in.blocks {
+			by := b.Buf.Bytes()
+			recvBytes[b.Peer] += by
+			if by > pad {
+				pad = by
 			}
 		}
 	}
@@ -219,63 +214,53 @@ func priceScheduled(c *Comm, ins []collIn, outs []collOut, impl CollectiveAlgo) 
 	if impl.Synchronized() {
 		t0 = maxClock(ins)
 	}
-	ex := &Exchange{
-		Size:   size,
-		Bytes:  make([][]Flow, size),
-		Dev:    make([]bool, size),
-		Factor: make([]float64, size),
-		Start:  make([]float64, size),
-		Ranks:  c.core.worldRanks,
-		Nodes:  w.nodes,
-		Topo:   w.topo,
-		M:      m,
-		Active: make([]bool, size),
-	}
+	ex := &Exchange{Size: size, Members: make([]Member, size), Nodes: w.nodes, Topo: w.topo, M: m}
 	nnz := 0
 	for r := range ins {
 		nnz += len(ins[r].blocks)
 	}
-	// One pass over the blocks that exist builds the sparse rows (one backing
-	// array, ascending destination within a row) and every rank's send, receive
-	// and self totals.
+	// One pass over the blocks that exist builds the members' sparse rows (one
+	// backing array, ascending destination within a row) and every rank's
+	// send, receive and self totals.
 	flows := make([]Flow, 0, nnz)
-	sendBytes, recvBytes, self := make([]int, size), make([]int, size), make([]int, size)
 	for r := range ins {
-		row := flows[len(flows):len(flows):cap(flows)]
+		mb := &ex.Members[r]
+		first := len(flows)
 		for _, b := range ins[r].blocks {
 			by := b.Buf.Bytes()
-			sendBytes[r] += by
-			recvBytes[b.Peer] += by
+			mb.send += by
+			ex.Members[b.Peer].recv += by
 			switch {
 			case b.Peer == r:
-				self[r] = by
+				mb.self = by
 			case by > 0:
-				row = append(row, Flow{Dst: b.Peer, Bytes: by})
-				ex.Active[r], ex.Active[b.Peer] = true, true
+				flows = append(flows, Flow{Dst: b.Peer, Bytes: by})
+				mb.Active, ex.Members[b.Peer].Active = true, true
 			}
 		}
-		ex.Bytes[r] = row[:len(row):len(row)]
-		flows = flows[:len(flows)+len(row)]
+		mb.Flows = flows[first:len(flows):len(flows)]
 	}
 	for r := range ins {
-		ex.Factor[r] = ins[r].factor
+		mb := &ex.Members[r]
+		mb.World = c.WorldRank(r)
+		mb.Factor = ins[r].factor
 		dev := ins[r].dev
 		stage := 0.0
 		staged := dev && !w.opts.GPUAware
 		if staged {
-			stage = stagingCost(m, sendBytes[r], recvBytes[r])
+			stage = stagingCost(m, mb.send, mb.recv)
 		}
-		ex.Dev[r] = dev && !staged
+		mb.Dev = dev && !staged
 		// Staging copies ride PCIe, not the NIC: they start at local
 		// arrival and overlap whatever transfer still occupies the
 		// injection port — which is how a chunked pipeline hides the
 		// host↔device hops of chunk k+1 under the wire time of chunk k.
-		ex.Start[r] = math.Max(math.Max(t0, ins[r].clock+stage), ins[r].port)
+		mb.Start = math.Max(math.Max(t0, ins[r].clock+stage), ins[r].port)
 	}
 	comp := impl.Complete(ex)
 	for r := range ins {
 		t := comp[r]
-		if by := self[r]; by > 0 {
+		if by := ex.Members[r].self; by > 0 {
 			t += float64(by) * 2 / m.GPU.MemBW * ex.factor(r)
 		}
 		outs[r].clock, outs[r].port = t, comp[r]
@@ -336,9 +321,11 @@ func transpose(ins []collIn, outs []collOut) {
 
 // postAlltoall runs the one all-to-all rendezvous over sparse exchange
 // vectors; loc is where the rank's send buffer lives (it decides staging and
-// the overhead class even for a rank that sends nothing). Prologue: fault
-// entry (stalls, kills), the send-side envelope charge, defensive clones
-// tagged with the rank's fault effects, and the injection-port snapshot.
+// the overhead class even for a rank that sends nothing). The send list is
+// consumed: it becomes the rank's deposit, its payloads cloned and tagged in
+// place. Prologue: fault entry (stalls, kills), the send-side envelope charge,
+// defensive clones tagged with the rank's fault effects, and the
+// injection-port snapshot.
 // Rendezvous: the last arrival prices the exchange with p, transposes the send
 // lists into per-rank receive lists, and pushes the completion of every rank
 // expecting a block from a lost sender to +Inf. Epilogue: the port adopts the
@@ -360,24 +347,25 @@ func (c *Comm) postAlltoall(send []Block, loc machine.Location, p pricer, op str
 		// name them all so each one carries the tag.
 		send = everyPeer(send, size, loc)
 	}
-	in := collIn{clock: st.clock, port: st.portFreeAt, blocks: make([]Block, len(send)), dev: loc == machine.Device, lost: eff.Drop}
+	in := collIn{clock: st.clock, port: st.portFreeAt, blocks: send, dev: loc == machine.Device, lost: eff.Drop}
 	if eff.Factor > 1 {
 		in.factor = eff.Factor
 	}
 	total := 0
-	for i, b := range send {
+	for i := range send {
+		b := &send[i]
 		total += b.Buf.Bytes()
 		b.Buf = b.Buf.clone()
-		if b.Peer != c.rank {
-			if eff.Corrupt {
-				b.Buf.Corrupt = true
-			}
-			if eff.Silent > 0 {
-				b.Buf.silent = eff.Silent
-				b.Buf.flipSeed = mixSeed(eff.SilentSeed, b.Peer)
-			}
+		if b.Peer == c.rank {
+			continue
 		}
-		in.blocks[i] = b
+		if eff.Corrupt {
+			b.Buf.Corrupt = true
+		}
+		if eff.Silent > 0 {
+			b.Buf.silent = eff.Silent
+			b.Buf.flipSeed = mixSeed(eff.SilentSeed, b.Peer)
+		}
 	}
 	out := c.core.rv.exchange(c.core.world, c.rank, in, func(ins []collIn) []collOut {
 		outs := make([]collOut, size)

@@ -59,17 +59,21 @@ func (c *Comm) AlltoallwSub(local []complex128, sendTypes []Subarray,
 	// Gather each destination's region. The datatype engine walks the
 	// strides on the host; no GPU pack kernels are charged (Algorithm 2's
 	// advantage), the cost lives in the per-message AlltoallwOverhead.
-	send := make([]Buf, size)
+	var send []Block
 	for d, st := range sendTypes {
-		if local == nil {
-			send[d] = Buf{N: st.Elems(), Loc: loc}
+		n := st.Elems()
+		if n == 0 {
 			continue
 		}
-		data := make([]complex128, st.Elems())
+		if local == nil {
+			send = append(send, Block{Peer: d, Buf: Buf{N: n, Loc: loc}})
+			continue
+		}
+		data := make([]complex128, n)
 		tensor.Pack(local, st.Full, st.Sub, data)
-		send[d] = Buf{Data: data, Loc: loc}
+		send = append(send, Block{Peer: d, Buf: Buf{Data: data, Loc: loc}})
 	}
-	recv := c.Alltoallw(send)
+	recv := c.AlltoallwSparse(send, loc)
 	if recvArray == nil {
 		return nil
 	}
@@ -77,7 +81,13 @@ func (c *Comm) AlltoallwSub(local []complex128, sendTypes []Subarray,
 		if rt.Elems() == 0 {
 			continue
 		}
-		got := recv[s]
+		for len(recv) > 0 && recv[0].Peer < s {
+			recv = recv[1:]
+		}
+		var got Buf
+		if len(recv) > 0 && recv[0].Peer == s {
+			got = recv[0].Buf
+		}
 		if got.Elems() != rt.Elems() {
 			return fmt.Errorf("mpisim: AlltoallwSub rank %d sent %d elems, datatype expects %d",
 				s, got.Elems(), rt.Elems())

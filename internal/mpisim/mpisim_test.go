@@ -574,3 +574,31 @@ func TestResultMaxClock(t *testing.T) {
 		t.Errorf("MaxClock = %g", res.MaxClock)
 	}
 }
+
+// TestRendezvousReleasesRound: once the last member of a collective has left
+// with its output, the rendezvous must hold neither the round's inputs nor its
+// outputs — they reference every delivered payload, and the communicator's
+// next collective, which used to be what overwrote them, may never come.
+func TestRendezvousReleasesRound(t *testing.T) {
+	const n = 4
+	w := NewWorld(machine.Summit(), n, Options{GPUAware: true})
+	var rv *rendezvous
+	res := w.Run(func(c *Comm) {
+		send := make([]Buf, n)
+		for d := range send {
+			send[d] = hostBuf(complex(float64(c.Rank()), float64(d)))
+		}
+		c.Alltoallv(send)
+		if c.Rank() == 0 {
+			rv = c.core.rv
+		}
+	})
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	rv.mu.Lock()
+	defer rv.mu.Unlock()
+	if rv.inputs != nil || rv.outputs != nil {
+		t.Errorf("rendezvous still holds the finished round: %d inputs, %d outputs", len(rv.inputs), len(rv.outputs))
+	}
+}

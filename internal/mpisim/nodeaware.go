@@ -42,7 +42,7 @@ func (nodeAwareAlgo) Complete(ex *Exchange) []float64 {
 	p := ex.Size
 	comp := make([]float64, p)
 	for r := 0; r < p; r++ {
-		comp[r] = ex.Start[r]
+		comp[r] = ex.Members[r].Start
 	}
 	if p == 1 {
 		return comp
@@ -54,7 +54,7 @@ func (nodeAwareAlgo) Complete(ex *Exchange) []float64 {
 	var worldNode []int
 	seen := map[int]int{}
 	for r := 0; r < p; r++ {
-		wn := ex.Topo.Node(ex.Ranks[r])
+		wn := ex.Topo.Node(ex.Members[r].World)
 		id, ok := seen[wn]
 		if !ok {
 			id = len(groups)
@@ -111,10 +111,10 @@ func (nodeAwareAlgo) Complete(ex *Exchange) []float64 {
 			if f := ex.factor(r); f > fnode {
 				fnode = f
 			}
-			if !ex.Active[r] {
+			if !ex.Members[r].Active {
 				continue
 			}
-			if s := ex.Start[r] + ex.overhead(r); s > startN {
+			if s := ex.Members[r].Start + ex.overhead(r); s > startN {
 				startN = s
 			}
 		}
@@ -129,7 +129,7 @@ func (nodeAwareAlgo) Complete(ex *Exchange) []float64 {
 		rounds, receivers = rounds[:0], receivers[:0]
 		for _, r := range groups[a] {
 			upNodes = upNodes[:0]
-			for _, f := range ex.Bytes[r] {
+			for _, f := range ex.Members[r].Flows {
 				b := nodeID[f.Dst]
 				if b == a {
 					continue
@@ -162,7 +162,7 @@ func (nodeAwareAlgo) Complete(ex *Exchange) []float64 {
 				gathered += up[b]
 				up[b] = 0
 			}
-			if !ex.Active[r] {
+			if !ex.Members[r].Active {
 				continue
 			}
 			// Sender-side egress and direct intra-node traffic. A non-leader's
@@ -170,11 +170,11 @@ func (nodeAwareAlgo) Complete(ex *Exchange) []float64 {
 			// intra-node blocks directly to their destinations; leaders stream
 			// intra-node blocks from the start (their NIC activity rides a
 			// separate port).
-			eg := ex.Start[r] + ex.overhead(r)
+			eg := ex.Members[r].Start + ex.overhead(r)
 			if gathered > 0 {
 				eg += (float64(len(upNodes))*m.CollInject + float64(gathered)/m.IntraBW) * ex.factor(r)
 			}
-			for _, f := range ex.Bytes[r] {
+			for _, f := range ex.Members[r].Flows {
 				if nodeID[f.Dst] != a {
 					continue
 				}
@@ -222,7 +222,7 @@ func (nodeAwareAlgo) Complete(ex *Exchange) []float64 {
 			agg[b], slice[b] = 0, 0
 		}
 		// The leader finishes no earlier than its last send round drained.
-		if ex.Active[leader] && wire > comp[leader] {
+		if ex.Members[leader].Active && wire > comp[leader] {
 			comp[leader] = wire
 		}
 
