@@ -190,9 +190,40 @@ func pickAlgo(g *mpisim.Comm, st exchStats, eb, batch int) mpisim.Algo {
 	return mpisim.AlgoLinear
 }
 
+// frozen is one row of a reshape's resolve table: the (schedule, chunk count,
+// overlap) the phase runs with at one on-wire element size and batch width.
+type frozen struct {
+	web, batch int
+	algo       mpisim.Algo
+	chunks     int
+	overlap    bool
+}
+
+// resolved answers how this phase runs at the given on-wire element size and
+// batch width from the reshape's table, resolving on first use. The answer is
+// a function of the plan (options, group, exchange statistics, machine) and of
+// nothing a call can change, so it is decided once — the MPI_Alltoallv_init
+// of a persistent collective — and every later exchange, per-entry post and
+// CommPhases reads the row. The table grows by one row per distinct width the
+// plan is executed at (batch width is only known at execution, and a serving
+// engine alternates between a handful). Rank-local like the plan itself; only
+// called for ranks inside the group.
+func (rs *reshapePlan) resolved(opts Options, web, batch int) frozen {
+	for _, f := range rs.table {
+		if f.web == web && f.batch == batch {
+			return f
+		}
+	}
+	f := frozen{web: web, batch: batch}
+	f.algo, f.chunks, f.overlap = rs.resolve(opts, web, batch)
+	rs.table = append(rs.table, f)
+	return f
+}
+
 // resolve turns the plan's CommConfig into the concrete (schedule, chunk
 // count, overlap) this phase runs with, given the element size and batch
-// width of the execution. Only called for ranks inside the group.
+// width of the execution. Execution reaches it only through the reshape's
+// table (resolved).
 func (rs *reshapePlan) resolve(opts Options, eb, batch int) (mpisim.Algo, int, bool) {
 	cc := opts.Comm
 	st := rs.stats
@@ -276,8 +307,9 @@ type CommPhase struct {
 }
 
 // CommPhases reports the resolved per-phase communication configuration for
-// a single-field complex transform. Phases this rank does not participate
-// in report GroupSize 0.
+// a single-field complex transform — the width-1 row of every reshape's
+// resolve table. Phases this rank does not participate in report GroupSize 0.
+// Like execution, call it from the goroutine that runs the plan.
 func (p *Plan) CommPhases() []CommPhase {
 	var out []CommPhase
 	for _, st := range p.stages {
@@ -295,13 +327,13 @@ func (p *Plan) CommPhases() []CommPhase {
 			cp.Checksummed = rs.group.Integrity().Enabled()
 			cp.Wire = rs.wireOf(p.opts)
 			if p.opts.Backend == BackendAlltoallv {
-				algo, chunks, overlap := rs.resolve(p.opts, WireElemSize(cp.Wire, 16), 1)
-				cp.Algo = collAlgoOf(algo)
-				cp.Chunks = chunks
-				cp.Overlap = overlap
+				f := rs.resolved(p.opts, WireElemSize(cp.Wire, 16), 1)
+				cp.Algo = collAlgoOf(f.algo)
+				cp.Chunks = f.chunks
+				cp.Overlap = f.overlap
 				// Flat groups degenerate to single-level streaming even when
 				// the node-aware schedule is forced.
-				if algo == mpisim.AlgoNodeAware && rs.stats.nodes > 1 {
+				if f.algo == mpisim.AlgoNodeAware && rs.stats.nodes > 1 {
 					cp.Schedule = fmt.Sprintf("2-level(%d nodes × ≤%d ranks)", rs.stats.nodes, rs.stats.maxPerNode)
 				}
 			}

@@ -144,3 +144,77 @@ func TestCommPhasesAutoResolves(t *testing.T) {
 		t.Fatal(res.Err)
 	}
 }
+
+// TestResolveTableFrozen: a reshape decides its schedule once per (on-wire
+// element size, batch width) and reads the decision afterwards. A 96-rank
+// Table III phantom plan executed at widths 1, 4, 1, 4 ends up with exactly
+// two rows per Alltoallv reshape — both there after the second call, none
+// added by the repeats — each equal to a fresh resolve of the same arguments,
+// and CommPhases reports the width-1 row without adding one.
+func TestResolveTableFrozen(t *testing.T) {
+	const ranks = 96
+	cfg := tableIIIPlan(ranks, DecompPencils)
+	w := mpisim.NewWorld(machine.Summit(), ranks, mpisim.Options{GPUAware: true})
+	res := w.Run(func(c *mpisim.Comm) {
+		p, err := NewPlan(c, cfg)
+		if err != nil {
+			c.Fail(err)
+		}
+		var reshapes []*reshapePlan
+		for _, st := range p.stages {
+			if st.kind == stageReshape && st.rs.group != nil {
+				reshapes = append(reshapes, st.rs)
+			}
+		}
+		if len(reshapes) == 0 {
+			t.Errorf("rank %d takes part in no reshape", c.Rank())
+		}
+		for call, width := range []int{1, 4, 1, 4} {
+			fs := make([]*Field, width)
+			for i := range fs {
+				fs[i] = NewPhantom(p.InBox())
+			}
+			if err := p.ForwardBatch(fs); err != nil {
+				c.Fail(err)
+			}
+			want := 2
+			if call == 0 {
+				want = 1
+			}
+			for _, rs := range reshapes {
+				if len(rs.table) != want {
+					t.Errorf("rank %d reshape %s: %d rows after call %d (width %d), want %d",
+						c.Rank(), rs.label, len(rs.table), call, width, want)
+				}
+			}
+		}
+		phases := map[string]CommPhase{}
+		for _, cp := range p.CommPhases() {
+			phases[cp.Label] = cp
+		}
+		for _, rs := range reshapes {
+			for _, f := range rs.table {
+				algo, chunks, overlap := rs.resolve(p.opts, f.web, f.batch)
+				if f.algo != algo || f.chunks != chunks || f.overlap != overlap {
+					t.Errorf("rank %d reshape %s: row %+v, fresh resolve gives (%v, %d, %v)",
+						c.Rank(), rs.label, f, algo, chunks, overlap)
+				}
+			}
+			if len(rs.table) != 2 {
+				t.Errorf("rank %d reshape %s: CommPhases grew the table to %d rows", c.Rank(), rs.label, len(rs.table))
+				continue
+			}
+			one, cp := rs.table[0], phases[rs.label]
+			if one.batch != 1 || one.web != 16 {
+				t.Errorf("rank %d reshape %s: first row is %+v, want the width-1 fp64 row", c.Rank(), rs.label, one)
+			}
+			if cp.Algo != collAlgoOf(one.algo) || cp.Chunks != one.chunks || cp.Overlap != one.overlap {
+				t.Errorf("rank %d reshape %s: CommPhases reports (%v, %d, %v), width-1 row is %+v",
+					c.Rank(), rs.label, cp.Algo, cp.Chunks, cp.Overlap, one)
+			}
+		}
+	})
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+}

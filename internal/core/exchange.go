@@ -56,11 +56,12 @@ type posted struct {
 	sreqs  []*mpisim.Request   // P2P: non-blocking sends to complete
 }
 
-// newExchange resolves how this reshape runs for the batch: wire precision,
-// and for the Alltoallv backend the schedule and chunking. Algorithm selection
-// and chunking see the on-wire element size: a compressed exchange sits at a
-// different point of the (bytes, latency) regime map than its full-precision
-// twin. async (per-entry non-blocking exchanges) always runs one chunk.
+// newExchange arms this reshape for the batch: wire precision, and for the
+// Alltoallv backend the schedule and chunking, read from the reshape's resolve
+// table. Algorithm selection and chunking see the on-wire element size: a
+// compressed exchange sits at a different point of the (bytes, latency) regime
+// map than its full-precision twin. async (per-entry non-blocking exchanges)
+// always runs one chunk.
 func newExchange[T any](e *engine, rs *reshapePlan, datas [][]T, phantom, recycleIn, async bool) exchange[T] {
 	x := exchange[T]{rs: rs, e: e, datas: datas, phantom: phantom, recycleIn: recycleIn, chunks: 1}
 	if rs.group == nil {
@@ -70,7 +71,8 @@ func newExchange[T any](e *engine, rs *reshapePlan, datas [][]T, phantom, recycl
 	x.eb = elemBytes[T]()
 	x.web = WireElemSize(x.wire, x.eb)
 	if e.opts.Backend == BackendAlltoallv {
-		x.algo, x.chunks, x.overlap = rs.resolve(e.opts, x.web, len(datas))
+		f := rs.resolved(e.opts, x.web, len(datas))
+		x.algo, x.chunks, x.overlap = f.algo, f.chunks, f.overlap
 		if async {
 			x.chunks, x.overlap = 1, false
 		}

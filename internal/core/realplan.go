@@ -222,7 +222,9 @@ func (p *RealPlan) InverseBatch(fields []*Field) ([]*RealField, error) {
 // The group is the same; the box roles flip, so the send and receive sides of
 // the shared overlap table trade places. The interior flag carries over: a
 // reshape between compute stages stays between compute stages in the reversed
-// pipeline.
+// pipeline. The exchange statistics do not (they never have: a reversed phase
+// resolves to the configured schedule, unchunked), so the copy fills a resolve
+// table of its own instead of sharing the forward one.
 func reverseReshape(rs *reshapePlan) *reshapePlan {
 	return &reshapePlan{
 		label: rs.label + "-rev", tag: rs.tag + 50,

@@ -42,8 +42,10 @@ type reshapePlan struct {
 	selfSend, selfRecv   int
 
 	// stats is the group-global exchange shape driving collective-algorithm
-	// selection and chunking (see comm.go).
+	// selection and chunking (see comm.go); table holds what they resolved to,
+	// one row per (on-wire element size, batch width) the plan has run at.
 	stats exchStats
+	table []frozen
 }
 
 // reshapeTable is the once-per-world analysis of a reshape between two
