@@ -52,7 +52,8 @@ type exchange[T any] struct {
 // posted is one chunk's exchange after the post step.
 type posted struct {
 	req    *mpisim.CollRequest // non-blocking collective still in flight
-	blocks []mpisim.Block      // blocking collective: received blocks; P2P: the packed blocks
+	recv   []mpisim.Delivery   // blocking collective: the received blocks
+	blocks []mpisim.Block      // P2P: the packed blocks
 	sreqs  []*mpisim.Request   // P2P: non-blocking sends to complete
 }
 
@@ -249,11 +250,11 @@ func (x *exchange[T]) post(blocks []mpisim.Block, async bool) posted {
 		if async {
 			return posted{req: g.IalltoallvSparse(blocks, loc, x.algo)}
 		}
-		return posted{blocks: g.AlltoallvSparse(blocks, loc, x.algo)}
+		return posted{recv: g.AlltoallvSparse(blocks, loc, x.algo)}
 	case BackendAlltoall:
-		return posted{blocks: g.AlltoallSparse(blocks, loc)}
+		return posted{recv: g.AlltoallSparse(blocks, loc)}
 	case BackendAlltoallw:
-		return posted{blocks: g.AlltoallwSparse(blocks, loc)}
+		return posted{recv: g.AlltoallwSparse(blocks, loc)}
 	}
 	// Point-to-Point (Table I): stream the sends, MPI_Isend or blocking
 	// MPI_Send. The P2P transports never chunk, so every peer has a block:
@@ -289,18 +290,19 @@ func (x *exchange[T]) unpack(ci int, h posted) {
 	// received element count accumulates as the blocks land.
 	elems := 0
 	if opts.Backend.Collective() {
-		recv := h.blocks
+		recv := h.recv
 		if h.req != nil {
 			recv = g.WaitSparse(h.req)
 		}
 		// Both lists ascend by source, and a source sends a block exactly when
 		// its chunk of the pair box is non-empty — walk them together. (A
-		// faulty sender's zero-size blocks are passed over.)
+		// faulty sender's zero-size blocks are passed over.) The blocks are
+		// read where their senders deposited them.
 		for k, gi := range rs.recvPeers {
 			for len(recv) > 0 && recv[0].Peer < gi {
 				recv = recv[1:]
 			}
-			var buf mpisim.Buf
+			var buf *mpisim.Buf
 			if len(recv) > 0 && recv[0].Peer == gi {
 				buf = recv[0].Buf
 			}
@@ -308,12 +310,12 @@ func (x *exchange[T]) unpack(ci int, h posted) {
 		}
 	} else {
 		if rs.selfSend >= 0 {
-			elems = x.unpackBlock(ci, rs.selfRecv, h.blocks[rs.selfSend].Buf)
+			elems = x.unpackBlock(ci, rs.selfRecv, &h.blocks[rs.selfSend].Buf)
 			dev.Unpack(x.web*elems, opts.Contiguous)
 		}
 		for range x.rreqs {
 			i, buf := g.Waitany(x.rreqs)
-			elems += x.unpackBlock(ci, x.rsrcs[i], buf)
+			elems += x.unpackBlock(ci, x.rsrcs[i], &buf)
 			dev.Unpack(buf.Bytes(), opts.Contiguous)
 		}
 		if len(h.sreqs) > 0 {
@@ -338,8 +340,9 @@ func (x *exchange[T]) unpack(ci int, h posted) {
 // unpackBlock scatters the received block of chunk ci of pair box rs.recvs[k]
 // into the new arrays — verifying its ABFT envelope sum first when one is
 // attached — returns the buffer to the staging pool, and reports the elements
-// received.
-func (x *exchange[T]) unpackBlock(ci, k int, buf mpisim.Buf) int {
+// received. buf is nil when nothing arrived for the pair (phantom batches and
+// empty chunks never look at it).
+func (x *exchange[T]) unpackBlock(ci, k int, buf *mpisim.Buf) int {
 	cb := chunkBox(x.rs.recvs[k], ci, x.chunks)
 	vol := cb.Volume()
 	if vol == 0 || x.out == nil {

@@ -166,7 +166,7 @@ func envelopeSum[T any](b *mpisim.Buf, data []T) {
 // (named by what) fails with ErrIntegrity — the block cannot be repaired
 // locally and a reshape cannot be re-executed from retained input the way a
 // compute phase can.
-func verifyEnvelope[T any](g *mpisim.Comm, gi int, b mpisim.Buf, what string) {
+func verifyEnvelope[T any](g *mpisim.Comm, gi int, b *mpisim.Buf, what string) {
 	if !b.Summed {
 		return
 	}

@@ -267,7 +267,7 @@ func mkBuf[T any](data []T, phantomElems int, wire WirePrecision) mpisim.Buf {
 }
 
 // bufSlice extracts the typed payload of a received buffer.
-func bufSlice[T any](b mpisim.Buf) []T {
+func bufSlice[T any](b *mpisim.Buf) []T {
 	var zero T
 	switch any(zero).(type) {
 	case complex128:
@@ -302,7 +302,7 @@ func recycleDatas[T any](datas [][]T, recycle bool) {
 
 // recycleRecv returns a received payload to the staging pool. Only buffers
 // shipped with Move are plan-owned; anything else is left untouched.
-func recycleRecv[T any](b mpisim.Buf) {
+func recycleRecv[T any](b *mpisim.Buf) {
 	if b.Move && (b.Data != nil || b.Real != nil) {
 		putBuf(bufSlice[T](b))
 	}

@@ -284,8 +284,8 @@ func (p *Plan) recoveryReshape(snap *ckptSnapshot, cut int, dist []tensor.Box3, 
 
 	// Unpack arrivals in the mirrored deterministic order.
 	recvBytes := 0
-	for _, blk := range recv {
-		s, buf := blk.Peer, blk.Buf
+	for _, d := range recv {
+		s, buf := d.Peer, d.Buf
 		off := 0
 		for o := 0; o < snap.ranks; o++ {
 			if src[o] != s {

@@ -35,7 +35,7 @@ func randomSendMatrix(rng *rand.Rand, size int) [][][]complex128 {
 type exchCall struct {
 	name   string
 	dense  func(c *Comm, send func() []Buf) [][]Buf
-	sparse func(c *Comm, send func() []Block, loc machine.Location) [][]Block
+	sparse func(c *Comm, send func() []Block, loc machine.Location) [][]Delivery
 }
 
 // exchCalls lists the three naive flavours and, per schedule, the blocking
@@ -44,18 +44,18 @@ func exchCalls() []exchCall {
 	calls := []exchCall{
 		{"alltoall",
 			func(c *Comm, send func() []Buf) [][]Buf { return [][]Buf{c.Alltoall(send())} },
-			func(c *Comm, send func() []Block, loc machine.Location) [][]Block {
-				return [][]Block{c.AlltoallSparse(send(), loc)}
+			func(c *Comm, send func() []Block, loc machine.Location) [][]Delivery {
+				return [][]Delivery{c.AlltoallSparse(send(), loc)}
 			}},
 		{"alltoallv",
 			func(c *Comm, send func() []Buf) [][]Buf { return [][]Buf{c.Alltoallv(send())} },
-			func(c *Comm, send func() []Block, loc machine.Location) [][]Block {
-				return [][]Block{c.AlltoallvSparse(send(), loc, AlgoLinear)}
+			func(c *Comm, send func() []Block, loc machine.Location) [][]Delivery {
+				return [][]Delivery{c.AlltoallvSparse(send(), loc, AlgoLinear)}
 			}},
 		{"alltoallw",
 			func(c *Comm, send func() []Buf) [][]Buf { return [][]Buf{c.Alltoallw(send())} },
-			func(c *Comm, send func() []Block, loc machine.Location) [][]Block {
-				return [][]Block{c.AlltoallwSparse(send(), loc)}
+			func(c *Comm, send func() []Block, loc machine.Location) [][]Delivery {
+				return [][]Delivery{c.AlltoallwSparse(send(), loc)}
 			}},
 	}
 	for _, a := range Algos() {
@@ -63,8 +63,8 @@ func exchCalls() []exchCall {
 		calls = append(calls,
 			exchCall{"with/" + a.String(),
 				func(c *Comm, send func() []Buf) [][]Buf { return [][]Buf{c.AlltoallvWith(send(), a)} },
-				func(c *Comm, send func() []Block, loc machine.Location) [][]Block {
-					return [][]Block{c.AlltoallvSparse(send(), loc, a)}
+				func(c *Comm, send func() []Block, loc machine.Location) [][]Delivery {
+					return [][]Delivery{c.AlltoallvSparse(send(), loc, a)}
 				}},
 			exchCall{"iwith/" + a.String(),
 				func(c *Comm, send func() []Buf) [][]Buf {
@@ -72,10 +72,10 @@ func exchCalls() []exchCall {
 					c.Advance(3e-6)
 					return [][]Buf{c.WaitColl(req)}
 				},
-				func(c *Comm, send func() []Block, loc machine.Location) [][]Block {
+				func(c *Comm, send func() []Block, loc machine.Location) [][]Delivery {
 					req := c.IalltoallvSparse(send(), loc, a)
 					c.Advance(3e-6)
-					return [][]Block{c.WaitSparse(req)}
+					return [][]Delivery{c.WaitSparse(req)}
 				}},
 			exchCall{"pair/iwith/" + a.String(),
 				func(c *Comm, send func() []Buf) [][]Buf {
@@ -83,10 +83,10 @@ func exchCalls() []exchCall {
 					c.Advance(1e-6)
 					return [][]Buf{c.WaitColl(x), c.WaitColl(y)}
 				},
-				func(c *Comm, send func() []Block, loc machine.Location) [][]Block {
+				func(c *Comm, send func() []Block, loc machine.Location) [][]Delivery {
 					x, y := c.IalltoallvSparse(send(), loc, a), c.IalltoallvSparse(send(), loc, a)
 					c.Advance(1e-6)
-					return [][]Block{c.WaitSparse(x), c.WaitSparse(y)}
+					return [][]Delivery{c.WaitSparse(x), c.WaitSparse(y)}
 				}},
 		)
 	}
@@ -100,6 +100,19 @@ type exchCase struct {
 	data    [][][]complex128
 	opts    Options
 	wantErr error
+}
+
+// silentSender is the rank whose first call's transmissions are silently
+// corrupted (-1: nobody's).
+func (tc exchCase) silentSender() int {
+	if tc.opts.Faults != nil {
+		for _, e := range tc.opts.Faults.Events {
+			if e.Kind == faults.CorruptSilent {
+				return e.Rank
+			}
+		}
+	}
+	return -1
 }
 
 // blank empties the listed (src, dst) blocks of a matrix; -1 is a wildcard.
@@ -127,6 +140,7 @@ func exchCases() []exchCase {
 	// Rank 2's contribution is lost; only rank 4 expects bytes from it.
 	dropped := blank(matrix(4, 6), [2]int{2, -1})
 	dropped[2][2], dropped[2][4] = []complex128{1}, []complex128{2, 3}
+	silent := &faults.Plan{Events: []faults.Event{{Kind: faults.CorruptSilent, Rank: 2, Op: 0, Count: 1}}}
 	return []exchCase{
 		{name: "non-uniform", data: matrix(1, 12), opts: aware},
 		{name: "non-uniform/staged", data: matrix(1, 12), opts: Options{}},
@@ -142,22 +156,33 @@ func exchCases() []exchCase {
 			{Kind: faults.Degrade, Rank: 9, Op: 0, Factor: 4, Count: 2}}}}},
 		{name: "dropped-sender", data: dropped, wantErr: ErrExchangeTimeout, opts: Options{GPUAware: true,
 			Faults: &faults.Plan{Timeout: 1, Events: []faults.Event{{Kind: faults.Drop, Rank: 2, Op: 0}}}}},
+		// Rank 2's transmissions are silently corrupted. Under checksums each
+		// receiver repairs its own block in place in rank 2's deposit; without
+		// them the flip lands there. Either way nobody else's block changes.
+		{name: "silent-repair", data: matrix(6, 8), opts: Options{GPUAware: true, Faults: silent,
+			Integrity: IntegrityConfig{Checksums: true}}},
+		{name: "silent-flip", data: matrix(6, 8), opts: Options{GPUAware: true, Faults: silent}},
 	}
 }
 
 // exchOutcome is what one run of a case delivered: every rank's final clock,
-// the blocks each rank received per call and source, and the world's fault.
+// the blocks each rank received per call and source, and the world's fault. A
+// sparse run also keeps the lists themselves: what every rank deposited and
+// the entries it was handed back.
 type exchOutcome struct {
-	clocks []float64
-	recv   [][][][]complex128 // [rank][call][src]
-	err    error
+	clocks    []float64
+	recv      [][][][]complex128 // [rank][call][src]
+	err       error
+	deposits  [][][]Block    // [rank][call], sparse runs
+	delivered [][][]Delivery // [rank][call], sparse runs
 }
 
 // runExchangeCase executes call on a fresh world of the case, through the
 // dense adapter or the sparse entry point.
 func runExchangeCase(tc exchCase, call exchCall, sparse bool) exchOutcome {
 	size := len(tc.data)
-	out := exchOutcome{recv: make([][][][]complex128, size)}
+	out := exchOutcome{recv: make([][][][]complex128, size),
+		deposits: make([][][]Block, size), delivered: make([][][]Delivery, size)}
 	w := NewWorld(machine.Summit(), size, tc.opts)
 	res := w.Run(func(c *Comm) {
 		row := tc.data[c.Rank()]
@@ -166,15 +191,22 @@ func runExchangeCase(tc exchCase, call exchCall, sparse bool) exchOutcome {
 		}
 		var got [][][]complex128
 		if sparse {
+			// The sparse caller ships its blocks with Move, as the reshape
+			// driver does; ownership is not a modelled cost, so the clocks
+			// still have to match the dense (copying) run.
 			recv := call.sparse(c, func() []Block {
 				var send []Block
 				for d := range row {
 					if len(row[d]) > 0 {
-						send = append(send, Block{Peer: d, Buf: block(d)})
+						b := block(d)
+						b.Move = true
+						send = append(send, Block{Peer: d, Buf: b})
 					}
 				}
+				out.deposits[c.Rank()] = append(out.deposits[c.Rank()], send)
 				return send
 			}, machine.Device)
+			out.delivered[c.Rank()] = recv
 			for _, blocks := range recv {
 				rows := make([][]complex128, size)
 				for _, b := range blocks {
@@ -210,7 +242,11 @@ func runExchangeCase(tc exchCase, call exchCall, sparse bool) exchOutcome {
 // and columns, a self-only rank and the 1-rank edge case included, with and
 // without faults) to exactly the transposed matrix, and the dense adapter and
 // the sparse entry point agree on it bit for bit: the same clock on every rank
-// (==) and the same delivered blocks, element by element.
+// (==) and the same delivered blocks, element by element. A silently corrupting
+// sender damages (or has repaired) exactly the blocks it sent and nothing any
+// other rank receives. The sparse run also pins delivery by reference: every
+// entry a rank is handed points at the block its source deposited, and a Move
+// payload arrives as the sender's own array — no hidden copy of either.
 func TestAlltoallvWithBitIdentical(t *testing.T) {
 	for _, tc := range exchCases() {
 		for _, call := range exchCalls() {
@@ -246,11 +282,45 @@ func TestAlltoallvWithBitIdentical(t *testing.T) {
 								if len(have) != len(want) {
 									t.Fatalf("%s: rank %d call %d from %d: got %d elems, want %d", o.name, r, ci, s, len(have), len(want))
 								}
+								// Without checksums a silent corruption really lands:
+								// one element of every block that left the sender.
+								flips := 0
+								if s == tc.silentSender() && !tc.opts.Integrity.Checksums && s != r && ci == 0 && len(want) > 0 {
+									flips = 1
+								}
 								for i := range want {
 									if have[i] != want[i] {
-										t.Fatalf("%s: rank %d call %d from %d elem %d: got %v want %v", o.name, r, ci, s, i, have[i], want[i])
+										if flips--; flips < 0 {
+											t.Fatalf("%s: rank %d call %d from %d elem %d: got %v want %v", o.name, r, ci, s, i, have[i], want[i])
+										}
 									}
 								}
+								if flips > 0 {
+									t.Errorf("%s: rank %d call %d from %d: block arrived exact, want one flipped element", o.name, r, ci, s)
+								}
+							}
+						}
+					}
+				}
+				for r, calls := range sparse.delivered {
+					for ci, recv := range calls {
+						for _, d := range recv {
+							var sent *Buf
+							deposit := sparse.deposits[d.Peer][ci]
+							for i := range deposit {
+								if deposit[i].Peer == r {
+									sent = &deposit[i].Buf
+								}
+							}
+							if sent == nil {
+								continue // a zero-size block a faulty sender's list was filled out with
+							}
+							// A faulty sender deposits a filled-out copy of its list.
+							if d.Buf != sent && !(d.Peer == tc.silentSender() && ci == 0) {
+								t.Errorf("rank %d call %d: entry from %d is a copy of the deposited block", r, ci, d.Peer)
+							}
+							if &d.Buf.Data[0] != &sent.Data[0] {
+								t.Errorf("rank %d call %d: Move payload from %d was copied", r, ci, d.Peer)
 							}
 						}
 					}

@@ -24,6 +24,14 @@ import (
 // non-blocking pair in icoll.go) compress into and expand out of this format
 // around the same engine.
 //
+// Blocks are delivered by reference. The send list a rank hands over is its
+// deposit: the engine consumes it, every block in it has exactly one receiver,
+// and that receiver's list points at the deposited Buf instead of holding a
+// copy — a block is written once, by its sender, and read in place. The
+// receiver owns what it is pointed at (the integrity layer repairs or flips a
+// delivered block through the pointer), and the receive lists are all that
+// keeps a deposit alive once the round is over.
+//
 // The visiting-order contract: floating-point accumulation order is the
 // virtual clock, so every pricer walks the non-empty blocks in exactly the
 // order its dense loop would have met them — ascending destination for the
@@ -43,6 +51,16 @@ import (
 type Block struct {
 	Peer int
 	Buf  Buf
+}
+
+// Delivery is one entry of a sparse receive list: the block comm rank Peer
+// addressed to this rank, as a pointer into that rank's deposit. A list is
+// ascending by source and names each source at most once. The receiver is the
+// block's only reader and may modify it in place; the sender never looks at
+// its deposit again.
+type Delivery struct {
+	Peer int
+	Buf  *Buf
 }
 
 // pricer is one pricing policy: given every member's contribution (entry
@@ -128,9 +146,10 @@ func priceNaive(c *Comm, ins []collIn, outs []collOut, kind naiveKind) {
 	// largest block, which the padded flavour charges for every pair.
 	recvBytes := make([]int, len(ins))
 	pad := 0
-	for _, in := range ins {
-		for _, b := range in.blocks {
-			by := b.Buf.Bytes()
+	for r := range ins {
+		for i := range ins[r].blocks {
+			b := &ins[r].blocks[i]
+			by := b.Buf.bytes()
 			recvBytes[b.Peer] += by
 			if by > pad {
 				pad = by
@@ -141,8 +160,9 @@ func priceNaive(c *Comm, ins []collIn, outs []collOut, kind naiveKind) {
 		srcW := c.WorldRank(r)
 		dev := ins[r].dev
 		totalSend, self := 0, 0
-		for _, b := range ins[r].blocks {
-			by := b.Buf.Bytes()
+		for i := range ins[r].blocks {
+			b := &ins[r].blocks[i]
+			by := b.Buf.bytes()
 			totalSend += by
 			if b.Peer == r {
 				self = by
@@ -172,12 +192,13 @@ func priceNaive(c *Comm, ins []collIn, outs []collOut, kind naiveKind) {
 				t += oh + float64(pad)/w.topo.NaiveFlowBW(srcW, dstW) + w.topo.Latency(srcW, dstW)
 			}
 		} else {
-			for _, b := range ins[r].blocks {
+			for i := range ins[r].blocks {
+				b := &ins[r].blocks[i]
 				if b.Peer == r {
 					t += selfCopy
 					continue
 				}
-				bytes := b.Buf.Bytes()
+				bytes := b.Buf.bytes()
 				if bytes == 0 {
 					// MPI short-circuits zero-size blocks of the v and w flavours.
 					continue
@@ -226,8 +247,9 @@ func priceScheduled(c *Comm, ins []collIn, outs []collOut, impl CollectiveAlgo) 
 	for r := range ins {
 		mb := &ex.Members[r]
 		first := len(flows)
-		for _, b := range ins[r].blocks {
-			by := b.Buf.Bytes()
+		for i := range ins[r].blocks {
+			b := &ins[r].blocks[i]
+			by := b.Buf.bytes()
 			mb.send += by
 			ex.Members[b.Peer].recv += by
 			switch {
@@ -271,11 +293,12 @@ func priceScheduled(c *Comm, ins []collIn, outs []collOut, impl CollectiveAlgo) 
 // peers in range, strictly ascending.
 func checkBlocks(send []Block, size int, op string) {
 	prev := -1
-	for _, b := range send {
-		if b.Peer <= prev || b.Peer >= size {
-			panic(fmt.Sprintf("mpisim: %s send list names peer %d after %d on a size-%d comm (peers must be in range and strictly ascending)", op, b.Peer, prev, size))
+	for i := range send {
+		peer := send[i].Peer
+		if peer <= prev || peer >= size {
+			panic(fmt.Sprintf("mpisim: %s send list names peer %d after %d on a size-%d comm (peers must be in range and strictly ascending)", op, peer, prev, size))
 		}
-		prev = b.Peer
+		prev = peer
 	}
 }
 
@@ -292,29 +315,31 @@ func everyPeer(send []Block, size int, loc machine.Location) []Block {
 	return full
 }
 
-// transpose turns the members' send lists into their receive lists with one
-// pass over the blocks that exist. Sources are visited in ascending rank
-// order, so every receive list comes out ascending by source; all lists share
-// one backing array, each capped to its own span.
+// transpose turns the members' deposits into their receive lists with one
+// pass over the peer indices of the blocks that exist: no block is copied, a
+// receive entry points at the deposited one. Sources are visited in ascending
+// rank order, so every receive list comes out ascending by source; all lists
+// share one backing array, each capped to its own span.
 func transpose(ins []collIn, outs []collOut) {
 	counts := make([]int, len(ins))
 	nnz := 0
 	for s := range ins {
-		for _, b := range ins[s].blocks {
-			counts[b.Peer]++
+		for i := range ins[s].blocks {
+			counts[ins[s].blocks[i].Peer]++
 		}
 		nnz += len(ins[s].blocks)
 	}
-	backing := make([]Block, nnz)
+	backing := make([]Delivery, nnz)
 	off := 0
 	for r, n := range counts {
 		outs[r].blocks = backing[off : off : off+n]
 		off += n
 	}
 	for s := range ins {
-		for _, b := range ins[s].blocks {
+		for i := range ins[s].blocks {
+			b := &ins[s].blocks[i]
 			o := &outs[b.Peer]
-			o.blocks = append(o.blocks, Block{Peer: s, Buf: b.Buf})
+			o.blocks = append(o.blocks, Delivery{Peer: s, Buf: &b.Buf})
 		}
 	}
 }
@@ -323,12 +348,12 @@ func transpose(ins []collIn, outs []collOut) {
 // vectors; loc is where the rank's send buffer lives (it decides staging and
 // the overhead class even for a rank that sends nothing). The send list is
 // consumed: it becomes the rank's deposit, its payloads cloned and tagged in
-// place. Prologue: fault entry (stalls, kills), the send-side envelope charge,
-// defensive clones tagged with the rank's fault effects, and the
-// injection-port snapshot.
-// Rendezvous: the last arrival prices the exchange with p, transposes the send
-// lists into per-rank receive lists, and pushes the completion of every rank
-// expecting a block from a lost sender to +Inf. Epilogue: the port adopts the
+// place, and the receivers are handed pointers into it. Prologue: fault entry
+// (stalls, kills), the send-side envelope charge, defensive clones tagged with
+// the rank's fault effects, and the injection-port snapshot.
+// Rendezvous: the last arrival prices the exchange with p, transposes the
+// deposits into per-rank receive lists, and pushes the completion of every
+// rank expecting a block from a lost sender to +Inf. Epilogue: the port adopts the
 // new busy-until time. The returned request is complete in every respect
 // except that the caller's clock has not moved: finishAlltoall adopts the
 // completion time. op names the call in fault errors and timeouts.
@@ -354,8 +379,8 @@ func (c *Comm) postAlltoall(send []Block, loc machine.Location, p pricer, op str
 	total := 0
 	for i := range send {
 		b := &send[i]
-		total += b.Buf.Bytes()
-		b.Buf = b.Buf.clone()
+		total += b.Buf.bytes()
+		b.Buf.detach()
 		if b.Peer == c.rank {
 			continue
 		}
@@ -378,8 +403,8 @@ func (c *Comm) postAlltoall(send []Block, loc machine.Location, p pricer, op str
 			if !ins[r].lost {
 				continue
 			}
-			for _, b := range ins[r].blocks {
-				if b.Peer != r && b.Buf.Bytes() > 0 {
+			for i := range ins[r].blocks {
+				if b := &ins[r].blocks[i]; b.Peer != r && b.Buf.bytes() > 0 {
 					outs[b.Peer].clock = math.Inf(1)
 				}
 			}
@@ -400,7 +425,7 @@ func (c *Comm) postAlltoall(send []Block, loc machine.Location, p pricer, op str
 // delivered payload. The trace event is named traceName and starts at
 // traceStart — the post for a blocking call (one event per collective), the
 // wait's own entry for a non-blocking one.
-func (c *Comm) finishAlltoall(r *CollRequest, traceName string, traceStart float64) []Block {
+func (c *Comm) finishAlltoall(r *CollRequest, traceName string, traceStart float64) []Delivery {
 	st := c.state()
 	if end := c.collClock(r.op, r.postedAt, r.completeAt); end > st.clock {
 		st.clock = end
@@ -418,7 +443,7 @@ func (c *Comm) finishAlltoall(r *CollRequest, traceName string, traceStart float
 }
 
 // blockingAlltoall is post + finish with nothing in between.
-func (c *Comm) blockingAlltoall(send []Block, loc machine.Location, p pricer, op string) []Block {
+func (c *Comm) blockingAlltoall(send []Block, loc machine.Location, p pricer, op string) []Delivery {
 	r := c.postAlltoall(send, loc, p, op)
 	return c.finishAlltoall(&r, op, r.postedAt)
 }
@@ -426,9 +451,9 @@ func (c *Comm) blockingAlltoall(send []Block, loc machine.Location, p pricer, op
 // AlltoallSparse exchanges sparse vectors with MPI_Alltoall semantics: all
 // pairs — named or not — are padded to the maximum block size in the
 // communicator, in exchange for the most optimized vendor algorithm. loc is
-// where the rank's send buffer lives. The returned list holds the blocks
+// where the rank's send buffer lives. The returned list points at the blocks
 // addressed to this rank, ascending by source.
-func (c *Comm) AlltoallSparse(send []Block, loc machine.Location) []Block {
+func (c *Comm) AlltoallSparse(send []Block, loc machine.Location) []Delivery {
 	return c.blockingAlltoall(send, loc, pricer{naive: kindAlltoall}, "MPI_Alltoall")
 }
 
@@ -437,7 +462,7 @@ func (c *Comm) AlltoallSparse(send []Block, loc machine.Location) []Block {
 // al.) — a naive Isend/Irecv loop with high per-message setup, and, on
 // SpectrumMPI-like stacks, no GPU-awareness, so device buffers stage through
 // PCIe per message.
-func (c *Comm) AlltoallwSparse(send []Block, loc machine.Location) []Block {
+func (c *Comm) AlltoallwSparse(send []Block, loc machine.Location) []Delivery {
 	return c.blockingAlltoall(send, loc, pricer{naive: kindAlltoallw}, "MPI_Alltoallw")
 }
 
@@ -448,7 +473,7 @@ func (c *Comm) AlltoallwSparse(send []Block, loc machine.Location) []Block {
 // MPI_Alltoallv loop. Scheduled exchanges also serialize through each rank's
 // injection port, so chunked back-to-back exchanges pipeline honestly instead
 // of overlapping for free.
-func (c *Comm) AlltoallvSparse(send []Block, loc machine.Location, a Algo) []Block {
+func (c *Comm) AlltoallvSparse(send []Block, loc machine.Location, a Algo) []Delivery {
 	return c.blockingAlltoall(send, loc, schedulePricer(a), "MPI_Alltoallv")
 }
 
@@ -483,10 +508,10 @@ func (c *Comm) compress(send []Buf, op string) ([]Block, machine.Location) {
 }
 
 // expand spreads a receive list over a dense vector indexed by source rank.
-func (c *Comm) expand(recv []Block) []Buf {
+func (c *Comm) expand(recv []Delivery) []Buf {
 	out := make([]Buf, c.Size())
-	for _, b := range recv {
-		out[b.Peer] = b.Buf
+	for _, d := range recv {
+		out[d.Peer] = *d.Buf
 	}
 	return out
 }

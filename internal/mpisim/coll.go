@@ -47,8 +47,9 @@ type collIn struct {
 type collOut struct {
 	clock float64
 	recv  []Buf // Gatherv: every rank's buffer, at the root
-	// blocks is the rank's sparse all-to-all receive list, ascending source.
-	blocks []Block
+	// blocks is the rank's sparse all-to-all receive list, ascending source:
+	// pointers into the senders' deposits (collIn.blocks).
+	blocks []Delivery
 	val    float64
 	buf    Buf
 	// port is the new injection-port busy-until time of the receiving rank
@@ -67,8 +68,10 @@ func newRendezvous(size int) *rendezvous {
 // exchange runs one collective round. compute is executed exactly once, by
 // the last arriving rank, over the dense input slice. The rendezvous keeps no
 // reference to a round once it is over: the inputs go when compute returns,
-// the outputs when the last member has picked up its own — they hold every
-// delivered payload, and the communicator's next collective may be far off.
+// the outputs when the last member has picked up its own — they reach every
+// delivered payload (an all-to-all's receive lists point into the deposits,
+// and are all that keeps them alive), and the communicator's next collective
+// may be far off.
 func (rv *rendezvous) exchange(w *World, rank int, in collIn, compute func(ins []collIn) []collOut) collOut {
 	rv.mu.Lock()
 	defer rv.mu.Unlock()

@@ -86,7 +86,7 @@ func (c *Comm) AlltoallwSub(local []complex128, sendTypes []Subarray,
 		}
 		var got Buf
 		if len(recv) > 0 && recv[0].Peer == s {
-			got = recv[0].Buf
+			got = *recv[0].Buf
 		}
 		if got.Elems() != rt.Elems() {
 			return fmt.Errorf("mpisim: AlltoallwSub rank %d sent %d elems, datatype expects %d",

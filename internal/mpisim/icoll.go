@@ -11,7 +11,7 @@ type CollRequest struct {
 	comm       *Comm
 	postedAt   float64
 	completeAt float64
-	recv       []Block // the blocks addressed to this rank, ascending by source
+	recv       []Delivery // the blocks addressed to this rank, ascending by source
 	done       bool
 	bytes      int
 	// op names the posting call in timeout and corruption errors.
@@ -79,8 +79,8 @@ func (c *Comm) WaitColl(r *CollRequest) []Buf {
 }
 
 // WaitSparse is WaitColl returning the sparse receive list: the blocks
-// addressed to this rank, ascending by source.
-func (c *Comm) WaitSparse(r *CollRequest) []Block {
+// addressed to this rank, by reference, ascending by source.
+func (c *Comm) WaitSparse(r *CollRequest) []Delivery {
 	if r.done {
 		panic("mpisim: WaitColl on completed request")
 	}

@@ -181,9 +181,9 @@ func (c *Comm) chargeSendChecksums(send []Block) {
 		return
 	}
 	var bytes int
-	for _, b := range send {
-		if b.Peer != c.rank {
-			bytes += b.Buf.Bytes()
+	for i := range send {
+		if b := &send[i]; b.Peer != c.rank {
+			bytes += b.Buf.bytes()
 		}
 	}
 	c.chargeChecksum("checksum", bytes)
@@ -246,8 +246,10 @@ func (c *Comm) recoverBlock(src int, b *Buf, op string) {
 // each attributed to its source's rank — either repairs silently-corrupted
 // blocks through the retransmit protocol (Checksums on) or really flips their
 // payload bits (Checksums off — the corruption reaches the caller, and only
-// the ABFT invariants can catch it downstream).
-func (c *Comm) deliverIntegrity(recv []Block, op string) {
+// the ABFT invariants can catch it downstream). Both act on the delivered
+// block in place, through the pointer into the sender's deposit: this rank is
+// its only receiver, so no other rank can observe the repair or the flip.
+func (c *Comm) deliverIntegrity(recv []Delivery, op string) {
 	w := c.core.world
 	if !w.opts.Integrity.Enabled() && !w.opts.Faults.Active() {
 		return
@@ -255,16 +257,16 @@ func (c *Comm) deliverIntegrity(recv []Block, op string) {
 	checksums := w.opts.Integrity.Checksums
 	if checksums {
 		var bytes int
-		for _, b := range recv {
-			if b.Peer != c.rank {
-				bytes += b.Buf.Bytes()
+		for _, d := range recv {
+			if d.Peer != c.rank {
+				bytes += d.Buf.bytes()
 			}
 		}
 		c.chargeChecksum("checksum_verify", bytes)
 		w.integ.ChecksumChecks.Add(1)
 	}
-	for i := range recv {
-		s, b := recv[i].Peer, &recv[i].Buf
+	for _, d := range recv {
+		s, b := d.Peer, d.Buf
 		if s == c.rank || b.silent == 0 {
 			continue
 		}

@@ -88,11 +88,22 @@ func (b Buf) Elems() int {
 // Every transport cost in the simulator — wire time, PCIe staging, checksum
 // charges, retransmissions, collective padding — derives from this, so
 // compressing a buffer reprices its entire journey.
-func (b Buf) Bytes() int {
-	if b.Real != nil || (b.Data == nil && b.PhantomReal) {
-		return b.Wire.RealBytes() * b.Elems()
+func (b Buf) Bytes() int { return b.bytes() }
+
+// bytes is Bytes for a Buf held in place — an entry of an exchange vector —
+// where the value receiver would copy all 120 bytes of it per call.
+func (b *Buf) bytes() int {
+	n := b.N
+	switch {
+	case b.Data != nil:
+		n = len(b.Data)
+	case b.Real != nil:
+		n = len(b.Real)
 	}
-	return b.Wire.ComplexBytes() * b.Elems()
+	if b.Real != nil || (b.Data == nil && b.PhantomReal) {
+		return b.Wire.RealBytes() * n
+	}
+	return b.Wire.ComplexBytes() * n
 }
 
 // Phantom reports whether the buffer carries no real data.
@@ -104,24 +115,23 @@ func (b Buf) Phantom() bool { return b.Data == nil && b.Real == nil }
 // common case on the FFT hot path, where pack buffers are built per exchange
 // and never touched again).
 func (b Buf) clone() Buf {
-	if b.Move {
-		return b
-	}
+	b.detach()
+	return b
+}
+
+// detach is clone in place: the buffer stops sharing its payload with the
+// caller's slice (unless it was sent with Move).
+func (b *Buf) detach() {
 	switch {
+	case b.Move:
 	case b.Data != nil:
 		d := make([]complex128, len(b.Data))
 		copy(d, b.Data)
-		c := b
-		c.Data = d
-		return c
+		b.Data = d
 	case b.Real != nil:
 		d := make([]float64, len(b.Real))
 		copy(d, b.Real)
-		c := b
-		c.Real = d
-		return c
-	default:
-		return b
+		b.Real = d
 	}
 }
 
