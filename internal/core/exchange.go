@@ -26,9 +26,12 @@ type exchange[T any] struct {
 	rs *reshapePlan
 	e  *engine
 	// datas[i] is batch entry i's local array over rs.from (nil slices for
-	// phantom batches); out holds the new arrays over rs.to, drawn on the
-	// first unpack — after a single-shot exchange has recycled its inputs.
+	// phantom batches); out[i] receives its new array over rs.to, drawn on the
+	// first unpack — after a single-shot exchange has recycled its inputs —
+	// and stays nil for phantom batches. Both are the caller's (engine-held
+	// scratch, see batchScratch): the caller reads out after the exchange.
 	datas, out [][]T
+	drawn      bool
 	phantom    bool
 	// recycleIn marks datas as plan-owned (produced by an earlier reshape of
 	// the same execution): they return to the staging pool once packed. The
@@ -63,8 +66,8 @@ type posted struct {
 // compressed exchange sits at a different point of the (bytes, latency) regime
 // map than its full-precision twin. async (per-entry non-blocking exchanges)
 // always runs one chunk.
-func newExchange[T any](e *engine, rs *reshapePlan, datas [][]T, phantom, recycleIn, async bool) exchange[T] {
-	x := exchange[T]{rs: rs, e: e, datas: datas, phantom: phantom, recycleIn: recycleIn, chunks: 1}
+func newExchange[T any](e *engine, rs *reshapePlan, datas, out [][]T, phantom, recycleIn, async bool) exchange[T] {
+	x := exchange[T]{rs: rs, e: e, datas: datas, out: out, phantom: phantom, recycleIn: recycleIn, chunks: 1}
 	if rs.group == nil {
 		return x
 	}
@@ -81,8 +84,8 @@ func newExchange[T any](e *engine, rs *reshapePlan, datas [][]T, phantom, recycl
 	return x
 }
 
-// run executes the whole exchange and returns the arrays over rs.to (nil for
-// phantom batches). Without overlap each chunk runs pack→post→wait→unpack
+// run executes the whole exchange, leaving the arrays over rs.to in out (nil
+// for phantom batches). Without overlap each chunk runs pack→post→wait→unpack
 // serially; with overlap the exchange of chunk k is posted non-blocking and
 // the pack of chunk k+1 plus the unpack of chunk k-1 execute while it is in
 // flight (double-buffered through the pooled staging buffers). The
@@ -90,9 +93,10 @@ func newExchange[T any](e *engine, rs *reshapePlan, datas [][]T, phantom, recycl
 // on the wire, and each chunk passes through the fault machinery
 // independently, so kills/corruption mid-reshape surface at the failing chunk
 // with the typed fault errors.
-func (x *exchange[T]) run() [][]T {
+func (x *exchange[T]) run() {
 	if x.rs.group == nil {
-		return x.bypass()
+		x.bypass()
+		return
 	}
 	x.open()
 	if !x.overlap {
@@ -100,7 +104,7 @@ func (x *exchange[T]) run() [][]T {
 			x.e.checkCtx()
 			x.unpack(ci, x.post(x.pack(ci), false))
 		}
-		return x.out
+		return
 	}
 	x.e.checkCtx()
 	h := x.post(x.pack(0), true)
@@ -113,7 +117,6 @@ func (x *exchange[T]) run() [][]T {
 		x.unpack(ci-1, h)
 		h = next
 	}
-	return x.out
 }
 
 // start packs and posts the exchange non-blocking; finish completes it. Ranks
@@ -125,31 +128,30 @@ func (x *exchange[T]) start() {
 	}
 }
 
-func (x *exchange[T]) finish() [][]T {
+func (x *exchange[T]) finish() {
 	if x.rs.group == nil {
-		return x.bypass()
+		x.bypass()
+		return
 	}
 	x.unpack(0, x.inflight)
-	return x.out
 }
 
 // bypass is the exchange of a rank that holds no data on either side: its
 // local share simply becomes empty (or stays untouched when the rank re-enters
 // later via another stage).
-func (x *exchange[T]) bypass() [][]T {
+func (x *exchange[T]) bypass() {
 	x.alloc()
 	recycleDatas(x.datas, x.recycleIn)
-	return x.out
 }
 
 // alloc draws the target-distribution arrays from the staging pool. They are
 // not zeroed: the receive boxes of a group tile rs.to exactly (the source
 // boxes tile the global grid), so unpacking overwrites every element.
 func (x *exchange[T]) alloc() {
-	if x.phantom || x.out != nil {
+	if x.phantom || x.drawn {
 		return
 	}
-	x.out = make([][]T, len(x.datas))
+	x.drawn = true
 	for i := range x.out {
 		x.out[i] = getBuf[T](x.rs.to.Volume())
 	}
@@ -204,8 +206,13 @@ func (x *exchange[T]) pack(ci int) []mpisim.Block {
 		elems := vol * len(x.datas)
 		wireBytes += x.web * elems
 		fullBytes += x.eb * elems
+		// The block is written once, where it is deposited: the list has room
+		// for every peer, and the receiver reads this very entry.
+		blocks = blocks[:len(blocks)+1]
+		b := &blocks[len(blocks)-1]
+		b.Peer = gi
 		if x.phantom {
-			blocks = append(blocks, mpisim.Block{Peer: gi, Buf: mkBuf[T](nil, elems, x.wire)})
+			setBuf[T](&b.Buf, nil, elems, x.wire)
 			continue
 		}
 		data := getBuf[T](elems)
@@ -214,13 +221,12 @@ func (x *exchange[T]) pack(ci int) []mpisim.Block {
 			tensor.Pack(d, rs.from, cb, data[off:off+vol])
 			off += vol
 		}
-		buf := mkBuf(data, 0, x.wire)
-		buf.Move = true
+		setBuf(&b.Buf, data, 0, x.wire)
+		b.Buf.Move = true
 		if ic.Invariants {
-			envelopeSum(&buf, data)
+			envelopeSum(&b.Buf, data)
 		}
 		quantizeSlice(x.wire, data)
-		blocks = append(blocks, mpisim.Block{Peer: gi, Buf: buf})
 	}
 	if x.wire != WireFp64 {
 		dev.Convert(fullBytes)
@@ -345,7 +351,7 @@ func (x *exchange[T]) unpack(ci int, h posted) {
 func (x *exchange[T]) unpackBlock(ci, k int, buf *mpisim.Buf) int {
 	cb := chunkBox(x.rs.recvs[k], ci, x.chunks)
 	vol := cb.Volume()
-	if vol == 0 || x.out == nil {
+	if vol == 0 || x.phantom {
 		return vol * len(x.datas)
 	}
 	verifyEnvelope[T](x.rs.group, x.rs.recvPeers[k], buf, x.rs.label)

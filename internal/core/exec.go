@@ -39,6 +39,32 @@ type engine struct {
 	// ctx is the cancellation context of an in-flight *Ctx call (nil
 	// otherwise); checked at stage and chunk boundaries.
 	ctx context.Context
+	// The batch-sized slices every reshape works through (see batchScratch).
+	cscratch batchScratch[complex128]
+	rscratch batchScratch[float64]
+}
+
+// batchScratch holds the two slices a reshape threads a batch through — the
+// entries' local arrays going in and their new arrays coming out — so no
+// reshape allocates them. They are sized by the widest batch the plan has
+// run, never by a peer or group count, and hold nothing between reshapes:
+// whoever takes them clears every entry it set, so a cached plan pins neither
+// the caller's arrays nor the staging pool's.
+type batchScratch[T any] struct{ datas, out [][]T }
+
+func (s *batchScratch[T]) take(n int) (datas, out [][]T) {
+	if cap(s.datas) < n {
+		s.datas, s.out = make([][]T, n), make([][]T, n)
+	}
+	return s.datas[:n], s.out[:n]
+}
+
+// scratchOf selects the engine's batch scratch of element type T.
+func scratchOf[T any](e *engine) *batchScratch[T] {
+	if s, ok := any(&e.cscratch).(*batchScratch[T]); ok {
+		return s
+	}
+	return any(&e.rscratch).(*batchScratch[T])
 }
 
 type stageKind int
@@ -263,9 +289,12 @@ func (e *engine) run(stages []stage, b *batch, dir fft.Direction, from int, pol 
 			if flights == nil {
 				flights = make([]exchange[complex128], n)
 			}
+			// Entry i's exchange works through slot i of the batch scratch.
+			datas, out := e.cscratch.take(n)
 			for i, f := range b.fields {
 				checkBox(st.rs, f.Box)
-				flights[i] = newExchange(e, st.rs, [][]complex128{f.Data}, phantom, recycle, true)
+				datas[i] = f.Data
+				flights[i] = newExchange(e, st.rs, datas[i:i+1:i+1], out[i:i+1:i+1], phantom, recycle, true)
 				flights[i].start()
 			}
 			recycle = true
@@ -303,12 +332,11 @@ func land(f *Field, flights []exchange[complex128], i int) {
 	if flights == nil || flights[i].rs == nil {
 		return
 	}
-	out := flights[i].finish()
-	f.Box = flights[i].rs.to
-	if out != nil {
-		f.Data = out[0]
-	}
-	flights[i].rs = nil
+	x := &flights[i]
+	x.finish()
+	f.Box = x.rs.to
+	f.Data, x.datas[0], x.out[0] = x.out[0], nil, nil
+	x.rs = nil
 }
 
 // reshape moves the whole batch through one fused exchange and re-points
@@ -322,20 +350,18 @@ func (e *engine) reshape(rs *reshapePlan, b *batch, recycleIn bool) {
 }
 
 func reshapeFields[T any, F fieldOf[T]](e *engine, rs *reshapePlan, fs []F, recycleIn bool) {
-	datas := make([][]T, len(fs))
+	datas, out := scratchOf[T](e).take(len(fs))
 	for i, f := range fs {
 		box, data := f.ref()
 		checkBox(rs, *box)
 		datas[i] = *data
 	}
-	x := newExchange(e, rs, datas, datas[0] == nil, recycleIn, false)
-	out := x.run()
+	x := newExchange(e, rs, datas, out, datas[0] == nil, recycleIn, false)
+	x.run()
 	for i, f := range fs {
 		box, data := f.ref()
 		*box = rs.to
-		if out != nil {
-			*data = out[i]
-		}
+		*data, datas[i], out[i] = out[i], nil, nil
 	}
 }
 

@@ -247,20 +247,23 @@ func hashBoxes(l []tensor.Box3) uint64 {
 	return h
 }
 
-// mkBuf wraps a typed slice (or a phantom element count) as a message
-// payload at the given wire precision. Phantom buffers carry the precision
+// setBuf makes the zero Buf b the message payload of a typed slice (or of a
+// phantom element count) at the given wire precision, in place — b is an
+// entry of the send list being packed. Phantom buffers carry the precision
 // too, so cost-only runs bill byte-identical transport charges.
-func mkBuf[T any](data []T, phantomElems int, wire WirePrecision) mpisim.Buf {
+func setBuf[T any](b *mpisim.Buf, data []T, phantomElems int, wire WirePrecision) {
+	b.Loc, b.Wire = machine.Device, wire
 	if data == nil {
 		var zero T
-		_, isReal := any(zero).(float64)
-		return mpisim.Buf{N: phantomElems, PhantomReal: isReal, Loc: machine.Device, Wire: wire}
+		_, b.PhantomReal = any(zero).(float64)
+		b.N = phantomElems
+		return
 	}
 	switch d := any(data).(type) {
 	case []complex128:
-		return mpisim.Buf{Data: d, Loc: machine.Device, Wire: wire}
+		b.Data = d
 	case []float64:
-		return mpisim.Buf{Real: d, Loc: machine.Device, Wire: wire}
+		b.Real = d
 	default:
 		panic("core: unsupported payload element type")
 	}
