@@ -17,13 +17,14 @@ func Pack[T any](src []T, own, sub Box3, dst []T) {
 	if sub.Empty() {
 		return
 	}
-	s2 := sub.Size(2)
+	r := runsOf(own, sub)
 	k := 0
-	for i0 := sub.Lo[0]; i0 < sub.Hi[0]; i0++ {
-		for i1 := sub.Lo[1]; i1 < sub.Hi[1]; i1++ {
-			base := own.Index(i0, i1, sub.Lo[2])
-			copy(dst[k:k+s2], src[base:base+s2])
-			k += s2
+	for i0 := 0; i0 < r.n0; i0++ {
+		at := r.base + i0*r.st0
+		for i1 := 0; i1 < r.n1; i1++ {
+			copy(dst[k:k+r.run], src[at:at+r.run])
+			k += r.run
+			at += r.st1
 		}
 	}
 }
@@ -36,15 +37,37 @@ func Unpack[T any](dst []T, own, sub Box3, src []T) {
 	if sub.Empty() {
 		return
 	}
-	s2 := sub.Size(2)
+	r := runsOf(own, sub)
 	k := 0
-	for i0 := sub.Lo[0]; i0 < sub.Hi[0]; i0++ {
-		for i1 := sub.Lo[1]; i1 < sub.Hi[1]; i1++ {
-			base := own.Index(i0, i1, sub.Lo[2])
-			copy(dst[base:base+s2], src[k:k+s2])
-			k += s2
+	for i0 := 0; i0 < r.n0; i0++ {
+		at := r.base + i0*r.st0
+		for i1 := 0; i1 < r.n1; i1++ {
+			copy(dst[at:at+r.run], src[k:k+r.run])
+			k += r.run
+			at += r.st1
 		}
 	}
+}
+
+// runs is where a non-empty sub-box sits in the local array of own: n0 × n1
+// runs of run contiguous elements, the first at base, st0 and st1 apart.
+type runs struct{ base, n0, st0, n1, st1, run int }
+
+// runsOf folds rows that are adjacent in the local array into one run, so each
+// copy is as long as the layout allows: a sub-box spanning own's whole axis 2
+// moves a plane's rows as one run (a pencil-x → pencil-y pack), and one that
+// spans axis 1 as well is a single run (a brick → pencil-x unpack).
+func runsOf(own, sub Box3) runs {
+	o1, o2 := own.Size(1), own.Size(2)
+	r := runs{base: own.Index(sub.Lo[0], sub.Lo[1], sub.Lo[2]),
+		n0: sub.Size(0), st0: o1 * o2, n1: sub.Size(1), st1: o2, run: sub.Size(2)}
+	if r.run == o2 {
+		r.run, r.n1 = r.run*r.n1, 1
+		if r.run == r.st0 {
+			r.run, r.n0 = r.run*r.n0, 1
+		}
+	}
+	return r
 }
 
 func checkPackArgs(localLen int, own, sub Box3, bufLen int) {

@@ -252,6 +252,63 @@ func TestPackOrderIsGlobalRowMajor(t *testing.T) {
 	}
 }
 
+// TestPackCoalescedRuns: Pack and Unpack fold rows that are adjacent in the
+// local array into longer copies. Whatever the run structure — single rows, a
+// plane's rows as one run, the whole block as one run — Pack must enumerate
+// sub in global row-major order and Unpack must write exactly the points of
+// sub.
+func TestPackCoalescedRuns(t *testing.T) {
+	own := NewBox(2, 3, 1, 7, 9, 6) // 5 × 6 × 5, off the origin
+	for _, tc := range []struct {
+		name string
+		sub  Box3
+		want runs // n0 × n1 copies of run elements
+	}{
+		{"rows", NewBox(3, 4, 2, 6, 8, 5), runs{n0: 3, n1: 4, run: 3}},
+		{"rows/full-axis-1", NewBox(3, 3, 2, 6, 9, 5), runs{n0: 3, n1: 6, run: 3}},
+		{"planes", NewBox(3, 4, 1, 6, 8, 6), runs{n0: 3, n1: 1, run: 20}},
+		{"planes/one-row", NewBox(3, 4, 1, 6, 5, 6), runs{n0: 3, n1: 1, run: 5}},
+		{"block", NewBox(3, 3, 1, 6, 9, 6), runs{n0: 1, n1: 1, run: 90}},
+		{"block/one-plane", NewBox(4, 3, 1, 5, 9, 6), runs{n0: 1, n1: 1, run: 30}},
+		{"whole", own, runs{n0: 1, n1: 1, run: 150}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if r := runsOf(own, tc.sub); r.n0 != tc.want.n0 || r.n1 != tc.want.n1 || r.run != tc.want.run {
+				t.Errorf("runsOf = %d × %d runs of %d, want %d × %d of %d", r.n0, r.n1, r.run, tc.want.n0, tc.want.n1, tc.want.run)
+			}
+			src := make([]float64, own.Volume())
+			for i := range src {
+				src[i] = float64(i + 1)
+			}
+			buf := make([]float64, tc.sub.Volume())
+			Pack(src, own, tc.sub, buf)
+			dst := make([]float64, own.Volume())
+			Unpack(dst, own, tc.sub, buf)
+			k := 0
+			for i0 := own.Lo[0]; i0 < own.Hi[0]; i0++ {
+				for i1 := own.Lo[1]; i1 < own.Hi[1]; i1++ {
+					for i2 := own.Lo[2]; i2 < own.Hi[2]; i2++ {
+						idx := own.Index(i0, i1, i2)
+						if !tc.sub.Contains(i0, i1, i2) {
+							if dst[idx] != 0 {
+								t.Fatalf("Unpack wrote point (%d,%d,%d) outside sub", i0, i1, i2)
+							}
+							continue
+						}
+						if buf[k] != src[idx] {
+							t.Fatalf("Pack: buf[%d] = %v, want point (%d,%d,%d) = %v", k, buf[k], i0, i1, i2, src[idx])
+						}
+						if dst[idx] != src[idx] {
+							t.Fatalf("Unpack: point (%d,%d,%d) = %v, want %v", i0, i1, i2, dst[idx], src[idx])
+						}
+						k++
+					}
+				}
+			}
+		})
+	}
+}
+
 // Property: for random own/sub pairs, Unpack(Pack(x)) restricted to sub
 // equals x.
 func TestPackUnpackProperty(t *testing.T) {
