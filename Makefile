@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: all build vet test test-race race race-serve bench bench-kernel bench-exchange bench-topo bench-precision bench-elastic bench-serve smoke-serve chaos chaos-sdc chaos-elastic examples experiments quick-experiments
+.PHONY: all build vet test test-race race race-serve bench bench-kernel bench-scale bench-exchange bench-topo bench-precision bench-elastic bench-serve smoke-serve chaos chaos-sdc chaos-elastic examples experiments quick-experiments
 
 all: build vet test
 
@@ -30,11 +30,17 @@ race: test-race race-serve
 bench:
 	go test -bench=. -benchmem ./...
 
-# Single-line kernel ladder, strided/contiguous batches, and the blocked
-# reorder transposes (the BENCH_PR4.json numbers).
+# Single-line kernel ladder, strided/contiguous batches, the blocked reorder
+# transposes (the BENCH_PR4.json numbers) and pack/unpack in their three
+# run-coalescing regimes (row, plane, whole block).
 bench-kernel:
 	go test -run '^$$' -bench 'BenchmarkKernel|BenchmarkStridedBatch|BenchmarkContigBatch|BenchmarkFFTBluestein' -benchmem ./internal/fft/
-	go test -run '^$$' -bench 'BenchmarkPackBlocked' -benchmem ./internal/tensor/
+	go test -run '^$$' -bench 'BenchmarkPackBlocked|BenchmarkPack$$|BenchmarkUnpack$$' -benchmem ./internal/tensor/
+
+# The paper-scale proxy of the repository benchmark on its own: 768 phantom
+# ranks, 512³ — rendezvous, per-call exchange vectors and GC, no payload.
+bench-scale:
+	go run ./benchmark -workload scale512_r768_phantom -seconds 20 -trace 0
 
 # Virtual-time cost of the three scheduled all-to-all algorithms on a dense
 # device-resident exchange (the BENCH_PR6.json regime check).

@@ -36,6 +36,39 @@ func BenchmarkPackBlocked(b *testing.B) {
 	}
 }
 
+// packRegimes are the three run structures Pack and Unpack meet on the 128³,
+// 64-rank pencil pipeline, each moving the same 64 KB: a brick's 256-byte rows
+// one by one, a y-pencil's planes as 4 KB runs (the sub-box spans axis 2), and
+// an x-pencil's slice as a single run (it spans axes 1 and 2).
+var packRegimes = []struct {
+	name     string
+	own, sub Box3
+}{
+	{"row", NewBox(0, 0, 0, 32, 32, 32), NewBox(0, 8, 16, 32, 16, 32)},
+	{"plane", NewBox(0, 0, 0, 16, 128, 16), NewBox(0, 16, 0, 16, 32, 16)},
+	{"block", NewBox(0, 0, 0, 128, 16, 16), NewBox(16, 0, 0, 32, 16, 16)},
+}
+
+func benchPack(b *testing.B, unpack bool) {
+	for _, r := range packRegimes {
+		local := make([]complex128, r.own.Volume())
+		buf := make([]complex128, r.sub.Volume())
+		b.Run(r.name, func(b *testing.B) {
+			b.SetBytes(int64(16 * len(buf)))
+			for i := 0; i < b.N; i++ {
+				if unpack {
+					Unpack(local, r.own, r.sub, buf)
+				} else {
+					Pack(local, r.own, r.sub, buf)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkPack(b *testing.B)   { benchPack(b, false) }
+func BenchmarkUnpack(b *testing.B) { benchPack(b, true) }
+
 func itoa(n int) string {
 	if n == 0 {
 		return "0"
