@@ -212,16 +212,19 @@ func BruckAlltoallTime(s AlltoallShape, cp CollParams) float64 {
 	t := cp.Overhead
 	steps := int(math.Ceil(math.Log2(float64(s.P))))
 	for k := 0; k < steps; k++ {
-		cnt := 0
-		for d := 1; d < s.P; d++ {
-			if d&(1<<k) != 0 {
-				cnt++
-			}
-		}
-		agg := mbar * float64(cnt)
+		agg := mbar * float64(bruckForwarded(s.P, k))
 		t += cp.Inject + lat + agg/bw + 2*agg/cp.MemBW
 	}
 	return t
+}
+
+// bruckForwarded counts the blocks a rank forwards in round k of a p-rank
+// Bruck exchange: the cyclic distances d in [1, p) with bit k set. Every full
+// period of 2^(k+1) distances below p holds 2^k of them; the partial period
+// at the top holds whatever reaches past its first 2^k.
+func bruckForwarded(p, k int) int {
+	half := 1 << k
+	return p>>(k+1)<<k + max(0, p&(2*half-1)-half)
 }
 
 // NodeAwareAlltoallTime is the hierarchical two-level schedule: per-node

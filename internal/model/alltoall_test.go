@@ -1,6 +1,9 @@
 package model
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // summitish mirrors machine.Summit quantities the closed forms consume, for
 // a 6-GPU-per-node group (per-flow inter share = 23.5/6 GB/s).
@@ -51,7 +54,7 @@ func TestNodeAwareBeatsFlatOnManyNodes(t *testing.T) {
 func TestNodeAwareFlatFallsBackToRing(t *testing.T) {
 	cp := summitish()
 	for _, s := range []AlltoallShape{
-		denseShape(1, 6, 32 << 10),
+		denseShape(1, 6, 32<<10),
 		{P: 36, Bytes: 32 << 10, InterFrac: 0.8}, // Nodes unset
 	} {
 		if na, ring := NodeAwareAlltoallTime(s, cp), RingAlltoallTime(s, cp); na != ring {
@@ -99,5 +102,69 @@ func TestNodeAwarePipelineMonotone(t *testing.T) {
 			t.Errorf("pipeline %v: time %v > shallower %v", pipe, tt, prev)
 		}
 		prev = tt
+	}
+}
+
+// bruckLoopTime is BruckAlltoallTime with the per-round forwarded-block count
+// taken by looping over every cyclic distance — the form the closed-form count
+// replaced, kept as the reference.
+func bruckLoopTime(s AlltoallShape, cp CollParams) float64 {
+	s = s.norm()
+	if s.P <= 1 || s.Dst == 0 {
+		return 0
+	}
+	mbar := float64(s.Dst) * s.Bytes / float64(s.P-1)
+	bw := cp.IntraBW
+	if s.InterFrac > 0 {
+		bw = cp.InterBW
+	}
+	lat := s.maxLat(cp)
+	t := cp.Overhead
+	steps := int(math.Ceil(math.Log2(float64(s.P))))
+	for k := 0; k < steps; k++ {
+		cnt := 0
+		for d := 1; d < s.P; d++ {
+			if d&(1<<k) != 0 {
+				cnt++
+			}
+		}
+		agg := mbar * float64(cnt)
+		t += cp.Inject + lat + agg/bw + 2*agg/cp.MemBW
+	}
+	return t
+}
+
+// TestBruckForwardedClosedForm: the arithmetic count of distances with bit k
+// set equals the loop over every distance, for every group size up to 4096
+// and every round (and a few rounds past the last, where it must be zero);
+// and BruckAlltoallTime is the same float, bit for bit, as the loop form on
+// the shapes this file uses.
+func TestBruckForwardedClosedForm(t *testing.T) {
+	for p := 1; p <= 4096; p++ {
+		for k := 0; k < 14; k++ {
+			want := 0
+			for d := 1; d < p; d++ {
+				if d&(1<<k) != 0 {
+					want++
+				}
+			}
+			if got := bruckForwarded(p, k); got != want {
+				t.Fatalf("bruckForwarded(%d, %d) = %d, loop counts %d", p, k, got, want)
+			}
+		}
+	}
+	cp := summitish()
+	for _, s := range []AlltoallShape{
+		denseShape(12, 6, 64<<10),
+		denseShape(1, 6, 32<<10),
+		denseShape(4, 6, 32<<10),
+		denseShape(8, 6, 128<<10),
+		{P: 36, Bytes: 32 << 10, InterFrac: 0.8},
+		{P: 768, Dst: 23, Rounds: 40, Bytes: 5461.3, InterFrac: 0.93, Nodes: 128, PerNode: 6},
+		{P: 1, Bytes: 1 << 10},
+	} {
+		if got, want := BruckAlltoallTime(s, cp), bruckLoopTime(s, cp); got != want {
+			t.Errorf("shape %+v: BruckAlltoallTime = %v, loop form = %v", s, got, want)
+		}
 	}
 }
