@@ -117,3 +117,62 @@ func TestPlanRetain(t *testing.T) {
 		}
 	})
 }
+
+// xzSlabs distributes an n³ grid over ranks as slabs along axis 0 and along
+// axis 2.
+func xzSlabs(n, ranks int) (x, z []tensor.Box3) {
+	for r := 0; r < ranks; r++ {
+		lo, hi := r*n/ranks, (r+1)*n/ranks
+		x = append(x, tensor.NewBox(lo, 0, 0, hi, n, n))
+		z = append(z, tensor.NewBox(0, 0, lo, n, n, hi))
+	}
+	return x, z
+}
+
+// TestFieldBoxMismatchIsTyped: every execution entry point shares the stage
+// runner's entry check, and a field that does not sit on the box the plan
+// expects fails it with ErrMismatchedBoxes on every rank. The case users meet
+// is Inverse after Forward on a plan whose input and output distributions
+// differ: Inverse walks the same stage list and takes its input on InBox.
+func TestFieldBoxMismatchIsTyped(t *testing.T) {
+	const n, ranks = 8, 4
+	in, out := xzSlabs(n, ranks)
+	global := [3]int{n, n, n}
+	w := mpisim.NewWorld(machine.Summit(), ranks, mpisim.Options{GPUAware: true})
+	res := w.Run(func(c *mpisim.Comm) {
+		mismatched := func(label string, err error) {
+			if !errors.Is(err, ErrMismatchedBoxes) {
+				t.Errorf("rank %d: %s: got %v, want ErrMismatchedBoxes", c.Rank(), label, err)
+			}
+		}
+		p, err := NewPlan(c, Config{Global: global, InBoxes: in, OutBoxes: out,
+			Opts: Options{Backend: BackendAlltoallv}})
+		if err != nil {
+			c.Fail(err)
+		}
+		f := NewField(p.InBox())
+		f.FillRandom(int64(c.Rank() + 1))
+		if err := p.Forward(f); err != nil {
+			t.Errorf("rank %d: Forward: %v", c.Rank(), err)
+		}
+		if !f.Box.Equal(p.OutBox()) {
+			t.Errorf("rank %d: Forward left the field on %v, want OutBox %v", c.Rank(), f.Box, p.OutBox())
+		}
+		mismatched("Inverse on Forward's output", p.Inverse(f))
+		// The same field — on OutBox, not InBox — through the other entry points.
+		mismatched("ForwardBatch", p.ForwardBatch([]*Field{f}))
+		mismatched("ForwardPipelined", p.ForwardPipelined([]*Field{f}))
+		short := &Field{Box: p.InBox(), Data: make([]complex128, p.InBox().Volume()-1)}
+		mismatched("short data array", p.Forward(short))
+
+		rp, err := NewRealPlan(c, RealConfig{Global: global})
+		if err != nil {
+			c.Fail(err)
+		}
+		_, err = rp.ForwardBatch([]*RealField{NewRealField(p.OutBox())})
+		mismatched("RealPlan.ForwardBatch", err)
+	})
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+}

@@ -155,15 +155,18 @@ func (f *RealField) ref() (*tensor.Box3, *[]float64) { return &f.Box, &f.Data }
 
 // validateFields checks that every entry covers the expected box with an
 // array of matching length, and that phantom (size-only) and real payloads
-// are not mixed within the batch.
+// are not mixed within the batch. A field on the wrong box or with an array
+// that does not fit its box is ErrMismatchedBoxes; a mixed batch matches no
+// sentinel and stays untyped (the boxes agree — it is the call that is
+// malformed, not a distribution).
 func validateFields[T any, F fieldOf[T]](fs []F, want tensor.Box3) error {
 	for _, f := range fs {
 		box, data := f.ref()
 		if !box.Equal(want) {
-			return fmt.Errorf("core: field box %v does not match plan box %v", *box, want)
+			return fmt.Errorf("core: %w: field box %v does not match plan box %v", ErrMismatchedBoxes, *box, want)
 		}
 		if *data != nil && len(*data) != box.Volume() {
-			return fmt.Errorf("core: field data length %d != box volume %d", len(*data), box.Volume())
+			return fmt.Errorf("core: %w: field data length %d != box volume %d", ErrMismatchedBoxes, len(*data), box.Volume())
 		}
 		if _, first := fs[0].ref(); (*data == nil) != (*first == nil) {
 			return fmt.Errorf("core: batch mixes phantom and real fields")
@@ -561,7 +564,11 @@ func (p *Plan) Forward(f *Field) error {
 }
 
 // Inverse computes the inverse transform (scaled by 1/N, so
-// Inverse(Forward(x)) == x).
+// Inverse(Forward(x)) == x). It walks the same stage list as Forward, so it
+// takes its input on InBox and leaves its output on OutBox: a round trip
+// through one plan needs InBoxes == OutBoxes (the default), and a field on
+// any other box — Forward's output under a plan whose distributions differ —
+// is rejected with ErrMismatchedBoxes.
 func (p *Plan) Inverse(f *Field) error {
 	p.one[0] = f
 	return p.execute(p.one[:], fft.Inverse)
