@@ -105,9 +105,20 @@ func TestNodeAwarePipelineMonotone(t *testing.T) {
 	}
 }
 
-// bruckLoopTime is BruckAlltoallTime with the per-round forwarded-block count
-// taken by looping over every cyclic distance — the form the closed-form count
-// replaced, kept as the reference.
+// bruckLoopCount counts the cyclic distances d in [1, p) with bit k set by
+// looking at every one — the loop the closed-form count replaced, kept as the
+// reference.
+func bruckLoopCount(p, k int) int {
+	cnt := 0
+	for d := 1; d < p; d++ {
+		if d&(1<<k) != 0 {
+			cnt++
+		}
+	}
+	return cnt
+}
+
+// bruckLoopTime is BruckAlltoallTime over the loop count.
 func bruckLoopTime(s AlltoallShape, cp CollParams) float64 {
 	s = s.norm()
 	if s.P <= 1 || s.Dst == 0 {
@@ -122,13 +133,7 @@ func bruckLoopTime(s AlltoallShape, cp CollParams) float64 {
 	t := cp.Overhead
 	steps := int(math.Ceil(math.Log2(float64(s.P))))
 	for k := 0; k < steps; k++ {
-		cnt := 0
-		for d := 1; d < s.P; d++ {
-			if d&(1<<k) != 0 {
-				cnt++
-			}
-		}
-		agg := mbar * float64(cnt)
+		agg := mbar * float64(bruckLoopCount(s.P, k))
 		t += cp.Inject + lat + agg/bw + 2*agg/cp.MemBW
 	}
 	return t
@@ -142,13 +147,7 @@ func bruckLoopTime(s AlltoallShape, cp CollParams) float64 {
 func TestBruckForwardedClosedForm(t *testing.T) {
 	for p := 1; p <= 4096; p++ {
 		for k := 0; k < 14; k++ {
-			want := 0
-			for d := 1; d < p; d++ {
-				if d&(1<<k) != 0 {
-					want++
-				}
-			}
-			if got := bruckForwarded(p, k); got != want {
+			if got, want := bruckForwarded(p, k), bruckLoopCount(p, k); got != want {
 				t.Fatalf("bruckForwarded(%d, %d) = %d, loop counts %d", p, k, got, want)
 			}
 		}

@@ -347,10 +347,11 @@ func transpose(ins []collIn, outs []collOut) {
 // postAlltoall runs the one all-to-all rendezvous over sparse exchange
 // vectors; loc is where the rank's send buffer lives (it decides staging and
 // the overhead class even for a rank that sends nothing). The send list is
-// consumed: it becomes the rank's deposit, its payloads cloned and tagged in
-// place, and the receivers are handed pointers into it. Prologue: fault entry
-// (stalls, kills), the send-side envelope charge, defensive clones tagged with
-// the rank's fault effects, and the injection-port snapshot.
+// consumed: it becomes the rank's deposit, its payloads detached from the
+// caller's slices and tagged in place, and the receivers are handed pointers
+// into it. Prologue: fault entry (stalls, kills), the send-side envelope
+// charge, defensive copies of payloads not sent with Move, the rank's fault
+// effects tagged onto every block, and the injection-port snapshot.
 // Rendezvous: the last arrival prices the exchange with p, transposes the
 // deposits into per-rank receive lists, and pushes the completion of every
 // rank expecting a block from a lost sender to +Inf. Epilogue: the port adopts the

@@ -72,7 +72,12 @@ type Buf struct {
 }
 
 // Elems reports the number of elements in the buffer.
-func (b Buf) Elems() int {
+func (b Buf) Elems() int { return b.elems() }
+
+// elems and bytes are Elems and Bytes for a Buf held in place — an entry of an
+// exchange vector — where the value receivers would copy all 120 bytes of it
+// per call.
+func (b *Buf) elems() int {
 	switch {
 	case b.Data != nil:
 		return len(b.Data)
@@ -90,20 +95,11 @@ func (b Buf) Elems() int {
 // compressing a buffer reprices its entire journey.
 func (b Buf) Bytes() int { return b.bytes() }
 
-// bytes is Bytes for a Buf held in place — an entry of an exchange vector —
-// where the value receiver would copy all 120 bytes of it per call.
 func (b *Buf) bytes() int {
-	n := b.N
-	switch {
-	case b.Data != nil:
-		n = len(b.Data)
-	case b.Real != nil:
-		n = len(b.Real)
-	}
 	if b.Real != nil || (b.Data == nil && b.PhantomReal) {
-		return b.Wire.RealBytes() * n
+		return b.Wire.RealBytes() * b.elems()
 	}
-	return b.Wire.ComplexBytes() * n
+	return b.Wire.ComplexBytes() * b.elems()
 }
 
 // Phantom reports whether the buffer carries no real data.
