@@ -15,23 +15,20 @@
 //
 //	fftserve                                  # open-loop Poisson load, serve mode
 //	fftserve -mode perplan -rate 100          # same load against the baseline
-//	fftserve -bench -json BENCH_PR2.json      # serve vs perplan comparison
 //	fftserve -smoke                           # small CI run (exit 1 on failure)
-//	fftserve -chaos -seed 7                   # seeded fault-injection run
-//	fftserve -chaos -smoke                    # small chaos run for CI
-//	fftserve -chaos-elastic -seed 5           # kill storms vs shrink+resume
+//	fftserve -chaos faults -seed 7            # seeded fault-injection scenario
+//	fftserve -chaos sdc -smoke -seed 3        # small chaos run for CI
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,33 +54,23 @@ func main() {
 		deadline = flag.Duration("deadline", 0, "per-request deadline (0 = none)")
 		seed     = flag.Int64("seed", 1, "load-generator seed")
 		stats    = flag.Bool("stats", false, "print the server stats report after the run")
-		bench    = flag.Bool("bench", false, "run serve AND perplan under identical load, report speedup")
-		jsonOut  = flag.String("json", "", "with -bench: write the comparison as JSON to this file")
 		smoke    = flag.Bool("smoke", false, "small self-checking run for CI")
-		chaos    = flag.Bool("chaos", false, "seeded fault-injection run: verified load against faulty engines (exit 1 on any lost/corrupted response); -smoke shrinks it for CI")
-		chaosSDC = flag.Bool("chaos-sdc", false, "seeded silent-data-corruption run: bit-flipping GPUs under verified load with the integrity defenses armed (exit 1 on any wrong answer); -smoke shrinks it for CI")
-		chaosEl  = flag.Bool("chaos-elastic", false, "seeded kill-storm run against an elastic server: verified load while engines shrink to survivors and resume (exit 1 on any lost/corrupted response, or if either the Resumed or Restarted path never fires); -smoke shrinks it for CI")
+		chaos    = flag.String("chaos", "", "run the named seeded chaos scenario (verified load against faulty engines, exit 1 on any lost or wrong response); -smoke shrinks it for CI")
 	)
 	flag.Parse()
 
-	if *chaos || *chaosSDC || *chaosEl {
-		if *chaos {
-			if err := runChaos(*seed, *smoke); err != nil {
-				fmt.Fprintln(os.Stderr, "fftserve: chaos FAILED:", err)
-				os.Exit(1)
+	if *chaos != "" {
+		sc := lookupScenario(*chaos)
+		if sc == nil {
+			fmt.Fprintf(os.Stderr, "fftserve: unknown -chaos scenario %q; the table has:\n", *chaos)
+			for _, sc := range scenarios {
+				fmt.Fprintf(os.Stderr, "  %-8s %s\n", sc.name, sc.about)
 			}
+			os.Exit(2)
 		}
-		if *chaosSDC {
-			if err := runChaosSDC(*seed, *smoke); err != nil {
-				fmt.Fprintln(os.Stderr, "fftserve: chaos-sdc FAILED:", err)
-				os.Exit(1)
-			}
-		}
-		if *chaosEl {
-			if err := runChaosElastic(*seed, *smoke); err != nil {
-				fmt.Fprintln(os.Stderr, "fftserve: chaos-elastic FAILED:", err)
-				os.Exit(1)
-			}
+		if err := sc.run(os.Stdout, *seed, *smoke); err != nil {
+			fmt.Fprintf(os.Stderr, "fftserve: chaos %s FAILED: %v\n", sc.name, err)
+			os.Exit(1)
 		}
 		return
 	}
@@ -117,14 +104,6 @@ func main() {
 		seed:     *seed,
 	}
 
-	if *bench {
-		if err := runBench(lc, *jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "fftserve:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	res, srvStats, err := runLoad(*mode, lc)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fftserve:", err)
@@ -155,6 +134,8 @@ type loadConfig struct {
 	seed     int64
 }
 
+// parseShapes reads a comma-separated list of N0xN1xN2 grids. Every token
+// must be exactly three positive integers: the extents size allocations.
 func parseShapes(s string) ([][3]int, error) {
 	var out [][3]int
 	for _, part := range strings.Split(s, ",") {
@@ -162,9 +143,18 @@ func parseShapes(s string) ([][3]int, error) {
 		if part == "" {
 			continue
 		}
+		bad := fmt.Errorf("bad shape %q (want N0xN1xN2, every extent ≥ 1)", part)
+		dims := strings.Split(part, "x")
+		if len(dims) != 3 {
+			return nil, bad
+		}
 		var g [3]int
-		if n, err := fmt.Sscanf(part, "%dx%dx%d", &g[0], &g[1], &g[2]); n != 3 || err != nil {
-			return nil, fmt.Errorf("bad shape %q (want N0xN1xN2)", part)
+		for d, tok := range dims {
+			n, err := strconv.Atoi(tok)
+			if err != nil || n < 1 {
+				return nil, bad
+			}
+			g[d] = n
 		}
 		out = append(out, g)
 	}
@@ -415,101 +405,6 @@ func shapeNames(globals [][3]int) string {
 		parts[i] = fmt.Sprintf("%dx%dx%d", g[0], g[1], g[2])
 	}
 	return strings.Join(parts, ",")
-}
-
-// ---------------------------------------------------------------------------
-// Bench: serve vs perplan under identical load
-
-type benchSide struct {
-	ReqsPerSec float64 `json:"reqs_per_sec"`
-	Completed  int64   `json:"completed"`
-	Shed       int64   `json:"shed_at_source"`
-	Rejected   int64   `json:"rejected"`
-	P50Ms      float64 `json:"p50_ms"`
-	P99Ms      float64 `json:"p99_ms"`
-	MeanBatch  float64 `json:"mean_batch,omitempty"`
-}
-
-type benchReport struct {
-	Description string            `json:"description"`
-	Host        string            `json:"host"`
-	Config      map[string]any    `json:"config"`
-	Serve       benchSide         `json:"serve"`
-	PerPlan     benchSide         `json:"perplan"`
-	Speedup     float64           `json:"speedup"`
-	Modes       map[string]string `json:"modes"`
-}
-
-func sideOf(res result) benchSide {
-	return benchSide{
-		ReqsPerSec: float64(res.completed) / res.wall.Seconds(),
-		Completed:  res.completed,
-		Shed:       res.dropped,
-		Rejected:   res.rejected,
-		P50Ms:      float64(quantile(res.latencies, 0.50)) / float64(time.Millisecond),
-		P99Ms:      float64(quantile(res.latencies, 0.99)) / float64(time.Millisecond),
-		MeanBatch:  res.meanBatch,
-	}
-}
-
-func runBench(lc loadConfig, jsonPath string) error {
-	fmt.Printf("bench: %s ranks=%d, open-loop %.0f req/s for %s per mode, %d-slot in-flight cap\n",
-		shapeNames(lc.globals), lc.ranks, lc.rate, lc.duration, lc.clients)
-
-	fmt.Println("-- mode=serve")
-	serveRes, _, err := runLoad("serve", lc)
-	if err != nil {
-		return err
-	}
-	printReport("serve", lc, serveRes)
-
-	fmt.Println("-- mode=perplan")
-	perRes, _, err := runLoad("perplan", lc)
-	if err != nil {
-		return err
-	}
-	printReport("perplan", lc, perRes)
-
-	sv, pp := sideOf(serveRes), sideOf(perRes)
-	speedup := sv.ReqsPerSec / pp.ReqsPerSec
-	fmt.Printf("-- speedup (serve/perplan): %.2fx\n", speedup)
-
-	if jsonPath == "" {
-		return nil
-	}
-	rep := benchReport{
-		Description: "Batched-service throughput vs one-plan-per-request under identical open-loop Poisson load. Both modes see the same arrival process with the same in-flight cap; excess arrivals are shed at the source. reqs_per_sec is completed requests over wall time. Command: go run ./cmd/fftserve -bench with the recorded config.",
-		Host:        fmt.Sprintf("%s/%s, %d CPU core(s)", runtime.GOOS, runtime.GOARCH, runtime.NumCPU()),
-		Config: map[string]any{
-			"shapes":     shapeNames(lc.globals),
-			"ranks":      lc.ranks,
-			"rate_per_s": lc.rate,
-			"duration":   lc.duration.String(),
-			"clients":    lc.clients,
-			"window":     lc.window.String(),
-			"max_batch":  lc.maxBatch,
-			"workers":    lc.workers,
-			"max_queue":  lc.queue,
-			"seed":       lc.seed,
-		},
-		Serve:   sv,
-		PerPlan: pp,
-		Speedup: speedup,
-		Modes: map[string]string{
-			"serve":   "serve.Server: shape-keyed coalescing into fused ForwardBatch executions on cached resident plans",
-			"perplan": "per request: NewWorld + collective NewPlan + single Forward + teardown",
-		},
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(jsonPath, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", jsonPath)
-	return nil
 }
 
 // ---------------------------------------------------------------------------

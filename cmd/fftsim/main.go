@@ -37,24 +37,28 @@ func main() {
 	)
 	flag.Parse()
 
+	fail := func(err error) {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "fftsim:", err)
+			os.Exit(2)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"-n", *n}, {"-ranks", *ranks}, {"-batch", *batch}, {"-iters", *iters}} {
+		if f.v < 1 {
+			fail(fmt.Errorf("%s must be at least 1, got %d", f.name, f.v))
+		}
+	}
 	opts, err := parseOptions(*decomp, *backend, *contiguous, *shrink)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fftsim:", err)
-		os.Exit(2)
-	}
-	if opts.Comm.Algo, err = parseAlgo(*algo); err != nil {
-		fmt.Fprintln(os.Stderr, "fftsim:", err)
-		os.Exit(2)
-	}
-	if opts.Comm.Wire, err = parseWire(*wire); err != nil {
-		fmt.Fprintln(os.Stderr, "fftsim:", err)
-		os.Exit(2)
-	}
+	fail(err)
+	opts.Comm.Algo, err = parseAlgo(*algo)
+	fail(err)
+	opts.Comm.Wire, err = parseWire(*wire)
+	fail(err)
 	place, err := parsePlacement(*placement)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fftsim:", err)
-		os.Exit(2)
-	}
+	fail(err)
 	mdl := heffte.Summit()
 	if *mach == "spock" {
 		mdl = heffte.Spock()
@@ -67,10 +71,16 @@ func main() {
 	var resolved heffte.Decomposition
 	var exchanges int
 	var phases []heffte.CommPhase
+	// Every rank passes the same Config, so a configuration the library
+	// rejects is rejected on all of them and nobody is left in a collective.
+	var planErr error
 	w.Run(func(c *heffte.Comm) {
 		p, err := heffte.NewPlan(c, heffte.Config{Global: global, Opts: opts})
 		if err != nil {
-			panic(err)
+			if c.Rank() == 0 {
+				planErr = err
+			}
+			return
 		}
 		exec := func(inv bool) {
 			fs := make([]*heffte.Field, *batch)
@@ -101,6 +111,8 @@ func main() {
 			phases = p.CommPhases()
 		}
 	})
+
+	fail(planErr)
 
 	fmt.Printf("machine=%s ranks=%d nodes=%d transform=%d³ decomp=%v backend=%v gpu-aware=%v batch=%d",
 		mdl.Name, *ranks, mdl.Nodes(*ranks), *n, resolved, opts.Backend, !*noAware, *batch)

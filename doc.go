@@ -9,12 +9,12 @@
 // (internal/bench, cmd/fftbench).
 //
 // The heffte facade is the entire public surface — programs never import
-// repro/internal/... directly. Beyond plan construction (Config literals or
-// functional options via NewPlanWith), it exposes tuning (Tune,
-// DefaultCandidates, Best), the bandwidth model (SlabTime, PencilTime,
-// PhaseDiagram), trace export (WriteChromeFile), and typed sentinel errors
-// (ErrBadConfig, ErrMismatchedBoxes, ErrPlanClosed) that classify failures
-// through errors.Is.
+// repro/internal/... directly. Beyond plan construction (NewPlan from a
+// Config literal), it exposes tuning (Tune, DefaultCandidates, Best), the
+// bandwidth model (SlabTime, PencilTime, PhaseDiagram), trace export
+// (WriteChromeFile), and typed sentinel errors (ErrBadConfig,
+// ErrMismatchedBoxes, ErrPlanClosed) that classify failures through
+// errors.Is.
 //
 // Under the facade, the execution engine keeps the host-side hot path
 // allocation-free: staging buffers come from a process-wide size-class pool
@@ -32,8 +32,8 @@
 // LRU of resident plans, with admission control (ErrOverloaded), deadline
 // propagation (ErrDeadlineExceeded), and per-shape throughput/latency
 // instrumentation. The generic scheduler core lives in internal/sched;
-// cmd/fftserve drives synthetic open-loop load against it (BENCH_PR2.json
-// records the coalescing-vs-one-plan-per-request comparison).
+// cmd/fftserve drives synthetic open-loop load against it, or against the
+// one-plan-per-request baseline (-mode perplan) for comparison.
 //
 // The simulator also injects the failure modes of large systems: a seeded,
 // reproducible fault plan (GenerateFaults, internal/faults) schedules link
@@ -45,8 +45,8 @@
 // fault-failed batches retry on rebuilt engines with backoff and batch
 // splitting, persistent failures trip a per-shape circuit breaker into a
 // degraded fresh-plan-per-request mode, and all of it is visible in
-// Server.Stats. `fftserve -chaos` replays a seeded fault schedule under
-// verified load and asserts zero lost or corrupted responses.
+// Server.Stats. `fftserve -chaos faults` replays a seeded fault schedule
+// under verified load and asserts zero lost or corrupted responses.
 //
 // See README.md for a tour and DESIGN.md for the system inventory.
 package repro

@@ -53,14 +53,14 @@ var (
 	// stalled past the timeout surfaces as a bounded error, never a hang.
 	ErrExchangeTimeout = mpisim.ErrExchangeTimeout
 	// ErrRetransmitExhausted marks a checksummed block that stayed corrupt
-	// through the whole per-exchange retransmit budget (WithIntegrity with
-	// Checksums on): the link is feeding garbage faster than the transport
-	// can repair it.
+	// through the whole per-exchange retransmit budget
+	// (WorldOptions.Integrity with Checksums on): the link is feeding garbage
+	// faster than the transport can repair it.
 	ErrRetransmitExhausted = mpisim.ErrRetransmitExhausted
 	// ErrIntegrity marks an ABFT phase invariant that kept failing after
-	// phase-scoped re-execution (WithIntegrity with Invariants on): the data
-	// is provably corrupt and cannot be repaired locally. Carries rank and
-	// phase context.
+	// phase-scoped re-execution (WorldOptions.Integrity with Invariants on):
+	// the data is provably corrupt and cannot be repaired locally. Carries
+	// rank and phase context.
 	ErrIntegrity = mpisim.ErrIntegrity
 	// ErrShrunk marks an operation on a world that has already been shrunk
 	// to its survivors (World.Shrink): the handle is superseded, and callers

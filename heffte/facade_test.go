@@ -10,19 +10,19 @@ import (
 	"repro/heffte"
 )
 
-// TestNewPlanWith checks that the functional-option constructor builds the
-// same plan a Config literal would, and that the transform round-trips.
+// TestNewPlanWith checks NewPlan with the geometry options of a Config set:
+// the plan reports them back, and the transform round-trips.
 func TestNewPlanWith(t *testing.T) {
 	w := heffte.NewWorld(heffte.Summit(), 4, heffte.WorldOptions{GPUAware: true})
 	w.Run(func(c *heffte.Comm) {
-		plan, err := heffte.NewPlanWith(c, [3]int{16, 16, 16},
-			heffte.WithDecomposition(heffte.DecompPencils),
-			heffte.WithBackend(heffte.BackendP2P),
-			heffte.WithContiguous(true),
-			heffte.WithPencilGrid(2, 2),
-		)
+		plan, err := heffte.NewPlan(c, heffte.Config{Global: [3]int{16, 16, 16}, Opts: heffte.Options{
+			Decomp:     heffte.DecompPencils,
+			Backend:    heffte.BackendP2P,
+			Contiguous: true,
+			PQ:         [2]int{2, 2},
+		}})
 		if err != nil {
-			t.Errorf("NewPlanWith: %v", err)
+			t.Errorf("NewPlan: %v", err)
 			return
 		}
 		if plan.Decomp() != heffte.DecompPencils {
@@ -58,21 +58,19 @@ func TestNewPlanWith(t *testing.T) {
 	})
 }
 
-// TestFacadeCollectiveOptions: the collective-config options reach the plan,
+// TestFacadeCollectiveOptions: the collective configuration reaches the plan,
 // CommPhases reports what each reshape resolved to, and the context-first
 // entry points run clean transforms through the facade.
 func TestFacadeCollectiveOptions(t *testing.T) {
 	w := heffte.NewWorld(heffte.Summit(), 4, heffte.WorldOptions{GPUAware: true})
 	w.Run(func(c *heffte.Comm) {
-		plan, err := heffte.NewPlanWith(c, [3]int{16, 16, 16},
-			heffte.WithDecomposition(heffte.DecompPencils),
-			heffte.WithBackend(heffte.BackendAlltoallv),
-			heffte.WithCollective(heffte.AlgoRing),
-			heffte.WithExchangeChunks(2),
-			heffte.WithOverlap(false),
-		)
+		plan, err := heffte.NewPlan(c, heffte.Config{Global: [3]int{16, 16, 16}, Opts: heffte.Options{
+			Decomp:  heffte.DecompPencils,
+			Backend: heffte.BackendAlltoallv,
+			Comm:    heffte.CommConfig{Algo: heffte.AlgoRing, Chunks: 2, Overlap: heffte.OverlapOff},
+		}})
 		if err != nil {
-			t.Errorf("NewPlanWith: %v", err)
+			t.Errorf("NewPlan: %v", err)
 			return
 		}
 		defer plan.Close()
@@ -116,11 +114,11 @@ func TestFacadeCollectiveOptions(t *testing.T) {
 func TestFacadeSentinels(t *testing.T) {
 	w := heffte.NewWorld(heffte.Summit(), 2, heffte.WorldOptions{GPUAware: true})
 	w.Run(func(c *heffte.Comm) {
-		if _, err := heffte.NewPlanWith(c, [3]int{0, 8, 8}); !errors.Is(err, heffte.ErrBadConfig) {
+		if _, err := heffte.NewPlan(c, heffte.Config{Global: [3]int{0, 8, 8}}); !errors.Is(err, heffte.ErrBadConfig) {
 			t.Errorf("zero extent: got %v, want ErrBadConfig", err)
 		}
 		bad := []heffte.Box3{heffte.NewBox(0, 0, 0, 8, 8, 8)}
-		if _, err := heffte.NewPlanWith(c, [3]int{8, 8, 8}, heffte.WithBoxes(bad, nil)); !errors.Is(err, heffte.ErrMismatchedBoxes) {
+		if _, err := heffte.NewPlan(c, heffte.Config{Global: [3]int{8, 8, 8}, InBoxes: bad}); !errors.Is(err, heffte.ErrMismatchedBoxes) {
 			t.Errorf("short box list: got %v, want ErrMismatchedBoxes", err)
 		}
 	})

@@ -20,14 +20,13 @@
 // time advances on a virtual clock calibrated to Summit/Spock, so performance
 // experiments at paper scale (thousands of GPUs) run on a laptop.
 //
-// The machine is hierarchical, and the library knows it: NewWorldWith
-// accepts a rank→GPU placement map (WithPlacement: block, round-robin, or an
-// explicit permutation) and an optional switch-level fabric model
-// (WithTopology), both of which the cost model and the AlgoNodeAware
-// two-level all-to-all — gather to a per-node leader over NVLink, aggregated
-// leader exchange over the wire, scatter on arrival — exploit. Plan.CommPhases
-// reports the schedule each reshape phase resolved to, including the
-// two-level node layout.
+// The machine is hierarchical, and the library knows it: WorldOptions takes a
+// rank→GPU placement map (Placement: block, round-robin, or an explicit
+// permutation) and an optional switch-level fabric model (Fabric), both of
+// which the cost model and the AlgoNodeAware two-level all-to-all — gather to
+// a per-node leader over NVLink, aggregated leader exchange over the wire,
+// scatter on arrival — exploit. Plan.CommPhases reports the schedule each
+// reshape phase resolved to, including the two-level node layout.
 package heffte
 
 import (
@@ -78,15 +77,16 @@ type (
 	// resolved to (see Plan.CommPhases).
 	CommPhase = core.CommPhase
 	// WirePrecision selects the on-wire element format of intermediate
-	// reshape payloads (WithWirePrecision): full doubles, fp32 or fp16.
+	// reshape payloads (CommConfig.Wire): full doubles, fp32 or fp16.
 	WirePrecision = core.WirePrecision
 	// CheckpointStore holds an engine's phase checkpoints for elastic
-	// recovery (WithElastic): resumable per-rank stage-boundary snapshots a
-	// shrunken world's plan restarts from via Plan.ResumeBatch.
+	// recovery (Options.Checkpoints): resumable per-rank stage-boundary
+	// snapshots a shrunken world's plan restarts from via Plan.ResumeBatch.
 	CheckpointStore = core.CheckpointStore
 )
 
-// NewCheckpointStore returns an empty phase-checkpoint store for WithElastic.
+// NewCheckpointStore returns an empty phase-checkpoint store for
+// Options.Checkpoints.
 func NewCheckpointStore() *CheckpointStore { return core.NewCheckpointStore() }
 
 // Decompositions.
@@ -126,7 +126,7 @@ const (
 	OverlapOff  = core.OverlapOff
 )
 
-// Wire precisions for intermediate reshape payloads (WithWirePrecision).
+// Wire precisions for intermediate reshape payloads (CommConfig.Wire).
 // WireFp64 is exact; WireFp32/WireFp16 halve/quarter the bytes in flight at
 // ~6e-8 / ~4.9e-4 relative rounding per compressed exchange. Input/output
 // reshapes and the Alltoallw backend always ship full precision.
@@ -138,7 +138,7 @@ const (
 
 // WireErrorBound returns the analytic relative-error bound of shipping the
 // given number of exchanges at wire precision w (zero for WireFp64) — the
-// quantity an accuracy budget (WithAccuracyBudget) is compared against.
+// quantity an accuracy budget (Options.AccuracyBudget) is compared against.
 func WireErrorBound(w WirePrecision, exchanges int) float64 {
 	return core.WireErrorBound(w, exchanges)
 }
@@ -232,7 +232,7 @@ const (
 	FaultKill    = faults.Kill
 	// FaultCorruptSilent really flips payload bits in delivered buffers with
 	// no modeled detection — the silent-data-corruption threat the integrity
-	// layer (WithIntegrity) exists to defeat.
+	// layer (WorldOptions.Integrity) exists to defeat.
 	FaultCorruptSilent = faults.CorruptSilent
 )
 
@@ -276,36 +276,6 @@ func PlaceBlock() Placement                   { return topo.Block() }
 func PlaceRoundRobin() Placement              { return topo.RoundRobin() }
 func PlacePermutation(slotOf []int) Placement { return topo.Permutation(slotOf) }
 
-// WorldOption is a functional option for NewWorldWith.
-type WorldOption func(*WorldOptions)
-
-// WithPlacement selects the rank→GPU placement map.
-func WithPlacement(p Placement) WorldOption {
-	return func(o *WorldOptions) { o.Placement = p }
-}
-
-// WithTopology attaches an explicit fabric: shared-link contention is then
-// computed structurally from concurrent flows instead of the machine model's
-// phenomenological saturation factor.
-func WithTopology(f Fabric) WorldOption {
-	return func(o *WorldOptions) { o.Fabric = &f }
-}
-
-// WithGPUAware toggles GPU-aware MPI transfers.
-func WithGPUAware(on bool) WorldOption {
-	return func(o *WorldOptions) { o.GPUAware = on }
-}
-
-// WithTracer records per-call virtual-time events into tr.
-func WithTracer(tr *Tracer) WorldOption {
-	return func(o *WorldOptions) { o.Tracer = tr }
-}
-
-// WithFaults injects a seeded fault schedule.
-func WithFaults(fp *FaultPlan) WorldOption {
-	return func(o *WorldOptions) { o.Faults = fp }
-}
-
 // IntegrityConfig enables the end-to-end silent-data-corruption defenses:
 // checksummed transport envelopes with bounded retransmit, and the ABFT
 // phase invariants of the transform engine with phase-scoped re-execution.
@@ -316,18 +286,3 @@ type IntegrityConfig = mpisim.IntegrityConfig
 // checks and mismatches, block retransmits, invariant checks and failures,
 // phase re-executions. Read a world's totals with World.IntegrityCounters.
 type IntegritySnapshot = mpisim.IntegritySnapshot
-
-// WithIntegrity arms the integrity layer on the world.
-func WithIntegrity(ic IntegrityConfig) WorldOption {
-	return func(o *WorldOptions) { o.Integrity = ic }
-}
-
-// NewWorldWith creates a simulated job configured by functional options —
-// the option-first flavour of NewWorld.
-func NewWorldWith(m *Machine, size int, opts ...WorldOption) *World {
-	var wo WorldOptions
-	for _, opt := range opts {
-		opt(&wo)
-	}
-	return mpisim.NewWorld(m, size, wo)
-}

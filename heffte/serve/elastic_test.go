@@ -20,7 +20,7 @@ func TestElasticResumeInPlace(t *testing.T) {
 		Ranks:      ranks,
 		Elastic:    true,
 		MaxRetries: 2,
-		EngineFaults: func(shape string, build int) *heffte.FaultPlan {
+		EngineFaults: func(shape string, build int, slots []int) *heffte.FaultPlan {
 			if build == 0 {
 				return &heffte.FaultPlan{Timeout: 0.5, Events: []heffte.FaultEvent{
 					{Kind: heffte.FaultKill, Rank: 1, Op: 1},
@@ -96,7 +96,7 @@ func TestElasticOffRestarts(t *testing.T) {
 		Ranks:        ranks,
 		MaxRetries:   2,
 		RetryBackoff: 10 * time.Microsecond,
-		EngineFaults: func(shape string, build int) *heffte.FaultPlan {
+		EngineFaults: func(shape string, build int, slots []int) *heffte.FaultPlan {
 			if build == 0 {
 				return &heffte.FaultPlan{Timeout: 0.5, Events: []heffte.FaultEvent{
 					{Kind: heffte.FaultKill, Rank: 1, Op: 1},

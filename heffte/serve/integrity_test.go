@@ -11,7 +11,7 @@ import (
 	"repro/heffte"
 )
 
-// sdcOnSlot returns an EngineFaultsOn hook that silently corrupts every send
+// sdcOnSlot returns an EngineFaults hook that silently corrupts every send
 // of whichever rank occupies the given GPU slot (count consecutive corrupt
 // transmissions per block). Engines placed away from the slot run clean —
 // the observable effect of quarantine.
@@ -46,7 +46,7 @@ func TestServeSDCQuarantine(t *testing.T) {
 		Window:              -1, // no coalescing: each submit is its own batch
 		Integrity:           heffte.IntegrityConfig{Checksums: true, Invariants: true},
 		QuarantineThreshold: 2,
-		EngineFaultsOn:      sdcOnSlot(1, 1),
+		EngineFaults:        sdcOnSlot(1, 1),
 	})
 	defer s.Close()
 
@@ -116,13 +116,11 @@ func TestServeSDCUnrepairable(t *testing.T) {
 	const ranks = 4
 	global := [3]int{8, 8, 8}
 	s := New(Config{
-		Ranks:      ranks,
-		Window:     -1,
-		MaxRetries: -1,
-		Integrity:  heffte.IntegrityConfig{Checksums: true, RetransmitBudget: 2},
-		EngineFaultsOn: func(shape string, build int, slots []int) *heffte.FaultPlan {
-			return sdcOnSlot(1, 3)(shape, build, slots)
-		},
+		Ranks:        ranks,
+		Window:       -1,
+		MaxRetries:   -1,
+		Integrity:    heffte.IntegrityConfig{Checksums: true, RetransmitBudget: 2},
+		EngineFaults: sdcOnSlot(1, 3),
 	})
 	defer s.Close()
 	err := s.Submit(context.Background(), &Request{Global: global, Data: randomSignal(global, 13)})
@@ -146,7 +144,7 @@ func TestBreakerHalfOpenReopens(t *testing.T) {
 		MaxRetries:       -1,
 		BreakerThreshold: 2,
 		BreakerCooldown:  cooldown,
-		EngineFaults: func(shape string, build int) *heffte.FaultPlan {
+		EngineFaults: func(shape string, build int, slots []int) *heffte.FaultPlan {
 			return killPlan(build % ranks)
 		},
 	})
@@ -202,11 +200,11 @@ func TestServerCloseNoGoroutineLeak(t *testing.T) {
 	const ranks = 4
 	global := [3]int{8, 8, 8}
 	s := New(Config{
-		Ranks:          ranks,
-		Window:         -1,
-		MaxRetries:     1,
-		Integrity:      heffte.IntegrityConfig{Checksums: true, Invariants: true},
-		EngineFaultsOn: sdcOnSlot(1, 1),
+		Ranks:        ranks,
+		Window:       -1,
+		MaxRetries:   1,
+		Integrity:    heffte.IntegrityConfig{Checksums: true, Invariants: true},
+		EngineFaults: sdcOnSlot(1, 1),
 	})
 	for i := 0; i < 2; i++ {
 		if err := s.Submit(context.Background(), &Request{Global: global, Data: randomSignal(global, 19)}); err != nil {

@@ -38,7 +38,7 @@ func TestRetryRecoversFaultyBuild(t *testing.T) {
 		Ranks:        ranks,
 		MaxRetries:   2,
 		RetryBackoff: 50 * time.Microsecond,
-		EngineFaults: func(shape string, build int) *heffte.FaultPlan {
+		EngineFaults: func(shape string, build int, slots []int) *heffte.FaultPlan {
 			if build == 0 {
 				return killPlan(1)
 			}
@@ -82,7 +82,7 @@ func TestBreakerTripsIntoDegraded(t *testing.T) {
 		MaxRetries:       -1, // no retries: fail fast into the breaker
 		BreakerThreshold: 1,
 		BreakerCooldown:  time.Minute, // stays open for the whole test
-		EngineFaults: func(shape string, build int) *heffte.FaultPlan {
+		EngineFaults: func(shape string, build int, slots []int) *heffte.FaultPlan {
 			return killPlan(build % ranks)
 		},
 	})
@@ -132,7 +132,7 @@ func TestFaultClassifiers(t *testing.T) {
 	s := New(Config{
 		Ranks:      ranks,
 		MaxRetries: -1,
-		EngineFaults: func(shape string, build int) *heffte.FaultPlan {
+		EngineFaults: func(shape string, build int, slots []int) *heffte.FaultPlan {
 			return killPlan(0)
 		},
 	})

@@ -126,15 +126,13 @@ type Config struct {
 	BreakerCooldown  time.Duration
 
 	// EngineFaults, if set, supplies the fault plan injected into the n'th
-	// engine built for a shape (nil = clean engine). It is the chaos-testing
-	// hook: deterministic schedules (heffte.GenerateFaults) keyed on the
-	// build counter exercise the whole recovery path reproducibly.
-	EngineFaults func(shape string, build int) *heffte.FaultPlan
-	// EngineFaultsOn is EngineFaults with the engine's rank→GPU-slot map: a
-	// chaos schedule can pin faults to physical slots, so a "bad GPU" keeps
-	// corrupting whichever rank lands on it — and stops once quarantine
-	// rebuilds engines away from it. Takes precedence over EngineFaults.
-	EngineFaultsOn func(shape string, build int, slots []int) *heffte.FaultPlan
+	// engine built for a shape (nil = clean engine), given the engine's
+	// rank→GPU-slot map. It is the chaos-testing hook: deterministic schedules
+	// (heffte.GenerateFaults) keyed on the build counter exercise the whole
+	// recovery path reproducibly, and a schedule keyed on slots pins a "bad
+	// GPU" that keeps corrupting whichever rank lands on it — and stops once
+	// quarantine rebuilds engines away from it.
+	EngineFaults func(shape string, build int, slots []int) *heffte.FaultPlan
 
 	// Integrity arms the silent-data-corruption defenses on every engine
 	// world (and the degraded path): checksummed transport envelopes with
@@ -219,11 +217,8 @@ func New(cfg Config) *Server {
 	s.cache = newEngineCache(cfg.CacheShapes, func(k engineKey) (*engine, error) {
 		place, slots := s.placementFor(k.ranks)
 		var fp *heffte.FaultPlan
-		switch {
-		case cfg.EngineFaultsOn != nil:
-			fp = cfg.EngineFaultsOn(k.String(), s.nextBuild(k.String()), slots)
-		case cfg.EngineFaults != nil:
-			fp = cfg.EngineFaults(k.String(), s.nextBuild(k.String()))
+		if cfg.EngineFaults != nil {
+			fp = cfg.EngineFaults(k.String(), s.nextBuild(k.String()), slots)
 		}
 		return newEngine(k, cfg.Machine, engineWorldOpts(cfg, fp, place), cfg.Comm, cfg.AccuracyBudget, slots, cfg.Elastic)
 	})

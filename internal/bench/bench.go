@@ -1,8 +1,9 @@
 // Package bench regenerates every table and figure of the paper's evaluation
 // (Section II–IV): each experiment runs the relevant workloads on the
-// simulated machine and prints the same rows/series the paper reports. The
-// cmd/fftbench CLI and the repository's testing.B benchmarks are thin
-// wrappers over this package.
+// simulated machine and prints the same rows/series the paper reports, in
+// virtual time. The cmd/fftbench CLI is a thin wrapper over this package; host
+// wall-clock and memory are measured by the repository benchmark
+// (`go run ./benchmark`), not here.
 package bench
 
 import (
@@ -15,7 +16,7 @@ import (
 // RunOptions tunes an experiment run.
 type RunOptions struct {
 	// Quick shrinks grids and sweeps so the experiment finishes in seconds;
-	// used by tests and `go test -bench`. The full-size runs reproduce the
+	// used by tests and `fftbench -quick`. The full-size runs reproduce the
 	// paper's exact scales (512³, up to 3072 ranks).
 	Quick bool
 }

@@ -16,7 +16,7 @@ func init() {
 	register(Experiment{
 		ID: "elastic",
 		Title: "Elastic shrink-to-survivors recovery: resume-vs-restart latency across " +
-			"kill phase (early/middle/late) and rank count (the BENCH_PR10.json numbers)",
+			"kill phase (early/middle/late) and rank count",
 		Run: runElasticExp,
 	})
 }

@@ -19,30 +19,6 @@ func init() {
 	})
 }
 
-// exchangeForward runs one Forward with a forced collective configuration and
-// returns the virtual runtime plus the per-phase resolution (rank 0's view).
-func exchangeForward(grid [3]int, ranks int, algo core.CollAlgo) (float64, []core.CommPhase, error) {
-	w := mpisim.NewWorld(machine.Summit(), ranks, mpisim.Options{GPUAware: true})
-	var phases []core.CommPhase
-	res := w.Run(func(c *mpisim.Comm) {
-		p, err := core.NewPlan(c, core.Config{Global: grid, Opts: core.Options{
-			Backend: core.BackendAlltoallv,
-			Comm:    core.CommConfig{Algo: algo},
-		}})
-		if err != nil {
-			panic(err)
-		}
-		defer p.Close()
-		if err := p.Forward(core.NewPhantom(p.InBox())); err != nil {
-			panic(err)
-		}
-		if c.Rank() == 0 {
-			phases = p.CommPhases()
-		}
-	})
-	return res.MaxClock, phases, res.Err
-}
-
 // runExchangeAlgos prints the regime table behind the AlgoAuto heuristic: at
 // small grids the overhead/latency-bound exchanges favour the log-step and
 // streamed schedules, at large grids bandwidth dominates and the streamed
@@ -56,13 +32,16 @@ func runExchangeAlgos(w io.Writer, opts RunOptions) error {
 		grids = [][3]int{{32, 32, 32}, {64, 64, 64}}
 	}
 	algos := []core.CollAlgo{core.CollLinear, core.CollPairwise, core.CollRing, core.CollBruck}
+	world := func() *mpisim.World {
+		return mpisim.NewWorld(machine.Summit(), ranks, mpisim.Options{GPUAware: true})
+	}
 	tw := newTable(w)
 	fmt.Fprintln(tw, "grid\tlinear\tpairwise\tring\tbruck\tauto\tauto vs linear\tauto picks")
 	for _, g := range grids {
 		row := fmt.Sprintf("%d³", g[0])
 		var linear float64
 		for _, a := range algos {
-			t, _, err := exchangeForward(g, ranks, a)
+			t, err := forwardOnce(world(), forcedAlgo(g, a), phantom, nil)
 			if err != nil {
 				return err
 			}
@@ -71,7 +50,12 @@ func runExchangeAlgos(w io.Writer, opts RunOptions) error {
 			}
 			row += fmt.Sprintf("\t%.1fµs", t*1e6)
 		}
-		auto, phases, err := exchangeForward(g, ranks, core.CollAuto)
+		var phases []core.CommPhase // rank 0's view of what auto resolved to
+		auto, err := forwardOnce(world(), forcedAlgo(g, core.CollAuto), phantom, func(rank int, p *core.Plan, _ *core.Field) {
+			if rank == 0 {
+				phases = p.CommPhases()
+			}
+		})
 		if err != nil {
 			return err
 		}

@@ -19,31 +19,6 @@ func init() {
 	})
 }
 
-// integrityForward runs one Forward on Summit under an integrity
-// configuration and returns the virtual runtime plus the integrity counters.
-// Overhead rows use phantom payloads (the tested phantom/real parity property
-// makes the clocks identical); recovery rows need real payloads so injected
-// bit flips actually land and the defenses actually fire.
-func integrityForward(grid [3]int, ranks int, ic mpisim.IntegrityConfig, fp *faults.Plan, real bool) (float64, mpisim.IntegritySnapshot, error) {
-	w := mpisim.NewWorld(machine.Summit(), ranks, mpisim.Options{GPUAware: true, Integrity: ic, Faults: fp})
-	res := w.Run(func(c *mpisim.Comm) {
-		p, err := core.NewPlan(c, core.Config{Global: grid})
-		if err != nil {
-			panic(err)
-		}
-		defer p.Close()
-		f := core.NewPhantom(p.InBox())
-		if real {
-			f = core.NewField(p.InBox())
-			f.FillRandom(int64(101 + c.Rank()))
-		}
-		if err := p.Forward(f); err != nil {
-			panic(err)
-		}
-	})
-	return res.MaxClock, w.IntegrityCounters().Snapshot(), res.Err
-}
-
 // sdcWirePlan corrupts rank 1's first sends once each: every flip is caught
 // by the checksummed envelope and healed by a single retransmit.
 func sdcWirePlan(ops int) *faults.Plan {
@@ -68,6 +43,17 @@ func runIntegrityExp(w io.Writer, opts RunOptions) error {
 		recoveryGrid = [3]int{32, 32, 32}
 	}
 
+	// forward runs one Forward on Summit under an integrity configuration and
+	// returns the virtual runtime plus the world's integrity counters.
+	forward := func(grid [3]int, ic mpisim.IntegrityConfig, fp *faults.Plan, seed int64) (float64, mpisim.IntegritySnapshot, error) {
+		world := mpisim.NewWorld(machine.Summit(), ranks, mpisim.Options{GPUAware: true, Integrity: ic, Faults: fp})
+		t, err := forwardOnce(world, core.Config{Global: grid}, seed, nil)
+		return t, world.IntegrityCounters().Snapshot(), err
+	}
+	// Overhead rows use phantom payloads; recovery rows need real ones so
+	// injected bit flips actually land and the defenses actually fire.
+	const realSeed = 101
+
 	configs := []struct {
 		name string
 		ic   mpisim.IntegrityConfig
@@ -84,7 +70,7 @@ func runIntegrityExp(w io.Writer, opts RunOptions) error {
 	for _, g := range grids {
 		base := 0.0
 		for _, c := range configs {
-			t, _, err := integrityForward(g, ranks, c.ic, nil, false)
+			t, _, err := forward(g, c.ic, nil, phantom)
 			if err != nil {
 				return err
 			}
@@ -101,18 +87,18 @@ func runIntegrityExp(w io.Writer, opts RunOptions) error {
 	}
 
 	full := mpisim.IntegrityConfig{Checksums: true, Invariants: true}
-	clean, _, err := integrityForward(recoveryGrid, ranks, full, nil, true)
+	clean, _, err := forward(recoveryGrid, full, nil, realSeed)
 	if err != nil {
 		return err
 	}
-	wire, wireStats, err := integrityForward(recoveryGrid, ranks, full, sdcWirePlan(8), true)
+	wire, wireStats, err := forward(recoveryGrid, full, sdcWirePlan(8), realSeed)
 	if err != nil {
 		return err
 	}
 	brickPlan := &faults.Plan{Timeout: 1, Events: []faults.Event{
 		{Kind: faults.CorruptSilent, Brick: true, Rank: 1, Op: 0, Count: 1},
 	}}
-	brick, brickStats, err := integrityForward(recoveryGrid, ranks, full, brickPlan, true)
+	brick, brickStats, err := forward(recoveryGrid, full, brickPlan, realSeed)
 	if err != nil {
 		return err
 	}

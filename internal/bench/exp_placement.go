@@ -22,26 +22,6 @@ func init() {
 // flatAlgos are the single-level schedules the node-aware one competes with.
 var flatAlgos = []core.CollAlgo{core.CollLinear, core.CollPairwise, core.CollRing, core.CollBruck}
 
-// placementForward runs one Forward under a placement map and returns the
-// virtual runtime.
-func placementForward(m *machine.Model, grid [3]int, ranks int, algo core.CollAlgo, place topo.Placement) (float64, error) {
-	w := mpisim.NewWorld(m, ranks, mpisim.Options{GPUAware: true, Placement: place})
-	res := w.Run(func(c *mpisim.Comm) {
-		p, err := core.NewPlan(c, core.Config{Global: grid, Opts: core.Options{
-			Backend: core.BackendAlltoallv,
-			Comm:    core.CommConfig{Algo: algo},
-		}})
-		if err != nil {
-			panic(err)
-		}
-		defer p.Close()
-		if err := p.Forward(core.NewPhantom(p.InBox())); err != nil {
-			panic(err)
-		}
-	})
-	return res.MaxClock, res.Err
-}
-
 // runPlacement prints the placement × schedule regime table: for each machine
 // and grid, the best flat schedule and the node-aware two-level one under
 // block and round-robin placement. Round-robin dealing spreads consecutive
@@ -70,10 +50,14 @@ func runPlacement(w io.Writer, opts RunOptions) error {
 		ranks := nodes * m.GPUsPerNode
 		for _, g := range grids {
 			for _, pl := range placements {
+				forward := func(a core.CollAlgo) (float64, error) {
+					world := mpisim.NewWorld(m, ranks, mpisim.Options{GPUAware: true, Placement: pl.p})
+					return forwardOnce(world, forcedAlgo(g, a), phantom, nil)
+				}
 				bestFlat := 0.0
 				bestName := ""
 				for _, a := range flatAlgos {
-					t, err := placementForward(m, g, ranks, a, pl.p)
+					t, err := forward(a)
 					if err != nil {
 						return err
 					}
@@ -81,7 +65,7 @@ func runPlacement(w io.Writer, opts RunOptions) error {
 						bestFlat, bestName = t, a.String()
 					}
 				}
-				na, err := placementForward(m, g, ranks, core.CollNodeAware, pl.p)
+				na, err := forward(core.CollNodeAware)
 				if err != nil {
 					return err
 				}

@@ -19,55 +19,6 @@ func init() {
 	})
 }
 
-// precisionForward runs one staged (non-GPU-aware) Forward under a wire
-// precision and returns the virtual runtime, the analytic error bound of the
-// plan's compressed exchanges, and — for real payloads — every rank's output
-// data. The shape is the compression layer's home regime: pencil-native
-// input/output (no brick↔pencil edge reshapes, which always ship fp64), so
-// both remaining exchanges are interior and compressed, and staging through
-// the host prices the PCIe round trip on the same wire bytes — shrinking the
-// payload shrinks both legs.
-func precisionForward(grid [3]int, ranks, pg, qg int, wire core.WirePrecision, real bool) (float64, float64, [][]complex128, error) {
-	w := mpisim.NewWorld(machine.Summit(), ranks, mpisim.Options{GPUAware: false})
-	var outs [][]complex128
-	if real {
-		outs = make([][]complex128, ranks)
-	}
-	var bound float64
-	res := w.Run(func(c *mpisim.Comm) {
-		p, err := core.NewPlan(c, core.Config{
-			Global:   grid,
-			InBoxes:  core.PencilBoxes(grid, 0, pg, qg),
-			OutBoxes: core.PencilBoxes(grid, 2, pg, qg),
-			Opts: core.Options{
-				Backend: core.BackendAlltoallv,
-				Decomp:  core.DecompPencils,
-				PQ:      [2]int{pg, qg},
-				Comm:    core.CommConfig{Wire: wire},
-			},
-		})
-		if err != nil {
-			panic(err)
-		}
-		defer p.Close()
-		f := core.NewPhantom(p.InBox())
-		if real {
-			f = core.NewField(p.InBox())
-			f.FillRandom(int64(577 + c.Rank()))
-		}
-		if err := p.Forward(f); err != nil {
-			panic(err)
-		}
-		if real {
-			outs[c.Rank()] = f.Data
-		}
-		if c.Rank() == 0 {
-			bound = p.WireBound()
-		}
-	})
-	return res.MaxClock, bound, outs, res.Err
-}
-
 // peakRelError returns the peak-normalized maximum component error of got vs
 // want: max|Δ| over both components, divided by the peak component magnitude
 // of want. Peak normalization is the FFT-native metric — absolute error of a
@@ -105,13 +56,43 @@ func runPrecisionExp(w io.Writer, opts RunOptions) error {
 	}
 	wires := []core.WirePrecision{core.WireFp64, core.WireFp32, core.WireFp16}
 
+	// forward runs one staged (non-GPU-aware) Forward under a wire precision
+	// and returns the virtual runtime, the analytic error bound of the plan's
+	// compressed exchanges, and — with a seed — every rank's output data. The
+	// shape is the compression layer's home regime: pencil-native input/output
+	// (no brick↔pencil edge reshapes, which always ship fp64), so both
+	// remaining exchanges are interior and compressed, and staging through the
+	// host prices the PCIe round trip on the same wire bytes — shrinking the
+	// payload shrinks both legs.
+	forward := func(grid [3]int, wire core.WirePrecision, seed int64) (t, bound float64, outs [][]complex128, err error) {
+		outs = make([][]complex128, ranks)
+		t, err = forwardOnce(mpisim.NewWorld(machine.Summit(), ranks, mpisim.Options{GPUAware: false}), core.Config{
+			Global:   grid,
+			InBoxes:  core.PencilBoxes(grid, 0, pg, qg),
+			OutBoxes: core.PencilBoxes(grid, 2, pg, qg),
+			Opts: core.Options{
+				Backend: core.BackendAlltoallv,
+				Decomp:  core.DecompPencils,
+				PQ:      [2]int{pg, qg},
+				Comm:    core.CommConfig{Wire: wire},
+			},
+		}, seed, func(rank int, p *core.Plan, f *core.Field) {
+			outs[rank] = f.Data
+			if rank == 0 {
+				bound = p.WireBound()
+			}
+		})
+		return t, bound, outs, err
+	}
+	const realSeed = 577
+
 	fmt.Fprintf(w, "Staged exchange (Summit, %d ranks as %d×%d pencils, pencil-native I/O, no GPU-aware MPI, phantom payloads):\n", ranks, pg, qg)
 	tw := newTable(w)
 	fmt.Fprintln(tw, "grid\tfp64\tfp32\tfp16\tfp32 speedup\tfp16 speedup")
 	for _, g := range grids {
 		var times [3]float64
 		for i, wp := range wires {
-			t, _, _, err := precisionForward(g, ranks, pg, qg, wp, false)
+			t, _, _, err := forward(g, wp, phantom)
 			if err != nil {
 				return err
 			}
@@ -125,7 +106,7 @@ func runPrecisionExp(w io.Writer, opts RunOptions) error {
 		return err
 	}
 
-	_, _, oracle, err := precisionForward(errGrid, ranks, pg, qg, core.WireFp64, true)
+	_, _, oracle, err := forward(errGrid, core.WireFp64, realSeed)
 	if err != nil {
 		return err
 	}
@@ -133,7 +114,7 @@ func runPrecisionExp(w io.Writer, opts RunOptions) error {
 	tw = newTable(w)
 	fmt.Fprintln(tw, "wire\tmax rel error\tanalytic bound")
 	for _, wp := range wires[1:] {
-		_, bound, got, err := precisionForward(errGrid, ranks, pg, qg, wp, true)
+		_, bound, got, err := forward(errGrid, wp, realSeed)
 		if err != nil {
 			return err
 		}

@@ -150,6 +150,46 @@ func (r fftRun) run() (m measured, err error) {
 	return m, nil
 }
 
+// forwardOnce creates cfg's plan on every rank of w, runs one Forward and
+// returns the virtual makespan — the single-shot measurement of the regime
+// experiments, which compare configurations rather than follow the paper's
+// averaged protocol. The phantom seed transforms size-only fields (timing is
+// identical to real payloads, a tested property); any other seed fills rank
+// r's field from seed+r, for experiments where the bits matter. inspect, when
+// non-nil, sees every rank's plan and transformed field before the plan closes.
+func forwardOnce(w *mpisim.World, cfg core.Config, seed int64, inspect func(rank int, p *core.Plan, f *core.Field)) (float64, error) {
+	res := w.Run(func(c *mpisim.Comm) {
+		p, err := core.NewPlan(c, cfg)
+		if err != nil {
+			panic(err)
+		}
+		defer p.Close()
+		f := core.NewPhantom(p.InBox())
+		if seed != phantom {
+			f = core.NewField(p.InBox())
+			f.FillRandom(seed + int64(c.Rank()))
+		}
+		if err := p.Forward(f); err != nil {
+			panic(err)
+		}
+		if inspect != nil {
+			inspect(c.Rank(), p, f)
+		}
+	})
+	return res.MaxClock, res.Err
+}
+
+// phantom is forwardOnce's seed for size-only payloads.
+const phantom = 0
+
+// forcedAlgo is the Alltoallv plan config with the collective schedule forced.
+func forcedAlgo(grid [3]int, algo core.CollAlgo) core.Config {
+	return core.Config{Global: grid, Opts: core.Options{
+		Backend: core.BackendAlltoallv,
+		Comm:    core.CommConfig{Algo: algo},
+	}}
+}
+
 // tableIIIConfig builds the plan config of the strong-scaling experiments:
 // brick input/output per Table III, pencil FFT grids (P, Q).
 func tableIIIConfig(ranks int, global [3]int, opts core.Options) core.Config {

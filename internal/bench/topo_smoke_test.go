@@ -57,7 +57,7 @@ func topoForwardGather(t *testing.T, m *machine.Model, global [3]int, ranks int,
 	return out
 }
 
-// TestTopoSmoke is the CI gate for the topology layer (`make bench-topo`):
+// TestTopoSmoke is the tier-1 gate for the topology layer:
 //
 //  1. Correctness: the node-aware two-level schedule must be bit-identical to
 //     the linear baseline on a real payload under round-robin placement — the
@@ -84,11 +84,15 @@ func TestTopoSmoke(t *testing.T) {
 	// Large-message inter-node regime: 256³ over 48 ranks dealt round-robin
 	// onto 8 nodes. Phantom payloads — only the virtual clock matters here.
 	grid := [3]int{256, 256, 256}
-	ring, err := placementForward(m, grid, 48, core.CollRing, topo.RoundRobin())
+	forward := func(a core.CollAlgo) (float64, error) {
+		w := mpisim.NewWorld(m, 48, mpisim.Options{GPUAware: true, Placement: topo.RoundRobin()})
+		return forwardOnce(w, forcedAlgo(grid, a), phantom, nil)
+	}
+	ring, err := forward(core.CollRing)
 	if err != nil {
 		t.Fatal(err)
 	}
-	na, err := placementForward(m, grid, 48, core.CollNodeAware, topo.RoundRobin())
+	na, err := forward(core.CollNodeAware)
 	if err != nil {
 		t.Fatal(err)
 	}

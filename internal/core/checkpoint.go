@@ -8,9 +8,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// Phase checkpoints: with a CheckpointStore attached (Options.Checkpoints,
-// facade WithElastic), every rank stages a host-resident snapshot of its
-// fields at each stage boundary of an execution — the PR 8 ABFT retained
+// Phase checkpoints: with a CheckpointStore attached (Options.Checkpoints),
+// every rank stages a host-resident snapshot of its fields at each stage
+// boundary of an execution — the PR 8 ABFT retained
 // bricks promoted into resumable state. Host DRAM survives a GPU death, so
 // after World.Shrink the survivor world re-plans over the survivor count and
 // ResumeBatch redistributes the last globally completed boundary to the new

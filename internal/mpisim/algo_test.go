@@ -386,26 +386,3 @@ func TestAlltoallvWithSchedulesDiffer(t *testing.T) {
 		t.Errorf("bruck and pairwise coincide (%v): schedules are not being applied", clocks[AlgoBruck])
 	}
 }
-
-func benchExchange(b *testing.B, a Algo) {
-	w := NewWorld(machine.Summit(), 12, Options{GPUAware: true})
-	res := w.Run(func(c *Comm) {
-		send := make([]Buf, 12)
-		for d := range send {
-			send[d] = Buf{N: 1 << 12, Loc: machine.Device}
-		}
-		if c.Rank() == 0 {
-			b.ResetTimer()
-		}
-		for i := 0; i < b.N; i++ {
-			c.AlltoallvWith(send, a)
-		}
-	})
-	if res.Err != nil {
-		b.Fatal(res.Err)
-	}
-}
-
-func BenchmarkExchangePairwise(b *testing.B) { benchExchange(b, AlgoPairwise) }
-func BenchmarkExchangeRing(b *testing.B)     { benchExchange(b, AlgoRing) }
-func BenchmarkExchangeBruck(b *testing.B)    { benchExchange(b, AlgoBruck) }

@@ -1,12 +1,9 @@
 package mpisim
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
-
-	"repro/internal/machine"
 )
 
 // rendezvous is the synchronization point of collectives: every member
@@ -26,13 +23,12 @@ type rendezvous struct {
 
 type collIn struct {
 	clock float64
-	send  []Buf // Scatterv: the root's per-rank buffers
 	// blocks is the rank's sparse all-to-all send list (non-empty blocks,
 	// ascending destination); dev says its send buffer is device-resident.
 	blocks []Block
 	dev    bool
 	val    float64
-	buf    Buf
+	key    int // Split: the caller's ordering key (its color travels in val)
 	// port snapshots the rank's injection-port busy-until time; the
 	// scheduled all-to-all algorithms gate their network start on it so
 	// back-to-back chunked exchanges serialize honestly on the wire.
@@ -46,12 +42,10 @@ type collIn struct {
 
 type collOut struct {
 	clock float64
-	recv  []Buf // Gatherv: every rank's buffer, at the root
 	// blocks is the rank's sparse all-to-all receive list, ascending source:
 	// pointers into the senders' deposits (collIn.blocks).
 	blocks []Delivery
 	val    float64
-	buf    Buf
 	// port is the new injection-port busy-until time of the receiving rank
 	// (scheduled all-to-all algorithms only; zero otherwise).
 	port      float64
@@ -156,41 +150,6 @@ func maxClock(ins []collIn) float64 {
 	return t
 }
 
-// Bcast broadcasts root's buffer to every rank (binomial tree timing).
-func (c *Comm) Bcast(root int, b Buf) Buf {
-	st := c.state()
-	start := st.clock
-	w := c.core.world
-	m := c.Model()
-	size := c.Size()
-	c.faultEnter("MPI_Bcast")
-	in := collIn{clock: st.clock}
-	if c.rank == root {
-		in.buf = b.clone()
-	}
-	dev := b.Loc == machine.Device
-	out := c.core.rv.exchange(w, c.rank, in, func(ins []collIn) []collOut {
-		t0 := maxClock(ins)
-		steps := math.Ceil(math.Log2(float64(size)))
-		payload := ins[root].buf
-		// Tree step cost: one message of the full payload per level; use the
-		// worst path (inter-node).
-		mc := m.MsgCostOn(payload.Bytes(), w.topo.Path(0, c.WorldRank(root)), w.nodes, dev, w.opts.GPUAware, machine.ClassCollective)
-		t := t0 + steps*(mc.PostOverhead+mc.PortTime+mc.Latency) + mc.PreStage + mc.PostStage
-		outs := make([]collOut, size)
-		for i := range outs {
-			outs[i] = collOut{clock: t, buf: payload}
-		}
-		return outs
-	})
-	st.clock = c.collClock("MPI_Bcast", start, out.clock)
-	c.record("MPI_Bcast", start, st.clock, out.buf.Bytes())
-	if c.rank == root {
-		return b
-	}
-	return out.buf.clone()
-}
-
 // ReduceOp selects the Allreduce combiner.
 type ReduceOp int
 
@@ -235,93 +194,6 @@ func (c *Comm) Allreduce(v float64, op ReduceOp) float64 {
 	return out.val
 }
 
-// Gatherv collects every rank's buffer at root (returned in rank order at
-// root; nil elsewhere). Timing: all senders inject their buffers toward the
-// root, which drains them through its port sequentially.
-func (c *Comm) Gatherv(root int, b Buf) []Buf {
-	st := c.state()
-	start := st.clock
-	w := c.core.world
-	m := c.Model()
-	size := c.Size()
-	c.faultEnter("MPI_Gatherv")
-	out := c.core.rv.exchange(w, c.rank, collIn{clock: st.clock, buf: b.clone()}, func(ins []collIn) []collOut {
-		t0 := maxClock(ins)
-		rootW := c.WorldRank(root)
-		t := t0
-		recv := make([]Buf, size)
-		for r := 0; r < size; r++ {
-			recv[r] = ins[r].buf
-			if r == root {
-				continue
-			}
-			srcW := c.WorldRank(r)
-			mc := m.MsgCostOn(ins[r].buf.Bytes(), w.topo.Path(srcW, rootW), w.nodes, ins[r].buf.Loc == machine.Device, w.opts.GPUAware, machine.ClassCollective)
-			t += mc.PostOverhead + mc.PortTime
-		}
-		t += w.topo.Latency(c.WorldRank((root+1)%size), rootW)
-		outs := make([]collOut, size)
-		for r := range outs {
-			outs[r].clock = t0 + 2*m.HostOverheadColl
-			if r == root {
-				outs[r].clock = t
-				outs[r].recv = recv
-			}
-		}
-		return outs
-	})
-	st.clock = c.collClock("MPI_Gatherv", start, out.clock)
-	c.record("MPI_Gatherv", start, st.clock, b.Bytes())
-	return out.recv
-}
-
-// Scatterv distributes root's per-rank buffers (len == comm size at root,
-// ignored elsewhere); each rank receives its slot.
-func (c *Comm) Scatterv(root int, bufs []Buf) Buf {
-	st := c.state()
-	start := st.clock
-	w := c.core.world
-	m := c.Model()
-	size := c.Size()
-	c.faultEnter("MPI_Scatterv")
-	in := collIn{clock: st.clock}
-	if c.rank == root {
-		if len(bufs) != size {
-			panic(fmt.Sprintf("mpisim: Scatterv root has %d buffers for size-%d comm", len(bufs), size))
-		}
-		in.send = make([]Buf, size)
-		for i, b := range bufs {
-			in.send[i] = b.clone()
-		}
-	}
-	out := c.core.rv.exchange(w, c.rank, in, func(ins []collIn) []collOut {
-		t0 := maxClock(ins)
-		rootW := c.WorldRank(root)
-		outs := make([]collOut, size)
-		t := t0
-		for r := 0; r < size; r++ {
-			outs[r].buf = ins[root].send[r]
-			if r == root {
-				outs[r].clock = t0
-				continue
-			}
-			dstW := c.WorldRank(r)
-			b := ins[root].send[r]
-			mc := m.MsgCostOn(b.Bytes(), w.topo.Path(rootW, dstW), w.nodes, b.Loc == machine.Device, w.opts.GPUAware, machine.ClassCollective)
-			t += mc.PostOverhead + mc.PortTime
-			outs[r].clock = t + mc.Latency
-		}
-		outs[root].clock = t
-		return outs
-	})
-	st.clock = c.collClock("MPI_Scatterv", start, out.clock)
-	c.record("MPI_Scatterv", start, st.clock, out.buf.Bytes())
-	if c.rank == root {
-		return bufs[root]
-	}
-	return out.buf.clone()
-}
-
 // Split partitions the communicator like MPI_Comm_split: ranks with the same
 // color form a new communicator, ordered by (key, rank). Ranks passing a
 // negative color receive nil.
@@ -331,9 +203,7 @@ func (c *Comm) Split(color, key int) *Comm {
 	}
 	st := c.state()
 	w := c.core.world
-	// The color travels in the val field and the key in the phantom buffer's
-	// element count.
-	in := collIn{clock: st.clock, val: float64(color), buf: Buf{N: key}}
+	in := collIn{clock: st.clock, val: float64(color), key: key}
 	out := c.core.rv.exchange(w, c.rank, in, func(ins []collIn) []collOut {
 		t0 := maxClock(ins)
 		// Group by color.
@@ -343,7 +213,7 @@ func (c *Comm) Split(color, key int) *Comm {
 			if col < 0 {
 				continue
 			}
-			groups[col] = append(groups[col], entry{color: col, key: inp.buf.N, rank: r})
+			groups[col] = append(groups[col], entry{color: col, key: inp.key, rank: r})
 		}
 		cores := map[int]*commCore{}
 		newRank := make([]int, len(ins))

@@ -111,49 +111,6 @@ func TestWaitCollPanicsOnReuse(t *testing.T) {
 	})
 }
 
-func TestGathervCollectsAtRoot(t *testing.T) {
-	const n = 5
-	w := NewWorld(machine.Summit(), n, Options{GPUAware: true})
-	var got []complex128
-	w.Run(func(c *Comm) {
-		parts := c.Gatherv(2, hostBuf(complex(float64(c.Rank()), 0)))
-		if c.Rank() == 2 {
-			for _, p := range parts {
-				got = append(got, p.Data[0])
-			}
-		} else if parts != nil {
-			panic("non-root got data")
-		}
-	})
-	for i := 0; i < n; i++ {
-		if got[i] != complex(float64(i), 0) {
-			t.Errorf("root gathered %v at %d", got[i], i)
-		}
-	}
-}
-
-func TestScattervDistributesFromRoot(t *testing.T) {
-	const n = 4
-	w := NewWorld(machine.Summit(), n, Options{GPUAware: true})
-	got := make([]complex128, n)
-	w.Run(func(c *Comm) {
-		var bufs []Buf
-		if c.Rank() == 0 {
-			bufs = make([]Buf, n)
-			for i := range bufs {
-				bufs[i] = hostBuf(complex(float64(100+i), 0))
-			}
-		}
-		b := c.Scatterv(0, bufs)
-		got[c.Rank()] = b.Data[0]
-	})
-	for i := 0; i < n; i++ {
-		if got[i] != complex(float64(100+i), 0) {
-			t.Errorf("rank %d got %v", i, got[i])
-		}
-	}
-}
-
 func TestRealBufBytes(t *testing.T) {
 	rb := Buf{Real: []float64{1, 2, 3}}
 	if rb.Bytes() != 24 || rb.Elems() != 3 || rb.Phantom() {

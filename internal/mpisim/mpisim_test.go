@@ -242,24 +242,6 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 	}
 }
 
-func TestBcast(t *testing.T) {
-	w := NewWorld(machine.Summit(), 5, Options{GPUAware: true})
-	got := make([]complex128, 5)
-	w.Run(func(c *Comm) {
-		var b Buf
-		if c.Rank() == 2 {
-			b = hostBuf(7 + 1i)
-		}
-		out := c.Bcast(2, b)
-		got[c.Rank()] = out.Data[0]
-	})
-	for r, v := range got {
-		if v != 7+1i {
-			t.Errorf("rank %d got %v from bcast", r, v)
-		}
-	}
-}
-
 func TestAllreduce(t *testing.T) {
 	w := NewWorld(machine.Summit(), 6, Options{GPUAware: true})
 	sums := make([]float64, 6)

@@ -158,5 +158,3 @@ func TestRoundRobinPlacementCostsMore(t *testing.T) {
 		t.Errorf("round-robin (%v) should be slower than block (%v) for consecutive-rank groups", rrobin, block)
 	}
 }
-
-func BenchmarkExchangeNodeAware(b *testing.B) { benchExchange(b, AlgoNodeAware) }
