@@ -7,8 +7,10 @@ all: build vet test
 build:
 	go build ./...
 
+# go vet plus the formatting gate: gofmt -l must print nothing. Used by CI.
 vet:
 	go vet ./...
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l . lists:"; gofmt -l .; exit 1; }
 
 test:
 	go test ./...

@@ -65,7 +65,8 @@ type (
 	// RealField is one rank's share of a distributed real array.
 	RealField = core.RealField
 	// CollectiveAlgo selects the all-to-all schedule of the Alltoallv
-	// backend: AlgoAuto picks per reshape phase from the regime models.
+	// backend: AlgoAuto picks, per reshape phase, the schedule priced cheapest
+	// by the simulator's schedules.
 	CollectiveAlgo = core.CollAlgo
 	// CommConfig bundles the collective knobs: algorithm, chunk count, and
 	// pack/exchange/unpack overlap. Its zero value is fully automatic.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/heffte"
+	"repro/internal/tensor"
 )
 
 // Elastic recovery: resume, not restart. When a rank of an elastic engine is
@@ -108,7 +109,7 @@ func (e *engine) shrinkResume(tk ticket, dir Direction, reqs []*Request) (deadSl
 	for i, req := range reqs {
 		for r := 0; r < be2.size; r++ {
 			f := res.fields[r][i]
-			unpackBox(req.Data, e.key.global, f.Data, f.Box)
+			tensor.Unpack(req.Data, tensor.FullBox(e.key.global), f.Box, f.Data)
 		}
 	}
 	e.statsMu.Lock()

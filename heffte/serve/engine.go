@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/heffte"
+	"repro/internal/tensor"
 )
 
 // engineKey identifies one resident engine: the transform shape minus the
@@ -339,7 +340,7 @@ func (e *engine) execute(dir Direction, reqs []*Request) (ticket, error) {
 		for i, req := range reqs {
 			sets[i] = be.fieldSets.Get().([]*heffte.Field)
 			for _, f := range sets[i] {
-				packBox(f.Data, f.Box, req.Data, e.key.global)
+				tensor.Pack(req.Data, tensor.FullBox(e.key.global), f.Box, f.Data)
 			}
 		}
 		per := make([][]*heffte.Field, be.size)
@@ -382,9 +383,7 @@ func (e *engine) execute(dir Direction, reqs []*Request) (ticket, error) {
 			return tk, fmt.Errorf("serve: engine %s: %w", e.key, job.err)
 		}
 		for i, req := range reqs {
-			for _, f := range sets[i] {
-				unpackBox(req.Data, e.key.global, f.Data, f.Box)
-			}
+			Gather(e.key.global, req.Data, sets[i])
 			be.fieldSets.Put(sets[i])
 		}
 		e.statsMu.Lock()
@@ -430,9 +429,8 @@ func (e *engine) close() {
 func Scatter(global [3]int, data []complex128, boxes []heffte.Box3) []*heffte.Field {
 	fields := make([]*heffte.Field, len(boxes))
 	for r, b := range boxes {
-		f := heffte.NewField(b)
-		packBox(f.Data, f.Box, data, global)
-		fields[r] = f
+		fields[r] = heffte.NewField(b)
+		tensor.Pack(data, tensor.FullBox(global), b, fields[r].Data)
 	}
 	return fields
 }
@@ -441,39 +439,6 @@ func Scatter(global [3]int, data []complex128, boxes []heffte.Box3) []*heffte.Fi
 // transformed) local array back into the global one.
 func Gather(global [3]int, data []complex128, fields []*heffte.Field) {
 	for _, f := range fields {
-		unpackBox(data, global, f.Data, f.Box)
-	}
-}
-
-// packBox copies the box-shaped sub-array of a row-major global array into a
-// field-local row-major array (axis 2 contiguous, as everywhere in the repo).
-func packBox(dst []complex128, box heffte.Box3, global []complex128, n [3]int) {
-	if box.Empty() {
-		return
-	}
-	row := box.Hi[2] - box.Lo[2]
-	di := 0
-	for i0 := box.Lo[0]; i0 < box.Hi[0]; i0++ {
-		for i1 := box.Lo[1]; i1 < box.Hi[1]; i1++ {
-			base := (i0*n[1]+i1)*n[2] + box.Lo[2]
-			copy(dst[di:di+row], global[base:base+row])
-			di += row
-		}
-	}
-}
-
-// unpackBox is the inverse of packBox: local array back into the global one.
-func unpackBox(global []complex128, n [3]int, src []complex128, box heffte.Box3) {
-	if box.Empty() {
-		return
-	}
-	row := box.Hi[2] - box.Lo[2]
-	si := 0
-	for i0 := box.Lo[0]; i0 < box.Hi[0]; i0++ {
-		for i1 := box.Lo[1]; i1 < box.Hi[1]; i1++ {
-			base := (i0*n[1]+i1)*n[2] + box.Lo[2]
-			copy(global[base:base+row], src[si:si+row])
-			si += row
-		}
+		tensor.Unpack(data, tensor.FullBox(global), f.Box, f.Data)
 	}
 }

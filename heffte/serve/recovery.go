@@ -287,45 +287,22 @@ func (s *Server) runDegraded(reqs []*Request) error {
 	return &sched.BatchErrors{Errs: errs}
 }
 
-// runFresh executes one request on a fresh clean world, fresh plan, no cache.
+// runFresh executes one request on a throwaway clean engine — the resident
+// path's world → plan → scatter → execute → gather, built for this request and
+// closed after it. The world carries no injected faults, block placement and
+// no checkpoints, but keeps the integrity defenses armed: degradation must
+// never weaken the zero-wrong-answers guarantee.
 func (s *Server) runFresh(req *Request) error {
 	k := engineKeyFor(req, s.cfg.Ranks)
-	boxes := heffte.DefaultBricks(k.ranks, k.global)
-	fields := Scatter(k.global, req.Data, boxes)
-	errs := make([]error, k.ranks)
-	// Degraded worlds are clean (no injected faults) but keep the integrity
-	// defenses armed: degradation must never weaken the zero-wrong-answers
-	// guarantee.
-	w := heffte.NewWorld(s.cfg.Machine, k.ranks, heffte.WorldOptions{
-		GPUAware: !s.cfg.NoGPUAware, Integrity: s.cfg.Integrity,
-	})
-	w.Run(func(c *heffte.Comm) {
-		r := c.Rank()
-		var perr error
-		ferr := c.Protect(func() {
-			var plan *heffte.Plan
-			plan, perr = heffte.NewPlan(c, heffte.Config{Global: k.global, Opts: heffte.Options{Decomp: k.decomp, Comm: s.cfg.Comm, AccuracyBudget: s.cfg.AccuracyBudget}})
-			if perr != nil {
-				return
-			}
-			defer plan.Close()
-			if req.Direction == Inverse {
-				perr = plan.Inverse(fields[r])
-			} else {
-				perr = plan.Forward(fields[r])
-			}
-		})
-		if perr == nil {
-			perr = ferr
-		}
-		errs[r] = perr
-	})
-	for _, e := range errs {
-		if e != nil {
-			return fmt.Errorf("serve: degraded execution: %w", e)
-		}
+	eng, err := newEngine(k, s.cfg.Machine, engineWorldOpts(s.cfg, nil, heffte.Placement{}),
+		s.cfg.Comm, s.cfg.AccuracyBudget, nil, false)
+	if err == nil {
+		_, err = eng.execute(req.Direction, []*Request{req})
+		eng.close()
 	}
-	Gather(k.global, req.Data, fields)
+	if err != nil {
+		return fmt.Errorf("serve: degraded execution: %w", err)
+	}
 	return nil
 }
 

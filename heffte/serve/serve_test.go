@@ -29,14 +29,9 @@ func randomSignal(global [3]int, seed int64) []complex128 {
 func runReference(t *testing.T, global [3]int, ranks int, decomp heffte.Decomposition, dir Direction, datas [][]complex128) {
 	t.Helper()
 	boxes := heffte.DefaultBricks(ranks, global)
-	fields := make([][]*heffte.Field, ranks)
-	for r := range fields {
-		fields[r] = make([]*heffte.Field, len(datas))
-		for i, d := range datas {
-			f := heffte.NewField(boxes[r])
-			packBox(f.Data, f.Box, d, global)
-			fields[r][i] = f
-		}
+	sets := make([][]*heffte.Field, len(datas)) // sets[i][r]: rank r's share of entry i
+	for i, d := range datas {
+		sets[i] = Scatter(global, d, boxes)
 	}
 	w := heffte.NewWorld(heffte.Summit(), ranks, heffte.WorldOptions{GPUAware: true})
 	w.Run(func(c *heffte.Comm) {
@@ -48,9 +43,9 @@ func runReference(t *testing.T, global [3]int, ranks int, decomp heffte.Decompos
 		for i := range datas {
 			var e error
 			if dir == Inverse {
-				e = plan.Inverse(fields[c.Rank()][i])
+				e = plan.Inverse(sets[i][c.Rank()])
 			} else {
-				e = plan.Forward(fields[c.Rank()][i])
+				e = plan.Forward(sets[i][c.Rank()])
 			}
 			if e != nil {
 				panic(e)
@@ -58,9 +53,7 @@ func runReference(t *testing.T, global [3]int, ranks int, decomp heffte.Decompos
 		}
 	})
 	for i, d := range datas {
-		for r := 0; r < ranks; r++ {
-			unpackBox(d, global, fields[r][i].Data, fields[r][i].Box)
-		}
+		Gather(global, d, sets[i])
 	}
 }
 

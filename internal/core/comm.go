@@ -3,15 +3,15 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/model"
 	"repro/internal/mpisim"
 	"repro/internal/tensor"
 	"repro/internal/topo"
 )
 
 // This file is the plan-level half of the pluggable collective subsystem:
-// per-phase exchange statistics, the regime heuristic behind CollAuto, and
-// the chunking policy the exchange driver (exchange.go) executes.
+// per-phase exchange statistics, the CollAuto selection — which asks the
+// simulator what each schedule costs — and the chunking policy the exchange
+// driver (exchange.go) executes.
 
 // autoChunkBytes is the per-rank send volume above which the auto policy
 // splits a *staged* reshape into pipeline chunks. Chunking only pays where
@@ -25,90 +25,44 @@ const autoChunkBytes = 2 << 20
 // autoChunks is the pipeline depth the auto policy uses once chunking pays.
 const autoChunks = 4
 
-// exchStats summarizes one reshape's exchange graph across the whole group
-// — the shape quantities the regime heuristic reasons about. It is a pure
-// function of the global box lists and rank placement, so every member
-// computes (or shares) identical values and algorithm selection stays
-// deterministic without negotiation.
+// exchStats summarizes one reshape's exchange graph across the whole group:
+// what the chunking policy and CommPhase.Schedule read. It is a pure function
+// of the global box lists and rank placement, and symmetric in the direction
+// of the exchange, so every member — and the reversed copy of a reshape —
+// shares identical values.
 type exchStats struct {
-	gs         int     // group size
-	pairs      int     // ordered (src,dst) pairs with payload, src != dst
-	totalElems int     // sum of off-diagonal pair volumes (elements)
-	maxElems   int     // largest single pair volume
-	maxRows    int     // largest axis-0 extent of a pair box (chunk bound)
-	rounds     int     // distinct nonzero cyclic offsets carrying payload
-	interFrac  float64 // fraction of pairs crossing a node boundary
-	interBW    float64 // slowest naive inter-node per-flow bandwidth (0 if none)
-	nodes      int     // distinct nodes the group occupies
-	maxPerNode int     // largest per-node member count
-	schedBW    float64 // slowest scheduled (clean-share) inter-node flow (0 if none)
-	leaderBW   float64 // slowest aggregated leader flow of the two-level schedule
+	gs         int // group size
+	pairs      int // ordered (src,dst) pairs with payload, src != dst
+	totalElems int // sum of off-diagonal pair volumes (elements)
+	maxRows    int // largest axis-0 extent of a pair box (chunk bound)
+	nodes      int // distinct nodes the group occupies
+	maxPerNode int // largest per-node member count
 }
 
-// statsAcc accumulates one exchange group's exchStats from the off-diagonal
-// overlaps the reshape analysis finds (computeReshapeTable) — the blocks that
-// exist, not a second sweep over every pair. Link bandwidths come from the
-// world's resolved topology, so placement maps and explicit fabrics feed
-// straight into algorithm selection.
-type statsAcc struct {
-	st      exchStats
-	sys     *topo.System
-	perNode map[int]int // node → members on it
-	offsets []bool      // cyclic offsets carrying payload
-}
-
-func newStatsAcc(sys *topo.System, worldOf func(int) int, members []int) *statsAcc {
-	a := &statsAcc{st: exchStats{gs: len(members)}, sys: sys, perNode: map[int]int{}, offsets: make([]bool, len(members))}
+// groupStats starts one exchange group's statistics from its placement; the
+// reshape analysis adds the off-diagonal overlaps it finds (add).
+func groupStats(sys *topo.System, worldOf func(int) int, members []int) *exchStats {
+	st := &exchStats{gs: len(members)}
+	perNode := map[int]int{}
 	for _, r := range members {
-		a.perNode[sys.Node(worldOf(r))]++
+		perNode[sys.Node(worldOf(r))]++
 	}
-	a.st.nodes = len(a.perNode)
-	for _, c := range a.perNode {
-		if c > a.st.maxPerNode {
-			a.st.maxPerNode = c
+	st.nodes = len(perNode)
+	for _, c := range perNode {
+		if c > st.maxPerNode {
+			st.maxPerNode = c
 		}
 	}
-	return a
+	return st
 }
 
-// add records the block b that group rank i (world rank wi) sends to group
-// rank j ≠ i (world rank wj).
-func (a *statsAcc) add(i, j, wi, wj int, b tensor.Box3) {
-	st, sys := &a.st, a.sys
-	v := b.Volume()
+// add records an off-diagonal block of the exchange.
+func (st *exchStats) add(b tensor.Box3) {
 	st.pairs++
-	st.totalElems += v
-	if v > st.maxElems {
-		st.maxElems = v
-	}
+	st.totalElems += b.Volume()
 	if r := b.Size(0); r > st.maxRows {
 		st.maxRows = r
 	}
-	if off := (j - i + st.gs) % st.gs; !a.offsets[off] {
-		a.offsets[off] = true
-		st.rounds++
-	}
-	if !sys.SameNode(wi, wj) {
-		st.interFrac++
-		if bw := sys.NaiveFlowBW(wi, wj); st.interBW == 0 || bw < st.interBW {
-			st.interBW = bw
-		}
-		if bw := sys.SchedFlowBW(wi, wj); st.schedBW == 0 || bw < st.schedBW {
-			st.schedBW = bw
-		}
-		ni, nj := sys.Node(wi), sys.Node(wj)
-		if bw := sys.LeaderBW(ni, nj, a.perNode[ni]); st.leaderBW == 0 || bw < st.leaderBW {
-			st.leaderBW = bw
-		}
-	}
-}
-
-// done closes the accumulation: interFrac turns from a count into a fraction.
-func (a *statsAcc) done() exchStats {
-	if a.st.pairs > 0 {
-		a.st.interFrac /= float64(a.st.pairs)
-	}
-	return a.st
 }
 
 // collAlgoOf maps a simulator schedule back to its facade-level name.
@@ -141,53 +95,36 @@ func simAlgoOf(a CollAlgo) mpisim.Algo {
 	return mpisim.AlgoLinear
 }
 
-// pickAlgo evaluates the closed-form regime models over this phase's shape
-// and returns the cheapest schedule — the CollAuto policy. Deterministic
-// across ranks: everything it reads is group-global.
-func pickAlgo(g *mpisim.Comm, st exchStats, eb, batch int) mpisim.Algo {
-	m := g.Model()
-	oh := m.HostOverheadColl
-	if g.GPUAware() {
-		oh = m.DeviceOverheadColl
-	}
-	// Scheduled permutation rounds see the clean per-flow injection share;
-	// the naive linear loop sees it degraded by fabric saturation (the
-	// slowest such flow in the group, from the stats pass).
-	naiveBW := st.interBW
-	schedBW := st.schedBW
-	if naiveBW == 0 {
-		naiveBW, schedBW = m.IntraBW, m.IntraBW
-	}
-	cp := model.CollParams{
-		Overhead: oh, Inject: m.CollInject, Congestion: m.CollCongestion,
-		InterBW: schedBW, NaiveInterBW: naiveBW, IntraBW: m.IntraBW,
-		InterLat: m.InterLatency, IntraLat: m.IntraLatency,
-		MemBW:    m.GPU.MemBW,
-		LeaderBW: st.leaderBW, Pipeline: float64(m.CollPipeline),
-	}
-	if g.Integrity().Checksums {
-		cp.ChecksumBW, cp.ChecksumOverhead = m.GPU.ChecksumRate()
-	}
-	shape := model.AlltoallShape{
-		P:         st.gs,
-		Dst:       (st.pairs + st.gs - 1) / st.gs,
-		Rounds:    st.rounds,
-		Bytes:     float64(st.totalElems) / float64(st.pairs) * float64(eb*batch),
-		InterFrac: st.interFrac,
-		Nodes:     st.nodes,
-		PerNode:   st.maxPerNode,
-	}
-	switch model.PickAlltoall(shape, cp) {
-	case model.AlltoallPairwise:
-		return mpisim.AlgoPairwise
-	case model.AlltoallRing:
-		return mpisim.AlgoRing
-	case model.AlltoallBruck:
-		return mpisim.AlgoBruck
-	case model.AlltoallNodeAware:
-		return mpisim.AlgoNodeAware
-	}
-	return mpisim.AlgoLinear
+// pickAlgo is the CollAuto policy: price this phase's real exchange — every
+// member's row of the byte matrix, at the given on-wire element size and batch
+// width — under each schedule with the simulator's own pricer
+// (mpisim.Comm.PriceAlltoallv) and keep the cheapest. Candidates are tried in
+// the order linear, ring, pairwise, Bruck, node-aware (the last only where the
+// group spans more than one node) and only a strictly cheaper one displaces an
+// earlier one. The rows come from the world's shared reshape table, so the
+// answer is a pure function of the group and is computed once per world; every
+// member reads the same value without negotiation.
+//
+// The price is that of an idle group: it cannot see the entry skew the
+// previous phase leaves behind, so two schedules within a few percent of each
+// other on a ragged node layout may rank the other way in situ (EXPERIMENTS.md,
+// "One collective cost engine").
+func pickAlgo(rs *reshapePlan, web, batch int) mpisim.Algo {
+	key := fmt.Sprintf("%s/pick/%d/%t/%d/%d", rs.tab.key, rs.root, rs.reversed, web, batch)
+	return rs.group.World().Shared(key, func() any {
+		rows := rs.tab.rows(rs.root, rs.reversed, web*batch)
+		cands := []mpisim.Algo{mpisim.AlgoLinear, mpisim.AlgoRing, mpisim.AlgoPairwise, mpisim.AlgoBruck, mpisim.AlgoNodeAware}
+		if rs.stats.nodes <= 1 {
+			cands = cands[:4] // no second level to schedule
+		}
+		best, bt := cands[0], rs.group.PriceAlltoallv(rows, cands[0])
+		for _, a := range cands[1:] {
+			if t := rs.group.PriceAlltoallv(rows, a); t < bt {
+				best, bt = a, t
+			}
+		}
+		return best
+	}).(mpisim.Algo)
 }
 
 // frozen is one row of a reshape's resolve table: the (schedule, chunk count,
@@ -201,7 +138,7 @@ type frozen struct {
 
 // resolved answers how this phase runs at the given on-wire element size and
 // batch width from the reshape's table, resolving on first use. The answer is
-// a function of the plan (options, group, exchange statistics, machine) and of
+// a function of the plan (options, group, exchange matrix, machine) and of
 // nothing a call can change, so it is decided once — the MPI_Alltoallv_init
 // of a persistent collective — and every later exchange, per-entry post and
 // CommPhases reads the row. The table grows by one row per distinct width the
@@ -230,7 +167,7 @@ func (rs *reshapePlan) resolve(opts Options, eb, batch int) (mpisim.Algo, int, b
 
 	algo := simAlgoOf(cc.Algo)
 	if cc.Algo == CollAuto && st.pairs > 0 {
-		algo = pickAlgo(rs.group, st, eb, batch)
+		algo = pickAlgo(rs, eb, batch)
 	}
 
 	chunks := cc.Chunks
@@ -275,7 +212,7 @@ func chunkBox(b tensor.Box3, ci, n int) tensor.Box3 {
 
 // CommPhase reports how one communication phase of the plan is configured:
 // the schedule the Alltoallv backend resolved (after the CollAuto
-// heuristic) and the pipeline depth of the chunked path. Exposed through
+// selection) and the pipeline depth of the chunked path. Exposed through
 // the facade so serving stats and tooling can observe tuning decisions.
 type CommPhase struct {
 	Label     string

@@ -23,9 +23,9 @@ func rowColBoxes(p int) (from, to []tensor.Box3) {
 	return from, to
 }
 
-// TestComputeExchStatsTopology: the stats pass must report the group's node
-// footprint and the topology-derived link bandwidths exactly — these numbers
-// are what CollAuto's closed forms consume.
+// TestComputeExchStatsTopology: the stats pass must report the group's
+// volumes and node footprint exactly — these numbers are what auto-chunking
+// and CommPhase.Schedule consume.
 func TestComputeExchStatsTopology(t *testing.T) {
 	m := machine.Summit() // 6 GPUs per node
 	const p = 12          // two full nodes
@@ -36,29 +36,16 @@ func TestComputeExchStatsTopology(t *testing.T) {
 	if st.gs != p || st.pairs != p*(p-1) || st.totalElems != p*(p-1) {
 		t.Fatalf("gs=%d pairs=%d total=%d, want 12/132/132", st.gs, st.pairs, st.totalElems)
 	}
-	if st.maxElems != 1 || st.maxRows != 1 || st.rounds != p-1 {
-		t.Errorf("maxElems=%d maxRows=%d rounds=%d, want 1/1/11", st.maxElems, st.maxRows, st.rounds)
+	if st.maxRows != 1 {
+		t.Errorf("maxRows=%d, want 1", st.maxRows)
 	}
 	if st.nodes != 2 || st.maxPerNode != 6 {
 		t.Errorf("nodes=%d maxPerNode=%d, want 2/6", st.nodes, st.maxPerNode)
 	}
-	wantInter := float64(2*6*6) / float64(p*(p-1))
-	if st.interFrac != wantInter {
-		t.Errorf("interFrac=%v, want %v", st.interFrac, wantInter)
-	}
-	if want := sys.SchedFlowBW(0, 6); st.schedBW != want {
-		t.Errorf("schedBW=%v, want %v", st.schedBW, want)
-	}
-	if want := sys.NaiveFlowBW(0, 6); st.interBW != want {
-		t.Errorf("interBW=%v, want %v", st.interBW, want)
-	}
-	if want := sys.LeaderBW(0, 1, 6); st.leaderBW != want {
-		t.Errorf("leaderBW=%v, want %v", st.leaderBW, want)
-	}
 }
 
-// TestComputeExchStatsIntraOnly: a group confined to one node must report no
-// inter-node links at all.
+// TestComputeExchStatsIntraOnly: a group confined to one node must report a
+// one-node footprint.
 func TestComputeExchStatsIntraOnly(t *testing.T) {
 	m := machine.Summit()
 	sys := topo.Default(m, 6)
@@ -66,9 +53,6 @@ func TestComputeExchStatsIntraOnly(t *testing.T) {
 	st := computeReshapeTable(sys, func(r int) int { return r }, from, to).stats[0]
 	if st.nodes != 1 || st.maxPerNode != 6 {
 		t.Errorf("nodes=%d maxPerNode=%d, want 1/6", st.nodes, st.maxPerNode)
-	}
-	if st.interFrac != 0 || st.interBW != 0 || st.schedBW != 0 || st.leaderBW != 0 {
-		t.Errorf("intra-only group leaked inter-node stats: %+v", st)
 	}
 }
 

@@ -88,13 +88,14 @@ func (b Backend) Collective() bool {
 }
 
 // CollAlgo selects the all-to-all schedule used by BackendAlltoallv
-// reshapes. See internal/mpisim for the schedules and internal/model for
-// the closed-form regime analysis behind CollAuto.
+// reshapes. See internal/mpisim for the schedules; CollAuto's choice is
+// priced by the simulator's schedules themselves (pickAlgo, comm.go).
 type CollAlgo int
 
 const (
-	// CollAuto picks per reshape phase from the (rank count, message size)
-	// regime, following the paper's algorithm-selection analysis.
+	// CollAuto picks per reshape phase: the schedule that moves the phase's
+	// byte matrix soonest on an idle group, priced by the simulator's
+	// schedules.
 	CollAuto CollAlgo = iota
 	// CollLinear forces the legacy per-destination posting schedule.
 	CollLinear
@@ -156,9 +157,10 @@ func (o OverlapMode) String() string {
 // CommConfig tunes the communication layer of a plan: which all-to-all
 // schedule BackendAlltoallv reshapes use, how many chunks the
 // pack→exchange→unpack sequence is split into, and whether chunk packing
-// overlaps in-flight exchanges. The zero value (auto/auto/auto) follows the
-// regime heuristic and pipelines only when the exchanged volume is large
-// enough to hide the per-chunk kernel-launch and injection costs.
+// overlaps in-flight exchanges. The zero value (auto/auto/auto) takes the
+// schedule the simulator prices cheapest and pipelines only when the exchanged
+// volume is large enough to hide the per-chunk kernel-launch and injection
+// costs.
 type CommConfig struct {
 	// Algo selects the all-to-all schedule; CollAuto picks per phase.
 	Algo CollAlgo

@@ -222,9 +222,10 @@ func (p *RealPlan) InverseBatch(fields []*Field) ([]*RealField, error) {
 // The group is the same; the box roles flip, so the send and receive sides of
 // the shared overlap table trade places. The interior flag carries over: a
 // reshape between compute stages stays between compute stages in the reversed
-// pipeline. The exchange statistics do not (they never have: a reversed phase
-// resolves to the configured schedule, unchunked), so the copy fills a resolve
-// table of its own instead of sharing the forward one.
+// pipeline. So do the exchange statistics — pairs, volumes, rows and node
+// counts read the same in both directions — while the schedule is selected
+// over the transposed byte matrix (reversed), into a resolve table of the
+// copy's own.
 func reverseReshape(rs *reshapePlan) *reshapePlan {
 	return &reshapePlan{
 		label: rs.label + "-rev", tag: rs.tag + 50,
@@ -232,6 +233,7 @@ func reverseReshape(rs *reshapePlan) *reshapePlan {
 		group: rs.group, myGroupRank: rs.myGroupRank,
 		sendPeers: rs.recvPeers, sends: rs.recvs, selfSend: rs.selfRecv,
 		recvPeers: rs.sendPeers, recvs: rs.sends, selfRecv: rs.selfSend,
+		stats: rs.stats, tab: rs.tab, root: rs.root, reversed: !rs.reversed,
 	}
 }
 

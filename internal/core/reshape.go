@@ -41,11 +41,18 @@ type reshapePlan struct {
 	sends, recvs         []tensor.Box3
 	selfSend, selfRecv   int
 
-	// stats is the group-global exchange shape driving collective-algorithm
-	// selection and chunking (see comm.go); table holds what they resolved to,
-	// one row per (on-wire element size, batch width) the plan has run at.
+	// stats is the group-global exchange shape driving chunking (see comm.go);
+	// table holds what schedule selection and chunking resolved to, one row per
+	// (on-wire element size, batch width) the plan has run at.
 	stats exchStats
 	table []frozen
+
+	// Where CollAuto finds the whole group's exchange matrix: the world's shared
+	// analysis, this rank's exchange group in it, and whether this reshape runs
+	// it backwards (reverseReshape).
+	tab      *reshapeTable
+	root     int
+	reversed bool
 }
 
 // reshapeTable is the once-per-world analysis of a reshape between two
@@ -56,9 +63,11 @@ type reshapePlan struct {
 // move. All ranks read the same immutable table; what a rank keeps
 // (reshapePlan) is slices into it.
 type reshapeTable struct {
-	color     []int             // exchange-group root per rank, -1 when uninvolved
-	groupRank []int             // rank within its exchange group
-	stats     map[int]exchStats // root → group statistics (stats.gs is the group size)
+	key       string             // the table's World.Shared key, prefix of what is memoized per group
+	color     []int              // exchange-group root per rank, -1 when uninvolved
+	groupRank []int              // rank within its exchange group
+	members   map[int][]int      // root → member ranks, ascending (index = group rank)
+	stats     map[int]*exchStats // root → group statistics (stats.gs is the group size)
 
 	// Rank r sends the blocks [sendOff[r], sendOff[r+1]) of sendPeers/sendBoxes
 	// and receives the blocks [recvOff[r], recvOff[r+1]) of recvPeers/recvBoxes.
@@ -98,7 +107,8 @@ func computeReshapeTable(sys *topo.System, worldOf func(int) int, from, to []ten
 	}
 	// Overlaps in (source, destination) order: source i's sends are the span
 	// [off[i], off[i+1]), ascending in destination.
-	t := &reshapeTable{color: make([]int, size), groupRank: make([]int, size), stats: map[int]exchStats{},
+	t := &reshapeTable{color: make([]int, size), groupRank: make([]int, size),
+		members: map[int][]int{}, stats: map[int]*exchStats{},
 		sendOff: make([]int, size+1), recvOff: make([]int, size+1)}
 	var dsts []int
 	var boxes []tensor.Box3
@@ -119,7 +129,6 @@ func computeReshapeTable(sys *topo.System, worldOf func(int) int, from, to []ten
 	t.sendOff[size] = len(dsts)
 	nnz := len(dsts)
 
-	members := map[int][]int{} // root → member ranks, ascending by construction
 	for r := 0; r < size; r++ {
 		if from[r].Empty() && to[r].Empty() {
 			t.color[r] = -1
@@ -127,26 +136,22 @@ func computeReshapeTable(sys *topo.System, worldOf func(int) int, from, to []ten
 		}
 		root := find(r)
 		t.color[r] = root
-		t.groupRank[r] = len(members[root])
-		members[root] = append(members[root], r)
+		t.groupRank[r] = len(t.members[root])
+		t.members[root] = append(t.members[root], r) // ascending by construction
 	}
 
 	// Statistics, from the off-diagonal overlaps. Every quantity is a count, an
 	// integer sum or an extremum, so the order the entries are met in does not
 	// matter.
-	acc := map[int]*statsAcc{}
-	for root, ms := range members {
-		acc[root] = newStatsAcc(sys, worldOf, ms)
+	for root, ms := range t.members {
+		t.stats[root] = groupStats(sys, worldOf, ms)
 	}
 	for i := 0; i < size; i++ {
 		for k := t.sendOff[i]; k < t.sendOff[i+1]; k++ {
-			if j := dsts[k]; j != i {
-				acc[t.color[i]].add(t.groupRank[i], t.groupRank[j], worldOf(i), worldOf(j), boxes[k])
+			if dsts[k] != i {
+				t.stats[t.color[i]].add(boxes[k])
 			}
 		}
-	}
-	for root, a := range acc {
-		t.stats[root] = a.done()
 	}
 
 	// The adjacency in group ranks, exactly sized. The receive side is the
@@ -170,6 +175,35 @@ func computeReshapeTable(sys *topo.System, worldOf func(int) int, from, to []ten
 	return t
 }
 
+// rows returns the byte matrix of the exchange group rooted at root as sparse
+// rows in group ranks — the form mpisim prices: row i lists the blocks group
+// rank i sends to other members, ascending by destination, at elemBytes bytes
+// per element of the pair box. A reversed reshape sends what the forward one
+// receives, so its rows are read off the receive side of the adjacency.
+func (t *reshapeTable) rows(root int, reversed bool, elemBytes int) [][]mpisim.Flow {
+	off, peers, boxes := t.sendOff, t.sendPeers, t.sendBoxes
+	if reversed {
+		off, peers, boxes = t.recvOff, t.recvPeers, t.recvBoxes
+	}
+	members := t.members[root]
+	nnz := 0
+	for _, r := range members {
+		nnz += off[r+1] - off[r]
+	}
+	flows := make([]mpisim.Flow, 0, nnz)
+	rows := make([][]mpisim.Flow, len(members))
+	for i, r := range members {
+		first := len(flows)
+		for k := off[r]; k < off[r+1]; k++ {
+			if peers[k] != i {
+				flows = append(flows, mpisim.Flow{Dst: peers[k], Bytes: boxes[k].Volume() * elemBytes})
+			}
+		}
+		rows[i] = flows[first:len(flows):len(flows)]
+	}
+	return rows
+}
+
 // buildReshape collectively constructs a reshape phase between two
 // distributions of c. Every rank of c must call it with the same
 // distributions.
@@ -179,7 +213,9 @@ func buildReshape(c *mpisim.Comm, ck uint64, from, to *dist, label string, tag i
 	// different nodes).
 	key := fmt.Sprintf("core/reshape/%x/%x/%x", from.hash, to.hash, ck)
 	t := c.World().Shared(key, func() any {
-		return computeReshapeTable(c.Topo(), c.WorldRank, from.boxes, to.boxes)
+		t := computeReshapeTable(c.Topo(), c.WorldRank, from.boxes, to.boxes)
+		t.key = key
+		return t
 	}).(*reshapeTable)
 
 	me := c.Rank()
@@ -192,7 +228,8 @@ func buildReshape(c *mpisim.Comm, ck uint64, from, to *dist, label string, tag i
 	}
 	rs.group = group
 	rs.myGroupRank = group.Rank()
-	rs.stats = t.stats[color]
+	rs.tab, rs.root = t, color
+	rs.stats = *t.stats[color]
 	if rs.stats.gs != group.Size() || t.groupRank[me] != rs.myGroupRank {
 		panic(fmt.Sprintf("core: reshape %s: computed rank %d of %d members, split gave %d of %d",
 			label, t.groupRank[me], rs.stats.gs, rs.myGroupRank, group.Size()))

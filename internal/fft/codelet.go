@@ -121,12 +121,12 @@ func fft8(d []complex128, fwd bool, scale float64) {
 	// Twiddle the odd spectrum: o_k *= W_8^k.
 	const h = sqrt1_2
 	if fwd {
-		o1 = complex(h*(real(o1)+imag(o1)), h*(imag(o1)-real(o1))) // ·h(1-i)
-		o2 = complex(imag(o2), -real(o2))                          // ·(-i)
+		o1 = complex(h*(real(o1)+imag(o1)), h*(imag(o1)-real(o1)))  // ·h(1-i)
+		o2 = complex(imag(o2), -real(o2))                           // ·(-i)
 		o3 = complex(h*(imag(o3)-real(o3)), -h*(real(o3)+imag(o3))) // ·-h(1+i)
 	} else {
-		o1 = complex(h*(real(o1)-imag(o1)), h*(imag(o1)+real(o1))) // ·h(1+i)
-		o2 = complex(-imag(o2), real(o2))                          // ·(+i)
+		o1 = complex(h*(real(o1)-imag(o1)), h*(imag(o1)+real(o1)))  // ·h(1+i)
+		o2 = complex(-imag(o2), real(o2))                           // ·(+i)
 		o3 = complex(-h*(real(o3)+imag(o3)), h*(real(o3)-imag(o3))) // ·h(-1+i)
 	}
 	if scale != 1 {

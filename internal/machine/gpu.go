@@ -110,9 +110,9 @@ func (g *GPU) PackCost(bytes int) float64 {
 }
 
 // ChecksumRate returns the effective (bandwidth, fixed overhead) the
-// checksum/sum passes run at, with the documented fallbacks applied. Callers
-// building closed-form cost parameters (model.CollParams) use this so the
-// predictor and the simulator price integrity work identically.
+// checksum/sum passes run at, with the documented fallbacks applied. The
+// tuning predictor uses this so it and the simulator price integrity work
+// identically.
 func (g *GPU) ChecksumRate() (bw, overhead float64) {
 	bw = g.ChecksumBW
 	if bw <= 0 {
@@ -138,7 +138,7 @@ func (g *GPU) ChecksumCost(bytes int) float64 {
 
 // ConvertRate returns the effective (bandwidth, fixed overhead) the fused
 // precision-conversion passes run at, with the documented fallbacks applied.
-// Like ChecksumRate, it exists so closed-form predictors and the simulator
+// Like ChecksumRate, it exists so the tuning predictor and the simulator
 // price conversions identically.
 func (g *GPU) ConvertRate() (bw, overhead float64) {
 	bw = g.ConvertBW

@@ -180,7 +180,7 @@ type CollectiveAlgo interface {
 }
 
 // linearAlgo reproduces the vendor per-destination Alltoallv loop inside the
-// scheduled machinery (see priceLinearGated for why both exist). The naive
+// scheduled machinery (see scheduleOf for why both exist). The naive
 // loop keeps the saturated FlowBW; its unscheduled traffic is exactly what
 // the fabric's adaptive routing degrades under.
 type linearAlgo struct{}
@@ -374,13 +374,7 @@ func (bruckAlgo) Complete(ex *Exchange) []float64 {
 	}
 	steps := int(math.Ceil(math.Log2(float64(p))))
 	for k := 0; k < steps; k++ {
-		cnt := 0
-		for d := 1; d < p; d++ {
-			if d&(1<<k) != 0 {
-				cnt++
-			}
-		}
-		s := mbar * float64(cnt)
+		s := mbar * float64(bruckForwarded(p, k))
 		t += (m.CollInject + lat + s/bw + 2*s/m.GPU.MemBW) * fmax
 	}
 	for r := 0; r < p; r++ {
@@ -389,4 +383,13 @@ func (bruckAlgo) Complete(ex *Exchange) []float64 {
 		}
 	}
 	return comp
+}
+
+// bruckForwarded counts the blocks a rank forwards in round k of a p-rank
+// Bruck exchange: the cyclic distances d in [1, p) with bit k set. Every full
+// period of 2^(k+1) distances below p holds 2^k of them; the partial period
+// at the top holds whatever reaches past its first 2^k.
+func bruckForwarded(p, k int) int {
+	half := 1 << k
+	return p>>(k+1)<<k + max(0, p&(2*half-1)-half)
 }

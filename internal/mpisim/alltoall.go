@@ -94,30 +94,71 @@ const (
 	kindAlltoallw           // per-message loop over derived sub-array datatypes
 )
 
-// priceLinearGated is the per-destination loop inside the scheduled
-// machinery. It is not folded into the vendor Alltoallv pricing: the vendor
-// loop charges staging after the group's last entry and multiplies the degrade
-// factor over staging, self copy and wire alike, while a scheduled exchange
-// starts staging at local arrival and gates on the injection port — the same
-// traffic lands on different clocks. Blocking AlgoLinear keeps the vendor
-// pricing (timing-identical to Alltoallv); the non-blocking flavour runs here
-// because chunked pipelines post it back to back, and only the port gate keeps
-// two in-flight chunks from sharing the wire for free.
-var priceLinearGated = pricer{sched: linearAlgo{}}
+// scheduleOf maps an Algo to its schedule. AlgoLinear is the per-destination
+// loop inside the scheduled machinery. It is not folded into the vendor
+// Alltoallv pricing: the vendor loop charges staging after the group's last
+// entry and multiplies the degrade factor over staging, self copy and wire
+// alike, while a scheduled exchange starts staging at local arrival and gates
+// on the injection port — the same traffic lands on different clocks. Blocking
+// AlgoLinear keeps the vendor pricing (schedulePricer; timing-identical to
+// Alltoallv); the non-blocking flavour runs here because chunked pipelines post
+// it back to back, and only the port gate keeps two in-flight chunks from
+// sharing the wire for free.
+func scheduleOf(a Algo) CollectiveAlgo {
+	switch a {
+	case AlgoPairwise:
+		return pairwiseAlgo{}
+	case AlgoRing:
+		return ringAlgo{}
+	case AlgoBruck:
+		return bruckAlgo{}
+	case AlgoNodeAware:
+		return nodeAwareAlgo{}
+	}
+	return linearAlgo{}
+}
 
 // schedulePricer maps an Algo to its pricing policy for blocking calls.
 func schedulePricer(a Algo) pricer {
-	switch a {
-	case AlgoPairwise:
-		return pricer{sched: pairwiseAlgo{}}
-	case AlgoRing:
-		return pricer{sched: ringAlgo{}}
-	case AlgoBruck:
-		return pricer{sched: bruckAlgo{}}
-	case AlgoNodeAware:
-		return pricer{sched: nodeAwareAlgo{}}
+	if a == AlgoLinear {
+		return pricer{naive: kindAlltoallv}
 	}
-	return pricer{naive: kindAlltoallv}
+	return pricer{sched: scheduleOf(a)}
+}
+
+// PriceAlltoallv returns what the all-to-all-v described by rows costs under
+// schedule a on an idle group: the completion time of the slowest rank when
+// every member enters at virtual time zero with a free injection port and no
+// degraded link. rows[r] is comm rank r's sparse row of the exchange matrix —
+// its non-empty blocks to other ranks, ascending by destination — and may stop
+// short of the communicator (the remaining ranks exchange nothing). Buffers
+// are taken to live on the device, as the plan layer's do: the call's setup
+// overhead is the device one on a GPU-aware world, the host one where they
+// would be staged.
+//
+// This is the function an executed exchange is priced by: the same Exchange
+// priceScheduled builds, handed to the same Complete (for AlgoLinear the
+// per-destination loop the vendor pricer walks). Staging, the self copy and
+// checksum envelopes cost the same under every schedule and are left out, so
+// the result ranks schedules; it is not the duration of a call.
+func (c *Comm) PriceAlltoallv(rows [][]Flow, a Algo) float64 {
+	w := c.core.world
+	ex := &Exchange{Size: c.Size(), Members: make([]Member, c.Size()), Nodes: w.nodes, Topo: w.topo, M: w.model}
+	for r := range ex.Members {
+		ex.Members[r].World = c.WorldRank(r)
+		ex.Members[r].Dev = w.opts.GPUAware
+	}
+	for r, row := range rows {
+		ex.Members[r].Flows = row
+		for _, f := range row {
+			ex.Members[r].Active, ex.Members[f.Dst].Active = true, true
+		}
+	}
+	worst := 0.0
+	for _, t := range scheduleOf(a).Complete(ex) {
+		worst = math.Max(worst, t)
+	}
+	return worst
 }
 
 // stagingCost is the bulk PCIe staging of a non-GPU-aware exchange of device

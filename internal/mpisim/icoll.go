@@ -42,7 +42,7 @@ func (c *Comm) Ialltoallv(send []Buf) *CollRequest {
 // caller pays only the posting overhead now and the remaining exchange time
 // at WaitColl, where it overlaps whatever local work ran in between (the
 // chunked pipelined reshape packs the next chunk there). Unlike the blocking
-// call, AlgoLinear is port-gated here (see priceLinearGated).
+// call, AlgoLinear is port-gated here (see scheduleOf).
 func (c *Comm) IalltoallvWith(send []Buf, a Algo) *CollRequest {
 	blocks, loc := c.compress(send, "MPI_Ialltoallv")
 	return c.IalltoallvSparse(blocks, loc, a)
@@ -51,11 +51,7 @@ func (c *Comm) IalltoallvWith(send []Buf, a Algo) *CollRequest {
 // IalltoallvSparse is IalltoallvWith over sparse exchange vectors (see
 // AlltoallvSparse); complete it with WaitSparse or WaitColl.
 func (c *Comm) IalltoallvSparse(send []Block, loc machine.Location, a Algo) *CollRequest {
-	p := priceLinearGated
-	if a != AlgoLinear {
-		p = schedulePricer(a)
-	}
-	return c.ipostAlltoall(send, loc, p, "MPI_Alltoallv")
+	return c.ipostAlltoall(send, loc, pricer{sched: scheduleOf(a)}, "MPI_Alltoallv")
 }
 
 // ipostAlltoall is the non-blocking post: the engine's rendezvous plus the

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/mpisim"
+	"repro/internal/tensor"
 )
 
 // Candidate is one algorithm setting under consideration.
@@ -25,7 +26,8 @@ type Candidate struct {
 	// per-rank element threshold.
 	Shrink int
 	// Algo selects the all-to-all schedule of the Alltoallv backend
-	// (CollAuto lets each reshape phase pick from the regime models).
+	// (CollAuto lets each reshape phase pick the schedule the simulator
+	// prices cheapest).
 	// Ignored by the other backends.
 	Algo core.CollAlgo
 	// Wire selects the on-wire precision of the candidate's interior
@@ -127,8 +129,8 @@ func CandidatesWithBudget(budget float64) []Candidate {
 // Predict evaluates the bandwidth model for a candidate on the given
 // machine/job geometry, returning the estimated communication time of one
 // transform. The decomposition selects the closed-form model; a forced
-// collective schedule on the Alltoallv backend scales the estimate by that
-// schedule's closed-form cost relative to the cheapest one on a
+// collective schedule on the Alltoallv backend scales the estimate by what the
+// simulator charges that schedule relative to the cheapest one on a
 // representative pencil-row exchange, so deliberately mismatched algorithms
 // (Bruck on bandwidth-bound shapes, pairwise on sparse ones) rank — and get
 // measured — after the promising ones. Other backends are differentiated by
@@ -138,7 +140,7 @@ func Predict(c *mpisim.Comm, global [3]int, cand Candidate) float64 {
 	params := model.Params{Latency: m.InterLatency, Bandwidth: m.NodeInjectionBW}
 	n := global[0] * global[1] * global[2]
 	pi := c.Size()
-	pg, qg := squareGrid(pi)
+	pg, qg := tensor.Square2D(pi)
 	// The closed forms model the interior exchanges of the decomposition —
 	// exactly the ones a compressed wire shrinks — so they are evaluated at
 	// the candidate's on-wire element size.
@@ -164,13 +166,12 @@ func Predict(c *mpisim.Comm, global [3]int, cand Candidate) float64 {
 	// rankings reflect the integrity tax the simulator charges.
 	if c.Integrity().Checksums {
 		bw, oh := m.GPU.ChecksumRate()
-		cp := model.CollParams{ChecksumBW: bw, ChecksumOverhead: oh}
 		perRank := wireElem * float64(n) / float64(pi)
 		reshapes := 3.0
 		if cand.Decomp == core.DecompSlabs {
 			reshapes = 2
 		}
-		t += reshapes * model.ChecksumTime(perRank, perRank, cp)
+		t += reshapes * (2*oh + 2*perRank/bw)
 	}
 	// A compressed candidate pays the fused convert passes the simulator
 	// charges: one down-convert per pack and one up-convert per unpack over
@@ -183,68 +184,45 @@ func Predict(c *mpisim.Comm, global [3]int, cand Candidate) float64 {
 	return t
 }
 
-// algoFactor is the closed-form cost of a forced schedule relative to the
-// cheapest schedule on a dense group-of-gs pencil-row exchange of the given
-// problem (≥ 1; 1 for the schedule AlgoAuto would pick).
+// algoFactor is what the simulator charges a forced schedule relative to the
+// cheapest schedule on a dense pencil-row exchange of the given problem — the
+// first gs ranks of c trading uniform blocks (≥ 1; 1 for the schedule that
+// wins there).
 func algoFactor(c *mpisim.Comm, n, gs int, algo core.CollAlgo) float64 {
 	if gs <= 1 {
 		return 1
 	}
-	m := c.Model()
-	oh := m.HostOverheadColl
-	if c.GPUAware() {
-		oh = m.DeviceOverheadColl
-	}
-	schedBW := m.NodeInjectionBW / float64(m.GPUsPerNode)
-	cp := model.CollParams{
-		Overhead: oh, Inject: m.CollInject, Congestion: m.CollCongestion,
-		InterBW: schedBW, NaiveInterBW: schedBW * m.SaturationFactor(c.World().Nodes()),
-		IntraBW: m.IntraBW, InterLat: m.InterLatency, IntraLat: m.IntraLatency,
-		MemBW:    m.GPU.MemBW,
-		LeaderBW: m.NodeInjectionBW, Pipeline: float64(m.CollPipeline),
-	}
-	if c.Integrity().Checksums {
-		cp.ChecksumBW, cp.ChecksumOverhead = m.GPU.ChecksumRate()
-	}
-	interFrac := 1 - float64(m.GPUsPerNode)/float64(gs)
-	if interFrac < 0 {
-		interFrac = 0
-	}
-	shape := model.AlltoallShape{
-		P: gs, Dst: gs - 1, Rounds: gs - 1,
-		Bytes:     16 * float64(n) / float64(c.Size()*gs),
-		InterFrac: interFrac,
-		Nodes:     (gs + m.GPUsPerNode - 1) / m.GPUsPerNode,
-		PerNode:   m.GPUsPerNode,
-	}
-	var ma model.AlltoallAlgo
-	switch algo {
-	case core.CollPairwise:
-		ma = model.AlltoallPairwise
-	case core.CollRing:
-		ma = model.AlltoallRing
-	case core.CollBruck:
-		ma = model.AlltoallBruck
-	case core.CollNodeAware:
-		ma = model.AlltoallNodeAware
-	default:
-		ma = model.AlltoallLinear
-	}
-	best := model.AlltoallTime(model.PickAlltoall(shape, cp), shape, cp)
-	if best <= 0 {
-		return 1
-	}
-	return model.AlltoallTime(ma, shape, cp) / best
-}
-
-func squareGrid(pi int) (int, int) {
-	p := 1
-	for f := 1; f*f <= pi; f++ {
-		if pi%f == 0 {
-			p = f
+	bytes := 16 * n / (c.Size() * gs)
+	rows := make([][]mpisim.Flow, gs)
+	for r := range rows {
+		for d := 0; d < gs; d++ {
+			if d != r {
+				rows[r] = append(rows[r], mpisim.Flow{Dst: d, Bytes: bytes})
+			}
 		}
 	}
-	return p, pi / p
+	forced := mpisim.AlgoLinear
+	switch algo {
+	case core.CollPairwise:
+		forced = mpisim.AlgoPairwise
+	case core.CollRing:
+		forced = mpisim.AlgoRing
+	case core.CollBruck:
+		forced = mpisim.AlgoBruck
+	case core.CollNodeAware:
+		forced = mpisim.AlgoNodeAware
+	}
+	var t, best float64
+	for _, a := range mpisim.Algos() {
+		p := c.PriceAlltoallv(rows, a)
+		if a == forced {
+			t = p
+		}
+		if best == 0 || p < best {
+			best = p
+		}
+	}
+	return t / best
 }
 
 // Options controls a tuning run.
