@@ -7,9 +7,13 @@ all: build vet test
 build:
 	go build ./...
 
-# go vet plus the formatting gate: gofmt -l must print nothing. Used by CI.
+# go vet plus the formatting gate: gofmt -l must print nothing. internal/fft
+# has an amd64 assembly kernel (vet's asmdecl checks its frame and argument
+# offsets), so the portable build is cross-compiled and vetted for arm64 too;
+# neither needs the network. Used by CI.
 vet:
 	go vet ./...
+	GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/fft/
 	@test -z "$$(gofmt -l .)" || { echo "gofmt -l . lists:"; gofmt -l .; exit 1; }
 
 test:
@@ -29,11 +33,12 @@ race:
 bench:
 	go run ./benchmark
 
-# Developer tool: single-line kernel ladder, strided/contiguous batches, the
-# blocked reorder transposes and pack/unpack in their three run-coalescing
-# regimes (row, plane, whole block).
+# Developer tool: single-line kernel ladder, the twiddled radix-4 passes (Go
+# reference against what the machine dispatches to), strided/contiguous
+# batches, the blocked reorder transposes and pack/unpack in their three
+# run-coalescing regimes (row, plane, whole block).
 bench-kernel:
-	go test -run '^$$' -bench 'BenchmarkKernel|BenchmarkStridedBatch|BenchmarkContigBatch|BenchmarkFFTBluestein' -benchmem ./internal/fft/
+	go test -run '^$$' -bench 'BenchmarkKernel|BenchmarkRadix4Pass|BenchmarkStridedBatch|BenchmarkContigBatch|BenchmarkFFTBluestein' -benchmem ./internal/fft/
 	go test -run '^$$' -bench 'BenchmarkPackBlocked|BenchmarkPack$$|BenchmarkUnpack$$' -benchmem ./internal/tensor/
 
 # Developer tool: the paper-scale proxy of the repository benchmark on its

@@ -1,6 +1,8 @@
 // Package repro reproduces "Performance Analysis of Parallel FFT on Large
 // Multi-GPU Systems" (A. Ayala, S. Tomov, M. Stoyanov, A. Haidar,
-// J. Dongarra — IPDPSW 2022) as a pure-Go system: a heFFTe-like distributed
+// J. Dongarra — IPDPSW 2022) as a standard-library-only Go system (one
+// optional amd64 assembly kernel in internal/fft, bit-identical to its Go
+// reference): a heFFTe-like distributed
 // 3-D FFT (package heffte / internal/core) running on a virtual-time MPI
 // simulator (internal/mpisim) over calibrated Summit/Spock hardware models
 // (internal/machine), with the paper's bandwidth model (internal/model),
@@ -22,7 +24,9 @@
 // defensive copies; FFT kernel plans (twiddles, bit-reversal tables) are
 // cached per plan axis; and batched transforms fan out over a bounded
 // worker pool shared across rank goroutines. Steady-state Forward/Inverse
-// performs zero allocations (asserted by testing.AllocsPerRun), while
+// of a single-rank plan performs zero allocations (asserted by
+// testing.AllocsPerRun); a plan with reshapes still allocates one full grid
+// per transform (the last reshape's output is not recycled), while
 // virtual-time results are unchanged — simulated costs depend only on bytes
 // and location, never on buffer ownership.
 //

@@ -78,6 +78,13 @@ func (p *Plan) runBatch(data []complex128, sp batchSpec, dir Direction) {
 	if total == 0 {
 		return
 	}
+	// Checked once, here, on the caller's goroutine: past this point the
+	// lines may run on pool helpers, where an index panic takes the process
+	// down.
+	if last := (sp.batch1-1)*sp.dist1 + (sp.batch2-1)*sp.dist2 + (p.n-1)*sp.stride; last >= len(data) {
+		panic(fmt.Sprintf("fft: batch layout stride=%d dist1=%d batch1=%d dist2=%d batch2=%d needs %d elements, data has %d",
+			sp.stride, sp.dist1, sp.batch1, sp.dist2, sp.batch2, last+1, len(data)))
+	}
 	if total > 1 && total*p.n >= minParallelWork {
 		if p.runBatchParallel(data, sp, dir) {
 			return

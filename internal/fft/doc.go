@@ -4,8 +4,8 @@
 // It plays the role cuFFT, rocFFT and FFTW play in the paper: the distributed
 // layer calls into it for batches of 1-D, 2-D and 3-D complex-to-complex and
 // real-to-complex transforms over contiguous or strided data. All numerics
-// are exact pure-Go implementations; the *cost* of these kernels on a GPU is
-// modelled separately by internal/gpu, so rewriting this engine changes host
+// are specified by Go code; the *cost* of these kernels on a GPU is modelled
+// separately by internal/gpu, so rewriting this engine changes host
 // wall-clock only — virtual-time results are untouched.
 //
 // # Engine structure, in FFTW/cuFFT vocabulary
@@ -23,6 +23,17 @@
 //     fused into the first stage's gather (ping-ponging through a pooled
 //     buffer), and the inverse 1/N scaling is fused into the final pass — no
 //     standalone bit-reversal or scaling sweeps remain.
+//   - Vector passes (radix4_amd64.s): on amd64 CPUs with AVX2 the twiddled
+//     radix-4 passes run in one assembly routine, radix4AVX2, two butterflies
+//     per iteration. The Go loops in kernel.go are its executable
+//     specification and the implementation on every other GOARCH, on CPUs
+//     without AVX2 and in race builds (the detector cannot see assembly
+//     loads and stores). The routine issues the same IEEE multiplies, adds
+//     and subtracts in the same association and never a fused multiply-add —
+//     an FMA rounds once where the reference rounds twice, which would move
+//     every payload bit and the golden fingerprints of internal/core — so
+//     the two agree bit for bit. The choice is made once at package init
+//     from CPUID/XGETBV: a property of the machine, with nothing to set.
 //   - Bluestein (fft.go): arbitrary lengths run the chirp-z algorithm over a
 //     power-of-two sub-plan, with the 1/N of the inverse folded into the
 //     output chirp multiply.
@@ -42,5 +53,6 @@
 //     cursor, and results are bit-identical to serial execution.
 //
 // Plans are cached in a bounded LRU and are safe for concurrent use; all
-// steady-state execution paths draw scratch from pools and allocate nothing.
+// steady-state execution paths of this package draw scratch from pools and
+// allocate nothing.
 package fft

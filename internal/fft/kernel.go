@@ -32,6 +32,14 @@ import (
 //	t1 = W_{2s}^j     (the fused first sub-stage)
 //	t2 = W_{4s}^j     (second sub-stage, lower half)
 //	t3 = W_{4s}^{j+s} (second sub-stage, upper half)
+//
+// The three twiddled pass loops below (radix4Pass, radix4PassScaled,
+// radix4PassTo) are the reference: what they compute, bit for bit, is what a
+// pass means. On amd64 CPUs with AVX2 the kernels run radix4AVX2
+// (radix4_amd64.s) instead, which reads the same twiddle3 table and issues
+// the same multiplies, adds and subtracts in the same association — no fused
+// multiply-add, whose single rounding would change the bits. The loops run
+// as written on every other GOARCH, without AVX2 and in race builds.
 
 // twiddle3 is one butterfly's worth of twiddles, kept adjacent so the inner
 // loop issues a single bounded load per j.
@@ -114,9 +122,9 @@ func (p *Plan) kernelPow2Buf(data, work []complex128, dir Direction, scale float
 	last := len(passes) - 1
 	for i, tw := range passes {
 		if i < last {
-			radix4Pass(work, s, tw)
+			pass4(work, s, tw)
 		} else {
-			radix4PassTo(data, work, s, tw, scale)
+			pass4To(data, work, s, tw, scale)
 		}
 		s *= 4
 	}
@@ -137,9 +145,9 @@ func (p *Plan) kernelPermuted(data []complex128, dir Direction, scale float64) {
 	last := len(passes) - 1
 	for i, tw := range passes {
 		if i == last && scale != 1 {
-			radix4PassScaled(data, s, tw, scale)
+			pass4Scaled(data, s, tw, scale)
 		} else {
-			radix4Pass(data, s, tw)
+			pass4(data, s, tw)
 		}
 		s *= 4
 	}
@@ -225,6 +233,33 @@ func radix4Quads(data []complex128, fwd bool) {
 		data[i+2] = e0 - f0
 		data[i+3] = e1 - f1
 	}
+}
+
+// pass4, pass4Scaled and pass4To are what the kernels call for a twiddled
+// pass: the vector routine where the machine has one (useAVX2), else the
+// matching Go loop below. Both produce the same bits.
+func pass4(data []complex128, s int, tw []twiddle3) {
+	if useAVX2 {
+		radix4Vec(data, data, s, tw, 1, false)
+		return
+	}
+	radix4Pass(data, s, tw)
+}
+
+func pass4Scaled(data []complex128, s int, tw []twiddle3, scale float64) {
+	if useAVX2 {
+		radix4Vec(data, data, s, tw, scale, true)
+		return
+	}
+	radix4PassScaled(data, s, tw, scale)
+}
+
+func pass4To(dst, src []complex128, s int, tw []twiddle3, scale float64) {
+	if useAVX2 {
+		radix4Vec(dst, src, s, tw, scale, scale != 1)
+		return
+	}
+	radix4PassTo(dst, src, s, tw, scale)
 }
 
 // radix4Pass merges quarter-blocks of size s into blocks of 4s, doing the

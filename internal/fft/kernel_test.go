@@ -3,6 +3,7 @@ package fft
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/dft"
@@ -248,4 +249,41 @@ func TestNestedSteadyStateAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(50, run); avg >= 1 {
 		t.Errorf("TransformNested allocates %.2f times per call in steady state", avg)
 	}
+}
+
+// TestShortArrayPanicsOnCaller: a layout that reaches past len(data) must
+// panic with a layout message on the goroutine that called — recover() here
+// proves it — before any line is handed to a pool helper, where an index
+// panic would take the process down. Rows with 128·256 elements are large
+// enough to fan out.
+func TestShortArrayPanicsOnCaller(t *testing.T) {
+	cases := []struct {
+		name   string
+		n, len int
+		run    func(p *Plan, data []complex128)
+	}{
+		{"contiguous", 128, 128*256 - 4096, func(p *Plan, d []complex128) { p.TransformBatch(d, 1, 128, 256, Forward) }},
+		{"contiguous/one short", 128, 128*256 - 1, func(p *Plan, d []complex128) { p.TransformBatch(d, 1, 128, 256, Inverse) }},
+		{"strided", 128, 128*256 - 4096, func(p *Plan, d []complex128) { p.TransformBatch(d, 256, 1, 256, Forward) }},
+		{"strided/small", 64, 64*8 - 1, func(p *Plan, d []complex128) { p.TransformBatch(d, 8, 1, 8, Forward) }},
+		{"codelet", 16, 16*4 - 1, func(p *Plan, d []complex128) { p.TransformBatch(d, 1, 16, 4, Forward) }},
+		{"bluestein", 60, 60*300 - 1, func(p *Plan, d []complex128) { p.TransformBatch(d, 300, 1, 300, Forward) }},
+		{"nested", 64, 8*64*48 - 1, func(p *Plan, d []complex128) { p.TransformNested(d, 48, 64*48, 8, 1, 48, Forward) }},
+		{"nested/contiguous", 128, 16*16*128 - 128, func(p *Plan, d []complex128) { p.TransformNested(d, 1, 16*128, 16, 128, 16, Inverse) }},
+		{"empty", 64, 0, func(p *Plan, d []complex128) { p.TransformBatch(d, 1, 64, 1, Forward) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "fft: batch layout ") || !strings.Contains(msg, "data has "+itoa(tc.len)) {
+					t.Errorf("recovered %q, want the fft batch-layout panic", msg)
+				}
+			}()
+			tc.run(NewPlan(tc.n), make([]complex128, tc.len))
+			t.Error("no panic")
+		})
+	}
+	// The exact extent is accepted.
+	NewPlan(64).TransformNested(make([]complex128, 8*64*48), 48, 64*48, 8, 1, 48, Forward)
 }
