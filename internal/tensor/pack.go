@@ -49,26 +49,72 @@ func Unpack[T any](dst []T, own, sub Box3, src []T) {
 	}
 }
 
+// CopyBox copies the points of sub (which must lie inside both boxes) out of
+// the local array src, laid out for box srcOwn, into the local array dst, laid
+// out for box dstOwn: Unpack(dst, dstOwn, sub, Pack(src, srcOwn, sub)) without
+// the buffer in between, so every element crosses memory once. Each copy is the
+// longest run that is contiguous in both layouts.
+func CopyBox[T any](dst []T, dstOwn Box3, src []T, srcOwn, sub Box3) {
+	checkPackArgs(len(dst), dstOwn, sub, sub.Volume())
+	checkPackArgs(len(src), srcOwn, sub, sub.Volume())
+	if sub.Empty() {
+		return
+	}
+	fold := min(foldOf(dstOwn, sub), foldOf(srcOwn, sub))
+	copyRuns(dst, runsAt(dstOwn, sub, fold), src, runsAt(srcOwn, sub, fold))
+}
+
+// copyRuns copies run for run between two placements of one sub-box folded to
+// the same level, and reports how many copies that took.
+func copyRuns[T any](dst []T, d runs, src []T, s runs) (copies int) {
+	for i0 := 0; i0 < d.n0; i0++ {
+		da, sa := d.base+i0*d.st0, s.base+i0*s.st0
+		for i1 := 0; i1 < d.n1; i1++ {
+			copy(dst[da:da+d.run], src[sa:sa+s.run])
+			da += d.st1
+			sa += s.st1
+		}
+		copies += d.n1
+	}
+	return copies
+}
+
 // runs is where a non-empty sub-box sits in the local array of own: n0 × n1
 // runs of run contiguous elements, the first at base, st0 and st1 apart.
 type runs struct{ base, n0, st0, n1, st1, run int }
 
-// runsOf folds rows that are adjacent in the local array into one run, so each
-// copy is as long as the layout allows: a sub-box spanning own's whole axis 2
-// moves a plane's rows as one run (a pencil-x → pencil-y pack), and one that
-// spans axis 1 as well is a single run (a brick → pencil-x unpack).
-func runsOf(own, sub Box3) runs {
+// foldOf is how far rows of sub that are adjacent in the local array of own
+// fold into one run: 0 keeps the rows apart, 1 makes a plane's rows one run
+// (sub spans own's whole axis 2: a pencil-x → pencil-y pack), 2 the whole
+// sub-box (it spans axis 1 as well: a brick → pencil-x unpack).
+func foldOf(own, sub Box3) int {
+	switch {
+	case sub.Size(2) != own.Size(2):
+		return 0
+	case sub.Size(1) != own.Size(1):
+		return 1
+	}
+	return 2
+}
+
+// runsAt places sub in the local array of own with its rows folded to the
+// given level, which must not exceed foldOf(own, sub).
+func runsAt(own, sub Box3, fold int) runs {
 	o1, o2 := own.Size(1), own.Size(2)
 	r := runs{base: own.Index(sub.Lo[0], sub.Lo[1], sub.Lo[2]),
 		n0: sub.Size(0), st0: o1 * o2, n1: sub.Size(1), st1: o2, run: sub.Size(2)}
-	if r.run == o2 {
+	if fold >= 1 {
 		r.run, r.n1 = r.run*r.n1, 1
-		if r.run == r.st0 {
-			r.run, r.n0 = r.run*r.n0, 1
-		}
+	}
+	if fold == 2 {
+		r.run, r.n0 = r.run*r.n0, 1
 	}
 	return r
 }
+
+// runsOf folds as far as the layout allows, so each copy of Pack and Unpack is
+// as long as it can be.
+func runsOf(own, sub Box3) runs { return runsAt(own, sub, foldOf(own, sub)) }
 
 func checkPackArgs(localLen int, own, sub Box3, bufLen int) {
 	if !own.ContainsBox(sub) {

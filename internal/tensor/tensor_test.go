@@ -401,3 +401,130 @@ func TestPackArgValidation(t *testing.T) {
 	}()
 	Pack(make([]complex128, 8), own, sub, make([]complex128, 3))
 }
+
+// grow widens sub into the local box of a rank whose layout folds sub's rows
+// to the given level (see foldOf).
+func grow(sub Box3, fold int) Box3 {
+	own := sub
+	switch fold {
+	case 0: // rows stay apart: axis 2 is wider than sub
+		own.Lo[2], own.Hi[2] = sub.Lo[2]-2, sub.Hi[2]+1
+		own.Lo[1]--
+	case 1: // a plane's rows are one run: axis 2 matches, axis 1 is wider
+		own.Hi[1] += 3
+		own.Lo[0]--
+	case 2: // one run: axes 1 and 2 match
+		own.Lo[0], own.Hi[0] = sub.Lo[0]-1, sub.Hi[0]+2
+	}
+	return own
+}
+
+// checkCopyBox compares one CopyBox with Unpack(Pack(…)) element for element
+// — outside sub the destination must stay untouched — and the number of copy
+// calls with the number of runs that are contiguous in both layouts, counted
+// by walking sub point by point.
+func checkCopyBox[T comparable](t *testing.T, dstOwn, srcOwn, sub Box3, elem func(i int) T) {
+	t.Helper()
+	src := make([]T, srcOwn.Volume())
+	for i := range src {
+		src[i] = elem(i + 1)
+	}
+	want := make([]T, dstOwn.Volume())
+	for i := range want {
+		want[i] = elem(-i - 1)
+	}
+	got := append([]T(nil), want...)
+	buf := make([]T, sub.Volume())
+	Pack(src, srcOwn, sub, buf)
+	Unpack(want, dstOwn, sub, buf)
+	CopyBox(got, dstOwn, src, srcOwn, sub)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("CopyBox(dst %v, src %v, sub %v): element %d = %v, Unpack(Pack) has %v", dstOwn, srcOwn, sub, i, got[i], want[i])
+		}
+	}
+	if sub.Empty() {
+		return
+	}
+	common, prevS, prevD := 0, -2, -2
+	for i0 := sub.Lo[0]; i0 < sub.Hi[0]; i0++ {
+		for i1 := sub.Lo[1]; i1 < sub.Hi[1]; i1++ {
+			for i2 := sub.Lo[2]; i2 < sub.Hi[2]; i2++ {
+				s, d := srcOwn.Index(i0, i1, i2), dstOwn.Index(i0, i1, i2)
+				if s != prevS+1 || d != prevD+1 {
+					common++
+				}
+				prevS, prevD = s, d
+			}
+		}
+	}
+	fold := min(foldOf(dstOwn, sub), foldOf(srcOwn, sub))
+	if copies := copyRuns(got, runsAt(dstOwn, sub, fold), src, runsAt(srcOwn, sub, fold)); copies != common {
+		t.Errorf("CopyBox(dst %v, src %v, sub %v) made %d copies for %d common runs", dstOwn, srcOwn, sub, copies, common)
+	}
+}
+
+// TestCopyBoxMatchesPackUnpack: CopyBox is Unpack(Pack(…)) without the buffer,
+// with one copy per run contiguous in both layouts — for every pairing of the
+// three folding regimes on the two sides, empty boxes, random triples and both
+// element types.
+func TestCopyBoxMatchesPackUnpack(t *testing.T) {
+	cplx := func(i int) complex128 { return complex(float64(i), -float64(i)) }
+	flt := func(i int) float64 { return float64(i) }
+	both := func(dstOwn, srcOwn, sub Box3) {
+		checkCopyBox(t, dstOwn, srcOwn, sub, cplx)
+		checkCopyBox(t, dstOwn, srcOwn, sub, flt)
+	}
+	sub := NewBox(4, 5, 6, 7, 9, 11)
+	for fs := 0; fs <= 2; fs++ {
+		for fd := 0; fd <= 2; fd++ {
+			srcOwn, dstOwn := grow(sub, fs), grow(sub, fd)
+			if foldOf(srcOwn, sub) != fs || foldOf(dstOwn, sub) != fd {
+				t.Fatalf("grow: fold levels %d, %d, want %d, %d", foldOf(srcOwn, sub), foldOf(dstOwn, sub), fs, fd)
+			}
+			both(dstOwn, srcOwn, sub)
+		}
+	}
+	for _, r := range packRegimes {
+		both(r.own, r.own, r.sub)
+		both(r.sub, r.own, r.sub)
+		both(r.own, r.sub, r.sub)
+	}
+	// Empty sub-boxes: nothing moves, whatever the arrays.
+	both(NewBox(0, 0, 0, 2, 2, 2), NewBox(1, 1, 1, 4, 4, 4), NewBox(1, 1, 1, 1, 2, 2))
+	both(Box3{}, Box3{}, Box3{})
+
+	rng := rand.New(rand.NewSource(22))
+	for trial := 0; trial < 300; trial++ {
+		var sub, srcOwn, dstOwn Box3
+		for d := 0; d < 3; d++ {
+			sub.Lo[d] = 3 + rng.Intn(4)
+			sub.Hi[d] = sub.Lo[d] + 1 + rng.Intn(5)
+			// A zero margin on both sides of an axis is what lets rows fold;
+			// make it common.
+			margin := func() int { return rng.Intn(3) * rng.Intn(2) }
+			srcOwn.Lo[d], srcOwn.Hi[d] = sub.Lo[d]-margin(), sub.Hi[d]+margin()
+			dstOwn.Lo[d], dstOwn.Hi[d] = sub.Lo[d]-margin(), sub.Hi[d]+margin()
+		}
+		both(dstOwn, srcOwn, sub)
+	}
+}
+
+// TestCopyBoxArgValidation: CopyBox rejects what Pack and Unpack reject.
+func TestCopyBoxArgValidation(t *testing.T) {
+	own, sub := NewBox(0, 0, 0, 4, 4, 4), NewBox(1, 1, 1, 3, 3, 3)
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", name)
+			}
+		}()
+		f()
+	}
+	arr := make([]float64, own.Volume())
+	mustPanic("sub outside dst", func() { CopyBox(make([]float64, 8), sub, arr, own, own) })
+	mustPanic("sub outside src", func() { CopyBox(arr, own, make([]float64, 8), sub, own) })
+	mustPanic("short dst", func() { CopyBox(arr[:10], own, arr, own, sub) })
+	mustPanic("short src", func() { CopyBox(arr, own, arr[:10], own, sub) })
+}
