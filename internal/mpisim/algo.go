@@ -111,6 +111,9 @@ type Exchange struct {
 	Nodes   int      // nodes occupied by the job
 	Topo    *topo.System
 	M       *machine.Model
+
+	// ns is scratch a node-aware pricing may work in (nil: it makes its own).
+	ns *nodeScratch
 }
 
 // cyclicStart returns where rank r's flows start when visited in increasing

@@ -276,7 +276,8 @@ func priceScheduled(c *Comm, ins []collIn, outs []collOut, impl CollectiveAlgo) 
 	if impl.Synchronized() {
 		t0 = maxClock(ins)
 	}
-	ex := &Exchange{Size: size, Members: make([]Member, size), Nodes: w.nodes, Topo: w.topo, M: m}
+	// The caller is the rendezvous' last arrival and has it to itself.
+	ex := &Exchange{Size: size, Members: make([]Member, size), Nodes: w.nodes, Topo: w.topo, M: m, ns: &c.core.rv.ns}
 	nnz := 0
 	for r := range ins {
 		nnz += len(ins[r].blocks)

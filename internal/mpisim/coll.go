@@ -19,6 +19,8 @@ type rendezvous struct {
 	leaving int
 	inputs  []collIn
 	outputs []collOut
+	// ns is pricing scratch of the round's compute (see nodeScratch).
+	ns nodeScratch
 }
 
 type collIn struct {

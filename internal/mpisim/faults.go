@@ -185,3 +185,8 @@ func (c *Comm) collClock(op string, start, end float64) float64 {
 	}
 	return end
 }
+
+// FaultsAttached reports whether the world injects faults: a plan with events
+// is attached, so any exchange may have its payload dropped, flipped or
+// re-requested in transit.
+func (c *Comm) FaultsAttached() bool { return c.core.world.opts.Faults.Active() }

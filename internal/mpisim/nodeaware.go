@@ -37,34 +37,81 @@ type nodeAwareAlgo struct{}
 func (nodeAwareAlgo) Name() string       { return "node-aware" }
 func (nodeAwareAlgo) Synchronized() bool { return false }
 
+// nodeScratch is the working state of one node-aware pricing: how the exchange
+// ranks group by node — a function of the communicator alone, worked out on
+// first use — and the rows the schedule accumulates into, every one left
+// cleared for the next call. A rendezvous keeps one, sized once, for every
+// exchange its communicator prices (Exchange.ns); the completion times it
+// returns are good until the next.
+type nodeScratch struct {
+	nodeID    []int   // exchange rank → dense node id, in first-seen (rank) order
+	groups    [][]int // dense node id → exchange ranks, ascending
+	worldNode []int   // dense node id → node of the world
+
+	comp    []float64 // completion time per exchange rank
+	agg     []int     // this node's aggregate per destination node
+	slice   []float64 // slowest non-leader gather contribution per destination node
+	arrive  []float64 // when this node's aggregate lands at each destination node
+	up      []int     // one member's off-node bytes per destination node
+	inbound []int     // this node's bytes per off-node receiver
+	// The entries of the rows above that are in use: this node's rounds
+	// (cyclic distances to the nodes it sends to), one member's destination
+	// nodes, this node's off-node receivers.
+	rounds, upNodes, receivers []int
+}
+
+// group sizes the scratch for ex's communicator.
+func (ns *nodeScratch) group(ex *Exchange) {
+	p := ex.Size
+	if len(ns.nodeID) == p {
+		return
+	}
+	ns.nodeID = make([]int, p)
+	seen := map[int]int{}
+	var sizes []int
+	for r := 0; r < p; r++ {
+		wn := ex.Topo.Node(ex.Members[r].World)
+		id, ok := seen[wn]
+		if !ok {
+			id = len(sizes)
+			seen[wn] = id
+			sizes = append(sizes, 0)
+			ns.worldNode = append(ns.worldNode, wn)
+		}
+		ns.nodeID[r] = id
+		sizes[id]++
+	}
+	n := len(sizes)
+	ranks := make([]int, 0, p)
+	ns.groups = make([][]int, n)
+	for id, sz := range sizes {
+		ns.groups[id] = ranks[len(ranks) : len(ranks) : len(ranks)+sz]
+		ranks = ranks[:len(ranks)+sz]
+	}
+	for r, id := range ns.nodeID {
+		ns.groups[id] = append(ns.groups[id], r)
+	}
+	ns.comp, ns.inbound = make([]float64, p), make([]int, p)
+	ns.agg, ns.up = make([]int, n), make([]int, n)
+	ns.slice, ns.arrive = make([]float64, n), make([]float64, n)
+}
+
 func (nodeAwareAlgo) Complete(ex *Exchange) []float64 {
 	m := ex.M
 	p := ex.Size
-	comp := make([]float64, p)
+	ns := ex.ns
+	if ns == nil {
+		ns = &nodeScratch{}
+	}
+	ns.group(ex)
+	comp := ns.comp
 	for r := 0; r < p; r++ {
 		comp[r] = ex.Members[r].Start
 	}
 	if p == 1 {
 		return comp
 	}
-
-	// Group the exchange ranks by node, dense ids in first-seen (rank) order.
-	nodeID := make([]int, p)
-	var groups [][]int // dense node id → exchange ranks, ascending
-	var worldNode []int
-	seen := map[int]int{}
-	for r := 0; r < p; r++ {
-		wn := ex.Topo.Node(ex.Members[r].World)
-		id, ok := seen[wn]
-		if !ok {
-			id = len(groups)
-			seen[wn] = id
-			groups = append(groups, nil)
-			worldNode = append(worldNode, wn)
-		}
-		nodeID[r] = id
-		groups[id] = append(groups[id], r)
-	}
+	nodeID, groups, worldNode := ns.nodeID, ns.groups, ns.worldNode
 	n := len(groups)
 	if n == 1 {
 		// Flat group: the two-level schedule degenerates to NVLink streaming.
@@ -90,17 +137,8 @@ func (nodeAwareAlgo) Complete(ex *Exchange) []float64 {
 	// sum, so visiting flows instead of a dense node-pair matrix changes no
 	// result; the floating-point chains (a sender's egress, a node's rounds)
 	// run in the order they always did.
-	var (
-		agg     = make([]int, n)     // this node's aggregate per destination node
-		slice   = make([]float64, n) // slowest non-leader gather contribution per destination node
-		arrive  = make([]float64, n) // when this node's aggregate lands at each destination node
-		up      = make([]int, n)     // one member's off-node bytes per destination node
-		inbound = make([]int, p)     // this node's bytes per off-node receiver
-		// The entries of the rows above that are in use: this node's rounds
-		// (cyclic distances to the nodes it sends to), one member's
-		// destination nodes, this node's off-node receivers.
-		rounds, upNodes, receivers []int
-	)
+	agg, slice, arrive, up, inbound := ns.agg, ns.slice, ns.arrive, ns.up, ns.inbound
+	rounds, upNodes, receivers := ns.rounds, ns.upNodes, ns.receivers
 	for a := 0; a < n; a++ {
 		// Per-node start: a node's gather and leader rounds begin once its own
 		// active members have arrived. A node with no active member carries no
@@ -243,5 +281,6 @@ func (nodeAwareAlgo) Complete(ex *Exchange) []float64 {
 			inbound[d] = 0
 		}
 	}
+	ns.rounds, ns.upNodes, ns.receivers = rounds, upNodes, receivers
 	return comp
 }

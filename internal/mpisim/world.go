@@ -35,9 +35,25 @@ type Buf struct {
 	Data []complex128
 	Real []float64 // real payload; mutually exclusive with Data
 	N    int       // element count when Data and Real are nil (phantom mode)
+	Loc  machine.Location
+	// SumRe/SumIm carry the ABFT envelope of the block — the sum of its
+	// elements, computed at pack time by the plan layer — when Summed is
+	// set. The envelope travels out-of-band (it is metadata, not payload),
+	// so a wire flip corrupts the bytes but not the carried sum, and the
+	// receiver's unpack-side invariant catches the mismatch.
+	SumRe, SumIm float64
+	// View belongs to the layer above: a size-only block may carry a reference
+	// to the arrays it stands for, which the receiver copies out of directly
+	// (core's single-copy reshapes). The transport prices such a block by N
+	// like any phantom one, hands View to the receiver untouched and never
+	// looks at it.
+	View any
+
+	// The flags and the wire format sit together so that an entry of an
+	// exchange vector (Block) stays at 128 bytes.
+
 	// PhantomReal marks a phantom buffer as real-valued (8 bytes/element).
 	PhantomReal bool
-	Loc         machine.Location
 	// Move transfers buffer ownership to the receiver: the simulator skips
 	// the defensive deep copy it otherwise performs to honour MPI buffer
 	// semantics ("sender may reuse its buffer after the call returns"). Set
@@ -49,13 +65,7 @@ type Buf struct {
 	// receiving side detects it (modeling transport checksums) and raises
 	// ErrMessageCorrupt rather than silently delivering bad data.
 	Corrupt bool
-	// SumRe/SumIm carry the ABFT envelope of the block — the sum of its
-	// elements, computed at pack time by the plan layer — when Summed is
-	// set. The envelope travels out-of-band (it is metadata, not payload),
-	// so a wire flip corrupts the bytes but not the carried sum, and the
-	// receiver's unpack-side invariant catches the mismatch.
-	SumRe, SumIm float64
-	Summed       bool
+	Summed  bool // SumRe/SumIm are set
 	// Wire is the on-wire element format of the payload. Data and Real always
 	// hold float64/complex128 values (the compute precision), but a compressed
 	// buffer's elements have already been rounded to the wire grid at pack
