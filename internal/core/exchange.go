@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"repro/internal/machine"
 	"repro/internal/mpisim"
 	"repro/internal/tensor"
@@ -14,9 +16,16 @@ import (
 // P2P, Alltoall, Alltoallw and scheduled Alltoallv are transports for the
 // post/wait step.
 //
-// Pack buffers are drawn from the staging pool and shipped with Move: the
-// receiver takes ownership and returns them to the pool after unpacking, so
-// no defensive copy is made anywhere on the path.
+// One ownership rule decides how a block travels: an array drawn from the
+// staging pool belongs to the plan until its last reader is done with it. When
+// the source arrays are plan-owned and nothing between sender and receiver
+// needs wire bytes (lends), nothing is packed: the deposited block is
+// size-only and carries a view of the sender's arrays, the receiver copies its
+// box out of them with one tensor.CopyBox, and whoever copies last returns
+// them to the pool — every element crosses memory once. Otherwise pack buffers
+// are drawn from the pool and shipped with Move: the receiver takes ownership
+// and returns them after unpacking. Either way no defensive copy is made, and
+// the virtual charges (dev.Pack, dev.Unpack, Convert) are the same.
 //
 // Every step walks the reshape's peer lists (rs.sendPeers, rs.recvPeers) and
 // speaks the transport's sparse exchange vectors, so what one call allocates
@@ -33,10 +42,16 @@ type exchange[T any] struct {
 	datas, out [][]T
 	drawn      bool
 	phantom    bool
-	// recycleIn marks datas as plan-owned (produced by an earlier reshape of
-	// the same execution): they return to the staging pool once packed. The
-	// arrays of the very first reshape belong to the caller and never do.
+	// recycleIn marks datas as plan-owned (drawn from the staging pool by an
+	// earlier stage of this execution, or left in the caller's fields by the
+	// previous one and handed back): they return to the pool once packed, or —
+	// when lent — once the last receiver has copied out of them. Arrays the
+	// caller made are never pooled, written or read after the call returns.
 	recycleIn bool
+	// lend says the exchange ships views instead of packing (lends); view is
+	// the record its blocks point at, taken when the first chunk is packed.
+	lend bool
+	view *lent[T]
 
 	algo    mpisim.Algo
 	chunks  int
@@ -74,6 +89,7 @@ func newExchange[T any](e *engine, rs *reshapePlan, datas, out [][]T, phantom, r
 	x.wire = rs.wireOf(e.opts)
 	x.eb = elemBytes[T]()
 	x.web = WireElemSize(x.wire, x.eb)
+	x.lend = x.lends()
 	if e.opts.Backend == BackendAlltoallv {
 		f := rs.resolved(e.opts, x.web, len(datas))
 		x.algo, x.chunks, x.overlap = f.algo, f.chunks, f.overlap
@@ -82,6 +98,48 @@ func newExchange[T any](e *engine, rs *reshapePlan, datas, out [][]T, phantom, r
 		}
 	}
 	return x
+}
+
+// lends is the one predicate for shipping views instead of packed copies: the
+// arrays are real and plan-owned — a caller's array cannot be lent, its owner
+// may overwrite it the moment the call returns while peers still read — and no
+// layer between sender and receiver reads or rewrites the bytes: the wire is
+// fp64 (a compressed block is rounded in place), the world neither checksums
+// envelopes nor carries ABFT sums (both stream the packed block), and no fault
+// plan is attached (silent corruption flips payload bits, retransmits re-read
+// them). All of these are constants of the world or the reshape, or the
+// ownership the runner tracks; nothing sets them to get a view.
+func (x *exchange[T]) lends() bool {
+	g := x.rs.group
+	return x.recycleIn && !x.phantom && x.wire == WireFp64 &&
+		!g.Integrity().Enabled() && !g.FaultsAttached()
+}
+
+// lent is what a view points at: the sender's arrays over from, and who still
+// needs them — every deposited block not yet copied out, plus the sender until
+// its last chunk is posted. The last to let go returns the arrays to the
+// staging pool and leaves the record idle for the engine's next lending
+// exchange (batchScratch.lendOut); a record whose holds never drain — the world
+// failed mid-exchange — is simply dropped with its arrays.
+type lent[T any] struct {
+	datas [][]T
+	from  tensor.Box3
+	holds atomic.Int64
+}
+
+// lentIdle is lent.holds of a record nobody uses. It differs from zero, which
+// the count passes through while the last holder is still pooling the arrays.
+const lentIdle = -1
+
+func (v *lent[T]) release() {
+	if v.holds.Add(-1) > 0 {
+		return
+	}
+	for i, d := range v.datas {
+		putBuf(d)
+		v.datas[i] = nil
+	}
+	v.holds.Store(lentIdle)
 }
 
 // run executes the whole exchange, leaving the arrays over rs.to in out (nil
@@ -192,11 +250,18 @@ func (x *exchange[T]) open() {
 // tolerance-based (see verifyEnvelope). The pack kernel is charged for the
 // on-wire bytes it writes; MPI_Alltoallw (Algorithm 2) hands the library
 // derived sub-array datatypes and has no pack kernel.
+//
+// A lending exchange builds the same list with nothing in it: each block is
+// size-only — the transport prices Elems, Bytes, Loc and Wire, which are what
+// the packed block would have had — and points at the view.
 func (x *exchange[T]) pack(ci int) []mpisim.Block {
 	rs, dev := x.rs, x.e.dev
 	blocks := make([]mpisim.Block, 0, len(rs.sendPeers))
 	ic := rs.group.Integrity()
 	wireBytes, fullBytes := 0, 0
+	if x.lend && ci == 0 {
+		x.view = scratchOf[T](x.e).lendOut(x.datas, rs.from)
+	}
 	for k, gi := range rs.sendPeers {
 		cb := chunkBox(rs.sends[k], ci, x.chunks)
 		vol := cb.Volume()
@@ -211,8 +276,11 @@ func (x *exchange[T]) pack(ci int) []mpisim.Block {
 		blocks = blocks[:len(blocks)+1]
 		b := &blocks[len(blocks)-1]
 		b.Peer = gi
-		if x.phantom {
+		if x.phantom || x.lend {
 			setBuf[T](&b.Buf, nil, elems, x.wire)
+			if x.lend {
+				b.Buf.View = x.view
+			}
 			continue
 		}
 		data := getBuf[T](elems)
@@ -234,7 +302,14 @@ func (x *exchange[T]) pack(ci int) []mpisim.Block {
 	if ic.Invariants && !ic.Checksums {
 		rs.group.ChargeChecksum(wireBytes)
 	}
-	if ci == x.chunks-1 {
+	if x.lend {
+		// Every block just listed is a reader to wait for; the sender's own
+		// hold lasts until no further chunk will point at the arrays.
+		x.view.holds.Add(int64(len(blocks)))
+		if ci == x.chunks-1 {
+			x.view.release()
+		}
+	} else if ci == x.chunks-1 {
 		// The inputs are fully drained once the last chunk is packed.
 		recycleDatas(x.datas, x.recycleIn)
 	}
@@ -346,12 +421,21 @@ func (x *exchange[T]) unpack(ci int, h posted) {
 // unpackBlock scatters the received block of chunk ci of pair box rs.recvs[k]
 // into the new arrays — verifying its ABFT envelope sum first when one is
 // attached — returns the buffer to the staging pool, and reports the elements
-// received. buf is nil when nothing arrived for the pair (phantom batches and
-// empty chunks never look at it).
+// received. A block that carries a view is copied box to box out of its
+// sender's arrays instead (the sender decides per exchange; the receiver only
+// looks at what arrived). buf is nil when nothing arrived for the pair
+// (phantom batches and empty chunks never look at it).
 func (x *exchange[T]) unpackBlock(ci, k int, buf *mpisim.Buf) int {
 	cb := chunkBox(x.rs.recvs[k], ci, x.chunks)
 	vol := cb.Volume()
 	if vol == 0 || x.phantom {
+		return vol * len(x.datas)
+	}
+	if v, ok := buf.View.(*lent[T]); ok {
+		for fi := range x.out {
+			tensor.CopyBox(x.out[fi], x.rs.to, v.datas[fi], v.from, cb)
+		}
+		v.release()
 		return vol * len(x.datas)
 	}
 	verifyEnvelope[T](x.rs.group, x.rs.recvPeers[k], buf, x.rs.label)

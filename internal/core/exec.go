@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/fft"
 	"repro/internal/gpu"
@@ -50,13 +51,94 @@ type engine struct {
 // run, never by a peer or group count, and hold nothing between reshapes:
 // whoever takes them clears every entry it set, so a cached plan pins neither
 // the caller's arrays nor the staging pool's.
-type batchScratch[T any] struct{ datas, out [][]T }
+//
+// The scratch also carries array ownership from one execution to the next.
+// kept identifies the arrays the last execution drew from the staging pool and
+// left in the caller's fields; an execution that is handed exactly those
+// arrays back starts out owning them (claim), so an in-place Forward/Inverse
+// loop lends and recycles from its first reshape on and allocates nothing.
+// Each identity is consumed by the first execution that sees it: a copied
+// Field value still pointing at such an array is a caller's array to every
+// later execution, which reads it but never pools it a second time. views are
+// the engine's lending records (see lent), reused once their holds drain.
+type batchScratch[T any] struct {
+	datas, out [][]T
+	kept       []*T
+	views      []*lent[T]
+}
 
 func (s *batchScratch[T]) take(n int) (datas, out [][]T) {
 	if cap(s.datas) < n {
 		s.datas, s.out = make([][]T, n), make([][]T, n)
 	}
 	return s.datas[:n], s.out[:n]
+}
+
+// lendOut readies a record for an exchange that lends datas (over box from):
+// an idle one when there is one — in steady state there always is — holding
+// the arrays and the sender's own hold.
+func (s *batchScratch[T]) lendOut(datas [][]T, from tensor.Box3) *lent[T] {
+	var v *lent[T]
+	for _, c := range s.views {
+		if c.holds.Load() == lentIdle {
+			v = c
+			break
+		}
+	}
+	if v == nil {
+		v = &lent[T]{}
+		s.views = append(s.views, v)
+	}
+	v.datas, v.from = append(v.datas[:0], datas...), from
+	v.holds.Store(1)
+	return v
+}
+
+// arrayOf identifies a slice by its backing array (nil when it has none).
+func arrayOf[T any](d []T) *T {
+	if cap(d) == 0 {
+		return nil
+	}
+	return &d[:1][0]
+}
+
+// claimFields consumes what the last execution kept and reports whether every
+// entry's array is one of them, i.e. the batch is plan-owned from the start.
+func claimFields[T any, F fieldOf[T]](e *engine, fs []F) bool {
+	s := scratchOf[T](e)
+	owned := true
+	for _, f := range fs {
+		_, data := f.ref()
+		a := arrayOf(*data)
+		if a == nil {
+			continue // nothing to pool or lend
+		}
+		i := slices.Index(s.kept, a)
+		if i < 0 {
+			owned = false
+			break
+		}
+		s.kept[i] = nil
+	}
+	e.forgetKept()
+	return owned
+}
+
+// keepFields records the arrays a successful execution leaves in the caller's
+// fields; they are plan-owned (see run), and stay valid for the caller until
+// the field's next transform.
+func keepFields[T any, F fieldOf[T]](e *engine, fs []F) {
+	s := scratchOf[T](e)
+	for _, f := range fs {
+		_, data := f.ref()
+		s.kept = append(s.kept, arrayOf(*data))
+	}
+}
+
+func (e *engine) forgetKept() {
+	clear(e.cscratch.kept)
+	clear(e.rscratch.kept)
+	e.cscratch.kept, e.rscratch.kept = e.cscratch.kept[:0], e.rscratch.kept[:0]
 }
 
 // scratchOf selects the engine's batch scratch of element type T.
@@ -120,6 +202,12 @@ type batch struct {
 	fields []*Field
 	reals  []*RealField
 	real   bool
+	// owned says the live arrays are plan-owned: drawn from the staging pool by
+	// a reshape or a real stage of this execution, or left in these fields by
+	// the previous one (claim). A reshape returns plan-owned arrays to the pool
+	// once they are packed or, lent as views, once their last reader is done;
+	// a caller's own arrays are packed and left alone.
+	owned bool
 }
 
 func (b *batch) len() int {
@@ -142,6 +230,44 @@ func (b *batch) validate(want tensor.Box3) error {
 		return validateFields[float64](b.reals, want)
 	}
 	return validateFields[complex128](b.fields, want)
+}
+
+// claim and keep carry array ownership between executions (see batchScratch).
+func (b *batch) claim(e *engine) {
+	if b.real {
+		b.owned = claimFields[float64](e, b.reals)
+	} else {
+		b.owned = claimFields[complex128](e, b.fields)
+	}
+}
+
+func (b *batch) keep(e *engine) {
+	switch {
+	case !b.owned:
+	case b.real:
+		keepFields[float64](e, b.reals)
+	default:
+		keepFields[complex128](e, b.fields)
+	}
+}
+
+// disown takes plan-owned arrays out of the fields of an execution that
+// failed: peers may still be reading them, and their last reader pools them,
+// so the caller must not find them there. The fields are left without data.
+func (b *batch) disown() {
+	if !b.owned {
+		return
+	}
+	for _, f := range b.fields {
+		if f != nil {
+			f.Data = nil
+		}
+	}
+	for _, rf := range b.reals {
+		if rf != nil {
+			rf.Data = nil
+		}
+	}
 }
 
 // fieldOf abstracts Field and RealField over their element type: ref exposes
@@ -238,7 +364,7 @@ func (e *engine) run(stages []stage, b *batch, dir fft.Direction, from int, pol 
 		}
 	}
 	e.curPhase = ""
-	defer e.recoverFault(&err)
+	defer e.recoverFault(b, &err)
 	// Validation failures leave End == Start: nothing executed, no cost.
 	e.lastExec = ExecInfo{Batch: n, Start: e.comm.Clock()}
 	e.lastExec.End = e.lastExec.Start
@@ -268,10 +394,7 @@ func (e *engine) run(stages []stage, b *batch, dir fft.Direction, from int, pol 
 	// the first entry's compute up front (its results must be packed before
 	// anything can be sent) and hides the rest behind communication.
 	pending := 0.0
-	// The first reshape packs from caller-owned arrays; every later one packs
-	// from arrays the previous reshape drew from the staging pool, which are
-	// recycled once packed.
-	recycle := false
+	b.claim(e)
 	// flights holds each entry's posted exchange (entryAsync): set by a
 	// reshape stage, drained entry by entry as the next stage needs the data.
 	var flights []exchange[complex128]
@@ -282,8 +405,7 @@ func (e *engine) run(stages []stage, b *batch, dir fft.Direction, from int, pol 
 		switch {
 		case st.kind == stageReshape && pol == batchFused:
 			t0 := e.comm.Clock()
-			e.reshape(st.rs, b, recycle)
-			recycle = true
+			e.reshape(st.rs, b)
 			if comm := e.comm.Clock() - t0; pending > comm {
 				e.chargeOverlap(pending - comm)
 			}
@@ -297,10 +419,12 @@ func (e *engine) run(stages []stage, b *batch, dir fft.Direction, from int, pol 
 			for i, f := range b.fields {
 				checkBox(st.rs, f.Box)
 				datas[i] = f.Data
-				flights[i] = newExchange(e, st.rs, datas[i:i+1:i+1], out[i:i+1:i+1], phantom, recycle, true)
+				flights[i] = newExchange(e, st.rs, datas[i:i+1:i+1], out[i:i+1:i+1], phantom, b.owned, true)
 				flights[i].start()
 			}
-			recycle = true
+			b.owned = true
+		case st.kind == stageR2C || st.kind == stageC2R:
+			pending += e.realStage(st, b) * float64(n-1)
 		case pol == batchFused:
 			per := e.computeStage(st, b, dir)
 			pending += per * float64(n-1)
@@ -326,6 +450,7 @@ func (e *engine) run(stages []stage, b *batch, dir fft.Direction, from int, pol 
 	if err := b.validate(endBox); err != nil {
 		return fmt.Errorf("core: after execution: %w", err)
 	}
+	b.keep(e)
 	return nil
 }
 
@@ -343,13 +468,15 @@ func land(f *Field, flights []exchange[complex128], i int) {
 }
 
 // reshape moves the whole batch through one fused exchange and re-points
-// every entry at its array over the target distribution.
-func (e *engine) reshape(rs *reshapePlan, b *batch, recycleIn bool) {
+// every entry at its array over the target distribution, drawn from the
+// staging pool: the batch is plan-owned from here on.
+func (e *engine) reshape(rs *reshapePlan, b *batch) {
 	if b.real {
-		reshapeFields[float64](e, rs, b.reals, recycleIn)
+		reshapeFields[float64](e, rs, b.reals, b.owned)
 	} else {
-		reshapeFields[complex128](e, rs, b.fields, recycleIn)
+		reshapeFields[complex128](e, rs, b.fields, b.owned)
 	}
+	b.owned = true
 }
 
 func reshapeFields[T any, F fieldOf[T]](e *engine, rs *reshapePlan, fs []F, recycleIn bool) {
@@ -404,16 +531,14 @@ func (e *engine) chargeOverlap(dt float64) {
 	})
 }
 
-// computeStage computes the local transforms of every batch entry
-// (numerically) and charges the virtual cost of ONE entry, returning that
-// per-entry cost so the batchFused policy can pipeline the remainder. With
-// ABFT invariants on, the complex stages run under the phase invariant
-// (runABFT); the r2c/c2r kernels stay outside it — the invariant is defined
-// over complex bricks, and the half-spectrum kernels are not covered.
+// computeStage computes the local transforms of every batch entry of a
+// complex stage (numerically) and charges the virtual cost of ONE entry,
+// returning that per-entry cost so the batchFused policy can pipeline the
+// remainder. With ABFT invariants on, the stage runs under the phase invariant
+// (runABFT); the r2c/c2r kernels (realStage) stay outside it — the invariant
+// is defined over complex bricks, and the half-spectrum kernels are not
+// covered.
 func (e *engine) computeStage(st stage, b *batch, dir fft.Direction) float64 {
-	if st.kind == stageR2C || st.kind == stageC2R {
-		return e.realStage(st, b)
-	}
 	if st.myBox.Empty() {
 		return 0
 	}
@@ -502,20 +627,22 @@ func localFFT1D(plan *fft.Plan, data []complex128, box tensor.Box3, axis int, co
 // realStage converts the batch's real z-pencils to complex half-spectrum
 // fields (r2c) or back (c2r), each pencil as one advanced-layout D2Z/Z2D batch
 // (zero-copy, parallel fan-out inside the fft package). The new arrays are
-// drawn from the staging pool and fully overwritten, so every later reshape
-// recycles the arrays it replaces. Charges one entry's batch of real
+// drawn from the staging pool and fully overwritten, so the batch is
+// plan-owned from here on; the arrays they replace go back to the pool when
+// they were plan-owned too (retire). Charges one entry's batch of real
 // transforms and returns its cost.
 func (e *engine) realStage(st stage, b *batch) float64 {
 	n2, h := st.rplan.N(), st.rplan.SpectrumLen()
 	// Real pencils and their half-spectrum shadows share the P×Q grid.
 	rows := st.myBox.Size(0) * st.myBox.Size(1)
-	var err error
 	for i := 0; i < b.len(); i++ {
+		var err error
 		if st.kind == stageR2C {
 			rf, f := b.reals[i], &Field{Box: st.specBox}
 			if !rf.Phantom() {
 				f.Data = getBuf[complex128](st.specBox.Volume())
 				err = st.rplan.ForwardBatch(rf.Data, 1, n2, f.Data, 1, h, rows)
+				retire(&rf.Data, b.owned)
 			}
 			b.fields[i] = f
 		} else {
@@ -523,6 +650,7 @@ func (e *engine) realStage(st stage, b *batch) float64 {
 			if !f.Phantom() {
 				rf.Data = getBuf[float64](st.myBox.Volume())
 				err = st.rplan.InverseBatch(f.Data, 1, h, rf.Data, 1, n2, rows)
+				retire(&f.Data, b.owned)
 			}
 			b.reals[i] = rf
 		}
@@ -530,7 +658,7 @@ func (e *engine) realStage(st stage, b *batch) float64 {
 			panic(err)
 		}
 	}
-	b.real = st.kind == stageC2R
+	b.real, b.owned = st.kind == stageC2R, true
 	if rows == 0 {
 		return 0
 	}
@@ -538,11 +666,21 @@ func (e *engine) realStage(st stage, b *batch) float64 {
 	return e.dev.Model().FFTR2CCost(n2, rows)
 }
 
+// retire disposes of an array a stage has converted out of. A plan-owned one
+// returns to the staging pool and leaves the consumed field, so nothing can
+// read pooled memory through it; a caller's array stays where it is.
+func retire[T any](data *[]T, owned bool) {
+	if owned {
+		putBuf(*data)
+		*data = nil
+	}
+}
+
 // recoverFault is the deferred fault handler of run. It is a method taking
 // the error pointer (not a closure) so deferring it in the execution hot path
 // allocates nothing — the steady-state zero-allocation guarantee of
 // Forward/Inverse holds with fault handling armed.
-func (e *engine) recoverFault(errp *error) {
+func (e *engine) recoverFault(b *batch, errp *error) {
 	r := recover()
 	if r == nil {
 		return
@@ -552,6 +690,10 @@ func (e *engine) recoverFault(errp *error) {
 		panic(r)
 	}
 	e.lastExec.End = e.comm.Clock()
+	// Views of this rank's arrays may never be read now: their records go, and
+	// so do the arrays they lent.
+	e.cscratch.views, e.rscratch.views = nil, nil
+	b.disown()
 	*errp = err
 }
 
