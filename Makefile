@@ -35,11 +35,12 @@ bench:
 
 # Developer tool: single-line kernel ladder, the twiddled radix-4 passes (Go
 # reference against what the machine dispatches to), strided/contiguous
-# batches, the blocked reorder transposes and pack/unpack in their three
-# run-coalescing regimes (row, plane, whole block).
+# batches, the blocked reorder transposes, pack/unpack in their three
+# run-coalescing regimes (row, plane, whole block), and over the same regimes
+# one box-to-box CopyBox against Pack + Unpack through a buffer.
 bench-kernel:
 	go test -run '^$$' -bench 'BenchmarkKernel|BenchmarkRadix4Pass|BenchmarkStridedBatch|BenchmarkContigBatch|BenchmarkFFTBluestein' -benchmem ./internal/fft/
-	go test -run '^$$' -bench 'BenchmarkPackBlocked|BenchmarkPack$$|BenchmarkUnpack$$' -benchmem ./internal/tensor/
+	go test -run '^$$' -bench 'BenchmarkPackBlocked|BenchmarkPack$$|BenchmarkUnpack$$|BenchmarkCopyBox$$' -benchmem ./internal/tensor/
 
 # Developer tool: the paper-scale proxy of the repository benchmark on its
 # own: 768 phantom ranks, 512³ — rendezvous, per-call exchange vectors and GC,

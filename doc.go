@@ -19,14 +19,17 @@
 // errors.Is.
 //
 // Under the facade, the execution engine keeps the host-side hot path
-// allocation-free: staging buffers come from a process-wide size-class pool
-// and move through the simulator with ownership transfer instead of
-// defensive copies; FFT kernel plans (twiddles, bit-reversal tables) are
-// cached per plan axis; and batched transforms fan out over a bounded
-// worker pool shared across rank goroutines. Steady-state Forward/Inverse
-// of a single-rank plan performs zero allocations (asserted by
-// testing.AllocsPerRun); a plan with reshapes still allocates one full grid
-// per transform (the last reshape's output is not recycled), while
+// allocation-free: local arrays and staging buffers come from a process-wide
+// size-class pool, and an array drawn from it belongs to the plan until its
+// last reader is done — a reshape of plan-owned arrays ships views and its
+// receivers copy box to box out of the sender's array, so nothing is packed
+// and each element is copied once; FFT kernel plans (twiddles, bit-reversal
+// tables) are cached per plan axis; and batched transforms fan out over a
+// bounded worker pool shared across rank goroutines. Steady-state
+// Forward/Inverse of a single-rank plan performs zero allocations (asserted
+// by testing.AllocsPerRun), and a plan with reshapes allocates no payload
+// once a caller hands each call's output to the next (the array a transform
+// leaves in Field.Data is valid until that field's next transform), while
 // virtual-time results are unchanged — simulated costs depend only on bytes
 // and location, never on buffer ownership.
 //

@@ -153,19 +153,12 @@ func (s *Sim) Step() error {
 
 	// Round-trip through real space (current deposition happens there in the
 	// production code): one batched inverse + one batched forward over all
-	// six components.
-	six := make([]*core.Field, 6)
-	for i := range six {
-		six[i] = &core.Field{Box: s.fields[i].Box, Data: s.fields[i].Data}
-	}
-	if err := s.plan.InverseBatch(six); err != nil {
+	// six components, in place in the simulation's fields — each call hands
+	// the plan back the arrays its last one produced, so the plan reuses them.
+	if err := s.plan.InverseBatch(s.fields[:]); err != nil {
 		return err
 	}
-	if err := s.plan.ForwardBatch(six); err != nil {
-		return err
-	}
-	copy(s.fields[:], six)
-	return nil
+	return s.plan.ForwardBatch(s.fields[:])
 }
 
 // Run advances the given number of steps.

@@ -5,18 +5,22 @@ import (
 	"sync"
 )
 
-// Staging-buffer pool for the reshape hot path. Every exchange packs
-// per-destination send buffers, and every arrival is unpacked into a freshly
-// distributed array; at paper scale that is hundreds of megabytes of
-// allocation per transform. The pool recycles those buffers process-wide:
-// senders draw pack buffers here and ship them with mpisim's Move ownership
-// transfer, receivers return them after unpacking, and the arrays a reshape
-// retires (the previous distribution of a field) come back too. After
-// warm-up a transform allocates nothing for staging.
+// Array pool for the reshape hot path. Every reshape produces a freshly
+// distributed array per batch entry, and an exchange that packs stages
+// per-destination send buffers; at paper scale that is hundreds of megabytes
+// per transform. The pool recycles them process-wide under one rule: an array
+// drawn from it belongs to the plan until its last reader is done with it.
+// Pack buffers ship with mpisim's Move ownership transfer and their receiver
+// returns them after unpacking; the arrays a reshape retires (the previous
+// distribution of a field) come back once they are packed or, when they were
+// lent as views (exchange.lends), once the last receiver has copied out of
+// them; the array an execution leaves in a caller's field is still the plan's,
+// and comes back when the caller hands it to the next execution (see
+// batchScratch). After warm-up a transform allocates no payload.
 //
 // The pool is a plain mutex-guarded free list, deliberately not a sync.Pool:
 // buffers must survive GC cycles so steady-state allocation counts stay at
-// zero (the AllocsPerRun regression tests depend on it), and they flow
+// zero (the allocation regression tests depend on it), and they flow
 // between rank goroutines, so the pool is global rather than per-plan.
 // Buffers are binned by capacity class (powers of two); each class keeps at
 // most poolMaxPerClass entries so a pathological workload cannot pin

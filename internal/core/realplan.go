@@ -190,7 +190,10 @@ func (p *RealPlan) Forward(rf *RealField) (*Field, error) {
 
 // ForwardBatch transforms a batch of real fields through fused exchanges,
 // like Plan.ForwardBatch (the Fig. 13 batching feature, here for R2C). The
-// input fields are consumed: the runner moves them to z-pencils in place.
+// input fields are consumed: the runner moves them to z-pencils in place and
+// the r2c stage takes that array back, leaving them without data. The arrays
+// of the returned fields follow Field's rule: valid until the fields' next
+// transform — handing them to InverseBatch lets the plan reuse them.
 func (p *RealPlan) ForwardBatch(rfs []*RealField) ([]*Field, error) {
 	b := batch{reals: rfs, fields: make([]*Field, len(rfs)), real: true}
 	if err := p.run(p.stages, &b, fft.Forward, 0, batchFused); err != nil {
@@ -209,7 +212,8 @@ func (p *RealPlan) Inverse(f *Field) (*RealField, error) {
 	return rfs[0], nil
 }
 
-// InverseBatch is the batched complex-to-real transform.
+// InverseBatch is the batched complex-to-real transform. It consumes its input
+// fields as ForwardBatch does.
 func (p *RealPlan) InverseBatch(fields []*Field) ([]*RealField, error) {
 	b := batch{fields: fields, reals: make([]*RealField, len(fields))}
 	if err := p.run(p.revStages, &b, fft.Inverse, 0, batchFused); err != nil {

@@ -21,32 +21,53 @@ import (
 // Single-copy reshapes (exchange.lends): allocation in steady state, views
 // against packing bit for bit, and who owns which array when.
 
-// allocPerTransform runs warm-up and then `pairs` Forward+Inverse rounds of
-// one in-place field per rank on a fresh 32³ world and returns the bytes the
-// process allocated per transform over the measured rounds. The collector is
-// off while it measures, so no sync.Pool refill lands in the count.
-func allocPerTransform(ranks int, opts Options, phantom bool, pairs int) float64 {
+// allocPerTransform runs warm-up and then `pairs` forward+inverse rounds of one
+// field per rank on a fresh 32³ world — in place through a Plan, or through a
+// RealPlan, each call's output the next call's input — and returns the bytes
+// the process allocated per transform over the measured rounds. The collector
+// is off while it measures, so no sync.Pool refill lands in the count.
+func allocPerTransform(ranks int, opts Options, real, phantom bool, pairs int) float64 {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
+	global := [3]int{32, 32, 32}
 	w := mpisim.NewWorld(machine.Summit(), ranks, mpisim.Options{GPUAware: true})
 	w.Run(func(c *mpisim.Comm) {
-		p, err := NewPlan(c, Config{Global: [3]int{32, 32, 32}, Opts: opts})
-		if err != nil {
-			panic(err)
+		must := func(err error) {
+			if err != nil {
+				panic(err)
+			}
 		}
-		f := NewPhantom(p.InBox())
-		if !phantom {
-			f = NewField(p.InBox())
-			f.FillRandom(int64(c.Rank()))
+		var pair func()
+		if real {
+			p, err := NewRealPlan(c, RealConfig{Global: global, Opts: opts})
+			must(err)
+			rf := NewRealPhantom(p.InBox())
+			if !phantom {
+				rf = NewRealField(p.InBox())
+				fillRealEntry(rf.Data, c.Rank(), 0)
+			}
+			pair = func() {
+				spec, err := p.Forward(rf)
+				must(err)
+				rf, err = p.Inverse(spec)
+				must(err)
+			}
+		} else {
+			p, err := NewPlan(c, Config{Global: global, Opts: opts})
+			must(err)
+			f := NewPhantom(p.InBox())
+			if !phantom {
+				f = NewField(p.InBox())
+				f.FillRandom(int64(c.Rank()))
+			}
+			pair = func() {
+				must(p.Forward(f))
+				must(p.Inverse(f))
+			}
 		}
 		round := func(n int) {
 			for i := 0; i < n; i++ {
-				if err := p.Forward(f); err != nil {
-					panic(err)
-				}
-				if err := p.Inverse(f); err != nil {
-					panic(err)
-				}
+				pair()
 			}
 			c.Barrier()
 		}
@@ -64,28 +85,32 @@ func allocPerTransform(ranks int, opts Options, phantom bool, pairs int) float64
 }
 
 // TestReshapeSteadyStateAllocs: a plan with reshapes allocates no payload in
-// steady state — an in-place Forward/Inverse loop hands the plan's arrays back
-// each call, so every reshape lends and recycles. What an exchange allocates
-// for bookkeeping (its send list, the rendezvous' receive lists, P2P requests)
-// is proportional to the blocks exchanged and the same in a phantom run, which
-// is what the payload run is measured against: the difference, summed over
-// all ranks, stays under 1/16 of one grid per transform. (Before the pool loop
-// closed it was one full grid.)
+// steady state — a loop that hands each call's output to the next hands the
+// plan's arrays back, so every reshape lends and recycles, and the real stages
+// of a RealPlan return the arrays they replace. What an exchange allocates for
+// bookkeeping (its send list, the rendezvous' receive lists, P2P requests,
+// the fields a RealPlan returns) is proportional to the blocks exchanged and
+// the same in a phantom run, which is what the payload run is measured
+// against: the difference, summed over all ranks, stays under 1/16 of one
+// grid per transform. (Before the pool loop closed it was one full grid.)
 func TestReshapeSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	const grid = 32 * 32 * 32 * 16
+	check := func(name string, ranks int, opts Options, real bool) {
+		payload := allocPerTransform(ranks, opts, real, false, 20) - allocPerTransform(ranks, opts, real, true, 20)
+		if payload >= grid/16 {
+			t.Errorf("%d ranks, %s: %.0f payload bytes allocated per transform, want < %d (one grid is %d)",
+				ranks, name, payload, grid/16, grid)
+		}
+	}
 	for _, ranks := range []int{8, 64} {
-		for _, d := range []Decomposition{DecompPencils, DecompSlabs} {
-			for _, b := range []Backend{BackendAlltoallv, BackendP2P} {
-				opts := Options{Decomp: d, Backend: b}
-				payload := allocPerTransform(ranks, opts, false, 20) - allocPerTransform(ranks, opts, true, 20)
-				if payload >= grid/16 {
-					t.Errorf("%d ranks, %v, %v: %.0f payload bytes allocated per transform, want < %d (one grid is %d)",
-						ranks, d, b, payload, grid/16, grid)
-				}
+		for _, b := range []Backend{BackendAlltoallv, BackendP2P} {
+			for _, d := range []Decomposition{DecompPencils, DecompSlabs} {
+				check(fmt.Sprintf("%v, %v", d, b), ranks, Options{Decomp: d, Backend: b}, false)
 			}
+			check(fmt.Sprintf("RealPlan, %v", b), ranks, Options{Backend: b}, true)
 		}
 	}
 }

@@ -69,6 +69,33 @@ func benchPack(b *testing.B, unpack bool) {
 func BenchmarkPack(b *testing.B)   { benchPack(b, false) }
 func BenchmarkUnpack(b *testing.B) { benchPack(b, true) }
 
+// BenchmarkCopyBox moves each regime's sub-box from its local array into the
+// array of the rank that receives it on the same pipeline (an x-pencil for the
+// brick's rows and the y-pencil's planes, a y-pencil for the x-pencil's slice)
+// once as a reshape that lends does, with one CopyBox, and once as one that
+// packs does, through a contiguous buffer. Both report the payload's GB/s.
+func BenchmarkCopyBox(b *testing.B) {
+	receivers := []Box3{NewBox(0, 0, 16, 128, 16, 32), NewBox(0, 16, 0, 128, 32, 16), NewBox(16, 0, 0, 32, 128, 16)}
+	for i, r := range packRegimes {
+		src := make([]complex128, r.own.Volume())
+		dst := make([]complex128, receivers[i].Volume())
+		buf := make([]complex128, r.sub.Volume())
+		b.Run(r.name+"/copybox", func(b *testing.B) {
+			b.SetBytes(int64(16 * len(buf)))
+			for n := 0; n < b.N; n++ {
+				CopyBox(dst, receivers[i], src, r.own, r.sub)
+			}
+		})
+		b.Run(r.name+"/pack+unpack", func(b *testing.B) {
+			b.SetBytes(int64(16 * len(buf)))
+			for n := 0; n < b.N; n++ {
+				Pack(src, r.own, r.sub, buf)
+				Unpack(dst, receivers[i], r.sub, buf)
+			}
+		})
+	}
+}
+
 func itoa(n int) string {
 	if n == 0 {
 		return "0"
