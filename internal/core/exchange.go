@@ -48,9 +48,8 @@ type exchange[T any] struct {
 	// when lent — once the last receiver has copied out of them. Arrays the
 	// caller made are never pooled, written or read after the call returns.
 	recycleIn bool
-	// lend says the exchange ships views instead of packing (lends); view is
-	// the record its blocks point at, taken when the first chunk is packed.
-	lend bool
+	// view is set when the exchange ships views instead of packing (lends):
+	// the record its blocks point at.
 	view *lent[T]
 
 	algo    mpisim.Algo
@@ -89,7 +88,9 @@ func newExchange[T any](e *engine, rs *reshapePlan, datas, out [][]T, phantom, r
 	x.wire = rs.wireOf(e.opts)
 	x.eb = elemBytes[T]()
 	x.web = WireElemSize(x.wire, x.eb)
-	x.lend = x.lends()
+	if x.lends() {
+		x.view = scratchOf[T](e).lendOut(datas, rs.from)
+	}
 	if e.opts.Backend == BackendAlltoallv {
 		f := rs.resolved(e.opts, x.web, len(datas))
 		x.algo, x.chunks, x.overlap = f.algo, f.chunks, f.overlap
@@ -259,9 +260,6 @@ func (x *exchange[T]) pack(ci int) []mpisim.Block {
 	blocks := make([]mpisim.Block, 0, len(rs.sendPeers))
 	ic := rs.group.Integrity()
 	wireBytes, fullBytes := 0, 0
-	if x.lend && ci == 0 {
-		x.view = scratchOf[T](x.e).lendOut(x.datas, rs.from)
-	}
 	for k, gi := range rs.sendPeers {
 		cb := chunkBox(rs.sends[k], ci, x.chunks)
 		vol := cb.Volume()
@@ -276,9 +274,9 @@ func (x *exchange[T]) pack(ci int) []mpisim.Block {
 		blocks = blocks[:len(blocks)+1]
 		b := &blocks[len(blocks)-1]
 		b.Peer = gi
-		if x.phantom || x.lend {
+		if x.phantom || x.view != nil {
 			setBuf[T](&b.Buf, nil, elems, x.wire)
-			if x.lend {
+			if x.view != nil {
 				b.Buf.View = x.view
 			}
 			continue
@@ -302,7 +300,7 @@ func (x *exchange[T]) pack(ci int) []mpisim.Block {
 	if ic.Invariants && !ic.Checksums {
 		rs.group.ChargeChecksum(wireBytes)
 	}
-	if x.lend {
+	if x.view != nil {
 		// Every block just listed is a reader to wait for; the sender's own
 		// hold lasts until no further chunk will point at the arrays.
 		x.view.holds.Add(int64(len(blocks)))

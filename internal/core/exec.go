@@ -242,11 +242,12 @@ func (b *batch) claim(e *engine) {
 }
 
 func (b *batch) keep(e *engine) {
-	switch {
-	case !b.owned:
-	case b.real:
+	if !b.owned {
+		return
+	}
+	if b.real {
 		keepFields[float64](e, b.reals)
-	default:
+	} else {
 		keepFields[complex128](e, b.fields)
 	}
 }
@@ -254,8 +255,9 @@ func (b *batch) keep(e *engine) {
 // disown takes plan-owned arrays out of the fields of an execution that
 // failed: peers may still be reading them, and their last reader pools them,
 // so the caller must not find them there. The fields are left without data.
+// (A nil batch — a failure outside run — has nothing to give up.)
 func (b *batch) disown() {
-	if !b.owned {
+	if b == nil || !b.owned {
 		return
 	}
 	for _, f := range b.fields {

@@ -84,7 +84,7 @@ func (p *Plan) ResumeBatch() (fs []*Field, err error) {
 		return nil, fmt.Errorf("core: %w: ResumeBatch on a plan without a checkpoint store", ErrBadConfig)
 	}
 	p.curPhase = "recovery"
-	defer p.recoverFault(&batch{}, &err) // the recovery reshape owns no batch yet
+	defer p.recoverFault(nil, &err)
 
 	// One snapshot per world: the first rank in detaches the trails, the
 	// rest share them (resume happens at most once per shrink).

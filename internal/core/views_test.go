@@ -341,11 +341,11 @@ func TestLendsPredicate(t *testing.T) {
 					}
 					for _, owned := range []bool{false, true} {
 						x := newExchange[complex128](&p.engine, st.rs, make([][]complex128, 1), make([][]complex128, 1), tc.phantom, owned, false)
-						if !owned && x.lend {
+						if !owned && x.view != nil {
 							t.Errorf("rank %d: %s lends a caller's array", c.Rank(), st.label)
 						}
 						if owned {
-							got = append(got, x.lend)
+							got = append(got, x.view != nil)
 						}
 					}
 				}
