@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/fft"
 	"repro/internal/gpu"
@@ -53,17 +54,23 @@ type engine struct {
 // the caller's arrays nor the staging pool's.
 //
 // The scratch also carries array ownership from one execution to the next.
-// kept identifies the arrays the last execution drew from the staging pool and
-// left in the caller's fields; an execution that is handed exactly those
-// arrays back starts out owning them (claim), so an in-place Forward/Inverse
-// loop lends and recycles from its first reshape on and allocates nothing.
-// Each identity is consumed by the first execution that sees it: a copied
-// Field value still pointing at such an array is a caller's array to every
-// later execution, which reads it but never pools it a second time. views are
-// the engine's lending records (see lent), reused once their holds drain.
+// pins remembers — weakly — the arrays the last execution drew from the staging
+// pool and left in the caller's fields; an execution that is handed exactly
+// those arrays back starts out owning them (claim), so an in-place
+// Forward/Inverse loop lends and recycles from its first reshape on and
+// allocates nothing. An execution empties the pins it looks through, so each
+// array is recognized once: a copied Field value still pointing at such an
+// array is a caller's array to every later execution, which reads it but never
+// pools it a second time. pins is a sync.Pool because that is what "weakly"
+// means here: it holds real pointers, so a match is the same allocation and
+// not a recycled address, yet an idle plan — one parked in a cache, say — pins
+// its last outputs for two collections at most. Losing a pin early only costs
+// one packed reshape. views are the engine's lending records (see lent),
+// reused once their holds drain.
 type batchScratch[T any] struct {
 	datas, out [][]T
-	kept       []*T
+	pins       sync.Pool
+	held       []*T // claim's scratch; empty between claims
 	views      []*lent[T]
 }
 
@@ -102,10 +109,16 @@ func arrayOf[T any](d []T) *T {
 	return &d[:1][0]
 }
 
-// claimFields consumes what the last execution kept and reports whether every
-// entry's array is one of them, i.e. the batch is plan-owned from the start.
+// claimFields takes back what the last execution pinned and reports whether
+// every entry's array is among it, i.e. the batch is plan-owned from the start.
 func claimFields[T any, F fieldOf[T]](e *engine, fs []F) bool {
 	s := scratchOf[T](e)
+	held := s.held
+	for x := s.pins.Get(); x != nil; x = s.pins.Get() {
+		if a, ok := x.(*T); ok {
+			held = append(held, a)
+		}
+	}
 	owned := true
 	for _, f := range fs {
 		_, data := f.ref()
@@ -113,32 +126,36 @@ func claimFields[T any, F fieldOf[T]](e *engine, fs []F) bool {
 		if a == nil {
 			continue // nothing to pool or lend
 		}
-		i := slices.Index(s.kept, a)
+		i := slices.Index(held, a)
 		if i < 0 {
 			owned = false
 			break
 		}
-		s.kept[i] = nil
+		held[i] = nil
 	}
-	e.forgetKept()
+	clear(held)
+	s.held = held[:0]
 	return owned
 }
 
-// keepFields records the arrays a successful execution leaves in the caller's
+// pinFiller goes into pins ahead of the arrays: a sync.Pool keeps the first
+// value put on a processor where only that processor finds it again, and rank
+// goroutines wander — behind the filler the arrays land where any of them can
+// be found from.
+var pinFiller = new(int8)
+
+// keepFields pins the arrays a successful execution leaves in the caller's
 // fields; they are plan-owned (see run), and stay valid for the caller until
 // the field's next transform.
 func keepFields[T any, F fieldOf[T]](e *engine, fs []F) {
 	s := scratchOf[T](e)
+	s.pins.Put(pinFiller)
 	for _, f := range fs {
 		_, data := f.ref()
-		s.kept = append(s.kept, arrayOf(*data))
+		if a := arrayOf(*data); a != nil {
+			s.pins.Put(a)
+		}
 	}
-}
-
-func (e *engine) forgetKept() {
-	clear(e.cscratch.kept)
-	clear(e.rscratch.kept)
-	e.cscratch.kept, e.rscratch.kept = e.cscratch.kept[:0], e.rscratch.kept[:0]
 }
 
 // scratchOf selects the engine's batch scratch of element type T.

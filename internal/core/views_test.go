@@ -160,6 +160,14 @@ func bitsOf(fs []*Field) []uint64 {
 	return out
 }
 
+// ownsBatch reports whether the engine would start an execution of b owning
+// its arrays, and leaves the engine's memory of them as it found it.
+func ownsBatch(e *engine, b *batch) bool {
+	b.claim(e)
+	b.keep(e)
+	return b.owned
+}
+
 // runViews warms a plan up with one Forward+Inverse pair and then transforms
 // the same input forward once more: out of fresh caller arrays (the first
 // reshape packs) or, steady, out of the arrays the warm-up left behind,
@@ -198,7 +206,7 @@ func runViews(tc viewsCase, ic mpisim.IntegrityConfig, steady bool) viewsRun {
 			} else {
 				rfs = mk()
 			}
-			r.owned[me] = len(p.rscratch.kept) == tc.batch && slices.Contains(p.rscratch.kept, arrayOf(rfs[0].Data))
+			r.owned[me] = ownsBatch(&p.engine, &batch{reals: rfs, real: true})
 			spec, err = p.ForwardBatch(rfs)
 			must(err)
 			r.bits[me], r.exec[me] = bitsOf(spec), p.lastExec
@@ -229,7 +237,7 @@ func runViews(tc viewsCase, ic mpisim.IntegrityConfig, steady bool) viewsRun {
 		} else {
 			fs = mk()
 		}
-		r.owned[me] = len(p.cscratch.kept) == tc.batch && slices.Contains(p.cscratch.kept, arrayOf(fs[0].Data))
+		r.owned[me] = ownsBatch(&p.engine, &batch{fields: fs})
 		must(forward(fs))
 		r.bits[me], r.exec[me] = bitsOf(fs), p.LastExec()
 		r.lent[me] = len(p.cscratch.views) > 0
@@ -276,7 +284,10 @@ func TestViewsMatchPacking(t *testing.T) {
 			steady := runViews(tc, mpisim.IntegrityConfig{}, true)
 			packed := runViews(tc, mpisim.IntegrityConfig{Checksums: true}, true)
 			for r := 0; r < viewsRanks; r++ {
-				if fresh.owned[r] || !steady.owned[r] {
+				// (The race detector makes sync.Pool drop a quarter of what it is
+				// given, and with it the plan's memory of some arrays: fewer
+				// views, same results.)
+				if fresh.owned[r] || !steady.owned[r] && !raceEnabled {
 					t.Fatalf("rank %d: plan owns the fresh input: %t, the handed-back input: %t; want false, true", r, fresh.owned[r], steady.owned[r])
 				}
 				if !steady.lent[r] || packed.lent[r] {
@@ -569,7 +580,9 @@ func TestCancelWithViewsInFlight(t *testing.T) {
 			if !errors.Is(err, context.Canceled) {
 				t.Errorf("poll %d, rank %d: err = %v, want context.Canceled", n, c.Rank(), err)
 			}
-			if f.Data != nil && arrayOf(f.Data) == lentArray {
+			// (Not under the race detector: there sync.Pool forgets at random,
+			// and a plan that did not recognize the array packed it and left it.)
+			if !raceEnabled && f.Data != nil && arrayOf(f.Data) == lentArray {
 				t.Errorf("poll %d, rank %d: the failed field still holds the array the plan lent out", n, c.Rank())
 			}
 		})
