@@ -250,7 +250,11 @@ func (b *batch) validate(want tensor.Box3) error {
 }
 
 // claim and keep carry array ownership between executions (see batchScratch).
+// A phantom batch has no arrays to own.
 func (b *batch) claim(e *engine) {
+	if b.phantom() {
+		return
+	}
 	if b.real {
 		b.owned = claimFields[float64](e, b.reals)
 	} else {
