@@ -8,8 +8,9 @@ build:
 	go build ./...
 
 # go vet plus the formatting gate: gofmt -l must print nothing. internal/fft
-# has an amd64 assembly kernel (vet's asmdecl checks its frame and argument
-# offsets), so the portable build is cross-compiled and vetted for arm64 too;
+# has amd64 assembly kernels (vet's asmdecl checks their frames and argument
+# offsets), so the portable build — the Go loops and the radix4_other.go stubs
+# of every routine's wrapper — is cross-compiled and vetted for arm64 too;
 # neither needs the network. Used by CI.
 vet:
 	go vet ./...
@@ -33,13 +34,15 @@ race:
 bench:
 	go run ./benchmark
 
-# Developer tool: single-line kernel ladder, the twiddled radix-4 passes (Go
-# reference against what the machine dispatches to), strided/contiguous
-# batches, the blocked reorder transposes, pack/unpack in their three
+# Developer tool: single-line kernel ladder, the twiddled radix-4 passes along
+# a line and across the rows of one group of adjacent lines (each: Go
+# reference against what the machine dispatches to), strided batches (planes
+# and the two strided passes of a pencil, ns/line) and contiguous ones, the
+# blocked reorder transposes, pack/unpack in their three
 # run-coalescing regimes (row, plane, whole block), and over the same regimes
 # one box-to-box CopyBox against Pack + Unpack through a buffer.
 bench-kernel:
-	go test -run '^$$' -bench 'BenchmarkKernel|BenchmarkRadix4Pass|BenchmarkStridedBatch|BenchmarkContigBatch|BenchmarkFFTBluestein' -benchmem ./internal/fft/
+	go test -run '^$$' -bench 'BenchmarkKernel|BenchmarkRadix4Pass|BenchmarkRadix4Rows|BenchmarkStridedBatch|BenchmarkContigBatch|BenchmarkFFTBluestein' -benchmem ./internal/fft/
 	go test -run '^$$' -bench 'BenchmarkPackBlocked|BenchmarkPack$$|BenchmarkUnpack$$|BenchmarkCopyBox$$' -benchmem ./internal/tensor/
 
 # Developer tool: the paper-scale proxy of the repository benchmark on its

@@ -1,8 +1,9 @@
 // Package repro reproduces "Performance Analysis of Parallel FFT on Large
 // Multi-GPU Systems" (A. Ayala, S. Tomov, M. Stoyanov, A. Haidar,
 // J. Dongarra — IPDPSW 2022) as a standard-library-only Go system (one
-// optional amd64 assembly kernel in internal/fft, bit-identical to its Go
-// reference): a heFFTe-like distributed
+// optional amd64 assembly file in internal/fft — the butterfly passes along a
+// line and across the rows of adjacent strided lines — bit-identical to its
+// Go reference): a heFFTe-like distributed
 // 3-D FFT (package heffte / internal/core) running on a virtual-time MPI
 // simulator (internal/mpisim) over calibrated Summit/Spock hardware models
 // (internal/machine), with the paper's bandwidth model (internal/model),

@@ -187,8 +187,10 @@ type stage struct {
 	// myBox is the local box during a compute stage; for stageR2C/stageC2R the
 	// real z-pencil box, with specBox its half-spectrum shadow.
 	myBox, specBox tensor.Box3
-	fplan          *fft.Plan     // stageFFT1D: kernel plan, resolved at build time
-	rplan          *fft.RealPlan // stageR2C/stageC2R: real kernel plan
+	// fplan is the kernel plan of a stageFFT1D's axis, or of a stageFFT2D's
+	// rows (axis 2), whose columns (axis 1) use fcols; resolved at build time.
+	fplan, fcols *fft.Plan
+	rplan        *fft.RealPlan // stageR2C/stageC2R: real kernel plan
 }
 
 // in and out are the local boxes a batch enters and leaves the stage on.
@@ -580,11 +582,11 @@ func (e *engine) computeStage(st stage, b *batch, dir fft.Direction) float64 {
 func (e *engine) kernel(st stage, f *Field, dir fft.Direction) {
 	s := st.myBox.Sizes()
 	if st.kind == stageFFT2D {
-		// Slab stage: batched 2-D transforms over axes (1, 2), contiguous.
-		for i0 := 0; i0 < s[0]; i0++ {
-			plane := f.Data[i0*s[1]*s[2] : (i0+1)*s[1]*s[2]]
-			fft.Transform2D(plane, s[1], s[2], dir)
-		}
+		// Slab stage: 2-D transforms over axes (1, 2) of every plane, as two
+		// batches the worker pool and the row groups see whole — the rows of
+		// all planes, then their columns as one nested (planes × columns) call.
+		st.fplan.TransformBatch(f.Data, 1, s[2], s[0]*s[1], dir)
+		st.fcols.TransformNested(f.Data, s[2], s[1]*s[2], s[0], 1, s[2], dir)
 		return
 	}
 	localFFT1D(st.fplan, f.Data, st.myBox, st.axis, e.opts.Contiguous, dir)
@@ -616,8 +618,10 @@ func (e *engine) chargeKernel(st stage) float64 {
 // localFFT1D computes the local 1-D transforms of one field along axis. Axis 2
 // is contiguous in the local row-major layout and runs as one batched call;
 // axis 1 runs as a single nested-layout call (planes × rows, FFTW guru
-// howmany_dims style) so the blocked tile engine sees the whole middle-axis
-// batch at once; axis 0 is a plain strided batch. With Contiguous set, the
+// howmany_dims style) so the row groups and the worker pool see the whole
+// middle-axis batch at once; axis 0 is a plain strided batch. Both strided
+// axes have their adjacent lines one element apart, the layout internal/fft
+// transforms across rows without a transpose. With Contiguous set, the
 // strided axes instead realize the paper's "transposed/contiguous" local-FFT
 // mode: a cache-blocked reorder gives the FFT axis unit stride, the transform
 // runs contiguous, and the data is reordered back — the virtual cost of those

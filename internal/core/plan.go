@@ -191,7 +191,11 @@ func (p *Plan) buildStages(in, out *dist) error {
 		// Slabs along axis 0: local 2-D FFTs over axes (1,2), one exchange
 		// to slabs along axis 1, then 1-D FFTs along axis 0.
 		addReshape(slabs(0), "slab-0", false)
-		p.stages = append(p.stages, stage{kind: stageFFT2D, label: "fft planes", myBox: cur.boxes[me]})
+		p.stages = append(p.stages, stage{
+			kind: stageFFT2D, label: "fft planes", myBox: cur.boxes[me],
+			// Both kernel plans now, for the same reason as in addFFT1D.
+			fplan: fft.NewPlan(p.global[2]), fcols: fft.NewPlan(p.global[1]),
+		})
 		p.dists = append(p.dists, cur.boxes)
 		addReshape(slabs(1), "slab-1", true)
 		addFFT1D(0)

@@ -2,25 +2,34 @@ package fft
 
 import "fmt"
 
-// Blocked execution of strided batches. The old engine gathered one strided
-// line at a time into scratch, so a column pass touched every cache line of
-// the plane once per transformed line. The blocked path instead transposes a
-// tile of adjacent lines into a contiguous pooled buffer (sequential reads,
-// cache-resident writes), transforms the tile line by line with the
-// contiguous kernel, and transposes back — the buffered/blocked strided
-// execution strategy of FFTW's advanced interface and cuFFT's batched
-// layouts, realized on the host.
+// Execution of strided batches, a group of lines at a time through a pooled
+// L1-sized tile, so a column pass touches every cache line of the plane once
+// per group instead of once per line. Which of two ways a group runs is a
+// function of the layout and the plan, decided in runLines:
+//
+//   - Across rows (rows.go): where adjacent lines sit one element apart, a
+//     group of w lines is already n rows of w elements, and for a power-of-two
+//     length above the codelet sizes the butterflies run across the rows.
+//     Nothing is transposed; the caller's array is read once and written once.
+//   - Through the generic tile: every other strided group — codelet and
+//     Bluestein lengths, lines that are not adjacent, an odd line left over —
+//     is transposed into the tile (sequential reads, cache-resident writes),
+//     transformed line by line with the contiguous kernel and transposed back,
+//     the buffered strided execution of FFTW's advanced interface. Codelets
+//     and Bluestein keep their own arithmetic this way, so their bits cannot
+//     move.
 
 // tileElems bounds a tile to 32 KiB of complex128 so it stays L1-resident
-// while its lines are transformed; maxTileLines bounds the per-tile base
-// array kept on the stack.
+// while its lines are transformed, except that a tile always holds two lines
+// (a row group needs two); maxTileLines bounds the per-tile base array kept on
+// the stack. One rule for every length: 128 points → 16 lines.
 const (
 	tileElems    = 2048
 	maxTileLines = 64
 )
 
 func tileLinesFor(n int) int {
-	return min(max(tileElems/n, 1), maxTileLines)
+	return min(max(tileElems/n, 2), maxTileLines)
 }
 
 // batchSpec is a guru-style two-loop batch layout: line (b1, b2) starts at
@@ -44,10 +53,10 @@ func (sp batchSpec) lineBase(l int) int {
 // TransformBatch computes batch transforms of length p.N() over data laid out
 // with the given element stride within one transform and distance dist between
 // the first elements of consecutive transforms. This matches the advanced
-// layout of cuFFT/FFTW plans (stride, dist, batch). Strided lines execute
-// through the blocked tile path; numerics are identical to the contiguous
-// path (the *cost* difference of strided GPU kernels is modelled in
-// internal/gpu).
+// layout of cuFFT/FFTW plans (stride, dist, batch). Strided lines execute a
+// group at a time (across rows or through the tile, see above); numerics are
+// identical to the contiguous path (the *cost* difference of strided GPU
+// kernels is modelled in internal/gpu). Lines must not share elements.
 //
 // Large batches are executed in parallel on a bounded worker pool shared by
 // every rank goroutine of the process (see Workers); the lines of one batch
@@ -63,8 +72,8 @@ func (p *Plan) TransformBatch(data []complex128, stride, dist, batch int, dir Di
 // layout: line (b1, b2) starts at b1·dist1 + b2·dist2, with elements stride
 // apart. This is the howmany_dims shape of FFTW's guru interface; it lets a
 // middle-axis pass of a 3-D transform (planes × rows) run as ONE batched
-// call instead of a loop of per-plane batches, so the blocked tile engine
-// and the worker pool see the whole batch at once.
+// call instead of a loop of per-plane batches, so the row groups and the
+// worker pool see the whole batch at once.
 func (p *Plan) TransformNested(data []complex128, stride, dist1, batch1, dist2, batch2 int, dir Direction) {
 	if stride < 1 || dist1 < 0 || dist2 < 0 || batch1 < 0 || batch2 < 0 {
 		panic(fmt.Sprintf("fft: invalid nested layout stride=%d dist1=%d batch1=%d dist2=%d batch2=%d",
@@ -80,10 +89,17 @@ func (p *Plan) runBatch(data []complex128, sp batchSpec, dir Direction) {
 	}
 	// Checked once, here, on the caller's goroutine: past this point the
 	// lines may run on pool helpers, where an index panic takes the process
-	// down.
+	// down, and lines that share elements would race there.
+	fault := ""
 	if last := (sp.batch1-1)*sp.dist1 + (sp.batch2-1)*sp.dist2 + (p.n-1)*sp.stride; last >= len(data) {
-		panic(fmt.Sprintf("fft: batch layout stride=%d dist1=%d batch1=%d dist2=%d batch2=%d needs %d elements, data has %d",
-			sp.stride, sp.dist1, sp.batch1, sp.dist2, sp.batch2, last+1, len(data)))
+		fault = fmt.Sprintf("needs %d elements", last+1)
+	} else if sp.dist1 == 0 && sp.batch1 > 1 || sp.dist2 == 0 && sp.batch2 > 1 ||
+		sp.dist2 == 1 && sp.stride < sp.batch2 && p.n > 1 {
+		fault = "has lines that share elements"
+	}
+	if fault != "" {
+		panic(fmt.Sprintf("fft: batch layout stride=%d dist1=%d batch1=%d dist2=%d batch2=%d %s, data has %d",
+			sp.stride, sp.dist1, sp.batch1, sp.dist2, sp.batch2, fault, len(data)))
 	}
 	if total > 1 && total*p.n >= minParallelWork {
 		if p.runBatchParallel(data, sp, dir) {
@@ -107,9 +123,16 @@ func (p *Plan) transformContig(data []complex128, dir Direction) {
 	p.transformBluestein(data, dir)
 }
 
-// runLines executes batch lines [lo, hi) of the layout: directly for unit
-// stride, through tile transposes otherwise. It is the unit of work both the
-// serial path and the worker pool execute.
+// rowLayout reports whether the layout's strided lines run across rows: the
+// plan is a power of two above the codelet sizes, and the lines of a b1 group
+// are adjacent, at least two, and disjoint (a row of batch2 lanes fits in the
+// stride).
+func (p *Plan) rowLayout(sp batchSpec) bool {
+	return p.bluestein == nil && p.n > maxCodelet && sp.dist2 == 1 && sp.batch2 >= 2 && sp.stride >= sp.batch2
+}
+
+// runLines executes batch lines [lo, hi) of the layout. It is the unit of
+// work both the serial path and the worker pool execute.
 func (p *Plan) runLines(data []complex128, sp batchSpec, lo, hi int, dir Direction) {
 	n := p.n
 	scale := 1.0
@@ -141,30 +164,37 @@ func (p *Plan) runLines(data []complex128, sp batchSpec, lo, hi int, dir Directi
 		}
 		return
 	}
+	// Strided lines, up to tileLines at a time. Which way a group runs depends
+	// on the layout (dist2, stride, batch2, the lines left in the b1 group) and
+	// the plan (a power of two above maxCodelet) only: in a row layout an even
+	// number of adjacent lines of one b1 group runs across rows, reading and
+	// writing the caller's array in place; everything else — codelet and
+	// Bluestein lengths, lines that are not adjacent, the odd line a group
+	// leaves — is transposed into the tile, transformed line by line and
+	// transposed back. Either way a line gets the bits of transformContig.
 	tp := p.getTile()
 	tile := (*tp)[:p.tileLines*n]
 	var bases [maxTileLines]int
-	// Tabulated power-of-two lines let the pack gather in bit-reversed order,
-	// so the permutation rides the transpose for free and the kernel runs
-	// in place on the tile.
-	revGather := p.bluestein == nil && n > maxCodelet
-	for start := lo; start < hi; start += p.tileLines {
+	rows := p.rowLayout(sp)
+	for start := lo; start < hi; {
 		m := min(hi-start, p.tileLines)
-		for l := 0; l < m; l++ {
-			bases[l] = sp.lineBase(start + l)
+		if rows {
+			m = min(m, sp.batch2-start%sp.batch2)
 		}
-		if revGather {
-			packTileRev(tile, data, bases[:m], n, sp.stride, p.rev)
-			for l := 0; l < m; l++ {
-				p.kernelPermuted(tile[l*n:(l+1)*n], dir, scale)
-			}
+		if rows && m >= 2 {
+			m &^= 1
+			p.transformRows(data[sp.lineBase(start):], tile, m, sp.stride, dir, scale)
 		} else {
+			for l := 0; l < m; l++ {
+				bases[l] = sp.lineBase(start + l)
+			}
 			packTile(tile, data, bases[:m], n, sp.stride)
 			for l := 0; l < m; l++ {
 				p.transformContig(tile[l*n:(l+1)*n], dir)
 			}
+			scatterTile(data, tile, bases[:m], n, sp.stride)
 		}
-		scatterTile(data, tile, bases[:m], n, sp.stride)
+		start += m
 	}
 	p.putTile(tp)
 }
@@ -176,19 +206,6 @@ func (p *Plan) runLines(data []complex128, sp batchSpec, lo, hi int, dir Directi
 func packTile(tile, data []complex128, bases []int, n, stride int) {
 	for i := 0; i < n; i++ {
 		off := i * stride
-		ti := tile[i:]
-		for l, b := range bases {
-			ti[l*n] = data[b+off]
-		}
-	}
-}
-
-// packTileRev is packTile with the bit-reversal permutation folded into the
-// gather: tile line l receives data line l in bit-reversed element order, so
-// the kernel's reordering pass costs nothing extra on the strided path.
-func packTileRev(tile, data []complex128, bases []int, n, stride int, rev []int32) {
-	for i := 0; i < n; i++ {
-		off := int(rev[i]) * stride
 		ti := tile[i:]
 		for l, b := range bases {
 			ti[l*n] = data[b+off]

@@ -24,16 +24,19 @@
 //     buffer), and the inverse 1/N scaling is fused into the final pass — no
 //     standalone bit-reversal or scaling sweeps remain.
 //   - Vector passes (radix4_amd64.s): on amd64 CPUs with AVX2 the twiddled
-//     radix-4 passes run in one assembly routine, radix4AVX2, two butterflies
-//     per iteration. The Go loops in kernel.go are its executable
-//     specification and the implementation on every other GOARCH, on CPUs
-//     without AVX2 and in race builds (the detector cannot see assembly
-//     loads and stores). The routine issues the same IEEE multiplies, adds
-//     and subtracts in the same association and never a fused multiply-add —
-//     an FMA rounds once where the reference rounds twice, which would move
-//     every payload bit and the golden fingerprints of internal/core — so
-//     the two agree bit for bit. The choice is made once at package init
-//     from CPUID/XGETBV: a property of the machine, with nothing to set.
+//     radix-4 passes run in assembly: radix4AVX2 along a line, two
+//     butterflies per iteration, and pairsRowsAVX2, quadsRowsAVX2 and
+//     radix4RowsAVX2 across the rows of a group of adjacent lines, two lines
+//     per iteration. The Go loops in kernel.go and rows.go are their
+//     executable specification and the implementation on every other GOARCH,
+//     on CPUs without AVX2 and in race builds (the detector cannot see
+//     assembly loads and stores). The routines issue the same IEEE
+//     multiplies, adds and subtracts in the same association and never a
+//     fused multiply-add — an FMA rounds once where the reference rounds
+//     twice, which would move every payload bit and the golden fingerprints
+//     of internal/core — so the two agree bit for bit. The choice is made
+//     once at package init from CPUID/XGETBV: a property of the machine,
+//     with nothing to set.
 //   - Bluestein (fft.go): arbitrary lengths run the chirp-z algorithm over a
 //     power-of-two sub-plan, with the 1/N of the inverse folded into the
 //     output chirp multiply.
@@ -41,16 +44,27 @@
 //     (stride, dist, batch) layout; TransformNested takes the two-level
 //     howmany_dims shape of FFTW's guru interface, which lets the middle-axis
 //     pass of a 3-D transform run as one batched call. Strided batches
-//     execute through a blocked tile transpose — B lines are transposed into
-//     a contiguous pooled tile (gathering in bit-reversed order for free),
-//     transformed in place, and transposed back — the buffered/blocked
-//     strided execution strategy FFTW applies when stride != 1.
+//     execute a group of lines at a time through a pooled L1-sized tile.
+//     Where adjacent lines sit one element apart (every strided layout of
+//     Transform2D/3D and internal/core) and the plan is a power of two above
+//     the codelet sizes, the group is already n rows of w elements and the
+//     butterflies run across the rows (rows.go): the first stage reads the
+//     caller's rows through the bit-reversal table into the tile, the last
+//     pass stores back into the caller's array, each element is read once
+//     and written once and nothing is transposed. Every other group —
+//     codelet and Bluestein lengths, which keep their own arithmetic so
+//     their bits cannot move, lines that are not adjacent, an odd line left
+//     over — is transposed into the tile, transformed line by line and
+//     transposed back, the buffered strided execution FFTW applies when
+//     stride != 1. Which way a group runs is a function of its layout and
+//     the plan only; a line carries the same bits either way.
 //   - Real transforms (real.go): RealPlan implements the D2Z/Z2D half-spectrum
 //     layout with the two-for-one packing trick, including batched advanced
 //     layouts on both sides (ForwardBatch/InverseBatch).
 //   - Parallel batches (parallel.go): large batches fan out over a bounded
-//     process-wide worker pool; workers claim whole tiles through an atomic
-//     cursor, and results are bit-identical to serial execution.
+//     process-wide worker pool; workers claim whole tiles or row groups
+//     through an atomic cursor, and results are bit-identical to serial
+//     execution.
 //
 // Plans are cached in a bounded LRU and are safe for concurrent use; all
 // steady-state execution paths of this package draw scratch from pools and

@@ -47,8 +47,8 @@ type Plan struct {
 	scratch    sync.Pool // *[]complex128, len scratchLen
 	scratchLen int
 
-	// tile recycles the blocked strided-batch transpose buffers
-	// (tileLines·n elements, see blocked.go).
+	// tile recycles the strided-batch group buffers (tileLines·n elements,
+	// see blocked.go).
 	tile      sync.Pool // *[]complex128, len tileLines*n
 	tileLines int
 }
@@ -303,7 +303,7 @@ func Transform3D(data []complex128, n0, n1, n2 int, dir Direction) {
 	// Along n2: contiguous.
 	NewPlan(n2).TransformBatch(data, 1, n2, n0*n1, dir)
 	// Along n1: stride n2, one nested batched call over all (i0, i2) pairs —
-	// the blocked tile path sees the whole middle-axis batch at once.
+	// the row groups and the worker pool see the whole middle-axis batch.
 	NewPlan(n1).TransformNested(data, n2, n1*n2, n0, 1, n2, dir)
 	// Along n0: stride n1*n2.
 	p0 := NewPlan(n0)

@@ -17,12 +17,12 @@ import (
 //
 // The standalone bit-reversal permutation of the old engine is gone: the
 // first (twiddle-free) stage gathers its operands through the bit-reversal
-// table while writing sequentially, either into a pooled ping-pong buffer
-// (contiguous lines) or directly during the strided tile transpose
-// (blocked.go), so reordering costs no extra sweep. The final radix-4 pass
-// can write to a different destination array and fold an output scaling
-// (the inverse 1/N) into its butterflies, which deletes both the copy-back
-// and the separate scaling sweep.
+// table while writing sequentially into a pooled buffer — one line for a
+// contiguous line, a tile of rows for a group of adjacent strided lines
+// (rows.go) — so reordering costs no extra sweep. The final radix-4 pass
+// writes to a different destination array and folds an output scaling (the
+// inverse 1/N) into its butterflies, which deletes both the copy-back and the
+// separate scaling sweep.
 //
 // Twiddles are laid out per pass as (t1, t2, t3) triples in exactly the
 // order the butterfly consumes them, so the inner loop reads the table
@@ -33,13 +33,15 @@ import (
 //	t2 = W_{4s}^j     (second sub-stage, lower half)
 //	t3 = W_{4s}^{j+s} (second sub-stage, upper half)
 //
-// The three twiddled pass loops below (radix4Pass, radix4PassScaled,
-// radix4PassTo) are the reference: what they compute, bit for bit, is what a
-// pass means. On amd64 CPUs with AVX2 the kernels run radix4AVX2
-// (radix4_amd64.s) instead, which reads the same twiddle3 table and issues
-// the same multiplies, adds and subtracts in the same association — no fused
-// multiply-add, whose single rounding would change the bits. The loops run
-// as written on every other GOARCH, without AVX2 and in race builds.
+// The twiddled pass loops below (radix4Pass, radix4PassTo) and the row loops
+// of rows.go (pairsRows, quadsRows, radix4Rows) are the reference: what they
+// compute, bit for bit, is what a pass means. On amd64 CPUs with AVX2 the
+// kernels run the routines of radix4_amd64.s instead (radix4AVX2 for a line,
+// pairsRowsAVX2, quadsRowsAVX2 and radix4RowsAVX2 across rows), which read the
+// same tables and issue the same multiplies, adds and subtracts in the same
+// association — no fused multiply-add, whose single rounding would change the
+// bits. The loops run as written on every other GOARCH, without AVX2 and in
+// race builds.
 
 // twiddle3 is one butterfly's worth of twiddles, kept adjacent so the inner
 // loop issues a single bounded load per j.
@@ -130,29 +132,6 @@ func (p *Plan) kernelPow2Buf(data, work []complex128, dir Direction, scale float
 	}
 }
 
-// kernelPermuted transforms data whose elements were already stored in
-// bit-reversed order (the strided tile pack gathers through the table for
-// free); everything runs in place with the scaling fused into the final
-// pass.
-func (p *Plan) kernelPermuted(data []complex128, dir Direction, scale float64) {
-	if p.preRadix2 {
-		radix2Pairs(data)
-	} else {
-		radix4Quads(data, dir == Forward)
-	}
-	passes := p.tw4[dir]
-	s := p.firstTabS
-	last := len(passes) - 1
-	for i, tw := range passes {
-		if i == last && scale != 1 {
-			pass4Scaled(data, s, tw, scale)
-		} else {
-			pass4(data, s, tw)
-		}
-		s *= 4
-	}
-}
-
 // gatherPairs performs the radix-2 fix-up stage for odd log2 sizes while
 // gathering bit-reversed operands: size-2 butterflies, sequential writes.
 func gatherPairs(dst, src []complex128, rev []int32) {
@@ -196,62 +175,15 @@ func gatherQuads(dst, src []complex128, rev []int32, fwd bool) {
 	}
 }
 
-// radix2Pairs is gatherPairs without the gather: the fix-up stage over data
-// already stored in bit-reversed order.
-func radix2Pairs(data []complex128) {
-	for i := 0; i < len(data); i += 2 {
-		a, b := data[i], data[i+1]
-		data[i] = a + b
-		data[i+1] = a - b
-	}
-}
-
-// radix4Quads is gatherQuads without the gather.
-func radix4Quads(data []complex128, fwd bool) {
-	if fwd {
-		for i := 0; i < len(data); i += 4 {
-			a, b, c, d := data[i], data[i+1], data[i+2], data[i+3]
-			e0, e1 := a+b, a-b
-			f0 := c + d
-			cd := c - d
-			f1 := complex(imag(cd), -real(cd))
-			data[i] = e0 + f0
-			data[i+1] = e1 + f1
-			data[i+2] = e0 - f0
-			data[i+3] = e1 - f1
-		}
-		return
-	}
-	for i := 0; i < len(data); i += 4 {
-		a, b, c, d := data[i], data[i+1], data[i+2], data[i+3]
-		e0, e1 := a+b, a-b
-		f0 := c + d
-		cd := c - d
-		f1 := complex(-imag(cd), real(cd))
-		data[i] = e0 + f0
-		data[i+1] = e1 + f1
-		data[i+2] = e0 - f0
-		data[i+3] = e1 - f1
-	}
-}
-
-// pass4, pass4Scaled and pass4To are what the kernels call for a twiddled
-// pass: the vector routine where the machine has one (useAVX2), else the
-// matching Go loop below. Both produce the same bits.
+// pass4 and pass4To are what the kernels call for a twiddled pass: the vector
+// routine where the machine has one (useAVX2), else the matching Go loop
+// below. Both produce the same bits.
 func pass4(data []complex128, s int, tw []twiddle3) {
 	if useAVX2 {
 		radix4Vec(data, data, s, tw, 1, false)
 		return
 	}
 	radix4Pass(data, s, tw)
-}
-
-func pass4Scaled(data []complex128, s int, tw []twiddle3, scale float64) {
-	if useAVX2 {
-		radix4Vec(data, data, s, tw, scale, true)
-		return
-	}
-	radix4PassScaled(data, s, tw, scale)
 }
 
 func pass4To(dst, src []complex128, s int, tw []twiddle3, scale float64) {
@@ -286,36 +218,6 @@ func radix4Pass(data []complex128, s int, tw []twiddle3) {
 			b1[j] = e1 + f1
 			b2[j] = e0 - f0
 			b3[j] = e1 - f1
-		}
-	}
-}
-
-// radix4PassScaled is radix4Pass with the output scaling of the inverse
-// transform fused into the butterflies — the final pass multiplies each
-// output by scale as it is stored, so no separate 1/N sweep runs.
-func radix4PassScaled(data []complex128, s int, tw []twiddle3, scale float64) {
-	n := len(data)
-	cs := complex(scale, 0)
-	tw = tw[:s]
-	for base := 0; base < n; base += 4 * s {
-		b0 := data[base : base+s : base+s]
-		b1 := data[base+s : base+2*s : base+2*s]
-		b2 := data[base+2*s : base+3*s : base+3*s]
-		b3 := data[base+3*s : base+4*s : base+4*s]
-		for j := 0; j < s; j++ {
-			t := &tw[j]
-			a := b0[j]
-			b := b1[j] * t.t1
-			c := b2[j]
-			d := b3[j] * t.t1
-			e0 := a + b
-			e1 := a - b
-			f0 := (c + d) * t.t2
-			f1 := (c - d) * t.t3
-			b0[j] = (e0 + f0) * cs
-			b1[j] = (e1 + f1) * cs
-			b2[j] = (e0 - f0) * cs
-			b3[j] = (e1 - f1) * cs
 		}
 	}
 }

@@ -45,19 +45,35 @@ func BenchmarkKernelInverse(b *testing.B) {
 
 // Strided batches shaped like the column passes of Transform2D/3D and the
 // pencil pipeline: transform along the slow axis of an n×n plane (stride n,
-// dist 1). This is the path the blocked tile engine accelerates.
+// dist 1), and the two strided passes of a 16×128×16 and a 128×16×16 pencil
+// (nested: 16 planes of 16 adjacent lines; plain: 256 adjacent lines). Adjacent
+// lines run across rows (rows.go); ns/line is reported beside ns/op.
 func BenchmarkStridedBatch(b *testing.B) {
-	type shape struct{ n, batch int }
-	for _, s := range []shape{{64, 64}, {128, 128}, {256, 256}, {1024, 32}} {
-		b.Run(itoa(s.n)+"x"+itoa(s.batch), func(b *testing.B) {
-			x := randSignal(rand.New(rand.NewSource(13)), s.n*s.batch)
+	type shape struct {
+		name          string
+		n, stride     int
+		dist1, batch1 int
+		batch2        int
+	}
+	plane := func(n, batch int) shape {
+		return shape{itoa(n) + "x" + itoa(batch), n, batch, 0, 1, batch}
+	}
+	for _, s := range []shape{
+		plane(64, 64), plane(128, 128), plane(256, 256), plane(1024, 32),
+		{"pencil16x128x16", 128, 16, 128 * 16, 16, 16},
+		{"pencil128x16x16", 128, 256, 0, 1, 256},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			lines := s.batch1 * s.batch2
+			x := randSignal(rand.New(rand.NewSource(13)), s.n*lines)
 			p := NewPlan(s.n)
-			b.SetBytes(int64(16 * s.n * s.batch))
+			b.SetBytes(int64(16 * s.n * lines))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.TransformBatch(x, s.batch, 1, s.batch, Forward)
+				p.TransformNested(x, s.stride, s.dist1, s.batch1, 1, s.batch2, Forward)
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/line")
 		})
 	}
 }
@@ -100,6 +116,33 @@ func BenchmarkRadix4Pass(b *testing.B) {
 						s *= 4
 					}
 				}
+			})
+		}
+	}
+}
+
+// BenchmarkRadix4Pass across rows: all twiddled passes of one full group of
+// adjacent lines (tileLines lines of n points), in place on the L1-resident
+// tile, ns/line beside ns/op: the Go reference loop against whatever the
+// machine dispatches to (radix4RowsAVX2 on amd64 with AVX2).
+func BenchmarkRadix4Rows(b *testing.B) {
+	for _, n := range []int{128, 512, 4096} {
+		p := NewPlan(n)
+		w := p.tileLines
+		tile := make([]complex128, n*w)
+		for _, v := range []struct {
+			name string
+			pass func(dst []complex128, dpitch int, src []complex128, w, s int, tw []twiddle3, scale float64, scaled bool)
+		}{{"ref", radix4Rows}, {"dispatched", rows4}} {
+			b.Run(v.name+"/"+itoa(n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					s := p.firstTabS
+					for _, tw := range p.tw4[Forward] {
+						v.pass(tile, w, tile, w, s, tw, 1, false)
+						s *= 4
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*w), "ns/line")
 			})
 		}
 	}

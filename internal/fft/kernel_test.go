@@ -251,32 +251,39 @@ func TestNestedSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestShortArrayPanicsOnCaller: a layout that reaches past len(data) must
-// panic with a layout message on the goroutine that called — recover() here
-// proves it — before any line is handed to a pool helper, where an index
-// panic would take the process down. Rows with 128·256 elements are large
-// enough to fan out.
-func TestShortArrayPanicsOnCaller(t *testing.T) {
+// TestBadLayoutPanicsOnCaller: a layout that reaches past len(data), or whose
+// lines share elements (a distance of 0, or adjacent lines wider than the
+// stride), must panic with a layout message on the goroutine that called —
+// recover() here proves it — before any line is handed to a pool helper, where
+// an index panic would take the process down and shared elements would race.
+// Rows with 128·256 elements are large enough to fan out.
+func TestBadLayoutPanicsOnCaller(t *testing.T) {
+	const short, shared = " needs ", " has lines that share elements"
 	cases := []struct {
 		name   string
 		n, len int
+		fault  string
 		run    func(p *Plan, data []complex128)
 	}{
-		{"contiguous", 128, 128*256 - 4096, func(p *Plan, d []complex128) { p.TransformBatch(d, 1, 128, 256, Forward) }},
-		{"contiguous/one short", 128, 128*256 - 1, func(p *Plan, d []complex128) { p.TransformBatch(d, 1, 128, 256, Inverse) }},
-		{"strided", 128, 128*256 - 4096, func(p *Plan, d []complex128) { p.TransformBatch(d, 256, 1, 256, Forward) }},
-		{"strided/small", 64, 64*8 - 1, func(p *Plan, d []complex128) { p.TransformBatch(d, 8, 1, 8, Forward) }},
-		{"codelet", 16, 16*4 - 1, func(p *Plan, d []complex128) { p.TransformBatch(d, 1, 16, 4, Forward) }},
-		{"bluestein", 60, 60*300 - 1, func(p *Plan, d []complex128) { p.TransformBatch(d, 300, 1, 300, Forward) }},
-		{"nested", 64, 8*64*48 - 1, func(p *Plan, d []complex128) { p.TransformNested(d, 48, 64*48, 8, 1, 48, Forward) }},
-		{"nested/contiguous", 128, 16*16*128 - 128, func(p *Plan, d []complex128) { p.TransformNested(d, 1, 16*128, 16, 128, 16, Inverse) }},
-		{"empty", 64, 0, func(p *Plan, d []complex128) { p.TransformBatch(d, 1, 64, 1, Forward) }},
+		{"contiguous", 128, 128*256 - 4096, short, func(p *Plan, d []complex128) { p.TransformBatch(d, 1, 128, 256, Forward) }},
+		{"contiguous/one short", 128, 128*256 - 1, short, func(p *Plan, d []complex128) { p.TransformBatch(d, 1, 128, 256, Inverse) }},
+		{"strided", 128, 128*256 - 4096, short, func(p *Plan, d []complex128) { p.TransformBatch(d, 256, 1, 256, Forward) }},
+		{"strided/small", 64, 64*8 - 1, short, func(p *Plan, d []complex128) { p.TransformBatch(d, 8, 1, 8, Forward) }},
+		{"codelet", 16, 16*4 - 1, short, func(p *Plan, d []complex128) { p.TransformBatch(d, 1, 16, 4, Forward) }},
+		{"bluestein", 60, 60*300 - 1, short, func(p *Plan, d []complex128) { p.TransformBatch(d, 300, 1, 300, Forward) }},
+		{"nested", 64, 8*64*48 - 1, short, func(p *Plan, d []complex128) { p.TransformNested(d, 48, 64*48, 8, 1, 48, Forward) }},
+		{"nested/contiguous", 128, 16*16*128 - 128, short, func(p *Plan, d []complex128) { p.TransformNested(d, 1, 16*128, 16, 128, 16, Inverse) }},
+		{"empty", 64, 0, short, func(p *Plan, d []complex128) { p.TransformBatch(d, 1, 64, 1, Forward) }},
+		{"shared/stride below batch", 64, 64 * 8, shared, func(p *Plan, d []complex128) { p.TransformBatch(d, 4, 1, 8, Forward) }},
+		{"shared/stride below batch, fans out", 128, 128 * 256, shared, func(p *Plan, d []complex128) { p.TransformBatch(d, 128, 1, 256, Forward) }},
+		{"shared/dist 0", 128, 128 * 256, shared, func(p *Plan, d []complex128) { p.TransformBatch(d, 1, 0, 256, Inverse) }},
+		{"shared/nested dist1 0", 64, 8 * 64 * 48, shared, func(p *Plan, d []complex128) { p.TransformNested(d, 48, 0, 8, 1, 48, Forward) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
 				msg, _ := recover().(string)
-				if !strings.HasPrefix(msg, "fft: batch layout ") || !strings.Contains(msg, "data has "+itoa(tc.len)) {
+				if !strings.HasPrefix(msg, "fft: batch layout ") || !strings.Contains(msg, tc.fault) || !strings.HasSuffix(msg, ", data has "+itoa(tc.len)) {
 					t.Errorf("recovered %q, want the fft batch-layout panic", msg)
 				}
 			}()
@@ -284,6 +291,9 @@ func TestShortArrayPanicsOnCaller(t *testing.T) {
 			t.Error("no panic")
 		})
 	}
-	// The exact extent is accepted.
+	// The exact extent is accepted, and so are a single line at any distance
+	// and single elements side by side.
 	NewPlan(64).TransformNested(make([]complex128, 8*64*48), 48, 64*48, 8, 1, 48, Forward)
+	NewPlan(64).TransformBatch(make([]complex128, 64), 1, 0, 1, Forward)
+	NewPlan(1).TransformBatch(make([]complex128, 8), 1, 1, 8, Forward)
 }

@@ -15,9 +15,9 @@ import (
 // helper is busy serving another rank, the caller simply computes its whole
 // batch itself, so the pool is work-conserving and can never deadlock.
 //
-// Workers claim *chunks* of lines (a whole transpose tile on the strided
+// Workers claim *chunks* of lines (a whole tile or row group on the strided
 // path) through a shared atomic cursor, so a claim amortizes the cursor
-// bump over many short transforms and never splits a tile between workers.
+// bump over many short transforms and never splits a group between workers.
 
 // minParallelWork is the minimum batch*n element count before a batch
 // considers fanning out; below it the handoff overhead dominates.
@@ -81,18 +81,21 @@ type batchJob struct {
 	dir   Direction
 	total int // lines in the batch
 	chunk int // lines per claim
+	span  int // claims do not cross multiples of span lines; divides total
 	next  atomic.Int64
 	wg    sync.WaitGroup
 }
 
 func (j *batchJob) run() {
 	for {
+		// Claim c is the (c mod per)-th chunk of span c/per.
 		c := int(j.next.Add(1)) - 1
-		lo := c * j.chunk
+		per := (j.span + j.chunk - 1) / j.chunk
+		lo := c/per*j.span + c%per*j.chunk
 		if lo >= j.total {
 			return
 		}
-		hi := min(lo+j.chunk, j.total)
+		hi := min(lo+j.chunk, (c/per+1)*j.span)
 		switch j.kind {
 		case jobComplex:
 			j.plan.runLines(j.data, j.sp, lo, hi, j.dir)
@@ -149,14 +152,18 @@ func ensureHelpers(chunks int) int {
 	return want
 }
 
-// chunkLines picks the lines-per-claim granularity: a whole transpose tile
-// on the strided path (a tile must not split across workers), enough lines
-// to amortize the cursor on the unit-stride path.
-func (p *Plan) chunkLines(sp batchSpec) int {
-	if sp.stride != 1 {
-		return p.tileLines
+// chunkLines picks the lines-per-claim granularity and the span claims stay
+// inside: a whole tile on the strided path (a group must not split across
+// workers) — in a row layout within one b1 group, which a row group never
+// straddles — and enough lines to amortize the cursor on the unit-stride path.
+func (p *Plan) chunkLines(sp batchSpec) (chunk, span int) {
+	switch {
+	case sp.stride == 1:
+		return max(minChunkElems/p.n, 1), sp.total()
+	case p.rowLayout(sp):
+		return p.tileLines, sp.batch2
 	}
-	return max(minChunkElems/p.n, 1)
+	return p.tileLines, sp.total()
 }
 
 // dispatch fans a prepared job out over the shared pool and runs it to
@@ -190,8 +197,8 @@ recruit:
 // loop without paying for a job.
 func (p *Plan) runBatchParallel(data []complex128, sp batchSpec, dir Direction) bool {
 	total := sp.total()
-	chunk := p.chunkLines(sp)
-	chunks := (total + chunk - 1) / chunk
+	chunk, span := p.chunkLines(sp)
+	chunks := total / span * ((span + chunk - 1) / chunk)
 	if chunks < 2 {
 		return false
 	}
@@ -203,6 +210,7 @@ func (p *Plan) runBatchParallel(data []complex128, sp batchSpec, dir Direction) 
 	j.dir = dir
 	j.total = total
 	j.chunk = chunk
+	j.span = span
 	j.next.Store(0)
 	if !dispatch(j, chunks) {
 		putJob(j)
@@ -232,6 +240,7 @@ func (p *RealPlan) runRealBatchParallel(x []float64, rsp batchSpec, spec []compl
 	j.sp = ssp
 	j.total = total
 	j.chunk = chunk
+	j.span = total
 	j.next.Store(0)
 	if !dispatch(j, chunks) {
 		putJob(j)

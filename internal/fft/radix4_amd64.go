@@ -2,16 +2,27 @@ package fft
 
 import "fmt"
 
-// useAVX2 selects radix4AVX2 for the twiddled passes. It is a property of the
-// machine, fixed at package init: the CPU and the OS support AVX2, and the
-// build is not a race build (the detector cannot see assembly loads and
-// stores, so race builds execute the Go reference passes). Only tests flip it.
+// useAVX2 selects the AVX2 routines for the twiddled passes and the row
+// stages. It is a property of the machine, fixed at package init: the CPU and
+// the OS support AVX2, and the build is not a race build (the detector cannot
+// see assembly loads and stores, so race builds execute the Go reference
+// passes). Only tests flip it.
 var useAVX2 = !raceEnabled && cpuHasAVX2()
 
-// radix4AVX2, cpuid and xgetbv are implemented in radix4_amd64.s.
+// radix4AVX2, the three row routines, cpuid and xgetbv are implemented in
+// radix4_amd64.s.
 //
 //go:noescape
 func radix4AVX2(dst, src *complex128, n, s int, tw *twiddle3, scale float64, scaled bool)
+
+//go:noescape
+func pairsRowsAVX2(tile, data *complex128, w, pitch int, rev *int32, n int)
+
+//go:noescape
+func quadsRowsAVX2(tile, data *complex128, w, pitch int, rev *int32, n int, fwd bool)
+
+//go:noescape
+func radix4RowsAVX2(dst *complex128, dpitch int, src *complex128, w, n, s int, tw *twiddle3, scale float64, scaled bool)
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
@@ -45,4 +56,49 @@ func radix4Vec(dst, src []complex128, s int, tw []twiddle3, scale float64, scale
 		panic(fmt.Sprintf("fft: invalid radix-4 pass s=%d len(src)=%d len(dst)=%d len(tw)=%d", s, n, len(dst), len(tw)))
 	}
 	radix4AVX2(&dst[0], &src[0], n, s, &tw[0], scale, scaled)
+}
+
+// rowsFit reports whether n rows of w elements, pitch elements apart, lie
+// inside an array of length size (w >= 1, pitch >= 1, n >= 1).
+func rowsFit(size, n, w, pitch int) bool {
+	return size >= w && (size-w)/pitch >= n-1
+}
+
+// checkFirstRows panics unless a first row stage of radix r (2 or 4) stays
+// inside its arrays: w even and at least 2, rev a table of n = len(rev)
+// indices below n with n a positive multiple of r, n packed rows of w in tile,
+// and rows 0 … n-1 of w elements, pitch >= w apart, in data.
+func checkFirstRows(tile, data []complex128, w, pitch int, rev []int32, r int) {
+	n := len(rev)
+	ok := w >= 2 && w%2 == 0 && n > 0 && n%r == 0 && pitch >= w && rowsFit(len(tile), n, w, w) && rowsFit(len(data), n, w, pitch)
+	for _, i := range rev {
+		ok = ok && uint32(i) < uint32(n)
+	}
+	if !ok {
+		panic(fmt.Sprintf("fft: invalid radix-%d row stage w=%d pitch=%d len(rev)=%d len(tile)=%d len(data)=%d", r, w, pitch, n, len(tile), len(data)))
+	}
+}
+
+// pairsRowsVec, quadsRowsVec and radix4RowsVec run pairsRows, quadsRows and
+// radix4Rows through their AVX2 routines, after checking every extent the
+// assembly relies on.
+func pairsRowsVec(tile, data []complex128, w, pitch int, rev []int32) {
+	checkFirstRows(tile, data, w, pitch, rev, 2)
+	pairsRowsAVX2(&tile[0], &data[0], w, pitch, &rev[0], len(rev))
+}
+
+func quadsRowsVec(tile, data []complex128, w, pitch int, rev []int32, fwd bool) {
+	checkFirstRows(tile, data, w, pitch, rev, 4)
+	quadsRowsAVX2(&tile[0], &data[0], w, pitch, &rev[0], len(rev), fwd)
+}
+
+func radix4RowsVec(dst []complex128, dpitch int, src []complex128, w, s int, tw []twiddle3, scale float64, scaled bool) {
+	n := 0
+	if w >= 2 && w%2 == 0 {
+		n = len(src) / w
+	}
+	if s < 1 || n == 0 || n%(4*s) != 0 || len(src) != n*w || len(tw) < s || dpitch < w || !rowsFit(len(dst), n, w, dpitch) {
+		panic(fmt.Sprintf("fft: invalid radix-4 row pass w=%d s=%d len(src)=%d dpitch=%d len(dst)=%d len(tw)=%d", w, s, len(src), dpitch, len(dst), len(tw)))
+	}
+	radix4RowsAVX2(&dst[0], dpitch, &src[0], w, n, s, &tw[0], scale, scaled)
 }

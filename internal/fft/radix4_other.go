@@ -2,10 +2,22 @@
 
 package fft
 
-// Only amd64 has a vector routine for the twiddled passes; everywhere else
-// the Go loops in kernel.go are the implementation.
+// Only amd64 has vector routines for the twiddled passes and the row stages;
+// everywhere else the Go loops in kernel.go and rows.go are the implementation.
 const useAVX2 = false
 
 func radix4Vec(dst, src []complex128, s int, tw []twiddle3, scale float64, scaled bool) {
 	panic("fft: radix4Vec without a vector routine")
+}
+
+func pairsRowsVec(tile, data []complex128, w, pitch int, rev []int32) {
+	panic("fft: pairsRowsVec without a vector routine")
+}
+
+func quadsRowsVec(tile, data []complex128, w, pitch int, rev []int32, fwd bool) {
+	panic("fft: quadsRowsVec without a vector routine")
+}
+
+func radix4RowsVec(dst []complex128, dpitch int, src []complex128, w, s int, tw []twiddle3, scale float64, scaled bool) {
+	panic("fft: radix4RowsVec without a vector routine")
 }

@@ -1,0 +1,145 @@
+package fft
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/dft"
+)
+
+// specials are planted into otherwise normal inputs: signed zeros, denormals
+// and infinities, each in the real and in the imaginary component.
+var specials = []float64{0, math.Copysign(0, -1), 5e-324, -3e-310, math.Inf(1), math.Inf(-1)}
+
+// plant overwrites count random components of x with the first kinds specials
+// in turn (4: zeros and denormals only; 6: ±Inf too).
+func plant(rng *rand.Rand, x []complex128, count, kinds int) {
+	for k := 0; k < count; k++ {
+		i, v := rng.Intn(len(x)), specials[k%kinds]
+		if k/kinds%2 == 0 {
+			x[i] = complex(v, imag(x[i]))
+		} else {
+			x[i] = complex(real(x[i]), v)
+		}
+	}
+}
+
+func plantedSignal(rng *rand.Rand, n, nSpecials int) []complex128 {
+	x := randSignal(rng, n)
+	plant(rng, x, nSpecials, len(specials))
+	return x
+}
+
+// sameBits reports the first index where a and b differ in any bit, NaNs
+// compared as NaN-ness only (which operand's payload survives is not part of
+// the contract), or -1.
+func sameBits(a, b []complex128) int {
+	same := func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
+	}
+	for i := range a {
+		if !same(real(a[i]), real(b[i])) || !same(imag(a[i]), imag(b[i])) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestRowsBitIdentical: a line transformed across rows, through the generic
+// tile, or alone carries the same bits — every plan length of the radix-4
+// engine, layouts whose b1 groups are whole row groups, ragged ones, ones that
+// leave an odd line or a 2-line group, and single lines; both directions;
+// zeros, denormals and infinities planted; serial and on the worker pool.
+func TestRowsBitIdentical(t *testing.T) {
+	prev := SetWorkers(1)
+	defer SetWorkers(prev)
+	rng := rand.New(rand.NewSource(43))
+	layouts := []struct{ b1, b2 int }{{1, 16}, {1, 256}, {16, 16}, {3, 15}, {1, 7}, {2, 2}, {5, 1}}
+	for _, n := range []int{64, 128, 256, 512, 1024, 2048, 4096} {
+		p := NewPlan(n)
+		line := make([]complex128, n)
+		for li, lay := range layouts {
+			if raceEnabled && n > 512 && lay.b1*lay.b2 > 64 {
+				continue // the detector makes the large arrays slow; the long lines keep the small layouts
+			}
+			// The middle-axis layout of a b1×n×b2 array; every other one with
+			// rows wider than the batch.
+			stride := lay.b2 + li%2*3
+			sp := batchSpec{stride: stride, dist1: n * stride, batch1: lay.b1, dist2: 1, batch2: lay.b2}
+			if got, want := p.rowLayout(sp), lay.b2 >= 2; got != want {
+				t.Fatalf("n=%d layout %v: rowLayout = %v, want %v", n, lay, got, want)
+			}
+			for _, dir := range []Direction{Forward, Inverse} {
+				for _, kinds := range []int{4, 6} {
+					x := randSignal(rng, lay.b1*n*stride)
+					if kinds == 4 {
+						plant(rng, x, 2*sp.total(), kinds)
+					} else {
+						plant(rng, x, sp.total()/2+1, kinds) // most lines stay finite
+					}
+					nested := func() []complex128 {
+						d := append([]complex128(nil), x...)
+						p.TransformNested(d, stride, sp.dist1, lay.b1, 1, lay.b2, dir)
+						return d
+					}
+					rows := nested()
+
+					// The same lines as single-line groups: not a row layout,
+					// so runLines takes them through the generic tile.
+					tiled := append([]complex128(nil), x...)
+					for g := 0; g < lay.b1; g++ {
+						p.runLines(tiled[g*sp.dist1:], batchSpec{stride: stride, dist1: 1, batch1: lay.b2, batch2: 1}, 0, lay.b2, dir)
+					}
+
+					alone := append([]complex128(nil), x...)
+					for l := 0; l < sp.total(); l++ {
+						base := sp.lineBase(l)
+						for i := range line {
+							line[i] = alone[base+i*stride]
+						}
+						p.Transform(line, dir)
+						for i := range line {
+							alone[base+i*stride] = line[i]
+						}
+					}
+
+					SetWorkers(4)
+					pooled := nested()
+					SetWorkers(1)
+
+					for _, o := range []struct {
+						name string
+						got  []complex128
+					}{{"generic tile", tiled}, {"line by line", alone}, {"worker pool", pooled}} {
+						if i := sameBits(rows, o.got); i >= 0 {
+							t.Fatalf("n=%d layout %v stride %d %v kinds=%d: rows[%d] = %v, %s %v",
+								n, lay, stride, dir, kinds, i, rows[i], o.name, o.got[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTransform3DRowGroupsMatchDFT checks a 3-D transform whose strided axes
+// use both first row stages (quads for 64, pairs for 128) and whose axis-1
+// groups end in a 2-line group (18 = 16 + 2) against the O(n²) oracle.
+func TestTransform3DRowGroupsMatchDFT(t *testing.T) {
+	if raceEnabled {
+		t.Skip("single-goroutine numerics; the O(n²) oracle is slow under the detector")
+	}
+	const n0, n1, n2 = 64, 128, 18
+	x := randSignal(rand.New(rand.NewSource(44)), n0*n1*n2)
+	want := dft.Transform3D(x, n0, n1, n2)
+	got := append([]complex128(nil), x...)
+	Transform3D(got, n0, n1, n2, Forward)
+	if d := maxAbsDiff(got, want); d > tol*n0*n1*n2 {
+		t.Errorf("forward differs from the DFT oracle by %g", d)
+	}
+	Transform3D(got, n0, n1, n2, Inverse)
+	if d := maxAbsDiff(got, x); d > tol {
+		t.Errorf("round trip differs by %g", d)
+	}
+}
