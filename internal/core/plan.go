@@ -136,6 +136,9 @@ func (p *Plan) buildStages(in, out *dist) error {
 
 	cur := in
 	p.dists = [][]tensor.Box3{in.boxes}
+	// Seven stages at most (pencils, bricks), held by every rank's plan: sized
+	// here so append does not round the array up to eight.
+	p.stages = make([]stage, 0, 7)
 	tagSeq := 0
 
 	// interior marks reshapes strictly between compute stages, the ones
