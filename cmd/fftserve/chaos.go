@@ -87,7 +87,7 @@ var scenarios = []scenario{
 		// retried on rebuilt worlds; the second shape never gets a healthy
 		// engine and must be carried by the breaker's degraded path.
 		name:  "faults",
-		about: "kills, drops, stalls and detected corruption: retry, batch split, eviction, breaker, degraded path",
+		about: "kills, drops, stalls and detected corruption: retry, batch split, eviction, breaker, degraded path, input restore",
 		stages: []stage{{
 			cfg: serve.Config{MaxRetries: 2, BreakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond},
 			// Primary: the first two builds carry a seeded mix plus one
@@ -124,6 +124,26 @@ var scenarios = []scenario{
 					{"fault eviction", r.FaultEvictions}, {"breaker trip", r.BreakerTrips},
 					{"degraded execution", r.DegradedRequests},
 				}
+			},
+		}, {
+			// Engines write results straight into the requests' arrays. A kill
+			// entering the output reshape's last chunk fails a batch after every
+			// rank has written its first chunk there: the server puts the inputs
+			// back, and with no client retry allowed its own retry must start
+			// from them.
+			cfg: serve.Config{MaxRetries: 2, Comm: outputKillComm},
+			faults: func(seed int64, _ string, build int, _ []int) *heffte.FaultPlan {
+				if build > 0 {
+					return nil
+				}
+				r := int(seed % chaosRanks)
+				return &heffte.FaultPlan{Timeout: 0.25, Events: []heffte.FaultEvent{
+					{Kind: heffte.FaultKill, Rank: r, Op: lastExchangeOp(chaosPrimary, r, outputKillComm)},
+				}}
+			},
+			phases: []phase{{label: "kill in the output reshape, inputs restored", shape: chaosPrimary, clients: 4, requests: 4, attempts: 1}},
+			require: func(st serve.Stats) []counter {
+				return []counter{{"retry after an output-reshape kill", st.Recovery.Retries}}
 			},
 		}},
 	},
@@ -238,6 +258,31 @@ var scenarios = []scenario{
 			},
 		}},
 	},
+}
+
+// outputKillComm splits every exchange in two serial chunks, so the output
+// reshape has written part of the results when its second chunk fails.
+var outputKillComm = heffte.CommConfig{Chunks: 2, Overlap: heffte.OverlapOff}
+
+// lastExchangeOp is the index of rank's last fault-visible operation in one
+// batch of global on a chaos engine under comm: the last chunk of the output
+// reshape.
+func lastExchangeOp(global [3]int, rank int, comm heffte.CommConfig) int {
+	ops := 0
+	heffte.NewWorld(heffte.Summit(), chaosRanks, heffte.WorldOptions{GPUAware: true}).Run(func(c *heffte.Comm) {
+		plan, err := heffte.NewPlan(c, heffte.Config{Global: global, Opts: heffte.Options{Comm: comm}})
+		if err != nil {
+			panic(err)
+		}
+		if c.Rank() == rank {
+			for _, ph := range plan.CommPhases() {
+				if ph.GroupSize > 0 {
+					ops += ph.Chunks
+				}
+			}
+		}
+	})
+	return ops - 1
 }
 
 // sdcConfig arms the integrity defenses; retries < 0 turns server retries off.
@@ -419,7 +464,7 @@ func (h *harness) load(srv *serve.Server, ph phase) error {
 }
 
 // submitVerified drives one request to its end: fault-class failures are
-// retried from pristine input (the server never writes Data on failure) while
+// retried from pristine input (a failed batch leaves Data as submitted) while
 // attempts remain, and every success is checked against the reference.
 func (h *harness) submitVerified(srv *serve.Server, ph phase, buf []complex128) error {
 	g := ph.shape

@@ -42,7 +42,7 @@
 //     returns early to the submitter; its batch-mates are unaffected.
 //   - Correctness: a coalesced batch produces results bit-identical to
 //     running the same requests sequentially — batch entries are
-//     independent fields through one fused pipeline execution.
+//     independent arrays through one fused pipeline execution.
 //
 // # Fault recovery
 //
@@ -62,8 +62,10 @@
 //     per-shape circuit breaker: while open, the shape's requests execute
 //     degraded — one fresh clean world and plan per request — until the
 //     cooldown expires and a probe batch closes the breaker.
-//   - Request payloads are written only on success, so a failed request's
-//     Data is intact for the automatic retries and for client resubmission.
+//   - Engines transform Data where it lies (the input reshape reads it, the
+//     output reshape writes it), and a failed batch leaves it as submitted —
+//     an engine with a fault plan restores its copy — so the automatic
+//     retries and client resubmissions start from the original data.
 //
 // Retries, batch splits, fault evictions, breaker trips and degraded
 // executions are all counted in Stats().Recovery; `fftserve -chaos` drives

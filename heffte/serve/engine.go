@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/heffte"
@@ -24,9 +25,9 @@ func (k engineKey) String() string {
 // engineJob is one fused batch dispatched to every rank of a backend.
 type engineJob struct {
 	dir Direction
-	// fields[r][i] is rank r's share of batch entry i.
-	fields [][]*heffte.Field
-	wg     sync.WaitGroup
+	// datas[i] is request i's global array, handed to every rank.
+	datas [][]complex128
+	wg    sync.WaitGroup
 	// Written by rank 0, read by the dispatching worker after wg.Wait.
 	err      error
 	clockEnd float64 // rank 0 virtual clock after the batch
@@ -41,25 +42,18 @@ type ticket struct {
 }
 
 // backend is one incarnation of an engine's execution world: the world
-// itself, its rank-loop channels, and the input distribution of its rank
-// count. A healthy engine has exactly one backend for its lifetime; an
-// elastic engine swaps in a shrunken backend after a rank kill
-// (shrinkResume), so the engine identity — and its cache slot — survives the
-// capacity loss.
+// itself and its rank-loop channels. A healthy engine has exactly one backend
+// for its lifetime; an elastic engine swaps in a shrunken backend after a
+// rank kill (shrinkResume), so the engine identity — and its cache slot —
+// survives the capacity loss.
 type backend struct {
-	world   *heffte.World
-	size    int
-	epoch   int
-	inBoxes []heffte.Box3
+	world *heffte.World
+	size  int
+	epoch int
 
 	jobs      []chan *engineJob
 	done      chan struct{} // closed when the world's Run returned
 	closeOnce sync.Once
-
-	// fieldSets recycles per-request distributed field sets (one field per
-	// rank, ~the global volume each) across batches. Per backend because the
-	// input distribution depends on the rank count.
-	fieldSets sync.Pool
 
 	// commPhases is the collective configuration the backend's plan resolved
 	// to, captured on rank 0 at plan creation (identical on every rank).
@@ -108,6 +102,9 @@ type engine struct {
 	// store holds the engine's phase checkpoints when the server runs
 	// elastic (nil otherwise); one store per engine, shared across backends.
 	store *heffte.CheckpointStore
+	// faulty says the engine's worlds carry a fault plan (a shrink keeps the
+	// survivors' share of it).
+	faulty bool
 
 	// be is the current backend. Guarded by BOTH dispatchMu and statsMu: a
 	// swap takes both, so readers may hold either.
@@ -210,6 +207,7 @@ func newEngine(k engineKey, m *heffte.Machine, wo heffte.WorldOptions, comm heff
 		key:    k,
 		comm:   comm,
 		budget: budget,
+		faulty: wo.Faults != nil,
 		slots:  slots,
 	}
 	if elastic {
@@ -231,22 +229,14 @@ func newEngine(k engineKey, m *heffte.Machine, wo heffte.WorldOptions, comm heff
 func (e *engine) startBackend(w *heffte.World, decomp heffte.Decomposition, res *resumeRun) (*backend, error) {
 	size := w.Size()
 	be := &backend{
-		world:   w,
-		size:    size,
-		epoch:   w.Epoch(),
-		inBoxes: heffte.DefaultBricks(size, e.key.global),
-		jobs:    make([]chan *engineJob, size),
-		done:    make(chan struct{}),
+		world: w,
+		size:  size,
+		epoch: w.Epoch(),
+		jobs:  make([]chan *engineJob, size),
+		done:  make(chan struct{}),
 	}
 	for r := range be.jobs {
 		be.jobs[r] = make(chan *engineJob, 1)
-	}
-	be.fieldSets.New = func() any {
-		set := make([]*heffte.Field, size)
-		for r := range set {
-			set[r] = heffte.NewField(be.inBoxes[r])
-		}
-		return set
 	}
 	if res != nil {
 		res.fields = make([][]*heffte.Field, size)
@@ -303,12 +293,11 @@ func (e *engine) startBackend(w *heffte.World, decomp heffte.Decomposition, res 
 				res.wg.Done()
 			}
 			for job := range be.jobs[c.Rank()] {
-				fs := job.fields[c.Rank()]
 				var jerr error
 				if job.dir == Inverse {
-					jerr = plan.InverseBatch(fs)
+					jerr = plan.InverseGlobal(job.datas)
 				} else {
-					jerr = plan.ForwardBatch(fs)
+					jerr = plan.ForwardGlobal(job.datas)
 				}
 				if c.Rank() == 0 {
 					job.err = jerr
@@ -327,72 +316,60 @@ func (e *engine) startBackend(w *heffte.World, decomp heffte.Decomposition, res 
 	return be, nil
 }
 
-// execute scatters each request's global array over the backend's input
-// bricks, runs one fused batched transform, and gathers the (in-place)
-// results back. Results are bit-identical to executing the requests one by
-// one: batch entries touch disjoint data, and scatter/gather are exact
-// copies. The returned ticket identifies the backend and checkpoint
-// generation the batch ran under, for elastic recovery.
+// execute runs one fused batched transform of the requests' own arrays
+// (Plan.ForwardGlobal on every rank): the input reshape reads each req.Data
+// and the output reshape writes it, so nothing is scattered or gathered.
+// Results are bit-identical to executing the requests one by one: batch
+// entries touch disjoint data. The returned ticket identifies the backend and
+// checkpoint generation the batch ran under, for elastic recovery.
 func (e *engine) execute(dir Direction, reqs []*Request) (ticket, error) {
-	for {
-		be := e.backend()
-		sets := make([][]*heffte.Field, len(reqs))
-		for i, req := range reqs {
-			sets[i] = be.fieldSets.Get().([]*heffte.Field)
-			for _, f := range sets[i] {
-				tensor.Pack(req.Data, tensor.FullBox(e.key.global), f.Box, f.Data)
-			}
-		}
-		per := make([][]*heffte.Field, be.size)
-		for r := 0; r < be.size; r++ {
-			per[r] = make([]*heffte.Field, len(reqs))
-			for i := range reqs {
-				per[r][i] = sets[i][r]
-			}
-		}
-		job := &engineJob{dir: dir, fields: per}
-		job.wg.Add(be.size)
-		e.dispatchMu.Lock()
-		if e.be != be {
-			// An elastic recovery swapped the backend between scatter and
-			// dispatch: the sets are shaped for the old rank count. Rescatter.
-			e.dispatchMu.Unlock()
-			for _, set := range sets {
-				be.fieldSets.Put(set)
-			}
-			continue
-		}
-		tk := ticket{be: be}
-		if e.store != nil {
-			// One checkpoint generation per batch, pinned under dispatchMu:
-			// a resume only trusts trails of the generation it is recovering.
-			tk.gen = e.store.Advance()
-		}
-		for r := range be.jobs {
-			be.jobs[r] <- job
-		}
-		e.dispatchMu.Unlock()
-		job.wg.Wait()
-		if job.err == nil {
-			// A fault on a rank other than 0 can leave rank 0's own execution
-			// clean; the world's sticky fault error still fails the batch (its
-			// outputs may be incomplete) and gets the engine evicted.
-			job.err = be.world.FaultError()
-		}
-		if job.err != nil {
-			return tk, fmt.Errorf("serve: engine %s: %w", e.key, job.err)
-		}
-		for i, req := range reqs {
-			Gather(e.key.global, req.Data, sets[i])
-			be.fieldSets.Put(sets[i])
-		}
-		e.statsMu.Lock()
-		e.batches++
-		e.requests += uint64(len(reqs))
-		e.virtualSec = job.clockEnd
-		e.statsMu.Unlock()
-		return tk, nil
+	job := &engineJob{dir: dir, datas: make([][]complex128, len(reqs))}
+	for i, req := range reqs {
+		job.datas[i] = req.Data
 	}
+	// A batch that fails may have written part of its arrays, and only an
+	// injected fault fails one once it has started: an engine with a fault
+	// plan keeps the inputs to put back, so retries, splits and resumes start
+	// from the data as submitted.
+	var saved [][]complex128
+	if e.faulty {
+		saved = make([][]complex128, len(reqs))
+		for i, d := range job.datas {
+			saved[i] = slices.Clone(d)
+		}
+	}
+	e.dispatchMu.Lock()
+	be := e.be
+	job.wg.Add(be.size)
+	tk := ticket{be: be}
+	if e.store != nil {
+		// One checkpoint generation per batch, pinned under dispatchMu: a
+		// resume only trusts trails of the generation it is recovering.
+		tk.gen = e.store.Advance()
+	}
+	for r := range be.jobs {
+		be.jobs[r] <- job
+	}
+	e.dispatchMu.Unlock()
+	job.wg.Wait()
+	if job.err == nil {
+		// A fault on a rank other than 0 can leave rank 0's own execution
+		// clean; the world's sticky fault error still fails the batch (its
+		// outputs may be incomplete) and gets the engine evicted.
+		job.err = be.world.FaultError()
+	}
+	if job.err != nil {
+		for i, d := range saved {
+			copy(job.datas[i], d)
+		}
+		return tk, fmt.Errorf("serve: engine %s: %w", e.key, job.err)
+	}
+	e.statsMu.Lock()
+	e.batches++
+	e.requests += uint64(len(reqs))
+	e.virtualSec = job.clockEnd
+	e.statsMu.Unlock()
+	return tk, nil
 }
 
 func (e *engine) stats() EngineStats {
@@ -423,9 +400,11 @@ func (e *engine) close() {
 
 // Scatter splits a global row-major N0×N1×N2 array across boxes, returning
 // one field per box holding an exact copy of its sub-array. It is the
-// distribution step a caller performs before driving a heffte.Plan directly,
-// exported so baselines (cmd/fftserve -mode perplan) and examples distribute
-// data exactly as the server does internally.
+// distribution step a caller performs before driving a heffte.Plan's field
+// API directly (cmd/fftserve -mode perplan, the benchmark's scatter/gather
+// row). The server itself no longer copies: its engines hand each request's
+// array to Plan.ForwardGlobal, which gives the bits of Scatter → ForwardBatch
+// → Gather.
 func Scatter(global [3]int, data []complex128, boxes []heffte.Box3) []*heffte.Field {
 	fields := make([]*heffte.Field, len(boxes))
 	for r, b := range boxes {

@@ -143,9 +143,9 @@ func (s *Server) runBatch(key string, reqs []*Request) error {
 }
 
 // attempt executes the batch on the shape's cached engine, retrying
-// fault-class failures up to Config.MaxRetries levels deep. Request payloads
-// are only written on success (scatter copies out of them, gather back in),
-// so retries always start from pristine data.
+// fault-class failures up to Config.MaxRetries levels deep. A failed batch
+// leaves request payloads as submitted (engine.execute), so retries always
+// start from pristine data.
 func (s *Server) attempt(key string, reqs []*Request, depth int) error {
 	slot, err := s.cache.acquire(engineKeyFor(reqs[0], s.cfg.Ranks))
 	if err != nil {
@@ -156,6 +156,16 @@ func (s *Server) attempt(key string, reqs []*Request, depth int) error {
 		return s.retry(key, reqs, depth)
 	}
 	tk, execErr := slot.eng.execute(reqs[0].Direction, reqs)
+	if len(reqs) > 1 && errors.Is(execErr, heffte.ErrBadConfig) {
+		// Requests sharing an array cannot share a batch (the plan refuses it
+		// before anything moves): they run one by one, in sequence.
+		s.cache.release(slot)
+		errs := make([]error, len(reqs))
+		for i := range reqs {
+			errs[i] = s.attempt(key, reqs[i:i+1], depth)
+		}
+		return perItem(errs)
+	}
 	if execErr != nil && heffte.IsFault(execErr) && s.cfg.Elastic {
 		// Resume-first: try to finish the interrupted batch in place on the
 		// engine's shrunken survivor world before giving the engine up.
@@ -274,24 +284,28 @@ func (s *Server) runDegraded(reqs []*Request) error {
 	s.rec.degraded += uint64(len(reqs))
 	s.rec.mu.Unlock()
 	errs := make([]error, len(reqs))
-	failed := false
 	for i, req := range reqs {
 		errs[i] = s.runFresh(req)
-		if errs[i] != nil {
-			failed = true
+	}
+	return perItem(errs)
+}
+
+// perItem is the batch outcome of per-request results: nil when all succeeded,
+// else the per-item errors.
+func perItem(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return &sched.BatchErrors{Errs: errs}
 		}
 	}
-	if !failed {
-		return nil
-	}
-	return &sched.BatchErrors{Errs: errs}
+	return nil
 }
 
 // runFresh executes one request on a throwaway clean engine — the resident
-// path's world → plan → scatter → execute → gather, built for this request and
-// closed after it. The world carries no injected faults, block placement and
-// no checkpoints, but keeps the integrity defenses armed: degradation must
-// never weaken the zero-wrong-answers guarantee.
+// path's world → plan → execute, built for this request and closed after it.
+// The world carries no injected faults, block placement and no checkpoints,
+// but keeps the integrity defenses armed: degradation must never weaken the
+// zero-wrong-answers guarantee.
 func (s *Server) runFresh(req *Request) error {
 	k := engineKeyFor(req, s.cfg.Ranks)
 	eng, err := newEngine(k, s.cfg.Machine, engineWorldOpts(s.cfg, nil, heffte.Placement{}),

@@ -16,7 +16,7 @@ import (
 type Direction int
 
 const (
-	// Forward applies the forward transform (Plan.ForwardBatch).
+	// Forward applies the forward transform (Plan.ForwardGlobal).
 	Forward Direction = iota
 	// Inverse applies the inverse transform, scaled by 1/N.
 	Inverse
@@ -48,10 +48,12 @@ func (p Precision) String() string {
 // row-major N0×N1×N2 array (axis 2 contiguous) and is transformed in place.
 //
 // Ownership: the server owns Data from Submit until Submit returns — with
-// one exception. If the request's context ends while its batch is already
-// executing, Submit returns early and the batch keeps writing Data until it
-// completes; such callers must drop the buffer rather than reuse it
-// immediately (Server.Stats' InFlight reaching zero guarantees quiescence).
+// one exception. Data is never copied: the input reshape reads it, the output
+// reshape writes it, and a failed batch leaves it as submitted. If the
+// request's context ends while its batch is already executing, Submit returns
+// early and the batch keeps using Data until it completes; such callers must
+// drop the buffer rather than reuse it immediately (Server.Stats' InFlight
+// reaching zero guarantees quiescence).
 type Request struct {
 	// Global is the transform extents (N0, N1, N2); all must be positive.
 	Global [3]int

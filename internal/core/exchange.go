@@ -34,20 +34,25 @@ import (
 type exchange[T any] struct {
 	rs *reshapePlan
 	e  *engine
-	// datas[i] is batch entry i's local array over rs.from (nil slices for
-	// phantom batches); out[i] receives its new array over rs.to, drawn on the
+	// datas[i] is batch entry i's local array over from (nil slices for
+	// phantom batches); out[i] receives its new array over to, drawn on the
 	// first unpack — after a single-shot exchange has recycled its inputs —
 	// and stays nil for phantom batches. Both are the caller's (engine-held
 	// scratch, see batchScratch): the caller reads out after the exchange.
 	datas, out [][]T
-	drawn      bool
-	phantom    bool
+	// from and to are the boxes datas and out are laid out over: rs.from and
+	// rs.to, or the full grid on a side that works on the callers' whole-grid
+	// arrays of a global batch (onGrid).
+	from, to tensor.Box3
+	drawn    bool
+	phantom  bool
 	// recycleIn marks datas as plan-owned (drawn from the staging pool by an
 	// earlier stage of this execution, or left in the caller's fields by the
 	// previous one and handed back): they return to the pool once packed, or —
 	// when lent — once the last receiver has copied out of them. Arrays the
 	// caller made are never pooled, written or read after the call returns.
 	recycleIn bool
+	grid      onGrid
 	// view is set when the exchange ships views instead of packing (lends):
 	// the record its blocks point at.
 	view *lent[T]
@@ -74,14 +79,28 @@ type posted struct {
 	sreqs  []*mpisim.Request   // P2P: non-blocking sends to complete
 }
 
+// onGrid marks the sides of an exchange that work on the callers' whole-grid
+// arrays of a global batch (Plan.ForwardGlobal) instead of arrays over this
+// rank's boxes: the input reshape reads its blocks straight out of them, the
+// output reshape writes its boxes straight into them (out then holds them on
+// arrival and nothing is drawn).
+type onGrid struct{ in, out bool }
+
 // newExchange arms this reshape for the batch: wire precision, and for the
 // Alltoallv backend the schedule and chunking, read from the reshape's resolve
 // table. Algorithm selection and chunking see the on-wire element size: a
 // compressed exchange sits at a different point of the (bytes, latency) regime
 // map than its full-precision twin. async (per-entry non-blocking exchanges)
 // always runs one chunk.
-func newExchange[T any](e *engine, rs *reshapePlan, datas, out [][]T, phantom, recycleIn, async bool) exchange[T] {
-	x := exchange[T]{rs: rs, e: e, datas: datas, out: out, phantom: phantom, recycleIn: recycleIn, chunks: 1}
+func newExchange[T any](e *engine, rs *reshapePlan, datas, out [][]T, phantom, recycleIn, async bool, grid onGrid) exchange[T] {
+	x := exchange[T]{rs: rs, e: e, datas: datas, out: out, from: rs.from, to: rs.to,
+		phantom: phantom, recycleIn: recycleIn, grid: grid, chunks: 1}
+	if grid.in {
+		x.from = tensor.FullBox(e.global)
+	}
+	if grid.out {
+		x.to, x.drawn = tensor.FullBox(e.global), true
+	}
 	if rs.group == nil {
 		return x
 	}
@@ -89,7 +108,7 @@ func newExchange[T any](e *engine, rs *reshapePlan, datas, out [][]T, phantom, r
 	x.eb = elemBytes[T]()
 	x.web = WireElemSize(x.wire, x.eb)
 	if x.lends() {
-		x.view = scratchOf[T](e).lendOut(datas, rs.from)
+		x.view = scratchOf[T](e).lendOut(datas, x.from, recycleIn)
 	}
 	if e.opts.Backend == BackendAlltoallv {
 		f := rs.resolved(e.opts, x.web, len(datas))
@@ -102,30 +121,36 @@ func newExchange[T any](e *engine, rs *reshapePlan, datas, out [][]T, phantom, r
 }
 
 // lends is the one predicate for shipping views instead of packed copies: the
-// arrays are real and plan-owned — a caller's array cannot be lent, its owner
-// may overwrite it the moment the call returns while peers still read — and no
-// layer between sender and receiver reads or rewrites the bytes: the wire is
-// fp64 (a compressed block is rounded in place), the world neither checksums
-// envelopes nor carries ABFT sums (both stream the packed block), and no fault
-// plan is attached (silent corruption flips payload bits, retransmits re-read
-// them). All of these are constants of the world or the reshape, or the
-// ownership the runner tracks; nothing sets them to get a view.
+// arrays are real and either plan-owned or a global batch's whole-grid input —
+// not any other caller's array, whose owner may overwrite it the moment the
+// call returns while peers still read; a global batch's arrays are handed to
+// every rank, and nothing writes them before the output reshape, which every
+// rank reaches only after each block of the input reshape has been read (each
+// output element depends on every input element, so a chain of exchanges
+// orders every read before every write) — and no layer between sender and
+// receiver reads or rewrites the bytes: the wire is fp64 (a compressed block
+// is rounded in place), the world neither checksums envelopes nor carries ABFT
+// sums (both stream the packed block), and no fault plan is attached (silent
+// corruption flips payload bits, retransmits re-read them). All of these are
+// constants of the world or the reshape, or the ownership the runner tracks;
+// nothing sets them to get a view.
 func (x *exchange[T]) lends() bool {
 	g := x.rs.group
-	return x.recycleIn && !x.phantom && x.wire == WireFp64 &&
+	return (x.recycleIn || x.grid.in) && !x.phantom && x.wire == WireFp64 &&
 		!g.Integrity().Enabled() && !g.FaultsAttached()
 }
 
 // lent is what a view points at: the sender's arrays over from, and who still
 // needs them — every deposited block not yet copied out, plus the sender until
-// its last chunk is posted. The last to let go returns the arrays to the
-// staging pool and leaves the record idle for the engine's next lending
-// exchange (batchScratch.lendOut); a record whose holds never drain — the world
-// failed mid-exchange — is simply dropped with its arrays.
+// its last chunk is posted. The last to let go returns plan-owned arrays
+// (pooled) to the staging pool and leaves the record idle for the engine's
+// next lending exchange (batchScratch.lendOut); a record whose holds never
+// drain — the world failed mid-exchange — is simply dropped with its arrays.
 type lent[T any] struct {
-	datas [][]T
-	from  tensor.Box3
-	holds atomic.Int64
+	datas  [][]T
+	from   tensor.Box3
+	pooled bool
+	holds  atomic.Int64
 }
 
 // lentIdle is lent.holds of a record nobody uses. It differs from zero, which
@@ -137,7 +162,9 @@ func (v *lent[T]) release() {
 		return
 	}
 	for i, d := range v.datas {
-		putBuf(d)
+		if v.pooled {
+			putBuf(d)
+		}
 		v.datas[i] = nil
 	}
 	v.holds.Store(lentIdle)
@@ -284,7 +311,7 @@ func (x *exchange[T]) pack(ci int) []mpisim.Block {
 		data := getBuf[T](elems)
 		off := 0
 		for _, d := range x.datas {
-			tensor.Pack(d, rs.from, cb, data[off:off+vol])
+			tensor.Pack(d, x.from, cb, data[off:off+vol])
 			off += vol
 		}
 		setBuf(&b.Buf, data, 0, x.wire)
@@ -431,7 +458,7 @@ func (x *exchange[T]) unpackBlock(ci, k int, buf *mpisim.Buf) int {
 	}
 	if v, ok := buf.View.(*lent[T]); ok {
 		for fi := range x.out {
-			tensor.CopyBox(x.out[fi], x.rs.to, v.datas[fi], v.from, cb)
+			tensor.CopyBox(x.out[fi], x.to, v.datas[fi], v.from, cb)
 		}
 		v.release()
 		return vol * len(x.datas)
@@ -440,7 +467,7 @@ func (x *exchange[T]) unpackBlock(ci, k int, buf *mpisim.Buf) int {
 	src := bufSlice[T](buf)
 	off := 0
 	for fi := range x.out {
-		tensor.Unpack(x.out[fi], x.rs.to, cb, src[off:off+vol])
+		tensor.Unpack(x.out[fi], x.to, cb, src[off:off+vol])
 		off += vol
 	}
 	recycleRecv[T](buf)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"repro/internal/fft"
 	"repro/internal/gpu"
@@ -81,10 +82,11 @@ func (s *batchScratch[T]) take(n int) (datas, out [][]T) {
 	return s.datas[:n], s.out[:n]
 }
 
-// lendOut readies a record for an exchange that lends datas (over box from):
-// an idle one when there is one — in steady state there always is — holding
-// the arrays and the sender's own hold.
-func (s *batchScratch[T]) lendOut(datas [][]T, from tensor.Box3) *lent[T] {
+// lendOut readies a record for an exchange that lends datas (over box from,
+// returned to the staging pool after the last read when pooled): an idle one
+// when there is one — in steady state there always is — holding the arrays and
+// the sender's own hold.
+func (s *batchScratch[T]) lendOut(datas [][]T, from tensor.Box3, pooled bool) *lent[T] {
 	var v *lent[T]
 	for _, c := range s.views {
 		if c.holds.Load() == lentIdle {
@@ -96,7 +98,7 @@ func (s *batchScratch[T]) lendOut(datas [][]T, from tensor.Box3) *lent[T] {
 		v = &lent[T]{}
 		s.views = append(s.views, v)
 	}
-	v.datas, v.from = append(v.datas[:0], datas...), from
+	v.datas, v.from, v.pooled = append(v.datas[:0], datas...), from, pooled
 	v.holds.Store(1)
 	return v
 }
@@ -227,6 +229,13 @@ type batch struct {
 	// once they are packed or, lent as views, once their last reader is done;
 	// a caller's own arrays are packed and left alone.
 	owned bool
+	// whole holds the callers' whole-grid arrays of a global batch
+	// (Plan.ForwardGlobal; nil otherwise): the input is read out of them and
+	// the output written into them (enterGrid, reshape, leaveGrid). While wide
+	// is set the fields' arrays are these arrays, laid out over the full grid
+	// rather than over the fields' boxes.
+	whole [][]complex128
+	wide  bool
 }
 
 func (b *batch) len() int {
@@ -243,8 +252,12 @@ func (b *batch) phantom() bool {
 	return b.fields[0].Phantom()
 }
 
-// validate checks every entry against the box the batch must sit on.
-func (b *batch) validate(want tensor.Box3) error {
+// validate checks every entry against the box the batch must sit on — or, for
+// a global batch, the callers' arrays against the grid.
+func (b *batch) validate(want tensor.Box3, global [3]int) error {
+	if b.whole != nil {
+		return validateWhole(b.whole, global)
+	}
 	if b.real {
 		return validateFields[float64](b.reals, want)
 	}
@@ -252,9 +265,10 @@ func (b *batch) validate(want tensor.Box3) error {
 }
 
 // claim and keep carry array ownership between executions (see batchScratch).
-// A phantom batch has no arrays to own.
+// A phantom batch has no arrays to own, and a global batch's fields are the
+// plan's scratch, never the caller's.
 func (b *batch) claim(e *engine) {
-	if b.phantom() {
+	if b.phantom() || b.whole != nil {
 		return
 	}
 	if b.real {
@@ -324,6 +338,33 @@ func validateFields[T any, F fieldOf[T]](fs []F, want tensor.Box3) error {
 		}
 	}
 	return nil
+}
+
+// validateWhole checks a global batch: every entry covers the grid, and no two
+// share memory — the input reshape reads every entry before the output
+// reshape writes any, so an array submitted twice would be written twice from
+// one input. Every rank is handed the same arrays, so every rank returns the
+// same error before anything is exchanged.
+func validateWhole(datas [][]complex128, global [3]int) error {
+	n := global[0] * global[1] * global[2]
+	for i, d := range datas {
+		if len(d) != n {
+			return fmt.Errorf("core: %w: global entry %d holds %d elements, grid %v has %d", ErrBadConfig, i, len(d), global, n)
+		}
+		for j, o := range datas[:i] {
+			if overlap(d, o) {
+				return fmt.Errorf("core: %w: global entries %d and %d share memory", ErrBadConfig, j, i)
+			}
+		}
+	}
+	return nil
+}
+
+// overlap reports whether two non-empty slices share an element.
+func overlap(a, b []complex128) bool {
+	pa, pb := uintptr(unsafe.Pointer(&a[0])), uintptr(unsafe.Pointer(&b[0]))
+	const size = unsafe.Sizeof(a[0])
+	return pa < pb+uintptr(len(b))*size && pb < pa+uintptr(len(a))*size
 }
 
 // policy is how the runner schedules a batch over the stages. It is selected
@@ -398,8 +439,11 @@ func (e *engine) run(stages []stage, b *batch, dir fft.Direction, from int, pol 
 	if from < len(stages) {
 		startBox = stages[from].in()
 	}
-	if err := b.validate(startBox); err != nil {
+	if err := b.validate(startBox, e.global); err != nil {
 		return err
+	}
+	if b.whole != nil {
+		e.enterGrid(stages[0], b)
 	}
 	phantom := b.phantom()
 	if ck != nil {
@@ -411,7 +455,7 @@ func (e *engine) run(stages []stage, b *batch, dir fft.Direction, from int, pol 
 		if from > 0 {
 			label = stages[from-1].label
 		}
-		e.saveBoundary(ck, label, b.fields, phantom)
+		e.saveBoundary(ck, label, b)
 	}
 
 	// pending is local compute of batch entries beyond the first whose
@@ -430,7 +474,7 @@ func (e *engine) run(stages []stage, b *batch, dir fft.Direction, from int, pol 
 		switch {
 		case st.kind == stageReshape && pol == batchFused:
 			t0 := e.comm.Clock()
-			e.reshape(st.rs, b)
+			e.reshape(st.rs, b, si == len(stages)-1)
 			if comm := e.comm.Clock() - t0; pending > comm {
 				e.chargeOverlap(pending - comm)
 			}
@@ -444,7 +488,7 @@ func (e *engine) run(stages []stage, b *batch, dir fft.Direction, from int, pol 
 			for i, f := range b.fields {
 				checkBox(st.rs, f.Box)
 				datas[i] = f.Data
-				flights[i] = newExchange(e, st.rs, datas[i:i+1:i+1], out[i:i+1:i+1], phantom, b.owned, true)
+				flights[i] = newExchange(e, st.rs, datas[i:i+1:i+1], out[i:i+1:i+1], phantom, b.owned, true, onGrid{})
 				flights[i].start()
 			}
 			b.owned = true
@@ -462,7 +506,7 @@ func (e *engine) run(stages []stage, b *batch, dir fft.Direction, from int, pol 
 			}
 		}
 		if ck != nil {
-			e.saveBoundary(ck, st.label, b.fields, phantom)
+			e.saveBoundary(ck, st.label, b)
 		}
 	}
 	for i := range flights {
@@ -471,8 +515,11 @@ func (e *engine) run(stages []stage, b *batch, dir fft.Direction, from int, pol 
 	if pending > 0 {
 		e.chargeOverlap(pending)
 	}
+	if b.whole != nil {
+		e.leaveGrid(b)
+	}
 	e.lastExec.End = e.comm.Clock()
-	if err := b.validate(endBox); err != nil {
+	if err := b.validate(endBox, e.global); err != nil {
 		return fmt.Errorf("core: after execution: %w", err)
 	}
 	b.keep(e)
@@ -494,30 +541,72 @@ func land(f *Field, flights []exchange[complex128], i int) {
 
 // reshape moves the whole batch through one fused exchange and re-points
 // every entry at its array over the target distribution, drawn from the
-// staging pool: the batch is plan-owned from here on.
-func (e *engine) reshape(rs *reshapePlan, b *batch) {
+// staging pool: the batch is plan-owned from here on — except after the last
+// stage of a global batch, which lands the output in the callers' arrays.
+func (e *engine) reshape(rs *reshapePlan, b *batch, last bool) {
 	if b.real {
-		reshapeFields[float64](e, rs, b.reals, b.owned)
-	} else {
-		reshapeFields[complex128](e, rs, b.fields, b.owned)
+		reshapeFields[float64](e, rs, b.reals, b.owned, onGrid{}, nil)
+		b.owned = true
+		return
 	}
-	b.owned = true
+	grid := onGrid{in: b.wide, out: last && b.whole != nil}
+	var into [][]complex128
+	if grid.out {
+		into = b.whole
+	}
+	reshapeFields(e, rs, b.fields, b.owned, grid, into)
+	b.owned, b.wide = !grid.out, grid.out
 }
 
-func reshapeFields[T any, F fieldOf[T]](e *engine, rs *reshapePlan, fs []F, recycleIn bool) {
+// reshapeFields runs one exchange over the fields' arrays; into, when set, is
+// where the new arrays go (the output side of grid).
+func reshapeFields[T any, F fieldOf[T]](e *engine, rs *reshapePlan, fs []F, recycleIn bool, grid onGrid, into [][]T) {
 	datas, out := scratchOf[T](e).take(len(fs))
 	for i, f := range fs {
 		box, data := f.ref()
 		checkBox(rs, *box)
 		datas[i] = *data
 	}
-	x := newExchange(e, rs, datas, out, datas[0] == nil, recycleIn, false)
+	copy(out, into)
+	x := newExchange(e, rs, datas, out, datas[0] == nil, recycleIn, false, grid)
 	x.run()
 	for i, f := range fs {
 		box, data := f.ref()
 		*box = rs.to
 		*data, datas[i], out[i] = out[i], nil, nil
 	}
+}
+
+// enterGrid points a global batch's fields at this rank's input box of the
+// callers' arrays. An input reshape reads its blocks straight out of them; a
+// plan whose first stage computes takes its window as a pooled copy — or, when
+// the window is the whole grid (one rank), the array itself, transformed in
+// place.
+func (e *engine) enterGrid(first stage, b *batch) {
+	box, full := first.in(), tensor.FullBox(e.global)
+	b.wide = first.kind == stageReshape
+	b.owned = !b.wide && !box.Equal(full)
+	for i, f := range b.fields {
+		f.Box, f.Data = box, b.whole[i]
+		if b.owned {
+			f.Data = getBuf[complex128](box.Volume())
+			tensor.Pack(b.whole[i], full, box, f.Data)
+		}
+	}
+}
+
+// leaveGrid lands a global batch's output in the callers' arrays: an output
+// reshape has written it there already; otherwise this rank copies its window
+// in, unless the field is the array itself, and pools the plan's arrays.
+func (e *engine) leaveGrid(b *batch) {
+	full := tensor.FullBox(e.global)
+	for i, f := range b.fields {
+		if !b.wide && arrayOf(f.Data) != arrayOf(b.whole[i]) {
+			tensor.Unpack(b.whole[i], full, f.Box, f.Data)
+		}
+		retire(&f.Data, b.owned)
+	}
+	b.owned = false
 }
 
 func checkBox(rs *reshapePlan, have tensor.Box3) {
@@ -781,6 +870,38 @@ func (p *Plan) ForwardBatch(fs []*Field) error { return p.execute(fs, fft.Forwar
 
 // InverseBatch is the batched inverse transform.
 func (p *Plan) InverseBatch(fs []*Field) error { return p.execute(fs, fft.Inverse) }
+
+// ForwardGlobal transforms a batch of whole grids in place: datas[i] is entry
+// i's N0×N1×N2 row-major array (axis 2 contiguous), and every rank passes the
+// same arrays. The input reshape reads each rank's blocks straight out of them
+// and the output reshape writes each rank's output box straight into them — a
+// plan without such a reshape copies the rank's own window instead — so no
+// scatter precedes the call and no gather follows it. Output bits and virtual
+// cost are those of scattering the arrays over InBoxes, ForwardBatch, and
+// gathering from OutBoxes. Nothing else may touch the arrays until every rank
+// has returned; a failed call may leave them partly written. An entry that is
+// not N0·N1·N2 long, or two entries that share memory, fail the call with
+// ErrBadConfig on every rank before anything is exchanged.
+func (p *Plan) ForwardGlobal(datas [][]complex128) error {
+	return p.executeGlobal(datas, fft.Forward)
+}
+
+// InverseGlobal is ForwardGlobal's inverse transform, scaled by 1/N.
+func (p *Plan) InverseGlobal(datas [][]complex128) error {
+	return p.executeGlobal(datas, fft.Inverse)
+}
+
+func (p *Plan) executeGlobal(datas [][]complex128, dir fft.Direction) error {
+	for len(p.grid) < len(datas) {
+		p.grid = append(p.grid, new(Field))
+	}
+	fs := p.grid[:len(datas)]
+	err := p.run(p.stages, &batch{fields: fs, whole: datas}, dir, 0, batchFused)
+	for _, f := range fs {
+		*f = Field{}
+	}
+	return err
+}
 
 // LastExec returns information about the most recent (possibly failed)
 // execution on this rank. Like execution itself, it is rank-local: call it

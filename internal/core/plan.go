@@ -44,8 +44,10 @@ type Plan struct {
 	p, q int
 
 	// one is the single-field batch scratch of Forward/Inverse, so the
-	// steady-state execution path performs no allocations.
-	one [1]*Field
+	// steady-state execution path performs no allocations; grid is
+	// ForwardGlobal's, as wide as the widest batch run, emptied after each call.
+	one  [1]*Field
+	grid []*Field
 	// refs counts logical owners (Retain/Close). Rank-local, like every other
 	// Plan field: a plan is confined to its rank goroutine by contract.
 	refs int
@@ -237,7 +239,7 @@ func (p *Plan) Close() error {
 	}
 	p.refs = 0
 	p.closed = true
-	p.one[0] = nil
+	p.one[0], p.grid = nil, nil
 	return nil
 }
 

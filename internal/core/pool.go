@@ -3,6 +3,7 @@ package core
 import (
 	"math/bits"
 	"sync"
+	"unsafe"
 )
 
 // Array pool for the reshape hot path. Every reshape produces a freshly
@@ -18,24 +19,19 @@ import (
 // and comes back when the caller hands it to the next execution (see
 // batchScratch). After warm-up a transform allocates no payload.
 //
-// The pool is a plain mutex-guarded free list, deliberately not a sync.Pool:
-// buffers must survive GC cycles so steady-state allocation counts stay at
-// zero (the allocation regression tests depend on it), and they flow
-// between rank goroutines, so the pool is global rather than per-plan.
-// Buffers are binned by capacity class (powers of two); each class keeps at
-// most poolMaxPerClass entries so a pathological workload cannot pin
-// unbounded memory.
-
-// poolMaxPerClass bounds retained buffers per size class. Sized for the
-// biggest simulated worlds: thousands of pack buffers of one class are alive
-// at once during an exchange phase (ranks × group size), and a cap below the
-// peak makes the pool thrash — every put beyond the cap is dropped and
-// re-allocated on the next phase.
-const poolMaxPerClass = 8192
-
+// Buffers are binned by capacity class (powers of two), one sync.Pool per
+// class, global rather than per plan because they flow between rank
+// goroutines. A sync.Pool because what it holds is a cache, not a reservation:
+// the collector empties it over two cycles, so an idle process — a server
+// whose engines sit in the plan cache between bursts — gives its staging
+// arrays back instead of pinning the high-water mark of its busiest exchange,
+// while the victim cache carries the working set across a collection that
+// lands mid-loop, which keeps steady state allocation-free. A class pools a
+// pointer to the first element rather than the slice: putting a pointer in an
+// interface allocates nothing, and the class fixes the length the slice is
+// rebuilt with.
 type bufPool[T any] struct {
-	mu      sync.Mutex
-	classes [48][][]T
+	classes [48]sync.Pool // *T: the first of at least 1<<c elements
 }
 
 // class c holds buffers with cap >= 1<<c; a request for n elements is served
@@ -47,15 +43,9 @@ func (p *bufPool[T]) get(n int) []T {
 		return []T{}
 	}
 	c := classFor(n)
-	p.mu.Lock()
-	if l := len(p.classes[c]); l > 0 {
-		b := p.classes[c][l-1]
-		p.classes[c][l-1] = nil
-		p.classes[c] = p.classes[c][:l-1]
-		p.mu.Unlock()
-		return b[:n]
+	if x := p.classes[c].Get(); x != nil {
+		return unsafe.Slice(x.(*T), 1<<c)[:n]
 	}
-	p.mu.Unlock()
 	return make([]T, n, 1<<c)
 }
 
@@ -64,12 +54,7 @@ func (p *bufPool[T]) put(b []T) {
 		return
 	}
 	// Bin by the class the capacity can serve: floor(log2 cap).
-	c := bits.Len(uint(cap(b))) - 1
-	p.mu.Lock()
-	if len(p.classes[c]) < poolMaxPerClass {
-		p.classes[c] = append(p.classes[c], b[:0])
-	}
-	p.mu.Unlock()
+	p.classes[bits.Len(uint(cap(b)))-1].Put(&b[:1][0])
 }
 
 var (

@@ -37,20 +37,26 @@ func worldSlots(w *mpisim.World) []int {
 }
 
 // saveBoundary checkpoints the batch's current state under label: a host
-// staging copy of every entry, charged through the device's Retain kernel
-// (the ABFT snapshot price — Fig. 10's fused-copy bandwidth).
-func (e *engine) saveBoundary(ck *CheckpointStore, label string, fields []*Field, phantom bool) {
+// staging copy of every entry's box (cut out of the whole grid while the
+// fields are a global batch's arrays), charged through the device's Retain
+// kernel (the ABFT snapshot price — Fig. 10's fused-copy bandwidth).
+func (e *engine) saveBoundary(ck *CheckpointStore, label string, b *batch) {
+	fields := b.fields
 	box := fields[0].Box
 	vol := box.Volume()
 	if bytes := 16 * vol * len(fields); bytes > 0 {
 		e.dev.Retain(bytes)
 	}
+	own := box
+	if b.wide {
+		own = tensor.FullBox(e.global)
+	}
 	var datas [][]complex128
-	if !phantom {
+	if !b.phantom() {
 		datas = make([][]complex128, len(fields))
 		for i, f := range fields {
 			d := getBuf[complex128](vol)
-			copy(d, f.Data)
+			tensor.Pack(f.Data, own, box, d)
 			datas[i] = d
 		}
 	}

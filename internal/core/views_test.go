@@ -351,7 +351,7 @@ func TestLendsPredicate(t *testing.T) {
 						continue
 					}
 					for _, owned := range []bool{false, true} {
-						x := newExchange[complex128](&p.engine, st.rs, make([][]complex128, 1), make([][]complex128, 1), tc.phantom, owned, false)
+						x := newExchange[complex128](&p.engine, st.rs, make([][]complex128, 1), make([][]complex128, 1), tc.phantom, owned, false, onGrid{})
 						if !owned && x.view != nil {
 							t.Errorf("rank %d: %s lends a caller's array", c.Rank(), st.label)
 						}
@@ -370,20 +370,34 @@ func TestLendsPredicate(t *testing.T) {
 
 // pooled reports whether the array is in the staging pool, and dup whether
 // any array is in it twice — the signature of a double recycle, after which
-// two plans would be handed the same memory.
+// two plans would be handed the same memory. It drains every class and puts
+// everything back. A sync.Pool hands a processor what others left in their
+// shared queues but not in their private slots, so the drain sees everything
+// only under oneProc; and the race detector's pool drops a quarter of what it
+// is given, which can hide a duplicate but never invent one.
 func poolState(a *complex128) (pooled, dup bool) {
-	complexPool.mu.Lock()
-	defer complexPool.mu.Unlock()
 	seen := map[*complex128]bool{}
-	for _, class := range complexPool.classes {
-		for _, b := range class {
-			id := arrayOf(b)
-			pooled = pooled || (a != nil && id == a)
+	for c := range complexPool.classes {
+		class := &complexPool.classes[c]
+		var held []*complex128
+		for x := class.Get(); x != nil; x = class.Get() {
+			id := x.(*complex128)
+			pooled = pooled || id == a
 			dup = dup || seen[id]
 			seen[id] = true
+			held = append(held, id)
+		}
+		for i := len(held) - 1; i >= 0; i-- {
+			class.Put(held[i])
 		}
 	}
 	return pooled, dup
+}
+
+// oneProc runs the rest of the test on one processor (see poolState).
+func oneProc(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // roundTripOK transforms a fresh random field forward and back through p and
@@ -409,6 +423,7 @@ func roundTripOK(p *Plan, seed int64) bool {
 // says — but the plan reads it like any caller's array and never pools it a
 // second time, so no two users are ever handed the same memory.
 func TestCopiedFieldIsNotRecycledTwice(t *testing.T) {
+	oneProc(t)
 	w := mpisim.NewWorld(machine.Summit(), 8, mpisim.Options{GPUAware: true})
 	global := [3]int{16, 16, 16}
 	w.Run(func(c *mpisim.Comm) {
@@ -471,6 +486,7 @@ func TestCopiedFieldIsNotRecycledTwice(t *testing.T) {
 // moment Forward returns, while its peers may still be unpacking; the results
 // must not notice (and the race detector must stay quiet).
 func TestCallerArrayIsNeverLent(t *testing.T) {
+	oneProc(t)
 	global := [3]int{16, 16, 16}
 	// Slabs in, slabs out: slab-0 → slab-1 is the plan's only reshape.
 	cfg := Config{Global: global, Opts: Options{Decomp: DecompSlabs, Backend: BackendAlltoallv},
@@ -549,6 +565,7 @@ func (c *countdownCtx) Err() error {
 // arrays up, the pool stays consistent, and a fresh world computes correctly
 // right after.
 func TestCancelWithViewsInFlight(t *testing.T) {
+	oneProc(t)
 	global := [3]int{16, 16, 16}
 	opts := Options{Decomp: DecompPencils, Backend: BackendAlltoallv, Comm: CommConfig{Chunks: 2, Overlap: OverlapOn}}
 	for n := 1; ; n++ {

@@ -222,8 +222,8 @@ func (p *RealPlan) r2cLine(x []float64, xb, xs int, spec []complex128, sb, ss in
 			zk = z[k]
 			znk = z[h-k]
 		}
-		even := (zk + conj(znk)) / 2
-		odd := (zk - conj(znk)) / complex(0, 2)
+		even := half(zk + conj(znk))
+		odd := divTwoI(zk - conj(znk))
 		spec[sb+k*ss] = even + p.tw[k]*odd
 	}
 }
@@ -236,8 +236,8 @@ func (p *RealPlan) c2rLine(spec []complex128, sb, ss int, x []float64, xb, xs in
 	for k := 0; k < h; k++ {
 		sk := spec[sb+k*ss]
 		snk := conj(spec[sb+(h-k)*ss])
-		even := (sk + snk) / 2
-		odd := (sk - snk) / 2 * conj(p.tw[k])
+		even := half(sk + snk)
+		odd := half(sk-snk) * conj(p.tw[k])
 		z[k] = even + complex(0, 1)*odd
 	}
 	p.half.transformContig(z, Inverse)
@@ -256,3 +256,50 @@ func (p *RealPlan) c2rLine(spec []complex128, sb, ss int, x []float64, xb, xs in
 }
 
 func conj(c complex128) complex128 { return complex(real(c), -imag(c)) }
+
+// half and divTwoI are z/2 and z/(2i) without the runtime's general complex
+// division: each issues exactly the operations complex128div performs for that
+// divisor — Smith's algorithm with ratio 0 and denominator 2, products by zero
+// included, since they turn an infinite part into NaN and a -0 into +0 — so the
+// bits are the same for every input; the divisions by 2 compile to exact
+// multiplications by 0.5. The C99 fix-up the runtime applies when both parts
+// come out NaN is infFix.
+func half(z complex128) complex128 {
+	a, b := real(z), imag(z)
+	q := complex((a+b*0)/2, (b-a*0)/2)
+	if q != q {
+		return infFix(z, 2, q)
+	}
+	return q
+}
+
+func divTwoI(z complex128) complex128 {
+	a, b := real(z), imag(z)
+	q := complex((a*0+b)/2, (b*0-a)/2)
+	if q != q {
+		return infFix(z, 2i, q)
+	}
+	return q
+}
+
+// infFix is complex128div's correction of the quotient q of n by the finite
+// nonzero m: when both parts of q are NaN and a part of n is infinite, the
+// result is infinite (ISO/IEC 9899:1999 G.5.1); otherwise q stands.
+func infFix(n, m, q complex128) complex128 {
+	a, b, c, d := real(n), imag(n), real(m), imag(m)
+	if !math.IsNaN(real(q)) || !math.IsNaN(imag(q)) || !math.IsInf(a, 0) && !math.IsInf(b, 0) {
+		return q
+	}
+	a, b = inf2one(a), inf2one(b)
+	inf := math.Inf(1)
+	return complex(inf*(a*c+b*d), inf*(b*c-a*d))
+}
+
+// inf2one is a 1 for an infinity and a 0 otherwise, with f's sign.
+func inf2one(f float64) float64 {
+	g := 0.0
+	if math.IsInf(f, 0) {
+		g = 1
+	}
+	return math.Copysign(g, f)
+}

@@ -133,6 +133,35 @@ func TestRealRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestHalvingMatchesDivision: half and divTwoI give the bits of the runtime's
+// z/2 and z/(2i) for every pairing of signed zeros, infinities, NaN,
+// subnormals, extremes and random values as real and imaginary part.
+func TestHalvingMatchesDivision(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	parts := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, inf, -inf, nan, -nan,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 3 * math.SmallestNonzeroFloat64,
+		0x1p-1022, -0x1p-1022, math.MaxFloat64, -math.MaxFloat64, 0x1.fffffffffffffp-1022}
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 16; i++ {
+		parts = append(parts, rng.NormFloat64()*math.Pow(2, float64(rng.Intn(2000)-1000)))
+	}
+	two, twoI := complex(2, 0), complex(0, 2)
+	bits := func(z complex128) [2]uint64 {
+		return [2]uint64{math.Float64bits(real(z)), math.Float64bits(imag(z))}
+	}
+	for _, re := range parts {
+		for _, im := range parts {
+			z := complex(re, im)
+			if got, want := half(z), z/two; bits(got) != bits(want) {
+				t.Errorf("half(%v) = %v %x, z/2 = %v %x", z, got, bits(got), want, bits(want))
+			}
+			if got, want := divTwoI(z), z/twoI; bits(got) != bits(want) {
+				t.Errorf("divTwoI(%v) = %v %x, z/2i = %v %x", z, got, bits(got), want, bits(want))
+			}
+		}
+	}
+}
+
 func BenchmarkRealFFT(b *testing.B) {
 	rng := rand.New(rand.NewSource(44))
 	n := 1024
