@@ -1,16 +1,16 @@
 // Package bench regenerates every table and figure of the paper's evaluation
 // (Section II–IV): each experiment runs the relevant workloads on the
-// simulated machine and prints the same rows/series the paper reports, in
-// virtual time. The cmd/fftbench CLI is a thin wrapper over this package; host
+// simulated machine and returns the same rows/series the paper reports, in
+// virtual time, as a Result — typed table cells plus named scalars such as
+// Fig. 11's GPU-aware penalty. One renderer (Render) prints a Result as text;
+// nothing else writes. The cmd/fftbench CLI is a loop of Run → Render; host
 // wall-clock and memory are measured by the repository benchmark
 // (`go run ./benchmark`), not here.
 package bench
 
 import (
 	"fmt"
-	"io"
 	"sort"
-	"text/tabwriter"
 )
 
 // RunOptions tunes an experiment run.
@@ -25,7 +25,7 @@ type RunOptions struct {
 type Experiment struct {
 	ID    string // e.g. "fig4"
 	Title string // the paper's caption, abbreviated
-	Run   func(w io.Writer, opts RunOptions) error
+	Run   func(opts RunOptions) (Result, error)
 }
 
 var registry []Experiment
@@ -49,17 +49,21 @@ func Lookup(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// Run executes one experiment by ID.
-func Run(id string, w io.Writer, opts RunOptions) error {
+// Run executes one experiment by ID. It is the package's one panic boundary:
+// runners panic on a bad configuration (mpisim.World.Run re-raises a rank's
+// panic), and Run returns that as an error.
+func Run(id string, opts RunOptions) (res Result, err error) {
 	e, ok := Lookup(id)
 	if !ok {
-		return fmt.Errorf("bench: unknown experiment %q (try `fftbench -list`)", id)
+		return Result{}, fmt.Errorf("bench: unknown experiment %q (try `fftbench -list`)", id)
 	}
-	fmt.Fprintf(w, "== %s: %s ==\n", e.ID, e.Title)
-	return e.Run(w, opts)
-}
-
-// newTable returns a tabwriter for aligned text tables.
-func newTable(w io.Writer) *tabwriter.Writer {
-	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("bench: %s: run failed: %v", id, p)
+		}
+	}()
+	if res, err = e.Run(opts); err != nil {
+		err = fmt.Errorf("bench: %s: %w", id, err)
+	}
+	return res, err
 }

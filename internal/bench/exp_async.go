@@ -2,12 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/mpisim"
-	"repro/internal/stats"
 )
 
 func init() {
@@ -25,7 +23,7 @@ func init() {
 	})
 }
 
-func runAsync(w io.Writer, opts RunOptions) error {
+func runAsync(opts RunOptions) (Result, error) {
 	global := [3]int{64, 64, 64}
 	ranks := 24
 	nb := 16
@@ -33,135 +31,87 @@ func runAsync(w io.Writer, opts RunOptions) error {
 		ranks = 6
 		nb = 8
 	}
-	mode := func(kind string) (float64, error) {
-		var t float64
-		err := capturePanic(func() {
-			world := mpisim.NewWorld(machine.Summit(), ranks, mpisim.Options{GPUAware: true})
-			res := world.Run(func(c *mpisim.Comm) {
-				p, err := core.NewPlan(c, core.Config{Global: global,
-					Opts: core.Options{Decomp: core.DecompPencils, Backend: core.BackendAlltoallv}})
-				if err != nil {
-					panic(err)
+	mode := func(kind string) float64 {
+		world := mpisim.NewWorld(machine.Summit(), ranks, mpisim.Options{GPUAware: true})
+		res := world.Run(func(c *mpisim.Comm) {
+			p, err := core.NewPlan(c, core.Config{Global: global,
+				Opts: core.Options{Decomp: core.DecompPencils, Backend: core.BackendAlltoallv}})
+			if err != nil {
+				panic(err)
+			}
+			fields := make([]*core.Field, nb)
+			for i := range fields {
+				fields[i] = core.NewPhantom(p.InBox())
+			}
+			switch kind {
+			case "sequential":
+				for i := 0; i < nb && err == nil; i++ {
+					err = p.Forward(fields[i])
 				}
-				switch kind {
-				case "sequential":
-					for i := 0; i < nb; i++ {
-						f := core.NewPhantom(p.InBox())
-						if err := p.Forward(f); err != nil {
-							panic(err)
-						}
-					}
-				case "fused":
-					fields := make([]*core.Field, nb)
-					for i := range fields {
-						fields[i] = core.NewPhantom(p.InBox())
-					}
-					if err := p.ForwardBatch(fields); err != nil {
-						panic(err)
-					}
-				case "pipelined":
-					fields := make([]*core.Field, nb)
-					for i := range fields {
-						fields[i] = core.NewPhantom(p.InBox())
-					}
-					if err := p.ForwardPipelined(fields); err != nil {
-						panic(err)
-					}
-				}
-			})
-			t = res.MaxClock / float64(nb)
+			case "fused":
+				err = p.ForwardBatch(fields)
+			case "pipelined":
+				err = p.ForwardPipelined(fields)
+			}
+			if err != nil {
+				panic(err)
+			}
 		})
-		return t, err
+		return res.MaxClock / float64(nb)
 	}
-	tw := newTable(w)
-	fmt.Fprintln(tw, "mode\ttime/transform\tspeedup vs sequential")
+	s := Section{Header: []string{"mode", "time/transform", "speedup vs sequential"}}
 	var base float64
 	for _, kind := range []string{"sequential", "fused", "pipelined"} {
-		t, err := mode(kind)
-		if err != nil {
-			return err
-		}
+		t := mode(kind)
 		if kind == "sequential" {
 			base = t
-			fmt.Fprintf(tw, "%s\t%s\t1.00x\n", kind, stats.FormatSeconds(t))
-			continue
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%.2fx\n", kind, stats.FormatSeconds(t), base/t)
+		s.Rows = append(s.Rows, []Cell{label(kind), secs(t), num(base/t, "%.2fx")})
 	}
-	if err := tw.Flush(); err != nil {
-		return err
+	s.Notes = []string{
+		"expected shape: both batched modes beat sequential; fusion amortizes per-message",
+		"overheads, the pipeline overlaps compute — their ranking depends on message sizes",
 	}
-	fmt.Fprintln(w, "expected shape: both batched modes beat sequential; fusion amortizes per-message")
-	fmt.Fprintln(w, "overheads, the pipeline overlaps compute — their ranking depends on message sizes")
-	return nil
+	return Result{Sections: []Section{s}}, nil
 }
 
-func runR2C(w io.Writer, opts RunOptions) error {
+func runR2C(opts RunOptions) (Result, error) {
 	ranks := 96
 	sizes := [][3]int{{256, 256, 256}, {512, 512, 512}}
 	if opts.Quick {
 		ranks = 12
 		sizes = [][3]int{{32, 32, 32}, {64, 64, 64}}
 	}
-	tw := newTable(w)
-	fmt.Fprintln(tw, "grid\tC2C/transform\tR2C/transform\tR2C saving")
+	// perTransform runs two forward transforms per rank and returns the
+	// makespan of one.
+	perTransform := func(forward func(c *mpisim.Comm) error) float64 {
+		world := mpisim.NewWorld(machine.Summit(), ranks, mpisim.Options{GPUAware: true})
+		return world.Run(func(c *mpisim.Comm) {
+			if err := forward(c); err != nil {
+				panic(err)
+			}
+		}).MaxClock / 2
+	}
+	s := Section{Header: []string{"grid", "C2C/transform", "R2C/transform", "R2C saving"}}
 	for _, global := range sizes {
-		var c2c, r2c float64
-		if err := capturePanic(func() {
-			world := mpisim.NewWorld(machine.Summit(), ranks, mpisim.Options{GPUAware: true})
-			res := world.Run(func(c *mpisim.Comm) {
-				p, err := core.NewPlan(c, core.Config{Global: global,
-					Opts: core.Options{Decomp: core.DecompPencils, Backend: core.BackendAlltoallv}})
-				if err != nil {
-					panic(err)
-				}
-				for i := 0; i < 2; i++ {
-					f := core.NewPhantom(p.InBox())
-					if err := p.Forward(f); err != nil {
-						panic(err)
-					}
-				}
-			})
-			c2c = res.MaxClock / 2
-		}); err != nil {
+		c2c := perTransform(func(c *mpisim.Comm) error {
+			p, err := core.NewPlan(c, core.Config{Global: global,
+				Opts: core.Options{Decomp: core.DecompPencils, Backend: core.BackendAlltoallv}})
+			for i := 0; i < 2 && err == nil; i++ {
+				err = p.Forward(core.NewPhantom(p.InBox()))
+			}
 			return err
-		}
-		if err := capturePanic(func() {
-			world := mpisim.NewWorld(machine.Summit(), ranks, mpisim.Options{GPUAware: true})
-			res := world.Run(func(c *mpisim.Comm) {
-				p, err := core.NewRealPlan(c, core.RealConfig{Global: global,
-					Opts: core.Options{Backend: core.BackendAlltoallv}})
-				if err != nil {
-					panic(err)
-				}
-				for i := 0; i < 2; i++ {
-					rf := core.NewRealPhantom(p.InBox())
-					if _, err := p.Forward(rf); err != nil {
-						panic(err)
-					}
-				}
-			})
-			r2c = res.MaxClock / 2
-		}); err != nil {
+		})
+		r2c := perTransform(func(c *mpisim.Comm) error {
+			p, err := core.NewRealPlan(c, core.RealConfig{Global: global,
+				Opts: core.Options{Backend: core.BackendAlltoallv}})
+			for i := 0; i < 2 && err == nil; i++ {
+				_, err = p.Forward(core.NewRealPhantom(p.InBox()))
+			}
 			return err
-		}
-		fmt.Fprintf(tw, "%d³\t%s\t%s\t%s\n", global[0],
-			stats.FormatSeconds(c2c), stats.FormatSeconds(r2c), fmtPct(1-r2c/c2c))
+		})
+		s.Rows = append(s.Rows, []Cell{label(fmt.Sprintf("%d³", global[0])), secs(c2c), secs(r2c), pct(1 - r2c/c2c)})
 	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "expected shape: R2C saves ≈40–50% — half-byte input reshape + half-volume spectrum")
-	return nil
-}
-
-// capturePanic turns rank panics into errors for experiment runners.
-func capturePanic(f func()) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("bench: run failed: %v", p)
-		}
-	}()
-	f()
-	return nil
+	s.Notes = []string{"expected shape: R2C saves ≈40–50% — half-byte input reshape + half-volume spectrum"}
+	return Result{Sections: []Section{s}}, nil
 }

@@ -2,11 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"io"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/machine"
-	"repro/internal/stats"
 )
 
 func init() {
@@ -29,7 +28,7 @@ func init() {
 }
 
 // batchedPoint returns the per-transform time of a batch of nb transforms.
-func batchedPoint(mdl *machine.Model, ranks, nb int, global [3]int) (float64, error) {
+func batchedPoint(mdl *machine.Model, ranks, nb int, global [3]int) float64 {
 	r := fftRun{
 		model: mdl, ranks: ranks, aware: true,
 		global: global,
@@ -37,14 +36,12 @@ func batchedPoint(mdl *machine.Model, ranks, nb int, global [3]int) (float64, er
 			Opts: core.Options{Decomp: core.DecompPencils, Backend: core.BackendAlltoallv}},
 		batch: nb,
 	}
-	m, err := r.run()
-	if err != nil {
-		return 0, err
-	}
-	return m.TotalPerFFT / float64(nb), nil
+	return r.run().TotalPerFFT / float64(nb)
 }
 
-func runFig13(w io.Writer, opts RunOptions) error {
+// runFig13 reports batch_speedup: the smallest speedup(max batch) over every
+// system and node row.
+func runFig13(opts RunOptions) (Result, error) {
 	global := [3]int{64, 64, 64}
 	batches := []int{1, 2, 4, 8, 16}
 	type system struct {
@@ -61,92 +58,78 @@ func runFig13(w io.Writer, opts RunOptions) error {
 		systems[1].nodes = []int{1}
 		batches = []int{1, 4, 8}
 	}
+	header := []string{"nodes", "GPUs"}
+	for _, nb := range batches {
+		header = append(header, fmt.Sprintf("batch=%d", nb))
+	}
+	header = append(header, "speedup(max batch)")
+	var res Result
+	minSpeedup := math.Inf(1)
 	for _, sys := range systems {
-		fmt.Fprintf(w, "-- %s --\n", sys.label)
-		tw := newTable(w)
-		fmt.Fprint(tw, "nodes\tGPUs")
-		for _, nb := range batches {
-			fmt.Fprintf(tw, "\tbatch=%d", nb)
-		}
-		fmt.Fprintln(tw, "\tspeedup(max batch)")
+		s := Section{Lead: []string{fmt.Sprintf("-- %s --", sys.label)}, Header: header}
 		for _, nodes := range sys.nodes {
 			ranks := sys.mdl.GPUsPerNode * nodes
-			fmt.Fprintf(tw, "%d\t%d", nodes, ranks)
+			row := []Cell{count(nodes), count(ranks)}
 			var first, last float64
 			for i, nb := range batches {
-				t, err := batchedPoint(sys.mdl, ranks, nb, global)
-				if err != nil {
-					return err
-				}
+				t := batchedPoint(sys.mdl, ranks, nb, global)
 				if i == 0 {
 					first = t
 				}
 				last = t
-				fmt.Fprintf(tw, "\t%s", stats.FormatSeconds(t))
+				row = append(row, secs(t))
 			}
-			fmt.Fprintf(tw, "\t%.2fx\n", first/last)
+			s.Rows = append(s.Rows, append(row, num(first/last, "%.2fx")))
+			minSpeedup = min(minSpeedup, first/last)
 		}
-		if err := tw.Flush(); err != nil {
-			return err
-		}
+		res.Sections = append(res.Sections, s)
 	}
-	fmt.Fprintln(w, "expected shape: per-transform cost inside a batch ≥2× cheaper than isolated")
-	fmt.Fprintln(w, "transforms (message fusion + compute/communication overlap); the advantage")
-	fmt.Fprintln(w, "shrinks for large grids where communication dwarfs computation")
-	return nil
+	res.Sections[len(res.Sections)-1].Notes = []string{
+		"expected shape: per-transform cost inside a batch ≥2× cheaper than isolated",
+		"transforms (message fusion + compute/communication overlap); the advantage",
+		"shrinks for large grids where communication dwarfs computation",
+	}
+	res.Scalars = map[string]float64{"batch_speedup": minSpeedup}
+	return res, nil
 }
 
-func runShrink(w io.Writer, opts RunOptions) error {
+func runShrink(opts RunOptions) (Result, error) {
 	ranks := 96
 	if opts.Quick {
 		ranks = 24
 	}
-	tw := newTable(w)
-	fmt.Fprintln(tw, "grid\tranks\tT(full grid)\tT(shrunk)\tactive ranks\tspeedup")
+	s := Section{Header: []string{"grid", "ranks", "T(full grid)", "T(shrunk)", "active ranks", "speedup"}}
 	for _, n := range []int{16, 32, 64} {
 		global := [3]int{n, n, n}
-		run := func(threshold int) (measured, error) {
+		run := func(threshold int) float64 {
 			r := fftRun{
 				model: machine.Summit(), ranks: ranks, aware: true,
 				cfg: core.Config{Global: global,
 					Opts: core.Options{Decomp: core.DecompPencils, Backend: core.BackendAlltoallv,
 						ShrinkThreshold: threshold}},
 			}
-			return r.run()
+			return r.run().TotalPerFFT
 		}
-		full, err := run(0)
-		if err != nil {
-			return err
-		}
-		shrunk, err := run(2048)
-		if err != nil {
-			return err
-		}
+		full, shrunk := run(0), run(2048)
 		// Recover the active rank count from a plan built the same way.
-		active := (n*n*n + 2047) / 2048
-		if active > ranks {
-			active = ranks
-		}
-		fmt.Fprintf(tw, "%d³\t%d\t%s\t%s\t%d\t%.2fx\n", n, ranks,
-			stats.FormatSeconds(full.TotalPerFFT), stats.FormatSeconds(shrunk.TotalPerFFT),
-			active, full.TotalPerFFT/shrunk.TotalPerFFT)
+		active := min((n*n*n+2047)/2048, ranks)
+		s.Rows = append(s.Rows, []Cell{label(fmt.Sprintf("%d³", n)), count(ranks),
+			secs(full), secs(shrunk), count(active), num(full/shrunk, "%.2fx")})
 	}
-	if err := tw.Flush(); err != nil {
-		return err
+	s.Notes = []string{
+		"expected shape: for transforms far too small for the rank count, computing on a",
+		"sub-grid and remapping pre/post beats spreading latency-bound messages everywhere",
 	}
-	fmt.Fprintln(w, "expected shape: for transforms far too small for the rank count, computing on a")
-	fmt.Fprintln(w, "sub-grid and remapping pre/post beats spreading latency-bound messages everywhere")
-	return nil
+	return Result{Sections: []Section{s}}, nil
 }
 
-func runDecomp(w io.Writer, opts RunOptions) error {
+func runDecomp(opts RunOptions) (Result, error) {
 	ranks := 96
 	if opts.Quick {
 		ranks = 24
 	}
 	grid := gridFor(opts)
-	tw := newTable(w)
-	fmt.Fprintln(tw, "decomposition\tbackend\tcomm/FFT\ttotal/FFT")
+	s := Section{Header: []string{"decomposition", "backend", "comm/FFT", "total/FFT"}}
 	for _, d := range []core.Decomposition{core.DecompSlabs, core.DecompPencils} {
 		for _, b := range []core.Backend{
 			core.BackendAlltoall, core.BackendAlltoallv, core.BackendAlltoallw,
@@ -156,13 +139,9 @@ func runDecomp(w io.Writer, opts RunOptions) error {
 				model: machine.Summit(), ranks: ranks, aware: true,
 				cfg: tableIIIConfig(ranks, grid, core.Options{Decomp: d, Backend: b}),
 			}
-			m, err := r.run()
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(tw, "%v\t%v\t%s\t%s\n", d, b,
-				stats.FormatSeconds(m.CommPerFFT), stats.FormatSeconds(m.TotalPerFFT))
+			m := r.run()
+			s.Rows = append(s.Rows, []Cell{label(d.String()), label(b.String()), secs(m.CommPerFFT), secs(m.TotalPerFFT)})
 		}
 	}
-	return tw.Flush()
+	return Result{Sections: []Section{s}}, nil
 }

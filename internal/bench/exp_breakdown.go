@@ -2,14 +2,13 @@ package bench
 
 import (
 	"fmt"
-	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/apps/lammps"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/mpisim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -42,59 +41,40 @@ var breakdownOrder = []string{
 	"MPI_Barrier",
 }
 
-func printBreakdown(w io.Writer, labels []string, breakdowns []map[string]float64) error {
-	tw := newTable(w)
-	fmt.Fprint(tw, "kernel")
-	for _, l := range labels {
-		fmt.Fprintf(tw, "\t%s", l)
-	}
-	fmt.Fprintln(tw)
-	seen := map[string]bool{}
+// breakdownSection tabulates per-kernel totals, one column per variant, in
+// breakdownOrder followed by any other kernel seen, with a TOTAL row.
+func breakdownSection(labels []string, breakdowns []map[string]float64, notes ...string) Section {
+	s := Section{Header: append([]string{"kernel"}, labels...), Notes: notes}
 	rows := append([]string(nil), breakdownOrder...)
 	for _, b := range breakdowns {
 		for k := range b {
-			if !contains(rows, k) && !seen[k] {
+			if !slices.Contains(rows, k) {
 				rows = append(rows, k)
-				seen[k] = true
 			}
 		}
 	}
 	totals := make([]float64, len(breakdowns))
 	for _, name := range rows {
-		any := false
-		for _, b := range breakdowns {
-			if b[name] > 0 {
-				any = true
-			}
-		}
-		if !any {
-			continue
-		}
-		fmt.Fprint(tw, name)
+		row := []Cell{label(name)}
+		nonzero := false
 		for i, b := range breakdowns {
-			fmt.Fprintf(tw, "\t%s", stats.FormatSeconds(b[name]))
+			nonzero = nonzero || b[name] > 0
+			row = append(row, secs(b[name]))
 			totals[i] += b[name]
 		}
-		fmt.Fprintln(tw)
-	}
-	fmt.Fprint(tw, "TOTAL")
-	for _, t := range totals {
-		fmt.Fprintf(tw, "\t%s", stats.FormatSeconds(t))
-	}
-	fmt.Fprintln(tw)
-	return tw.Flush()
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
+		if nonzero {
+			s.Rows = append(s.Rows, row)
 		}
 	}
-	return false
+	total := []Cell{label("TOTAL")}
+	for _, t := range totals {
+		total = append(total, secs(t))
+	}
+	s.Rows = append(s.Rows, total)
+	return s
 }
 
-func breakdownPair(opts RunOptions, variants []core.Options) ([]map[string]float64, error) {
+func breakdownPair(opts RunOptions, variants []core.Options) []map[string]float64 {
 	const ranks = 24
 	out := make([]map[string]float64, len(variants))
 	for i, v := range variants {
@@ -102,50 +82,34 @@ func breakdownPair(opts RunOptions, variants []core.Options) ([]map[string]float
 			model: machine.Summit(), ranks: ranks, aware: true,
 			cfg: tableIIIConfig(ranks, gridFor(opts), v),
 		}
-		m, err := r.run()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = m.Breakdown
+		out[i] = r.run().Breakdown
 	}
-	return out, nil
+	return out
 }
 
-func runFig6(w io.Writer, opts RunOptions) error {
-	bd, err := breakdownPair(opts, []core.Options{
+func runFig6(opts RunOptions) (Result, error) {
+	bd := breakdownPair(opts, []core.Options{
 		{Decomp: core.DecompPencils, Backend: core.BackendAlltoall, Contiguous: true},
 		{Decomp: core.DecompPencils, Backend: core.BackendAlltoallv, Contiguous: false},
 	})
-	if err != nil {
-		return err
-	}
-	if err := printBreakdown(w, []string{"Alltoall+contiguous", "Alltoallv+strided"}, bd); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "expected shape: Alltoall pays padding on the brick↔pencil reshapes; the strided")
-	fmt.Fprintln(w, "variant trades cheaper pack/unpack for the strided cuFFT penalty")
-	return nil
+	return Result{Sections: []Section{breakdownSection([]string{"Alltoall+contiguous", "Alltoallv+strided"}, bd,
+		"expected shape: Alltoall pays padding on the brick↔pencil reshapes; the strided",
+		"variant trades cheaper pack/unpack for the strided cuFFT penalty")}}, nil
 }
 
-func runFig7(w io.Writer, opts RunOptions) error {
-	bd, err := breakdownPair(opts, []core.Options{
+func runFig7(opts RunOptions) (Result, error) {
+	bd := breakdownPair(opts, []core.Options{
 		{Decomp: core.DecompPencils, Backend: core.BackendP2P, Contiguous: true},
 		{Decomp: core.DecompPencils, Backend: core.BackendP2PBlocking, Contiguous: false},
 	})
-	if err != nil {
-		return err
-	}
-	if err := printBreakdown(w, []string{"Isend/Irecv+contiguous", "Send/Irecv+strided"}, bd); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "expected shape: total ≈ equal for both (≈0.09 s per FFT at the paper's scale);")
-	fmt.Fprintln(w, "communication (send/recv/waitany) dominates at >90% of runtime")
-	return nil
+	return Result{Sections: []Section{breakdownSection([]string{"Isend/Irecv+contiguous", "Send/Irecv+strided"}, bd,
+		"expected shape: total ≈ equal for both (≈0.09 s per FFT at the paper's scale);",
+		"communication (send/recv/waitany) dominates at >90% of runtime")}}, nil
 }
 
 // lammpsBreakdown runs the Rhodopsin proxy and returns the aggregated
 // breakdown groups of Fig. 12.
-func lammpsBreakdown(opts RunOptions, fftOpts core.Options, aware bool, steps int) (map[string]float64, error) {
+func lammpsBreakdown(opts RunOptions, fftOpts core.Options, aware bool, steps int) map[string]float64 {
 	ranks := 192
 	grid := [3]int{512, 512, 512}
 	if opts.Quick {
@@ -154,76 +118,58 @@ func lammpsBreakdown(opts RunOptions, fftOpts core.Options, aware bool, steps in
 	}
 	tr := trace.New()
 	w := mpisim.NewWorld(machine.Summit(), ranks, mpisim.Options{GPUAware: aware, Tracer: tr})
-	var err error
-	func() {
-		defer func() {
-			if p := recover(); p != nil {
-				err = fmt.Errorf("lammps run failed: %v", p)
-			}
-		}()
-		w.Run(func(c *mpisim.Comm) {
-			s, e := lammps.New(c, lammps.Config{Atoms: 32000, Grid: grid, FFT: fftOpts, Phantom: true})
-			if e != nil {
-				panic(e)
-			}
-			if _, e := s.Run(steps); e != nil {
-				panic(e)
-			}
-		})
-	}()
-	if err != nil {
-		return nil, err
-	}
+	w.Run(func(c *mpisim.Comm) {
+		s, err := lammps.New(c, lammps.Config{Atoms: 32000, Grid: grid, FFT: fftOpts, Phantom: true})
+		if err != nil {
+			panic(err)
+		}
+		if _, err := s.Run(steps); err != nil {
+			panic(err)
+		}
+	})
+	// Summed in sorted name order, so the totals are bit-reproducible.
 	totals := tr.TotalByName(-1)
 	groups := map[string]float64{}
-	for name, v := range totals {
+	for _, name := range tr.Names() {
 		switch name {
 		case "pair", "bond", "neigh", "comm", "other":
-			groups[name] += v
+			groups[name] += totals[name]
 		default:
 			// Everything else — FFT kernels, packs, MPI inside the plan,
 			// charge/force maps — is KSPACE.
-			groups["kspace"] += v
+			groups["kspace"] += totals[name]
 		}
 	}
-	return groups, nil
+	return groups
 }
 
-func runFig12(w io.Writer, opts RunOptions) error {
+// runFig12 reports kspace_reduction (1 − tuned ÷ baseline KSPACE time) and
+// step_reduction (the same for the whole step).
+func runFig12(opts RunOptions) (Result, error) {
 	steps := 10
 	if opts.Quick {
 		steps = 3
 	}
 	// Baseline: fftMPI-like (pencil decomposition, blocking Send/Irecv,
 	// host-staged MPI — fftMPI communicates via host buffers).
-	base, err := lammpsBreakdown(opts, core.Options{Decomp: core.DecompPencils, Backend: core.BackendP2PBlocking}, false, steps)
-	if err != nil {
-		return err
-	}
+	base := lammpsBreakdown(opts, core.Options{Decomp: core.DecompPencils, Backend: core.BackendP2PBlocking}, false, steps)
 	// Tuned heFFTe: best setting per Fig. 5 at 32 nodes — slabs below the
 	// 64-node crossover — with GPU-aware Alltoallv.
-	tuned, err := lammpsBreakdown(opts, core.Options{Decomp: core.DecompSlabs, Backend: core.BackendAlltoallv}, true, steps)
-	if err != nil {
-		return err
-	}
+	tuned := lammpsBreakdown(opts, core.Options{Decomp: core.DecompSlabs, Backend: core.BackendAlltoallv}, true, steps)
 	var names []string
 	for k := range base {
 		names = append(names, k)
 	}
 	sort.Strings(names)
-	tw := newTable(w)
-	fmt.Fprintln(tw, "component\tfftMPI-like\ttuned heFFTe")
+	s := Section{Header: []string{"component", "fftMPI-like", "tuned heFFTe"}}
 	var tb, tt float64
 	for _, n := range names {
-		fmt.Fprintf(tw, "%s\t%s\t%s\n", n, stats.FormatSeconds(base[n]), stats.FormatSeconds(tuned[n]))
+		s.Rows = append(s.Rows, []Cell{label(n), secs(base[n]), secs(tuned[n])})
 		tb += base[n]
 		tt += tuned[n]
 	}
-	fmt.Fprintf(tw, "TOTAL\t%s\t%s\n", stats.FormatSeconds(tb), stats.FormatSeconds(tt))
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "KSPACE reduction: %s (paper: ≈40%%); total step reduction: %s\n",
-		fmtPct(1-tuned["kspace"]/base["kspace"]), fmtPct(1-tt/tb))
-	return nil
+	s.Rows = append(s.Rows, []Cell{label("TOTAL"), secs(tb), secs(tt)})
+	kspace, step := 1-tuned["kspace"]/base["kspace"], 1-tt/tb
+	s.Notes = []string{fmt.Sprintf("KSPACE reduction: %s (paper: ≈40%%); total step reduction: %s", fmtPct(kspace), fmtPct(step))}
+	return Result{Sections: []Section{s}, Scalars: map[string]float64{"kspace_reduction": kspace, "step_reduction": step}}, nil
 }

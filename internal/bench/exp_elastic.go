@@ -3,7 +3,6 @@ package bench
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 
 	"repro/internal/core"
@@ -135,12 +134,12 @@ func elasticRecovery(size int, n [3]int, killRank, killOp int) (resume, restart 
 	return resume, restart, nil
 }
 
-// runElasticExp prints the resume-vs-restart recovery-latency tables: the
+// runElasticExp returns the resume-vs-restart recovery-latency tables: the
 // kill-phase sweep (how much of the pipeline the checkpoints let the resume
 // skip) and the rank-count sweep at a late kill. Both recoveries pay the same
 // survivor agreement and the same checkpoint redistribution, so the ratio
 // isolates the phases resume does not re-execute.
-func runElasticExp(w io.Writer, opts RunOptions) error {
+func runElasticExp(opts RunOptions) (Result, error) {
 	grid := [3]int{32, 32, 32}
 	ranks := 8
 	rankSweep := []int{4, 8, 16}
@@ -148,19 +147,25 @@ func runElasticExp(w io.Writer, opts RunOptions) error {
 		grid = [3]int{16, 16, 16}
 		rankSweep = []int{4, 8}
 	}
+	recoveryRow := func(name string, resume, restart float64) []Cell {
+		return []Cell{label(name), micros(resume), micros(restart), num(restart/resume, "%.2fx")}
+	}
 
 	ex, err := elasticExchanges(ranks, grid)
 	if err != nil {
-		return err
+		return Result{}, err
 	}
 	// Pencil exchanges at this count are ops 0..ex-1; the last is the global
 	// output reshape. Op 0 kills before anything completed (the early
 	// anchor), a mid-pipeline op kills inside the interleaved subgroup
 	// exchanges, the last op after every compute phase.
-	fmt.Fprintf(w, "Kill-phase sweep (Summit, %d³ on %d ranks as pencils, real payloads,\n", grid[0], ranks)
-	fmt.Fprintln(w, "virtual recovery latency from the kill to batch completion):")
-	tw := newTable(w)
-	fmt.Fprintln(tw, "kill phase\tresume\trestart\trestart/resume")
+	phaseSweep := Section{
+		Lead: []string{
+			fmt.Sprintf("Kill-phase sweep (Summit, %d³ on %d ranks as pencils, real payloads,", grid[0], ranks),
+			"virtual recovery latency from the kill to batch completion):",
+		},
+		Header: []string{"kill phase", "resume", "restart", "restart/resume"},
+	}
 	phases := []struct {
 		name string
 		op   int
@@ -172,39 +177,36 @@ func runElasticExp(w io.Writer, opts RunOptions) error {
 	for _, ph := range phases {
 		resume, restart, err := elasticRecovery(ranks, grid, ranks/2, ph.op)
 		if err != nil {
-			return fmt.Errorf("kill phase %q: %w", ph.name, err)
+			return Result{}, fmt.Errorf("kill phase %q: %w", ph.name, err)
 		}
-		fmt.Fprintf(tw, "%s\t%.1fµs\t%.1fµs\t%.2fx\n",
-			ph.name, resume*1e6, restart*1e6, restart/resume)
-	}
-	if err := tw.Flush(); err != nil {
-		return err
+		phaseSweep.Rows = append(phaseSweep.Rows, recoveryRow(ph.name, resume, restart))
 	}
 
-	fmt.Fprintf(w, "\nRank-count sweep (late kill on the output reshape, %d³):\n", grid[0])
-	tw = newTable(w)
-	fmt.Fprintln(tw, "ranks\tresume\trestart\trestart/resume")
+	rankRows := Section{
+		Lead:   []string{"", fmt.Sprintf("Rank-count sweep (late kill on the output reshape, %d³):", grid[0])},
+		Header: []string{"ranks", "resume", "restart", "restart/resume"},
+	}
 	for _, r := range rankSweep {
 		rex, err := elasticExchanges(r, grid)
 		if err != nil {
-			return err
+			return Result{}, err
 		}
 		resume, restart, err := elasticRecovery(r, grid, r/2, rex-1)
 		if err != nil {
-			return fmt.Errorf("%d ranks: %w", r, err)
+			return Result{}, fmt.Errorf("%d ranks: %w", r, err)
 		}
-		fmt.Fprintf(tw, "%d\t%.1fµs\t%.1fµs\t%.2fx\n", r, resume*1e6, restart*1e6, restart/resume)
+		rankRows.Rows = append(rankRows.Rows, recoveryRow(fmt.Sprint(r), resume, restart))
 	}
-	if err := tw.Flush(); err != nil {
-		return err
+	rankRows.Notes = []string{
+		"",
+		"Both recoveries shrink to the survivors, pay the same agreement cost, and",
+		"redistribute one checkpointed boundary through the same device-resident",
+		"all-to-all; the restart redistributes the input and re-executes everything,",
+		"the resume starts at the deepest boundary every rank completed. A kill",
+		"inside the interleaved pencil subgroup exchanges cascades aborts back to",
+		"the last global synchronization point, so early and middle kills resume",
+		"from the same cut; the late kill (a global exchange every rank has entered)",
+		"retains the full pipeline and shows the largest gap.",
 	}
-	fmt.Fprintln(w, "\nBoth recoveries shrink to the survivors, pay the same agreement cost, and")
-	fmt.Fprintln(w, "redistribute one checkpointed boundary through the same device-resident")
-	fmt.Fprintln(w, "all-to-all; the restart redistributes the input and re-executes everything,")
-	fmt.Fprintln(w, "the resume starts at the deepest boundary every rank completed. A kill")
-	fmt.Fprintln(w, "inside the interleaved pencil subgroup exchanges cascades aborts back to")
-	fmt.Fprintln(w, "the last global synchronization point, so early and middle kills resume")
-	fmt.Fprintln(w, "from the same cut; the late kill (a global exchange every rank has entered)")
-	fmt.Fprintln(w, "retains the full pipeline and shows the largest gap.")
-	return nil
+	return Result{Sections: []Section{phaseSweep, rankRows}}, nil
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"repro/internal/core"
@@ -19,13 +18,13 @@ func init() {
 	})
 }
 
-// runExchangeAlgos prints the regime table AlgoAuto selects from: at small
+// runExchangeAlgos returns the regime table AlgoAuto selects from: at small
 // grids the overhead/latency-bound exchanges favour the log-step and streamed
 // schedules, at large grids bandwidth dominates and the streamed ring and the
 // two-level schedule hold; the naive linear loop trails everywhere the
 // exchange is dense. AlgoAuto chooses per phase, so it may undercut every
 // forced column; auto/best holds it against the best of them.
-func runExchangeAlgos(w io.Writer, opts RunOptions) error {
+func runExchangeAlgos(opts RunOptions) (Result, error) {
 	ranks := 64
 	grids := [][3]int{{32, 32, 32}, {64, 64, 64}, {128, 128, 128}, {256, 256, 256}}
 	if opts.Quick {
@@ -36,21 +35,21 @@ func runExchangeAlgos(w io.Writer, opts RunOptions) error {
 	world := func() *mpisim.World {
 		return mpisim.NewWorld(machine.Summit(), ranks, mpisim.Options{GPUAware: true})
 	}
-	tw := newTable(w)
-	fmt.Fprintln(tw, "grid\tlinear\tpairwise\tring\tbruck\tnode-aware\tauto\tauto vs linear\tauto/best\tauto picks")
+	s := Section{Header: []string{"grid", "linear", "pairwise", "ring", "bruck", "node-aware", "auto",
+		"auto vs linear", "auto/best", "auto picks"}}
 	for _, g := range grids {
-		row := fmt.Sprintf("%d³", g[0])
+		row := []Cell{label(fmt.Sprintf("%d³", g[0]))}
 		var linear, best float64
 		for _, a := range algos {
 			t, err := forwardOnce(world(), forcedAlgo(g, a), phantom, nil)
 			if err != nil {
-				return err
+				return Result{}, err
 			}
 			if a == core.CollLinear {
 				linear, best = t, t
 			}
 			best = min(best, t)
-			row += fmt.Sprintf("\t%.1fµs", t*1e6)
+			row = append(row, micros(t))
 		}
 		var phases []core.CommPhase // rank 0's view of what auto resolved to
 		auto, err := forwardOnce(world(), forcedAlgo(g, core.CollAuto), phantom, func(rank int, p *core.Plan, _ *core.Field) {
@@ -59,7 +58,7 @@ func runExchangeAlgos(w io.Writer, opts RunOptions) error {
 			}
 		})
 		if err != nil {
-			return err
+			return Result{}, err
 		}
 		picks := make([]string, 0, len(phases))
 		for _, ph := range phases {
@@ -67,7 +66,8 @@ func runExchangeAlgos(w io.Writer, opts RunOptions) error {
 				picks = append(picks, fmt.Sprintf("%s=%s", ph.Label, ph.Algo))
 			}
 		}
-		fmt.Fprintf(tw, "%s\t%.1fµs\t%.2f×\t%.3f\t%s\n", row, auto*1e6, linear/auto, auto/best, strings.Join(picks, " "))
+		s.Rows = append(s.Rows, append(row, micros(auto), num(linear/auto, "%.2f×"), num(auto/best, "%.3f"),
+			label(strings.Join(picks, " "))))
 	}
-	return tw.Flush()
+	return Result{Sections: []Section{s}}, nil
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/apps/warpx"
 	"repro/internal/core"
@@ -36,7 +35,7 @@ func init() {
 // runModelCheck compares the closed-form model against the simulator on the
 // pencil FFT-grid exchanges (the part the equations describe). Model inputs
 // follow the paper: B = 23.5 GB/s, L = 1 µs.
-func runModelCheck(w io.Writer, opts RunOptions) error {
+func runModelCheck(opts RunOptions) (Result, error) {
 	grid := gridFor(opts)
 	n := grid[0] * grid[1] * grid[2]
 	// The equations' B is the average bandwidth a process achieves; on
@@ -46,8 +45,7 @@ func runModelCheck(w io.Writer, opts RunOptions) error {
 		Latency:   mdl.InterLatency,
 		Bandwidth: mdl.NodeInjectionBW / float64(mdl.GPUsPerNode),
 	}
-	tw := newTable(w)
-	fmt.Fprintln(tw, "nodes\tGPUs\tP×Q\tmodel T_pencils\tsimulated (pencil phases)\tratio")
+	s := Section{Header: []string{"nodes", "GPUs", "P×Q", "model T_pencils", "simulated (pencil phases)", "ratio"}}
 	for _, nodes := range nodeSweep(opts, 128) {
 		ranks := 6 * nodes
 		e := core.LookupTableIII(ranks)
@@ -59,26 +57,20 @@ func runModelCheck(w io.Writer, opts RunOptions) error {
 			OutBoxes: core.PencilBoxes(grid, 2, e.P, e.Q),
 			Opts:     core.Options{Decomp: core.DecompPencils, Backend: core.BackendAlltoallv, PQ: [2]int{e.P, e.Q}},
 		}
-		r := fftRun{model: machine.Summit(), ranks: ranks, aware: true, cfg: cfg}
-		m, err := r.run()
-		if err != nil {
-			return err
-		}
+		m := fftRun{model: machine.Summit(), ranks: ranks, aware: true, cfg: cfg}.run()
 		pred := model.PencilTime(n, e.P, e.Q, params)
-		ratio := m.CommPerFFT / pred
-		fmt.Fprintf(tw, "%d\t%d\t%d×%d\t%s\t%s\t%.2f\n", nodes, ranks, e.P, e.Q,
-			stats.FormatSeconds(pred), stats.FormatSeconds(m.CommPerFFT), ratio)
+		s.Rows = append(s.Rows, []Cell{count(nodes), count(ranks), label(fmt.Sprintf("%d×%d", e.P, e.Q)),
+			secs(pred), secs(m.CommPerFFT), num(m.CommPerFFT/pred, "%.2f")})
 	}
-	if err := tw.Flush(); err != nil {
-		return err
+	s.Notes = []string{
+		"expected shape: ratios below 1 at small node counts (intra-node links beat the",
+		"model's shared-injection B), near 1 in the mid range, drifting above 1 at scale",
+		"where fabric saturation — absent from the equations — sets in",
 	}
-	fmt.Fprintln(w, "expected shape: ratios below 1 at small node counts (intra-node links beat the")
-	fmt.Fprintln(w, "model's shared-injection B), near 1 in the mid range, drifting above 1 at scale")
-	fmt.Fprintln(w, "where fabric saturation — absent from the equations — sets in")
-	return nil
+	return Result{Sections: []Section{s}}, nil
 }
 
-func runWarpX(w io.Writer, opts RunOptions) error {
+func runWarpX(opts RunOptions) (Result, error) {
 	ranks := 96
 	grid := [3]int{256, 256, 256}
 	steps := 5
@@ -87,50 +79,34 @@ func runWarpX(w io.Writer, opts RunOptions) error {
 		grid = [3]int{64, 64, 64}
 		steps = 2
 	}
-	tw := newTable(w)
-	fmt.Fprintln(tw, "backend\ttime/step\tspeedup vs Alltoallw")
+	s := Section{Header: []string{"backend", "time/step", "speedup vs Alltoallw"}}
 	var base float64
 	for _, b := range []core.Backend{core.BackendAlltoallw, core.BackendAlltoallv, core.BackendAlltoall, core.BackendP2P} {
-		var t float64
-		err := func() (err error) {
-			defer func() {
-				if p := recover(); p != nil {
-					err = fmt.Errorf("warpx run failed: %v", p)
-				}
-			}()
-			world := mpisim.NewWorld(machine.Summit(), ranks, mpisim.Options{GPUAware: true})
-			res := world.Run(func(c *mpisim.Comm) {
-				s, e := warpx.New(c, warpx.Config{Grid: grid, Phantom: true,
-					FFT: core.Options{Decomp: core.DecompPencils, Backend: b}})
-				if e != nil {
-					panic(e)
-				}
-				if e := s.Run(steps); e != nil {
-					panic(e)
-				}
-			})
-			t = res.MaxClock / float64(steps)
-			return nil
-		}()
-		if err != nil {
-			return err
-		}
+		world := mpisim.NewWorld(machine.Summit(), ranks, mpisim.Options{GPUAware: true})
+		res := world.Run(func(c *mpisim.Comm) {
+			sim, err := warpx.New(c, warpx.Config{Grid: grid, Phantom: true,
+				FFT: core.Options{Decomp: core.DecompPencils, Backend: b}})
+			if err == nil {
+				err = sim.Run(steps)
+			}
+			if err != nil {
+				panic(err)
+			}
+		})
+		t := res.MaxClock / float64(steps)
 		if b == core.BackendAlltoallw {
 			base = t
-			fmt.Fprintf(tw, "%v\t%s\t1.00x\n", b, stats.FormatSeconds(t))
-			continue
 		}
-		fmt.Fprintf(tw, "%v\t%s\t%.2fx\n", b, stats.FormatSeconds(t), base/t)
+		s.Rows = append(s.Rows, []Cell{label(b.String()), secs(t), num(base/t, "%.2fx")})
 	}
-	if err := tw.Flush(); err != nil {
-		return err
+	s.Notes = []string{
+		"expected shape: the Alltoallw path WarpX uses loses to the tuned collectives —",
+		"the paper's argument that such applications benefit from these optimizations",
 	}
-	fmt.Fprintln(w, "expected shape: the Alltoallw path WarpX uses loses to the tuned collectives —")
-	fmt.Fprintln(w, "the paper's argument that such applications benefit from these optimizations")
-	return nil
+	return Result{Sections: []Section{s}}, nil
 }
 
-func runFrontier(w io.Writer, opts RunOptions) error {
+func runFrontier(opts RunOptions) (Result, error) {
 	mdl := machine.Frontier()
 	grid := [3]int{1024, 1024, 1024}
 	maxNodes := 512
@@ -138,8 +114,7 @@ func runFrontier(w io.Writer, opts RunOptions) error {
 		grid = [3]int{128, 128, 128}
 		maxNodes = 8
 	}
-	tw := newTable(w)
-	fmt.Fprintln(tw, "nodes\tGCD ranks\ttotal/FFT\tcomm/FFT\taggregate GFLOP/s")
+	s := Section{Header: []string{"nodes", "GCD ranks", "total/FFT", "comm/FFT", "aggregate GFLOP/s"}}
 	for _, nodes := range nodeSweep(opts, maxNodes) {
 		ranks := mdl.GPUsPerNode * nodes
 		r := fftRun{
@@ -147,19 +122,14 @@ func runFrontier(w io.Writer, opts RunOptions) error {
 			cfg: core.Config{Global: grid,
 				Opts: core.Options{Decomp: core.DecompAuto, Backend: core.BackendAlltoallv}},
 		}
-		m, err := r.run()
-		if err != nil {
-			return err
-		}
+		m := r.run()
 		n := grid[0] * grid[1] * grid[2]
-		fmt.Fprintf(tw, "%d\t%d\t%s\t%s\t%.0f\n", nodes, ranks,
-			stats.FormatSeconds(m.TotalPerFFT), stats.FormatSeconds(m.CommPerFFT),
-			stats.Gflops(stats.FFTFlops(n), m.TotalPerFFT))
+		s.Rows = append(s.Rows, []Cell{count(nodes), count(ranks), secs(m.TotalPerFFT), secs(m.CommPerFFT),
+			num(stats.Gflops(stats.FFTFlops(n), m.TotalPerFFT), "%.0f")})
 	}
-	if err := tw.Flush(); err != nil {
-		return err
+	s.Notes = []string{
+		"projection only: the paper reports no Frontier numbers; this extrapolates the",
+		"calibrated Spock model to the Frontier topology as the conclusions anticipate",
 	}
-	fmt.Fprintln(w, "projection only: the paper reports no Frontier numbers; this extrapolates the")
-	fmt.Fprintln(w, "calibrated Spock model to the Frontier topology as the conclusions anticipate")
-	return nil
+	return Result{Sections: []Section{s}}, nil
 }

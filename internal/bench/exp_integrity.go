@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -29,11 +28,11 @@ func sdcWirePlan(ops int) *faults.Plan {
 	return p
 }
 
-// runIntegrityExp prints two tables: the steady-state overhead of each
+// runIntegrityExp returns two tables: the steady-state overhead of each
 // integrity layer on a clean Forward (the acceptance gate: full defenses
 // < 3% at 128³), and the virtual-time price of the recovery paths when
 // corruption actually strikes.
-func runIntegrityExp(w io.Writer, opts RunOptions) error {
+func runIntegrityExp(opts RunOptions) (Result, error) {
 	ranks := 64
 	grids := [][3]int{{32, 32, 32}, {128, 128, 128}, {256, 256, 256}}
 	recoveryGrid := [3]int{128, 128, 128}
@@ -64,59 +63,61 @@ func runIntegrityExp(w io.Writer, opts RunOptions) error {
 		{"full", mpisim.IntegrityConfig{Checksums: true, Invariants: true}},
 	}
 
-	fmt.Fprintf(w, "Clean-run overhead (Summit, %d ranks, GPU-aware, phantom payloads):\n", ranks)
-	tw := newTable(w)
-	fmt.Fprintln(tw, "grid\tconfig\tforward\toverhead")
+	overhead := Section{
+		Lead:   []string{fmt.Sprintf("Clean-run overhead (Summit, %d ranks, GPU-aware, phantom payloads):", ranks)},
+		Header: []string{"grid", "config", "forward", "overhead"},
+	}
 	for _, g := range grids {
 		base := 0.0
 		for _, c := range configs {
 			t, _, err := forward(g, c.ic, nil, phantom)
 			if err != nil {
-				return err
+				return Result{}, err
 			}
+			vs := label("—")
 			if c.name == "off" {
 				base = t
-				fmt.Fprintf(tw, "%d³\t%s\t%.1fµs\t—\n", g[0], c.name, t*1e6)
-				continue
+			} else {
+				vs = signedPct(t/base - 1)
 			}
-			fmt.Fprintf(tw, "%d³\t%s\t%.1fµs\t%+.2f%%\n", g[0], c.name, t*1e6, (t/base-1)*100)
+			overhead.Rows = append(overhead.Rows, []Cell{label(fmt.Sprintf("%d³", g[0])), label(c.name), micros(t), vs})
 		}
-	}
-	if err := tw.Flush(); err != nil {
-		return err
 	}
 
 	full := mpisim.IntegrityConfig{Checksums: true, Invariants: true}
 	clean, _, err := forward(recoveryGrid, full, nil, realSeed)
 	if err != nil {
-		return err
+		return Result{}, err
 	}
 	wire, wireStats, err := forward(recoveryGrid, full, sdcWirePlan(8), realSeed)
 	if err != nil {
-		return err
+		return Result{}, err
 	}
 	brickPlan := &faults.Plan{Timeout: 1, Events: []faults.Event{
 		{Kind: faults.CorruptSilent, Brick: true, Rank: 1, Op: 0, Count: 1},
 	}}
 	brick, brickStats, err := forward(recoveryGrid, full, brickPlan, realSeed)
 	if err != nil {
-		return err
+		return Result{}, err
 	}
 
-	fmt.Fprintf(w, "\nRecovery price (%d³, full defenses, real payloads):\n", recoveryGrid[0])
-	tw = newTable(w)
-	fmt.Fprintln(tw, "scenario\tforward\tvs clean\trecoveries")
-	fmt.Fprintf(tw, "clean\t%.1fµs\t—\t—\n", clean*1e6)
-	fmt.Fprintf(tw, "wire flips ×%d\t%.1fµs\t%+.2f%%\t%d retransmits\n",
-		wireStats.Retransmits, wire*1e6, (wire/clean-1)*100, wireStats.Retransmits)
-	fmt.Fprintf(tw, "brick flip ×1\t%.1fµs\t%+.2f%%\t%d phase re-execs\n",
-		brick*1e6, (brick/clean-1)*100, brickStats.PhaseReexecs)
-	if err := tw.Flush(); err != nil {
-		return err
+	recovery := Section{
+		Lead:   []string{"", fmt.Sprintf("Recovery price (%d³, full defenses, real payloads):", recoveryGrid[0])},
+		Header: []string{"scenario", "forward", "vs clean", "recoveries"},
+		Rows: [][]Cell{
+			{label("clean"), micros(clean), label("—"), label("—")},
+			{label(fmt.Sprintf("wire flips ×%d", wireStats.Retransmits)), micros(wire), signedPct(wire/clean - 1),
+				num(float64(wireStats.Retransmits), "%.0f retransmits")},
+			{label("brick flip ×1"), micros(brick), signedPct(brick/clean - 1),
+				num(float64(brickStats.PhaseReexecs), "%.0f phase re-execs")},
+		},
+		Notes: []string{
+			"",
+			"A recovery touching one rank can cost less than its local price: per-rank",
+			"completion of the exchange schedules is skewed by tens of µs, so a single",
+			"phase re-execution (or a handful of block retransmits off the critical",
+			"path) often hides entirely in slack another rank sets anyway.",
+		},
 	}
-	fmt.Fprintln(w, "\nA recovery touching one rank can cost less than its local price: per-rank")
-	fmt.Fprintln(w, "completion of the exchange schedules is skewed by tens of µs, so a single")
-	fmt.Fprintln(w, "phase re-execution (or a handful of block retransmits off the critical")
-	fmt.Fprintln(w, "path) often hides entirely in slack another rank sets anyway.")
-	return nil
+	return Result{Sections: []Section{overhead, recovery}}, nil
 }

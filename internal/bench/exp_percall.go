@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -34,27 +33,27 @@ func init() {
 // backward transforms with brick I/O on 24 ranks — and returns the per-call
 // series (max over ranks) of the named MPI events, concatenated in call
 // order across names.
-func perCallRun(opts RunOptions, mdl *machine.Model, planOpts core.Options, names []string) (map[string][]float64, error) {
+func perCallRun(opts RunOptions, mdl *machine.Model, planOpts core.Options, names []string) map[string][]float64 {
 	const ranks = 24
 	r := fftRun{
 		model: mdl, ranks: ranks, aware: true,
 		cfg:     tableIIIConfig(ranks, gridFor(opts), planOpts),
 		keepAll: true,
 	}
-	m, err := r.run()
-	if err != nil {
-		return nil, err
-	}
+	m := r.run()
 	out := map[string][]float64{}
 	for _, n := range names {
 		out[n] = m.Tracer.PerCall(n)
 	}
-	return out, nil
+	return out
 }
 
-func runFig2(w io.Writer, opts RunOptions) error {
+// runFig2 reports each variant's total over all calls (total_alltoall,
+// total_alltoallv, total_alltoallw_mvapich, total_alltoallw_staged).
+func runFig2(opts RunOptions) (Result, error) {
 	type variant struct {
 		label   string
+		scalar  string
 		mdl     *machine.Model
 		backend core.Backend
 		event   string
@@ -66,48 +65,43 @@ func runFig2(w io.Writer, opts RunOptions) error {
 	mvapich.Name = "summit+mvapich-gdr"
 	mvapich.AlltoallwGPUAware = true
 	variants := []variant{
-		{"MPI_Alltoall (SpectrumMPI)", machine.Summit(), core.BackendAlltoall, "MPI_Alltoall"},
-		{"MPI_Alltoallv (SpectrumMPI)", machine.Summit(), core.BackendAlltoallv, "MPI_Alltoallv"},
-		{"MPI_Alltoallw (MVAPICH-GDR)", mvapich, core.BackendAlltoallw, "MPI_Alltoallw"},
-		{"MPI_Alltoallw (SpectrumMPI, staged)", machine.Summit(), core.BackendAlltoallw, "MPI_Alltoallw"},
+		{"MPI_Alltoall (SpectrumMPI)", "alltoall", machine.Summit(), core.BackendAlltoall, "MPI_Alltoall"},
+		{"MPI_Alltoallv (SpectrumMPI)", "alltoallv", machine.Summit(), core.BackendAlltoallv, "MPI_Alltoallv"},
+		{"MPI_Alltoallw (MVAPICH-GDR)", "alltoallw_mvapich", mvapich, core.BackendAlltoallw, "MPI_Alltoallw"},
+		{"MPI_Alltoallw (SpectrumMPI, staged)", "alltoallw_staged", machine.Summit(), core.BackendAlltoallw, "MPI_Alltoallw"},
 	}
+	s := Section{Header: []string{"call#"}}
 	series := make([][]float64, len(variants))
+	totals := map[string]float64{}
 	for i, v := range variants {
-		s, err := perCallRun(opts, v.mdl, core.Options{Decomp: core.DecompPencils, Backend: v.backend}, []string{v.event})
-		if err != nil {
-			return err
-		}
-		series[i] = s[v.event]
+		series[i] = perCallRun(opts, v.mdl, core.Options{Decomp: core.DecompPencils, Backend: v.backend}, []string{v.event})[v.event]
+		s.Header = append(s.Header, v.label)
+		totals["total_"+v.scalar] = sum(series[i])
 	}
-	tw := newTable(w)
-	fmt.Fprint(tw, "call#")
-	for _, v := range variants {
-		fmt.Fprintf(tw, "\t%s", v.label)
-	}
-	fmt.Fprintln(tw)
-	for k := 0; k < len(series[0]); k++ {
-		fmt.Fprintf(tw, "%d", k+1)
+	for k := range series[0] {
+		row := []Cell{count(k + 1)}
 		for i := range variants {
 			val := 0.0
 			if k < len(series[i]) {
 				val = series[i][k]
 			}
-			fmt.Fprintf(tw, "\t%s", stats.FormatSeconds(val))
+			row = append(row, secs(val))
 		}
-		fmt.Fprintln(tw)
+		s.Rows = append(s.Rows, row)
 	}
-	if err := tw.Flush(); err != nil {
-		return err
+	s.Notes = []string{
+		fmt.Sprintf("totals: alltoall %s, alltoallv %s, alltoallw(mvapich) %s, alltoallw(staged) %s",
+			stats.FormatSeconds(totals["total_alltoall"]), stats.FormatSeconds(totals["total_alltoallv"]),
+			stats.FormatSeconds(totals["total_alltoallw_mvapich"]), stats.FormatSeconds(totals["total_alltoallw_staged"])),
+		"expected shape: alltoallw per call ≫ alltoall(v); alltoall ≈ alltoallv on the FFT-grid",
+		"exchanges, with the gap concentrated in the padded brick↔pencil reshape calls",
 	}
-	fmt.Fprintf(w, "totals: alltoall %s, alltoallv %s, alltoallw(mvapich) %s, alltoallw(staged) %s\n",
-		stats.FormatSeconds(sum(series[0])), stats.FormatSeconds(sum(series[1])),
-		stats.FormatSeconds(sum(series[2])), stats.FormatSeconds(sum(series[3])))
-	fmt.Fprintln(w, "expected shape: alltoallw per call ≫ alltoall(v); alltoall ≈ alltoallv on the FFT-grid")
-	fmt.Fprintln(w, "exchanges, with the gap concentrated in the padded brick↔pencil reshape calls")
-	return nil
+	return Result{Sections: []Section{s}, Scalars: totals}, nil
 }
 
-func runFig3(w io.Writer, opts RunOptions) error {
+// runFig3 reports blocking_ratio: the blocking variant's total over the
+// non-blocking one's.
+func runFig3(opts RunOptions) (Result, error) {
 	type variant struct {
 		label   string
 		backend core.Backend
@@ -117,50 +111,36 @@ func runFig3(w io.Writer, opts RunOptions) error {
 		{"blocking (MPI_Send+MPI_Irecv)", core.BackendP2PBlocking},
 	}
 	events := []string{"MPI_Isend", "MPI_Send", "MPI_Waitany", "MPI_Wait(send)"}
-	tw := newTable(w)
-	fmt.Fprintln(tw, "variant\tevent\tcalls\tmean/call\tmax/call\ttotal")
+	s := Section{Header: []string{"variant", "event", "calls", "mean/call", "max/call", "total"}}
 	totals := make([]float64, len(variants))
 	for i, v := range variants {
-		s, err := perCallRun(opts, machine.Summit(), core.Options{Decomp: core.DecompPencils, Backend: v.backend}, events)
-		if err != nil {
-			return err
-		}
+		series := perCallRun(opts, machine.Summit(), core.Options{Decomp: core.DecompPencils, Backend: v.backend}, events)
 		for _, ev := range events {
-			calls := s[ev]
+			calls := series[ev]
 			if len(calls) == 0 {
 				continue
 			}
 			totals[i] += sum(calls)
-			fmt.Fprintf(tw, "%s\t%s\t%d\t%s\t%s\t%s\n", v.label, ev, len(calls),
-				stats.FormatSeconds(stats.Mean(calls)), stats.FormatSeconds(stats.Max(calls)),
-				stats.FormatSeconds(sum(calls)))
+			s.Rows = append(s.Rows, []Cell{label(v.label), label(ev), count(len(calls)),
+				secs(stats.Mean(calls)), secs(stats.Max(calls)), secs(sum(calls))})
 		}
 	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
 	ratio := totals[1] / totals[0]
-	fmt.Fprintf(w, "blocking/non-blocking total ratio: %.2f (paper: \"not much difference\")\n", ratio)
-	return nil
+	s.Notes = []string{fmt.Sprintf("blocking/non-blocking total ratio: %.2f (paper: \"not much difference\")", ratio)}
+	return Result{Sections: []Section{s}, Scalars: map[string]float64{"blocking_ratio": ratio}}, nil
 }
 
-func runFig10(w io.Writer, opts RunOptions) error {
+// runFig10 reports strided_spike: the strided kernel's mean per-call time
+// over the contiguous one's.
+func runFig10(opts RunOptions) (Result, error) {
 	grid := gridFor(opts)
-	run := func(contig bool) (map[string][]float64, error) {
+	run := func(contig bool) map[string][]float64 {
 		return perCallRun(opts, machine.Summit(),
 			core.Options{Decomp: core.DecompPencils, Backend: core.BackendAlltoallv, Contiguous: contig},
 			[]string{"cufft_1d", "cufft_1d_strided"})
 	}
-	contig, err := run(true)
-	if err != nil {
-		return err
-	}
-	strided, err := run(false)
-	if err != nil {
-		return err
-	}
-	tw := newTable(w)
-	fmt.Fprintln(tw, "mode\tkernel\tcalls\tmean/call\tmax/call")
+	contig, strided := run(true), run(false)
+	s := Section{Header: []string{"mode", "kernel", "calls", "mean/call", "max/call"}}
 	for _, row := range []struct {
 		mode string
 		s    map[string][]float64
@@ -169,16 +149,13 @@ func runFig10(w io.Writer, opts RunOptions) error {
 			if len(row.s[k]) == 0 {
 				continue
 			}
-			fmt.Fprintf(tw, "%s\t%s\t%d\t%s\t%s\n", row.mode, k, len(row.s[k]),
-				stats.FormatSeconds(stats.Mean(row.s[k])), stats.FormatSeconds(stats.Max(row.s[k])))
+			s.Rows = append(s.Rows, []Cell{label(row.mode), label(k), count(len(row.s[k])),
+				secs(stats.Mean(row.s[k])), secs(stats.Max(row.s[k]))})
 		}
 	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
 	spike := stats.Mean(strided["cufft_1d_strided"]) / stats.Mean(contig["cufft_1d"])
-	fmt.Fprintf(w, "strided spike: %.1f× the contiguous per-call time (batch of %d-point 1-D FFTs)\n", spike, grid[0])
-	return nil
+	s.Notes = []string{fmt.Sprintf("strided spike: %.1f× the contiguous per-call time (batch of %d-point 1-D FFTs)", spike, grid[0])}
+	return Result{Sections: []Section{s}, Scalars: map[string]float64{"strided_spike": spike}}, nil
 }
 
 func sum(xs []float64) float64 {

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -22,13 +21,13 @@ func init() {
 // flatAlgos are the single-level schedules the node-aware one competes with.
 var flatAlgos = []core.CollAlgo{core.CollLinear, core.CollPairwise, core.CollRing, core.CollBruck}
 
-// runPlacement prints the placement × schedule regime table: for each machine
+// runPlacement returns the placement × schedule regime table: for each machine
 // and grid, the best flat schedule and the node-aware two-level one under
 // block and round-robin placement. Round-robin dealing spreads consecutive
 // ranks across nodes, turning the library's mostly-intra-node pencil rows
 // into inter-node exchanges — the regime where aggregating each node's
 // traffic into one leader flow pays most.
-func runPlacement(w io.Writer, opts RunOptions) error {
+func runPlacement(opts RunOptions) (Result, error) {
 	machines := []*machine.Model{machine.Summit(), machine.Spock(), machine.Frontier()}
 	grids := [][3]int{{32, 32, 32}, {128, 128, 128}, {256, 256, 256}}
 	nodes := 8
@@ -44,8 +43,7 @@ func runPlacement(w io.Writer, opts RunOptions) error {
 		{"block", topo.Block()},
 		{"round-robin", topo.RoundRobin()},
 	}
-	tw := newTable(w)
-	fmt.Fprintln(tw, "machine\tgrid\tplacement\tbest flat\tnode-aware\tspeedup")
+	s := Section{Header: []string{"machine", "grid", "placement", "best flat", "node-aware", "speedup"}}
 	for _, m := range machines {
 		ranks := nodes * m.GPUsPerNode
 		for _, g := range grids {
@@ -59,7 +57,7 @@ func runPlacement(w io.Writer, opts RunOptions) error {
 				for _, a := range flatAlgos {
 					t, err := forward(a)
 					if err != nil {
-						return err
+						return Result{}, err
 					}
 					if bestFlat == 0 || t < bestFlat {
 						bestFlat, bestName = t, a.String()
@@ -67,12 +65,13 @@ func runPlacement(w io.Writer, opts RunOptions) error {
 				}
 				na, err := forward(core.CollNodeAware)
 				if err != nil {
-					return err
+					return Result{}, err
 				}
-				fmt.Fprintf(tw, "%s\t%d³\t%s\t%.1fµs (%s)\t%.1fµs\t%.2f×\n",
-					m.Name, g[0], pl.name, bestFlat*1e6, bestName, na*1e6, bestFlat/na)
+				s.Rows = append(s.Rows, []Cell{label(m.Name), label(fmt.Sprintf("%d³", g[0])), label(pl.name),
+					Cell{V: bestFlat, Text: fmt.Sprintf("%.1fµs (%s)", bestFlat*1e6, bestName)},
+					micros(na), num(bestFlat/na, "%.2f×")})
 			}
 		}
 	}
-	return tw.Flush()
+	return Result{Sections: []Section{s}}, nil
 }

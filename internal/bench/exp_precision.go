@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/core"
@@ -40,12 +39,12 @@ func peakRelError(got, want [][]complex128) float64 {
 	return maxDiff / peak
 }
 
-// runPrecisionExp prints the accuracy-vs-speed table of the wire-compression
+// runPrecisionExp returns the accuracy-vs-speed table of the wire-compression
 // layer: per grid, the staged Forward time at each wire precision and its
 // speedup over fp64, then — on the largest grid — the measured peak-normalized
 // error of the compressed transforms against the fp64 oracle next to the
 // analytic WireErrorBound.
-func runPrecisionExp(w io.Writer, opts RunOptions) error {
+func runPrecisionExp(opts RunOptions) (Result, error) {
 	ranks, pg, qg := 64, 8, 8
 	grids := [][3]int{{64, 64, 64}, {128, 128, 128}, {256, 256, 256}}
 	errGrid := [3]int{256, 256, 256}
@@ -86,45 +85,45 @@ func runPrecisionExp(w io.Writer, opts RunOptions) error {
 	}
 	const realSeed = 577
 
-	fmt.Fprintf(w, "Staged exchange (Summit, %d ranks as %d×%d pencils, pencil-native I/O, no GPU-aware MPI, phantom payloads):\n", ranks, pg, qg)
-	tw := newTable(w)
-	fmt.Fprintln(tw, "grid\tfp64\tfp32\tfp16\tfp32 speedup\tfp16 speedup")
+	speed := Section{
+		Lead: []string{fmt.Sprintf("Staged exchange (Summit, %d ranks as %d×%d pencils, pencil-native I/O, no GPU-aware MPI, phantom payloads):",
+			ranks, pg, qg)},
+		Header: []string{"grid", "fp64", "fp32", "fp16", "fp32 speedup", "fp16 speedup"},
+	}
 	for _, g := range grids {
 		var times [3]float64
 		for i, wp := range wires {
 			t, _, _, err := forward(g, wp, phantom)
 			if err != nil {
-				return err
+				return Result{}, err
 			}
 			times[i] = t
 		}
-		fmt.Fprintf(tw, "%d³\t%.1fµs\t%.1fµs\t%.1fµs\t%.2f×\t%.2f×\n",
-			g[0], times[0]*1e6, times[1]*1e6, times[2]*1e6,
-			times[0]/times[1], times[0]/times[2])
-	}
-	if err := tw.Flush(); err != nil {
-		return err
+		speed.Rows = append(speed.Rows, []Cell{label(fmt.Sprintf("%d³", g[0])),
+			micros(times[0]), micros(times[1]), micros(times[2]),
+			num(times[0]/times[1], "%.2f×"), num(times[0]/times[2], "%.2f×")})
 	}
 
 	_, _, oracle, err := forward(errGrid, core.WireFp64, realSeed)
 	if err != nil {
-		return err
+		return Result{}, err
 	}
-	fmt.Fprintf(w, "\nAccuracy vs the fp64 oracle (%d³, real payloads):\n", errGrid[0])
-	tw = newTable(w)
-	fmt.Fprintln(tw, "wire\tmax rel error\tanalytic bound")
+	accuracy := Section{
+		Lead:   []string{"", fmt.Sprintf("Accuracy vs the fp64 oracle (%d³, real payloads):", errGrid[0])},
+		Header: []string{"wire", "max rel error", "analytic bound"},
+	}
 	for _, wp := range wires[1:] {
 		_, bound, got, err := forward(errGrid, wp, realSeed)
 		if err != nil {
-			return err
+			return Result{}, err
 		}
-		fmt.Fprintf(tw, "%s\t%.2e\t%.2e\n", wp, peakRelError(got, oracle), bound)
+		accuracy.Rows = append(accuracy.Rows, []Cell{label(wp.String()), num(peakRelError(got, oracle), "%.2e"), num(bound, "%.2e")})
 	}
-	if err := tw.Flush(); err != nil {
-		return err
+	accuracy.Notes = []string{
+		"",
+		"fp32 wire halves every interior exchange (wire bytes AND both PCIe staging",
+		"legs) for ~1e-7 error — free accuracy for bandwidth-bound shapes. fp16",
+		"quarters the bytes at ~1e-3; use it only under an explicit accuracy budget.",
 	}
-	fmt.Fprintln(w, "\nfp32 wire halves every interior exchange (wire bytes AND both PCIe staging")
-	fmt.Fprintln(w, "legs) for ~1e-7 error — free accuracy for bandwidth-bound shapes. fp16")
-	fmt.Fprintln(w, "quarters the bytes at ~1e-3; use it only under an explicit accuracy budget.")
-	return nil
+	return Result{Sections: []Section{speed, accuracy}}, nil
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -42,7 +41,7 @@ func init() {
 
 // scalingPoint measures one (nodes, backend, aware) cell of the strong-
 // scaling experiments on Summit with Table III grids.
-func scalingPoint(opts RunOptions, nodes int, backend core.Backend, aware bool) (measured, error) {
+func scalingPoint(opts RunOptions, nodes int, backend core.Backend, aware bool) measured {
 	ranks := 6 * nodes
 	r := fftRun{
 		model: machine.Summit(), ranks: ranks, aware: aware,
@@ -51,12 +50,11 @@ func scalingPoint(opts RunOptions, nodes int, backend core.Backend, aware bool) 
 	return r.run()
 }
 
-func runFig4(w io.Writer, opts RunOptions) error {
+func runFig4(opts RunOptions) (Result, error) {
 	grid := gridFor(opts)
 	n := grid[0] * grid[1] * grid[2]
 	lat := machine.Summit().InterLatency
-	tw := newTable(w)
-	fmt.Fprintln(tw, "nodes\tGPUs\tB(a2a,aware)\tB(a2a,host)\tB(p2p,aware)\tB(p2p,host)")
+	s := Section{Header: []string{"nodes", "GPUs", "B(a2a,aware)", "B(a2a,host)", "B(p2p,aware)", "B(p2p,host)"}}
 	cells := []struct {
 		name  string
 		b     core.Backend
@@ -72,70 +70,66 @@ func runFig4(w io.Writer, opts RunOptions) error {
 	for _, nodes := range nodeSweep(opts, 128) {
 		ranks := 6 * nodes
 		e := core.LookupTableIII(ranks)
-		fmt.Fprintf(tw, "%d\t%d", nodes, ranks)
+		row := []Cell{count(nodes), count(ranks)}
 		xs = append(xs, float64(nodes))
 		for ci, cell := range cells {
-			m, err := scalingPoint(opts, nodes, cell.b, cell.aware)
-			if err != nil {
-				return err
-			}
+			m := scalingPoint(opts, nodes, cell.b, cell.aware)
 			// Equation (5) expects the time of the two pencil exchanges of
 			// one FFT; the measured comm includes the brick I/O reshapes
 			// too, so scale by the pencil share (2 of Exchanges phases).
 			t := m.CommPerFFT * 2 / float64(m.Exchanges)
 			bw, err := model.PencilBandwidth(n, e.P, e.Q, t, lat)
 			if err != nil {
-				fmt.Fprintf(tw, "\t(%v)", err)
+				row = append(row, label(fmt.Sprintf("(%v)", err)))
 				ys[ci] = append(ys[ci], 0)
 				continue
 			}
 			ys[ci] = append(ys[ci], bw)
-			fmt.Fprintf(tw, "\t%s", stats.FormatBandwidth(bw))
+			row = append(row, Cell{V: bw, Text: stats.FormatBandwidth(bw)})
 		}
-		fmt.Fprintln(tw)
+		s.Rows = append(s.Rows, row)
 	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	series := make([]plot.Series, len(cells))
 	for ci, cell := range cells {
-		series[ci] = plot.Series{Name: cell.name, X: xs, Y: ys[ci]}
+		s.Plot = append(s.Plot, plot.Series{Name: cell.name, X: xs, Y: ys[ci]})
 	}
-	fmt.Fprint(w, plot.Render(series, plot.Options{LogX: true, LogY: true,
-		XLabel: "nodes (log)", YLabel: "avg bandwidth per process (log)"}))
-	fmt.Fprintln(w, "expected shape: bandwidth per process decreases steeply with node count (network")
-	fmt.Fprintln(w, "saturation + latency-dominated small messages), GPU-aware above host-staged")
-	return nil
+	s.PlotOpts = plot.Options{LogX: true, LogY: true, XLabel: "nodes (log)", YLabel: "avg bandwidth per process (log)"}
+	s.Notes = []string{
+		"expected shape: bandwidth per process decreases steeply with node count (network",
+		"saturation + latency-dominated small messages), GPU-aware above host-staged",
+	}
+	return Result{Sections: []Section{s}}, nil
 }
 
-func runFig5(w io.Writer, opts RunOptions) error {
+// runFig5 reports crossover_nodes: the first node count at which pencils
+// win after slabs have won at a smaller one (0 if that never happens).
+func runFig5(opts RunOptions) (Result, error) {
 	grid := gridFor(opts)
 	maxNodes := 512
 	if opts.Quick {
 		maxNodes = 8
 	}
-	tw := newTable(w)
-	fmt.Fprintln(tw, "nodes\tGPUs\tT(slabs)\tT(pencils)\tfastest")
+	s := Section{Header: []string{"nodes", "GPUs", "T(slabs)", "T(pencils)", "fastest"}}
 	params := model.Params{Latency: machine.Summit().InterLatency, Bandwidth: machine.Summit().NodeInjectionBW}
 	var xs, slabY, pencilY []float64
+	slabsWon, crossover := false, 0
 	for _, nodes := range nodeSweep(opts, maxNodes) {
 		ranks := 6 * nodes
 		var times [2]float64
-		labels := [2]string{"slabs", "pencils"}
 		for i, d := range []core.Decomposition{core.DecompSlabs, core.DecompPencils} {
 			r := fftRun{
 				model: machine.Summit(), ranks: ranks, aware: true,
 				cfg: tableIIIConfig(ranks, grid, core.Options{Decomp: d, Backend: core.BackendAlltoallv}),
 			}
-			m, err := r.run()
-			if err != nil {
-				return err
-			}
-			times[i] = m.TotalPerFFT
+			times[i] = r.run().TotalPerFFT
 		}
-		best := labels[0]
+		best := "slabs"
 		if times[1] < times[0] {
-			best = labels[1]
+			best = "pencils"
+			if slabsWon && crossover == 0 {
+				crossover = nodes
+			}
+		} else {
+			slabsWon = true
 		}
 		// Annotate the model's own prediction for comparison.
 		e := core.LookupTableIII(ranks)
@@ -143,91 +137,70 @@ func runFig5(w io.Writer, opts RunOptions) error {
 		if model.PreferSlabs(grid, e.P, e.Q, params) {
 			pred = "slabs"
 		}
-		fmt.Fprintf(tw, "%d\t%d\t%s\t%s\t%s (model: %s)\n", nodes, ranks,
-			stats.FormatSeconds(times[0]), stats.FormatSeconds(times[1]), best, pred)
+		s.Rows = append(s.Rows, []Cell{count(nodes), count(ranks), secs(times[0]), secs(times[1]),
+			label(fmt.Sprintf("%s (model: %s)", best, pred))})
 		xs = append(xs, float64(nodes))
 		slabY = append(slabY, times[0])
 		pencilY = append(pencilY, times[1])
 	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	fmt.Fprint(w, plot.Render([]plot.Series{
+	s.Plot = []plot.Series{
 		{Name: "slabs", X: xs, Y: slabY},
 		{Name: "pencils", X: xs, Y: pencilY},
-	}, plot.Options{LogX: true, LogY: true, XLabel: "nodes (log)", YLabel: "time per FFT (log)"}))
-	fmt.Fprintln(w, "expected shape: slabs fastest below 64 nodes, pencils from 64 nodes on (paper Fig. 5)")
-	return nil
+	}
+	s.PlotOpts = plot.Options{LogX: true, LogY: true, XLabel: "nodes (log)", YLabel: "time per FFT (log)"}
+	s.Notes = []string{"expected shape: slabs fastest below 64 nodes, pencils from 64 nodes on (paper Fig. 5)"}
+	return Result{Sections: []Section{s}, Scalars: map[string]float64{"crossover_nodes": float64(crossover)}}, nil
 }
 
-func scalingTable(w io.Writer, opts RunOptions, backend core.Backend, maxNodes int) error {
-	tw := newTable(w)
-	fmt.Fprintln(tw, "nodes\tGPUs\tcomm(aware)\tcomm(host)\ttotal(aware)\ttotal(host)")
+// scalingTable is the comm/total table and plot of Figs. 8 and 9.
+func scalingTable(opts RunOptions, backend core.Backend, maxNodes int, notes ...string) Result {
+	s := Section{Header: []string{"nodes", "GPUs", "comm(aware)", "comm(host)", "total(aware)", "total(host)"}}
 	var xs, awareY, hostY []float64
 	for _, nodes := range nodeSweep(opts, maxNodes) {
-		aware, err := scalingPoint(opts, nodes, backend, true)
-		if err != nil {
-			return err
-		}
-		host, err := scalingPoint(opts, nodes, backend, false)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(tw, "%d\t%d\t%s\t%s\t%s\t%s\n", nodes, 6*nodes,
-			stats.FormatSeconds(aware.CommPerFFT), stats.FormatSeconds(host.CommPerFFT),
-			stats.FormatSeconds(aware.TotalPerFFT), stats.FormatSeconds(host.TotalPerFFT))
+		aware := scalingPoint(opts, nodes, backend, true)
+		host := scalingPoint(opts, nodes, backend, false)
+		s.Rows = append(s.Rows, []Cell{count(nodes), count(6 * nodes),
+			secs(aware.CommPerFFT), secs(host.CommPerFFT), secs(aware.TotalPerFFT), secs(host.TotalPerFFT)})
 		xs = append(xs, float64(nodes))
 		awareY = append(awareY, aware.TotalPerFFT)
 		hostY = append(hostY, host.TotalPerFFT)
 	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	fmt.Fprint(w, plot.Render([]plot.Series{
+	s.Plot = []plot.Series{
 		{Name: "total, GPU-aware", X: xs, Y: awareY},
 		{Name: "total, -no-gpu-aware", X: xs, Y: hostY},
-	}, plot.Options{LogX: true, LogY: true, XLabel: "nodes (log)", YLabel: "time per FFT (log)"}))
-	return nil
-}
-
-func runFig8(w io.Writer, opts RunOptions) error {
-	if err := scalingTable(w, opts, core.BackendAlltoallv, 128); err != nil {
-		return err
 	}
-	fmt.Fprintln(w, "expected shape: both curves scale; GPU-aware consistently below host-staged")
-	return nil
+	s.PlotOpts = plot.Options{LogX: true, LogY: true, XLabel: "nodes (log)", YLabel: "time per FFT (log)"}
+	s.Notes = notes
+	return Result{Sections: []Section{s}}
 }
 
-func runFig9(w io.Writer, opts RunOptions) error {
-	if err := scalingTable(w, opts, core.BackendP2P, 128); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "expected shape: GPU-aware P2P stops scaling at large node counts (per-message")
-	fmt.Fprintln(w, "RDMA overhead × thousands of peers), while the host-staged path keeps scaling")
-	return nil
+func runFig8(opts RunOptions) (Result, error) {
+	return scalingTable(opts, core.BackendAlltoallv, 128,
+		"expected shape: both curves scale; GPU-aware consistently below host-staged"), nil
 }
 
-func runFig11(w io.Writer, opts RunOptions) error {
+func runFig9(opts RunOptions) (Result, error) {
+	return scalingTable(opts, core.BackendP2P, 128,
+		"expected shape: GPU-aware P2P stops scaling at large node counts (per-message",
+		"RDMA overhead × thousands of peers), while the host-staged path keeps scaling"), nil
+}
+
+// runFig11 reports gpu_aware_penalty: host-staged comm ÷ GPU-aware comm − 1.
+func runFig11(opts RunOptions) (Result, error) {
 	nodes := 16
 	if opts.Quick {
 		nodes = 4
 	}
-	aware, err := scalingPoint(opts, nodes, core.BackendAlltoallv, true)
-	if err != nil {
-		return err
+	aware := scalingPoint(opts, nodes, core.BackendAlltoallv, true)
+	host := scalingPoint(opts, nodes, core.BackendAlltoallv, false)
+	penalty := host.CommPerFFT/aware.CommPerFFT - 1
+	s := Section{
+		Header: []string{"setting", "comm/FFT", "total/FFT"},
+		Rows: [][]Cell{
+			{label("GPU-aware"), secs(aware.CommPerFFT), secs(aware.TotalPerFFT)},
+			{label("-no-gpu-aware"), secs(host.CommPerFFT), secs(host.TotalPerFFT)},
+		},
+		Notes: []string{fmt.Sprintf("disabling GPU-awareness increases communication by %s (paper: ≈30%%)", fmtPct(penalty))},
 	}
-	host, err := scalingPoint(opts, nodes, core.BackendAlltoallv, false)
-	if err != nil {
-		return err
-	}
-	tw := newTable(w)
-	fmt.Fprintln(tw, "setting\tcomm/FFT\ttotal/FFT")
-	fmt.Fprintf(tw, "GPU-aware\t%s\t%s\n", stats.FormatSeconds(aware.CommPerFFT), stats.FormatSeconds(aware.TotalPerFFT))
-	fmt.Fprintf(tw, "-no-gpu-aware\t%s\t%s\n", stats.FormatSeconds(host.CommPerFFT), stats.FormatSeconds(host.TotalPerFFT))
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "disabling GPU-awareness increases communication by %s (paper: ≈30%%)\n",
-		fmtPct(host.CommPerFFT/aware.CommPerFFT-1))
-	return nil
+	return Result{Sections: []Section{s}, Scalars: map[string]float64{"gpu_aware_penalty": penalty}}, nil
 }

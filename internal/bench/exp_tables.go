@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/core"
 )
@@ -25,10 +24,9 @@ func init() {
 	})
 }
 
-func runTable1(w io.Writer, _ RunOptions) error {
-	tw := newTable(w)
-	fmt.Fprintln(tw, "library\tAlltoAll\tPoint-to-Point")
-	rows := [][3]string{
+func runTable1(RunOptions) (Result, error) {
+	libs := Section{Header: []string{"library", "AlltoAll", "Point-to-Point"}}
+	for _, r := range [][3]string{
 		{"AccFFT [15]", "MPI_Alltoall", "MPI_Isend/MPI_Irecv, MPI_Sendrecv"},
 		{"FFTE [16]", "MPI_Alltoall, MPI_Alltoallv", "-"},
 		{"fftMPI [17]", "MPI_Alltoallv", "MPI_Send/MPI_Irecv"},
@@ -36,17 +34,13 @@ func runTable1(w io.Writer, _ RunOptions) error {
 		{"Dalcin et al. [11]", "MPI_Alltoallw", "-"},
 		{"P3DFFT [19]", "MPI_Alltoallv", "MPI_Send/MPI_Irecv"},
 		{"this library", "Alltoall, Alltoallv, Alltoallw", "Send/Isend, Irecv (+Waitany)"},
+	} {
+		libs.Rows = append(libs.Rows, labels(r[:]...))
 	}
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%s\t%s\n", r[0], r[1], r[2])
+	backends := Section{
+		Lead:   []string{"", "backend capability check of this library:"},
+		Header: []string{"backend", "collective", "pads blocks", "pack/unpack kernels", "GPU-aware on SpectrumMPI-like stacks"},
 	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, "backend capability check of this library:")
-	tw = newTable(w)
-	fmt.Fprintln(tw, "backend\tcollective\tpads blocks\tpack/unpack kernels\tGPU-aware on SpectrumMPI-like stacks")
 	type caps struct {
 		b          core.Backend
 		pads, pk   bool
@@ -59,34 +53,32 @@ func runTable1(w io.Writer, _ RunOptions) error {
 		{core.BackendP2P, false, true, true},
 		{core.BackendP2PBlocking, false, true, true},
 	} {
-		fmt.Fprintf(tw, "%v\t%v\t%v\t%v\t%v\n", c.b, c.b.Collective(), c.pads, c.pk, c.gpuAwareOK)
+		backends.Rows = append(backends.Rows, labels(c.b.String(), fmt.Sprint(c.b.Collective()),
+			fmt.Sprint(c.pads), fmt.Sprint(c.pk), fmt.Sprint(c.gpuAwareOK)))
 	}
-	return tw.Flush()
+	return Result{Sections: []Section{libs, backends}}, nil
 }
 
-func runTable2(w io.Writer, _ RunOptions) error {
-	tw := newTable(w)
-	fmt.Fprintln(tw, "paper software\tversion\tsimulated equivalent")
-	rows := [][3]string{
+func runTable2(RunOptions) (Result, error) {
+	s := Section{Header: []string{"paper software", "version", "simulated equivalent"}}
+	for _, r := range [][3]string{
 		{"CUDA / cuFFT", "11.0.3", "internal/fft kernels + internal/machine V100 cost model"},
 		{"FFTW3", "3.3.9", "internal/fft (pure Go, plan-cached)"},
 		{"heFFTe", "2.1", "internal/core (Algorithm 1 + grid shrinking + batching)"},
 		{"Spectrum MPI", "10.4.1", "internal/mpisim on machine.Summit() (Alltoallw not GPU-aware)"},
 		{"MVAPICH-GDR", "2.3.6", "internal/mpisim with AlltoallwGPUAware=true"},
 		{"rocFFT", "-", "internal/machine MI100 cost model (machine.Spock())"},
+	} {
+		s.Rows = append(s.Rows, labels(r[:]...))
 	}
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%s\t%s\n", r[0], r[1], r[2])
-	}
-	return tw.Flush()
+	return Result{Sections: []Section{s}}, nil
 }
 
-func runTable3(w io.Writer, _ RunOptions) error {
-	tw := newTable(w)
-	fmt.Fprintln(tw, "#GPUs\tinput/output grid\tFFT grids (x,y,z pencils)")
+func runTable3(RunOptions) (Result, error) {
+	s := Section{Header: []string{"#GPUs", "input/output grid", "FFT grids (x,y,z pencils)"}}
 	for _, e := range core.TableIII {
-		fmt.Fprintf(tw, "%d\t%v\t(1, %d, %d) (%d, 1, %d) (%d, %d, 1)\n",
-			e.GPUs, e.InOut, e.P, e.Q, e.P, e.Q, e.P, e.Q)
+		s.Rows = append(s.Rows, []Cell{count(e.GPUs), label(fmt.Sprint(e.InOut)),
+			label(fmt.Sprintf("(1, %d, %d) (%d, 1, %d) (%d, %d, 1)", e.P, e.Q, e.P, e.Q, e.P, e.Q))})
 	}
-	return tw.Flush()
+	return Result{Sections: []Section{s}}, nil
 }

@@ -1,20 +1,19 @@
 package bench
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/mpisim"
 	"repro/internal/trace"
 )
 
-// commEventNames are the trace names counted as MPI communication time.
-var commEventNames = map[string]bool{
-	"MPI_Alltoall": true, "MPI_Alltoallv": true, "MPI_Alltoallw": true,
-	"MPI_Send": true, "MPI_Isend": true, "MPI_Irecv": true,
-	"MPI_Recv": true, "MPI_Wait(send)": true, "MPI_Wait(recv)": true,
-	"MPI_Waitany": true,
+// commEventNames are the trace names counted as MPI communication time, in
+// the fixed order their totals are summed (so the sum is bit-reproducible).
+var commEventNames = []string{
+	"MPI_Alltoall", "MPI_Alltoallv", "MPI_Alltoallw",
+	"MPI_Send", "MPI_Isend", "MPI_Irecv",
+	"MPI_Recv", "MPI_Wait(send)", "MPI_Wait(recv)",
+	"MPI_Waitany",
 }
 
 // fftRun describes one measured FFT experiment following the paper's
@@ -77,16 +76,11 @@ func (r *fftRun) defaults() {
 	}
 }
 
-// run executes the experiment and gathers results. All payloads are phantom:
-// timing is identical to real payloads (a tested property) and paper-scale
-// grids need no memory.
-func (r fftRun) run() (m measured, err error) {
+// run executes the experiment and gathers results; a bad configuration
+// panics (Run recovers it). All payloads are phantom: timing is identical to
+// real payloads (a tested property) and paper-scale grids need no memory.
+func (r fftRun) run() (m measured) {
 	r.defaults()
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("bench: run failed: %v", p)
-		}
-	}()
 	tr := trace.New()
 	w := mpisim.NewWorld(r.model, r.ranks, mpisim.Options{GPUAware: r.aware, Tracer: tr})
 	w.Run(func(c *mpisim.Comm) {
@@ -141,13 +135,11 @@ func (r fftRun) run() (m measured, err error) {
 	}
 	m.Breakdown = tr.TotalByName(-1)
 	comm := 0.0
-	for name, v := range m.Breakdown {
-		if commEventNames[name] {
-			comm += v
-		}
+	for _, name := range commEventNames {
+		comm += m.Breakdown[name]
 	}
 	m.CommPerFFT = comm / float64(r.fwd+r.bwd)
-	return m, nil
+	return m
 }
 
 // forwardOnce creates cfg's plan on every rank of w, runs one Forward and
@@ -229,5 +221,3 @@ func nodeSweep(opts RunOptions, max int) []int {
 	}
 	return out
 }
-
-func fmtPct(x float64) string { return fmt.Sprintf("%.0f%%", 100*x) }

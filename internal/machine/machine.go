@@ -35,16 +35,16 @@ func (l Location) String() string {
 	return "device"
 }
 
-// MsgClass distinguishes the software stack a message goes through; vendor
-// collectives (MPI_Alltoall/v) have much lower per-message costs than the
-// generic point-to-point path, and MPI_Alltoallw is a naive Isend/Irecv loop
+// MsgClass distinguishes the software stack a message goes through: the
+// generic point-to-point path, or MPI_Alltoallw, a naive Isend/Irecv loop
 // (the paper: "its MPI_Alltoallw is simply composed of a non-blocking
-// MPI_Isend and MPI_Irecv algorithm for any array size").
+// MPI_Isend and MPI_Irecv algorithm for any array size"). Vendor collectives
+// (MPI_Alltoall/v) are priced by mpisim's collective pricers from the
+// *OverheadColl fields, not per message.
 type MsgClass int
 
 const (
 	ClassP2P MsgClass = iota
-	ClassCollective
 	ClassAlltoallw
 )
 
@@ -430,12 +430,6 @@ func (m *Model) MsgCostOn(bytes int, p Path, nodes int, dev, aware bool, class M
 		} else {
 			c.PostOverhead = m.HostOverheadP2P
 			c.RecvOverhead = m.HostOverheadP2P / 2
-		}
-	case ClassCollective:
-		if effDev {
-			c.PostOverhead = m.DeviceOverheadColl
-		} else {
-			c.PostOverhead = m.HostOverheadColl
 		}
 	case ClassAlltoallw:
 		c.PostOverhead = m.AlltoallwOverhead

@@ -108,7 +108,7 @@ func TestMsgCostOnMatchesMsgCost(t *testing.T) {
 	m := Summit()
 	for _, dev := range []bool{false, true} {
 		for _, aware := range []bool{false, true} {
-			for _, class := range []MsgClass{ClassP2P, ClassCollective, ClassAlltoallw} {
+			for _, class := range []MsgClass{ClassP2P, ClassAlltoallw} {
 				got := m.MsgCostOn(1<<20, m.PathBetween(0, 7, 24), m.Nodes(24), dev, aware, class)
 				want := m.MsgCost(1<<20, 0, 7, 24, dev, aware, class)
 				if got != want {
@@ -167,19 +167,6 @@ func TestAlltoallwNeverGPUAwareOnSummit(t *testing.T) {
 	c = s.MsgCost(1<<20, 0, 4, 8, true, true, ClassAlltoallw)
 	if c.PreStage != 0 {
 		t.Error("MVAPICH-like Alltoallw should be GPU-aware on Spock")
-	}
-}
-
-func TestCollectiveOverheadBelowP2P(t *testing.T) {
-	m := Summit()
-	coll := m.MsgCost(1<<16, 0, 6, 12, true, true, ClassCollective)
-	p2p := m.MsgCost(1<<16, 0, 6, 12, true, true, ClassP2P)
-	w := m.MsgCost(1<<16, 0, 6, 12, true, true, ClassAlltoallw)
-	if coll.PostOverhead >= p2p.PostOverhead {
-		t.Error("vendor collective overhead should be below P2P overhead")
-	}
-	if w.Total() <= coll.Total() {
-		t.Error("Alltoallw must be more expensive than optimized collectives")
 	}
 }
 
@@ -261,25 +248,21 @@ func TestDeviceP2PCongestionGrowsWithNodes(t *testing.T) {
 	if big <= small {
 		t.Error("GPU-aware P2P posting cost must grow with job size (RDMA congestion)")
 	}
-	// Host-staged P2P and collectives are unaffected.
+	// Host-staged P2P is unaffected.
 	if m.MsgCost(1<<12, 0, 6, 768, true, false, ClassP2P).PostOverhead !=
 		m.MsgCost(1<<12, 0, 6, 12, true, false, ClassP2P).PostOverhead {
 		t.Error("host-path P2P overhead should not depend on job size")
-	}
-	if m.MsgCost(1<<12, 0, 6, 768, true, true, ClassCollective).PostOverhead !=
-		m.MsgCost(1<<12, 0, 6, 12, true, true, ClassCollective).PostOverhead {
-		t.Error("collective overhead should not depend on job size")
 	}
 }
 
 func TestAlltoallwBandwidthPenalty(t *testing.T) {
 	m := Spock() // GPU-aware Alltoallw, so no staging muddies the comparison
-	coll := m.MsgCost(1<<20, 0, 4, 8, true, true, ClassCollective)
+	p2p := m.MsgCost(1<<20, 0, 4, 8, true, true, ClassP2P)
 	w := m.MsgCost(1<<20, 0, 4, 8, true, true, ClassAlltoallw)
-	if w.PortTime <= coll.PortTime {
-		t.Error("Alltoallw must achieve lower bandwidth than the optimized collectives")
+	if w.PortTime <= p2p.PortTime {
+		t.Error("Alltoallw must achieve lower bandwidth than the point-to-point path")
 	}
-	ratio := w.PortTime / coll.PortTime
+	ratio := w.PortTime / p2p.PortTime
 	if math.Abs(ratio-1/m.AlltoallwBWFactor) > 1e-9 {
 		t.Errorf("bandwidth penalty ratio %g != 1/factor %g", ratio, 1/m.AlltoallwBWFactor)
 	}
