@@ -21,13 +21,18 @@ test:
 	go test ./...
 
 # The race detector gates every package that shares state across goroutines:
-# the simulator runs ranks as goroutines; fft shares kernel plans and a worker
-# pool across them; core ships pool buffers between ranks with move semantics
-# and delivers all-to-all blocks by reference; trace appends from every rank;
-# the serving layer multiplexes many submitters onto shared engines through
-# the scheduler, the plan cache and the cancellation paths. Used by CI.
+# the simulator runs ranks as goroutines and its rendezvous leader writes every
+# member's receive list; fft shares kernel plans and a worker pool across them;
+# core ships pool buffers between ranks with move semantics, lends arrays as
+# views and recycles send and receive lists through a process-wide pool; trace
+# appends from every rank; the serving layer multiplexes many submitters onto
+# shared engines through the scheduler, the plan cache and the cancellation
+# paths. The list and round-scratch reuse tests run again at 1, 2 and 8
+# processors, so the lifetimes are checked under different schedules. Used by
+# CI.
 race:
 	go test -race ./internal/mpisim/ ./internal/core/ ./internal/fft/ ./internal/trace/ ./heffte/serve/ ./internal/sched/
+	go test -race -count=1 -cpu 1,2,8 -run 'TestRecycledListsMatchFresh|TestRendezvousReleasesRound' ./internal/core/ ./internal/mpisim/
 
 # The repository benchmark (BENCHMARK.json): four workloads, end-to-end
 # metrics at reference host speed plus per-layer rows; see benchmark/README.md.
@@ -46,8 +51,8 @@ bench-kernel:
 	go test -run '^$$' -bench 'BenchmarkPackBlocked|BenchmarkPack$$|BenchmarkUnpack$$|BenchmarkCopyBox$$' -benchmem ./internal/tensor/
 
 # Developer tool: the paper-scale proxy of the repository benchmark on its
-# own: 768 phantom ranks, 512³ — rendezvous, per-call exchange vectors and GC,
-# no payload.
+# own: 768 phantom ranks, 512³ — rendezvous, the leader's copy of every block
+# into its receiver's list and the exchange bookkeeping, no payload.
 bench-scale:
 	go run ./benchmark -workload scale512_r768_phantom -seconds 20 -trace 0
 

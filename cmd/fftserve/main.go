@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -36,6 +35,7 @@ import (
 
 	"repro/heffte"
 	"repro/heffte/serve"
+	"repro/internal/sched"
 )
 
 func main() {
@@ -370,16 +370,6 @@ func runLoad(mode string, lc loadConfig) (result, *serve.Stats, error) {
 // ---------------------------------------------------------------------------
 // Reporting
 
-func quantile(lats []time.Duration, q float64) time.Duration {
-	if len(lats) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), lats...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx]
-}
-
 func printReport(mode string, lc loadConfig, res result) {
 	loop := "closed"
 	if lc.rate > 0 {
@@ -391,9 +381,16 @@ func printReport(mode string, lc loadConfig, res result) {
 		res.completed, res.rejected, res.deadlined, res.failed, res.dropped)
 	rps := float64(res.completed) / res.wall.Seconds()
 	fmt.Printf("wall %s  throughput %.1f req/s\n", res.wall.Round(time.Millisecond), rps)
-	fmt.Printf("latency p50 %s  p99 %s\n",
-		quantile(res.latencies, 0.50).Round(10*time.Microsecond),
-		quantile(res.latencies, 0.99).Round(10*time.Microsecond))
+	// Client-side latencies on the scheduler's own latency buckets.
+	secs := make([]float64, len(res.latencies))
+	for i, l := range res.latencies {
+		secs[i] = l.Seconds()
+	}
+	lat := sched.NewHistogram(nil, secs...)
+	quantile := func(q float64) time.Duration {
+		return time.Duration(lat.Quantile(q) * float64(time.Second)).Round(10 * time.Microsecond)
+	}
+	fmt.Printf("latency p50 %s  p99 %s\n", quantile(0.50), quantile(0.99))
 	if mode == "serve" {
 		fmt.Printf("mean batch %.2f\n", res.meanBatch)
 	}

@@ -28,9 +28,10 @@ import (
 // the virtual charges (dev.Pack, dev.Unpack, Convert) are the same.
 //
 // Every step walks the reshape's peer lists (rs.sendPeers, rs.recvPeers) and
-// speaks the transport's sparse exchange vectors, so what one call allocates
-// and touches is proportional to the blocks this rank exchanges, not to the
-// group.
+// speaks the transport's sparse exchange vectors, so what one call touches is
+// proportional to the blocks this rank exchanges, not to the group. The
+// vectors themselves come from blockPool (pool.go) and go back as soon as the
+// transport is done with them, so a steady-state exchange allocates none.
 type exchange[T any] struct {
 	rs *reshapePlan
 	e  *engine
@@ -74,7 +75,7 @@ type exchange[T any] struct {
 // posted is one chunk's exchange after the post step.
 type posted struct {
 	req    *mpisim.CollRequest // non-blocking collective still in flight
-	recv   []mpisim.Delivery   // blocking collective: the received blocks
+	recv   []mpisim.Block      // blocking collective: the received blocks
 	blocks []mpisim.Block      // P2P: the packed blocks
 	sreqs  []*mpisim.Request   // P2P: non-blocking sends to complete
 }
@@ -284,7 +285,7 @@ func (x *exchange[T]) open() {
 // the packed block would have had — and points at the view.
 func (x *exchange[T]) pack(ci int) []mpisim.Block {
 	rs, dev := x.rs, x.e.dev
-	blocks := make([]mpisim.Block, 0, len(rs.sendPeers))
+	blocks := getBlocks(len(rs.sendPeers))
 	ic := rs.group.Integrity()
 	wireBytes, fullBytes := 0, 0
 	for k, gi := range rs.sendPeers {
@@ -346,21 +347,30 @@ func (x *exchange[T]) pack(ci int) []mpisim.Block {
 
 // post hands one chunk's packed blocks to the transport. Blocking transports
 // complete here; async (Alltoallv only) posts MPI_Ialltoallv under the
-// resolved schedule and leaves the exchange in flight.
+// resolved schedule and leaves the exchange in flight. A collective delivers
+// into a receive list drawn here and is done with the send list when it
+// returns, so that goes straight back to the pool.
 func (x *exchange[T]) post(blocks []mpisim.Block, async bool) posted {
 	g, rs := x.rs.group, x.rs
 	// Pack buffers live on the device, whether or not this rank packed any.
 	const loc = machine.Device
-	switch x.e.opts.Backend {
-	case BackendAlltoallv:
-		if async {
-			return posted{req: g.IalltoallvSparse(blocks, loc, x.algo)}
+	if x.e.opts.Backend.Collective() {
+		var h posted
+		recv := getBlocks(len(rs.recvPeers))
+		switch x.e.opts.Backend {
+		case BackendAlltoallv:
+			if async {
+				h.req = g.IalltoallvSparse(blocks, recv, loc, x.algo)
+			} else {
+				h.recv = g.AlltoallvSparse(blocks, recv, loc, x.algo)
+			}
+		case BackendAlltoall:
+			h.recv = g.AlltoallSparse(blocks, recv, loc)
+		case BackendAlltoallw:
+			h.recv = g.AlltoallwSparse(blocks, recv, loc)
 		}
-		return posted{recv: g.AlltoallvSparse(blocks, loc, x.algo)}
-	case BackendAlltoall:
-		return posted{recv: g.AlltoallSparse(blocks, loc)}
-	case BackendAlltoallw:
-		return posted{recv: g.AlltoallwSparse(blocks, loc)}
+		putBlocks(blocks)
+		return h
 	}
 	// Point-to-Point (Table I): stream the sends, MPI_Isend or blocking
 	// MPI_Send. The P2P transports never chunk, so every peer has a block:
@@ -396,24 +406,25 @@ func (x *exchange[T]) unpack(ci int, h posted) {
 	// received element count accumulates as the blocks land.
 	elems := 0
 	if opts.Backend.Collective() {
-		recv := h.recv
+		all := h.recv
 		if h.req != nil {
-			recv = g.WaitSparse(h.req)
+			all = g.WaitSparse(h.req)
 		}
 		// Both lists ascend by source, and a source sends a block exactly when
 		// its chunk of the pair box is non-empty — walk them together. (A
-		// faulty sender's zero-size blocks are passed over.) The blocks are
-		// read where their senders deposited them.
+		// faulty sender's zero-size blocks are passed over.)
+		recv := all
 		for k, gi := range rs.recvPeers {
 			for len(recv) > 0 && recv[0].Peer < gi {
 				recv = recv[1:]
 			}
 			var buf *mpisim.Buf
 			if len(recv) > 0 && recv[0].Peer == gi {
-				buf = recv[0].Buf
+				buf = &recv[0].Buf
 			}
 			elems += x.unpackBlock(ci, k, buf)
 		}
+		putBlocks(all)
 	} else {
 		if rs.selfSend >= 0 {
 			elems = x.unpackBlock(ci, rs.selfRecv, &h.blocks[rs.selfSend].Buf)
@@ -427,6 +438,7 @@ func (x *exchange[T]) unpack(ci int, h posted) {
 		if len(h.sreqs) > 0 {
 			g.Waitall(h.sreqs)
 		}
+		putBlocks(h.blocks)
 	}
 	wireBytes := x.web * elems
 	// The transport's checksummed delivery charges its own verify pass over

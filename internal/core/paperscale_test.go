@@ -30,7 +30,7 @@ func tableIIIPlan(ranks int, decomp Decomposition) Config {
 // 3072 GPUs (512 Summit nodes), Table III bricks, phantom fields — through
 // plan creation, a forward and an inverse transform, with pencils (48×64) and
 // with slabs, and holds the live heap at the closing barrier (every rank's
-// plan still referenced) under 256 MB (it measures ≈ 67 MB). With plan and
+// plan still referenced) under 256 MB (it measures ≈ 68 MB). With plan and
 // exchange state sized by the communicator instead of by the blocks that
 // exist, this configuration needed more than 7.9 GB.
 func TestPaperScaleHeapBudget(t *testing.T) {
@@ -65,6 +65,10 @@ func TestPaperScaleHeapBudget(t *testing.T) {
 				exchanges[c.Rank()] = p.Exchanges()
 				c.Barrier()
 				if c.Rank() == 0 {
+					// Two collections: the first moves the pools' exchange
+					// vectors and round scratch to their victim caches, the
+					// second frees them — a cache, not plan state.
+					runtime.GC()
 					runtime.GC()
 					var m runtime.MemStats
 					runtime.ReadMemStats(&m)
@@ -94,18 +98,19 @@ func TestPaperScaleHeapBudget(t *testing.T) {
 // TestForwardAllocScalesWithPeers: what one phantom Forward allocates, summed
 // over the ranks of a 96-rank Table III plan, is bounded by a constant per
 // block exchanged (Σ over ranks and reshapes of send + receive peers) — the
-// exchange vectors are sparse end to end and a block is written once, by its
-// sender. With communicator-length vectors it grew with ranks², and with the
-// leader copying every block into the receive lists it measured twice this.
+// exchange vectors are sparse end to end. With communicator-length vectors it
+// grew with ranks².
 func TestForwardAllocScalesWithPeers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation volumes are not meaningful under -race")
 	}
 	const (
 		ranks = 96
-		// Measured 139 (+25 %): one 128-byte deposited entry per block sent and
-		// one 16-byte reference per block received — peers counts both ends —
-		// plus the leaders' per-rank pricing scratch.
+		// Measured 16: the send and receive lists and the round scratch come
+		// from pools, and what is left is the leaders' per-round completion
+		// vectors. Building every list fresh it measured 113 — one 128-byte
+		// entry per block at each end — and the bound leaves that much room for
+		// pools a collection emptied mid-call.
 		bytesPerPeer = 174
 	)
 	cfg := tableIIIPlan(ranks, DecompPencils)

@@ -4,6 +4,8 @@ import (
 	"math/bits"
 	"sync"
 	"unsafe"
+
+	"repro/internal/mpisim"
 )
 
 // Array pool for the reshape hot path. Every reshape produces a freshly
@@ -60,7 +62,23 @@ func (p *bufPool[T]) put(b []T) {
 var (
 	complexPool bufPool[complex128]
 	realPool    bufPool[float64]
+	// blockPool recycles exchange vectors: a collective's send list once the
+	// call has returned (the transport is done with it then), a P2P send list
+	// once its sends have completed, and every receive list once unpacked.
+	blockPool bufPool[mpisim.Block]
 )
+
+// getBlocks returns an empty exchange vector with room for n blocks. Its
+// entries are zero: putBlocks clears every list it takes back.
+func getBlocks(n int) []mpisim.Block { return blockPool.get(n)[:0] }
+
+// putBlocks recycles an exchange vector, dropping every payload and view it
+// names so that nothing the pool holds keeps one alive.
+func putBlocks(b []mpisim.Block) {
+	b = b[:cap(b)]
+	clear(b)
+	blockPool.put(b)
+}
 
 // ops resolves the element type's pool without boxing any slice values —
 // pointer-to-interface conversions are allocation-free, so the hot path stays

@@ -286,12 +286,12 @@ func (p *Plan) recoveryReshape(snap *ckptSnapshot, cut int, dist []tensor.Box3, 
 		c.ChargeChecksum(sendBytes)
 	}
 
-	recv := c.AlltoallvSparse(send, machine.Device, mpisim.AlgoLinear)
+	recv := c.AlltoallvSparse(send, nil, machine.Device, mpisim.AlgoLinear)
 
 	// Unpack arrivals in the mirrored deterministic order.
 	recvBytes := 0
-	for _, d := range recv {
-		s, buf := d.Peer, d.Buf
+	for i := range recv {
+		s, buf := recv[i].Peer, &recv[i].Buf
 		off := 0
 		for o := 0; o < snap.ranks; o++ {
 			if src[o] != s {

@@ -3,6 +3,7 @@ package mpisim
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/faults"
@@ -29,13 +30,20 @@ func randomSendMatrix(rng *rand.Rand, size int) [][][]complex128 {
 	return data
 }
 
+// lend is the receive list a sparse call is lent: too short for most ranks'
+// arrivals and holding stale entries, which the engine must drop before
+// appending.
+func lend() []Block {
+	return []Block{{Peer: 99, Buf: Buf{N: 5}}, {Peer: 98, Buf: Buf{N: 7, Corrupt: true}}}
+}
+
 // exchCall is one way of invoking an all-to-all, once through the dense
 // adapter and once through the sparse entry point. Each returns what every
 // call of the sequence received; send yields a fresh send vector per call.
 type exchCall struct {
 	name   string
 	dense  func(c *Comm, send func() []Buf) [][]Buf
-	sparse func(c *Comm, send func() []Block, loc machine.Location) [][]Delivery
+	sparse func(c *Comm, send func() []Block, loc machine.Location) [][]Block
 }
 
 // exchCalls lists the three naive flavours and, per schedule, the blocking
@@ -44,18 +52,18 @@ func exchCalls() []exchCall {
 	calls := []exchCall{
 		{"alltoall",
 			func(c *Comm, send func() []Buf) [][]Buf { return [][]Buf{c.Alltoall(send())} },
-			func(c *Comm, send func() []Block, loc machine.Location) [][]Delivery {
-				return [][]Delivery{c.AlltoallSparse(send(), loc)}
+			func(c *Comm, send func() []Block, loc machine.Location) [][]Block {
+				return [][]Block{c.AlltoallSparse(send(), lend(), loc)}
 			}},
 		{"alltoallv",
 			func(c *Comm, send func() []Buf) [][]Buf { return [][]Buf{c.Alltoallv(send())} },
-			func(c *Comm, send func() []Block, loc machine.Location) [][]Delivery {
-				return [][]Delivery{c.AlltoallvSparse(send(), loc, AlgoLinear)}
+			func(c *Comm, send func() []Block, loc machine.Location) [][]Block {
+				return [][]Block{c.AlltoallvSparse(send(), lend(), loc, AlgoLinear)}
 			}},
 		{"alltoallw",
 			func(c *Comm, send func() []Buf) [][]Buf { return [][]Buf{c.Alltoallw(send())} },
-			func(c *Comm, send func() []Block, loc machine.Location) [][]Delivery {
-				return [][]Delivery{c.AlltoallwSparse(send(), loc)}
+			func(c *Comm, send func() []Block, loc machine.Location) [][]Block {
+				return [][]Block{c.AlltoallwSparse(send(), lend(), loc)}
 			}},
 	}
 	for _, a := range Algos() {
@@ -63,8 +71,8 @@ func exchCalls() []exchCall {
 		calls = append(calls,
 			exchCall{"with/" + a.String(),
 				func(c *Comm, send func() []Buf) [][]Buf { return [][]Buf{c.AlltoallvWith(send(), a)} },
-				func(c *Comm, send func() []Block, loc machine.Location) [][]Delivery {
-					return [][]Delivery{c.AlltoallvSparse(send(), loc, a)}
+				func(c *Comm, send func() []Block, loc machine.Location) [][]Block {
+					return [][]Block{c.AlltoallvSparse(send(), lend(), loc, a)}
 				}},
 			exchCall{"iwith/" + a.String(),
 				func(c *Comm, send func() []Buf) [][]Buf {
@@ -72,10 +80,10 @@ func exchCalls() []exchCall {
 					c.Advance(3e-6)
 					return [][]Buf{c.WaitColl(req)}
 				},
-				func(c *Comm, send func() []Block, loc machine.Location) [][]Delivery {
-					req := c.IalltoallvSparse(send(), loc, a)
+				func(c *Comm, send func() []Block, loc machine.Location) [][]Block {
+					req := c.IalltoallvSparse(send(), lend(), loc, a)
 					c.Advance(3e-6)
-					return [][]Delivery{c.WaitSparse(req)}
+					return [][]Block{c.WaitSparse(req)}
 				}},
 			exchCall{"pair/iwith/" + a.String(),
 				func(c *Comm, send func() []Buf) [][]Buf {
@@ -83,10 +91,10 @@ func exchCalls() []exchCall {
 					c.Advance(1e-6)
 					return [][]Buf{c.WaitColl(x), c.WaitColl(y)}
 				},
-				func(c *Comm, send func() []Block, loc machine.Location) [][]Delivery {
-					x, y := c.IalltoallvSparse(send(), loc, a), c.IalltoallvSparse(send(), loc, a)
+				func(c *Comm, send func() []Block, loc machine.Location) [][]Block {
+					x, y := c.IalltoallvSparse(send(), lend(), loc, a), c.IalltoallvSparse(send(), lend(), loc, a)
 					c.Advance(1e-6)
-					return [][]Delivery{c.WaitSparse(x), c.WaitSparse(y)}
+					return [][]Block{c.WaitSparse(x), c.WaitSparse(y)}
 				}},
 		)
 	}
@@ -173,8 +181,8 @@ type exchOutcome struct {
 	clocks    []float64
 	recv      [][][][]complex128 // [rank][call][src]
 	err       error
-	deposits  [][][]Block    // [rank][call], sparse runs
-	delivered [][][]Delivery // [rank][call], sparse runs
+	deposits  [][][]Block // [rank][call], sparse runs
+	delivered [][][]Block // [rank][call], sparse runs
 }
 
 // runExchangeCase executes call on a fresh world of the case, through the
@@ -182,7 +190,7 @@ type exchOutcome struct {
 func runExchangeCase(tc exchCase, call exchCall, sparse bool) exchOutcome {
 	size := len(tc.data)
 	out := exchOutcome{recv: make([][][][]complex128, size),
-		deposits: make([][][]Block, size), delivered: make([][][]Delivery, size)}
+		deposits: make([][][]Block, size), delivered: make([][][]Block, size)}
 	w := NewWorld(machine.Summit(), size, tc.opts)
 	res := w.Run(func(c *Comm) {
 		row := tc.data[c.Rank()]
@@ -244,9 +252,10 @@ func runExchangeCase(tc exchCase, call exchCall, sparse bool) exchOutcome {
 // the sparse entry point agree on it bit for bit: the same clock on every rank
 // (==) and the same delivered blocks, element by element. A silently corrupting
 // sender damages (or has repaired) exactly the blocks it sent and nothing any
-// other rank receives. The sparse run also pins delivery by reference: every
-// entry a rank is handed points at the block its source deposited, and a Move
-// payload arrives as the sender's own array — no hidden copy of either.
+// other rank receives. The sparse run also pins the ownership rule: every entry
+// a rank is handed equals the block its source deposited — the receiver's own
+// copy of it — and a Move payload arrives as the sender's own array, not a
+// copy of it.
 func TestAlltoallvWithBitIdentical(t *testing.T) {
 	for _, tc := range exchCases() {
 		for _, call := range exchCalls() {
@@ -315,9 +324,10 @@ func TestAlltoallvWithBitIdentical(t *testing.T) {
 							if sent == nil {
 								continue // a zero-size block a faulty sender's list was filled out with
 							}
-							// A faulty sender deposits a filled-out copy of its list.
-							if d.Buf != sent && !(d.Peer == tc.silentSender() && ci == 0) {
-								t.Errorf("rank %d call %d: entry from %d is a copy of the deposited block", r, ci, d.Peer)
+							// A faulty sender deposits a filled-out copy of its list,
+							// and the receiver repairs or flips its own entry.
+							if !reflect.DeepEqual(d.Buf, *sent) && !(d.Peer == tc.silentSender() && ci == 0) {
+								t.Errorf("rank %d call %d: entry from %d differs from the deposited block:\n got %+v\nwant %+v", r, ci, d.Peer, d.Buf, *sent)
 							}
 							if &d.Buf.Data[0] != &sent.Data[0] {
 								t.Errorf("rank %d call %d: Move payload from %d was copied", r, ci, d.Peer)

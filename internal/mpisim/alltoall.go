@@ -3,6 +3,8 @@ package mpisim
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/machine"
 )
@@ -19,18 +21,22 @@ import (
 // neighbour pattern — a rank of a 768-rank brick↔pencil exchange talks to
 // about twenty peers — so a rank deposits only the blocks that exist, the
 // leader touches each of them once, and every rank leaves with only the blocks
-// addressed to it. Nothing on the path is sized by the communicator. The dense
-// []Buf entry points (Alltoall, Alltoallv, Alltoallw, AlltoallvWith and the
-// non-blocking pair in icoll.go) compress into and expand out of this format
-// around the same engine.
+// addressed to it. What a rank allocates and touches is sized by the blocks it
+// exchanges. The leader's per-round scratch is communicator-length — every
+// member's input and output (round, coll.go), per-rank counts and a
+// schedule's members (pricing, below) — and is pooled, not allocated per
+// call. The dense []Buf entry points (Alltoall, Alltoallv, Alltoallw,
+// AlltoallvWith and the non-blocking pair in icoll.go) compress into and
+// expand out of this format around the same engine.
 //
-// Blocks are delivered by reference. The send list a rank hands over is its
-// deposit: the engine consumes it, every block in it has exactly one receiver,
-// and that receiver's list points at the deposited Buf instead of holding a
-// copy — a block is written once, by its sender, and read in place. The
-// receiver owns what it is pointed at (the integrity layer repairs or flips a
-// delivered block through the pointer), and the receive lists are all that
-// keeps a deposit alive once the round is over.
+// Receivers own copies of their blocks. The send list a rank hands over is its
+// deposit for the length of the rendezvous; the leader copies every block in
+// it (peer and Buf, not the payload) into its one receiver's list, which the
+// receiver lent the round, like MPI's recvbuf. When the call returns — the
+// non-blocking post included, since the rendezvous completes at post — the
+// send list is dead to the engine and the caller may reuse it; a receiver
+// repairs or flips its own copy (the integrity layer), and nothing about a
+// round outlives it but the receive lists and the payloads they name.
 //
 // The visiting-order contract: floating-point accumulation order is the
 // virtual clock, so every pricer walks the non-empty blocks in exactly the
@@ -45,22 +51,14 @@ import (
 // list names each peer at most once, in ascending rank order; the self block
 // is listed like any other. Peers a list does not name exchange nothing.
 //
-// The sparse entry points take ownership of the send list they are handed,
-// as the transport does of a Move payload: the list itself is what the rank
-// deposits at the rendezvous, and the caller must not touch it again.
+// The sparse entry points deposit the send list they are handed for the
+// length of the call, detaching and tagging its entries in place, and are
+// done with it when they return; the payloads travel on (a Move payload to
+// its receiver). They append the received blocks to the recv list the caller
+// lends them — emptied first, grown if it is too short — and return it.
 type Block struct {
 	Peer int
 	Buf  Buf
-}
-
-// Delivery is one entry of a sparse receive list: the block comm rank Peer
-// addressed to this rank, as a pointer into that rank's deposit. A list is
-// ascending by source and names each source at most once. The receiver is the
-// block's only reader and may modify it in place; the sender never looks at
-// its deposit again.
-type Delivery struct {
-	Peer int
-	Buf  *Buf
 }
 
 // pricer is one pricing policy: given every member's contribution (entry
@@ -73,12 +71,40 @@ type pricer struct {
 	sched CollectiveAlgo // a port-gated schedule
 }
 
-func (p pricer) price(c *Comm, ins []collIn, outs []collOut) {
+func (p pricer) price(c *Comm, ins []collIn, outs []collOut, ps *pricing) {
 	if p.sched != nil {
-		priceScheduled(c, ins, outs, p.sched)
+		priceScheduled(c, ins, outs, ps, p.sched)
 	} else {
-		priceNaive(c, ins, outs, p.naive)
+		priceNaive(c, ins, outs, ps, p.naive)
 	}
+}
+
+// pricing is the leader's communicator-length scratch for pricing and
+// transposing one all-to-all round: per-rank counts, the schedule's Exchange
+// and its members' flows. The leader draws it from pricingPool in its compute
+// and gives it back, cleared of pointers, before the round's members leave,
+// so a round waiting for its members holds only their inputs and outputs.
+type pricing struct {
+	counts []int
+	ex     Exchange
+	flows  []Flow
+}
+
+var pricingPool = sync.Pool{New: func() any { return new(pricing) }}
+
+// zeroCounts returns the per-rank int scratch for a size-p round, zeroed.
+func (ps *pricing) zeroCounts(p int) []int {
+	ps.counts = resize(ps.counts, p)
+	clear(ps.counts)
+	return ps.counts
+}
+
+// release clears the schedule's rows and world and returns the scratch to
+// the pool.
+func (ps *pricing) release() {
+	clear(ps.ex.Members)
+	ps.ex = Exchange{Members: ps.ex.Members[:0]}
+	pricingPool.Put(ps)
 }
 
 // naiveKind distinguishes the three unscheduled All-to-All flavours of
@@ -178,14 +204,14 @@ func stagingCost(m *machine.Model, totalSend, totalRecv int) float64 {
 // any) happens per message inside MsgCost — SpectrumMPI-like stacks are not
 // GPU-aware on this path. The port is not modeled: the call owns the wire
 // until it returns.
-func priceNaive(c *Comm, ins []collIn, outs []collOut, kind naiveKind) {
+func priceNaive(c *Comm, ins []collIn, outs []collOut, ps *pricing, kind naiveKind) {
 	w := c.core.world
 	m := w.model
 	t0 := maxClock(ins)
 	// One pass over the blocks that exist: every rank's received bytes (the
 	// column totals of the exchange matrix, self block included) and the
 	// largest block, which the padded flavour charges for every pair.
-	recvBytes := make([]int, len(ins))
+	recvBytes := ps.zeroCounts(len(ins))
 	pad := 0
 	for r := range ins {
 		for i := range ins[r].blocks {
@@ -265,7 +291,7 @@ func priceNaive(c *Comm, ins []collIn, outs []collOut, kind naiveKind) {
 // non-GPU-aware device buffers, the self block's device copy, and
 // injection-port gating, so back-to-back exchanges serialize honestly on the
 // wire instead of overlapping for free.
-func priceScheduled(c *Comm, ins []collIn, outs []collOut, impl CollectiveAlgo) {
+func priceScheduled(c *Comm, ins []collIn, outs []collOut, ps *pricing, impl CollectiveAlgo) {
 	w := c.core.world
 	m := w.model
 	size := len(ins)
@@ -276,8 +302,10 @@ func priceScheduled(c *Comm, ins []collIn, outs []collOut, impl CollectiveAlgo) 
 	if impl.Synchronized() {
 		t0 = maxClock(ins)
 	}
-	// The caller is the rendezvous' last arrival and has it to itself.
-	ex := &Exchange{Size: size, Members: make([]Member, size), Nodes: w.nodes, Topo: w.topo, M: m, ns: &c.core.rv.ns}
+	// The caller is the rendezvous' last arrival and has it to itself; the
+	// members come out of the pool zeroed.
+	ex := &ps.ex
+	*ex = Exchange{Size: size, Members: resize(ex.Members, size), Nodes: w.nodes, Topo: w.topo, M: m, ns: &c.core.rv.ns}
 	nnz := 0
 	for r := range ins {
 		nnz += len(ins[r].blocks)
@@ -285,7 +313,10 @@ func priceScheduled(c *Comm, ins []collIn, outs []collOut, impl CollectiveAlgo) 
 	// One pass over the blocks that exist builds the members' sparse rows (one
 	// backing array, ascending destination within a row) and every rank's
 	// send, receive and self totals.
-	flows := make([]Flow, 0, nnz)
+	if cap(ps.flows) < nnz {
+		ps.flows = make([]Flow, 0, nnz)
+	}
+	flows := ps.flows[:0]
 	for r := range ins {
 		mb := &ex.Members[r]
 		first := len(flows)
@@ -357,50 +388,45 @@ func everyPeer(send []Block, size int, loc machine.Location) []Block {
 	return full
 }
 
-// transpose turns the members' deposits into their receive lists with one
-// pass over the peer indices of the blocks that exist: no block is copied, a
-// receive entry points at the deposited one. Sources are visited in ascending
-// rank order, so every receive list comes out ascending by source; all lists
-// share one backing array, each capped to its own span.
-func transpose(ins []collIn, outs []collOut) {
-	counts := make([]int, len(ins))
-	nnz := 0
+// transpose copies the members' deposits into their receive lists: one pass
+// counts each rank's arrivals and grows the list it lent to fit, a second
+// appends a copy of every block to its receiver's list. Sources are visited in
+// ascending rank order, so every receive list comes out ascending by source.
+func transpose(ins []collIn, outs []collOut, ps *pricing) {
+	counts := ps.zeroCounts(len(ins))
 	for s := range ins {
 		for i := range ins[s].blocks {
 			counts[ins[s].blocks[i].Peer]++
 		}
-		nnz += len(ins[s].blocks)
 	}
-	backing := make([]Delivery, nnz)
-	off := 0
 	for r, n := range counts {
-		outs[r].blocks = backing[off : off : off+n]
-		off += n
+		outs[r].blocks = slices.Grow(ins[r].recv, n)
 	}
 	for s := range ins {
 		for i := range ins[s].blocks {
 			b := &ins[s].blocks[i]
 			o := &outs[b.Peer]
-			o.blocks = append(o.blocks, Delivery{Peer: s, Buf: &b.Buf})
+			o.blocks = append(o.blocks, Block{Peer: s, Buf: b.Buf})
 		}
 	}
 }
 
 // postAlltoall runs the one all-to-all rendezvous over sparse exchange
 // vectors; loc is where the rank's send buffer lives (it decides staging and
-// the overhead class even for a rank that sends nothing). The send list is
-// consumed: it becomes the rank's deposit, its payloads detached from the
-// caller's slices and tagged in place, and the receivers are handed pointers
-// into it. Prologue: fault entry (stalls, kills), the send-side envelope
-// charge, defensive copies of payloads not sent with Move, the rank's fault
-// effects tagged onto every block, and the injection-port snapshot.
-// Rendezvous: the last arrival prices the exchange with p, transposes the
-// deposits into per-rank receive lists, and pushes the completion of every
-// rank expecting a block from a lost sender to +Inf. Epilogue: the port adopts the
-// new busy-until time. The returned request is complete in every respect
-// except that the caller's clock has not moved: finishAlltoall adopts the
-// completion time. op names the call in fault errors and timeouts.
-func (c *Comm) postAlltoall(send []Block, loc machine.Location, p pricer, op string) CollRequest {
+// the overhead class even for a rank that sends nothing). The send list is the
+// rank's deposit until the rendezvous completes, its payloads detached from
+// the caller's slices and tagged in place; the receivers are handed copies of
+// its entries, appended to the recv list each lent (emptied first). Prologue:
+// fault entry (stalls, kills), the send-side envelope charge, defensive copies
+// of payloads not sent with Move, the rank's fault effects tagged onto every
+// block, and the injection-port snapshot. Rendezvous: the last arrival prices
+// the exchange with p, transposes the deposits into per-rank receive lists,
+// and pushes the completion of every rank expecting a block from a lost sender
+// to +Inf. Epilogue: the port adopts the new busy-until time. The returned
+// request is complete in every respect except that the caller's clock has not
+// moved: finishAlltoall adopts the completion time. op names the call in fault
+// errors and timeouts.
+func (c *Comm) postAlltoall(send, recv []Block, loc machine.Location, p pricer, op string) CollRequest {
 	size := c.Size()
 	checkBlocks(send, size, op)
 	st := c.state()
@@ -415,7 +441,7 @@ func (c *Comm) postAlltoall(send []Block, loc machine.Location, p pricer, op str
 		// name them all so each one carries the tag.
 		send = everyPeer(send, size, loc)
 	}
-	in := collIn{clock: st.clock, port: st.portFreeAt, blocks: send, dev: loc == machine.Device, lost: eff.Drop}
+	in := collIn{clock: st.clock, port: st.portFreeAt, blocks: send, recv: recv[:0], dev: loc == machine.Device, lost: eff.Drop}
 	if eff.Factor > 1 {
 		in.factor = eff.Factor
 	}
@@ -435,10 +461,11 @@ func (c *Comm) postAlltoall(send []Block, loc machine.Location, p pricer, op str
 			b.Buf.flipSeed = mixSeed(eff.SilentSeed, b.Peer)
 		}
 	}
-	out := c.core.rv.exchange(c.core.world, c.rank, in, func(ins []collIn) []collOut {
-		outs := make([]collOut, size)
-		p.price(c, ins, outs)
-		transpose(ins, outs)
+	out := c.core.rv.exchange(c.core.world, c.rank, in, func(ins []collIn, outs []collOut) {
+		ps := pricingPool.Get().(*pricing)
+		p.price(c, ins, outs, ps)
+		transpose(ins, outs, ps)
+		ps.release()
 		// Dropped contributions: every rank expecting a nonzero block from a
 		// lost sender waits forever — its completion moves past any finite
 		// bound and surfaces as ErrExchangeTimeout at completion.
@@ -452,7 +479,6 @@ func (c *Comm) postAlltoall(send []Block, loc machine.Location, p pricer, op str
 				}
 			}
 		}
-		return outs
 	})
 	if out.port > st.portFreeAt {
 		st.portFreeAt = out.port
@@ -468,15 +494,15 @@ func (c *Comm) postAlltoall(send []Block, loc machine.Location, p pricer, op str
 // delivered payload. The trace event is named traceName and starts at
 // traceStart — the post for a blocking call (one event per collective), the
 // wait's own entry for a non-blocking one.
-func (c *Comm) finishAlltoall(r *CollRequest, traceName string, traceStart float64) []Delivery {
+func (c *Comm) finishAlltoall(r *CollRequest, traceName string, traceStart float64) []Block {
 	st := c.state()
 	if end := c.collClock(r.op, r.postedAt, r.completeAt); end > st.clock {
 		st.clock = end
 	}
 	r.done = true
 	c.record(traceName, traceStart, st.clock, r.bytes)
-	for _, b := range r.recv {
-		if b.Buf.Corrupt && b.Peer != c.rank {
+	for i := range r.recv {
+		if b := &r.recv[i]; b.Buf.Corrupt && b.Peer != c.rank {
 			c.raiseFault(fmt.Errorf("mpisim: %w: rank %d: %s block from rank %d failed verification",
 				ErrMessageCorrupt, c.WorldRank(c.rank), r.op, c.WorldRank(b.Peer)))
 		}
@@ -486,18 +512,19 @@ func (c *Comm) finishAlltoall(r *CollRequest, traceName string, traceStart float
 }
 
 // blockingAlltoall is post + finish with nothing in between.
-func (c *Comm) blockingAlltoall(send []Block, loc machine.Location, p pricer, op string) []Delivery {
-	r := c.postAlltoall(send, loc, p, op)
+func (c *Comm) blockingAlltoall(send, recv []Block, loc machine.Location, p pricer, op string) []Block {
+	r := c.postAlltoall(send, recv, loc, p, op)
 	return c.finishAlltoall(&r, op, r.postedAt)
 }
 
 // AlltoallSparse exchanges sparse vectors with MPI_Alltoall semantics: all
 // pairs — named or not — are padded to the maximum block size in the
 // communicator, in exchange for the most optimized vendor algorithm. loc is
-// where the rank's send buffer lives. The returned list points at the blocks
-// addressed to this rank, ascending by source.
-func (c *Comm) AlltoallSparse(send []Block, loc machine.Location) []Delivery {
-	return c.blockingAlltoall(send, loc, pricer{naive: kindAlltoall}, "MPI_Alltoall")
+// where the rank's send buffer lives. The returned list is recv (or a grown
+// copy of it) holding the blocks addressed to this rank, ascending by source;
+// recv may be nil.
+func (c *Comm) AlltoallSparse(send, recv []Block, loc machine.Location) []Block {
+	return c.blockingAlltoall(send, recv, loc, pricer{naive: kindAlltoall}, "MPI_Alltoall")
 }
 
 // AlltoallwSparse is the sparse-vector form of Alltoallw: the generalized
@@ -505,8 +532,8 @@ func (c *Comm) AlltoallSparse(send []Block, loc machine.Location) []Delivery {
 // al.) — a naive Isend/Irecv loop with high per-message setup, and, on
 // SpectrumMPI-like stacks, no GPU-awareness, so device buffers stage through
 // PCIe per message.
-func (c *Comm) AlltoallwSparse(send []Block, loc machine.Location) []Delivery {
-	return c.blockingAlltoall(send, loc, pricer{naive: kindAlltoallw}, "MPI_Alltoallw")
+func (c *Comm) AlltoallwSparse(send, recv []Block, loc machine.Location) []Block {
+	return c.blockingAlltoall(send, recv, loc, pricer{naive: kindAlltoallw}, "MPI_Alltoallw")
 }
 
 // AlltoallvSparse exchanges exact per-pair sizes, scheduled by the selected
@@ -516,8 +543,8 @@ func (c *Comm) AlltoallwSparse(send []Block, loc machine.Location) []Delivery {
 // MPI_Alltoallv loop. Scheduled exchanges also serialize through each rank's
 // injection port, so chunked back-to-back exchanges pipeline honestly instead
 // of overlapping for free.
-func (c *Comm) AlltoallvSparse(send []Block, loc machine.Location, a Algo) []Delivery {
-	return c.blockingAlltoall(send, loc, schedulePricer(a), "MPI_Alltoallv")
+func (c *Comm) AlltoallvSparse(send, recv []Block, loc machine.Location, a Algo) []Block {
+	return c.blockingAlltoall(send, recv, loc, schedulePricer(a), "MPI_Alltoallv")
 }
 
 // The dense entry points: send[dst] → recv[src] over vectors of one Buf per
@@ -551,17 +578,17 @@ func (c *Comm) compress(send []Buf, op string) ([]Block, machine.Location) {
 }
 
 // expand spreads a receive list over a dense vector indexed by source rank.
-func (c *Comm) expand(recv []Delivery) []Buf {
+func (c *Comm) expand(recv []Block) []Buf {
 	out := make([]Buf, c.Size())
-	for _, d := range recv {
-		out[d.Peer] = *d.Buf
+	for i := range recv {
+		out[recv[i].Peer] = recv[i].Buf
 	}
 	return out
 }
 
 func (c *Comm) denseAlltoall(send []Buf, p pricer, op string) []Buf {
 	blocks, loc := c.compress(send, op)
-	return c.expand(c.blockingAlltoall(blocks, loc, p, op))
+	return c.expand(c.blockingAlltoall(blocks, nil, loc, p, op))
 }
 
 // Alltoall exchanges send[dst] → recv[src] with MPI_Alltoall semantics: all

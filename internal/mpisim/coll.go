@@ -17,20 +17,60 @@ type rendezvous struct {
 	size    int
 	arrived int
 	leaving int
-	inputs  []collIn
-	outputs []collOut
+	// round is the scratch of the round in progress, drawn from roundPool at
+	// its first arrival and given back when its last member leaves.
+	round *round
 	// ns is pricing scratch of the round's compute (see nodeScratch).
 	ns nodeScratch
+}
+
+// round is the working set of one rendezvous round: the members' inputs and
+// outputs, one per member. It is pooled rather than kept on the rendezvous —
+// a communicator that sits idle pins nothing, and the collector empties the
+// pool like any cache — and it holds no pointer into a member's lists or
+// payloads once it is back in the pool.
+type round struct {
+	ins  []collIn
+	outs []collOut
+}
+
+var roundPool = sync.Pool{New: func() any { return new(round) }}
+
+// resize returns s with length n, reusing its backing array when it is large
+// enough. The pooled slices it serves are cleared over their length when given
+// back, so what it returns is zero (except pricing.counts, which is reused
+// within a round and cleared where it is drawn).
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+func getRound(size int) *round {
+	rd := roundPool.Get().(*round)
+	rd.ins, rd.outs = resize(rd.ins, size), resize(rd.outs, size)
+	return rd
+}
+
+// release clears every pointer the round holds — the members' send and
+// receive lists, split results — and returns it to the pool.
+func (rd *round) release() {
+	clear(rd.ins)
+	clear(rd.outs)
+	roundPool.Put(rd)
 }
 
 type collIn struct {
 	clock float64
 	// blocks is the rank's sparse all-to-all send list (non-empty blocks,
 	// ascending destination); dev says its send buffer is device-resident.
-	blocks []Block
-	dev    bool
-	val    float64
-	key    int // Split: the caller's ordering key (its color travels in val)
+	// recv is the receive list the rank lends the round, emptied: the leader
+	// appends the blocks addressed to the rank to it (see transpose).
+	blocks, recv []Block
+	dev          bool
+	val          float64
+	key          int // Split: the caller's ordering key (its color travels in val)
 	// port snapshots the rank's injection-port busy-until time; the
 	// scheduled all-to-all algorithms gate their network start on it so
 	// back-to-back chunked exchanges serialize honestly on the wire.
@@ -45,8 +85,9 @@ type collIn struct {
 type collOut struct {
 	clock float64
 	// blocks is the rank's sparse all-to-all receive list, ascending source:
-	// pointers into the senders' deposits (collIn.blocks).
-	blocks []Delivery
+	// copies of the senders' deposited blocks (collIn.blocks), in the list the
+	// rank lent (collIn.recv) or a larger one.
+	blocks []Block
 	val    float64
 	// port is the new injection-port busy-until time of the receiving rank
 	// (scheduled all-to-all algorithms only; zero otherwise).
@@ -62,13 +103,12 @@ func newRendezvous(size int) *rendezvous {
 }
 
 // exchange runs one collective round. compute is executed exactly once, by
-// the last arriving rank, over the dense input slice. The rendezvous keeps no
-// reference to a round once it is over: the inputs go when compute returns,
-// the outputs when the last member has picked up its own — they reach every
-// delivered payload (an all-to-all's receive lists point into the deposits,
-// and are all that keeps them alive), and the communicator's next collective
-// may be far off.
-func (rv *rendezvous) exchange(w *World, rank int, in collIn, compute func(ins []collIn) []collOut) collOut {
+// the last arriving rank: ins holds every member's input, and compute fills
+// outs (zeroed, one per member). The rendezvous keeps no reference to a round
+// once it is over: the scratch goes back to roundPool, cleared, when the last
+// member has picked up its output — the communicator's next collective may be
+// far off, and the inputs reach every member's lists.
+func (rv *rendezvous) exchange(w *World, rank int, in collIn, compute func(ins []collIn, outs []collOut)) collOut {
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
 	// A failed world never completes another rendezvous — and a rank that
@@ -83,15 +123,14 @@ func (rv *rendezvous) exchange(w *World, rank int, in collIn, compute func(ins [
 		}
 		rv.cond.Wait()
 	}
-	if rv.inputs == nil {
-		rv.inputs = make([]collIn, rv.size)
+	if rv.round == nil {
+		rv.round = getRound(rv.size)
 	}
-	rv.inputs[rank] = in
+	rv.round.ins[rank] = in
 	rv.arrived++
 	if rv.arrived == rv.size {
-		rv.outputs = compute(rv.inputs)
+		compute(rv.round.ins, rv.round.outs)
 		rv.arrived = 0
-		rv.inputs = nil
 		rv.leaving = rv.size
 		rv.cond.Broadcast()
 	} else {
@@ -102,10 +141,11 @@ func (rv *rendezvous) exchange(w *World, rank int, in collIn, compute func(ins [
 			rv.cond.Wait()
 		}
 	}
-	out := rv.outputs[rank]
+	out := rv.round.outs[rank]
 	rv.leaving--
 	if rv.leaving == 0 {
-		rv.outputs = nil
+		rv.round.release()
+		rv.round = nil
 		rv.cond.Broadcast()
 	}
 	return out
@@ -125,18 +165,16 @@ func (c *Comm) Barrier() {
 	start := st.clock
 	c.faultEnter("MPI_Barrier")
 	m := c.Model()
-	out := c.core.rv.exchange(c.core.world, c.rank, collIn{clock: st.clock}, func(ins []collIn) []collOut {
+	out := c.core.rv.exchange(c.core.world, c.rank, collIn{clock: st.clock}, func(ins []collIn, outs []collOut) {
 		t0 := maxClock(ins)
 		steps := math.Ceil(math.Log2(float64(len(ins))))
 		if len(ins) == 1 {
 			steps = 0
 		}
 		t := t0 + steps*(m.HostOverheadColl+m.InterLatency)
-		outs := make([]collOut, len(ins))
 		for i := range outs {
 			outs[i].clock = t
 		}
-		return outs
 	})
 	st.clock = c.collClock("MPI_Barrier", start, out.clock)
 	c.record("MPI_Barrier", start, st.clock, 0)
@@ -170,7 +208,7 @@ func (c *Comm) Allreduce(v float64, op ReduceOp) float64 {
 	m := c.Model()
 	size := c.Size()
 	c.faultEnter("MPI_Allreduce")
-	out := c.core.rv.exchange(w, c.rank, collIn{clock: st.clock, val: v}, func(ins []collIn) []collOut {
+	out := c.core.rv.exchange(w, c.rank, collIn{clock: st.clock, val: v}, func(ins []collIn, outs []collOut) {
 		t0 := maxClock(ins)
 		acc := ins[0].val
 		for _, in := range ins[1:] {
@@ -185,11 +223,9 @@ func (c *Comm) Allreduce(v float64, op ReduceOp) float64 {
 		}
 		steps := math.Ceil(math.Log2(float64(size)))
 		t := t0 + steps*(m.HostOverheadColl+m.InterLatency+8/m.NodeInjectionBW)
-		outs := make([]collOut, size)
 		for i := range outs {
 			outs[i] = collOut{clock: t, val: acc}
 		}
-		return outs
 	})
 	st.clock = c.collClock("MPI_Allreduce", start, out.clock)
 	c.record("MPI_Allreduce", start, st.clock, 8)
@@ -206,7 +242,7 @@ func (c *Comm) Split(color, key int) *Comm {
 	st := c.state()
 	w := c.core.world
 	in := collIn{clock: st.clock, val: float64(color), key: key}
-	out := c.core.rv.exchange(w, c.rank, in, func(ins []collIn) []collOut {
+	out := c.core.rv.exchange(w, c.rank, in, func(ins []collIn, outs []collOut) {
 		t0 := maxClock(ins)
 		// Group by color.
 		groups := map[int][]entry{}
@@ -233,7 +269,6 @@ func (c *Comm) Split(color, key int) *Comm {
 			}
 			cores[col] = w.newComm(worldRanks)
 		}
-		outs := make([]collOut, len(ins))
 		for r, inp := range ins {
 			col := int(inp.val)
 			outs[r].clock = t0 + 2*c.Model().HostOverheadColl
@@ -242,7 +277,6 @@ func (c *Comm) Split(color, key int) *Comm {
 				outs[r].splitRank = newRank[r]
 			}
 		}
-		return outs
 	})
 	st.clock = out.clock
 	if out.splitCore == nil {

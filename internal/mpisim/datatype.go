@@ -73,7 +73,7 @@ func (c *Comm) AlltoallwSub(local []complex128, sendTypes []Subarray,
 		tensor.Pack(local, st.Full, st.Sub, data)
 		send = append(send, Block{Peer: d, Buf: Buf{Data: data, Loc: loc}})
 	}
-	recv := c.AlltoallwSparse(send, loc)
+	recv := c.AlltoallwSparse(send, nil, loc)
 	if recvArray == nil {
 		return nil
 	}
@@ -86,7 +86,7 @@ func (c *Comm) AlltoallwSub(local []complex128, sendTypes []Subarray,
 		}
 		var got Buf
 		if len(recv) > 0 && recv[0].Peer == s {
-			got = *recv[0].Buf
+			got = recv[0].Buf
 		}
 		if got.Elems() != rt.Elems() {
 			return fmt.Errorf("mpisim: AlltoallwSub rank %d sent %d elems, datatype expects %d",

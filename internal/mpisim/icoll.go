@@ -11,7 +11,7 @@ type CollRequest struct {
 	comm       *Comm
 	postedAt   float64
 	completeAt float64
-	recv       []Delivery // the blocks addressed to this rank, ascending by source
+	recv       []Block // the blocks addressed to this rank, ascending by source
 	done       bool
 	bytes      int
 	// op names the posting call in timeout and corruption errors.
@@ -35,7 +35,7 @@ type CollRequest struct {
 // Alltoallv would have returned.
 func (c *Comm) Ialltoallv(send []Buf) *CollRequest {
 	blocks, loc := c.compress(send, "MPI_Ialltoallv")
-	return c.ipostAlltoall(blocks, loc, pricer{naive: kindAlltoallv}, "MPI_Wait(coll)")
+	return c.ipostAlltoall(blocks, nil, loc, pricer{naive: kindAlltoallv}, "MPI_Wait(coll)")
 }
 
 // IalltoallvWith posts a non-blocking algorithm-scheduled all-to-all-v: the
@@ -45,19 +45,21 @@ func (c *Comm) Ialltoallv(send []Buf) *CollRequest {
 // call, AlgoLinear is port-gated here (see scheduleOf).
 func (c *Comm) IalltoallvWith(send []Buf, a Algo) *CollRequest {
 	blocks, loc := c.compress(send, "MPI_Ialltoallv")
-	return c.IalltoallvSparse(blocks, loc, a)
+	return c.IalltoallvSparse(blocks, nil, loc, a)
 }
 
 // IalltoallvSparse is IalltoallvWith over sparse exchange vectors (see
-// AlltoallvSparse); complete it with WaitSparse or WaitColl.
-func (c *Comm) IalltoallvSparse(send []Block, loc machine.Location, a Algo) *CollRequest {
-	return c.ipostAlltoall(send, loc, pricer{sched: scheduleOf(a)}, "MPI_Alltoallv")
+// AlltoallvSparse); complete it with WaitSparse or WaitColl. The blocks are
+// delivered into recv at the post, so the send list is free when this returns;
+// recv belongs to the request until the wait hands it back.
+func (c *Comm) IalltoallvSparse(send, recv []Block, loc machine.Location, a Algo) *CollRequest {
+	return c.ipostAlltoall(send, recv, loc, pricer{sched: scheduleOf(a)}, "MPI_Alltoallv")
 }
 
 // ipostAlltoall is the non-blocking post: the engine's rendezvous plus the
 // posting overhead, which is all the caller pays until the wait.
-func (c *Comm) ipostAlltoall(send []Block, loc machine.Location, p pricer, waitName string) *CollRequest {
-	r := c.postAlltoall(send, loc, p, "MPI_Ialltoallv")
+func (c *Comm) ipostAlltoall(send, recv []Block, loc machine.Location, p pricer, waitName string) *CollRequest {
+	r := c.postAlltoall(send, recv, loc, p, "MPI_Ialltoallv")
 	r.waitName = waitName
 	st := c.state()
 	st.clock += c.Model().HostOverheadColl
@@ -74,9 +76,10 @@ func (c *Comm) WaitColl(r *CollRequest) []Buf {
 	return c.expand(c.WaitSparse(r))
 }
 
-// WaitSparse is WaitColl returning the sparse receive list: the blocks
-// addressed to this rank, by reference, ascending by source.
-func (c *Comm) WaitSparse(r *CollRequest) []Delivery {
+// WaitSparse is WaitColl returning the sparse receive list: this rank's own
+// copies of the blocks addressed to it, ascending by source, in the recv list
+// the post was lent (or a grown copy of it).
+func (c *Comm) WaitSparse(r *CollRequest) []Block {
 	if r.done {
 		panic("mpisim: WaitColl on completed request")
 	}

@@ -246,10 +246,11 @@ func (c *Comm) recoverBlock(src int, b *Buf, op string) {
 // each attributed to its source's rank — either repairs silently-corrupted
 // blocks through the retransmit protocol (Checksums on) or really flips their
 // payload bits (Checksums off — the corruption reaches the caller, and only
-// the ABFT invariants can catch it downstream). Both act on the delivered
-// block in place, through the pointer into the sender's deposit: this rank is
-// its only receiver, so no other rank can observe the repair or the flip.
-func (c *Comm) deliverIntegrity(recv []Delivery, op string) {
+// the ABFT invariants can catch it downstream). Both act on this rank's own
+// copy of the block in its receive list — the flip on the payload it names,
+// which the sender handed over and never reads again — so no other rank can
+// observe the repair or the flip.
+func (c *Comm) deliverIntegrity(recv []Block, op string) {
 	w := c.core.world
 	if !w.opts.Integrity.Enabled() && !w.opts.Faults.Active() {
 		return
@@ -257,16 +258,16 @@ func (c *Comm) deliverIntegrity(recv []Delivery, op string) {
 	checksums := w.opts.Integrity.Checksums
 	if checksums {
 		var bytes int
-		for _, d := range recv {
-			if d.Peer != c.rank {
+		for i := range recv {
+			if d := &recv[i]; d.Peer != c.rank {
 				bytes += d.Buf.bytes()
 			}
 		}
 		c.chargeChecksum("checksum_verify", bytes)
 		w.integ.ChecksumChecks.Add(1)
 	}
-	for _, d := range recv {
-		s, b := d.Peer, d.Buf
+	for i := range recv {
+		s, b := recv[i].Peer, &recv[i].Buf
 		if s == c.rank || b.silent == 0 {
 			continue
 		}

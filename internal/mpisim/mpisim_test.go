@@ -2,6 +2,7 @@ package mpisim
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -558,19 +559,32 @@ func TestResultMaxClock(t *testing.T) {
 }
 
 // TestRendezvousReleasesRound: once the last member of a collective has left
-// with its output, the rendezvous must hold neither the round's inputs nor its
-// outputs — they reference every delivered payload, and the communicator's
-// next collective, which used to be what overwrote them, may never come.
+// with its output, the rendezvous holds no round — the round's scratch reaches
+// every member's send and receive lists, and through them every delivered
+// payload, and the communicator's next collective may never come — and
+// neither the round nor the leader's pricing scratch holds a pointer into them
+// once back in its pool. The rounds run on one processor so the pools can be
+// drained from the test.
 func TestRendezvousReleasesRound(t *testing.T) {
 	const n = 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	w := NewWorld(machine.Summit(), n, Options{GPUAware: true})
 	var rv *rendezvous
 	res := w.Run(func(c *Comm) {
-		send := make([]Buf, n)
-		for d := range send {
-			send[d] = hostBuf(complex(float64(c.Rank()), float64(d)))
+		send := func() []Buf {
+			bufs := make([]Buf, n)
+			for d := range bufs {
+				bufs[d] = hostBuf(complex(float64(c.Rank()), float64(d)))
+			}
+			return bufs
 		}
-		c.Alltoallv(send)
+		// A split, the vendor pricing, and last — every round overwrites
+		// the scratch the one before it gave back — a schedule (members and
+		// their flows) posted non-blocking, which returns before its wait.
+		c.Split(c.Rank()%2, 0)
+		c.Alltoallv(send())
+		req := c.IalltoallvWith(send(), AlgoRing)
+		c.WaitColl(req)
 		if c.Rank() == 0 {
 			rv = c.core.rv
 		}
@@ -580,7 +594,44 @@ func TestRendezvousReleasesRound(t *testing.T) {
 	}
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
-	if rv.inputs != nil || rv.outputs != nil {
-		t.Errorf("rendezvous still holds the finished round: %d inputs, %d outputs", len(rv.inputs), len(rv.outputs))
+	if rv.round != nil {
+		t.Errorf("rendezvous still holds the finished round: %d inputs, %d outputs", len(rv.round.ins), len(rv.round.outs))
+	}
+	rounds, prices := 0, 0
+	for {
+		rd := roundPool.Get().(*round)
+		if cap(rd.ins) == 0 {
+			break // a fresh one: the pool is empty
+		}
+		rounds++
+		for i, in := range rd.ins[:cap(rd.ins)] {
+			if in.blocks != nil || in.recv != nil {
+				t.Errorf("pooled round input %d still holds a send or receive list", i)
+			}
+		}
+		for i, out := range rd.outs[:cap(rd.outs)] {
+			if out.blocks != nil || out.splitCore != nil {
+				t.Errorf("pooled round output %d still holds a receive list or a communicator", i)
+			}
+		}
+	}
+	for {
+		ps := pricingPool.Get().(*pricing)
+		if cap(ps.counts) == 0 {
+			break
+		}
+		prices++
+		for i, m := range ps.ex.Members[:cap(ps.ex.Members)] {
+			if m.Flows != nil {
+				t.Errorf("pooled pricing member %d still holds its flows", i)
+			}
+		}
+		if ps.ex.Topo != nil || ps.ex.M != nil || ps.ex.ns != nil {
+			t.Errorf("pooled pricing still holds its exchange's world: %+v", ps.ex)
+		}
+	}
+	// (Under -race sync.Pool drops a quarter of what it is given.)
+	if (rounds == 0 || prices == 0) && !raceEnabled {
+		t.Errorf("%d rounds and %d pricing scratches came back to their pools, want both", rounds, prices)
 	}
 }

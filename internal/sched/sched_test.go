@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -338,11 +339,12 @@ func TestStatsText(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantile sanity-checks the interpolation.
+// TestHistogramQuantile sanity-checks the interpolation, and the
+// constructor's observations and default (latency) buckets.
 func TestHistogramQuantile(t *testing.T) {
-	h := newHistogram([]float64{1, 2, 4, 8})
-	for _, v := range []float64{0.5, 1.5, 1.5, 3, 3, 3, 6, 20} {
-		h.observe(v)
+	h := NewHistogram([]float64{1, 2, 4, 8}, 0.5, 1.5, 1.5, 3, 3, 3, 6, 20)
+	if h.Count != 8 || !slices.Equal(h.Counts, []uint64{1, 2, 3, 1, 1}) {
+		t.Fatalf("counts %v (%d), want [1 2 3 1 1] (8)", h.Counts, h.Count)
 	}
 	if m := h.Mean(); m < 4.8 || m > 4.9 {
 		t.Fatalf("Mean = %v", m)
@@ -356,5 +358,13 @@ func TestHistogramQuantile(t *testing.T) {
 	var empty Histogram
 	if q := empty.Quantile(0.5); q != 0 {
 		t.Fatalf("empty quantile = %v", q)
+	}
+	// 3 ms sits in the latency bucket (2.048 ms, 4.096 ms].
+	lat := NewHistogram(nil, 3e-3, 3e-3)
+	if !slices.Equal(lat.Bounds, latencyBounds()) {
+		t.Fatalf("nil bounds gave %v, want the latency buckets", lat.Bounds)
+	}
+	if q := lat.Quantile(0.5); q <= 2.048e-3 || q > 4.096e-3 {
+		t.Fatalf("latency p50 = %v, want within (2.048ms, 4.096ms]", q)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // Histogram is a fixed-bucket histogram. Bounds are upper bucket edges; an
 // observation lands in the first bucket whose bound is >= the value, or in the
 // implicit overflow bucket past the last bound. The zero value is unusable —
-// construct with newHistogram (snapshots returned by Stats are value copies
+// construct with NewHistogram (snapshots returned by Stats are value copies
 // safe to read without locks).
 type Histogram struct {
 	Bounds []float64
@@ -20,8 +20,19 @@ type Histogram struct {
 	Sum    float64
 }
 
-func newHistogram(bounds []float64) Histogram {
-	return Histogram{Bounds: bounds, Counts: make([]uint64, len(bounds)+1)}
+// NewHistogram returns a histogram over the given upper bucket edges holding
+// the observations obs. Nil bounds select the latency buckets Stats reports
+// (seconds, 1 µs to 67 s in powers of two), so a client timing its own
+// requests gets quantiles on the scheduler's scale.
+func NewHistogram(bounds []float64, obs ...float64) Histogram {
+	if bounds == nil {
+		bounds = latencyBounds()
+	}
+	h := Histogram{Bounds: bounds, Counts: make([]uint64, len(bounds)+1)}
+	for _, v := range obs {
+		h.observe(v)
+	}
+	return h
 }
 
 func (h *Histogram) observe(v float64) {
@@ -199,7 +210,7 @@ func newStatsCore() *statsCore { return &statsCore{keys: map[string]*KeyStats{}}
 func (s *statsCore) key(name string) *KeyStats {
 	k := s.keys[name]
 	if k == nil {
-		k = &KeyStats{BatchSizes: newHistogram(batchBounds()), Latency: newHistogram(latencyBounds())}
+		k = &KeyStats{BatchSizes: NewHistogram(batchBounds()), Latency: NewHistogram(nil)}
 		s.keys[name] = k
 	}
 	return k
@@ -216,7 +227,7 @@ func (s *statsCore) snapshot() Stats {
 	defer s.mu.Unlock()
 	out := Stats{
 		Keys:  make(map[string]KeyStats, len(s.keys)),
-		Total: KeyStats{BatchSizes: newHistogram(batchBounds()), Latency: newHistogram(latencyBounds())},
+		Total: KeyStats{BatchSizes: NewHistogram(batchBounds()), Latency: NewHistogram(nil)},
 	}
 	for name, k := range s.keys {
 		c := *k
