@@ -35,10 +35,31 @@ func main() {
 		dead  = flag.Int("dead", 0, "evaluate the elastic-recovery model after this many rank deaths")
 	)
 	flag.Parse()
-	wp, err := parseWire(*wire)
-	if err != nil {
+
+	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "fftplan:", err)
 		os.Exit(2)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"-n", *n}, {"-ranks", *ranks}} {
+		if f.v < 1 {
+			fail(fmt.Errorf("%s must be at least 1, got %d", f.name, f.v))
+		}
+	}
+	if !(*bw > 0) {
+		fail(fmt.Errorf("-bw must be positive, got %g", *bw))
+	}
+	if !(*lat >= 0) {
+		fail(fmt.Errorf("-lat must not be negative, got %g", *lat))
+	}
+	if *dead < 0 || *dead >= *ranks {
+		fail(fmt.Errorf("-dead must be in [0, %d) for %d ranks, got %d", *ranks, *ranks, *dead))
+	}
+	wp, err := parseWire(*wire)
+	if err != nil {
+		fail(err)
 	}
 	params := heffte.ModelParams{Latency: *lat, Bandwidth: *bw}
 
@@ -75,7 +96,7 @@ func main() {
 	}
 	fmt.Fprintf(tw, "recommended decomposition\t%s\n", rec)
 
-	if *dead > 0 && *dead < *ranks {
+	if *dead > 0 {
 		// Elastic-recovery view: one shrink event losing -dead GPUs. The
 		// concrete survivor set is a runtime fact (CommPhases reports it per
 		// plan, with the epoch); here the model prices the recovery reshape

@@ -1,0 +1,56 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// TestMain lets the test binary stand in for the command: with
+// FFTPLAN_AS_MAIN set it runs main on its arguments instead of the tests.
+func TestMain(m *testing.M) {
+	if os.Getenv("FFTPLAN_AS_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestBadFlagsExit2: a flag value the model cannot evaluate is rejected up
+// front — one "fftplan: …" line on stderr, nothing on stdout, exit status 2 —
+// instead of a goroutine trace, a negative grid, an infinite time or a
+// silently ignored -dead.
+func TestBadFlagsExit2(t *testing.T) {
+	for _, args := range [][]string{
+		{"-n", "0"},
+		{"-n", "-4"},
+		{"-ranks", "0"},
+		{"-bw", "0"},
+		{"-bw", "-2e9"},
+		{"-lat", "-1e-6"},
+		{"-dead", "-1"},
+		{"-ranks", "24", "-dead", "24"},
+		{"-ranks", "24", "-dead", "30"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], args...)
+			cmd.Env = append(os.Environ(), "FFTPLAN_AS_MAIN=1")
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			var exit *exec.ExitError
+			if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Errorf("exit: %v, want status 2", err)
+			}
+			lines := strings.Split(strings.TrimSuffix(stderr.String(), "\n"), "\n")
+			if len(lines) != 1 || !strings.HasPrefix(lines[0], "fftplan: ") {
+				t.Errorf("stderr is not one \"fftplan: …\" line:\n%s", stderr.String())
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("stdout not empty:\n%s", stdout.String())
+			}
+		})
+	}
+}

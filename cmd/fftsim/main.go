@@ -59,10 +59,8 @@ func main() {
 	fail(err)
 	place, err := parsePlacement(*placement)
 	fail(err)
-	mdl := heffte.Summit()
-	if *mach == "spock" {
-		mdl = heffte.Spock()
-	}
+	mdl, err := parseMachine(*mach)
+	fail(err)
 
 	tr := heffte.NewTracer()
 	w := heffte.NewWorld(mdl, *ranks, heffte.WorldOptions{GPUAware: !*noAware, Tracer: tr, Placement: place})
@@ -221,6 +219,16 @@ func parseWire(w string) (heffte.WirePrecision, error) {
 		return heffte.WireFp16, nil
 	}
 	return heffte.WireFp64, fmt.Errorf("unknown wire precision %q", w)
+}
+
+func parseMachine(m string) (*heffte.Machine, error) {
+	switch m {
+	case "summit":
+		return heffte.Summit(), nil
+	case "spock":
+		return heffte.Spock(), nil
+	}
+	return nil, fmt.Errorf("unknown machine %q", m)
 }
 
 func parsePlacement(p string) (heffte.Placement, error) {

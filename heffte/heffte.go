@@ -123,7 +123,6 @@ const (
 // Overlap modes for chunked exchanges.
 const (
 	OverlapAuto = core.OverlapAuto
-	OverlapOn   = core.OverlapOn
 	OverlapOff  = core.OverlapOff
 )
 

@@ -13,7 +13,7 @@
 // concurrent clients each hold one transform; the serving layer is the
 // missing step that turns their temporal proximity into the engine's spatial
 // batching: requests for the same shape (global extents, decomposition,
-// precision, direction) that arrive within a configurable window — or that
+// direction) that arrive within a configurable window — or that
 // pile up while the worker pool is busy — execute as one fused batch on a
 // shared resident plan.
 //

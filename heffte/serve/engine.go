@@ -14,12 +14,11 @@ import (
 type engineKey struct {
 	global [3]int
 	decomp heffte.Decomposition
-	prec   Precision
 	ranks  int
 }
 
 func (k engineKey) String() string {
-	return fmt.Sprintf("%dx%dx%d/%s/%s/r%d", k.global[0], k.global[1], k.global[2], k.decomp, k.prec, k.ranks)
+	return fmt.Sprintf("%dx%dx%d/%s/r%d", k.global[0], k.global[1], k.global[2], k.decomp, k.ranks)
 }
 
 // engineJob is one fused batch dispatched to every rank of a backend.

@@ -119,7 +119,7 @@ func TestServeSDCUnrepairable(t *testing.T) {
 		Ranks:        ranks,
 		Window:       -1,
 		MaxRetries:   -1,
-		Integrity:    heffte.IntegrityConfig{Checksums: true, RetransmitBudget: 2},
+		Integrity:    heffte.IntegrityConfig{Checksums: true},
 		EngineFaults: sdcOnSlot(1, 3),
 	})
 	defer s.Close()

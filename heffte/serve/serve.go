@@ -29,21 +29,6 @@ func (d Direction) String() string {
 	return "forward"
 }
 
-// Precision selects the element type of a request. The engine currently
-// computes in double-complex only — the paper's datatype — but precision is
-// part of the shape key so single-precision engines slot in without an API
-// change.
-type Precision int
-
-const (
-	// Complex128 is double-complex (16 bytes/element).
-	Complex128 Precision = iota
-)
-
-func (p Precision) String() string {
-	return "c128"
-}
-
 // Request is one transform submitted to a Server. Data is the full global
 // row-major N0×N1×N2 array (axis 2 contiguous) and is transformed in place.
 //
@@ -60,8 +45,6 @@ type Request struct {
 	// Decomp selects the decomposition; DecompAuto resolves via the paper's
 	// bandwidth model, and is itself part of the shape key.
 	Decomp heffte.Decomposition
-	// Precision of the payload (Complex128 only, for now).
-	Precision Precision
 	// Direction of the transform.
 	Direction Direction
 	// Data is the global array, len == N0·N1·N2, transformed in place.
@@ -265,9 +248,6 @@ func validateRequest(req *Request) error {
 	if req.Direction != Forward && req.Direction != Inverse {
 		return fmt.Errorf("serve: %w: invalid direction %d", heffte.ErrBadConfig, int(req.Direction))
 	}
-	if req.Precision != Complex128 {
-		return fmt.Errorf("serve: %w: unsupported precision %d", heffte.ErrBadConfig, int(req.Precision))
-	}
 	switch req.Decomp {
 	case heffte.DecompAuto, heffte.DecompSlabs, heffte.DecompPencils, heffte.DecompBricks:
 	default:
@@ -279,12 +259,12 @@ func validateRequest(req *Request) error {
 // shapeKey is the coalescing key: requests fuse only when every part of it
 // matches (batched execution requires one plan and one direction).
 func shapeKey(req *Request, ranks int) string {
-	return fmt.Sprintf("%dx%dx%d/%s/%s/r%d/%s",
-		req.Global[0], req.Global[1], req.Global[2], req.Decomp, req.Precision, ranks, req.Direction)
+	return fmt.Sprintf("%dx%dx%d/%s/r%d/%s",
+		req.Global[0], req.Global[1], req.Global[2], req.Decomp, ranks, req.Direction)
 }
 
 func engineKeyFor(req *Request, ranks int) engineKey {
-	return engineKey{global: req.Global, decomp: req.Decomp, prec: req.Precision, ranks: ranks}
+	return engineKey{global: req.Global, decomp: req.Decomp, ranks: ranks}
 }
 
 // CacheStats describes the engine/plan LRU cache.

@@ -275,7 +275,6 @@ func TestBadRequests(t *testing.T) {
 		{Global: [3]int{0, 8, 8}, Data: []complex128{}},
 		{Global: [3]int{4, 4, 4}, Data: make([]complex128, 63)},
 		{Global: [3]int{4, 4, 4}, Direction: Direction(9), Data: make([]complex128, 64)},
-		{Global: [3]int{4, 4, 4}, Precision: Precision(3), Data: make([]complex128, 64)},
 		{Global: [3]int{4, 4, 4}, Decomp: heffte.Decomposition(42), Data: make([]complex128, 64)},
 	}
 	for i, req := range cases {
@@ -312,7 +311,7 @@ func TestStatsText(t *testing.T) {
 	var b strings.Builder
 	srv.WriteStats(&b)
 	out := b.String()
-	for _, want := range []string{"8x8x8/auto/c128/r2/forward", "plan cache: 1/4", "engine 8x8x8/auto/c128/r2", "comm:"} {
+	for _, want := range []string{"8x8x8/auto/r2/forward", "plan cache: 1/4", "engine 8x8x8/auto/r2", "comm:"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("stats text missing %q:\n%s", want, out)
 		}
@@ -324,7 +323,7 @@ func TestStatsText(t *testing.T) {
 func TestStatsReportCollectiveConfig(t *testing.T) {
 	global := [3]int{8, 8, 8}
 	srv := New(Config{Ranks: 2, Window: -1,
-		Comm: heffte.CommConfig{Algo: heffte.AlgoRing, Chunks: 2, Overlap: heffte.OverlapOn}})
+		Comm: heffte.CommConfig{Algo: heffte.AlgoRing, Chunks: 2}})
 	defer srv.Close()
 	if err := srv.Submit(context.Background(), &Request{Global: global, Data: randomSignal(global, 7)}); err != nil {
 		t.Fatalf("Submit: %v", err)

@@ -39,9 +39,3 @@ func CandidatesWithBudget(budget float64) []TuneCandidate {
 // Best returns the fastest measured result (or the best predicted one when
 // nothing was measured).
 func Best(results []TuneResult) TuneResult { return tuning.Best(results) }
-
-// PredictCandidate evaluates the bandwidth model for one candidate on this
-// communicator's geometry.
-func PredictCandidate(c *Comm, global [3]int, cand TuneCandidate) float64 {
-	return tuning.Predict(c, global, cand)
-}

@@ -135,20 +135,23 @@ func (s *Sim) migrate() error {
 			outgoing[r] = append(outgoing[r], p)
 		}
 	}
-	send := make([]mpisim.Buf, size)
+	var send []mpisim.Block
 	for r, ps := range outgoing {
+		if len(ps) == 0 {
+			continue
+		}
 		data := make([]complex128, 0, 4*len(ps))
 		for _, p := range ps {
 			e := encode(p)
 			data = append(data, e[:]...)
 		}
-		send[r] = mpisim.Buf{Data: data, Loc: machine.Device}
+		send = append(send, mpisim.Block{Peer: r, Buf: mpisim.Buf{Data: data, Loc: machine.Device}})
 	}
-	recv := s.comm.Alltoallv(send)
+	recv := s.comm.AlltoallvSparse(send, nil, machine.Device, mpisim.AlgoLinear)
 	s.parts = keep
 	for _, b := range recv {
-		for i := 0; i+4 <= len(b.Data); i += 4 {
-			s.parts = append(s.parts, decode(b.Data[i:i+4]))
+		for i := 0; i+4 <= len(b.Buf.Data); i += 4 {
+			s.parts = append(s.parts, decode(b.Buf.Data[i:i+4]))
 		}
 	}
 	return nil

@@ -68,7 +68,7 @@ func TestChunkedPipelinedBitIdentical(t *testing.T) {
 	single := Options{Decomp: DecompPencils, Backend: BackendAlltoallv,
 		Comm: CommConfig{Algo: CollRing, Chunks: 1}}
 	want := runForwardGather(t, global, size, single, seed)
-	for _, overlap := range []OverlapMode{OverlapOn, OverlapOff} {
+	for _, overlap := range []OverlapMode{OverlapAuto, OverlapOff} {
 		opts := single
 		opts.Comm.Chunks = 4
 		opts.Comm.Overlap = overlap
@@ -91,7 +91,7 @@ func runChunkedFaulty(t *testing.T, plan *faults.Plan) ([]error, mpisim.Result) 
 	res := w.Run(func(c *mpisim.Comm) {
 		p, err := NewPlan(c, Config{Global: [3]int{8, 8, 8}, Opts: Options{
 			Decomp: DecompPencils, Backend: BackendAlltoallv,
-			Comm: CommConfig{Algo: CollRing, Chunks: 4, Overlap: OverlapOn},
+			Comm: CommConfig{Algo: CollRing, Chunks: 4},
 		}})
 		if err != nil {
 			errs[c.Rank()] = err

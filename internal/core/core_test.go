@@ -304,11 +304,11 @@ func TestGridShrinkingCorrect(t *testing.T) {
 			panic(err)
 		}
 		if c.Rank() == 0 {
-			active = p.ActiveRanks()
+			active = p.lp
 		}
 	})
 	if active >= size || active < 1 {
-		t.Errorf("ActiveRanks = %d, want < %d after shrinking", active, size)
+		t.Errorf("active ranks = %d, want < %d after shrinking", active, size)
 	}
 }
 

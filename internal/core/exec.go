@@ -848,16 +848,6 @@ func (p *Plan) InverseCtx(ctx context.Context, f *Field) error {
 	return p.executeCtx(ctx, p.one[:], fft.Inverse)
 }
 
-// ForwardBatchCtx is ForwardBatch with a cancellation context; see ForwardCtx.
-func (p *Plan) ForwardBatchCtx(ctx context.Context, fs []*Field) error {
-	return p.executeCtx(ctx, fs, fft.Forward)
-}
-
-// InverseBatchCtx is InverseBatch with a cancellation context; see ForwardCtx.
-func (p *Plan) InverseBatchCtx(ctx context.Context, fs []*Field) error {
-	return p.executeCtx(ctx, fs, fft.Inverse)
-}
-
 func (p *Plan) executeCtx(ctx context.Context, fs []*Field, dir fft.Direction) error {
 	p.ctx = ctx
 	defer func() { p.ctx = nil }()

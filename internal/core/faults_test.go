@@ -79,13 +79,13 @@ func TestFaultErrorCarriesPhaseContext(t *testing.T) {
 }
 
 // TestCleanPlanUnaffectedByTimeoutBound: an exchange timeout on a healthy
-// world is purely an upper bound — it must not alter virtual timings or
-// produce spurious errors.
+// world (a fault plan with a bound and no events) is purely an upper bound —
+// it must not alter virtual timings or produce spurious errors.
 func TestCleanPlanUnaffectedByTimeoutBound(t *testing.T) {
 	run := func(timeout float64) mpisim.Result {
 		const size = 4
 		global := [3]int{8, 8, 8}
-		w := mpisim.NewWorld(machine.Summit(), size, mpisim.Options{GPUAware: true, ExchangeTimeout: timeout})
+		w := mpisim.NewWorld(machine.Summit(), size, mpisim.Options{GPUAware: true, Faults: &faults.Plan{Timeout: timeout}})
 		res := w.Run(func(c *mpisim.Comm) {
 			p, err := NewPlan(c, Config{Global: global})
 			if err != nil {

@@ -117,7 +117,7 @@ func fpCases() []fpCase {
 	}{{"aware", aware}, {"staged", staged}} {
 		cs = append(cs,
 			fpCase{name: "chunks1/" + st.tag, ranks: 12, global: fpCube, opts: with(pencilV, CommConfig{Chunks: 1}), world: st.w, batch: 1},
-			fpCase{name: "chunks3-overlap/" + st.tag, ranks: 12, global: fpCube, opts: with(pencilV, CommConfig{Chunks: 3, Overlap: OverlapOn}), world: st.w, batch: 1},
+			fpCase{name: "chunks3-overlap/" + st.tag, ranks: 12, global: fpCube, opts: with(pencilV, CommConfig{Chunks: 3}), world: st.w, batch: 1},
 			fpCase{name: "chunks3-serial/" + st.tag, ranks: 12, global: fpCube, opts: with(pencilV, CommConfig{Chunks: 3, Overlap: OverlapOff}), world: st.w, batch: 1},
 		)
 	}

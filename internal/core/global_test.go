@@ -127,7 +127,7 @@ func globalCases() []globalCase {
 			store := NewCheckpointStore()
 			extra := []globalCase{
 				{name: "pencil-io", cfg: pencilIO},
-				{name: "chunks3-overlap", cfg: opts(Options{Decomp: DecompPencils, Comm: CommConfig{Chunks: 3, Overlap: OverlapOn}})},
+				{name: "chunks3-overlap", cfg: opts(Options{Decomp: DecompPencils, Comm: CommConfig{Chunks: 3}})},
 				{name: "p2p", cfg: opts(Options{Decomp: DecompSlabs, Backend: BackendP2P})},
 				{name: "checkpoints", cfg: opts(Options{Decomp: DecompBricks, Checkpoints: store})},
 			}

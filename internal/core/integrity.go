@@ -72,11 +72,21 @@ func kahan(sum, v float64, comp *float64) float64 {
 	return t
 }
 
-// sumAll sums the whole brick.
-func sumAll(d []complex128) brickSum {
+// sumBlock sums a whole brick or block: complex elements through add, real
+// ones through the real half's compensated sum (im stays zero). One helper, so
+// an envelope and its verification run the identical summation.
+func sumBlock[T any](data []T) brickSum {
 	var b brickSum
-	for _, v := range d {
-		b.add(v)
+	switch d := any(data).(type) {
+	case []complex128:
+		for _, v := range d {
+			b.add(v)
+		}
+	case []float64:
+		for _, v := range d {
+			b.re = kahan(b.re, v, &b.reC)
+			b.absSum += math.Abs(v)
+		}
 	}
 	return b
 }
@@ -117,8 +127,12 @@ func sumLine(d []complex128, s [3]int) brickSum {
 	return b
 }
 
+// invariantTol is the relative tolerance of the phase invariants: mismatch
+// when |Δ| > invariantTol·(1+|expected|), plus the rounding floor below.
+const invariantTol = 1e-9
+
 // invariantOK evaluates |Σout − scale·Σin| against the adaptive threshold:
-// the configured relative tolerance anchored at the largest output element,
+// the relative tolerance invariantTol anchored at the largest output element,
 // floored by the accumulated rounding noise of the compensated sums and the
 // transform itself (both O(ε·Σ|x|)). quantEps widens that floor when the
 // plan's exchanges are compressed (PR 9): data reaching the stage then
@@ -127,11 +141,11 @@ func sumLine(d []complex128, s [3]int) brickSum {
 // re-association slack of the summation term, which would also swallow real
 // single-element flips. Zero on a full-precision plan (bit-identical to the
 // PR 8 behavior).
-func invariantOK(pre, post brickSum, scale, tol, quantEps float64) bool {
+func invariantOK(pre, post brickSum, scale, quantEps float64) bool {
 	dRe := post.re - scale*pre.re
 	dIm := post.im - scale*pre.im
 	noise := post.absSum + scale*pre.absSum
-	thr := tol*(1+post.absMax) + 64*sumEps*noise + 4*quantEps*noise
+	thr := invariantTol*(1+post.absMax) + 64*sumEps*noise + 4*quantEps*noise
 	return math.Abs(dRe)+math.Abs(dIm) <= thr
 }
 
@@ -144,18 +158,7 @@ func invariantOK(pre, post brickSum, scale, tol, quantEps float64) bool {
 // sum differs by the accumulated wire rounding and verification switches to
 // the wire-epsilon threshold.
 func envelopeSum[T any](b *mpisim.Buf, data []T) {
-	var s brickSum
-	switch d := any(data).(type) {
-	case []complex128:
-		for _, v := range d {
-			s.add(v)
-		}
-	case []float64:
-		for _, v := range d {
-			s.re = kahan(s.re, v, &s.reC)
-			s.absSum += math.Abs(v)
-		}
-	}
+	s := sumBlock(data)
 	b.SumRe, b.SumIm = s.re, s.im
 	b.Summed = true
 }
@@ -172,18 +175,7 @@ func verifyEnvelope[T any](g *mpisim.Comm, gi int, b *mpisim.Buf, what string) {
 	}
 	ctr := g.IntegrityCounters()
 	ctr.InvariantChecks.Add(1)
-	var s brickSum
-	switch d := any(bufSlice[T](b)).(type) {
-	case []complex128:
-		for _, v := range d {
-			s.add(v)
-		}
-	case []float64:
-		for _, v := range d {
-			s.re = kahan(s.re, v, &s.reC)
-			s.absSum += math.Abs(v)
-		}
-	}
+	s := sumBlock(bufSlice[T](b))
 	bad := s.re != b.SumRe || s.im != b.SumIm
 	if bad && b.Wire != mpisim.WireFp64 {
 		// Compressed block: the envelope was summed before down-conversion,
@@ -254,7 +246,6 @@ func (e *engine) runABFT(st stage, fields []*Field, dir fft.Direction) float64 {
 	if dir == fft.Inverse {
 		scale = 1
 	}
-	tol := e.comm.Integrity().Tol()
 	me := e.comm.WorldRank(e.comm.Rank())
 
 	retained := getBuf[complex128](vol)
@@ -271,9 +262,9 @@ func (e *engine) runABFT(st stage, fields []*Field, dir fft.Direction) float64 {
 			if hit, seed := e.comm.BrickProbe(); hit {
 				mpisim.CorruptComplex(f.Data, seed)
 			}
-			post := sumAll(f.Data)
+			post := sumBlock(f.Data)
 			ctr.InvariantChecks.Add(1)
-			if invariantOK(pre, post, scale, tol, e.abftEps) {
+			if invariantOK(pre, post, scale, e.abftEps) {
 				break
 			}
 			ctr.InvariantFailures.Add(1)

@@ -198,7 +198,7 @@ func TestWireCorruptionRepairedByRetransmit(t *testing.T) {
 // TestWireCorruptionExhaustsRetransmitBudget: corruption outlasting the
 // per-block budget surfaces as ErrRetransmitExhausted, not silent data.
 func TestWireCorruptionExhaustsRetransmitBudget(t *testing.T) {
-	ic := mpisim.IntegrityConfig{Checksums: true, RetransmitBudget: 2}
+	ic := mpisim.IntegrityConfig{Checksums: true}
 	_, err, _, _ := runIntegrity(t, 4, [3]int{32, 32, 32}, ic, wirePlan(3), nil)
 	if err == nil {
 		t.Fatalf("unrepairable corruption did not fail the transform")

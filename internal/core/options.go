@@ -136,8 +136,6 @@ type OverlapMode int
 const (
 	// OverlapAuto overlaps whenever the reshape is chunked.
 	OverlapAuto OverlapMode = iota
-	// OverlapOn forces the double-buffered pipelined path.
-	OverlapOn
 	// OverlapOff packs, exchanges and unpacks each chunk serially.
 	OverlapOff
 )
@@ -146,8 +144,6 @@ func (o OverlapMode) String() string {
 	switch o {
 	case OverlapAuto:
 		return "auto"
-	case OverlapOn:
-		return "on"
 	case OverlapOff:
 		return "off"
 	}

@@ -268,10 +268,6 @@ func (p *Plan) Decomp() Decomposition { return p.decomp }
 // PencilGrid returns the P×Q grid used by the pencil stages.
 func (p *Plan) PencilGrid() (pg, qg int) { return p.p, p.q }
 
-// ActiveRanks returns the number of ranks computing the transform after grid
-// shrinking (equals the communicator size when shrinking is off).
-func (p *Plan) ActiveRanks() int { return p.lp }
-
 // InBox and OutBox return this rank's input and output boxes.
 func (p *Plan) InBox() tensor.Box3  { return p.inBox }
 func (p *Plan) OutBox() tensor.Box3 { return p.outBox }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/fft"
 	"repro/internal/gpu"
-	"repro/internal/model"
 	"repro/internal/mpisim"
 	"repro/internal/tensor"
 )
@@ -239,13 +238,4 @@ func reverseReshape(rs *reshapePlan) *reshapePlan {
 		recvPeers: rs.sendPeers, recvs: rs.sends, selfRecv: rs.selfSend,
 		stats: rs.stats, tab: rs.tab, root: rs.root, reversed: !rs.reversed,
 	}
-}
-
-// PredictComm evaluates the bandwidth model for this plan's geometry — the
-// complex phases move half-grid volumes, plus the half-byte real reshape.
-func (p *RealPlan) PredictComm() float64 {
-	m := p.comm.Model()
-	params := model.Params{Latency: m.InterLatency, Bandwidth: m.NodeInjectionBW}
-	n := p.global[0] * p.global[1] * p.global[2]
-	return model.PencilTime(n, p.p, p.q, params)
 }

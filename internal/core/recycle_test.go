@@ -90,7 +90,7 @@ func runRecycle(tc recycleCase, drain bool) recycleRun {
 // same output bits and the same virtual clocks as the same run drawing only
 // fresh lists. make race runs it at several GOMAXPROCS values.
 func TestRecycledListsMatchFresh(t *testing.T) {
-	pipelined := Options{Decomp: DecompPencils, Backend: BackendAlltoallv, Comm: CommConfig{Chunks: 3, Overlap: OverlapOn}}
+	pipelined := Options{Decomp: DecompPencils, Backend: BackendAlltoallv, Comm: CommConfig{Chunks: 3}}
 	silent := &faults.Plan{Events: []faults.Event{
 		{Kind: faults.CorruptSilent, Rank: 1, Op: 1, Count: 1},
 		{Kind: faults.CorruptSilent, Rank: 5, Op: 4, Count: 1},
@@ -99,7 +99,7 @@ func TestRecycledListsMatchFresh(t *testing.T) {
 	cases := []recycleCase{
 		{name: "chunks3-overlap", opts: pipelined},
 		{name: "chunks4-serial", opts: Options{Decomp: DecompPencils, Backend: BackendAlltoallv, Comm: CommConfig{Chunks: 4, Overlap: OverlapOff}}},
-		{name: "slabs/chunks3-overlap", opts: Options{Decomp: DecompSlabs, Backend: BackendAlltoallv, Comm: CommConfig{Chunks: 3, Overlap: OverlapOn}}},
+		{name: "slabs/chunks3-overlap", opts: Options{Decomp: DecompSlabs, Backend: BackendAlltoallv, Comm: CommConfig{Chunks: 3}}},
 		{name: "per-entry-ialltoallv", opts: Options{Decomp: DecompPencils, Backend: BackendAlltoallv}, async: true},
 		{name: "alltoall", opts: Options{Decomp: DecompPencils, Backend: BackendAlltoall}},
 		{name: "p2p", opts: Options{Decomp: DecompPencils, Backend: BackendP2P}},

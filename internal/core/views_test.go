@@ -263,7 +263,7 @@ func TestViewsMatchPacking(t *testing.T) {
 				if b != BackendAlltoallv {
 					continue
 				}
-				for _, cc := range []CommConfig{{Chunks: 1}, {Chunks: 3, Overlap: OverlapOff}, {Chunks: 3, Overlap: OverlapOn}} {
+				for _, cc := range []CommConfig{{Chunks: 1}, {Chunks: 3, Overlap: OverlapOff}, {Chunks: 3}} {
 					cases = append(cases, viewsCase{name: fmt.Sprintf("%s/chunks%d-overlap-%v", name, cc.Chunks, cc.Overlap),
 						opts: Options{Decomp: d, Backend: b, Comm: cc}, batch: batch})
 				}
@@ -276,7 +276,7 @@ func TestViewsMatchPacking(t *testing.T) {
 				opts: Options{Backend: b}, batch: batch, real: true})
 		}
 		cases = append(cases, viewsCase{name: fmt.Sprintf("real/alltoallv/chunks3/batch%d", batch),
-			opts: Options{Backend: BackendAlltoallv, Comm: CommConfig{Chunks: 3, Overlap: OverlapOn}}, batch: batch, real: true})
+			opts: Options{Backend: BackendAlltoallv, Comm: CommConfig{Chunks: 3}}, batch: batch, real: true})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -567,7 +567,7 @@ func (c *countdownCtx) Err() error {
 func TestCancelWithViewsInFlight(t *testing.T) {
 	oneProc(t)
 	global := [3]int{16, 16, 16}
-	opts := Options{Decomp: DecompPencils, Backend: BackendAlltoallv, Comm: CommConfig{Chunks: 2, Overlap: OverlapOn}}
+	opts := Options{Decomp: DecompPencils, Backend: BackendAlltoallv, Comm: CommConfig{Chunks: 2}}
 	for n := 1; ; n++ {
 		fired := false
 		w := mpisim.NewWorld(machine.Summit(), 8, mpisim.Options{GPUAware: true})

@@ -97,7 +97,7 @@ func TestWireRoundTripBackends(t *testing.T) {
 		{"alltoall", func(w WirePrecision) Config { return mk(BackendAlltoall, 0, OverlapAuto, w) }},
 		{"p2p", func(w WirePrecision) Config { return mk(BackendP2P, 0, OverlapAuto, w) }},
 		{"p2p-blocking", func(w WirePrecision) Config { return mk(BackendP2PBlocking, 0, OverlapAuto, w) }},
-		{"chunked-overlap", func(w WirePrecision) Config { return mk(BackendAlltoallv, 3, OverlapOn, w) }},
+		{"chunked-overlap", func(w WirePrecision) Config { return mk(BackendAlltoallv, 3, OverlapAuto, w) }},
 		{"chunked-serial", func(w WirePrecision) Config { return mk(BackendAlltoallv, 3, OverlapOff, w) }},
 	}
 	for _, c := range cases {

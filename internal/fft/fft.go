@@ -275,12 +275,6 @@ func (p *Plan) transformBluestein(data []complex128, dir Direction) {
 	}
 }
 
-// Transform1D is a convenience wrapper computing a single contiguous 1-D
-// transform of arbitrary length.
-func Transform1D(data []complex128, dir Direction) {
-	NewPlan(len(data)).Transform(data, dir)
-}
-
 // Transform2D computes an in-place 2-D transform of a row-major n0×n1 array
 // (n1 contiguous).
 func Transform2D(data []complex128, n0, n1 int, dir Direction) {

@@ -18,11 +18,10 @@ import (
 type Device struct {
 	comm  *mpisim.Comm
 	model *machine.GPU
-	// fftName is the vendor library name used in trace events: cuFFT on
-	// V100 machines, rocFFT on MI100 (Fig. 13 uses both). The per-kernel
-	// event names are precomputed so charging a kernel on the execution hot
-	// path performs no allocations.
-	fftName               string
+	// The FFT kernels' trace event names carry the vendor library: cuFFT on
+	// V100 machines, rocFFT on MI100 (Fig. 13 uses both). They are
+	// precomputed so charging a kernel on the execution hot path performs no
+	// allocations.
 	name1D, name1DStrided string
 	name2D, name2DStrided string
 	nameR2C               string
@@ -36,7 +35,7 @@ func New(c *mpisim.Comm) *Device {
 		name = "rocfft"
 	}
 	return &Device{
-		comm: c, model: g, fftName: name,
+		comm: c, model: g,
 		name1D: name + "_1d", name1DStrided: name + "_1d_strided",
 		name2D: name + "_2d", name2DStrided: name + "_2d_strided",
 		nameR2C: name + "_r2c",
@@ -45,9 +44,6 @@ func New(c *mpisim.Comm) *Device {
 
 // Model returns the underlying GPU cost model.
 func (d *Device) Model() *machine.GPU { return d.model }
-
-// FFTName returns the vendor FFT library name ("cufft" or "rocfft").
-func (d *Device) FFTName() string { return d.fftName }
 
 func (d *Device) charge(name string, dt float64, bytes int) {
 	start := d.comm.Clock()

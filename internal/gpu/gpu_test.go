@@ -18,16 +18,12 @@ func withDevice(t *testing.T, m *machine.Model, f func(d *Device, c *mpisim.Comm
 }
 
 func TestVendorNameByMachine(t *testing.T) {
-	withDevice(t, machine.Summit(), func(d *Device, c *mpisim.Comm) {
-		if d.FFTName() != "cufft" {
-			t.Errorf("Summit FFT name = %s", d.FFTName())
+	for m, want := range map[*machine.Model]string{machine.Summit(): "cufft_1d", machine.Spock(): "rocfft_1d"} {
+		tr := withDevice(t, m, func(d *Device, c *mpisim.Comm) { d.FFT1D(64, 1, false) })
+		if names := tr.Names(); len(names) != 1 || names[0] != want {
+			t.Errorf("%s FFT events = %v, want [%s]", m.Name, names, want)
 		}
-	})
-	withDevice(t, machine.Spock(), func(d *Device, c *mpisim.Comm) {
-		if d.FFTName() != "rocfft" {
-			t.Errorf("Spock FFT name = %s", d.FFTName())
-		}
-	})
+	}
 }
 
 func TestKernelsAdvanceClockAndTrace(t *testing.T) {

@@ -51,17 +51,17 @@ type exchCall struct {
 func exchCalls() []exchCall {
 	calls := []exchCall{
 		{"alltoall",
-			func(c *Comm, send func() []Buf) [][]Buf { return [][]Buf{c.Alltoall(send())} },
+			func(c *Comm, send func() []Buf) [][]Buf { return [][]Buf{alltoallDense(c, send())} },
 			func(c *Comm, send func() []Block, loc machine.Location) [][]Block {
 				return [][]Block{c.AlltoallSparse(send(), lend(), loc)}
 			}},
 		{"alltoallv",
-			func(c *Comm, send func() []Buf) [][]Buf { return [][]Buf{c.Alltoallv(send())} },
+			func(c *Comm, send func() []Buf) [][]Buf { return [][]Buf{alltoallvDense(c, send())} },
 			func(c *Comm, send func() []Block, loc machine.Location) [][]Block {
 				return [][]Block{c.AlltoallvSparse(send(), lend(), loc, AlgoLinear)}
 			}},
 		{"alltoallw",
-			func(c *Comm, send func() []Buf) [][]Buf { return [][]Buf{c.Alltoallw(send())} },
+			func(c *Comm, send func() []Buf) [][]Buf { return [][]Buf{alltoallwDense(c, send())} },
 			func(c *Comm, send func() []Block, loc machine.Location) [][]Block {
 				return [][]Block{c.AlltoallwSparse(send(), lend(), loc)}
 			}},
@@ -76,7 +76,7 @@ func exchCalls() []exchCall {
 				}},
 			exchCall{"iwith/" + a.String(),
 				func(c *Comm, send func() []Buf) [][]Buf {
-					req := c.IalltoallvWith(send(), a)
+					req := ialltoallvDense(c, send(), a)
 					c.Advance(3e-6)
 					return [][]Buf{c.WaitColl(req)}
 				},
@@ -87,7 +87,7 @@ func exchCalls() []exchCall {
 				}},
 			exchCall{"pair/iwith/" + a.String(),
 				func(c *Comm, send func() []Buf) [][]Buf {
-					x, y := c.IalltoallvWith(send(), a), c.IalltoallvWith(send(), a)
+					x, y := ialltoallvDense(c, send(), a), ialltoallvDense(c, send(), a)
 					c.Advance(1e-6)
 					return [][]Buf{c.WaitColl(x), c.WaitColl(y)}
 				},

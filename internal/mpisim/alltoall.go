@@ -10,9 +10,9 @@ import (
 )
 
 // The all-to-all engine. Every flavour — padded MPI_Alltoall, exact
-// MPI_Alltoallv, datatype MPI_Alltoallw, the algorithm-scheduled variants and
-// their non-blocking twins — is one rendezvous written once (postAlltoall) and
-// one completion written once (finishAlltoall); a blocking call is a post
+// MPI_Alltoallv, per-message MPI_Alltoallw, the algorithm-scheduled variants
+// and their non-blocking twins — is one rendezvous written once (postAlltoall)
+// and one completion written once (finishAlltoall); a blocking call is a post
 // followed by a finish. What differs between flavours is only how the exchange
 // is priced, and the pricing policies are plain values beside each other
 // below.
@@ -25,9 +25,10 @@ import (
 // exchanges. The leader's per-round scratch is communicator-length — every
 // member's input and output (round, coll.go), per-rank counts and a
 // schedule's members (pricing, below) — and is pooled, not allocated per
-// call. The dense []Buf entry points (Alltoall, Alltoallv, Alltoallw,
-// AlltoallvWith and the non-blocking pair in icoll.go) compress into and
-// expand out of this format around the same engine.
+// call. The three dense []Buf entry points left (AlltoallvWith, and Ialltoallv
+// and WaitColl in icoll.go) serve only the benchmark harness's layer replay
+// (benchmark/replay.go); they compress into and expand out of this format
+// around the same engine.
 //
 // Receivers own copies of their blocks. The send list a rank hands over is its
 // deposit for the length of the rendezvous; the leader copies every block in
@@ -117,7 +118,7 @@ const (
 	// in exchange for the most optimized vendor loop.
 	kindAlltoall  naiveKind = iota
 	kindAlltoallv           // vendor per-destination loop over exact sizes
-	kindAlltoallw           // per-message loop over derived sub-array datatypes
+	kindAlltoallw           // per-message Isend/Irecv loop (Algorithm 2's transport)
 )
 
 // scheduleOf maps an Algo to its schedule. AlgoLinear is the per-destination
@@ -126,10 +127,9 @@ const (
 // entry and multiplies the degrade factor over staging, self copy and wire
 // alike, while a scheduled exchange starts staging at local arrival and gates
 // on the injection port — the same traffic lands on different clocks. Blocking
-// AlgoLinear keeps the vendor pricing (schedulePricer; timing-identical to
-// Alltoallv); the non-blocking flavour runs here because chunked pipelines post
-// it back to back, and only the port gate keeps two in-flight chunks from
-// sharing the wire for free.
+// AlgoLinear keeps the vendor pricing (schedulePricer); the non-blocking
+// flavour runs here because chunked pipelines post it back to back, and only
+// the port gate keeps two in-flight chunks from sharing the wire for free.
 func scheduleOf(a Algo) CollectiveAlgo {
 	switch a {
 	case AlgoPairwise:
@@ -527,11 +527,10 @@ func (c *Comm) AlltoallSparse(send, recv []Block, loc machine.Location) []Block 
 	return c.blockingAlltoall(send, recv, loc, pricer{naive: kindAlltoall}, "MPI_Alltoall")
 }
 
-// AlltoallwSparse is the sparse-vector form of Alltoallw: the generalized
-// all-to-all on derived sub-array datatypes used by Algorithm 2 (Dalcin et
-// al.) — a naive Isend/Irecv loop with high per-message setup, and, on
-// SpectrumMPI-like stacks, no GPU-awareness, so device buffers stage through
-// PCIe per message.
+// AlltoallwSparse prices MPI_Alltoallw, the generalized all-to-all on derived
+// sub-array datatypes used by Algorithm 2 (Dalcin et al.) — a naive
+// Isend/Irecv loop with high per-message setup, and, on SpectrumMPI-like
+// stacks, no GPU-awareness, so device buffers stage through PCIe per message.
 func (c *Comm) AlltoallwSparse(send, recv []Block, loc machine.Location) []Block {
 	return c.blockingAlltoall(send, recv, loc, pricer{naive: kindAlltoallw}, "MPI_Alltoallw")
 }
@@ -547,10 +546,10 @@ func (c *Comm) AlltoallvSparse(send, recv []Block, loc machine.Location, a Algo)
 	return c.blockingAlltoall(send, recv, loc, schedulePricer(a), "MPI_Alltoallv")
 }
 
-// The dense entry points: send[dst] → recv[src] over vectors of one Buf per
-// comm rank. Each compresses its vector into the sparse form, runs the engine
-// and expands the result, so a dense caller and a sparse caller handing over
-// the same blocks land on the same clocks and receive the same payloads.
+// The dense adapters: send[dst] → recv[src] over vectors of one Buf per comm
+// rank, compressed into a send list and expanded back, so a dense caller and a
+// sparse caller handing over the same blocks land on the same clocks and
+// receive the same payloads.
 
 // compress lists the non-empty blocks of a dense send vector and finds where
 // the send buffer lives (on the device if any block, empty or not, is).
@@ -586,33 +585,8 @@ func (c *Comm) expand(recv []Block) []Buf {
 	return out
 }
 
-func (c *Comm) denseAlltoall(send []Buf, p pricer, op string) []Buf {
-	blocks, loc := c.compress(send, op)
-	return c.expand(c.blockingAlltoall(blocks, nil, loc, p, op))
-}
-
-// Alltoall exchanges send[dst] → recv[src] with MPI_Alltoall semantics: all
-// blocks are padded to the maximum block size in the communicator, in
-// exchange for the most optimized vendor algorithm.
-func (c *Comm) Alltoall(send []Buf) []Buf {
-	return c.denseAlltoall(send, pricer{naive: kindAlltoall}, "MPI_Alltoall")
-}
-
-// Alltoallv exchanges exact per-pair sizes with the optimized collective
-// path.
-func (c *Comm) Alltoallv(send []Buf) []Buf {
-	return c.denseAlltoall(send, pricer{naive: kindAlltoallv}, "MPI_Alltoallv")
-}
-
-// Alltoallw models the generalized all-to-all on derived sub-array datatypes
-// (see AlltoallwSparse).
-func (c *Comm) Alltoallw(send []Buf) []Buf {
-	return c.denseAlltoall(send, pricer{naive: kindAlltoallw}, "MPI_Alltoallw")
-}
-
-// AlltoallvWith exchanges exact per-pair sizes like Alltoallv, but scheduled
-// by the selected algorithm (see AlltoallvSparse). AlgoLinear is
-// timing-identical to Alltoallv.
+// AlltoallvWith is AlltoallvSparse over dense vectors (send[dst] → recv[src]).
 func (c *Comm) AlltoallvWith(send []Buf, a Algo) []Buf {
-	return c.denseAlltoall(send, schedulePricer(a), "MPI_Alltoallv")
+	blocks, loc := c.compress(send, "MPI_Alltoallv")
+	return c.expand(c.AlltoallvSparse(blocks, nil, loc, a))
 }

@@ -284,9 +284,3 @@ func (c *Comm) Split(color, key int) *Comm {
 	}
 	return &Comm{core: out.splitCore, rank: out.splitRank}
 }
-
-// Dup returns a communicator with the same group but separate matching
-// space (a fresh context id), as MPI_Comm_dup.
-func (c *Comm) Dup() *Comm {
-	return c.Split(0, c.rank)
-}

@@ -118,11 +118,8 @@ func (c *Comm) raiseFault(err error) {
 }
 
 // timeoutBound returns the per-exchange virtual-time bound in effect (0 =
-// none): an explicit Options.ExchangeTimeout wins, else the fault plan's.
+// none): the fault plan's Timeout. A plan without events only sets the bound.
 func (w *World) timeoutBound() float64 {
-	if w.opts.ExchangeTimeout > 0 {
-		return w.opts.ExchangeTimeout
-	}
 	if w.opts.Faults != nil {
 		return w.opts.Faults.Timeout
 	}

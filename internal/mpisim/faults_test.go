@@ -35,7 +35,7 @@ func faultWorld(t *testing.T, plan *faults.Plan, coll func(c *Comm, send []Buf) 
 func TestKillMidAlltoallvUnblocksSurvivors(t *testing.T) {
 	before := runtime.NumGoroutine()
 	plan := &faults.Plan{Timeout: 1, Events: []faults.Event{{Kind: faults.Kill, Rank: 2, Op: 0}}}
-	errs, res := faultWorld(t, plan, func(c *Comm, send []Buf) []Buf { return c.Alltoallv(send) })
+	errs, res := faultWorld(t, plan, func(c *Comm, send []Buf) []Buf { return alltoallvDense(c, send) })
 	for r, err := range errs {
 		if !errors.Is(err, ErrRankFailed) {
 			t.Errorf("rank %d: err = %v, want ErrRankFailed", r, err)
@@ -52,7 +52,7 @@ func TestKillMidAlltoallvUnblocksSurvivors(t *testing.T) {
 func TestKillMidAlltoallwUnblocksSurvivors(t *testing.T) {
 	before := runtime.NumGoroutine()
 	plan := &faults.Plan{Timeout: 1, Events: []faults.Event{{Kind: faults.Kill, Rank: 1, Op: 0}}}
-	errs, res := faultWorld(t, plan, func(c *Comm, send []Buf) []Buf { return c.Alltoallw(send) })
+	errs, res := faultWorld(t, plan, func(c *Comm, send []Buf) []Buf { return alltoallwDense(c, send) })
 	for r, err := range errs {
 		if !errors.Is(err, ErrRankFailed) {
 			t.Errorf("rank %d: err = %v, want ErrRankFailed", r, err)
@@ -84,7 +84,7 @@ func checkNoGoroutineLeak(t *testing.T, before int) {
 // a bounded ErrExchangeTimeout instead.
 func TestDropTimesOutCollective(t *testing.T) {
 	plan := &faults.Plan{Timeout: 0.5, Events: []faults.Event{{Kind: faults.Drop, Rank: 0, Op: 0}}}
-	errs, res := faultWorld(t, plan, func(c *Comm, send []Buf) []Buf { return c.Alltoallv(send) })
+	errs, res := faultWorld(t, plan, func(c *Comm, send []Buf) []Buf { return alltoallvDense(c, send) })
 	if !errors.Is(res.Err, ErrExchangeTimeout) {
 		t.Fatalf("Result.Err = %v, want ErrExchangeTimeout", res.Err)
 	}
@@ -104,7 +104,7 @@ func TestDropTimesOutCollective(t *testing.T) {
 // receivers (checksum model) and fails the world with ErrMessageCorrupt.
 func TestCorruptDetectedOnReceipt(t *testing.T) {
 	plan := &faults.Plan{Timeout: 1, Events: []faults.Event{{Kind: faults.Corrupt, Rank: 3, Op: 0}}}
-	_, res := faultWorld(t, plan, func(c *Comm, send []Buf) []Buf { return c.Alltoallv(send) })
+	_, res := faultWorld(t, plan, func(c *Comm, send []Buf) []Buf { return alltoallvDense(c, send) })
 	if !errors.Is(res.Err, ErrMessageCorrupt) {
 		t.Fatalf("Result.Err = %v, want ErrMessageCorrupt", res.Err)
 	}
@@ -116,7 +116,7 @@ func TestStallTripsTimeout(t *testing.T) {
 	plan := &faults.Plan{Timeout: 0.5, Events: []faults.Event{
 		{Kind: faults.Stall, Rank: 0, Op: 0, Delay: 5},
 	}}
-	_, res := faultWorld(t, plan, func(c *Comm, send []Buf) []Buf { return c.Alltoallv(send) })
+	_, res := faultWorld(t, plan, func(c *Comm, send []Buf) []Buf { return alltoallvDense(c, send) })
 	if !errors.Is(res.Err, ErrExchangeTimeout) {
 		t.Fatalf("Result.Err = %v, want ErrExchangeTimeout", res.Err)
 	}
@@ -132,7 +132,7 @@ func TestP2PDrop(t *testing.T) {
 			if c.Rank() == 0 {
 				c.Send(1, 0, hostBuf(1))
 			} else {
-				c.Recv(0, 0)
+				recv(c, 0, 0)
 			}
 		})
 	})
@@ -153,7 +153,7 @@ func TestP2PCorrupt(t *testing.T) {
 			if c.Rank() == 0 {
 				c.Send(1, 0, hostBuf(1))
 			} else {
-				c.Recv(0, 0)
+				recv(c, 0, 0)
 			}
 		})
 		if c.Rank() == 1 {
@@ -177,7 +177,7 @@ func TestDegradeDeterministicClocks(t *testing.T) {
 		{Kind: faults.Jitter, Rank: 2, Op: 0, Delay: 0.001, Count: 2},
 	}}
 	run := func() Result {
-		_, res := faultWorld(t, plan, func(c *Comm, send []Buf) []Buf { return c.Alltoallv(send) })
+		_, res := faultWorld(t, plan, func(c *Comm, send []Buf) []Buf { return alltoallvDense(c, send) })
 		return res
 	}
 	a, b := run(), run()
@@ -190,7 +190,7 @@ func TestDegradeDeterministicClocks(t *testing.T) {
 		}
 	}
 	// And the degraded run is actually slower than a clean one.
-	_, clean := faultWorld(t, nil, func(c *Comm, send []Buf) []Buf { return c.Alltoallv(send) })
+	_, clean := faultWorld(t, nil, func(c *Comm, send []Buf) []Buf { return alltoallvDense(c, send) })
 	if a.MaxClock <= clean.MaxClock {
 		t.Errorf("degraded makespan %g not above clean %g", a.MaxClock, clean.MaxClock)
 	}
@@ -205,9 +205,9 @@ func TestWorldStaysFailedAfterFault(t *testing.T) {
 	var second error
 	w.Run(func(c *Comm) {
 		send := []Buf{hostBuf(1), hostBuf(2)}
-		c.Protect(func() { c.Alltoallv(send) })
+		c.Protect(func() { alltoallvDense(c, send) })
 		if c.Rank() == 1 {
-			second = c.Protect(func() { c.Alltoallv(send) })
+			second = c.Protect(func() { alltoallvDense(c, send) })
 		}
 	})
 	if !errors.Is(second, ErrRankFailed) {

@@ -74,9 +74,9 @@ var fpOps = []struct {
 	name string
 	run  func(c *Comm, send func() []Buf) []Buf
 }{
-	{"alltoall", func(c *Comm, send func() []Buf) []Buf { return c.Alltoall(send()) }},
-	{"alltoallv", func(c *Comm, send func() []Buf) []Buf { return c.Alltoallv(send()) }},
-	{"alltoallw", func(c *Comm, send func() []Buf) []Buf { return c.Alltoallw(send()) }},
+	{"alltoall", func(c *Comm, send func() []Buf) []Buf { return alltoallDense(c, send()) }},
+	{"alltoallv", func(c *Comm, send func() []Buf) []Buf { return alltoallvDense(c, send()) }},
+	{"alltoallw", func(c *Comm, send func() []Buf) []Buf { return alltoallwDense(c, send()) }},
 	{"ialltoallv", func(c *Comm, send func() []Buf) []Buf {
 		req := c.Ialltoallv(send())
 		c.Advance(3e-5)
@@ -89,8 +89,8 @@ var fpOps = []struct {
 	}},
 	{"mixed", func(c *Comm, send func() []Buf) []Buf {
 		out := c.AlltoallvWith(send(), AlgoRing)
-		out = append(out, c.Alltoallv(send())...)
-		req := c.IalltoallvWith(send(), AlgoLinear)
+		out = append(out, alltoallvDense(c, send())...)
+		req := ialltoallvDense(c, send(), AlgoLinear)
 		out = append(out, c.AlltoallvWith(send(), AlgoPairwise)...)
 		return append(out, c.WaitColl(req)...)
 	}},
@@ -102,7 +102,7 @@ var fpOps = []struct {
 			sub = append(sub, s[d])
 		}
 		out := g.AlltoallvWith(sub, AlgoNodeAware)
-		return append(out, g.Alltoallv(sub)...)
+		return append(out, alltoallvDense(g, sub)...)
 	}},
 }
 
@@ -118,7 +118,7 @@ func init() {
 				name string
 				run  func(c *Comm, send func() []Buf) []Buf
 			}{"iwith/" + a.String(), func(c *Comm, send func() []Buf) []Buf {
-				req := c.IalltoallvWith(send(), a)
+				req := ialltoallvDense(c, send(), a)
 				c.Advance(3e-5)
 				return c.WaitColl(req)
 			}},
@@ -126,7 +126,7 @@ func init() {
 				name string
 				run  func(c *Comm, send func() []Buf) []Buf
 			}{"pair/iwith/" + a.String(), func(c *Comm, send func() []Buf) []Buf {
-				x, y := c.IalltoallvWith(send(), a), c.IalltoallvWith(send(), a)
+				x, y := ialltoallvDense(c, send(), a), ialltoallvDense(c, send(), a)
 				c.Advance(1e-5)
 				return append(c.WaitColl(x), c.WaitColl(y)...)
 			}},

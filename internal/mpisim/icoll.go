@@ -23,35 +23,18 @@ type CollRequest struct {
 	waitName string
 }
 
-// Ialltoallv posts a non-blocking all-to-all-v. The exchange is scheduled
-// immediately (its completion time is computed exactly as Alltoallv's), but
-// the caller's clock only advances by the posting overhead; the rest of the
-// communication runs "in the background" and is charged at Wait, where it
-// overlaps whatever local work the rank performed in between.
+// IalltoallvSparse posts a non-blocking algorithm-scheduled all-to-all-v
+// over sparse exchange vectors (see AlltoallvSparse): the exchange is
+// scheduled immediately, but the caller pays only the posting overhead now
+// and the remaining exchange time at WaitSparse, where it overlaps whatever
+// local work ran in between (the chunked pipelined reshape packs the next
+// chunk there). Unlike the blocking call, AlgoLinear is port-gated here (see
+// scheduleOf). The blocks are delivered into recv at the post, so the send
+// list is free when this returns; recv belongs to the request until the wait
+// hands it back.
 //
-// Note: posting synchronizes in *real* time with the other ranks (they must
-// all reach the post), but virtual time keeps the overlap semantics — the
-// returned request completes at the same virtual instant the blocking
-// Alltoallv would have returned.
-func (c *Comm) Ialltoallv(send []Buf) *CollRequest {
-	blocks, loc := c.compress(send, "MPI_Ialltoallv")
-	return c.ipostAlltoall(blocks, nil, loc, pricer{naive: kindAlltoallv}, "MPI_Wait(coll)")
-}
-
-// IalltoallvWith posts a non-blocking algorithm-scheduled all-to-all-v: the
-// caller pays only the posting overhead now and the remaining exchange time
-// at WaitColl, where it overlaps whatever local work ran in between (the
-// chunked pipelined reshape packs the next chunk there). Unlike the blocking
-// call, AlgoLinear is port-gated here (see scheduleOf).
-func (c *Comm) IalltoallvWith(send []Buf, a Algo) *CollRequest {
-	blocks, loc := c.compress(send, "MPI_Ialltoallv")
-	return c.IalltoallvSparse(blocks, nil, loc, a)
-}
-
-// IalltoallvSparse is IalltoallvWith over sparse exchange vectors (see
-// AlltoallvSparse); complete it with WaitSparse or WaitColl. The blocks are
-// delivered into recv at the post, so the send list is free when this returns;
-// recv belongs to the request until the wait hands it back.
+// Posting synchronizes in *real* time with the other ranks (they must all
+// reach the post), but virtual time keeps the overlap semantics.
 func (c *Comm) IalltoallvSparse(send, recv []Block, loc machine.Location, a Algo) *CollRequest {
 	return c.ipostAlltoall(send, recv, loc, pricer{sched: scheduleOf(a)}, "MPI_Alltoallv")
 }
@@ -67,24 +50,35 @@ func (c *Comm) ipostAlltoall(send, recv []Block, loc machine.Location, p pricer,
 	return &r
 }
 
-// WaitColl completes a non-blocking collective, advancing the clock to the
-// exchange's completion (or not at all if local work already covered it) and
-// returning the received buffers, indexed by source rank. The timeout bound
-// covers post → completion: a straggler or a dropped contribution fails the
-// wait instead of stretching it unboundedly.
-func (c *Comm) WaitColl(r *CollRequest) []Buf {
-	return c.expand(c.WaitSparse(r))
-}
-
-// WaitSparse is WaitColl returning the sparse receive list: this rank's own
-// copies of the blocks addressed to it, ascending by source, in the recv list
-// the post was lent (or a grown copy of it).
+// WaitSparse completes a non-blocking collective, advancing the clock to the
+// exchange's completion (or not at all if local work already covered it), and
+// returns this rank's own copies of the blocks addressed to it, ascending by
+// source, in the recv list the post was lent (or a grown copy of it). The
+// timeout bound covers post → completion: a straggler or a dropped
+// contribution fails the wait instead of stretching it unboundedly.
 func (c *Comm) WaitSparse(r *CollRequest) []Block {
 	if r.done {
-		panic("mpisim: WaitColl on completed request")
+		panic("mpisim: wait on completed request")
 	}
 	if r.comm.core != c.core || r.comm.rank != c.rank {
-		panic("mpisim: WaitColl on another rank's request")
+		panic("mpisim: wait on another rank's request")
 	}
 	return c.finishAlltoall(r, r.waitName, c.state().clock)
+}
+
+// The dense pair below serves only the benchmark harness's layer replay
+// (benchmark/replay.go); see the dense adapters in alltoall.go.
+
+// Ialltoallv posts the vendor non-blocking MPI_Ialltoallv over a dense vector
+// (send[dst]): its completion time is computed exactly as the blocking vendor
+// loop's, and WaitColl records it as "MPI_Wait(coll)".
+func (c *Comm) Ialltoallv(send []Buf) *CollRequest {
+	blocks, loc := c.compress(send, "MPI_Ialltoallv")
+	return c.ipostAlltoall(blocks, nil, loc, pricer{naive: kindAlltoallv}, "MPI_Wait(coll)")
+}
+
+// WaitColl is WaitSparse returning the received buffers indexed by source
+// rank.
+func (c *Comm) WaitColl(r *CollRequest) []Buf {
+	return c.expand(c.WaitSparse(r))
 }

@@ -50,7 +50,7 @@ func TestIalltoallvOverlapsCompute(t *testing.T) {
 				c.Advance(compute)
 				c.WaitColl(req)
 			} else {
-				c.Alltoallv(send)
+				alltoallvDense(c, send)
 				c.Advance(compute)
 			}
 		})
@@ -83,7 +83,7 @@ func TestIalltoallvMatchesBlockingCompletion(t *testing.T) {
 			if async {
 				c.WaitColl(c.Ialltoallv(send))
 			} else {
-				c.Alltoallv(send)
+				alltoallvDense(c, send)
 			}
 		})
 		return res.Clocks

@@ -32,33 +32,14 @@ type IntegrityConfig struct {
 	// DFT-linearity checks after every 1-D FFT phase, with phase-scoped
 	// re-execution on failure.
 	Invariants bool
-	// Tolerance is the relative tolerance of invariant checks
-	// (0 = default 1e-9). Mismatch when |Δ| > Tolerance·(1+|expected|).
-	Tolerance float64
-	// RetransmitBudget bounds retransmissions per corrupted block
-	// (0 = default 2). A block still corrupt after the budget surfaces as
-	// ErrRetransmitExhausted.
-	RetransmitBudget int
 }
 
 // Enabled reports whether any integrity machinery is on.
 func (ic IntegrityConfig) Enabled() bool { return ic.Checksums || ic.Invariants }
 
-// Budget returns the effective retransmit budget.
-func (ic IntegrityConfig) Budget() int {
-	if ic.RetransmitBudget > 0 {
-		return ic.RetransmitBudget
-	}
-	return 2
-}
-
-// Tol returns the effective invariant tolerance.
-func (ic IntegrityConfig) Tol() float64 {
-	if ic.Tolerance > 0 {
-		return ic.Tolerance
-	}
-	return 1e-9
-}
+// retransmitBudget bounds retransmissions per corrupted block: a block still
+// corrupt after that many surfaces as ErrRetransmitExhausted.
+const retransmitBudget = 2
 
 // IntegrityCounters accumulates what the integrity machinery did across a
 // world's lifetime. All fields are atomically updated; read them with
@@ -217,17 +198,16 @@ func (c *Comm) retransCost(src int, bytes int, loc machine.Location) float64 {
 func (c *Comm) recoverBlock(src int, b *Buf, op string) {
 	w := c.core.world
 	st := c.state()
-	budget := w.opts.Integrity.Budget()
 	attempts := b.silent
 	w.integ.ChecksumMismatches.Add(1)
-	if attempts > budget {
+	if attempts > retransmitBudget {
 		start := st.clock
-		st.clock += float64(budget) * c.retransCost(src, b.Bytes(), b.Loc)
-		c.record("retransmit", start, st.clock, budget*b.Bytes())
-		w.integ.Retransmits.Add(int64(budget))
-		w.suspect(c.WorldRank(src), int64(budget)+1)
+		st.clock += float64(retransmitBudget) * c.retransCost(src, b.Bytes(), b.Loc)
+		c.record("retransmit", start, st.clock, retransmitBudget*b.Bytes())
+		w.integ.Retransmits.Add(int64(retransmitBudget))
+		w.suspect(c.WorldRank(src), int64(retransmitBudget)+1)
 		c.raiseFault(fmt.Errorf("mpisim: %w: rank %d: %s block from rank %d still corrupt after %d retransmits",
-			ErrRetransmitExhausted, c.WorldRank(c.rank), op, c.WorldRank(src), budget))
+			ErrRetransmitExhausted, c.WorldRank(c.rank), op, c.WorldRank(src), retransmitBudget))
 	}
 	start := st.clock
 	st.clock += float64(attempts) * c.retransCost(src, b.Bytes(), b.Loc)

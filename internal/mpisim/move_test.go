@@ -21,7 +21,7 @@ func TestMoveSemantics(t *testing.T) {
 				sent = payload
 				c.Send(1, 7, Buf{Data: payload, Loc: machine.Device, Move: move})
 			} else {
-				b := c.Recv(0, 7)
+				b := recv(c, 0, 7)
 				received = b.Data
 			}
 		})
@@ -62,7 +62,7 @@ func TestMoveThroughCollective(t *testing.T) {
 			sent[me][dst] = payload
 			send[dst] = Buf{Data: payload, Loc: machine.Device, Move: true}
 		}
-		recv := c.Alltoallv(send)
+		recv := alltoallvDense(c, send)
 		got[me] = make([][]complex128, size)
 		for src := range recv {
 			got[me][src] = recv[src].Data

@@ -42,7 +42,7 @@ func TestSendRecvDeliversData(t *testing.T) {
 		case 0:
 			c.Send(1, 7, hostBuf(1+2i, 3+4i))
 		case 1:
-			b := c.Recv(0, 7)
+			b := recv(c, 0, 7)
 			got = b.Data
 		}
 	})
@@ -64,7 +64,7 @@ func TestSendCopiesBuffer(t *testing.T) {
 			b.Data[0] = -1
 			c.Wait(r)
 		case 1:
-			got = c.Recv(0, 0).Data[0]
+			got = recv(c, 0, 0).Data[0]
 		}
 	})
 	if got != 42 {
@@ -81,8 +81,8 @@ func TestMessageOrderingSameSourceTag(t *testing.T) {
 			c.Send(1, 5, hostBuf(1))
 			c.Send(1, 5, hostBuf(2))
 		case 1:
-			first = c.Recv(0, 5).Data[0]
-			second = c.Recv(0, 5).Data[0]
+			first = recv(c, 0, 5).Data[0]
+			second = recv(c, 0, 5).Data[0]
 		}
 	})
 	if first != 1 || second != 2 {
@@ -95,8 +95,8 @@ func TestWildcardRecv(t *testing.T) {
 	var sum complex128
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
-			a := c.Recv(AnySource, AnyTag)
-			b := c.Recv(AnySource, AnyTag)
+			a := recv(c, AnySource, AnyTag)
+			b := recv(c, AnySource, AnyTag)
 			sum = a.Data[0] + b.Data[0]
 		} else {
 			c.Send(0, c.Rank(), hostBuf(complex(float64(c.Rank()), 0)))
@@ -115,7 +115,7 @@ func TestClockAdvancesWithMessage(t *testing.T) {
 			c.Send(1, 0, devBuf(1<<16))
 			sClock = c.Clock()
 		} else {
-			c.Recv(0, 0)
+			recv(c, 0, 0)
 			rClock = c.Clock()
 		}
 	})
@@ -138,7 +138,7 @@ func TestVirtualTimeDeterminism(t *testing.T) {
 			for i := range send {
 				send[i] = Buf{N: 1000 + 37*c.Rank() + i, Loc: machine.Device}
 			}
-			c.Alltoallv(send)
+			alltoallvDense(c, send)
 			var reqs []*Request
 			for d := 0; d < size; d++ {
 				if d != c.Rank() {
@@ -179,7 +179,7 @@ func TestIsendOverlapsWithCompute(t *testing.T) {
 					c.Wait(r)
 				}
 			} else {
-				c.Recv(0, 0)
+				recv(c, 0, 0)
 			}
 		})
 		return res.Clocks[0]
@@ -219,7 +219,7 @@ func TestSendrecvExchanges(t *testing.T) {
 	w.Run(func(c *Comm) {
 		me := complex(float64(c.Rank()+1), 0)
 		peer := 1 - c.Rank()
-		b := c.Sendrecv(peer, 0, hostBuf(me), peer, 0)
+		b := sendrecv(c, peer, 0, hostBuf(me), peer, 0)
 		got[c.Rank()] = b.Data[0]
 	})
 	if got[0] != 2 || got[1] != 1 {
@@ -270,7 +270,7 @@ func TestAlltoallvDataPlacement(t *testing.T) {
 		for d := 0; d < n; d++ {
 			send[d] = hostBuf(complex(float64(c.Rank()*10+d), 0))
 		}
-		recv := c.Alltoallv(send)
+		recv := alltoallvDense(c, send)
 		row := make([]complex128, n)
 		for s := 0; s < n; s++ {
 			row[s] = recv[s].Data[0]
@@ -302,9 +302,9 @@ func TestAlltoallPaddingCostsMore(t *testing.T) {
 				send[d] = Buf{N: n, Loc: machine.Device}
 			}
 			if padded {
-				c.Alltoall(send)
+				alltoallDense(c, send)
 			} else {
-				c.Alltoallv(send)
+				alltoallvDense(c, send)
 			}
 		})
 		return res.MaxClock
@@ -326,11 +326,11 @@ func TestAlltoallwCostsMostOnDeviceBuffers(t *testing.T) {
 			}
 			switch kind {
 			case "a2a":
-				c.Alltoall(send)
+				alltoallDense(c, send)
 			case "a2av":
-				c.Alltoallv(send)
+				alltoallvDense(c, send)
 			case "a2aw":
-				c.Alltoallw(send)
+				alltoallwDense(c, send)
 			}
 		})
 		return res.MaxClock
@@ -349,7 +349,7 @@ func TestGPUAwareFasterForLargeMessages(t *testing.T) {
 			for d := range send {
 				send[d] = Buf{N: 1 << 18, Loc: machine.Device}
 			}
-			c.Alltoallv(send)
+			alltoallvDense(c, send)
 		})
 		return res.MaxClock
 	}
@@ -419,8 +419,8 @@ func TestSplitIsolatesMatching(t *testing.T) {
 			sub.Send(1, 3, hostBuf(100))
 			c.Send(1, 3, hostBuf(200))
 		} else {
-			fromParent = c.Recv(0, 3).Data[0]
-			fromSub = sub.Recv(0, 3).Data[0]
+			fromParent = recv(c, 0, 3).Data[0]
+			fromSub = recv(sub, 0, 3).Data[0]
 		}
 	})
 	if fromSub != 100 || fromParent != 200 {
@@ -428,23 +428,25 @@ func TestSplitIsolatesMatching(t *testing.T) {
 	}
 }
 
+// TestDupIsolatesMatching: Split with one color and the rank as key is
+// MPI_Comm_dup — the same group in a fresh matching space.
 func TestDupIsolatesMatching(t *testing.T) {
 	w := NewWorld(machine.Summit(), 2, Options{GPUAware: true})
 	ok := true
 	w.Run(func(c *Comm) {
-		d := c.Dup()
+		d := c.Split(0, c.Rank())
 		if d.Size() != c.Size() || d.Rank() != c.Rank() {
 			ok = false
 			return
 		}
 		if c.Rank() == 0 {
 			d.Send(1, 0, hostBuf(5))
-		} else if d.Recv(0, 0).Data[0] != 5 {
+		} else if recv(d, 0, 0).Data[0] != 5 {
 			ok = false
 		}
 	})
 	if !ok {
-		t.Error("Dup communicator misbehaved")
+		t.Error("duplicated communicator misbehaved")
 	}
 }
 
@@ -463,12 +465,12 @@ func TestPhantomAndRealTimingsMatch(t *testing.T) {
 					send[d] = Buf{Data: make([]complex128, 2048), Loc: machine.Device}
 				}
 			}
-			c.Alltoallv(send)
+			alltoallvDense(c, send)
 			peer := c.Rank() ^ 1
 			if phantom {
-				c.Sendrecv(peer, 9, Buf{N: 512, Loc: machine.Device}, peer, 9)
+				sendrecv(c, peer, 9, Buf{N: 512, Loc: machine.Device}, peer, 9)
 			} else {
-				c.Sendrecv(peer, 9, Buf{Data: make([]complex128, 512), Loc: machine.Device}, peer, 9)
+				sendrecv(c, peer, 9, Buf{Data: make([]complex128, 512), Loc: machine.Device}, peer, 9)
 			}
 		})
 		return res.Clocks
@@ -494,9 +496,9 @@ func TestIntraNodeCheaperThanInterNode(t *testing.T) {
 			c.Send(6, 1, devBuf(1<<16)) // other node
 			inter = c.Clock() - start
 		case 1:
-			c.Recv(0, 0)
+			recv(c, 0, 0)
 		case 6:
-			c.Recv(0, 1)
+			recv(c, 0, 1)
 		}
 	})
 	if intra >= inter {
@@ -511,7 +513,7 @@ func TestTracerRecordsCalls(t *testing.T) {
 		if c.Rank() == 0 {
 			c.Send(1, 0, hostBuf(1))
 		} else {
-			c.Recv(0, 0)
+			recv(c, 0, 0)
 		}
 		c.Barrier()
 	})
@@ -536,7 +538,7 @@ func TestRankPanicAbortsWorld(t *testing.T) {
 		}
 		// Rank 1 blocks on a message that never comes; the abort must wake
 		// it instead of deadlocking the test.
-		c.Recv(0, 0)
+		recv(c, 0, 0)
 	})
 }
 
@@ -582,8 +584,8 @@ func TestRendezvousReleasesRound(t *testing.T) {
 		// the scratch the one before it gave back — a schedule (members and
 		// their flows) posted non-blocking, which returns before its wait.
 		c.Split(c.Rank()%2, 0)
-		c.Alltoallv(send())
-		req := c.IalltoallvWith(send(), AlgoRing)
+		alltoallvDense(c, send())
+		req := ialltoallvDense(c, send(), AlgoRing)
 		c.WaitColl(req)
 		if c.Rank() == 0 {
 			rv = c.core.rv

@@ -128,16 +128,6 @@ func (c *Comm) Irecv(src, tag int) *Request {
 	return &Request{comm: c, src: src, tag: tag}
 }
 
-// Recv blocks until a matching message arrives and returns its payload.
-func (c *Comm) Recv(src, tag int) Buf {
-	st := c.state()
-	start := st.clock
-	m := c.claim(src, tag)
-	c.completeRecv(m)
-	c.record("MPI_Recv", start, st.clock, m.buf.Bytes())
-	return m.buf
-}
-
 // claim blocks (in real time) until a message matching (src, tag) on this
 // communicator is available, removes it from the mailbox and returns it.
 // Messages from the same source match in post order (MPI ordering).
@@ -297,13 +287,4 @@ func (c *Comm) Waitall(reqs []*Request) []Buf {
 		out[i] = b
 	}
 	return out
-}
-
-// Sendrecv exchanges messages with possibly different partners, as
-// MPI_Sendrecv: the send and receive progress concurrently.
-func (c *Comm) Sendrecv(dst, sendTag int, b Buf, src, recvTag int) Buf {
-	sreq := c.Isend(dst, sendTag, b)
-	rbuf := c.Recv(src, recvTag)
-	c.Wait(sreq)
-	return rbuf
 }

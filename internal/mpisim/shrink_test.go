@@ -24,7 +24,7 @@ func TestShrinkBuildsSurvivorWorld(t *testing.T) {
 				for d := range send {
 					send[d] = hostBuf(complex(float64(c.Rank()), float64(d)))
 				}
-				c.Alltoallv(send)
+				alltoallvDense(c, send)
 			}
 		})
 	})
@@ -77,7 +77,7 @@ func TestShrinkBuildsSurvivorWorld(t *testing.T) {
 		for d := range send {
 			send[d] = hostBuf(complex(float64(c.Rank()), float64(d)))
 		}
-		c.Alltoallv(send)
+		alltoallvDense(c, send)
 	})
 	if nres.Err != nil {
 		t.Errorf("survivor world run: %v", nres.Err)

@@ -155,10 +155,6 @@ type Options struct {
 	// messages, and rank kills, surfaced as typed errors (ErrRankFailed,
 	// ErrMessageCorrupt, ErrExchangeTimeout) instead of silent hangs.
 	Faults *faults.Plan
-	// ExchangeTimeout bounds the virtual-time wait of any single exchange
-	// (seconds): a rank stuck past it fails with ErrExchangeTimeout. Zero
-	// defers to the fault plan's Timeout (or no bound without a plan).
-	ExchangeTimeout float64
 	// Placement maps ranks onto GPU slots (topo.Block, topo.RoundRobin, or an
 	// explicit permutation). The zero value is block placement — the layout of
 	// every paper experiment.

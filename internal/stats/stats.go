@@ -5,7 +5,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean (0 for empty input).
@@ -45,35 +44,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Median returns the middle value (mean of the middle two for even length).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	// Halve before adding so extreme magnitudes cannot overflow.
-	return s[n/2-1]/2 + s[n/2]/2
-}
-
-// Stddev returns the sample standard deviation (0 for fewer than 2 samples).
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
 }
 
 // Gflops converts an operation count and a time to GFLOP/s.

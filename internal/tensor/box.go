@@ -74,13 +74,6 @@ func (b Box3) ContainsBox(o Box3) bool {
 	return Intersect(b, o).Equal(o)
 }
 
-// Surface returns the surface area of the box (sum of face areas ×2), the
-// quantity minimized by the minimum-surface splitting heuristic.
-func (b Box3) Surface() int {
-	s := b.Sizes()
-	return 2 * (s[0]*s[1] + s[1]*s[2] + s[0]*s[2])
-}
-
 // Index returns the local row-major linear index of the global point
 // (i0,i1,i2), which must lie inside the box.
 func (b Box3) Index(i0, i1, i2 int) int {
@@ -103,10 +96,4 @@ func Intersect(a, b Box3) Box3 {
 		}
 	}
 	return r
-}
-
-// SpansAxis reports whether the box covers the full global extent n along
-// axis d — the property that makes a pencil along d.
-func (b Box3) SpansAxis(d, n int) bool {
-	return b.Lo[d] == 0 && b.Hi[d] == n
 }

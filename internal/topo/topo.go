@@ -293,10 +293,6 @@ func (s *System) Residents(node int) int { return len(s.nodeRanks[node]) }
 // Leader returns the lowest world rank resident on a node.
 func (s *System) Leader(node int) int { return s.leaders[node] }
 
-// NodeRanks returns the resident world ranks of a node, ascending. The slice
-// is owned by the System and must not be mutated.
-func (s *System) NodeRanks(node int) []int { return s.nodeRanks[node] }
-
 // Latency returns the wire latency between two world ranks.
 func (s *System) Latency(a, b int) float64 {
 	if s.SameNode(a, b) {

@@ -41,18 +41,8 @@ func (t *Tracer) Record(e Event) {
 	t.mu.Unlock()
 }
 
-// Reset discards all recorded events.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.events = t.events[:0]
-	t.mu.Unlock()
-}
-
-// Prune drops every event that started before the given virtual time. Unlike
-// Reset, pruning by *virtual* time is deterministic no matter how ranks'
+// Prune drops every event that started before the given virtual time.
+// Pruning by *virtual* time is deterministic no matter how ranks'
 // real-time recording interleaves — the benchmark harness uses it to cut
 // warm-up activity out of a measurement window that begins at a barrier.
 func (t *Tracer) Prune(before float64) {
