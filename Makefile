@@ -52,9 +52,12 @@ bench-kernel:
 
 # Developer tool: the paper-scale proxy of the repository benchmark on its
 # own: 768 phantom ranks, 512³ — rendezvous, the leader's copy of every block
-# into its receiver's list and the exchange bookkeeping, no payload.
+# into its receiver's list and the exchange bookkeeping, no payload. Then the
+# plan-build geometry alone: the reshape tables of the Table III pencil chain
+# at 768 and 3072 ranks and the validation of the 3072-rank brick list.
 bench-scale:
 	go run ./benchmark -workload scale512_r768_phantom -seconds 20 -trace 0
+	go test -run '^$$' -bench 'BenchmarkReshapeTable' -benchmem ./internal/core/
 
 # Fast self-checking pass over the serving layer (used by CI).
 smoke-serve:

@@ -51,6 +51,9 @@ func main() {
 			fail(fmt.Errorf("%s must be at least 1, got %d", f.name, f.v))
 		}
 	}
+	if *shrink < 0 {
+		fail(fmt.Errorf("-shrink must be at least 0, got %d", *shrink))
+	}
 	opts, err := parseOptions(*decomp, *backend, *contiguous, *shrink)
 	fail(err)
 	opts.Comm.Algo, err = parseAlgo(*algo)

@@ -24,6 +24,7 @@ func TestMain(m *testing.M) {
 func TestBadFlagsExit2(t *testing.T) {
 	for _, args := range [][]string{
 		{"-machine", "bogus", "-n", "8", "-ranks", "2", "-iters", "2"},
+		{"-shrink", "-5", "-n", "8", "-ranks", "2", "-iters", "2"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], args...)

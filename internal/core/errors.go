@@ -7,8 +7,10 @@ import "errors"
 // them so callers can branch on failure classes without string matching.
 var (
 	// ErrBadConfig marks an invalid plan configuration: non-positive grid
-	// extents, a pencil grid that does not factor the rank count, an odd N2
-	// for a real-to-complex plan, or an unresolved decomposition.
+	// extents, a negative shrink threshold, a pencil grid that does not
+	// factor the rank count, a wire precision over the accuracy budget, an
+	// unresolved decomposition, or for a real-to-complex plan an odd N2,
+	// checkpoints, a shrink threshold, or a slab or brick decomposition.
 	ErrBadConfig = errors.New("bad plan configuration")
 
 	// ErrMismatchedBoxes marks inconsistent data distributions: box lists

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/machine"
@@ -39,6 +40,14 @@ func TestSentinelErrors(t *testing.T) {
 
 		_, err = NewRealPlan(c, RealConfig{Global: [3]int{4, 4, 4}, InBoxes: short})
 		check("real box count", err, ErrMismatchedBoxes)
+
+		// ShrinkThreshold and Decomp are honoured or rejected, never dropped.
+		_, err = NewPlan(c, Config{Global: [3]int{4, 4, 4}, Opts: Options{ShrinkThreshold: -5}})
+		check("negative shrink threshold", err, ErrBadConfig)
+		for _, opts := range []Options{{ShrinkThreshold: -5}, {ShrinkThreshold: 16}, {Decomp: DecompSlabs}, {Decomp: DecompBricks}} {
+			_, err = NewRealPlan(c, RealConfig{Global: [3]int{4, 4, 4}, Opts: opts})
+			check(fmt.Sprintf("real plan, shrink %d, %v", opts.ShrinkThreshold, opts.Decomp), err, ErrBadConfig)
+		}
 	})
 }
 

@@ -193,7 +193,8 @@ type Options struct {
 	// ShrinkThreshold enables FFT grid shrinking (Algorithm 1, line 2): if
 	// the per-rank volume would fall below this many elements, the transform
 	// is computed on a subcommunicator of fewer ranks and remapped pre/post.
-	// Zero disables shrinking.
+	// Zero disables shrinking. A negative threshold, or any non-zero one on a
+	// RealPlan (which always computes over every rank), is ErrBadConfig.
 	ShrinkThreshold int
 
 	// Comm tunes the collective layer: all-to-all schedule, pipeline chunk

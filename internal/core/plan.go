@@ -62,6 +62,9 @@ func NewPlan(c *mpisim.Comm, cfg Config) (*Plan, error) {
 			return nil, fmt.Errorf("core: %w: invalid global grid %v", ErrBadConfig, cfg.Global)
 		}
 	}
+	if cfg.Opts.ShrinkThreshold < 0 {
+		return nil, fmt.Errorf("core: %w: negative shrink threshold %d", ErrBadConfig, cfg.Opts.ShrinkThreshold)
+	}
 	in, out, err := inOutDists(c, cfg.InBoxes, cfg.OutBoxes, cfg.Global, cfg.Global)
 	if err != nil {
 		return nil, err

@@ -84,6 +84,13 @@ func NewRealPlan(c *mpisim.Comm, cfg RealConfig) (*RealPlan, error) {
 	if cfg.Opts.Checkpoints != nil {
 		return nil, fmt.Errorf("core: %w: checkpoints hold complex whole-batch boundaries; a real-to-complex plan cannot record them", ErrBadConfig)
 	}
+	// A real-to-complex plan always computes on z-pencils over every rank.
+	if t := cfg.Opts.ShrinkThreshold; t != 0 {
+		return nil, fmt.Errorf("core: %w: a real-to-complex plan does not shrink its grid; shrink threshold %d", ErrBadConfig, t)
+	}
+	if d := cfg.Opts.Decomp; d != DecompAuto && d != DecompPencils {
+		return nil, fmt.Errorf("core: %w: a real-to-complex plan computes on pencils, not %v", ErrBadConfig, d)
+	}
 
 	p := &RealPlan{
 		engine: engine{comm: c, dev: gpu.New(c), opts: cfg.Opts, global: half, decomp: DecompPencils},

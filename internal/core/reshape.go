@@ -76,12 +76,13 @@ type reshapeTable struct {
 	sendBoxes, recvBoxes []tensor.Box3
 }
 
-// computeReshapeTable intersects every (from[i], to[j]) pair once — O(size²)
-// box intersections, which is why the result is memoized per world (see
-// buildReshape) instead of being repeated by all 3072 ranks of the biggest
-// experiments — and keeps what the pass finds: union-find over the overlap
-// graph gives the groups, the non-empty overlaps are the adjacency, and the
-// statistics are accumulated from those same entries.
+// computeReshapeTable finds every non-empty (from[i], to[j]) overlap once,
+// through a box index over the targets (eachOverlap: work grows with the
+// overlaps, not with size²), and keeps what the pass finds: union-find over
+// the overlap graph gives the groups, the non-empty overlaps are the
+// adjacency, and the statistics are accumulated from those same entries. The
+// result is memoized per world (see buildReshape) instead of being repeated by
+// all 3072 ranks of the biggest experiments.
 func computeReshapeTable(sys *topo.System, worldOf func(int) int, from, to []tensor.Box3) *reshapeTable {
 	size := len(from)
 	parent := make([]int, size)
@@ -111,22 +112,16 @@ func computeReshapeTable(sys *topo.System, worldOf func(int) int, from, to []ten
 		members: map[int][]int{}, stats: map[int]*exchStats{},
 		sendOff: make([]int, size+1), recvOff: make([]int, size+1)}
 	var dsts []int
-	var boxes []tensor.Box3
+	eachOverlap(from, to, func(i, j int) bool {
+		union(i, j)
+		dsts = append(dsts, j)
+		t.sendOff[i+1]++
+		t.recvOff[j+1]++
+		return true
+	})
 	for i := 0; i < size; i++ {
-		t.sendOff[i] = len(dsts)
-		if from[i].Empty() {
-			continue
-		}
-		for j := 0; j < size; j++ {
-			if b := tensor.Intersect(from[i], to[j]); !b.Empty() {
-				union(i, j)
-				dsts = append(dsts, j)
-				boxes = append(boxes, b)
-				t.recvOff[j+1]++
-			}
-		}
+		t.sendOff[i+1] += t.sendOff[i]
 	}
-	t.sendOff[size] = len(dsts)
 	nnz := len(dsts)
 
 	for r := 0; r < size; r++ {
@@ -140,16 +135,19 @@ func computeReshapeTable(sys *topo.System, worldOf func(int) int, from, to []ten
 		t.members[root] = append(t.members[root], r) // ascending by construction
 	}
 
-	// Statistics, from the off-diagonal overlaps. Every quantity is a count, an
-	// integer sum or an extremum, so the order the entries are met in does not
-	// matter.
+	// The blocks, exactly sized, and the statistics from the off-diagonal
+	// ones. Every quantity is a count, an integer sum or an extremum, so the
+	// order the entries are met in does not matter.
 	for root, ms := range t.members {
 		t.stats[root] = groupStats(sys, worldOf, ms)
 	}
+	t.sendBoxes = make([]tensor.Box3, nnz)
 	for i := 0; i < size; i++ {
+		st := t.stats[t.color[i]] // nil for an uninvolved rank, which sends nothing
 		for k := t.sendOff[i]; k < t.sendOff[i+1]; k++ {
+			t.sendBoxes[k] = tensor.Intersect(from[i], to[dsts[k]])
 			if dsts[k] != i {
-				t.stats[t.color[i]].add(boxes[k])
+				st.add(t.sendBoxes[k])
 			}
 		}
 	}
@@ -157,9 +155,8 @@ func computeReshapeTable(sys *topo.System, worldOf func(int) int, from, to []ten
 	// The adjacency in group ranks, exactly sized. The receive side is the
 	// transpose: sources are visited in ascending order, so every receive list
 	// comes out ascending too.
-	t.sendPeers, t.sendBoxes = make([]int, nnz), make([]tensor.Box3, nnz)
+	t.sendPeers = make([]int, nnz)
 	t.recvPeers, t.recvBoxes = make([]int, nnz), make([]tensor.Box3, nnz)
-	copy(t.sendBoxes, boxes)
 	for j := 0; j < size; j++ {
 		t.recvOff[j+1] += t.recvOff[j]
 	}
@@ -168,7 +165,7 @@ func computeReshapeTable(sys *topo.System, worldOf func(int) int, from, to []ten
 		for k := t.sendOff[i]; k < t.sendOff[i+1]; k++ {
 			j := dsts[k]
 			t.sendPeers[k] = t.groupRank[j]
-			t.recvPeers[next[j]], t.recvBoxes[next[j]] = t.groupRank[i], boxes[k]
+			t.recvPeers[next[j]], t.recvBoxes[next[j]] = t.groupRank[i], t.sendBoxes[k]
 			next[j]++
 		}
 	}

@@ -217,9 +217,9 @@ type sharedSlot struct {
 
 // Shared memoizes a deterministic computation across ranks: the first caller
 // of a key computes, everyone else reuses the result. Collective plan
-// construction uses this to avoid repeating O(size²) analyses on every rank
-// (compute must be a pure function of inputs identical on all ranks, e.g.
-// keyed by a content hash).
+// construction uses this to avoid repeating communicator-wide analyses (box
+// overlaps, exchange groups) on every rank (compute must be a pure function
+// of inputs identical on all ranks, e.g. keyed by a content hash).
 func (w *World) Shared(key string, compute func() any) any {
 	v, _ := w.shared.LoadOrStore(key, &sharedSlot{})
 	s := v.(*sharedSlot)
