@@ -59,6 +59,29 @@ func main() {
 	)
 	flag.Parse()
 
+	fail := func(err error) {
+		fmt.Fprintln(os.Stderr, "fftserve:", err)
+		os.Exit(2)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"-ranks", *ranks}, {"-clients", *clients}, {"-maxbatch", *maxBatch}, {"-workers", *workers}, {"-queue", *queue}} {
+		if f.v < 1 {
+			fail(fmt.Errorf("%s must be at least 1, got %d", f.name, f.v))
+		}
+	}
+	switch {
+	case !(*rate >= 0):
+		fail(fmt.Errorf("-rate must not be negative, got %g", *rate))
+	case *rate > 0 && *duration <= 0:
+		fail(fmt.Errorf("-duration must be positive in the open loop (-rate > 0), got %s", *duration))
+	case *rate == 0 && *requests < 1:
+		fail(fmt.Errorf("-requests must be at least 1 in the closed loop (-rate 0), got %d", *requests))
+	case *deadline < 0:
+		fail(fmt.Errorf("-deadline must not be negative, got %s", *deadline))
+	}
+
 	if *chaos != "" {
 		sc := lookupScenario(*chaos)
 		if sc == nil {
@@ -86,8 +109,7 @@ func main() {
 
 	globals, err := parseShapes(*shapes)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fftserve:", err)
-		os.Exit(2)
+		fail(err)
 	}
 	lc := loadConfig{
 		globals:  globals,

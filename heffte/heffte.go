@@ -22,10 +22,9 @@
 //
 // The machine is hierarchical, and the library knows it: WorldOptions takes a
 // rank→GPU placement map (Placement: block, round-robin, or an explicit
-// permutation) and an optional switch-level fabric model (Fabric), both of
-// which the cost model and the AlgoNodeAware two-level all-to-all — gather to
-// a per-node leader over NVLink, aggregated leader exchange over the wire,
-// scatter on arrival — exploit. Plan.CommPhases reports the schedule each
+// permutation), which the cost model and the AlgoNodeAware two-level
+// all-to-all — gather to a per-node leader over NVLink, aggregated leader
+// exchange over the wire, scatter on arrival — exploit. Plan.CommPhases reports the schedule each
 // reshape phase resolved to, including the two-level node layout.
 package heffte
 
@@ -137,8 +136,7 @@ const (
 )
 
 // WireErrorBound returns the analytic relative-error bound of shipping the
-// given number of exchanges at wire precision w (zero for WireFp64) — the
-// quantity an accuracy budget (Options.AccuracyBudget) is compared against.
+// given number of exchanges at wire precision w (zero for WireFp64).
 func WireErrorBound(w WirePrecision, exchanges int) float64 {
 	return core.WireErrorBound(w, exchanges)
 }
@@ -256,16 +254,13 @@ func NewWorld(m *Machine, size int, opts WorldOptions) *World {
 // NewTracer returns an empty event tracer to pass in WorldOptions.
 func NewTracer() *Tracer { return trace.New() }
 
-// Topology layer (internal/topo): rank→GPU placement maps and explicit
-// fabric models. A World always resolves a topology — block placement over
-// the machine's nodes by default; these types let jobs opt into other
-// layouts and structural switch-level contention.
+// Topology layer (internal/topo): rank→GPU placement maps. A World always
+// resolves a topology — block placement over the machine's nodes by default;
+// these types let jobs opt into other layouts.
 type (
 	// Placement maps ranks onto GPU slots; its zero value is block placement.
 	Placement = topo.Placement
-	// Fabric describes an explicit switch hierarchy above the nodes.
-	Fabric = topo.Fabric
-	// Topology is a world's resolved fabric view (Comm.Topo / World.Topo).
+	// Topology is a world's resolved placement view (Comm.Topo / World.Topo).
 	Topology = topo.System
 )
 

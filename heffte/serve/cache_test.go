@@ -15,7 +15,7 @@ import (
 func TestCacheEvictionKeepsServing(t *testing.T) {
 	shapes := [][3]int{{8, 8, 8}, {8, 16, 8}}
 	const ranks = 2
-	srv := New(Config{Ranks: ranks, Window: -1, CacheShapes: 1})
+	srv := newServer(Config{Ranks: ranks, Window: -1}, 1)
 	defer srv.Close()
 
 	ctx := context.Background()
@@ -76,7 +76,7 @@ func TestCacheHitsOnHotShape(t *testing.T) {
 // refcounts must coexist.
 func TestCacheConcurrentMixedShapes(t *testing.T) {
 	shapes := [][3]int{{8, 8, 8}, {8, 16, 8}, {16, 8, 8}, {8, 8, 16}}
-	srv := New(Config{Ranks: 2, Window: time.Millisecond, CacheShapes: 2, Workers: 4, MaxQueue: 64})
+	srv := newServer(Config{Ranks: 2, Window: time.Millisecond, Workers: 4, MaxQueue: 64}, 2)
 	defer srv.Close()
 
 	var wg sync.WaitGroup

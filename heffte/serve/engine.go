@@ -95,9 +95,8 @@ func (r *resumeRun) firstErr() error {
 // what the plan cache exists for — plan construction (box analysis, reshape
 // schedules, kernel tables) happens once per shape, not once per request.
 type engine struct {
-	key    engineKey
-	comm   heffte.CommConfig
-	budget float64
+	key  engineKey
+	comm heffte.CommConfig
 	// store holds the engine's phase checkpoints when the server runs
 	// elastic (nil otherwise); one store per engine, shared across backends.
 	store *heffte.CheckpointStore
@@ -185,34 +184,27 @@ func (e *engine) harvestLocked() (heffte.IntegritySnapshot, map[int]int64) {
 
 // engineWorldOpts assembles the world options every engine of a server runs
 // with: GPU-awareness, an optional fault schedule, the integrity defenses,
-// and the (possibly quarantine-adjusted) placement / fabric model.
+// and the (possibly quarantine-adjusted) placement.
 func engineWorldOpts(cfg Config, fp *heffte.FaultPlan, place heffte.Placement) heffte.WorldOptions {
-	wo := heffte.WorldOptions{GPUAware: !cfg.NoGPUAware, Faults: fp,
-		Placement: place, Integrity: cfg.Integrity}
-	if cfg.Fabric != nil {
-		f := *cfg.Fabric
-		wo.Fabric = &f
-	}
-	return wo
+	return heffte.WorldOptions{GPUAware: !cfg.NoGPUAware, Faults: fp, Placement: place, Integrity: cfg.Integrity}
 }
 
-// newEngine starts the world and creates the plan on every rank. It returns
-// after plan creation succeeded (or failed) everywhere. A non-nil fault plan
-// arms the world with a deterministic fault schedule (chaos testing);
-// elastic arms phase checkpointing so a rank kill can shrink-and-resume
-// instead of losing the engine.
-func newEngine(k engineKey, m *heffte.Machine, wo heffte.WorldOptions, comm heffte.CommConfig, budget float64, slots []int, elastic bool) (*engine, error) {
+// newEngine starts the world on the Summit machine model and creates the
+// plan on every rank. It returns after plan creation succeeded (or failed)
+// everywhere. A non-nil fault plan arms the world with a deterministic fault
+// schedule (chaos testing); elastic arms phase checkpointing so a rank kill
+// can shrink-and-resume instead of losing the engine.
+func newEngine(k engineKey, wo heffte.WorldOptions, comm heffte.CommConfig, slots []int, elastic bool) (*engine, error) {
 	e := &engine{
 		key:    k,
 		comm:   comm,
-		budget: budget,
 		faulty: wo.Faults != nil,
 		slots:  slots,
 	}
 	if elastic {
 		e.store = heffte.NewCheckpointStore()
 	}
-	w := heffte.NewWorld(m, k.ranks, wo)
+	w := heffte.NewWorld(heffte.Summit(), k.ranks, wo)
 	be, err := e.startBackend(w, k.decomp, nil)
 	if err != nil {
 		return nil, err
@@ -253,8 +245,7 @@ func (e *engine) startBackend(w *heffte.World, decomp heffte.Decomposition, res 
 			if ferr := c.Protect(func() {
 				plan, err = heffte.NewPlan(c, heffte.Config{
 					Global: e.key.global,
-					Opts: heffte.Options{Decomp: decomp, Comm: e.comm,
-						AccuracyBudget: e.budget, Checkpoints: e.store},
+					Opts:   heffte.Options{Decomp: decomp, Comm: e.comm, Checkpoints: e.store},
 				})
 			}); ferr != nil {
 				err = ferr

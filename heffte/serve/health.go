@@ -64,12 +64,12 @@ func (s *Server) noteHealth(e *engine) bool {
 }
 
 // placementFor returns the placement (and its rank→slot map) for a new
-// engine of the given size: the configured placement while every slot is
-// healthy, or a permutation that keeps healthy base assignments and moves
-// displaced ranks onto the lowest free non-quarantined slots.
+// engine of the given size: block placement while every slot is healthy, or
+// a permutation that keeps healthy block assignments and moves displaced
+// ranks onto the lowest free non-quarantined slots.
 func (s *Server) placementFor(ranks int) (heffte.Placement, []int) {
-	base := s.cfg.Placement
-	slots := base.Slots(s.cfg.Machine, ranks)
+	base := heffte.PlaceBlock()
+	slots := base.Slots(heffte.Summit(), ranks)
 	s.health.mu.Lock()
 	quarantined := make(map[int]bool, len(s.health.quarantined))
 	for sl := range s.health.quarantined {

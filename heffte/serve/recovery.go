@@ -308,8 +308,7 @@ func perItem(errs []error) error {
 // zero-wrong-answers guarantee.
 func (s *Server) runFresh(req *Request) error {
 	k := engineKeyFor(req, s.cfg.Ranks)
-	eng, err := newEngine(k, s.cfg.Machine, engineWorldOpts(s.cfg, nil, heffte.Placement{}),
-		s.cfg.Comm, s.cfg.AccuracyBudget, nil, false)
+	eng, err := newEngine(k, engineWorldOpts(s.cfg, nil, heffte.Placement{}), s.cfg.Comm, nil, false)
 	if err == nil {
 		_, err = eng.execute(req.Direction, []*Request{req})
 		eng.close()

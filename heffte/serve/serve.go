@@ -51,11 +51,9 @@ type Request struct {
 	Data []complex128
 }
 
-// Config tunes a Server. Zero fields take the documented defaults.
+// Config tunes a Server. Zero fields take the documented defaults. Engines
+// run on the Summit machine model with block placement.
 type Config struct {
-	// Machine is the simulated system executing transforms (default
-	// heffte.Summit()).
-	Machine *heffte.Machine
 	// Ranks is the world size of each resident engine (default 8).
 	Ranks int
 	// NoGPUAware disables GPU-aware MPI in the engines (mirrors heFFTe's
@@ -67,15 +65,6 @@ type Config struct {
 	// fp16). The zero value is fully automatic; what each shape resolved to
 	// shows up in Stats (EngineStats.Comm).
 	Comm heffte.CommConfig
-	// AccuracyBudget caps the analytic relative-error bound of wire
-	// compression: engine plan creation fails when Comm.Wire's bound over the
-	// shape's compressed exchanges exceeds it. Zero means no constraint.
-	AccuracyBudget float64
-	// Placement maps engine ranks onto GPU slots (default block placement).
-	Placement heffte.Placement
-	// Fabric, when non-nil, attaches an explicit switch hierarchy to every
-	// engine world (structural contention instead of the saturation factor).
-	Fabric *heffte.Fabric
 
 	// Window is how long the first request of a batch waits for same-shape
 	// company (default 200µs; negative = no waiting). Batches are cut when a
@@ -89,9 +78,6 @@ type Config struct {
 	// MaxQueue bounds admitted-but-unstarted requests; beyond it Submit
 	// fast-fails with heffte.ErrOverloaded (default 256).
 	MaxQueue int
-	// CacheShapes bounds resident engines (worlds + plans) in the LRU plan
-	// cache (default 4).
-	CacheShapes int
 
 	// MaxRetries bounds how many times a fault-failed batch is re-attempted
 	// (with engine rebuild, backoff, and batch splitting) before the failure
@@ -140,9 +126,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Machine == nil {
-		c.Machine = heffte.Summit()
-	}
 	if c.Ranks <= 0 {
 		c.Ranks = 8
 	}
@@ -151,9 +134,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Window < 0 {
 		c.Window = 0
-	}
-	if c.CacheShapes <= 0 {
-		c.CacheShapes = 4
 	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 2
@@ -191,21 +171,27 @@ type Server struct {
 	health health
 }
 
+// cacheShapes bounds resident engines (worlds + plans) in the LRU plan cache.
+const cacheShapes = 4
+
 // New starts a server (its worker pool runs until Close).
-func New(cfg Config) *Server {
+func New(cfg Config) *Server { return newServer(cfg, cacheShapes) }
+
+// newServer is New with the plan cache's capacity given.
+func newServer(cfg Config, shapes int) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{cfg: cfg}
 	s.rec.breakers = map[string]*breaker{}
 	s.rec.builds = map[string]int{}
 	s.health.suspicion = map[int]int64{}
 	s.health.quarantined = map[int]bool{}
-	s.cache = newEngineCache(cfg.CacheShapes, func(k engineKey) (*engine, error) {
+	s.cache = newEngineCache(shapes, func(k engineKey) (*engine, error) {
 		place, slots := s.placementFor(k.ranks)
 		var fp *heffte.FaultPlan
 		if cfg.EngineFaults != nil {
 			fp = cfg.EngineFaults(k.String(), s.nextBuild(k.String()), slots)
 		}
-		return newEngine(k, cfg.Machine, engineWorldOpts(cfg, fp, place), cfg.Comm, cfg.AccuracyBudget, slots, cfg.Elastic)
+		return newEngine(k, engineWorldOpts(cfg, fp, place), cfg.Comm, slots, cfg.Elastic)
 	})
 	s.sched = sched.New[*Request](sched.Config{
 		Workers:  cfg.Workers,

@@ -8,7 +8,7 @@ import "repro/internal/tuning"
 
 type (
 	// TuneCandidate is one algorithm setting under consideration
-	// (decomposition × backend × layout × shrinking).
+	// (decomposition × backend × layout × all-to-all schedule).
 	TuneCandidate = tuning.Candidate
 	// TuneResult pairs a candidate with its model prediction and (when
 	// measured) its simulated per-transform time.
@@ -27,14 +27,6 @@ func Tune(c *Comm, cfg Config, cands []TuneCandidate, opts TuneOptions) ([]TuneR
 // DefaultCandidates returns the sweep the paper tunes over: both
 // decompositions, all exchange flavours of Table I, both data layouts.
 func DefaultCandidates() []TuneCandidate { return tuning.DefaultCandidates() }
-
-// CandidatesWithBudget extends DefaultCandidates with fp32/fp16 wire-compressed
-// variants whose analytic error bound (WireErrorBound over the decomposition's
-// interior exchanges) fits within the given accuracy budget. A zero budget
-// admits no compressed candidates.
-func CandidatesWithBudget(budget float64) []TuneCandidate {
-	return tuning.CandidatesWithBudget(budget)
-}
 
 // Best returns the fastest measured result (or the best predicted one when
 // nothing was measured).

@@ -55,7 +55,6 @@ type Config struct {
 	FFT core.Options
 	// Phantom runs the FFTs without real payloads (performance-only).
 	Phantom bool
-	Seed    int64
 }
 
 // Sim is one rank's share of the simulation.
@@ -115,7 +114,7 @@ func (s *Sim) localAtoms() int {
 // generateAtoms scatters this rank's atoms uniformly inside its grid brick,
 // with alternating unit charges (net neutral overall for even counts).
 func (s *Sim) generateAtoms() {
-	rng := rand.New(rand.NewSource(s.cfg.Seed + int64(1000*s.comm.Rank())))
+	rng := rand.New(rand.NewSource(int64(1000 * s.comm.Rank())))
 	nl := s.localAtoms()
 	s.parts = make([]mesh.Particle, nl)
 	for i := range s.parts {
@@ -287,9 +286,3 @@ func (s *Sim) Run(steps int) (float64, error) {
 	}
 	return energy, nil
 }
-
-// Plan exposes the underlying FFT plan (for inspection in experiments).
-func (s *Sim) Plan() *core.Plan { return s.plan }
-
-// Particles returns the local particles (real mode only).
-func (s *Sim) Particles() []mesh.Particle { return s.parts }

@@ -45,7 +45,7 @@ func TestStepProducesFiniteEnergy(t *testing.T) {
 	w := mpisim.NewWorld(machine.Summit(), 6, mpisim.Options{GPUAware: true})
 	energies := make([]float64, 6)
 	w.Run(func(c *mpisim.Comm) {
-		s, err := New(c, Config{Atoms: 120, Grid: [3]int{12, 12, 12}, Seed: 9,
+		s, err := New(c, Config{Atoms: 120, Grid: [3]int{12, 12, 12},
 			FFT: core.Options{Decomp: core.DecompPencils, Backend: core.BackendAlltoallv}})
 		if err != nil {
 			panic(err)
@@ -71,7 +71,7 @@ func TestEnergyDeterministic(t *testing.T) {
 		w := mpisim.NewWorld(machine.Summit(), 6, mpisim.Options{GPUAware: true})
 		var e float64
 		w.Run(func(c *mpisim.Comm) {
-			s, err := New(c, Config{Atoms: 60, Grid: [3]int{8, 8, 8}, Seed: 4})
+			s, err := New(c, Config{Atoms: 60, Grid: [3]int{8, 8, 8}})
 			if err != nil {
 				panic(err)
 			}

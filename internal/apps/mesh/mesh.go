@@ -1,6 +1,5 @@
 // Package mesh provides the particle-mesh machinery shared by the
-// application proxies (LAMMPS PPPM, HACC gravity, pseudo-spectral
-// turbulence): nearest-grid-point deposition and gathering, spectral
+// application proxies (LAMMPS PPPM, pseudo-spectral turbulence): nearest-grid-point deposition and gathering, spectral
 // wavenumbers, and the k-space Green's-function multiply of a periodic
 // Poisson solve.
 package mesh
@@ -39,17 +38,6 @@ func (d Domain) Cell(pos [3]float64) [3]int {
 		c[k] = i
 	}
 	return c
-}
-
-// Wrap applies periodic boundary conditions to a position.
-func (d Domain) Wrap(pos [3]float64) [3]float64 {
-	for k := 0; k < 3; k++ {
-		pos[k] = math.Mod(pos[k], d.L[k])
-		if pos[k] < 0 {
-			pos[k] += d.L[k]
-		}
-	}
-	return pos
 }
 
 // CellVolume returns the volume of one grid cell.

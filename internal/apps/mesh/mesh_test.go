@@ -27,17 +27,6 @@ func TestCellWrapsPeriodically(t *testing.T) {
 	}
 }
 
-func TestWrap(t *testing.T) {
-	d := cubeDomain(4)
-	p := d.Wrap([3]float64{1.25, -0.25, 3.5})
-	want := [3]float64{0.25, 0.75, 0.5}
-	for k := 0; k < 3; k++ {
-		if math.Abs(p[k]-want[k]) > 1e-12 {
-			t.Errorf("Wrap axis %d = %g, want %g", k, p[k], want[k])
-		}
-	}
-}
-
 func TestDepositGatherRoundTrip(t *testing.T) {
 	d := cubeDomain(4)
 	box := tensor.NewBox(0, 0, 0, 4, 4, 4)

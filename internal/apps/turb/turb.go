@@ -18,11 +18,10 @@ import (
 
 // Config describes a turbulence run on the periodic box [0,2π)³.
 type Config struct {
-	Grid    [3]int
-	Nu      float64 // kinematic viscosity
-	Dt      float64
-	FFT     core.Options
-	Phantom bool
+	Grid [3]int
+	Nu   float64 // kinematic viscosity
+	Dt   float64
+	FFT  core.Options
 }
 
 // Sim holds one rank's spectral state.
@@ -61,12 +60,6 @@ func New(c *mpisim.Comm, cfg Config) (*Sim, error) {
 		plan: plan,
 		dom:  mesh.Domain{L: [3]float64{2 * math.Pi, 2 * math.Pi, 2 * math.Pi}, Global: cfg.Grid},
 		box:  plan.InBox(),
-	}
-	if cfg.Phantom {
-		for ax := 0; ax < 3; ax++ {
-			s.uhat[ax] = core.NewPhantom(s.box)
-		}
-		return s, nil
 	}
 	// Taylor–Green in real space, then transform to spectral.
 	fields := make([]*core.Field, 3)
@@ -139,15 +132,6 @@ func (s *Sim) project(v [3]*core.Field) {
 // the viscous term: û ← e^{−ν k² dt}(û + dt·P[−(u·∇)u]^).
 func (s *Sim) Step() error {
 	s.step++
-	if s.cfg.Phantom {
-		// Performance-only: the two batched transforms of the step.
-		fields := []*core.Field{core.NewPhantom(s.box), core.NewPhantom(s.box), core.NewPhantom(s.box)}
-		if err := s.plan.InverseBatch(fields); err != nil {
-			return err
-		}
-		back := []*core.Field{core.NewPhantom(s.box), core.NewPhantom(s.box), core.NewPhantom(s.box)}
-		return s.plan.ForwardBatch(back)
-	}
 
 	// u = IFFT(û) — one batched inverse of the three components.
 	u := make([]*core.Field, 3)
@@ -215,16 +199,6 @@ func (s *Sim) Step() error {
 				}
 				idx++
 			}
-		}
-	}
-	return nil
-}
-
-// Run advances the given number of steps.
-func (s *Sim) Run(steps int) error {
-	for i := 0; i < steps; i++ {
-		if err := s.Step(); err != nil {
-			return err
 		}
 	}
 	return nil

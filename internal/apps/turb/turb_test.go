@@ -71,7 +71,7 @@ func TestStepKeepsDivergenceFreeAndDecaysEnergy(t *testing.T) {
 			panic(err)
 		}
 		a := s.Energy()
-		if err := s.Run(3); err != nil {
+		if err := s.run(3); err != nil {
 			panic(err)
 		}
 		b := s.Energy()
@@ -102,7 +102,7 @@ func TestInviscidEnergyNearlyConserved(t *testing.T) {
 			panic(err)
 		}
 		e0 = s.Energy()
-		if err := s.Run(2); err != nil {
+		if err := s.run(2); err != nil {
 			panic(err)
 		}
 		e1 = s.Energy()
@@ -112,19 +112,28 @@ func TestInviscidEnergyNearlyConserved(t *testing.T) {
 	}
 }
 
-func TestPhantomStepAccumulatesTime(t *testing.T) {
-	w := mpisim.NewWorld(machine.Summit(), 12, mpisim.Options{GPUAware: true})
-	res := w.Run(func(c *mpisim.Comm) {
-		s, err := New(c, Config{Grid: [3]int{64, 64, 64}, Nu: 0.1, Phantom: true})
-		if err != nil {
-			panic(err)
+// TestStepAccumulatesTime: every step charges the virtual clock for its
+// batched transforms, so a run of two steps ends later than a run of one.
+func TestStepAccumulatesTime(t *testing.T) {
+	clock := func(steps int) float64 {
+		w := mpisim.NewWorld(machine.Summit(), 12, mpisim.Options{GPUAware: true})
+		res := w.Run(func(c *mpisim.Comm) {
+			s, err := New(c, Config{Grid: [3]int{16, 16, 16}, Nu: 0.1})
+			if err != nil {
+				panic(err)
+			}
+			if err := s.run(steps); err != nil {
+				panic(err)
+			}
+		})
+		if res.Err != nil {
+			t.Fatal(res.Err)
 		}
-		if err := s.Run(2); err != nil {
-			panic(err)
-		}
-	})
-	if res.MaxClock <= 0 {
-		t.Error("phantom turbulence run accumulated no virtual time")
+		return res.MaxClock
+	}
+	one, two := clock(1), clock(2)
+	if one <= 0 || two <= one {
+		t.Errorf("virtual time after one step %g, after two %g: a step accumulated no time", one, two)
 	}
 }
 
@@ -137,7 +146,7 @@ func TestDeterministicEvolution(t *testing.T) {
 			if err != nil {
 				panic(err)
 			}
-			if err := s.Run(2); err != nil {
+			if err := s.run(2); err != nil {
 				panic(err)
 			}
 			v := s.Energy()
@@ -150,4 +159,14 @@ func TestDeterministicEvolution(t *testing.T) {
 	if a, b := run(), run(); a != b {
 		t.Errorf("evolution not deterministic: %g vs %g", a, b)
 	}
+}
+
+// run advances the given number of steps.
+func (s *Sim) run(steps int) error {
+	for i := 0; i < steps; i++ {
+		if err := s.Step(); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -171,19 +171,6 @@ func (s *Sim) Run(steps int) error {
 	return nil
 }
 
-// Energy returns the global electromagnetic energy ½⟨|E|²+|B|²⟩ computed in
-// spectral space via Parseval — conserved exactly by the vacuum PSATD step.
-func (s *Sim) Energy() float64 {
-	local := 0.0
-	for i := range s.fields {
-		for _, v := range s.fields[i].Data {
-			local += real(v)*real(v) + imag(v)*imag(v)
-		}
-	}
-	n := float64(s.cfg.Grid[0] * s.cfg.Grid[1] * s.cfg.Grid[2])
-	return 0.5 * s.comm.Allreduce(local, mpisim.OpSum) / (n * n)
-}
-
 func cross(a [3]float64, b [3]complex128) [3]complex128 {
 	return [3]complex128{
 		complex(a[1], 0)*b[2] - complex(a[2], 0)*b[1],

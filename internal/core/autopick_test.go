@@ -17,10 +17,10 @@ import (
 // reports that schedule. The matrix is rebuilt here from what the ranks
 // actually send (each member contributes the row its exchange driver packs),
 // not from the shared table pickAlgo reads, so a reversed R2C reshape is
-// checked against its own transposed rows (with the whole input on rank 0 the
-// forward input reshape is a scatter and its reversal a gather, which want
-// different schedules). Reversed reshapes also chunk exactly where the forward
-// phase of the same volume does.
+// checked against its own transposed rows. With the whole input and output on
+// rank 0 the input reshape is a scatter and the output reshape a gather, which
+// want different schedules. Reversed reshapes also chunk exactly where the
+// forward phase of the same volume does.
 func TestAutoPickIsArgMin(t *testing.T) {
 	aware := mpisim.Options{GPUAware: true}
 	staged := mpisim.Options{}
@@ -33,8 +33,8 @@ func TestAutoPickIsArgMin(t *testing.T) {
 		decomp Decomposition
 		world  mpisim.Options
 		real   bool
-		// rootIn puts the whole input on rank 0.
-		rootIn bool
+		// root puts the whole input and output on rank 0.
+		root bool
 		// chunked demands that some reshape auto-chunks (staged, ≥ 2 MiB/rank).
 		chunked bool
 	}{
@@ -50,7 +50,7 @@ func TestAutoPickIsArgMin(t *testing.T) {
 		{"real/block", 16, cube, DecompAuto, aware, true, false, false},
 		{"real/round-robin", 12, [3]int{8, 12, 10}, DecompAuto, rr, true, false, false},
 		{"real/staged-256", 12, [3]int{256, 256, 256}, DecompAuto, staged, true, false, true},
-		{"real/scatter-gather", 8, [3]int{16, 16, 16}, DecompAuto, rr, true, true, false},
+		{"pencils/scatter-gather", 8, [3]int{16, 16, 16}, DecompPencils, rr, false, true, false},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -69,18 +69,18 @@ func TestAutoPickIsArgMin(t *testing.T) {
 				var lists [][]stage
 				var phases []CommPhase
 				if tc.real {
-					var in []tensor.Box3
-					if tc.rootIn {
-						in = make([]tensor.Box3, tc.ranks)
-						in[0] = tensor.FullBox(tc.global)
-					}
-					p, err := NewRealPlan(c, RealConfig{Global: tc.global, InBoxes: in, Opts: opts})
+					p, err := NewRealPlan(c, RealConfig{Global: tc.global, Opts: opts})
 					if err != nil {
 						c.Fail(err)
 					}
 					lists = [][]stage{p.stages, p.revStages}
 				} else {
-					p, err := NewPlan(c, Config{Global: tc.global, Opts: opts})
+					var root []tensor.Box3
+					if tc.root {
+						root = make([]tensor.Box3, tc.ranks)
+						root[0] = tensor.FullBox(tc.global)
+					}
+					p, err := NewPlan(c, Config{Global: tc.global, InBoxes: root, OutBoxes: root, Opts: opts})
 					if err != nil {
 						c.Fail(err)
 					}

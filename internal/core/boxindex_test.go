@@ -10,6 +10,11 @@ import (
 	"repro/internal/topo"
 )
 
+// slabBoxes returns the per-rank boxes for slabs distributed along axis.
+func slabBoxes(global [3]int, axis, nprocs int) []tensor.Box3 {
+	return tensor.SlabGrid(axis, nprocs).Decompose(global)
+}
+
 // overlapVisit is one pair eachOverlap visits, with its intersection.
 type overlapVisit struct {
 	i, j int
@@ -63,7 +68,7 @@ func paperLists(e GridEntry, global [3]int) map[string][]tensor.Box3 {
 		"default": DefaultBricks(e.GPUs, global),
 	}
 	for axis := 0; axis < 3; axis++ {
-		ls[fmt.Sprintf("pencil%d", axis)] = pencilBoxes(global, axis, e.P, e.Q)
+		ls[fmt.Sprintf("pencil%d", axis)] = PencilBoxes(global, axis, e.P, e.Q)
 		ls[fmt.Sprintf("slab%d", axis)] = slabBoxes(global, axis, e.GPUs)
 	}
 	return ls
@@ -73,7 +78,7 @@ func paperLists(e GridEntry, global [3]int) map[string][]tensor.Box3 {
 // bricks → x, y, z pencils → bricks.
 func tableIIIChain(e GridEntry, global [3]int) [][2][]tensor.Box3 {
 	bricks := e.InOut.Decompose(global)
-	x, y, z := pencilBoxes(global, 0, e.P, e.Q), pencilBoxes(global, 1, e.P, e.Q), pencilBoxes(global, 2, e.P, e.Q)
+	x, y, z := PencilBoxes(global, 0, e.P, e.Q), PencilBoxes(global, 1, e.P, e.Q), PencilBoxes(global, 2, e.P, e.Q)
 	return [][2][]tensor.Box3{{bricks, x}, {x, y}, {y, z}, {z, bricks}}
 }
 

@@ -92,13 +92,6 @@ func (s *CheckpointStore) Decomp() Decomposition {
 	return s.decomp
 }
 
-// Batch returns the batch width of the recorded execution.
-func (s *CheckpointStore) Batch() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.batch
-}
-
 // TruncateToInput drops every checkpointed boundary past the input from all
 // trails. It is the restart-baseline tool: resuming from a truncated store
 // redistributes the input and re-executes every phase at the survivor count —

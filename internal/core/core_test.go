@@ -159,8 +159,8 @@ func TestExplicitPencilIO(t *testing.T) {
 	// input reshape must be skipped (fewer exchanges than brick I/O).
 	global := [3]int{8, 8, 8}
 	size := 6
-	in := pencilBoxes(global, 0, 2, 3)
-	out := pencilBoxes(global, 2, 2, 3)
+	in := PencilBoxes(global, 0, 2, 3)
+	out := PencilBoxes(global, 2, 2, 3)
 	cfg := Config{Global: global, InBoxes: in, OutBoxes: out,
 		Opts: Options{Decomp: DecompPencils, Backend: BackendAlltoallv, PQ: [2]int{2, 3}}}
 	want := serialReference(global, 11, fft.Forward)

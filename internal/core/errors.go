@@ -8,8 +8,7 @@ import "errors"
 var (
 	// ErrBadConfig marks an invalid plan configuration: non-positive grid
 	// extents, a negative shrink threshold, a pencil grid that does not
-	// factor the rank count, a wire precision over the accuracy budget, an
-	// unresolved decomposition, or for a real-to-complex plan an odd N2,
+	// factor the rank count, an unresolved decomposition, or for a real-to-complex plan an odd N2,
 	// checkpoints, a shrink threshold, or a slab or brick decomposition.
 	ErrBadConfig = errors.New("bad plan configuration")
 

@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 
-	"repro/internal/machine"
 	"repro/internal/tensor"
 )
 
@@ -39,12 +38,6 @@ func NewPhantom(b tensor.Box3) *Field {
 
 // Phantom reports whether the field carries no real data.
 func (f *Field) Phantom() bool { return f.Data == nil }
-
-// Bytes returns the device memory footprint of the field.
-func (f *Field) Bytes() int { return 16 * f.Box.Volume() }
-
-// Loc returns the buffer location (always device in this simulation).
-func (f *Field) Loc() machine.Location { return machine.Device }
 
 // FillRandom fills a real field with a reproducible random signal.
 func (f *Field) FillRandom(seed int64) {

@@ -58,16 +58,6 @@ func PencilBoxes(global [3]int, axis, p, q int) []tensor.Box3 {
 	return tensor.PencilGrid(axis, p, q).Decompose(global)
 }
 
-// pencilBoxes is the internal spelling used by the plan builder.
-func pencilBoxes(global [3]int, axis, p, q int) []tensor.Box3 {
-	return PencilBoxes(global, axis, p, q)
-}
-
-// slabBoxes returns the per-rank boxes for slabs distributed along axis.
-func slabBoxes(global [3]int, axis, nprocs int) []tensor.Box3 {
-	return tensor.SlabGrid(axis, nprocs).Decompose(global)
-}
-
 // dist is one data distribution of a plan — a box per rank of its
 // communicator — in world-shared form: every rank of the world holds the same
 // immutable list, and the content hash that keys the analyses over it (box

@@ -242,8 +242,8 @@ func TestFeaturePathMatrix(t *testing.T) {
 			if !accepted(t, r) {
 				return false
 			}
-			if store.Batch() != matrixBatch {
-				t.Errorf("store recorded a batch of %d, want %d", store.Batch(), matrixBatch)
+			if store.batch != matrixBatch {
+				t.Errorf("store recorded a batch of %d, want %d", store.batch, matrixBatch)
 			}
 			if tot := r.tracer.TotalByName(-1)["retain"]; tot <= 0 {
 				t.Error("no checkpoint staging copy was charged")
@@ -344,7 +344,7 @@ func TestEntryCheckEveryPath(t *testing.T) {
 			}
 		}
 		p.Close()
-		rp.Close()
+		rp.closed = true
 		for name, call := range entries {
 			if err := call(1); !errors.Is(err, ErrPlanClosed) {
 				t.Errorf("%s on a closed plan: err = %v, want ErrPlanClosed", name, err)

@@ -202,13 +202,6 @@ type Options struct {
 	// fully automatic at full precision.
 	Comm CommConfig
 
-	// AccuracyBudget, when positive, is the maximum analytic relative-error
-	// bound the caller tolerates from wire compression. Plan creation fails
-	// with ErrBadConfig when the configured wire precision's WireErrorBound
-	// over the plan's compressed exchanges exceeds it, and the tuner only
-	// enumerates compressed candidates that fit it. Zero means no constraint.
-	AccuracyBudget float64
-
 	// Checkpoints, when non-nil, arms elastic recovery: every execution
 	// stages per-rank phase checkpoints into the store (priced through the
 	// device's Retain kernel), and after a World.Shrink a plan rebuilt over

@@ -48,9 +48,6 @@ type Plan struct {
 	// ForwardGlobal's, as wide as the widest batch run, emptied after each call.
 	one  [1]*Field
 	grid []*Field
-	// refs counts logical owners (Retain/Close). Rank-local, like every other
-	// Plan field: a plan is confined to its rank goroutine by contract.
-	refs int
 }
 
 // NewPlan collectively creates a plan. Every rank of c must call NewPlan with
@@ -75,7 +72,6 @@ func NewPlan(c *mpisim.Comm, cfg Config) (*Plan, error) {
 		inBox:  in.boxes[c.Rank()],
 		outBox: out.boxes[c.Rank()],
 		lp:     size,
-		refs:   1,
 	}
 
 	// FFT grid shrinking: if the per-rank volume would be below the
@@ -115,15 +111,6 @@ func NewPlan(c *mpisim.Comm, cfg Config) (*Plan, error) {
 		return nil, err
 	}
 	p.abftEps = abftEpsOf(p.opts, p.stages)
-	// An accuracy budget caps the analytic error bound of wire compression;
-	// the check needs the built stages (the bound scales with the number of
-	// compressed exchanges).
-	if b := cfg.Opts.AccuracyBudget; b > 0 {
-		if bound := p.WireBound(); bound > b {
-			return nil, fmt.Errorf("core: %w: %s wire over %d compressed exchanges bounds relative error at %.3g, above the accuracy budget %.3g",
-				ErrBadConfig, cfg.Opts.Comm.Wire, p.CompressedExchanges(), bound, b)
-		}
-	}
 	return p, nil
 }
 
@@ -215,32 +202,14 @@ func (p *Plan) buildStages(in, out *dist) error {
 	return nil
 }
 
-// Retain adds one logical owner to the plan and returns it, so independent
-// holders (a plan cache and the batches in flight through it, say) can each
-// pair their reference with a Close without coordinating shutdown order. A
-// plan starts with one reference; Retain on a closed plan is a no-op.
-func (p *Plan) Retain() *Plan {
-	if !p.closed {
-		p.refs++
-	}
-	return p
-}
-
-// Close releases one reference (see Retain). When the last reference is
-// released the plan becomes unusable and drops its execution scratch;
-// subsequent executions return ErrPlanClosed. Closing an already-closed plan
-// is a no-op, preserving idempotence for single-owner callers. Close is local
-// to this rank; staging buffers are pooled process-wide, so closing one plan
-// never disturbs others.
+// Close makes the plan unusable and drops its execution scratch; subsequent
+// executions return ErrPlanClosed. Closing an already-closed plan is a no-op.
+// Close is local to this rank; staging buffers are pooled process-wide, so
+// closing one plan never disturbs others.
 func (p *Plan) Close() error {
 	if p.closed {
 		return nil
 	}
-	if p.refs > 1 {
-		p.refs--
-		return nil
-	}
-	p.refs = 0
 	p.closed = true
 	p.one[0], p.grid = nil, nil
 	return nil
@@ -335,15 +304,3 @@ func (p *Plan) CommVolumes() []ExchangeVolume {
 	}
 	return out
 }
-
-// Global returns the transform extents.
-func (p *Plan) Global() [3]int { return p.global }
-
-// Epoch returns the epoch of the world the plan executes under: 0 for a
-// fresh world, +1 per elastic shrink. Caches keyed on plan identity should
-// include it so work from different world incarnations never mixes.
-func (p *Plan) Epoch() int { return p.comm.World().Epoch() }
-
-// Survivors returns the epoch-0 world ranks the plan's world descends from,
-// in comm-rank order — after a shrink, exactly the survivor set.
-func (p *Plan) Survivors() []int { return p.comm.World().OriginRanks() }

@@ -34,13 +34,11 @@ func (f *RealField) Phantom() bool { return f.Data == nil }
 
 // RealConfig describes a distributed real-to-complex transform.
 type RealConfig struct {
-	// Global is the real grid extents (N0, N1, N2); N2 must be even.
+	// Global is the real grid extents (N0, N1, N2); N2 must be even. The
+	// real grid and the Hermitian half grid (N0, N1, N2/2+1) are distributed
+	// as minimum-surface bricks.
 	Global [3]int
-	// InBoxes distribute the real grid; OutBoxes distribute the Hermitian
-	// half grid (N0, N1, N2/2+1). Nil selects minimum-surface bricks.
-	InBoxes  []tensor.Box3
-	OutBoxes []tensor.Box3
-	Opts     Options
+	Opts   Options
 }
 
 // RealPlan is a collectively created distributed R2C/C2R plan. It executes on
@@ -76,7 +74,7 @@ func NewRealPlan(c *mpisim.Comm, cfg RealConfig) (*RealPlan, error) {
 	}
 	half := [3]int{cfg.Global[0], cfg.Global[1], cfg.Global[2]/2 + 1}
 
-	in, out, err := inOutDists(c, cfg.InBoxes, cfg.OutBoxes, cfg.Global, half)
+	in, out, err := inOutDists(c, nil, nil, cfg.Global, half)
 	if err != nil {
 		return nil, err
 	}
@@ -169,13 +167,6 @@ func NewRealPlan(c *mpisim.Comm, cfg RealConfig) (*RealPlan, error) {
 	return p, nil
 }
 
-// Close marks the plan unusable; subsequent executions return ErrPlanClosed.
-// Close is idempotent and local to this rank.
-func (p *RealPlan) Close() error {
-	p.closed = true
-	return nil
-}
-
 // InBox returns this rank's real-grid input box; OutBox the half-grid output
 // box.
 func (p *RealPlan) InBox() tensor.Box3  { return p.inBox }
@@ -185,7 +176,7 @@ func (p *RealPlan) OutBox() tensor.Box3 { return p.outBox }
 func (p *RealPlan) HalfGlobal() [3]int { return p.global }
 
 // Forward transforms a real field into its half-spectrum, returned as a
-// complex field distributed over OutBoxes.
+// complex field distributed over the half-grid bricks.
 func (p *RealPlan) Forward(rf *RealField) (*Field, error) {
 	fs, err := p.ForwardBatch([]*RealField{rf})
 	if err != nil {
@@ -208,8 +199,9 @@ func (p *RealPlan) ForwardBatch(rfs []*RealField) ([]*Field, error) {
 	return b.fields, nil
 }
 
-// Inverse transforms a half-spectrum field (distributed over OutBoxes) back
-// to a real field over InBoxes, scaled so Inverse(Forward(x)) == x.
+// Inverse transforms a half-spectrum field (distributed over the half-grid
+// bricks) back to a real field over the real-grid bricks, scaled so
+// Inverse(Forward(x)) == x.
 func (p *RealPlan) Inverse(f *Field) (*RealField, error) {
 	rfs, err := p.InverseBatch([]*Field{f})
 	if err != nil {

@@ -71,16 +71,6 @@ func (rs *reshapePlan) wireOf(opts Options) WirePrecision {
 	return opts.Comm.Wire
 }
 
-// Wire returns the wire precision the plan's compressed (interior) exchanges
-// run at — WireFp64 when nothing is compressed (no interior reshapes, the
-// Alltoallw backend, or an uncompressed configuration).
-func (p *Plan) Wire() WirePrecision {
-	if p.CompressedExchanges() == 0 {
-		return WireFp64
-	}
-	return p.opts.Comm.Wire
-}
-
 // CompressedExchanges returns the number of reshape phases that ship at
 // reduced precision under the plan's configuration (zero when the wire is
 // fp64).

@@ -261,27 +261,13 @@ type Config struct {
 	// program performs so events actually land.
 	OpHorizon int
 
-	Kills    int // ranks killed mid-exchange
-	Stalls   int // straggler episodes
+	Stalls   int // straggler episodes, each delayed 3× the timeout so it trips the bound
 	Drops    int // lost messages
 	Corrupts int // corrupted messages (detected on receipt)
 	Degrades int // degraded-link episodes
-	Jitters  int // latency noise episodes
-
-	// SilentCorrupts is the number of silent wire corruptions: payload bits
-	// of a sent block really flip (Count 1–2 consecutive transmissions, so a
-	// default retransmit budget of 2 always recovers them).
-	SilentCorrupts int
-	// BrickCorrupts is the number of silent device-memory corruptions
-	// between transform phases (single-attempt, so one phase re-execution
-	// recovers them).
-	BrickCorrupts int
 
 	// Timeout overrides the default per-exchange bound (1.0 virtual second).
 	Timeout float64
-	// StallDelay overrides the straggler delay (default 3× the timeout, so a
-	// stalled rank always trips the bound).
-	StallDelay float64
 }
 
 // Generate derives a reproducible Plan from a seed: the same (seed, size,
@@ -296,10 +282,7 @@ func Generate(seed int64, size int, cfg Config) *Plan {
 	if timeout <= 0 {
 		timeout = 1.0
 	}
-	stall := cfg.StallDelay
-	if stall <= 0 {
-		stall = 3 * timeout
-	}
+	stall := 3 * timeout
 	p := &Plan{Timeout: timeout}
 	add := func(n int, mk func() Event) {
 		for i := 0; i < n; i++ {
@@ -309,21 +292,11 @@ func Generate(seed int64, size int, cfg Config) *Plan {
 			p.Events = append(p.Events, e)
 		}
 	}
-	add(cfg.Kills, func() Event { return Event{Kind: Kill} })
 	add(cfg.Stalls, func() Event { return Event{Kind: Stall, Delay: stall, Count: 1 + rng.Intn(3)} })
 	add(cfg.Drops, func() Event { return Event{Kind: Drop} })
 	add(cfg.Corrupts, func() Event { return Event{Kind: Corrupt} })
 	add(cfg.Degrades, func() Event {
 		return Event{Kind: Degrade, Factor: 2 + 6*rng.Float64(), Count: 2 + rng.Intn(6)}
-	})
-	add(cfg.Jitters, func() Event {
-		return Event{Kind: Jitter, Delay: timeout / 100 * rng.Float64(), Count: 1 + rng.Intn(4)}
-	})
-	add(cfg.SilentCorrupts, func() Event {
-		return Event{Kind: CorruptSilent, Count: 1 + rng.Intn(2)}
-	})
-	add(cfg.BrickCorrupts, func() Event {
-		return Event{Kind: CorruptSilent, Brick: true, Count: 1}
 	})
 	// Deterministic order independent of the add sequence above.
 	sort.SliceStable(p.Events, func(i, j int) bool {

@@ -6,7 +6,7 @@ import (
 )
 
 func TestGenerateDeterministic(t *testing.T) {
-	cfg := Config{Kills: 2, Stalls: 3, Drops: 1, Corrupts: 2, Degrades: 2, Jitters: 4}
+	cfg := Config{Stalls: 3, Drops: 1, Corrupts: 2, Degrades: 2}
 	a := Generate(42, 16, cfg)
 	b := Generate(42, 16, cfg)
 	if !reflect.DeepEqual(a, b) {
@@ -22,13 +22,13 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestGenerateBoundsAndDefaults(t *testing.T) {
-	cfg := Config{Kills: 5, Stalls: 5, Drops: 5, Corrupts: 5, Degrades: 5, Jitters: 5}
+	cfg := Config{Stalls: 5, Drops: 5, Corrupts: 5, Degrades: 5}
 	p := Generate(7, 8, cfg)
 	if p.Timeout != 1.0 {
 		t.Errorf("default timeout = %g, want 1.0", p.Timeout)
 	}
-	if len(p.Events) != 30 {
-		t.Fatalf("got %d events, want 30", len(p.Events))
+	if len(p.Events) != 20 {
+		t.Fatalf("got %d events, want 20", len(p.Events))
 	}
 	for _, e := range p.Events {
 		if e.Rank < 0 || e.Rank >= 8 {

@@ -224,16 +224,6 @@ func (p *Plan) initBluestein() {
 	p.bluestein = b
 }
 
-// Transform computes an in-place transform of data, which must have length
-// p.N(). The inverse direction includes the 1/N scaling, fused into the
-// final butterfly pass (pow-2) or the output chirp multiply (Bluestein).
-func (p *Plan) Transform(data []complex128, dir Direction) {
-	if len(data) != p.n {
-		panic(fmt.Sprintf("fft: Transform length %d does not match plan length %d", len(data), p.n))
-	}
-	p.transformContig(data, dir)
-}
-
 func (p *Plan) transformBluestein(data []complex128, dir Direction) {
 	b := p.bluestein
 	n := p.n

@@ -17,7 +17,7 @@ func BenchmarkKernel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.Transform(x, Forward)
+				p.transformContig(x, Forward)
 			}
 		})
 	}
@@ -37,7 +37,7 @@ func BenchmarkKernelInverse(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				copy(x, x0)
-				p.Transform(x, Inverse)
+				p.transformContig(x, Inverse)
 			}
 		})
 	}

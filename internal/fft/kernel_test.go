@@ -25,7 +25,7 @@ func TestKernelLadderMatchesDFT(t *testing.T) {
 		x := randSignal(rng, n)
 		want := dft.Transform(x)
 		got := append([]complex128(nil), x...)
-		NewPlan(n).Transform(got, Forward)
+		NewPlan(n).transformContig(got, Forward)
 		if d := maxAbsDiff(got, want); d > tol*float64(n) {
 			t.Errorf("n=%d: forward kernel differs from DFT oracle by %g", n, d)
 		}
@@ -38,7 +38,7 @@ func TestKernelLadderInverseMatchesDFT(t *testing.T) {
 		x := randSignal(rng, n)
 		want := dft.Inverse(x)
 		got := append([]complex128(nil), x...)
-		NewPlan(n).Transform(got, Inverse)
+		NewPlan(n).transformContig(got, Inverse)
 		if d := maxAbsDiff(got, want); d > tol*float64(n) {
 			t.Errorf("n=%d: fused-scale inverse differs from DFT oracle by %g", n, d)
 		}
@@ -51,8 +51,8 @@ func TestKernelLadderRoundTrip(t *testing.T) {
 		x := randSignal(rng, n)
 		got := append([]complex128(nil), x...)
 		p := NewPlan(n)
-		p.Transform(got, Forward)
-		p.Transform(got, Inverse)
+		p.transformContig(got, Forward)
+		p.transformContig(got, Inverse)
 		if d := maxAbsDiff(got, x); d > tol*float64(n) {
 			t.Errorf("n=%d: inverse(forward(x)) differs from x by %g", n, d)
 		}
@@ -67,7 +67,7 @@ func TestKernelLadderParseval(t *testing.T) {
 		for _, v := range x {
 			ein += real(v)*real(v) + imag(v)*imag(v)
 		}
-		NewPlan(n).Transform(x, Forward)
+		NewPlan(n).transformContig(x, Forward)
 		var eout float64
 		for _, v := range x {
 			eout += real(v)*real(v) + imag(v)*imag(v)
@@ -90,11 +90,11 @@ func TestBluesteinLengthsMatchDFT(t *testing.T) {
 		want := dft.Transform(x)
 		got := append([]complex128(nil), x...)
 		p := NewPlan(n)
-		p.Transform(got, Forward)
+		p.transformContig(got, Forward)
 		if d := maxAbsDiff(got, want); d > tol*float64(n) {
 			t.Errorf("n=%d: Bluestein forward differs from DFT oracle by %g", n, d)
 		}
-		p.Transform(got, Inverse)
+		p.transformContig(got, Inverse)
 		if d := maxAbsDiff(got, x); d > tol*float64(n) {
 			t.Errorf("n=%d: Bluestein round trip differs by %g", n, d)
 		}
@@ -127,7 +127,7 @@ func TestBlockedStridedMatchesContiguous(t *testing.T) {
 			for i := 0; i < tc.n; i++ {
 				line[i] = want[b+i*tc.batch]
 			}
-			p.Transform(line, Forward)
+			p.transformContig(line, Forward)
 			for i := 0; i < tc.n; i++ {
 				want[b+i*tc.batch] = line[i]
 			}
@@ -175,7 +175,7 @@ func TestTransformNestedMatchesLineLoop(t *testing.T) {
 			for j := 0; j < n1; j++ {
 				line[j] = want[base+j*n2]
 			}
-			p.Transform(line, Forward)
+			p.transformContig(line, Forward)
 			for j := 0; j < n1; j++ {
 				want[base+j*n2] = line[j]
 			}
@@ -223,8 +223,8 @@ func TestSingleLineSteadyStateAllocs(t *testing.T) {
 		p := NewPlan(n)
 		data := make([]complex128, n)
 		run := func() {
-			p.Transform(data, Forward)
-			p.Transform(data, Inverse)
+			p.transformContig(data, Forward)
+			p.transformContig(data, Inverse)
 		}
 		run() // warm the pools
 		if avg := testing.AllocsPerRun(50, run); avg >= 1 {

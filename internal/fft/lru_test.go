@@ -47,7 +47,7 @@ func TestPlanCacheBounded(t *testing.T) {
 		}
 		want := dftNaive(in)
 		got := append([]complex128(nil), in...)
-		plans[n].Transform(got, Forward)
+		plans[n].transformContig(got, Forward)
 		for i := range got {
 			if cmplx.Abs(got[i]-want[i]) > 1e-9*(1+cmplx.Abs(want[i])) {
 				t.Fatalf("n=%d: mismatch at %d after eviction: got %v want %v", n, i, got[i], want[i])
@@ -55,7 +55,7 @@ func TestPlanCacheBounded(t *testing.T) {
 		}
 		// Round trip through a freshly looked-up (possibly rebuilt) plan.
 		p := NewPlan(n)
-		p.Transform(got, Inverse)
+		p.transformContig(got, Inverse)
 		for i := range got {
 			if cmplx.Abs(got[i]-in[i]) > 1e-9 {
 				t.Fatalf("n=%d: inverse round trip mismatch at %d", n, i)

@@ -36,13 +36,6 @@ var (
 	jobFree   []*batchJob // plain free list: immune to GC, steady state allocates nothing
 )
 
-// Workers returns the current parallelism bound of the shared batch pool.
-func Workers() int {
-	workerMu.Lock()
-	defer workerMu.Unlock()
-	return workerTarget
-}
-
 // SetWorkers bounds the total parallelism (calling goroutine plus helpers) a
 // single batched transform may use, and returns the previous bound. The
 // default is GOMAXPROCS at package init. n < 1 is treated as 1 (serial

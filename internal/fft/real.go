@@ -62,56 +62,6 @@ func (p *RealPlan) getScratch() *[]complex128 {
 
 func (p *RealPlan) putScratch(b *[]complex128) { p.scratch.Put(b) }
 
-// Forward computes the half-spectrum of the real signal x (length n),
-// returning n/2+1 complex coefficients with X[0] and X[n/2] purely real.
-func (p *RealPlan) Forward(x []float64) ([]complex128, error) {
-	out := make([]complex128, p.n/2+1)
-	if err := p.ForwardInto(x, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ForwardInto computes the half-spectrum of x (length n) into spec (length
-// n/2+1) without allocating.
-func (p *RealPlan) ForwardInto(x []float64, spec []complex128) error {
-	if len(x) != p.n {
-		return fmt.Errorf("fft: real input length %d != plan length %d", len(x), p.n)
-	}
-	if len(spec) != p.n/2+1 {
-		return fmt.Errorf("fft: half-spectrum length %d != %d", len(spec), p.n/2+1)
-	}
-	zp := p.getScratch()
-	p.r2cLine(x, 0, 1, spec, 0, 1, (*zp)[:p.n/2])
-	p.putScratch(zp)
-	return nil
-}
-
-// Inverse reconstructs the real signal from its half-spectrum (length
-// n/2+1), scaled so Inverse(Forward(x)) == x.
-func (p *RealPlan) Inverse(spec []complex128) ([]float64, error) {
-	out := make([]float64, p.n)
-	if err := p.InverseInto(spec, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// InverseInto reconstructs the real signal from its half-spectrum into x
-// (length n) without allocating.
-func (p *RealPlan) InverseInto(spec []complex128, x []float64) error {
-	if len(spec) != p.n/2+1 {
-		return fmt.Errorf("fft: half-spectrum length %d != %d", len(spec), p.n/2+1)
-	}
-	if len(x) != p.n {
-		return fmt.Errorf("fft: real output length %d != plan length %d", len(x), p.n)
-	}
-	zp := p.getScratch()
-	p.c2rLine(spec, 0, 1, x, 0, 1, (*zp)[:p.n/2])
-	p.putScratch(zp)
-	return nil
-}
-
 // ForwardBatch computes batch real-to-complex transforms in cuFFT's advanced
 // D2Z layout: real line b reads x[b·xDist + i·xStride] for i < n, and its
 // half-spectrum writes spec[b·specDist + k·specStride] for k <= n/2. Large

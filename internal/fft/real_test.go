@@ -10,6 +10,17 @@ import (
 	"repro/internal/dft"
 )
 
+// forward and inverse transform one line through the batched entry points.
+func (p *RealPlan) forward(x []float64) ([]complex128, error) {
+	spec := make([]complex128, p.SpectrumLen())
+	return spec, p.ForwardBatch(x, 1, 0, spec, 1, 0, 1)
+}
+
+func (p *RealPlan) inverse(spec []complex128) ([]float64, error) {
+	x := make([]float64, p.N())
+	return x, p.InverseBatch(spec, 1, 0, x, 1, 0, 1)
+}
+
 func TestRealPlanValidation(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 7} {
 		if _, err := NewRealPlan(n); err == nil {
@@ -23,10 +34,10 @@ func TestRealPlanValidation(t *testing.T) {
 	if p.N() != 16 || p.SpectrumLen() != 9 {
 		t.Errorf("N=%d SpectrumLen=%d", p.N(), p.SpectrumLen())
 	}
-	if _, err := p.Forward(make([]float64, 5)); err == nil {
+	if _, err := p.forward(make([]float64, 5)); err == nil {
 		t.Error("wrong-length forward input should fail")
 	}
-	if _, err := p.Inverse(make([]complex128, 5)); err == nil {
+	if _, err := p.inverse(make([]complex128, 5)); err == nil {
 		t.Error("wrong-length inverse input should fail")
 	}
 }
@@ -45,7 +56,7 @@ func TestRealForwardMatchesComplexDFT(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := p.Forward(x)
+		got, err := p.forward(x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +76,7 @@ func TestRealEdgeBinsAreReal(t *testing.T) {
 		x[i] = rng.NormFloat64()
 	}
 	p, _ := NewRealPlan(n)
-	spec, err := p.Forward(x)
+	spec, err := p.forward(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +96,11 @@ func TestRealRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec, err := p.Forward(x)
+		spec, err := p.forward(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := p.Inverse(spec)
+		back, err := p.inverse(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,11 +124,11 @@ func TestRealRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		spec, err := p.Forward(x)
+		spec, err := p.forward(x)
 		if err != nil {
 			return false
 		}
-		back, err := p.Inverse(spec)
+		back, err := p.inverse(spec)
 		if err != nil {
 			return false
 		}
@@ -173,7 +184,7 @@ func BenchmarkRealFFT(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Forward(x); err != nil {
+		if _, err := p.forward(x); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -98,7 +98,7 @@ func TestRowsBitIdentical(t *testing.T) {
 						for i := range line {
 							line[i] = alone[base+i*stride]
 						}
-						p.Transform(line, dir)
+						p.transformContig(line, dir)
 						for i := range line {
 							alone[base+i*stride] = line[i]
 						}

@@ -114,15 +114,6 @@ func (d *Device) Unpack(bytes int, transposed bool) {
 	d.charge("unpack", cost, bytes)
 }
 
-// Reorder charges an on-device transposition making an FFT axis contiguous
-// (the "transposed/contiguous" local-FFT path of Figs. 6 and 7).
-func (d *Device) Reorder(bytes int) {
-	if bytes == 0 {
-		return
-	}
-	d.charge("reorder", d.model.ReorderCost(bytes), bytes)
-}
-
 // Copy charges a device↔host transfer (outside MPI, e.g. result download).
 func (d *Device) Copy(bytes int) {
 	if bytes == 0 {
@@ -158,12 +149,4 @@ func (d *Device) Retain(bytes int) {
 		return
 	}
 	d.charge("retain", d.model.RetainCost(bytes), bytes)
-}
-
-// Pointwise charges an elementwise kernel (scaling, spectral convolution).
-func (d *Device) Pointwise(bytes int) {
-	if bytes == 0 {
-		return
-	}
-	d.charge("pointwise", d.model.PointwiseCost(bytes), bytes)
 }

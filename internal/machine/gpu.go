@@ -39,19 +39,6 @@ type GPU struct {
 	// fuses into kernels that launch anyway). Zero falls back to
 	// KernelLaunch/16.
 	ChecksumOverhead float64
-
-	// ConvertBW is the effective bandwidth of the fused precision-conversion
-	// passes of the wire-compression layer (float64↔float32/half casts). The
-	// convert rides inside a pack/unpack kernel already streaming the data —
-	// the pack is charged on the narrow wire bytes it writes, and this pass
-	// covers the extra full-width side of the stream plus the cast ALU work.
-	// Casts vectorize and hide under the memory stream, so the effective rate
-	// is well above MemBW. Zero falls back to 2×MemBW.
-	ConvertBW float64
-	// ConvertOverhead is the fixed cost per conversion pass (negligible next
-	// to a launch — the kernel launches anyway). Zero falls back to
-	// KernelLaunch/16.
-	ConvertOverhead float64
 }
 
 // fftFlops returns the classic 5·n·log2(n) flop count of one complex
@@ -137,19 +124,16 @@ func (g *GPU) ChecksumCost(bytes int) float64 {
 }
 
 // ConvertRate returns the effective (bandwidth, fixed overhead) the fused
-// precision-conversion passes run at, with the documented fallbacks applied.
-// Like ChecksumRate, it exists so the tuning predictor and the simulator
-// price conversions identically.
+// precision-conversion passes of the wire-compression layer
+// (float64↔float32/half casts) run at. A convert rides inside a pack/unpack
+// kernel already streaming the data: the pack is charged on the narrow wire
+// bytes it writes, and this pass covers the extra full-width side of the
+// stream plus the cast ALU work. Casts vectorize and hide under the memory
+// stream, so the rate is twice MemBW, and the pass adds a sixteenth of a
+// launch. Like ChecksumRate, it exists so the tuning predictor and the
+// simulator price conversions identically.
 func (g *GPU) ConvertRate() (bw, overhead float64) {
-	bw = g.ConvertBW
-	if bw <= 0 {
-		bw = 2 * g.MemBW
-	}
-	overhead = g.ConvertOverhead
-	if overhead <= 0 {
-		overhead = g.KernelLaunch / 16
-	}
-	return bw, overhead
+	return 2 * g.MemBW, g.KernelLaunch / 16
 }
 
 // ConvertCost returns the virtual time of one fused down- or up-conversion

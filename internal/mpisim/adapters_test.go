@@ -46,6 +46,30 @@ func recv(c *Comm, src, tag int) Buf {
 func sendrecv(c *Comm, dst, sendTag int, b Buf, src, recvTag int) Buf {
 	sreq := c.Isend(dst, sendTag, b)
 	rbuf := recv(c, src, recvTag)
-	c.Wait(sreq)
+	c.wait(sreq)
 	return rbuf
+}
+
+// wait completes a request. For receives it returns the received payload.
+func (c *Comm) wait(r *Request) Buf {
+	st := c.state()
+	start := st.clock
+	if r.done {
+		panic("mpisim: wait on completed request")
+	}
+	if r.isSend {
+		if r.completeAt > st.clock {
+			st.clock = r.completeAt
+		}
+		r.done = true
+		c.record("MPI_Wait(send)", start, st.clock, r.sendBytes)
+		return Buf{}
+	}
+	if r.msg == nil {
+		r.msg = c.claim(r.src, r.tag)
+	}
+	c.completeRecv(r.msg)
+	r.done = true
+	c.record("MPI_Wait(recv)", start, st.clock, r.msg.buf.Bytes())
+	return r.msg.buf
 }

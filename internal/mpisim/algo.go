@@ -172,7 +172,6 @@ func (e *Exchange) spansNodes() bool {
 // network schedule; staging, self-copies and fault bookkeeping are handled
 // by the communicator wrapper.
 type CollectiveAlgo interface {
-	Name() string
 	// Synchronized reports whether the schedule runs in lock-step rounds:
 	// every rank's network activity then starts at the group's last entry
 	// (like a barrier), whereas unsynchronized schedules start each rank as
@@ -188,7 +187,6 @@ type CollectiveAlgo interface {
 // the fabric's adaptive routing degrades under.
 type linearAlgo struct{}
 
-func (linearAlgo) Name() string       { return "linear" }
 func (linearAlgo) Synchronized() bool { return true }
 
 func (linearAlgo) Complete(ex *Exchange) []float64 {
@@ -213,7 +211,6 @@ func (linearAlgo) Complete(ex *Exchange) []float64 {
 // nobody has traffic cost nothing (the schedule skips them).
 type pairwiseAlgo struct{}
 
-func (pairwiseAlgo) Name() string       { return "pairwise" }
 func (pairwiseAlgo) Synchronized() bool { return true }
 
 func (pairwiseAlgo) Complete(ex *Exchange) []float64 {
@@ -267,7 +264,6 @@ func (pairwiseAlgo) Complete(ex *Exchange) []float64 {
 // addressed to it arrives.
 type ringAlgo struct{}
 
-func (ringAlgo) Name() string       { return "ring" }
 func (ringAlgo) Synchronized() bool { return false }
 
 func (ringAlgo) Complete(ex *Exchange) []float64 {
@@ -325,7 +321,6 @@ func (ringAlgo) Complete(ex *Exchange) []float64 {
 // the same way, just accounted at the average.
 type bruckAlgo struct{}
 
-func (bruckAlgo) Name() string       { return "bruck" }
 func (bruckAlgo) Synchronized() bool { return true }
 
 func (bruckAlgo) Complete(ex *Exchange) []float64 {

@@ -85,9 +85,6 @@ func (s *IntegritySnapshot) Add(o IntegritySnapshot) {
 	s.PhaseReexecs += o.PhaseReexecs
 }
 
-// Integrity returns the world's integrity configuration.
-func (w *World) Integrity() IntegrityConfig { return w.opts.Integrity }
-
 // IntegrityCounters returns the world's live integrity counters.
 func (w *World) IntegrityCounters() *IntegrityCounters { return &w.integ }
 

@@ -25,12 +25,12 @@ func devBuf(n int) Buf {
 
 func TestBufSizes(t *testing.T) {
 	b := hostBuf(1, 2, 3)
-	if b.Elems() != 3 || b.Bytes() != 48 || b.Phantom() {
-		t.Errorf("real buf: elems=%d bytes=%d phantom=%v", b.Elems(), b.Bytes(), b.Phantom())
+	if b.Elems() != 3 || b.Bytes() != 48 {
+		t.Errorf("real buf: elems=%d bytes=%d", b.Elems(), b.Bytes())
 	}
 	p := Buf{N: 10, Loc: machine.Device}
-	if p.Elems() != 10 || p.Bytes() != 160 || !p.Phantom() {
-		t.Errorf("phantom buf: elems=%d bytes=%d phantom=%v", p.Elems(), p.Bytes(), p.Phantom())
+	if p.Elems() != 10 || p.Bytes() != 160 {
+		t.Errorf("phantom buf: elems=%d bytes=%d", p.Elems(), p.Bytes())
 	}
 }
 
@@ -62,7 +62,7 @@ func TestSendCopiesBuffer(t *testing.T) {
 			b := hostBuf(42)
 			r := c.Isend(1, 0, b)
 			b.Data[0] = -1
-			c.Wait(r)
+			c.wait(r)
 		case 1:
 			got = recv(c, 0, 0).Data[0]
 		}
@@ -176,7 +176,7 @@ func TestIsendOverlapsWithCompute(t *testing.T) {
 				} else {
 					r := c.Isend(1, 0, b)
 					c.Advance(1e-3)
-					c.Wait(r)
+					c.wait(r)
 				}
 			} else {
 				recv(c, 0, 0)

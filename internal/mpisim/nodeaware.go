@@ -34,7 +34,6 @@ import (
 // measures on Summit (Fig. 4) turned into a schedule.
 type nodeAwareAlgo struct{}
 
-func (nodeAwareAlgo) Name() string       { return "node-aware" }
 func (nodeAwareAlgo) Synchronized() bool { return false }
 
 // nodeScratch is the working state of one node-aware pricing: how the exchange
@@ -251,7 +250,7 @@ func (nodeAwareAlgo) Complete(ex *Exchange) []float64 {
 			if gready > ready {
 				ready = gready
 			}
-			bw := ex.Topo.LeaderBW(worldNode[a], worldNode[b], len(groups[a]))
+			bw := ex.Topo.LeaderBW(worldNode[a], len(groups[a]))
 			wire = ready + (m.CollInject+float64(agg[b])/bw)*fnode
 			if gdone > wire {
 				wire = gdone

@@ -9,7 +9,7 @@ import (
 )
 
 // runExchangeOpts is runExchange with explicit world options, used to cover
-// non-block placements and fabrics.
+// non-block placements.
 func runExchangeOpts(t *testing.T, size int, seed int64, a Algo, opts Options) {
 	t.Helper()
 	data := randomSendMatrix(rand.New(rand.NewSource(seed)), size)
@@ -56,15 +56,6 @@ func TestBitIdenticalAcrossPlacements(t *testing.T) {
 	for _, a := range Algos() {
 		runExchangeOpts(t, 14, 31+int64(a), a, Options{GPUAware: true, Placement: topo.RoundRobin()})
 		runExchangeOpts(t, 8, 77+int64(a), a, Options{GPUAware: true, Placement: topo.Permutation(perm)})
-	}
-}
-
-// TestBitIdenticalWithFabric: attaching an explicit fabric (structural
-// contention instead of the saturation factor) never changes delivered bytes.
-func TestBitIdenticalWithFabric(t *testing.T) {
-	f := &topo.Fabric{NodesPerSwitch: 2, UplinkBW: 2 * 23.5e9, AdaptiveLoss: 0.05}
-	for _, a := range Algos() {
-		runExchangeOpts(t, 13, 101+int64(a), a, Options{GPUAware: true, Fabric: f})
 	}
 }
 

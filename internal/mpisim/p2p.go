@@ -27,10 +27,6 @@ type Request struct {
 	done     bool
 }
 
-// Done reports whether the request has already been completed by a Wait
-// call.
-func (r *Request) Done() bool { return r.done }
-
 // postSend computes the cost of a message, books the sender's port, deposits
 // the message in the destination mailbox, and returns the virtual time at
 // which the sender's participation ends (port drained).
@@ -201,30 +197,6 @@ func (c *Comm) completeRecv(m *message) {
 	} else if m.buf.silent > 0 {
 		m.buf.corruptPayload()
 	}
-}
-
-// Wait completes a request. For receives it returns the received payload.
-func (c *Comm) Wait(r *Request) Buf {
-	st := c.state()
-	start := st.clock
-	if r.done {
-		panic("mpisim: Wait on completed request")
-	}
-	if r.isSend {
-		if r.completeAt > st.clock {
-			st.clock = r.completeAt
-		}
-		r.done = true
-		c.record("MPI_Wait(send)", start, st.clock, r.sendBytes)
-		return Buf{}
-	}
-	if r.msg == nil {
-		r.msg = c.claim(r.src, r.tag)
-	}
-	c.completeRecv(r.msg)
-	r.done = true
-	c.record("MPI_Wait(recv)", start, st.clock, r.msg.buf.Bytes())
-	return r.msg.buf
 }
 
 // Waitany completes exactly one of the pending requests — the one with the

@@ -112,9 +112,6 @@ func (b *Buf) bytes() int {
 	return b.Wire.ComplexBytes() * b.elems()
 }
 
-// Phantom reports whether the buffer carries no real data.
-func (b Buf) Phantom() bool { return b.Data == nil && b.Real == nil }
-
 // clone returns a deep copy so senders may reuse their buffers immediately,
 // matching MPI buffer semantics. Buffers sent with Move skip the copy: the
 // sender has relinquished ownership, so the payload travels by reference (the
@@ -159,10 +156,6 @@ type Options struct {
 	// explicit permutation). The zero value is block placement — the layout of
 	// every paper experiment.
 	Placement topo.Placement
-	// Fabric, when non-nil, attaches an explicit switch hierarchy: shared-link
-	// contention is then computed structurally from concurrent flows instead
-	// of the machine model's phenomenological saturation factor.
-	Fabric *topo.Fabric
 	// Integrity enables checksummed transport envelopes and (read by the
 	// plan layer) ABFT phase invariants. The zero value disables both:
 	// silently corrupted payloads then reach the caller unrepaired.
@@ -277,7 +270,7 @@ func NewWorld(m *machine.Model, size int, opts Options) *World {
 	if size < 1 {
 		panic(fmt.Sprintf("mpisim: invalid world size %d", size))
 	}
-	sys, err := topo.New(m, size, opts.Placement, opts.Fabric)
+	sys, err := topo.New(m, size, opts.Placement)
 	if err != nil {
 		panic(err)
 	}
@@ -305,10 +298,7 @@ func (w *World) Model() *machine.Model { return w.model }
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.size }
 
-// Nodes returns the number of nodes the job occupies.
-func (w *World) Nodes() int { return w.nodes }
-
-// Topo returns the resolved topology of the job (placement + fabric).
+// Topo returns the resolved topology of the job (its placement).
 func (w *World) Topo() *topo.System { return w.topo }
 
 // Result summarizes a Run.

@@ -12,10 +12,9 @@ import (
 
 // Series is one named line.
 type Series struct {
-	Name   string
-	X      []float64
-	Y      []float64
-	Marker byte // distinct glyph per series; 0 picks automatically
+	Name string
+	X    []float64
+	Y    []float64
 }
 
 // Options controls the canvas.
@@ -78,10 +77,7 @@ func Render(series []Series, opts Options) string {
 		grid[r] = []byte(strings.Repeat(" ", opts.Width))
 	}
 	for si, s := range series {
-		m := s.Marker
-		if m == 0 {
-			m = defaultMarkers[si%len(defaultMarkers)]
-		}
+		m := defaultMarkers[si%len(defaultMarkers)]
 		for i := range s.X {
 			if invalid(s.X[i], opts.LogX) || invalid(s.Y[i], opts.LogY) {
 				continue
@@ -111,11 +107,7 @@ func Render(series []Series, opts Options) string {
 	}
 	// Legend.
 	for si, s := range series {
-		m := s.Marker
-		if m == 0 {
-			m = defaultMarkers[si%len(defaultMarkers)]
-		}
-		fmt.Fprintf(&b, " %c %s\n", m, s.Name)
+		fmt.Fprintf(&b, " %c %s\n", defaultMarkers[si%len(defaultMarkers)], s.Name)
 	}
 	return b.String()
 }

@@ -23,14 +23,14 @@ func TestRenderBasic(t *testing.T) {
 }
 
 func TestRenderPlacesExtremes(t *testing.T) {
-	out := Render([]Series{{Name: "s", X: []float64{0, 10}, Y: []float64{0, 10}, Marker: 'Q'}},
+	out := Render([]Series{{Name: "s", X: []float64{0, 10}, Y: []float64{0, 10}}},
 		Options{Width: 11, Height: 11})
 	rows := strings.Split(out, "\n")
 	// Max point at top-right of the canvas, min at bottom-left.
-	if rows[0][11] != 'Q' { // +1 for the left edge character
+	if rows[0][11] != '*' { // +1 for the left edge character
 		t.Errorf("top-right corner = %q", rows[0])
 	}
-	if rows[10][1] != 'Q' {
+	if rows[10][1] != '*' {
 		t.Errorf("bottom-left corner = %q", rows[10])
 	}
 }

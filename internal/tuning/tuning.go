@@ -17,24 +17,18 @@ import (
 	"repro/internal/tensor"
 )
 
-// Candidate is one algorithm setting under consideration.
+// Candidate is one algorithm setting under consideration. The rest of the
+// plan's options — grid shrinking, wire precision, chunking — come from the
+// configuration the caller tunes.
 type Candidate struct {
 	Decomp     core.Decomposition
 	Backend    core.Backend
 	Contiguous bool
-	// Shrink, when non-zero, enables FFT grid shrinking with the given
-	// per-rank element threshold.
-	Shrink int
 	// Algo selects the all-to-all schedule of the Alltoallv backend
 	// (CollAuto lets each reshape phase pick the schedule the simulator
 	// prices cheapest).
 	// Ignored by the other backends.
 	Algo core.CollAlgo
-	// Wire selects the on-wire precision of the candidate's interior
-	// exchanges (core.WireFp64 ships full doubles). Compressed candidates
-	// only enter the sweep through CandidatesWithBudget, which gates them on
-	// the caller's accuracy budget.
-	Wire core.WirePrecision
 }
 
 func (c Candidate) String() string {
@@ -42,14 +36,8 @@ func (c Candidate) String() string {
 	if c.Contiguous {
 		s += "+contiguous"
 	}
-	if c.Shrink > 0 {
-		s += "+shrink"
-	}
 	if c.Backend == core.BackendAlltoallv && c.Algo != core.CollAuto {
 		s += "+" + c.Algo.String()
-	}
-	if c.Wire != core.WireFp64 {
-		s += "+" + c.Wire.String()
 	}
 	return s
 }
@@ -88,44 +76,6 @@ func DefaultCandidates() []Candidate {
 	return out
 }
 
-// interiorExchanges returns how many reshape phases of a decomposition are
-// wire-compressible: the exchanges strictly between compute stages (pencils
-// run x→y and y→z interior reshapes, slabs one; input/output reshapes always
-// ship full precision).
-func interiorExchanges(d core.Decomposition) int {
-	if d == core.DecompSlabs {
-		return 1
-	}
-	return 2
-}
-
-// CandidatesWithBudget returns DefaultCandidates extended with the
-// wire-precision dimension: for every accuracy budget the caller tolerates,
-// compressed (fp32/fp16) variants of the Alltoallv candidates whose analytic
-// error bound (core.WireErrorBound over the decomposition's interior
-// exchanges) fits the budget. A zero budget admits no compressed candidates
-// and the sweep degenerates to DefaultCandidates.
-func CandidatesWithBudget(budget float64) []Candidate {
-	out := DefaultCandidates()
-	if budget <= 0 {
-		return out
-	}
-	for _, d := range []core.Decomposition{core.DecompSlabs, core.DecompPencils} {
-		for _, w := range []core.WirePrecision{core.WireFp32, core.WireFp16} {
-			if core.WireErrorBound(w, interiorExchanges(d)) > budget {
-				continue
-			}
-			for _, contig := range []bool{false, true} {
-				out = append(out, Candidate{
-					Decomp: d, Backend: core.BackendAlltoallv,
-					Contiguous: contig, Wire: w,
-				})
-			}
-		}
-	}
-	return out
-}
-
 // Predict evaluates the bandwidth model for a candidate on the given
 // machine/job geometry, returning the estimated communication time of one
 // transform. The decomposition selects the closed-form model; a forced
@@ -134,23 +84,19 @@ func CandidatesWithBudget(budget float64) []Candidate {
 // representative pencil-row exchange, so deliberately mismatched algorithms
 // (Bruck on bandwidth-bound shapes, pairwise on sparse ones) rank — and get
 // measured — after the promising ones. Other backends are differentiated by
-// measurement.
+// measurement. Exchanges are priced at full precision.
 func Predict(c *mpisim.Comm, global [3]int, cand Candidate) float64 {
 	m := c.Model()
 	params := model.Params{Latency: m.InterLatency, Bandwidth: m.NodeInjectionBW}
 	n := global[0] * global[1] * global[2]
 	pi := c.Size()
 	pg, qg := tensor.Square2D(pi)
-	// The closed forms model the interior exchanges of the decomposition —
-	// exactly the ones a compressed wire shrinks — so they are evaluated at
-	// the candidate's on-wire element size.
-	wireElem := float64(core.WireElemSize(cand.Wire, 16))
 	var t float64
 	switch cand.Decomp {
 	case core.DecompSlabs:
-		t = model.SlabTimeElem(n, pi, wireElem, params)
+		t = model.SlabTimeElem(n, pi, 16, params)
 	default:
-		t = model.PencilTimeElem(n, pg, qg, wireElem, params)
+		t = model.PencilTimeElem(n, pg, qg, 16, params)
 	}
 	if cand.Backend == core.BackendAlltoallv && cand.Algo != core.CollAuto {
 		gs := qg
@@ -161,25 +107,16 @@ func Predict(c *mpisim.Comm, global [3]int, cand Candidate) float64 {
 	}
 	// Integrity overhead: with transport checksums enabled, every reshape
 	// pays one envelope-compute pass over the sent bytes and one verify pass
-	// over the received bytes — on the wire (possibly compressed) byte
-	// counts. The term rides on top of the bandwidth model so candidate
-	// rankings reflect the integrity tax the simulator charges.
+	// over the received bytes. The term rides on top of the bandwidth model
+	// so candidate rankings reflect the integrity tax the simulator charges.
 	if c.Integrity().Checksums {
 		bw, oh := m.GPU.ChecksumRate()
-		perRank := wireElem * float64(n) / float64(pi)
+		perRank := 16 * float64(n) / float64(pi)
 		reshapes := 3.0
 		if cand.Decomp == core.DecompSlabs {
 			reshapes = 2
 		}
 		t += reshapes * (2*oh + 2*perRank/bw)
-	}
-	// A compressed candidate pays the fused convert passes the simulator
-	// charges: one down-convert per pack and one up-convert per unpack over
-	// the full-precision bytes of each interior exchange.
-	if cand.Wire != core.WireFp64 {
-		cbw, coh := m.GPU.ConvertRate()
-		perRank := 16 * float64(n) / float64(pi)
-		t += float64(interiorExchanges(cand.Decomp)) * 2 * (coh + perRank/cbw)
 	}
 	return t
 }
@@ -291,16 +228,15 @@ func Tune(c *mpisim.Comm, cfg core.Config, cands []Candidate, opts Options) ([]R
 	return results, nil
 }
 
-// measure runs the paper's measurement protocol for one candidate and
-// returns the average per-transform virtual time (max over ranks).
+// measure runs the paper's measurement protocol for one candidate on the
+// caller's configuration and returns the average per-transform virtual time
+// (max over ranks).
 func measure(c *mpisim.Comm, cfg core.Config, cand Candidate, opts Options) (float64, error) {
 	planCfg := cfg
 	planCfg.Opts.Decomp = cand.Decomp
 	planCfg.Opts.Backend = cand.Backend
 	planCfg.Opts.Contiguous = cand.Contiguous
-	planCfg.Opts.ShrinkThreshold = cand.Shrink
 	planCfg.Opts.Comm.Algo = cand.Algo
-	planCfg.Opts.Comm.Wire = cand.Wire
 	p, err := core.NewPlan(c, planCfg)
 	if err != nil {
 		return 0, err

@@ -24,71 +24,106 @@ func TestDefaultCandidatesCoverTheSweep(t *testing.T) {
 	}
 }
 
-func TestCandidatesWithBudget(t *testing.T) {
-	base := len(DefaultCandidates())
-	countWire := func(cands []Candidate, w core.WirePrecision) int {
-		n := 0
-		for _, c := range cands {
-			if c.Wire == w {
-				n++
+// TestTuneHonoursCallerConfig: a candidate sets decomposition, backend,
+// layout and schedule, and keeps everything else the caller configured. On a
+// small grid over many ranks a shrink threshold changes the plan, as does a
+// compressed wire; each measured time must be that of the caller's plan.
+func TestTuneHonoursCallerConfig(t *testing.T) {
+	const ranks = 12
+	global := [3]int{8, 8, 8}
+	cand := Candidate{Decomp: core.DecompPencils, Backend: core.BackendAlltoallv}
+	opts := Options{Warmup: 1, Iters: 2}
+	// planTime runs the measurement protocol on a plan built from cfg.
+	planTime := func(cfg core.Config) float64 {
+		var dt float64
+		mpisim.NewWorld(machine.Summit(), ranks, mpisim.Options{GPUAware: true}).Run(func(c *mpisim.Comm) {
+			cfg.Opts.Decomp, cfg.Opts.Backend = cand.Decomp, cand.Backend
+			p, err := core.NewPlan(c, cfg)
+			if err != nil {
+				panic(err)
 			}
+			if err := p.Forward(core.NewPhantom(p.InBox())); err != nil {
+				panic(err)
+			}
+			c.Barrier()
+			t0 := c.Clock()
+			if err := p.Forward(core.NewPhantom(p.InBox())); err != nil {
+				panic(err)
+			}
+			if err := p.Inverse(core.NewPhantom(p.InBox())); err != nil {
+				panic(err)
+			}
+			c.Barrier()
+			if c.Rank() == 0 {
+				dt = (c.Clock() - t0) / 2
+			}
+		})
+		return dt
+	}
+	tuned := func(cfg core.Config) float64 {
+		var dt float64
+		mpisim.NewWorld(machine.Summit(), ranks, mpisim.Options{GPUAware: true}).Run(func(c *mpisim.Comm) {
+			rs, err := Tune(c, cfg, []Candidate{cand}, opts)
+			if err != nil {
+				panic(err)
+			}
+			if c.Rank() == 0 {
+				dt = rs[0].MeasuredSec
+			}
+		})
+		return dt
+	}
+	plain := planTime(core.Config{Global: global})
+	for name, o := range map[string]core.Options{
+		"shrink": {ShrinkThreshold: 128},
+		"fp16":   {Comm: core.CommConfig{Wire: core.WireFp16}},
+	} {
+		cfg := core.Config{Global: global, Opts: o}
+		want := planTime(cfg)
+		if want == plain {
+			t.Fatalf("%s: the caller's option does not change the plan's time (%g)", name, want)
 		}
-		return n
-	}
-	// No budget: no compressed candidates enter the sweep.
-	if got := CandidatesWithBudget(0); len(got) != base {
-		t.Errorf("zero budget added candidates: %d vs %d", len(got), base)
-	}
-	// 1e-6 admits fp32 (bound ~4.8e-7 for pencils) but not fp16 (~3.9e-3):
-	// both decompositions × both layouts.
-	c6 := CandidatesWithBudget(1e-6)
-	if n := countWire(c6, core.WireFp32); n != 4 {
-		t.Errorf("budget 1e-6: %d fp32 candidates, want 4", n)
-	}
-	if n := countWire(c6, core.WireFp16); n != 0 {
-		t.Errorf("budget 1e-6: %d fp16 candidates, want 0", n)
-	}
-	// 1e-2 admits both compressed precisions.
-	c2 := CandidatesWithBudget(1e-2)
-	if n := countWire(c2, core.WireFp32); n != 4 {
-		t.Errorf("budget 1e-2: %d fp32 candidates, want 4", n)
-	}
-	if n := countWire(c2, core.WireFp16); n != 4 {
-		t.Errorf("budget 1e-2: %d fp16 candidates, want 4", n)
-	}
-	// A budget between the slab bound (1 exchange) and the pencil bound
-	// (2 exchanges) admits only the slab variant.
-	mid := core.WireErrorBound(core.WireFp32, 1) * 1.5
-	for _, c := range CandidatesWithBudget(mid) {
-		if c.Wire != core.WireFp64 && c.Decomp != core.DecompSlabs {
-			t.Errorf("budget %g admitted pencil candidate %v", mid, c)
+		if got := tuned(cfg); got != want {
+			t.Errorf("%s: Tune measured %g, the caller's plan takes %g (unconfigured %g)", name, got, want, plain)
 		}
 	}
 }
 
-// TestTuneBudgetSelectsCompressed is the acceptance check of the tuning
-// satellite: on a staged (non-GPU-aware) exchange-dominated shape, a sweep
-// that is allowed an accuracy budget must measure a compressed candidate as
-// the winner — the whole point of shipping fp32/fp16 on the wire.
-func TestTuneBudgetSelectsCompressed(t *testing.T) {
-	w := mpisim.NewWorld(machine.Summit(), 8, mpisim.Options{GPUAware: false})
-	var results []Result
-	w.Run(func(c *mpisim.Comm) {
-		rs, err := Tune(c, core.Config{Global: [3]int{64, 64, 64}},
-			CandidatesWithBudget(1e-2), Options{Warmup: 1, Iters: 2})
-		if err != nil {
-			panic(err)
+// TestTuneCompressedWireWins: on a staged (non-GPU-aware) exchange-dominated
+// shape, tuning a configuration that ships fp32 or fp16 on the wire must find
+// a faster winner than the same sweep at fp64 — the point of compressing.
+func TestTuneCompressedWireWins(t *testing.T) {
+	var cands []Candidate
+	for _, d := range []core.Decomposition{core.DecompSlabs, core.DecompPencils} {
+		for _, b := range []core.Backend{core.BackendAlltoallv, core.BackendP2P} {
+			cands = append(cands, Candidate{Decomp: d, Backend: b})
 		}
-		if c.Rank() == 0 {
-			results = rs
-		}
-	})
-	best := Best(results)
-	if best.MeasuredSec <= 0 {
-		t.Fatal("winner was not measured")
 	}
-	if best.Wire == core.WireFp64 {
-		t.Errorf("budgeted tuning picked uncompressed winner %v", best.Candidate)
+	best := func(w core.WirePrecision) Result {
+		var r Result
+		mpisim.NewWorld(machine.Summit(), 8, mpisim.Options{}).Run(func(c *mpisim.Comm) {
+			cfg := core.Config{Global: [3]int{64, 64, 64}, Opts: core.Options{Comm: core.CommConfig{Wire: w}}}
+			rs, err := Tune(c, cfg, cands, Options{Warmup: 1, Iters: 2})
+			if err != nil {
+				panic(err)
+			}
+			if c.Rank() == 0 {
+				r = Best(rs)
+			}
+		})
+		return r
+	}
+	full := best(core.WireFp64)
+	if full.MeasuredSec <= 0 {
+		t.Fatal("fp64 winner was not measured")
+	}
+	prev := full
+	for _, w := range []core.WirePrecision{core.WireFp32, core.WireFp16} {
+		r := best(w)
+		if r.MeasuredSec <= 0 || r.MeasuredSec >= prev.MeasuredSec {
+			t.Errorf("%v winner %v takes %g s, not faster than %g s of the wider wire", w, r.Candidate, r.MeasuredSec, prev.MeasuredSec)
+		}
+		prev = r
 	}
 }
 
