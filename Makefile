@@ -88,9 +88,11 @@ examples:
 	go run ./examples/serving
 
 # Paper-scale reproduction of every table and figure, up to the 3072-GPU
-# sweeps (~2 minutes on 2 cores; fits a 15 GB host with room to spare).
+# sweeps (~40 s on 2 cores; fits a 15 GB host with room to spare).
 experiments:
 	go run ./cmd/fftbench -all | tee experiments_full.txt
 
+# The reduced-size run of every experiment, rewriting the golden text that
+# TestQuickGolden compares against (its elastic block is not compared).
 quick-experiments:
-	go run ./cmd/fftbench -all -quick
+	go run ./cmd/fftbench -all -quick | tee internal/bench/testdata/quick.txt

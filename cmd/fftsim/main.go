@@ -12,7 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"text/tabwriter"
 
 	"repro/heffte"
@@ -75,6 +75,8 @@ func main() {
 	// Every rank passes the same Config, so a configuration the library
 	// rejects is rejected on all of them and nobody is left in a collective.
 	var planErr error
+	var from float64
+	ends := make([]float64, *ranks)
 	w.Run(func(c *heffte.Comm) {
 		p, err := heffte.NewPlan(c, heffte.Config{Global: global, Opts: opts})
 		if err != nil {
@@ -104,8 +106,10 @@ func main() {
 		for i := 0; i < *iters; i++ {
 			exec(i >= *iters/2)
 		}
+		ends[c.Rank()] = c.Clock()
 		c.Barrier()
 		if c.Rank() == 0 {
+			from = t0
 			perFFT = (c.Clock() - t0) / float64(*iters)
 			resolved = p.Decomp()
 			exchanges = p.Exchanges()
@@ -141,19 +145,6 @@ func main() {
 	fmt.Printf("time per transform: %s  (%.1f GFLOP/s aggregate)\n",
 		heffte.FormatSeconds(perFFT), heffte.Gflops(heffte.FFTFlops(*n**n**n)*float64(*batch), perFFT*float64(*batch)))
 
-	totals := tr.TotalByName(-1)
-	var names []string
-	for k := range totals {
-		names = append(names, k)
-	}
-	sort.Slice(names, func(i, j int) bool { return totals[names[i]] > totals[names[j]] })
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "kernel\ttotal (slowest rank)")
-	for _, k := range names {
-		fmt.Fprintf(tw, "%s\t%s\n", k, heffte.FormatSeconds(totals[k]))
-	}
-	tw.Flush()
-
 	if *traceOut != "" {
 		if err := heffte.WriteChromeFile(tr, *traceOut); err != nil {
 			fmt.Fprintln(os.Stderr, "fftsim:", err)
@@ -161,6 +152,23 @@ func main() {
 		}
 		fmt.Printf("virtual timeline written to %s (open in chrome://tracing or Perfetto)\n", *traceOut)
 	}
+
+	// Per transform, the timed section of the rank that finishes it last;
+	// wait is what none of its events covers, the closing barrier included.
+	tr.Prune(from)
+	last := slices.Index(ends, slices.Max(ends))
+	totals := tr.TotalByName(last)
+	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(tw, "kernel\tper transform (rank %d, last to finish)\n", last)
+	wait := perFFT
+	for _, k := range tr.Names() {
+		if v := totals[k] / float64(*iters); v > 0 && k != "MPI_Barrier" {
+			fmt.Fprintf(tw, "%s\t%s\n", k, heffte.FormatSeconds(v))
+			wait -= v
+		}
+	}
+	fmt.Fprintf(tw, "wait\t%s\n", heffte.FormatSeconds(max(0, wait)))
+	tw.Flush()
 }
 
 func parseOptions(decomp, backend string, contiguous bool, shrink int) (heffte.Options, error) {

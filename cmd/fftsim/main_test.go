@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"os/exec"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -44,4 +46,63 @@ func TestBadFlagsExit2(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBreakdownAddsUp: the breakdown rows plus wait add up to the printed
+// time per transform, within the rounding of the printed values.
+func TestBreakdownAddsUp(t *testing.T) {
+	for _, args := range [][]string{
+		{"-n", "32", "-ranks", "12", "-backend", "p2p-blocking", "-iters", "4"},
+		{"-n", "32", "-ranks", "12", "-decomp", "slabs", "-batch", "2"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], args...)
+			cmd.Env = append(os.Environ(), "FFTSIM_AS_MAIN=1")
+			out, err := cmd.Output()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var total, sum, slack float64
+			rows := 0
+			inTable := false
+			for _, line := range strings.Split(string(out), "\n") {
+				if rest, ok := strings.CutPrefix(line, "time per transform: "); ok {
+					v, half := parseSeconds(t, strings.Split(rest, "  ")[0])
+					total, slack = v, slack+half
+					continue
+				}
+				if strings.HasPrefix(line, "kernel") {
+					inTable = true
+					continue
+				}
+				if f := strings.Fields(line); inTable && len(f) >= 2 {
+					v, half := parseSeconds(t, strings.Join(f[1:], " "))
+					sum, slack, rows = sum+v, slack+half, rows+1
+				}
+			}
+			if rows < 3 || !strings.Contains(string(out), "\nwait ") {
+				t.Fatalf("no breakdown with a wait row in:\n%s", out)
+			}
+			if math.Abs(sum-total) > slack {
+				t.Errorf("rows add up to %.4g s, time per transform %.4g s (rounding allows %.2g s):\n%s", sum, total, slack, out)
+			}
+		})
+	}
+}
+
+// parseSeconds reads a FormatSeconds value and returns it with half a unit
+// of its last printed digit.
+func parseSeconds(t *testing.T, s string) (v, half float64) {
+	t.Helper()
+	if s == "0" {
+		return 0, 0
+	}
+	num, unit, _ := strings.Cut(s, " ")
+	scale := map[string]float64{"ns": 1e-9, "µs": 1e-6, "ms": 1e-3, "s": 1}[unit]
+	x, err := strconv.ParseFloat(num, 64)
+	if err != nil || scale == 0 {
+		t.Fatalf("unparsable duration %q", s)
+	}
+	_, frac, _ := strings.Cut(num, ".")
+	return x * scale, 0.5 * math.Pow10(-len(frac)) * scale
 }

@@ -4,12 +4,14 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/mpisim"
+	"repro/internal/trace"
 )
 
 func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
@@ -153,8 +155,17 @@ func TestSumHelper(t *testing.T) {
 
 // TestQuickSmoke runs every experiment, elastic included, in quick mode
 // through Run and checks it returns sections, each row as wide as its header,
-// and finite scalars — the end-to-end test of the harness.
+// rows whose time columns add up, and finite scalars — the end-to-end test of
+// the harness. Every event name in the package's lists must be recorded by
+// at least one of the runs.
 func TestQuickSmoke(t *testing.T) {
+	defer func(saved func() *trace.Tracer) { newTracer = saved }(newTracer)
+	var tracers []*trace.Tracer
+	newTracer = func() *trace.Tracer {
+		tr := trace.New()
+		tracers = append(tracers, tr)
+		return tr
+	}
 	for _, e := range All() {
 		t.Run(e.ID, func(t *testing.T) {
 			res, err := Run(e.ID, RunOptions{Quick: true})
@@ -170,6 +181,7 @@ func TestQuickSmoke(t *testing.T) {
 						t.Errorf("section %d: row has %d cells, header %d", i, len(row), len(s.Header))
 					}
 				}
+				checkTimeColumns(t, s)
 			}
 			for name, v := range res.Scalars {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -178,12 +190,107 @@ func TestQuickSmoke(t *testing.T) {
 			}
 		})
 	}
+	recorded := map[string]bool{}
+	for _, tr := range tracers {
+		for _, name := range tr.Names() {
+			recorded[name] = true
+		}
+	}
+	for _, list := range [][]string{fig3Events, lammpsShortRange} {
+		for _, name := range list {
+			if !recorded[name] {
+				t.Errorf("event %q is listed but no quick experiment records it", name)
+			}
+		}
+	}
+}
+
+// checkTimeColumns holds a section to the one attribution rule: a comm
+// column never exceeds its total column, and in a breakdown (a section with
+// wait and TOTAL rows) each column's rows add up to its TOTAL, with wait ≥ 0.
+func checkTimeColumns(t *testing.T, s Section) {
+	t.Helper()
+	for i, h := range s.Header {
+		j := slices.Index(s.Header, strings.Replace(h, "comm", "total", 1))
+		if !strings.HasPrefix(h, "comm") || j < 0 {
+			continue
+		}
+		for _, row := range s.Rows {
+			if row[i].V > row[j].V {
+				t.Errorf("%s %s above %s %s in row %q", h, row[i].Text, s.Header[j], row[j].Text, row[0].Text)
+			}
+		}
+	}
+	n := len(s.Rows)
+	if n < 2 || s.Rows[n-1][0].Text != "TOTAL" || s.Rows[n-2][0].Text != "wait" {
+		return
+	}
+	for c := 1; c < len(s.Header); c++ {
+		sum := 0.0
+		for _, row := range s.Rows[:n-1] {
+			sum += row[c].V
+		}
+		if total := s.Rows[n-1][c].V; math.Abs(sum-total) > 1e-9*total {
+			t.Errorf("%s: rows add up to %g s, TOTAL %g s", s.Header[c], sum, total)
+		}
+		if wait := s.Rows[n-2][c]; wait.V < 0 {
+			t.Errorf("%s: wait %s is negative", s.Header[c], wait.Text)
+		}
+	}
+}
+
+// TestBreakdownTotalIsTimePerFFT: the TOTAL of Figs. 6/7 is the variant's
+// time per transform, not a sum over kernels.
+func TestBreakdownTotalIsTimePerFFT(t *testing.T) {
+	opts := RunOptions{Quick: true}
+	for id, variants := range map[string][]core.Options{"fig6": fig6Variants, "fig7": fig7Variants} {
+		res, err := Run(id, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := res.Sections[0].Rows
+		total := rows[len(rows)-1]
+		for i, v := range variants {
+			if want := breakdownRun(opts, v).TotalPerFFT; total[i+1].V != want {
+				t.Errorf("%s %s: TOTAL %g, time per transform %g", id, res.Sections[0].Header[i+1], total[i+1].V, want)
+			}
+		}
+	}
+}
+
+// TestCommDominatesFig7 is DESIGN §5's target at the paper's scale (512³ on
+// 24 GPUs): communication is more than 90 % of the runtime for both P2P
+// variants.
+func TestCommDominatesFig7(t *testing.T) {
+	for _, v := range fig7Variants {
+		m := breakdownRun(RunOptions{}, v)
+		if frac := m.CommPerFFT / m.TotalPerFFT; frac <= 0.9 {
+			t.Errorf("%v: comm %.1f%% of the runtime, want > 90%%", v.Backend, 100*frac)
+		}
+	}
+}
+
+// TestModelCheckShape checks modelcheck's expected shape on the quick sweep:
+// the simulated pencil exchanges never take longer than eqs. 2–3 predict, and
+// the ratio is lowest on one node.
+func TestModelCheckShape(t *testing.T) {
+	res, err := Run("modelcheck", RunOptions{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := res.Sections[0].Rows
+	ratio := len(rows[0]) - 1
+	for _, row := range rows {
+		if row[ratio].V > 1 || row[ratio].V < rows[0][ratio].V {
+			t.Errorf("%s nodes: ratio %s, want ≤ 1 and ≥ the one-node %s", row[0].Text, row[ratio].Text, rows[0][ratio].Text)
+		}
+	}
 }
 
 // TestExperimentsDeterministic runs every experiment twice in quick mode and
 // wants identical Results — the end-to-end statement of the simulator's
 // virtual-time determinism. elastic is skipped: its resume column depends on
-// goroutine timing after a kill (ROADMAP item 2).
+// goroutine timing after a kill (ROADMAP item 3).
 func TestExperimentsDeterministic(t *testing.T) {
 	for _, e := range All() {
 		if e.ID == "elastic" {

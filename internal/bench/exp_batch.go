@@ -31,7 +31,6 @@ func init() {
 func batchedPoint(mdl *machine.Model, ranks, nb int, global [3]int) float64 {
 	r := fftRun{
 		model: mdl, ranks: ranks, aware: true,
-		global: global,
 		cfg: core.Config{Global: global,
 			Opts: core.Options{Decomp: core.DecompPencils, Backend: core.BackendAlltoallv}},
 		batch: nb,

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/mpisim"
-	"repro/internal/trace"
 )
 
 func init() {
@@ -33,38 +32,26 @@ func init() {
 	})
 }
 
-// breakdownOrder fixes the row order of breakdown tables.
-var breakdownOrder = []string{
-	"cufft_1d", "cufft_1d_strided", "cufft_2d", "pack", "unpack", "batched_fft",
-	"MPI_Alltoall", "MPI_Alltoallv", "MPI_Alltoallw",
-	"MPI_Send", "MPI_Isend", "MPI_Irecv", "MPI_Waitany", "MPI_Wait(send)", "MPI_Wait(recv)",
-	"MPI_Barrier",
-}
-
-// breakdownSection tabulates per-kernel totals, one column per variant, in
-// breakdownOrder followed by any other kernel seen, with a TOTAL row.
-func breakdownSection(labels []string, breakdowns []map[string]float64, notes ...string) Section {
-	s := Section{Header: append([]string{"kernel"}, labels...), Notes: notes}
-	rows := append([]string(nil), breakdownOrder...)
+// breakdownSection tabulates breakdowns, one column each, under header: every
+// name with a nonzero entry in sorted order, then wait and the TOTAL each
+// column's rows add up to.
+func breakdownSection(header []string, breakdowns []map[string]float64, totals []float64, notes ...string) Section {
+	s := Section{Header: header, Notes: notes}
+	var names []string
 	for _, b := range breakdowns {
-		for k := range b {
-			if !slices.Contains(rows, k) {
-				rows = append(rows, k)
+		for k, v := range b {
+			if v > 0 && k != "wait" && !slices.Contains(names, k) {
+				names = append(names, k)
 			}
 		}
 	}
-	totals := make([]float64, len(breakdowns))
-	for _, name := range rows {
+	sort.Strings(names)
+	for _, name := range append(names, "wait") {
 		row := []Cell{label(name)}
-		nonzero := false
-		for i, b := range breakdowns {
-			nonzero = nonzero || b[name] > 0
+		for _, b := range breakdowns {
 			row = append(row, secs(b[name]))
-			totals[i] += b[name]
 		}
-		if nonzero {
-			s.Rows = append(s.Rows, row)
-		}
+		s.Rows = append(s.Rows, row)
 	}
 	total := []Cell{label("TOTAL")}
 	for _, t := range totals {
@@ -74,51 +61,68 @@ func breakdownSection(labels []string, breakdowns []map[string]float64, notes ..
 	return s
 }
 
-func breakdownPair(opts RunOptions, variants []core.Options) []map[string]float64 {
-	const ranks = 24
-	out := make([]map[string]float64, len(variants))
-	for i, v := range variants {
-		r := fftRun{
-			model: machine.Summit(), ranks: ranks, aware: true,
-			cfg: tableIIIConfig(ranks, gridFor(opts), v),
-		}
-		out[i] = r.run().Breakdown
+// fig6Variants and fig7Variants are the two plan settings each figure
+// compares.
+var (
+	fig6Variants = []core.Options{
+		{Decomp: core.DecompPencils, Backend: core.BackendAlltoall, Contiguous: true},
+		{Decomp: core.DecompPencils, Backend: core.BackendAlltoallv, Contiguous: false},
 	}
-	return out
+	fig7Variants = []core.Options{
+		{Decomp: core.DecompPencils, Backend: core.BackendP2P, Contiguous: true},
+		{Decomp: core.DecompPencils, Backend: core.BackendP2PBlocking, Contiguous: false},
+	}
+)
+
+// breakdownRun is one variant of Figs. 6/7: 24 ranks, Table III grids.
+func breakdownRun(opts RunOptions, v core.Options) measured {
+	const ranks = 24
+	return fftRun{
+		model: machine.Summit(), ranks: ranks, aware: true,
+		cfg: tableIIIConfig(ranks, gridFor(opts), v),
+	}.run()
+}
+
+// breakdownFigure tabulates the per-transform breakdown of each variant.
+func breakdownFigure(opts RunOptions, labels []string, variants []core.Options, notes ...string) Result {
+	bds := make([]map[string]float64, len(variants))
+	totals := make([]float64, len(variants))
+	for i, v := range variants {
+		m := breakdownRun(opts, v)
+		bds[i], totals[i] = m.Breakdown, m.TotalPerFFT
+	}
+	return Result{Sections: []Section{breakdownSection(append([]string{"kernel"}, labels...), bds, totals, notes...)}}
 }
 
 func runFig6(opts RunOptions) (Result, error) {
-	bd := breakdownPair(opts, []core.Options{
-		{Decomp: core.DecompPencils, Backend: core.BackendAlltoall, Contiguous: true},
-		{Decomp: core.DecompPencils, Backend: core.BackendAlltoallv, Contiguous: false},
-	})
-	return Result{Sections: []Section{breakdownSection([]string{"Alltoall+contiguous", "Alltoallv+strided"}, bd,
+	return breakdownFigure(opts, []string{"Alltoall+contiguous", "Alltoallv+strided"}, fig6Variants,
 		"expected shape: Alltoall pays padding on the brick↔pencil reshapes; the strided",
-		"variant trades cheaper pack/unpack for the strided cuFFT penalty")}}, nil
+		"variant trades cheaper pack/unpack for the strided cuFFT penalty"), nil
 }
 
 func runFig7(opts RunOptions) (Result, error) {
-	bd := breakdownPair(opts, []core.Options{
-		{Decomp: core.DecompPencils, Backend: core.BackendP2P, Contiguous: true},
-		{Decomp: core.DecompPencils, Backend: core.BackendP2PBlocking, Contiguous: false},
-	})
-	return Result{Sections: []Section{breakdownSection([]string{"Isend/Irecv+contiguous", "Send/Irecv+strided"}, bd,
+	return breakdownFigure(opts, []string{"Isend/Irecv+contiguous", "Send/Irecv+strided"}, fig7Variants,
 		"expected shape: total ≈ equal for both (≈0.09 s per FFT at the paper's scale);",
-		"communication (send/recv/waitany) dominates at >90% of runtime")}}, nil
+		"communication (send/recv/waitany) dominates at >90% of runtime"), nil
 }
 
-// lammpsBreakdown runs the Rhodopsin proxy and returns the aggregated
-// breakdown groups of Fig. 12.
-func lammpsBreakdown(opts RunOptions, fftOpts core.Options, aware bool, steps int) map[string]float64 {
+// lammpsShortRange are the Fig. 12 components the proxy records under their
+// own names; every other event is KSPACE.
+var lammpsShortRange = []string{"pair", "bond", "neigh", "comm", "other"}
+
+// lammpsBreakdown runs the Rhodopsin proxy and returns the Fig. 12 groups of
+// the rank that finishes last (the lowest index on a tie), plus "wait", and
+// the makespan they add up to.
+func lammpsBreakdown(opts RunOptions, fftOpts core.Options, aware bool, steps int) (map[string]float64, float64) {
 	ranks := 192
 	grid := [3]int{512, 512, 512}
 	if opts.Quick {
 		ranks = 24
 		grid = [3]int{64, 64, 64}
 	}
-	tr := trace.New()
+	tr := newTracer()
 	w := mpisim.NewWorld(machine.Summit(), ranks, mpisim.Options{GPUAware: aware, Tracer: tr})
-	w.Run(func(c *mpisim.Comm) {
+	res := w.Run(func(c *mpisim.Comm) {
 		s, err := lammps.New(c, lammps.Config{Atoms: 32000, Grid: grid, FFT: fftOpts, Phantom: true})
 		if err != nil {
 			panic(err)
@@ -127,24 +131,22 @@ func lammpsBreakdown(opts RunOptions, fftOpts core.Options, aware bool, steps in
 			panic(err)
 		}
 	})
-	// Summed in sorted name order, so the totals are bit-reproducible.
-	totals := tr.TotalByName(-1)
-	groups := map[string]float64{}
-	for _, name := range tr.Names() {
-		switch name {
-		case "pair", "bond", "neigh", "comm", "other":
-			groups[name] += totals[name]
-		default:
-			// Everything else — FFT kernels, packs, MPI inside the plan,
-			// charge/force maps — is KSPACE.
-			groups["kspace"] += totals[name]
+	totals := tr.TotalByName(slices.Index(res.Clocks, res.MaxClock))
+	groups := map[string]float64{"wait": res.MaxClock}
+	for _, name := range tr.Names() { // sorted, so the sums are bit-reproducible
+		group := "kspace" // FFT kernels, packs, MPI inside the plan, charge/force maps
+		if slices.Contains(lammpsShortRange, name) {
+			group = name
 		}
+		groups[group] += totals[name]
+		groups["wait"] -= totals[name]
 	}
-	return groups
+	groups["wait"] = max(0, groups["wait"])
+	return groups, res.MaxClock
 }
 
 // runFig12 reports kspace_reduction (1 − tuned ÷ baseline KSPACE time) and
-// step_reduction (the same for the whole step).
+// step_reduction (the same for the makespan).
 func runFig12(opts RunOptions) (Result, error) {
 	steps := 10
 	if opts.Quick {
@@ -152,24 +154,13 @@ func runFig12(opts RunOptions) (Result, error) {
 	}
 	// Baseline: fftMPI-like (pencil decomposition, blocking Send/Irecv,
 	// host-staged MPI — fftMPI communicates via host buffers).
-	base := lammpsBreakdown(opts, core.Options{Decomp: core.DecompPencils, Backend: core.BackendP2PBlocking}, false, steps)
+	base, tb := lammpsBreakdown(opts, core.Options{Decomp: core.DecompPencils, Backend: core.BackendP2PBlocking}, false, steps)
 	// Tuned heFFTe: best setting per Fig. 5 at 32 nodes — slabs below the
 	// 64-node crossover — with GPU-aware Alltoallv.
-	tuned := lammpsBreakdown(opts, core.Options{Decomp: core.DecompSlabs, Backend: core.BackendAlltoallv}, true, steps)
-	var names []string
-	for k := range base {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	s := Section{Header: []string{"component", "fftMPI-like", "tuned heFFTe"}}
-	var tb, tt float64
-	for _, n := range names {
-		s.Rows = append(s.Rows, []Cell{label(n), secs(base[n]), secs(tuned[n])})
-		tb += base[n]
-		tt += tuned[n]
-	}
-	s.Rows = append(s.Rows, []Cell{label("TOTAL"), secs(tb), secs(tt)})
+	tuned, tt := lammpsBreakdown(opts, core.Options{Decomp: core.DecompSlabs, Backend: core.BackendAlltoallv}, true, steps)
 	kspace, step := 1-tuned["kspace"]/base["kspace"], 1-tt/tb
-	s.Notes = []string{fmt.Sprintf("KSPACE reduction: %s (paper: ≈40%%); total step reduction: %s", fmtPct(kspace), fmtPct(step))}
+	s := breakdownSection([]string{"component", "fftMPI-like", "tuned heFFTe"},
+		[]map[string]float64{base, tuned}, []float64{tb, tt},
+		fmt.Sprintf("KSPACE reduction: %s (paper: ≈40%%); total step reduction: %s", fmtPct(kspace), fmtPct(step)))
 	return Result{Sections: []Section{s}, Scalars: map[string]float64{"kspace_reduction": kspace, "step_reduction": step}}, nil
 }

@@ -38,14 +38,9 @@ func perCallRun(opts RunOptions, mdl *machine.Model, planOpts core.Options, name
 	r := fftRun{
 		model: mdl, ranks: ranks, aware: true,
 		cfg:     tableIIIConfig(ranks, gridFor(opts), planOpts),
-		keepAll: true,
+		perCall: names,
 	}
-	m := r.run()
-	out := map[string][]float64{}
-	for _, n := range names {
-		out[n] = m.Tracer.PerCall(n)
-	}
-	return out
+	return r.run().PerCall
 }
 
 // runFig2 reports each variant's total over all calls (total_alltoall,
@@ -99,6 +94,9 @@ func runFig2(opts RunOptions) (Result, error) {
 	return Result{Sections: []Section{s}, Scalars: totals}, nil
 }
 
+// fig3Events are the P2P calls Fig. 3 tabulates.
+var fig3Events = []string{"MPI_Isend", "MPI_Send", "MPI_Waitany"}
+
 // runFig3 reports blocking_ratio: the blocking variant's total over the
 // non-blocking one's.
 func runFig3(opts RunOptions) (Result, error) {
@@ -110,12 +108,11 @@ func runFig3(opts RunOptions) (Result, error) {
 		{"non-blocking (MPI_Isend+MPI_Irecv)", core.BackendP2P},
 		{"blocking (MPI_Send+MPI_Irecv)", core.BackendP2PBlocking},
 	}
-	events := []string{"MPI_Isend", "MPI_Send", "MPI_Waitany", "MPI_Wait(send)"}
 	s := Section{Header: []string{"variant", "event", "calls", "mean/call", "max/call", "total"}}
 	totals := make([]float64, len(variants))
 	for i, v := range variants {
-		series := perCallRun(opts, machine.Summit(), core.Options{Decomp: core.DecompPencils, Backend: v.backend}, events)
-		for _, ev := range events {
+		series := perCallRun(opts, machine.Summit(), core.Options{Decomp: core.DecompPencils, Backend: v.backend}, fig3Events)
+		for _, ev := range fig3Events {
 			calls := series[ev]
 			if len(calls) == 0 {
 				continue

@@ -1,20 +1,18 @@
 package bench
 
 import (
+	"slices"
+	"strings"
+
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/mpisim"
 	"repro/internal/trace"
 )
 
-// commEventNames are the trace names counted as MPI communication time, in
-// the fixed order their totals are summed (so the sum is bit-reproducible).
-var commEventNames = []string{
-	"MPI_Alltoall", "MPI_Alltoallv", "MPI_Alltoallw",
-	"MPI_Send", "MPI_Isend", "MPI_Irecv",
-	"MPI_Recv", "MPI_Wait(send)", "MPI_Wait(recv)",
-	"MPI_Waitany",
-}
+// newTracer makes the tracer of every measured run; tests wrap it to see the
+// events the experiments record.
+var newTracer = trace.New
 
 // fftRun describes one measured FFT experiment following the paper's
 // protocol: 2 warm-up transforms, then the average of 4 forward and 4
@@ -23,38 +21,32 @@ type fftRun struct {
 	model  *machine.Model
 	ranks  int
 	aware  bool
-	global [3]int
 	cfg    core.Config
 	warmup int
 	fwd    int
 	bwd    int
 	batch  int // fields per transform call (1 = unbatched)
-	// keepAll retains warm-up events in the tracer (the per-call plots of
-	// Figs. 2/3 include all 40 calls, warm-ups included).
-	keepAll bool
+	// perCall names the events whose per-call series the run keeps, warm-up
+	// calls included (the paper's Figs. 2/3 plot all 40 calls).
+	perCall []string
 }
 
 // measured aggregates one run's virtual-time results.
 type measured struct {
-	// TotalPerFFT is the average wall (virtual) time of one transform.
+	// TotalPerFFT is the average wall (virtual) time of one transform: the
+	// timed section, barrier to barrier, over the transform count.
 	TotalPerFFT float64
-	// CommPerFFT is the max-over-ranks MPI time divided by the transform
-	// count.
-	CommPerFFT float64
-	// Breakdown holds max-over-ranks per-kernel totals over the measured
-	// (non-warm-up) transforms.
+	// Breakdown splits TotalPerFFT by the timeline of the rank that finishes
+	// the timed transforms last (the lowest index on a tie): its events by
+	// name (trace.TotalByName) without the closing barrier, plus "wait", the
+	// part no event covers.
 	Breakdown map[string]float64
-	// Tracer gives access to per-call series (includes warm-up calls, as in
-	// the paper's Figs. 2/3 which plot all 40 calls).
-	Tracer *trace.Tracer
+	// CommPerFFT is the sum of Breakdown's MPI_* rows.
+	CommPerFFT float64
+	// PerCall holds the series of fftRun.perCall (trace.PerCall).
+	PerCall map[string][]float64
 	// Exchanges is the number of communication phases in the plan.
 	Exchanges int
-	// Decomp is the plan's resolved decomposition.
-	Decomp core.Decomposition
-
-	// measureFrom is the virtual time the timed section began (events before
-	// it are warm-up and pruned from the totals).
-	measureFrom float64
 }
 
 // defaults fills the paper's measurement protocol.
@@ -71,9 +63,6 @@ func (r *fftRun) defaults() {
 	if r.batch == 0 {
 		r.batch = 1
 	}
-	if r.cfg.Global == [3]int{} {
-		r.cfg.Global = r.global
-	}
 }
 
 // run executes the experiment and gathers results; a bad configuration
@@ -81,8 +70,11 @@ func (r *fftRun) defaults() {
 // real payloads (a tested property) and paper-scale grids need no memory.
 func (r fftRun) run() (m measured) {
 	r.defaults()
-	tr := trace.New()
+	n := float64(r.fwd + r.bwd)
+	tr := newTracer()
 	w := mpisim.NewWorld(r.model, r.ranks, mpisim.Options{GPUAware: r.aware, Tracer: tr})
+	var from float64
+	ends := make([]float64, r.ranks)
 	w.Run(func(c *mpisim.Comm) {
 		p, err := core.NewPlan(c, r.cfg)
 		if err != nil {
@@ -104,16 +96,11 @@ func (r fftRun) run() (m measured) {
 			}
 		}
 		c.Barrier()
+		t0 := c.Clock()
 		if c.Rank() == 0 {
 			m.Exchanges = p.Exchanges()
-			m.Decomp = p.Decomp()
-			// The barrier synchronized all clocks; warm-up events are cut
-			// from the totals after the run by pruning everything that
-			// started before this virtual instant (deterministic, unlike a
-			// racy reset).
-			m.measureFrom = c.Clock()
+			from = t0
 		}
-		t0 := c.Clock()
 		for i := 0; i < r.fwd; i++ {
 			if err := exec(false); err != nil {
 				panic(err)
@@ -124,21 +111,34 @@ func (r fftRun) run() (m measured) {
 				panic(err)
 			}
 		}
+		ends[c.Rank()] = c.Clock()
 		c.Barrier()
 		if c.Rank() == 0 {
-			m.TotalPerFFT = (c.Clock() - t0) / float64(r.fwd+r.bwd)
+			m.TotalPerFFT = (c.Clock() - t0) / n
 		}
 	})
-	m.Tracer = tr
-	if !r.keepAll {
-		tr.Prune(m.measureFrom)
+	m.PerCall = make(map[string][]float64, len(r.perCall))
+	for _, name := range r.perCall {
+		m.PerCall[name] = tr.PerCall(name)
 	}
-	m.Breakdown = tr.TotalByName(-1)
-	comm := 0.0
-	for _, name := range commEventNames {
-		comm += m.Breakdown[name]
+	// The barrier synchronized all clocks: everything that started before it
+	// is warm-up (pruning by virtual time is deterministic, unlike a racy
+	// reset).
+	tr.Prune(from)
+	totals := tr.TotalByName(slices.Index(ends, slices.Max(ends)))
+	m.Breakdown = map[string]float64{"wait": m.TotalPerFFT}
+	for _, name := range tr.Names() { // sorted, so the sums are bit-reproducible
+		if name == "MPI_Barrier" { // the closing barrier is the measurement's own
+			continue
+		}
+		v := totals[name] / n
+		m.Breakdown[name] = v
+		m.Breakdown["wait"] -= v
+		if strings.HasPrefix(name, "MPI_") {
+			m.CommPerFFT += v
+		}
 	}
-	m.CommPerFFT = comm / float64(r.fwd+r.bwd)
+	m.Breakdown["wait"] = max(0, m.Breakdown["wait"])
 	return m
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -448,13 +449,13 @@ func TestCommunicationDominatesAtScale(t *testing.T) {
 	}
 }
 
-// newTracerWorldRun runs one 4F+4B phantom experiment and returns the
-// max-over-ranks per-kernel totals.
+// newTracerWorldRun runs one phantom Forward and returns the per-kernel
+// totals of the rank that finishes last.
 func newTracerWorldRun(t *testing.T, size int, global [3]int, e GridEntry, b Backend) map[string]float64 {
 	t.Helper()
 	tr := trace.New()
 	w := mpisim.NewWorld(machine.Summit(), size, mpisim.Options{GPUAware: true, Tracer: tr})
-	w.Run(func(c *mpisim.Comm) {
+	res := w.Run(func(c *mpisim.Comm) {
 		p, err := NewPlan(c, Config{Global: global,
 			InBoxes: e.InOut.Decompose(global), OutBoxes: e.InOut.Decompose(global),
 			Opts: Options{Decomp: DecompPencils, Backend: b, PQ: [2]int{e.P, e.Q}}})
@@ -466,5 +467,5 @@ func newTracerWorldRun(t *testing.T, size int, global [3]int, e GridEntry, b Bac
 			panic(err)
 		}
 	})
-	return tr.TotalByName(-1)
+	return tr.TotalByName(slices.Index(res.Clocks, res.MaxClock))
 }

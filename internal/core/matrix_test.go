@@ -195,7 +195,7 @@ func TestFeaturePathMatrix(t *testing.T) {
 			if !accepted(t, r) {
 				return false
 			}
-			if tot := r.tracer.TotalByName(-1)["checksum_verify"]; tot <= 0 {
+			if tot := r.tracer.TotalByName(0)["checksum_verify"]; tot <= 0 {
 				t.Errorf("no checksum_verify time charged (%g): the receive-side envelope pass is free on this path", tot)
 			}
 			return true
@@ -245,7 +245,7 @@ func TestFeaturePathMatrix(t *testing.T) {
 			if store.batch != matrixBatch {
 				t.Errorf("store recorded a batch of %d, want %d", store.batch, matrixBatch)
 			}
-			if tot := r.tracer.TotalByName(-1)["retain"]; tot <= 0 {
+			if tot := r.tracer.TotalByName(0)["retain"]; tot <= 0 {
 				t.Error("no checkpoint staging copy was charged")
 			}
 			return true

@@ -242,7 +242,7 @@ func TestR2CTraceHasRealKernels(t *testing.T) {
 			panic(err)
 		}
 	})
-	totals := tr.TotalByName(-1)
+	totals := tr.TotalByName(0)
 	if totals["cufft_r2c"] <= 0 {
 		t.Errorf("missing r2c kernel in trace: %v", tr.Names())
 	}

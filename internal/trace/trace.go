@@ -5,6 +5,7 @@
 package trace
 
 import (
+	"math"
 	"sort"
 	"sync"
 )
@@ -81,41 +82,39 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// TotalByName sums event durations per event name on the given rank
-// (rank < 0 aggregates the maximum over ranks of the per-rank sums — the
-// convention used by the paper's breakdown plots, which report the slowest
-// process).
+// TotalByName attributes one rank's timeline to event names: each instant
+// an event covers counts once, toward the outermost event covering it (the
+// earliest to start, the longer on a tie), so an event nested in another — a
+// halo exchange's own MPI calls, a send's checksum pass, a stall inside a
+// collective — adds nothing of its own, and the totals never exceed the
+// rank's elapsed time. The breakdowns of Figs. 6, 7 and 12 report the rank
+// that finishes last, the one the paper's slowest-process plots show.
 func (t *Tracer) TotalByName(rank int) map[string]float64 {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if rank >= 0 {
-		out := map[string]float64{}
-		for _, e := range t.events {
-			if e.Rank == rank {
-				out[e.Name] += e.Duration()
-			}
-		}
-		return out
-	}
-	// Per-rank sums, then max over ranks for each name.
-	perRank := map[string]map[int]float64{}
+	var evs []Event
 	for _, e := range t.events {
-		m := perRank[e.Name]
-		if m == nil {
-			m = map[int]float64{}
-			perRank[e.Name] = m
+		if e.Rank == rank {
+			evs = append(evs, e)
 		}
-		m[e.Rank] += e.Duration()
 	}
+	t.mu.Unlock()
+	// A rank records its events in program order; the stable sort keeps that
+	// order on a full tie, so the totals are reproducible.
+	sort.SliceStable(evs, func(i, j int) bool {
+		if evs[i].Start != evs[j].Start {
+			return evs[i].Start < evs[j].Start
+		}
+		return evs[i].End > evs[j].End
+	})
 	out := map[string]float64{}
-	for name, m := range perRank {
-		for _, v := range m {
-			if v > out[name] {
-				out[name] = v
-			}
+	covered := math.Inf(-1)
+	for _, e := range evs {
+		if e.End > covered {
+			out[e.Name] += e.End - max(e.Start, covered)
+			covered = e.End
 		}
 	}
 	return out

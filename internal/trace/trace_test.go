@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -44,20 +45,24 @@ func TestEventsSorted(t *testing.T) {
 	}
 }
 
+// TestTotalByNamePerRank: each instant of one rank's timeline counts once,
+// toward the outermost event covering it (the longer one when two start
+// together); other ranks' events do not count.
 func TestTotalByNamePerRank(t *testing.T) {
 	tr := New()
 	tr.Record(Event{Rank: 0, Name: "fft", Start: 0, End: 1})
-	tr.Record(Event{Rank: 0, Name: "fft", Start: 2, End: 2.5})
+	tr.Record(Event{Rank: 0, Name: "checksum", Start: 3.5, End: 4})
+	tr.Record(Event{Rank: 0, Name: "comm", Start: 3, End: 5})
+	tr.Record(Event{Rank: 0, Name: "stall", Start: 6, End: 6.25})
+	tr.Record(Event{Rank: 0, Name: "send", Start: 6, End: 6.5})
+	tr.Record(Event{Rank: 0, Name: "fft", Start: 7, End: 7.5})
 	tr.Record(Event{Rank: 1, Name: "fft", Start: 0, End: 4})
-	tr.Record(Event{Rank: 0, Name: "mpi", Start: 0, End: 3})
-	rank0 := tr.TotalByName(0)
-	if rank0["fft"] != 1.5 || rank0["mpi"] != 3 {
-		t.Errorf("rank 0 totals = %v", rank0)
+	want := map[string]float64{"fft": 1.5, "comm": 2, "send": 0.5}
+	if got := tr.TotalByName(0); !reflect.DeepEqual(got, want) {
+		t.Errorf("rank 0 totals = %v, want %v", got, want)
 	}
-	// Max over ranks: rank 1 dominates fft with 4.
-	agg := tr.TotalByName(-1)
-	if agg["fft"] != 4 || agg["mpi"] != 3 {
-		t.Errorf("aggregate totals = %v", agg)
+	if got := tr.TotalByName(1); !reflect.DeepEqual(got, map[string]float64{"fft": 4}) {
+		t.Errorf("rank 1 totals = %v", got)
 	}
 }
 
