@@ -24,15 +24,17 @@ test:
 # the simulator runs ranks as goroutines and its rendezvous leader writes every
 # member's receive list; fft shares kernel plans and a worker pool across them;
 # core ships pool buffers between ranks with move semantics, lends arrays as
-# views and recycles send and receive lists through a process-wide pool; trace
-# appends from every rank; the serving layer multiplexes many submitters onto
-# shared engines through the scheduler, the plan cache and the cancellation
-# paths. The list and round-scratch reuse tests run again at 1, 2 and 8
-# processors, so the lifetimes are checked under different schedules. Used by
-# CI.
+# views, recycles send and receive lists through a process-wide pool and
+# shares each reshape's exchange patterns between every rank of the world;
+# trace records from every rank into per-rank shards; the serving layer
+# multiplexes many submitters onto shared engines through the scheduler, the
+# plan cache and the cancellation paths. The list and round-scratch reuse
+# tests and the exchange-pattern tests run again at 1, 2 and 8 processors, so
+# the lifetimes and the shared patterns are checked under different schedules.
+# Used by CI.
 race:
 	go test -race ./internal/mpisim/ ./internal/core/ ./internal/fft/ ./internal/trace/ ./heffte/serve/ ./internal/sched/
-	go test -race -count=1 -cpu 1,2,8 -run 'TestRecycledListsMatchFresh|TestRendezvousReleasesRound' ./internal/core/ ./internal/mpisim/
+	go test -race -count=1 -cpu 1,2,8 -run 'TestRecycledListsMatchFresh|TestRendezvousReleasesRound|TestPatternMatchesBlocks|TestBareExchangesMoveNoBlockLists|TestPatternPricesLikeBlocks' ./internal/core/ ./internal/mpisim/
 
 # The repository benchmark (BENCHMARK.json): four workloads, end-to-end
 # metrics at reference host speed plus per-layer rows; see benchmark/README.md.
@@ -51,13 +53,15 @@ bench-kernel:
 	go test -run '^$$' -bench 'BenchmarkPackBlocked|BenchmarkPack$$|BenchmarkUnpack$$|BenchmarkCopyBox$$' -benchmem ./internal/tensor/
 
 # Developer tool: the paper-scale proxy of the repository benchmark on its
-# own: 768 phantom ranks, 512³ — rendezvous, the leader's copy of every block
-# into its receiver's list and the exchange bookkeeping, no payload. Then the
-# plan-build geometry alone: the reshape tables of the Table III pencil chain
-# at 768 and 3072 ranks and the validation of the 3072-rank brick list.
+# own: 768 phantom ranks, 512³ — rendezvous and pricing from each reshape's
+# exchange pattern, no payload and no block lists. Then the plan layer
+# without the harness: one Forward+Inverse per op on the same shape
+# (BenchmarkPhantomTransform), and the plan-build geometry alone, the reshape
+# tables of the Table III pencil chain at 768 and 3072 ranks and the
+# validation of the 3072-rank brick list.
 bench-scale:
 	go run ./benchmark -workload scale512_r768_phantom -seconds 20 -trace 0
-	go test -run '^$$' -bench 'BenchmarkReshapeTable' -benchmem ./internal/core/
+	go test -run '^$$' -bench 'BenchmarkPhantomTransform|BenchmarkReshapeTable' -benchmem ./internal/core/
 
 # Fast self-checking pass over the serving layer (used by CI).
 smoke-serve:

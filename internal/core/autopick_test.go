@@ -110,7 +110,7 @@ func TestAutoPickIsArgMin(t *testing.T) {
 						var row []mpisim.Flow
 						for k, gi := range rs.sendPeers {
 							if k != rs.selfSend {
-								row = append(row, mpisim.Flow{Dst: gi, Bytes: rs.sends[k].Volume() * web})
+								row = append(row, mpisim.Flow{Dst: gi, Bytes: rs.sends.at(k).Volume() * web})
 							}
 						}
 						key := phaseKey{li, si, rs.group.WorldRank(0)}

@@ -101,9 +101,10 @@ func simAlgoOf(a CollAlgo) mpisim.Algo {
 // (mpisim.Comm.PriceAlltoallv) and keep the cheapest. Candidates are tried in
 // the order linear, ring, pairwise, Bruck, node-aware (the last only where the
 // group spans more than one node) and only a strictly cheaper one displaces an
-// earlier one. The rows come from the world's shared reshape table, so the
-// answer is a pure function of the group and is computed once per world; every
-// member reads the same value without negotiation.
+// earlier one. The rows are the unchunked exchange's pattern, the world's
+// shared one an unchunked execution is priced from too, so the answer is a
+// pure function of the group and is computed once per world; every member
+// reads the same value without negotiation.
 //
 // The price is that of an idle group: it cannot see the entry skew the
 // previous phase leaves behind, so two schedules within a few percent of each
@@ -112,7 +113,7 @@ func simAlgoOf(a CollAlgo) mpisim.Algo {
 func pickAlgo(rs *reshapePlan, web, batch int) mpisim.Algo {
 	key := fmt.Sprintf("%s/pick/%d/%t/%d/%d", rs.tab.key, rs.root, rs.reversed, web, batch)
 	return rs.group.World().Shared(key, func() any {
-		rows := rs.tab.rows(rs.root, rs.reversed, web*batch)
+		rows := rs.pattern(web*batch, 0, 1).Rows
 		cands := []mpisim.Algo{mpisim.AlgoLinear, mpisim.AlgoRing, mpisim.AlgoPairwise, mpisim.AlgoBruck, mpisim.AlgoNodeAware}
 		if rs.stats.nodes <= 1 {
 			cands = cands[:4] // no second level to schedule
@@ -128,12 +129,39 @@ func pickAlgo(rs *reshapePlan, web, batch int) mpisim.Algo {
 }
 
 // frozen is one row of a reshape's resolve table: the (schedule, chunk count,
-// overlap) the phase runs with at one on-wire element size and batch width.
+// overlap) the phase runs with at one on-wire element size and batch width,
+// and the exchanges that follow — chunk[ci] is chunk ci's, one the unchunked
+// exchange a per-entry post runs whatever chunks says (the same slice when
+// chunks is 1).
 type frozen struct {
 	web, batch int
 	algo       mpisim.Algo
 	chunks     int
 	overlap    bool
+	chunk, one []exchPattern
+}
+
+// exchPattern is one exchange as the plan fixes it: the group's pattern, which
+// mpisim prices every call from and which the world shares between the
+// group's members, and this rank's element totals (batch included, self block
+// included), which size its pack and unpack charges when no block list is
+// built (exchange.bare).
+type exchPattern struct {
+	pat        *mpisim.Pattern
+	send, recv int
+}
+
+// exchPattern returns chunk ci of chunks of this reshape's exchange at web
+// on-wire bytes per element and batch width batch.
+func (rs *reshapePlan) exchPattern(web, batch, ci, chunks int) exchPattern {
+	x := exchPattern{pat: rs.pattern(web*batch, ci, chunks)}
+	for k := range rs.sendPeers {
+		x.send += chunkBox(rs.sends.at(k), ci, chunks).Volume() * batch
+	}
+	for k := range rs.recvPeers {
+		x.recv += chunkBox(rs.recvs.at(k), ci, chunks).Volume() * batch
+	}
+	return x
 }
 
 // resolved answers how this phase runs at the given on-wire element size and
@@ -144,15 +172,23 @@ type frozen struct {
 // CommPhases reads the row. The table grows by one row per distinct width the
 // plan is executed at (batch width is only known at execution, and a serving
 // engine alternates between a handful). Rank-local like the plan itself; only
-// called for ranks inside the group.
-func (rs *reshapePlan) resolved(opts Options, web, batch int) frozen {
+// called for ranks inside the group, on a collective backend.
+func (rs *reshapePlan) resolved(opts Options, web, batch int) *frozen {
 	for _, f := range rs.table {
 		if f.web == web && f.batch == batch {
 			return f
 		}
 	}
-	f := frozen{web: web, batch: batch}
+	f := &frozen{web: web, batch: batch}
 	f.algo, f.chunks, f.overlap = rs.resolve(opts, web, batch)
+	f.one = []exchPattern{rs.exchPattern(web, batch, 0, 1)}
+	f.chunk = f.one
+	if f.chunks > 1 {
+		f.chunk = make([]exchPattern, f.chunks)
+		for ci := range f.chunk {
+			f.chunk[ci] = rs.exchPattern(web, batch, ci, f.chunks)
+		}
+	}
 	rs.table = append(rs.table, f)
 	return f
 }
@@ -160,8 +196,12 @@ func (rs *reshapePlan) resolved(opts Options, web, batch int) frozen {
 // resolve turns the plan's CommConfig into the concrete (schedule, chunk
 // count, overlap) this phase runs with, given the element size and batch
 // width of the execution. Execution reaches it only through the reshape's
-// table (resolved).
+// table (resolved). Only the Alltoallv backend schedules and chunks; the
+// other collectives run one unchunked vendor call.
 func (rs *reshapePlan) resolve(opts Options, eb, batch int) (mpisim.Algo, int, bool) {
+	if opts.Backend != BackendAlltoallv {
+		return mpisim.AlgoLinear, 1, false
+	}
 	cc := opts.Comm
 	st := rs.stats
 

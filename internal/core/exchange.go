@@ -27,8 +27,14 @@ import (
 // and returns them after unpacking. Either way no defensive copy is made, and
 // the virtual charges (dev.Pack, dev.Unpack, Convert) are the same.
 //
-// Every step walks the reshape's peer lists (rs.sendPeers, rs.recvPeers) and
-// speaks the transport's sparse exchange vectors, so what one call touches is
+// A collective is described to the transport by the reshape's exchange
+// pattern (frozen.chunk), fixed by the plan and shared world-wide; the
+// transport prices from it alone. Blocks travel only when something must ride
+// them: payload, views, or the per-block work of faults and integrity. A
+// phantom exchange with none of that (isBare) builds no block list at all and
+// charges pack and unpack from the pattern's element totals. Otherwise every
+// step walks the reshape's peer lists (rs.sendPeers, rs.recvPeers) and speaks
+// the transport's sparse exchange vectors, so what one call touches is
 // proportional to the blocks this rank exchanges, not to the group. The
 // vectors themselves come from blockPool (pool.go) and go back as soon as the
 // transport is done with them, so a steady-state exchange allocates none.
@@ -63,6 +69,10 @@ type exchange[T any] struct {
 	overlap bool
 	wire    WirePrecision
 	eb, web int // full-precision and on-wire bytes per element
+	// pats[ci] is chunk ci's exchange (collective backends); bare says no
+	// block list is built for it (see isBare).
+	pats []exchPattern
+	bare bool
 
 	// P2P receives, posted before packing (open): rreqs[i] receives block
 	// rsrcs[i] of rs.recvs.
@@ -87,15 +97,17 @@ type posted struct {
 // arrival and nothing is drawn).
 type onGrid struct{ in, out bool }
 
-// newExchange arms this reshape for the batch: wire precision, and for the
-// Alltoallv backend the schedule and chunking, read from the reshape's resolve
-// table. Algorithm selection and chunking see the on-wire element size: a
-// compressed exchange sits at a different point of the (bytes, latency) regime
-// map than its full-precision twin. async (per-entry non-blocking exchanges)
-// always runs one chunk.
-func newExchange[T any](e *engine, rs *reshapePlan, datas, out [][]T, phantom, recycleIn, async bool, grid onGrid) exchange[T] {
-	x := exchange[T]{rs: rs, e: e, datas: datas, out: out, from: rs.from, to: rs.to,
-		phantom: phantom, recycleIn: recycleIn, grid: grid, chunks: 1}
+// arm readies x — in place, its previous contents dropped — to run this
+// reshape for the batch: wire precision, and for the collective backends the
+// exchange patterns and (Alltoallv) the schedule and chunking, read from the
+// reshape's resolve table. Algorithm selection and chunking see the on-wire
+// element size: a compressed exchange sits at a different point of the
+// (bytes, latency) regime map than its full-precision twin. async (per-entry
+// non-blocking exchanges) always runs one chunk.
+func (x *exchange[T]) arm(e *engine, rs *reshapePlan, datas, out [][]T, phantom, recycleIn, async bool, grid onGrid) {
+	*x = exchange[T]{}
+	x.rs, x.e, x.datas, x.out, x.from, x.to = rs, e, datas, out, rs.from, rs.to
+	x.phantom, x.recycleIn, x.grid, x.chunks = phantom, recycleIn, grid, 1
 	if grid.in {
 		x.from = tensor.FullBox(e.global)
 	}
@@ -103,7 +115,7 @@ func newExchange[T any](e *engine, rs *reshapePlan, datas, out [][]T, phantom, r
 		x.to, x.drawn = tensor.FullBox(e.global), true
 	}
 	if rs.group == nil {
-		return x
+		return
 	}
 	x.wire = rs.wireOf(e.opts)
 	x.eb = elemBytes[T]()
@@ -111,14 +123,14 @@ func newExchange[T any](e *engine, rs *reshapePlan, datas, out [][]T, phantom, r
 	if x.lends() {
 		x.view = scratchOf[T](e).lendOut(datas, x.from, recycleIn)
 	}
-	if e.opts.Backend == BackendAlltoallv {
+	if e.opts.Backend.Collective() {
 		f := rs.resolved(e.opts, x.web, len(datas))
-		x.algo, x.chunks, x.overlap = f.algo, f.chunks, f.overlap
+		x.algo, x.chunks, x.overlap, x.pats = f.algo, f.chunks, f.overlap, f.chunk
 		if async {
-			x.chunks, x.overlap = 1, false
+			x.chunks, x.overlap, x.pats = 1, false, f.one
 		}
+		x.bare = x.isBare()
 	}
-	return x
 }
 
 // lends is the one predicate for shipping views instead of packed copies: the
@@ -139,6 +151,18 @@ func (x *exchange[T]) lends() bool {
 	g := x.rs.group
 	return (x.recycleIn || x.grid.in) && !x.phantom && x.wire == WireFp64 &&
 		!g.Integrity().Enabled() && !g.FaultsAttached()
+}
+
+// isBare is the one predicate for an exchange that builds no block list at
+// all: a phantom batch (no payload to carry) on a collective backend (whose
+// transport prices from the pattern alone), in a world that neither checksums
+// nor carries ABFT sums (both charge per block) and attaches no fault plan (a
+// fault tags, drops or flips individual blocks). Such an exchange charges
+// dev.Pack, dev.Unpack and Convert from the pattern's element totals, in the
+// order a block-carrying one does, so no clock can tell the two apart.
+func (x *exchange[T]) isBare() bool {
+	g := x.rs.group
+	return x.phantom && x.e.opts.Backend.Collective() && !g.Integrity().Enabled() && !g.FaultsAttached()
 }
 
 // lent is what a view points at: the sender's arrays over from, and who still
@@ -189,17 +213,17 @@ func (x *exchange[T]) run() {
 	if !x.overlap {
 		for ci := 0; ci < x.chunks; ci++ {
 			x.e.checkCtx()
-			x.unpack(ci, x.post(x.pack(ci), false))
+			x.unpack(ci, x.post(ci, x.pack(ci), false))
 		}
 		return
 	}
 	x.e.checkCtx()
-	h := x.post(x.pack(0), true)
+	h := x.post(0, x.pack(0), true)
 	for ci := 1; ci <= x.chunks; ci++ {
 		var next posted
 		if ci < x.chunks {
 			x.e.checkCtx()
-			next = x.post(x.pack(ci), true)
+			next = x.post(ci, x.pack(ci), true)
 		}
 		x.unpack(ci-1, h)
 		h = next
@@ -211,7 +235,7 @@ func (x *exchange[T]) run() {
 // finish.
 func (x *exchange[T]) start() {
 	if x.rs.group != nil {
-		x.inflight = x.post(x.pack(0), true)
+		x.inflight = x.post(0, x.pack(0), true)
 	}
 }
 
@@ -281,22 +305,57 @@ func (x *exchange[T]) open() {
 // derived sub-array datatypes and has no pack kernel.
 //
 // A lending exchange builds the same list with nothing in it: each block is
-// size-only — the transport prices Elems, Bytes, Loc and Wire, which are what
-// the packed block would have had — and points at the view.
+// size-only — Elems, Bytes, Loc and Wire are what the packed block would have
+// had — and points at the view. A bare exchange builds no list at all: the
+// pattern's send total is what the blocks would have added up to.
 func (x *exchange[T]) pack(ci int) []mpisim.Block {
 	rs, dev := x.rs, x.e.dev
+	ic := rs.group.Integrity()
+	var blocks []mpisim.Block
+	var elems int
+	if x.bare {
+		elems = x.pats[ci].send
+	} else {
+		blocks, elems = x.packBlocks(ci)
+	}
+	wireBytes, fullBytes := x.web*elems, x.eb*elems
+	if x.wire != WireFp64 {
+		dev.Convert(fullBytes)
+	}
+	if ic.Invariants && !ic.Checksums {
+		rs.group.ChargeChecksum(wireBytes)
+	}
+	if x.view != nil {
+		// Every block just listed is a reader to wait for; the sender's own
+		// hold lasts until no further chunk will point at the arrays.
+		x.view.holds.Add(int64(len(blocks)))
+		if ci == x.chunks-1 {
+			x.view.release()
+		}
+	} else if ci == x.chunks-1 {
+		// The inputs are fully drained once the last chunk is packed.
+		recycleDatas(x.datas, x.recycleIn)
+	}
+	if x.e.opts.Backend != BackendAlltoallw {
+		dev.Pack(wireBytes, x.e.opts.Contiguous)
+	}
+	return blocks
+}
+
+// packBlocks builds chunk ci's send list and reports the elements it holds.
+func (x *exchange[T]) packBlocks(ci int) ([]mpisim.Block, int) {
+	rs := x.rs
 	blocks := getBlocks(len(rs.sendPeers))
 	ic := rs.group.Integrity()
-	wireBytes, fullBytes := 0, 0
+	total := 0
 	for k, gi := range rs.sendPeers {
-		cb := chunkBox(rs.sends[k], ci, x.chunks)
+		cb := chunkBox(rs.sends.at(k), ci, x.chunks)
 		vol := cb.Volume()
 		if vol == 0 {
 			continue
 		}
 		elems := vol * len(x.datas)
-		wireBytes += x.web * elems
-		fullBytes += x.eb * elems
+		total += elems
 		// The block is written once, where it is deposited: the list has room
 		// for every peer, and the receiver reads this very entry.
 		blocks = blocks[:len(blocks)+1]
@@ -322,52 +381,37 @@ func (x *exchange[T]) pack(ci int) []mpisim.Block {
 		}
 		quantizeSlice(x.wire, data)
 	}
-	if x.wire != WireFp64 {
-		dev.Convert(fullBytes)
-	}
-	if ic.Invariants && !ic.Checksums {
-		rs.group.ChargeChecksum(wireBytes)
-	}
-	if x.view != nil {
-		// Every block just listed is a reader to wait for; the sender's own
-		// hold lasts until no further chunk will point at the arrays.
-		x.view.holds.Add(int64(len(blocks)))
-		if ci == x.chunks-1 {
-			x.view.release()
-		}
-	} else if ci == x.chunks-1 {
-		// The inputs are fully drained once the last chunk is packed.
-		recycleDatas(x.datas, x.recycleIn)
-	}
-	if x.e.opts.Backend != BackendAlltoallw {
-		dev.Pack(wireBytes, x.e.opts.Contiguous)
-	}
-	return blocks
+	return blocks, total
 }
 
-// post hands one chunk's packed blocks to the transport. Blocking transports
+// post hands chunk ci's packed blocks to the transport. Blocking transports
 // complete here; async (Alltoallv only) posts MPI_Ialltoallv under the
-// resolved schedule and leaves the exchange in flight. A collective delivers
-// into a receive list drawn here and is done with the send list when it
-// returns, so that goes straight back to the pool.
-func (x *exchange[T]) post(blocks []mpisim.Block, async bool) posted {
+// resolved schedule and leaves the exchange in flight. A collective goes with
+// the chunk's pattern, delivers into a receive list drawn here — none for a
+// bare exchange, which has nothing to deliver — and is done with the send
+// list when it returns, so that goes straight back to the pool.
+func (x *exchange[T]) post(ci int, blocks []mpisim.Block, async bool) posted {
 	g, rs := x.rs.group, x.rs
 	// Pack buffers live on the device, whether or not this rank packed any.
 	const loc = machine.Device
 	if x.e.opts.Backend.Collective() {
 		var h posted
-		recv := getBlocks(len(rs.recvPeers))
+		var recv []mpisim.Block
+		if !x.bare {
+			recv = getBlocks(len(rs.recvPeers))
+		}
+		pat := x.pats[ci].pat
 		switch x.e.opts.Backend {
 		case BackendAlltoallv:
 			if async {
-				h.req = g.IalltoallvSparse(blocks, recv, loc, x.algo)
+				h.req = g.IalltoallvSparse(pat, blocks, recv, loc, x.algo)
 			} else {
-				h.recv = g.AlltoallvSparse(blocks, recv, loc, x.algo)
+				h.recv = g.AlltoallvSparse(pat, blocks, recv, loc, x.algo)
 			}
 		case BackendAlltoall:
-			h.recv = g.AlltoallSparse(blocks, recv, loc)
+			h.recv = g.AlltoallSparse(pat, blocks, recv, loc)
 		case BackendAlltoallw:
-			h.recv = g.AlltoallwSparse(blocks, recv, loc)
+			h.recv = g.AlltoallwSparse(pat, blocks, recv, loc)
 		}
 		putBlocks(blocks)
 		return h
@@ -395,10 +439,11 @@ func (x *exchange[T]) post(blocks []mpisim.Block, async bool) posted {
 // unpack waits for chunk ci and scatters it into the new arrays, then charges
 // the receive side once: ABFT envelope verification, the unpack kernel over
 // the on-wire bytes, and the up-conversion of a compressed stream. Collective
-// transports unpack in one kernel after the call; the P2P transports unpack
-// arrivals in completion order (MPI_Waitany) and charge a kernel per message,
-// the local share first — it never touches the network; MPI_Alltoallw has no
-// unpack kernel.
+// transports unpack in one kernel after the call — a bare exchange, which
+// received no list, charges the pattern's receive total; the P2P transports
+// unpack arrivals in completion order (MPI_Waitany) and charge a kernel per
+// message, the local share first — it never touches the network;
+// MPI_Alltoallw has no unpack kernel.
 func (x *exchange[T]) unpack(ci int, h posted) {
 	g, rs, dev, opts := x.rs.group, x.rs, x.e.dev, x.e.opts
 	x.alloc()
@@ -410,19 +455,10 @@ func (x *exchange[T]) unpack(ci int, h posted) {
 		if h.req != nil {
 			all = g.WaitSparse(h.req)
 		}
-		// Both lists ascend by source, and a source sends a block exactly when
-		// its chunk of the pair box is non-empty — walk them together. (A
-		// faulty sender's zero-size blocks are passed over.)
-		recv := all
-		for k, gi := range rs.recvPeers {
-			for len(recv) > 0 && recv[0].Peer < gi {
-				recv = recv[1:]
-			}
-			var buf *mpisim.Buf
-			if len(recv) > 0 && recv[0].Peer == gi {
-				buf = &recv[0].Buf
-			}
-			elems += x.unpackBlock(ci, k, buf)
+		if x.bare {
+			elems = x.pats[ci].recv
+		} else {
+			elems = x.unpackList(ci, all)
 		}
 		putBlocks(all)
 	} else {
@@ -455,7 +491,27 @@ func (x *exchange[T]) unpack(ci int, h posted) {
 	}
 }
 
-// unpackBlock scatters the received block of chunk ci of pair box rs.recvs[k]
+// unpackList scatters a collective's receive list of chunk ci into the new
+// arrays and reports the elements received. Both the list and the reshape's
+// receive peers ascend by source, and a source sends a block exactly when its
+// chunk of the pair box is non-empty — walk them together. (A faulty sender's
+// zero-size blocks are passed over.)
+func (x *exchange[T]) unpackList(ci int, recv []mpisim.Block) int {
+	elems := 0
+	for k, gi := range x.rs.recvPeers {
+		for len(recv) > 0 && recv[0].Peer < gi {
+			recv = recv[1:]
+		}
+		var buf *mpisim.Buf
+		if len(recv) > 0 && recv[0].Peer == gi {
+			buf = &recv[0].Buf
+		}
+		elems += x.unpackBlock(ci, k, buf)
+	}
+	return elems
+}
+
+// unpackBlock scatters the received block of chunk ci of pair box rs.recvs.at(k)
 // into the new arrays — verifying its ABFT envelope sum first when one is
 // attached — returns the buffer to the staging pool, and reports the elements
 // received. A block that carries a view is copied box to box out of its
@@ -463,7 +519,7 @@ func (x *exchange[T]) unpack(ci int, h posted) {
 // looks at what arrived). buf is nil when nothing arrived for the pair
 // (phantom batches and empty chunks never look at it).
 func (x *exchange[T]) unpackBlock(ci, k int, buf *mpisim.Buf) int {
-	cb := chunkBox(x.rs.recvs[k], ci, x.chunks)
+	cb := chunkBox(x.rs.recvs.at(k), ci, x.chunks)
 	vol := cb.Volume()
 	if vol == 0 || x.phantom {
 		return vol * len(x.datas)

@@ -196,7 +196,7 @@ type stage struct {
 }
 
 // in and out are the local boxes a batch enters and leaves the stage on.
-func (st stage) in() tensor.Box3 {
+func (st *stage) in() tensor.Box3 {
 	switch st.kind {
 	case stageReshape:
 		return st.rs.from
@@ -206,7 +206,7 @@ func (st stage) in() tensor.Box3 {
 	return st.myBox
 }
 
-func (st stage) out() tensor.Box3 {
+func (st *stage) out() tensor.Box3 {
 	switch st.kind {
 	case stageReshape:
 		return st.rs.to
@@ -443,7 +443,7 @@ func (e *engine) run(stages []stage, b *batch, dir fft.Direction, from int, pol 
 		return err
 	}
 	if b.whole != nil {
-		e.enterGrid(stages[0], b)
+		e.enterGrid(&stages[0], b)
 	}
 	phantom := b.phantom()
 	if ck != nil {
@@ -468,7 +468,7 @@ func (e *engine) run(stages []stage, b *batch, dir fft.Direction, from int, pol 
 	// reshape stage, drained entry by entry as the next stage needs the data.
 	var flights []exchange[complex128]
 	for si := from; si < len(stages); si++ {
-		st := stages[si]
+		st := &stages[si]
 		e.curPhase = st.label
 		e.checkCtx()
 		switch {
@@ -488,7 +488,7 @@ func (e *engine) run(stages []stage, b *batch, dir fft.Direction, from int, pol 
 			for i, f := range b.fields {
 				checkBox(st.rs, f.Box)
 				datas[i] = f.Data
-				flights[i] = newExchange(e, st.rs, datas[i:i+1:i+1], out[i:i+1:i+1], phantom, b.owned, true, onGrid{})
+				flights[i].arm(e, st.rs, datas[i:i+1:i+1], out[i:i+1:i+1], phantom, b.owned, true, onGrid{})
 				flights[i].start()
 			}
 			b.owned = true
@@ -568,7 +568,8 @@ func reshapeFields[T any, F fieldOf[T]](e *engine, rs *reshapePlan, fs []F, recy
 		datas[i] = *data
 	}
 	copy(out, into)
-	x := newExchange(e, rs, datas, out, datas[0] == nil, recycleIn, false, grid)
+	var x exchange[T]
+	x.arm(e, rs, datas, out, datas[0] == nil, recycleIn, false, grid)
 	x.run()
 	for i, f := range fs {
 		box, data := f.ref()
@@ -582,7 +583,7 @@ func reshapeFields[T any, F fieldOf[T]](e *engine, rs *reshapePlan, fs []F, recy
 // plan whose first stage computes takes its window as a pooled copy — or, when
 // the window is the whole grid (one rank), the array itself, transformed in
 // place.
-func (e *engine) enterGrid(first stage, b *batch) {
+func (e *engine) enterGrid(first *stage, b *batch) {
 	box, full := first.in(), tensor.FullBox(e.global)
 	b.wide = first.kind == stageReshape
 	b.owned = !b.wide && !box.Equal(full)
@@ -652,7 +653,7 @@ func (e *engine) chargeOverlap(dt float64) {
 // (runABFT); the r2c/c2r kernels (realStage) stay outside it — the invariant
 // is defined over complex bricks, and the half-spectrum kernels are not
 // covered.
-func (e *engine) computeStage(st stage, b *batch, dir fft.Direction) float64 {
+func (e *engine) computeStage(st *stage, b *batch, dir fft.Direction) float64 {
 	if st.myBox.Empty() {
 		return 0
 	}
@@ -668,7 +669,7 @@ func (e *engine) computeStage(st stage, b *batch, dir fft.Direction) float64 {
 }
 
 // kernel runs one field's local transforms of a complex compute stage.
-func (e *engine) kernel(st stage, f *Field, dir fft.Direction) {
+func (e *engine) kernel(st *stage, f *Field, dir fft.Direction) {
 	s := st.myBox.Sizes()
 	if st.kind == stageFFT2D {
 		// Slab stage: 2-D transforms over axes (1, 2) of every plane, as two
@@ -683,7 +684,7 @@ func (e *engine) kernel(st stage, f *Field, dir fft.Direction) {
 
 // chargeKernel charges one entry's kernel of a complex compute stage and
 // returns its cost.
-func (e *engine) chargeKernel(st stage) float64 {
+func (e *engine) chargeKernel(st *stage) float64 {
 	s := st.myBox.Sizes()
 	g := e.dev.Model()
 	if st.kind == stageFFT2D {
@@ -747,7 +748,7 @@ func localFFT1D(plan *fft.Plan, data []complex128, box tensor.Box3, axis int, co
 // plan-owned from here on; the arrays they replace go back to the pool when
 // they were plan-owned too (retire). Charges one entry's batch of real
 // transforms and returns its cost.
-func (e *engine) realStage(st stage, b *batch) float64 {
+func (e *engine) realStage(st *stage, b *batch) float64 {
 	n2, h := st.rplan.N(), st.rplan.SpectrumLen()
 	// Real pencils and their half-spectrum shadows share the P×Q grid.
 	rows := st.myBox.Size(0) * st.myBox.Size(1)

@@ -205,7 +205,7 @@ func verifyEnvelope[T any](g *mpisim.Comm, gi int, b *mpisim.Buf, what string) {
 // surfaces as ErrIntegrity. Every execution attempt consumes one
 // brick-corruption probe, so injected Brick faults with Count=1 are healed by
 // the first re-execution and Count≥3 exhausts the budget deterministically.
-func (e *engine) runABFT(st stage, fields []*Field, dir fft.Direction) float64 {
+func (e *engine) runABFT(st *stage, fields []*Field, dir fft.Direction) float64 {
 	s := st.myBox.Sizes()
 	g := e.dev.Model()
 	vol := st.myBox.Volume()

@@ -284,7 +284,7 @@ func (p *Plan) CommVolumes() []ExchangeVolume {
 		v.GroupSize = rs.group.Size()
 		web := WireElemSize(rs.wireOf(p.opts), 16)
 		for k, gi := range rs.sendPeers {
-			sb := web * rs.sends[k].Volume()
+			sb := web * rs.sends.at(k).Volume()
 			if gi == rs.myGroupRank {
 				v.SelfBytes += sb
 				continue
@@ -297,7 +297,7 @@ func (p *Plan) CommVolumes() []ExchangeVolume {
 		}
 		for k, gi := range rs.recvPeers {
 			if gi != rs.myGroupRank {
-				v.RecvBytes += web * rs.recvs[k].Volume()
+				v.RecvBytes += web * rs.recvs.at(k).Volume()
 			}
 		}
 		out = append(out, v)

@@ -30,22 +30,23 @@ type reshapePlan struct {
 	// this rank is not involved.
 	group       *mpisim.Comm
 	myGroupRank int
-	// The blocks that exist, as slices into the world's shared reshapeTable:
-	// sends[k] is the part of my `from` box that group rank sendPeers[k] owns
-	// in the target distribution, recvs[k] the part of my `to` box that group
-	// rank recvPeers[k] owns in the source distribution. Peers ascend; a pair
-	// with an empty intersection is not listed, so nothing here is sized by
-	// the group. The self block, when there is one, is sends[selfSend] ==
-	// recvs[selfRecv] (-1 otherwise).
+	// The blocks that exist, as runs of the world's shared reshapeTable:
+	// sends.at(k) is the part of my `from` box that group rank sendPeers[k]
+	// owns in the target distribution, recvs.at(k) the part of my `to` box
+	// that group rank recvPeers[k] owns in the source distribution. Peers
+	// ascend; a pair with an empty intersection is not listed, so nothing here
+	// is sized by the group. The self block, when there is one, is
+	// sends.at(selfSend) == recvs.at(selfRecv) (-1 otherwise).
 	sendPeers, recvPeers []int
-	sends, recvs         []tensor.Box3
+	sends, recvs         boxRun
 	selfSend, selfRecv   int
 
 	// stats is the group-global exchange shape driving chunking (see comm.go);
-	// table holds what schedule selection and chunking resolved to, one row per
-	// (on-wire element size, batch width) the plan has run at.
+	// table holds what schedule selection and chunking resolved to, and the
+	// exchange patterns that follow, one row per (on-wire element size, batch
+	// width) the plan has run at.
 	stats exchStats
-	table []frozen
+	table []*frozen
 
 	// Where CollAuto finds the whole group's exchange matrix: the world's shared
 	// analysis, this rank's exchange group in it, and whether this reshape runs
@@ -69,11 +70,38 @@ type reshapeTable struct {
 	members   map[int][]int      // root → member ranks, ascending (index = group rank)
 	stats     map[int]*exchStats // root → group statistics (stats.gs is the group size)
 
-	// Rank r sends the blocks [sendOff[r], sendOff[r+1]) of sendPeers/sendBoxes
-	// and receives the blocks [recvOff[r], recvOff[r+1]) of recvPeers/recvBoxes.
+	// Rank r sends the blocks [sendOff[r], sendOff[r+1]) of sendPeers/boxes
+	// and receives the blocks [recvOff[r], recvOff[r+1]) of recvPeers. Each
+	// overlap box is stored once, on the send side: receive entry j is the
+	// overlap boxes[recvBox[j]].
 	sendOff, recvOff     []int
 	sendPeers, recvPeers []int
-	sendBoxes, recvBoxes []tensor.Box3
+	boxes                []tensor.Box3
+	recvBox              []int32
+}
+
+// boxRun is one rank's run of a reshape table's overlap boxes: entry k is
+// boxes[idx[k]], or boxes[k] when there is no index (the send side, where a
+// rank's boxes are contiguous).
+type boxRun struct {
+	boxes []tensor.Box3
+	idx   []int32
+}
+
+func (b boxRun) at(k int) tensor.Box3 {
+	if b.idx == nil {
+		return b.boxes[k]
+	}
+	return b.boxes[b.idx[k]]
+}
+
+// run returns the entries [lo, hi) of the send side (idx nil) or of the
+// receive side (idx the table's recvBox).
+func (t *reshapeTable) run(lo, hi int, idx []int32) boxRun {
+	if idx == nil {
+		return boxRun{boxes: t.boxes[lo:hi:hi]}
+	}
+	return boxRun{boxes: t.boxes, idx: idx[lo:hi:hi]}
 }
 
 // computeReshapeTable finds every non-empty (from[i], to[j]) overlap once,
@@ -141,13 +169,13 @@ func computeReshapeTable(sys *topo.System, worldOf func(int) int, from, to []ten
 	for root, ms := range t.members {
 		t.stats[root] = groupStats(sys, worldOf, ms)
 	}
-	t.sendBoxes = make([]tensor.Box3, nnz)
+	t.boxes = make([]tensor.Box3, nnz)
 	for i := 0; i < size; i++ {
 		st := t.stats[t.color[i]] // nil for an uninvolved rank, which sends nothing
 		for k := t.sendOff[i]; k < t.sendOff[i+1]; k++ {
-			t.sendBoxes[k] = tensor.Intersect(from[i], to[dsts[k]])
+			t.boxes[k] = tensor.Intersect(from[i], to[dsts[k]])
 			if dsts[k] != i {
-				st.add(t.sendBoxes[k])
+				st.add(t.boxes[k])
 			}
 		}
 	}
@@ -156,7 +184,7 @@ func computeReshapeTable(sys *topo.System, worldOf func(int) int, from, to []ten
 	// transpose: sources are visited in ascending order, so every receive list
 	// comes out ascending too.
 	t.sendPeers = make([]int, nnz)
-	t.recvPeers, t.recvBoxes = make([]int, nnz), make([]tensor.Box3, nnz)
+	t.recvPeers, t.recvBox = make([]int, nnz), make([]int32, nnz)
 	for j := 0; j < size; j++ {
 		t.recvOff[j+1] += t.recvOff[j]
 	}
@@ -165,22 +193,23 @@ func computeReshapeTable(sys *topo.System, worldOf func(int) int, from, to []ten
 		for k := t.sendOff[i]; k < t.sendOff[i+1]; k++ {
 			j := dsts[k]
 			t.sendPeers[k] = t.groupRank[j]
-			t.recvPeers[next[j]], t.recvBoxes[next[j]] = t.groupRank[i], t.sendBoxes[k]
+			t.recvPeers[next[j]], t.recvBox[next[j]] = t.groupRank[i], int32(k)
 			next[j]++
 		}
 	}
 	return t
 }
 
-// rows returns the byte matrix of the exchange group rooted at root as sparse
-// rows in group ranks — the form mpisim prices: row i lists the blocks group
-// rank i sends to other members, ascending by destination, at elemBytes bytes
-// per element of the pair box. A reversed reshape sends what the forward one
+// pattern returns chunk ci of chunks of the exchange group rooted at root in
+// the form mpisim prices, in group ranks: row i lists the blocks group rank i
+// sends to other members, ascending by destination, and Self[i] its self
+// block, at elemBytes bytes per element of the chunk of each pair box (empty
+// chunks are not listed). A reversed reshape sends what the forward one
 // receives, so its rows are read off the receive side of the adjacency.
-func (t *reshapeTable) rows(root int, reversed bool, elemBytes int) [][]mpisim.Flow {
-	off, peers, boxes := t.sendOff, t.sendPeers, t.sendBoxes
+func (t *reshapeTable) pattern(root int, reversed bool, elemBytes, ci, chunks int) *mpisim.Pattern {
+	off, peers, idx := t.sendOff, t.sendPeers, []int32(nil)
 	if reversed {
-		off, peers, boxes = t.recvOff, t.recvPeers, t.recvBoxes
+		off, peers, idx = t.recvOff, t.recvPeers, t.recvBox
 	}
 	members := t.members[root]
 	nnz := 0
@@ -188,17 +217,32 @@ func (t *reshapeTable) rows(root int, reversed bool, elemBytes int) [][]mpisim.F
 		nnz += off[r+1] - off[r]
 	}
 	flows := make([]mpisim.Flow, 0, nnz)
-	rows := make([][]mpisim.Flow, len(members))
+	pat := &mpisim.Pattern{Rows: make([][]mpisim.Flow, len(members)), Self: make([]int, len(members))}
 	for i, r := range members {
 		first := len(flows)
-		for k := off[r]; k < off[r+1]; k++ {
-			if peers[k] != i {
-				flows = append(flows, mpisim.Flow{Dst: peers[k], Bytes: boxes[k].Volume() * elemBytes})
+		boxes := t.run(off[r], off[r+1], idx)
+		for k, peer := range peers[off[r]:off[r+1]] {
+			switch by := chunkBox(boxes.at(k), ci, chunks).Volume() * elemBytes; {
+			case peer == i:
+				pat.Self[i] = by
+			case by > 0:
+				flows = append(flows, mpisim.Flow{Dst: peer, Bytes: by})
 			}
 		}
-		rows[i] = flows[first:len(flows):len(flows)]
+		pat.Rows[i] = flows[first:len(flows):len(flows)]
 	}
-	return rows
+	return pat
+}
+
+// pattern returns chunk ci of chunks of this reshape's exchange at elemBytes
+// bytes per element (on-wire element size × batch width), memoized per world:
+// every member of the group — and CollAuto's pricing of the unchunked
+// exchange — reads the same rows.
+func (rs *reshapePlan) pattern(elemBytes, ci, chunks int) *mpisim.Pattern {
+	key := fmt.Sprintf("%s/pattern/%d/%t/%d/%d/%d", rs.tab.key, rs.root, rs.reversed, elemBytes, ci, chunks)
+	return rs.group.World().Shared(key, func() any {
+		return rs.tab.pattern(rs.root, rs.reversed, elemBytes, ci, chunks)
+	}).(*mpisim.Pattern)
 }
 
 // buildReshape collectively constructs a reshape phase between two
@@ -232,9 +276,9 @@ func buildReshape(c *mpisim.Comm, ck uint64, from, to *dist, label string, tag i
 			label, t.groupRank[me], rs.stats.gs, rs.myGroupRank, group.Size()))
 	}
 	lo, hi := t.sendOff[me], t.sendOff[me+1]
-	rs.sendPeers, rs.sends = t.sendPeers[lo:hi:hi], t.sendBoxes[lo:hi:hi]
+	rs.sendPeers, rs.sends = t.sendPeers[lo:hi:hi], t.run(lo, hi, nil)
 	lo, hi = t.recvOff[me], t.recvOff[me+1]
-	rs.recvPeers, rs.recvs = t.recvPeers[lo:hi:hi], t.recvBoxes[lo:hi:hi]
+	rs.recvPeers, rs.recvs = t.recvPeers[lo:hi:hi], t.run(lo, hi, t.recvBox)
 	rs.selfSend, rs.selfRecv = indexOf(rs.sendPeers, rs.myGroupRank), indexOf(rs.recvPeers, rs.myGroupRank)
 	return rs
 }

@@ -286,7 +286,7 @@ func (p *Plan) recoveryReshape(snap *ckptSnapshot, cut int, dist []tensor.Box3, 
 		c.ChargeChecksum(sendBytes)
 	}
 
-	recv := c.AlltoallvSparse(send, nil, machine.Device, mpisim.AlgoLinear)
+	recv := c.AlltoallvSparse(nil, send, nil, machine.Device, mpisim.AlgoLinear)
 
 	// Unpack arrivals in the mirrored deterministic order.
 	recvBytes := 0

@@ -312,7 +312,9 @@ func TestViewsMatchPacking(t *testing.T) {
 
 // TestLendsPredicate: which exchanges ship views is a function of array
 // ownership, wire precision, the world's integrity configuration and its fault
-// plan — each alone turns lending off.
+// plan — each alone turns lending off. Beside it, a phantom batch's exchanges
+// build no block list (isBare) unless the world checksums, carries ABFT sums
+// or attaches a fault plan with events; ownership and wire do not matter.
 func TestLendsPredicate(t *testing.T) {
 	type row struct {
 		name    string
@@ -322,15 +324,17 @@ func TestLendsPredicate(t *testing.T) {
 		// Whether reshape i of the pipeline below lends when the arrays are
 		// plan-owned; a caller's arrays never lend.
 		want [3]bool
+		// Whether a phantom batch's exchanges build no block list (isBare).
+		bare bool
 	}
 	rows := []row{
-		{name: "default", want: [3]bool{true, true, true}},
-		{name: "phantom", phantom: true},
-		{name: "fp32 wire compresses the interior reshapes", comm: CommConfig{Wire: WireFp32}, want: [3]bool{true, false, false}},
+		{name: "default", want: [3]bool{true, true, true}, bare: true},
+		{name: "phantom", phantom: true, bare: true},
+		{name: "fp32 wire compresses the interior reshapes", comm: CommConfig{Wire: WireFp32}, want: [3]bool{true, false, false}, bare: true},
 		{name: "checksums", wopts: mpisim.Options{Integrity: mpisim.IntegrityConfig{Checksums: true}}},
 		{name: "invariants", wopts: mpisim.Options{Integrity: mpisim.IntegrityConfig{Invariants: true}}},
 		{name: "fault plan", wopts: mpisim.Options{Faults: &faults.Plan{Events: []faults.Event{{Kind: faults.Stall, Rank: 1, Op: 1000, Delay: 1}}}}},
-		{name: "fault plan without events", wopts: mpisim.Options{Faults: &faults.Plan{Timeout: 1}}, want: [3]bool{true, true, true}},
+		{name: "fault plan without events", wopts: mpisim.Options{Faults: &faults.Plan{Timeout: 1}}, want: [3]bool{true, true, true}, bare: true},
 	}
 	for _, tc := range rows {
 		t.Run(tc.name, func(t *testing.T) {
@@ -350,14 +354,22 @@ func TestLendsPredicate(t *testing.T) {
 					if st.kind != stageReshape {
 						continue
 					}
+					var x exchange[complex128]
 					for _, owned := range []bool{false, true} {
-						x := newExchange[complex128](&p.engine, st.rs, make([][]complex128, 1), make([][]complex128, 1), tc.phantom, owned, false, onGrid{})
+						x.arm(&p.engine, st.rs, make([][]complex128, 1), make([][]complex128, 1), tc.phantom, owned, false, onGrid{})
 						if !owned && x.view != nil {
 							t.Errorf("rank %d: %s lends a caller's array", c.Rank(), st.label)
 						}
 						if owned {
 							got = append(got, x.view != nil)
 						}
+						if x.bare != (tc.phantom && tc.bare) {
+							t.Errorf("rank %d: %s: bare = %t with phantom = %t", c.Rank(), st.label, x.bare, tc.phantom)
+						}
+					}
+					x.arm(&p.engine, st.rs, make([][]complex128, 1), make([][]complex128, 1), true, false, false, onGrid{})
+					if x.bare != tc.bare {
+						t.Errorf("rank %d: %s: a phantom batch's exchange is bare = %t, want %t", c.Rank(), st.label, x.bare, tc.bare)
 					}
 				}
 				if len(got) != 3 || [3]bool(got) != tc.want {

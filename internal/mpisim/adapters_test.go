@@ -10,25 +10,25 @@ package mpisim
 
 func alltoallDense(c *Comm, send []Buf) []Buf {
 	blocks, loc := c.compress(send, "MPI_Alltoall")
-	return c.expand(c.AlltoallSparse(blocks, nil, loc))
+	return c.expand(c.AlltoallSparse(nil, blocks, nil, loc))
 }
 
 // alltoallvDense is the vendor MPI_Alltoallv loop (AlgoLinear, blocking).
 func alltoallvDense(c *Comm, send []Buf) []Buf {
 	blocks, loc := c.compress(send, "MPI_Alltoallv")
-	return c.expand(c.AlltoallvSparse(blocks, nil, loc, AlgoLinear))
+	return c.expand(c.AlltoallvSparse(nil, blocks, nil, loc, AlgoLinear))
 }
 
 func alltoallwDense(c *Comm, send []Buf) []Buf {
 	blocks, loc := c.compress(send, "MPI_Alltoallw")
-	return c.expand(c.AlltoallwSparse(blocks, nil, loc))
+	return c.expand(c.AlltoallwSparse(nil, blocks, nil, loc))
 }
 
 // ialltoallvDense posts the algorithm-scheduled non-blocking exchange;
 // complete it with WaitColl for a dense receive vector.
 func ialltoallvDense(c *Comm, send []Buf, a Algo) *CollRequest {
 	blocks, loc := c.compress(send, "MPI_Ialltoallv")
-	return c.IalltoallvSparse(blocks, nil, loc, a)
+	return c.IalltoallvSparse(nil, blocks, nil, loc, a)
 }
 
 // recv is the blocking MPI_Recv: wait until a matching message arrives and

@@ -92,9 +92,6 @@ type Member struct {
 	Active bool    // moves off-diagonal bytes, as sender or receiver; inactive ranks leave a schedule immediately
 	Factor float64 // fault degrade factor (0 or 1 = healthy)
 	Start  float64 // earliest network start
-
-	// The caller's totals in bytes, self block included.
-	send, recv, self int
 }
 
 // Exchange describes one all-to-all-v instance to a CollectiveAlgo: who

@@ -53,17 +53,17 @@ func exchCalls() []exchCall {
 		{"alltoall",
 			func(c *Comm, send func() []Buf) [][]Buf { return [][]Buf{alltoallDense(c, send())} },
 			func(c *Comm, send func() []Block, loc machine.Location) [][]Block {
-				return [][]Block{c.AlltoallSparse(send(), lend(), loc)}
+				return [][]Block{c.AlltoallSparse(nil, send(), lend(), loc)}
 			}},
 		{"alltoallv",
 			func(c *Comm, send func() []Buf) [][]Buf { return [][]Buf{alltoallvDense(c, send())} },
 			func(c *Comm, send func() []Block, loc machine.Location) [][]Block {
-				return [][]Block{c.AlltoallvSparse(send(), lend(), loc, AlgoLinear)}
+				return [][]Block{c.AlltoallvSparse(nil, send(), lend(), loc, AlgoLinear)}
 			}},
 		{"alltoallw",
 			func(c *Comm, send func() []Buf) [][]Buf { return [][]Buf{alltoallwDense(c, send())} },
 			func(c *Comm, send func() []Block, loc machine.Location) [][]Block {
-				return [][]Block{c.AlltoallwSparse(send(), lend(), loc)}
+				return [][]Block{c.AlltoallwSparse(nil, send(), lend(), loc)}
 			}},
 	}
 	for _, a := range Algos() {
@@ -72,7 +72,7 @@ func exchCalls() []exchCall {
 			exchCall{"with/" + a.String(),
 				func(c *Comm, send func() []Buf) [][]Buf { return [][]Buf{c.AlltoallvWith(send(), a)} },
 				func(c *Comm, send func() []Block, loc machine.Location) [][]Block {
-					return [][]Block{c.AlltoallvSparse(send(), lend(), loc, a)}
+					return [][]Block{c.AlltoallvSparse(nil, send(), lend(), loc, a)}
 				}},
 			exchCall{"iwith/" + a.String(),
 				func(c *Comm, send func() []Buf) [][]Buf {
@@ -81,7 +81,7 @@ func exchCalls() []exchCall {
 					return [][]Buf{c.WaitColl(req)}
 				},
 				func(c *Comm, send func() []Block, loc machine.Location) [][]Block {
-					req := c.IalltoallvSparse(send(), lend(), loc, a)
+					req := c.IalltoallvSparse(nil, send(), lend(), loc, a)
 					c.Advance(3e-6)
 					return [][]Block{c.WaitSparse(req)}
 				}},
@@ -92,7 +92,7 @@ func exchCalls() []exchCall {
 					return [][]Buf{c.WaitColl(x), c.WaitColl(y)}
 				},
 				func(c *Comm, send func() []Block, loc machine.Location) [][]Block {
-					x, y := c.IalltoallvSparse(send(), lend(), loc, a), c.IalltoallvSparse(send(), lend(), loc, a)
+					x, y := c.IalltoallvSparse(nil, send(), lend(), loc, a), c.IalltoallvSparse(nil, send(), lend(), loc, a)
 					c.Advance(1e-6)
 					return [][]Block{c.WaitSparse(x), c.WaitSparse(y)}
 				}},

@@ -17,35 +17,43 @@ import (
 // is priced, and the pricing policies are plain values beside each other
 // below.
 //
-// The engine speaks sparse exchange vectors. An FFT reshape is a fixed
-// neighbour pattern — a rank of a 768-rank brick↔pencil exchange talks to
-// about twenty peers — so a rank deposits only the blocks that exist, the
-// leader touches each of them once, and every rank leaves with only the blocks
-// addressed to it. What a rank allocates and touches is sized by the blocks it
-// exchanges. The leader's per-round scratch is communicator-length — every
-// member's input and output (round, coll.go), per-rank counts and a
-// schedule's members (pricing, below) — and is pooled, not allocated per
-// call. The three dense []Buf entry points left (AlltoallvWith, and Ialltoallv
-// and WaitColl in icoll.go) serve only the benchmark harness's layer replay
-// (benchmark/replay.go); they compress into and expand out of this format
-// around the same engine.
+// The engine prices from a Pattern: every member's sparse row of the exchange
+// matrix and its self block, in bytes. An FFT reshape is a fixed neighbour
+// pattern — a rank of a 768-rank brick↔pencil exchange talks to about twenty
+// peers, with sizes its plan fixes — so the plan layer describes each
+// exchange once, world-wide, and hands the same *Pattern to every call on
+// every member (MPI-4's persistent MPI_Alltoallv_init; Dalcin et al.'s
+// subarray datatypes, built once per plan). A caller without a plan passes
+// only blocks, and the leader derives their pattern in one pass over them
+// (pricing.derive). Either way a deposit is a handful of per-rank scalars —
+// entry clock, injection-port snapshot, degrade factor, drop, buffer location
+// — plus, when there is payload to carry, the rank's block list. The leader's
+// per-round scratch is communicator-length — every member's input and output
+// (round, coll.go), a schedule's members (pricing, below) — and is pooled, not
+// allocated per call. The three dense []Buf entry points left (AlltoallvWith,
+// and Ialltoallv and WaitColl in icoll.go) serve only the benchmark harness's
+// layer replay (benchmark/replay.go); they compress into and expand out of
+// block lists around the same engine.
 //
 // Receivers own copies of their blocks. The send list a rank hands over is its
 // deposit for the length of the rendezvous; the leader copies every block in
 // it (peer and Buf, not the payload) into its one receiver's list, which the
-// receiver lent the round, like MPI's recvbuf. When the call returns — the
-// non-blocking post included, since the rendezvous completes at post — the
+// receiver lent the round, like MPI's recvbuf. A round whose deposits carry no
+// blocks — a size-only exchange priced from its pattern — has nothing to copy,
+// and its receivers get their lent lists back empty. When the call returns —
+// the non-blocking post included, since the rendezvous completes at post — the
 // send list is dead to the engine and the caller may reuse it; a receiver
 // repairs or flips its own copy (the integrity layer), and nothing about a
 // round outlives it but the receive lists and the payloads they name.
 //
 // The visiting-order contract: floating-point accumulation order is the
-// virtual clock, so every pricer walks the non-empty blocks in exactly the
-// order its dense loop would have met them — ascending destination for the
-// vendor and linear loops, cyclic distance (dst − src) mod p for pairwise and
-// ring, node order for the two-level schedule, integer totals for Bruck. A
-// block the list does not name adds nothing in any of those loops, which is
-// what makes the sparse walk bit-identical to the dense one.
+// virtual clock, so every pricer walks a row's flows in exactly the order its
+// dense loop would have met them — ascending destination for the vendor and
+// linear loops (the self block at its place among them), cyclic distance
+// (dst − src) mod p for pairwise and ring, node order for the two-level
+// schedule, integer totals for Bruck. A block a row does not name adds nothing
+// in any of those loops, which is what makes the sparse walk bit-identical to
+// the dense one.
 
 // Block is one entry of a sparse exchange vector: the payload addressed to
 // (in a send list) or delivered from (in a receive list) comm rank Peer. A
@@ -62,32 +70,91 @@ type Block struct {
 	Buf  Buf
 }
 
-// pricer is one pricing policy: given every member's contribution (entry
-// clock, send blocks, injection-port snapshot, degrade factor) it fills each
-// rank's completion time outs[r].clock and, for the scheduled policies, which
-// occupy the injection port, its new busy-until time outs[r].port (zero
-// leaves the port untouched).
+// Pattern is the persistent description of one all-to-all: who sends how
+// many bytes to whom. Rows[r] is comm rank r's sparse row of the exchange
+// matrix — its non-empty blocks to other ranks, ascending by destination, the
+// form PriceAlltoallv takes — and Self[r] the bytes of its self block; both
+// cover every rank of the communicator. A caller that exchanges the same sizes
+// call after call (a plan's reshape) builds the pattern once and hands the
+// same *Pattern to every call on every member, with or without the blocks:
+// the engine prices from the pattern and never from block sizes, so the
+// blocks, when given, must agree with it. A pattern is read-only once handed
+// over, and may serve any number of communicators at once.
+type Pattern struct {
+	Rows [][]Flow
+	Self []int
+
+	once sync.Once
+	sums patternSums
+}
+
+// patternSums is what pricing reads off a pattern besides its rows.
+type patternSums struct {
+	send, recv []int  // bytes each rank sends and receives, self block included
+	active     []bool // moves off-diagonal bytes, as sender or receiver
+	pad        int    // the largest block, self blocks included
+}
+
+// summed returns the pattern with its sums worked out, the first caller
+// working them out for everyone.
+func (p *Pattern) summed() *Pattern {
+	p.once.Do(p.sum)
+	return p
+}
+
+// sum works out the pattern's totals. Every quantity is an integer sum or an
+// extremum, so the order the flows are met in does not matter.
+func (p *Pattern) sum() {
+	n := len(p.Rows)
+	s := &p.sums
+	s.send, s.recv, s.active = resize(s.send, n), resize(s.recv, n), resize(s.active, n)
+	clear(s.send)
+	clear(s.recv)
+	clear(s.active)
+	s.pad = 0
+	for r, row := range p.Rows {
+		self := p.Self[r]
+		s.send[r] += self
+		s.recv[r] += self
+		s.pad = max(s.pad, self)
+		for _, f := range row {
+			s.send[r] += f.Bytes
+			s.recv[f.Dst] += f.Bytes
+			s.pad = max(s.pad, f.Bytes)
+			s.active[r], s.active[f.Dst] = true, true
+		}
+	}
+}
+
+// pricer is one pricing policy: given the round's pattern and every member's
+// contribution (entry clock, injection-port snapshot, degrade factor, buffer
+// location) it fills each rank's completion time outs[r].clock and, for the
+// scheduled policies, which occupy the injection port, its new busy-until time
+// outs[r].port (zero leaves the port untouched).
 type pricer struct {
 	naive naiveKind      // the unscheduled flavour, when sched is nil
 	sched CollectiveAlgo // a port-gated schedule
 }
 
-func (p pricer) price(c *Comm, ins []collIn, outs []collOut, ps *pricing) {
+func (p pricer) price(c *Comm, ins []collIn, outs []collOut, ps *pricing, pat *Pattern) {
 	if p.sched != nil {
-		priceScheduled(c, ins, outs, ps, p.sched)
+		priceScheduled(c, ins, outs, ps, pat, p.sched)
 	} else {
-		priceNaive(c, ins, outs, ps, p.naive)
+		priceNaive(c, ins, outs, pat, p.naive)
 	}
 }
 
 // pricing is the leader's communicator-length scratch for pricing and
-// transposing one all-to-all round: per-rank counts, the schedule's Exchange
-// and its members' flows. The leader draws it from pricingPool in its compute
-// and gives it back, cleared of pointers, before the round's members leave,
-// so a round waiting for its members holds only their inputs and outputs.
+// transposing one all-to-all round: per-rank counts, the schedule's Exchange,
+// and the pattern of a round whose members passed only blocks, with the flows
+// its rows live in. The leader draws it from pricingPool in its compute and
+// gives it back, cleared of pointers into the world, before the round's
+// members leave, so a round waiting for its members holds only their inputs
+// and outputs.
 type pricing struct {
 	counts []int
 	ex     Exchange
+	pat    Pattern
 	flows  []Flow
 }
 
@@ -106,6 +173,54 @@ func (ps *pricing) release() {
 	clear(ps.ex.Members)
 	ps.ex = Exchange{Members: ps.ex.Members[:0]}
 	pricingPool.Put(ps)
+}
+
+// patternOf returns the pattern the round is priced from: the one every
+// member handed over, or — when they passed only blocks — the one derive
+// builds from their deposits.
+func (ps *pricing) patternOf(ins []collIn) *Pattern {
+	pat := ins[0].pat
+	for r := range ins {
+		if ins[r].pat != pat {
+			panic(fmt.Sprintf("mpisim: all-to-all members 0 and %d pass different exchange patterns", r))
+		}
+	}
+	if pat == nil {
+		return ps.derive(ins)
+	}
+	return pat
+}
+
+// derive builds the pattern of a round from its deposits in one pass over the
+// blocks that exist: one backing array for the rows, ascending destination
+// within a row (the send lists ascend), zero-size blocks left out.
+func (ps *pricing) derive(ins []collIn) *Pattern {
+	p := &ps.pat
+	nnz := 0
+	for r := range ins {
+		nnz += len(ins[r].blocks)
+	}
+	if cap(ps.flows) < nnz {
+		ps.flows = make([]Flow, 0, nnz)
+	}
+	flows := ps.flows[:0]
+	p.Rows, p.Self = resize(p.Rows, len(ins)), resize(p.Self, len(ins))
+	for r := range ins {
+		first := len(flows)
+		p.Self[r] = 0
+		for i := range ins[r].blocks {
+			b := &ins[r].blocks[i]
+			switch by := b.Buf.bytes(); {
+			case b.Peer == r:
+				p.Self[r] = by
+			case by > 0:
+				flows = append(flows, Flow{Dst: b.Peer, Bytes: by})
+			}
+		}
+		p.Rows[r] = flows[first:len(flows):len(flows)]
+	}
+	p.sum()
+	return p
 }
 
 // naiveKind distinguishes the three unscheduled All-to-All flavours of
@@ -204,41 +319,18 @@ func stagingCost(m *machine.Model, totalSend, totalRecv int) float64 {
 // any) happens per message inside MsgCost — SpectrumMPI-like stacks are not
 // GPU-aware on this path. The port is not modeled: the call owns the wire
 // until it returns.
-func priceNaive(c *Comm, ins []collIn, outs []collOut, ps *pricing, kind naiveKind) {
+func priceNaive(c *Comm, ins []collIn, outs []collOut, pat *Pattern, kind naiveKind) {
 	w := c.core.world
 	m := w.model
 	t0 := maxClock(ins)
-	// One pass over the blocks that exist: every rank's received bytes (the
-	// column totals of the exchange matrix, self block included) and the
-	// largest block, which the padded flavour charges for every pair.
-	recvBytes := ps.zeroCounts(len(ins))
-	pad := 0
-	for r := range ins {
-		for i := range ins[r].blocks {
-			b := &ins[r].blocks[i]
-			by := b.Buf.bytes()
-			recvBytes[b.Peer] += by
-			if by > pad {
-				pad = by
-			}
-		}
-	}
+	s := &pat.sums
 	for r := range ins {
 		srcW := c.WorldRank(r)
 		dev := ins[r].dev
-		totalSend, self := 0, 0
-		for i := range ins[r].blocks {
-			b := &ins[r].blocks[i]
-			by := b.Buf.bytes()
-			totalSend += by
-			if b.Peer == r {
-				self = by
-			}
-		}
 		var t float64
 		staged := dev && !w.opts.GPUAware && kind != kindAlltoallw
 		if staged {
-			t += stagingCost(m, totalSend, recvBytes[r])
+			t += stagingCost(m, s.send[r], s.recv[r])
 		}
 		oh := m.HostOverheadColl
 		if dev && !staged {
@@ -246,36 +338,36 @@ func priceNaive(c *Comm, ins []collIn, outs []collOut, ps *pricing, kind naiveKi
 		}
 		// Self block: a device-local copy, charged at its place in the
 		// destination order.
-		selfCopy := float64(self) * 2 / m.GPU.MemBW
+		selfCopy := float64(pat.Self[r]) * 2 / m.GPU.MemBW
 		if kind == kindAlltoall {
 			// The padded call charges every destination, whether or not a
-			// block is addressed to it.
+			// block is addressed to it, at the communicator's largest block.
 			for dst := range ins {
 				if dst == r {
 					t += selfCopy
 					continue
 				}
 				dstW := c.WorldRank(dst)
-				t += oh + float64(pad)/w.topo.NaiveFlowBW(srcW, dstW) + w.topo.Latency(srcW, dstW)
+				t += oh + float64(s.pad)/w.topo.NaiveFlowBW(srcW, dstW) + w.topo.Latency(srcW, dstW)
 			}
 		} else {
-			for i := range ins[r].blocks {
-				b := &ins[r].blocks[i]
-				if b.Peer == r {
+			// MPI short-circuits zero-size blocks of the v and w flavours; a row
+			// names none.
+			self := pat.Self[r] > 0
+			for _, f := range pat.Rows[r] {
+				if self && f.Dst > r {
 					t += selfCopy
-					continue
+					self = false
 				}
-				bytes := b.Buf.bytes()
-				if bytes == 0 {
-					// MPI short-circuits zero-size blocks of the v and w flavours.
-					continue
-				}
-				dstW := c.WorldRank(b.Peer)
+				dstW := c.WorldRank(f.Dst)
 				if kind == kindAlltoallw {
-					t += m.MsgCostOn(bytes, w.topo.Path(srcW, dstW), w.nodes, dev, w.opts.GPUAware, machine.ClassAlltoallw).Total()
+					t += m.MsgCostOn(f.Bytes, w.topo.Path(srcW, dstW), w.nodes, dev, w.opts.GPUAware, machine.ClassAlltoallw).Total()
 				} else {
-					t += oh + float64(bytes)/w.topo.NaiveFlowBW(srcW, dstW) + w.topo.Latency(srcW, dstW)
+					t += oh + float64(f.Bytes)/w.topo.NaiveFlowBW(srcW, dstW) + w.topo.Latency(srcW, dstW)
 				}
+			}
+			if self {
+				t += selfCopy
 			}
 		}
 		if f := ins[r].factor; f > 1 {
@@ -291,7 +383,7 @@ func priceNaive(c *Comm, ins []collIn, outs []collOut, ps *pricing, kind naiveKi
 // non-GPU-aware device buffers, the self block's device copy, and
 // injection-port gating, so back-to-back exchanges serialize honestly on the
 // wire instead of overlapping for free.
-func priceScheduled(c *Comm, ins []collIn, outs []collOut, ps *pricing, impl CollectiveAlgo) {
+func priceScheduled(c *Comm, ins []collIn, outs []collOut, ps *pricing, pat *Pattern, impl CollectiveAlgo) {
 	w := c.core.world
 	m := w.model
 	size := len(ins)
@@ -302,60 +394,29 @@ func priceScheduled(c *Comm, ins []collIn, outs []collOut, ps *pricing, impl Col
 	if impl.Synchronized() {
 		t0 = maxClock(ins)
 	}
-	// The caller is the rendezvous' last arrival and has it to itself; the
-	// members come out of the pool zeroed.
+	// The caller is the rendezvous' last arrival and has it to itself. The
+	// members' rows are the pattern's own.
 	ex := &ps.ex
 	*ex = Exchange{Size: size, Members: resize(ex.Members, size), Nodes: w.nodes, Topo: w.topo, M: m, ns: &c.core.rv.ns}
-	nnz := 0
+	s := &pat.sums
 	for r := range ins {
-		nnz += len(ins[r].blocks)
-	}
-	// One pass over the blocks that exist builds the members' sparse rows (one
-	// backing array, ascending destination within a row) and every rank's
-	// send, receive and self totals.
-	if cap(ps.flows) < nnz {
-		ps.flows = make([]Flow, 0, nnz)
-	}
-	flows := ps.flows[:0]
-	for r := range ins {
-		mb := &ex.Members[r]
-		first := len(flows)
-		for i := range ins[r].blocks {
-			b := &ins[r].blocks[i]
-			by := b.Buf.bytes()
-			mb.send += by
-			ex.Members[b.Peer].recv += by
-			switch {
-			case b.Peer == r:
-				mb.self = by
-			case by > 0:
-				flows = append(flows, Flow{Dst: b.Peer, Bytes: by})
-				mb.Active, ex.Members[b.Peer].Active = true, true
-			}
-		}
-		mb.Flows = flows[first:len(flows):len(flows)]
-	}
-	for r := range ins {
-		mb := &ex.Members[r]
-		mb.World = c.WorldRank(r)
-		mb.Factor = ins[r].factor
 		dev := ins[r].dev
 		stage := 0.0
 		staged := dev && !w.opts.GPUAware
 		if staged {
-			stage = stagingCost(m, mb.send, mb.recv)
+			stage = stagingCost(m, s.send[r], s.recv[r])
 		}
-		mb.Dev = dev && !staged
 		// Staging copies ride PCIe, not the NIC: they start at local
 		// arrival and overlap whatever transfer still occupies the
 		// injection port — which is how a chunked pipeline hides the
 		// host↔device hops of chunk k+1 under the wire time of chunk k.
-		mb.Start = math.Max(math.Max(t0, ins[r].clock+stage), ins[r].port)
+		ex.Members[r] = Member{World: c.WorldRank(r), Flows: pat.Rows[r], Dev: dev && !staged, Active: s.active[r],
+			Factor: ins[r].factor, Start: math.Max(math.Max(t0, ins[r].clock+stage), ins[r].port)}
 	}
 	comp := impl.Complete(ex)
 	for r := range ins {
 		t := comp[r]
-		if by := ex.Members[r].self; by > 0 {
+		if by := pat.Self[r]; by > 0 {
 			t += float64(by) * 2 / m.GPU.MemBW * ex.factor(r)
 		}
 		outs[r].clock, outs[r].port = t, comp[r]
@@ -392,13 +453,21 @@ func everyPeer(send []Block, size int, loc machine.Location) []Block {
 // counts each rank's arrivals and grows the list it lent to fit, a second
 // appends a copy of every block to its receiver's list. Sources are visited in
 // ascending rank order, so every receive list comes out ascending by source.
-func transpose(ins []collIn, outs []collOut, ps *pricing) {
+// A round whose deposits carry no blocks has nothing to copy and is left
+// alone: its receivers get the lists they lent back as they were.
+func (rv *rendezvous) transpose(ins []collIn, outs []collOut, ps *pricing) {
 	counts := ps.zeroCounts(len(ins))
+	carried := false
 	for s := range ins {
 		for i := range ins[s].blocks {
 			counts[ins[s].blocks[i].Peer]++
+			carried = true
 		}
 	}
+	if !carried {
+		return
+	}
+	rv.transposes++
 	for r, n := range counts {
 		outs[r].blocks = slices.Grow(ins[r].recv, n)
 	}
@@ -411,24 +480,32 @@ func transpose(ins []collIn, outs []collOut, ps *pricing) {
 	}
 }
 
-// postAlltoall runs the one all-to-all rendezvous over sparse exchange
-// vectors; loc is where the rank's send buffer lives (it decides staging and
-// the overhead class even for a rank that sends nothing). The send list is the
+// postAlltoall runs the one all-to-all rendezvous. pat describes the exchange
+// (nil: the leader derives it from the deposited blocks); send lists the
+// rank's blocks when there is payload to carry, and may be nil when pat is
+// given; loc is where the rank's send buffer lives (it decides staging and the
+// overhead class even for a rank that sends nothing). The send list is the
 // rank's deposit until the rendezvous completes, its payloads detached from
 // the caller's slices and tagged in place; the receivers are handed copies of
 // its entries, appended to the recv list each lent (emptied first). Prologue:
 // fault entry (stalls, kills), the send-side envelope charge, defensive copies
 // of payloads not sent with Move, the rank's fault effects tagged onto every
 // block, and the injection-port snapshot. Rendezvous: the last arrival prices
-// the exchange with p, transposes the deposits into per-rank receive lists,
-// and pushes the completion of every rank expecting a block from a lost sender
-// to +Inf. Epilogue: the port adopts the new busy-until time. The returned
-// request is complete in every respect except that the caller's clock has not
-// moved: finishAlltoall adopts the completion time. op names the call in fault
-// errors and timeouts.
-func (c *Comm) postAlltoall(send, recv []Block, loc machine.Location, p pricer, op string) CollRequest {
+// the exchange from the pattern with p, transposes the deposits into per-rank
+// receive lists, and pushes the completion of every rank expecting a block
+// from a lost sender to +Inf. Epilogue: the port adopts the new busy-until
+// time. The returned request is complete in every respect except that the
+// caller's clock has not moved: finishAlltoall adopts the completion time. op
+// names the call in fault errors and timeouts.
+func (c *Comm) postAlltoall(pat *Pattern, send, recv []Block, loc machine.Location, p pricer, op string) CollRequest {
 	size := c.Size()
 	checkBlocks(send, size, op)
+	if pat != nil {
+		if len(pat.Rows) != size || len(pat.Self) != size {
+			panic(fmt.Sprintf("mpisim: %s pattern of %d rows and %d self blocks on a size-%d comm", op, len(pat.Rows), len(pat.Self), size))
+		}
+		pat.summed()
+	}
 	st := c.state()
 	start := st.clock
 
@@ -441,7 +518,7 @@ func (c *Comm) postAlltoall(send, recv []Block, loc machine.Location, p pricer, 
 		// name them all so each one carries the tag.
 		send = everyPeer(send, size, loc)
 	}
-	in := collIn{clock: st.clock, port: st.portFreeAt, blocks: send, recv: recv[:0], dev: loc == machine.Device, lost: eff.Drop}
+	in := collIn{clock: st.clock, port: st.portFreeAt, pat: pat, blocks: send, recv: recv[:0], dev: loc == machine.Device, lost: eff.Drop}
 	if eff.Factor > 1 {
 		in.factor = eff.Factor
 	}
@@ -461,27 +538,32 @@ func (c *Comm) postAlltoall(send, recv []Block, loc machine.Location, p pricer, 
 			b.Buf.flipSeed = mixSeed(eff.SilentSeed, b.Peer)
 		}
 	}
-	out := c.core.rv.exchange(c.core.world, c.rank, in, func(ins []collIn, outs []collOut) {
+	if pat != nil {
+		total = pat.sums.send[c.rank]
+	}
+	rv := c.core.rv
+	out := rv.exchange(c.core.world, c.rank, in, func(ins []collIn, outs []collOut) {
 		ps := pricingPool.Get().(*pricing)
-		p.price(c, ins, outs, ps)
-		transpose(ins, outs, ps)
-		ps.release()
+		pat := ps.patternOf(ins)
+		p.price(c, ins, outs, ps, pat)
+		rv.transpose(ins, outs, ps)
 		// Dropped contributions: every rank expecting a nonzero block from a
 		// lost sender waits forever — its completion moves past any finite
 		// bound and surfaces as ErrExchangeTimeout at completion.
 		for r := range ins {
-			if !ins[r].lost {
-				continue
-			}
-			for i := range ins[r].blocks {
-				if b := &ins[r].blocks[i]; b.Peer != r && b.Buf.bytes() > 0 {
-					outs[b.Peer].clock = math.Inf(1)
+			if ins[r].lost {
+				for _, f := range pat.Rows[r] {
+					outs[f.Dst].clock = math.Inf(1)
 				}
 			}
 		}
+		ps.release()
 	})
 	if out.port > st.portFreeAt {
 		st.portFreeAt = out.port
+	}
+	if out.blocks == nil {
+		out.blocks = in.recv
 	}
 	return CollRequest{comm: c, postedAt: start, completeAt: out.clock, recv: out.blocks, bytes: total, op: op}
 }
@@ -512,27 +594,30 @@ func (c *Comm) finishAlltoall(r *CollRequest, traceName string, traceStart float
 }
 
 // blockingAlltoall is post + finish with nothing in between.
-func (c *Comm) blockingAlltoall(send, recv []Block, loc machine.Location, p pricer, op string) []Block {
-	r := c.postAlltoall(send, recv, loc, p, op)
+func (c *Comm) blockingAlltoall(pat *Pattern, send, recv []Block, loc machine.Location, p pricer, op string) []Block {
+	r := c.postAlltoall(pat, send, recv, loc, p, op)
 	return c.finishAlltoall(&r, op, r.postedAt)
 }
 
 // AlltoallSparse exchanges sparse vectors with MPI_Alltoall semantics: all
 // pairs — named or not — are padded to the maximum block size in the
-// communicator, in exchange for the most optimized vendor algorithm. loc is
-// where the rank's send buffer lives. The returned list is recv (or a grown
-// copy of it) holding the blocks addressed to this rank, ascending by source;
-// recv may be nil.
-func (c *Comm) AlltoallSparse(send, recv []Block, loc machine.Location) []Block {
-	return c.blockingAlltoall(send, recv, loc, pricer{naive: kindAlltoall}, "MPI_Alltoall")
+// communicator, in exchange for the most optimized vendor algorithm. pat
+// describes the exchange, or is nil to have it read off the send lists; send
+// may be nil when pat is given and there is no payload to carry. loc is where
+// the rank's send buffer lives. The returned list is recv (or a grown copy of
+// it) holding the blocks addressed to this rank, ascending by source; recv may
+// be nil.
+func (c *Comm) AlltoallSparse(pat *Pattern, send, recv []Block, loc machine.Location) []Block {
+	return c.blockingAlltoall(pat, send, recv, loc, pricer{naive: kindAlltoall}, "MPI_Alltoall")
 }
 
 // AlltoallwSparse prices MPI_Alltoallw, the generalized all-to-all on derived
 // sub-array datatypes used by Algorithm 2 (Dalcin et al.) — a naive
 // Isend/Irecv loop with high per-message setup, and, on SpectrumMPI-like
 // stacks, no GPU-awareness, so device buffers stage through PCIe per message.
-func (c *Comm) AlltoallwSparse(send, recv []Block, loc machine.Location) []Block {
-	return c.blockingAlltoall(send, recv, loc, pricer{naive: kindAlltoallw}, "MPI_Alltoallw")
+// pat, send, recv and loc are as for AlltoallSparse.
+func (c *Comm) AlltoallwSparse(pat *Pattern, send, recv []Block, loc machine.Location) []Block {
+	return c.blockingAlltoall(pat, send, recv, loc, pricer{naive: kindAlltoallw}, "MPI_Alltoallw")
 }
 
 // AlltoallvSparse exchanges exact per-pair sizes, scheduled by the selected
@@ -541,9 +626,9 @@ func (c *Comm) AlltoallwSparse(send, recv []Block, loc machine.Location) []Block
 // algorithm; only the virtual-time cost differs. AlgoLinear is the vendor
 // MPI_Alltoallv loop. Scheduled exchanges also serialize through each rank's
 // injection port, so chunked back-to-back exchanges pipeline honestly instead
-// of overlapping for free.
-func (c *Comm) AlltoallvSparse(send, recv []Block, loc machine.Location, a Algo) []Block {
-	return c.blockingAlltoall(send, recv, loc, schedulePricer(a), "MPI_Alltoallv")
+// of overlapping for free. pat, send, recv and loc are as for AlltoallSparse.
+func (c *Comm) AlltoallvSparse(pat *Pattern, send, recv []Block, loc machine.Location, a Algo) []Block {
+	return c.blockingAlltoall(pat, send, recv, loc, schedulePricer(a), "MPI_Alltoallv")
 }
 
 // The dense adapters: send[dst] → recv[src] over vectors of one Buf per comm
@@ -588,5 +673,5 @@ func (c *Comm) expand(recv []Block) []Buf {
 // AlltoallvWith is AlltoallvSparse over dense vectors (send[dst] → recv[src]).
 func (c *Comm) AlltoallvWith(send []Buf, a Algo) []Buf {
 	blocks, loc := c.compress(send, "MPI_Alltoallv")
-	return c.expand(c.AlltoallvSparse(blocks, nil, loc, a))
+	return c.expand(c.AlltoallvSparse(nil, blocks, nil, loc, a))
 }

@@ -22,6 +22,9 @@ type rendezvous struct {
 	round *round
 	// ns is pricing scratch of the round's compute (see nodeScratch).
 	ns nodeScratch
+	// transposes counts the all-to-all rounds whose deposits carried blocks to
+	// copy into receive lists (see transpose).
+	transposes int
 }
 
 // round is the working set of one rendezvous round: the members' inputs and
@@ -63,10 +66,14 @@ func (rd *round) release() {
 
 type collIn struct {
 	clock float64
-	// blocks is the rank's sparse all-to-all send list (non-empty blocks,
-	// ascending destination); dev says its send buffer is device-resident.
-	// recv is the receive list the rank lends the round, emptied: the leader
-	// appends the blocks addressed to the rank to it (see transpose).
+	// pat describes the rank's all-to-all (every member passes the same one;
+	// nil: the leader derives it from the blocks). blocks is the rank's sparse
+	// send list (non-empty blocks, ascending destination), nil when the
+	// exchange carries no payload; dev says its send buffer is
+	// device-resident. recv is the receive list the rank lends the round,
+	// emptied: the leader appends the blocks addressed to the rank to it (see
+	// transpose).
+	pat          *Pattern
 	blocks, recv []Block
 	dev          bool
 	val          float64

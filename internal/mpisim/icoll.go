@@ -24,7 +24,8 @@ type CollRequest struct {
 }
 
 // IalltoallvSparse posts a non-blocking algorithm-scheduled all-to-all-v
-// over sparse exchange vectors (see AlltoallvSparse): the exchange is
+// over sparse exchange vectors, described by pat or read off the send lists
+// when pat is nil (see AlltoallvSparse): the exchange is
 // scheduled immediately, but the caller pays only the posting overhead now
 // and the remaining exchange time at WaitSparse, where it overlaps whatever
 // local work ran in between (the chunked pipelined reshape packs the next
@@ -35,14 +36,14 @@ type CollRequest struct {
 //
 // Posting synchronizes in *real* time with the other ranks (they must all
 // reach the post), but virtual time keeps the overlap semantics.
-func (c *Comm) IalltoallvSparse(send, recv []Block, loc machine.Location, a Algo) *CollRequest {
-	return c.ipostAlltoall(send, recv, loc, pricer{sched: scheduleOf(a)}, "MPI_Alltoallv")
+func (c *Comm) IalltoallvSparse(pat *Pattern, send, recv []Block, loc machine.Location, a Algo) *CollRequest {
+	return c.ipostAlltoall(pat, send, recv, loc, pricer{sched: scheduleOf(a)}, "MPI_Alltoallv")
 }
 
 // ipostAlltoall is the non-blocking post: the engine's rendezvous plus the
 // posting overhead, which is all the caller pays until the wait.
-func (c *Comm) ipostAlltoall(send, recv []Block, loc machine.Location, p pricer, waitName string) *CollRequest {
-	r := c.postAlltoall(send, recv, loc, p, "MPI_Ialltoallv")
+func (c *Comm) ipostAlltoall(pat *Pattern, send, recv []Block, loc machine.Location, p pricer, waitName string) *CollRequest {
+	r := c.postAlltoall(pat, send, recv, loc, p, "MPI_Ialltoallv")
 	r.waitName = waitName
 	st := c.state()
 	st.clock += c.Model().HostOverheadColl
@@ -74,7 +75,7 @@ func (c *Comm) WaitSparse(r *CollRequest) []Block {
 // loop's, and WaitColl records it as "MPI_Wait(coll)".
 func (c *Comm) Ialltoallv(send []Buf) *CollRequest {
 	blocks, loc := c.compress(send, "MPI_Ialltoallv")
-	return c.ipostAlltoall(blocks, nil, loc, pricer{naive: kindAlltoallv}, "MPI_Wait(coll)")
+	return c.ipostAlltoall(nil, blocks, nil, loc, pricer{naive: kindAlltoallv}, "MPI_Wait(coll)")
 }
 
 // WaitColl is WaitSparse returning the received buffers indexed by source

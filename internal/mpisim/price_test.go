@@ -52,7 +52,7 @@ func TestPriceAlltoallvIsTheExecutedClock(t *testing.T) {
 						send = append(send, Block{Peer: f.Dst, Buf: Buf{N: f.Bytes / 16, Loc: machine.Device}})
 					}
 				}
-				c.AlltoallvSparse(send, nil, machine.Device, a)
+				c.AlltoallvSparse(nil, send, nil, machine.Device, a)
 			})
 			if res.Err != nil {
 				t.Fatalf("%s/%v: %v", tc.name, a, res.Err)

@@ -5,9 +5,11 @@
 package trace
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Event is one timed operation on one rank, in virtual seconds.
@@ -22,9 +24,18 @@ type Event struct {
 // Duration returns the call's virtual duration.
 func (e Event) Duration() float64 { return e.End - e.Start }
 
-// Tracer accumulates events. A nil *Tracer is valid and records nothing, so
-// call sites never need to check for enablement.
+// Tracer accumulates events in one shard per rank: a rank records into its
+// own shard, so recording takes no lock another rank contends for and grows no
+// slice another rank appends to. A nil *Tracer is valid and records nothing,
+// so call sites never need to check for enablement.
 type Tracer struct {
+	grow   sync.Mutex               // serializes adding shards
+	shards atomic.Pointer[[]*shard] // by rank; replaced, never modified, when it grows
+}
+
+// shard is one rank's events in the order the rank recorded them. Its lock
+// is uncontended while the rank records: readers take it once per call.
+type shard struct {
 	mu     sync.Mutex
 	events []Event
 }
@@ -32,14 +43,54 @@ type Tracer struct {
 // New returns an empty tracer.
 func New() *Tracer { return &Tracer{} }
 
-// Record appends an event. Safe for concurrent use; no-op on a nil tracer.
+// loaded returns the shards recorded so far (index = rank).
+func (t *Tracer) loaded() []*shard {
+	if s := t.shards.Load(); s != nil {
+		return *s
+	}
+	return nil
+}
+
+// shard returns rank's shard, adding shards up to it on first use.
+func (t *Tracer) shard(rank int) *shard {
+	if s := t.loaded(); rank < len(s) {
+		return s[rank]
+	}
+	if rank < 0 {
+		panic(fmt.Sprintf("trace: event of rank %d", rank))
+	}
+	t.grow.Lock()
+	defer t.grow.Unlock()
+	old := t.loaded()
+	if rank < len(old) {
+		return old[rank]
+	}
+	grown := make([]*shard, max(rank+1, 2*len(old)))
+	copy(grown, old)
+	for i := len(old); i < len(grown); i++ {
+		grown[i] = new(shard)
+	}
+	t.shards.Store(&grown)
+	return grown[rank]
+}
+
+// snapshot returns a copy of the shard's events.
+func (s *shard) snapshot() []Event {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]Event(nil), s.events...)
+}
+
+// Record appends an event to its rank's shard. Safe for concurrent use; no-op
+// on a nil tracer.
 func (t *Tracer) Record(e Event) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	t.events = append(t.events, e)
-	t.mu.Unlock()
+	s := t.shard(e.Rank)
+	s.mu.Lock()
+	s.events = append(s.events, e)
+	s.mu.Unlock()
 }
 
 // Prune drops every event that started before the given virtual time.
@@ -50,27 +101,32 @@ func (t *Tracer) Prune(before float64) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	kept := t.events[:0]
-	for _, e := range t.events {
-		if e.Start >= before {
-			kept = append(kept, e)
+	for _, s := range t.loaded() {
+		s.mu.Lock()
+		kept := s.events[:0]
+		for _, e := range s.events {
+			if e.Start >= before {
+				kept = append(kept, e)
+			}
 		}
+		s.events = kept
+		s.mu.Unlock()
 	}
-	t.events = kept
-	t.mu.Unlock()
 }
 
-// Events returns a copy of all events sorted by (Name, Rank, Start).
+// Events returns a copy of all events sorted by (Name, Rank, Start). Events
+// equal in all three keep the order their rank recorded them in, so the result
+// does not depend on how the ranks' recording interleaved.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	out := append([]Event(nil), t.events...)
-	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
+	var out []Event
+	for _, s := range t.loaded() {
+		out = append(out, s.snapshot()...)
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		a, b := &out[i], &out[j]
 		if a.Name != b.Name {
 			return a.Name < b.Name
 		}
@@ -93,14 +149,10 @@ func (t *Tracer) TotalByName(rank int) map[string]float64 {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
 	var evs []Event
-	for _, e := range t.events {
-		if e.Rank == rank {
-			evs = append(evs, e)
-		}
+	if s := t.loaded(); rank >= 0 && rank < len(s) {
+		evs = s[rank].snapshot()
 	}
-	t.mu.Unlock()
 	// A rank records its events in program order; the stable sort keeps that
 	// order on a full tie, so the totals are reproducible.
 	sort.SliceStable(evs, func(i, j int) bool {
@@ -128,17 +180,15 @@ func (t *Tracer) PerCall(name string) []float64 {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	byRank := map[int][]Event{}
-	for _, e := range t.events {
-		if e.Name == name {
-			byRank[e.Rank] = append(byRank[e.Rank], e)
-		}
-	}
 	var out []float64
-	for _, evs := range byRank {
-		sort.Slice(evs, func(i, j int) bool { return evs[i].Start < evs[j].Start })
+	for _, s := range t.loaded() {
+		var evs []Event
+		for _, e := range s.snapshot() {
+			if e.Name == name {
+				evs = append(evs, e)
+			}
+		}
+		sort.SliceStable(evs, func(i, j int) bool { return evs[i].Start < evs[j].Start })
 		for i, e := range evs {
 			if i >= len(out) {
 				out = append(out, 0)
@@ -156,12 +206,14 @@ func (t *Tracer) Names() []string {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
 	set := map[string]bool{}
-	for _, e := range t.events {
-		set[e.Name] = true
+	for _, s := range t.loaded() {
+		s.mu.Lock()
+		for _, e := range s.events {
+			set[e.Name] = true
+		}
+		s.mu.Unlock()
 	}
-	t.mu.Unlock()
 	names := make([]string, 0, len(set))
 	for n := range set {
 		names = append(names, n)

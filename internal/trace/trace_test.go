@@ -134,13 +134,16 @@ func TestWriteChrome(t *testing.T) {
 	}
 }
 
+// TestConcurrentRecord: ranks record concurrently — the shards grow while
+// others record — and every event lands in its rank's shard, in the order the
+// rank recorded it.
 func TestConcurrentRecord(t *testing.T) {
 	tr := New()
 	done := make(chan struct{})
 	for g := 0; g < 8; g++ {
 		go func(r int) {
 			for i := 0; i < 100; i++ {
-				tr.Record(Event{Rank: r, Name: "k", Start: float64(i), End: float64(i) + 1})
+				tr.Record(Event{Rank: 7 * r, Name: "k", Start: 0, End: float64(i)})
 			}
 			done <- struct{}{}
 		}(g)
@@ -148,8 +151,34 @@ func TestConcurrentRecord(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		<-done
 	}
-	if got := len(tr.Events()); got != 800 {
-		t.Errorf("recorded %d events, want 800", got)
+	es := tr.Events()
+	if len(es) != 800 {
+		t.Fatalf("recorded %d events, want 800", len(es))
+	}
+	for i, e := range es {
+		if e.Rank != 7*(i/100) || e.End != float64(i%100) {
+			t.Fatalf("event %d is %+v: not rank %d's event %d", i, e, 7*(i/100), i%100)
+		}
+	}
+	if got := tr.TotalByName(14); got["k"] != 99 {
+		t.Errorf("rank 14 totals = %v, want k: 99", got)
+	}
+}
+
+// TestEventsKeepRecordOrder: events equal in (Name, Rank, Start) come out in
+// the order their rank recorded them, whatever order the ranks recorded in.
+func TestEventsKeepRecordOrder(t *testing.T) {
+	tr := New()
+	tr.Record(Event{Rank: 3, Name: "a", Start: 1, End: 3})
+	tr.Record(Event{Rank: 0, Name: "a", Start: 1, End: 5})
+	tr.Record(Event{Rank: 3, Name: "a", Start: 1, End: 2})
+	tr.Record(Event{Rank: 0, Name: "a", Start: 1, End: 4})
+	var ends []float64
+	for _, e := range tr.Events() {
+		ends = append(ends, e.End)
+	}
+	if want := []float64{5, 4, 3, 2}; !reflect.DeepEqual(ends, want) {
+		t.Errorf("ends in Events order = %v, want %v", ends, want)
 	}
 }
 
