@@ -26,14 +26,15 @@ test:
 # core ships pool buffers between ranks with move semantics, lends arrays as
 # views, recycles send and receive lists through a process-wide pool and
 # shares each reshape's exchange patterns between every rank of the world;
-# trace records from every rank into per-rank shards; the serving layer
+# trace records from every rank into per-rank shards; tuning builds and times
+# plans on every rank of a world (its tests gather results); the serving layer
 # multiplexes many submitters onto shared engines through the scheduler, the
 # plan cache and the cancellation paths. The list and round-scratch reuse
 # tests and the exchange-pattern tests run again at 1, 2 and 8 processors, so
 # the lifetimes and the shared patterns are checked under different schedules.
 # Used by CI.
 race:
-	go test -race ./internal/mpisim/ ./internal/core/ ./internal/fft/ ./internal/trace/ ./heffte/serve/ ./internal/sched/
+	go test -race ./internal/mpisim/ ./internal/core/ ./internal/fft/ ./internal/trace/ ./internal/tuning/ ./heffte/serve/ ./internal/sched/
 	go test -race -count=1 -cpu 1,2,8 -run 'TestRecycledListsMatchFresh|TestRendezvousReleasesRound|TestPatternMatchesBlocks|TestBareExchangesMoveNoBlockLists|TestPatternPricesLikeBlocks' ./internal/core/ ./internal/mpisim/
 
 # The repository benchmark (BENCHMARK.json): four workloads, end-to-end

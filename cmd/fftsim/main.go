@@ -16,6 +16,7 @@ import (
 	"text/tabwriter"
 
 	"repro/heffte"
+	"repro/internal/tuning"
 )
 
 func main() {
@@ -29,7 +30,7 @@ func main() {
 		mach       = flag.String("machine", "summit", "summit|spock")
 		shrink     = flag.Int("shrink", 0, "grid-shrinking threshold in elements/rank (0 = off)")
 		batch      = flag.Int("batch", 1, "transforms per batched call")
-		iters      = flag.Int("iters", 8, "timed transforms (half forward, half backward)")
+		iters      = flag.Int("iters", tuning.Timed, "timed transforms (half forward, half backward)")
 		traceOut   = flag.String("trace", "", "write the virtual timeline as Chrome trace-event JSON to this file")
 		algo       = flag.String("algo", "auto", "alltoallv schedule: auto|linear|pairwise|ring|bruck|node-aware")
 		placement  = flag.String("placement", "block", "rank→GPU placement: block|round-robin")
@@ -85,32 +86,13 @@ func main() {
 			}
 			return
 		}
-		exec := func(inv bool) {
-			fs := make([]*heffte.Field, *batch)
-			for i := range fs {
-				fs[i] = heffte.NewPhantom(p.InBox())
-			}
-			if inv {
-				err = p.InverseBatch(fs)
-			} else {
-				err = p.ForwardBatch(fs)
-			}
-			if err != nil {
-				panic(err)
-			}
+		start, end, per, err := tuning.Measure(c, p, *batch, *iters)
+		if err != nil {
+			panic(err)
 		}
-		exec(false)
-		exec(false) // warm-up
-		c.Barrier()
-		t0 := c.Clock()
-		for i := 0; i < *iters; i++ {
-			exec(i >= *iters/2)
-		}
-		ends[c.Rank()] = c.Clock()
-		c.Barrier()
+		ends[c.Rank()] = end
 		if c.Rank() == 0 {
-			from = t0
-			perFFT = (c.Clock() - t0) / float64(*iters)
+			from, perFFT = start, per
 			resolved = p.Decomp()
 			exchanges = p.Exchanges()
 			phases = p.CommPhases()
@@ -157,17 +139,15 @@ func main() {
 	// wait is what none of its events covers, the closing barrier included.
 	tr.Prune(from)
 	last := slices.Index(ends, slices.Max(ends))
-	totals := tr.TotalByName(last)
+	rows := tr.Breakdown(last, *iters, perFFT)
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "kernel\tper transform (rank %d, last to finish)\n", last)
-	wait := perFFT
 	for _, k := range tr.Names() {
-		if v := totals[k] / float64(*iters); v > 0 && k != "MPI_Barrier" {
+		if v := rows[k]; v > 0 {
 			fmt.Fprintf(tw, "%s\t%s\n", k, heffte.FormatSeconds(v))
-			wait -= v
 		}
 	}
-	fmt.Fprintf(tw, "wait\t%s\n", heffte.FormatSeconds(max(0, wait)))
+	fmt.Fprintf(tw, "wait\t%s\n", heffte.FormatSeconds(rows["wait"]))
 	tw.Flush()
 }
 

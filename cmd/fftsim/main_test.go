@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -43,6 +44,41 @@ func TestBadFlagsExit2(t *testing.T) {
 			}
 			if stdout.Len() != 0 {
 				t.Errorf("stdout not empty:\n%s", stdout.String())
+			}
+		})
+	}
+}
+
+// TestOutputGolden: fftsim's stdout is deterministic, and for these flag sets
+// it is pinned byte for byte in testdata/. The 6144-rank row is the shape CI
+// runs under a memory cap; -short skips it.
+func TestOutputGolden(t *testing.T) {
+	for _, g := range []struct {
+		file  string
+		args  []string
+		large bool
+	}{
+		{"default.txt", nil, false},
+		{"n64_r24_batch2_host_ring_fp32.txt", []string{"-n", "64", "-ranks", "24", "-batch", "2", "-no-gpu-aware", "-algo", "ring", "-wire", "fp32"}, false},
+		{"slabs_p2p.txt", []string{"-decomp", "slabs", "-backend", "p2p"}, false},
+		{"n512_r6144_pencils_iters2.txt", []string{"-n", "512", "-ranks", "6144", "-decomp", "pencils", "-iters", "2"}, true},
+	} {
+		t.Run(g.file, func(t *testing.T) {
+			if g.large && testing.Short() {
+				t.Skip("6144 ranks; skipped under -short")
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", g.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cmd := exec.Command(os.Args[0], g.args...)
+			cmd.Env = append(os.Environ(), "FFTSIM_AS_MAIN=1")
+			got, err := cmd.Output()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("fftsim %s: stdout differs from testdata/%s\ngot:\n%s\nwant:\n%s", strings.Join(g.args, " "), g.file, got, want)
 			}
 		})
 	}

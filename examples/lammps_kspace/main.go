@@ -41,16 +41,15 @@ func main() {
 		})
 		// The Fig. 12 components of the rank that finishes last, summed in
 		// sorted name order; wait is the part of its run no event covers.
-		totals := tr.TotalByName(slices.Index(res.Clocks, res.MaxClock))
-		groups := map[string]float64{"wait": res.MaxClock}
+		rows := tr.Breakdown(slices.Index(res.Clocks, res.MaxClock), 1, res.MaxClock)
+		groups := map[string]float64{"wait": rows["wait"]}
 		for _, name := range tr.Names() {
 			switch name {
 			case "pair", "bond", "neigh", "comm", "other":
-				groups[name] += totals[name]
+				groups[name] += rows[name]
 			default:
-				groups["kspace"] += totals[name]
+				groups["kspace"] += rows[name]
 			}
-			groups["wait"] -= totals[name]
 		}
 		fmt.Printf("-- %s --\n", label)
 		printGroups(groups, res.MaxClock)

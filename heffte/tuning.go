@@ -3,8 +3,9 @@ package heffte
 import "repro/internal/tuning"
 
 // Tuning: the paper's Section IV methodology — rank candidate settings with
-// the bandwidth model, then measure the most promising ones with the
-// 2-warm-up + 8-transform protocol.
+// the bandwidth model, then measure the most promising ones with the paper's
+// protocol (2 warm-up transforms, then the average of 4 forward and 4
+// backward).
 
 type (
 	// TuneCandidate is one algorithm setting under consideration
@@ -13,8 +14,8 @@ type (
 	// TuneResult pairs a candidate with its model prediction and (when
 	// measured) its simulated per-transform time.
 	TuneResult = tuning.Result
-	// TuneOptions controls the warm-up/measure protocol and how many
-	// model-ranked candidates are actually simulated.
+	// TuneOptions caps how many model-ranked candidates are actually
+	// simulated.
 	TuneOptions = tuning.Options
 )
 
@@ -30,4 +31,9 @@ func DefaultCandidates() []TuneCandidate { return tuning.DefaultCandidates() }
 
 // Best returns the fastest measured result (or the best predicted one when
 // nothing was measured).
-func Best(results []TuneResult) TuneResult { return tuning.Best(results) }
+func Best(results []TuneResult) TuneResult {
+	if len(results) == 0 {
+		return TuneResult{}
+	}
+	return results[0]
+}

@@ -131,17 +131,15 @@ func lammpsBreakdown(opts RunOptions, fftOpts core.Options, aware bool, steps in
 			panic(err)
 		}
 	})
-	totals := tr.TotalByName(slices.Index(res.Clocks, res.MaxClock))
-	groups := map[string]float64{"wait": res.MaxClock}
+	rows := tr.Breakdown(slices.Index(res.Clocks, res.MaxClock), 1, res.MaxClock)
+	groups := map[string]float64{"wait": rows["wait"]}
 	for _, name := range tr.Names() { // sorted, so the sums are bit-reproducible
 		group := "kspace" // FFT kernels, packs, MPI inside the plan, charge/force maps
 		if slices.Contains(lammpsShortRange, name) {
 			group = name
 		}
-		groups[group] += totals[name]
-		groups["wait"] -= totals[name]
+		groups[group] += rows[name]
 	}
-	groups["wait"] = max(0, groups["wait"])
 	return groups, res.MaxClock
 }
 

@@ -8,24 +8,22 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mpisim"
 	"repro/internal/trace"
+	"repro/internal/tuning"
 )
 
 // newTracer makes the tracer of every measured run; tests wrap it to see the
 // events the experiments record.
 var newTracer = trace.New
 
-// fftRun describes one measured FFT experiment following the paper's
-// protocol: 2 warm-up transforms, then the average of 4 forward and 4
-// backward transforms.
+// fftRun describes one measured FFT experiment: the paper's protocol
+// (tuning.Measure, 2 warm-up transforms then the average of 4 forward and 4
+// backward) on every rank of a fresh traced world.
 type fftRun struct {
-	model  *machine.Model
-	ranks  int
-	aware  bool
-	cfg    core.Config
-	warmup int
-	fwd    int
-	bwd    int
-	batch  int // fields per transform call (1 = unbatched)
+	model *machine.Model
+	ranks int
+	aware bool
+	cfg   core.Config
+	batch int // fields per transform call (0 or 1 = unbatched)
 	// perCall names the events whose per-call series the run keeps, warm-up
 	// calls included (the paper's Figs. 2/3 plot all 40 calls).
 	perCall []string
@@ -37,9 +35,8 @@ type measured struct {
 	// timed section, barrier to barrier, over the transform count.
 	TotalPerFFT float64
 	// Breakdown splits TotalPerFFT by the timeline of the rank that finishes
-	// the timed transforms last (the lowest index on a tie): its events by
-	// name (trace.TotalByName) without the closing barrier, plus "wait", the
-	// part no event covers.
+	// the timed transforms last (the lowest index on a tie), plus "wait"
+	// (trace.Tracer.Breakdown).
 	Breakdown map[string]float64
 	// CommPerFFT is the sum of Breakdown's MPI_* rows.
 	CommPerFFT float64
@@ -49,28 +46,10 @@ type measured struct {
 	Exchanges int
 }
 
-// defaults fills the paper's measurement protocol.
-func (r *fftRun) defaults() {
-	if r.warmup == 0 {
-		r.warmup = 2
-	}
-	if r.fwd == 0 {
-		r.fwd = 4
-	}
-	if r.bwd == 0 {
-		r.bwd = 4
-	}
-	if r.batch == 0 {
-		r.batch = 1
-	}
-}
-
 // run executes the experiment and gathers results; a bad configuration
 // panics (Run recovers it). All payloads are phantom: timing is identical to
 // real payloads (a tested property) and paper-scale grids need no memory.
 func (r fftRun) run() (m measured) {
-	r.defaults()
-	n := float64(r.fwd + r.bwd)
 	tr := newTracer()
 	w := mpisim.NewWorld(r.model, r.ranks, mpisim.Options{GPUAware: r.aware, Tracer: tr})
 	var from float64
@@ -80,41 +59,13 @@ func (r fftRun) run() (m measured) {
 		if err != nil {
 			panic(err)
 		}
-		exec := func(inverse bool) error {
-			fields := make([]*core.Field, r.batch)
-			for i := range fields {
-				fields[i] = core.NewPhantom(p.InBox())
-			}
-			if inverse {
-				return p.InverseBatch(fields)
-			}
-			return p.ForwardBatch(fields)
+		start, end, per, err := tuning.Measure(c, p, max(r.batch, 1), tuning.Timed)
+		if err != nil {
+			panic(err)
 		}
-		for i := 0; i < r.warmup; i++ {
-			if err := exec(false); err != nil {
-				panic(err)
-			}
-		}
-		c.Barrier()
-		t0 := c.Clock()
+		ends[c.Rank()] = end
 		if c.Rank() == 0 {
-			m.Exchanges = p.Exchanges()
-			from = t0
-		}
-		for i := 0; i < r.fwd; i++ {
-			if err := exec(false); err != nil {
-				panic(err)
-			}
-		}
-		for i := 0; i < r.bwd; i++ {
-			if err := exec(true); err != nil {
-				panic(err)
-			}
-		}
-		ends[c.Rank()] = c.Clock()
-		c.Barrier()
-		if c.Rank() == 0 {
-			m.TotalPerFFT = (c.Clock() - t0) / n
+			m.TotalPerFFT, m.Exchanges, from = per, p.Exchanges(), start
 		}
 	})
 	m.PerCall = make(map[string][]float64, len(r.perCall))
@@ -125,20 +76,12 @@ func (r fftRun) run() (m measured) {
 	// is warm-up (pruning by virtual time is deterministic, unlike a racy
 	// reset).
 	tr.Prune(from)
-	totals := tr.TotalByName(slices.Index(ends, slices.Max(ends)))
-	m.Breakdown = map[string]float64{"wait": m.TotalPerFFT}
-	for _, name := range tr.Names() { // sorted, so the sums are bit-reproducible
-		if name == "MPI_Barrier" { // the closing barrier is the measurement's own
-			continue
-		}
-		v := totals[name] / n
-		m.Breakdown[name] = v
-		m.Breakdown["wait"] -= v
+	m.Breakdown = tr.Breakdown(slices.Index(ends, slices.Max(ends)), tuning.Timed, m.TotalPerFFT)
+	for _, name := range tr.Names() { // sorted, so the sum is bit-reproducible
 		if strings.HasPrefix(name, "MPI_") {
-			m.CommPerFFT += v
+			m.CommPerFFT += m.Breakdown[name]
 		}
 	}
-	m.Breakdown["wait"] = max(0, m.Breakdown["wait"])
 	return m
 }
 

@@ -172,6 +172,31 @@ func (t *Tracer) TotalByName(rank int) map[string]float64 {
 	return out
 }
 
+// Breakdown is the one breakdown view of a measured span: rank's timeline
+// (TotalByName) per transform — each recorded name's total divided by count,
+// the measurement's own closing MPI_Barrier left out — plus "wait", the part
+// of elapsed no event covers: elapsed (the span's time per transform) minus
+// the rows in sorted name order, clamped at 0. Every recorded name gets a row,
+// zero when rank has no event of it. The rows and wait add up to elapsed.
+func (t *Tracer) Breakdown(rank, count int, elapsed float64) map[string]float64 {
+	if t == nil {
+		return nil
+	}
+	totals := t.TotalByName(rank)
+	rows := map[string]float64{}
+	wait := elapsed
+	for _, name := range t.Names() {
+		if name == "MPI_Barrier" {
+			continue
+		}
+		v := totals[name] / float64(count)
+		rows[name] = v
+		wait -= v
+	}
+	rows["wait"] = max(0, wait)
+	return rows
+}
+
 // PerCall returns, for each successive call of the named operation, the
 // maximum duration over ranks. Calls are identified by their per-rank order
 // of occurrence (call #i on every rank is the same logical collective), which

@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/json"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,7 +13,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Record(Event{Name: "x"}) // must not panic
 	tr.Prune(1)
-	if tr.Events() != nil || tr.TotalByName(0) != nil || tr.PerCall("x") != nil || tr.Names() != nil {
+	if tr.Events() != nil || tr.TotalByName(0) != nil || tr.Breakdown(0, 1, 1) != nil || tr.PerCall("x") != nil || tr.Names() != nil {
 		t.Error("nil tracer accessors should return nil")
 	}
 }
@@ -63,6 +64,61 @@ func TestTotalByNamePerRank(t *testing.T) {
 	}
 	if got := tr.TotalByName(1); !reflect.DeepEqual(got, map[string]float64{"fft": 4}) {
 		t.Errorf("rank 1 totals = %v", got)
+	}
+}
+
+// TestBreakdownAddsUp: Breakdown divides rank 1's totals by the transform
+// count, gives a zero row to a name only another rank recorded, leaves the
+// closing MPI_Barrier out, and fills the rest of the span with wait: the rows
+// plus wait are the elapsed time per transform.
+func TestBreakdownAddsUp(t *testing.T) {
+	tr := New()
+	tr.Record(Event{Rank: 1, Name: "fft", Start: 0, End: 1})
+	tr.Record(Event{Rank: 1, Name: "MPI_Alltoallv", Start: 1, End: 2.5})
+	tr.Record(Event{Rank: 1, Name: "pack", Start: 2.5, End: 3})
+	tr.Record(Event{Rank: 1, Name: "MPI_Barrier", Start: 3.5, End: 4})
+	tr.Record(Event{Rank: 0, Name: "unpack", Start: 0, End: 1})
+	got := tr.Breakdown(1, 2, 2)
+	want := map[string]float64{"fft": 0.5, "MPI_Alltoallv": 0.75, "pack": 0.25, "unpack": 0, "wait": 0.5}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Breakdown = %v, want %v", got, want)
+	}
+	if _, ok := got["MPI_Barrier"]; ok {
+		t.Error("the closing MPI_Barrier has a row")
+	}
+	sum := 0.0
+	for _, v := range got {
+		sum += v
+	}
+	if sum != 2 {
+		t.Errorf("rows plus wait = %g, want the elapsed 2", sum)
+	}
+	// An elapsed time shorter than the rows leaves no negative wait.
+	if w := tr.Breakdown(1, 2, 1)["wait"]; w != 0 {
+		t.Errorf("wait = %g for an elapsed time under the rows, want 0", w)
+	}
+}
+
+// TestBreakdownIsBitReproducible: wait subtracts the rows in sorted name
+// order, so two calls over many nested, overlapping events — recorded by
+// ranks in any interleaving — give the same bits.
+func TestBreakdownIsBitReproducible(t *testing.T) {
+	tr := New()
+	rng := rand.New(rand.NewSource(1))
+	names := []string{"MPI_Alltoallv", "MPI_Barrier", "cufft_1d", "pack", "unpack", "convert", "MPI_Waitany"}
+	for i := 0; i < 2000; i++ {
+		start := rng.Float64() * 10
+		tr.Record(Event{Rank: i % 3, Name: names[rng.Intn(len(names))], Start: start, End: start + rng.Float64()/3})
+	}
+	a, b := tr.Breakdown(2, 7, 1.5), tr.Breakdown(2, 7, 1.5)
+	// A row per name but MPI_Barrier, and wait.
+	if len(a) != len(names) || len(b) != len(names) {
+		t.Fatalf("rows %v and %v, want %d each", a, b, len(names))
+	}
+	for k, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[k]) {
+			t.Errorf("%s: %x then %x", k, math.Float64bits(v), math.Float64bits(b[k]))
+		}
 	}
 }
 

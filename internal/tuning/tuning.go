@@ -1,10 +1,11 @@
 // Package tuning implements the paper's tuning methodology (Section IV):
 // enumerate candidate algorithm settings (decomposition × exchange backend ×
 // data layout), rank them with the bandwidth model of Section III, and
-// optionally measure the most promising ones by running warm-up + timed
-// phantom transforms — exactly the protocol the paper uses ("the average
-// runtime of 8 FFTs (4 forward and 4 backward), preceded by 2 FFTs to warm
-// up the accelerators").
+// optionally measure the most promising ones. Measure is the one
+// implementation of the paper's measurement protocol ("the average runtime of
+// 8 FFTs (4 forward and 4 backward), preceded by 2 FFTs to warm up the
+// accelerators"); the tuner, every experiment of internal/bench and fftsim
+// time their transforms with it.
 package tuning
 
 import (
@@ -164,8 +165,6 @@ func algoFactor(c *mpisim.Comm, n, gs int, algo core.CollAlgo) float64 {
 
 // Options controls a tuning run.
 type Options struct {
-	// Warmup and Iters follow the paper's protocol; defaults 2 and 8.
-	Warmup, Iters int
 	// Measure caps how many model-ranked candidates are actually simulated;
 	// 0 measures all.
 	Measure int
@@ -173,16 +172,11 @@ type Options struct {
 
 // Tune is collective: every rank of c must call it with identical arguments.
 // It returns the candidates sorted by measured (then predicted) time,
-// fastest first.
+// fastest first. Each measured time is Measure's time per transform over the
+// paper's 8 timed transforms.
 func Tune(c *mpisim.Comm, cfg core.Config, cands []Candidate, opts Options) ([]Result, error) {
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("tuning: no candidates")
-	}
-	if opts.Warmup <= 0 {
-		opts.Warmup = 2
-	}
-	if opts.Iters <= 0 {
-		opts.Iters = 8
 	}
 
 	results := make([]Result, len(cands))
@@ -205,7 +199,17 @@ func Tune(c *mpisim.Comm, cfg core.Config, cands []Candidate, opts Options) ([]R
 
 	for k := 0; k < nMeasure; k++ {
 		idx := order[k]
-		dt, err := measure(c, cfg, results[idx].Candidate, opts)
+		cand := results[idx].Candidate
+		planCfg := cfg
+		planCfg.Opts.Decomp = cand.Decomp
+		planCfg.Opts.Backend = cand.Backend
+		planCfg.Opts.Contiguous = cand.Contiguous
+		planCfg.Opts.Comm.Algo = cand.Algo
+		p, err := core.NewPlan(c, planCfg)
+		if err != nil {
+			return nil, err
+		}
+		_, _, dt, err := Measure(c, p, 1, Timed)
 		if err != nil {
 			return nil, err
 		}
@@ -228,55 +232,47 @@ func Tune(c *mpisim.Comm, cfg core.Config, cands []Candidate, opts Options) ([]R
 	return results, nil
 }
 
-// measure runs the paper's measurement protocol for one candidate on the
-// caller's configuration and returns the average per-transform virtual time
-// (max over ranks).
-func measure(c *mpisim.Comm, cfg core.Config, cand Candidate, opts Options) (float64, error) {
-	planCfg := cfg
-	planCfg.Opts.Decomp = cand.Decomp
-	planCfg.Opts.Backend = cand.Backend
-	planCfg.Opts.Contiguous = cand.Contiguous
-	planCfg.Opts.Comm.Algo = cand.Algo
-	p, err := core.NewPlan(c, planCfg)
-	if err != nil {
-		return 0, err
-	}
-	run := func(n int, dirFwd bool) error {
+// The paper's protocol: 2 warm-up transforms, then 8 timed ones.
+const (
+	warmups = 2
+	// Timed is the paper's timed transform count: 4 forward, 4 backward.
+	Timed = 8
+)
+
+// Measure runs the paper's measurement protocol on p, a plan over c:
+// 2 warm-up forward transforms and a barrier, then count timed transforms —
+// the first half forward, the rest inverse — closed by a barrier. Every
+// transform is one batched call over batch fresh phantom fields (timing is
+// that of real payloads, a tested property). It returns the virtual time the
+// timed section starts, this rank's clock when its last transform returns
+// (before the closing barrier, so the rank that finishes last can be found)
+// and the time per transform, barrier to barrier. Collective: every rank of
+// c calls it with the same arguments.
+func Measure(c *mpisim.Comm, p *core.Plan, batch, count int) (start, end, per float64, err error) {
+	run := func(n int, exec func([]*core.Field) error) error {
 		for i := 0; i < n; i++ {
-			f := core.NewPhantom(p.InBox())
-			var err error
-			if dirFwd {
-				err = p.Forward(f)
-			} else {
-				err = p.Inverse(f)
+			fs := make([]*core.Field, batch)
+			for j := range fs {
+				fs[j] = core.NewPhantom(p.InBox())
 			}
-			if err != nil {
+			if err := exec(fs); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := run(opts.Warmup, true); err != nil {
-		return 0, err
+	if err := run(warmups, p.ForwardBatch); err != nil {
+		return 0, 0, 0, err
 	}
 	c.Barrier()
-	t0 := c.Clock()
-	half := opts.Iters / 2
-	if err := run(half, true); err != nil {
-		return 0, err
+	start = c.Clock()
+	if err := run(count/2, p.ForwardBatch); err != nil {
+		return 0, 0, 0, err
 	}
-	if err := run(opts.Iters-half, false); err != nil {
-		return 0, err
+	if err := run(count-count/2, p.InverseBatch); err != nil {
+		return 0, 0, 0, err
 	}
+	end = c.Clock()
 	c.Barrier()
-	return (c.Clock() - t0) / float64(opts.Iters), nil
-}
-
-// Best returns the fastest measured result (or the best predicted one when
-// nothing was measured).
-func Best(results []Result) Result {
-	if len(results) == 0 {
-		return Result{}
-	}
-	return results[0]
+	return start, end, (c.Clock() - start) / float64(count), nil
 }

@@ -24,6 +24,64 @@ func TestDefaultCandidatesCoverTheSweep(t *testing.T) {
 	}
 }
 
+// TestMeasureFollowsTheProtocol: Measure is the paper's protocol written out
+// by hand — 2 warm-up forward calls, a barrier, count/2 forward and the rest
+// inverse calls over batch phantom fields, this rank's clock, a barrier — to
+// the bit of every returned clock.
+func TestMeasureFollowsTheProtocol(t *testing.T) {
+	const ranks, batch, count = 6, 2, 5
+	cfg := core.Config{Global: [3]int{16, 16, 16}, Opts: core.Options{Decomp: core.DecompPencils}}
+	type times struct{ start, end, per float64 }
+	run := func(measure func(c *mpisim.Comm, p *core.Plan) times) []times {
+		out := make([]times, ranks)
+		mpisim.NewWorld(machine.Summit(), ranks, mpisim.Options{GPUAware: true}).Run(func(c *mpisim.Comm) {
+			p, err := core.NewPlan(c, cfg)
+			if err != nil {
+				panic(err)
+			}
+			out[c.Rank()] = measure(c, p)
+		})
+		return out
+	}
+	call := func(p *core.Plan, inverse bool) {
+		fs := []*core.Field{core.NewPhantom(p.InBox()), core.NewPhantom(p.InBox())}
+		exec := p.ForwardBatch
+		if inverse {
+			exec = p.InverseBatch
+		}
+		if err := exec(fs); err != nil {
+			panic(err)
+		}
+	}
+	want := run(func(c *mpisim.Comm, p *core.Plan) times {
+		call(p, false)
+		call(p, false)
+		c.Barrier()
+		t0 := c.Clock()
+		for i := 0; i < count; i++ {
+			call(p, i >= count/2)
+		}
+		end := c.Clock()
+		c.Barrier()
+		return times{t0, end, (c.Clock() - t0) / count}
+	})
+	got := run(func(c *mpisim.Comm, p *core.Plan) times {
+		start, end, per, err := Measure(c, p, batch, count)
+		if err != nil {
+			panic(err)
+		}
+		return times{start, end, per}
+	})
+	for r := range want {
+		if got[r] != want[r] {
+			t.Errorf("rank %d: Measure gives %+v, the protocol by hand %+v", r, got[r], want[r])
+		}
+	}
+	if want[0].per <= 0 || want[0].end <= want[0].start {
+		t.Fatalf("empty measurement %+v", want[0])
+	}
+}
+
 // TestTuneHonoursCallerConfig: a candidate sets decomposition, backend,
 // layout and schedule, and keeps everything else the caller configured. On a
 // small grid over many ranks a shrink threshold changes the plan, as does a
@@ -32,30 +90,21 @@ func TestTuneHonoursCallerConfig(t *testing.T) {
 	const ranks = 12
 	global := [3]int{8, 8, 8}
 	cand := Candidate{Decomp: core.DecompPencils, Backend: core.BackendAlltoallv}
-	opts := Options{Warmup: 1, Iters: 2}
-	// planTime runs the measurement protocol on a plan built from cfg.
+	// planTime measures a plan built from cfg.
 	planTime := func(cfg core.Config) float64 {
 		var dt float64
+		cfg.Opts.Decomp, cfg.Opts.Backend = cand.Decomp, cand.Backend
 		mpisim.NewWorld(machine.Summit(), ranks, mpisim.Options{GPUAware: true}).Run(func(c *mpisim.Comm) {
-			cfg.Opts.Decomp, cfg.Opts.Backend = cand.Decomp, cand.Backend
 			p, err := core.NewPlan(c, cfg)
 			if err != nil {
 				panic(err)
 			}
-			if err := p.Forward(core.NewPhantom(p.InBox())); err != nil {
+			_, _, per, err := Measure(c, p, 1, Timed)
+			if err != nil {
 				panic(err)
 			}
-			c.Barrier()
-			t0 := c.Clock()
-			if err := p.Forward(core.NewPhantom(p.InBox())); err != nil {
-				panic(err)
-			}
-			if err := p.Inverse(core.NewPhantom(p.InBox())); err != nil {
-				panic(err)
-			}
-			c.Barrier()
 			if c.Rank() == 0 {
-				dt = (c.Clock() - t0) / 2
+				dt = per
 			}
 		})
 		return dt
@@ -63,7 +112,7 @@ func TestTuneHonoursCallerConfig(t *testing.T) {
 	tuned := func(cfg core.Config) float64 {
 		var dt float64
 		mpisim.NewWorld(machine.Summit(), ranks, mpisim.Options{GPUAware: true}).Run(func(c *mpisim.Comm) {
-			rs, err := Tune(c, cfg, []Candidate{cand}, opts)
+			rs, err := Tune(c, cfg, []Candidate{cand}, Options{})
 			if err != nil {
 				panic(err)
 			}
@@ -103,12 +152,12 @@ func TestTuneCompressedWireWins(t *testing.T) {
 		var r Result
 		mpisim.NewWorld(machine.Summit(), 8, mpisim.Options{}).Run(func(c *mpisim.Comm) {
 			cfg := core.Config{Global: [3]int{64, 64, 64}, Opts: core.Options{Comm: core.CommConfig{Wire: w}}}
-			rs, err := Tune(c, cfg, cands, Options{Warmup: 1, Iters: 2})
+			rs, err := Tune(c, cfg, cands, Options{})
 			if err != nil {
 				panic(err)
 			}
 			if c.Rank() == 0 {
-				r = Best(rs)
+				r = rs[0]
 			}
 		})
 		return r
@@ -148,7 +197,7 @@ func TestTuneMeasuresAndSorts(t *testing.T) {
 	}
 	var results []Result
 	w.Run(func(c *mpisim.Comm) {
-		rs, err := Tune(c, core.Config{Global: [3]int{32, 32, 32}}, cands, Options{Warmup: 1, Iters: 2})
+		rs, err := Tune(c, core.Config{Global: [3]int{32, 32, 32}}, cands, Options{})
 		if err != nil {
 			panic(err)
 		}
@@ -168,7 +217,7 @@ func TestTuneMeasuresAndSorts(t *testing.T) {
 		}
 	}
 	// Alltoallw on device buffers must not win (Fig. 2).
-	if Best(results).Backend == core.BackendAlltoallw {
+	if results[0].Backend == core.BackendAlltoallw {
 		t.Error("Alltoallw should not be the tuned winner on a Summit-like stack")
 	}
 }
@@ -178,7 +227,7 @@ func TestTuneMeasureCap(t *testing.T) {
 	var results []Result
 	w.Run(func(c *mpisim.Comm) {
 		rs, err := Tune(c, core.Config{Global: [3]int{16, 16, 16}}, DefaultCandidates(),
-			Options{Warmup: 1, Iters: 2, Measure: 3})
+			Options{Measure: 3})
 		if err != nil {
 			panic(err)
 		}
@@ -219,11 +268,11 @@ func TestTuneDeterministicAcrossRanks(t *testing.T) {
 	winners := make([]string, 6)
 	w.Run(func(c *mpisim.Comm) {
 		rs, err := Tune(c, core.Config{Global: [3]int{16, 16, 16}},
-			DefaultCandidates()[:6], Options{Warmup: 1, Iters: 2})
+			DefaultCandidates()[:6], Options{})
 		if err != nil {
 			panic(err)
 		}
-		winners[c.Rank()] = Best(rs).String()
+		winners[c.Rank()] = rs[0].String()
 	})
 	for r := 1; r < 6; r++ {
 		if winners[r] != winners[0] {

@@ -3,6 +3,7 @@ package repro
 import (
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -49,6 +50,7 @@ var surfaceKeep = map[string]string{
 	"heffte.OpMin":              "reduce operation for Comm.Allreduce; the enum stays complete",
 	"heffte.ProcGrid":           "alias of the process grid Config and GridEntry carry",
 	"heffte.NewBox":             "facade constructor of Box3",
+	"heffte.NewPhantom":         "facade constructor of size-only fields, the payload of paper-scale runs",
 	"heffte.NewRealPhantom":     "facade constructor; the real counterpart of NewPhantom",
 	"heffte.TableIII":           "facade view of the paper's Table III; LookupTableIII reads it",
 	"heffte.Frontier":           "machine preset next to Summit and Spock",
@@ -68,6 +70,9 @@ var surfaceKeep = map[string]string{
 	"core.RealPlan.OutBox":     "the half-grid box a RealPlan's output lands in, for callers that allocate it",
 
 	// Settings kept although no non-test file sets them.
+	"plot.Options.Width":      "only the renderer tests draw at other than the default 60 columns",
+	"plot.Options.Height":     "only the renderer tests draw at other than the default 16 rows",
+	"warpx.Config.Dt":         "only the solver tests step at other than the default Δt",
 	"serve.Request.Decomp":    "it names the engine labels that seed the chaos schedules",
 	"serve.Config.NoGPUAware": "the benchmark harness reads it to configure its own replay worlds",
 }
@@ -83,7 +88,9 @@ var surfaceKeep = map[string]string{
 //     count when the type implements fmt.Stringer or error, which fmt calls.
 //   - (b) every exported field of an exported struct type must be written by
 //     some non-test file: a composite literal, an assignment, an inc/dec,
-//     taking its address, or calling a pointer method on it.
+//     taking its address, or calling a pointer method on it. Defaulting is
+//     not setting: `if o.F <= 0 { o.F = 2 }` — a constant assigned to the
+//     field the enclosing if compares with its zero value — is no write.
 //
 // surfaceKeep names the exceptions.
 func TestExportedSurfaceHasCallers(t *testing.T) {
@@ -256,8 +263,15 @@ func collectWrites(info *types.Info, f *ast.File, written map[*types.Var]bool) {
 			}
 		}
 	}
+	defaults := map[*ast.AssignStmt]bool{}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch x := n.(type) {
+		case *ast.IfStmt:
+			for _, st := range x.Body.List {
+				if as, ok := st.(*ast.AssignStmt); ok && isDefaulting(info, x.Cond, as) {
+					defaults[as] = true
+				}
+			}
 		case *ast.CompositeLit:
 			typ := info.TypeOf(x)
 			if p, ok := typ.Underlying().(*types.Pointer); ok {
@@ -275,6 +289,9 @@ func collectWrites(info *types.Info, f *ast.File, written map[*types.Var]bool) {
 				}
 			}
 		case *ast.AssignStmt:
+			if defaults[x] {
+				break
+			}
 			for _, lhs := range x.Lhs {
 				lvalue(lhs)
 			}
@@ -304,6 +321,37 @@ func collectWrites(info *types.Info, f *ast.File, written map[*types.Var]bool) {
 		}
 		return true
 	})
+}
+
+// isDefaulting reports whether as, a statement in the body of an if with
+// condition cond, defaults a field: it assigns a constant to a field selector
+// that cond compares (==, <=) with its zero value, as in
+// `if o.F <= 0 { o.F = 2 }`.
+func isDefaulting(info *types.Info, cond ast.Expr, as *ast.AssignStmt) bool {
+	if as.Tok != token.ASSIGN || len(as.Lhs) != 1 || info.Types[as.Rhs[0]].Value == nil {
+		return false
+	}
+	sel, ok := ast.Unparen(as.Lhs[0]).(*ast.SelectorExpr)
+	if !ok || info.Selections[sel] == nil || info.Selections[sel].Kind() != types.FieldVal {
+		return false
+	}
+	c, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+	if !ok || (c.Op != token.EQL && c.Op != token.LEQ) {
+		return false
+	}
+	zero := info.Types[c.Y].Value
+	if zero == nil || types.ExprString(c.X) != types.ExprString(sel) {
+		return false
+	}
+	switch zero.Kind() {
+	case constant.Int, constant.Float:
+		return constant.Sign(zero) == 0
+	case constant.String:
+		return constant.StringVal(zero) == ""
+	case constant.Bool:
+		return !constant.BoolVal(zero)
+	}
+	return false
 }
 
 type modulePackage struct {
