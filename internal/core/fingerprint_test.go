@@ -19,9 +19,9 @@ import (
 // configuration end to end and folds every rank's final clock and every output
 // element (math.Float64bits, rank order) into one FNV-64a value. The table was
 // generated on the tree before the executor/exchange/engine merge: a Class A
-// row (see ISSUE 14's virtual-clock contract) must never change; a Class B
-// row changes once, in the commit that moves it, with the old value recorded
-// in EXPERIMENTS.md.
+// row (the virtual-clock contract of EXPERIMENTS.md) must never change; a
+// Class B row changes once, in the commit that moves it, whose message lists
+// every regenerated row before → after.
 
 type fpHash struct{ h hash.Hash64 }
 
@@ -172,24 +172,20 @@ func fpCases() []fpCase {
 	return cs
 }
 
-// fpWant is the golden table (generated at the parent of ISSUE 14). Four rows
-// were regenerated by ISSUE 20, when CollAuto began asking the simulator's
-// pricers and reversed reshapes began resolving like forward ones, each to a
-// lower makespan: staged-auto-phantom256, shrink, real/alltoallv and
-// real/alltoallv/invariants (before → after in EXPERIMENTS.md).
+// fpWant is the golden table.
 var fpWant = map[string]uint64{
 	"slabs/alltoallv":                     0xdce50db566a3ec53,
-	"slabs/alltoall":                      0x869811a9ea18644b,
+	"slabs/alltoall":                      0xf043172dcdaf3f8e,
 	"slabs/alltoallw":                     0xe3ef151646efa0e1,
 	"slabs/p2p":                           0xbf8138b4dbdf5fe6,
 	"slabs/p2p-blocking":                  0x4abc45b4a083b338,
-	"pencils/alltoallv":                   0xfc145da27f71d035,
-	"pencils/alltoall":                    0x6414e5fb35aa52dc,
+	"pencils/alltoallv":                   0x8f134953b49941d3,
+	"pencils/alltoall":                    0x8a2b6bd06ee59045,
 	"pencils/alltoallw":                   0x1f64c4590180e5c4,
 	"pencils/p2p":                         0x9e18881c19777e6b,
 	"pencils/p2p-blocking":                0xcb02984b49c94f2d,
 	"bricks/alltoallv":                    0x5da5e681458bd5dc,
-	"bricks/alltoall":                     0xfe084148a7e9e033,
+	"bricks/alltoall":                     0x7876670e8dbb2873,
 	"bricks/alltoallw":                    0xd8fb7f7e900f03d9,
 	"bricks/p2p":                          0xa753fa0e1989a821,
 	"bricks/p2p-blocking":                 0x043af2c3e56d0b1a,
@@ -212,39 +208,39 @@ var fpWant = map[string]uint64{
 	"round-robin/node-aware":              0x644e612ce53b6049,
 	"integrity/off":                       0xb92db78d52c6055c,
 	"integrity/checksums":                 0x4a7e07cc69f84941,
-	"integrity/invariants":                0xbffdce207f11b9da,
-	"integrity/both":                      0x013353f183dd03d5,
-	"integrity/invariants/batch4/chunks2": 0x9e0ae39df9f026ee,
+	"integrity/invariants":                0x6ed548f2175ffdc0,
+	"integrity/both":                      0xd4b5068f6934c203,
+	"integrity/invariants/batch4/chunks2": 0x6d77879fe5c8f103,
 	"integrity/invariants/p2p/slabs":      0x8c593c3fc16b9041,
-	"integrity/both/alltoall":             0xf3757d6db58905de,
+	"integrity/both/alltoall":             0x31297496ecfd8a20,
 	"batch4/alltoallv":                    0xd1f124df472b2e92,
 	"batch4/p2p":                          0x227143989a198e52,
 	"batch3/slabs/alltoall":               0x79dcc3f99269b69b,
 	"batch2/phantom":                      0x967a00518a9a6234,
-	"wire/fp32":                           0x80f59140d86877c7,
+	"wire/fp32":                           0xc9e9d55e480cc1f3,
 	"wire/fp16/p2p":                       0x55efc933cff1d468,
-	"wire/fp32/invariants":                0x08e7dec377c15f04,
+	"wire/fp32/invariants":                0xfe6ff7952d470f73,
 	"wire/fp32/chunks3-overlap":           0x431956d54640cbf6,
-	"wire/fp32/chunks3-serial":            0x08e19145dbf1bd39,
+	"wire/fp32/chunks3-serial":            0xe88a8e4211490979,
 	"uneven/pencils":                      0x8edcee6a7e01b21e,
 	"uneven/bricks/p2p":                   0xbc6659e8be23aafa,
 	"uneven/chunks3":                      0x1fc8b0afdfc359ca,
-	"contiguous":                          0xd9b9518b1a01fbfe,
+	"contiguous":                          0x00ab5e61a5ea858f,
 	"shrink":                              0xf5e5c1d0402078b7,
-	"real/alltoallv":                      0x1fe12d9b9c5e730c,
+	"real/alltoallv":                      0x796e30d7a930d4ac,
 	"real/p2p":                            0x3473e90c62ebe8a6,
 	"real/alltoallw/phantom":              0xd81b02da17019a44,
 	"real/p2p/batch4":                     0xcfc2c1029c70b839,
-	"real/alltoallv/invariants":           0x56fca4b1e9a5a533,
+	"real/alltoallv/invariants":           0xea3a9e8d8c476646,
 	"pipelined/aware/batch3":              0xfc7144f88407684f,
 	"pipelined/staged/batch4":             0xbf1ee1388b0e7da8,
 	"pipelined/slabs/batch2":              0xa81438d2916d1c08,
 	"pipelined/invariants/batch2":         0x19b42539f4c934bd,
 	"fault/degrade":                       0x698cd64be7613d25,
 	"fault/degrade/chunks3":               0xf2395c090164421d,
-	"fault/brick-flip-healed":             0xae5bbe1b77f32afc,
+	"fault/brick-flip-healed":             0x0a756bcd588f87b9,
 	"fault/wire-flip-retransmit":          0x0c258b318d257070,
-	"resume/survivors":                    0xa44852ef9488995f,
+	"resume/survivors":                    0x17b4426d5401f07e,
 }
 
 // fpExecute runs one row and returns its fingerprint.

@@ -217,15 +217,8 @@ func (e *engine) runABFT(st *stage, fields []*Field, dir fft.Direction) float64 
 	// Batch entries beyond the first ride the overlap pipeline through the
 	// returned per-entry cost, exactly like the plain path.
 	e.dev.Retain(bytes)
-	kernelCost := e.chargeKernel(st)
+	per := e.chargeKernel(st) + g.RetainCost(bytes) + g.ChecksumCost(bytes)
 	e.dev.Checksum(bytes)
-	if st.kind != stageFFT2D {
-		// A 1-D stage's deferred per-entry cost has left its kernel out since
-		// the invariants were introduced (only the slab stage counted it).
-		// Kept: batched clocks under Invariants must not move in a refactor.
-		kernelCost = 0
-	}
-	per := kernelCost + g.RetainCost(bytes) + g.ChecksumCost(bytes)
 
 	if fields[0].Phantom() {
 		// Cost-only: identical virtual charges, one probe per entry so fault

@@ -426,3 +426,48 @@ func TestPhantomRealTimingParity(t *testing.T) {
 		t.Errorf("phantom clock %g != real clock %g with integrity on", phantom, concrete)
 	}
 }
+
+// TestInvariantsNeverMakeARunCheaper: arming the ABFT phase invariants adds
+// priced work (a retained snapshot and a verification sum per stage and
+// entry) and removes none, so a batched transform with them on is never
+// faster than without, and costs at most 3 % more — the integrity layer's
+// overhead gate. Every stage's deferred per-entry cost, the part a batch
+// hides behind the next exchange, counts its kernel either way.
+func TestInvariantsNeverMakeARunCheaper(t *testing.T) {
+	const ranks = 6
+	global := [3]int{32, 32, 32}
+	makespan := func(batch, chunks int, invariants bool) float64 {
+		w := mpisim.NewWorld(machine.Summit(), ranks, mpisim.Options{
+			GPUAware: true, Integrity: mpisim.IntegrityConfig{Invariants: invariants}})
+		res := w.Run(func(c *mpisim.Comm) {
+			p, err := NewPlan(c, Config{Global: global, Opts: Options{
+				Decomp: DecompPencils, Backend: BackendAlltoallv, Comm: CommConfig{Chunks: chunks}}})
+			if err != nil {
+				t.Errorf("NewPlan: %v", err)
+				return
+			}
+			fs := make([]*Field, batch)
+			for i := range fs {
+				fs[i] = NewField(p.InBox())
+				fpFill(fs[i].Data, c.Rank(), i)
+			}
+			if err := p.ForwardBatch(fs); err != nil {
+				t.Errorf("rank %d: %v", c.Rank(), err)
+			}
+		})
+		if res.Err != nil {
+			t.Fatalf("batch %d, %d chunks, invariants %v: %v", batch, chunks, invariants, res.Err)
+		}
+		return res.MaxClock
+	}
+	for _, batch := range []int{1, 2, 4} {
+		for _, chunks := range []int{1, 2} {
+			off, on := makespan(batch, chunks, false), makespan(batch, chunks, true)
+			t.Logf("batch %d, %d chunks: %.1f µs → %.1f µs with invariants (%.3f×)", batch, chunks, off*1e6, on*1e6, on/off)
+			if on < off || on > 1.03*off {
+				t.Errorf("batch %d, %d chunks: invariants take the makespan from %.1f µs to %.1f µs (%.3f×), want within [1, 1.03]×",
+					batch, chunks, off*1e6, on*1e6, on/off)
+			}
+		}
+	}
+}

@@ -109,6 +109,9 @@ type Exchange struct {
 	Topo    *topo.System
 	M       *machine.Model
 
+	// pad is the round's largest block, self blocks included: what a padded
+	// linear walk (MPI_Alltoall) sends every peer.
+	pad int
 	// ns is scratch a node-aware pricing may work in (nil: it makes its own).
 	ns *nodeScratch
 }
@@ -178,23 +181,36 @@ type CollectiveAlgo interface {
 	Complete(ex *Exchange) []float64
 }
 
-// linearAlgo reproduces the vendor per-destination Alltoallv loop inside the
-// scheduled machinery (see scheduleOf for why both exist). The naive
-// loop keeps the saturated FlowBW; its unscheduled traffic is exactly what
-// the fabric's adaptive routing degrades under.
-type linearAlgo struct{}
+// linearAlgo is the vendor per-destination loop of MPI_Alltoallv: each rank
+// posts one message per destination its row names, in ascending order, and
+// pays the collective's per-message overhead, the wire latency and the
+// saturated per-flow bandwidth (topo.System.NaiveFlowBW: unscheduled traffic
+// is exactly what the fabric's adaptive routing degrades under) for each.
+// Padded, it is MPI_Alltoall's loop: every peer, named or not, at the round's
+// largest block (Exchange.pad) — the padding cost the paper observes on
+// brick↔pencil reshapes (Figs. 2 and 6).
+type linearAlgo struct{ padded bool }
 
 func (linearAlgo) Synchronized() bool { return true }
 
-func (linearAlgo) Complete(ex *Exchange) []float64 {
+func (a linearAlgo) Complete(ex *Exchange) []float64 {
 	comp := make([]float64, ex.Size)
 	for r := 0; r < ex.Size; r++ {
 		srcW := ex.Members[r].World
 		oh := ex.overhead(r)
 		t := 0.0
-		for _, f := range ex.Members[r].Flows {
-			dstW := ex.Members[f.Dst].World
-			t += oh + float64(f.Bytes)/ex.Topo.NaiveFlowBW(srcW, dstW) + ex.latency(srcW, dstW)
+		if a.padded {
+			for dst := range ex.Members {
+				if dst != r {
+					dstW := ex.Members[dst].World
+					t += oh + float64(ex.pad)/ex.Topo.NaiveFlowBW(srcW, dstW) + ex.latency(srcW, dstW)
+				}
+			}
+		} else {
+			for _, f := range ex.Members[r].Flows {
+				dstW := ex.Members[f.Dst].World
+				t += oh + float64(f.Bytes)/ex.Topo.NaiveFlowBW(srcW, dstW) + ex.latency(srcW, dstW)
+			}
 		}
 		comp[r] = ex.Members[r].Start + t*ex.factor(r)
 	}

@@ -14,8 +14,10 @@ import (
 // and their non-blocking twins — is one rendezvous written once (postAlltoall)
 // and one completion written once (finishAlltoall); a blocking call is a post
 // followed by a finish. What differs between flavours is only how the exchange
-// is priced, and the pricing policies are plain values beside each other
-// below.
+// is priced: every flavour but MPI_Alltoallw is one CollectiveAlgo schedule
+// (the padded and vendor loops are linearAlgo) priced by priceScheduled, with
+// one staging rule, one degrade rule and one injection-port gate;
+// MPI_Alltoallw's per-message loop is priceNaive.
 //
 // The engine prices from a Pattern: every member's sparse row of the exchange
 // matrix and its self block, in bytes. An FFT reshape is a fixed neighbour
@@ -48,10 +50,10 @@ import (
 //
 // The visiting-order contract: floating-point accumulation order is the
 // virtual clock, so every pricer walks a row's flows in exactly the order its
-// dense loop would have met them — ascending destination for the vendor and
-// linear loops (the self block at its place among them), cyclic distance
-// (dst − src) mod p for pairwise and ring, node order for the two-level
-// schedule, integer totals for Bruck. A block a row does not name adds nothing
+// dense loop would have met them — ascending destination for the linear and
+// Alltoallw loops (Alltoallw's self block at its place among them), cyclic
+// distance (dst − src) mod p for pairwise and ring, node order for the
+// two-level schedule, integer totals for Bruck. A block a row does not name adds nothing
 // in any of those loops, which is what makes the sparse walk bit-identical to
 // the dense one.
 
@@ -123,24 +125,6 @@ func (p *Pattern) sum() {
 			s.pad = max(s.pad, f.Bytes)
 			s.active[r], s.active[f.Dst] = true, true
 		}
-	}
-}
-
-// pricer is one pricing policy: given the round's pattern and every member's
-// contribution (entry clock, injection-port snapshot, degrade factor, buffer
-// location) it fills each rank's completion time outs[r].clock and, for the
-// scheduled policies, which occupy the injection port, its new busy-until time
-// outs[r].port (zero leaves the port untouched).
-type pricer struct {
-	naive naiveKind      // the unscheduled flavour, when sched is nil
-	sched CollectiveAlgo // a port-gated schedule
-}
-
-func (p pricer) price(c *Comm, ins []collIn, outs []collOut, ps *pricing, pat *Pattern) {
-	if p.sched != nil {
-		priceScheduled(c, ins, outs, ps, pat, p.sched)
-	} else {
-		priceNaive(c, ins, outs, pat, p.naive)
 	}
 }
 
@@ -223,28 +207,9 @@ func (ps *pricing) derive(ins []collIn) *Pattern {
 	return p
 }
 
-// naiveKind distinguishes the three unscheduled All-to-All flavours of
-// Table I.
-type naiveKind int
-
-const (
-	// kindAlltoall pads every pair to the communicator's largest block (the
-	// padding cost the paper observes on brick↔pencil reshapes, Figs. 2 and 6)
-	// in exchange for the most optimized vendor loop.
-	kindAlltoall  naiveKind = iota
-	kindAlltoallv           // vendor per-destination loop over exact sizes
-	kindAlltoallw           // per-message Isend/Irecv loop (Algorithm 2's transport)
-)
-
-// scheduleOf maps an Algo to its schedule. AlgoLinear is the per-destination
-// loop inside the scheduled machinery. It is not folded into the vendor
-// Alltoallv pricing: the vendor loop charges staging after the group's last
-// entry and multiplies the degrade factor over staging, self copy and wire
-// alike, while a scheduled exchange starts staging at local arrival and gates
-// on the injection port — the same traffic lands on different clocks. Blocking
-// AlgoLinear keeps the vendor pricing (schedulePricer); the non-blocking
-// flavour runs here because chunked pipelines post it back to back, and only
-// the port gate keeps two in-flight chunks from sharing the wire for free.
+// scheduleOf maps an Algo to its schedule, the one every blocking and
+// non-blocking all-to-all-v runs and PriceAlltoallv ranks; AlgoLinear is the
+// vendor per-destination loop.
 func scheduleOf(a Algo) CollectiveAlgo {
 	switch a {
 	case AlgoPairwise:
@@ -259,14 +224,6 @@ func scheduleOf(a Algo) CollectiveAlgo {
 	return linearAlgo{}
 }
 
-// schedulePricer maps an Algo to its pricing policy for blocking calls.
-func schedulePricer(a Algo) pricer {
-	if a == AlgoLinear {
-		return pricer{naive: kindAlltoallv}
-	}
-	return pricer{sched: scheduleOf(a)}
-}
-
 // PriceAlltoallv returns what the all-to-all-v described by rows costs under
 // schedule a on an idle group: the completion time of the slowest rank when
 // every member enters at virtual time zero with a free injection port and no
@@ -277,11 +234,11 @@ func schedulePricer(a Algo) pricer {
 // overhead is the device one on a GPU-aware world, the host one where they
 // would be staged.
 //
-// This is the function an executed exchange is priced by: the same Exchange
-// priceScheduled builds, handed to the same Complete (for AlgoLinear the
-// per-destination loop the vendor pricer walks). Staging, the self copy and
-// checksum envelopes cost the same under every schedule and are left out, so
-// the result ranks schedules; it is not the duration of a call.
+// This is the function every executed all-to-all-v is priced by, blocking or
+// not, for every schedule on every world: the same Exchange priceScheduled
+// builds, handed to the same Complete. Staging, the self copy and checksum
+// envelopes cost the same under every schedule and are left out, so the
+// result ranks schedules; it is not the duration of a call.
 func (c *Comm) PriceAlltoallv(rows [][]Flow, a Algo) float64 {
 	w := c.core.world
 	ex := &Exchange{Size: c.Size(), Members: make([]Member, c.Size()), Nodes: w.nodes, Topo: w.topo, M: w.model}
@@ -310,65 +267,32 @@ func stagingCost(m *machine.Model, totalSend, totalRecv int) float64 {
 		(1-m.StagingOverlap)*(float64(totalSend)/m.PCIeBW+float64(totalRecv)/m.PCIeBW)
 }
 
-// priceNaive prices the unscheduled collectives: every rank starts at the
-// group's last entry and walks its destinations in ascending rank order. The
-// vendor loops (MPI_Alltoall/v) stage in bulk when the stack is not GPU-aware
-// and pay the collective's per-message overhead, the saturated per-flow
-// bandwidth and the wire latency per destination. MPI_Alltoallw (Algorithm 2,
-// Dalcin et al.) is a naive per-message loop with high setup cost; staging (if
-// any) happens per message inside MsgCost — SpectrumMPI-like stacks are not
-// GPU-aware on this path. The port is not modeled: the call owns the wire
-// until it returns.
-func priceNaive(c *Comm, ins []collIn, outs []collOut, pat *Pattern, kind naiveKind) {
+// priceNaive prices MPI_Alltoallw (Algorithm 2, Dalcin et al.): a naive
+// per-message Isend/Irecv loop with high setup cost. Every rank starts at the
+// group's last entry and walks its destinations in ascending rank order, the
+// self block's device copy at its place among them (MPI short-circuits
+// zero-size blocks; a row names none). Staging, if any, happens per message
+// inside MsgCostOn — SpectrumMPI-like stacks are not GPU-aware on this path —
+// and the port is not modeled: the call owns the wire until it returns.
+func priceNaive(c *Comm, ins []collIn, outs []collOut, pat *Pattern) {
 	w := c.core.world
 	m := w.model
 	t0 := maxClock(ins)
-	s := &pat.sums
 	for r := range ins {
 		srcW := c.WorldRank(r)
-		dev := ins[r].dev
 		var t float64
-		staged := dev && !w.opts.GPUAware && kind != kindAlltoallw
-		if staged {
-			t += stagingCost(m, s.send[r], s.recv[r])
-		}
-		oh := m.HostOverheadColl
-		if dev && !staged {
-			oh = m.DeviceOverheadColl
-		}
-		// Self block: a device-local copy, charged at its place in the
-		// destination order.
 		selfCopy := float64(pat.Self[r]) * 2 / m.GPU.MemBW
-		if kind == kindAlltoall {
-			// The padded call charges every destination, whether or not a
-			// block is addressed to it, at the communicator's largest block.
-			for dst := range ins {
-				if dst == r {
-					t += selfCopy
-					continue
-				}
-				dstW := c.WorldRank(dst)
-				t += oh + float64(s.pad)/w.topo.NaiveFlowBW(srcW, dstW) + w.topo.Latency(srcW, dstW)
-			}
-		} else {
-			// MPI short-circuits zero-size blocks of the v and w flavours; a row
-			// names none.
-			self := pat.Self[r] > 0
-			for _, f := range pat.Rows[r] {
-				if self && f.Dst > r {
-					t += selfCopy
-					self = false
-				}
-				dstW := c.WorldRank(f.Dst)
-				if kind == kindAlltoallw {
-					t += m.MsgCostOn(f.Bytes, w.topo.Path(srcW, dstW), w.nodes, dev, w.opts.GPUAware, machine.ClassAlltoallw).Total()
-				} else {
-					t += oh + float64(f.Bytes)/w.topo.NaiveFlowBW(srcW, dstW) + w.topo.Latency(srcW, dstW)
-				}
-			}
-			if self {
+		self := pat.Self[r] > 0
+		for _, f := range pat.Rows[r] {
+			if self && f.Dst > r {
 				t += selfCopy
+				self = false
 			}
+			path := w.topo.Path(srcW, c.WorldRank(f.Dst))
+			t += m.MsgCostOn(f.Bytes, path, w.nodes, ins[r].dev, w.opts.GPUAware, machine.ClassAlltoallw).Total()
+		}
+		if self {
+			t += selfCopy
 		}
 		if f := ins[r].factor; f > 1 {
 			// Degraded link: this rank's whole exchange slows down.
@@ -382,7 +306,9 @@ func priceNaive(c *Comm, ins []collIn, outs []collOut, pat *Pattern, kind naiveK
 // everything the schedule itself does not model: PCIe staging for
 // non-GPU-aware device buffers, the self block's device copy, and
 // injection-port gating, so back-to-back exchanges serialize honestly on the
-// wire instead of overlapping for free.
+// wire instead of overlapping for free. A padded MPI_Alltoall prices exactly
+// as an all-to-all-v under AlgoLinear whose rows name every peer at the
+// round's largest block.
 func priceScheduled(c *Comm, ins []collIn, outs []collOut, ps *pricing, pat *Pattern, impl CollectiveAlgo) {
 	w := c.core.world
 	m := w.model
@@ -397,14 +323,22 @@ func priceScheduled(c *Comm, ins []collIn, outs []collOut, ps *pricing, pat *Pat
 	// The caller is the rendezvous' last arrival and has it to itself. The
 	// members' rows are the pattern's own.
 	ex := &ps.ex
-	*ex = Exchange{Size: size, Members: resize(ex.Members, size), Nodes: w.nodes, Topo: w.topo, M: m, ns: &c.core.rv.ns}
 	s := &pat.sums
+	*ex = Exchange{Size: size, Members: resize(ex.Members, size), Nodes: w.nodes, Topo: w.topo, M: m, pad: s.pad, ns: &c.core.rv.ns}
+	// A padded walk (MPI_Alltoall) stages the buffer it sends and receives:
+	// the round's largest block for every peer, plus the rank's self block.
+	padded := impl == linearAlgo{padded: true}
 	for r := range ins {
 		dev := ins[r].dev
 		stage := 0.0
 		staged := dev && !w.opts.GPUAware
 		if staged {
-			stage = stagingCost(m, s.send[r], s.recv[r])
+			send, recv := s.send[r], s.recv[r]
+			if padded {
+				send = (size-1)*s.pad + pat.Self[r]
+				recv = send
+			}
+			stage = stagingCost(m, send, recv)
 		}
 		// Staging copies ride PCIe, not the NIC: they start at local
 		// arrival and overlap whatever transfer still occupies the
@@ -491,13 +425,13 @@ func (rv *rendezvous) transpose(ins []collIn, outs []collOut, ps *pricing) {
 // fault entry (stalls, kills), the send-side envelope charge, defensive copies
 // of payloads not sent with Move, the rank's fault effects tagged onto every
 // block, and the injection-port snapshot. Rendezvous: the last arrival prices
-// the exchange from the pattern with p, transposes the deposits into per-rank
-// receive lists, and pushes the completion of every rank expecting a block
-// from a lost sender to +Inf. Epilogue: the port adopts the new busy-until
+// the exchange from the pattern with impl (nil: MPI_Alltoallw's per-message
+// loop), transposes the deposits into per-rank receive lists, and pushes the
+// completion of every rank expecting a block from a lost sender to +Inf. Epilogue: the port adopts the new busy-until
 // time. The returned request is complete in every respect except that the
 // caller's clock has not moved: finishAlltoall adopts the completion time. op
 // names the call in fault errors and timeouts.
-func (c *Comm) postAlltoall(pat *Pattern, send, recv []Block, loc machine.Location, p pricer, op string) CollRequest {
+func (c *Comm) postAlltoall(pat *Pattern, send, recv []Block, loc machine.Location, impl CollectiveAlgo, op string) CollRequest {
 	size := c.Size()
 	checkBlocks(send, size, op)
 	if pat != nil {
@@ -545,7 +479,11 @@ func (c *Comm) postAlltoall(pat *Pattern, send, recv []Block, loc machine.Locati
 	out := rv.exchange(c.core.world, c.rank, in, func(ins []collIn, outs []collOut) {
 		ps := pricingPool.Get().(*pricing)
 		pat := ps.patternOf(ins)
-		p.price(c, ins, outs, ps, pat)
+		if impl != nil {
+			priceScheduled(c, ins, outs, ps, pat, impl)
+		} else {
+			priceNaive(c, ins, outs, pat)
+		}
 		rv.transpose(ins, outs, ps)
 		// Dropped contributions: every rank expecting a nonzero block from a
 		// lost sender waits forever — its completion moves past any finite
@@ -594,21 +532,22 @@ func (c *Comm) finishAlltoall(r *CollRequest, traceName string, traceStart float
 }
 
 // blockingAlltoall is post + finish with nothing in between.
-func (c *Comm) blockingAlltoall(pat *Pattern, send, recv []Block, loc machine.Location, p pricer, op string) []Block {
-	r := c.postAlltoall(pat, send, recv, loc, p, op)
+func (c *Comm) blockingAlltoall(pat *Pattern, send, recv []Block, loc machine.Location, impl CollectiveAlgo, op string) []Block {
+	r := c.postAlltoall(pat, send, recv, loc, impl, op)
 	return c.finishAlltoall(&r, op, r.postedAt)
 }
 
 // AlltoallSparse exchanges sparse vectors with MPI_Alltoall semantics: all
 // pairs — named or not — are padded to the maximum block size in the
-// communicator, in exchange for the most optimized vendor algorithm. pat
+// communicator, and the call is priced as AlltoallvSparse under AlgoLinear
+// over that padded matrix: every peer at the largest block. pat
 // describes the exchange, or is nil to have it read off the send lists; send
 // may be nil when pat is given and there is no payload to carry. loc is where
 // the rank's send buffer lives. The returned list is recv (or a grown copy of
 // it) holding the blocks addressed to this rank, ascending by source; recv may
 // be nil.
 func (c *Comm) AlltoallSparse(pat *Pattern, send, recv []Block, loc machine.Location) []Block {
-	return c.blockingAlltoall(pat, send, recv, loc, pricer{naive: kindAlltoall}, "MPI_Alltoall")
+	return c.blockingAlltoall(pat, send, recv, loc, linearAlgo{padded: true}, "MPI_Alltoall")
 }
 
 // AlltoallwSparse prices MPI_Alltoallw, the generalized all-to-all on derived
@@ -617,18 +556,19 @@ func (c *Comm) AlltoallSparse(pat *Pattern, send, recv []Block, loc machine.Loca
 // stacks, no GPU-awareness, so device buffers stage through PCIe per message.
 // pat, send, recv and loc are as for AlltoallSparse.
 func (c *Comm) AlltoallwSparse(pat *Pattern, send, recv []Block, loc machine.Location) []Block {
-	return c.blockingAlltoall(pat, send, recv, loc, pricer{naive: kindAlltoallw}, "MPI_Alltoallw")
+	return c.blockingAlltoall(pat, send, recv, loc, nil, "MPI_Alltoallw")
 }
 
 // AlltoallvSparse exchanges exact per-pair sizes, scheduled by the selected
-// algorithm (pairwise exchange, ring streaming, Bruck log-step, or the
-// node-aware two-level schedule). The received bytes are identical for every
-// algorithm; only the virtual-time cost differs. AlgoLinear is the vendor
-// MPI_Alltoallv loop. Scheduled exchanges also serialize through each rank's
-// injection port, so chunked back-to-back exchanges pipeline honestly instead
-// of overlapping for free. pat, send, recv and loc are as for AlltoallSparse.
+// algorithm (the vendor linear loop, pairwise exchange, ring streaming, Bruck
+// log-step, or the node-aware two-level schedule) and priced exactly as
+// PriceAlltoallv ranks it, plus staging and the self copy. The received bytes
+// are identical for every algorithm; only the virtual-time cost differs. Every
+// schedule serializes through each rank's injection port, so chunked
+// back-to-back exchanges pipeline honestly instead of overlapping for free.
+// pat, send, recv and loc are as for AlltoallSparse.
 func (c *Comm) AlltoallvSparse(pat *Pattern, send, recv []Block, loc machine.Location, a Algo) []Block {
-	return c.blockingAlltoall(pat, send, recv, loc, schedulePricer(a), "MPI_Alltoallv")
+	return c.blockingAlltoall(pat, send, recv, loc, scheduleOf(a), "MPI_Alltoallv")
 }
 
 // The dense adapters: send[dst] → recv[src] over vectors of one Buf per comm

@@ -16,10 +16,11 @@ type CollRequest struct {
 	bytes      int
 	// op names the posting call in timeout and corruption errors.
 	op string
-	// waitName is the trace name of the completing wait. The vendor
-	// Ialltoallv records "MPI_Wait(coll)"; the algorithm-scheduled exchanges
-	// record "MPI_Alltoallv", so per-call breakdowns attribute the
-	// communication time to the collective regardless of pipelining.
+	// waitName is the trace name of the completing wait. The dense
+	// Ialltoallv records "MPI_Wait(coll)"; IalltoallvSparse records
+	// "MPI_Alltoallv", so per-call breakdowns attribute the communication time
+	// to the collective regardless of pipelining. The name is all that
+	// differs: both are priced by the same schedules.
 	waitName string
 }
 
@@ -29,21 +30,21 @@ type CollRequest struct {
 // scheduled immediately, but the caller pays only the posting overhead now
 // and the remaining exchange time at WaitSparse, where it overlaps whatever
 // local work ran in between (the chunked pipelined reshape packs the next
-// chunk there). Unlike the blocking call, AlgoLinear is port-gated here (see
-// scheduleOf). The blocks are delivered into recv at the post, so the send
+// chunk there). The exchange is priced exactly as the blocking
+// AlltoallvSparse with the same algorithm. The blocks are delivered into recv at the post, so the send
 // list is free when this returns; recv belongs to the request until the wait
 // hands it back.
 //
 // Posting synchronizes in *real* time with the other ranks (they must all
 // reach the post), but virtual time keeps the overlap semantics.
 func (c *Comm) IalltoallvSparse(pat *Pattern, send, recv []Block, loc machine.Location, a Algo) *CollRequest {
-	return c.ipostAlltoall(pat, send, recv, loc, pricer{sched: scheduleOf(a)}, "MPI_Alltoallv")
+	return c.ipostAlltoall(pat, send, recv, loc, scheduleOf(a), "MPI_Alltoallv")
 }
 
 // ipostAlltoall is the non-blocking post: the engine's rendezvous plus the
 // posting overhead, which is all the caller pays until the wait.
-func (c *Comm) ipostAlltoall(pat *Pattern, send, recv []Block, loc machine.Location, p pricer, waitName string) *CollRequest {
-	r := c.postAlltoall(pat, send, recv, loc, p, "MPI_Ialltoallv")
+func (c *Comm) ipostAlltoall(pat *Pattern, send, recv []Block, loc machine.Location, impl CollectiveAlgo, waitName string) *CollRequest {
+	r := c.postAlltoall(pat, send, recv, loc, impl, "MPI_Ialltoallv")
 	r.waitName = waitName
 	st := c.state()
 	st.clock += c.Model().HostOverheadColl
@@ -71,11 +72,12 @@ func (c *Comm) WaitSparse(r *CollRequest) []Block {
 // (benchmark/replay.go); see the dense adapters in alltoall.go.
 
 // Ialltoallv posts the vendor non-blocking MPI_Ialltoallv over a dense vector
-// (send[dst]): its completion time is computed exactly as the blocking vendor
-// loop's, and WaitColl records it as "MPI_Wait(coll)".
+// (send[dst]): its completion time is computed exactly as the blocking
+// AlltoallvSparse's under AlgoLinear, and WaitColl records it as
+// "MPI_Wait(coll)".
 func (c *Comm) Ialltoallv(send []Buf) *CollRequest {
 	blocks, loc := c.compress(send, "MPI_Ialltoallv")
-	return c.ipostAlltoall(nil, blocks, nil, loc, pricer{naive: kindAlltoallv}, "MPI_Wait(coll)")
+	return c.ipostAlltoall(nil, blocks, nil, loc, linearAlgo{}, "MPI_Wait(coll)")
 }
 
 // WaitColl is WaitSparse returning the received buffers indexed by source

@@ -580,7 +580,7 @@ func TestRendezvousReleasesRound(t *testing.T) {
 			}
 			return bufs
 		}
-		// A split, the vendor pricing, and last — every round overwrites
+		// A split, a blocking exchange, and last — every round overwrites
 		// the scratch the one before it gave back — a schedule (members and
 		// their flows) posted non-blocking, which returns before its wait.
 		c.Split(c.Rank()%2, 0)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/machine"
 	"repro/internal/topo"
 )
@@ -62,6 +63,65 @@ func TestPriceAlltoallvIsTheExecutedClock(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestOneLinearRule: every linear all-to-all is one cost rule — one staging
+// rule, one degrade rule, one injection-port gate. On a host-staged world
+// whose ranks enter at skewed clocks, one of them on a degraded link, the
+// blocking AlgoLinear exchange and its non-blocking twin complete on identical
+// per-rank clocks, and so do the padded MPI_Alltoall and AlgoLinear over the
+// same rows padded by hand to every peer at the round's largest block.
+func TestOneLinearRule(t *testing.T) {
+	const size = 8 // 6 + 2 Summit ranks: the rows cross a node boundary
+	rng := rand.New(rand.NewSource(17))
+	pat := &Pattern{Rows: make([][]Flow, size), Self: make([]int, size)}
+	pad := 0
+	for r := range size {
+		pat.Self[r] = 16 * rng.Intn(2048)
+		pad = max(pad, pat.Self[r])
+		for d := range size {
+			if d != r && rng.Intn(3) > 0 {
+				f := Flow{Dst: d, Bytes: 16 * (1 + rng.Intn(4096))}
+				pat.Rows[r] = append(pat.Rows[r], f)
+				pad = max(pad, f.Bytes)
+			}
+		}
+	}
+	padded := &Pattern{Rows: make([][]Flow, size), Self: pat.Self}
+	for r := range size {
+		for d := range size {
+			if d != r {
+				padded.Rows[r] = append(padded.Rows[r], Flow{Dst: d, Bytes: pad})
+			}
+		}
+	}
+	clocks := func(call func(c *Comm)) []float64 {
+		w := NewWorld(machine.Summit(), size, Options{Faults: &faults.Plan{Events: []faults.Event{
+			{Kind: faults.Degrade, Rank: 3, Op: 0, Factor: 3, Count: 1}}}})
+		res := w.Run(func(c *Comm) {
+			c.Advance(float64(c.Rank()%3) * 40e-6)
+			call(c)
+		})
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		return res.Clocks
+	}
+	same := func(what string, a, b []float64) {
+		t.Helper()
+		for r := range a {
+			if a[r] != b[r] {
+				t.Errorf("%s: rank %d completes at %.17g s against %.17g s", what, r, a[r], b[r])
+			}
+		}
+	}
+	blocking := clocks(func(c *Comm) { c.AlltoallvSparse(pat, nil, nil, machine.Device, AlgoLinear) })
+	same("IalltoallvSparse+WaitSparse against blocking AlltoallvSparse", clocks(func(c *Comm) {
+		c.WaitSparse(c.IalltoallvSparse(pat, nil, nil, machine.Device, AlgoLinear))
+	}), blocking)
+	same("AlltoallSparse against AlltoallvSparse over padded rows", clocks(func(c *Comm) {
+		c.AlltoallSparse(pat, nil, nil, machine.Device)
+	}), clocks(func(c *Comm) { c.AlltoallvSparse(padded, nil, nil, machine.Device, AlgoLinear) }))
 }
 
 // TestBruckForwardedClosedForm: the arithmetic count of distances with bit k

@@ -53,9 +53,10 @@ type Result struct {
 
 // DefaultCandidates returns the sweep the paper tunes over: both
 // decompositions, all exchange flavours of Table I, both data layouts — and,
-// for the Alltoallv backend, each of the selectable collective schedules
-// (auto plus the three forced algorithms), since algorithm choice is part of
-// the tuning space of a collective-optimized FFT.
+// for the Alltoallv backend, auto plus the four forced schedules pairwise,
+// ring, Bruck and node-aware (auto already weighs the linear loop per phase),
+// since algorithm choice is part of the tuning space of a collective-optimized
+// FFT.
 func DefaultCandidates() []Candidate {
 	var out []Candidate
 	for _, d := range []core.Decomposition{core.DecompSlabs, core.DecompPencils} {
