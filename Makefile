@@ -31,11 +31,15 @@ test:
 # multiplexes many submitters onto shared engines through the scheduler, the
 # plan cache and the cancellation paths. The list and round-scratch reuse
 # tests and the exchange-pattern tests run again at 1, 2 and 8 processors, so
-# the lifetimes and the shared patterns are checked under different schedules.
-# Used by CI.
+# the lifetimes and the shared patterns are checked under different schedules,
+# and so do the tests that gate the rendezvous wake protocol under aborts: a
+# member whose round was computed leaves with its output even if the world
+# fails meanwhile (TestCompletedRoundSurvivesAbort, TestForwardCtxCancellation),
+# and a leader's wake never blocks on a slot an abort filled
+# (TestRepeatedAbortsNeverBlockALeader). Used by CI.
 race:
 	go test -race ./internal/mpisim/ ./internal/core/ ./internal/fft/ ./internal/trace/ ./internal/tuning/ ./heffte/serve/ ./internal/sched/
-	go test -race -count=1 -cpu 1,2,8 -run 'TestRecycledListsMatchFresh|TestRendezvousReleasesRound|TestPatternMatchesBlocks|TestBareExchangesMoveNoBlockLists|TestPatternPricesLikeBlocks' ./internal/core/ ./internal/mpisim/
+	go test -race -count=1 -cpu 1,2,8 -run 'TestRecycledListsMatchFresh|TestRendezvousReleasesRound|TestPatternMatchesBlocks|TestBareExchangesMoveNoBlockLists|TestPatternPricesLikeBlocks|TestCompletedRoundSurvivesAbort|TestRepeatedAbortsNeverBlockALeader|TestForwardCtxCancellation' ./internal/core/ ./internal/mpisim/
 
 # The repository benchmark (BENCHMARK.json): four workloads, end-to-end
 # metrics at reference host speed plus per-layer rows; see benchmark/README.md.

@@ -86,13 +86,14 @@ func main() {
 			}
 			return
 		}
-		start, end, per, err := tuning.Measure(c, p, *batch, *iters)
+		// Measure times batched calls: a call carries batch transforms.
+		start, end, perCall, err := tuning.Measure(c, p, *batch, *iters)
 		if err != nil {
 			panic(err)
 		}
 		ends[c.Rank()] = end
 		if c.Rank() == 0 {
-			from, perFFT = start, per
+			from, perFFT = start, perCall/float64(*batch)
 			resolved = p.Decomp()
 			exchanges = p.Exchanges()
 			phases = p.CommPhases()
@@ -125,7 +126,7 @@ func main() {
 		fmt.Println()
 	}
 	fmt.Printf("time per transform: %s  (%.1f GFLOP/s aggregate)\n",
-		heffte.FormatSeconds(perFFT), heffte.Gflops(heffte.FFTFlops(*n**n**n)*float64(*batch), perFFT*float64(*batch)))
+		heffte.FormatSeconds(perFFT), heffte.Gflops(heffte.FFTFlops(*n**n**n), perFFT))
 
 	if *traceOut != "" {
 		if err := heffte.WriteChromeFile(tr, *traceOut); err != nil {
@@ -139,7 +140,7 @@ func main() {
 	// wait is what none of its events covers, the closing barrier included.
 	tr.Prune(from)
 	last := slices.Index(ends, slices.Max(ends))
-	rows := tr.Breakdown(last, *iters, perFFT)
+	rows := tr.Breakdown(last, *iters**batch, perFFT)
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "kernel\tper transform (rank %d, last to finish)\n", last)
 	for _, k := range tr.Names() {

@@ -126,6 +126,47 @@ func TestBreakdownAddsUp(t *testing.T) {
 	}
 }
 
+// TestBatchReportsPerTransform: with -batch N the headline is per transform,
+// not per batched call of N transforms. At 64³ on 6 ranks, batch 16 amortizes
+// per-call costs, so its time per transform is below batch 1's (a per-call
+// figure is ≈ 10× it), and at every batch the GFLOP/s is one transform's
+// 5·N·log2 N over that time.
+func TestBatchReportsPerTransform(t *testing.T) {
+	const n = 64
+	flops := 5 * float64(n*n*n) * math.Log2(float64(n*n*n))
+	per := map[string]float64{}
+	for _, batch := range []string{"1", "16"} {
+		cmd := exec.Command(os.Args[0], "-n", strconv.Itoa(n), "-ranks", "6", "-batch", batch)
+		cmd.Env = append(os.Environ(), "FFTSIM_AS_MAIN=1")
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(out), "\n") {
+			rest, ok := strings.CutPrefix(line, "time per transform: ")
+			if !ok {
+				continue
+			}
+			secs, gf, _ := strings.Cut(rest, "  (")
+			v, half := parseSeconds(t, secs)
+			g, err := strconv.ParseFloat(strings.TrimSuffix(gf, " GFLOP/s aggregate)"), 64)
+			if err != nil {
+				t.Fatalf("batch %s: unparsable rate in %q", batch, line)
+			}
+			if lo, hi := flops/(v+half)/1e9-0.05, flops/(v-half)/1e9+0.05; g < lo || g > hi {
+				t.Errorf("batch %s: %s is %g GFLOP/s, want one transform's flops over it: %.1f–%.1f", batch, secs, g, lo, hi)
+			}
+			per[batch] = v
+		}
+	}
+	if per["1"] == 0 || per["16"] == 0 {
+		t.Fatalf("no time per transform: %v", per)
+	}
+	if per["16"] >= per["1"] {
+		t.Errorf("batch 16 reports %.4g s per transform, batch 1 %.4g s: the batched figure is per call", per["16"], per["1"])
+	}
+}
+
 // parseSeconds reads a FormatSeconds value and returns it with half a unit
 // of its last printed digit.
 func parseSeconds(t *testing.T, s string) (v, half float64) {

@@ -4,21 +4,22 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // rendezvous is the synchronization point of collectives: every member
 // deposits an input and a clock snapshot; the last arrival runs the timing
-// computation over all inputs; everyone leaves with its own output. A
-// drain phase keeps back-to-back collectives on the same communicator from
-// overlapping.
+// computation over all inputs, retires the round and wakes every other member
+// once, through the member's wake slot (rankState.slot); everyone leaves with
+// its own output. A retired round is the members' alone, so the
+// communicator's next collective opens a new round at once.
 type rendezvous struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	size    int
-	arrived int
-	leaving int
-	// round is the scratch of the round in progress, drawn from roundPool at
-	// its first arrival and given back when its last member leaves.
+	mu sync.Mutex
+	// ranks are the members' world ranks (the communicator's worldRanks):
+	// they name the wake slots.
+	ranks []int
+	// round is the round taking deposits, drawn from roundPool at its first
+	// arrival and retired (nil) when its last arrival has computed it.
 	round *round
 	// ns is pricing scratch of the round's compute (see nodeScratch).
 	ns nodeScratch
@@ -33,8 +34,12 @@ type rendezvous struct {
 // pool like any cache — and it holds no pointer into a member's lists or
 // payloads once it is back in the pool.
 type round struct {
-	ins  []collIn
-	outs []collOut
+	ins     []collIn
+	outs    []collOut
+	arrived int // under rendezvous.mu
+	// leaving counts the members yet to pick up their output; the one that
+	// takes it to zero gives the round back to the pool.
+	leaving atomic.Int32
 }
 
 var roundPool = sync.Pool{New: func() any { return new(round) }}
@@ -53,6 +58,7 @@ func resize[T any](s []T, n int) []T {
 func getRound(size int) *round {
 	rd := roundPool.Get().(*round)
 	rd.ins, rd.outs = resize(rd.ins, size), resize(rd.outs, size)
+	rd.arrived = 0
 	return rd
 }
 
@@ -103,19 +109,51 @@ type collOut struct {
 	splitRank int
 }
 
-func newRendezvous(size int) *rendezvous {
-	rv := &rendezvous{size: size}
-	rv.cond = sync.NewCond(&rv.mu)
-	return rv
-}
-
 // exchange runs one collective round. compute is executed exactly once, by
 // the last arriving rank: ins holds every member's input, and compute fills
 // outs (zeroed, one per member). The rendezvous keeps no reference to a round
-// once it is over: the scratch goes back to roundPool, cleared, when the last
-// member has picked up its output — the communicator's next collective may be
-// far off, and the inputs reach every member's lists.
+// once it is computed, and the round goes back to roundPool, cleared, when the
+// last member has picked up its output — the communicator's next collective
+// may be far off, and the inputs reach every member's lists.
+//
+// A member deposits under rv.mu and blocks on its rank's wake slot; the
+// leader's wake send happens-before the receive, so the member reads its
+// output without the lock. The slot also takes World.abort's tokens, and the
+// protocol keeps these rules:
+//  1. entering a failed world's rendezvous panics;
+//  2. a member woken in a failed world whose round was not computed panics;
+//  3. a member whose round was computed leaves with its output, even if the
+//     world failed since (rv.round no longer names the round);
+//  4. the leader's wake never blocks: abort runs once per failing rank, so a
+//     slot can hold a token of a rank that has already left;
+//  5. in a healthy world each member takes exactly one wake per round, and
+//     the round goes back to the pool exactly once.
 func (rv *rendezvous) exchange(w *World, rank int, in collIn, compute func(ins []collIn, outs []collOut)) collOut {
+	rd, led := rv.arrive(w, rank, in, compute)
+	if led {
+		for r, wr := range rv.ranks {
+			if r != rank {
+				w.states[wr].wake()
+			}
+		}
+	} else {
+		<-w.states[rv.ranks[rank]].slot
+		if w.failed.Load() && !rv.retired(rd) {
+			panic(worldAborted{})
+		}
+	}
+	out := rd.outs[rank]
+	if rd.leaving.Add(-1) == 0 {
+		rd.release()
+	}
+	return out
+}
+
+// arrive deposits in under rv.mu. The last arrival computes the round and
+// retires it before the lock is released, and reports led. The unlock is
+// deferred so that a compute that panics leaves rv.mu free for the members
+// the abort wakes.
+func (rv *rendezvous) arrive(w *World, rank int, in collIn, compute func(ins []collIn, outs []collOut)) (rd *round, led bool) {
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
 	// A failed world never completes another rendezvous — and a rank that
@@ -124,45 +162,26 @@ func (rv *rendezvous) exchange(w *World, rank int, in collIn, compute func(ins [
 	if w.failed.Load() {
 		panic(worldAborted{})
 	}
-	for rv.leaving > 0 {
-		if w.failed.Load() {
-			panic(worldAborted{})
-		}
-		rv.cond.Wait()
-	}
 	if rv.round == nil {
-		rv.round = getRound(rv.size)
+		rv.round = getRound(len(rv.ranks))
 	}
-	rv.round.ins[rank] = in
-	rv.arrived++
-	if rv.arrived == rv.size {
-		compute(rv.round.ins, rv.round.outs)
-		rv.arrived = 0
-		rv.leaving = rv.size
-		rv.cond.Broadcast()
-	} else {
-		for rv.leaving == 0 {
-			if w.failed.Load() {
-				panic(worldAborted{})
-			}
-			rv.cond.Wait()
-		}
+	rd = rv.round
+	rd.ins[rank] = in
+	rd.arrived++
+	if rd.arrived < len(rv.ranks) {
+		return rd, false
 	}
-	out := rv.round.outs[rank]
-	rv.leaving--
-	if rv.leaving == 0 {
-		rv.round.release()
-		rv.round = nil
-		rv.cond.Broadcast()
-	}
-	return out
+	compute(rd.ins, rd.outs)
+	rd.leaving.Store(int32(len(rv.ranks)))
+	rv.round = nil
+	return rd, true
 }
 
-// abortWake is called by World.abort to unblock rendezvous waiters.
-func (rv *rendezvous) abortWake() {
+// retired reports whether rd has been computed.
+func (rv *rendezvous) retired(rd *round) bool {
 	rv.mu.Lock()
-	rv.cond.Broadcast()
-	rv.mu.Unlock()
+	defer rv.mu.Unlock()
+	return rv.round != rd
 }
 
 // Barrier synchronizes all ranks of the communicator; clocks advance to the

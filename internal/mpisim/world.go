@@ -178,9 +178,6 @@ type World struct {
 
 	commIDs atomic.Int64
 
-	rvMu sync.Mutex
-	rvs  []*rendezvous // all rendezvous, woken on abort
-
 	shared sync.Map // key → *sharedSlot: once-per-world memoized values
 
 	// Integrity accounting: what the checksummed transport and the ABFT
@@ -221,7 +218,8 @@ func (w *World) Shared(key string, compute func() any) any {
 }
 
 // rankState is the virtual-time state of one world rank; it is touched only
-// by the owning goroutine (collectives exchange snapshots by value).
+// by the owning goroutine (collectives exchange snapshots by value), except
+// for the wake slot.
 type rankState struct {
 	clock      float64 // virtual now
 	portFreeAt float64 // injection port busy-until
@@ -232,6 +230,20 @@ type rankState struct {
 	// probes counts transform-phase execution attempts — the coordinate
 	// system of Brick CorruptSilent events (Comm.BrickProbe).
 	probes int
+	// slot is where the rank blocks in a rendezvous: the round's leader and
+	// World.abort post a token to it. A rank waits in at most one rendezvous
+	// at a time, so one slot per world rank serves every communicator.
+	slot chan struct{}
+}
+
+// wake posts a token to the rank's wake slot without blocking: a slot that
+// already holds one — an abort's, possibly of a rank that has left — wakes
+// its rank just the same.
+func (st *rankState) wake() {
+	select {
+	case st.slot <- struct{}{}:
+	default:
+	}
 }
 
 type message struct {
@@ -286,7 +298,7 @@ func NewWorld(m *machine.Model, size int, opts Options) *World {
 		suspicion: make([]int64, size),
 	}
 	for i := range w.states {
-		w.states[i] = &rankState{}
+		w.states[i] = &rankState{slot: make(chan struct{}, 1)}
 		w.mail[i] = newMailbox()
 	}
 	return w
@@ -364,11 +376,8 @@ func (w *World) abort(p any) {
 		mb.cond.Broadcast()
 		mb.mu.Unlock()
 	}
-	w.rvMu.Lock()
-	rvs := append([]*rendezvous(nil), w.rvs...)
-	w.rvMu.Unlock()
-	for _, rv := range rvs {
-		rv.abortWake()
+	for _, st := range w.states {
+		st.wake()
 	}
 }
 
@@ -404,15 +413,11 @@ func (w *World) newWorldComm() *commCore {
 }
 
 func (w *World) newComm(worldRanks []int) *commCore {
-	rv := newRendezvous(len(worldRanks))
-	w.rvMu.Lock()
-	w.rvs = append(w.rvs, rv)
-	w.rvMu.Unlock()
 	return &commCore{
 		world:      w,
 		id:         w.commIDs.Add(1),
 		worldRanks: worldRanks,
-		rv:         rv,
+		rv:         &rendezvous{ranks: worldRanks},
 	}
 }
 

@@ -305,11 +305,8 @@ func (s *Scheduler[T]) execBatch(key string, batch []*item[T]) {
 		perItem = func(i int) error { return be.Errs[i] }
 	}
 	end := time.Now()
-	for i, it := range items {
-		it.err = perItem(i)
-		it.state.Store(stDone)
-		close(it.done)
-	}
+	// Count the batch before waking its submitters, so a submitter that reads
+	// Stats after Submit returns sees its own outcome.
 	s.stats.bump(key, func(k *KeyStats) {
 		k.InFlight -= len(items)
 		for i, it := range items {
@@ -321,6 +318,11 @@ func (s *Scheduler[T]) execBatch(key string, batch []*item[T]) {
 			k.Latency.observe(end.Sub(it.submitted).Seconds())
 		}
 	})
+	for i, it := range items {
+		it.err = perItem(i)
+		it.state.Store(stDone)
+		close(it.done)
+	}
 }
 
 // Stats returns a point-in-time snapshot of the per-key counters.
