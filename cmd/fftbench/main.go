@@ -1,14 +1,16 @@
 // Command fftbench regenerates the tables and figures of the paper's
-// evaluation. Each experiment prints the same rows/series the paper reports,
-// computed on the simulated Summit/Spock machines. Stdout is deterministic
-// (the elastic experiment aside); per-experiment wall-clock goes to stderr.
+// evaluation at the paper's scales (512³, up to 3072 GPUs). Each experiment
+// prints the same rows/series the paper reports, computed on the simulated
+// Summit/Spock machines. Stdout is deterministic (the elastic experiment
+// aside) and `fftbench -all` reproduces experiments_full.txt, which the
+// internal/bench tests compare against; per-experiment wall-clock goes to
+// stderr.
 //
 // Usage:
 //
 //	fftbench -list            # show all experiments
-//	fftbench -exp fig4        # reproduce Fig. 4 at paper scale
-//	fftbench -exp fig12 -quick
-//	fftbench -all -quick      # smoke-run everything
+//	fftbench -exp fig4        # reproduce Fig. 4
+//	fftbench -all             # every experiment (make experiments)
 package main
 
 import (
@@ -22,10 +24,9 @@ import (
 
 func main() {
 	var (
-		exp   = flag.String("exp", "", "experiment id (e.g. fig4, table3); see -list")
-		list  = flag.Bool("list", false, "list available experiments")
-		all   = flag.Bool("all", false, "run every experiment")
-		quick = flag.Bool("quick", false, "reduced sizes/sweeps (seconds instead of minutes)")
+		exp  = flag.String("exp", "", "experiment id (e.g. fig4, table3); see -list")
+		list = flag.Bool("list", false, "list available experiments")
+		all  = flag.Bool("all", false, "run every experiment")
 	)
 	flag.Parse()
 
@@ -36,10 +37,10 @@ func main() {
 		}
 	case *all:
 		for _, e := range bench.All() {
-			runOne(e.ID, *quick)
+			runOne(e.ID)
 		}
 	case *exp != "":
-		runOne(*exp, *quick)
+		runOne(*exp)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -48,9 +49,9 @@ func main() {
 
 // runOne runs one experiment and renders it on stdout; the wall-clock line
 // goes to stderr so stdout depends only on the virtual-time results.
-func runOne(id string, quick bool) {
+func runOne(id string) {
 	t0 := time.Now()
-	res, err := bench.Run(id, bench.RunOptions{Quick: quick})
+	res, err := bench.Run(id)
 	if err == nil {
 		e, _ := bench.Lookup(id)
 		err = bench.Render(os.Stdout, e, res)

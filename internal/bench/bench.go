@@ -1,10 +1,12 @@
 // Package bench regenerates every table and figure of the paper's evaluation
-// (Section II–IV): each experiment runs the relevant workloads on the
-// simulated machine and returns the same rows/series the paper reports, in
-// virtual time, as a Result — typed table cells plus named scalars such as
-// Fig. 11's GPU-aware penalty. One renderer (Render) prints a Result as text;
-// nothing else writes. The cmd/fftbench CLI is a loop of Run → Render; host
-// wall-clock and memory are measured by the repository benchmark
+// (Section II–IV) at the paper's scales (512³, up to 3072 ranks): each
+// experiment runs the relevant workloads on the simulated machine and returns
+// the same rows/series the paper reports, in virtual time, as a Result —
+// typed table cells plus named scalars such as Fig. 11's GPU-aware penalty.
+// One renderer (Render) prints a Result as text; nothing else writes. The
+// cmd/fftbench CLI is a loop of Run → Render, and experiments_full.txt at the
+// repository root is its output, which the package's tests compare against;
+// host wall-clock and memory are measured by the repository benchmark
 // (`go run ./benchmark`), not here.
 package bench
 
@@ -13,19 +15,11 @@ import (
 	"sort"
 )
 
-// RunOptions tunes an experiment run.
-type RunOptions struct {
-	// Quick shrinks grids and sweeps so the experiment finishes in seconds;
-	// used by tests and `fftbench -quick`. The full-size runs reproduce the
-	// paper's exact scales (512³, up to 3072 ranks).
-	Quick bool
-}
-
 // Experiment is one reproducible table or figure.
 type Experiment struct {
 	ID    string // e.g. "fig4"
 	Title string // the paper's caption, abbreviated
-	Run   func(opts RunOptions) (Result, error)
+	Run   func() (Result, error)
 }
 
 var registry []Experiment
@@ -49,10 +43,10 @@ func Lookup(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// Run executes one experiment by ID. It is the package's one panic boundary:
-// runners panic on a bad configuration (mpisim.World.Run re-raises a rank's
-// panic), and Run returns that as an error.
-func Run(id string, opts RunOptions) (res Result, err error) {
+// Run executes one experiment by ID at full size. It is the package's one
+// panic boundary: runners panic on a bad configuration (mpisim.World.Run
+// re-raises a rank's panic), and Run returns that as an error.
+func Run(id string) (res Result, err error) {
 	e, ok := Lookup(id)
 	if !ok {
 		return Result{}, fmt.Errorf("bench: unknown experiment %q (try `fftbench -list`)", id)
@@ -62,7 +56,7 @@ func Run(id string, opts RunOptions) (res Result, err error) {
 			err = fmt.Errorf("bench: %s: run failed: %v", id, p)
 		}
 	}()
-	if res, err = e.Run(opts); err != nil {
+	if res, err = e.Run(); err != nil {
 		err = fmt.Errorf("bench: %s: %w", id, err)
 	}
 	return res, err

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -32,7 +33,7 @@ func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if _, err := Run("nope", RunOptions{}); err == nil {
+	if _, err := Run("nope"); err == nil {
 		t.Error("expected error for unknown experiment")
 	}
 }
@@ -51,25 +52,66 @@ func TestAllSorted(t *testing.T) {
 // of crashing the caller.
 func TestRunTurnsRankPanicIntoError(t *testing.T) {
 	defer func(saved []Experiment) { registry = saved }(registry)
-	register(Experiment{ID: "bad-config", Run: func(RunOptions) (Result, error) {
+	register(Experiment{ID: "bad-config", Run: func() (Result, error) {
 		w := mpisim.NewWorld(machine.Summit(), 4, mpisim.Options{})
 		_, err := forwardOnce(w, core.Config{Global: [3]int{0, 0, 0}}, phantom, nil)
 		return Result{}, err
 	}})
-	_, err := Run("bad-config", RunOptions{})
+	_, err := Run("bad-config")
 	if err == nil || !strings.HasPrefix(err.Error(), "bench: bad-config: run failed: ") {
 		t.Fatalf("Run = %v, want a run-failed error", err)
 	}
 }
 
-// quickScalars runs one experiment in quick mode and returns its scalars.
-func quickScalars(t *testing.T, id string) map[string]float64 {
+// suite holds every experiment's full-size Result, run once per test binary
+// (fullResult), the event names its runs recorded and the number of tracers
+// (measured runs) each experiment made.
+var suite struct {
+	once     sync.Once
+	results  map[string]Result
+	errs     map[string]error
+	recorded map[string]bool
+	tracers  map[string]int
+}
+
+// fullResult returns experiment id's full-size Result, running the whole
+// suite on first use, in All's order and from an empty scaling-point memo,
+// through a newTracer wrapper that counts each run's tracers and collects the
+// names of the events they record.
+func fullResult(t *testing.T, id string) Result {
 	t.Helper()
-	res, err := Run(id, RunOptions{Quick: true})
-	if err != nil {
+	suite.once.Do(func() {
+		defer func(saved func() *trace.Tracer) { newTracer = saved }(newTracer)
+		var tracers []*trace.Tracer
+		newTracer = func() *trace.Tracer {
+			tr := trace.New()
+			tracers = append(tracers, tr)
+			return tr
+		}
+		scalingPoints.Lock()
+		scalingPoints.m = map[scalingKey]measured{}
+		scalingPoints.Unlock()
+		suite.results, suite.errs = map[string]Result{}, map[string]error{}
+		suite.recorded, suite.tracers = map[string]bool{}, map[string]int{}
+		for _, e := range All() {
+			suite.results[e.ID], suite.errs[e.ID] = Run(e.ID)
+			suite.tracers[e.ID] = len(tracers)
+			for _, tr := range tracers {
+				for _, name := range tr.Names() {
+					suite.recorded[name] = true
+				}
+			}
+			tracers = nil // the names are all the tests need: let the events go
+		}
+	})
+	if err := suite.errs[id]; err != nil {
 		t.Fatal(err)
 	}
-	return res.Scalars
+	res, ok := suite.results[id]
+	if !ok {
+		t.Fatalf("experiment %q is not registered", id)
+	}
+	return res
 }
 
 // TestHeadlineScalars: the four figures the paper states a shape for return
@@ -82,17 +124,17 @@ func TestHeadlineScalars(t *testing.T) {
 		"fig13": "batch_speedup",
 		"fig12": "kspace_reduction",
 	} {
-		v, ok := quickScalars(t, id)[name]
+		v, ok := fullResult(t, id).Scalars[name]
 		if !ok {
 			t.Errorf("%s: no scalar %q", id, name)
 		}
 		got[name] = v
 	}
-	// The quick sweep ends at 8 nodes, below the paper's 64-node crossover:
-	// slabs win throughout, so there is no crossover.
-	if got["crossover_nodes"] != 0 {
-		t.Errorf("crossover_nodes = %v in the 1–8 node sweep, want 0", got["crossover_nodes"])
+	// The paper's Fig. 5: slabs fastest below 64 nodes, pencils from 64 on.
+	if got["crossover_nodes"] != 64 {
+		t.Errorf("crossover_nodes = %v, want 64 (paper Fig. 5)", got["crossover_nodes"])
 	}
+	// The paper's [25 %, 35 %] band waits for the PaperBaseline profile (ROADMAP 1(b)).
 	if got["gpu_aware_penalty"] <= 0 {
 		t.Errorf("gpu_aware_penalty = %.2f, want host-staged comm slower than GPU-aware", got["gpu_aware_penalty"])
 	}
@@ -101,15 +143,15 @@ func TestHeadlineScalars(t *testing.T) {
 // TestFig12ShowsKspaceReduction pins the headline application result: the
 // tuned heFFTe settings must cut KSPACE versus the fftMPI-like baseline.
 func TestFig12ShowsKspaceReduction(t *testing.T) {
-	if got := quickScalars(t, "fig12")["kspace_reduction"]; got <= 0 {
+	if got := fullResult(t, "fig12").Scalars["kspace_reduction"]; got <= 0 {
 		t.Errorf("kspace_reduction = %.2f, want > 0 (tuned settings slower than baseline)", got)
 	}
 }
 
 // TestFig13ShowsBatchSpeedup pins the batching result: ≥ 1.5× per-transform
-// speedup at 64³ on every system even in quick mode.
+// speedup at 64³ on every system and node count.
 func TestFig13ShowsBatchSpeedup(t *testing.T) {
-	if got := quickScalars(t, "fig13")["batch_speedup"]; got < 1.5 {
+	if got := fullResult(t, "fig13").Scalars["batch_speedup"]; got < 1.5 {
 		t.Errorf("batch_speedup = %.2f, want ≥ 1.5", got)
 	}
 }
@@ -125,22 +167,9 @@ func TestTableIIIConfigMatchesEntry(t *testing.T) {
 }
 
 func TestNodeSweep(t *testing.T) {
-	full := nodeSweep(RunOptions{}, 128)
+	full := nodeSweep(128)
 	if full[0] != 1 || full[len(full)-1] != 128 {
 		t.Errorf("full sweep = %v", full)
-	}
-	quick := nodeSweep(RunOptions{Quick: true}, 128)
-	if quick[len(quick)-1] > 8 {
-		t.Errorf("quick sweep reaches %d nodes", quick[len(quick)-1])
-	}
-}
-
-func TestGridFor(t *testing.T) {
-	if g := gridFor(RunOptions{}); g != [3]int{512, 512, 512} {
-		t.Errorf("full grid = %v", g)
-	}
-	if g := gridFor(RunOptions{Quick: true}); g[0] >= 512 {
-		t.Errorf("quick grid = %v", g)
 	}
 }
 
@@ -153,25 +182,15 @@ func TestSumHelper(t *testing.T) {
 	}
 }
 
-// TestQuickSmoke runs every experiment, elastic included, in quick mode
-// through Run and checks it returns sections, each row as wide as its header,
-// rows whose time columns add up, and finite scalars — the end-to-end test of
-// the harness. Every event name in the package's lists must be recorded by
-// at least one of the runs.
-func TestQuickSmoke(t *testing.T) {
-	defer func(saved func() *trace.Tracer) { newTracer = saved }(newTracer)
-	var tracers []*trace.Tracer
-	newTracer = func() *trace.Tracer {
-		tr := trace.New()
-		tracers = append(tracers, tr)
-		return tr
-	}
+// TestExperimentsSmoke checks every experiment's full-size Result, elastic
+// included: it has sections, each row as wide as its header, rows whose time
+// columns add up, and finite scalars — the end-to-end test of the harness.
+// Every event name in the package's lists must be recorded by at least one of
+// the runs.
+func TestExperimentsSmoke(t *testing.T) {
 	for _, e := range All() {
 		t.Run(e.ID, func(t *testing.T) {
-			res, err := Run(e.ID, RunOptions{Quick: true})
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := fullResult(t, e.ID)
 			if len(res.Sections) == 0 {
 				t.Error("no sections")
 			}
@@ -190,16 +209,10 @@ func TestQuickSmoke(t *testing.T) {
 			}
 		})
 	}
-	recorded := map[string]bool{}
-	for _, tr := range tracers {
-		for _, name := range tr.Names() {
-			recorded[name] = true
-		}
-	}
 	for _, list := range [][]string{fig3Events, lammpsShortRange} {
 		for _, name := range list {
-			if !recorded[name] {
-				t.Errorf("event %q is listed but no quick experiment records it", name)
+			if !suite.recorded[name] {
+				t.Errorf("event %q is listed but no experiment records it", name)
 			}
 		}
 	}
@@ -242,16 +255,12 @@ func checkTimeColumns(t *testing.T, s Section) {
 // TestBreakdownTotalIsTimePerFFT: the TOTAL of Figs. 6/7 is the variant's
 // time per transform, not a sum over kernels.
 func TestBreakdownTotalIsTimePerFFT(t *testing.T) {
-	opts := RunOptions{Quick: true}
 	for id, variants := range map[string][]core.Options{"fig6": fig6Variants, "fig7": fig7Variants} {
-		res, err := Run(id, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := fullResult(t, id)
 		rows := res.Sections[0].Rows
 		total := rows[len(rows)-1]
 		for i, v := range variants {
-			if want := breakdownRun(opts, v).TotalPerFFT; total[i+1].V != want {
+			if want := breakdownRun(v).TotalPerFFT; total[i+1].V != want {
 				t.Errorf("%s %s: TOTAL %g, time per transform %g", id, res.Sections[0].Header[i+1], total[i+1].V, want)
 			}
 		}
@@ -263,22 +272,21 @@ func TestBreakdownTotalIsTimePerFFT(t *testing.T) {
 // variants.
 func TestCommDominatesFig7(t *testing.T) {
 	for _, v := range fig7Variants {
-		m := breakdownRun(RunOptions{}, v)
+		m := breakdownRun(v)
 		if frac := m.CommPerFFT / m.TotalPerFFT; frac <= 0.9 {
 			t.Errorf("%v: comm %.1f%% of the runtime, want > 90%%", v.Backend, 100*frac)
 		}
 	}
 }
 
-// TestModelCheckShape checks modelcheck's expected shape on the quick sweep:
-// the simulated pencil exchanges never take longer than eqs. 2–3 predict, and
-// the ratio is lowest on one node.
+// TestModelCheckShape checks modelcheck's expected shape over the 1–128-node
+// sweep: the simulated pencil exchanges never take longer than eqs. 2–3
+// predict, and the ratio is lowest on one node.
 func TestModelCheckShape(t *testing.T) {
-	res, err := Run("modelcheck", RunOptions{Quick: true})
-	if err != nil {
-		t.Fatal(err)
+	rows := fullResult(t, "modelcheck").Sections[0].Rows
+	if n := len(rows); n != len(nodeSweep(128)) {
+		t.Fatalf("%d rows, want one per node count of the 1–128 sweep", n)
 	}
-	rows := res.Sections[0].Rows
 	ratio := len(rows[0]) - 1
 	for _, row := range rows {
 		if row[ratio].V > 1 || row[ratio].V < rows[0][ratio].V {
@@ -287,34 +295,56 @@ func TestModelCheckShape(t *testing.T) {
 	}
 }
 
-// TestExperimentsDeterministic runs every experiment twice in quick mode and
-// wants identical Results — the end-to-end statement of the simulator's
-// virtual-time determinism. elastic is skipped: its resume column depends on
-// goroutine timing after a kill (ROADMAP item 3).
+// TestScalingPointsMeasuredOnce: the strong-scaling figures share their
+// points through scalingPoint's memo. The suite runs them from an empty memo
+// in the order fig11, fig4, fig5, fig8, fig9: fig11 measures its 16-node
+// pair, fig4 the rest of its 4 points per node count, fig5 only its slab
+// column and the pencil points above fig4's 128 nodes, and fig8 and fig9
+// nothing — fig4's points are theirs.
+func TestScalingPointsMeasuredOnce(t *testing.T) {
+	fullResult(t, "fig4")
+	fig4 := 4 * len(nodeSweep(128))
+	for id, want := range map[string]int{
+		"fig11": 2,
+		"fig4":  fig4 - 2,
+		"fig5":  len(nodeSweep(512)) + 2,
+		"fig8":  0,
+		"fig9":  0,
+	} {
+		if got := suite.tracers[id]; got != want {
+			t.Errorf("%s measured %d points, want %d", id, got, want)
+		}
+	}
+}
+
+// TestExperimentsDeterministic runs every experiment again and wants the
+// suite's Results — the end-to-end statement of the simulator's virtual-time
+// determinism. elastic is skipped: its resume column depends on goroutine
+// timing after a kill (ROADMAP item 2). Memoized scaling points are not
+// measured again here: they are checked bit for bit across processes by
+// TestExperimentsGolden, and in process through the other fftRun.run callers.
 func TestExperimentsDeterministic(t *testing.T) {
 	for _, e := range All() {
 		if e.ID == "elastic" {
 			continue
 		}
-		a, err := Run(e.ID, RunOptions{Quick: true})
+		want := fullResult(t, e.ID)
+		got, err := Run(e.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Run(e.ID, RunOptions{Quick: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
+		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: Result differs between runs", e.ID)
 		}
 	}
 }
 
-// TestQuickGolden renders every quick Result and compares it with its
-// "== id:" block of testdata/quick.txt, the text fftbench has always printed
-// (elastic aside, see TestExperimentsDeterministic).
-func TestQuickGolden(t *testing.T) {
-	data, err := os.ReadFile("testdata/quick.txt")
+// TestExperimentsGolden renders every full-size Result and compares it with
+// its "== id:" block of experiments_full.txt, the text `fftbench -all` prints
+// (elastic aside, see TestExperimentsDeterministic); the file holds nothing
+// else.
+func TestExperimentsGolden(t *testing.T) {
+	data, err := os.ReadFile("../../experiments_full.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,21 +356,22 @@ func TestQuickGolden(t *testing.T) {
 		}
 		golden[id] += line
 	}
+	for id := range golden {
+		if _, ok := Lookup(id); !ok {
+			t.Errorf("experiments_full.txt has a block %q that no experiment prints", id)
+		}
+	}
 	for _, e := range All() {
 		if e.ID == "elastic" {
 			continue
 		}
-		res, err := Run(e.ID, RunOptions{Quick: true})
-		if err != nil {
-			t.Fatal(err)
-		}
 		var got strings.Builder
-		if err := Render(&got, e, res); err != nil {
+		if err := Render(&got, e, fullResult(t, e.ID)); err != nil {
 			t.Fatal(err)
 		}
 		if want := golden[e.ID]; got.String() != want {
-			t.Errorf("%s: rendered output differs from testdata/quick.txt; if the change is intended, regenerate with\n"+
-				"\tgo run ./cmd/fftbench -all -quick > internal/bench/testdata/quick.txt\n--- got ---\n%s--- want ---\n%s",
+			t.Errorf("%s: rendered output differs from experiments_full.txt; if the change is intended, regenerate it\n"+
+				"with `make experiments` and keep the committed elastic block\n--- got ---\n%s--- want ---\n%s",
 				e.ID, got.String(), want)
 		}
 	}

@@ -23,14 +23,10 @@ func init() {
 	})
 }
 
-func runAsync(opts RunOptions) (Result, error) {
+func runAsync() (Result, error) {
 	global := [3]int{64, 64, 64}
 	ranks := 24
 	nb := 16
-	if opts.Quick {
-		ranks = 6
-		nb = 8
-	}
 	mode := func(kind string) float64 {
 		world := mpisim.NewWorld(machine.Summit(), ranks, mpisim.Options{GPUAware: true})
 		res := world.Run(func(c *mpisim.Comm) {
@@ -75,13 +71,9 @@ func runAsync(opts RunOptions) (Result, error) {
 	return Result{Sections: []Section{s}}, nil
 }
 
-func runR2C(opts RunOptions) (Result, error) {
+func runR2C() (Result, error) {
 	ranks := 96
 	sizes := [][3]int{{256, 256, 256}, {512, 512, 512}}
-	if opts.Quick {
-		ranks = 12
-		sizes = [][3]int{{32, 32, 32}, {64, 64, 64}}
-	}
 	// perTransform runs two forward transforms per rank and returns the
 	// makespan of one.
 	perTransform := func(forward func(c *mpisim.Comm) error) float64 {

@@ -40,7 +40,7 @@ func batchedPoint(mdl *machine.Model, ranks, nb int, global [3]int) float64 {
 
 // runFig13 reports batch_speedup: the smallest speedup(max batch) over every
 // system and node row.
-func runFig13(opts RunOptions) (Result, error) {
+func runFig13() (Result, error) {
 	global := [3]int{64, 64, 64}
 	batches := []int{1, 2, 4, 8, 16}
 	type system struct {
@@ -51,11 +51,6 @@ func runFig13(opts RunOptions) (Result, error) {
 	systems := []system{
 		{"Summit (cuFFT, 6 MPI/node)", machine.Summit(), []int{1, 2, 4}},
 		{"Spock (rocFFT, 4 MPI/node)", machine.Spock(), []int{1, 2, 4}},
-	}
-	if opts.Quick {
-		systems[0].nodes = []int{1}
-		systems[1].nodes = []int{1}
-		batches = []int{1, 4, 8}
 	}
 	header := []string{"nodes", "GPUs"}
 	for _, nb := range batches {
@@ -92,11 +87,8 @@ func runFig13(opts RunOptions) (Result, error) {
 	return res, nil
 }
 
-func runShrink(opts RunOptions) (Result, error) {
+func runShrink() (Result, error) {
 	ranks := 96
-	if opts.Quick {
-		ranks = 24
-	}
 	s := Section{Header: []string{"grid", "ranks", "T(full grid)", "T(shrunk)", "active ranks", "speedup"}}
 	for _, n := range []int{16, 32, 64} {
 		global := [3]int{n, n, n}
@@ -122,12 +114,8 @@ func runShrink(opts RunOptions) (Result, error) {
 	return Result{Sections: []Section{s}}, nil
 }
 
-func runDecomp(opts RunOptions) (Result, error) {
+func runDecomp() (Result, error) {
 	ranks := 96
-	if opts.Quick {
-		ranks = 24
-	}
-	grid := gridFor(opts)
 	s := Section{Header: []string{"decomposition", "backend", "comm/FFT", "total/FFT"}}
 	for _, d := range []core.Decomposition{core.DecompSlabs, core.DecompPencils} {
 		for _, b := range []core.Backend{
@@ -136,7 +124,7 @@ func runDecomp(opts RunOptions) (Result, error) {
 		} {
 			r := fftRun{
 				model: machine.Summit(), ranks: ranks, aware: true,
-				cfg: tableIIIConfig(ranks, grid, core.Options{Decomp: d, Backend: b}),
+				cfg: tableIIIConfig(ranks, paperGrid, core.Options{Decomp: d, Backend: b}),
 			}
 			m := r.run()
 			s.Rows = append(s.Rows, []Cell{label(d.String()), label(b.String()), secs(m.CommPerFFT), secs(m.TotalPerFFT)})

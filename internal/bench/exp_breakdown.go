@@ -75,33 +75,33 @@ var (
 )
 
 // breakdownRun is one variant of Figs. 6/7: 24 ranks, Table III grids.
-func breakdownRun(opts RunOptions, v core.Options) measured {
+func breakdownRun(v core.Options) measured {
 	const ranks = 24
 	return fftRun{
 		model: machine.Summit(), ranks: ranks, aware: true,
-		cfg: tableIIIConfig(ranks, gridFor(opts), v),
+		cfg: tableIIIConfig(ranks, paperGrid, v),
 	}.run()
 }
 
 // breakdownFigure tabulates the per-transform breakdown of each variant.
-func breakdownFigure(opts RunOptions, labels []string, variants []core.Options, notes ...string) Result {
+func breakdownFigure(labels []string, variants []core.Options, notes ...string) Result {
 	bds := make([]map[string]float64, len(variants))
 	totals := make([]float64, len(variants))
 	for i, v := range variants {
-		m := breakdownRun(opts, v)
+		m := breakdownRun(v)
 		bds[i], totals[i] = m.Breakdown, m.TotalPerFFT
 	}
 	return Result{Sections: []Section{breakdownSection(append([]string{"kernel"}, labels...), bds, totals, notes...)}}
 }
 
-func runFig6(opts RunOptions) (Result, error) {
-	return breakdownFigure(opts, []string{"Alltoall+contiguous", "Alltoallv+strided"}, fig6Variants,
+func runFig6() (Result, error) {
+	return breakdownFigure([]string{"Alltoall+contiguous", "Alltoallv+strided"}, fig6Variants,
 		"expected shape: Alltoall pays padding on the brick↔pencil reshapes; the strided",
 		"variant trades cheaper pack/unpack for the strided cuFFT penalty"), nil
 }
 
-func runFig7(opts RunOptions) (Result, error) {
-	return breakdownFigure(opts, []string{"Isend/Irecv+contiguous", "Send/Irecv+strided"}, fig7Variants,
+func runFig7() (Result, error) {
+	return breakdownFigure([]string{"Isend/Irecv+contiguous", "Send/Irecv+strided"}, fig7Variants,
 		"expected shape: total ≈ equal for both (≈0.09 s per FFT at the paper's scale);",
 		"communication (send/recv/waitany) dominates at >90% of runtime"), nil
 }
@@ -110,24 +110,19 @@ func runFig7(opts RunOptions) (Result, error) {
 // own names; every other event is KSPACE.
 var lammpsShortRange = []string{"pair", "bond", "neigh", "comm", "other"}
 
-// lammpsBreakdown runs the Rhodopsin proxy and returns the Fig. 12 groups of
-// the rank that finishes last (the lowest index on a tie), plus "wait", and
-// the makespan they add up to.
-func lammpsBreakdown(opts RunOptions, fftOpts core.Options, aware bool, steps int) (map[string]float64, float64) {
-	ranks := 192
-	grid := [3]int{512, 512, 512}
-	if opts.Quick {
-		ranks = 24
-		grid = [3]int{64, 64, 64}
-	}
+// lammpsBreakdown runs 10 steps of the Rhodopsin proxy on 32 nodes and
+// returns the Fig. 12 groups of the rank that finishes last (the lowest index
+// on a tie), plus "wait", and the makespan they add up to.
+func lammpsBreakdown(fftOpts core.Options, aware bool) (map[string]float64, float64) {
+	const ranks = 192
 	tr := newTracer()
 	w := mpisim.NewWorld(machine.Summit(), ranks, mpisim.Options{GPUAware: aware, Tracer: tr})
 	res := w.Run(func(c *mpisim.Comm) {
-		s, err := lammps.New(c, lammps.Config{Atoms: 32000, Grid: grid, FFT: fftOpts, Phantom: true})
+		s, err := lammps.New(c, lammps.Config{Atoms: 32000, Grid: paperGrid, FFT: fftOpts, Phantom: true})
 		if err != nil {
 			panic(err)
 		}
-		if _, err := s.Run(steps); err != nil {
+		if _, err := s.Run(10); err != nil {
 			panic(err)
 		}
 	})
@@ -145,17 +140,13 @@ func lammpsBreakdown(opts RunOptions, fftOpts core.Options, aware bool, steps in
 
 // runFig12 reports kspace_reduction (1 − tuned ÷ baseline KSPACE time) and
 // step_reduction (the same for the makespan).
-func runFig12(opts RunOptions) (Result, error) {
-	steps := 10
-	if opts.Quick {
-		steps = 3
-	}
+func runFig12() (Result, error) {
 	// Baseline: fftMPI-like (pencil decomposition, blocking Send/Irecv,
 	// host-staged MPI — fftMPI communicates via host buffers).
-	base, tb := lammpsBreakdown(opts, core.Options{Decomp: core.DecompPencils, Backend: core.BackendP2PBlocking}, false, steps)
+	base, tb := lammpsBreakdown(core.Options{Decomp: core.DecompPencils, Backend: core.BackendP2PBlocking}, false)
 	// Tuned heFFTe: best setting per Fig. 5 at 32 nodes — slabs below the
 	// 64-node crossover — with GPU-aware Alltoallv.
-	tuned, tt := lammpsBreakdown(opts, core.Options{Decomp: core.DecompSlabs, Backend: core.BackendAlltoallv}, true, steps)
+	tuned, tt := lammpsBreakdown(core.Options{Decomp: core.DecompSlabs, Backend: core.BackendAlltoallv}, true)
 	kspace, step := 1-tuned["kspace"]/base["kspace"], 1-tt/tb
 	s := breakdownSection([]string{"component", "fftMPI-like", "tuned heFFTe"},
 		[]map[string]float64{base, tuned}, []float64{tb, tt},

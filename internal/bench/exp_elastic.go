@@ -139,14 +139,10 @@ func elasticRecovery(size int, n [3]int, killRank, killOp int) (resume, restart 
 // skip) and the rank-count sweep at a late kill. Both recoveries pay the same
 // survivor agreement and the same checkpoint redistribution, so the ratio
 // isolates the phases resume does not re-execute.
-func runElasticExp(opts RunOptions) (Result, error) {
+func runElasticExp() (Result, error) {
 	grid := [3]int{32, 32, 32}
 	ranks := 8
 	rankSweep := []int{4, 8, 16}
-	if opts.Quick {
-		grid = [3]int{16, 16, 16}
-		rankSweep = []int{4, 8}
-	}
 	recoveryRow := func(name string, resume, restart float64) []Cell {
 		return []Cell{label(name), micros(resume), micros(restart), num(restart/resume, "%.2fx")}
 	}

@@ -24,13 +24,9 @@ func init() {
 // two-level schedule hold; the naive linear loop trails everywhere the
 // exchange is dense. AlgoAuto chooses per phase, so it may undercut every
 // forced column; auto/best holds it against the best of them.
-func runExchangeAlgos(opts RunOptions) (Result, error) {
+func runExchangeAlgos() (Result, error) {
 	ranks := 64
 	grids := [][3]int{{32, 32, 32}, {64, 64, 64}, {128, 128, 128}, {256, 256, 256}}
-	if opts.Quick {
-		ranks = 24
-		grids = [][3]int{{32, 32, 32}, {64, 64, 64}}
-	}
 	algos := []core.CollAlgo{core.CollLinear, core.CollPairwise, core.CollRing, core.CollBruck, core.CollNodeAware}
 	world := func() *mpisim.World {
 		return mpisim.NewWorld(machine.Summit(), ranks, mpisim.Options{GPUAware: true})

@@ -35,8 +35,8 @@ func init() {
 // runModelCheck compares the closed-form model against the simulator on the
 // pencil FFT-grid exchanges (the part the equations describe). Model inputs
 // follow the paper: B = 23.5 GB/s, L = 1 µs.
-func runModelCheck(opts RunOptions) (Result, error) {
-	grid := gridFor(opts)
+func runModelCheck() (Result, error) {
+	grid := paperGrid
 	n := grid[0] * grid[1] * grid[2]
 	// The equations' B is the average bandwidth a process achieves; on
 	// Summit the node's 23.5 GB/s is shared by its 6 ranks.
@@ -46,7 +46,7 @@ func runModelCheck(opts RunOptions) (Result, error) {
 		Bandwidth: mdl.NodeInjectionBW / float64(mdl.GPUsPerNode),
 	}
 	s := Section{Header: []string{"nodes", "GPUs", "P×Q", "model T_pencils", "simulated (pencil phases)", "ratio"}}
-	for _, nodes := range nodeSweep(opts, 128) {
+	for _, nodes := range nodeSweep(128) {
 		ranks := 6 * nodes
 		e := core.LookupTableIII(ranks)
 		// Pencil-only plan (pencil input/output) isolates the two exchanges
@@ -70,15 +70,10 @@ func runModelCheck(opts RunOptions) (Result, error) {
 	return Result{Sections: []Section{s}}, nil
 }
 
-func runWarpX(opts RunOptions) (Result, error) {
+func runWarpX() (Result, error) {
 	ranks := 96
 	grid := [3]int{256, 256, 256}
 	steps := 5
-	if opts.Quick {
-		ranks = 24
-		grid = [3]int{64, 64, 64}
-		steps = 2
-	}
 	s := Section{Header: []string{"backend", "time/step", "speedup vs Alltoallw"}}
 	var base float64
 	for _, b := range []core.Backend{core.BackendAlltoallw, core.BackendAlltoallv, core.BackendAlltoall, core.BackendP2P} {
@@ -106,16 +101,11 @@ func runWarpX(opts RunOptions) (Result, error) {
 	return Result{Sections: []Section{s}}, nil
 }
 
-func runFrontier(opts RunOptions) (Result, error) {
+func runFrontier() (Result, error) {
 	mdl := machine.Frontier()
 	grid := [3]int{1024, 1024, 1024}
-	maxNodes := 512
-	if opts.Quick {
-		grid = [3]int{128, 128, 128}
-		maxNodes = 8
-	}
 	s := Section{Header: []string{"nodes", "GCD ranks", "total/FFT", "comm/FFT", "aggregate GFLOP/s"}}
-	for _, nodes := range nodeSweep(opts, maxNodes) {
+	for _, nodes := range nodeSweep(512) {
 		ranks := mdl.GPUsPerNode * nodes
 		r := fftRun{
 			model: mdl, ranks: ranks, aware: true,

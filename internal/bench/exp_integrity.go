@@ -32,15 +32,10 @@ func sdcWirePlan(ops int) *faults.Plan {
 // integrity layer on a clean Forward (the acceptance gate: full defenses
 // < 3% at 128³), and the virtual-time price of the recovery paths when
 // corruption actually strikes.
-func runIntegrityExp(opts RunOptions) (Result, error) {
+func runIntegrityExp() (Result, error) {
 	ranks := 64
 	grids := [][3]int{{32, 32, 32}, {128, 128, 128}, {256, 256, 256}}
 	recoveryGrid := [3]int{128, 128, 128}
-	if opts.Quick {
-		ranks = 16
-		grids = grids[:2]
-		recoveryGrid = [3]int{32, 32, 32}
-	}
 
 	// forward runs one Forward on Summit under an integrity configuration and
 	// returns the virtual runtime plus the world's integrity counters.

@@ -33,11 +33,11 @@ func init() {
 // backward transforms with brick I/O on 24 ranks — and returns the per-call
 // series (max over ranks) of the named MPI events, concatenated in call
 // order across names.
-func perCallRun(opts RunOptions, mdl *machine.Model, planOpts core.Options, names []string) map[string][]float64 {
+func perCallRun(mdl *machine.Model, planOpts core.Options, names []string) map[string][]float64 {
 	const ranks = 24
 	r := fftRun{
 		model: mdl, ranks: ranks, aware: true,
-		cfg:     tableIIIConfig(ranks, gridFor(opts), planOpts),
+		cfg:     tableIIIConfig(ranks, paperGrid, planOpts),
 		perCall: names,
 	}
 	return r.run().PerCall
@@ -45,7 +45,7 @@ func perCallRun(opts RunOptions, mdl *machine.Model, planOpts core.Options, name
 
 // runFig2 reports each variant's total over all calls (total_alltoall,
 // total_alltoallv, total_alltoallw_mvapich, total_alltoallw_staged).
-func runFig2(opts RunOptions) (Result, error) {
+func runFig2() (Result, error) {
 	type variant struct {
 		label   string
 		scalar  string
@@ -69,7 +69,7 @@ func runFig2(opts RunOptions) (Result, error) {
 	series := make([][]float64, len(variants))
 	totals := map[string]float64{}
 	for i, v := range variants {
-		series[i] = perCallRun(opts, v.mdl, core.Options{Decomp: core.DecompPencils, Backend: v.backend}, []string{v.event})[v.event]
+		series[i] = perCallRun(v.mdl, core.Options{Decomp: core.DecompPencils, Backend: v.backend}, []string{v.event})[v.event]
 		s.Header = append(s.Header, v.label)
 		totals["total_"+v.scalar] = sum(series[i])
 	}
@@ -99,7 +99,7 @@ var fig3Events = []string{"MPI_Isend", "MPI_Send", "MPI_Waitany"}
 
 // runFig3 reports blocking_ratio: the blocking variant's total over the
 // non-blocking one's.
-func runFig3(opts RunOptions) (Result, error) {
+func runFig3() (Result, error) {
 	type variant struct {
 		label   string
 		backend core.Backend
@@ -111,7 +111,7 @@ func runFig3(opts RunOptions) (Result, error) {
 	s := Section{Header: []string{"variant", "event", "calls", "mean/call", "max/call", "total"}}
 	totals := make([]float64, len(variants))
 	for i, v := range variants {
-		series := perCallRun(opts, machine.Summit(), core.Options{Decomp: core.DecompPencils, Backend: v.backend}, fig3Events)
+		series := perCallRun(machine.Summit(), core.Options{Decomp: core.DecompPencils, Backend: v.backend}, fig3Events)
 		for _, ev := range fig3Events {
 			calls := series[ev]
 			if len(calls) == 0 {
@@ -129,10 +129,9 @@ func runFig3(opts RunOptions) (Result, error) {
 
 // runFig10 reports strided_spike: the strided kernel's mean per-call time
 // over the contiguous one's.
-func runFig10(opts RunOptions) (Result, error) {
-	grid := gridFor(opts)
+func runFig10() (Result, error) {
 	run := func(contig bool) map[string][]float64 {
-		return perCallRun(opts, machine.Summit(),
+		return perCallRun(machine.Summit(),
 			core.Options{Decomp: core.DecompPencils, Backend: core.BackendAlltoallv, Contiguous: contig},
 			[]string{"cufft_1d", "cufft_1d_strided"})
 	}
@@ -151,7 +150,7 @@ func runFig10(opts RunOptions) (Result, error) {
 		}
 	}
 	spike := stats.Mean(strided["cufft_1d_strided"]) / stats.Mean(contig["cufft_1d"])
-	s.Notes = []string{fmt.Sprintf("strided spike: %.1f× the contiguous per-call time (batch of %d-point 1-D FFTs)", spike, grid[0])}
+	s.Notes = []string{fmt.Sprintf("strided spike: %.1f× the contiguous per-call time (batch of %d-point 1-D FFTs)", spike, paperGrid[0])}
 	return Result{Sections: []Section{s}, Scalars: map[string]float64{"strided_spike": spike}}, nil
 }
 

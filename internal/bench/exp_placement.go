@@ -27,15 +27,10 @@ var flatAlgos = []core.CollAlgo{core.CollLinear, core.CollPairwise, core.CollRin
 // ranks across nodes, turning the library's mostly-intra-node pencil rows
 // into inter-node exchanges — the regime where aggregating each node's
 // traffic into one leader flow pays most.
-func runPlacement(opts RunOptions) (Result, error) {
+func runPlacement() (Result, error) {
 	machines := []*machine.Model{machine.Summit(), machine.Spock(), machine.Frontier()}
 	grids := [][3]int{{32, 32, 32}, {128, 128, 128}, {256, 256, 256}}
 	nodes := 8
-	if opts.Quick {
-		machines = machines[:1]
-		grids = grids[:2]
-		nodes = 4
-	}
 	placements := []struct {
 		name string
 		p    topo.Placement

@@ -44,15 +44,10 @@ func peakRelError(got, want [][]complex128) float64 {
 // speedup over fp64, then — on the largest grid — the measured peak-normalized
 // error of the compressed transforms against the fp64 oracle next to the
 // analytic WireErrorBound.
-func runPrecisionExp(opts RunOptions) (Result, error) {
+func runPrecisionExp() (Result, error) {
 	ranks, pg, qg := 64, 8, 8
 	grids := [][3]int{{64, 64, 64}, {128, 128, 128}, {256, 256, 256}}
 	errGrid := [3]int{256, 256, 256}
-	if opts.Quick {
-		ranks, pg, qg = 16, 4, 4
-		grids = [][3]int{{32, 32, 32}, {64, 64, 64}}
-		errGrid = [3]int{32, 32, 32}
-	}
 	wires := []core.WirePrecision{core.WireFp64, core.WireFp32, core.WireFp16}
 
 	// forward runs one staged (non-GPU-aware) Forward under a wire precision

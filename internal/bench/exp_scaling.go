@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -39,19 +40,45 @@ func init() {
 	})
 }
 
-// scalingPoint measures one (nodes, backend, aware) cell of the strong-
-// scaling experiments on Summit with Table III grids.
-func scalingPoint(opts RunOptions, nodes int, backend core.Backend, aware bool) measured {
-	ranks := 6 * nodes
-	r := fftRun{
-		model: machine.Summit(), ranks: ranks, aware: aware,
-		cfg: tableIIIConfig(ranks, gridFor(opts), core.Options{Decomp: core.DecompPencils, Backend: backend}),
-	}
-	return r.run()
+// scalingPoints holds every strong-scaling point measured in this process.
+// Virtual time is deterministic, so a point is measured once and every figure
+// that plots it reads the same measurement: fig4 measures exactly fig8's and
+// fig9's points, fig11 is fig8's 16-node pair, fig5's pencil column up to 128
+// nodes is fig8's GPU-aware column. Callers must not modify a returned
+// measurement's maps.
+var scalingPoints = struct {
+	sync.Mutex
+	m map[scalingKey]measured
+}{m: map[scalingKey]measured{}}
+
+type scalingKey struct {
+	nodes   int
+	decomp  core.Decomposition
+	backend core.Backend
+	aware   bool
 }
 
-func runFig4(opts RunOptions) (Result, error) {
-	grid := gridFor(opts)
+// scalingPoint measures one (nodes, decomposition, backend, aware) cell of
+// the strong-scaling experiments on Summit with Table III grids, once per
+// process.
+func scalingPoint(nodes int, decomp core.Decomposition, backend core.Backend, aware bool) measured {
+	scalingPoints.Lock()
+	defer scalingPoints.Unlock()
+	k := scalingKey{nodes, decomp, backend, aware}
+	m, ok := scalingPoints.m[k]
+	if !ok {
+		ranks := 6 * nodes
+		m = fftRun{
+			model: machine.Summit(), ranks: ranks, aware: aware,
+			cfg: tableIIIConfig(ranks, paperGrid, core.Options{Decomp: decomp, Backend: backend}),
+		}.run()
+		scalingPoints.m[k] = m
+	}
+	return m
+}
+
+func runFig4() (Result, error) {
+	grid := paperGrid
 	n := grid[0] * grid[1] * grid[2]
 	lat := machine.Summit().InterLatency
 	s := Section{Header: []string{"nodes", "GPUs", "B(a2a,aware)", "B(a2a,host)", "B(p2p,aware)", "B(p2p,host)"}}
@@ -67,13 +94,13 @@ func runFig4(opts RunOptions) (Result, error) {
 	}
 	var xs []float64
 	ys := make([][]float64, len(cells))
-	for _, nodes := range nodeSweep(opts, 128) {
+	for _, nodes := range nodeSweep(128) {
 		ranks := 6 * nodes
 		e := core.LookupTableIII(ranks)
 		row := []Cell{count(nodes), count(ranks)}
 		xs = append(xs, float64(nodes))
 		for ci, cell := range cells {
-			m := scalingPoint(opts, nodes, cell.b, cell.aware)
+			m := scalingPoint(nodes, core.DecompPencils, cell.b, cell.aware)
 			// Equation (5) expects the time of the two pencil exchanges of
 			// one FFT; the measured comm includes the brick I/O reshapes
 			// too, so scale by the pencil share (2 of Exchanges phases).
@@ -102,25 +129,16 @@ func runFig4(opts RunOptions) (Result, error) {
 
 // runFig5 reports crossover_nodes: the first node count at which pencils
 // win after slabs have won at a smaller one (0 if that never happens).
-func runFig5(opts RunOptions) (Result, error) {
-	grid := gridFor(opts)
-	maxNodes := 512
-	if opts.Quick {
-		maxNodes = 8
-	}
+func runFig5() (Result, error) {
 	s := Section{Header: []string{"nodes", "GPUs", "T(slabs)", "T(pencils)", "fastest"}}
 	params := model.Params{Latency: machine.Summit().InterLatency, Bandwidth: machine.Summit().NodeInjectionBW}
 	var xs, slabY, pencilY []float64
 	slabsWon, crossover := false, 0
-	for _, nodes := range nodeSweep(opts, maxNodes) {
+	for _, nodes := range nodeSweep(512) {
 		ranks := 6 * nodes
 		var times [2]float64
 		for i, d := range []core.Decomposition{core.DecompSlabs, core.DecompPencils} {
-			r := fftRun{
-				model: machine.Summit(), ranks: ranks, aware: true,
-				cfg: tableIIIConfig(ranks, grid, core.Options{Decomp: d, Backend: core.BackendAlltoallv}),
-			}
-			times[i] = r.run().TotalPerFFT
+			times[i] = scalingPoint(nodes, d, core.BackendAlltoallv, true).TotalPerFFT
 		}
 		best := "slabs"
 		if times[1] < times[0] {
@@ -134,7 +152,7 @@ func runFig5(opts RunOptions) (Result, error) {
 		// Annotate the model's own prediction for comparison.
 		e := core.LookupTableIII(ranks)
 		pred := "pencils"
-		if model.PreferSlabs(grid, e.P, e.Q, params) {
+		if model.PreferSlabs(paperGrid, e.P, e.Q, params) {
 			pred = "slabs"
 		}
 		s.Rows = append(s.Rows, []Cell{count(nodes), count(ranks), secs(times[0]), secs(times[1]),
@@ -153,12 +171,12 @@ func runFig5(opts RunOptions) (Result, error) {
 }
 
 // scalingTable is the comm/total table and plot of Figs. 8 and 9.
-func scalingTable(opts RunOptions, backend core.Backend, maxNodes int, notes ...string) Result {
+func scalingTable(backend core.Backend, notes ...string) Result {
 	s := Section{Header: []string{"nodes", "GPUs", "comm(aware)", "comm(host)", "total(aware)", "total(host)"}}
 	var xs, awareY, hostY []float64
-	for _, nodes := range nodeSweep(opts, maxNodes) {
-		aware := scalingPoint(opts, nodes, backend, true)
-		host := scalingPoint(opts, nodes, backend, false)
+	for _, nodes := range nodeSweep(128) {
+		aware := scalingPoint(nodes, core.DecompPencils, backend, true)
+		host := scalingPoint(nodes, core.DecompPencils, backend, false)
 		s.Rows = append(s.Rows, []Cell{count(nodes), count(6 * nodes),
 			secs(aware.CommPerFFT), secs(host.CommPerFFT), secs(aware.TotalPerFFT), secs(host.TotalPerFFT)})
 		xs = append(xs, float64(nodes))
@@ -174,25 +192,21 @@ func scalingTable(opts RunOptions, backend core.Backend, maxNodes int, notes ...
 	return Result{Sections: []Section{s}}
 }
 
-func runFig8(opts RunOptions) (Result, error) {
-	return scalingTable(opts, core.BackendAlltoallv, 128,
+func runFig8() (Result, error) {
+	return scalingTable(core.BackendAlltoallv,
 		"expected shape: both curves scale; GPU-aware consistently below host-staged"), nil
 }
 
-func runFig9(opts RunOptions) (Result, error) {
-	return scalingTable(opts, core.BackendP2P, 128,
+func runFig9() (Result, error) {
+	return scalingTable(core.BackendP2P,
 		"expected shape: GPU-aware P2P stops scaling at large node counts (per-message",
 		"RDMA overhead × thousands of peers), while the host-staged path keeps scaling"), nil
 }
 
 // runFig11 reports gpu_aware_penalty: host-staged comm ÷ GPU-aware comm − 1.
-func runFig11(opts RunOptions) (Result, error) {
-	nodes := 16
-	if opts.Quick {
-		nodes = 4
-	}
-	aware := scalingPoint(opts, nodes, core.BackendAlltoallv, true)
-	host := scalingPoint(opts, nodes, core.BackendAlltoallv, false)
+func runFig11() (Result, error) {
+	aware := scalingPoint(16, core.DecompPencils, core.BackendAlltoallv, true)
+	host := scalingPoint(16, core.DecompPencils, core.BackendAlltoallv, false)
 	penalty := host.CommPerFFT/aware.CommPerFFT - 1
 	s := Section{
 		Header: []string{"setting", "comm/FFT", "total/FFT"},

@@ -24,7 +24,7 @@ func init() {
 	})
 }
 
-func runTable1(RunOptions) (Result, error) {
+func runTable1() (Result, error) {
 	libs := Section{Header: []string{"library", "AlltoAll", "Point-to-Point"}}
 	for _, r := range [][3]string{
 		{"AccFFT [15]", "MPI_Alltoall", "MPI_Isend/MPI_Irecv, MPI_Sendrecv"},
@@ -59,7 +59,7 @@ func runTable1(RunOptions) (Result, error) {
 	return Result{Sections: []Section{libs, backends}}, nil
 }
 
-func runTable2(RunOptions) (Result, error) {
+func runTable2() (Result, error) {
 	s := Section{Header: []string{"paper software", "version", "simulated equivalent"}}
 	for _, r := range [][3]string{
 		{"CUDA / cuFFT", "11.0.3", "internal/fft kernels + internal/machine V100 cost model"},
@@ -74,7 +74,7 @@ func runTable2(RunOptions) (Result, error) {
 	return Result{Sections: []Section{s}}, nil
 }
 
-func runTable3(RunOptions) (Result, error) {
+func runTable3() (Result, error) {
 	s := Section{Header: []string{"#GPUs", "input/output grid", "FFT grids (x,y,z pencils)"}}
 	for _, e := range core.TableIII {
 		s.Rows = append(s.Rows, []Cell{count(e.GPUs), label(fmt.Sprint(e.InOut)),

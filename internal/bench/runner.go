@@ -2,6 +2,7 @@ package bench
 
 import (
 	"slices"
+	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -140,27 +141,11 @@ func tableIIIConfig(ranks int, global [3]int, opts core.Options) core.Config {
 	}
 }
 
-// gridFor picks the experiment grid size: the paper's 512³, or a reduced one
-// in quick mode.
-func gridFor(opts RunOptions) [3]int {
-	if opts.Quick {
-		return [3]int{64, 64, 64}
-	}
-	return [3]int{512, 512, 512}
-}
+// paperGrid is the 512³ transform of the paper's strong-scaling experiments.
+var paperGrid = [3]int{512, 512, 512}
 
-// nodeSweep returns the strong-scaling node counts (6 GPUs per node).
-func nodeSweep(opts RunOptions, max int) []int {
+// nodeSweep returns the strong-scaling node counts (6 GPUs per node) up to max.
+func nodeSweep(max int) []int {
 	all := []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
-	var out []int
-	for _, n := range all {
-		if n > max {
-			break
-		}
-		if opts.Quick && n > 8 {
-			break
-		}
-		out = append(out, n)
-	}
-	return out
+	return all[:sort.SearchInts(all, max+1)]
 }
