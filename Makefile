@@ -36,10 +36,13 @@ test:
 # member whose round was computed leaves with its output even if the world
 # fails meanwhile (TestCompletedRoundSurvivesAbort, TestForwardCtxCancellation),
 # and a leader's wake never blocks on a slot an abort filled
-# (TestRepeatedAbortsNeverBlockALeader). Used by CI.
+# (TestRepeatedAbortsNeverBlockALeader), and so does the test that each
+# communicator replays only the schedules compiled for it: two communicators
+# sharing one exchange pattern, interleaved, on GPU-aware and staged worlds
+# (TestCompiledScheduleCacheIdentity). Used by CI.
 race:
 	go test -race ./internal/mpisim/ ./internal/core/ ./internal/fft/ ./internal/trace/ ./internal/tuning/ ./heffte/serve/ ./internal/sched/
-	go test -race -count=1 -cpu 1,2,8 -run 'TestRecycledListsMatchFresh|TestRendezvousReleasesRound|TestPatternMatchesBlocks|TestBareExchangesMoveNoBlockLists|TestPatternPricesLikeBlocks|TestCompletedRoundSurvivesAbort|TestRepeatedAbortsNeverBlockALeader|TestForwardCtxCancellation' ./internal/core/ ./internal/mpisim/
+	go test -race -count=1 -cpu 1,2,8 -run 'TestRecycledListsMatchFresh|TestRendezvousReleasesRound|TestPatternMatchesBlocks|TestBareExchangesMoveNoBlockLists|TestPatternPricesLikeBlocks|TestCompletedRoundSurvivesAbort|TestRepeatedAbortsNeverBlockALeader|TestForwardCtxCancellation|TestCompiledScheduleCacheIdentity' ./internal/core/ ./internal/mpisim/
 
 # The repository benchmark (BENCHMARK.json): four workloads, end-to-end
 # metrics at reference host speed plus per-layer rows; see benchmark/README.md.
@@ -63,10 +66,13 @@ bench-kernel:
 # without the harness: one Forward+Inverse per op on the same shape
 # (BenchmarkPhantomTransform), and the plan-build geometry alone, the reshape
 # tables of the Table III pencil chain at 768 and 3072 ranks and the
-# validation of the 3072-rank brick list.
+# validation of the 3072-rank brick list. Last, the pricing of that chain's
+# exchanges under every schedule, compile (once per pattern) and run (once
+# per call, allocation-free) timed apart (BenchmarkPriceScheduled).
 bench-scale:
 	go run ./benchmark -workload scale512_r768_phantom -seconds 20 -trace 0
 	go test -run '^$$' -bench 'BenchmarkPhantomTransform|BenchmarkReshapeTable' -benchmem ./internal/core/
+	go test -run '^$$' -bench 'BenchmarkPriceScheduled' -benchmem ./internal/mpisim/
 
 # Fast self-checking pass over the serving layer (used by CI).
 smoke-serve:

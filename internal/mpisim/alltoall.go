@@ -29,10 +29,13 @@ import (
 // only blocks, and the leader derives their pattern in one pass over them
 // (pricing.derive). Either way a deposit is a handful of per-rank scalars —
 // entry clock, injection-port snapshot, degrade factor, drop, buffer location
-// — plus, when there is payload to carry, the rank's block list. The leader's
-// per-round scratch is communicator-length — every member's input and output
-// (round, coll.go), a schedule's members (pricing, below) — and is pooled, not
-// allocated per call. The three dense []Buf entry points left (AlltoallvWith,
+// — plus, when there is payload to carry, the rank's block list. What a
+// schedule makes of a pattern is the pattern's too: the first call on a
+// communicator compiles it into a program the rendezvous keeps (see
+// pricing.program), and every later call runs that program on the members'
+// starts and degrade factors alone. The leader's per-round scratch is
+// communicator-length — every member's input and output (round, coll.go), a
+// run's rows (pricing, below) — and is pooled, not allocated per call. The three dense []Buf entry points left (AlltoallvWith,
 // and Ialltoallv and WaitColl in icoll.go) serve only the benchmark harness's
 // layer replay (benchmark/replay.go); they compress into and expand out of
 // block lists around the same engine.
@@ -129,14 +132,16 @@ func (p *Pattern) sum() {
 }
 
 // pricing is the leader's communicator-length scratch for pricing and
-// transposing one all-to-all round: per-rank counts, the schedule's Exchange,
-// and the pattern of a round whose members passed only blocks, with the flows
-// its rows live in. The leader draws it from pricingPool in its compute and
-// gives it back, cleared of pointers into the world, before the round's
-// members leave, so a round waiting for its members holds only their inputs
-// and outputs.
+// transposing one all-to-all round: per-rank counts, the rows a schedule runs
+// on (each rank's start, degrade factor and completion, and the run's
+// scratch), the Exchange a schedule is compiled from, and the pattern of a
+// round whose members passed only blocks, with the flows its rows live in.
+// The leader draws it from pricingPool in its compute and gives it back,
+// cleared of pointers into the world, before the round's members leave, so a
+// round waiting for its members holds only their inputs and outputs.
 type pricing struct {
 	counts []int
+	clocks []float64
 	ex     Exchange
 	pat    Pattern
 	flows  []Flow
@@ -151,12 +156,75 @@ func (ps *pricing) zeroCounts(p int) []int {
 	return ps.counts
 }
 
+// runRows returns the rows of one run of a size-p schedule: start and factor
+// for the caller to fill, comp for the run to fill, and the run's scratch,
+// zeroed.
+func (ps *pricing) runRows(p int) (start, factor, comp, tmp []float64) {
+	ps.clocks = resize(ps.clocks, 4*p)
+	tmp = ps.clocks[3*p : 4*p]
+	clear(tmp)
+	return ps.clocks[:p], ps.clocks[p : 2*p], ps.clocks[2*p : 3*p], tmp
+}
+
+// exchange returns the Exchange scratch for c's communicator, its members
+// left for the caller to fill.
+func (ps *pricing) exchange(c *Comm) *Exchange {
+	w := c.core.world
+	ps.ex = Exchange{Size: c.Size(), Members: resize(ps.ex.Members, c.Size()), Topo: w.topo, M: w.model}
+	return &ps.ex
+}
+
 // release clears the schedule's rows and world and returns the scratch to
 // the pool.
 func (ps *pricing) release() {
 	clear(ps.ex.Members)
 	ps.ex = Exchange{Members: ps.ex.Members[:0]}
 	pricingPool.Put(ps)
+}
+
+// progKey names a compiled schedule on one communicator: the pattern it was
+// compiled from, the schedule, and whether the members' buffers are
+// device-resident without staging (which sets the call's overhead).
+type progKey struct {
+	pat  *Pattern
+	algo CollectiveAlgo
+	dev  bool
+}
+
+// program returns impl compiled for the round's exchange. A round priced from
+// the pattern its members handed over, whose members agree on where their
+// buffers live, replays the program its rendezvous keeps under that key,
+// compiling it on first use; the program is the communicator's, since the
+// same pattern maps onto other nodes on another communicator. A derived
+// pattern is scratch of its round (pricing.pat), so its program is compiled
+// for that round alone, as is a round whose members disagree on where their
+// buffers live.
+func (ps *pricing) program(c *Comm, ins []collIn, pat *Pattern, impl CollectiveAlgo) program {
+	gpuAware := c.core.world.opts.GPUAware
+	key := progKey{pat: pat, algo: impl, dev: ins[0].dev && gpuAware}
+	keep := ins[0].pat != nil
+	for r := range ins {
+		keep = keep && (ins[r].dev && gpuAware) == key.dev
+	}
+	rv := c.core.rv
+	if keep {
+		if prog, ok := rv.progs[key]; ok {
+			return prog
+		}
+	}
+	ex := ps.exchange(c)
+	ex.pad = pat.sums.pad
+	for r := range ins {
+		ex.Members[r] = Member{World: c.WorldRank(r), Flows: pat.Rows[r], Dev: ins[r].dev && gpuAware, Active: pat.sums.active[r]}
+	}
+	prog := impl.compile(ex)
+	if keep {
+		if rv.progs == nil {
+			rv.progs = make(map[progKey]program)
+		}
+		rv.progs[key] = prog
+	}
+	return prog
 }
 
 // patternOf returns the pattern the round is priced from: the one every
@@ -236,15 +304,15 @@ func scheduleOf(a Algo) CollectiveAlgo {
 //
 // This is the function every executed all-to-all-v is priced by, blocking or
 // not, for every schedule on every world: the same Exchange priceScheduled
-// builds, handed to the same Complete. Staging, the self copy and checksum
+// compiles, run by the same program. Staging, the self copy and checksum
 // envelopes cost the same under every schedule and are left out, so the
 // result ranks schedules; it is not the duration of a call.
 func (c *Comm) PriceAlltoallv(rows [][]Flow, a Algo) float64 {
-	w := c.core.world
-	ex := &Exchange{Size: c.Size(), Members: make([]Member, c.Size()), Nodes: w.nodes, Topo: w.topo, M: w.model}
+	ps := pricingPool.Get().(*pricing)
+	defer ps.release()
+	ex := ps.exchange(c)
 	for r := range ex.Members {
-		ex.Members[r].World = c.WorldRank(r)
-		ex.Members[r].Dev = w.opts.GPUAware
+		ex.Members[r] = Member{World: c.WorldRank(r), Dev: c.core.world.opts.GPUAware}
 	}
 	for r, row := range rows {
 		ex.Members[r].Flows = row
@@ -252,8 +320,13 @@ func (c *Comm) PriceAlltoallv(rows [][]Flow, a Algo) float64 {
 			ex.Members[r].Active, ex.Members[f.Dst].Active = true, true
 		}
 	}
+	start, factor, comp, tmp := ps.runRows(ex.Size)
+	for r := range start {
+		start[r], factor[r] = 0, 1
+	}
+	scheduleOf(a).compile(ex).run(start, factor, comp, tmp)
 	worst := 0.0
-	for _, t := range scheduleOf(a).Complete(ex) {
+	for _, t := range comp {
 		worst = math.Max(worst, t)
 	}
 	return worst
@@ -320,19 +393,16 @@ func priceScheduled(c *Comm, ins []collIn, outs []collOut, ps *pricing, pat *Pat
 	if impl.Synchronized() {
 		t0 = maxClock(ins)
 	}
-	// The caller is the rendezvous' last arrival and has it to itself. The
-	// members' rows are the pattern's own.
-	ex := &ps.ex
+	// The caller is the rendezvous' last arrival and has it to itself.
+	prog := ps.program(c, ins, pat, impl)
+	start, factor, comp, tmp := ps.runRows(size)
 	s := &pat.sums
-	*ex = Exchange{Size: size, Members: resize(ex.Members, size), Nodes: w.nodes, Topo: w.topo, M: m, pad: s.pad, ns: &c.core.rv.ns}
 	// A padded walk (MPI_Alltoall) stages the buffer it sends and receives:
 	// the round's largest block for every peer, plus the rank's self block.
 	padded := impl == linearAlgo{padded: true}
 	for r := range ins {
-		dev := ins[r].dev
 		stage := 0.0
-		staged := dev && !w.opts.GPUAware
-		if staged {
+		if ins[r].dev && !w.opts.GPUAware {
 			send, recv := s.send[r], s.recv[r]
 			if padded {
 				send = (size-1)*s.pad + pat.Self[r]
@@ -344,14 +414,14 @@ func priceScheduled(c *Comm, ins []collIn, outs []collOut, ps *pricing, pat *Pat
 		// arrival and overlap whatever transfer still occupies the
 		// injection port — which is how a chunked pipeline hides the
 		// host↔device hops of chunk k+1 under the wire time of chunk k.
-		ex.Members[r] = Member{World: c.WorldRank(r), Flows: pat.Rows[r], Dev: dev && !staged, Active: s.active[r],
-			Factor: ins[r].factor, Start: math.Max(math.Max(t0, ins[r].clock+stage), ins[r].port)}
+		start[r] = math.Max(math.Max(t0, ins[r].clock+stage), ins[r].port)
+		factor[r] = degrade(ins[r].factor)
 	}
-	comp := impl.Complete(ex)
+	prog.run(start, factor, comp, tmp)
 	for r := range ins {
 		t := comp[r]
 		if by := pat.Self[r]; by > 0 {
-			t += float64(by) * 2 / m.GPU.MemBW * ex.factor(r)
+			t += float64(by) * 2 / m.GPU.MemBW * factor[r]
 		}
 		outs[r].clock, outs[r].port = t, comp[r]
 	}

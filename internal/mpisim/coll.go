@@ -21,8 +21,10 @@ type rendezvous struct {
 	// round is the round taking deposits, drawn from roundPool at its first
 	// arrival and retired (nil) when its last arrival has computed it.
 	round *round
-	// ns is pricing scratch of the round's compute (see nodeScratch).
-	ns nodeScratch
+	// progs holds the schedules this communicator's all-to-alls were
+	// compiled into, one per (pattern, schedule, buffer location), touched
+	// only by a round's leader under mu (see pricing.program).
+	progs map[progKey]program
 	// transposes counts the all-to-all rounds whose deposits carried blocks to
 	// copy into receive lists (see transpose).
 	transposes int

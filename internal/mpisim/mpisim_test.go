@@ -628,7 +628,7 @@ func TestRendezvousReleasesRound(t *testing.T) {
 				t.Errorf("pooled pricing member %d still holds its flows", i)
 			}
 		}
-		if ps.ex.Topo != nil || ps.ex.M != nil || ps.ex.ns != nil {
+		if ps.ex.Topo != nil || ps.ex.M != nil {
 			t.Errorf("pooled pricing still holds its exchange's world: %+v", ps.ex)
 		}
 	}
