@@ -52,7 +52,9 @@ bench:
 # Developer tool: single-line kernel ladder, the twiddled radix-4 passes along
 # a line and across the rows of one group of adjacent lines (each: Go
 # reference against what the machine dispatches to), strided batches (planes
-# and the two strided passes of a pencil, ns/line) and contiguous ones, the
+# and the two strided passes of a pencil, ns/line) and contiguous ones (the
+# row pass of a plane, the z-pencil of dense128_r64 and a 64-point rank share
+# of serve_mixed_r8, ns/line; both run across rows), the
 # blocked reorder transposes, pack/unpack in their three
 # run-coalescing regimes (row, plane, whole block), and over the same regimes
 # one box-to-box CopyBox against Pack + Unpack through a buffer.

@@ -26,8 +26,9 @@
 //   - Vector passes (radix4_amd64.s): on amd64 CPUs with AVX2 the twiddled
 //     radix-4 passes run in assembly: radix4AVX2 along a line, two
 //     butterflies per iteration, and pairsRowsAVX2, quadsRowsAVX2 and
-//     radix4RowsAVX2 across the rows of a group of adjacent lines, two lines
-//     per iteration. The Go loops in kernel.go and rows.go are their
+//     radix4RowsAVX2 across the rows of a group of lines, two lines per
+//     iteration — one 256-bit load or store when the lines are adjacent, two
+//     128-bit halves when they are a lane stride apart. The Go loops in kernel.go and rows.go are their
 //     executable specification and the implementation on every other GOARCH,
 //     on CPUs without AVX2 and in race builds (the detector cannot see
 //     assembly loads and stores). The routines issue the same IEEE
@@ -43,21 +44,24 @@
 //   - Advanced layouts (blocked.go): TransformBatch takes cuFFT's advanced
 //     (stride, dist, batch) layout; TransformNested takes the two-level
 //     howmany_dims shape of FFTW's guru interface, which lets the middle-axis
-//     pass of a 3-D transform run as one batched call. Strided batches
-//     execute a group of lines at a time through a pooled L1-sized tile.
-//     Where adjacent lines sit one element apart (every strided layout of
-//     Transform2D/3D and internal/core) and the plan is a power of two above
-//     the codelet sizes, the group is already n rows of w elements and the
-//     butterflies run across the rows (rows.go): the first stage reads the
-//     caller's rows through the bit-reversal table into the tile, the last
-//     pass stores back into the caller's array, each element is read once
-//     and written once and nothing is transposed. Every other group —
-//     codelet and Bluestein lengths, which keep their own arithmetic so
-//     their bits cannot move, lines that are not adjacent, an odd line left
-//     over — is transposed into the tile, transformed line by line and
-//     transposed back, the buffered strided execution FFTW applies when
-//     stride != 1. Which way a group runs is a function of its layout and
-//     the plan only; a line carries the same bits either way.
+//     pass of a 3-D transform run as one batched call. Batches execute a
+//     group of lines at a time through a pooled L1-sized tile. For a power
+//     of two above the codelet sizes, element i of line l of a group sits at
+//     data[i·pitch + l·lane]; where the lines are nested — adjacent strided
+//     lines (pitch = stride, lane = 1: every strided layout of
+//     Transform2D/3D and internal/core) or contiguous ones (pitch = 1,
+//     lane = dist: the unit-stride axis) — the group is n rows of w lanes
+//     and the butterflies run across the rows (rows.go): the first stage
+//     reads the caller's lanes through the bit-reversal table into the
+//     packed tile, the last pass stores back into the caller's array, each
+//     element is read once and written once and nothing is transposed.
+//     Codelet and Bluestein lengths, which keep their own arithmetic so
+//     their bits cannot move, run line by line — strided ones transposed
+//     into the tile and back, the buffered strided execution FFTW applies
+//     when stride != 1 — and so does the odd line a group leaves. Which way
+//     a group runs is a function of its layout and the plan only; a line
+//     carries the same bits either way. Layouts any two of whose lines share
+//     an element are rejected before any line runs.
 //   - Real transforms (real.go): RealPlan implements the D2Z/Z2D half-spectrum
 //     layout with the two-for-one packing trick, including batched advanced
 //     layouts on both sides (ForwardBatch/InverseBatch).

@@ -18,8 +18,8 @@ import (
 // The standalone bit-reversal permutation of the old engine is gone: the
 // first (twiddle-free) stage gathers its operands through the bit-reversal
 // table while writing sequentially into a pooled buffer — one line for a
-// contiguous line, a tile of rows for a group of adjacent strided lines
-// (rows.go) — so reordering costs no extra sweep. The final radix-4 pass
+// single line, a tile of rows for a group of lines of a batch, adjacent
+// strided or contiguous (rows.go) — so reordering costs no extra sweep. The final radix-4 pass
 // writes to a different destination array and folds an output scaling (the
 // inverse 1/N) into its butterflies, which deletes both the copy-back and the
 // separate scaling sweep.

@@ -78,11 +78,18 @@ func BenchmarkStridedBatch(b *testing.B) {
 	}
 }
 
-// Contiguous batches (row passes): dominated by kernel speed, not layout.
+// Contiguous batches: the row pass of an n×n plane, the z-pencil of a 128³
+// transform on 64 ranks (16×16 lines of 128, dense128_r64) and one rank's
+// share of the 64³ transform on 8 ranks (512 lines of 64, serve_mixed_r8).
+// Groups of lines run across rows (rows.go) with lane = n; ns/line is
+// reported beside ns/op.
 func BenchmarkContigBatch(b *testing.B) {
-	type shape struct{ n, batch int }
-	for _, s := range []shape{{128, 128}, {256, 256}} {
-		b.Run(itoa(s.n)+"x"+itoa(s.batch), func(b *testing.B) {
+	type shape struct {
+		name     string
+		n, batch int
+	}
+	for _, s := range []shape{{"128x128", 128, 128}, {"256x256", 256, 256}, {"pencil16x16x128", 128, 256}, {"rank64r8", 64, 512}} {
+		b.Run(s.name, func(b *testing.B) {
 			x := randSignal(rand.New(rand.NewSource(14)), s.n*s.batch)
 			p := NewPlan(s.n)
 			b.SetBytes(int64(16 * s.n * s.batch))
@@ -91,6 +98,7 @@ func BenchmarkContigBatch(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p.TransformBatch(x, 1, s.n, s.batch, Forward)
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*s.batch), "ns/line")
 		})
 	}
 }
@@ -132,13 +140,13 @@ func BenchmarkRadix4Rows(b *testing.B) {
 		tile := make([]complex128, n*w)
 		for _, v := range []struct {
 			name string
-			pass func(dst []complex128, dpitch int, src []complex128, w, s int, tw []twiddle3, scale float64, scaled bool)
+			pass func(dst []complex128, dpitch, dlane int, src []complex128, w, s int, tw []twiddle3, scale float64, scaled bool)
 		}{{"ref", radix4Rows}, {"dispatched", rows4}} {
 			b.Run(v.name+"/"+itoa(n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					s := p.firstTabS
 					for _, tw := range p.tw4[Forward] {
-						v.pass(tile, w, tile, w, s, tw, 1, false)
+						v.pass(tile, w, 1, tile, w, s, tw, 1, false)
 						s *= 4
 					}
 				}

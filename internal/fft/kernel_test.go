@@ -251,9 +251,11 @@ func TestNestedSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestBadLayoutPanicsOnCaller: a layout that reaches past len(data), or whose
-// lines share elements (a distance of 0, or adjacent lines wider than the
-// stride), must panic with a layout message on the goroutine that called —
+// TestBadLayoutPanicsOnCaller: a layout that reaches past len(data), or any
+// two of whose lines share an element (a distance of 0, adjacent lines wider
+// than the stride, contiguous lines closer than n, a b1 group starting inside
+// another, interleaved lines that meet), must panic with a layout message on
+// the goroutine that called —
 // recover() here proves it — before any line is handed to a pool helper, where
 // an index panic would take the process down and shared elements would race.
 // Rows with 128·256 elements are large enough to fan out.
@@ -278,6 +280,10 @@ func TestBadLayoutPanicsOnCaller(t *testing.T) {
 		{"shared/stride below batch, fans out", 128, 128 * 256, shared, func(p *Plan, d []complex128) { p.TransformBatch(d, 128, 1, 256, Forward) }},
 		{"shared/dist 0", 128, 128 * 256, shared, func(p *Plan, d []complex128) { p.TransformBatch(d, 1, 0, 256, Inverse) }},
 		{"shared/nested dist1 0", 64, 8 * 64 * 48, shared, func(p *Plan, d []complex128) { p.TransformNested(d, 48, 0, 8, 1, 48, Forward) }},
+		{"shared/unit stride, dist below n", 128, 128 * 40, shared, func(p *Plan, d []complex128) { p.TransformBatch(d, 1, 64, 40, Forward) }},
+		{"shared/unit stride, dist below n, fans out", 128, 128 * 256, shared, func(p *Plan, d []complex128) { p.TransformBatch(d, 1, 100, 256, Inverse) }},
+		{"shared/nested dist1 inside a b1 group", 64, 8 * 64 * 48, shared, func(p *Plan, d []complex128) { p.TransformNested(d, 48, 24*48, 8, 1, 48, Forward) }},
+		{"shared/interleaved", 3, 9, shared, func(p *Plan, d []complex128) { p.TransformBatch(d, 2, 4, 2, Forward) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -291,9 +297,45 @@ func TestBadLayoutPanicsOnCaller(t *testing.T) {
 			t.Error("no panic")
 		})
 	}
-	// The exact extent is accepted, and so are a single line at any distance
-	// and single elements side by side.
+	// The exact extent is accepted, and so are a single line at any distance,
+	// single elements side by side and interleaved lines that never meet.
 	NewPlan(64).TransformNested(make([]complex128, 8*64*48), 48, 64*48, 8, 1, 48, Forward)
 	NewPlan(64).TransformBatch(make([]complex128, 64), 1, 0, 1, Forward)
 	NewPlan(1).TransformBatch(make([]complex128, 8), 1, 1, 8, Forward)
+	NewPlan(3).TransformBatch(make([]complex128, 8), 2, 3, 2, Forward)
+}
+
+// TestSharesElementsExact holds sharesElements to counting every element of
+// every line, over all small layouts: the rule rejects exactly the layouts
+// whose lines meet.
+func TestSharesElementsExact(t *testing.T) {
+	seen := make([]int, 0, 256)
+	for n := 1; n <= 4; n++ {
+		for stride := 1; stride <= 5; stride++ {
+			for dist2 := 0; dist2 <= 9; dist2++ {
+				for batch2 := 1; batch2 <= 4; batch2++ {
+					for dist1 := 0; dist1 <= 13; dist1++ {
+						for batch1 := 1; batch1 <= 3; batch1++ {
+							sp := batchSpec{stride: stride, dist1: dist1, batch1: batch1, dist2: dist2, batch2: batch2}
+							seen = seen[:0]
+							want := false
+							for l := 0; l < sp.total(); l++ {
+								for i := 0; i < n; i++ {
+									e := sp.lineBase(l) + i*stride
+									for len(seen) <= e {
+										seen = append(seen, 0)
+									}
+									seen[e]++
+									want = want || seen[e] > 1
+								}
+							}
+							if got := sp.sharesElements(n); got != want {
+								t.Fatalf("n=%d %+v: sharesElements = %v, want %v", n, sp, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
 }

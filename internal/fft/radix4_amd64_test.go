@@ -89,9 +89,11 @@ func TestRadix4VecPreconditions(t *testing.T) {
 
 // TestRowsAsmBitIdentical holds the three row routines to the Go loops they
 // stand in for, bit for bit: the first stage and every pass of every plan
-// length, both directions, narrow and full groups, packed and padded rows, in
-// place and to a second array, unscaled and scaled. The destination starts
-// from a sentinel, so a store outside the rows shows too.
+// length, both directions, narrow and full groups, in place and to a second
+// array, unscaled and scaled, with the caller's lanes adjacent (lane 1, packed
+// and padded rows) or a line apart (lane n and n+5, pitch 1: contiguous lines).
+// The destination starts from a sentinel, so a store outside the lanes shows
+// too.
 func TestRowsAsmBitIdentical(t *testing.T) {
 	if !cpuHasAVX2() {
 		t.Skip("CPU or OS without AVX2")
@@ -103,7 +105,9 @@ func TestRowsAsmBitIdentical(t *testing.T) {
 	for _, n := range []int{64, 128, 256, 512, 1024, 2048, 4096} {
 		p := NewPlan(n)
 		for _, w := range []int{2, 6, p.tileLines} {
-			for _, pitch := range []int{w, w + 5} {
+			for _, lay := range []struct{ pitch, lane int }{{w, 1}, {w + 5, 1}, {1, n}, {1, n + 5}} {
+				pitch, lane := lay.pitch, lay.lane
+				size := (n-1)*pitch + (w-1)*lane + 1
 				for _, dir := range []Direction{Forward, Inverse} {
 					for _, kinds := range []int{0, 4, 6} { // none; zeros and denormals; ±Inf too
 						planted := func(size int) []complex128 {
@@ -123,30 +127,32 @@ func TestRowsAsmBitIdentical(t *testing.T) {
 							ref(want)
 							vec(got)
 							if i := sameBits(want, got); i >= 0 {
-								t.Fatalf("n=%d w=%d pitch=%d %v %s specials=%d: out[%d] = %v, Go reference %v",
-									n, w, pitch, dir, stage, kinds, i, got[i], want[i])
+								t.Fatalf("n=%d w=%d pitch=%d lane=%d %v %s specials=%d: out[%d] = %v, Go reference %v",
+									n, w, pitch, lane, dir, stage, kinds, i, got[i], want[i])
 							}
 						}
-						data := planted((n-1)*pitch + w)
+						data := planted(size)
 						if p.preRadix2 {
 							check("pairs", n*w,
-								func(tile []complex128) { pairsRows(tile, data, w, pitch, p.rev) },
-								func(tile []complex128) { pairsRowsVec(tile, data, w, pitch, p.rev) })
+								func(tile []complex128) { pairsRows(tile, data, w, pitch, lane, p.rev) },
+								func(tile []complex128) { pairsRowsVec(tile, data, w, pitch, lane, p.rev) })
 						} else {
 							check("quads", n*w,
-								func(tile []complex128) { quadsRows(tile, data, w, pitch, p.rev, dir == Forward) },
-								func(tile []complex128) { quadsRowsVec(tile, data, w, pitch, p.rev, dir == Forward) })
+								func(tile []complex128) { quadsRows(tile, data, w, pitch, lane, p.rev, dir == Forward) },
+								func(tile []complex128) { quadsRowsVec(tile, data, w, pitch, lane, p.rev, dir == Forward) })
 						}
 						s := p.firstTabS
 						for _, tw := range p.tw4[dir] {
 							src := planted(n * w)
-							check(fmt.Sprintf("s=%d in place", s), n*w,
-								func(tile []complex128) { copy(tile, src); radix4Rows(tile, w, tile, w, s, tw, 1, false) },
-								func(tile []complex128) { copy(tile, src); radix4RowsVec(tile, w, tile, w, s, tw, 1, false) })
+							if lane == 1 && pitch == w { // the tile's own layout: the in-place middle passes
+								check(fmt.Sprintf("s=%d in place", s), n*w,
+									func(tile []complex128) { copy(tile, src); radix4Rows(tile, w, 1, tile, w, s, tw, 1, false) },
+									func(tile []complex128) { copy(tile, src); radix4RowsVec(tile, w, 1, tile, w, s, tw, 1, false) })
+							}
 							for _, scale := range []float64{1, 1 / float64(n)} {
-								check(fmt.Sprintf("s=%d to %g", s, scale), (n-1)*pitch+w,
-									func(dst []complex128) { radix4Rows(dst, pitch, src, w, s, tw, scale, scale != 1) },
-									func(dst []complex128) { radix4RowsVec(dst, pitch, src, w, s, tw, scale, scale != 1) })
+								check(fmt.Sprintf("s=%d to %g", s, scale), size,
+									func(dst []complex128) { radix4Rows(dst, pitch, lane, src, w, s, tw, scale, scale != 1) },
+									func(dst []complex128) { radix4RowsVec(dst, pitch, lane, src, w, s, tw, scale, scale != 1) })
 							}
 							s *= 4
 						}
@@ -166,26 +172,34 @@ func TestRowsPreconditions(t *testing.T) {
 	badRev := append([]int32(nil), p128.rev...)
 	badRev[5] = 128
 	for name, call := range map[string]func(){
-		"pairs/odd w":            func() { pairsRowsVec(x(128*3), x(128*3), 3, 3, p128.rev) },
-		"pairs/w below 2":        func() { pairsRowsVec(x(128), x(128), 0, 4, p128.rev) },
-		"pairs/short tile":       func() { pairsRowsVec(x(128*4-1), x(128*4), 4, 4, p128.rev) },
-		"pairs/short data":       func() { pairsRowsVec(x(128*4), x(127*6+3), 4, 6, p128.rev) },
-		"pairs/pitch below w":    func() { pairsRowsVec(x(128*4), x(128*4), 4, 2, p128.rev) },
-		"pairs/odd table":        func() { pairsRowsVec(x(128*4), x(128*4), 4, 4, p128.rev[:3]) },
-		"pairs/empty table":      func() { pairsRowsVec(x(128*4), x(128*4), 4, 4, nil) },
-		"pairs/index past table": func() { pairsRowsVec(x(128*4), x(128*4), 4, 4, badRev) },
-		"quads/odd w":            func() { quadsRowsVec(x(64*5), x(64*5), 5, 5, p64.rev, true) },
-		"quads/short data":       func() { quadsRowsVec(x(64*2), x(64*2-1), 2, 2, p64.rev, false) },
-		"quads/table not 4s":     func() { quadsRowsVec(x(64*2), x(64*2), 2, 2, p64.rev[:6], true) },
-		"pass/odd w":             func() { radix4RowsVec(x(64*3), 3, x(64*3), 3, 4, tw, 1, false) },
-		"pass/w below 2":         func() { radix4RowsVec(x(64), 1, x(64), 1, 4, tw, 1, false) },
-		"pass/s below 1":         func() { radix4RowsVec(x(64*2), 2, x(64*2), 2, 0, tw, 1, false) },
-		"pass/rows not 4s":       func() { radix4RowsVec(x(24*2), 2, x(24*2), 2, 4, tw, 1, false) },
-		"pass/ragged src":        func() { radix4RowsVec(x(64*4), 4, x(64*4-2), 4, 4, tw, 1, false) },
-		"pass/empty":             func() { radix4RowsVec(nil, 2, nil, 2, 4, tw, 1, false) },
-		"pass/short twiddles":    func() { radix4RowsVec(x(64*2), 2, x(64*2), 2, 16, tw, 1, false) },
-		"pass/dpitch below w":    func() { radix4RowsVec(x(64*4), 2, x(64*4), 4, 4, tw, 1, false) },
-		"pass/short dst":         func() { radix4RowsVec(x(63*6+3), 6, x(64*4), 4, 4, tw, 1, true) },
+		"pairs/odd w":            func() { pairsRowsVec(x(128*3), x(128*3), 3, 3, 1, p128.rev) },
+		"pairs/w below 2":        func() { pairsRowsVec(x(128), x(128), 0, 4, 1, p128.rev) },
+		"pairs/short tile":       func() { pairsRowsVec(x(128*4-1), x(128*4), 4, 4, 1, p128.rev) },
+		"pairs/short data":       func() { pairsRowsVec(x(128*4), x(127*6+3), 4, 6, 1, p128.rev) },
+		"pairs/pitch below w":    func() { pairsRowsVec(x(128*4), x(128*4), 4, 2, 1, p128.rev) },
+		"pairs/lane below n":     func() { pairsRowsVec(x(128*4), x(128*4), 4, 1, 127, p128.rev) },
+		"pairs/lane 0":           func() { pairsRowsVec(x(128*4), x(128*4), 4, 4, 0, p128.rev) },
+		"pairs/short lanes":      func() { pairsRowsVec(x(128*4), x(3*130+127), 4, 1, 130, p128.rev) },
+		"pairs/odd table":        func() { pairsRowsVec(x(128*4), x(128*4), 4, 4, 1, p128.rev[:3]) },
+		"pairs/empty table":      func() { pairsRowsVec(x(128*4), x(128*4), 4, 4, 1, nil) },
+		"pairs/index past table": func() { pairsRowsVec(x(128*4), x(128*4), 4, 4, 1, badRev) },
+		"quads/odd w":            func() { quadsRowsVec(x(64*5), x(64*5), 5, 5, 1, p64.rev, true) },
+		"quads/short data":       func() { quadsRowsVec(x(64*2), x(64*2-1), 2, 2, 1, p64.rev, false) },
+		"quads/lane below n":     func() { quadsRowsVec(x(64*2), x(64*2), 2, 1, 63, p64.rev, true) },
+		"quads/short lanes":      func() { quadsRowsVec(x(64*2), x(64+63), 2, 1, 64, p64.rev, false) },
+		"quads/table not 4s":     func() { quadsRowsVec(x(64*2), x(64*2), 2, 2, 1, p64.rev[:6], true) },
+		"pass/odd w":             func() { radix4RowsVec(x(64*3), 3, 1, x(64*3), 3, 4, tw, 1, false) },
+		"pass/w below 2":         func() { radix4RowsVec(x(64), 1, 1, x(64), 1, 4, tw, 1, false) },
+		"pass/s below 1":         func() { radix4RowsVec(x(64*2), 2, 1, x(64*2), 2, 0, tw, 1, false) },
+		"pass/rows not 4s":       func() { radix4RowsVec(x(24*2), 2, 1, x(24*2), 2, 4, tw, 1, false) },
+		"pass/ragged src":        func() { radix4RowsVec(x(64*4), 4, 1, x(64*4-2), 4, 4, tw, 1, false) },
+		"pass/empty":             func() { radix4RowsVec(nil, 2, 1, nil, 2, 4, tw, 1, false) },
+		"pass/short twiddles":    func() { radix4RowsVec(x(64*2), 2, 1, x(64*2), 2, 16, tw, 1, false) },
+		"pass/dpitch below w":    func() { radix4RowsVec(x(64*4), 2, 1, x(64*4), 4, 4, tw, 1, false) },
+		"pass/short dst":         func() { radix4RowsVec(x(63*6+3), 6, 1, x(64*4), 4, 4, tw, 1, true) },
+		"pass/dlane below n":     func() { radix4RowsVec(x(64*4), 1, 63, x(64*4), 4, 4, tw, 1, false) },
+		"pass/dlane 0":           func() { radix4RowsVec(x(64*4), 4, 0, x(64*4), 4, 4, tw, 1, false) },
+		"pass/short lanes":       func() { radix4RowsVec(x(3*70+63), 1, 70, x(64*4), 4, 4, tw, 1, true) },
 	} {
 		func() {
 			defer func() {

@@ -10,14 +10,14 @@ func radix4Vec(dst, src []complex128, s int, tw []twiddle3, scale float64, scale
 	panic("fft: radix4Vec without a vector routine")
 }
 
-func pairsRowsVec(tile, data []complex128, w, pitch int, rev []int32) {
+func pairsRowsVec(tile, data []complex128, w, pitch, lane int, rev []int32) {
 	panic("fft: pairsRowsVec without a vector routine")
 }
 
-func quadsRowsVec(tile, data []complex128, w, pitch int, rev []int32, fwd bool) {
+func quadsRowsVec(tile, data []complex128, w, pitch, lane int, rev []int32, fwd bool) {
 	panic("fft: quadsRowsVec without a vector routine")
 }
 
-func radix4RowsVec(dst []complex128, dpitch int, src []complex128, w, s int, tw []twiddle3, scale float64, scaled bool) {
+func radix4RowsVec(dst []complex128, dpitch, dlane int, src []complex128, w, s int, tw []twiddle3, scale float64, scaled bool) {
 	panic("fft: radix4RowsVec without a vector routine")
 }
