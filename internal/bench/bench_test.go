@@ -138,6 +138,10 @@ func TestHeadlineScalars(t *testing.T) {
 	if p := got["gpu_aware_penalty"]; p < 0.25 || p > 0.35 {
 		t.Errorf("gpu_aware_penalty = %.4f, want within [0.25, 0.35] (paper Fig. 11: ≈30 %%)", p)
 	}
+	// The paper's Fig. 12, heFFTe on the paper's baseline profile: ≈40 %.
+	if r := got["kspace_reduction"]; r < 0.35 || r > 0.45 {
+		t.Errorf("kspace_reduction = %.4f, want within [0.35, 0.45] (paper Fig. 12: ≈40 %%)", r)
+	}
 }
 
 // TestFig12ShowsKspaceReduction pins the headline application result: the
