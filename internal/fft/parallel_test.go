@@ -117,8 +117,8 @@ func TestTransformBatchConcurrentRanks(t *testing.T) {
 }
 
 // TestTransformSteadyStateAllocs verifies the pooled scratch path: after
-// warm-up, contiguous, strided and Bluestein batched transforms allocate
-// nothing per call.
+// warm-up, contiguous (across rows too, with an odd line), strided and
+// Bluestein batched transforms allocate nothing per call.
 func TestTransformSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under -race; allocation counts are meaningless")
@@ -128,13 +128,16 @@ func TestTransformSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name            string
 		n, stride, dist int
+		batch           int // contiguous layouts; a strided one runs stride lines
 	}{
-		{"pow2-contig", 64, 1, 64},
-		{"pow2-strided", 64, 8, 1},
-		{"bluestein", 60, 1, 60},
+		{"pow2-contig", 64, 1, 64, 8},
+		{"pow2-contig rows, odd line", 128, 1, 131, 17},
+		{"pow2-contig rows of two", 2048, 1, 2051, 17},
+		{"pow2-strided", 64, 8, 1, 0},
+		{"bluestein", 60, 1, 60, 8},
 	} {
 		p := NewPlan(tc.n)
-		batch := 8
+		batch := tc.batch
 		var size int
 		if tc.stride == 1 {
 			size = tc.dist * batch
