@@ -8,13 +8,14 @@ build:
 	go build ./...
 
 # go vet plus the formatting gate: gofmt -l must print nothing. internal/fft
-# has amd64 assembly kernels (vet's asmdecl checks their frames and argument
-# offsets), so the portable build — the Go loops and the radix4_other.go stubs
-# of every routine's wrapper — is cross-compiled and vetted for arm64 too;
-# neither needs the network. Used by CI.
+# (the FFT kernels) and internal/tensor (the strided copy kernel) have amd64
+# assembly (vet's asmdecl checks their frames and argument offsets), so the
+# portable build — the Go loops and the radix4_other.go / copy_other.go stubs
+# — is cross-compiled and vetted for arm64 too; neither needs the network.
+# Used by CI.
 vet:
 	go vet ./...
-	GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/fft/
+	GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/fft/ ./internal/tensor/
 	@test -z "$$(gofmt -l .)" || { echo "gofmt -l . lists:"; gofmt -l .; exit 1; }
 
 test:
@@ -26,6 +27,8 @@ test:
 # core ships pool buffers between ranks with move semantics, lends arrays as
 # views, recycles send and receive lists through a process-wide pool and
 # shares each reshape's exchange patterns between every rank of the world;
+# tensor's copies read the arrays other ranks lend (race builds take its Go
+# copy loop, not the assembly, so the detector sees every load and store);
 # trace records from every rank into per-rank shards; tuning builds and times
 # plans on every rank of a world (its tests gather results); the serving layer
 # multiplexes many submitters onto shared engines through the scheduler, the
@@ -41,7 +44,7 @@ test:
 # sharing one exchange pattern, interleaved, on GPU-aware and staged worlds
 # (TestCompiledScheduleCacheIdentity). Used by CI.
 race:
-	go test -race ./internal/mpisim/ ./internal/core/ ./internal/fft/ ./internal/trace/ ./internal/tuning/ ./heffte/serve/ ./internal/sched/
+	go test -race ./internal/mpisim/ ./internal/core/ ./internal/fft/ ./internal/tensor/ ./internal/trace/ ./internal/tuning/ ./heffte/serve/ ./internal/sched/
 	go test -race -count=1 -cpu 1,2,8 -run 'TestRecycledListsMatchFresh|TestRendezvousReleasesRound|TestPatternMatchesBlocks|TestBareExchangesMoveNoBlockLists|TestPatternPricesLikeBlocks|TestCompletedRoundSurvivesAbort|TestRepeatedAbortsNeverBlockALeader|TestForwardCtxCancellation|TestCompiledScheduleCacheIdentity' ./internal/core/ ./internal/mpisim/
 
 # The repository benchmark (BENCHMARK.json): four workloads, end-to-end
@@ -56,8 +59,11 @@ bench:
 # row pass of a plane, the z-pencil of dense128_r64 and a 64-point rank share
 # of serve_mixed_r8, ns/line; both run across rows), the
 # blocked reorder transposes, pack/unpack in their three
-# run-coalescing regimes (row, plane, whole block), and over the same regimes
-# one box-to-box CopyBox against Pack + Unpack through a buffer.
+# run-coalescing regimes (row, plane, whole block), over the same regimes
+# one box-to-box CopyBox against Pack + Unpack through a buffer, and CopyBox
+# on the short runs altpaths64_r24 moves on every transform (complex128 runs
+# of 5 and 11 elements from its pencil reshapes, float64 runs of 16 from its
+# real plan's unpacks, and the 5-element box again in float64).
 bench-kernel:
 	go test -run '^$$' -bench 'BenchmarkKernel|BenchmarkRadix4Pass|BenchmarkRadix4Rows|BenchmarkStridedBatch|BenchmarkContigBatch|BenchmarkFFTBluestein' -benchmem ./internal/fft/
 	go test -run '^$$' -bench 'BenchmarkPackBlocked|BenchmarkPack$$|BenchmarkUnpack$$|BenchmarkCopyBox$$' -benchmem ./internal/tensor/

@@ -30,6 +30,26 @@ func main() {
 	)
 	flag.Parse()
 
+	fail := func(err error) {
+		fmt.Fprintln(os.Stderr, "fftbench:", err)
+		os.Exit(2)
+	}
+	if flag.NArg() > 0 {
+		fail(fmt.Errorf("unexpected argument %q: every setting is a -flag, and flags come first", flag.Arg(0)))
+	}
+	modes := 0
+	for _, on := range []bool{*list, *all, *exp != ""} {
+		if on {
+			modes++
+		}
+	}
+	if modes > 1 {
+		fail(fmt.Errorf("-list, -all and -exp exclude one another"))
+	}
+	if _, ok := bench.Lookup(*exp); *exp != "" && !ok {
+		fail(fmt.Errorf("unknown experiment %q (try `fftbench -list`)", *exp))
+	}
+
 	switch {
 	case *list:
 		for _, e := range bench.All() {

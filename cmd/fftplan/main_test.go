@@ -21,8 +21,8 @@ func TestMain(m *testing.M) {
 
 // TestBadFlagsExit2: a flag value the model cannot evaluate is rejected up
 // front — one "fftplan: …" line on stderr, nothing on stdout, exit status 2 —
-// instead of a goroutine trace, a negative grid, an infinite time or a
-// silently ignored -dead.
+// instead of a goroutine trace, a negative grid, an infinite time, a
+// silently ignored -dead or flags silently dropped after a stray argument.
 func TestBadFlagsExit2(t *testing.T) {
 	for _, args := range [][]string{
 		{"-n", "0"},
@@ -34,6 +34,7 @@ func TestBadFlagsExit2(t *testing.T) {
 		{"-dead", "-1"},
 		{"-ranks", "24", "-dead", "24"},
 		{"-ranks", "24", "-dead", "30"},
+		{"-n", "64", "ranks", "24"}, // a stray argument ends flag parsing
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], args...)

@@ -25,8 +25,9 @@ func TestMain(m *testing.M) {
 
 // TestBadFlagsExit2: a flag value the load generator cannot run is rejected
 // up front — one "fftserve: …" line on stderr, nothing on stdout, exit status
-// 2 — instead of a goroutine trace, a run of zero requests, or a value
-// silently replaced. The other flags keep each row short.
+// 2 — instead of a goroutine trace, a run of zero requests, a value
+// silently replaced or flags silently dropped after a stray argument. The
+// other flags keep each row short.
 func TestBadFlagsExit2(t *testing.T) {
 	quick := []string{"-shapes", "8x8x8", "-rate", "0", "-requests", "1"}
 	for _, args := range [][]string{
@@ -40,6 +41,7 @@ func TestBadFlagsExit2(t *testing.T) {
 		{"-shapes", "8x8x8", "-rate", "0", "-requests", "0"},
 		{"-shapes", "8x8x8", "-rate", "-3", "-requests", "1"},
 		{"-shapes", "8x8x8", "-rate", "5", "-duration", "-1s"},
+		append([]string{"-ranks", "2", "clients", "4"}, quick...), // a stray argument ends flag parsing
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], args...)

@@ -44,6 +44,9 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	if flag.NArg() > 0 {
+		fail(fmt.Errorf("unexpected argument %q: every setting is a -flag, and flags come first", flag.Arg(0)))
+	}
 	for _, f := range []struct {
 		name string
 		v    int

@@ -23,11 +23,13 @@ func TestMain(m *testing.M) {
 }
 
 // TestBadFlagsExit2: a bad flag is rejected up front — one "fftsim: …" line on
-// stderr, nothing on stdout, exit status 2 — instead of running a default.
+// stderr, nothing on stdout, exit status 2 — instead of running a default, or
+// running the flags before a stray argument and ignoring the rest.
 func TestBadFlagsExit2(t *testing.T) {
 	for _, args := range [][]string{
 		{"-machine", "bogus", "-n", "8", "-ranks", "2", "-iters", "2"},
 		{"-shrink", "-5", "-n", "8", "-ranks", "2", "-iters", "2"},
+		{"-n", "8", "ranks", "2", "-iters", "2"}, // a stray argument ends flag parsing
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], args...)

@@ -13,8 +13,8 @@ import (
 )
 
 // sweep widens TestAutoAgainstForced from its 160 gated configurations to the
-// 768-configuration sweep tabulated in EXPERIMENTS.md ("One collective cost
-// engine") and prints one SWEEP row per configuration, so two trees can be
+// 768-configuration sweep tabulated in EXPERIMENTS.md at 0cef092 ("One
+// collective cost engine") and prints one SWEEP row per configuration, so two trees can be
 // compared configuration by configuration:
 //
 //	go test ./internal/bench -run TestAutoAgainstForced -sweep -v | grep SWEEP

@@ -283,6 +283,34 @@ func TestCommDominatesFig7(t *testing.T) {
 	}
 }
 
+// TestFig8Shape checks Fig. 8's shape on the paper's baseline profile and on
+// the tuned one: at every node count of the 1–128 sweep the GPU-aware total
+// is below the host-staged total, and from 2 nodes on each total falls with
+// every doubling. One node is left out of the second rule: its exchanges stay
+// on NVLink, so the step to two nodes is the first over the network.
+func TestFig8Shape(t *testing.T) {
+	s := fullResult(t, "fig8").Sections[0]
+	if n := len(s.Rows); n != len(nodeSweep(128)) {
+		t.Fatalf("%d rows, want one per node count of the 1–128 sweep", n)
+	}
+	for pi, profile := range []string{"baseline", "tuned"} {
+		aware, host := 4+4*pi, 5+4*pi
+		for i, row := range s.Rows {
+			if row[aware].V >= row[host].V {
+				t.Errorf("%s, %s nodes: %s %s not below %s %s", profile, row[0].Text, s.Header[aware], row[aware].Text, s.Header[host], row[host].Text)
+			}
+			if i < 2 {
+				continue
+			}
+			for _, c := range []int{aware, host} {
+				if prev := s.Rows[i-1]; row[c].V >= prev[c].V {
+					t.Errorf("%s: %s %s at %s nodes, not below %s at %s", profile, s.Header[c], row[c].Text, row[0].Text, prev[c].Text, prev[0].Text)
+				}
+			}
+		}
+	}
+}
+
 // TestModelCheckShape checks modelcheck's expected shape over the 1–128-node
 // sweep: the simulated pencil exchanges never take longer than eqs. 2–3
 // predict, and the ratio is lowest on one node.
@@ -304,8 +332,8 @@ func TestModelCheckShape(t *testing.T) {
 // in the order fig11, fig4, fig5, fig8, fig9: fig11 measures its 16-node
 // pair on the paper's baseline profile and tuned (4 points; the tuned pair is
 // also fig4's), fig4 the rest of its 4 points per node count, fig5 only its
-// slab column and the pencil points above fig4's 128 nodes, and fig8 and
-// fig9 nothing — fig4's points are theirs.
+// slab column and the pencil points above fig4's 128 nodes, fig8 only its
+// baseline pairs but fig11's, and fig9 nothing — fig4's points are theirs.
 func TestScalingPointsMeasuredOnce(t *testing.T) {
 	fullResult(t, "fig4")
 	fig4 := 4 * len(nodeSweep(128))
@@ -313,7 +341,7 @@ func TestScalingPointsMeasuredOnce(t *testing.T) {
 		"fig11": 4,
 		"fig4":  fig4 - 2,
 		"fig5":  len(nodeSweep(512)) + 2,
-		"fig8":  0,
+		"fig8":  2*len(nodeSweep(128)) - 2,
 		"fig9":  0,
 	} {
 		if got := suite.tracers[id]; got != want {

@@ -180,35 +180,53 @@ func runFig5() (Result, error) {
 	return Result{Sections: []Section{s}, Scalars: map[string]float64{"crossover_nodes": float64(crossover)}}, nil
 }
 
-// scalingTable is the comm/total table and plot of Figs. 8 and 9.
-func scalingTable(backend core.Backend, notes ...string) Result {
-	s := Section{Header: []string{"nodes", "GPUs", "comm(aware)", "comm(host)", "total(aware)", "total(host)"}}
-	var xs, awareY, hostY []float64
-	for _, nodes := range nodeSweep(128) {
-		aware := scalingPoint(nodes, core.DecompPencils, backend, true, core.CommConfig{})
-		host := scalingPoint(nodes, core.DecompPencils, backend, false, core.CommConfig{})
-		s.Rows = append(s.Rows, []Cell{count(nodes), count(6 * nodes),
-			secs(aware.CommPerFFT), secs(host.CommPerFFT), secs(aware.TotalPerFFT), secs(host.TotalPerFFT)})
-		xs = append(xs, float64(nodes))
-		awareY = append(awareY, aware.TotalPerFFT)
-		hostY = append(hostY, host.TotalPerFFT)
+// scalingTable is the comm/total table and plot of Figs. 8 and 9: pencils
+// over the 1–128-node sweep, GPU-aware and host-staged, one group of four
+// columns and two plotted totals per communication profile; a second
+// profile is marked "tuned".
+func scalingTable(backend core.Backend, profiles []core.CommConfig, notes ...string) Result {
+	s := Section{Header: []string{"nodes", "GPUs"}}
+	suffix := []string{"", ",tuned"}
+	for pi := range profiles {
+		for _, h := range []string{"comm(aware", "comm(host", "total(aware", "total(host"} {
+			s.Header = append(s.Header, h+suffix[pi]+")")
+		}
 	}
-	s.Plot = []plot.Series{
-		{Name: "total, GPU-aware", X: xs, Y: awareY},
-		{Name: "total, -no-gpu-aware", X: xs, Y: hostY},
+	var xs []float64
+	ys := make([][2][]float64, len(profiles))
+	for _, nodes := range nodeSweep(128) {
+		row := []Cell{count(nodes), count(6 * nodes)}
+		for pi, comm := range profiles {
+			aware := scalingPoint(nodes, core.DecompPencils, backend, true, comm)
+			host := scalingPoint(nodes, core.DecompPencils, backend, false, comm)
+			row = append(row, secs(aware.CommPerFFT), secs(host.CommPerFFT), secs(aware.TotalPerFFT), secs(host.TotalPerFFT))
+			ys[pi][0] = append(ys[pi][0], aware.TotalPerFFT)
+			ys[pi][1] = append(ys[pi][1], host.TotalPerFFT)
+		}
+		s.Rows = append(s.Rows, row)
+		xs = append(xs, float64(nodes))
+	}
+	for pi := range profiles {
+		tag := []string{"", " (tuned)"}[pi]
+		s.Plot = append(s.Plot,
+			plot.Series{Name: "total, GPU-aware" + tag, X: xs, Y: ys[pi][0]},
+			plot.Series{Name: "total, -no-gpu-aware" + tag, X: xs, Y: ys[pi][1]})
 	}
 	s.PlotOpts = plot.Options{LogX: true, LogY: true, XLabel: "nodes (log)", YLabel: "time per FFT (log)"}
 	s.Notes = notes
 	return Result{Sections: []Section{s}}
 }
 
+// runFig8 prints the paper's baseline profile beside the tuned one. Its
+// shape is asserted on both (TestFig8Shape).
 func runFig8() (Result, error) {
-	return scalingTable(core.BackendAlltoallv,
-		"expected shape: both curves scale; GPU-aware consistently below host-staged"), nil
+	return scalingTable(core.BackendAlltoallv, []core.CommConfig{paperBaseline, {}},
+		"shape (asserted on both profiles): GPU-aware total below host-staged at every node count;",
+		"each total falls from 2 to 128 nodes (the 1→2-node step leaves NVLink)"), nil
 }
 
 func runFig9() (Result, error) {
-	return scalingTable(core.BackendP2P,
+	return scalingTable(core.BackendP2P, []core.CommConfig{{}},
 		"expected shape: GPU-aware P2P stops scaling at large node counts (per-message",
 		"RDMA overhead × thousands of peers), while the host-staged path keeps scaling"), nil
 }

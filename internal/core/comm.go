@@ -108,8 +108,8 @@ func simAlgoOf(a CollAlgo) mpisim.Algo {
 //
 // The price is that of an idle group: it cannot see the entry skew the
 // previous phase leaves behind, so two schedules within a few percent of each
-// other on a ragged node layout may rank the other way in situ (EXPERIMENTS.md,
-// "One collective cost engine").
+// other on a ragged node layout may rank the other way in situ (EXPERIMENTS.md
+// at 0cef092, "One collective cost engine").
 func pickAlgo(rs *reshapePlan, web, batch int) mpisim.Algo {
 	key := fmt.Sprintf("%s/pick/%d/%t/%d/%d", rs.tab.key, rs.root, rs.reversed, web, batch)
 	return rs.group.World().Shared(key, func() any {

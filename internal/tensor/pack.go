@@ -1,76 +1,83 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Pack copies the points of sub (which must lie inside own) from the local
 // array src (laid out for box own) into the contiguous buffer dst, enumerated
-// in global row-major order of sub. dst must have length sub.Volume(). It is
-// generic so both complex grids and real (float64) grids — the input of
-// real-to-complex transforms, which travel at half the bytes — share one
-// implementation.
+// in global row-major order of sub. dst must have length sub.Volume() and
+// share no memory with src. It is generic so both complex grids and real
+// (float64) grids — the input of real-to-complex transforms, which travel at
+// half the bytes — share one implementation: a CopyBox into the buffer laid
+// out over sub itself.
 //
 // This is the CPU realization of the GPU packing kernels of Algorithm 1
 // ("Pack data in contiguous memory"); its device cost is modelled by
 // internal/gpu.
 func Pack[T any](src []T, own, sub Box3, dst []T) {
-	checkPackArgs(len(src), own, sub, len(dst))
-	if sub.Empty() {
-		return
-	}
-	r := runsOf(own, sub)
-	k := 0
-	for i0 := 0; i0 < r.n0; i0++ {
-		at := r.base + i0*r.st0
-		for i1 := 0; i1 < r.n1; i1++ {
-			copy(dst[k:k+r.run], src[at:at+r.run])
-			k += r.run
-			at += r.st1
-		}
-	}
+	CopyBox(dst, sub, src, own, sub)
 }
 
 // Unpack is the inverse of Pack: it scatters the contiguous buffer src
 // (enumerating sub in global row-major order) into the local array dst laid
 // out for box own.
 func Unpack[T any](dst []T, own, sub Box3, src []T) {
-	checkPackArgs(len(dst), own, sub, len(src))
-	if sub.Empty() {
-		return
-	}
-	r := runsOf(own, sub)
-	k := 0
-	for i0 := 0; i0 < r.n0; i0++ {
-		at := r.base + i0*r.st0
-		for i1 := 0; i1 < r.n1; i1++ {
-			copy(dst[at:at+r.run], src[k:k+r.run])
-			k += r.run
-			at += r.st1
-		}
-	}
+	CopyBox(dst, own, src, sub, sub)
 }
 
 // CopyBox copies the points of sub (which must lie inside both boxes) out of
 // the local array src, laid out for box srcOwn, into the local array dst, laid
 // out for box dstOwn: Unpack(dst, dstOwn, sub, Pack(src, srcOwn, sub)) without
 // the buffer in between, so every element crosses memory once. Each copy is the
-// longest run that is contiguous in both layouts.
+// longest run that is contiguous in both layouts. dst and src must not share
+// memory.
 func CopyBox[T any](dst []T, dstOwn Box3, src []T, srcOwn, sub Box3) {
 	checkPackArgs(len(dst), dstOwn, sub, sub.Volume())
 	checkPackArgs(len(src), srcOwn, sub, sub.Volume())
 	if sub.Empty() {
 		return
 	}
+	d, s, size := uintptr(unsafe.Pointer(&dst[0])), uintptr(unsafe.Pointer(&src[0])), unsafe.Sizeof(src[0])
+	if d < s+uintptr(len(src))*size && s < d+uintptr(len(dst))*size {
+		panic("tensor: CopyBox between arrays that share memory")
+	}
 	fold := min(foldOf(dstOwn, sub), foldOf(srcOwn, sub))
 	copyRuns(dst, runsAt(dstOwn, sub, fold), src, runsAt(srcOwn, sub, fold))
 }
 
-// copyRuns copies run for run between two placements of one sub-box folded to
-// the same level, and reports how many copies that took.
+// copyRuns copies run for run between two placements of the same n0 × n1 runs
+// of run elements, and reports how many runs that was. complex128 and float64
+// hold no pointers, so the kernel (useSSE2) may store them without write
+// barriers: it takes a plane of runs per call, the whole block when a plane is
+// one run. Otherwise each run is one copy.
 func copyRuns[T any](dst []T, d runs, src []T, s runs) (copies int) {
+	if d.n0*d.n1*d.run == 0 {
+		return 0
+	}
+	switch any((*T)(nil)).(type) {
+	case *complex128, *float64:
+		if !useSSE2 {
+			break
+		}
+		// The kernel checks no bounds: slicing to the last run's end does.
+		dst = dst[d.base : d.base+(d.n0-1)*d.st0+(d.n1-1)*d.st1+d.run]
+		src = src[s.base : s.base+(d.n0-1)*s.st0+(d.n1-1)*s.st1+d.run]
+		size := int(unsafe.Sizeof(dst[0]))
+		if d.n1 == 1 {
+			copyRunsSSE2(unsafe.Pointer(&dst[0]), unsafe.Pointer(&src[0]), d.n0, d.run*size, d.st0*size, s.st0*size)
+			return d.n0
+		}
+		for i0 := 0; i0 < d.n0; i0++ {
+			copyRunsSSE2(unsafe.Pointer(&dst[i0*d.st0]), unsafe.Pointer(&src[i0*s.st0]), d.n1, d.run*size, d.st1*size, s.st1*size)
+		}
+		return d.n0 * d.n1
+	}
 	for i0 := 0; i0 < d.n0; i0++ {
 		da, sa := d.base+i0*d.st0, s.base+i0*s.st0
 		for i1 := 0; i1 < d.n1; i1++ {
-			copy(dst[da:da+d.run], src[sa:sa+s.run])
+			copy(dst[da:da+d.run], src[sa:sa+d.run])
 			da += d.st1
 			sa += s.st1
 		}
@@ -112,10 +119,6 @@ func runsAt(own, sub Box3, fold int) runs {
 	return r
 }
 
-// runsOf folds as far as the layout allows, so each copy of Pack and Unpack is
-// as long as it can be.
-func runsOf(own, sub Box3) runs { return runsAt(own, sub, foldOf(own, sub)) }
-
 func checkPackArgs(localLen int, own, sub Box3, bufLen int) {
 	if !own.ContainsBox(sub) {
 		panic(fmt.Sprintf("tensor: sub-box %v not inside own box %v", sub, own))
@@ -155,14 +158,7 @@ func Reorder(src []complex128, b Box3, perm [3]int, dst []complex128) {
 	switch {
 	case st2 == 1:
 		// perm keeps axis 2 innermost: both sides are contiguous rows.
-		k := 0
-		for j0 := 0; j0 < n0; j0++ {
-			for j1 := 0; j1 < n1; j1++ {
-				base := j0*st0 + j1*st1
-				copy(dst[k:k+n2], src[base:base+n2])
-				k += n2
-			}
-		}
+		copyRuns(dst, runs{n0: n0, st0: n1 * n2, n1: n1, st1: n2, run: n2}, src, runs{n0: n0, st0: st0, n1: n1, st1: st1, run: n2})
 	case st1 == 1:
 		// Middle loop walks the source's contiguous axis: tile (j1, j2).
 		for j0 := 0; j0 < n0; j0++ {
@@ -205,62 +201,18 @@ func Reorder(src []complex128, b Box3, perm [3]int, dst []complex128) {
 }
 
 // ReorderBack is the inverse of Reorder: it scatters dst-ordered data back to
-// the default axis order, with the same cache blocking.
+// the default axis order. That is Reorder itself, out of the permuted layout
+// (extents s[perm[0]], s[perm[1]], s[perm[2]]) by the inverse permutation, so
+// it is cache-blocked the same way.
 func ReorderBack(src []complex128, b Box3, perm [3]int, dst []complex128) {
-	if len(src) != b.Volume() || len(dst) != b.Volume() {
-		panic(fmt.Sprintf("tensor: ReorderBack length mismatch src=%d dst=%d vol=%d", len(src), len(dst), b.Volume()))
-	}
 	checkPerm(perm)
-	s := b.Sizes()
-	as := [3]int{s[1] * s[2], s[2], 1}
-	n0, n1, n2 := s[perm[0]], s[perm[1]], s[perm[2]]
-	st0, st1, st2 := as[perm[0]], as[perm[1]], as[perm[2]]
-	switch {
-	case st2 == 1:
-		k := 0
-		for j0 := 0; j0 < n0; j0++ {
-			for j1 := 0; j1 < n1; j1++ {
-				base := j0*st0 + j1*st1
-				copy(dst[base:base+n2], src[k:k+n2])
-				k += n2
-			}
-		}
-	case st1 == 1:
-		for j0 := 0; j0 < n0; j0++ {
-			b0 := j0 * st0
-			d0 := j0 * n1 * n2
-			for j1b := 0; j1b < n1; j1b += reorderBlock {
-				j1e := min(j1b+reorderBlock, n1)
-				for j2b := 0; j2b < n2; j2b += reorderBlock {
-					j2e := min(j2b+reorderBlock, n2)
-					for j1 := j1b; j1 < j1e; j1++ {
-						bi := b0 + j1
-						di := d0 + j1*n2
-						for j2 := j2b; j2 < j2e; j2++ {
-							dst[bi+j2*st2] = src[di+j2]
-						}
-					}
-				}
-			}
-		}
-	default:
-		for j0b := 0; j0b < n0; j0b += reorderBlock {
-			j0e := min(j0b+reorderBlock, n0)
-			for j2b := 0; j2b < n2; j2b += reorderBlock {
-				j2e := min(j2b+reorderBlock, n2)
-				for j1 := 0; j1 < n1; j1++ {
-					b1 := j1 * st1
-					for j0 := j0b; j0 < j0e; j0++ {
-						bi := b1 + j0
-						di := (j0*n1 + j1) * n2
-						for j2 := j2b; j2 < j2e; j2++ {
-							dst[bi+j2*st2] = src[di+j2]
-						}
-					}
-				}
-			}
-		}
+	var inv [3]int
+	var permuted Box3
+	for k, p := range perm {
+		inv[p] = k
+		permuted.Hi[k] = b.Size(p)
 	}
+	Reorder(src, permuted, inv, dst)
 }
 
 func checkPerm(perm [3]int) {

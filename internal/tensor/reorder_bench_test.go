@@ -3,6 +3,7 @@ package tensor
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // BenchmarkPackBlocked measures the axis-permuting copies of the
@@ -69,11 +70,28 @@ func benchPack(b *testing.B, unpack bool) {
 func BenchmarkPack(b *testing.B)   { benchPack(b, false) }
 func BenchmarkUnpack(b *testing.B) { benchPack(b, true) }
 
+// shortRuns are copies altpaths64_r24 (64³ over 24 ranks) makes on every
+// transform, with their real boxes: its pipelined complex plan's pencil
+// reshapes move runs of 5 and 11 elements (80 and 176 B), its real plan
+// unpacks received float64 blocks in runs of 16 (128 B); the last is the run
+// of 5 again in float64, which ends in the kernel's 8-byte tail.
+var shortRuns = []struct {
+	name                string
+	dstOwn, srcOwn, sub Box3
+	real                bool
+}{
+	{"c128x5", NewBox(0, 0, 18, 16, 64, 23), NewBox(0, 33, 0, 16, 44, 33), NewBox(0, 33, 18, 16, 44, 23), false},
+	{"c128x11", NewBox(48, 33, 0, 64, 44, 64), NewBox(48, 0, 0, 64, 64, 11), NewBox(48, 33, 0, 64, 44, 11), false},
+	{"f64x16", NewBox(0, 11, 0, 16, 22, 64), NewBox(0, 11, 16, 16, 22, 32), NewBox(0, 11, 16, 16, 22, 32), true},
+	{"f64x5", NewBox(0, 0, 18, 16, 64, 23), NewBox(0, 33, 0, 16, 44, 33), NewBox(0, 33, 18, 16, 44, 23), true},
+}
+
 // BenchmarkCopyBox moves each regime's sub-box from its local array into the
 // array of the rank that receives it on the same pipeline (an x-pencil for the
 // brick's rows and the y-pencil's planes, a y-pencil for the x-pencil's slice)
 // once as a reshape that lends does, with one CopyBox, and once as one that
-// packs does, through a contiguous buffer. Both report the payload's GB/s.
+// packs does, through a contiguous buffer; then the shortRuns, with one
+// CopyBox each. All report the payload's GB/s.
 func BenchmarkCopyBox(b *testing.B) {
 	receivers := []Box3{NewBox(0, 0, 16, 128, 16, 32), NewBox(0, 16, 0, 128, 32, 16), NewBox(16, 0, 0, 32, 128, 16)}
 	for i, r := range packRegimes {
@@ -94,6 +112,23 @@ func BenchmarkCopyBox(b *testing.B) {
 			}
 		})
 	}
+	for _, r := range shortRuns {
+		if r.real {
+			benchCopyBox[float64](b, r.name, r.dstOwn, r.srcOwn, r.sub)
+		} else {
+			benchCopyBox[complex128](b, r.name, r.dstOwn, r.srcOwn, r.sub)
+		}
+	}
+}
+
+func benchCopyBox[T complex128 | float64](b *testing.B, name string, dstOwn, srcOwn, sub Box3) {
+	src, dst := make([]T, srcOwn.Volume()), make([]T, dstOwn.Volume())
+	b.Run(name+"/copybox", func(b *testing.B) {
+		b.SetBytes(int64(sub.Volume()) * int64(unsafe.Sizeof(src[0])))
+		for n := 0; n < b.N; n++ {
+			CopyBox(dst, dstOwn, src, srcOwn, sub)
+		}
+	})
 }
 
 func itoa(n int) string {

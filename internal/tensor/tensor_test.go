@@ -271,8 +271,8 @@ func TestPackCoalescedRuns(t *testing.T) {
 		{"whole", own, runs{n0: 1, n1: 1, run: 150}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if r := runsOf(own, tc.sub); r.n0 != tc.want.n0 || r.n1 != tc.want.n1 || r.run != tc.want.run {
-				t.Errorf("runsOf = %d × %d runs of %d, want %d × %d of %d", r.n0, r.n1, r.run, tc.want.n0, tc.want.n1, tc.want.run)
+			if r := runsAt(own, tc.sub, foldOf(own, tc.sub)); r.n0 != tc.want.n0 || r.n1 != tc.want.n1 || r.run != tc.want.run {
+				t.Errorf("runsAt = %d × %d runs of %d, want %d × %d of %d", r.n0, r.n1, r.run, tc.want.n0, tc.want.n1, tc.want.run)
 			}
 			src := make([]float64, own.Volume())
 			for i := range src {
@@ -497,7 +497,7 @@ func TestCopyBoxMatchesPackUnpack(t *testing.T) {
 		var sub, srcOwn, dstOwn Box3
 		for d := 0; d < 3; d++ {
 			sub.Lo[d] = 3 + rng.Intn(4)
-			sub.Hi[d] = sub.Lo[d] + 1 + rng.Intn(5)
+			sub.Hi[d] = sub.Lo[d] + 1 + rng.Intn(20)
 			// A zero margin on both sides of an axis is what lets rows fold;
 			// make it common.
 			margin := func() int { return rng.Intn(3) * rng.Intn(2) }
@@ -525,4 +525,5 @@ func TestCopyBoxArgValidation(t *testing.T) {
 	mustPanic("sub outside src", func() { CopyBox(arr, own, make([]float64, 8), sub, own) })
 	mustPanic("short dst", func() { CopyBox(arr[:10], own, arr, own, sub) })
 	mustPanic("short src", func() { CopyBox(arr, own, arr[:10], own, sub) })
+	mustPanic("overlap", func() { CopyBox(arr[1:], NewBox(0, 0, 0, 3, 3, 7), arr[:63], NewBox(0, 0, 0, 3, 3, 7), sub) })
 }
