@@ -10,19 +10,20 @@
 //
 // # Engine structure, in FFTW/cuFFT vocabulary
 //
-//   - Codelets (codelet.go): lengths n <= 32 are fully unrolled straight-line
-//     transforms — FFTW's "codelet" leaves. They skip the bit-reversal pass
-//     and all twiddle-table lookups; these are the leaf sizes of every
-//     Bluestein sub-transform and of the 64³ LAMMPS batches.
-//   - Radix-4 passes (kernel.go): larger powers of two run an iterative
-//     decimation-in-time transform whose radix-2 stages are fused in pairs,
-//     so one sweep over memory does the work of two textbook stages; odd
-//     log2(n) gets a single twiddle-free radix-2 fix-up. Twiddles are stored
-//     per pass as (t1,t2,t3) triples in consumption order, the cache-friendly
-//     analogue of cuFFT's per-stage twiddle layout. The input permutation is
-//     fused into the first stage's gather (ping-ponging through a pooled
-//     buffer), and the inverse 1/N scaling is fused into the final pass — no
-//     standalone bit-reversal or scaling sweeps remain.
+//   - Codelets (codelet.go): lengths n <= 4 are unrolled straight-line
+//     transforms — FFTW's "codelet" leaves — with no bit-reversal pass and no
+//     tables. They are the lengths the radix-4 engine cannot take: it needs a
+//     twiddled pass to store into the caller's array.
+//   - Radix-4 passes (kernel.go): every power of two from 8 up runs an
+//     iterative decimation-in-time transform whose radix-2 stages are fused
+//     in pairs, so one sweep over memory does the work of two textbook
+//     stages; odd log2(n) gets a single twiddle-free radix-2 fix-up.
+//     Twiddles are stored per pass as (t1,t2,t3) triples in consumption
+//     order, the cache-friendly analogue of cuFFT's per-stage twiddle
+//     layout. The input permutation is fused into the first stage's gather
+//     (ping-ponging through a pooled buffer), and the inverse 1/N scaling is
+//     fused into the final pass — no standalone bit-reversal or scaling
+//     sweeps remain.
 //   - Vector passes (radix4_amd64.s): on amd64 CPUs with AVX2 the twiddled
 //     radix-4 passes run in assembly: radix4AVX2 along a line, two
 //     butterflies per iteration, and pairsRowsAVX2, quadsRowsAVX2 and
@@ -46,7 +47,7 @@
 //     howmany_dims shape of FFTW's guru interface, which lets the middle-axis
 //     pass of a 3-D transform run as one batched call. Batches execute a
 //     group of lines at a time through a pooled L1-sized tile. For a power
-//     of two above the codelet sizes, element i of line l of a group sits at
+//     of two from 8 up, element i of line l of a group sits at
 //     data[i·pitch + l·lane]; where the lines are nested — adjacent strided
 //     lines (pitch = stride, lane = 1: every strided layout of
 //     Transform2D/3D and internal/core) or contiguous ones (pitch = 1,
@@ -55,13 +56,13 @@
 //     reads the caller's lanes through the bit-reversal table into the
 //     packed tile, the last pass stores back into the caller's array, each
 //     element is read once and written once and nothing is transposed.
-//     Codelet and Bluestein lengths, which keep their own arithmetic so
-//     their bits cannot move, run line by line — strided ones transposed
-//     into the tile and back, the buffered strided execution FFTW applies
-//     when stride != 1 — and so does the odd line a group leaves. Which way
-//     a group runs is a function of its layout and the plan only; a line
-//     carries the same bits either way. Layouts any two of whose lines share
-//     an element are rejected before any line runs.
+//     Bluestein lengths, the codelet lengths and lines that are not nested
+//     run line by line — strided ones transposed into the tile and back, the
+//     buffered strided execution FFTW applies when stride != 1 — and so does
+//     the odd line a group leaves. Which way a group runs is a function of
+//     its layout and the plan only; a line carries the same bits either way.
+//     Layouts any two of whose lines share an element are rejected before
+//     any line runs.
 //   - Real transforms (real.go): RealPlan implements the D2Z/Z2D half-spectrum
 //     layout with the two-for-one packing trick, including batched advanced
 //     layouts on both sides (ForwardBatch/InverseBatch).

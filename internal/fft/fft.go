@@ -32,7 +32,7 @@ type Plan struct {
 	n int
 
 	// Power-of-two machinery (empty when n is not a power of two, or when
-	// n <= maxCodelet and the unrolled codelets need no tables).
+	// n <= 4 and the unrolled codelets need no tables).
 	rev       []int32         // bit-reversal permutation
 	tw4       [2][][]twiddle3 // per-direction, per-pass fused radix-4 twiddles
 	preRadix2 bool            // odd log2(n): one radix-2 fix-up stage first

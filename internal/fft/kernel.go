@@ -7,13 +7,15 @@ import (
 
 // Power-of-two kernel engine.
 //
-// Lengths n <= 32 are handled entirely by the unrolled codelets in
-// codelet.go (no bit-reversal pass, no table lookups). Larger powers of two
-// run an iterative decimation-in-time transform whose radix-2 stages are
-// fused in pairs into radix-4 passes: one pass over memory does the work of
-// two textbook stages, halving the number of sweeps through the array — the
-// dominant cost once n outgrows L1. Odd log2(n) is handled by a single
-// twiddle-free radix-2 fix-up stage fused into the input gather.
+// Lengths n <= 4 are handled by the unrolled codelets in codelet.go. Every
+// longer power of two, from 8 up, runs an iterative decimation-in-time
+// transform whose radix-2 stages are fused in pairs into radix-4 passes: one
+// pass over memory does the work of two textbook stages, halving the number
+// of sweeps through the array — the dominant cost once n outgrows L1. Odd
+// log2(n) is handled by a single twiddle-free radix-2 fix-up stage fused into
+// the input gather. The last twiddled pass is the one that stores into the
+// caller's array; 8 and 16 points have one, 32 have two, 4 points none, which
+// is why n <= 4 keeps its codelets.
 //
 // The standalone bit-reversal permutation of the old engine is gone: the
 // first (twiddle-free) stage gathers its operands through the bit-reversal
@@ -48,7 +50,7 @@ import (
 type twiddle3 struct{ t1, t2, t3 complex128 }
 
 // initPow2 builds the bit-reversal permutation and per-pass twiddle tables.
-// Codelet lengths need no tables at all.
+// The codelet lengths (n <= 4) need no tables at all.
 func (p *Plan) initPow2() {
 	n := p.n
 	if n <= maxCodelet {

@@ -9,13 +9,13 @@ import (
 	"repro/internal/dft"
 )
 
-// Tests for the rewritten power-of-two engine: the codelet ladder, the fused
+// Tests for the power-of-two engine: the size ladder, the fused
 // radix-4 passes (even and odd log2), the blocked strided tile path, the
 // nested guru-style layout, and the fused inverse scaling — each validated
 // against the O(n²) DFT oracle or a line-by-line reference.
 
-// pow2Ladder covers every codelet (8..32) and every radix-4 pass shape the
-// engine has: even log2 (first stage radix-4) and odd log2 (radix-2 fix-up),
+// pow2Ladder covers every codelet (1..4) and every radix-4 pass shape the
+// engine has, from one twiddled pass at 8 and 16 points: even log2 (first stage radix-4) and odd log2 (radix-2 fix-up),
 // up to the largest single-line size the pencil pipeline uses.
 var pow2Ladder = []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
 
@@ -81,8 +81,8 @@ func TestKernelLadderParseval(t *testing.T) {
 
 // TestBluesteinLengthsMatchDFT exercises the chirp-z path for the awkward
 // lengths the paper's shape sweeps hit (primes, prime powers, highly
-// composite), including ones whose power-of-two sub-transform crosses codelet
-// and radix-4 shapes.
+// composite), including ones whose power-of-two sub-transform is 8 to 32
+// points long and ones whose sub-transform is longer.
 func TestBluesteinLengthsMatchDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for _, n := range []int{3, 5, 7, 11, 13, 17, 33, 45, 97, 121, 125, 243, 331, 500, 729} {
@@ -101,17 +101,18 @@ func TestBluesteinLengthsMatchDFT(t *testing.T) {
 	}
 }
 
-// TestBlockedStridedMatchesContiguous checks that the tile-transposed strided
-// path is bit-identical to transforming each line contiguously: layouts cross
+// TestBlockedStridedMatchesContiguous checks that a strided batch, across rows
+// or through the tile, is bit-identical to transforming each line
+// contiguously: layouts cross
 // tile boundaries (batch > tileLines), leave a ragged final tile, and include
-// Bluestein and codelet lengths that bypass the bit-reversed gather.
+// Bluestein lines and short power-of-two lines.
 func TestBlockedStridedMatchesContiguous(t *testing.T) {
 	prev := SetWorkers(1)
 	defer SetWorkers(prev)
 	rng := rand.New(rand.NewSource(26))
 	cases := []struct{ n, batch int }{
-		{8, 100},   // codelet lines, ragged tile
-		{32, 65},   // codelet lines, one over a tile
+		{8, 100},   // rows, one over a tile with a ragged remainder
+		{32, 65},   // rows, an odd line left over
 		{64, 96},   // radix-4, three tiles
 		{128, 33},  // odd log2, ragged
 		{256, 256}, // full column pass
@@ -271,7 +272,7 @@ func TestBadLayoutPanicsOnCaller(t *testing.T) {
 		{"contiguous/one short", 128, 128*256 - 1, short, func(p *Plan, d []complex128) { p.TransformBatch(d, 1, 128, 256, Inverse) }},
 		{"strided", 128, 128*256 - 4096, short, func(p *Plan, d []complex128) { p.TransformBatch(d, 256, 1, 256, Forward) }},
 		{"strided/small", 64, 64*8 - 1, short, func(p *Plan, d []complex128) { p.TransformBatch(d, 8, 1, 8, Forward) }},
-		{"codelet", 16, 16*4 - 1, short, func(p *Plan, d []complex128) { p.TransformBatch(d, 1, 16, 4, Forward) }},
+		{"codelet", 4, 4*16 - 1, short, func(p *Plan, d []complex128) { p.TransformBatch(d, 1, 4, 16, Forward) }},
 		{"bluestein", 60, 60*300 - 1, short, func(p *Plan, d []complex128) { p.TransformBatch(d, 300, 1, 300, Forward) }},
 		{"nested", 64, 8*64*48 - 1, short, func(p *Plan, d []complex128) { p.TransformNested(d, 48, 64*48, 8, 1, 48, Forward) }},
 		{"nested/contiguous", 128, 16*16*128 - 128, short, func(p *Plan, d []complex128) { p.TransformNested(d, 1, 16*128, 16, 128, 16, Inverse) }},

@@ -134,6 +134,8 @@ func TestTransformSteadyStateAllocs(t *testing.T) {
 		{"pow2-contig rows, odd line", 128, 1, 131, 17},
 		{"pow2-contig rows of two", 2048, 1, 2051, 17},
 		{"pow2-strided", 64, 8, 1, 0},
+		{"32-point strided rows", 32, 16, 1, 0},
+		{"32-point contig rows", 32, 1, 32, 16},
 		{"bluestein", 60, 1, 60, 8},
 	} {
 		p := NewPlan(tc.n)

@@ -31,7 +31,7 @@ func TestRadix4AsmBitIdentical(t *testing.T) {
 		t.Skip("CPU or OS without AVX2")
 	}
 	rng := rand.New(rand.NewSource(41))
-	for _, n := range []int{64, 128, 256, 512, 1024, 2048, 4096} {
+	for _, n := range []int{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096} {
 		p := NewPlan(n)
 		for _, dir := range []Direction{Forward, Inverse} {
 			s := p.firstTabS
@@ -102,7 +102,7 @@ func TestRowsAsmBitIdentical(t *testing.T) {
 		t.Skip("single-goroutine comparison of code the detector cannot see; run without -race")
 	}
 	rng := rand.New(rand.NewSource(45))
-	for _, n := range []int{64, 128, 256, 512, 1024, 2048, 4096} {
+	for _, n := range []int{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096} {
 		p := NewPlan(n)
 		for _, w := range []int{2, 6, p.tileLines} {
 			for _, lay := range []struct{ pitch, lane int }{{w, 1}, {w + 5, 1}, {1, n}, {1, n + 5}} {

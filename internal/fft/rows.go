@@ -22,8 +22,8 @@ package fft
 // on amd64 CPUs with AVX2 the routines of radix4_amd64.s run instead, under the
 // rules stated in kernel.go (same operations, same association, no FMA).
 
-// transformRows transforms w lines of a power-of-two plan above the codelet
-// sizes: line l has element i at data[i*pitch+l*lane]. w is even, at least 2,
+// transformRows transforms w lines of a power-of-two plan of at least 8
+// points: line l has element i at data[i*pitch+l*lane]. w is even, at least 2,
 // w·n elements fit in tile, and the lines are nested (rowsNested).
 func (p *Plan) transformRows(data, tile []complex128, w, pitch, lane int, dir Direction, scale float64) {
 	tile = tile[:p.n*w]

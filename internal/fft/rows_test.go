@@ -48,7 +48,7 @@ func sameBits(a, b []complex128) int {
 
 // TestRowsBitIdentical: a line transformed across rows, through the generic
 // tile, or alone carries the same bits — every plan length of the radix-4
-// engine; strided layouts whose b1 groups are whole row groups, ragged ones,
+// engine, from 8 points up; strided layouts whose b1 groups are whole row groups, ragged ones,
 // ones that leave an odd line or a 2-line group, and single lines; contiguous
 // layouts at distance n and n+3, plain and nested, whose groups are ragged or
 // leave an odd line; both directions; zeros, denormals and infinities planted;
@@ -61,7 +61,7 @@ func TestRowsBitIdentical(t *testing.T) {
 	// Contiguous: a single row group, ragged ones with and without an odd
 	// line, and nested groups that each end in an odd line.
 	contigLayouts := []struct{ b1, b2 int }{{1, 2}, {1, 3}, {1, 17}, {1, 33}, {3, 17}}
-	for _, n := range []int{64, 128, 256, 512, 1024, 2048, 4096} {
+	for _, n := range []int{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096} {
 		p := NewPlan(n)
 		line := make([]complex128, n)
 		for li, lay := range layouts {
@@ -168,6 +168,35 @@ func TestRowsBitIdentical(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestSmallPowersRunAcrossRows: 8-, 16- and 32-point lines take the row path
+// in every nested layout — adjacent strided lines, the middle axis of a 3-D
+// array, contiguous lines at distance n and padded — while the codelet length
+// 4 and a Bluestein length do not.
+func TestSmallPowersRunAcrossRows(t *testing.T) {
+	for _, n := range []int{8, 16, 32} {
+		p := NewPlan(n)
+		for _, c := range []struct {
+			name        string
+			sp          batchSpec
+			pitch, lane int
+		}{
+			{"strided", batchSpec{stride: 24, batch1: 1, dist2: 1, batch2: 24}, 24, 1},
+			{"middle axis", batchSpec{stride: 16, dist1: n * 16, batch1: 8, dist2: 1, batch2: 16}, 16, 1},
+			{"contiguous", batchSpec{stride: 1, batch1: 1, dist2: n, batch2: 64}, 1, n},
+			{"contiguous padded", batchSpec{stride: 1, dist1: 9 * (n + 5), batch1: 3, dist2: n + 5, batch2: 9}, 1, n + 5},
+		} {
+			if pitch, lane, ok := p.rowLayout(c.sp); !ok || pitch != c.pitch || lane != c.lane {
+				t.Errorf("n=%d %s: rowLayout = (%d, %d, %v), want (%d, %d, true)", n, c.name, pitch, lane, ok, c.pitch, c.lane)
+			}
+		}
+	}
+	for _, n := range []int{4, 12} {
+		if _, _, ok := NewPlan(n).rowLayout(batchSpec{stride: 16, batch1: 1, dist2: 1, batch2: 16}); ok {
+			t.Errorf("n=%d: rowLayout accepts a length without a twiddled pass", n)
 		}
 	}
 }
