@@ -130,7 +130,8 @@ func TestHeadlineScalars(t *testing.T) {
 		}
 		got[name] = v
 	}
-	// The paper's Fig. 5: slabs fastest below 64 nodes, pencils from 64 on.
+	// The paper's Fig. 5, on the paper's baseline profile: slabs fastest below
+	// 64 nodes, pencils from 64 on (the whole shape: TestFig5Shape).
 	if got["crossover_nodes"] != 64 {
 		t.Errorf("crossover_nodes = %v, want 64 (paper Fig. 5)", got["crossover_nodes"])
 	}
@@ -141,14 +142,6 @@ func TestHeadlineScalars(t *testing.T) {
 	// The paper's Fig. 12, heFFTe on the paper's baseline profile: ≈40 %.
 	if r := got["kspace_reduction"]; r < 0.35 || r > 0.45 {
 		t.Errorf("kspace_reduction = %.4f, want within [0.35, 0.45] (paper Fig. 12: ≈40 %%)", r)
-	}
-}
-
-// TestFig12ShowsKspaceReduction pins the headline application result: the
-// tuned heFFTe settings must cut KSPACE versus the fftMPI-like baseline.
-func TestFig12ShowsKspaceReduction(t *testing.T) {
-	if got := fullResult(t, "fig12").Scalars["kspace_reduction"]; got <= 0 {
-		t.Errorf("kspace_reduction = %.2f, want > 0 (tuned settings slower than baseline)", got)
 	}
 }
 
@@ -311,6 +304,29 @@ func TestFig8Shape(t *testing.T) {
 	}
 }
 
+// TestFig5Shape checks Fig. 5's shape on the paper's baseline profile: slabs
+// are fastest at every node count from 2 to 32 and pencils at every one from
+// 64 to 512.
+// One node is the documented exception: at 6 ranks Table III's 1×2×3 input
+// grid is the x-pencil grid, so the pencil plan starts without a reshape and
+// its exchanges run among 2–3 ranks where the slab plan's run among all 6.
+func TestFig5Shape(t *testing.T) {
+	s := fullResult(t, "fig5").Sections[0]
+	if n := len(s.Rows); n != len(nodeSweep(512)) {
+		t.Fatalf("%d rows, want one per node count of the 1–512 sweep", n)
+	}
+	const slabs, pencils = 2, 3
+	for _, row := range s.Rows {
+		nodes := row[0].V
+		if nodes >= 2 && nodes <= 32 && row[slabs].V >= row[pencils].V {
+			t.Errorf("%s nodes: %s %s not below %s %s", row[0].Text, s.Header[slabs], row[slabs].Text, s.Header[pencils], row[pencils].Text)
+		}
+		if nodes >= 64 && row[pencils].V >= row[slabs].V {
+			t.Errorf("%s nodes: %s %s not below %s %s", row[0].Text, s.Header[pencils], row[pencils].Text, s.Header[slabs], row[slabs].Text)
+		}
+	}
+}
+
 // TestModelCheckShape checks modelcheck's expected shape over the 1–128-node
 // sweep: the simulated pencil exchanges never take longer than eqs. 2–3
 // predict, and the ratio is lowest on one node.
@@ -331,17 +347,18 @@ func TestModelCheckShape(t *testing.T) {
 // points through scalingPoint's memo. The suite runs them from an empty memo
 // in the order fig11, fig4, fig5, fig8, fig9: fig11 measures its 16-node
 // pair on the paper's baseline profile and tuned (4 points; the tuned pair is
-// also fig4's), fig4 the rest of its 4 points per node count, fig5 only its
-// slab column and the pencil points above fig4's 128 nodes, fig8 only its
-// baseline pairs but fig11's, and fig9 nothing — fig4's points are theirs.
+// also fig4's), fig4 the rest of its 4 points per node count, fig5 both slab
+// columns, the baseline pencil column but fig11's 16-node point and the tuned
+// pencil points above fig4's 128 nodes, fig8 only its host-staged baseline
+// column but fig11's, and fig9 nothing — fig4's points are theirs.
 func TestScalingPointsMeasuredOnce(t *testing.T) {
 	fullResult(t, "fig4")
 	fig4 := 4 * len(nodeSweep(128))
 	for id, want := range map[string]int{
 		"fig11": 4,
 		"fig4":  fig4 - 2,
-		"fig5":  len(nodeSweep(512)) + 2,
-		"fig8":  2*len(nodeSweep(128)) - 2,
+		"fig5":  3*len(nodeSweep(512)) + 1,
+		"fig8":  len(nodeSweep(128)) - 1,
 		"fig9":  0,
 	} {
 		if got := suite.tracers[id]; got != want {
