@@ -54,10 +54,12 @@ bench:
 
 # Developer tool: single-line kernel ladder, the twiddled radix-4 passes along
 # a line and across the rows of one group of adjacent lines (each: Go
-# reference against what the machine dispatches to), strided batches (planes
-# and the two strided passes of a pencil, ns/line) and contiguous ones (the
-# row pass of a plane, the z-pencil of dense128_r64 and a 64-point rank share
-# of serve_mixed_r8, ns/line; both run across rows), the
+# reference against what the machine dispatches to), strided batches (planes,
+# the two strided passes of a pencil and of serve_mixed_r8's 32-point rank
+# pencils 32x16x8 and 16x32x8, ns/line) and contiguous ones (the row pass of a
+# plane, the z-pencil of dense128_r64, a 64-point rank share of
+# serve_mixed_r8 and its 32-point z-pencil 16x8x32, ns/line; all run across
+# rows), the
 # blocked reorder transposes, pack/unpack in their three
 # run-coalescing regimes (row, plane, whole block), over the same regimes
 # one box-to-box CopyBox against Pack + Unpack through a buffer, and CopyBox
