@@ -59,7 +59,9 @@ bench:
 # pencils 32x16x8 and 16x32x8, ns/line) and contiguous ones (the row pass of a
 # plane, the z-pencil of dense128_r64, a 64-point rank share of
 # serve_mixed_r8 and its 32-point z-pencil 16x8x32, ns/line; all run across
-# rows), the
+# rows), real batches (BenchmarkRealBatch: an altpaths64_r24 rank's 64-point
+# z-pencil of 176 lines and 256 lines of 128, forward and inverse, ns/line;
+# both run across rows), the
 # blocked reorder transposes, pack/unpack in their three
 # run-coalescing regimes (row, plane, whole block), over the same regimes
 # one box-to-box CopyBox against Pack + Unpack through a buffer, and CopyBox
@@ -67,7 +69,7 @@ bench:
 # of 5 and 11 elements from its pencil reshapes, float64 runs of 16 from its
 # real plan's unpacks, and the 5-element box again in float64).
 bench-kernel:
-	go test -run '^$$' -bench 'BenchmarkKernel|BenchmarkRadix4Pass|BenchmarkRadix4Rows|BenchmarkStridedBatch|BenchmarkContigBatch|BenchmarkFFTBluestein' -benchmem ./internal/fft/
+	go test -run '^$$' -bench 'BenchmarkKernel|BenchmarkRadix4Pass|BenchmarkRadix4Rows|BenchmarkStridedBatch|BenchmarkContigBatch|BenchmarkRealBatch|BenchmarkFFTBluestein' -benchmem ./internal/fft/
 	go test -run '^$$' -bench 'BenchmarkPackBlocked|BenchmarkPack$$|BenchmarkUnpack$$|BenchmarkCopyBox$$' -benchmem ./internal/tensor/
 
 # Developer tool: the paper-scale proxy of the repository benchmark on its

@@ -231,7 +231,8 @@ func (p *Plan) runLines(data []complex128, sp batchSpec, lo, hi int, dir Directi
 		switch {
 		case rows && m >= 2:
 			m &^= 1
-			p.transformRows(data[sp.lineBase(start):], tile, m, pitch, lane, dir, scale)
+			d := data[sp.lineBase(start):]
+			p.transformRows(d, pitch, lane, d, pitch, lane, tile, m, dir, scale)
 		case sp.stride == 1:
 			base := sp.lineBase(start)
 			p.kernelPow2Buf(data[base:base+n], tile[:n], dir, scale)

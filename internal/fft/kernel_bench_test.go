@@ -160,3 +160,41 @@ func BenchmarkRadix4Rows(b *testing.B) {
 		}
 	}
 }
+
+// Real batches in the pencil layout core's real plans use (packed real lines,
+// half-spectra n/2+1 apart): one altpaths64_r24 rank's z-pencil (176 lines of
+// 64) and 256 lines of 128, forward and inverse. Both run across rows
+// (real.go); ns/line is reported beside ns/op.
+func BenchmarkRealBatch(b *testing.B) {
+	for _, s := range []struct{ n, batch int }{{64, 176}, {128, 256}} {
+		p, err := NewRealPlan(s.n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		h := s.n/2 + 1
+		x := randReal(rand.New(rand.NewSource(15)), s.n*s.batch)
+		spec := make([]complex128, h*s.batch)
+		if err := p.ForwardBatch(x, 1, s.n, spec, 1, h, s.batch); err != nil {
+			b.Fatal(err)
+		}
+		for _, dir := range []Direction{Forward, Inverse} {
+			b.Run(dir.String()+"/"+itoa(s.n)+"x"+itoa(s.batch), func(b *testing.B) {
+				b.SetBytes(int64(8 * s.n * s.batch))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					var err error
+					if dir == Forward {
+						err = p.ForwardBatch(x, 1, s.n, spec, 1, h, s.batch)
+					} else {
+						err = p.InverseBatch(spec, 1, h, x, 1, s.n, s.batch)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*s.batch), "ns/line")
+			})
+		}
+	}
+}

@@ -216,9 +216,13 @@ func (p *Plan) runBatchParallel(data []complex128, sp batchSpec, dir Direction) 
 
 // runRealBatchParallel is the RealPlan analogue: x and spec carry the real
 // and half-spectrum sides of a batched R2C (fwd) or C2R (!fwd) execution.
+// Where lines run across rows a claim is one whole row group.
 func (p *RealPlan) runRealBatchParallel(x []float64, rsp batchSpec, spec []complex128, ssp batchSpec, fwd bool) bool {
 	total := rsp.total()
 	chunk := max(minChunkElems/p.n, 1)
+	if p.acrossRows(rsp) {
+		chunk = p.half.tileLines
+	}
 	chunks := (total + chunk - 1) / chunk
 	if chunks < 2 {
 		return false

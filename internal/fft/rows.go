@@ -23,11 +23,14 @@ package fft
 // rules stated in kernel.go (same operations, same association, no FMA).
 
 // transformRows transforms w lines of a power-of-two plan of at least 8
-// points: line l has element i at data[i*pitch+l*lane]. w is even, at least 2,
-// w·n elements fit in tile, and the lines are nested (rowsNested).
-func (p *Plan) transformRows(data, tile []complex128, w, pitch, lane int, dir Direction, scale float64) {
+// points from src to dst: element i of line l is read at src[i*spitch+l*slane]
+// and stored at dst[i*dpitch+l*dlane]. A batch passes its array as both, at
+// the same rows and lanes; a real batch passes the tile as dst, at (w, 1), or
+// as src (real.go). w is even, at least 2, w·n elements fit in tile, and both
+// sides are nested (rowsNested).
+func (p *Plan) transformRows(dst []complex128, dpitch, dlane int, src []complex128, spitch, slane int, tile []complex128, w int, dir Direction, scale float64) {
 	tile = tile[:p.n*w]
-	firstRows(tile, data, w, pitch, lane, p.rev, p.preRadix2, dir == Forward)
+	firstRows(tile, src, w, spitch, slane, p.rev, p.preRadix2, dir == Forward)
 	passes := p.tw4[dir]
 	s := p.firstTabS
 	last := len(passes) - 1
@@ -35,7 +38,7 @@ func (p *Plan) transformRows(data, tile []complex128, w, pitch, lane int, dir Di
 		if i < last {
 			rows4(tile, w, 1, tile, w, s, tw, 1, false)
 		} else {
-			rows4(data, pitch, lane, tile, w, s, tw, scale, scale != 1)
+			rows4(dst, dpitch, dlane, tile, w, s, tw, scale, scale != 1)
 		}
 		s *= 4
 	}
