@@ -143,13 +143,10 @@ func TestHeadlineScalars(t *testing.T) {
 	if r := got["kspace_reduction"]; r < 0.35 || r > 0.45 {
 		t.Errorf("kspace_reduction = %.4f, want within [0.35, 0.45] (paper Fig. 12: ≈40 %%)", r)
 	}
-}
-
-// TestFig13ShowsBatchSpeedup pins the batching result: ≥ 1.5× per-transform
-// speedup at 64³ on every system and node count.
-func TestFig13ShowsBatchSpeedup(t *testing.T) {
-	if got := fullResult(t, "fig13").Scalars["batch_speedup"]; got < 1.5 {
-		t.Errorf("batch_speedup = %.2f, want ≥ 1.5", got)
+	// The paper's Fig. 13 on the paper's baseline profile: batching 64³
+	// transforms makes each ≥ 1.5× cheaper on every system and node count.
+	if s := got["batch_speedup"]; s < 1.5 {
+		t.Errorf("batch_speedup = %.2f, want ≥ 1.5", s)
 	}
 }
 

@@ -27,19 +27,21 @@ func init() {
 	})
 }
 
-// batchedPoint returns the per-transform time of a batch of nb transforms.
-func batchedPoint(mdl *machine.Model, ranks, nb int, global [3]int) float64 {
+// batchedPoint returns the per-transform time of a batch of nb transforms on
+// the communication profile comm.
+func batchedPoint(mdl *machine.Model, ranks, nb int, global [3]int, comm core.CommConfig) float64 {
 	r := fftRun{
 		model: mdl, ranks: ranks, aware: true,
 		cfg: core.Config{Global: global,
-			Opts: core.Options{Decomp: core.DecompPencils, Backend: core.BackendAlltoallv}},
+			Opts: core.Options{Decomp: core.DecompPencils, Backend: core.BackendAlltoallv, Comm: comm}},
 		batch: nb,
 	}
 	return r.run().TotalPerFFT / float64(nb)
 }
 
-// runFig13 reports batch_speedup: the smallest speedup(max batch) over every
-// system and node row.
+// runFig13 reports batch_speedup on the paper's baseline profile: the
+// smallest speedup(max batch) over every system and node row. The tuned
+// profile's speedup prints beside it.
 func runFig13() (Result, error) {
 	global := [3]int{64, 64, 64}
 	batches := []int{1, 2, 4, 8, 16}
@@ -56,7 +58,7 @@ func runFig13() (Result, error) {
 	for _, nb := range batches {
 		header = append(header, fmt.Sprintf("batch=%d", nb))
 	}
-	header = append(header, "speedup(max batch)")
+	header = append(header, "speedup(max batch)", "speedup (tuned)")
 	var res Result
 	minSpeedup := math.Inf(1)
 	for _, sys := range systems {
@@ -66,14 +68,16 @@ func runFig13() (Result, error) {
 			row := []Cell{count(nodes), count(ranks)}
 			var first, last float64
 			for i, nb := range batches {
-				t := batchedPoint(sys.mdl, ranks, nb, global)
+				t := batchedPoint(sys.mdl, ranks, nb, global, paperBaseline)
 				if i == 0 {
 					first = t
 				}
 				last = t
 				row = append(row, secs(t))
 			}
-			s.Rows = append(s.Rows, append(row, num(first/last, "%.2fx")))
+			tuned := batchedPoint(sys.mdl, ranks, batches[0], global, core.CommConfig{}) /
+				batchedPoint(sys.mdl, ranks, batches[len(batches)-1], global, core.CommConfig{})
+			s.Rows = append(s.Rows, append(row, num(first/last, "%.2fx"), num(tuned, "%.2fx")))
 			minSpeedup = min(minSpeedup, first/last)
 		}
 		res.Sections = append(res.Sections, s)
@@ -81,7 +85,8 @@ func runFig13() (Result, error) {
 	res.Sections[len(res.Sections)-1].Notes = []string{
 		"expected shape: per-transform cost inside a batch ≥2× cheaper than isolated",
 		"transforms (message fusion + compute/communication overlap); the advantage",
-		"shrinks for large grids where communication dwarfs computation",
+		"shrinks for large grids where communication dwarfs computation;",
+		"times on the paper's baseline (vendor MPI_Alltoallv, one chunk), tuned speedup beside",
 	}
 	res.Scalars = map[string]float64{"batch_speedup": minSpeedup}
 	return res, nil
