@@ -16,7 +16,7 @@ func words[T complex128 | float64](a []T) []uint64 {
 	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(a))), len(a)*int(unsafe.Sizeof(a[0]))/8)
 }
 
-// bothPaths runs do on two copies of dst, once through copyRunsSSE2 and
+// bothPaths runs do on two copies of dst, once through copyBlockSSE2 and
 // once through the Go copy loop, and fails unless they agree bit for bit.
 func bothPaths[T complex128 | float64](t *testing.T, what string, dst []T, do func(dst []T)) {
 	t.Helper()
@@ -34,10 +34,16 @@ func bothPaths[T complex128 | float64](t *testing.T, what string, dst []T, do fu
 	}
 }
 
-// TestCopyKernelBitIdentical holds copyRunsSSE2 to the Go copy loop it stands
-// in for: every run of 1–40 elements of both types (the 64-byte loop and the
-// 16- and 8-byte tails, alone and together), one or two planes of one to
-// three rows, with and without gaps between the runs on either side, and the
+// TestCopyKernelBitIdentical holds copyBlockSSE2 to the Go copy loop it stands
+// in for. Blocks of one to three planes of 1–40 runs start the prefetch
+// cursor inside a plane, at a plane boundary and at the block's end (the
+// distance is clamped to the block), at both clamps of the prefetch distance
+// (32 runs ahead for runs of at most 128 bytes, 2 from 2048 bytes up). Runs of 1–40 elements of both types take the
+// 64-byte loop and the 16- and 8-byte tails, alone and together; runs just
+// under, at and over prefetchLead bytes take the distance's lower clamp and
+// no prefetch. There are gaps between the runs on either side or none, and
+// both arrays end exactly at the last run's last element: past it the
+// destination's backing array holds a guard whose bits must stay. Then the
 // three packRegimes through CopyBox, Pack and Unpack. Elements outside the
 // runs must keep their bits.
 func TestCopyKernelBitIdentical(t *testing.T) {
@@ -48,25 +54,36 @@ func TestCopyKernelBitIdentical(t *testing.T) {
 			w[i] = rng.Uint64()
 		}
 	}
+	const guard = 9
+	block := func(run, n0, n1, gd, gs int) {
+		d := runs{base: 1, n0: n0, n1: n1, st1: run + gd, run: run}
+		s := runs{base: 2, n0: n0, n1: n1, st1: run + gs, run: run}
+		d.st0, s.st0 = n1*d.st1+gd, n1*s.st1+gs
+		dn, sn := d.base+(n0-1)*d.st0+(n1-1)*d.st1+run, s.base+(n0-1)*s.st0+(n1-1)*s.st1+run
+		c := [2][]complex128{make([]complex128, dn+guard), make([]complex128, sn)}
+		f := [2][]float64{make([]float64, dn+guard), make([]float64, sn)}
+		for _, a := range [][]uint64{words(c[0]), words(c[1]), words(f[0]), words(f[1])} {
+			fill(a)
+		}
+		what := fmt.Sprintf("%d × %d runs of %d, gaps %d and %d", n0, n1, run, gd, gs)
+		bothPaths(t, "complex128 "+what, c[0], func(dst []complex128) { copyRuns(dst[:dn:dn], d, c[1], s) })
+		bothPaths(t, "float64 "+what, f[0], func(dst []float64) { copyRuns(dst[:dn:dn], d, f[1], s) })
+	}
 	for run := 1; run <= 40; run++ {
-		for n0 := 1; n0 <= 2; n0++ {
-			for n1 := 1; n1 <= 3; n1++ {
-				for _, gd := range []int{0, 3} {
-					for _, gs := range []int{0, 5} {
-						d := runs{base: 1, n0: n0, n1: n1, st1: run + gd, run: run}
-						s := runs{base: 2, n0: n0, n1: n1, st1: run + gs, run: run}
-						d.st0, s.st0 = n1*d.st1+gd, n1*s.st1+gs
-						dn, sn := d.base+n0*d.st0+1, s.base+n0*s.st0+1
-						c := [2][]complex128{make([]complex128, dn), make([]complex128, sn)}
-						f := [2][]float64{make([]float64, dn), make([]float64, sn)}
-						for _, a := range [][]uint64{words(c[0]), words(c[1]), words(f[0]), words(f[1])} {
-							fill(a)
-						}
-						what := fmt.Sprintf("%d × %d runs of %d, gaps %d and %d", n0, n1, run, gd, gs)
-						bothPaths(t, "complex128 "+what, c[0], func(dst []complex128) { copyRuns(dst, d, c[1], s) })
-						bothPaths(t, "float64 "+what, f[0], func(dst []float64) { copyRuns(dst, d, f[1], s) })
-					}
+		for n0 := 1; n0 <= 3; n0++ {
+			for n1 := 1; n1 <= 40; n1++ {
+				for _, g := range [][2]int{{0, 0}, {3, 0}, {0, 5}, {3, 5}} {
+					block(run, n0, n1, g[0], g[1])
 				}
+			}
+		}
+	}
+	// 128 and 255 complex128 (2048 and 4080 bytes) prefetch 2 runs ahead, 256
+	// (prefetchLead) and 300 none; as float64, 256 and 511 prefetch 2 ahead.
+	for _, run := range []int{128, 255, 256, 300, 511, 512, 600} {
+		for n0 := 1; n0 <= 3; n0++ {
+			for n1 := 1; n1 <= 4; n1++ {
+				block(run, n0, n1, 3, 5)
 			}
 		}
 	}

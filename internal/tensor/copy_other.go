@@ -8,6 +8,6 @@ import "unsafe"
 // calls copy once per run.
 const useSSE2 = false
 
-func copyRunsSSE2(dst, src unsafe.Pointer, rows, run, dstStride, srcStride int) {
-	panic("tensor: copyRunsSSE2 without the kernel")
+func copyBlock(dst, src unsafe.Pointer, d, s runs, size int) {
+	panic("tensor: copyBlock without the kernel")
 }

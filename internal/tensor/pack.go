@@ -50,8 +50,9 @@ func CopyBox[T any](dst []T, dstOwn Box3, src []T, srcOwn, sub Box3) {
 // copyRuns copies run for run between two placements of the same n0 × n1 runs
 // of run elements, and reports how many runs that was. complex128 and float64
 // hold no pointers, so the kernel (useSSE2) may store them without write
-// barriers: it takes a plane of runs per call, the whole block when a plane is
-// one run. Otherwise each run is one copy.
+// barriers: it copies the whole block in one call, with the source and
+// destination lines of the runs a fixed distance ahead prefetched
+// (prefetchLead). Otherwise each run is one copy.
 func copyRuns[T any](dst []T, d runs, src []T, s runs) (copies int) {
 	if d.n0*d.n1*d.run == 0 {
 		return 0
@@ -64,14 +65,7 @@ func copyRuns[T any](dst []T, d runs, src []T, s runs) (copies int) {
 		// The kernel checks no bounds: slicing to the last run's end does.
 		dst = dst[d.base : d.base+(d.n0-1)*d.st0+(d.n1-1)*d.st1+d.run]
 		src = src[s.base : s.base+(d.n0-1)*s.st0+(d.n1-1)*s.st1+d.run]
-		size := int(unsafe.Sizeof(dst[0]))
-		if d.n1 == 1 {
-			copyRunsSSE2(unsafe.Pointer(&dst[0]), unsafe.Pointer(&src[0]), d.n0, d.run*size, d.st0*size, s.st0*size)
-			return d.n0
-		}
-		for i0 := 0; i0 < d.n0; i0++ {
-			copyRunsSSE2(unsafe.Pointer(&dst[i0*d.st0]), unsafe.Pointer(&src[i0*s.st0]), d.n1, d.run*size, d.st1*size, s.st1*size)
-		}
+		copyBlock(unsafe.Pointer(&dst[0]), unsafe.Pointer(&src[0]), d, s, int(unsafe.Sizeof(dst[0])))
 		return d.n0 * d.n1
 	}
 	for i0 := 0; i0 < d.n0; i0++ {

@@ -418,9 +418,9 @@ func grow(sub Box3, fold int) Box3 {
 }
 
 // checkCopyBox compares one CopyBox with Unpack(Pack(…)) element for element
-// — outside sub the destination must stay untouched — and the number of copy
-// calls with the number of runs that are contiguous in both layouts, counted
-// by walking sub point by point.
+// — outside sub the destination must stay untouched — and the number of runs
+// copyRuns reports with the number that are contiguous in both layouts,
+// counted by walking sub point by point.
 func checkCopyBox[T comparable](t *testing.T, dstOwn, srcOwn, sub Box3, elem func(i int) T) {
 	t.Helper()
 	src := make([]T, srcOwn.Volume())
