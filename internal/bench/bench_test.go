@@ -301,6 +301,27 @@ func TestFig8Shape(t *testing.T) {
 	}
 }
 
+// TestFig9Shape checks Fig. 9's shape: GPU-aware P2P's total is below the
+// host-staged one from 1 to 32 nodes and above it at 64 and 128, where each
+// rank's per-message RDMA overhead over hundreds of peers outweighs the
+// staging copies it saves.
+func TestFig9Shape(t *testing.T) {
+	s := fullResult(t, "fig9").Sections[0]
+	if n := len(s.Rows); n != len(nodeSweep(128)) {
+		t.Fatalf("%d rows, want one per node count of the 1–128 sweep", n)
+	}
+	const aware, host = 4, 5
+	for _, row := range s.Rows {
+		above, want := row[aware].V > row[host].V, "below"
+		if row[0].V >= 64 {
+			want = "above"
+		}
+		if above != (want == "above") {
+			t.Errorf("%s nodes: %s %s not %s %s %s", row[0].Text, s.Header[aware], row[aware].Text, want, s.Header[host], row[host].Text)
+		}
+	}
+}
+
 // TestFig5Shape checks Fig. 5's shape on the paper's baseline profile: slabs
 // are fastest at every node count from 2 to 32 and pencils at every one from
 // 64 to 512.

@@ -232,10 +232,12 @@ func runFig8() (Result, error) {
 		"each total falls from 2 to 128 nodes (the 1→2-node step leaves NVLink)"), nil
 }
 
+// runFig9 runs the P2P backend, which ignores CommConfig, so its one profile is
+// the paper's baseline. Its shape is asserted (TestFig9Shape).
 func runFig9() (Result, error) {
 	return scalingTable(core.BackendP2P, []core.CommConfig{{}},
-		"expected shape: GPU-aware P2P stops scaling at large node counts (per-message",
-		"RDMA overhead × thousands of peers), while the host-staged path keeps scaling"), nil
+		"shape (asserted): GPU-aware P2P total below host-staged from 1 to 32 nodes, above",
+		"it at 64 and 128 (per-message RDMA overhead × hundreds of peers)"), nil
 }
 
 // runFig11 reports gpu_aware_penalty, host-staged comm ÷ GPU-aware comm − 1,
