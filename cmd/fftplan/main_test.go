@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -51,6 +52,35 @@ func TestBadFlagsExit2(t *testing.T) {
 			}
 			if stdout.Len() != 0 {
 				t.Errorf("stdout not empty:\n%s", stdout.String())
+			}
+		})
+	}
+}
+
+// TestOutputGolden: fftplan's stdout is deterministic, and for these flag sets
+// it is pinned byte for byte in testdata/.
+func TestOutputGolden(t *testing.T) {
+	for _, g := range []struct {
+		file string
+		args []string
+	}{
+		{"default.txt", nil},
+		{"n512_r768_fp32_dead2.txt", []string{"-n", "512", "-ranks", "768", "-wire", "fp32", "-dead", "2"}},
+		{"phase.txt", []string{"-phase"}},
+	} {
+		t.Run(g.file, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", g.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cmd := exec.Command(os.Args[0], g.args...)
+			cmd.Env = append(os.Environ(), "FFTPLAN_AS_MAIN=1")
+			got, err := cmd.Output()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("fftplan %s: stdout differs from testdata/%s\ngot:\n%s\nwant:\n%s", strings.Join(g.args, " "), g.file, got, want)
 			}
 		})
 	}
