@@ -19,9 +19,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"text/tabwriter"
 
 	"repro/heffte"
+	"repro/internal/bench"
 )
 
 func main() {
@@ -66,60 +66,67 @@ func main() {
 	}
 	params := heffte.ModelParams{Latency: *lat, Bandwidth: *bw}
 
+	var s bench.Section
 	if *phase {
-		printPhase(params)
-		return
+		s = phaseDiagram(params)
+	} else {
+		s = planReport(*n, *ranks, *dead, wp, params)
 	}
+	if err := bench.RenderBody(os.Stdout, bench.Result{Sections: []bench.Section{s}}); err != nil {
+		fmt.Fprintln(os.Stderr, "fftplan:", err)
+		os.Exit(1)
+	}
+}
 
-	e := heffte.LookupTableIII(*ranks)
-	total := (*n) * (*n) * (*n)
-	ts := heffte.SlabTime(total, *ranks, params)
+// planReport is the model's view of one n³ transform on ranks GPUs, and with
+// dead > 0 of its elastic recovery.
+func planReport(n, ranks, dead int, wp heffte.WirePrecision, params heffte.ModelParams) (s bench.Section) {
+	e := heffte.LookupTableIII(ranks)
+	total := n * n * n
+	ts := heffte.SlabTime(total, ranks, params)
 	tp := heffte.PencilTime(total, e.P, e.Q, params)
-	m := heffte.Summit()
-
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "transform\t%d³ complex-to-complex (%d elements)\n", *n, total)
-	fmt.Fprintf(tw, "ranks\t%d (%d Summit nodes)\n", *ranks, m.Nodes(*ranks))
-	fmt.Fprintf(tw, "input/output bricks\t%v (Table III / min-surface)\n", e.InOut)
-	fmt.Fprintf(tw, "pencil grid\t%d × %d\n", e.P, e.Q)
-	fmt.Fprintf(tw, "T_slabs (eq. 2)\t%s\n", heffte.FormatSeconds(ts))
-	fmt.Fprintf(tw, "T_pencils (eq. 3)\t%s\n", heffte.FormatSeconds(tp))
+	add := func(key, text string) { s.Rows = append(s.Rows, []bench.Cell{{Text: key}, {Text: text}}) }
+	add("transform", fmt.Sprintf("%d³ complex-to-complex (%d elements)", n, total))
+	add("ranks", fmt.Sprintf("%d (%d Summit nodes)", ranks, heffte.Summit().Nodes(ranks)))
+	add("input/output bricks", fmt.Sprintf("%v (Table III / min-surface)", e.InOut))
+	add("pencil grid", fmt.Sprintf("%d × %d", e.P, e.Q))
+	add("T_slabs (eq. 2)", heffte.FormatSeconds(ts))
+	add("T_pencils (eq. 3)", heffte.FormatSeconds(tp))
 	if wp != heffte.WireFp64 {
 		elem := float64(wp.ComplexBytes())
-		tsc := heffte.SlabTimeElem(total, *ranks, elem, params)
+		tsc := heffte.SlabTimeElem(total, ranks, elem, params)
 		tpc := heffte.PencilTimeElem(total, e.P, e.Q, elem, params)
-		fmt.Fprintf(tw, "T_slabs @%s\t%s (bound %.1e)\n", wp, heffte.FormatSeconds(tsc), heffte.WireErrorBound(wp, 1))
-		fmt.Fprintf(tw, "T_pencils @%s\t%s (bound %.1e)\n", wp, heffte.FormatSeconds(tpc), heffte.WireErrorBound(wp, 2))
+		add(fmt.Sprintf("T_slabs @%s", wp), fmt.Sprintf("%s (bound %.1e)", heffte.FormatSeconds(tsc), heffte.WireErrorBound(wp, 1)))
+		add(fmt.Sprintf("T_pencils @%s", wp), fmt.Sprintf("%s (bound %.1e)", heffte.FormatSeconds(tpc), heffte.WireErrorBound(wp, 2)))
 	}
 	rec := "pencils"
 	best := tp
-	if heffte.PreferSlabs([3]int{*n, *n, *n}, e.P, e.Q, params) {
+	if heffte.PreferSlabs([3]int{n, n, n}, e.P, e.Q, params) {
 		rec = "slabs"
 		best = ts
 	}
-	fmt.Fprintf(tw, "recommended decomposition\t%s\n", rec)
+	add("recommended decomposition", rec)
 
-	if *dead > 0 {
-		// Elastic-recovery view: one shrink event losing -dead GPUs. The
+	if dead > 0 {
+		// Elastic-recovery view: one shrink event losing dead GPUs. The
 		// concrete survivor set is a runtime fact (CommPhases reports it per
 		// plan, with the epoch); here the model prices the recovery reshape
 		// that redistributes a checkpointed boundary to the survivors and the
 		// resume-vs-restart gap per kill phase of the pencil pipeline
 		// (4 reshapes interleaved with 3 compute phases).
-		surv := *ranks - *dead
-		trec := heffte.RecoveryReshapeTime(total, *ranks, surv, 16, params)
-		fmt.Fprintf(tw, "after %d death(s)\tepoch 1, %d survivors\n", *dead, surv)
-		fmt.Fprintf(tw, "T_recovery_reshape\t%s\n", heffte.FormatSeconds(trec))
+		surv := ranks - dead
+		trec := heffte.RecoveryReshapeTime(total, ranks, surv, 16, params)
+		add(fmt.Sprintf("after %d death(s)", dead), fmt.Sprintf("epoch 1, %d survivors", surv))
+		add("T_recovery_reshape", heffte.FormatSeconds(trec))
 		const totalPhases = 7
 		for _, kp := range []struct {
 			name      string
 			completed int
 		}{{"early kill (1/7 phases done)", 1}, {"middle kill (4/7)", 4}, {"late kill (6/7)", 6}} {
-			fmt.Fprintf(tw, "resume speedup, %s\t%.2fx\n",
-				kp.name, heffte.ResumeSpeedup(best, trec, kp.completed, totalPhases))
+			add("resume speedup, "+kp.name, fmt.Sprintf("%.2fx", heffte.ResumeSpeedup(best, trec, kp.completed, totalPhases)))
 		}
 	}
-	tw.Flush()
+	return s
 }
 
 func parseWire(w string) (heffte.WirePrecision, error) {
@@ -134,33 +141,30 @@ func parseWire(w string) (heffte.WirePrecision, error) {
 	return heffte.WireFp64, fmt.Errorf("unknown wire precision %q", w)
 }
 
-func printPhase(params heffte.ModelParams) {
+// phaseDiagram is the predicted winner over cube sizes × rank counts.
+func phaseDiagram(params heffte.ModelParams) bench.Section {
 	sizes := []int{64, 128, 256, 512, 1024, 2048}
 	pis := []int{6, 12, 24, 48, 96, 192, 384, 768, 1536, 3072}
 	grid := func(pi int) (int, int) {
 		e := heffte.LookupTableIII(pi)
 		return e.P, e.Q
 	}
-	pts := heffte.PhaseDiagram(sizes, pis, grid, params)
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprint(tw, "N\\ranks")
+	s := bench.Section{
+		Header: []string{"N\\ranks"},
+		Notes:  []string{"", "SLABS = slab decomposition predicted fastest (eqs. 2-3, Section IV.A)"},
+	}
 	for _, pi := range pis {
-		fmt.Fprintf(tw, "\t%d", pi)
+		s.Header = append(s.Header, fmt.Sprint(pi))
 	}
-	fmt.Fprintln(tw)
-	i := 0
-	for _, s := range sizes {
-		fmt.Fprintf(tw, "%d³", s)
-		for range pis {
-			cell := "pencils"
-			if pts[i].Slabs {
-				cell = "SLABS"
-			}
-			fmt.Fprintf(tw, "\t%s", cell)
-			i++
+	for i, pt := range heffte.PhaseDiagram(sizes, pis, grid, params) {
+		if i%len(pis) == 0 {
+			s.Rows = append(s.Rows, []bench.Cell{{Text: fmt.Sprintf("%d³", pt.N[0])}})
 		}
-		fmt.Fprintln(tw)
+		cell := bench.Cell{Text: "pencils"}
+		if pt.Slabs {
+			cell.Text = "SLABS"
+		}
+		s.Rows[len(s.Rows)-1] = append(s.Rows[len(s.Rows)-1], cell)
 	}
-	tw.Flush()
-	fmt.Println("\nSLABS = slab decomposition predicted fastest (eqs. 2-3, Section IV.A)")
+	return s
 }

@@ -12,10 +12,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
-	"text/tabwriter"
 
 	"repro/heffte"
+	"repro/internal/bench"
 	"repro/internal/tuning"
 )
 
@@ -38,12 +37,15 @@ func main() {
 	)
 	flag.Parse()
 
-	fail := func(err error) {
+	// exit reports err, if any, and exits with status: 2 for a setting the
+	// run cannot take, 1 for a failed write.
+	exit := func(status int, err error) {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fftsim:", err)
-			os.Exit(2)
+			os.Exit(status)
 		}
 	}
+	fail := func(err error) { exit(2, err) }
 	if flag.NArg() > 0 {
 		fail(fmt.Errorf("unexpected argument %q: every setting is a -flag, and flags come first", flag.Arg(0)))
 	}
@@ -71,88 +73,52 @@ func main() {
 
 	tr := heffte.NewTracer()
 	w := heffte.NewWorld(mdl, *ranks, heffte.WorldOptions{GPUAware: !*noAware, Tracer: tr, Placement: place})
-	global := [3]int{*n, *n, *n}
-	var perFFT float64
-	var resolved heffte.Decomposition
-	var exchanges int
-	var phases []heffte.CommPhase
-	// Every rank passes the same Config, so a configuration the library
-	// rejects is rejected on all of them and nobody is left in a collective.
-	var planErr error
-	var from float64
-	ends := make([]float64, *ranks)
-	w.Run(func(c *heffte.Comm) {
-		p, err := heffte.NewPlan(c, heffte.Config{Global: global, Opts: opts})
-		if err != nil {
-			if c.Rank() == 0 {
-				planErr = err
-			}
-			return
-		}
-		// Measure times batched calls: a call carries batch transforms.
-		start, end, perCall, err := tuning.Measure(c, p, *batch, *iters)
-		if err != nil {
-			panic(err)
-		}
-		ends[c.Rank()] = end
-		if c.Rank() == 0 {
-			from, perFFT = start, perCall/float64(*batch)
-			resolved = p.Decomp()
-			exchanges = p.Exchanges()
-			phases = p.CommPhases()
+	var traceErr error
+	m, err := tuning.MeasureWorld(w, heffte.Config{Global: [3]int{*n, *n, *n}, Opts: opts}, *batch, *iters, func(*heffte.Tracer) {
+		if *traceOut != "" {
+			traceErr = heffte.WriteChromeFile(tr, *traceOut)
 		}
 	})
+	fail(err)
+	exit(1, traceErr)
 
-	fail(planErr)
-
-	fmt.Printf("machine=%s ranks=%d nodes=%d transform=%d³ decomp=%v backend=%v gpu-aware=%v batch=%d",
-		mdl.Name, *ranks, mdl.Nodes(*ranks), *n, resolved, opts.Backend, !*noAware, *batch)
+	head := fmt.Sprintf("machine=%s ranks=%d nodes=%d transform=%d³ decomp=%v backend=%v gpu-aware=%v batch=%d",
+		mdl.Name, *ranks, mdl.Nodes(*ranks), *n, m.Decomp, opts.Backend, !*noAware, *batch)
 	if opts.Comm.Wire != heffte.WireFp64 {
-		fmt.Printf(" wire=%s", opts.Comm.Wire)
+		head += fmt.Sprintf(" wire=%s", opts.Comm.Wire)
 	}
-	fmt.Println()
-	fmt.Printf("exchanges per transform: %d\n", exchanges)
-	if opts.Backend == heffte.BackendAlltoallv && len(phases) > 0 {
-		fmt.Printf("comm:")
-		for _, ph := range phases {
+	s := bench.Section{Lead: []string{head, fmt.Sprintf("exchanges per transform: %d", m.Exchanges)}}
+	if opts.Backend == heffte.BackendAlltoallv && len(m.Phases) > 0 {
+		comm := "comm:"
+		for _, ph := range m.Phases {
 			if ph.GroupSize == 0 {
 				continue
 			}
-			fmt.Printf(" %s=%s", ph.Label, ph.Algo)
+			comm += fmt.Sprintf(" %s=%s", ph.Label, ph.Algo)
 			if ph.Wire != heffte.WireFp64 {
-				fmt.Printf("@%s", ph.Wire)
+				comm += fmt.Sprintf("@%s", ph.Wire)
 			}
 			if ph.Schedule != "" && ph.Schedule != "flat" {
-				fmt.Printf("[%s]", ph.Schedule)
+				comm += fmt.Sprintf("[%s]", ph.Schedule)
 			}
 		}
-		fmt.Println()
+		s.Lead = append(s.Lead, comm)
 	}
-	fmt.Printf("time per transform: %s  (%.1f GFLOP/s aggregate)\n",
-		heffte.FormatSeconds(perFFT), heffte.Gflops(heffte.FFTFlops(*n**n**n), perFFT))
-
+	s.Lead = append(s.Lead, fmt.Sprintf("time per transform: %s  (%.1f GFLOP/s aggregate)",
+		heffte.FormatSeconds(m.TotalPerFFT), heffte.Gflops(heffte.FFTFlops(*n**n**n), m.TotalPerFFT)))
 	if *traceOut != "" {
-		if err := heffte.WriteChromeFile(tr, *traceOut); err != nil {
-			fmt.Fprintln(os.Stderr, "fftsim:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("virtual timeline written to %s (open in chrome://tracing or Perfetto)\n", *traceOut)
+		s.Lead = append(s.Lead, fmt.Sprintf("virtual timeline written to %s (open in chrome://tracing or Perfetto)", *traceOut))
 	}
 
 	// Per transform, the timed section of the rank that finishes it last;
 	// wait is what none of its events covers, the closing barrier included.
-	tr.Prune(from)
-	last := slices.Index(ends, slices.Max(ends))
-	rows := tr.Breakdown(last, *iters**batch, perFFT)
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "kernel\tper transform (rank %d, last to finish)\n", last)
-	for _, k := range tr.Names() {
-		if v := rows[k]; v > 0 {
-			fmt.Fprintf(tw, "%s\t%s\n", k, heffte.FormatSeconds(v))
+	s.Header = []string{"kernel", fmt.Sprintf("per transform (rank %d, last to finish)", m.Last)}
+	for _, k := range append(tr.Names(), "wait") {
+		if v := m.Breakdown[k]; v > 0 || k == "wait" {
+			s.Rows = append(s.Rows, []bench.Cell{{Text: k}, {V: v, Text: heffte.FormatSeconds(v)}})
 		}
 	}
-	fmt.Fprintf(tw, "wait\t%s\n", heffte.FormatSeconds(rows["wait"]))
-	tw.Flush()
+	exit(1, bench.RenderBody(os.Stdout, bench.Result{Sections: []bench.Section{s}}))
 }
 
 func parseOptions(decomp, backend string, contiguous bool, shrink int) (heffte.Options, error) {

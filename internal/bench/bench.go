@@ -3,11 +3,13 @@
 // experiment runs the relevant workloads on the simulated machine and returns
 // the same rows/series the paper reports, in virtual time, as a Result —
 // typed table cells plus named scalars such as Fig. 11's GPU-aware penalty.
-// One renderer (Render) prints a Result as text; nothing else writes. The
-// cmd/fftbench CLI is a loop of Run → Render, and experiments_full.txt at the
-// repository root is its output, which the package's tests compare against;
-// host wall-clock and memory are measured by the repository benchmark
-// (`go run ./benchmark`), not here.
+// One renderer prints a Result as text, for this package and every command:
+// Render with the experiment's banner, RenderBody without it for cmd/fftsim
+// and cmd/fftplan, which build a Result of their own; nothing else writes a
+// result. The cmd/fftbench CLI is a loop of Run → Render, and
+// experiments_full.txt at the repository root is its output, which the
+// package's tests compare against; host wall-clock and memory are measured by
+// the repository benchmark (`go run ./benchmark`), not here.
 package bench
 
 import (

@@ -13,6 +13,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mpisim"
 	"repro/internal/trace"
+	"repro/internal/tuning"
 )
 
 func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
@@ -89,7 +90,7 @@ func fullResult(t *testing.T, id string) Result {
 			return tr
 		}
 		scalingPoints.Lock()
-		scalingPoints.m = map[scalingKey]measured{}
+		scalingPoints.m = map[scalingKey]tuning.Measurement{}
 		scalingPoints.Unlock()
 		suite.results, suite.errs = map[string]Result{}, map[string]error{}
 		suite.recorded, suite.tracers = map[string]bool{}, map[string]int{}
@@ -390,7 +391,7 @@ func TestScalingPointsMeasuredOnce(t *testing.T) {
 // determinism. elastic is skipped: its resume column depends on goroutine
 // timing after a kill (ROADMAP item 2). Memoized scaling points are not
 // measured again here: they are checked bit for bit across processes by
-// TestExperimentsGolden, and in process through the other fftRun.run callers.
+// TestExperimentsGolden, and in process through the other measure callers.
 func TestExperimentsDeterministic(t *testing.T) {
 	for _, e := range All() {
 		if e.ID == "elastic" {

@@ -30,13 +30,9 @@ func init() {
 // batchedPoint returns the per-transform time of a batch of nb transforms on
 // the communication profile comm.
 func batchedPoint(mdl *machine.Model, ranks, nb int, global [3]int, comm core.CommConfig) float64 {
-	r := fftRun{
-		model: mdl, ranks: ranks, aware: true,
-		cfg: core.Config{Global: global,
-			Opts: core.Options{Decomp: core.DecompPencils, Backend: core.BackendAlltoallv, Comm: comm}},
-		batch: nb,
-	}
-	return r.run().TotalPerFFT / float64(nb)
+	cfg := core.Config{Global: global,
+		Opts: core.Options{Decomp: core.DecompPencils, Backend: core.BackendAlltoallv, Comm: comm}}
+	return measure(mdl, ranks, true, cfg, nb, nil).TotalPerFFT
 }
 
 // runFig13 reports batch_speedup on the paper's baseline profile: the
@@ -98,13 +94,10 @@ func runShrink() (Result, error) {
 	for _, n := range []int{16, 32, 64} {
 		global := [3]int{n, n, n}
 		run := func(threshold int) float64 {
-			r := fftRun{
-				model: machine.Summit(), ranks: ranks, aware: true,
-				cfg: core.Config{Global: global,
-					Opts: core.Options{Decomp: core.DecompPencils, Backend: core.BackendAlltoallv,
-						ShrinkThreshold: threshold}},
-			}
-			return r.run().TotalPerFFT
+			cfg := core.Config{Global: global,
+				Opts: core.Options{Decomp: core.DecompPencils, Backend: core.BackendAlltoallv,
+					ShrinkThreshold: threshold}}
+			return measure(machine.Summit(), ranks, true, cfg, 1, nil).TotalPerFFT
 		}
 		full, shrunk := run(0), run(2048)
 		// Recover the active rank count from a plan built the same way.
@@ -127,11 +120,7 @@ func runDecomp() (Result, error) {
 			core.BackendAlltoall, core.BackendAlltoallv, core.BackendAlltoallw,
 			core.BackendP2P, core.BackendP2PBlocking,
 		} {
-			r := fftRun{
-				model: machine.Summit(), ranks: ranks, aware: true,
-				cfg: tableIIIConfig(ranks, paperGrid, core.Options{Decomp: d, Backend: b}),
-			}
-			m := r.run()
+			m := measure(machine.Summit(), ranks, true, tableIIIConfig(ranks, paperGrid, core.Options{Decomp: d, Backend: b}), 1, nil)
 			s.Rows = append(s.Rows, []Cell{label(d.String()), label(b.String()), secs(m.CommPerFFT), secs(m.TotalPerFFT)})
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/mpisim"
+	"repro/internal/tuning"
 )
 
 func init() {
@@ -75,12 +76,9 @@ var (
 )
 
 // breakdownRun is one variant of Figs. 6/7: 24 ranks, Table III grids.
-func breakdownRun(v core.Options) measured {
+func breakdownRun(v core.Options) tuning.Measurement {
 	const ranks = 24
-	return fftRun{
-		model: machine.Summit(), ranks: ranks, aware: true,
-		cfg: tableIIIConfig(ranks, paperGrid, v),
-	}.run()
+	return measure(machine.Summit(), ranks, true, tableIIIConfig(ranks, paperGrid, v), 1, nil)
 }
 
 // breakdownFigure tabulates the per-transform breakdown of each variant.

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 func init() {
@@ -35,12 +36,13 @@ func init() {
 // order across names.
 func perCallRun(mdl *machine.Model, planOpts core.Options, names []string) map[string][]float64 {
 	const ranks = 24
-	r := fftRun{
-		model: mdl, ranks: ranks, aware: true,
-		cfg:     tableIIIConfig(ranks, paperGrid, planOpts),
-		perCall: names,
-	}
-	return r.run().PerCall
+	series := make(map[string][]float64, len(names))
+	measure(mdl, ranks, true, tableIIIConfig(ranks, paperGrid, planOpts), 1, func(tr *trace.Tracer) {
+		for _, name := range names {
+			series[name] = tr.PerCall(name)
+		}
+	})
+	return series
 }
 
 // runFig2 reports each variant's total over all calls (total_alltoall,

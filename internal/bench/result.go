@@ -11,17 +11,18 @@ import (
 	"repro/internal/stats"
 )
 
-// Result is what an experiment returns: the sections fftbench prints, in
-// order, and the named numbers the paper's shape claims are checked against
-// (e.g. "gpu_aware_penalty", "batch_speedup").
+// Result is what an experiment returns, and what fftsim and fftplan print:
+// the sections, in order, and the named numbers the paper's shape claims are
+// checked against (e.g. "gpu_aware_penalty", "batch_speedup").
 type Result struct {
 	Sections []Section
 	Scalars  map[string]float64
 }
 
-// Section is one table with the lines around it. Render prints the lead
-// lines, the table (none when Header is empty), the plot (none when Plot is
-// empty) and the notes, in that order; an empty line prints a blank line.
+// Section is one table with the lines around it. RenderBody prints the lead
+// lines, the table (the Header line, none when Header is empty, then the
+// Rows), the plot (none when Plot is empty) and the notes, in that order; an
+// empty line prints a blank line.
 type Section struct {
 	Lead     []string
 	Header   []string
@@ -39,17 +40,29 @@ type Cell struct {
 }
 
 // Render writes r the way fftbench prints it: the "== id: title ==" banner,
-// each section, and a closing blank line that separates experiments.
+// the body (RenderBody), and a closing blank line that separates experiments.
 func Render(w io.Writer, e Experiment, r Result) error {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "== %s: %s ==\n", e.ID, e.Title)
+	RenderBody(&b, r) // a bytes.Buffer takes every write
+	b.WriteByte('\n')
+	_, err := w.Write(b.Bytes())
+	return err
+}
+
+// RenderBody writes r's sections alone, the way a command that prints one
+// Result (fftsim, fftplan) prints it.
+func RenderBody(w io.Writer, r Result) error {
+	var b bytes.Buffer
 	for _, s := range r.Sections {
 		for _, l := range s.Lead {
 			fmt.Fprintln(&b, l)
 		}
-		if len(s.Header) > 0 {
+		if len(s.Header)+len(s.Rows) > 0 {
 			tw := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-			fmt.Fprintln(tw, strings.Join(s.Header, "\t"))
+			if len(s.Header) > 0 {
+				fmt.Fprintln(tw, strings.Join(s.Header, "\t"))
+			}
 			for _, row := range s.Rows {
 				text := make([]string, len(row))
 				for i, c := range row {
@@ -66,7 +79,6 @@ func Render(w io.Writer, e Experiment, r Result) error {
 			fmt.Fprintln(&b, l)
 		}
 	}
-	b.WriteByte('\n')
 	_, err := w.Write(b.Bytes())
 	return err
 }

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -16,72 +14,18 @@ import (
 // events the experiments record.
 var newTracer = trace.New
 
-// fftRun describes one measured FFT experiment: the paper's protocol
-// (tuning.Measure, 2 warm-up transforms then the average of 4 forward and 4
-// backward) on every rank of a fresh traced world.
-type fftRun struct {
-	model *machine.Model
-	ranks int
-	aware bool
-	cfg   core.Config
-	batch int // fields per transform call (0 or 1 = unbatched)
-	// perCall names the events whose per-call series the run keeps, warm-up
-	// calls included (the paper's Figs. 2/3 plot all 40 calls).
-	perCall []string
-}
-
-// measured aggregates one run's virtual-time results.
-type measured struct {
-	// TotalPerFFT is the average wall (virtual) time of one transform: the
-	// timed section, barrier to barrier, over the transform count.
-	TotalPerFFT float64
-	// Breakdown splits TotalPerFFT by the timeline of the rank that finishes
-	// the timed transforms last (the lowest index on a tie), plus "wait"
-	// (trace.Tracer.Breakdown).
-	Breakdown map[string]float64
-	// CommPerFFT is the sum of Breakdown's MPI_* rows.
-	CommPerFFT float64
-	// PerCall holds the series of fftRun.perCall (trace.PerCall).
-	PerCall map[string][]float64
-	// Exchanges is the number of communication phases in the plan.
-	Exchanges int
-}
-
-// run executes the experiment and gathers results; a bad configuration
-// panics (Run recovers it). All payloads are phantom: timing is identical to
-// real payloads (a tested property) and paper-scale grids need no memory.
-func (r fftRun) run() (m measured) {
-	tr := newTracer()
-	w := mpisim.NewWorld(r.model, r.ranks, mpisim.Options{GPUAware: r.aware, Tracer: tr})
-	var from float64
-	ends := make([]float64, r.ranks)
-	w.Run(func(c *mpisim.Comm) {
-		p, err := core.NewPlan(c, r.cfg)
-		if err != nil {
-			panic(err)
-		}
-		start, end, per, err := tuning.Measure(c, p, max(r.batch, 1), tuning.Timed)
-		if err != nil {
-			panic(err)
-		}
-		ends[c.Rank()] = end
-		if c.Rank() == 0 {
-			m.TotalPerFFT, m.Exchanges, from = per, p.Exchanges(), start
-		}
-	})
-	m.PerCall = make(map[string][]float64, len(r.perCall))
-	for _, name := range r.perCall {
-		m.PerCall[name] = tr.PerCall(name)
-	}
-	// The barrier synchronized all clocks: everything that started before it
-	// is warm-up (pruning by virtual time is deterministic, unlike a racy
-	// reset).
-	tr.Prune(from)
-	m.Breakdown = tr.Breakdown(slices.Index(ends, slices.Max(ends)), tuning.Timed, m.TotalPerFFT)
-	for _, name := range tr.Names() { // sorted, so the sum is bit-reproducible
-		if strings.HasPrefix(name, "MPI_") {
-			m.CommPerFFT += m.Breakdown[name]
-		}
+// measure runs cfg on ranks GPUs of mdl, GPU-aware or host-staged, under the
+// paper's protocol (tuning.MeasureWorld: 2 warm-up calls, then 4 forward and 4
+// inverse, each call over batch fields) on a fresh traced world; unpruned,
+// when non-nil, sees the whole trace first (the per-call series of Figs. 2/3
+// include the warm-up). A bad configuration panics (Run recovers it). All
+// payloads are phantom: timing is identical to real payloads (a tested
+// property) and paper-scale grids need no memory.
+func measure(mdl *machine.Model, ranks int, aware bool, cfg core.Config, batch int, unpruned func(*trace.Tracer)) tuning.Measurement {
+	w := mpisim.NewWorld(mdl, ranks, mpisim.Options{GPUAware: aware, Tracer: newTracer()})
+	m, err := tuning.MeasureWorld(w, cfg, batch, tuning.Timed, unpruned)
+	if err != nil {
+		panic(err)
 	}
 	return m
 }

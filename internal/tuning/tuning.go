@@ -4,18 +4,22 @@
 // optionally measure the most promising ones. Measure is the one
 // implementation of the paper's measurement protocol ("the average runtime of
 // 8 FFTs (4 forward and 4 backward), preceded by 2 FFTs to warm up the
-// accelerators"); the tuner, every experiment of internal/bench and fftsim
-// time their transforms with it.
+// accelerators"); the tuner times its candidates with it, and MeasureWorld,
+// the measured run of every experiment of internal/bench and of fftsim, runs
+// it on every rank of a world.
 package tuning
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/mpisim"
 	"repro/internal/tensor"
+	"repro/internal/trace"
 )
 
 // Candidate is one algorithm setting under consideration. The rest of the
@@ -276,4 +280,76 @@ func Measure(c *mpisim.Comm, p *core.Plan, batch, count int) (start, end, per fl
 	end = c.Clock()
 	c.Barrier()
 	return start, end, (c.Clock() - start) / float64(count), nil
+}
+
+// Measurement is what MeasureWorld reads off one measured run, per transform.
+type Measurement struct {
+	// TotalPerFFT is the average virtual time of one transform: the timed
+	// section, barrier to barrier, over the calls, then over the transforms
+	// each call carries.
+	TotalPerFFT float64
+	// Last is the rank that finishes the timed transforms last (the lowest
+	// index on a tie).
+	Last int
+	// Breakdown splits TotalPerFFT by Last's timeline, plus "wait"
+	// (trace.Tracer.Breakdown); nil on an untraced world.
+	Breakdown map[string]float64
+	// CommPerFFT is the sum of Breakdown's MPI_* rows.
+	CommPerFFT float64
+	// Decomp, Phases and Exchanges describe rank 0's plan: its resolved
+	// decomposition, its communication phases and their number.
+	Decomp    core.Decomposition
+	Phases    []core.CommPhase
+	Exchanges int
+}
+
+// MeasureWorld is the one measured run: it builds cfg's plan on every rank of
+// w and times it with Measure (batch transforms per call, count calls). Then
+// unpruned, when non-nil, sees w's tracer with the whole run, warm-up
+// included; the warm-up is pruned and the breakdown read from the rank that
+// finished last. Every rank passes the same cfg, so a configuration the
+// library rejects is rejected on all of them, nobody is left in a
+// collective, and the error is returned; a failed transform panics, and w.Run
+// re-raises it.
+func MeasureWorld(w *mpisim.World, cfg core.Config, batch, count int, unpruned func(*trace.Tracer)) (m Measurement, err error) {
+	var tr *trace.Tracer
+	var from float64
+	ends := make([]float64, w.Size())
+	w.Run(func(c *mpisim.Comm) {
+		p, perr := core.NewPlan(c, cfg)
+		if perr != nil {
+			if c.Rank() == 0 {
+				err = perr
+			}
+			return
+		}
+		start, end, perCall, merr := Measure(c, p, batch, count)
+		if merr != nil {
+			panic(merr)
+		}
+		ends[c.Rank()] = end
+		if c.Rank() == 0 {
+			tr, from = c.Tracer(), start
+			m.TotalPerFFT = perCall / float64(batch)
+			m.Decomp, m.Phases, m.Exchanges = p.Decomp(), p.CommPhases(), p.Exchanges()
+		}
+	})
+	if err != nil {
+		return Measurement{}, err
+	}
+	if unpruned != nil {
+		unpruned(tr)
+	}
+	// The barrier synchronized all clocks: everything that started before it
+	// is warm-up (pruning by virtual time is deterministic, unlike a racy
+	// reset).
+	tr.Prune(from)
+	m.Last = slices.Index(ends, slices.Max(ends))
+	m.Breakdown = tr.Breakdown(m.Last, count*batch, m.TotalPerFFT)
+	for _, name := range tr.Names() { // sorted, so the sum is bit-reproducible
+		if strings.HasPrefix(name, "MPI_") {
+			m.CommPerFFT += m.Breakdown[name]
+		}
+	}
+	return m, nil
 }

@@ -1,11 +1,15 @@
 package tuning
 
 import (
+	"errors"
+	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/mpisim"
+	"repro/internal/trace"
 )
 
 func TestDefaultCandidatesCoverTheSweep(t *testing.T) {
@@ -79,6 +83,56 @@ func TestMeasureFollowsTheProtocol(t *testing.T) {
 	}
 	if want[0].per <= 0 || want[0].end <= want[0].start {
 		t.Fatalf("empty measurement %+v", want[0])
+	}
+}
+
+// TestMeasureWorldPerTransform: at batch 1 and 2, MeasureWorld's time per
+// transform is Measure's time per call over the batch, bit for bit, and the
+// breakdown rows, wait included, add up to it; a configuration the library
+// rejects comes back as the error.
+func TestMeasureWorldPerTransform(t *testing.T) {
+	const ranks = 6
+	cfg := core.Config{Global: [3]int{16, 16, 16}, Opts: core.Options{Decomp: core.DecompPencils}}
+	world := func() *mpisim.World {
+		return mpisim.NewWorld(machine.Summit(), ranks, mpisim.Options{GPUAware: true, Tracer: trace.New()})
+	}
+	for _, batch := range []int{1, 2} {
+		var perCall float64
+		world().Run(func(c *mpisim.Comm) {
+			p, err := core.NewPlan(c, cfg)
+			if err != nil {
+				panic(err)
+			}
+			_, _, per, err := Measure(c, p, batch, Timed)
+			if err != nil {
+				panic(err)
+			}
+			if c.Rank() == 0 {
+				perCall = per
+			}
+		})
+		m, err := MeasureWorld(world(), cfg, batch, Timed, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := perCall / float64(batch); m.TotalPerFFT != want || want <= 0 {
+			t.Errorf("batch %d: %g s per transform, want the per-call %g s over the batch: %g s", batch, m.TotalPerFFT, perCall, want)
+		}
+		names := make([]string, 0, len(m.Breakdown))
+		for name := range m.Breakdown {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		var sum float64
+		for _, name := range names {
+			sum += m.Breakdown[name]
+		}
+		if _, ok := m.Breakdown["wait"]; !ok || len(names) < 3 || math.Abs(sum-m.TotalPerFFT) > 1e-12*m.TotalPerFFT {
+			t.Errorf("batch %d: breakdown %v adds up to %g s, want the %g s per transform", batch, m.Breakdown, sum, m.TotalPerFFT)
+		}
+	}
+	if _, err := MeasureWorld(world(), core.Config{Global: [3]int{0, 0, 0}}, 1, Timed, nil); !errors.Is(err, core.ErrBadConfig) {
+		t.Errorf("a zero grid gives %v, want ErrBadConfig", err)
 	}
 }
 
