@@ -28,7 +28,7 @@ func main() {
 	var (
 		n     = flag.Int("n", 512, "cube size N (transform is N³)")
 		ranks = flag.Int("ranks", 24, "number of MPI ranks (1 per GPU)")
-		phase = flag.Bool("phase", false, "print a size × ranks phase diagram")
+		phase = flag.Bool("phase", false, "print a size × ranks phase diagram (takes -bw and -lat only)")
 		bw    = flag.Float64("bw", 23.5e9, "model bandwidth B in bytes/s (paper: 23.5 GB/s)")
 		lat   = flag.Float64("lat", 1e-6, "model latency L in seconds (paper: 1 µs)")
 		wire  = flag.String("wire", "fp64", "on-wire precision of interior exchanges: fp64|fp32|fp16")
@@ -42,6 +42,15 @@ func main() {
 	}
 	if flag.NArg() > 0 {
 		fail(fmt.Errorf("unexpected argument %q: every setting is a -flag, and flags come first", flag.Arg(0)))
+	}
+	if *phase {
+		// The diagram sweeps its own sizes and rank counts at full precision.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "n", "ranks", "wire", "dead":
+				fail(fmt.Errorf("-%s does not apply to -phase, which sweeps sizes and rank counts at fp64", f.Name))
+			}
+		})
 	}
 	for _, f := range []struct {
 		name string
@@ -130,13 +139,10 @@ func planReport(n, ranks, dead int, wp heffte.WirePrecision, params heffte.Model
 }
 
 func parseWire(w string) (heffte.WirePrecision, error) {
-	switch w {
-	case "fp64", "":
-		return heffte.WireFp64, nil
-	case "fp32":
-		return heffte.WireFp32, nil
-	case "fp16":
-		return heffte.WireFp16, nil
+	for _, wp := range []heffte.WirePrecision{heffte.WireFp64, heffte.WireFp32, heffte.WireFp16} {
+		if wp.String() == w {
+			return wp, nil
+		}
 	}
 	return heffte.WireFp64, fmt.Errorf("unknown wire precision %q", w)
 }

@@ -23,7 +23,8 @@ func TestMain(m *testing.M) {
 // TestBadFlagsExit2: a flag value the model cannot evaluate is rejected up
 // front — one "fftplan: …" line on stderr, nothing on stdout, exit status 2 —
 // instead of a goroutine trace, a negative grid, an infinite time, a
-// silently ignored -dead or flags silently dropped after a stray argument.
+// silently ignored -dead, a plan flag beside -phase (which ignores it) or
+// flags silently dropped after a stray argument.
 func TestBadFlagsExit2(t *testing.T) {
 	for _, args := range [][]string{
 		{"-n", "0"},
@@ -36,6 +37,12 @@ func TestBadFlagsExit2(t *testing.T) {
 		{"-ranks", "24", "-dead", "24"},
 		{"-ranks", "24", "-dead", "30"},
 		{"-n", "64", "ranks", "24"}, // a stray argument ends flag parsing
+		// -phase sweeps its own grid: a plan flag beside it would be ignored.
+		{"-phase", "-n", "64"},
+		{"-phase", "-ranks", "24"},
+		{"-phase", "-wire", "fp16"},
+		{"-phase", "-dead", "3"},
+		{"-phase", "-wire", "fp16", "-n", "64", "-dead", "3"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], args...)

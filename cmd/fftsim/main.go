@@ -31,7 +31,7 @@ func main() {
 		batch      = flag.Int("batch", 1, "transforms per batched call")
 		iters      = flag.Int("iters", tuning.Timed, "timed transforms (half forward, half backward)")
 		traceOut   = flag.String("trace", "", "write the virtual timeline as Chrome trace-event JSON to this file")
-		algo       = flag.String("algo", "auto", "alltoallv schedule: auto|linear|pairwise|ring|bruck|node-aware")
+		algo       = flag.String("algo", "auto", "all-to-all schedule of a scheduling backend (alltoallv): auto|linear|pairwise|ring|bruck|node-aware")
 		placement  = flag.String("placement", "block", "rank→GPU placement: block|round-robin")
 		wire       = flag.String("wire", "fp64", "on-wire precision of interior exchanges: fp64|fp32|fp16")
 	)
@@ -62,9 +62,10 @@ func main() {
 	}
 	opts, err := parseOptions(*decomp, *backend, *contiguous, *shrink)
 	fail(err)
-	opts.Comm.Algo, err = parseAlgo(*algo)
+	opts.Comm.Algo, err = parseName("collective algorithm", *algo, heffte.AlgoAuto, heffte.AlgoLinear,
+		heffte.AlgoPairwise, heffte.AlgoRing, heffte.AlgoBruck, heffte.AlgoNodeAware)
 	fail(err)
-	opts.Comm.Wire, err = parseWire(*wire)
+	opts.Comm.Wire, err = parseName("wire precision", *wire, heffte.WireFp64, heffte.WireFp32, heffte.WireFp16)
 	fail(err)
 	place, err := parsePlacement(*placement)
 	fail(err)
@@ -88,7 +89,7 @@ func main() {
 		head += fmt.Sprintf(" wire=%s", opts.Comm.Wire)
 	}
 	s := bench.Section{Lead: []string{head, fmt.Sprintf("exchanges per transform: %d", m.Exchanges)}}
-	if opts.Backend == heffte.BackendAlltoallv && len(m.Phases) > 0 {
+	if opts.Backend.Capabilities().Schedules && len(m.Phases) > 0 {
 		comm := "comm:"
 		for _, ph := range m.Phases {
 			if ph.GroupSize == 0 {
@@ -123,63 +124,25 @@ func main() {
 
 func parseOptions(decomp, backend string, contiguous bool, shrink int) (heffte.Options, error) {
 	o := heffte.Options{Contiguous: contiguous, ShrinkThreshold: shrink}
-	switch decomp {
-	case "auto":
-		o.Decomp = heffte.DecompAuto
-	case "slabs":
-		o.Decomp = heffte.DecompSlabs
-	case "pencils":
-		o.Decomp = heffte.DecompPencils
-	case "bricks":
-		o.Decomp = heffte.DecompBricks
-	default:
-		return o, fmt.Errorf("unknown decomposition %q", decomp)
+	var err error
+	if o.Decomp, err = parseName("decomposition", decomp,
+		heffte.DecompAuto, heffte.DecompSlabs, heffte.DecompPencils, heffte.DecompBricks); err != nil {
+		return o, err
 	}
-	switch backend {
-	case "alltoall":
-		o.Backend = heffte.BackendAlltoall
-	case "alltoallv":
-		o.Backend = heffte.BackendAlltoallv
-	case "alltoallw":
-		o.Backend = heffte.BackendAlltoallw
-	case "p2p":
-		o.Backend = heffte.BackendP2P
-	case "p2p-blocking":
-		o.Backend = heffte.BackendP2PBlocking
-	default:
-		return o, fmt.Errorf("unknown backend %q", backend)
-	}
-	return o, nil
+	o.Backend, err = parseName("backend", backend, heffte.BackendAlltoall, heffte.BackendAlltoallv,
+		heffte.BackendAlltoallw, heffte.BackendP2P, heffte.BackendP2PBlocking)
+	return o, err
 }
 
-func parseAlgo(algo string) (heffte.CollectiveAlgo, error) {
-	switch algo {
-	case "auto":
-		return heffte.AlgoAuto, nil
-	case "linear":
-		return heffte.AlgoLinear, nil
-	case "pairwise":
-		return heffte.AlgoPairwise, nil
-	case "ring":
-		return heffte.AlgoRing, nil
-	case "bruck":
-		return heffte.AlgoBruck, nil
-	case "node-aware":
-		return heffte.AlgoNodeAware, nil
+// parseName returns the value among vals that prints as s.
+func parseName[T fmt.Stringer](what, s string, vals ...T) (T, error) {
+	for _, v := range vals {
+		if v.String() == s {
+			return v, nil
+		}
 	}
-	return heffte.AlgoAuto, fmt.Errorf("unknown collective algorithm %q", algo)
-}
-
-func parseWire(w string) (heffte.WirePrecision, error) {
-	switch w {
-	case "fp64", "":
-		return heffte.WireFp64, nil
-	case "fp32":
-		return heffte.WireFp32, nil
-	case "fp16":
-		return heffte.WireFp16, nil
-	}
-	return heffte.WireFp64, fmt.Errorf("unknown wire precision %q", w)
+	var zero T
+	return zero, fmt.Errorf("unknown %s %q", what, s)
 }
 
 func parseMachine(m string) (*heffte.Machine, error) {

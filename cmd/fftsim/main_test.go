@@ -23,13 +23,18 @@ func TestMain(m *testing.M) {
 }
 
 // TestBadFlagsExit2: a bad flag is rejected up front — one "fftsim: …" line on
-// stderr, nothing on stdout, exit status 2 — instead of running a default, or
-// running the flags before a stray argument and ignoring the rest.
+// stderr, nothing on stdout, exit status 2 — instead of running a default,
+// running a setting the backend ignores, or running the flags before a stray
+// argument and ignoring the rest.
 func TestBadFlagsExit2(t *testing.T) {
 	for _, args := range [][]string{
 		{"-machine", "bogus", "-n", "8", "-ranks", "2", "-iters", "2"},
 		{"-shrink", "-5", "-n", "8", "-ranks", "2", "-iters", "2"},
 		{"-n", "8", "ranks", "2", "-iters", "2"}, // a stray argument ends flag parsing
+		// Settings the backend does not run: no schedules off alltoallv, no
+		// wire compression without pack kernels.
+		{"-backend", "p2p", "-algo", "ring", "-n", "8", "-ranks", "2", "-iters", "2"},
+		{"-backend", "alltoallw", "-wire", "fp32", "-n", "8", "-ranks", "2", "-iters", "2"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], args...)

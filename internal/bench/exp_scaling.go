@@ -233,8 +233,9 @@ func runFig8() (Result, error) {
 		"each total falls from 2 to 128 nodes (the 1→2-node step leaves NVLink)"), nil
 }
 
-// runFig9 runs the P2P backend, which ignores CommConfig, so its one profile is
-// the paper's baseline. Its shape is asserted (TestFig9Shape).
+// runFig9 runs the P2P backend, which runs no schedules and does not chunk:
+// its one legal profile, the zero CommConfig, resolves to the paper's
+// baseline. Its shape is asserted (TestFig9Shape).
 func runFig9() (Result, error) {
 	return scalingTable(core.BackendP2P, []core.CommConfig{{}},
 		"shape (asserted): GPU-aware P2P total below host-staged from 1 to 32 nodes, above",

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/machine"
 )
 
 func init() {
@@ -37,24 +38,29 @@ func runTable1() (Result, error) {
 	} {
 		libs.Rows = append(libs.Rows, labels(r[:]...))
 	}
+	// The backend rows are core's backend table. A backend without pack
+	// kernels hands the MPI derived datatypes, which move GPU-aware only where
+	// the stack's MPI_Alltoallw does.
 	backends := Section{
-		Lead:   []string{"", "backend capability check of this library:"},
-		Header: []string{"backend", "collective", "pads blocks", "pack/unpack kernels", "GPU-aware on SpectrumMPI-like stacks"},
+		Lead: []string{"", "backend capability check of this library:"},
+		Header: []string{"backend", "MPI routines", "collective", "pads blocks", "pack kernels", "unpack",
+			"schedules+chunks", "wire compression", "per-entry async", "GPU-aware on SpectrumMPI"},
 	}
-	type caps struct {
-		b          core.Backend
-		pads, pk   bool
-		gpuAwareOK bool
-	}
-	for _, c := range []caps{
-		{core.BackendAlltoall, true, true, true},
-		{core.BackendAlltoallv, false, true, true},
-		{core.BackendAlltoallw, false, false, false},
-		{core.BackendP2P, false, true, true},
-		{core.BackendP2PBlocking, false, true, true},
+	spectrum := machine.Summit()
+	for _, b := range []core.Backend{
+		core.BackendAlltoall, core.BackendAlltoallv, core.BackendAlltoallw, core.BackendP2P, core.BackendP2PBlocking,
 	} {
-		backends.Rows = append(backends.Rows, labels(c.b.String(), fmt.Sprint(c.b.Collective()),
-			fmt.Sprint(c.pads), fmt.Sprint(c.pk), fmt.Sprint(c.gpuAwareOK)))
+		c := b.Capabilities()
+		unpack := "none"
+		switch {
+		case c.BulkUnpack:
+			unpack = "per call"
+		case c.Packs:
+			unpack = "per message"
+		}
+		backends.Rows = append(backends.Rows, labels(c.Name, c.Routine, fmt.Sprint(c.Collective), fmt.Sprint(c.Pads),
+			fmt.Sprint(c.Packs), unpack, fmt.Sprint(c.Schedules), fmt.Sprint(c.Wire), fmt.Sprint(c.Async),
+			fmt.Sprint(c.Packs || spectrum.AlltoallwGPUAware)))
 	}
 	return Result{Sections: []Section{libs, backends}}, nil
 }

@@ -65,34 +65,21 @@ func (st *exchStats) add(b tensor.Box3) {
 	}
 }
 
-// collAlgoOf maps a simulator schedule back to its facade-level name.
-func collAlgoOf(a mpisim.Algo) CollAlgo {
-	switch a {
-	case mpisim.AlgoPairwise:
-		return CollPairwise
-	case mpisim.AlgoRing:
-		return CollRing
-	case mpisim.AlgoBruck:
-		return CollBruck
-	case mpisim.AlgoNodeAware:
-		return CollNodeAware
-	}
-	return CollLinear
+// simAlgos maps each CollAlgo to the simulator schedule it forces; CollAuto
+// picks per phase (pickAlgo) and runs linear where nothing is picked.
+var simAlgos = [...]mpisim.Algo{
+	CollAuto: mpisim.AlgoLinear, CollLinear: mpisim.AlgoLinear, CollPairwise: mpisim.AlgoPairwise,
+	CollRing: mpisim.AlgoRing, CollBruck: mpisim.AlgoBruck, CollNodeAware: mpisim.AlgoNodeAware,
 }
 
-// simAlgoOf maps a forced facade algorithm to the simulator schedule.
-func simAlgoOf(a CollAlgo) mpisim.Algo {
-	switch a {
-	case CollPairwise:
-		return mpisim.AlgoPairwise
-	case CollRing:
-		return mpisim.AlgoRing
-	case CollBruck:
-		return mpisim.AlgoBruck
-	case CollNodeAware:
-		return mpisim.AlgoNodeAware
+// collAlgoOf maps a simulator schedule back to its facade-level name.
+func collAlgoOf(a mpisim.Algo) CollAlgo {
+	for c := CollLinear; int(c) < len(simAlgos); c++ {
+		if simAlgos[c] == a {
+			return c
+		}
 	}
-	return mpisim.AlgoLinear
+	return CollLinear
 }
 
 // pickAlgo is the CollAuto policy: price this phase's real exchange — every
@@ -196,16 +183,16 @@ func (rs *reshapePlan) resolved(opts Options, web, batch int) *frozen {
 // resolve turns the plan's CommConfig into the concrete (schedule, chunk
 // count, overlap) this phase runs with, given the element size and batch
 // width of the execution. Execution reaches it only through the reshape's
-// table (resolved). Only the Alltoallv backend schedules and chunks; the
-// other collectives run one unchunked vendor call.
+// table (resolved). Only a backend that runs schedules (its Capabilities)
+// schedules and chunks; the other collectives run one unchunked vendor call.
 func (rs *reshapePlan) resolve(opts Options, eb, batch int) (mpisim.Algo, int, bool) {
-	if opts.Backend != BackendAlltoallv {
+	if !opts.Backend.Capabilities().Schedules {
 		return mpisim.AlgoLinear, 1, false
 	}
 	cc := opts.Comm
 	st := rs.stats
 
-	algo := simAlgoOf(cc.Algo)
+	algo := simAlgos[cc.Algo]
 	if cc.Algo == CollAuto && st.pairs > 0 {
 		algo = pickAlgo(rs, eb, batch)
 	}
@@ -251,9 +238,10 @@ func chunkBox(b tensor.Box3, ci, n int) tensor.Box3 {
 }
 
 // CommPhase reports how one communication phase of the plan is configured:
-// the schedule the Alltoallv backend resolved (after the CollAuto
-// selection) and the pipeline depth of the chunked path. Exposed through
-// the facade so serving stats and tooling can observe tuning decisions.
+// the schedule a scheduling backend resolved (after the CollAuto selection;
+// linear on every other backend) and the pipeline depth of the chunked path.
+// Exposed through the facade so serving stats and tooling can observe tuning
+// decisions.
 type CommPhase struct {
 	Label     string
 	GroupSize int // ranks in this phase's exchange group (0 = not involved)
@@ -271,7 +259,7 @@ type CommPhase struct {
 	Checksummed bool
 	// Wire is the on-wire element precision this phase's payloads ship at:
 	// the configured compressed format for interior reshapes, WireFp64 for
-	// input/output reshapes and datatype (Alltoallw) exchanges.
+	// input/output reshapes.
 	Wire WirePrecision
 	// Epoch is the world epoch the phase executes under (0 for a fresh
 	// world, +1 per elastic shrink), so operators can see which incarnation
@@ -303,7 +291,7 @@ func (p *Plan) CommPhases() []CommPhase {
 			cp.Schedule = "flat"
 			cp.Checksummed = rs.group.Integrity().Enabled()
 			cp.Wire = rs.wireOf(p.opts)
-			if p.opts.Backend == BackendAlltoallv {
+			if p.caps.Schedules {
 				f := rs.resolved(p.opts, WireElemSize(cp.Wire, 16), 1)
 				cp.Algo = collAlgoOf(f.algo)
 				cp.Chunks = f.chunks

@@ -7,9 +7,8 @@ import "errors"
 // them so callers can branch on failure classes without string matching.
 var (
 	// ErrBadConfig marks an invalid plan configuration: non-positive grid
-	// extents, a negative shrink threshold, a pencil grid that does not
-	// factor the rank count, an unresolved decomposition, or for a real-to-complex plan an odd N2,
-	// checkpoints, a shrink threshold, or a slab or brick decomposition.
+	// extents, a pencil grid that does not factor the rank count, or an
+	// option the backend or the plan kind does not run (checkConfig).
 	ErrBadConfig = errors.New("bad plan configuration")
 
 	// ErrMismatchedBoxes marks inconsistent data distributions: box lists

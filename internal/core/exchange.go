@@ -123,7 +123,7 @@ func (x *exchange[T]) arm(e *engine, rs *reshapePlan, datas, out [][]T, phantom,
 	if x.lends() {
 		x.view = scratchOf[T](e).lendOut(datas, x.from, recycleIn)
 	}
-	if e.opts.Backend.Collective() {
+	if e.caps.Collective {
 		f := rs.resolved(e.opts, x.web, len(datas))
 		x.algo, x.chunks, x.overlap, x.pats = f.algo, f.chunks, f.overlap, f.chunk
 		if async {
@@ -162,7 +162,7 @@ func (x *exchange[T]) lends() bool {
 // order a block-carrying one does, so no clock can tell the two apart.
 func (x *exchange[T]) isBare() bool {
 	g := x.rs.group
-	return x.phantom && x.e.opts.Backend.Collective() && !g.Integrity().Enabled() && !g.FaultsAttached()
+	return x.phantom && x.e.caps.Collective && !g.Integrity().Enabled() && !g.FaultsAttached()
 }
 
 // lent is what a view points at: the sender's arrays over from, and who still
@@ -271,7 +271,7 @@ func (x *exchange[T]) alloc() {
 // open readies the transport before anything is packed: the P2P backends post
 // all their receives first (heFFTe's MPI_Irecv loop).
 func (x *exchange[T]) open() {
-	if x.e.opts.Backend.Collective() {
+	if x.e.caps.Collective {
 		return
 	}
 	g, rs := x.rs.group, x.rs
@@ -301,8 +301,8 @@ func (x *exchange[T]) open() {
 // envelope sum is taken before rounding (it rides the pack kernel's
 // full-precision read), so envelope verification under compression is
 // tolerance-based (see verifyEnvelope). The pack kernel is charged for the
-// on-wire bytes it writes; MPI_Alltoallw (Algorithm 2) hands the library
-// derived sub-array datatypes and has no pack kernel.
+// on-wire bytes it writes; a backend without pack kernels (MPI_Alltoallw,
+// Algorithm 2, hands the library derived sub-array datatypes) charges none.
 //
 // A lending exchange builds the same list with nothing in it: each block is
 // size-only — Elems, Bytes, Loc and Wire are what the packed block would have
@@ -336,7 +336,7 @@ func (x *exchange[T]) pack(ci int) []mpisim.Block {
 		// The inputs are fully drained once the last chunk is packed.
 		recycleDatas(x.datas, x.recycleIn)
 	}
-	if x.e.opts.Backend != BackendAlltoallw {
+	if x.e.caps.Packs {
 		dev.Pack(wireBytes, x.e.opts.Contiguous)
 	}
 	return blocks
@@ -384,17 +384,19 @@ func (x *exchange[T]) packBlocks(ci int) ([]mpisim.Block, int) {
 	return blocks, total
 }
 
-// post hands chunk ci's packed blocks to the transport. Blocking transports
-// complete here; async (Alltoallv only) posts MPI_Ialltoallv under the
-// resolved schedule and leaves the exchange in flight. A collective goes with
-// the chunk's pattern, delivers into a receive list drawn here — none for a
-// bare exchange, which has nothing to deliver — and is done with the send
-// list when it returns, so that goes straight back to the pool.
+// post hands chunk ci's packed blocks to the transport — the one place that
+// names backends: the table says what a backend runs, this dispatch which MPI
+// routine runs it. Blocking transports complete here; async (a backend with a
+// non-blocking variant: MPI_Ialltoallv) posts under the resolved schedule and
+// leaves the exchange in flight. A collective goes with the chunk's pattern,
+// delivers into a receive list drawn here — none for a bare exchange, which
+// has nothing to deliver — and is done with the send list when it returns, so
+// that goes straight back to the pool.
 func (x *exchange[T]) post(ci int, blocks []mpisim.Block, async bool) posted {
 	g, rs := x.rs.group, x.rs
 	// Pack buffers live on the device, whether or not this rank packed any.
 	const loc = machine.Device
-	if x.e.opts.Backend.Collective() {
+	if x.e.caps.Collective {
 		var h posted
 		var recv []mpisim.Block
 		if !x.bare {
@@ -442,15 +444,15 @@ func (x *exchange[T]) post(ci int, blocks []mpisim.Block, async bool) posted {
 // transports unpack in one kernel after the call — a bare exchange, which
 // received no list, charges the pattern's receive total; the P2P transports
 // unpack arrivals in completion order (MPI_Waitany) and charge a kernel per
-// message, the local share first — it never touches the network;
-// MPI_Alltoallw has no unpack kernel.
+// message, the local share first — it never touches the network; a backend
+// without pack kernels (MPI_Alltoallw) has no unpack kernel.
 func (x *exchange[T]) unpack(ci int, h posted) {
 	g, rs, dev, opts := x.rs.group, x.rs, x.e.dev, x.e.opts
 	x.alloc()
 	// Every non-empty block of the chunk is delivered exactly once, so the
 	// received element count accumulates as the blocks land.
 	elems := 0
-	if opts.Backend.Collective() {
+	if x.e.caps.Collective {
 		all := h.recv
 		if h.req != nil {
 			all = g.WaitSparse(h.req)
@@ -483,7 +485,7 @@ func (x *exchange[T]) unpack(ci int, h posted) {
 	if ic := g.Integrity(); ic.Invariants && !ic.Checksums {
 		g.ChargeChecksumVerify(wireBytes)
 	}
-	if opts.Backend == BackendAlltoallv || opts.Backend == BackendAlltoall {
+	if x.e.caps.BulkUnpack {
 		dev.Unpack(wireBytes, opts.Contiguous)
 	}
 	if x.wire != WireFp64 {

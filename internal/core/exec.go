@@ -24,6 +24,8 @@ type engine struct {
 	comm *mpisim.Comm
 	dev  *gpu.Device
 	opts Options
+	// caps is the backend's row of the backend table.
+	caps *Capabilities
 	// global is the extents of the grid the complex stages transform (the
 	// Hermitian half grid for a RealPlan); decomp the resolved decomposition.
 	// Both describe the execution to the checkpoint store.
@@ -416,19 +418,6 @@ func (e *engine) run(stages []stage, b *batch, dir fft.Direction, from int, pol 
 		return fmt.Errorf("core: empty batch")
 	}
 	ck := e.opts.Checkpoints
-	if pol == entryAsync {
-		// Per-entry exchanges exist only as MPI_Ialltoallv, carry one
-		// unchunked message per entry, and leave no whole-batch stage boundary
-		// to checkpoint while entries are in flight.
-		switch {
-		case e.opts.Backend != BackendAlltoallv:
-			return fmt.Errorf("core: %w: pipelined execution requires the alltoallv backend, have %v", ErrBadConfig, e.opts.Backend)
-		case e.opts.Comm.Chunks > 1:
-			return fmt.Errorf("core: %w: pipelined execution cannot chunk its per-entry exchanges (Comm.Chunks = %d)", ErrBadConfig, e.opts.Comm.Chunks)
-		case ck != nil:
-			return fmt.Errorf("core: %w: pipelined execution cannot checkpoint whole-batch stage boundaries", ErrBadConfig)
-		}
-	}
 	e.curPhase = ""
 	defer e.recoverFault(b, &err)
 	// Validation failures leave End == Start: nothing executed, no cost.

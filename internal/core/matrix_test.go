@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,10 +14,11 @@ import (
 	"repro/internal/trace"
 )
 
-// Feature × path matrix: every cross-cutting feature must work on every
-// execution path, or the combination must be rejected with ErrBadConfig — no
-// silent skew between the batch-fused C2C path, the per-entry-async path and
-// the R2C plan, which all run on one stage runner.
+// Feature × path × backend matrix: every cross-cutting feature must work on
+// every execution path and every backend, or the combination must be rejected
+// with ErrBadConfig — no silent skew between the batch-fused C2C path, the
+// per-entry-async path and the R2C plan, which all run on one stage runner,
+// and no setting a backend accepts and then ignores.
 
 type matrixPath int
 
@@ -49,10 +51,10 @@ const (
 
 var matrixGlobal = [3]int{16, 16, 16}
 
-func runMatrixPath(path matrixPath, wopts mpisim.Options, opts Options) matrixRun {
+func runMatrixPath(path matrixPath, b Backend, wopts mpisim.Options, opts Options) matrixRun {
 	wopts.GPUAware = true
 	wopts.Tracer = trace.New()
-	opts.Backend, opts.Decomp = BackendAlltoallv, DecompPencils
+	opts.Backend, opts.Decomp = b, DecompPencils
 	w := mpisim.NewWorld(machine.Summit(), matrixRanks, wopts)
 	r := matrixRun{
 		returned: make([]bool, matrixRanks), errs: make([]error, matrixRanks),
@@ -147,12 +149,12 @@ func TestFeaturePathMatrix(t *testing.T) {
 		name string
 		// check reports whether the cell works (false: rejected as a
 		// configuration error, the other legal outcome).
-		check func(t *testing.T, path matrixPath) bool
+		check func(t *testing.T, path matrixPath, b Backend) bool
 	}{
-		{"forced CollAlgo changes the clock", func(t *testing.T, path matrixPath) bool {
+		{"forced CollAlgo changes the clock", func(t *testing.T, path matrixPath, b Backend) bool {
 			seen := map[float64]CollAlgo{}
 			for _, a := range []CollAlgo{CollLinear, CollPairwise, CollBruck} {
-				r := runMatrixPath(path, mpisim.Options{}, Options{Comm: CommConfig{Algo: a}})
+				r := runMatrixPath(path, b, mpisim.Options{}, Options{Comm: CommConfig{Algo: a}})
 				if !accepted(t, r) {
 					return false
 				}
@@ -163,14 +165,14 @@ func TestFeaturePathMatrix(t *testing.T) {
 			}
 			return true
 		}},
-		{"brick flip healed and counted", func(t *testing.T, path matrixPath) bool {
-			want := runMatrixPath(path, invariants, Options{})
+		{"brick flip healed and counted", func(t *testing.T, path matrixPath, b Backend) bool {
+			want := runMatrixPath(path, b, invariants, Options{})
 			if !accepted(t, want) {
 				return false
 			}
 			flip := invariants
 			flip.Faults = &faults.Plan{Events: []faults.Event{{Kind: faults.CorruptSilent, Rank: 1, Op: 1, Count: 1, Brick: true}}}
-			got := runMatrixPath(path, flip, Options{})
+			got := runMatrixPath(path, b, flip, Options{})
 			if !accepted(t, got) {
 				return false
 			}
@@ -190,8 +192,8 @@ func TestFeaturePathMatrix(t *testing.T) {
 			}
 			return true
 		}},
-		{"envelope verify charged under invariants-only", func(t *testing.T, path matrixPath) bool {
-			r := runMatrixPath(path, invariants, Options{})
+		{"envelope verify charged under invariants-only", func(t *testing.T, path matrixPath, b Backend) bool {
+			r := runMatrixPath(path, b, invariants, Options{})
 			if !accepted(t, r) {
 				return false
 			}
@@ -200,11 +202,11 @@ func TestFeaturePathMatrix(t *testing.T) {
 			}
 			return true
 		}},
-		{"rank kill is a typed error with rank and phase", func(t *testing.T, path matrixPath) bool {
+		{"rank kill is a typed error with rank and phase", func(t *testing.T, path matrixPath, b Backend) bool {
 			const victim = 3
 			kill := mpisim.Options{Faults: &faults.Plan{Timeout: 1, Events: []faults.Event{{Kind: faults.Kill, Rank: victim, Op: 1}}}}
-			r := runMatrixPath(path, kill, Options{})
-			if errors.Is(r.planErr, ErrBadConfig) {
+			r := runMatrixPath(path, b, kill, Options{})
+			if errors.Is(r.clean(), ErrBadConfig) {
 				return false
 			}
 			if !errors.Is(r.res.Err, mpisim.ErrRankFailed) {
@@ -224,8 +226,8 @@ func TestFeaturePathMatrix(t *testing.T) {
 			}
 			return true
 		}},
-		{"LastExec populated", func(t *testing.T, path matrixPath) bool {
-			r := runMatrixPath(path, mpisim.Options{}, Options{})
+		{"LastExec populated", func(t *testing.T, path matrixPath, b Backend) bool {
+			r := runMatrixPath(path, b, mpisim.Options{}, Options{})
 			if !accepted(t, r) {
 				return false
 			}
@@ -236,9 +238,9 @@ func TestFeaturePathMatrix(t *testing.T) {
 			}
 			return true
 		}},
-		{"checkpoints", func(t *testing.T, path matrixPath) bool {
+		{"checkpoints", func(t *testing.T, path matrixPath, b Backend) bool {
 			store := NewCheckpointStore()
-			r := runMatrixPath(path, mpisim.Options{}, Options{Checkpoints: store})
+			r := runMatrixPath(path, b, mpisim.Options{}, Options{Checkpoints: store})
 			if !accepted(t, r) {
 				return false
 			}
@@ -250,9 +252,9 @@ func TestFeaturePathMatrix(t *testing.T) {
 			}
 			return true
 		}},
-		{"explicit chunks", func(t *testing.T, path matrixPath) bool {
-			whole := runMatrixPath(path, mpisim.Options{}, Options{Comm: CommConfig{Chunks: 1}})
-			chunked := runMatrixPath(path, mpisim.Options{}, Options{Comm: CommConfig{Chunks: 2}})
+		{"explicit chunks", func(t *testing.T, path matrixPath, b Backend) bool {
+			whole := runMatrixPath(path, b, mpisim.Options{}, Options{Comm: CommConfig{Chunks: 1}})
+			chunked := runMatrixPath(path, b, mpisim.Options{}, Options{Comm: CommConfig{Chunks: 2}})
 			if !accepted(t, whole) || !accepted(t, chunked) {
 				return false
 			}
@@ -261,24 +263,52 @@ func TestFeaturePathMatrix(t *testing.T) {
 			}
 			return true
 		}},
+		// (The makespan need not move: the batch-fused path can hide the
+		// whole exchange behind compute.)
+		{"compressed wire changes the bits", func(t *testing.T, path matrixPath, b Backend) bool {
+			full := runMatrixPath(path, b, mpisim.Options{}, Options{})
+			narrow := runMatrixPath(path, b, mpisim.Options{}, Options{Comm: CommConfig{Wire: WireFp32}})
+			if !accepted(t, full) || !accepted(t, narrow) {
+				return false
+			}
+			if slices.Equal(narrow.out[0], full.out[0]) {
+				t.Error("fp32 and fp64 wires give the same output bits on rank 0: the wire is ignored")
+			}
+			return true
+		}},
 	}
-	// The cells that do not compose: the checkpoint store holds complex
-	// whole-batch stage boundaries, which neither in-flight per-entry
-	// exchanges nor a real-valued pipeline can supply; a per-entry exchange is
-	// one unchunked message. Everything else works.
-	rejected := map[string]bool{
-		"checkpoints/ForwardPipelined":      true,
-		"checkpoints/RealPlan.ForwardBatch": true,
-		"explicit chunks/ForwardPipelined":  true,
+	backends := []Backend{BackendAlltoallv, BackendAlltoall, BackendAlltoallw, BackendP2P, BackendP2PBlocking}
+	// The cells that do not compose. Only Alltoallv has a non-blocking
+	// all-to-all (per-entry exchanges) and runs schedules and chunks; a
+	// per-entry exchange is one unchunked message; the checkpoint store holds
+	// complex whole-batch stage boundaries, which neither in-flight per-entry
+	// exchanges nor a real-valued pipeline can supply; Alltoallw has no pack
+	// kernel to compress the wire in. Everything else works.
+	rejected := func(feature string, path matrixPath, b Backend) bool {
+		switch {
+		case path == pathPipelined && b != BackendAlltoallv:
+			return true
+		case feature == "checkpoints":
+			return path != pathBatch
+		case feature == "explicit chunks":
+			return path == pathPipelined || b != BackendAlltoallv
+		case feature == "forced CollAlgo changes the clock":
+			return b != BackendAlltoallv
+		case feature == "compressed wire changes the bits":
+			return b == BackendAlltoallw
+		}
+		return false
 	}
 	for _, f := range features {
-		for _, path := range []matrixPath{pathBatch, pathPipelined, pathReal} {
-			f, path := f, path
-			t.Run(f.name+"/"+path.String(), func(t *testing.T) {
-				if works := f.check(t, path); works == rejected[f.name+"/"+path.String()] {
-					t.Errorf("works = %v, want %v", works, !works)
-				}
-			})
+		for _, b := range backends {
+			for _, path := range []matrixPath{pathBatch, pathPipelined, pathReal} {
+				f, b, path := f, b, path
+				t.Run(f.name+"/"+b.String()+"/"+path.String(), func(t *testing.T) {
+					if works := f.check(t, path, b); works == rejected(f.name, path, b) {
+						t.Errorf("works = %v, want %v", works, !works)
+					}
+				})
+			}
 		}
 	}
 }

@@ -34,62 +34,21 @@ const (
 )
 
 func (d Decomposition) String() string {
-	switch d {
-	case DecompAuto:
-		return "auto"
-	case DecompSlabs:
-		return "slabs"
-	case DecompPencils:
-		return "pencils"
-	case DecompBricks:
-		return "bricks"
+	return enumName("decomposition", int(d), "auto", "slabs", "pencils", "bricks")
+}
+
+// enumName returns names[v], or kind(v) for a value outside the enum.
+func enumName(kind string, v int, names ...string) string {
+	if v < 0 || v >= len(names) {
+		return fmt.Sprintf("%s(%d)", kind, v)
 	}
-	return fmt.Sprintf("decomposition(%d)", int(d))
+	return names[v]
 }
 
-// Backend selects the MPI exchange strategy of Table I.
-type Backend int
-
-const (
-	// BackendAlltoallv uses MPI_Alltoallv with exact block sizes (heFFTe's
-	// default and the paper's best option at scale).
-	BackendAlltoallv Backend = iota
-	// BackendAlltoall uses MPI_Alltoall, padding all blocks to the largest.
-	BackendAlltoall
-	// BackendAlltoallw is Algorithm 2: the generalized all-to-all over
-	// derived sub-array datatypes (no pack/unpack kernels, naive transport,
-	// not GPU-aware under SpectrumMPI).
-	BackendAlltoallw
-	// BackendP2P uses non-blocking MPI_Isend/MPI_Irecv with Waitany.
-	BackendP2P
-	// BackendP2PBlocking uses blocking MPI_Send with MPI_Irecv.
-	BackendP2PBlocking
-)
-
-func (b Backend) String() string {
-	switch b {
-	case BackendAlltoallv:
-		return "alltoallv"
-	case BackendAlltoall:
-		return "alltoall"
-	case BackendAlltoallw:
-		return "alltoallw"
-	case BackendP2P:
-		return "p2p"
-	case BackendP2PBlocking:
-		return "p2p-blocking"
-	}
-	return fmt.Sprintf("backend(%d)", int(b))
-}
-
-// Collective reports whether the backend is an All-to-All flavour.
-func (b Backend) Collective() bool {
-	return b == BackendAlltoall || b == BackendAlltoallv || b == BackendAlltoallw
-}
-
-// CollAlgo selects the all-to-all schedule used by BackendAlltoallv
-// reshapes. See internal/mpisim for the schedules; CollAuto's choice is
-// priced by the simulator's schedules themselves (pickAlgo, comm.go).
+// CollAlgo selects the all-to-all schedule of a scheduling backend's
+// reshapes (Capabilities.Schedules). See internal/mpisim for the schedules;
+// CollAuto's choice is priced by the simulator's schedules themselves
+// (pickAlgo, comm.go).
 type CollAlgo int
 
 const (
@@ -112,21 +71,7 @@ const (
 )
 
 func (a CollAlgo) String() string {
-	switch a {
-	case CollAuto:
-		return "auto"
-	case CollLinear:
-		return "linear"
-	case CollPairwise:
-		return "pairwise"
-	case CollRing:
-		return "ring"
-	case CollBruck:
-		return "bruck"
-	case CollNodeAware:
-		return "node-aware"
-	}
-	return fmt.Sprintf("collalgo(%d)", int(a))
+	return enumName("collalgo", int(a), "auto", "linear", "pairwise", "ring", "bruck", "node-aware")
 }
 
 // OverlapMode controls whether chunked reshapes overlap packing of chunk
@@ -140,23 +85,16 @@ const (
 	OverlapOff
 )
 
-func (o OverlapMode) String() string {
-	switch o {
-	case OverlapAuto:
-		return "auto"
-	case OverlapOff:
-		return "off"
-	}
-	return fmt.Sprintf("overlap(%d)", int(o))
-}
+func (o OverlapMode) String() string { return enumName("overlap", int(o), "auto", "off") }
 
 // CommConfig tunes the communication layer of a plan: which all-to-all
-// schedule BackendAlltoallv reshapes use, how many chunks the
-// pack→exchange→unpack sequence is split into, and whether chunk packing
-// overlaps in-flight exchanges. The zero value (auto/auto/auto) takes the
-// schedule the simulator prices cheapest and pipelines only when the exchanged
-// volume is large enough to hide the per-chunk kernel-launch and injection
-// costs.
+// schedule reshapes use, how many chunks the pack→exchange→unpack sequence is
+// split into, whether chunk packing overlaps in-flight exchanges, and the wire
+// precision. The zero value (auto/auto/auto/fp64) takes the schedule the
+// simulator prices cheapest and pipelines only when the exchanged volume is
+// large enough to hide the per-chunk kernel-launch and injection costs.
+// A setting the backend does not run (its Capabilities) is ErrBadConfig at
+// plan build; the zero value and CollLinear, one chunk, fp64 run everywhere.
 type CommConfig struct {
 	// Algo selects the all-to-all schedule; CollAuto picks per phase.
 	Algo CollAlgo
@@ -170,8 +108,7 @@ type CommConfig struct {
 	// (see wire.go). The zero value (WireFp64) ships full doubles; WireFp32
 	// and WireFp16 compress the interior all-to-alls to half or a quarter of
 	// the bytes, fusing the conversions into the pack/unpack kernels. Input
-	// and output reshapes, and the Alltoallw datatype backend, always run at
-	// full precision.
+	// and output reshapes always run at full precision.
 	Wire WirePrecision
 }
 

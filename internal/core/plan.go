@@ -54,13 +54,8 @@ type Plan struct {
 // identical Config (as with MPI plan creation in heFFTe).
 func NewPlan(c *mpisim.Comm, cfg Config) (*Plan, error) {
 	size := c.Size()
-	for d := 0; d < 3; d++ {
-		if cfg.Global[d] < 1 {
-			return nil, fmt.Errorf("core: %w: invalid global grid %v", ErrBadConfig, cfg.Global)
-		}
-	}
-	if cfg.Opts.ShrinkThreshold < 0 {
-		return nil, fmt.Errorf("core: %w: negative shrink threshold %d", ErrBadConfig, cfg.Opts.ShrinkThreshold)
+	if err := checkConfig(cfg.Global, cfg.Opts, complexPlan); err != nil {
+		return nil, err
 	}
 	in, out, err := inOutDists(c, cfg.InBoxes, cfg.OutBoxes, cfg.Global, cfg.Global)
 	if err != nil {
@@ -68,7 +63,7 @@ func NewPlan(c *mpisim.Comm, cfg Config) (*Plan, error) {
 	}
 
 	p := &Plan{
-		engine: engine{comm: c, dev: gpu.New(c), opts: cfg.Opts, global: cfg.Global},
+		engine: engine{comm: c, dev: gpu.New(c), opts: cfg.Opts, caps: &backends[cfg.Opts.Backend], global: cfg.Global},
 		inBox:  in.boxes[c.Rank()],
 		outBox: out.boxes[c.Rank()],
 		lp:     size,
@@ -90,11 +85,8 @@ func NewPlan(c *mpisim.Comm, cfg Config) (*Plan, error) {
 	}
 
 	// Resolve the pencil grid over the active ranks.
-	p.p, p.q = cfg.Opts.PQ[0], cfg.Opts.PQ[1]
-	if p.p <= 0 || p.q <= 0 {
-		p.p, p.q = tensor.Square2D(p.lp)
-	} else if p.p*p.q != p.lp {
-		return nil, fmt.Errorf("core: %w: pencil grid %dx%d does not match %d active ranks", ErrBadConfig, p.p, p.q, p.lp)
+	if p.p, p.q, err = pencilGrid(cfg.Opts.PQ, p.lp); err != nil {
+		return nil, err
 	}
 
 	// Resolve the decomposition.
@@ -107,99 +99,120 @@ func NewPlan(c *mpisim.Comm, cfg Config) (*Plan, error) {
 			p.decomp = DecompPencils
 		}
 	}
-	if err := p.buildStages(in, out); err != nil {
-		return nil, err
-	}
+	p.buildStages(in, out)
 	p.abftEps = abftEpsOf(p.opts, p.stages)
 	return p, nil
 }
 
-// buildStages constructs the reshape/compute pipeline. All ranks execute the
-// same deterministic sequence, so the collective Split calls inside reshape
-// construction stay matched. Every intermediate distribution comes through
-// gridDist — over lp active ranks, padded with empty boxes to the communicator
-// — so the world holds each list once.
-func (p *Plan) buildStages(in, out *dist) error {
-	c, me := p.comm, p.comm.Rank()
-	ck := commKey(c)
+// pencilGrid resolves the P×Q pencil grid over n active ranks: pq as given
+// when both are positive (then they must factor n), the most square
+// factorization otherwise.
+func pencilGrid(pq [2]int, n int) (p, q int, err error) {
+	p, q = pq[0], pq[1]
+	if p <= 0 || q <= 0 {
+		p, q = tensor.Square2D(n)
+		return p, q, nil
+	}
+	if p*q != n {
+		return 0, 0, fmt.Errorf("core: %w: pencil grid %dx%d does not match %d active ranks", ErrBadConfig, p, q, n)
+	}
+	return p, q, nil
+}
+
+// stageBuilder appends a plan's stages, from the distribution the data sits on
+// (cur), in the same order on every rank, so the collective Split calls of
+// reshape construction stay matched; dists records each boundary (Plan.dists).
+// Plans hold at most seven stages: stages starts with room for exactly seven.
+type stageBuilder struct {
+	c      *mpisim.Comm
+	ck     uint64
+	global [3]int // the grid the FFT stages transform
+	cur    *dist
+	tag    int // the last reshape tag taken
+	stages []stage
+	dists  [][]tensor.Box3
+}
+
+// reshape moves the data to target, unless it already sits there. interior
+// marks a reshape strictly between compute stages, the ones eligible for wire
+// compression (input/output reshapes move caller data and always ship full
+// precision — see wire.go). Every reshape takes the next tag, built or not.
+func (b *stageBuilder) reshape(target *dist, label string, interior bool) {
+	b.tag++
+	if sameDist(b.c, b.cur, target) {
+		return
+	}
+	rs := buildReshape(b.c, b.ck, b.cur, target, label, b.tag)
+	rs.interior = interior
+	b.stages = append(b.stages, stage{kind: stageReshape, label: "reshape " + label, rs: rs})
+	b.cur = target
+	b.dists = append(b.dists, target.boxes)
+}
+
+// compute appends a local compute stage over the current distribution.
+func (b *stageBuilder) compute(st stage) {
+	st.myBox = b.cur.boxes[b.c.Rank()]
+	b.stages = append(b.stages, st)
+	b.dists = append(b.dists, b.cur.boxes)
+}
+
+// fft1D appends the 1-D FFTs along axis. The kernel plan is resolved now so
+// execution never takes the plan-cache lock; twiddle tables are shared across
+// all lookups.
+func (b *stageBuilder) fft1D(axis int) {
+	b.compute(stage{kind: stageFFT1D, label: fmt.Sprintf("fft axis %d", axis), axis: axis, fplan: fft.NewPlan(b.global[axis])})
+}
+
+// buildStages constructs the reshape/compute pipeline. Every intermediate
+// distribution comes through gridDist — over lp active ranks, padded with
+// empty boxes to the communicator — so the world holds each list once.
+func (p *Plan) buildStages(in, out *dist) {
+	c := p.comm
 	grid := func(g tensor.ProcGrid) *dist { return gridDist(c, p.global, g) }
 	pencils := func(axis int) *dist { return grid(tensor.PencilGrid(axis, p.p, p.q)) }
 	slabs := func(axis int) *dist { return grid(tensor.SlabGrid(axis, p.lp)) }
-
-	cur := in
-	p.dists = [][]tensor.Box3{in.boxes}
-	// Seven stages at most (pencils, bricks), held by every rank's plan: sized
-	// here so append does not round the array up to eight.
-	p.stages = make([]stage, 0, 7)
-	tagSeq := 0
-
-	// interior marks reshapes strictly between compute stages, the ones
-	// eligible for wire compression (input/output reshapes move caller data
-	// and always ship full precision — see wire.go).
-	addReshape := func(target *dist, label string, interior bool) {
-		tagSeq++
-		if sameDist(c, cur, target) {
-			return
-		}
-		rs := buildReshape(c, ck, cur, target, label, tagSeq)
-		rs.interior = interior
-		p.stages = append(p.stages, stage{kind: stageReshape, label: "reshape " + label, rs: rs})
-		cur = target
-		p.dists = append(p.dists, target.boxes)
-	}
-	addFFT1D := func(axis int) {
-		p.stages = append(p.stages, stage{
-			kind: stageFFT1D, label: fmt.Sprintf("fft axis %d", axis),
-			axis: axis, myBox: cur.boxes[me],
-			// Resolve the 1-D kernel plan now so execution never takes the
-			// plan-cache lock; twiddle tables are shared across all lookups.
-			fplan: fft.NewPlan(p.global[axis]),
-		})
-		p.dists = append(p.dists, cur.boxes)
-	}
+	b := &stageBuilder{c: c, ck: commKey(c), global: p.global, cur: in, stages: make([]stage, 0, 7),
+		dists: [][]tensor.Box3{in.boxes}}
 
 	switch p.decomp {
 	case DecompPencils:
-		addReshape(pencils(0), "pencil-x", false)
-		addFFT1D(0)
-		addReshape(pencils(1), "pencil-y", true)
-		addFFT1D(1)
-		addReshape(pencils(2), "pencil-z", true)
-		addFFT1D(2)
-		addReshape(out, "output", false)
+		b.reshape(pencils(0), "pencil-x", false)
+		b.fft1D(0)
+		b.reshape(pencils(1), "pencil-y", true)
+		b.fft1D(1)
+		b.reshape(pencils(2), "pencil-z", true)
+		b.fft1D(2)
+		b.reshape(out, "output", false)
 
 	case DecompBricks:
 		// The brick variant (fftMPI/SWFFT style): intermediate grids are
 		// derived from the 3-D brick grid (a, b, c), so each of the four
 		// phases exchanges within smaller groups that share a coordinate of
 		// the brick grid — cheaper phases at the price of more of them.
-		a, b, c2 := p.brickGrid()
-		addReshape(grid(tensor.NewProcGrid(1, a*b, c2)), "brick-x", false)
-		addFFT1D(0)
-		addReshape(grid(tensor.NewProcGrid(a, 1, b*c2)), "brick-y", true)
-		addFFT1D(1)
-		addReshape(grid(tensor.NewProcGrid(a*b, c2, 1)), "brick-z", true)
-		addFFT1D(2)
-		addReshape(out, "output", false)
+		g := tensor.MinSurfaceGrid(p.lp, p.global).Dims
+		ga, gb, gc := g[0], g[1], g[2]
+		b.reshape(grid(tensor.NewProcGrid(1, ga*gb, gc)), "brick-x", false)
+		b.fft1D(0)
+		b.reshape(grid(tensor.NewProcGrid(ga, 1, gb*gc)), "brick-y", true)
+		b.fft1D(1)
+		b.reshape(grid(tensor.NewProcGrid(ga*gb, gc, 1)), "brick-z", true)
+		b.fft1D(2)
+		b.reshape(out, "output", false)
 
 	case DecompSlabs:
 		// Slabs along axis 0: local 2-D FFTs over axes (1,2), one exchange
 		// to slabs along axis 1, then 1-D FFTs along axis 0.
-		addReshape(slabs(0), "slab-0", false)
-		p.stages = append(p.stages, stage{
-			kind: stageFFT2D, label: "fft planes", myBox: cur.boxes[me],
-			// Both kernel plans now, for the same reason as in addFFT1D.
+		b.reshape(slabs(0), "slab-0", false)
+		b.compute(stage{
+			kind: stageFFT2D, label: "fft planes",
+			// Both kernel plans now, for the same reason as in fft1D.
 			fplan: fft.NewPlan(p.global[2]), fcols: fft.NewPlan(p.global[1]),
 		})
-		p.dists = append(p.dists, cur.boxes)
-		addReshape(slabs(1), "slab-1", true)
-		addFFT1D(0)
-		addReshape(out, "output", false)
-
-	default:
-		return fmt.Errorf("core: %w: unresolved decomposition %v", ErrBadConfig, p.decomp)
+		b.reshape(slabs(1), "slab-1", true)
+		b.fft1D(0)
+		b.reshape(out, "output", false)
 	}
-	return nil
+	p.stages, p.dists = b.stages, b.dists
 }
 
 // Close makes the plan unusable and drops its execution scratch; subsequent
@@ -225,13 +238,6 @@ func boxesEqual(a, b []tensor.Box3) bool {
 		}
 	}
 	return true
-}
-
-// brickGrid returns the 3-D brick grid (a, b, c) over the active ranks used
-// to derive the intermediate grids of the brick decomposition.
-func (p *Plan) brickGrid() (a, b, c int) {
-	g := tensor.MinSurfaceGrid(p.lp, p.global)
-	return g.Dims[0], g.Dims[1], g.Dims[2]
 }
 
 // Decomp returns the resolved decomposition (never auto).

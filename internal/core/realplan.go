@@ -63,14 +63,9 @@ type RealPlan struct {
 // NewRealPlan collectively creates an R2C plan; all ranks pass identical
 // RealConfig.
 func NewRealPlan(c *mpisim.Comm, cfg RealConfig) (*RealPlan, error) {
-	size := c.Size()
-	for d := 0; d < 3; d++ {
-		if cfg.Global[d] < 1 {
-			return nil, fmt.Errorf("core: %w: invalid global grid %v", ErrBadConfig, cfg.Global)
-		}
-	}
-	if cfg.Global[2]%2 != 0 {
-		return nil, fmt.Errorf("core: %w: R2C needs an even N2, got %d", ErrBadConfig, cfg.Global[2])
+	// A real-to-complex plan always computes on z-pencils over every rank.
+	if err := checkConfig(cfg.Global, cfg.Opts, realPlan); err != nil {
+		return nil, err
 	}
 	half := [3]int{cfg.Global[0], cfg.Global[1], cfg.Global[2]/2 + 1}
 
@@ -79,27 +74,13 @@ func NewRealPlan(c *mpisim.Comm, cfg RealConfig) (*RealPlan, error) {
 		return nil, err
 	}
 
-	if cfg.Opts.Checkpoints != nil {
-		return nil, fmt.Errorf("core: %w: checkpoints hold complex whole-batch boundaries; a real-to-complex plan cannot record them", ErrBadConfig)
-	}
-	// A real-to-complex plan always computes on z-pencils over every rank.
-	if t := cfg.Opts.ShrinkThreshold; t != 0 {
-		return nil, fmt.Errorf("core: %w: a real-to-complex plan does not shrink its grid; shrink threshold %d", ErrBadConfig, t)
-	}
-	if d := cfg.Opts.Decomp; d != DecompAuto && d != DecompPencils {
-		return nil, fmt.Errorf("core: %w: a real-to-complex plan computes on pencils, not %v", ErrBadConfig, d)
-	}
-
 	p := &RealPlan{
-		engine: engine{comm: c, dev: gpu.New(c), opts: cfg.Opts, global: half, decomp: DecompPencils},
+		engine: engine{comm: c, dev: gpu.New(c), opts: cfg.Opts, caps: &backends[cfg.Opts.Backend], global: half, decomp: DecompPencils},
 		inBox:  in.boxes[c.Rank()],
 		outBox: out.boxes[c.Rank()],
 	}
-	p.p, p.q = cfg.Opts.PQ[0], cfg.Opts.PQ[1]
-	if p.p <= 0 || p.q <= 0 {
-		p.p, p.q = tensor.Square2D(size)
-	} else if p.p*p.q != size {
-		return nil, fmt.Errorf("core: %w: pencil grid %dx%d does not match %d ranks", ErrBadConfig, p.p, p.q, size)
+	if p.p, p.q, err = pencilGrid(cfg.Opts.PQ, c.Size()); err != nil {
+		return nil, err
 	}
 	rp, err := fft.NewRealPlan(cfg.Global[2])
 	if err != nil {
@@ -108,46 +89,29 @@ func NewRealPlan(c *mpisim.Comm, cfg RealConfig) (*RealPlan, error) {
 
 	// Real z-pencils and their half-grid shadows share the P×Q grid, so the
 	// r2c stage is purely local.
-	me, ck := c.Rank(), commKey(c)
+	me := c.Rank()
 	pencils := func(global [3]int, axis int) *dist { return gridDist(c, global, tensor.PencilGrid(axis, p.p, p.q)) }
 	zReal, zHalf := pencils(cfg.Global, 2), pencils(half, 2)
 
 	// The input reshape moves real data (half the bytes of a complex reshape)
 	// and is built even when the input already sits on z-pencils. Its tag must
-	// not collide with the complex-stage tags, allocated from 910 upward.
-	p.stages = []stage{
-		{kind: stageReshape, label: "reshape r2c-input", rs: buildReshape(c, ck, in, zReal, "r2c-input", 901)},
-		{kind: stageR2C, label: "r2c axis 2", myBox: zReal.boxes[me], specBox: zHalf.boxes[me], rplan: rp},
-	}
+	// not collide with the complex-stage tags, allocated from 911 upward.
+	b := &stageBuilder{c: c, ck: commKey(c), global: half, cur: zHalf, tag: 910, stages: make([]stage, 0, 7)}
+	b.stages = append(b.stages,
+		stage{kind: stageReshape, label: "reshape r2c-input", rs: buildReshape(c, b.ck, in, zReal, "r2c-input", 901)},
+		stage{kind: stageR2C, label: "r2c axis 2", myBox: zReal.boxes[me], specBox: zHalf.boxes[me], rplan: rp},
+	)
 
 	// Complex pipeline on the half grid: z-pencils → y FFT → x FFT → out.
-	cur := zHalf
-	tag := 910
-	addReshape := func(target *dist, label string, interior bool) {
-		tag++
-		if sameDist(c, cur, target) {
-			return
-		}
-		rs := buildReshape(c, ck, cur, target, label, tag)
-		rs.interior = interior
-		p.stages = append(p.stages, stage{kind: stageReshape, label: "reshape " + label, rs: rs})
-		cur = target
-	}
-	addFFT := func(axis int) {
-		p.stages = append(p.stages, stage{
-			kind: stageFFT1D, label: fmt.Sprintf("fft axis %d", axis),
-			axis: axis, myBox: cur.boxes[me],
-			fplan: fft.NewPlan(half[axis]),
-		})
-	}
 	// The two pencil reshapes sit strictly between compute stages (the local
 	// r2c/c2r counts as one on the input side), so they are wire-compressible
 	// in both directions; the output reshape moves caller data.
-	addReshape(pencils(half, 1), "r2c-pencil-y", true)
-	addFFT(1)
-	addReshape(pencils(half, 0), "r2c-pencil-x", true)
-	addFFT(0)
-	addReshape(out, "r2c-output", false)
+	b.reshape(pencils(half, 1), "r2c-pencil-y", true)
+	b.fft1D(1)
+	b.reshape(pencils(half, 0), "r2c-pencil-x", true)
+	b.fft1D(0)
+	b.reshape(out, "r2c-output", false)
+	p.stages = b.stages
 	p.abftEps = abftEpsOf(p.opts, p.stages)
 
 	// Precompute the reversed pipeline for InverseBatch: reshapes swap source

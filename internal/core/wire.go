@@ -13,9 +13,10 @@ import "repro/internal/mpisim"
 // zero-alloc steady state are untouched, and a priced convert pass
 // (machine.GPU.ConvertCost) covers the full-width side of the fused stream.
 //
-// Input and output reshapes — where payloads are caller data — and the
-// Alltoallw backend — which hands the library derived datatypes and has no
-// pack kernels to fuse a conversion into — always run at full precision.
+// Input and output reshapes — where payloads are caller data — always run at
+// full precision. A backend without pack kernels to fuse a conversion into
+// (Alltoallw, which hands the library derived datatypes) rejects a compressed
+// wire at plan build.
 
 // WirePrecision selects the on-wire element format of compressed exchanges.
 // It aliases the simulator's type: the core layer marks payload buffers and
@@ -62,10 +63,10 @@ func WireErrorBound(w WirePrecision, exchanges int) float64 {
 }
 
 // wireOf resolves the wire precision this reshape actually runs at: the
-// configured precision for interior reshapes of backends with pack kernels,
+// configured precision for interior reshapes of backends that compress,
 // full precision everywhere else.
 func (rs *reshapePlan) wireOf(opts Options) WirePrecision {
-	if !rs.interior || opts.Backend == BackendAlltoallw {
+	if !rs.interior || !opts.Backend.Capabilities().Wire {
 		return WireFp64
 	}
 	return opts.Comm.Wire

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -77,8 +78,8 @@ func TestWireRoundTripCollectives(t *testing.T) {
 
 // TestWireRoundTripBackends covers the remaining transports: the padded
 // alltoall, both P2P flavours, the chunked pipeline (overlapped and serial),
-// and the datatype backend — which ships fp64 regardless of the knob, so its
-// result must stay bit-identical even when compression is requested.
+// and the datatype backend — which has no pack kernel to compress in, so
+// requesting compression there is a configuration error.
 func TestWireRoundTripBackends(t *testing.T) {
 	global := [3]int{8, 12, 10}
 	mk := func(b Backend, chunks int, ov OverlapMode, w WirePrecision) Config {
@@ -118,14 +119,13 @@ func TestWireRoundTripBackends(t *testing.T) {
 		}
 	}
 	// Alltoallw has no pack kernels to fuse a conversion into: requesting
-	// compression must be a no-op, not an error and not a numeric change.
+	// compression is rejected at plan build, not silently run at fp64.
 	for _, w := range []WirePrecision{WireFp32, WireFp16} {
-		got, _ := runDistributed(t, machine.Summit(), 6, global, mk(BackendAlltoallw, 0, OverlapAuto, w), 42, fft.Forward, true)
-		for i := range base {
-			if got[i] != base[i] {
-				t.Fatalf("alltoallw under %v wire not bit-identical at element %d", w, i)
+		mpisim.NewWorld(machine.Summit(), 6, mpisim.Options{GPUAware: true}).Run(func(c *mpisim.Comm) {
+			if _, err := NewPlan(c, mk(BackendAlltoallw, 0, OverlapAuto, w)); !errors.Is(err, ErrBadConfig) {
+				t.Errorf("alltoallw under %v wire: err = %v, want ErrBadConfig", w, err)
 			}
-		}
+		})
 	}
 }
 

@@ -90,23 +90,6 @@ func TestMessageOrderingSameSourceTag(t *testing.T) {
 	}
 }
 
-func TestWildcardRecv(t *testing.T) {
-	w := NewWorld(machine.Summit(), 3, Options{GPUAware: true})
-	var sum complex128
-	w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			a := recv(c, AnySource, AnyTag)
-			b := recv(c, AnySource, AnyTag)
-			sum = a.Data[0] + b.Data[0]
-		} else {
-			c.Send(0, c.Rank(), hostBuf(complex(float64(c.Rank()), 0)))
-		}
-	})
-	if sum != 3 {
-		t.Errorf("wildcard recv sum = %v, want 3", sum)
-	}
-}
-
 func TestClockAdvancesWithMessage(t *testing.T) {
 	w := NewWorld(machine.Summit(), 2, Options{GPUAware: true})
 	var sClock, rClock float64

@@ -7,12 +7,6 @@ import (
 	"repro/internal/machine"
 )
 
-// AnySource and AnyTag are wildcards for Recv/Irecv matching.
-const (
-	AnySource = -1
-	AnyTag    = -1
-)
-
 // Request is the handle of a non-blocking operation, completed by Wait,
 // Waitany or Waitall.
 type Request struct {
@@ -113,8 +107,8 @@ func (c *Comm) Isend(dst, tag int, b Buf) *Request {
 	return &Request{comm: c, isSend: true, completeAt: portDone, sendBytes: b.Bytes()}
 }
 
-// Irecv posts a non-blocking receive for a matching message. src and tag may
-// be AnySource/AnyTag.
+// Irecv posts a non-blocking receive for the message from rank src with tag
+// tag; both must match exactly (there are no wildcards).
 func (c *Comm) Irecv(src, tag int) *Request {
 	st := c.state()
 	// Posting a receive costs a small fixed software overhead.
@@ -140,7 +134,7 @@ func (c *Comm) claim(src, tag int) *message {
 			if m.claimed || m.commID != c.core.id {
 				continue
 			}
-			if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
+			if m.src == src && m.tag == tag {
 				m.claimed = true
 				c.compact(mb)
 				return m

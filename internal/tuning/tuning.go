@@ -10,6 +10,7 @@
 package tuning
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -24,15 +25,15 @@ import (
 
 // Candidate is one algorithm setting under consideration. The rest of the
 // plan's options — grid shrinking, wire precision, chunking — come from the
-// configuration the caller tunes.
+// configuration the caller tunes, which may rule a candidate out.
 type Candidate struct {
 	Decomp     core.Decomposition
 	Backend    core.Backend
 	Contiguous bool
-	// Algo selects the all-to-all schedule of the Alltoallv backend
-	// (CollAuto lets each reshape phase pick the schedule the simulator
-	// prices cheapest).
-	// Ignored by the other backends.
+	// Algo selects the all-to-all schedule of a backend that runs schedules
+	// (Alltoallv; CollAuto lets each reshape phase pick the schedule the
+	// simulator prices cheapest). Every other backend takes CollAuto or
+	// CollLinear only: plan construction rejects a forced schedule there.
 	Algo core.CollAlgo
 }
 
@@ -41,7 +42,7 @@ func (c Candidate) String() string {
 	if c.Contiguous {
 		s += "+contiguous"
 	}
-	if c.Backend == core.BackendAlltoallv && c.Algo != core.CollAuto {
+	if c.Algo != core.CollAuto {
 		s += "+" + c.Algo.String()
 	}
 	return s
@@ -69,7 +70,7 @@ func DefaultCandidates() []Candidate {
 			core.BackendP2P, core.BackendP2PBlocking,
 		} {
 			algos := []core.CollAlgo{core.CollAuto}
-			if b == core.BackendAlltoallv {
+			if b.Capabilities().Schedules {
 				algos = append(algos, core.CollPairwise, core.CollRing, core.CollBruck, core.CollNodeAware)
 			}
 			for _, contig := range []bool{false, true} {
@@ -104,7 +105,7 @@ func Predict(c *mpisim.Comm, global [3]int, cand Candidate) float64 {
 	default:
 		t = model.PencilTimeElem(n, pg, qg, 16, params)
 	}
-	if cand.Backend == core.BackendAlltoallv && cand.Algo != core.CollAuto {
+	if cand.Backend.Capabilities().Schedules && cand.Algo != core.CollAuto {
 		gs := qg
 		if pg > gs {
 			gs = pg
@@ -177,7 +178,7 @@ type Options struct {
 
 // Tune is collective: every rank of c must call it with identical arguments.
 // It returns the candidates sorted by measured (then predicted) time,
-// fastest first. Each measured time is Measure's time per transform over the
+// fastest first, without those whose plan the configuration rejects. Each measured time is Measure's time per transform over the
 // paper's 8 timed transforms.
 func Tune(c *mpisim.Comm, cfg core.Config, cands []Candidate, opts Options) ([]Result, error) {
 	if len(cands) == 0 {
@@ -202,7 +203,10 @@ func Tune(c *mpisim.Comm, cfg core.Config, cands []Candidate, opts Options) ([]R
 		nMeasure = opts.Measure
 	}
 
-	for k := 0; k < nMeasure; k++ {
+	// A candidate the configuration rejects (identically on every rank) is
+	// dropped, and the next one measured in its place.
+	var rejected error
+	for k, measured := 0, 0; k < len(order) && measured < nMeasure; k++ {
 		idx := order[k]
 		cand := results[idx].Candidate
 		planCfg := cfg
@@ -211,6 +215,10 @@ func Tune(c *mpisim.Comm, cfg core.Config, cands []Candidate, opts Options) ([]R
 		planCfg.Opts.Contiguous = cand.Contiguous
 		planCfg.Opts.Comm.Algo = cand.Algo
 		p, err := core.NewPlan(c, planCfg)
+		if errors.Is(err, core.ErrBadConfig) {
+			results[idx].MeasuredSec, rejected = -1, err
+			continue
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -219,6 +227,11 @@ func Tune(c *mpisim.Comm, cfg core.Config, cands []Candidate, opts Options) ([]R
 			return nil, err
 		}
 		results[idx].MeasuredSec = dt
+		measured++
+	}
+	results = slices.DeleteFunc(results, func(r Result) bool { return r.MeasuredSec < 0 })
+	if len(results) == 0 {
+		return nil, rejected
 	}
 
 	sort.SliceStable(results, func(a, b int) bool {

@@ -306,6 +306,45 @@ func TestTuneMeasureCap(t *testing.T) {
 	}
 }
 
+// TestTuneDropsRejectedCandidates: a caller's compressed wire rules out the
+// backend without pack kernels (Alltoallw), so Tune measures every other
+// candidate and drops those; a configuration every candidate rejects is an
+// error.
+func TestTuneDropsRejectedCandidates(t *testing.T) {
+	w := mpisim.NewWorld(machine.Summit(), 4, mpisim.Options{GPUAware: true})
+	var results []Result
+	var allErr error
+	w.Run(func(c *mpisim.Comm) {
+		cfg := core.Config{Global: [3]int{8, 8, 8}, Opts: core.Options{Comm: core.CommConfig{Wire: core.WireFp32}}}
+		rs, err := Tune(c, cfg, DefaultCandidates(), Options{})
+		if err != nil {
+			panic(err)
+		}
+		cfg.Opts.Comm.Wire = core.WirePrecision(9)
+		_, err = Tune(c, cfg, DefaultCandidates(), Options{})
+		if c.Rank() == 0 {
+			results, allErr = rs, err
+		}
+	})
+	want := 0
+	for _, cand := range DefaultCandidates() {
+		if cand.Backend != core.BackendAlltoallw {
+			want++
+		}
+	}
+	if len(results) != want {
+		t.Errorf("%d results, want the %d candidates that run a compressed wire", len(results), want)
+	}
+	for _, r := range results {
+		if r.Backend == core.BackendAlltoallw || r.MeasuredSec <= 0 {
+			t.Errorf("result %v measured %g s", r.Candidate, r.MeasuredSec)
+		}
+	}
+	if !errors.Is(allErr, core.ErrBadConfig) {
+		t.Errorf("a wire no candidate runs: err = %v, want ErrBadConfig", allErr)
+	}
+}
+
 func TestTuneErrors(t *testing.T) {
 	w := mpisim.NewWorld(machine.Summit(), 2, mpisim.Options{})
 	w.Run(func(c *mpisim.Comm) {

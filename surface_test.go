@@ -44,6 +44,7 @@ var surfaceKeep = map[string]string{
 	"heffte.FaultCorrupt":       "FaultKind constant; the enum stays complete",
 	"heffte.Topology":           "alias of a world's resolved topology view (topo.System)",
 	"heffte.Backend":            "alias of the exchange backends; its constants name them",
+	"heffte.CollectiveAlgo":     "alias of the all-to-all schedules; its constants name them",
 	"heffte.OverlapMode":        "alias of the overlap modes; its constants name them",
 	"heffte.OverlapAuto":        "OverlapMode constant; the enum stays complete",
 	"heffte.OpSum":              "reduce operation for Comm.Allreduce; the enum stays complete",
