@@ -23,7 +23,7 @@ test:
 
 # The race detector gates every package that shares state across goroutines:
 # the simulator runs ranks as goroutines and its rendezvous leader writes every
-# member's receive list; fft shares kernel plans and a worker pool across them;
+# member's receive list; fft plans are shared across rank goroutines;
 # core ships pool buffers between ranks with move semantics, lends arrays as
 # views, recycles send and receive lists through a process-wide pool and
 # shares each reshape's exchange patterns between every rank of the world;

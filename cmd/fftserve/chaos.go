@@ -287,7 +287,7 @@ func lastExchangeOp(global [3]int, rank int, comm heffte.CommConfig) int {
 
 // sdcConfig arms the integrity defenses; retries < 0 turns server retries off.
 func sdcConfig(retries int) serve.Config {
-	return serve.Config{MaxRetries: retries, QuarantineThreshold: 3,
+	return serve.Config{MaxRetries: retries,
 		Integrity: heffte.IntegrityConfig{Checksums: true, Invariants: true}}
 }
 

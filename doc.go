@@ -25,8 +25,8 @@
 // last reader is done — a reshape of plan-owned arrays ships views and its
 // receivers copy box to box out of the sender's array, so nothing is packed
 // and each element is copied once; FFT kernel plans (twiddles, bit-reversal
-// tables) are cached per plan axis; and batched transforms fan out over a
-// bounded worker pool shared across rank goroutines. Steady-state
+// tables) are cached per plan axis and shared by the rank goroutines, and a
+// batched transform runs on its rank's goroutine. Steady-state
 // Forward/Inverse of a single-rank plan performs zero allocations (asserted
 // by testing.AllocsPerRun), and a plan with reshapes allocates no payload
 // once a caller hands each call's output to the next (the array a transform

@@ -7,13 +7,17 @@ import (
 	"repro/heffte"
 )
 
+// quarantineThreshold is the accumulated per-GPU-slot suspicion (retransmits
+// and invariant failures) at which the slot is quarantined.
+const quarantineThreshold = 3
+
 // Health ledger. When Config.Integrity arms the silent-data-corruption
 // defenses, every recovery action carries evidence about WHERE the corruption
 // came from: a transport retransmit suspects the sending rank's link, a
 // failed phase invariant suspects the executing rank's GPU. The ledger
 // accumulates that evidence per physical GPU slot (slots keep their identity
-// across engine rebuilds, unlike ranks), and once a slot's suspicion crosses
-// Config.QuarantineThreshold it is quarantined: engines using it are
+// across engine rebuilds, unlike ranks), and once a slot's suspicion reaches
+// quarantineThreshold it is quarantined: engines using it are
 // invalidated and every future engine is built with a placement that avoids
 // quarantined slots — surgical recovery around the bad hardware instead of
 // retrying onto it forever.
@@ -46,7 +50,7 @@ func (s *Server) noteHealth(e *engine) bool {
 			continue
 		}
 		h.suspicion[slot] += d
-		if !h.quarantined[slot] && h.suspicion[slot] >= int64(s.cfg.QuarantineThreshold) {
+		if !h.quarantined[slot] && h.suspicion[slot] >= quarantineThreshold {
 			h.quarantined[slot] = true
 			h.quarantines++
 		}

@@ -42,11 +42,10 @@ func TestServeSDCQuarantine(t *testing.T) {
 	const ranks = 4
 	global := [3]int{8, 8, 8}
 	s := New(Config{
-		Ranks:               ranks,
-		Window:              -1, // no coalescing: each submit is its own batch
-		Integrity:           heffte.IntegrityConfig{Checksums: true, Invariants: true},
-		QuarantineThreshold: 2,
-		EngineFaults:        sdcOnSlot(1, 1),
+		Ranks:        ranks,
+		Window:       -1, // no coalescing: each submit is its own batch
+		Integrity:    heffte.IntegrityConfig{Checksums: true, Invariants: true},
+		EngineFaults: sdcOnSlot(1, 1),
 	})
 	defer s.Close()
 
@@ -86,8 +85,8 @@ func TestServeSDCQuarantine(t *testing.T) {
 	if in.QuarantineRebuilds < 1 {
 		t.Errorf("QuarantineRebuilds = %d, want >= 1", in.QuarantineRebuilds)
 	}
-	if in.Suspicion[1] < 2 {
-		t.Errorf("suspicion on slot 1 = %d, want >= threshold 2", in.Suspicion[1])
+	if in.Suspicion[1] < quarantineThreshold {
+		t.Errorf("suspicion on slot 1 = %d, want >= threshold %d", in.Suspicion[1], quarantineThreshold)
 	}
 
 	// The last engine was rebuilt around the quarantined slot: a fresh

@@ -110,10 +110,6 @@ type Config struct {
 	// bounded retransmit, and the transform engine's ABFT phase invariants
 	// with phase-scoped re-execution. The zero value disables both.
 	Integrity heffte.IntegrityConfig
-	// QuarantineThreshold is the accumulated per-GPU-slot suspicion (from
-	// retransmits and invariant failures) at which the slot is quarantined
-	// and engines rebuild on placements avoiding it (default 3).
-	QuarantineThreshold int
 
 	// Elastic arms shrink-to-survivors recovery on every engine: executions
 	// stage phase checkpoints (a modeled virtual-time cost), and a batch that
@@ -152,9 +148,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 25 * time.Millisecond
-	}
-	if c.QuarantineThreshold <= 0 {
-		c.QuarantineThreshold = 3
 	}
 	return c
 }

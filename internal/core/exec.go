@@ -662,8 +662,8 @@ func (e *engine) kernel(st *stage, f *Field, dir fft.Direction) {
 	s := st.myBox.Sizes()
 	if st.kind == stageFFT2D {
 		// Slab stage: 2-D transforms over axes (1, 2) of every plane, as two
-		// batches the worker pool and the row groups see whole — the rows of
-		// all planes, then their columns as one nested (planes × columns) call.
+		// batches the row groups see whole — the rows of all planes, then
+		// their columns as one nested (planes × columns) call.
 		st.fplan.TransformBatch(f.Data, 1, s[2], s[0]*s[1], dir)
 		st.fcols.TransformNested(f.Data, s[2], s[1]*s[2], s[0], 1, s[2], dir)
 		return
@@ -697,10 +697,10 @@ func (e *engine) chargeKernel(st *stage) float64 {
 // localFFT1D computes the local 1-D transforms of one field along axis. Axis 2
 // is contiguous in the local row-major layout and runs as one batched call;
 // axis 1 runs as a single nested-layout call (planes × rows, FFTW guru
-// howmany_dims style) so the row groups and the worker pool see the whole
-// middle-axis batch at once; axis 0 is a plain strided batch. Both strided
-// axes have their adjacent lines one element apart, the layout internal/fft
-// transforms across rows without a transpose. With Contiguous set, the
+// howmany_dims style) so the row groups see the whole middle-axis batch at
+// once; axis 0 is a plain strided batch. Both strided axes have their
+// adjacent lines one element apart, the layout internal/fft transforms across
+// rows without a transpose. With Contiguous set, the
 // strided axes instead realize the paper's "transposed/contiguous" local-FFT
 // mode: a cache-blocked reorder gives the FFT axis unit stride, the transform
 // runs contiguous, and the data is reordered back — the virtual cost of those

@@ -57,11 +57,8 @@ func (sp batchSpec) lineBase(l int) int {
 // layout of cuFFT/FFTW plans (stride, dist, batch). Lines execute a group at
 // a time (across rows or through the tile, see above); numerics are those of
 // a single contiguous line (the *cost* difference of strided GPU kernels is
-// modelled in internal/gpu). Lines must not share elements.
-//
-// Large batches are executed in parallel on a bounded worker pool shared by
-// every rank goroutine of the process (see Workers); the lines of one batch
-// touch disjoint elements, so results are bit-identical to serial execution.
+// modelled in internal/gpu). Lines must not share elements. A batch runs on
+// the calling goroutine: a simulated rank is the only level of parallelism.
 func (p *Plan) TransformBatch(data []complex128, stride, dist, batch int, dir Direction) {
 	if stride < 1 || dist < 0 || batch < 0 {
 		panic(fmt.Sprintf("fft: invalid batch layout stride=%d dist=%d batch=%d", stride, dist, batch))
@@ -73,8 +70,8 @@ func (p *Plan) TransformBatch(data []complex128, stride, dist, batch int, dir Di
 // layout: line (b1, b2) starts at b1·dist1 + b2·dist2, with elements stride
 // apart. This is the howmany_dims shape of FFTW's guru interface; it lets a
 // middle-axis pass of a 3-D transform (planes × rows) run as ONE batched
-// call instead of a loop of per-plane batches, so the row groups and the
-// worker pool see the whole batch at once.
+// call instead of a loop of per-plane batches, so the row groups see the
+// whole batch at once.
 func (p *Plan) TransformNested(data []complex128, stride, dist1, batch1, dist2, batch2 int, dir Direction) {
 	if stride < 1 || dist1 < 0 || dist2 < 0 || batch1 < 0 || batch2 < 0 {
 		panic(fmt.Sprintf("fft: invalid nested layout stride=%d dist1=%d batch1=%d dist2=%d batch2=%d",
@@ -88,9 +85,9 @@ func (p *Plan) runBatch(data []complex128, sp batchSpec, dir Direction) {
 	if total == 0 {
 		return
 	}
-	// Checked once, here, on the caller's goroutine: past this point the
-	// lines may run on pool helpers, where an index panic takes the process
-	// down, and lines that share elements would race there.
+	// Checked once, here, before any line runs: a layout that overruns data
+	// would otherwise panic halfway through the batch, and lines that share
+	// an element would read each other's outputs.
 	fault := ""
 	if last := (sp.batch1-1)*sp.dist1 + (sp.batch2-1)*sp.dist2 + (p.n-1)*sp.stride; last >= len(data) {
 		fault = fmt.Sprintf("needs %d elements", last+1)
@@ -101,13 +98,14 @@ func (p *Plan) runBatch(data []complex128, sp batchSpec, dir Direction) {
 		panic(fmt.Sprintf("fft: batch layout stride=%d dist1=%d batch1=%d dist2=%d batch2=%d %s, data has %d",
 			sp.stride, sp.dist1, sp.batch1, sp.dist2, sp.batch2, fault, len(data)))
 	}
-	if total > 1 && total*p.n >= minParallelWork {
-		if p.runBatchParallel(data, sp, dir) {
-			return
-		}
-	}
-	p.runLines(data, sp, 0, total, dir)
+	p.runLines(data, sp, dir)
 }
+
+// SetWorkers ignores n and returns 1: a batch runs on the goroutine that
+// calls it, and each simulated rank is one goroutine, so there is no worker
+// count to bound. It stays for the benchmark harness, which pins its kernel
+// replays to one goroutine with SetWorkers(1).
+func SetWorkers(n int) int { return 1 }
 
 // transformContig transforms one contiguous line with the inverse 1/N
 // scaling fused into the kernel's final stage.
@@ -189,10 +187,9 @@ func (p *Plan) rowLayout(sp batchSpec) (pitch, lane int, ok bool) {
 	return sp.stride, sp.dist2, ok
 }
 
-// runLines executes batch lines [lo, hi) of the layout. It is the unit of
-// work both the serial path and the worker pool execute.
-func (p *Plan) runLines(data []complex128, sp batchSpec, lo, hi int, dir Direction) {
-	n := p.n
+// runLines executes every line of the layout.
+func (p *Plan) runLines(data []complex128, sp batchSpec, dir Direction) {
+	n, total := p.n, sp.total()
 	scale := 1.0
 	if dir == Inverse {
 		scale = 1 / float64(n)
@@ -200,7 +197,7 @@ func (p *Plan) runLines(data []complex128, sp batchSpec, lo, hi int, dir Directi
 	pitch, lane, rows := p.rowLayout(sp)
 	if sp.stride == 1 && !rows {
 		// Codelet and Bluestein lengths, and b1 groups of one line.
-		for l := lo; l < hi; l++ {
+		for l := 0; l < total; l++ {
 			line := data[sp.lineBase(l):][:n]
 			if p.bluestein != nil {
 				p.transformBluestein(line, dir)
@@ -223,8 +220,8 @@ func (p *Plan) runLines(data []complex128, sp batchSpec, lo, hi int, dir Directi
 	tp := p.getTile()
 	tile := (*tp)[:p.tileLines*n]
 	var bases [maxTileLines]int
-	for start := lo; start < hi; {
-		m := min(hi-start, p.tileLines)
+	for start := 0; start < total; {
+		m := min(total-start, p.tileLines)
 		if rows {
 			m = min(m, sp.batch2-start%sp.batch2)
 		}
@@ -274,13 +271,6 @@ func scatterTile(data, tile []complex128, bases []int, n, stride int) {
 			data[b+off] = ti[l*n]
 		}
 	}
-}
-
-// transformLine runs batch entry b of a (stride, dist) layout — the serial
-// single-line reference path used by tests and tiny batches.
-func (p *Plan) transformLine(data []complex128, stride, dist, b int, dir Direction) {
-	sp := batchSpec{stride: stride, batch1: 1, dist2: dist, batch2: b + 1}
-	p.runLines(data, sp, b, b+1, dir)
 }
 
 func (p *Plan) getTile() *[]complex128 {

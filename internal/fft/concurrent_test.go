@@ -42,50 +42,10 @@ func TestPlanCacheConcurrent(t *testing.T) {
 	}
 }
 
-// TestTransformBatchParallelMatchesSerial checks that the worker-pool path
-// produces bit-identical results to forced-serial execution, for contiguous,
-// strided and Bluestein lengths.
-func TestTransformBatchParallelMatchesSerial(t *testing.T) {
-	prev := SetWorkers(4)
-	defer SetWorkers(prev)
-	rng := rand.New(rand.NewSource(7))
-	cases := []struct {
-		n, stride, dist, batch int
-	}{
-		{n: 64, stride: 1, dist: 64, batch: 512},      // contiguous, pow-2
-		{n: 64, stride: 512, dist: 1, batch: 512},     // strided
-		{n: 60, stride: 1, dist: 60, batch: 512},      // contiguous, Bluestein
-		{n: 60, stride: 300, dist: 1, batch: 300},     // strided, Bluestein
-		{n: 128, stride: 128, dist: 16384, batch: 16}, // batch below helper count
-	}
-	for _, tc := range cases {
-		size := tc.dist*(tc.batch-1) + tc.stride*(tc.n-1) + 1
-		data := make([]complex128, size)
-		for i := range data {
-			data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		serial := append([]complex128(nil), data...)
-
-		p := NewPlan(tc.n)
-		for b := 0; b < tc.batch; b++ {
-			p.transformLine(serial, tc.stride, tc.dist, b, Forward)
-		}
-		p.TransformBatch(data, tc.stride, tc.dist, tc.batch, Forward)
-		for i := range data {
-			if data[i] != serial[i] {
-				t.Fatalf("n=%d stride=%d batch=%d: parallel result differs from serial at %d",
-					tc.n, tc.stride, tc.batch, i)
-			}
-		}
-	}
-}
-
 // TestTransformBatchConcurrentRanks runs batched transforms from many
-// goroutines at once, as rank goroutines do, sharing plans and the worker
-// pool — a -race regression test for the pooled scratch buffers.
+// goroutines at once, as rank goroutines do, sharing plans — a -race
+// regression test for the pooled scratch buffers.
 func TestTransformBatchConcurrentRanks(t *testing.T) {
-	prev := SetWorkers(4)
-	defer SetWorkers(prev)
 	const ranks = 16
 	var wg sync.WaitGroup
 	for r := 0; r < ranks; r++ {
@@ -123,8 +83,6 @@ func TestTransformSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under -race; allocation counts are meaningless")
 	}
-	prev := SetWorkers(1) // helper goroutine startup would count as an alloc
-	defer SetWorkers(prev)
 	for _, tc := range []struct {
 		name            string
 		n, stride, dist int

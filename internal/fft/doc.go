@@ -74,12 +74,10 @@
 //     run line by line, and so does any group in which a value comes out
 //     NaN or infinite, so every line carries the per-line path's bits. Layouts whose
 //     written lines share an element are rejected.
-//   - Parallel batches (parallel.go): large batches fan out over a bounded
-//     process-wide worker pool; workers claim whole tiles or row groups
-//     through an atomic cursor, and results are bit-identical to serial
-//     execution.
 //
-// Plans are cached in a bounded LRU and are safe for concurrent use; all
+// The package starts no goroutine: a batch runs on the goroutine that calls
+// it, and the simulator's rank goroutines are the only parallelism. Plans are
+// cached in a bounded LRU and are safe for concurrent use by those ranks; all
 // steady-state execution paths of this package draw scratch from pools and
 // allocate nothing.
 package fft

@@ -107,8 +107,6 @@ func TestBluesteinLengthsMatchDFT(t *testing.T) {
 // tile boundaries (batch > tileLines), leave a ragged final tile, and include
 // Bluestein lines and short power-of-two lines.
 func TestBlockedStridedMatchesContiguous(t *testing.T) {
-	prev := SetWorkers(1)
-	defer SetWorkers(prev)
 	rng := rand.New(rand.NewSource(26))
 	cases := []struct{ n, batch int }{
 		{8, 100},   // rows, one over a tile with a ragged remainder
@@ -161,8 +159,6 @@ func TestBlockedStridedRoundTrip(t *testing.T) {
 // TestTransformNestedMatchesLineLoop checks the two-level guru layout against
 // per-line execution for a middle-axis shape (planes × rows).
 func TestTransformNestedMatchesLineLoop(t *testing.T) {
-	prev := SetWorkers(1)
-	defer SetWorkers(prev)
 	rng := rand.New(rand.NewSource(28))
 	const n0, n1, n2 = 5, 32, 12 // transform along axis 1 of an n0×n1×n2 array
 	data := randSignal(rng, n0*n1*n2)
@@ -194,8 +190,6 @@ func TestTransformNestedMatchesLineLoop(t *testing.T) {
 // middle-axis plane loop into one nested batched call: results must be
 // bit-identical to the per-plane loop it replaced.
 func TestTransform3DMiddleAxisBatched(t *testing.T) {
-	prev := SetWorkers(1)
-	defer SetWorkers(prev)
 	rng := rand.New(rand.NewSource(29))
 	const n0, n1, n2 = 6, 16, 10
 	data := randSignal(rng, n0*n1*n2)
@@ -240,8 +234,6 @@ func TestNestedSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under -race; allocation counts are meaningless")
 	}
-	prev := SetWorkers(1)
-	defer SetWorkers(prev)
 	const n0, n1, n2 = 4, 64, 24
 	p := NewPlan(n1)
 	data := make([]complex128, n0*n1*n2)

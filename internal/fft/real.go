@@ -17,8 +17,8 @@ import (
 //
 // Like the complex Plan, a RealPlan supports cuFFT's advanced batched layout
 // (stride, dist, batch) on both sides of the transform via ForwardBatch and
-// InverseBatch, executes large batches on the shared worker pool, and keeps
-// its buffers in pools so steady-state batched transforms allocate nothing.
+// InverseBatch, and keeps its buffers in pools so steady-state batched
+// transforms allocate nothing.
 //
 // Batches run a group of lines at a time across rows (rows.go) when the real
 // side is unit-stride with an even distance of at least n and n/2 is a power
@@ -82,10 +82,8 @@ func (p *RealPlan) putScratch(b *[]complex128) { p.scratch.Put(b) }
 
 // ForwardBatch computes batch real-to-complex transforms in cuFFT's advanced
 // D2Z layout: real line b reads x[b·xDist + i·xStride] for i < n, and its
-// half-spectrum writes spec[b·specDist + k·specStride] for k <= n/2. Large
-// batches fan out over the shared worker pool; lines touch disjoint
-// elements, so results are bit-identical to serial execution. Layouts two
-// of whose spectrum lines share an element are rejected.
+// half-spectrum writes spec[b·specDist + k·specStride] for k <= n/2.
+// Layouts two of whose spectrum lines share an element are rejected.
 func (p *RealPlan) ForwardBatch(x []float64, xStride, xDist int, spec []complex128, specStride, specDist, batch int) error {
 	rsp, ssp, err := p.batchSpecs(len(x), xStride, xDist, len(spec), specStride, specDist, batch, true)
 	if err != nil {
@@ -94,12 +92,7 @@ func (p *RealPlan) ForwardBatch(x []float64, xStride, xDist int, spec []complex1
 	if batch == 0 {
 		return nil
 	}
-	if batch > 1 && batch*p.n >= minParallelWork {
-		if p.runRealBatchParallel(x, rsp, spec, ssp, true) {
-			return nil
-		}
-	}
-	p.r2cLines(x, rsp, spec, ssp, 0, batch)
+	p.r2cLines(x, rsp, spec, ssp)
 	return nil
 }
 
@@ -115,19 +108,14 @@ func (p *RealPlan) InverseBatch(spec []complex128, specStride, specDist int, x [
 	if batch == 0 {
 		return nil
 	}
-	if batch > 1 && batch*p.n >= minParallelWork {
-		if p.runRealBatchParallel(x, rsp, spec, ssp, false) {
-			return nil
-		}
-	}
-	p.c2rLines(spec, ssp, x, rsp, 0, batch)
+	p.c2rLines(spec, ssp, x, rsp)
 	return nil
 }
 
 // batchSpecs validates a two-sided advanced layout against the array lengths
 // and returns the real- and spectrum-side specs. The side a transform writes
 // (the spectrum forward, the real lines inverse) must not have two lines that
-// share an element: lines run on pool helpers, where those would race.
+// share an element: a line would overwrite what another has written.
 func (p *RealPlan) batchSpecs(xLen, xStride, xDist, sLen, specStride, specDist, batch int, fwd bool) (rsp, ssp batchSpec, err error) {
 	if xStride < 1 || specStride < 1 || xDist < 0 || specDist < 0 || batch < 0 {
 		return rsp, ssp, fmt.Errorf("fft: invalid real batch layout xStride=%d xDist=%d specStride=%d specDist=%d batch=%d",
@@ -165,20 +153,20 @@ func complexView(x []float64) []complex128 {
 	return unsafe.Slice((*complex128)(unsafe.Pointer(unsafe.SliceData(x))), len(x)/2)
 }
 
-// r2cLines transforms real lines [lo, hi) of the layout — the unit of work
-// of both the serial path and the worker pool: groups across rows where the
-// layout allows, the rest line by line.
-func (p *RealPlan) r2cLines(x []float64, rsp batchSpec, spec []complex128, ssp batchSpec, lo, hi int) {
+// r2cLines transforms every real line of the layout: groups across rows
+// where the layout allows, the rest line by line.
+func (p *RealPlan) r2cLines(x []float64, rsp batchSpec, spec []complex128, ssp batchSpec) {
 	zp := p.getScratch()
 	z := (*zp)[:p.n/2]
-	rows := hi-lo >= 2 && p.acrossRows(rsp)
+	batch := rsp.total()
+	rows := batch >= 2 && p.acrossRows(rsp)
 	var tp *[]complex128
 	if rows {
 		tp = p.half.getTile()
 	}
-	for l := lo; l < hi; {
+	for l := 0; l < batch; {
 		end := l + 1
-		if w := min(p.half.tileLines, hi-l) &^ 1; rows && w >= 2 {
+		if w := min(p.half.tileLines, batch-l) &^ 1; rows && w >= 2 {
 			if p.r2cRows(complexView(x[rsp.lineBase(l):]), rsp.dist2/2, spec, ssp.lineBase(l), ssp, w, *tp) {
 				l += w
 				continue
@@ -195,19 +183,20 @@ func (p *RealPlan) r2cLines(x []float64, rsp batchSpec, spec []complex128, ssp b
 	p.putScratch(zp)
 }
 
-// c2rLines reconstructs real lines [lo, hi) of the layout, in groups across
-// rows where the layout allows, the rest line by line.
-func (p *RealPlan) c2rLines(spec []complex128, ssp batchSpec, x []float64, rsp batchSpec, lo, hi int) {
+// c2rLines reconstructs every real line of the layout, in groups across rows
+// where the layout allows, the rest line by line.
+func (p *RealPlan) c2rLines(spec []complex128, ssp batchSpec, x []float64, rsp batchSpec) {
 	zp := p.getScratch()
 	z := (*zp)[:p.n/2]
-	rows := hi-lo >= 2 && p.acrossRows(rsp)
+	batch := rsp.total()
+	rows := batch >= 2 && p.acrossRows(rsp)
 	var tp *[]complex128
 	if rows {
 		tp = p.half.getTile()
 	}
-	for l := lo; l < hi; {
+	for l := 0; l < batch; {
 		end := l + 1
-		if w := min(p.half.tileLines, hi-l) &^ 1; rows && w >= 2 {
+		if w := min(p.half.tileLines, batch-l) &^ 1; rows && w >= 2 {
 			if p.c2rRows(spec, ssp.lineBase(l), ssp, complexView(x[rsp.lineBase(l):]), rsp.dist2/2, w, *zp, *tp) {
 				l += w
 				continue

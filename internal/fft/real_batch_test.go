@@ -99,53 +99,6 @@ func TestRealBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRealBatchParallelMatchesSerial pins the worker-pool fan-out of real
-// batches to the serial result, bit for bit, both directions: row layouts
-// (packed, and padded with strided spectra and a ragged last group) and a
-// strided one that runs line by line.
-func TestRealBatchParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	prev := SetWorkers(1)
-	defer SetWorkers(prev)
-	for _, tc := range []struct {
-		n, xStride, xDist, sStride, sDist, batch int
-	}{
-		{64, 1, 64, 1, 33, 512},
-		{128, 1, 130, 2, 131, 301},
-		{64, 512, 1, 1, 33, 512},
-	} {
-		p, err := NewRealPlan(tc.n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := p.acrossRows(batchSpec{stride: tc.xStride, batch1: 1, dist2: tc.xDist, batch2: tc.batch}), tc.xStride == 1; got != want {
-			t.Fatalf("%+v: acrossRows = %v, want %v", tc, got, want)
-		}
-		xLen := (tc.batch-1)*tc.xDist + (tc.n-1)*tc.xStride + 1
-		sLen := (tc.batch-1)*tc.sDist + tc.n/2*tc.sStride + 1
-		x := randReal(rng, xLen)
-		var specs [2][]complex128
-		var backs [2][]float64
-		for i, workers := range []int{1, 4} {
-			SetWorkers(workers)
-			specs[i] = make([]complex128, sLen)
-			backs[i] = make([]float64, xLen)
-			if err := p.ForwardBatch(x, tc.xStride, tc.xDist, specs[i], tc.sStride, tc.sDist, tc.batch); err != nil {
-				t.Fatal(err)
-			}
-			if err := p.InverseBatch(specs[i], tc.sStride, tc.sDist, backs[i], tc.xStride, tc.xDist, tc.batch); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if i := sameComplexBits(specs[0], specs[1]); i >= 0 {
-			t.Fatalf("%+v: parallel R2C differs from serial at %d", tc, i)
-		}
-		if i := sameRealBits(backs[0], backs[1]); i >= 0 {
-			t.Fatalf("%+v: parallel C2R differs from serial at %d", tc, i)
-		}
-	}
-}
-
 // sameRealBits reports the first index where a and b differ in any bit, NaN
 // payloads included, or -1.
 func sameRealBits(a, b []float64) int {
@@ -176,8 +129,6 @@ func sameComplexBits(a, b []complex128) int {
 // signs), and ±Inf and NaN planted in the first line (whose group reruns line
 // by line).
 func TestRealRowsBitIdentical(t *testing.T) {
-	prev := SetWorkers(1)
-	defer SetWorkers(prev)
 	rng := rand.New(rand.NewSource(44))
 	zeros := []float64{0, math.Copysign(0, -1), 5e-324, -3e-310}
 	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1)}
@@ -342,7 +293,8 @@ func TestRealBatchValidation(t *testing.T) {
 		t.Errorf("empty batch should be a no-op, got %v", err)
 	}
 	// The side a transform writes may not have two lines that share an
-	// element (they would race on the worker pool); the side it reads may.
+	// element (one line would overwrite another's output); the side it reads
+	// may.
 	x4 := make([]float64, 16*4)
 	spec4 := make([]complex128, 9*4)
 	if err := p.ForwardBatch(x4, 1, 16, spec4, 1, 1, 4); err == nil {
@@ -378,8 +330,6 @@ func TestRealBatchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under -race; allocation counts are meaningless")
 	}
-	prev := SetWorkers(1)
-	defer SetWorkers(prev)
 	// 8 lines of 32; 170 lines of 64 (two full row groups and a ragged one).
 	for _, tc := range []struct{ n, batch int }{{32, 8}, {64, 170}} {
 		n, batch := tc.n, tc.batch

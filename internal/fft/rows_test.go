@@ -51,11 +51,8 @@ func sameBits(a, b []complex128) int {
 // engine, from 8 points up; strided layouts whose b1 groups are whole row groups, ragged ones,
 // ones that leave an odd line or a 2-line group, and single lines; contiguous
 // layouts at distance n and n+3, plain and nested, whose groups are ragged or
-// leave an odd line; both directions; zeros, denormals and infinities planted;
-// serial and on the worker pool.
+// leave an odd line; both directions; zeros, denormals and infinities planted.
 func TestRowsBitIdentical(t *testing.T) {
-	prev := SetWorkers(1)
-	defer SetWorkers(prev)
 	rng := rand.New(rand.NewSource(43))
 	layouts := []struct{ b1, b2 int }{{1, 16}, {1, 256}, {16, 16}, {3, 15}, {1, 7}, {2, 2}, {5, 1}}
 	// Contiguous: a single row group, ragged ones with and without an odd
@@ -83,18 +80,14 @@ func TestRowsBitIdentical(t *testing.T) {
 					} else {
 						plant(rng, x, sp.total()/2+1, kinds) // most lines stay finite
 					}
-					nested := func() []complex128 {
-						d := append([]complex128(nil), x...)
-						p.TransformNested(d, stride, sp.dist1, lay.b1, 1, lay.b2, dir)
-						return d
-					}
-					rows := nested()
+					rows := append([]complex128(nil), x...)
+					p.TransformNested(rows, stride, sp.dist1, lay.b1, 1, lay.b2, dir)
 
 					// The same lines as single-line groups: not a row layout,
 					// so runLines takes them through the generic tile.
 					tiled := append([]complex128(nil), x...)
 					for g := 0; g < lay.b1; g++ {
-						p.runLines(tiled[g*sp.dist1:], batchSpec{stride: stride, dist1: 1, batch1: lay.b2, batch2: 1}, 0, lay.b2, dir)
+						p.runLines(tiled[g*sp.dist1:], batchSpec{stride: stride, dist1: 1, batch1: lay.b2, batch2: 1}, dir)
 					}
 
 					alone := append([]complex128(nil), x...)
@@ -109,14 +102,10 @@ func TestRowsBitIdentical(t *testing.T) {
 						}
 					}
 
-					SetWorkers(4)
-					pooled := nested()
-					SetWorkers(1)
-
 					for _, o := range []struct {
 						name string
 						got  []complex128
-					}{{"generic tile", tiled}, {"line by line", alone}, {"worker pool", pooled}} {
+					}{{"generic tile", tiled}, {"line by line", alone}} {
 						if i := sameBits(rows, o.got); i >= 0 {
 							t.Fatalf("n=%d layout %v stride %d %v kinds=%d: rows[%d] = %v, %s %v",
 								n, lay, stride, dir, kinds, i, rows[i], o.name, o.got[i])
@@ -147,24 +136,9 @@ func TestRowsBitIdentical(t *testing.T) {
 						base := sp.lineBase(l)
 						p.transformContig(alone[base:base+n], dir)
 					}
-
-					// Forced onto the pool whatever the batch size; it declines
-					// only a batch of one claim.
-					SetWorkers(4)
-					pooled := append([]complex128(nil), x...)
-					if !p.runBatchParallel(pooled, sp, dir) {
-						p.runLines(pooled, sp, 0, sp.total(), dir)
-					}
-					SetWorkers(1)
-
-					for _, o := range []struct {
-						name string
-						got  []complex128
-					}{{"line by line", alone}, {"worker pool", pooled}} {
-						if i := sameBits(rows, o.got); i >= 0 {
-							t.Fatalf("n=%d contiguous %v dist %d %v: rows[%d] = %v, %s %v",
-								n, lay, dist, dir, i, rows[i], o.name, o.got[i])
-						}
+					if i := sameBits(rows, alone); i >= 0 {
+						t.Fatalf("n=%d contiguous %v dist %d %v: rows[%d] = %v, line by line %v",
+							n, lay, dist, dir, i, rows[i], alone[i])
 					}
 				}
 			}

@@ -1,6 +1,9 @@
 package mpisim
 
-import "math"
+import (
+	"math"
+	"strconv"
+)
 
 // Wire precision: the element width payloads are compressed to on the wire.
 // The transform itself computes in double precision everywhere; a compressed
@@ -33,23 +36,33 @@ const (
 
 func (w WirePrecision) String() string {
 	switch w {
+	case WireFp64:
+		return "fp64"
 	case WireFp32:
 		return "fp32"
 	case WireFp16:
 		return "fp16"
 	}
-	return "fp64"
+	return "wire(" + strconv.Itoa(int(w)) + ")"
 }
 
-// ComplexBytes reports the on-wire size of one complex element.
+// unknown panics on a value that names no wire format: pricing or
+// checksumming it as any one of them would run silently at the wrong width.
+func (w WirePrecision) unknown() {
+	panic("mpisim: unknown wire precision " + w.String())
+}
+
+// wireComplexBytes is ComplexBytes by precision: a table, not a switch, so
+// that ComplexBytes stays inlinable in the per-block pricing loops.
+var wireComplexBytes = [...]int{WireFp64: 16, WireFp32: 8, WireFp16: 4}
+
+// ComplexBytes reports the on-wire size of one complex element. Every
+// transport, staging and checksum cost derives from it.
 func (w WirePrecision) ComplexBytes() int {
-	switch w {
-	case WireFp32:
-		return 8
-	case WireFp16:
-		return 4
+	if int(w) >= len(wireComplexBytes) {
+		w.unknown()
 	}
-	return 16
+	return wireComplexBytes[w]
 }
 
 // RealBytes reports the on-wire size of one real element.
@@ -61,12 +74,15 @@ func (w WirePrecision) RealBytes() int { return w.ComplexBytes() / 2 }
 // across a compression boundary.
 func (w WirePrecision) Eps() float64 {
 	switch w {
+	case WireFp64:
+		return 0x1p-53
 	case WireFp32:
 		return 0x1p-24
 	case WireFp16:
 		return 0x1p-11
 	}
-	return 0x1p-53
+	w.unknown()
+	return 0
 }
 
 // Tiny returns the largest absolute rounding error the wire format can
@@ -75,11 +91,14 @@ func (w WirePrecision) Eps() float64 {
 // compute format: no conversion happens).
 func (w WirePrecision) Tiny() float64 {
 	switch w {
+	case WireFp64:
+		return 0
 	case WireFp32:
 		return 0x1p-150
 	case WireFp16:
 		return 0x1p-25
 	}
+	w.unknown()
 	return 0
 }
 

@@ -3,6 +3,7 @@ package mpisim
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -33,6 +34,36 @@ func TestWirePrecisionSizes(t *testing.T) {
 	}
 	if WireFp64.Tiny() != 0 {
 		t.Errorf("fp64 Tiny = %g, want 0", WireFp64.Tiny())
+	}
+}
+
+// TestUnknownWirePrecision: a value that names no wire format prints as
+// itself, and pricing or checksumming it panics with that name instead of
+// running as fp64.
+func TestUnknownWirePrecision(t *testing.T) {
+	w := WirePrecision(3)
+	if got := w.String(); got != "wire(3)" {
+		t.Errorf("WirePrecision(3).String() = %q, want \"wire(3)\"", got)
+	}
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"ComplexBytes", func() { w.ComplexBytes() }},
+		{"RealBytes", func() { w.RealBytes() }},
+		{"Eps", func() { w.Eps() }},
+		{"Tiny", func() { w.Tiny() }},
+		{"Buf.Bytes", func() { (Buf{N: 10, Wire: w}).Bytes() }},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "wire(3)") {
+					t.Errorf("%s on wire(3): panic %q, want one naming wire(3)", c.name, msg)
+				}
+			}()
+			c.f()
+		}()
 	}
 }
 
