@@ -140,6 +140,37 @@ func TestBlockedStridedMatchesContiguous(t *testing.T) {
 	}
 }
 
+// TestTransformBatchMatchesLineByLine holds a whole batch, run in one call on
+// the calling goroutine, to the same lines run one call each, bit for bit:
+// contiguous, strided and Bluestein layouts of hundreds of lines, and a short
+// batch of long strided lines; both directions. SetWorkers stays a no-op.
+func TestTransformBatchMatchesLineByLine(t *testing.T) {
+	if got := SetWorkers(4); got != 1 {
+		t.Fatalf("SetWorkers(4) = %d, want 1", got)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, tc := range []struct{ n, stride, dist, batch int }{
+		{64, 1, 64, 512},
+		{64, 512, 1, 512},
+		{60, 1, 60, 512},
+		{60, 300, 1, 300},
+		{128, 128, 16384, 16},
+	} {
+		p := NewPlan(tc.n)
+		for _, dir := range []Direction{Forward, Inverse} {
+			data := randSignal(rng, tc.dist*(tc.batch-1)+tc.stride*(tc.n-1)+1)
+			alone := append([]complex128(nil), data...)
+			for b := 0; b < tc.batch; b++ {
+				p.TransformBatch(alone[b*tc.dist:], tc.stride, tc.dist, 1, dir)
+			}
+			p.TransformBatch(data, tc.stride, tc.dist, tc.batch, dir)
+			if i := sameBits(data, alone); i >= 0 {
+				t.Fatalf("%+v %v: batch[%d] = %v, line by line %v", tc, dir, i, data[i], alone[i])
+			}
+		}
+	}
+}
+
 // TestBlockedStridedRoundTrip drives forward∘inverse through the strided tile
 // path (fused 1/N in the tile kernel) and requires the identity.
 func TestBlockedStridedRoundTrip(t *testing.T) {

@@ -99,6 +99,57 @@ func TestRealBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRealBatchMatchesLineByLine holds whole real batches of hundreds of
+// lines to the same lines run one call each, bit for bit, both directions:
+// row layouts (packed, and padded with strided spectra and a ragged last
+// group) and a strided one that runs line by line.
+func TestRealBatchMatchesLineByLine(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for _, tc := range []struct {
+		n, xStride, xDist, sStride, sDist, batch int
+	}{
+		{64, 1, 64, 1, 33, 512},
+		{128, 1, 130, 2, 131, 301},
+		{64, 512, 1, 1, 33, 512},
+	} {
+		p, err := NewRealPlan(tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := p.acrossRows(batchSpec{stride: tc.xStride, batch1: 1, dist2: tc.xDist, batch2: tc.batch}), tc.xStride == 1; got != want {
+			t.Fatalf("%+v: acrossRows = %v, want %v", tc, got, want)
+		}
+		xLen := (tc.batch-1)*tc.xDist + (tc.n-1)*tc.xStride + 1
+		sLen := (tc.batch-1)*tc.sDist + tc.n/2*tc.sStride + 1
+		x := randReal(rng, xLen)
+		spec := make([]complex128, sLen)
+		back := make([]float64, xLen)
+		if err := p.ForwardBatch(x, tc.xStride, tc.xDist, spec, tc.sStride, tc.sDist, tc.batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.InverseBatch(spec, tc.sStride, tc.sDist, back, tc.xStride, tc.xDist, tc.batch); err != nil {
+			t.Fatal(err)
+		}
+		specAlone := make([]complex128, sLen)
+		backAlone := make([]float64, xLen)
+		for b := 0; b < tc.batch; b++ {
+			xb, sb := b*tc.xDist, b*tc.sDist
+			if err := p.ForwardBatch(x[xb:], tc.xStride, tc.xDist, specAlone[sb:], tc.sStride, tc.sDist, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.InverseBatch(spec[sb:], tc.sStride, tc.sDist, backAlone[xb:], tc.xStride, tc.xDist, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i := sameComplexBits(spec, specAlone); i >= 0 {
+			t.Fatalf("%+v: R2C batch differs from line by line at %d", tc, i)
+		}
+		if i := sameRealBits(back, backAlone); i >= 0 {
+			t.Fatalf("%+v: C2R batch differs from line by line at %d", tc, i)
+		}
+	}
+}
+
 // sameRealBits reports the first index where a and b differ in any bit, NaN
 // payloads included, or -1.
 func sameRealBits(a, b []float64) int {
