@@ -68,10 +68,9 @@ bench:
 # serve_mixed_r8 and its 32-point z-pencil 16x8x32, ns/line; all run across
 # rows), real batches (BenchmarkRealBatch: an altpaths64_r24 rank's 64-point
 # z-pencil of 176 lines and 256 lines of 128, forward and inverse, ns/line;
-# both run across rows), the
-# blocked reorder transposes, pack/unpack in their three
-# run-coalescing regimes (row, plane, whole block), over the same regimes
-# one box-to-box CopyBox against Pack + Unpack through a buffer, and CopyBox
+# both run across rows), pack/unpack in their three run-coalescing regimes
+# (row, plane, whole block), over the same regimes one box-to-box CopyBox
+# against Pack + Unpack through a buffer, and CopyBox
 # on the short runs altpaths64_r24 moves on every transform (complex128 runs
 # of 5 and 11 elements from its pencil reshapes, float64 runs of 16 from its
 # real plan's unpacks, and the 5-element box again in float64), and CopyBox
@@ -79,7 +78,7 @@ bench:
 # the next of 64 pairs of 512 KB arrays, so no block is in L2.
 bench-kernel:
 	go test -run '^$$' -bench 'BenchmarkKernel|BenchmarkRadix4Pass|BenchmarkRadix4Rows|BenchmarkStridedBatch|BenchmarkContigBatch|BenchmarkRealBatch|BenchmarkFFTBluestein' -benchmem ./internal/fft/
-	go test -run '^$$' -bench 'BenchmarkPackBlocked|BenchmarkPack$$|BenchmarkUnpack$$|BenchmarkCopyBox$$' -benchmem ./internal/tensor/
+	go test -run '^$$' -bench 'BenchmarkPack$$|BenchmarkUnpack$$|BenchmarkCopyBox$$' -benchmem ./internal/tensor/
 
 # Developer tool: the paper-scale proxy of the repository benchmark on its
 # own: 768 phantom ranks, 512³ — rendezvous and pricing from each reshape's

@@ -89,7 +89,10 @@ var scenarios = []scenario{
 		name:  "faults",
 		about: "kills, drops, stalls and detected corruption: retry, batch split, eviction, breaker, degraded path, input restore",
 		stages: []stage{{
-			cfg: serve.Config{MaxRetries: 2, BreakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond},
+			// The burst's sixth request cuts its batch; the window outlasts the
+			// spread of its released submits, the cooldown a lone retry's wait.
+			cfg: serve.Config{MaxRetries: 2, BreakerThreshold: 2, BreakerCooldown: 500 * time.Millisecond,
+				MaxBatch: 6, Window: 100 * time.Millisecond},
 			// Primary: the first two builds carry a seeded mix plus one
 			// guaranteed kill at some rank's first exchange, so the build's
 			// first batch fails wherever the sampled events land; later builds
@@ -390,7 +393,10 @@ func (h *harness) printf(format string, args ...any) {
 // returns the required counters, all of which fired.
 func (h *harness) stage(sg *stage) ([]counter, error) {
 	cfg := sg.cfg
-	cfg.Ranks, cfg.Window, cfg.MaxBatch, cfg.Workers = chaosRanks, 3*time.Millisecond, 8, 2
+	cfg.Ranks, cfg.Workers = chaosRanks, 2
+	if cfg.Window == 0 {
+		cfg.Window, cfg.MaxBatch = 3*time.Millisecond, 8
+	}
 	cfg.RetryBackoff, cfg.RetryBackoffCap = 100*time.Microsecond, time.Millisecond
 	cfg.EngineFaults = func(shape string, build int, slots []int) *heffte.FaultPlan {
 		plan := sg.faults(h.seed, shape, build, slots)
@@ -436,19 +442,23 @@ func (h *harness) stage(sg *stage) ([]counter, error) {
 }
 
 // load runs one phase: client c submits requests c, c+clients, … one after
-// another and stops at its first failure.
+// another and stops at its first failure. The clients start together, from a
+// barrier, so a burst's requests are in flight at once.
 func (h *harness) load(srv *serve.Server, ph phase) error {
 	total := ph.requests
 	if h.smoke && ph.smoke > 0 {
 		total = ph.smoke
 	}
 	errs := make([]error, ph.clients)
-	var wg sync.WaitGroup
+	var wg, ready sync.WaitGroup
+	ready.Add(ph.clients)
 	for c := range errs {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			buf := make([]complex128, len(h.input[ph.shape]))
+			ready.Done()
+			ready.Wait()
 			for i := c; i < total && errs[c] == nil; i += ph.clients {
 				errs[c] = h.submitVerified(srv, ph, buf)
 			}

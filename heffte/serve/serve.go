@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -214,14 +215,13 @@ func validateRequest(req *Request) error {
 	if req == nil {
 		return fmt.Errorf("serve: %w: nil request", heffte.ErrBadConfig)
 	}
-	vol := 1
-	for d := 0; d < 3; d++ {
-		if req.Global[d] < 1 {
-			return fmt.Errorf("serve: %w: invalid global grid %v", heffte.ErrBadConfig, req.Global)
-		}
-		vol *= req.Global[d]
+	// The plan's bounds (core's checkConfig): every extent at least 1, and
+	// a complex128 array whose byte count fits an int, so vol cannot wrap.
+	g := req.Global
+	if g[0] < 1 || g[1] < 1 || g[2] < 1 || g[0] > math.MaxInt/16/g[1]/g[2] {
+		return fmt.Errorf("serve: %w: invalid global grid %v", heffte.ErrBadConfig, g)
 	}
-	if len(req.Data) != vol {
+	if vol := g[0] * g[1] * g[2]; len(req.Data) != vol {
 		return fmt.Errorf("serve: %w: data length %d != global volume %d", heffte.ErrBadConfig, len(req.Data), vol)
 	}
 	if req.Direction != Forward && req.Direction != Inverse {

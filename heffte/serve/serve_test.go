@@ -284,6 +284,24 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestOversizedGridRejected: a grid whose complex128 array's byte count
+// overflows an int is heffte.ErrBadConfig — {1<<32, 1<<32, 1} wraps its
+// element count to 0, which empty Data would match. validateRequest is asked
+// first, so Submit only sees a grid validation rejects.
+func TestOversizedGridRejected(t *testing.T) {
+	srv := New(Config{Ranks: 2})
+	defer srv.Close()
+	for _, g := range [][3]int{{1 << 32, 1 << 32, 1}, {1 << 31, 1 << 28, 2}} {
+		req := &Request{Global: g}
+		if err := validateRequest(req); !errors.Is(err, heffte.ErrBadConfig) {
+			t.Fatalf("%v: validateRequest = %v, want heffte.ErrBadConfig", g, err)
+		}
+		if err := srv.Submit(context.Background(), req); !errors.Is(err, heffte.ErrBadConfig) {
+			t.Errorf("%v: Submit = %v, want heffte.ErrBadConfig", g, err)
+		}
+	}
+}
+
 // TestCloseLifecycle: Close drains, and later submits fail with
 // heffte.ErrServerClosed.
 func TestCloseLifecycle(t *testing.T) {

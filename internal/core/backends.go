@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Backend selects the MPI exchange strategy of Table I.
 type Backend int
@@ -67,11 +70,12 @@ const (
 	pipelined                   // Plan.ForwardPipelined and InversePipelined
 )
 
-// checkConfig is the one plan validator: a grid with a non-positive extent,
-// and every setting the backend's row or the plan kind does not run, is
-// ErrBadConfig naming the backend and the setting. paperBaseline's settings —
-// CollLinear, one chunk, fp64 — are every backend's vendor path and pass
-// everywhere, as do the automatic ones.
+// checkConfig is the one plan validator: a grid with a non-positive extent or
+// one whose complex128 array's byte count overflows an int, and every setting
+// the backend's row or the plan kind does not run, is ErrBadConfig naming the
+// backend and the setting. paperBaseline's settings — CollLinear, one chunk,
+// fp64 — are every backend's vendor path and pass everywhere, as do the
+// automatic ones.
 func checkConfig(global [3]int, o Options, kind planKind) error {
 	b, cc := o.Backend, o.Comm
 	caps := b.Capabilities()
@@ -81,6 +85,8 @@ func checkConfig(global [3]int, o Options, kind planKind) error {
 	switch {
 	case global[0] < 1 || global[1] < 1 || global[2] < 1:
 		return reject("Global", global, "every extent must be at least 1")
+	case global[0] > math.MaxInt/16/global[1]/global[2]:
+		return reject("Global", global, "its complex128 array's byte count overflows an int")
 	case b < 0 || int(b) >= len(backends):
 		return reject("Backend", int(b), "no such backend")
 	case o.Decomp < DecompAuto || o.Decomp > DecompBricks:

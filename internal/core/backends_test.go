@@ -4,6 +4,9 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/machine"
+	"repro/internal/mpisim"
 )
 
 // TestCheckConfig: the paper's baseline (CollLinear, one chunk, fp64) and the
@@ -31,6 +34,8 @@ func TestCheckConfig(t *testing.T) {
 	}{
 		{[3]int{8, 0, 8}, Options{}, complexPlan, "Global"},
 		{[3]int{8, 8, 7}, Options{}, realPlan, "Global"},
+		{[3]int{1 << 32, 1 << 32, 1}, Options{}, complexPlan, "Global"},
+		{[3]int{1 << 20, 1 << 20, 1 << 20}, Options{}, pipelined, "Global"},
 		{grid, Options{Backend: Backend(9)}, complexPlan, "Backend"},
 		{grid, Options{Decomp: Decomposition(7)}, complexPlan, "Decomp"},
 		{grid, Options{ShrinkThreshold: -1}, complexPlan, "ShrinkThreshold"},
@@ -55,5 +60,32 @@ func TestCheckConfig(t *testing.T) {
 			!strings.Contains(err.Error(), tc.setting) {
 			t.Errorf("%+v, kind %d: err = %v, want ErrBadConfig naming backend %v and %s", tc.opts, tc.kind, err, tc.opts.Backend, tc.setting)
 		}
+	}
+}
+
+// TestOversizedGridIsBadConfig: a grid whose complex128 array's byte count
+// overflows an int is ErrBadConfig before anything is sized for it —
+// {1<<32, 1<<32, 1} wraps its element count to 0, so no tiling or length
+// check downstream would see it. checkConfig is asked first, so a plan is
+// only built on a grid it rejects; the largest grid it accepts is held apart.
+func TestOversizedGridIsBadConfig(t *testing.T) {
+	if err := checkConfig([3]int{1 << 29, 1 << 29, 1}, Options{}, complexPlan); err != nil {
+		t.Errorf("a 2^58-element grid (2^62 bytes) must pass: %v", err)
+	}
+	for _, g := range [][3]int{{1 << 32, 1 << 32, 1}, {1 << 31, 1 << 28, 2}} {
+		for _, kind := range []planKind{complexPlan, realPlan} {
+			if err := checkConfig(g, Options{}, kind); !errors.Is(err, ErrBadConfig) {
+				t.Fatalf("%v, kind %d: checkConfig = %v, want ErrBadConfig", g, kind, err)
+			}
+		}
+		w := mpisim.NewWorld(machine.Summit(), 2, mpisim.Options{})
+		w.Run(func(c *mpisim.Comm) {
+			if _, err := NewPlan(c, Config{Global: g}); !errors.Is(err, ErrBadConfig) {
+				t.Errorf("%v: NewPlan = %v, want ErrBadConfig", g, err)
+			}
+			if _, err := NewRealPlan(c, RealConfig{Global: g}); !errors.Is(err, ErrBadConfig) {
+				t.Errorf("%v: NewRealPlan = %v, want ErrBadConfig", g, err)
+			}
+		})
 	}
 }

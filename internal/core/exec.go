@@ -659,16 +659,15 @@ func (e *engine) computeStage(st *stage, b *batch, dir fft.Direction) float64 {
 
 // kernel runs one field's local transforms of a complex compute stage.
 func (e *engine) kernel(st *stage, f *Field, dir fft.Direction) {
-	s := st.myBox.Sizes()
 	if st.kind == stageFFT2D {
 		// Slab stage: 2-D transforms over axes (1, 2) of every plane, as two
 		// batches the row groups see whole — the rows of all planes, then
 		// their columns as one nested (planes × columns) call.
-		st.fplan.TransformBatch(f.Data, 1, s[2], s[0]*s[1], dir)
-		st.fcols.TransformNested(f.Data, s[2], s[1]*s[2], s[0], 1, s[2], dir)
+		localFFT1D(st.fplan, f.Data, st.myBox, 2, dir)
+		localFFT1D(st.fcols, f.Data, st.myBox, 1, dir)
 		return
 	}
-	localFFT1D(st.fplan, f.Data, st.myBox, st.axis, e.opts.Contiguous, dir)
+	localFFT1D(st.fplan, f.Data, st.myBox, st.axis, dir)
 }
 
 // chargeKernel charges one entry's kernel of a complex compute stage and
@@ -685,41 +684,25 @@ func (e *engine) chargeKernel(st *stage) float64 {
 		panic(fmt.Sprintf("core: fft stage axis %d spans %d of %d", st.axis, n, st.fplan.N()))
 	}
 	batch := st.myBox.Volume() / n
-	// Axis 2 is contiguous in the local layout; axes 0 and 1 are strided.
-	// In the "contiguous/transposed" mode the data is reordered so the kernel
-	// runs contiguous (charged as transposed pack/unpack); otherwise the
-	// strided kernel pays the Fig. 10 penalty.
+	// Axis 2 is contiguous in the local layout; axes 0 and 1 are strided and
+	// pay the Fig. 10 penalty, unless the plan runs the "contiguous/transposed"
+	// mode, whose transposes the reshape's pack/unpack charges pay for. The
+	// mode exists in virtual time: the host transforms the same lines in place.
 	strided := st.axis != 2 && !e.opts.Contiguous
 	e.dev.FFT1D(n, batch, strided)
 	return g.FFT1DCost(n, batch, strided)
 }
 
-// localFFT1D computes the local 1-D transforms of one field along axis. Axis 2
-// is contiguous in the local row-major layout and runs as one batched call;
-// axis 1 runs as a single nested-layout call (planes × rows, FFTW guru
-// howmany_dims style) so the row groups see the whole middle-axis batch at
-// once; axis 0 is a plain strided batch. Both strided axes have their
-// adjacent lines one element apart, the layout internal/fft transforms across
-// rows without a transpose. With Contiguous set, the
-// strided axes instead realize the paper's "transposed/contiguous" local-FFT
-// mode: a cache-blocked reorder gives the FFT axis unit stride, the transform
-// runs contiguous, and the data is reordered back — the virtual cost of those
-// transposes is already charged by the reshape's transposed pack/unpack.
-func localFFT1D(plan *fft.Plan, data []complex128, box tensor.Box3, axis int, contiguous bool, dir fft.Direction) {
+// localFFT1D computes the local 1-D transforms of one field along axis, in
+// place. Axis 2 is contiguous in the local row-major layout and runs as one
+// batched call; axis 1 runs as a single nested-layout call (planes × rows,
+// FFTW guru howmany_dims style) so the row groups see the whole middle-axis
+// batch at once; axis 0 is a plain strided batch. Both strided axes have
+// their adjacent lines one element apart, the layout internal/fft transforms
+// across rows without a transpose. A line's bits do not depend on its layout,
+// so the transposed mode (Options.Contiguous) is charged, never run.
+func localFFT1D(plan *fft.Plan, data []complex128, box tensor.Box3, axis int, dir fft.Direction) {
 	s := box.Sizes()
-	if contiguous && axis != 2 {
-		perm := [3]int{0, 2, 1}
-		if axis == 0 {
-			perm = [3]int{1, 2, 0}
-		}
-		n := s[axis]
-		buf := getBuf[complex128](len(data))
-		tensor.Reorder(data, box, perm, buf)
-		plan.TransformBatch(buf, 1, n, len(data)/n, dir)
-		tensor.ReorderBack(buf, box, perm, data)
-		putBuf(buf)
-		return
-	}
 	switch axis {
 	case 2:
 		plan.TransformBatch(data, 1, s[2], s[0]*s[1], dir)

@@ -118,9 +118,10 @@ type Options struct {
 	Decomp  Decomposition
 	Backend Backend
 
-	// Contiguous selects the "transposed" local-FFT path: data is reordered
-	// on the device so every 1-D FFT sees unit stride, trading transpose
-	// kernels for the strided-input penalty of Fig. 10.
+	// Contiguous selects the paper's "transposed" local-FFT mode: the device
+	// transposes the data so every 1-D FFT sees unit stride, trading
+	// transpose kernels for the strided-input penalty of Fig. 10. The mode
+	// exists in virtual time: the host transforms the same lines in place.
 	Contiguous bool
 
 	// PQ optionally fixes the pencil grid (P, Q); zero means the most square

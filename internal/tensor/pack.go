@@ -124,97 +124,3 @@ func checkPackArgs(localLen int, own, sub Box3, bufLen int) {
 		panic(fmt.Sprintf("tensor: buffer length %d != sub volume %d", bufLen, sub.Volume()))
 	}
 }
-
-// reorderBlock is the tile edge of the blocked transpose loops: a
-// reorderBlock² complex128 tile (16 KiB) keeps both the gather and scatter
-// footprints cache-resident while one of the two sides streams sequentially.
-const reorderBlock = 32
-
-// Reorder copies the points of box b from a local array laid out with the
-// default axis order into dst laid out with axes permuted so that perm[2] is
-// contiguous. It is used by the "transposed/contiguous" local-FFT path, where
-// data is reorganized so the FFT axis has unit stride. perm must be a
-// permutation of {0,1,2}.
-//
-// The copy is cache-blocked: whichever permuted loop walks the source's
-// unit-stride axis is tiled against the innermost (destination-contiguous)
-// loop, the same square-tile transpose the GPU packing kernels of the paper
-// use to keep global-memory accesses coalesced.
-func Reorder(src []complex128, b Box3, perm [3]int, dst []complex128) {
-	if len(src) != b.Volume() || len(dst) != b.Volume() {
-		panic(fmt.Sprintf("tensor: Reorder length mismatch src=%d dst=%d vol=%d", len(src), len(dst), b.Volume()))
-	}
-	checkPerm(perm)
-	s := b.Sizes()
-	as := [3]int{s[1] * s[2], s[2], 1}
-	n0, n1, n2 := s[perm[0]], s[perm[1]], s[perm[2]]
-	st0, st1, st2 := as[perm[0]], as[perm[1]], as[perm[2]]
-	switch {
-	case st2 == 1:
-		// perm keeps axis 2 innermost: both sides are contiguous rows.
-		copyRuns(dst, runs{n0: n0, st0: n1 * n2, n1: n1, st1: n2, run: n2}, src, runs{n0: n0, st0: st0, n1: n1, st1: st1, run: n2})
-	case st1 == 1:
-		// Middle loop walks the source's contiguous axis: tile (j1, j2).
-		for j0 := 0; j0 < n0; j0++ {
-			b0 := j0 * st0
-			d0 := j0 * n1 * n2
-			for j1b := 0; j1b < n1; j1b += reorderBlock {
-				j1e := min(j1b+reorderBlock, n1)
-				for j2b := 0; j2b < n2; j2b += reorderBlock {
-					j2e := min(j2b+reorderBlock, n2)
-					for j1 := j1b; j1 < j1e; j1++ {
-						bi := b0 + j1
-						di := d0 + j1*n2
-						for j2 := j2b; j2 < j2e; j2++ {
-							dst[di+j2] = src[bi+j2*st2]
-						}
-					}
-				}
-			}
-		}
-	default:
-		// Outermost loop walks the source's contiguous axis: tile (j0, j2)
-		// with j1 carried through the tile.
-		for j0b := 0; j0b < n0; j0b += reorderBlock {
-			j0e := min(j0b+reorderBlock, n0)
-			for j2b := 0; j2b < n2; j2b += reorderBlock {
-				j2e := min(j2b+reorderBlock, n2)
-				for j1 := 0; j1 < n1; j1++ {
-					b1 := j1 * st1
-					for j0 := j0b; j0 < j0e; j0++ {
-						bi := b1 + j0
-						di := (j0*n1 + j1) * n2
-						for j2 := j2b; j2 < j2e; j2++ {
-							dst[di+j2] = src[bi+j2*st2]
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// ReorderBack is the inverse of Reorder: it scatters dst-ordered data back to
-// the default axis order. That is Reorder itself, out of the permuted layout
-// (extents s[perm[0]], s[perm[1]], s[perm[2]]) by the inverse permutation, so
-// it is cache-blocked the same way.
-func ReorderBack(src []complex128, b Box3, perm [3]int, dst []complex128) {
-	checkPerm(perm)
-	var inv [3]int
-	var permuted Box3
-	for k, p := range perm {
-		inv[p] = k
-		permuted.Hi[k] = b.Size(p)
-	}
-	Reorder(src, permuted, inv, dst)
-}
-
-func checkPerm(perm [3]int) {
-	seen := [3]bool{}
-	for _, p := range perm {
-		if p < 0 || p > 2 || seen[p] {
-			panic(fmt.Sprintf("tensor: invalid axis permutation %v", perm))
-		}
-		seen[p] = true
-	}
-}

@@ -346,49 +346,6 @@ func TestPackUnpackProperty(t *testing.T) {
 	}
 }
 
-func TestReorderRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	b := NewBox(0, 0, 0, 4, 5, 6)
-	src := make([]complex128, b.Volume())
-	for i := range src {
-		src[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	perms := [][3]int{{0, 1, 2}, {2, 1, 0}, {1, 2, 0}, {0, 2, 1}, {2, 0, 1}, {1, 0, 2}}
-	for _, perm := range perms {
-		mid := make([]complex128, b.Volume())
-		Reorder(src, b, perm, mid)
-		back := make([]complex128, b.Volume())
-		ReorderBack(mid, b, perm, back)
-		for i := range src {
-			if src[i] != back[i] {
-				t.Fatalf("perm %v: round trip failed at %d", perm, i)
-			}
-		}
-	}
-}
-
-func TestReorderMakesAxisContiguous(t *testing.T) {
-	b := NewBox(0, 0, 0, 3, 4, 5)
-	src := make([]complex128, b.Volume())
-	for i0 := 0; i0 < 3; i0++ {
-		for i1 := 0; i1 < 4; i1++ {
-			for i2 := 0; i2 < 5; i2++ {
-				src[b.Index(i0, i1, i2)] = complex(float64(i0), float64(i1*10+i2))
-			}
-		}
-	}
-	// Permute so axis 0 is contiguous: perm = (1,2,0).
-	dst := make([]complex128, b.Volume())
-	Reorder(src, b, [3]int{1, 2, 0}, dst)
-	// First 3 entries should be (i1=0,i2=0, i0=0..2).
-	for i0 := 0; i0 < 3; i0++ {
-		want := complex(float64(i0), 0)
-		if dst[i0] != want {
-			t.Fatalf("dst[%d] = %v, want %v", i0, dst[i0], want)
-		}
-	}
-}
-
 func TestPackArgValidation(t *testing.T) {
 	own := NewBox(0, 0, 0, 2, 2, 2)
 	sub := NewBox(0, 0, 0, 3, 1, 1) // not inside own
