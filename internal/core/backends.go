@@ -99,6 +99,8 @@ func checkConfig(global [3]int, o Options, kind planKind) error {
 		return reject("Comm.Wire", int(cc.Wire), "no such wire precision")
 	case o.ShrinkThreshold < 0:
 		return reject("ShrinkThreshold", o.ShrinkThreshold, "negative")
+	case o.PQ[0] < 0 || o.PQ[1] < 0 || (o.PQ[0] == 0) != (o.PQ[1] == 0):
+		return reject("PQ", o.PQ, "set both entries positive, or both zero for the most square grid")
 	case !caps.Schedules && cc.Algo != CollAuto && cc.Algo != CollLinear:
 		return reject("Comm.Algo", cc.Algo, "the backend runs no schedules, only its vendor call (auto or linear)")
 	case !caps.Schedules && cc.Chunks > 1:

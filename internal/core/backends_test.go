@@ -10,9 +10,10 @@ import (
 )
 
 // TestCheckConfig: the paper's baseline (CollLinear, one chunk, fp64) and the
-// zero CommConfig are legal on every backend and plan kind; every setting a
-// backend or plan kind does not run is ErrBadConfig naming the backend and
-// the setting.
+// zero CommConfig, with a zero or a fully set PQ, are legal on every backend
+// and plan kind; every setting a backend or plan kind does not run, and a PQ
+// with a negative entry or exactly one zero, is ErrBadConfig naming the
+// backend and the setting.
 func TestCheckConfig(t *testing.T) {
 	all := []Backend{BackendAlltoallv, BackendAlltoall, BackendAlltoallw, BackendP2P, BackendP2PBlocking}
 	baseline := CommConfig{Algo: CollLinear, Chunks: 1, Wire: WireFp64}
@@ -20,8 +21,10 @@ func TestCheckConfig(t *testing.T) {
 	for _, b := range all {
 		for _, kind := range []planKind{complexPlan, realPlan} {
 			for _, cc := range []CommConfig{{}, baseline} {
-				if err := checkConfig(grid, Options{Backend: b, Comm: cc}, kind); err != nil {
-					t.Errorf("%v, kind %d, %+v: %v", b, kind, cc, err)
+				for _, pq := range [][2]int{{}, {2, 3}} {
+					if err := checkConfig(grid, Options{Backend: b, Comm: cc, PQ: pq}, kind); err != nil {
+						t.Errorf("%v, kind %d, %+v, PQ %v: %v", b, kind, cc, pq, err)
+					}
 				}
 			}
 		}
@@ -39,6 +42,10 @@ func TestCheckConfig(t *testing.T) {
 		{grid, Options{Backend: Backend(9)}, complexPlan, "Backend"},
 		{grid, Options{Decomp: Decomposition(7)}, complexPlan, "Decomp"},
 		{grid, Options{ShrinkThreshold: -1}, complexPlan, "ShrinkThreshold"},
+		{grid, Options{PQ: [2]int{3, 0}}, complexPlan, "PQ"},
+		{grid, Options{PQ: [2]int{0, 7}}, realPlan, "PQ"},
+		{grid, Options{PQ: [2]int{-2, -3}}, complexPlan, "PQ"},
+		{grid, Options{PQ: [2]int{-1, 6}}, pipelined, "PQ"},
 		{grid, Options{Comm: CommConfig{Algo: CollAlgo(6)}}, complexPlan, "Comm.Algo"},
 		{grid, Options{Comm: CommConfig{Overlap: OverlapMode(2)}}, complexPlan, "Comm.Overlap"},
 		{grid, Options{Comm: CommConfig{Wire: WirePrecision(3)}}, complexPlan, "Comm.Wire"},

@@ -124,8 +124,10 @@ type Options struct {
 	// exists in virtual time: the host transforms the same lines in place.
 	Contiguous bool
 
-	// PQ optionally fixes the pencil grid (P, Q); zero means the most square
-	// factorization. The grids of Table III are applied through this knob.
+	// PQ optionally fixes the pencil grid (P, Q), both entries positive;
+	// {0, 0} means the most square factorization, and any other entry that is
+	// not positive is ErrBadConfig. The grids of Table III are applied
+	// through this knob.
 	PQ [2]int
 
 	// ShrinkThreshold enables FFT grid shrinking (Algorithm 1, line 2): if

@@ -104,15 +104,15 @@ func NewPlan(c *mpisim.Comm, cfg Config) (*Plan, error) {
 	return p, nil
 }
 
-// pencilGrid resolves the P×Q pencil grid over n active ranks: pq as given
-// when both are positive (then they must factor n), the most square
-// factorization otherwise.
+// pencilGrid resolves the P×Q pencil grid over n active ranks: the most
+// square factorization for a zero pq, pq itself otherwise (checkConfig has
+// made both entries positive; they must factor n).
 func pencilGrid(pq [2]int, n int) (p, q int, err error) {
-	p, q = pq[0], pq[1]
-	if p <= 0 || q <= 0 {
+	if pq == [2]int{} {
 		p, q = tensor.Square2D(n)
 		return p, q, nil
 	}
+	p, q = pq[0], pq[1]
 	if p*q != n {
 		return 0, 0, fmt.Errorf("core: %w: pencil grid %dx%d does not match %d active ranks", ErrBadConfig, p, q, n)
 	}

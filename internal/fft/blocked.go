@@ -190,22 +190,17 @@ func (p *Plan) rowLayout(sp batchSpec) (pitch, lane int, ok bool) {
 // runLines executes every line of the layout.
 func (p *Plan) runLines(data []complex128, sp batchSpec, dir Direction) {
 	n, total := p.n, sp.total()
-	scale := 1.0
-	if dir == Inverse {
-		scale = 1 / float64(n)
-	}
 	pitch, lane, rows := p.rowLayout(sp)
 	if sp.stride == 1 && !rows {
 		// Codelet and Bluestein lengths, and b1 groups of one line.
 		for l := 0; l < total; l++ {
-			line := data[sp.lineBase(l):][:n]
-			if p.bluestein != nil {
-				p.transformBluestein(line, dir)
-			} else {
-				p.kernelPow2(line, dir, scale)
-			}
+			p.transformContig(data[sp.lineBase(l):][:n], dir)
 		}
 		return
+	}
+	scale := 1.0
+	if dir == Inverse {
+		scale = 1 / float64(n)
 	}
 	// Up to tileLines lines at a time. Which way a group runs depends on the
 	// layout (stride, dist2, batch2, the lines left in the b1 group) and the

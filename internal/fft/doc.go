@@ -71,8 +71,10 @@
 //     half-length transform runs across rows on the caller's array and the
 //     even/odd split (forward) or merge (inverse) runs across lanes. Strided
 //     real lines, Bluestein and codelet half lengths and an odd last line
-//     run line by line, and so does any group in which a value comes out
-//     NaN or infinite, so every line carries the per-line path's bits. Layouts whose
+//     run line by line through the same split and merge with one lane, so
+//     every line carries the same bits. A NaN or an infinity propagates as
+//     IEEE arithmetic has it, without C99 Annex G's infinity recovery, and
+//     which NaN payload survives is not part of the contract. Layouts whose
 //     written lines share an element are rejected.
 //
 // The package starts no goroutine: a batch runs on the goroutine that calls

@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -163,10 +164,15 @@ func BenchmarkRadix4Rows(b *testing.B) {
 
 // Real batches in the pencil layout core's real plans use (packed real lines,
 // half-spectra n/2+1 apart): one altpaths64_r24 rank's z-pencil (176 lines of
-// 64) and 256 lines of 128, forward and inverse. Both run across rows
-// (real.go); ns/line is reported beside ns/op.
+// 64) and 256 lines of 128, forward and inverse, and the z-pencil again with a
+// NaN planted in the first line of every row group (…/nan), which costs what a
+// clean batch does. All run across rows (real.go); ns/line is reported beside
+// ns/op.
 func BenchmarkRealBatch(b *testing.B) {
-	for _, s := range []struct{ n, batch int }{{64, 176}, {128, 256}} {
+	for _, s := range []struct {
+		n, batch int
+		nan      bool
+	}{{64, 176, false}, {128, 256, false}, {64, 176, true}} {
 		p, err := NewRealPlan(s.n)
 		if err != nil {
 			b.Fatal(err)
@@ -177,8 +183,16 @@ func BenchmarkRealBatch(b *testing.B) {
 		if err := p.ForwardBatch(x, 1, s.n, spec, 1, h, s.batch); err != nil {
 			b.Fatal(err)
 		}
+		name := itoa(s.n) + "x" + itoa(s.batch)
+		if s.nan {
+			name += "/nan"
+			for l := 0; l < s.batch; l += p.half.tileLines {
+				x[l*s.n+5] = math.NaN()
+				spec[l*h+3] = complex(math.NaN(), 0)
+			}
+		}
 		for _, dir := range []Direction{Forward, Inverse} {
-			b.Run(dir.String()+"/"+itoa(s.n)+"x"+itoa(s.batch), func(b *testing.B) {
+			b.Run(dir.String()+"/"+name, func(b *testing.B) {
 				b.SetBytes(int64(8 * s.n * s.batch))
 				b.ReportAllocs()
 				b.ResetTimer()

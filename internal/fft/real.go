@@ -31,11 +31,13 @@ import (
 // of the half-length transform stores into the real lines with its 1/(n/2)
 // scale. A group has min(tileLines, lines left) lines rounded down to even;
 // an odd last line, strided real lines, Bluestein and codelet half lengths
-// run line by line (r2cLine, c2rLine), the reference: the row loops compute
-// half's and divTwoI's quotients inline and rerun their group line by line
-// wherever a value comes out NaN or infinite, which a NaN quotient — the one
-// case infFix may correct — makes one do, so every line carries the
-// reference's bits.
+// run line by line (r2cLine, c2rLine): the line packed into one contiguous
+// half-length line, then splitRows or mergeRows with one lane. The split and
+// the merge are written once, so a line carries the same bits either way.
+// Their divisions by 2 and 2i are the operations Go's complex division issues
+// for those divisors, without C99 Annex G's recovery of an infinity from a
+// NaN quotient: a non-finite value propagates as IEEE arithmetic has it, and
+// which NaN payload survives is not part of the contract.
 
 // RealPlan holds tables for real transforms of a fixed even length.
 // A RealPlan is safe for concurrent use by multiple goroutines once created.
@@ -165,17 +167,13 @@ func (p *RealPlan) r2cLines(x []float64, rsp batchSpec, spec []complex128, ssp b
 		tp = p.half.getTile()
 	}
 	for l := 0; l < batch; {
-		end := l + 1
 		if w := min(p.half.tileLines, batch-l) &^ 1; rows && w >= 2 {
-			if p.r2cRows(complexView(x[rsp.lineBase(l):]), rsp.dist2/2, spec, ssp.lineBase(l), ssp, w, *tp) {
-				l += w
-				continue
-			}
-			end = l + w // a NaN: the group again, line by line
+			p.r2cRows(complexView(x[rsp.lineBase(l):]), rsp.dist2/2, spec, ssp.lineBase(l), ssp, w, *tp)
+			l += w
+			continue
 		}
-		for ; l < end; l++ {
-			p.r2cLine(x, rsp.lineBase(l), rsp.stride, spec, ssp.lineBase(l), ssp.stride, z)
-		}
+		p.r2cLine(x, rsp.lineBase(l), rsp.stride, spec, ssp.lineBase(l), ssp.stride, z)
+		l++
 	}
 	if rows {
 		p.half.putTile(tp)
@@ -195,17 +193,13 @@ func (p *RealPlan) c2rLines(spec []complex128, ssp batchSpec, x []float64, rsp b
 		tp = p.half.getTile()
 	}
 	for l := 0; l < batch; {
-		end := l + 1
 		if w := min(p.half.tileLines, batch-l) &^ 1; rows && w >= 2 {
-			if p.c2rRows(spec, ssp.lineBase(l), ssp, complexView(x[rsp.lineBase(l):]), rsp.dist2/2, w, *zp, *tp) {
-				l += w
-				continue
-			}
-			end = l + w // a NaN: the group again, line by line
+			p.c2rRows(spec, ssp.lineBase(l), ssp, complexView(x[rsp.lineBase(l):]), rsp.dist2/2, w, *zp, *tp)
+			l += w
+			continue
 		}
-		for ; l < end; l++ {
-			p.c2rLine(spec, ssp.lineBase(l), ssp.stride, x, rsp.lineBase(l), rsp.stride, z)
-		}
+		p.c2rLine(spec, ssp.lineBase(l), ssp.stride, x, rsp.lineBase(l), rsp.stride, z)
+		l++
 	}
 	if rows {
 		p.half.putTile(tp)
@@ -216,40 +210,32 @@ func (p *RealPlan) c2rLines(spec []complex128, ssp batchSpec, x []float64, rsp b
 // r2cRows transforms a group of w real lines, line l's complex view at
 // xc[l·lane:], into the spectrum lines at sb + l·dist: the half-length
 // transform across rows into the tile, every pass in place, then splitRows.
-// It reports false, and the caller reruns the group line by line, where
-// splitRows does.
-func (p *RealPlan) r2cRows(xc []complex128, lane int, spec []complex128, sb int, ssp batchSpec, w int, tile []complex128) bool {
+func (p *RealPlan) r2cRows(xc []complex128, lane int, spec []complex128, sb int, ssp batchSpec, w int, tile []complex128) {
 	tile = tile[:p.n/2*w]
 	p.half.transformRows(tile, w, 1, xc, 1, lane, tile, w, Forward, 1)
-	return p.splitRows(tile, w, spec, sb, ssp)
+	p.splitRows(tile, w, spec, sb, ssp.stride, ssp.dist2)
 }
 
 // c2rRows reconstructs a group of w real lines, line l's complex view at
 // xc[l·lane:], from the spectrum lines at sb + l·dist: mergeRows into ztile,
 // then the half-length inverse across rows, its last pass storing into the
-// real lines with the 1/(n/2) scale. It reports false, having stored nothing,
-// and the caller reruns the group line by line, where mergeRows does.
-func (p *RealPlan) c2rRows(spec []complex128, sb int, ssp batchSpec, xc []complex128, lane, w int, ztile, tile []complex128) bool {
+// real lines with the 1/(n/2) scale.
+func (p *RealPlan) c2rRows(spec []complex128, sb int, ssp batchSpec, xc []complex128, lane, w int, ztile, tile []complex128) {
 	h := p.n / 2
 	ztile = ztile[:h*w]
-	if !p.mergeRows(spec, sb, ssp, ztile, w) {
-		return false
-	}
+	p.mergeRows(spec, sb, ssp.stride, ssp.dist2, ztile, w)
 	p.half.transformRows(xc, 1, lane, ztile, w, 1, tile, w, Inverse, 1/float64(h))
-	return true
 }
 
-// splitRows is splitLine across the w lanes of tile (row j, lane l: z[j] of
-// line l) into the spectrum lines at sb + l·dist, row k from tile rows k and
-// n/2−k. It spells out on real and imaginary parts the operations splitLine
-// issues — half's and divTwoI's quotients without infFix, then Go's complex
-// multiply and add — which give the same bits wherever the output is not NaN.
-// It reports false when a row's outputs hold a NaN or an infinity (their sum
-// then turns NaN; so it does if the sum overflows), as a NaN quotient makes
-// them do.
-func (p *RealPlan) splitRows(tile []complex128, w int, spec []complex128, sb int, ssp batchSpec) bool {
+// splitRows splits the half-length transforms in the w lanes of tile (row j,
+// lane l: z[j] of line l) into the spectra of the even and odd subsequences
+// and combines them with the twiddles into the half-spectrum of line l at
+// spec[sb + k·ss + l·sd], row k from tile rows k and n/2−k:
+// (z[k] + conj(z[n/2−k]))/2 + tw[k]·(z[k] − conj(z[n/2−k]))/(2i). The
+// quotients are Go's complex division by 2 and 2i, spelled out on real and
+// imaginary parts, products by zero included (they decide signed zeros).
+func (p *RealPlan) splitRows(tile []complex128, w int, spec []complex128, sb, ss, sd int) {
 	h := p.n / 2
-	ss, sd := ssp.stride, ssp.dist2
 	for k := 0; k <= h; k++ {
 		rk, rn := k, h-k
 		if k == 0 || k == h {
@@ -258,7 +244,6 @@ func (p *RealPlan) splitRows(tile []complex128, w int, spec []complex128, sb int
 		zk, znk := tile[rk*w:][:w], tile[rn*w:][:w]
 		out := spec[sb+k*ss:][:(w-1)*sd+1]
 		tr, ti := real(p.tw[k]), imag(p.tw[k])
-		check := 0.0
 		for l, o := 0, 0; l < w; l, o = l+1, o+sd {
 			zr, zi := real(zk[l]), imag(zk[l])
 			nr, ni := real(znk[l]), imag(znk[l])
@@ -266,29 +251,22 @@ func (p *RealPlan) splitRows(tile []complex128, w int, spec []complex128, sb int
 			dr, di := zr-nr, zi+ni // zk - conj(znk)
 			er, ei := (sr+si*0)/2, (si-sr*0)/2
 			or, oi := (dr*0+di)/2, (di*0-dr)/2
-			vr, vi := er+(tr*or-ti*oi), ei+(tr*oi+ti*or)
-			check += vr + vi
-			out[o] = complex(vr, vi)
-		}
-		if check-check != 0 {
-			return false
+			out[o] = complex(er+(tr*or-ti*oi), ei+(tr*oi+ti*or))
 		}
 	}
-	return true
 }
 
-// mergeRows is mergeLine across lanes: from the spectrum lines at sb + l·dist
-// into the w lanes of ztile, its operations spelled out as in splitRows, and
-// reports false as splitRows does.
-func (p *RealPlan) mergeRows(spec []complex128, sb int, ssp batchSpec, ztile []complex128, w int) bool {
+// mergeRows rebuilds the packed half-length spectra of the spectrum lines at
+// spec[sb + k·ss + l·sd] into the w lanes of ztile, row k:
+// (s[k] + conj(s[n/2−k]))/2 + i·conj(tw[k])·(s[k] − conj(s[n/2−k]))/2, its
+// operations spelled out as in splitRows.
+func (p *RealPlan) mergeRows(spec []complex128, sb, ss, sd int, ztile []complex128, w int) {
 	h := p.n / 2
-	ss, sd := ssp.stride, ssp.dist2
 	for k := 0; k < h; k++ {
 		sk := spec[sb+k*ss:][:(w-1)*sd+1]
 		snk := spec[sb+(h-k)*ss:][:(w-1)*sd+1]
 		zk := ztile[k*w:][:w]
 		cr, ci := real(p.tw[k]), -imag(p.tw[k]) // conj(tw[k])
-		check := 0.0
 		for l, o := 0, 0; l < w; l, o = l+1, o+sd {
 			ar, ai := real(sk[o]), imag(sk[o])
 			br, bi := real(snk[o]), imag(snk[o])
@@ -297,19 +275,13 @@ func (p *RealPlan) mergeRows(spec []complex128, sb int, ssp batchSpec, ztile []c
 			er, ei := (sr+si*0)/2, (si-sr*0)/2
 			hr, hi := (dr+di*0)/2, (di-dr*0)/2
 			or, oi := hr*cr-hi*ci, hr*ci+hi*cr
-			vr, vi := er+(or*0-oi), ei+(oi*0+or) // even + i·odd
-			check += vr + vi
-			zk[l] = complex(vr, vi)
-		}
-		if check-check != 0 {
-			return false
+			zk[l] = complex(er+(or*0-oi), ei+(oi*0+or)) // even + i·odd
 		}
 	}
-	return true
 }
 
 // r2cLine packs one strided real line into z, transforms, and splits the
-// half-spectrum out of it (splitLine).
+// half-spectrum out of it: splitRows with one lane.
 func (p *RealPlan) r2cLine(x []float64, xb, xs int, spec []complex128, sb, ss int, z []complex128) {
 	h := p.n / 2
 	// Pack pairs into a complex signal z[j] = x[2j] + i·x[2j+1].
@@ -324,35 +296,15 @@ func (p *RealPlan) r2cLine(x []float64, xb, xs int, spec []complex128, sb, ss in
 		}
 	}
 	p.half.transformContig(z, Forward)
-	p.splitLine(z, spec, sb, ss)
-}
-
-// splitLine splits the transform z of the packed line into the spectra of
-// the even and odd subsequences and combines them with the twiddles into the
-// half-spectrum at spec[sb + k·ss].
-func (p *RealPlan) splitLine(z, spec []complex128, sb, ss int) {
-	h := p.n / 2
-	for k := 0; k <= h; k++ {
-		var zk, znk complex128
-		if k == 0 || k == h {
-			zk = z[0]
-			znk = z[0]
-		} else {
-			zk = z[k]
-			znk = z[h-k]
-		}
-		even := half(zk + conj(znk))
-		odd := divTwoI(zk - conj(znk))
-		spec[sb+k*ss] = even + p.tw[k]*odd
-	}
+	p.splitRows(z, 1, spec, sb, ss, 0)
 }
 
 // c2rLine rebuilds the packed half-length signal from one strided spectrum
-// line (mergeLine), inverse-transforms it (1/N scaling fused), and scatters
-// the real samples.
+// line (mergeRows with one lane), inverse-transforms it (1/N scaling fused),
+// and scatters the real samples.
 func (p *RealPlan) c2rLine(spec []complex128, sb, ss int, x []float64, xb, xs int, z []complex128) {
 	h := p.n / 2
-	p.mergeLine(spec, sb, ss, z)
+	p.mergeRows(spec, sb, ss, 0, z, 1)
 	p.half.transformContig(z, Inverse)
 	if xs == 1 {
 		xl := x[xb : xb+2*h]
@@ -366,65 +318,4 @@ func (p *RealPlan) c2rLine(spec []complex128, sb, ss int, x []float64, xb, xs in
 			x[xb+(2*j+1)*xs] = imag(z[j])
 		}
 	}
-}
-
-// mergeLine rebuilds the packed half-length spectrum z of one spectrum line.
-func (p *RealPlan) mergeLine(spec []complex128, sb, ss int, z []complex128) {
-	h := p.n / 2
-	for k := 0; k < h; k++ {
-		sk := spec[sb+k*ss]
-		snk := conj(spec[sb+(h-k)*ss])
-		even := half(sk + snk)
-		odd := half(sk-snk) * conj(p.tw[k])
-		z[k] = even + complex(0, 1)*odd
-	}
-}
-
-func conj(c complex128) complex128 { return complex(real(c), -imag(c)) }
-
-// half and divTwoI are z/2 and z/(2i) without the runtime's general complex
-// division: each issues exactly the operations complex128div performs for that
-// divisor — Smith's algorithm with ratio 0 and denominator 2, products by zero
-// included, since they turn an infinite part into NaN and a -0 into +0 — so the
-// bits are the same for every input; the divisions by 2 compile to exact
-// multiplications by 0.5. The C99 fix-up the runtime applies when both parts
-// come out NaN is infFix.
-func half(z complex128) complex128 {
-	a, b := real(z), imag(z)
-	q := complex((a+b*0)/2, (b-a*0)/2)
-	if q != q {
-		return infFix(z, 2, q)
-	}
-	return q
-}
-
-func divTwoI(z complex128) complex128 {
-	a, b := real(z), imag(z)
-	q := complex((a*0+b)/2, (b*0-a)/2)
-	if q != q {
-		return infFix(z, 2i, q)
-	}
-	return q
-}
-
-// infFix is complex128div's correction of the quotient q of n by the finite
-// nonzero m: when both parts of q are NaN and a part of n is infinite, the
-// result is infinite (ISO/IEC 9899:1999 G.5.1); otherwise q stands.
-func infFix(n, m, q complex128) complex128 {
-	a, b, c, d := real(n), imag(n), real(m), imag(m)
-	if !math.IsNaN(real(q)) || !math.IsNaN(imag(q)) || !math.IsInf(a, 0) && !math.IsInf(b, 0) {
-		return q
-	}
-	a, b = inf2one(a), inf2one(b)
-	inf := math.Inf(1)
-	return complex(inf*(a*c+b*d), inf*(b*c-a*d))
-}
-
-// inf2one is a 1 for an infinity and a 0 otherwise, with f's sign.
-func inf2one(f float64) float64 {
-	g := 0.0
-	if math.IsInf(f, 0) {
-		g = 1
-	}
-	return math.Copysign(g, f)
 }

@@ -141,7 +141,7 @@ func TestRealBatchMatchesLineByLine(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if i := sameComplexBits(spec, specAlone); i >= 0 {
+		if i := sameBits(spec, specAlone); i >= 0 {
 			t.Fatalf("%+v: R2C batch differs from line by line at %d", tc, i)
 		}
 		if i := sameRealBits(back, backAlone); i >= 0 {
@@ -150,21 +150,10 @@ func TestRealBatchMatchesLineByLine(t *testing.T) {
 	}
 }
 
-// sameRealBits reports the first index where a and b differ in any bit, NaN
-// payloads included, or -1.
+// sameRealBits is sameBits for real values.
 func sameRealBits(a, b []float64) int {
 	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return i
-		}
-	}
-	return -1
-}
-
-// sameComplexBits is sameRealBits for complex values.
-func sameComplexBits(a, b []complex128) int {
-	for i := range a {
-		if math.Float64bits(real(a[i])) != math.Float64bits(real(b[i])) || math.Float64bits(imag(a[i])) != math.Float64bits(imag(b[i])) {
+		if !sameFloat(a[i], b[i]) {
 			return i
 		}
 	}
@@ -172,13 +161,12 @@ func sameComplexBits(a, b []complex128) int {
 }
 
 // TestRealRowsBitIdentical: real lines that run across rows carry the bits of
-// r2cLine and c2rLine, NaN payloads included — every row length of the half
-// transform from 8 points up to 256, one line, a pair, an odd count, one full
-// group and a group plus a tail, packed and padded real lines, packed and
-// strided spectra; clean inputs, signed zeros and subnormals (which run
-// across rows; the first line all zeros, whose products by zero decide the
-// signs), and ±Inf and NaN planted in the first line (whose group reruns line
-// by line).
+// r2cLine and c2rLine, NaNs compared as NaN-ness only — every row length of
+// the half transform from 8 points up to 256, one line, a pair, an odd count,
+// one full group and a group plus a tail, packed and padded real lines,
+// packed and strided spectra; clean inputs, signed zeros and subnormals (the
+// first line all zeros, whose products by zero decide the signs), and ±Inf
+// and NaN planted in the first line, whose group runs across rows too.
 func TestRealRowsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	zeros := []float64{0, math.Copysign(0, -1), 5e-324, -3e-310}
@@ -217,7 +205,7 @@ func TestRealRowsBitIdentical(t *testing.T) {
 					for l := range lines {
 						p.r2cLine(x, l*lay.xDist, 1, want, l*lay.sDist, lay.ss, z)
 					}
-					if i := sameComplexBits(got, want); i >= 0 {
+					if i := sameBits(got, want); i >= 0 {
 						t.Fatalf("n=%d lines=%d layout %+v kind %d: forward bin %d = %v, line by line %v", n, lines, lay, kind, i, got[i], want[i])
 					}
 					// Inverse, from the spectra with the same kind of values planted.
@@ -251,26 +239,25 @@ func TestRealRowsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSplitMergeRowsBitIdentical: the split and the merge across lanes carry
-// the bits of splitLine and mergeLine lane by lane, on values dense in signed
-// zeros, subnormals and large magnitudes (which never send a group line by
-// line) and, wherever they report no NaN, on values with infinities and NaN
-// as well.
-func TestSplitMergeRowsBitIdentical(t *testing.T) {
+// TestSplitMergeMatchComplexArithmetic: splitRows and mergeRows give, lane by
+// lane, the bits of their formulas written with Go's complex division and
+// multiply, on finite values dense in signed zeros, subnormals and large
+// magnitudes.
+func TestSplitMergeMatchComplexArithmetic(t *testing.T) {
 	finite := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 0x1p-1022, 1, -1, 0x1p1000, -0x1p1000}
-	all := append(finite[:len(finite):len(finite)], math.Inf(1), math.Inf(-1), math.NaN())
 	rng := rand.New(rand.NewSource(46))
-	fill := func(x []complex128, vals []float64) {
+	fill := func(x []complex128) {
 		pick := func() float64 {
 			if rng.Intn(4) == 0 {
 				return rng.NormFloat64()
 			}
-			return vals[rng.Intn(len(vals))]
+			return finite[rng.Intn(len(finite))]
 		}
 		for i := range x {
 			x[i] = complex(pick(), pick())
 		}
 	}
+	conj := func(c complex128) complex128 { return complex(real(c), -imag(c)) }
 	const w = 6
 	for _, n := range []int{16, 64, 256} {
 		p, err := NewRealPlan(n)
@@ -278,42 +265,30 @@ func TestSplitMergeRowsBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		h := n / 2
-		ssp := batchSpec{stride: 1, batch1: 1, dist2: h + 1, batch2: w}
 		tile := make([]complex128, h*w)
 		spec := make([]complex128, (h+1)*w)
-		want := make([]complex128, (h+1)*w)
-		z := make([]complex128, h)
-		for trial := range 100 {
-			vals := finite
-			if trial%2 == 1 {
-				vals = all
-			}
-			fill(tile, vals)
-			if ok := p.splitRows(tile, w, spec, 0, ssp); ok {
-				for l := range w {
-					for j := range h {
-						z[j] = tile[j*w+l]
-					}
-					p.splitLine(z, want, l*(h+1), 1)
-				}
-				if i := sameComplexBits(spec, want); i >= 0 {
-					t.Fatalf("n=%d trial %d: split bin %d = %v, splitLine %v", n, trial, i, spec[i], want[i])
-				}
-			} else if trial%2 == 0 {
-				t.Fatalf("n=%d trial %d: finite values sent the split line by line", n, trial)
-			}
-			fill(spec, vals)
-			if ok := p.mergeRows(spec, 0, ssp, tile, w); ok {
-				for l := range w {
-					p.mergeLine(spec, l*(h+1), 1, z)
-					for j := range h {
-						if i := sameComplexBits(tile[j*w+l:][:1], z[j:][:1]); i >= 0 {
-							t.Fatalf("n=%d trial %d lane %d: merged %d = %v, mergeLine %v", n, trial, l, j, tile[j*w+l], z[j])
-						}
+		for trial := range 50 {
+			fill(tile)
+			p.splitRows(tile, w, spec, 0, 1, h+1)
+			for l := range w {
+				for k := 0; k <= h; k++ {
+					zk, znk := tile[k%h*w+l], tile[(h-k)%h*w+l]
+					want := (zk+conj(znk))/2 + p.tw[k]*((zk-conj(znk))/2i)
+					if got := spec[l*(h+1)+k]; sameBits([]complex128{got}, []complex128{want}) >= 0 {
+						t.Fatalf("n=%d trial %d lane %d: split bin %d = %v, complex arithmetic %v", n, trial, l, k, got, want)
 					}
 				}
-			} else if trial%2 == 0 {
-				t.Fatalf("n=%d trial %d: finite values sent the merge line by line", n, trial)
+			}
+			fill(spec)
+			p.mergeRows(spec, 0, 1, h+1, tile, w)
+			for l := range w {
+				for k := range h {
+					sk, snk := spec[l*(h+1)+k], conj(spec[l*(h+1)+h-k])
+					want := (sk+snk)/2 + complex(0, 1)*((sk-snk)/2*conj(p.tw[k]))
+					if got := tile[k*w+l]; sameBits([]complex128{got}, []complex128{want}) >= 0 {
+						t.Fatalf("n=%d trial %d lane %d: merged %d = %v, complex arithmetic %v", n, trial, l, k, got, want)
+					}
+				}
 			}
 		}
 	}

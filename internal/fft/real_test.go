@@ -144,30 +144,69 @@ func TestRealRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestHalvingMatchesDivision: half and divTwoI give the bits of the runtime's
-// z/2 and z/(2i) for every pairing of signed zeros, infinities, NaN,
-// subnormals, extremes and random values as real and imaginary part.
+// TestHalvingMatchesDivision: the divisions by 2 and 2i that splitRows and
+// mergeRows spell out on real and imaginary parts give the bits of the
+// runtime's z/2 and z/(2i) inside their formulas, for every pairing of signed
+// zeros, subnormals, extremes and random values as real and imaginary part,
+// each met by several others as the partner row. Magnitudes stay at or below
+// MaxFloat64/4, so no sum or product in the formulas overflows.
 func TestHalvingMatchesDivision(t *testing.T) {
-	inf, nan := math.Inf(1), math.NaN()
-	parts := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, inf, -inf, nan, -nan,
+	big := math.MaxFloat64 / 4
+	parts := []float64{0, math.Copysign(0, -1), 1, -1, 0.5,
 		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 3 * math.SmallestNonzeroFloat64,
-		0x1p-1022, -0x1p-1022, math.MaxFloat64, -math.MaxFloat64, 0x1.fffffffffffffp-1022}
+		0x1p-1022, -0x1p-1022, big, -big, 0x1.fffffffffffffp-1022}
 	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 16; i++ {
+	for range 16 {
 		parts = append(parts, rng.NormFloat64()*math.Pow(2, float64(rng.Intn(2000)-1000)))
 	}
-	two, twoI := complex(2, 0), complex(0, 2)
+	var vals []complex128
+	for _, re := range parts {
+		for _, im := range parts {
+			vals = append(vals, complex(re, im))
+		}
+	}
 	bits := func(z complex128) [2]uint64 {
 		return [2]uint64{math.Float64bits(real(z)), math.Float64bits(imag(z))}
 	}
-	for _, re := range parts {
-		for _, im := range parts {
-			z := complex(re, im)
-			if got, want := half(z), z/two; bits(got) != bits(want) {
-				t.Errorf("half(%v) = %v %x, z/2 = %v %x", z, got, bits(got), want, bits(want))
+	conj := func(c complex128) complex128 { return complex(real(c), -imag(c)) }
+	const n = 8
+	h := n / 2
+	p, err := NewRealPlan(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := len(vals)
+	tile := make([]complex128, h*w)
+	spec := make([]complex128, (h+1)*w)
+	for _, off := range []int{1, len(parts), len(parts) + 1, 7*len(parts) + 3} {
+		for j := range h {
+			for l := range w {
+				tile[j*w+l] = vals[(l+j*off)%w]
 			}
-			if got, want := divTwoI(z), z/twoI; bits(got) != bits(want) {
-				t.Errorf("divTwoI(%v) = %v %x, z/2i = %v %x", z, got, bits(got), want, bits(want))
+		}
+		p.splitRows(tile, w, spec, 0, 1, h+1)
+		for l := range w {
+			for k := 0; k <= h; k++ {
+				zk, znk := tile[k%h*w+l], tile[(h-k)%h*w+l]
+				want := (zk+conj(znk))/2 + p.tw[k]*((zk-conj(znk))/2i)
+				if got := spec[l*(h+1)+k]; bits(got) != bits(want) {
+					t.Fatalf("offset %d lane %d: split bin %d of %v, %v = %v %x, division %v %x", off, l, k, zk, znk, got, bits(got), want, bits(want))
+				}
+			}
+		}
+		for l := range w {
+			for k := 0; k <= h; k++ {
+				spec[l*(h+1)+k] = vals[(l+k*off)%w]
+			}
+		}
+		p.mergeRows(spec, 0, 1, h+1, tile, w)
+		for l := range w {
+			for k := range h {
+				sk, snk := spec[l*(h+1)+k], conj(spec[l*(h+1)+h-k])
+				want := (sk+snk)/2 + complex(0, 1)*((sk-snk)/2*conj(p.tw[k]))
+				if got := tile[k*w+l]; bits(got) != bits(want) {
+					t.Fatalf("offset %d lane %d: merged %d of %v, %v = %v %x, division %v %x", off, l, k, sk, snk, got, bits(got), want, bits(want))
+				}
 			}
 		}
 	}

@@ -35,15 +35,17 @@ func plantedSignal(rng *rand.Rand, n, nSpecials int) []complex128 {
 // compared as NaN-ness only (which operand's payload survives is not part of
 // the contract), or -1.
 func sameBits(a, b []complex128) int {
-	same := func(x, y float64) bool {
-		return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
-	}
 	for i := range a {
-		if !same(real(a[i]), real(b[i])) || !same(imag(a[i]), imag(b[i])) {
+		if !sameFloat(real(a[i]), real(b[i])) || !sameFloat(imag(a[i]), imag(b[i])) {
 			return i
 		}
 	}
 	return -1
+}
+
+// sameFloat reports whether x and y have the same bits or are both NaN.
+func sameFloat(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
 }
 
 // TestRowsBitIdentical: a line transformed across rows, through the generic
