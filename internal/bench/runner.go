@@ -71,10 +71,11 @@ func forcedAlgo(grid [3]int, algo core.CollAlgo) core.Config {
 }
 
 // tableIIIConfig builds the plan config of the strong-scaling experiments:
-// brick input/output per Table III, pencil FFT grids (P, Q).
+// brick input/output per Table III, and its pencil FFT grid (P, Q) for the
+// decompositions that have one (pencils, and auto, which it steers).
 func tableIIIConfig(ranks int, global [3]int, opts core.Options) core.Config {
 	e := core.LookupTableIII(ranks)
-	if opts.PQ == [2]int{} {
+	if opts.PQ == [2]int{} && (opts.Decomp == core.DecompPencils || opts.Decomp == core.DecompAuto) {
 		opts.PQ = [2]int{e.P, e.Q}
 	}
 	return core.Config{

@@ -101,6 +101,8 @@ func checkConfig(global [3]int, o Options, kind planKind) error {
 		return reject("ShrinkThreshold", o.ShrinkThreshold, "negative")
 	case o.PQ[0] < 0 || o.PQ[1] < 0 || (o.PQ[0] == 0) != (o.PQ[1] == 0):
 		return reject("PQ", o.PQ, "set both entries positive, or both zero for the most square grid")
+	case o.PQ != [2]int{} && (o.Decomp == DecompSlabs || o.Decomp == DecompBricks):
+		return reject("PQ", o.PQ, fmt.Sprintf("a %v decomposition has no pencil grid; set it with pencils or auto", o.Decomp))
 	case !caps.Schedules && cc.Algo != CollAuto && cc.Algo != CollLinear:
 		return reject("Comm.Algo", cc.Algo, "the backend runs no schedules, only its vendor call (auto or linear)")
 	case !caps.Schedules && cc.Chunks > 1:

@@ -11,9 +11,10 @@ import (
 
 // TestCheckConfig: the paper's baseline (CollLinear, one chunk, fp64) and the
 // zero CommConfig, with a zero or a fully set PQ, are legal on every backend
-// and plan kind; every setting a backend or plan kind does not run, and a PQ
-// with a negative entry or exactly one zero, is ErrBadConfig naming the
-// backend and the setting.
+// and plan kind; every setting a backend or plan kind does not run, a PQ
+// with a negative entry or exactly one zero, and a PQ on a decomposition
+// without a pencil grid (slabs, bricks), is ErrBadConfig naming the backend
+// and the setting.
 func TestCheckConfig(t *testing.T) {
 	all := []Backend{BackendAlltoallv, BackendAlltoall, BackendAlltoallw, BackendP2P, BackendP2PBlocking}
 	baseline := CommConfig{Algo: CollLinear, Chunks: 1, Wire: WireFp64}
@@ -46,6 +47,9 @@ func TestCheckConfig(t *testing.T) {
 		{grid, Options{PQ: [2]int{0, 7}}, realPlan, "PQ"},
 		{grid, Options{PQ: [2]int{-2, -3}}, complexPlan, "PQ"},
 		{grid, Options{PQ: [2]int{-1, 6}}, pipelined, "PQ"},
+		{grid, Options{Decomp: DecompSlabs, PQ: [2]int{2, 3}}, complexPlan, "PQ"},
+		{grid, Options{Decomp: DecompBricks, PQ: [2]int{2, 3}}, complexPlan, "PQ"},
+		{grid, Options{Decomp: DecompBricks, PQ: [2]int{6, 1}}, pipelined, "PQ"},
 		{grid, Options{Comm: CommConfig{Algo: CollAlgo(6)}}, complexPlan, "Comm.Algo"},
 		{grid, Options{Comm: CommConfig{Overlap: OverlapMode(2)}}, complexPlan, "Comm.Overlap"},
 		{grid, Options{Comm: CommConfig{Wire: WirePrecision(3)}}, complexPlan, "Comm.Wire"},

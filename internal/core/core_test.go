@@ -190,7 +190,7 @@ func TestTableIIIBrickIOHasFourExchanges(t *testing.T) {
 	cfg := Config{Global: global,
 		InBoxes:  e.InOut.Decompose(global),
 		OutBoxes: e.InOut.Decompose(global),
-		Opts:     Options{Decomp: DecompBricks, PQ: [2]int{e.P, e.Q}}}
+		Opts:     Options{Decomp: DecompPencils, PQ: [2]int{e.P, e.Q}}}
 	w := mpisim.NewWorld(machine.Summit(), 24, mpisim.Options{GPUAware: true})
 	var exch int
 	w.Run(func(c *mpisim.Comm) {

@@ -126,8 +126,9 @@ type Options struct {
 
 	// PQ optionally fixes the pencil grid (P, Q), both entries positive;
 	// {0, 0} means the most square factorization, and any other entry that is
-	// not positive is ErrBadConfig. The grids of Table III are applied
-	// through this knob.
+	// not positive is ErrBadConfig. Only pencils and auto (where the grid
+	// steers the choice) use it: a nonzero PQ with slabs or bricks is
+	// ErrBadConfig. The grids of Table III are applied through this knob.
 	PQ [2]int
 
 	// ShrinkThreshold enables FFT grid shrinking (Algorithm 1, line 2): if

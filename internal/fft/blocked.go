@@ -13,9 +13,13 @@ import "fmt"
 //     distance, as for contiguous ones) are n rows of w lanes, and the
 //     butterflies run across the rows. Nothing is transposed; the caller's
 //     array is read once and written once.
+//     The odd line each b1 group leaves when batch2 is odd (the only one
+//     when batch2 is 1) sits dist1 from the next group's with the same
+//     stride; where those lines nest (lane = dist1) they run as one more
+//     sweep across rows.
 //   - Alone or through the generic tile: Bluestein lengths, the codelet
-//     lengths n <= 4, lines that are not nested and the odd line a group
-//     leaves. Contiguous ones run line by line in place; strided ones are
+//     lengths n <= 4, lines that are not nested and any odd line left over.
+//     Contiguous ones run line by line in place; strided ones are
 //     transposed into the tile (sequential reads, cache-resident writes),
 //     transformed line by line with the contiguous kernel and transposed back,
 //     the buffered strided execution of FFTW's advanced interface.
@@ -189,6 +193,22 @@ func (p *Plan) rowLayout(sp batchSpec) (pitch, lane int, ok bool) {
 
 // runLines executes every line of the layout.
 func (p *Plan) runLines(data []complex128, sp batchSpec, dir Direction) {
+	// An odd batch2 leaves one line per b1 group — the only one when batch2
+	// is 1. Those lines sit dist1 apart with the same stride: when that
+	// layout runs across rows (lane = dist1), they run as one more sweep
+	// after the even part of every group.
+	if sp.batch1 >= 2 && sp.batch2%2 == 1 {
+		odd := batchSpec{stride: sp.stride, batch1: 1, dist2: sp.dist1, batch2: sp.batch1}
+		if _, _, ok := p.rowLayout(odd); ok {
+			if sp.batch2 > 1 {
+				even := sp
+				even.batch2--
+				p.runLines(data, even, dir)
+			}
+			p.runLines(data[(sp.batch2-1)*sp.dist2:], odd, dir)
+			return
+		}
+	}
 	n, total := p.n, sp.total()
 	pitch, lane, rows := p.rowLayout(sp)
 	if sp.stride == 1 && !rows {
@@ -206,8 +226,8 @@ func (p *Plan) runLines(data []complex128, sp batchSpec, dir Direction) {
 	// layout (stride, dist2, batch2, the lines left in the b1 group) and the
 	// plan (a power of two of at least 8 points) only: in a row layout an even
 	// number of lines of one b1 group runs across rows, reading and writing
-	// the caller's array in place; the odd line a group leaves runs alone if
-	// it is contiguous, with the tile as its work buffer; everything else —
+	// the caller's array in place; an odd line left over runs alone if it is
+	// contiguous, with the tile as its work buffer; everything else —
 	// strided codelet and Bluestein lengths, lines that are not nested, a
 	// strided odd line — is transposed into the tile, transformed line by
 	// line and transposed back. Either way a line gets the bits of

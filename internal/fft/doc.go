@@ -29,8 +29,10 @@
 //     butterflies per iteration, and pairsRowsAVX2, quadsRowsAVX2 and
 //     radix4RowsAVX2 across the rows of a group of lines, two lines per
 //     iteration — one 256-bit load or store when the lines are adjacent, two
-//     128-bit halves when they are a lane stride apart. The Go loops in kernel.go and rows.go are their
-//     executable specification and the implementation on every other GOARCH,
+//     128-bit halves when they are a lane stride apart — and so do the real
+//     transform's even/odd split and merge, splitRowsAVX2 and mergeRowsAVX2,
+//     two lanes per register. The Go loops in kernel.go, rows.go and real.go
+//     are their executable specification and the implementation on every other GOARCH,
 //     on CPUs without AVX2 and in race builds (the detector cannot see
 //     assembly loads and stores). The routines issue the same IEEE
 //     multiplies, adds and subtracts in the same association and never a
@@ -56,10 +58,13 @@
 //     reads the caller's lanes through the bit-reversal table into the
 //     packed tile, the last pass stores back into the caller's array, each
 //     element is read once and written once and nothing is transposed.
-//     Bluestein lengths, the codelet lengths and lines that are not nested
-//     run line by line — strided ones transposed into the tile and back, the
-//     buffered strided execution FFTW applies when stride != 1 — and so does
-//     the odd line a group leaves. Which way a group runs is a function of
+//     The odd line each b1 group of a nested layout leaves (the only one
+//     when batch2 is 1) sits dist1 from the next group's, so those lines run
+//     as one more sweep across rows at lane dist1 where they nest. Bluestein
+//     lengths, the codelet lengths and lines that are not nested run line by
+//     line — strided ones transposed into the tile and back, the buffered
+//     strided execution FFTW applies when stride != 1 — and so does any odd
+//     line left over. Which way a group runs is a function of
 //     its layout and the plan only; a line carries the same bits either way.
 //     Layouts any two of whose lines share an element are rejected before
 //     any line runs.
@@ -73,8 +78,10 @@
 //     real lines, Bluestein and codelet half lengths and an odd last line
 //     run line by line through the same split and merge with one lane, so
 //     every line carries the same bits. A NaN or an infinity propagates as
-//     IEEE arithmetic has it, without C99 Annex G's infinity recovery, and
-//     which NaN payload survives is not part of the contract. Layouts whose
+//     IEEE arithmetic has it, without C99 Annex G's infinity recovery, and so
+//     does an intermediate that overflows: a finite spectrum whose sum
+//     overflows can merge to NaN where Go's complex division gives an
+//     infinity. Which NaN payload survives is not part of the contract. Layouts whose
 //     written lines share an element are rejected.
 //
 // The package starts no goroutine: a batch runs on the goroutine that calls

@@ -49,8 +49,10 @@ func BenchmarkKernelInverse(b *testing.B) {
 // dist 1), the two strided passes of a 16×128×16 and a 128×16×16 pencil
 // (nested: 16 planes of 16 adjacent lines; plain: 256 adjacent lines), and the
 // same two passes of one rank's 32-point pencils of the 32³ transform on 8
-// ranks (serve_mixed_r8: 32×16×8 plain, 16×32×8 nested). Adjacent lines run
-// across rows (rows.go); ns/line is reported beside ns/op.
+// ranks (serve_mixed_r8: 32×16×8 plain, 16×32×8 nested), and an 11-wide
+// y-pencil pass of the 64³ transform on 4×6 ranks (altpaths64_r24: 16 planes
+// of 11 lines, each plane leaving an odd line). Adjacent lines run across
+// rows (rows.go); ns/line is reported beside ns/op.
 func BenchmarkStridedBatch(b *testing.B) {
 	type shape struct {
 		name          string
@@ -67,6 +69,7 @@ func BenchmarkStridedBatch(b *testing.B) {
 		{"pencil128x16x16", 128, 256, 0, 1, 256},
 		{"pencil32x16x8", 32, 128, 0, 1, 128},
 		{"pencil16x32x8", 32, 8, 32 * 8, 16, 8},
+		{"pencil16x64x11", 64, 11, 64 * 11, 16, 11},
 	} {
 		b.Run(s.name, func(b *testing.B) {
 			lines := s.batch1 * s.batch2
@@ -208,6 +211,42 @@ func BenchmarkRealBatch(b *testing.B) {
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*s.batch), "ns/line")
+			})
+		}
+	}
+}
+
+// The real transform's even/odd split and merge alone, on one full row group
+// of altpaths64_r24's z-pencil (64-point real lines: 64 lanes, spectrum lines
+// 33 apart), ns per spectrum element written beside ns/op: the Go loops
+// against whatever the machine dispatches to (splitRowsAVX2 and
+// mergeRowsAVX2 on amd64 with AVX2).
+func BenchmarkSplitMerge(b *testing.B) {
+	const n = 64
+	p, err := NewRealPlan(n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h, w := n/2, p.half.tileLines
+	rng := rand.New(rand.NewSource(16))
+	tile, spec := randSignal(rng, h*w), randSignal(rng, (h+1)*w)
+	for _, v := range []struct {
+		name         string
+		split, merge func()
+	}{
+		{"ref", func() { p.splitLanes(tile, w, 0, spec, 0, 1, h+1) }, func() { p.mergeLanes(spec, 0, 1, h+1, tile, w, 0) }},
+		{"dispatched", func() { p.splitRows(tile, w, spec, 0, 1, h+1) }, func() { p.mergeRows(spec, 0, 1, h+1, tile, w) }},
+	} {
+		for _, op := range []struct {
+			name  string
+			run   func()
+			elems int
+		}{{"split", v.split, (h + 1) * w}, {"merge", v.merge, h * w}} {
+			b.Run(op.name+"/"+v.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					op.run()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*op.elems), "ns/elem")
 			})
 		}
 	}

@@ -142,28 +142,35 @@ func TestBlockedStridedMatchesContiguous(t *testing.T) {
 
 // TestTransformBatchMatchesLineByLine holds a whole batch, run in one call on
 // the calling goroutine, to the same lines run one call each, bit for bit:
-// contiguous, strided and Bluestein layouts of hundreds of lines, and a short
-// batch of long strided lines; both directions. SetWorkers stays a no-op.
+// contiguous, strided and Bluestein layouts of hundreds of lines, a short
+// batch of long strided lines, and nested layouts whose planes leave an odd
+// line (16 planes of 11 adjacent strided lines, a y-pencil pass) or hold one
+// line each, strided and contiguous; both directions. SetWorkers stays a
+// no-op.
 func TestTransformBatchMatchesLineByLine(t *testing.T) {
 	if got := SetWorkers(4); got != 1 {
 		t.Fatalf("SetWorkers(4) = %d, want 1", got)
 	}
 	rng := rand.New(rand.NewSource(7))
-	for _, tc := range []struct{ n, stride, dist, batch int }{
-		{64, 1, 64, 512},
-		{64, 512, 1, 512},
-		{60, 1, 60, 512},
-		{60, 300, 1, 300},
-		{128, 128, 16384, 16},
+	for _, tc := range []struct{ n, stride, dist1, batch1, dist, batch int }{
+		{64, 1, 0, 1, 64, 512},
+		{64, 512, 0, 1, 1, 512},
+		{60, 1, 0, 1, 60, 512},
+		{60, 300, 0, 1, 1, 300},
+		{128, 128, 0, 1, 16384, 16},
+		{64, 11, 64 * 11, 16, 1, 11},
+		{64, 11, 64 * 11, 16, 1, 1},
+		{64, 1, 67, 16, 0, 1},
 	} {
 		p := NewPlan(tc.n)
+		sp := batchSpec{stride: tc.stride, dist1: tc.dist1, batch1: tc.batch1, dist2: tc.dist, batch2: tc.batch}
 		for _, dir := range []Direction{Forward, Inverse} {
-			data := randSignal(rng, tc.dist*(tc.batch-1)+tc.stride*(tc.n-1)+1)
+			data := randSignal(rng, sp.lineBase(sp.total()-1)+tc.stride*(tc.n-1)+1)
 			alone := append([]complex128(nil), data...)
-			for b := 0; b < tc.batch; b++ {
-				p.TransformBatch(alone[b*tc.dist:], tc.stride, tc.dist, 1, dir)
+			for l := 0; l < sp.total(); l++ {
+				p.TransformBatch(alone[sp.lineBase(l):], tc.stride, tc.dist, 1, dir)
 			}
-			p.TransformBatch(data, tc.stride, tc.dist, tc.batch, dir)
+			p.TransformNested(data, tc.stride, tc.dist1, tc.batch1, tc.dist, tc.batch, dir)
 			if i := sameBits(data, alone); i >= 0 {
 				t.Fatalf("%+v %v: batch[%d] = %v, line by line %v", tc, dir, i, data[i], alone[i])
 			}

@@ -5,15 +5,15 @@ import (
 	"math/bits"
 )
 
-// useAVX2 selects the AVX2 routines for the twiddled passes and the row
-// stages. It is a property of the machine, fixed at package init: the CPU and
-// the OS support AVX2, and the build is not a race build (the detector cannot
-// see assembly loads and stores, so race builds execute the Go reference
-// passes). Only tests flip it.
+// useAVX2 selects the AVX2 routines for the twiddled passes, the row stages
+// and the real split and merge. It is a property of the machine, fixed at
+// package init: the CPU and the OS support AVX2, and the build is not a race
+// build (the detector cannot see assembly loads and stores, so race builds
+// execute the Go reference passes). Only tests flip it.
 var useAVX2 = !raceEnabled && cpuHasAVX2()
 
-// radix4AVX2, the three row routines, cpuid and xgetbv are implemented in
-// radix4_amd64.s.
+// radix4AVX2, the three row routines, the real split and merge routines,
+// cpuid and xgetbv are implemented in radix4_amd64.s.
 //
 //go:noescape
 func radix4AVX2(dst, src *complex128, n, s int, tw *twiddle3, scale float64, scaled bool)
@@ -26,6 +26,12 @@ func quadsRowsAVX2(tile, data *complex128, w, pitch, lane int, rev *int32, n int
 
 //go:noescape
 func radix4RowsAVX2(dst *complex128, dpitch, dlane int, src *complex128, w, n, s int, tw *twiddle3, scale float64, scaled bool)
+
+//go:noescape
+func splitRowsAVX2(spec *complex128, ss, sd int, tile *complex128, w, h int, tw *complex128)
+
+//go:noescape
+func mergeRowsAVX2(ztile *complex128, w, h int, spec *complex128, ss, sd int, tw *complex128)
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
@@ -63,11 +69,18 @@ func radix4Vec(dst, src []complex128, s int, tw []twiddle3, scale float64, scale
 
 // rowsFit reports whether the elements i·pitch + l·lane, i < n, l < w, lie
 // inside an array of length size and no two of them coincide (n, w, pitch,
-// lane >= 1). The extents are 128-bit products, so no argument wraps them.
+// lane >= 1).
 func rowsFit(size, n, w, pitch, lane int) bool {
+	return rowsInside(size, n, w, pitch, lane) && rowsNested(n, w, pitch, lane)
+}
+
+// rowsInside reports whether the elements i·pitch + l·lane, i < n, l < w, lie
+// inside an array of length size (n, w >= 1; pitch, lane >= 0). The extents
+// are 128-bit products, so no argument wraps them.
+func rowsInside(size, n, w, pitch, lane int) bool {
 	hr, rows := bits.Mul64(uint64(n-1), uint64(pitch))
 	hl, lanes := bits.Mul64(uint64(w-1), uint64(lane))
-	return hr|hl == 0 && rows < uint64(size) && lanes < uint64(size)-rows && rowsNested(n, w, pitch, lane)
+	return hr|hl == 0 && rows < uint64(size) && lanes < uint64(size)-rows
 }
 
 // checkFirstRows panics unless a first row stage of radix r (2 or 4) stays
@@ -107,4 +120,26 @@ func radix4RowsVec(dst []complex128, dpitch, dlane int, src []complex128, w, s i
 		panic(fmt.Sprintf("fft: invalid radix-4 row pass w=%d s=%d len(src)=%d dpitch=%d dlane=%d len(dst)=%d len(tw)=%d", w, s, len(src), dpitch, dlane, len(dst), len(tw)))
 	}
 	radix4RowsAVX2(&dst[0], dpitch, dlane, &src[0], w, n, s, &tw[0], scale, scaled)
+}
+
+// checkSplitMerge panics unless a split or merge of lanes 0 … w&^1 − 1 stays
+// inside its arrays: w >= 2, h >= 1, h rows of w packed lanes in tile, twiddles
+// tw[0 … h], and spectrum rows 0 … h of those lanes at (ss, sd) in spec.
+func checkSplitMerge(tile []complex128, w, h int, spec []complex128, ss, sd int, tw []complex128) {
+	if w < 2 || h < 1 || ss < 0 || sd < 0 || len(tw) <= h || !rowsInside(len(tile), h, w, w, 1) || !rowsInside(len(spec), h+1, w&^1, ss, sd) {
+		panic(fmt.Sprintf("fft: invalid real split or merge w=%d h=%d ss=%d sd=%d len(tile)=%d len(spec)=%d len(tw)=%d", w, h, ss, sd, len(tile), len(spec), len(tw)))
+	}
+}
+
+// splitRowsVec and mergeRowsVec run splitLanes and mergeLanes for lanes
+// 0 … w&^1 − 1 of a half-length h through their AVX2 routines, after checking
+// every extent the assembly relies on.
+func splitRowsVec(tile []complex128, w, h int, spec []complex128, ss, sd int, tw []complex128) {
+	checkSplitMerge(tile, w, h, spec, ss, sd, tw)
+	splitRowsAVX2(&spec[0], ss, sd, &tile[0], w, h, &tw[0])
+}
+
+func mergeRowsVec(spec []complex128, ss, sd int, ztile []complex128, w, h int, tw []complex128) {
+	checkSplitMerge(ztile, w, h, spec, ss, sd, tw)
+	mergeRowsAVX2(&ztile[0], w, h, &spec[0], ss, sd, &tw[0])
 }

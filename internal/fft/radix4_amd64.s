@@ -1,14 +1,16 @@
 #include "textflag.h"
 
-// The passes of kernel.go and rows.go in 256-bit registers: radix4AVX2 runs a
+// The passes of kernel.go, rows.go and real.go in 256-bit registers: radix4AVX2 runs a
 // twiddled radix-4 pass along one line, two butterflies (j, j+1) per
 // iteration; pairsRowsAVX2, quadsRowsAVX2 and radix4RowsAVX2 run the first
 // stage and the twiddled pass across the rows of a group of lines, two lines
 // (lanes) per iteration — one 256-bit load or store when the lanes are
 // adjacent, two 128-bit halves (VINSERTF128, VEXTRACTF128) when they are
-// lane elements apart. Each performs exactly the IEEE operations the
-// compiler emits for the Go loop it stands in for (radix4Pass / radix4PassTo,
-// pairsRows, quadsRows, radix4Rows), in the same association, so every output
+// lane elements apart; splitRowsAVX2 and mergeRowsAVX2 run the real
+// transform's even/odd split and merge across lanes the same way. Each
+// performs exactly the IEEE operations the compiler emits for the Go loop it
+// stands in for (radix4Pass / radix4PassTo, pairsRows, quadsRows, radix4Rows,
+// splitLanes, mergeLanes), in the same association, so every output
 // bit matches the Go reference: a complex product is re = ar·tr − ai·ti,
 // im = ai·tr + ar·ti (two VMULPD, one VPERMILPD, one VADDSUBPD), a product
 // with ∓i is a VPERMILPD and a sign flip (VXORPD), butterflies are plain
@@ -455,6 +457,231 @@ scatterstore:
 	DECQ         AX
 	JNZ          scatterlane
 	NEXTROW(scatterrow, scatterblock)
+
+// The real transform's even/odd split and merge (real.go) across the lanes of
+// a group of lines, two lanes per YMM. Constants: Y13 = 0.5, the halving;
+// Y14 = (0, −0, 0, −0), which flips the imaginary signs (conj) and, as a
+// multiplier of a swapped pair, gives (y·0, −(x·0)); Y15 = 0.
+DATA half<>+0(SB)/8, $0.5
+GLOBL half<>(SB), RODATA|NOPTR, $8
+
+#define SPLITCONST \
+	VBROADCASTSD half<>(SB), Y13;  \
+	VMOVUPD      signs<>+0(SB), Y14; \
+	VXORPD       Y15, Y15, Y15
+
+// HALF sets out = ((x + y·0)/2, (y − x·0)/2) for each v = (x, y): the halved
+// sum or difference of splitLanes and mergeLanes, products by zero included.
+// t is scratch.
+#define HALF(v, t, out) \
+	VPERMILPD $5, v, t;  \
+	VMULPD    Y14, t, t; \
+	VADDPD    t, v, t;   \
+	VMULPD    Y13, t, out
+
+// SPLIT sets Y6 to the spectrum values of two lanes from their tile values at
+// z (row k) and n (row h − k) and twiddle tw[k] = (tr, ti) broadcast:
+// S = Z + conj(N), D = Z − conj(N), E = HALF(S), O = ((d·0 + e), (e·0 − d))/2
+// for D = (d, e), Y6 = E + O·tw[k]. Clobbers Y0–Y7.
+#define SPLIT(z, n, tr, ti) \
+	VMOVUPD   z, Y2;          \
+	VMOVUPD   n, Y3;          \
+	VXORPD    Y14, Y3, Y3;    \
+	VADDPD    Y3, Y2, Y4;     \
+	VSUBPD    Y3, Y2, Y5;     \
+	HALF(Y4, Y6, Y6);         \
+	VMULPD    Y15, Y5, Y7;    \
+	VPERMILPD $5, Y5, Y5;     \
+	VXORPD    Y14, Y5, Y5;    \
+	VADDPD    Y5, Y7, Y7;     \
+	VMULPD    Y13, Y7, Y7;    \
+	CMUL(Y7, tr, ti, Y7);     \
+	VADDPD    Y7, Y6, Y6
+
+// func splitRowsAVX2(spec *complex128, ss, sd int, tile *complex128, w, h int, tw *complex128)
+//
+// splitLanes for lanes 0 … w&^1 − 1 of the w-lane tile (row j, lane l at
+// tile[j·w + l]): spectrum row k ≤ h of lane l, at spec[k·ss + l·sd], from
+// tile rows k and h − k (both row 0 for k = 0 and k = h) and tw[k]. With
+// ss = 1 (each lane's spectrum contiguous) rows run two at a time and each
+// lane's two values are one 256-bit store (VPERM2F128); a last odd row, and
+// every row for other ss, stores each lane's value as a 128-bit half. Requires
+// w >= 2, h >= 1, h rows of w at tile, h+1 twiddles and every element
+// k·ss + l·sd inside spec; the Go wrapper splitRowsVec checks them.
+TEXT ·splitRowsAVX2(SB), NOSPLIT, $0-56
+	MOVQ spec+0(FP), DI
+	MOVQ sd+16(FP), R14
+	MOVQ tile+24(FP), SI
+	MOVQ tw+48(FP), BX
+	SPLITCONST
+	SHLQ $4, R14                      // spectrum lane in bytes
+	XORQ CX, CX                       // k
+	CMPQ ss+8(FP), $1
+	JNE  splitrows
+	MOVQ w+32(FP), R8
+	ANDQ $-2, R8
+	SHLQ $4, R8                       // end of the lane pairs in a tile row
+
+// Rows k and k+1 (k+1 <= h): R10, R12 = tile rows k, h − k; R11, R13 = rows
+// k+1, h − k − 1. Row h stands for row 0 (k = 0's partner, or row k+1 = h)
+// and becomes row 0 by CMOV; at those k, R10 and R13 are row 0 already.
+splitpair:
+	MOVQ       w+32(FP), R9
+	SHLQ       $4, R9                 // tile row in bytes
+	MOVQ       CX, R10
+	IMULQ      R9, R10
+	ADDQ       SI, R10
+	LEAQ       (R10)(R9*1), R11
+	MOVQ       h+40(FP), R12
+	SUBQ       CX, R12
+	IMULQ      R9, R12
+	ADDQ       SI, R12
+	MOVQ       R12, R13
+	SUBQ       R9, R13
+	TESTQ      CX, CX
+	CMOVQEQ    SI, R12
+	LEAQ       1(CX), R9
+	CMPQ       R9, h+40(FP)
+	CMOVQEQ    SI, R11
+	VBROADCASTSD (BX), Y8
+	VBROADCASTSD 8(BX), Y9
+	VBROADCASTSD 16(BX), Y10
+	VBROADCASTSD 24(BX), Y11
+	MOVQ       DI, DX                 // lane l of rows k, k+1
+	XORQ       AX, AX
+
+splitpairlane:
+	SPLIT((R10)(AX*1), (R12)(AX*1), Y8, Y9)
+	VMOVAPD    Y6, Y12
+	SPLIT((R11)(AX*1), (R13)(AX*1), Y10, Y11)
+	VPERM2F128 $0x20, Y6, Y12, Y2     // lane l: rows k, k+1
+	VPERM2F128 $0x31, Y6, Y12, Y3     // lane l+1
+	VMOVUPD    Y2, (DX)
+	VMOVUPD    Y3, (DX)(R14*1)
+	LEAQ       (DX)(R14*2), DX
+	ADDQ       $32, AX
+	CMPQ       AX, R8
+	JLT        splitpairlane
+	ADDQ       $32, DI
+	ADDQ       $32, BX
+	ADDQ       $2, CX
+	CMPQ       CX, h+40(FP)
+	JLT        splitpair
+	JGT        splitdone
+
+// Rows CX … h, one at a time.
+splitrows:
+	MOVQ w+32(FP), R8
+	SHLQ $4, R8                       // tile row in bytes
+	MOVQ ss+8(FP), R9
+	SHLQ $4, R9                       // spectrum row in bytes
+	MOVQ h+40(FP), DX
+
+splitrow:
+	MOVQ         CX, R10
+	IMULQ        R8, R10
+	ADDQ         SI, R10              // tile row k, or row 0 at k = h
+	MOVQ         DX, R11
+	SUBQ         CX, R11
+	IMULQ        R8, R11
+	ADDQ         SI, R11              // tile row h − k, or row 0 at k = 0
+	TESTQ        CX, CX
+	CMOVQEQ      SI, R11
+	CMPQ         CX, DX
+	CMOVQEQ      SI, R10
+	VBROADCASTSD (BX), Y8
+	VBROADCASTSD 8(BX), Y9
+	MOVQ         DI, R12              // lane l of spectrum row k
+	LEAQ         (DI)(R14*1), R13     // lane l+1
+	MOVQ         w+32(FP), AX
+	SHRQ         $1, AX               // lane pairs
+
+splitlane:
+	SPLIT((R10), (R11), Y8, Y9)
+	VMOVUPD      X6, (R12)
+	VEXTRACTF128 $1, Y6, (R13)
+	ADDQ         $32, R10
+	ADDQ         $32, R11
+	LEAQ         (R12)(R14*2), R12
+	LEAQ         (R13)(R14*2), R13
+	DECQ         AX
+	JNZ          splitlane
+	ADDQ         R9, DI
+	ADDQ         $16, BX
+	INCQ         CX
+	CMPQ         CX, DX
+	JLE          splitrow
+
+splitdone:
+	VZEROUPPER
+	RET
+
+// func mergeRowsAVX2(ztile *complex128, w, h int, spec *complex128, ss, sd int, tw *complex128)
+//
+// mergeLanes for lanes 0 … w&^1 − 1: tile row k < h of lane l, at
+// ztile[k·w + l], from spectrum rows k and h − k of lane l, at
+// spec[k·ss + l·sd] (each lane pair loaded as two 128-bit halves, sd elements
+// apart), and conj(tw[k]). Per lane pair: S = A + conj(B), D = A − conj(B),
+// E = HALF(S), O = HALF(D)·conj(tw[k]) (CMUL), out = E + (o·0 − p, p·0 + o)
+// for O = (o, p). Y12 = (−0, 0, −0, 0) flips the real signs, Y11 all four.
+// Requires w >= 2, h >= 1, h rows of w at ztile, h twiddles and every element
+// k·ss + l·sd, k ≤ h, inside spec; the Go wrapper mergeRowsVec checks them.
+TEXT ·mergeRowsAVX2(SB), NOSPLIT, $0-56
+	MOVQ    ztile+0(FP), DI
+	MOVQ    h+16(FP), CX
+	MOVQ    spec+24(FP), SI
+	MOVQ    ss+32(FP), R9
+	MOVQ    sd+40(FP), R14
+	MOVQ    tw+48(FP), BX
+	SPLITCONST
+	VMOVUPD signs<>+8(SB), Y12
+	VXORPD  Y14, Y12, Y11
+	SHLQ    $4, R9                    // spectrum row in bytes
+	SHLQ    $4, R14                   // spectrum lane in bytes
+	MOVQ    CX, R11
+	IMULQ   R9, R11
+	ADDQ    SI, R11                   // spectrum row h
+	MOVQ    w+8(FP), R8
+	ANDQ    $1, R8
+	SHLQ    $4, R8                    // an odd last lane, left to the Go loop
+
+mergerow:
+	VBROADCASTSD (BX), Y8             // conj(tw[k])
+	VBROADCASTSD 8(BX), Y9
+	VXORPD       Y11, Y9, Y9
+	MOVQ         SI, R12              // lane l of spectrum row k
+	MOVQ         R11, R13             // lane l of spectrum row h − k
+	MOVQ         w+8(FP), AX
+	SHRQ         $1, AX               // lane pairs
+
+mergelane:
+	LANES2(R12, R14, Y2, X2)          // A
+	LANES2(R13, R14, Y3, X3)          // B
+	VXORPD    Y14, Y3, Y3             // conj(B)
+	VADDPD    Y3, Y2, Y4              // S
+	VSUBPD    Y3, Y2, Y5              // D
+	HALF(Y4, Y6, Y6)                  // E
+	HALF(Y5, Y7, Y7)                  // D/2
+	CMUL(Y7, Y8, Y9, Y7)              // O
+	VMULPD    Y15, Y7, Y10            // (o·0, p·0)
+	VPERMILPD $5, Y7, Y7
+	VXORPD    Y12, Y7, Y7             // (−p, o)
+	VADDPD    Y7, Y10, Y10            // i·O
+	VADDPD    Y10, Y6, Y6             // E + i·O
+	VMOVUPD   Y6, (DI)
+	ADDQ      $32, DI
+	LEAQ      (R12)(R14*2), R12
+	LEAQ      (R13)(R14*2), R13
+	DECQ      AX
+	JNZ       mergelane
+	ADDQ      R8, DI                  // to tile row k+1
+	ADDQ      R9, SI
+	SUBQ      R9, R11
+	ADDQ      $16, BX
+	DECQ      CX
+	JNZ       mergerow
+	VZEROUPPER
+	RET
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24

@@ -3,6 +3,7 @@ package fft
 import (
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"strings"
@@ -204,6 +205,135 @@ func TestRowsPreconditions(t *testing.T) {
 		func() {
 			defer func() {
 				if msg, _ := recover().(string); !strings.HasPrefix(msg, "fft: invalid radix-") {
+					t.Errorf("%s: recovered %q, want the wrapper's panic", name, msg)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+// TestSplitMergeVecBitIdentical holds splitRows and mergeRows, dispatched to
+// splitRowsAVX2 and mergeRowsAVX2, to their Go loops, bit for bit (NaNs by
+// NaN-ness): lengths 16 to 256 and three whose half length is odd (the split
+// routine's last row alone), every even group width up to the half plan's
+// tileLines and odd ones (the last lane on the Go loop), spectrum lanes 1
+// (rows ss = w apart), n/2+1 and 3n/2+5 elements apart (rows contiguous, two
+// per store), values dense in signed zeros, subnormals, infinities, NaNs and
+// ±MaxFloat64. Arrays start from a sentinel, so a store
+// outside the lanes shows. The spectrum pair (MaxFloat64+MaxFloat64i,
+// MaxFloat64+8.6e297i), whose sums overflow, merges to NaN+NaNi on both
+// paths: plain IEEE arithmetic on the overflowed intermediates.
+func TestSplitMergeVecBitIdentical(t *testing.T) {
+	if !cpuHasAVX2() {
+		t.Skip("CPU or OS without AVX2")
+	}
+	if raceEnabled {
+		t.Skip("single-goroutine comparison of code the detector cannot see; run without -race")
+	}
+	defer func(v bool) { useAVX2 = v }(useAVX2)
+	specials := []float64{0, math.Copysign(0, -1), 5e-324, -3e-310, math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, -math.MaxFloat64}
+	rng := rand.New(rand.NewSource(49))
+	fill := func(x []complex128, dense bool) {
+		pick := func() float64 {
+			if dense && rng.Intn(2) == 0 {
+				return specials[rng.Intn(len(specials))]
+			}
+			return rng.NormFloat64()
+		}
+		for i := range x {
+			x[i] = complex(pick(), pick())
+		}
+	}
+	sentinel := func(size int) []complex128 {
+		x := make([]complex128, size)
+		for i := range x {
+			x[i] = complex(float64(i), -1)
+		}
+		return x
+	}
+	run := func(vec bool, f func()) {
+		useAVX2 = vec
+		f()
+	}
+	for _, n := range []int{16, 64, 128, 256, 2, 6, 10} {
+		p, err := NewRealPlan(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := n / 2
+		var widths []int
+		for w := 2; w <= p.half.tileLines; w += 2 {
+			widths = append(widths, w)
+		}
+		widths = append(widths, 3, 7, p.half.tileLines-1)
+		for _, w := range widths {
+			for _, lay := range []struct{ ss, sd int }{{w, 1}, {1, h + 1}, {1, 3*h + 5}} {
+				size := h*lay.ss + (w-1)*lay.sd + 1
+				for trial, dense := range []bool{false, true, true} {
+					where := fmt.Sprintf("n=%d w=%d ss=%d sd=%d trial %d", n, w, lay.ss, lay.sd, trial)
+					tile := make([]complex128, h*w)
+					fill(tile, dense)
+					want, got := sentinel(size), sentinel(size)
+					run(false, func() { p.splitLanes(tile, w, 0, want, 0, lay.ss, lay.sd) })
+					run(true, func() { p.splitRows(tile, w, got, 0, lay.ss, lay.sd) })
+					if i := sameBits(want, got); i >= 0 {
+						t.Fatalf("%s: split spec[%d] = %v, Go loop %v", where, i, got[i], want[i])
+					}
+
+					spec := make([]complex128, size)
+					fill(spec, dense)
+					if trial == 2 && h >= 2 {
+						for l := 0; l < w; l++ {
+							spec[lay.ss+l*lay.sd] = complex(math.MaxFloat64, math.MaxFloat64)
+							spec[(h-1)*lay.ss+l*lay.sd] = complex(math.MaxFloat64, 8.6e297)
+						}
+					}
+					zwant, zgot := sentinel(h*w), sentinel(h*w)
+					run(false, func() { p.mergeLanes(spec, 0, lay.ss, lay.sd, zwant, w, 0) })
+					run(true, func() { p.mergeRows(spec, 0, lay.ss, lay.sd, zgot, w) })
+					if i := sameBits(zwant, zgot); i >= 0 {
+						t.Fatalf("%s: merged tile[%d] = %v, Go loop %v", where, i, zgot[i], zwant[i])
+					}
+					if trial == 2 && h >= 2 {
+						for l := 0; l < w; l++ {
+							if z := zgot[w+l]; !math.IsNaN(real(z)) || !math.IsNaN(imag(z)) {
+								t.Fatalf("%s: overflowing spectrum merged to %v in lane %d, want NaN+NaNi", where, z, l)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSplitMergeVecPreconditions: everything the split and merge routines
+// rely on and cannot check panics in the wrappers, before any assembly runs.
+func TestSplitMergeVecPreconditions(t *testing.T) {
+	p, err := NewRealPlan(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := func(n int) []complex128 { return make([]complex128, n) }
+	const h = 8
+	for name, call := range map[string]func(){
+		"split/w below 2":   func() { splitRowsVec(x(h), 1, h, x(9), 1, 0, p.tw) },
+		"split/h 0":         func() { splitRowsVec(x(4), 2, 0, x(4), 1, 1, p.tw) },
+		"split/short tile":  func() { splitRowsVec(x(h*4-1), 4, h, x(9*4), 4, 1, p.tw) },
+		"split/short spec":  func() { splitRowsVec(x(h*4), 4, h, x(9*4-1), 4, 1, p.tw) },
+		"split/short lanes": func() { splitRowsVec(x(h*4), 4, h, x(9+2*9), 1, 9, p.tw) },
+		"split/negative sd": func() { splitRowsVec(x(h*4), 4, h, x(9*4), 4, -1, p.tw) },
+		"split/short tw":    func() { splitRowsVec(x(h*2), 2, h, x(9*2), 2, 1, p.tw[:h]) },
+		"merge/w below 2":   func() { mergeRowsVec(x(9), 1, 0, x(h), 1, h, p.tw) },
+		"merge/short ztile": func() { mergeRowsVec(x(9*2), 2, 1, x(h*2-1), 2, h, p.tw) },
+		"merge/short spec":  func() { mergeRowsVec(x(9+9), 1, 10, x(h*2), 2, h, p.tw) },
+		"merge/negative ss": func() { mergeRowsVec(x(9*2), -1, 9, x(h*2), 2, h, p.tw) },
+		"merge/rows past h": func() { mergeRowsVec(x(9*2), 2, 1, x(h*2), 2, h+1, p.tw) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "fft: invalid real split or merge") {
 					t.Errorf("%s: recovered %q, want the wrapper's panic", name, msg)
 				}
 			}()

@@ -2,8 +2,9 @@
 
 package fft
 
-// Only amd64 has vector routines for the twiddled passes and the row stages;
-// everywhere else the Go loops in kernel.go and rows.go are the implementation.
+// Only amd64 has vector routines for the twiddled passes, the row stages and
+// the real split and merge; everywhere else the Go loops in kernel.go,
+// rows.go and real.go are the implementation.
 const useAVX2 = false
 
 func radix4Vec(dst, src []complex128, s int, tw []twiddle3, scale float64, scaled bool) {
@@ -20,4 +21,12 @@ func quadsRowsVec(tile, data []complex128, w, pitch, lane int, rev []int32, fwd 
 
 func radix4RowsVec(dst []complex128, dpitch, dlane int, src []complex128, w, s int, tw []twiddle3, scale float64, scaled bool) {
 	panic("fft: radix4RowsVec without a vector routine")
+}
+
+func splitRowsVec(tile []complex128, w, h int, spec []complex128, ss, sd int, tw []complex128) {
+	panic("fft: splitRowsVec without a vector routine")
+}
+
+func mergeRowsVec(spec []complex128, ss, sd int, ztile []complex128, w, h int, tw []complex128) {
+	panic("fft: mergeRowsVec without a vector routine")
 }

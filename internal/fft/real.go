@@ -33,11 +33,18 @@ import (
 // an odd last line, strided real lines, Bluestein and codelet half lengths
 // run line by line (r2cLine, c2rLine): the line packed into one contiguous
 // half-length line, then splitRows or mergeRows with one lane. The split and
-// the merge are written once, so a line carries the same bits either way.
-// Their divisions by 2 and 2i are the operations Go's complex division issues
-// for those divisors, without C99 Annex G's recovery of an infinity from a
-// NaN quotient: a non-finite value propagates as IEEE arithmetic has it, and
-// which NaN payload survives is not part of the contract.
+// the merge are defined once, by the Go loops splitLanes and mergeLanes; on
+// amd64 CPUs with AVX2 their lane pairs run in splitRowsAVX2 and
+// mergeRowsAVX2 (radix4_amd64.s), which issue the same operations in the same
+// order (conj as a sign flip, the products by zero, the halvings, the twiddle
+// product, no fused multiply-add), so a line carries the same bits either
+// way. Their divisions by 2 and 2i are the operations Go's complex division
+// issues for those divisors, without C99 Annex G's recovery of an infinity
+// from a NaN quotient: a non-finite value propagates as IEEE arithmetic has
+// it, and so does an intermediate that overflows — a finite spectrum whose
+// sum overflows, such as (MaxFloat64+MaxFloat64i, MaxFloat64+8.6e297i), can
+// merge to NaN+NaNi where Go's complex division gives an infinity. Which NaN
+// payload survives is not part of the contract.
 
 // RealPlan holds tables for real transforms of a fixed even length.
 // A RealPlan is safe for concurrent use by multiple goroutines once created.
@@ -231,10 +238,26 @@ func (p *RealPlan) c2rRows(spec []complex128, sb int, ssp batchSpec, xc []comple
 // lane l: z[j] of line l) into the spectra of the even and odd subsequences
 // and combines them with the twiddles into the half-spectrum of line l at
 // spec[sb + k·ss + l·sd], row k from tile rows k and n/2−k:
-// (z[k] + conj(z[n/2−k]))/2 + tw[k]·(z[k] − conj(z[n/2−k]))/(2i). The
-// quotients are Go's complex division by 2 and 2i, spelled out on real and
-// imaginary parts, products by zero included (they decide signed zeros).
+// (z[k] + conj(z[n/2−k]))/2 + tw[k]·(z[k] − conj(z[n/2−k]))/(2i). Lane
+// pairs run through splitRowsAVX2 where the machine has it (useAVX2); the
+// Go loop, splitLanes, runs the rest: every lane elsewhere, the one lane of
+// r2cLine and an odd last lane. Both issue the same operations.
 func (p *RealPlan) splitRows(tile []complex128, w int, spec []complex128, sb, ss, sd int) {
+	l := 0
+	if useAVX2 && w >= 2 {
+		splitRowsVec(tile, w, p.n/2, spec[sb:], ss, sd, p.tw)
+		l = w &^ 1
+	}
+	if l < w {
+		p.splitLanes(tile, w, l, spec, sb, ss, sd)
+	}
+}
+
+// splitLanes is splitRows for lanes from … w−1, the reference the vector
+// routine is held to. The quotients are Go's complex division by 2 and 2i,
+// spelled out on real and imaginary parts, products by zero included (they
+// decide signed zeros).
+func (p *RealPlan) splitLanes(tile []complex128, w, from int, spec []complex128, sb, ss, sd int) {
 	h := p.n / 2
 	for k := 0; k <= h; k++ {
 		rk, rn := k, h-k
@@ -244,7 +267,7 @@ func (p *RealPlan) splitRows(tile []complex128, w int, spec []complex128, sb, ss
 		zk, znk := tile[rk*w:][:w], tile[rn*w:][:w]
 		out := spec[sb+k*ss:][:(w-1)*sd+1]
 		tr, ti := real(p.tw[k]), imag(p.tw[k])
-		for l, o := 0, 0; l < w; l, o = l+1, o+sd {
+		for l, o := from, from*sd; l < w; l, o = l+1, o+sd {
 			zr, zi := real(zk[l]), imag(zk[l])
 			nr, ni := real(znk[l]), imag(znk[l])
 			sr, si := zr+nr, zi-ni // zk + conj(znk)
@@ -258,16 +281,30 @@ func (p *RealPlan) splitRows(tile []complex128, w int, spec []complex128, sb, ss
 
 // mergeRows rebuilds the packed half-length spectra of the spectrum lines at
 // spec[sb + k·ss + l·sd] into the w lanes of ztile, row k:
-// (s[k] + conj(s[n/2−k]))/2 + i·conj(tw[k])·(s[k] − conj(s[n/2−k]))/2, its
-// operations spelled out as in splitRows.
+// (s[k] + conj(s[n/2−k]))/2 + i·conj(tw[k])·(s[k] − conj(s[n/2−k]))/2.
+// Lane pairs run through mergeRowsAVX2 where the machine has it, the rest
+// through the Go loop, mergeLanes, as in splitRows.
 func (p *RealPlan) mergeRows(spec []complex128, sb, ss, sd int, ztile []complex128, w int) {
+	l := 0
+	if useAVX2 && w >= 2 {
+		mergeRowsVec(spec[sb:], ss, sd, ztile, w, p.n/2, p.tw)
+		l = w &^ 1
+	}
+	if l < w {
+		p.mergeLanes(spec, sb, ss, sd, ztile, w, l)
+	}
+}
+
+// mergeLanes is mergeRows for lanes from … w−1, its operations spelled out as
+// in splitLanes.
+func (p *RealPlan) mergeLanes(spec []complex128, sb, ss, sd int, ztile []complex128, w, from int) {
 	h := p.n / 2
 	for k := 0; k < h; k++ {
 		sk := spec[sb+k*ss:][:(w-1)*sd+1]
 		snk := spec[sb+(h-k)*ss:][:(w-1)*sd+1]
 		zk := ztile[k*w:][:w]
 		cr, ci := real(p.tw[k]), -imag(p.tw[k]) // conj(tw[k])
-		for l, o := 0, 0; l < w; l, o = l+1, o+sd {
+		for l, o := from, from*sd; l < w; l, o = l+1, o+sd {
 			ar, ai := real(sk[o]), imag(sk[o])
 			br, bi := real(snk[o]), imag(snk[o])
 			sr, si := ar+br, ai-bi // sk + conj(snk)

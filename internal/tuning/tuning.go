@@ -211,6 +211,9 @@ func Tune(c *mpisim.Comm, cfg core.Config, cands []Candidate, opts Options) ([]R
 		cand := results[idx].Candidate
 		planCfg := cfg
 		planCfg.Opts.Decomp = cand.Decomp
+		if cand.Decomp == core.DecompSlabs {
+			planCfg.Opts.PQ = [2]int{} // a slab plan has no pencil grid
+		}
 		planCfg.Opts.Backend = cand.Backend
 		planCfg.Opts.Contiguous = cand.Contiguous
 		planCfg.Opts.Comm.Algo = cand.Algo

@@ -345,6 +345,36 @@ func TestTuneDropsRejectedCandidates(t *testing.T) {
 	}
 }
 
+// TestTuneKeepsSlabsUnderACallerPQ: a caller's PQ fixes the pencil
+// candidates' grid; a slab candidate has none and runs without it, so every
+// candidate is measured and none is dropped as a rejected configuration.
+func TestTuneKeepsSlabsUnderACallerPQ(t *testing.T) {
+	w := mpisim.NewWorld(machine.Summit(), 4, mpisim.Options{GPUAware: true})
+	var results []Result
+	w.Run(func(c *mpisim.Comm) {
+		cfg := core.Config{Global: [3]int{8, 8, 8}, Opts: core.Options{PQ: [2]int{1, 4}}}
+		rs, err := Tune(c, cfg, DefaultCandidates(), Options{})
+		if err != nil {
+			panic(err)
+		}
+		if c.Rank() == 0 {
+			results = rs
+		}
+	})
+	slabs := 0
+	for _, r := range results {
+		if r.MeasuredSec <= 0 {
+			t.Errorf("result %v measured %g s", r.Candidate, r.MeasuredSec)
+		}
+		if r.Decomp == core.DecompSlabs {
+			slabs++
+		}
+	}
+	if len(results) != len(DefaultCandidates()) || slabs == 0 {
+		t.Errorf("%d results (%d slab), want all %d candidates measured", len(results), slabs, len(DefaultCandidates()))
+	}
+}
+
 func TestTuneErrors(t *testing.T) {
 	w := mpisim.NewWorld(machine.Summit(), 2, mpisim.Options{})
 	w.Run(func(c *mpisim.Comm) {
