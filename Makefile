@@ -59,25 +59,29 @@ checkptr:
 bench:
 	go run ./benchmark
 
-# Developer tool: single-line kernel ladder, the twiddled radix-4 passes along
-# a line and across the rows of one group of adjacent lines (each: Go
-# reference against what the machine dispatches to), strided batches (planes,
-# the two strided passes of a pencil and of serve_mixed_r8's 32-point rank
-# pencils 32x16x8 and 16x32x8, ns/line) and contiguous ones (the row pass of a
-# plane, the z-pencil of dense128_r64, a 64-point rank share of
-# serve_mixed_r8 and its 32-point z-pencil 16x8x32, ns/line; all run across
-# rows), real batches (BenchmarkRealBatch: an altpaths64_r24 rank's 64-point
-# z-pencil of 176 lines and 256 lines of 128, forward and inverse, ns/line;
-# both run across rows), pack/unpack in their three run-coalescing regimes
-# (row, plane, whole block), over the same regimes one box-to-box CopyBox
-# against Pack + Unpack through a buffer, and CopyBox
-# on the short runs altpaths64_r24 moves on every transform (complex128 runs
+# Developer tool: the single-line kernel ladder (a line alone on the row
+# engine: two lanes that are the same line), Bluestein (one 1000-point line,
+# and 16 lines of 100 in groups across the convolution buffer's rows, ns/line),
+# the twiddled radix-4 passes across the rows of one group of adjacent lines
+# (Go reference against what the machine dispatches to), strided batches
+# (planes, the two strided passes of a pencil and of serve_mixed_r8's 32-point
+# rank pencils 32x16x8 and 16x32x8, altpaths64_r24's 11-wide y-pencil pass,
+# ns/line) and contiguous ones (the row pass of a plane, the z-pencil of
+# dense128_r64, a 64-point rank share of serve_mixed_r8 and its 32-point
+# z-pencil 16x8x32, ns/line; all run across rows), real batches
+# (BenchmarkRealBatch: an altpaths64_r24 rank's 64-point z-pencil of 176 lines
+# and 256 lines of 128, forward and inverse, ns/line; both run across rows)
+# and the real split and merge alone (BenchmarkSplitMerge, Go reference
+# against what the machine dispatches to), pack/unpack in their three
+# run-coalescing regimes (row, plane, whole block), over the same regimes one
+# box-to-box CopyBox against Pack + Unpack through a buffer, and CopyBox on
+# the short runs altpaths64_r24 moves on every transform (complex128 runs
 # of 5 and 11 elements from its pencil reshapes, float64 runs of 16 from its
 # real plan's unpacks, and the 5-element box again in float64), and CopyBox
 # cold (cold/…): dense128_r64's five reshape shapes, each copy into and out of
 # the next of 64 pairs of 512 KB arrays, so no block is in L2.
 bench-kernel:
-	go test -run '^$$' -bench 'BenchmarkKernel|BenchmarkRadix4Pass|BenchmarkRadix4Rows|BenchmarkStridedBatch|BenchmarkContigBatch|BenchmarkRealBatch|BenchmarkSplitMerge|BenchmarkFFTBluestein' -benchmem ./internal/fft/
+	go test -run '^$$' -bench 'BenchmarkKernel|BenchmarkRadix4Rows|BenchmarkStridedBatch|BenchmarkContigBatch|BenchmarkRealBatch|BenchmarkSplitMerge|BenchmarkFFTBluestein' -benchmem ./internal/fft/
 	go test -run '^$$' -bench 'BenchmarkPack$$|BenchmarkUnpack$$|BenchmarkCopyBox$$' -benchmem ./internal/tensor/
 
 # Developer tool: the paper-scale proxy of the repository benchmark on its

@@ -323,6 +323,22 @@ func TestFig9Shape(t *testing.T) {
 	}
 }
 
+// TestR2CShape checks r2c's shape: at both grids the real-to-complex plan
+// saves 40–50 % of the complex-to-complex plan's time per transform — the
+// input reshape moves half the bytes and the spectrum is half the volume.
+func TestR2CShape(t *testing.T) {
+	s := fullResult(t, "r2c").Sections[0]
+	if n := len(s.Rows); n != 2 {
+		t.Fatalf("%d rows, want one per grid (256³, 512³)", n)
+	}
+	saving := len(s.Header) - 1
+	for _, row := range s.Rows {
+		if v := row[saving].V; v < 0.40 || v > 0.50 {
+			t.Errorf("%s: %s %s, want within [40%%, 50%%]", row[0].Text, s.Header[saving], row[saving].Text)
+		}
+	}
+}
+
 // TestFig5Shape checks Fig. 5's shape on the paper's baseline profile: slabs
 // are fastest at every node count from 2 to 32 and pencils at every one from
 // 64 to 512.

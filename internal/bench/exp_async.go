@@ -104,6 +104,6 @@ func runR2C() (Result, error) {
 		})
 		s.Rows = append(s.Rows, []Cell{label(fmt.Sprintf("%d³", global[0])), secs(c2c), secs(r2c), pct(1 - r2c/c2c)})
 	}
-	s.Notes = []string{"expected shape: R2C saves ≈40–50% — half-byte input reshape + half-volume spectrum"}
+	s.Notes = []string{"shape (asserted): R2C saves 40–50% at both grids — half-byte input reshape + half-volume spectrum"}
 	return Result{Sections: []Section{s}}, nil
 }

@@ -2,32 +2,34 @@ package fft
 
 import "fmt"
 
-// Execution of batches, a group of lines at a time through a pooled L1-sized
-// tile, so a pass touches every cache line of the group once per group
-// instead of once per line. Which of two ways a group runs is a function of
-// the layout and the plan, decided in runLines:
+// Execution of batches, a group of lines at a time, so a pass touches every
+// cache line of the group once per group instead of once per line. How a
+// line runs is a function of the layout and the plan only, decided in
+// runLines:
 //
-//   - Across rows (rows.go): for a power-of-two length from 8 up, w lines of
-//     a b1 group whose layout is nested (rowsNested: rows of w lanes fit in
+//   - Power-of-two lengths from 8 up run on the row engine (rows.go). w lines
+//     of a b1 group whose layout is nested (rowsNested: rows of w lanes fit in
 //     the stride, as for adjacent strided lines, or whole lines fit in the
 //     distance, as for contiguous ones) are n rows of w lanes, and the
-//     butterflies run across the rows. Nothing is transposed; the caller's
-//     array is read once and written once.
-//     The odd line each b1 group leaves when batch2 is odd (the only one
-//     when batch2 is 1) sits dist1 from the next group's with the same
-//     stride; where those lines nest (lane = dist1) they run as one more
-//     sweep across rows.
-//   - Alone or through the generic tile: Bluestein lengths, the codelet
-//     lengths n <= 4, lines that are not nested and any odd line left over.
-//     Contiguous ones run line by line in place; strided ones are
-//     transposed into the tile (sequential reads, cache-resident writes),
-//     transformed line by line with the contiguous kernel and transposed back,
-//     the buffered strided execution of FFTW's advanced interface.
+//     butterflies run across the rows. The odd line each b1 group leaves when
+//     batch2 is odd (the only one when batch2 is 1) sits dist1 from the next
+//     group's with the same stride; where those lines nest (lane = dist1)
+//     they run as one more sweep across rows. Every other line — an odd one
+//     left over, or a line of a layout whose lines do not nest — runs alone,
+//     in place at (pitch = stride, lane = 0): a group of two lanes that are
+//     the same line. Nothing is transposed; the caller's array is read once
+//     and written once.
+//   - Bluestein lengths chirp a group of lines into the lanes of the
+//     convolution buffer and run both power-of-two sub-transforms across its
+//     rows (fft.go).
+//   - The codelet lengths n <= 4 gather each line into a 4-element array,
+//     transform it and scatter it back.
 
 // tileElems bounds a tile to 32 KiB of complex128 so it stays L1-resident
 // while its lines are transformed, except that a tile always holds two lines
-// (a row group needs two); maxTileLines bounds the per-tile base array kept on
-// the stack. One rule for every length: 128 points → 16 lines.
+// (a row group needs two); maxTileLines bounds the per-group base array a
+// Bluestein group keeps on the stack. One rule for every length: 128 points →
+// 16 lines.
 const (
 	tileElems    = 2048
 	maxTileLines = 64
@@ -59,10 +61,10 @@ func (sp batchSpec) lineBase(l int) int {
 // with the given element stride within one transform and distance dist between
 // the first elements of consecutive transforms. This matches the advanced
 // layout of cuFFT/FFTW plans (stride, dist, batch). Lines execute a group at
-// a time (across rows or through the tile, see above); numerics are those of
-// a single contiguous line (the *cost* difference of strided GPU kernels is
-// modelled in internal/gpu). Lines must not share elements. A batch runs on
-// the calling goroutine: a simulated rank is the only level of parallelism.
+// a time (see above); numerics are those of a single contiguous line (the
+// *cost* difference of strided GPU kernels is modelled in internal/gpu).
+// Lines must not share elements. A batch runs on the calling goroutine: a
+// simulated rank is the only level of parallelism.
 func (p *Plan) TransformBatch(data []complex128, stride, dist, batch int, dir Direction) {
 	if stride < 1 || dist < 0 || batch < 0 {
 		panic(fmt.Sprintf("fft: invalid batch layout stride=%d dist=%d batch=%d", stride, dist, batch))
@@ -112,17 +114,17 @@ func (p *Plan) runBatch(data []complex128, sp batchSpec, dir Direction) {
 func SetWorkers(n int) int { return 1 }
 
 // transformContig transforms one contiguous line with the inverse 1/N
-// scaling fused into the kernel's final stage.
+// scaling fused into the kernel's final stage: a batch of one line.
 func (p *Plan) transformContig(data []complex128, dir Direction) {
-	if p.bluestein == nil {
-		scale := 1.0
-		if dir == Inverse {
-			scale = 1 / float64(p.n)
-		}
-		p.kernelPow2(data, dir, scale)
-		return
+	p.runLines(data[:p.n], batchSpec{stride: 1, batch1: 1, batch2: 1}, dir)
+}
+
+// outScale is the output scaling of a transform: 1/N for the inverse.
+func (p *Plan) outScale(dir Direction) float64 {
+	if dir == Inverse {
+		return 1 / float64(p.n)
 	}
-	p.transformBluestein(data, dir)
+	return 1
 }
 
 // sharesElements reports whether two lines of the layout share an element:
@@ -193,6 +195,14 @@ func (p *Plan) rowLayout(sp batchSpec) (pitch, lane int, ok bool) {
 
 // runLines executes every line of the layout.
 func (p *Plan) runLines(data []complex128, sp batchSpec, dir Direction) {
+	switch {
+	case p.bluestein != nil:
+		p.bluesteinLines(data, sp, dir)
+		return
+	case p.n <= maxCodelet:
+		p.codeletLines(data, sp, dir)
+		return
+	}
 	// An odd batch2 leaves one line per b1 group — the only one when batch2
 	// is 1. Those lines sit dist1 apart with the same stride: when that
 	// layout runs across rows (lane = dist1), they run as one more sweep
@@ -209,81 +219,38 @@ func (p *Plan) runLines(data []complex128, sp batchSpec, dir Direction) {
 			return
 		}
 	}
-	n, total := p.n, sp.total()
+	// Up to tileLines lines of one b1 group at a time, an even number of them,
+	// across rows in a row layout; any other line alone, at lane 0. Either way
+	// a line gets the bits of transformContig.
+	scale, total := p.outScale(dir), sp.total()
 	pitch, lane, rows := p.rowLayout(sp)
-	if sp.stride == 1 && !rows {
-		// Codelet and Bluestein lengths, and b1 groups of one line.
-		for l := 0; l < total; l++ {
-			p.transformContig(data[sp.lineBase(l):][:n], dir)
-		}
-		return
-	}
-	scale := 1.0
-	if dir == Inverse {
-		scale = 1 / float64(n)
-	}
-	// Up to tileLines lines at a time. Which way a group runs depends on the
-	// layout (stride, dist2, batch2, the lines left in the b1 group) and the
-	// plan (a power of two of at least 8 points) only: in a row layout an even
-	// number of lines of one b1 group runs across rows, reading and writing
-	// the caller's array in place; an odd line left over runs alone if it is
-	// contiguous, with the tile as its work buffer; everything else —
-	// strided codelet and Bluestein lengths, lines that are not nested, a
-	// strided odd line — is transposed into the tile, transformed line by
-	// line and transposed back. Either way a line gets the bits of
-	// transformContig.
 	tp := p.getTile()
-	tile := (*tp)[:p.tileLines*n]
-	var bases [maxTileLines]int
-	for start := 0; start < total; {
-		m := min(total-start, p.tileLines)
-		if rows {
-			m = min(m, sp.batch2-start%sp.batch2)
+	for l := 0; l < total; {
+		d := data[sp.lineBase(l):]
+		if w := min(total-l, p.tileLines, sp.batch2-l%sp.batch2) &^ 1; rows && w >= 2 {
+			p.transformRows(d, pitch, lane, d, pitch, lane, *tp, w, dir, scale)
+			l += w
+			continue
 		}
-		switch {
-		case rows && m >= 2:
-			m &^= 1
-			d := data[sp.lineBase(start):]
-			p.transformRows(d, pitch, lane, d, pitch, lane, tile, m, dir, scale)
-		case sp.stride == 1:
-			base := sp.lineBase(start)
-			p.kernelPow2Buf(data[base:base+n], tile[:n], dir, scale)
-		default:
-			for l := 0; l < m; l++ {
-				bases[l] = sp.lineBase(start + l)
-			}
-			packTile(tile, data, bases[:m], n, sp.stride)
-			for l := 0; l < m; l++ {
-				p.transformContig(tile[l*n:(l+1)*n], dir)
-			}
-			scatterTile(data, tile, bases[:m], n, sp.stride)
-		}
-		start += m
+		p.transformRows(d, sp.stride, 0, d, sp.stride, 0, *tp, 2, dir, scale)
+		l++
 	}
 	p.putTile(tp)
 }
 
-// packTile transposes m strided lines into the contiguous tile. The loop
-// order walks the element index outermost so that, in the dominant column
-// layouts (adjacent lines one element apart), the reads sweep memory
-// sequentially while the writes land in the cache-resident tile.
-func packTile(tile, data []complex128, bases []int, n, stride int) {
-	for i := 0; i < n; i++ {
-		off := i * stride
-		ti := tile[i:]
-		for l, b := range bases {
-			ti[l*n] = data[b+off]
+// codeletLines runs every line of a codelet length through a 4-element array:
+// gathered, transformed, scattered back.
+func (p *Plan) codeletLines(data []complex128, sp batchSpec, dir Direction) {
+	var buf [maxCodelet]complex128
+	line, scale := buf[:p.n], p.outScale(dir)
+	for l := 0; l < sp.total(); l++ {
+		d := data[sp.lineBase(l):]
+		for i := range line {
+			line[i] = d[i*sp.stride]
 		}
-	}
-}
-
-// scatterTile is the inverse transpose: tile lines back to strided layout.
-func scatterTile(data, tile []complex128, bases []int, n, stride int) {
-	for i := 0; i < n; i++ {
-		off := i * stride
-		ti := tile[i:]
-		for l, b := range bases {
-			data[b+off] = ti[l*n]
+		codelet(line, dir == Forward, scale)
+		for i, v := range line {
+			d[i*sp.stride] = v
 		}
 	}
 }
@@ -292,7 +259,7 @@ func (p *Plan) getTile() *[]complex128 {
 	if v := p.tile.Get(); v != nil {
 		return v.(*[]complex128)
 	}
-	buf := make([]complex128, p.tileLines*p.n)
+	buf := make([]complex128, p.tileLen)
 	return &buf
 }
 

@@ -5,8 +5,8 @@ package fft
 // caller's array, and n = 4 has none. They take natural-order input to
 // natural-order output with no bit-reversal pass and no per-plan tables, and
 // an output scaling is fused into the final combine, so the inverse 1/N never
-// costs a separate sweep. Every longer power of two runs the engine of
-// kernel.go.
+// costs a separate sweep. Every longer power of two runs the row engine of
+// rows.go.
 
 // maxCodelet is the largest length served by the codelets.
 const maxCodelet = 4

@@ -41,29 +41,14 @@ type Plan struct {
 	// Bluestein machinery (nil when n is a power of two).
 	bluestein *bluesteinPlan
 
-	// scratch recycles the Bluestein convolution buffer so steady-state
-	// transforms allocate nothing. Buffers are scratchLen long: the Bluestein
-	// length m when the plan is a Bluestein plan, n otherwise.
-	scratch    sync.Pool // *[]complex128, len scratchLen
-	scratchLen int
-
-	// tile recycles the strided-batch group buffers (tileLines·n elements,
-	// see blocked.go).
-	tile      sync.Pool // *[]complex128, len tileLines*n
+	// tile recycles the buffer a group of up to tileLines lines runs in
+	// (blocked.go), tileLen elements: the packed rows of the row engine,
+	// tileLines·n, for a power of two; the convolution buffer, tileLines·m,
+	// for Bluestein. Steady-state transforms allocate nothing.
+	tile      sync.Pool // *[]complex128, len tileLen
 	tileLines int
+	tileLen   int
 }
-
-// getScratch returns a zero-filled-on-demand work buffer of length
-// p.scratchLen (callers must not assume the contents are zero).
-func (p *Plan) getScratch() *[]complex128 {
-	if v := p.scratch.Get(); v != nil {
-		return v.(*[]complex128)
-	}
-	buf := make([]complex128, p.scratchLen)
-	return &buf
-}
-
-func (p *Plan) putScratch(b *[]complex128) { p.scratch.Put(b) }
 
 type bluesteinPlan struct {
 	m     int          // power-of-two length >= 2n-1
@@ -171,12 +156,16 @@ func NewPlan(n int) *Plan {
 }
 
 func newPlanUncached(n int) *Plan {
-	p := &Plan{n: n, scratchLen: n, tileLines: tileLinesFor(n)}
+	p := &Plan{n: n, tileLines: tileLinesFor(n)}
+	p.tileLen = p.tileLines * n
 	if isPow2(n) {
 		p.initPow2()
 	} else {
+		// A Bluestein group is as wide as its sub-plan's row groups, so the
+		// convolution buffer is the size of the sub-plan's tile.
 		p.initBluestein()
-		p.scratchLen = p.bluestein.m
+		p.tileLines = p.bluestein.sub.tileLines
+		p.tileLen = p.tileLines * p.bluestein.m
 	}
 	return p
 }
@@ -218,37 +207,68 @@ func (p *Plan) initBluestein() {
 				q[b.m-k] = cc
 			}
 		}
-		b.sub.kernelPow2(q, Forward, 1)
+		b.sub.transformContig(q, Forward)
 		b.bq[d] = q
 	}
 	p.bluestein = b
 }
 
-func (p *Plan) transformBluestein(data []complex128, dir Direction) {
+// bluesteinLines transforms every line of the layout by the chirp-z
+// algorithm, a group of up to tileLines lines at a time: the chirped lines are
+// the lanes of the convolution buffer, m rows of w lanes, so both power-of-two
+// sub-transforms run across its rows. An odd last line is a group of its own.
+func (p *Plan) bluesteinLines(data []complex128, sp batchSpec, dir Direction) {
 	b := p.bluestein
-	n := p.n
-	sp := p.getScratch()
-	defer p.putScratch(sp)
-	a := (*sp)[:b.m]
-	// The convolution relies on zero padding beyond n; pooled buffers carry
-	// stale data, so clear the tail explicitly.
-	clear(a[n:])
-	for k := 0; k < n; k++ {
-		c := b.chirp[k]
-		if dir == Inverse {
-			c = complex(real(c), -imag(c))
+	ap, tp := p.getTile(), b.sub.getTile()
+	var bases [maxTileLines]int
+	for start, total := 0, sp.total(); start < total; {
+		w := min(total-start, p.tileLines)
+		if w > 1 {
+			w &^= 1
 		}
-		a[k] = data[k] * c
+		for l := range w {
+			bases[l] = sp.lineBase(start + l)
+		}
+		p.bluesteinGroup(data, sp.stride, bases[:w], (*ap)[:b.m*w], *tp, dir)
+		start += w
 	}
-	wp := b.sub.getScratch()
-	work := (*wp)[:b.m]
-	b.sub.kernelPow2Buf(a, work, Forward, 1)
-	q := b.bq[dir]
-	for i := range a {
-		a[i] *= q[i]
+	b.sub.putTile(tp)
+	p.putTile(ap)
+}
+
+// bluesteinGroup transforms the lines at data[base + k·stride], one per base,
+// with a as the convolution buffer and tile as the sub-transforms' tile. A
+// single line runs as a group of two lanes that are the same line (lane 0).
+func (p *Plan) bluesteinGroup(data []complex128, stride int, bases []int, a, tile []complex128, dir Direction) {
+	b := p.bluestein
+	n, w := p.n, len(bases)
+	chirp := func(k int) complex128 {
+		if dir == Inverse {
+			return complex(real(b.chirp[k]), -imag(b.chirp[k]))
+		}
+		return b.chirp[k]
 	}
-	b.sub.kernelPow2Buf(a, work, Inverse, 1)
-	b.sub.putScratch(wp)
+	// The convolution relies on zero padding beyond row n; pooled buffers
+	// carry stale data, so clear the tail explicitly.
+	clear(a[n*w:])
+	for k := 0; k < n; k++ {
+		c, row := chirp(k), a[k*w:][:w]
+		for l, base := range bases {
+			row[l] = data[base+k*stride] * c
+		}
+	}
+	lanes, lane := w, 1
+	if w == 1 {
+		lanes, lane = 2, 0
+	}
+	b.sub.transformRows(a, w, lane, a, w, lane, tile, lanes, Forward, 1)
+	for k, q := range b.bq[dir] {
+		row := a[k*w:][:w]
+		for l := range row {
+			row[l] *= q
+		}
+	}
+	b.sub.transformRows(a, w, lane, a, w, lane, tile, lanes, Inverse, 1)
 	// The two opposite-direction sub-transforms cancel their scaling except
 	// for the 1/m of the inverse; the transform's own inverse 1/n rides the
 	// same output multiply, so no separate scaling sweep runs.
@@ -257,11 +277,10 @@ func (p *Plan) transformBluestein(data []complex128, dir Direction) {
 		invM /= float64(n)
 	}
 	for k := 0; k < n; k++ {
-		c := b.chirp[k]
-		if dir == Inverse {
-			c = complex(real(c), -imag(c))
+		c, row := chirp(k), a[k*w:][:w]
+		for l, base := range bases {
+			data[base+k*stride] = row[l] * c * complex(invM, 0)
 		}
-		data[k] = a[k] * c * complex(invM, 0)
 	}
 }
 

@@ -302,14 +302,34 @@ func BenchmarkFFTPow2(b *testing.B) {
 	}
 }
 
+// Bluestein lines: one 1000-point line (a group of its own, two lanes that are
+// the same line) and a batch of 16 contiguous 100-point lines, which run in
+// groups across the rows of the convolution buffer (ns/line beside ns/op). The
+// batch is restored every iteration, as in BenchmarkKernelInverse: repeated
+// forward transforms would overflow it to NaN within a few hundred calls.
 func BenchmarkFFTBluestein(b *testing.B) {
-	x := randSignal(rand.New(rand.NewSource(10)), 1000)
-	p := NewPlan(1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.transformContig(x, Forward)
-	}
+	b.Run("1000", func(b *testing.B) {
+		x := randSignal(rand.New(rand.NewSource(10)), 1000)
+		p := NewPlan(1000)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.transformContig(x, Forward)
+		}
+	})
+	b.Run("100x16", func(b *testing.B) {
+		const n, batch = 100, 16
+		x0 := randSignal(rand.New(rand.NewSource(10)), n*batch)
+		x := make([]complex128, n*batch)
+		p := NewPlan(n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			copy(x, x0)
+			p.TransformBatch(x, 1, n, batch, Forward)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/line")
+	})
 }
 
 func itoa(n int) string {

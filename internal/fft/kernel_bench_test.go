@@ -8,7 +8,8 @@ import (
 
 // Single-line kernel throughput across the size ladder of the radix-4 engine
 // (8..4096), covering every power of two the distributed pencil pipeline and
-// the Bluestein sub-transforms hit.
+// the Bluestein sub-transforms hit. A line on its own runs on the row engine
+// as two lanes that are the same line.
 func BenchmarkKernel(b *testing.B) {
 	for _, n := range []int{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096} {
 		b.Run(itoa(n), func(b *testing.B) {
@@ -112,36 +113,12 @@ func BenchmarkContigBatch(b *testing.B) {
 	}
 }
 
-// All twiddled radix-4 passes of one n-point line, in place on an L1/L2-
-// resident array (ns/op = ns per line): the Go reference loops against
-// whatever the machine dispatches to (radix4AVX2 on amd64 with AVX2, the same
-// loops elsewhere and under -race). Zeros stay zeros, so repeated passes do
-// not drift into denormals or overflow.
-func BenchmarkRadix4Pass(b *testing.B) {
-	for _, n := range []int{128, 512, 4096} {
-		p := NewPlan(n)
-		x := make([]complex128, n)
-		for _, v := range []struct {
-			name string
-			pass func(data []complex128, s int, tw []twiddle3)
-		}{{"ref", radix4Pass}, {"dispatched", pass4}} {
-			b.Run(v.name+"/"+itoa(n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					s := p.firstTabS
-					for _, tw := range p.tw4[Forward] {
-						v.pass(x, s, tw)
-						s *= 4
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkRadix4Pass across rows: all twiddled passes of one full group of
-// adjacent lines (tileLines lines of n points), in place on the L1-resident
-// tile, ns/line beside ns/op: the Go reference loop against whatever the
-// machine dispatches to (radix4RowsAVX2 on amd64 with AVX2).
+// All twiddled radix-4 passes of one full group of adjacent lines (tileLines
+// lines of n points), in place on the L1-resident tile, ns/line beside ns/op:
+// the Go reference loop against whatever the machine dispatches to
+// (radix4RowsAVX2 on amd64 with AVX2, the same loop elsewhere and under
+// -race). Zeros stay zeros, so repeated passes do not drift into denormals or
+// overflow.
 func BenchmarkRadix4Rows(b *testing.B) {
 	for _, n := range []int{128, 512, 4096} {
 		p := NewPlan(n)

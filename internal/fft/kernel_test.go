@@ -10,9 +10,9 @@ import (
 )
 
 // Tests for the power-of-two engine: the size ladder, the fused
-// radix-4 passes (even and odd log2), the blocked strided tile path, the
-// nested guru-style layout, and the fused inverse scaling — each validated
-// against the O(n²) DFT oracle or a line-by-line reference.
+// radix-4 passes (even and odd log2), strided batches, the nested guru-style
+// layout, and the fused inverse scaling — each validated against the O(n²)
+// DFT oracle or a line-by-line reference.
 
 // pow2Ladder covers every codelet (1..4) and every radix-4 pass shape the
 // engine has, from one twiddled pass at 8 and 16 points: even log2 (first stage radix-4) and odd log2 (radix-2 fix-up),
@@ -101,10 +101,9 @@ func TestBluesteinLengthsMatchDFT(t *testing.T) {
 	}
 }
 
-// TestBlockedStridedMatchesContiguous checks that a strided batch, across rows
-// or through the tile, is bit-identical to transforming each line
-// contiguously: layouts cross
-// tile boundaries (batch > tileLines), leave a ragged final tile, and include
+// TestBlockedStridedMatchesContiguous checks that a strided batch is
+// bit-identical to transforming each line contiguously: layouts cross group
+// boundaries (batch > tileLines), leave a ragged final group, and include
 // Bluestein lines and short power-of-two lines.
 func TestBlockedStridedMatchesContiguous(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
@@ -143,10 +142,12 @@ func TestBlockedStridedMatchesContiguous(t *testing.T) {
 // TestTransformBatchMatchesLineByLine holds a whole batch, run in one call on
 // the calling goroutine, to the same lines run one call each, bit for bit:
 // contiguous, strided and Bluestein layouts of hundreds of lines, a short
-// batch of long strided lines, and nested layouts whose planes leave an odd
+// batch of long strided lines, nested layouts whose planes leave an odd
 // line (16 planes of 11 adjacent strided lines, a y-pencil pass) or hold one
-// line each, strided and contiguous; both directions. SetWorkers stays a
-// no-op.
+// line each, strided and contiguous, strided lines that do not nest (stride
+// 2, dist 3: each runs alone), strided codelet lines, strided and nested
+// Bluestein lines and Bluestein batches of an odd count (the last line a
+// group of its own); both directions. SetWorkers stays a no-op.
 func TestTransformBatchMatchesLineByLine(t *testing.T) {
 	if got := SetWorkers(4); got != 1 {
 		t.Fatalf("SetWorkers(4) = %d, want 1", got)
@@ -161,6 +162,14 @@ func TestTransformBatchMatchesLineByLine(t *testing.T) {
 		{64, 11, 64 * 11, 16, 1, 11},
 		{64, 11, 64 * 11, 16, 1, 1},
 		{64, 1, 67, 16, 0, 1},
+		{64, 2, 0, 1, 3, 2},
+		{32, 2, 100, 5, 3, 2},
+		{4, 5, 0, 1, 1, 5},
+		{2, 3, 7, 4, 1, 3},
+		{12, 7, 0, 1, 1, 7},
+		{12, 5, 12 * 5, 3, 1, 5},
+		{60, 1, 0, 1, 60, 37},
+		{100, 1, 0, 1, 103, 17},
 	} {
 		p := NewPlan(tc.n)
 		sp := batchSpec{stride: tc.stride, dist1: tc.dist1, batch1: tc.batch1, dist2: tc.dist, batch2: tc.batch}
@@ -247,7 +256,8 @@ func TestTransform3DMiddleAxisBatched(t *testing.T) {
 }
 
 // TestSingleLineSteadyStateAllocs: a warmed plan's Forward/Inverse of one
-// line allocates nothing — the ping-pong buffer comes from the plan pool.
+// line allocates nothing — the tile comes from the plan pool, and so does a
+// Bluestein plan's convolution buffer.
 func TestSingleLineSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under -race; allocation counts are meaningless")
@@ -266,8 +276,8 @@ func TestSingleLineSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestNestedSteadyStateAllocs: the blocked tile path of a nested middle-axis
-// batch allocates nothing once the tile pool is warm.
+// TestNestedSteadyStateAllocs: a nested middle-axis batch allocates nothing
+// once the tile pool is warm.
 func TestNestedSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under -race; allocation counts are meaningless")
@@ -334,6 +344,39 @@ func TestBadLayoutPanicsOnCaller(t *testing.T) {
 	NewPlan(64).TransformBatch(make([]complex128, 64), 1, 0, 1, Forward)
 	NewPlan(1).TransformBatch(make([]complex128, 8), 1, 1, 8, Forward)
 	NewPlan(3).TransformBatch(make([]complex128, 8), 2, 3, 2, Forward)
+}
+
+// TestRevTableCheckedAtBuild: the bit-reversal table the first row stage's
+// assembly gathers through without a bounds check is checked once, when
+// initPow2 builds it (checkRev), not on every call: every table a plan builds
+// passes, and an index past the table, an odd table, an empty one and one not
+// of 4s for a radix-4 first stage panic.
+func TestRevTableCheckedAtBuild(t *testing.T) {
+	for _, n := range pow2Ladder[3:] {
+		p := NewPlan(n)
+		checkRev(p.rev, p.firstTabS)
+	}
+	p64, p128 := NewPlan(64), NewPlan(128)
+	badRev := append([]int32(nil), p128.rev...)
+	badRev[5] = 128
+	negRev := append([]int32(nil), p64.rev...)
+	negRev[7] = -1
+	for name, call := range map[string]func(){
+		"index past table": func() { checkRev(badRev, 2) },
+		"negative index":   func() { checkRev(negRev, 4) },
+		"odd table":        func() { checkRev(p128.rev[:3], 2) },
+		"empty table":      func() { checkRev(nil, 2) },
+		"table not 4s":     func() { checkRev(p64.rev[:6], 4) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "fft: invalid bit-reversal table") {
+					t.Errorf("%s: recovered %q, want the table check's panic", name, msg)
+				}
+			}()
+			call()
+		}()
+	}
 }
 
 // TestSharesElementsExact holds sharesElements to counting every element of

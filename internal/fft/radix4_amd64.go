@@ -5,19 +5,16 @@ import (
 	"math/bits"
 )
 
-// useAVX2 selects the AVX2 routines for the twiddled passes, the row stages
-// and the real split and merge. It is a property of the machine, fixed at
+// useAVX2 selects the AVX2 routines for the row stages and passes and the
+// real split and merge. It is a property of the machine, fixed at
 // package init: the CPU and the OS support AVX2, and the build is not a race
 // build (the detector cannot see assembly loads and stores, so race builds
 // execute the Go reference passes). Only tests flip it.
 var useAVX2 = !raceEnabled && cpuHasAVX2()
 
-// radix4AVX2, the three row routines, the real split and merge routines,
-// cpuid and xgetbv are implemented in radix4_amd64.s.
+// The three row routines, the real split and merge routines, cpuid and
+// xgetbv are implemented in radix4_amd64.s.
 //
-//go:noescape
-func radix4AVX2(dst, src *complex128, n, s int, tw *twiddle3, scale float64, scaled bool)
-
 //go:noescape
 func pairsRowsAVX2(tile, data *complex128, w, pitch, lane int, rev *int32, n int)
 
@@ -55,21 +52,10 @@ func cpuHasAVX2() bool {
 	return ebx&(1<<5) != 0
 }
 
-// radix4Vec runs one twiddled radix-4 pass from src to dst (the same array for
-// an in-place pass) through radix4AVX2, multiplying the outputs by
-// complex(scale, 0) when scaled. Assembly has no bounds checks, so everything
-// it relies on is checked here.
-func radix4Vec(dst, src []complex128, s int, tw []twiddle3, scale float64, scaled bool) {
-	n := len(src)
-	if s < 2 || s%2 != 0 || n == 0 || n%(4*s) != 0 || len(tw) < s || len(dst) < n {
-		panic(fmt.Sprintf("fft: invalid radix-4 pass s=%d len(src)=%d len(dst)=%d len(tw)=%d", s, n, len(dst), len(tw)))
-	}
-	radix4AVX2(&dst[0], &src[0], n, s, &tw[0], scale, scaled)
-}
-
 // rowsFit reports whether the elements i·pitch + l·lane, i < n, l < w, lie
-// inside an array of length size and no two of them coincide (n, w, pitch,
-// lane >= 1).
+// inside an array of length size and are nested (rowsNested): no two of them
+// coincide unless lane is 0, which makes every lane of a row one element
+// (n, w, pitch >= 1; lane >= 0).
 func rowsFit(size, n, w, pitch, lane int) bool {
 	return rowsInside(size, n, w, pitch, lane) && rowsNested(n, w, pitch, lane)
 }
@@ -83,32 +69,30 @@ func rowsInside(size, n, w, pitch, lane int) bool {
 	return hr|hl == 0 && rows < uint64(size) && lanes < uint64(size)-rows
 }
 
-// checkFirstRows panics unless a first row stage of radix r (2 or 4) stays
-// inside its arrays: w even and at least 2, rev a table of n = len(rev)
-// indices below n with n a positive multiple of r, n packed rows of w in tile,
-// and n rows of w lanes at (pitch, lane) in data.
-func checkFirstRows(tile, data []complex128, w, pitch, lane int, rev []int32, r int) {
-	n := len(rev)
-	ok := w >= 2 && w%2 == 0 && n > 0 && n%r == 0 && pitch >= 1 && lane >= 1 && rowsFit(len(tile), n, w, w, 1) && rowsFit(len(data), n, w, pitch, lane)
-	for _, i := range rev {
-		ok = ok && uint32(i) < uint32(n)
-	}
-	if !ok {
+// checkFirstRows panics unless a first row stage of radix r (2 or 4) of plan p
+// stays inside its arrays: w even and at least 2, n = len(p.rev) a positive
+// multiple of r, n packed rows of w in tile, and n rows of w lanes at
+// (pitch, lane) in data. The table itself was checked when initPow2 built it
+// (checkRev), so no call walks it.
+func checkFirstRows(tile, data []complex128, w, pitch, lane int, p *Plan, r int) {
+	n := len(p.rev)
+	if w < 2 || w%2 != 0 || n == 0 || n%r != 0 || pitch < 1 || lane < 0 || !rowsFit(len(tile), n, w, w, 1) || !rowsFit(len(data), n, w, pitch, lane) {
 		panic(fmt.Sprintf("fft: invalid radix-%d row stage w=%d pitch=%d lane=%d len(rev)=%d len(tile)=%d len(data)=%d", r, w, pitch, lane, n, len(tile), len(data)))
 	}
 }
 
 // pairsRowsVec, quadsRowsVec and radix4RowsVec run pairsRows, quadsRows and
 // radix4Rows through their AVX2 routines, after checking every extent the
-// assembly relies on.
-func pairsRowsVec(tile, data []complex128, w, pitch, lane int, rev []int32) {
-	checkFirstRows(tile, data, w, pitch, lane, rev, 2)
-	pairsRowsAVX2(&tile[0], &data[0], w, pitch, lane, &rev[0], len(rev))
+// assembly relies on. The first stages take their table from the plan, the
+// only place one is built.
+func pairsRowsVec(tile, data []complex128, w, pitch, lane int, p *Plan) {
+	checkFirstRows(tile, data, w, pitch, lane, p, 2)
+	pairsRowsAVX2(&tile[0], &data[0], w, pitch, lane, &p.rev[0], len(p.rev))
 }
 
-func quadsRowsVec(tile, data []complex128, w, pitch, lane int, rev []int32, fwd bool) {
-	checkFirstRows(tile, data, w, pitch, lane, rev, 4)
-	quadsRowsAVX2(&tile[0], &data[0], w, pitch, lane, &rev[0], len(rev), fwd)
+func quadsRowsVec(tile, data []complex128, w, pitch, lane int, p *Plan, fwd bool) {
+	checkFirstRows(tile, data, w, pitch, lane, p, 4)
+	quadsRowsAVX2(&tile[0], &data[0], w, pitch, lane, &p.rev[0], len(p.rev), fwd)
 }
 
 func radix4RowsVec(dst []complex128, dpitch, dlane int, src []complex128, w, s int, tw []twiddle3, scale float64, scaled bool) {
@@ -116,7 +100,7 @@ func radix4RowsVec(dst []complex128, dpitch, dlane int, src []complex128, w, s i
 	if w >= 2 && w%2 == 0 {
 		n = len(src) / w
 	}
-	if s < 1 || n == 0 || n%(4*s) != 0 || len(src) != n*w || len(tw) < s || dpitch < 1 || dlane < 1 || !rowsFit(len(dst), n, w, dpitch, dlane) {
+	if s < 1 || n == 0 || n%(4*s) != 0 || len(src) != n*w || len(tw) < s || dpitch < 1 || dlane < 0 || !rowsFit(len(dst), n, w, dpitch, dlane) {
 		panic(fmt.Sprintf("fft: invalid radix-4 row pass w=%d s=%d len(src)=%d dpitch=%d dlane=%d len(dst)=%d len(tw)=%d", w, s, len(src), dpitch, dlane, len(dst), len(tw)))
 	}
 	radix4RowsAVX2(&dst[0], dpitch, dlane, &src[0], w, n, s, &tw[0], scale, scaled)

@@ -1,34 +1,21 @@
 #include "textflag.h"
 
-// The passes of kernel.go, rows.go and real.go in 256-bit registers: radix4AVX2 runs a
-// twiddled radix-4 pass along one line, two butterflies (j, j+1) per
-// iteration; pairsRowsAVX2, quadsRowsAVX2 and radix4RowsAVX2 run the first
-// stage and the twiddled pass across the rows of a group of lines, two lines
-// (lanes) per iteration — one 256-bit load or store when the lanes are
-// adjacent, two 128-bit halves (VINSERTF128, VEXTRACTF128) when they are
-// lane elements apart; splitRowsAVX2 and mergeRowsAVX2 run the real
+// The row engine of rows.go and the real split and merge of real.go in
+// 256-bit registers, five routines: pairsRowsAVX2, quadsRowsAVX2 and
+// radix4RowsAVX2 run the first stage and the twiddled pass across the rows of
+// a group of lines, two lines (lanes) per iteration — one 256-bit load or
+// store when the lanes are adjacent, two 128-bit halves (VINSERTF128,
+// VEXTRACTF128) when they are lane elements apart, or the same element twice
+// at lane 0 (a line on its own); splitRowsAVX2 and mergeRowsAVX2 run the real
 // transform's even/odd split and merge across lanes the same way. Each
 // performs exactly the IEEE operations the compiler emits for the Go loop it
-// stands in for (radix4Pass / radix4PassTo, pairsRows, quadsRows, radix4Rows,
-// splitLanes, mergeLanes), in the same association, so every output
-// bit matches the Go reference: a complex product is re = ar·tr − ai·ti,
-// im = ai·tr + ar·ti (two VMULPD, one VPERMILPD, one VADDSUBPD), a product
-// with ∓i is a VPERMILPD and a sign flip (VXORPD), butterflies are plain
-// VADDPD/VSUBPD. No fused multiply-add anywhere — it rounds once where the
-// reference rounds twice — and nothing wider than YMM.
-
-// TWID loads twiddle k (byte offset off in the triple) of butterflies j and
-// j+1 from the 48-byte twiddle3 records at BX as re = (r0 r0 r1 r1) and
-// im = (i0 i0 i1 i1). Broadcast loads and a blend keep the shuffle port for
-// CMUL; measured 7–13 % faster per pass than one load + VMOVDDUP/VPERMILPD.
-// Clobbers Y0.
-#define TWID(off, re, im) \
-	VBROADCASTSD off(BX), re;     \
-	VBROADCASTSD off+48(BX), Y0;  \
-	VBLENDPD     $12, Y0, re, re; \
-	VBROADCASTSD off+8(BX), im;   \
-	VBROADCASTSD off+56(BX), Y0;  \
-	VBLENDPD     $12, Y0, im, im
+// stands in for (pairsRows, quadsRows, radix4Rows, splitLanes, mergeLanes),
+// in the same association, so every output bit matches the Go reference: a
+// complex product is re = ar·tr − ai·ti, im = ai·tr + ar·ti (two VMULPD, one
+// VPERMILPD, one VADDSUBPD), a product with ∓i is a VPERMILPD and a sign flip
+// (VXORPD), butterflies are plain VADDPD/VSUBPD. No fused multiply-add
+// anywhere — it rounds once where the reference rounds twice — and nothing
+// wider than YMM.
 
 // CMUL sets out = a · (re, im) for two packed complex values; a survives
 // unless out == a. Clobbers Y0, Y1.
@@ -38,76 +25,9 @@
 	VMULPD    im, Y1, Y1; \
 	VADDSUBPD Y1, Y0, out
 
-// func radix4AVX2(dst, src *complex128, n, s int, tw *twiddle3, scale float64, scaled bool)
-//
-// Requires s even and >= 2, n a positive multiple of 4s, s twiddle3 records at
-// tw, n elements at src and at dst, and dst == src or no overlap; the Go
-// wrapper radix4Vec checks what it can see.
-TEXT ·radix4AVX2(SB), NOSPLIT, $0-49
-	MOVQ         dst+0(FP), DI
-	MOVQ         src+8(FP), SI
-	MOVQ         n+16(FP), DX
-	MOVQ         s+24(FP), R8
-	MOVQ         tw+32(FP), R10
-	VBROADCASTSD scale+40(FP), Y14    // (scale, 0) as re/im multiplier pair
-	VXORPD       Y15, Y15, Y15
-	MOVBLZX      scaled+48(FP), AX
-	MOVQ         R8, R11
-	SHRQ         $1, R11              // s/2 iterations per block
-	LEAQ         (R8*4), R12          // 4s elements per block
-	SHLQ         $4, R8               // quarter-block pitch in bytes
-	LEAQ         (R8)(R8*2), R9       // three quarters
-
-block:
-	MOVQ R10, BX
-	MOVQ R11, CX
-
-pair:
-	VMOVUPD (SI), Y4                  // a
-	VMOVUPD (SI)(R8*1), Y5            // b
-	VMOVUPD (SI)(R8*2), Y6            // c
-	VMOVUPD (SI)(R9*1), Y7            // d
-	TWID(0, Y2, Y3)
-	CMUL(Y5, Y2, Y3, Y5)              // b·t1
-	CMUL(Y7, Y2, Y3, Y7)              // d·t1
-	VADDPD  Y5, Y4, Y8                // e0 = a + b
-	VSUBPD  Y5, Y4, Y9                // e1 = a − b
-	VADDPD  Y7, Y6, Y10               // c + d
-	VSUBPD  Y7, Y6, Y11               // c − d
-	TWID(16, Y2, Y3)
-	CMUL(Y10, Y2, Y3, Y10)            // f0 = (c + d)·t2
-	TWID(32, Y2, Y3)
-	CMUL(Y11, Y2, Y3, Y11)            // f1 = (c − d)·t3
-	VADDPD  Y10, Y8, Y4               // e0 + f0
-	VADDPD  Y11, Y9, Y5               // e1 + f1
-	VSUBPD  Y10, Y8, Y6               // e0 − f0
-	VSUBPD  Y11, Y9, Y7               // e1 − f1
-	TESTQ   AX, AX
-	JZ      store
-	CMUL(Y4, Y14, Y15, Y4)
-	CMUL(Y5, Y14, Y15, Y5)
-	CMUL(Y6, Y14, Y15, Y6)
-	CMUL(Y7, Y14, Y15, Y7)
-
-store:
-	VMOVUPD Y4, (DI)
-	VMOVUPD Y5, (DI)(R8*1)
-	VMOVUPD Y6, (DI)(R8*2)
-	VMOVUPD Y7, (DI)(R9*1)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	ADDQ    $96, BX
-	DECQ    CX
-	JNZ     pair
-	ADDQ    R9, SI                    // skip the three quarters just written
-	ADDQ    R9, DI
-	SUBQ    R12, DX
-	JNZ     block
-	VZEROUPPER
-	RET
-
 // LANES2 loads lanes l and l+1 of a data row into one YMM: at (row) and
-// (row)(lane*1) when the lanes are lane bytes apart (lane ≠ 16).
+// (row)(lane*1) when the lanes are lane bytes apart (lane ≠ 16; at lane 0
+// both halves are the same element).
 #define LANES2(row, lane, y, x) \
 	VMOVUPD     (row), x; \
 	VINSERTF128 $1, (row)(lane*1), y, y
@@ -150,7 +70,8 @@ store:
 // when lane == 1, else two 128-bit halves; the lane test is made once per
 // call. Requires w even and >= 2, n even and >= 2, n entries at rev each
 // below n, n·w elements at tile and (n−1)·pitch + (w−1)·lane + 1 at data; the
-// Go wrapper pairsRowsVec checks them.
+// Go wrapper pairsRowsVec checks them, the table's entries once, when the
+// plan built it (checkRev).
 TEXT ·pairsRowsAVX2(SB), NOSPLIT, $0-56
 	MOVQ tile+0(FP), DI
 	MOVQ data+8(FP), SI
@@ -252,7 +173,7 @@ GLOBL signs<>(SB), RODATA|NOPTR, $40
 //
 // Tile rows i … i+3 = the 4-point DFTs of data rows rev[i] … rev[i+3], forward
 // (twiddle −i) or inverse (+i). Requires what pairsRowsAVX2 requires with n a
-// positive multiple of 4; the Go wrapper quadsRowsVec checks it.
+// positive multiple of 4; the Go wrapper quadsRowsVec checks it, as above.
 TEXT ·quadsRowsAVX2(SB), NOSPLIT, $0-57
 	MOVQ    tile+0(FP), DI
 	MOVQ    data+8(FP), SI
@@ -366,11 +287,13 @@ quadsglane:
 // (pitch w), lane l of dst row r is at dst[r·dpitch + l·dlane]; row j of a
 // quarter-block uses twiddle record j in every lane, broadcast once per row.
 // Stores are 256-bit when dlane == 1, else two 128-bit halves, the low one at
-// (DI) and the high one dlane elements on (R13); the lane test is made once
+// (DI) and the high one dlane elements on (R13) — the same address at
+// dlane 0, where both lanes hold the same line; the lane test is made once
 // per call. Requires w even and >= 2, s >= 1, n a positive multiple of 4s, s
 // twiddle3 records at tw, n·w elements at src, (n−1)·dpitch + (w−1)·dlane + 1
-// at dst, no two dst elements the same, and dst == src with (dpitch, dlane) ==
-// (w, 1) or no overlap; the Go wrapper radix4RowsVec checks what it can see.
+// at dst, no two dst rows sharing an element, and dst == src with
+// (dpitch, dlane) == (w, 1) or no overlap; the Go wrapper radix4RowsVec
+// checks what it can see.
 TEXT ·radix4RowsAVX2(SB), NOSPLIT, $0-73
 	MOVQ         dst+0(FP), DI
 	MOVQ         dpitch+8(FP), R12

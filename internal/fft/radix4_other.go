@@ -2,20 +2,16 @@
 
 package fft
 
-// Only amd64 has vector routines for the twiddled passes, the row stages and
-// the real split and merge; everywhere else the Go loops in kernel.go,
-// rows.go and real.go are the implementation.
+// Only amd64 has vector routines for the row stages and passes and the real
+// split and merge; everywhere else the Go loops in rows.go and real.go are
+// the implementation.
 const useAVX2 = false
 
-func radix4Vec(dst, src []complex128, s int, tw []twiddle3, scale float64, scaled bool) {
-	panic("fft: radix4Vec without a vector routine")
-}
-
-func pairsRowsVec(tile, data []complex128, w, pitch, lane int, rev []int32) {
+func pairsRowsVec(tile, data []complex128, w, pitch, lane int, p *Plan) {
 	panic("fft: pairsRowsVec without a vector routine")
 }
 
-func quadsRowsVec(tile, data []complex128, w, pitch, lane int, rev []int32, fwd bool) {
+func quadsRowsVec(tile, data []complex128, w, pitch, lane int, p *Plan, fwd bool) {
 	panic("fft: quadsRowsVec without a vector routine")
 }
 

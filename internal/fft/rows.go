@@ -1,36 +1,40 @@
 package fft
 
-// Row execution of a group of lines.
+// Row execution of a group of lines: the one power-of-two engine.
 //
 // A group of w lines of one layout is n rows of w lanes: element i of line l
 // is data[i*pitch+l*lane]. Adjacent strided lines (the column pass of a plane,
 // the axis-0 and axis-1 passes of a pencil) are (pitch = stride, lane = 1);
 // contiguous lines (the unit-stride pencil axis, the row pass of a plane) are
-// (pitch = 1, lane = dist). The butterflies of the power-of-two kernel run
-// across the rows — every lane of a row is the same element index of a
-// different line, so it meets the same twiddle — and nothing is transposed.
-// The first, twiddle-free stage reads the caller's rows through the
-// bit-reversal table and writes the packed tile row after row; the middle
-// passes run in place in the tile; the final pass reads the tile and stores
-// into the caller's lanes with the inverse scaling fused. The array is read
-// once and written once.
+// (pitch = 1, lane = dist); a line on its own — an odd one left over, a line
+// of a layout whose lines do not nest, a single contiguous line — is a group
+// of two lanes at lane 0, both the same line, which read the same elements
+// and store the same bits to the same addresses. The butterflies run across
+// the rows — every lane of a row is the same element index of a line, so it
+// meets the same twiddle — and nothing is transposed. The first,
+// twiddle-free stage reads the caller's rows through the bit-reversal table
+// and writes the packed tile row after row; the middle passes run in place in
+// the tile; the final pass reads the tile and stores into the caller's lanes
+// with the inverse scaling fused. The array is read once and written once.
 //
-// Per element the arithmetic is that of kernelPow2Buf — gatherPairs or
-// gatherQuads, then radix4Pass, then radix4PassTo — only the loop nest
-// differs, so a line transformed here, through the generic tile of blocked.go
-// or alone carries the same bits. The three Go loops below are the reference;
-// on amd64 CPUs with AVX2 the routines of radix4_amd64.s run instead, under the
-// rules stated in kernel.go (same operations, same association, no FMA).
+// Per element the arithmetic is the same whatever the group — a line carries
+// the same bits in a pair, alone or at any (pitch, lane). The three Go loops
+// below are the reference; on amd64 CPUs with AVX2 the routines of
+// radix4_amd64.s run instead, which read the same tables and issue the same
+// multiplies, adds and subtracts in the same association — no fused
+// multiply-add, whose single rounding would change the bits. The loops run
+// as written on every other GOARCH, without AVX2 and in race builds.
 
 // transformRows transforms w lines of a power-of-two plan of at least 8
 // points from src to dst: element i of line l is read at src[i*spitch+l*slane]
 // and stored at dst[i*dpitch+l*dlane]. A batch passes its array as both, at
 // the same rows and lanes; a real batch passes the tile as dst, at (w, 1), or
-// as src (real.go). w is even, at least 2, w·n elements fit in tile, and both
-// sides are nested (rowsNested).
+// as src (real.go); a Bluestein group passes its convolution buffer as both.
+// w is even, at least 2, w·n elements fit in tile, and both sides are nested
+// (rowsNested) — or, for a line on its own, w is 2 and both lanes are 0.
 func (p *Plan) transformRows(dst []complex128, dpitch, dlane int, src []complex128, spitch, slane int, tile []complex128, w int, dir Direction, scale float64) {
 	tile = tile[:p.n*w]
-	firstRows(tile, src, w, spitch, slane, p.rev, p.preRadix2, dir == Forward)
+	firstRows(tile, src, w, spitch, slane, p, dir == Forward)
 	passes := p.tw4[dir]
 	s := p.firstTabS
 	last := len(passes) - 1
@@ -45,9 +49,11 @@ func (p *Plan) transformRows(dst []complex128, dpitch, dlane int, src []complex1
 }
 
 // rowsNested reports whether n rows of w lanes at (pitch, lane) are nested one
-// way or the other, so no two of the n·w elements coincide: a row of w lanes
-// fits in the pitch, or a whole line of n rows fits in the lane. The products
-// cannot wrap once the rows and lanes are known to lie inside an array.
+// way or the other: a row of w lanes fits in the pitch, or a whole line of n
+// rows fits in the lane. Then no two rows share an element, and two lanes of a
+// row coincide only at lane 0, where every lane of a row is one element — a
+// line on its own, whose lanes store the same bits. The products cannot wrap
+// once the rows and lanes are known to lie inside an array.
 func rowsNested(n, w, pitch, lane int) bool {
 	return pitch >= w*lane || lane >= n*pitch
 }
@@ -55,16 +61,16 @@ func rowsNested(n, w, pitch, lane int) bool {
 // firstRows and rows4 are what transformRows calls for a stage: the vector
 // routine where the machine has one (useAVX2), else the matching Go loop
 // below. Both produce the same bits.
-func firstRows(tile, data []complex128, w, pitch, lane int, rev []int32, pairs, fwd bool) {
+func firstRows(tile, data []complex128, w, pitch, lane int, p *Plan, fwd bool) {
 	switch {
-	case useAVX2 && pairs:
-		pairsRowsVec(tile, data, w, pitch, lane, rev)
+	case useAVX2 && p.preRadix2:
+		pairsRowsVec(tile, data, w, pitch, lane, p)
 	case useAVX2:
-		quadsRowsVec(tile, data, w, pitch, lane, rev, fwd)
-	case pairs:
-		pairsRows(tile, data, w, pitch, lane, rev)
+		quadsRowsVec(tile, data, w, pitch, lane, p, fwd)
+	case p.preRadix2:
+		pairsRows(tile, data, w, pitch, lane, p.rev)
 	default:
-		quadsRows(tile, data, w, pitch, lane, rev, fwd)
+		quadsRows(tile, data, w, pitch, lane, p.rev, fwd)
 	}
 }
 
@@ -76,8 +82,9 @@ func rows4(dst []complex128, dpitch, dlane int, src []complex128, w, s int, tw [
 	radix4Rows(dst, dpitch, dlane, src, w, s, tw, scale, scaled)
 }
 
-// pairsRows is gatherPairs across rows: tile rows i and i+1 receive the sum
-// and the difference of data rows rev[i] and rev[i+1], w lanes each.
+// pairsRows is the radix-2 fix-up stage of an odd log2(n), fused with the
+// bit-reversal gather: tile rows i and i+1 receive the sum and the difference
+// of data rows rev[i] and rev[i+1], w lanes each.
 func pairsRows(tile, data []complex128, w, pitch, lane int, rev []int32) {
 	m := (w-1)*lane + 1 // the extent of a row's lanes
 	for i := 0; i+1 < len(rev); i += 2 {
@@ -93,8 +100,9 @@ func pairsRows(tile, data []complex128, w, pitch, lane int, rev []int32) {
 	}
 }
 
-// quadsRows is gatherQuads across rows: four tile rows receive the 4-point
-// DFTs (twiddles 1 and ∓i only) of data rows rev[i] … rev[i+3].
+// quadsRows is the first radix-4 stage, fused with the bit-reversal gather:
+// four tile rows receive the 4-point DFTs (twiddles 1 and ∓i only) of data
+// rows rev[i] … rev[i+3].
 func quadsRows(tile, data []complex128, w, pitch, lane int, rev []int32, fwd bool) {
 	m := (w-1)*lane + 1
 	for i := 0; i+3 < len(rev); i += 4 {
