@@ -42,10 +42,13 @@ test:
 # (TestRepeatedAbortsNeverBlockALeader), and so does the test that each
 # communicator replays only the schedules compiled for it: two communicators
 # sharing one exchange pattern, interleaved, on GPU-aware and staged worlds
-# (TestCompiledScheduleCacheIdentity). Used by CI.
+# (TestCompiledScheduleCacheIdentity), and so do the global batches run in the
+# callers' arrays, where only the exchanges order one owner's stage of a box
+# before the next owner's (TestGlobalMatchesScatterGather,
+# TestInPlaceGlobalMovesNothing). Used by CI.
 race:
 	go test -race ./internal/mpisim/ ./internal/core/ ./internal/fft/ ./internal/tensor/ ./internal/trace/ ./internal/tuning/ ./heffte/serve/ ./internal/sched/
-	go test -race -count=1 -cpu 1,2,8 -run 'TestRecycledListsMatchFresh|TestRendezvousReleasesRound|TestPatternMatchesBlocks|TestBareExchangesMoveNoBlockLists|TestPatternPricesLikeBlocks|TestCompletedRoundSurvivesAbort|TestRepeatedAbortsNeverBlockALeader|TestForwardCtxCancellation|TestCompiledScheduleCacheIdentity' ./internal/core/ ./internal/mpisim/
+	go test -race -count=1 -cpu 1,2,8 -run 'TestRecycledListsMatchFresh|TestRendezvousReleasesRound|TestPatternMatchesBlocks|TestBareExchangesMoveNoBlockLists|TestPatternPricesLikeBlocks|TestCompletedRoundSurvivesAbort|TestRepeatedAbortsNeverBlockALeader|TestForwardCtxCancellation|TestCompiledScheduleCacheIdentity|TestGlobalMatchesScatterGather|TestInPlaceGlobalMovesNothing' ./internal/core/ ./internal/mpisim/
 
 # checkptr instruments every unsafe.Pointer conversion and the arithmetic on
 # it. Race builds compile the Go copy and FFT loops instead of the amd64

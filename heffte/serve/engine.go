@@ -307,8 +307,11 @@ func (e *engine) startBackend(w *heffte.World, decomp heffte.Decomposition, res 
 }
 
 // execute runs one fused batched transform of the requests' own arrays
-// (Plan.ForwardGlobal on every rank): the input reshape reads each req.Data
-// and the output reshape writes it, so nothing is scattered or gathered.
+// (Plan.ForwardGlobal on every rank): each rank transforms its box of each
+// req.Data where it sits and the reshapes are charged, not copied — or, with
+// integrity, a fault plan or checkpoints, the input reshape reads each
+// req.Data and the output reshape writes it — so nothing is scattered or
+// gathered.
 // Results are bit-identical to executing the requests one by one: batch
 // entries touch disjoint data. The returned ticket identifies the backend and
 // checkpoint generation the batch ran under, for elastic recovery.

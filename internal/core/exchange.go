@@ -59,7 +59,6 @@ type exchange[T any] struct {
 	// when lent — once the last receiver has copied out of them. Arrays the
 	// caller made are never pooled, written or read after the call returns.
 	recycleIn bool
-	grid      onGrid
 	// view is set when the exchange ships views instead of packing (lends):
 	// the record its blocks point at.
 	view *lent[T]
@@ -91,10 +90,10 @@ type posted struct {
 }
 
 // onGrid marks the sides of an exchange that work on the callers' whole-grid
-// arrays of a global batch (Plan.ForwardGlobal) instead of arrays over this
-// rank's boxes: the input reshape reads its blocks straight out of them, the
-// output reshape writes its boxes straight into them (out then holds them on
-// arrival and nothing is drawn).
+// arrays of a global batch not run in place (Plan.ForwardGlobal) instead of
+// arrays over this rank's boxes: the input reshape packs its blocks straight
+// out of them, the output reshape writes its boxes straight into them (out
+// then holds them on arrival and nothing is drawn).
 type onGrid struct{ in, out bool }
 
 // arm readies x — in place, its previous contents dropped — to run this
@@ -107,7 +106,7 @@ type onGrid struct{ in, out bool }
 func (x *exchange[T]) arm(e *engine, rs *reshapePlan, datas, out [][]T, phantom, recycleIn, async bool, grid onGrid) {
 	*x = exchange[T]{}
 	x.rs, x.e, x.datas, x.out, x.from, x.to = rs, e, datas, out, rs.from, rs.to
-	x.phantom, x.recycleIn, x.grid, x.chunks = phantom, recycleIn, grid, 1
+	x.phantom, x.recycleIn, x.chunks = phantom, recycleIn, 1
 	if grid.in {
 		x.from = tensor.FullBox(e.global)
 	}
@@ -121,7 +120,7 @@ func (x *exchange[T]) arm(e *engine, rs *reshapePlan, datas, out [][]T, phantom,
 	x.eb = elemBytes[T]()
 	x.web = WireElemSize(x.wire, x.eb)
 	if x.lends() {
-		x.view = scratchOf[T](e).lendOut(datas, x.from, recycleIn)
+		x.view = scratchOf[T](e).lendOut(datas, x.from)
 	}
 	if e.caps.Collective {
 		f := rs.resolved(e.opts, x.web, len(datas))
@@ -134,48 +133,46 @@ func (x *exchange[T]) arm(e *engine, rs *reshapePlan, datas, out [][]T, phantom,
 }
 
 // lends is the one predicate for shipping views instead of packed copies: the
-// arrays are real and either plan-owned or a global batch's whole-grid input —
-// not any other caller's array, whose owner may overwrite it the moment the
-// call returns while peers still read; a global batch's arrays are handed to
-// every rank, and nothing writes them before the output reshape, which every
-// rank reaches only after each block of the input reshape has been read (each
-// output element depends on every input element, so a chain of exchanges
-// orders every read before every write) — and no layer between sender and
-// receiver reads or rewrites the bytes: the wire is fp64 (a compressed block
-// is rounded in place), the world neither checksums envelopes nor carries ABFT
-// sums (both stream the packed block), and no fault plan is attached (silent
-// corruption flips payload bits, retransmits re-read them). All of these are
-// constants of the world or the reshape, or the ownership the runner tracks;
-// nothing sets them to get a view.
+// arrays are real and plan-owned — not a caller's, whose owner may overwrite
+// them the moment the call returns while peers still read (a global batch
+// whose every reshape would lend moves nothing at all: engine.inPlace) — and
+// no layer between sender and receiver reads or rewrites the bytes: the wire
+// is fp64 (a compressed block is rounded in place) and the world leaves the
+// blocks untouched. All of these are constants of the world or the reshape,
+// or the ownership the runner tracks; nothing sets them to get a view.
 func (x *exchange[T]) lends() bool {
-	g := x.rs.group
-	return (x.recycleIn || x.grid.in) && !x.phantom && x.wire == WireFp64 &&
-		!g.Integrity().Enabled() && !g.FaultsAttached()
+	return x.recycleIn && !x.phantom && x.wire == WireFp64 && untouched(x.rs.group)
 }
 
 // isBare is the one predicate for an exchange that builds no block list at
 // all: a phantom batch (no payload to carry) on a collective backend (whose
-// transport prices from the pattern alone), in a world that neither checksums
-// nor carries ABFT sums (both charge per block) and attaches no fault plan (a
-// fault tags, drops or flips individual blocks). Such an exchange charges
-// dev.Pack, dev.Unpack and Convert from the pattern's element totals, in the
-// order a block-carrying one does, so no clock can tell the two apart.
+// transport prices from the pattern alone), in a world that leaves the blocks
+// untouched. Such an exchange charges dev.Pack, dev.Unpack and Convert from
+// the pattern's element totals, in the order a block-carrying one does, so no
+// clock can tell the two apart.
 func (x *exchange[T]) isBare() bool {
-	g := x.rs.group
-	return x.phantom && x.e.caps.Collective && !g.Integrity().Enabled() && !g.FaultsAttached()
+	return x.phantom && x.e.caps.Collective && untouched(x.rs.group)
 }
 
-// lent is what a view points at: the sender's arrays over from, and who still
-// needs them — every deposited block not yet copied out, plus the sender until
-// its last chunk is posted. The last to let go returns plan-owned arrays
-// (pooled) to the staging pool and leaves the record idle for the engine's
-// next lending exchange (batchScratch.lendOut); a record whose holds never
-// drain — the world failed mid-exchange — is simply dropped with its arrays.
+// untouched reports whether the world does no per-block work between sender
+// and receiver: it neither checksums envelopes nor carries ABFT sums (both
+// stream the packed block) and attaches no fault plan (silent corruption
+// flips payload bits, retransmits re-read them, a fault tags or drops single
+// blocks).
+func untouched(c *mpisim.Comm) bool {
+	return !c.Integrity().Enabled() && !c.FaultsAttached()
+}
+
+// lent is what a view points at: the sender's plan-owned arrays over from,
+// and who still needs them — every deposited block not yet copied out, plus
+// the sender until its last chunk is posted. The last to let go returns the
+// arrays to the staging pool and leaves the record idle for the engine's next
+// lending exchange (batchScratch.lendOut); a record whose holds never drain —
+// the world failed mid-exchange — is simply dropped with its arrays.
 type lent[T any] struct {
-	datas  [][]T
-	from   tensor.Box3
-	pooled bool
-	holds  atomic.Int64
+	datas [][]T
+	from  tensor.Box3
+	holds atomic.Int64
 }
 
 // lentIdle is lent.holds of a record nobody uses. It differs from zero, which
@@ -187,9 +184,7 @@ func (v *lent[T]) release() {
 		return
 	}
 	for i, d := range v.datas {
-		if v.pooled {
-			putBuf(d)
-		}
+		putBuf(d)
 		v.datas[i] = nil
 	}
 	v.holds.Store(lentIdle)

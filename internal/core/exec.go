@@ -85,10 +85,10 @@ func (s *batchScratch[T]) take(n int) (datas, out [][]T) {
 }
 
 // lendOut readies a record for an exchange that lends datas (over box from,
-// returned to the staging pool after the last read when pooled): an idle one
-// when there is one — in steady state there always is — holding the arrays and
-// the sender's own hold.
-func (s *batchScratch[T]) lendOut(datas [][]T, from tensor.Box3, pooled bool) *lent[T] {
+// returned to the staging pool after the last read): an idle one when there
+// is one — in steady state there always is — holding the arrays and the
+// sender's own hold.
+func (s *batchScratch[T]) lendOut(datas [][]T, from tensor.Box3) *lent[T] {
 	var v *lent[T]
 	for _, c := range s.views {
 		if c.holds.Load() == lentIdle {
@@ -100,7 +100,7 @@ func (s *batchScratch[T]) lendOut(datas [][]T, from tensor.Box3, pooled bool) *l
 		v = &lent[T]{}
 		s.views = append(s.views, v)
 	}
-	v.datas, v.from, v.pooled = append(v.datas[:0], datas...), from, pooled
+	v.datas, v.from = append(v.datas[:0], datas...), from
 	v.holds.Store(1)
 	return v
 }
@@ -235,9 +235,11 @@ type batch struct {
 	// (Plan.ForwardGlobal; nil otherwise): the input is read out of them and
 	// the output written into them (enterGrid, reshape, leaveGrid). While wide
 	// is set the fields' arrays are these arrays, laid out over the full grid
-	// rather than over the fields' boxes.
-	whole [][]complex128
-	wide  bool
+	// rather than over the fields' boxes. inPlace keeps them there from the
+	// first stage to the last: each rank transforms its box where it sits, and
+	// the reshapes are charged, not copied (engine.inPlace).
+	whole         [][]complex128
+	wide, inPlace bool
 }
 
 func (b *batch) len() int {
@@ -432,7 +434,7 @@ func (e *engine) run(stages []stage, b *batch, dir fft.Direction, from int, pol 
 		return err
 	}
 	if b.whole != nil {
-		e.enterGrid(&stages[0], b)
+		e.enterGrid(stages, b)
 	}
 	phantom := b.phantom()
 	if ck != nil {
@@ -531,11 +533,25 @@ func land(f *Field, flights []exchange[complex128], i int) {
 // reshape moves the whole batch through one fused exchange and re-points
 // every entry at its array over the target distribution, drawn from the
 // staging pool: the batch is plan-owned from here on — except after the last
-// stage of a global batch, which lands the output in the callers' arrays.
+// stage of a global batch, which lands the output in the callers' arrays. A
+// global batch run in place moves nothing: the exchange runs as a phantom one
+// (bare, or size-only blocks on P2P), charging what the copying one would,
+// and only the boxes change.
 func (e *engine) reshape(rs *reshapePlan, b *batch, last bool) {
 	if b.real {
 		reshapeFields[float64](e, rs, b.reals, b.owned, onGrid{}, nil)
 		b.owned = true
+		return
+	}
+	if b.inPlace {
+		for _, f := range b.fields {
+			checkBox(rs, f.Box)
+			f.Box = rs.to
+		}
+		datas, out := e.cscratch.take(len(b.fields))
+		var x exchange[complex128]
+		x.arm(e, rs, datas, out, true, false, false, onGrid{})
+		x.run()
 		return
 	}
 	grid := onGrid{in: b.wide, out: last && b.whole != nil}
@@ -568,13 +584,14 @@ func reshapeFields[T any, F fieldOf[T]](e *engine, rs *reshapePlan, fs []F, recy
 }
 
 // enterGrid points a global batch's fields at this rank's input box of the
-// callers' arrays. An input reshape reads its blocks straight out of them; a
-// plan whose first stage computes takes its window as a pooled copy — or, when
-// the window is the whole grid (one rank), the array itself, transformed in
-// place.
-func (e *engine) enterGrid(first *stage, b *batch) {
-	box, full := first.in(), tensor.FullBox(e.global)
-	b.wide = first.kind == stageReshape
+// callers' arrays. In place, they stay there to the last stage. Otherwise an
+// input reshape reads its blocks straight out of them, and a plan whose first
+// stage computes takes its window as a pooled copy — or, when the window is
+// the whole grid (one rank), the array itself, transformed in place.
+func (e *engine) enterGrid(stages []stage, b *batch) {
+	box, full := stages[0].in(), tensor.FullBox(e.global)
+	b.inPlace = e.inPlace(stages)
+	b.wide = b.inPlace || stages[0].kind == stageReshape
 	b.owned = !b.wide && !box.Equal(full)
 	for i, f := range b.fields {
 		f.Box, f.Data = box, b.whole[i]
@@ -585,9 +602,29 @@ func (e *engine) enterGrid(first *stage, b *batch) {
 	}
 }
 
-// leaveGrid lands a global batch's output in the callers' arrays: an output
-// reshape has written it there already; otherwise this rank copies its window
-// in, unless the field is the array itself, and pools the plan's arrays.
+// inPlace reports whether a global batch runs in the callers' arrays: every
+// reshape would lend them (an fp64 wire, and a world that neither checksums,
+// carries ABFT sums nor attaches a fault plan — see lends), and no checkpoint
+// store cuts boundaries out of them. It is safe without a barrier because a
+// point passes from one owner to the next only through an exchange, which
+// orders the sender's stage before the receiver's. Every input is a constant
+// of the world or the plan, so every rank decides alike.
+func (e *engine) inPlace(stages []stage) bool {
+	if e.opts.Checkpoints != nil || !untouched(e.comm) {
+		return false
+	}
+	for _, st := range stages {
+		if st.kind == stageReshape && st.rs.wireOf(e.opts) != WireFp64 {
+			return false
+		}
+	}
+	return true
+}
+
+// leaveGrid lands a global batch's output in the callers' arrays: in place,
+// or through an output reshape, it is there already; otherwise this rank
+// copies its window in, unless the field is the array itself, and pools the
+// plan's arrays.
 func (e *engine) leaveGrid(b *batch) {
 	full := tensor.FullBox(e.global)
 	for i, f := range b.fields {
@@ -650,24 +687,29 @@ func (e *engine) computeStage(st *stage, b *batch, dir fft.Direction) float64 {
 		return e.runABFT(st, b.fields, dir)
 	}
 	if !b.phantom() {
+		lay := st.myBox
+		if b.wide {
+			lay = tensor.FullBox(e.global)
+		}
 		for _, f := range b.fields {
-			e.kernel(st, f, dir)
+			e.kernel(st, f.Data, lay, dir)
 		}
 	}
 	return e.chargeKernel(st)
 }
 
-// kernel runs one field's local transforms of a complex compute stage.
-func (e *engine) kernel(st *stage, f *Field, dir fft.Direction) {
+// kernel runs the local transforms of a complex compute stage on one array
+// laid out over lay: the stage's box, or the whole grid around it.
+func (e *engine) kernel(st *stage, data []complex128, lay tensor.Box3, dir fft.Direction) {
 	if st.kind == stageFFT2D {
 		// Slab stage: 2-D transforms over axes (1, 2) of every plane, as two
 		// batches the row groups see whole — the rows of all planes, then
 		// their columns as one nested (planes × columns) call.
-		localFFT1D(st.fplan, f.Data, st.myBox, 2, dir)
-		localFFT1D(st.fcols, f.Data, st.myBox, 1, dir)
+		localFFT1D(st.fplan, data, lay, st.myBox, 2, dir)
+		localFFT1D(st.fcols, data, lay, st.myBox, 1, dir)
 		return
 	}
-	localFFT1D(st.fplan, f.Data, st.myBox, st.axis, dir)
+	localFFT1D(st.fplan, data, lay, st.myBox, st.axis, dir)
 }
 
 // chargeKernel charges one entry's kernel of a complex compute stage and
@@ -693,24 +735,34 @@ func (e *engine) chargeKernel(st *stage) float64 {
 	return g.FFT1DCost(n, batch, strided)
 }
 
-// localFFT1D computes the local 1-D transforms of one field along axis, in
-// place. Axis 2 is contiguous in the local row-major layout and runs as one
-// batched call; axis 1 runs as a single nested-layout call (planes × rows,
-// FFTW guru howmany_dims style) so the row groups see the whole middle-axis
-// batch at once; axis 0 is a plain strided batch. Both strided axes have
-// their adjacent lines one element apart, the layout internal/fft transforms
-// across rows without a transpose. A line's bits do not depend on its layout,
-// so the transposed mode (Options.Contiguous) is charged, never run.
-func localFFT1D(plan *fft.Plan, data []complex128, box tensor.Box3, axis int, dir fft.Direction) {
-	s := box.Sizes()
+// localFFT1D computes the 1-D transforms along axis of box, in place in data,
+// which is laid out row-major over lay: the box itself, or the whole grid of
+// a global batch run in place, the box's first line then at lay.Index(box.Lo)
+// and every line on the grid's strides. The two other axes are the batch, the
+// outer one first; where it steps exactly over the inner one they merge, so a
+// box that is its own layout runs axis 2 as one batch of contiguous lines,
+// axis 1 as one nested (planes × rows) call (FFTW guru howmany_dims style) so
+// the row groups see the whole middle-axis batch at once, and axis 0 as one
+// batch of strided lines. Adjacent strided lines are one element apart, the
+// layout internal/fft transforms across rows without a transpose. A line's
+// bits do not depend on its layout, so the transposed mode
+// (Options.Contiguous) is charged, never run.
+func localFFT1D(plan *fft.Plan, data []complex128, lay, box tensor.Box3, axis int, dir fft.Direction) {
+	s, c := box.Sizes(), lay.Sizes()
+	step := [3]int{c[1] * c[2], c[2], 1}
+	o, i := 0, 1 // the outer and inner batch axes
 	switch axis {
-	case 2:
-		plan.TransformBatch(data, 1, s[2], s[0]*s[1], dir)
-	case 1:
-		plan.TransformNested(data, s[2], s[1]*s[2], s[0], 1, s[2], dir)
 	case 0:
-		plan.TransformBatch(data, s[1]*s[2], 1, s[1]*s[2], dir)
+		o, i = 1, 2
+	case 1:
+		i = 2
 	}
+	dist1, batch1, dist2, batch2 := step[o], s[o], step[i], s[i]
+	if dist1 == dist2*batch2 {
+		dist1, batch1, batch2 = 0, 1, batch1*batch2
+	}
+	at := lay.Index(box.Lo[0], box.Lo[1], box.Lo[2])
+	plan.TransformNested(data[at:], step[axis], dist1, batch1, dist2, batch2, dir)
 }
 
 // realStage converts the batch's real z-pencils to complex half-spectrum
@@ -836,15 +888,18 @@ func (p *Plan) InverseBatch(fs []*Field) error { return p.execute(fs, fft.Invers
 
 // ForwardGlobal transforms a batch of whole grids in place: datas[i] is entry
 // i's N0×N1×N2 row-major array (axis 2 contiguous), and every rank passes the
-// same arrays. The input reshape reads each rank's blocks straight out of them
-// and the output reshape writes each rank's output box straight into them — a
-// plan without such a reshape copies the rank's own window instead — so no
-// scatter precedes the call and no gather follows it. Output bits and virtual
-// cost are those of scattering the arrays over InBoxes, ForwardBatch, and
-// gathering from OutBoxes. Nothing else may touch the arrays until every rank
-// has returned; a failed call may leave them partly written. An entry that is
-// not N0·N1·N2 long, or two entries that share memory, fail the call with
-// ErrBadConfig on every rank before anything is exchanged.
+// same arrays, so no scatter precedes the call and no gather follows it. When
+// every reshape would lend (fp64 wire; no checksums, ABFT sums or fault plan)
+// and no checkpoint store is attached, each rank transforms its box where it
+// sits in the arrays and the reshapes are charged, not copied. Otherwise the
+// input reshape reads each rank's blocks straight out of the arrays and the
+// output reshape writes each rank's output box straight into them — a plan
+// without such a reshape copies the rank's own window instead. Output bits and
+// virtual cost are those of scattering the arrays over InBoxes, ForwardBatch,
+// and gathering from OutBoxes. Nothing else may touch the arrays until every
+// rank has returned; a failed call may leave them partly written. An entry
+// that is not N0·N1·N2 long, or two entries that share memory, fail the call
+// with ErrBadConfig on every rank before anything is exchanged.
 func (p *Plan) ForwardGlobal(datas [][]complex128) error {
 	return p.executeGlobal(datas, fft.Forward)
 }

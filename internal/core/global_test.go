@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/fft"
@@ -96,11 +97,11 @@ func arraysBits(ds [][]complex128) []uint64 {
 }
 
 // globalCases is {1, 2, 4, 8, 24} ranks × {slabs, pencils, bricks} × batch
-// {1, 3} × {fp64 wire, fp32 wire, integrity on}, plus, at fp64, the layouts
-// the edge reshapes do not cover: pencils in and out (no edge reshape — the
-// rank's own window is copied), chunked overlapped exchanges (the input
-// arrays stay lent across chunks), the P2P backend, and checkpoints (each
-// boundary cut out of the whole grid).
+// {1, 3} × {fp64 wire (in place), fp32 wire, integrity on}, plus, at fp64:
+// pencils in and out (no edge reshape), chunked overlapped exchanges, grid
+// shrinking (ranks outside a reshape's group), the transposed mode, the
+// Alltoall, Alltoallw, P2P and blocking P2P backends — all in place — and
+// checkpoints (out of place: each boundary cut out of the whole grid).
 func globalCases() []globalCase {
 	var cases []globalCase
 	opts := func(o Options) func(*mpisim.Comm) Config {
@@ -128,7 +129,12 @@ func globalCases() []globalCase {
 			extra := []globalCase{
 				{name: "pencil-io", cfg: pencilIO},
 				{name: "chunks3-overlap", cfg: opts(Options{Decomp: DecompPencils, Comm: CommConfig{Chunks: 3}})},
+				{name: "shrink", cfg: opts(Options{Decomp: DecompPencils, ShrinkThreshold: 200})},
+				{name: "contiguous", cfg: opts(Options{Decomp: DecompPencils, Contiguous: true})},
+				{name: "alltoall", cfg: opts(Options{Decomp: DecompBricks, Backend: BackendAlltoall})},
+				{name: "alltoallw", cfg: opts(Options{Decomp: DecompSlabs, Backend: BackendAlltoallw})},
 				{name: "p2p", cfg: opts(Options{Decomp: DecompSlabs, Backend: BackendP2P})},
+				{name: "p2p-blocking", cfg: opts(Options{Decomp: DecompPencils, Backend: BackendP2PBlocking})},
 				{name: "checkpoints", cfg: opts(Options{Decomp: DecompBricks, Checkpoints: store})},
 			}
 			for _, tc := range extra {
@@ -144,8 +150,8 @@ func globalCases() []globalCase {
 // TestGlobalMatchesScatterGather: ForwardGlobal and InverseGlobal produce the
 // bits of scatter → ForwardBatch/InverseBatch → gather and cost the same
 // virtual interval on every rank. Under -race the 8- and 24-rank rows run:
-// every rank reads the input arrays and writes the output ones, and only the
-// exchanges order the reads before the writes.
+// every rank reads and writes the callers' arrays, and only the exchanges
+// order one owner's stage of a box before the next owner's.
 func TestGlobalMatchesScatterGather(t *testing.T) {
 	for _, tc := range globalCases() {
 		if raceEnabled && tc.ranks < 8 {
@@ -266,9 +272,8 @@ func globalAllocPerTransform(ranks int, opts Options, pairs int) float64 {
 }
 
 // TestGlobalSteadyStateAllocs: an 8-rank 32³ ForwardGlobal/InverseGlobal loop
-// allocates no payload after warm-up — the input reshape lends the callers'
-// array, the interior reshapes lend and recycle pooled ones, and the output
-// reshape writes into the callers' array. Measured, like
+// allocates no payload after warm-up — it runs in the callers' array and its
+// reshapes move nothing. Measured, like
 // TestReshapeSteadyStateAllocs, against a phantom Forward/Inverse loop (the
 // exchange vectors alone); what is left stays under 1/16 of one grid.
 func TestGlobalSteadyStateAllocs(t *testing.T) {
@@ -283,6 +288,90 @@ func TestGlobalSteadyStateAllocs(t *testing.T) {
 		if payload >= grid/16 {
 			t.Errorf("%v: %.0f payload bytes allocated per transform, want < %d (one grid is %d)", d, payload, grid/16, grid)
 		}
+	}
+}
+
+// TestInPlaceGlobalMovesNothing: a global batch whose every reshape would lend
+// runs in the callers' arrays — it draws no array from the staging pool on any
+// backend, and on the collective ones builds no exchange vector either (its
+// reshapes run bare, as a phantom batch's do). The fp32-wire row runs out of
+// place and must draw arrays, or the count could not see one. Run like
+// TestBareExchangesMoveNoBlockLists: on one processor with the collector off,
+// so every array or list drawn would still be in its pool afterwards.
+func TestInPlaceGlobalMovesNothing(t *testing.T) {
+	oneProc(t)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	pencilV := Options{Decomp: DecompPencils, Backend: BackendAlltoallv}
+	chunked := pencilV
+	chunked.Comm.Chunks = 3
+	fp32 := pencilV
+	fp32.Comm.Wire = WireFp32
+	rows := []struct {
+		name    string
+		opts    Options
+		inPlace bool
+		lists   bool // the backend posts size-only blocks
+	}{
+		{"alltoallv", pencilV, true, false},
+		{"alltoallv/chunks3", chunked, true, false},
+		{"alltoall/bricks", Options{Decomp: DecompBricks, Backend: BackendAlltoall}, true, false},
+		{"alltoallw/slabs", Options{Decomp: DecompSlabs, Backend: BackendAlltoallw}, true, false},
+		{"p2p", Options{Decomp: DecompPencils, Backend: BackendP2P}, true, true},
+		{"alltoallv/fp32-wire", fp32, false, false},
+	}
+	drain := func(classes []sync.Pool) int {
+		n := 0
+		for c := range classes {
+			for x := classes[c].Get(); x != nil; x = classes[c].Get() {
+				n++
+			}
+		}
+		return n
+	}
+	global := [3]int{32, 32, 32}
+	for _, tc := range rows {
+		t.Run(tc.name, func(t *testing.T) {
+			arrays, lists := 0, 0
+			datas := [][]complex128{globalSignal(global, 6), globalSignal(global, 7)}
+			w := mpisim.NewWorld(machine.Summit(), 8, mpisim.Options{GPUAware: true})
+			res := w.Run(func(c *mpisim.Comm) {
+				p, err := NewPlan(c, Config{Global: global, Opts: tc.opts})
+				if err != nil {
+					c.Fail(err)
+				}
+				pair := func() {
+					if err := p.ForwardGlobal(datas); err != nil {
+						c.Fail(err)
+					}
+					if err := p.InverseGlobal(datas); err != nil {
+						c.Fail(err)
+					}
+					c.Barrier()
+				}
+				pair() // resolves every exchange
+				if c.Rank() == 0 {
+					drain(complexPool.classes[:])
+					drain(blockPool.classes[:])
+				}
+				c.Barrier()
+				pair()
+				if c.Rank() == 0 {
+					arrays, lists = drain(complexPool.classes[:]), drain(blockPool.classes[:])
+				}
+			})
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			if tc.inPlace && arrays > 0 {
+				t.Errorf("an in-place forward+inverse pair drew %d arrays from the staging pool, want 0", arrays)
+			}
+			if !tc.inPlace && arrays == 0 {
+				t.Errorf("an out-of-place forward+inverse pair drew no array from the staging pool")
+			}
+			if tc.inPlace && !tc.lists && lists > 0 {
+				t.Errorf("an in-place forward+inverse pair drew %d exchange vectors from blockPool, want 0", lists)
+			}
+		})
 	}
 }
 
@@ -307,7 +396,9 @@ func pooledBytes() int {
 // TestIdleWorldGivesPoolBack: the staging pool is a cache, not a reservation.
 // After a world has transformed and gone idle — its plans still held, as a
 // server's plan cache holds them — two collections take the pooled arrays, and
-// the heap shrinks by at least their bytes.
+// the heap shrinks by at least their bytes. The fp32 wire keeps the global
+// batch out of place, so it draws from the pool (one run in place draws
+// nothing).
 func TestIdleWorldGivesPoolBack(t *testing.T) {
 	oneProc(t)
 	global := [3]int{32, 32, 32}
@@ -315,7 +406,7 @@ func TestIdleWorldGivesPoolBack(t *testing.T) {
 	datas := [][]complex128{globalSignal(global, 4), globalSignal(global, 5)}
 	w := mpisim.NewWorld(machine.Summit(), 8, mpisim.Options{GPUAware: true})
 	w.Run(func(c *mpisim.Comm) {
-		p, err := NewPlan(c, Config{Global: global, Opts: Options{Decomp: DecompPencils}})
+		p, err := NewPlan(c, Config{Global: global, Opts: Options{Decomp: DecompPencils, Comm: CommConfig{Wire: WireFp32}}})
 		if err != nil {
 			panic(err)
 		}

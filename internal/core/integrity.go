@@ -251,7 +251,7 @@ func (e *engine) runABFT(st *stage, fields []*Field, dir fft.Direction) float64 
 			pre = sumPlane(f.Data, s, st.axis)
 		}
 		for attempt := 0; ; attempt++ {
-			e.kernel(st, f, dir)
+			e.kernel(st, f.Data, st.myBox, dir)
 			if hit, seed := e.comm.BrickProbe(); hit {
 				mpisim.CorruptComplex(f.Data, seed)
 			}

@@ -288,34 +288,42 @@ func TestInvalidArgsPanic(t *testing.T) {
 	assertPanics("bad stride", func() { NewPlan(4).TransformBatch(make([]complex128, 4), 0, 4, 1, Forward) })
 }
 
+// One contiguous power-of-two line, its input restored every iteration.
 func BenchmarkFFTPow2(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096} {
 		b.Run(itoa(n), func(b *testing.B) {
-			x := randSignal(rand.New(rand.NewSource(9)), n)
+			x0 := randSignal(rand.New(rand.NewSource(9)), n)
+			x := make([]complex128, n)
 			p := NewPlan(n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				copy(x, x0)
 				p.transformContig(x, Forward)
 			}
+			requireFinite(b, x)
 		})
 	}
 }
 
 // Bluestein lines: one 1000-point line (a group of its own, two lanes that are
 // the same line) and a batch of 16 contiguous 100-point lines, which run in
-// groups across the rows of the convolution buffer (ns/line beside ns/op). The
-// batch is restored every iteration, as in BenchmarkKernelInverse: repeated
-// forward transforms would overflow it to NaN within a few hundred calls.
+// groups across the rows of the convolution buffer (ns/line beside ns/op).
+// Both inputs are restored every iteration, as in BenchmarkKernelInverse:
+// repeated forward transforms would overflow them to NaN within a few hundred
+// calls.
 func BenchmarkFFTBluestein(b *testing.B) {
 	b.Run("1000", func(b *testing.B) {
-		x := randSignal(rand.New(rand.NewSource(10)), 1000)
+		x0 := randSignal(rand.New(rand.NewSource(10)), 1000)
+		x := make([]complex128, len(x0))
 		p := NewPlan(1000)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			copy(x, x0)
 			p.transformContig(x, Forward)
 		}
+		requireFinite(b, x)
 	})
 	b.Run("100x16", func(b *testing.B) {
 		const n, batch = 100, 16
@@ -328,6 +336,7 @@ func BenchmarkFFTBluestein(b *testing.B) {
 			copy(x, x0)
 			p.TransformBatch(x, 1, n, batch, Forward)
 		}
+		requireFinite(b, x)
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/line")
 	})
 }

@@ -6,21 +6,39 @@ import (
 	"testing"
 )
 
+// requireFinite fails a benchmark whose output holds a NaN or an infinity:
+// it timed special-value arithmetic, not the kernel. Every benchmark of this
+// package calls it after its loop. A forward transform scales a line's norm
+// by √n, so one repeated in place on the same array overflows within a few
+// hundred calls; the benchmarks that transform in place restore their input
+// on every iteration.
+func requireFinite[T float64 | complex128](b *testing.B, out []T) {
+	b.Helper()
+	for i, v := range out {
+		if v-v != 0 { // NaN − NaN and ±Inf − ±Inf are NaN
+			b.Fatalf("output element %d is %v after %d iterations", i, v, b.N)
+		}
+	}
+}
+
 // Single-line kernel throughput across the size ladder of the radix-4 engine
 // (8..4096), covering every power of two the distributed pencil pipeline and
 // the Bluestein sub-transforms hit. A line on its own runs on the row engine
-// as two lanes that are the same line.
+// as two lanes that are the same line. The input is restored every iteration.
 func BenchmarkKernel(b *testing.B) {
 	for _, n := range []int{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096} {
 		b.Run(itoa(n), func(b *testing.B) {
-			x := randSignal(rand.New(rand.NewSource(11)), n)
+			x0 := randSignal(rand.New(rand.NewSource(11)), n)
+			x := make([]complex128, n)
 			p := NewPlan(n)
 			b.SetBytes(int64(16 * n))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				copy(x, x0)
 				p.transformContig(x, Forward)
 			}
+			requireFinite(b, x)
 		})
 	}
 }
@@ -41,6 +59,7 @@ func BenchmarkKernelInverse(b *testing.B) {
 				copy(x, x0)
 				p.transformContig(x, Inverse)
 			}
+			requireFinite(b, x)
 		})
 	}
 }
@@ -53,7 +72,8 @@ func BenchmarkKernelInverse(b *testing.B) {
 // ranks (serve_mixed_r8: 32×16×8 plain, 16×32×8 nested), and an 11-wide
 // y-pencil pass of the 64³ transform on 4×6 ranks (altpaths64_r24: 16 planes
 // of 11 lines, each plane leaving an odd line). Adjacent lines run across
-// rows (rows.go); ns/line is reported beside ns/op.
+// rows (rows.go); ns/line is reported beside ns/op. The input is restored
+// every iteration.
 func BenchmarkStridedBatch(b *testing.B) {
 	type shape struct {
 		name          string
@@ -74,14 +94,17 @@ func BenchmarkStridedBatch(b *testing.B) {
 	} {
 		b.Run(s.name, func(b *testing.B) {
 			lines := s.batch1 * s.batch2
-			x := randSignal(rand.New(rand.NewSource(13)), s.n*lines)
+			x0 := randSignal(rand.New(rand.NewSource(13)), s.n*lines)
+			x := make([]complex128, len(x0))
 			p := NewPlan(s.n)
 			b.SetBytes(int64(16 * s.n * lines))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				copy(x, x0)
 				p.TransformNested(x, s.stride, s.dist1, s.batch1, 1, s.batch2, Forward)
 			}
+			requireFinite(b, x)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/line")
 		})
 	}
@@ -92,7 +115,7 @@ func BenchmarkStridedBatch(b *testing.B) {
 // of the 64³ transform on 8 ranks (512 lines of 64, serve_mixed_r8) and one
 // rank's z-pencil of its 32³ transform (16×8 lines of 32).
 // Groups of lines run across rows (rows.go) with lane = n; ns/line is
-// reported beside ns/op.
+// reported beside ns/op. The input is restored every iteration.
 func BenchmarkContigBatch(b *testing.B) {
 	type shape struct {
 		name     string
@@ -100,14 +123,17 @@ func BenchmarkContigBatch(b *testing.B) {
 	}
 	for _, s := range []shape{{"128x128", 128, 128}, {"256x256", 256, 256}, {"pencil16x16x128", 128, 256}, {"rank64r8", 64, 512}, {"pencil16x8x32", 32, 128}} {
 		b.Run(s.name, func(b *testing.B) {
-			x := randSignal(rand.New(rand.NewSource(14)), s.n*s.batch)
+			x0 := randSignal(rand.New(rand.NewSource(14)), s.n*s.batch)
+			x := make([]complex128, len(x0))
 			p := NewPlan(s.n)
 			b.SetBytes(int64(16 * s.n * s.batch))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				copy(x, x0)
 				p.TransformBatch(x, 1, s.n, s.batch, Forward)
 			}
+			requireFinite(b, x)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*s.batch), "ns/line")
 		})
 	}
@@ -136,6 +162,7 @@ func BenchmarkRadix4Rows(b *testing.B) {
 						s *= 4
 					}
 				}
+				requireFinite(b, tile)
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*w), "ns/line")
 			})
 		}
@@ -187,6 +214,13 @@ func BenchmarkRealBatch(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+				// The planted NaNs stay in their own lines.
+				for l := 0; l < s.batch; l++ {
+					if !s.nan || l%p.half.tileLines != 0 {
+						requireFinite(b, x[l*s.n:(l+1)*s.n])
+						requireFinite(b, spec[l*h:(l+1)*h])
+					}
+				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*s.batch), "ns/line")
 			})
 		}
@@ -223,6 +257,8 @@ func BenchmarkSplitMerge(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					op.run()
 				}
+				requireFinite(b, tile)
+				requireFinite(b, spec)
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*op.elems), "ns/elem")
 			})
 		}

@@ -222,9 +222,12 @@ func BenchmarkRealFFT(b *testing.B) {
 	p, _ := NewRealPlan(n)
 	b.ReportAllocs()
 	b.ResetTimer()
+	var spec []complex128
 	for i := 0; i < b.N; i++ {
-		if _, err := p.forward(x); err != nil {
+		var err error
+		if spec, err = p.forward(x); err != nil {
 			b.Fatal(err)
 		}
 	}
+	requireFinite(b, spec)
 }
