@@ -240,11 +240,9 @@ func GenerateFaults(seed int64, size int, cfg FaultConfig) *FaultPlan {
 	return faults.Generate(seed, size, cfg)
 }
 
-// Summit returns the paper's 6×V100-per-node machine; Spock the 4×MI100 one;
-// Frontier a projection of the exascale system the conclusions anticipate.
-func Summit() *Machine   { return machine.Summit() }
-func Spock() *Machine    { return machine.Spock() }
-func Frontier() *Machine { return machine.Frontier() }
+// Summit returns the paper's 6×V100-per-node machine; Spock the 4×MI100 one.
+func Summit() *Machine { return machine.Summit() }
+func Spock() *Machine  { return machine.Spock() }
 
 // NewWorld creates a simulated job of the given size.
 func NewWorld(m *Machine, size int, opts WorldOptions) *World {

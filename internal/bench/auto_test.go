@@ -39,6 +39,14 @@ func (c autoConfig) String() string {
 	return fmt.Sprintf("%s %d %d %s %s %v", c.m.Name, c.ranks, c.n, aware, c.place, c.decomp)
 }
 
+// forcedAlgo is the Alltoallv plan config with the collective schedule forced.
+func forcedAlgo(grid [3]int, algo core.CollAlgo) core.Config {
+	return core.Config{Global: grid, Opts: core.Options{
+		Backend: core.BackendAlltoallv,
+		Comm:    core.CommConfig{Algo: algo},
+	}}
+}
+
 // forward runs the configuration once under the given schedule choice.
 func (c autoConfig) forward(a core.CollAlgo) (float64, error) {
 	place := topo.Block()
@@ -48,7 +56,7 @@ func (c autoConfig) forward(a core.CollAlgo) (float64, error) {
 	w := mpisim.NewWorld(c.m, c.ranks, mpisim.Options{GPUAware: c.aware, Placement: place})
 	cfg := forcedAlgo([3]int{c.n, c.n, c.n}, a)
 	cfg.Opts.Decomp = c.decomp
-	return forwardOnce(w, cfg, phantom, nil)
+	return forwardOnce(w, cfg, phantom)
 }
 
 func autoConfigs(ranks, grids []int) []autoConfig {

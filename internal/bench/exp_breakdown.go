@@ -100,7 +100,7 @@ func runFig6() (Result, error) {
 
 func runFig7() (Result, error) {
 	return breakdownFigure([]string{"Isend/Irecv+contiguous", "Send/Irecv+strided"}, fig7Variants,
-		"expected shape: total ≈ equal for both (≈0.09 s per FFT at the paper's scale);",
+		"shape (asserted): totals within 10% of each other (the paper: ≈0.09 s per FFT);",
 		"communication (send/recv/waitany) dominates at >90% of runtime"), nil
 }
 

@@ -29,9 +29,9 @@ func sdcWirePlan(ops int) *faults.Plan {
 }
 
 // runIntegrityExp returns two tables: the steady-state overhead of each
-// integrity layer on a clean Forward (the acceptance gate: full defenses
-// < 3% at 128³), and the virtual-time price of the recovery paths when
-// corruption actually strikes.
+// integrity layer on a clean Forward (the acceptance gate, TestIntegrityShape:
+// every layer within 3% on every grid), and the virtual-time price of the
+// recovery paths when corruption actually strikes.
 func runIntegrityExp() (Result, error) {
 	ranks := 64
 	grids := [][3]int{{32, 32, 32}, {128, 128, 128}, {256, 256, 256}}
@@ -41,7 +41,7 @@ func runIntegrityExp() (Result, error) {
 	// returns the virtual runtime plus the world's integrity counters.
 	forward := func(grid [3]int, ic mpisim.IntegrityConfig, fp *faults.Plan, seed int64) (float64, mpisim.IntegritySnapshot, error) {
 		world := mpisim.NewWorld(machine.Summit(), ranks, mpisim.Options{GPUAware: true, Integrity: ic, Faults: fp})
-		t, err := forwardOnce(world, core.Config{Global: grid}, seed, nil)
+		t, err := forwardOnce(world, core.Config{Global: grid}, seed)
 		return t, world.IntegrityCounters().Snapshot(), err
 	}
 	// Overhead rows use phantom payloads; recovery rows need real ones so

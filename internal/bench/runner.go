@@ -31,13 +31,13 @@ func measure(mdl *machine.Model, ranks int, aware bool, cfg core.Config, batch i
 }
 
 // forwardOnce creates cfg's plan on every rank of w, runs one Forward and
-// returns the virtual makespan — the single-shot measurement of the regime
-// experiments, which compare configurations rather than follow the paper's
-// averaged protocol. The phantom seed transforms size-only fields (timing is
-// identical to real payloads, a tested property); any other seed fills rank
-// r's field from seed+r, for experiments where the bits matter. inspect, when
-// non-nil, sees every rank's plan and transformed field before the plan closes.
-func forwardOnce(w *mpisim.World, cfg core.Config, seed int64, inspect func(rank int, p *core.Plan, f *core.Field)) (float64, error) {
+// returns the virtual makespan — the single-shot measurement of integrity's
+// tables and of the schedule tests, which compare configurations rather than
+// follow the paper's averaged protocol. The phantom seed transforms size-only
+// fields (timing is identical to real payloads, a tested property); any other
+// seed fills rank r's field from seed+r, for runs where the bits matter (an
+// injected flip must land on data).
+func forwardOnce(w *mpisim.World, cfg core.Config, seed int64) (float64, error) {
 	res := w.Run(func(c *mpisim.Comm) {
 		p, err := core.NewPlan(c, cfg)
 		if err != nil {
@@ -52,23 +52,12 @@ func forwardOnce(w *mpisim.World, cfg core.Config, seed int64, inspect func(rank
 		if err := p.Forward(f); err != nil {
 			panic(err)
 		}
-		if inspect != nil {
-			inspect(c.Rank(), p, f)
-		}
 	})
 	return res.MaxClock, res.Err
 }
 
 // phantom is forwardOnce's seed for size-only payloads.
 const phantom = 0
-
-// forcedAlgo is the Alltoallv plan config with the collective schedule forced.
-func forcedAlgo(grid [3]int, algo core.CollAlgo) core.Config {
-	return core.Config{Global: grid, Opts: core.Options{
-		Backend: core.BackendAlltoallv,
-		Comm:    core.CommConfig{Algo: algo},
-	}}
-}
 
 // tableIIIConfig builds the plan config of the strong-scaling experiments:
 // brick input/output per Table III, and its pencil FFT grid (P, Q) for the

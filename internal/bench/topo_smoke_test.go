@@ -86,7 +86,7 @@ func TestTopoSmoke(t *testing.T) {
 	grid := [3]int{256, 256, 256}
 	forward := func(a core.CollAlgo) (float64, error) {
 		w := mpisim.NewWorld(m, 48, mpisim.Options{GPUAware: true, Placement: topo.RoundRobin()})
-		return forwardOnce(w, forcedAlgo(grid, a), phantom, nil)
+		return forwardOnce(w, forcedAlgo(grid, a), phantom)
 	}
 	ring, err := forward(core.CollRing)
 	if err != nil {

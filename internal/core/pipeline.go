@@ -3,9 +3,9 @@ package core
 import "repro/internal/fft"
 
 // Pipelined execution: the entryAsync policy of the stage runner, exposed so
-// the two batching strategies can be compared (the `async` ablation
-// experiment). checkConfig holds the rules: a backend with a non-blocking
-// all-to-all, one unchunked message per entry, no checkpoints.
+// the two batching strategies can be compared (TestPipelinedOverlapsCompute
+// holds it below sequential). checkConfig holds the rules: a backend with a
+// non-blocking all-to-all, one unchunked message per entry, no checkpoints.
 
 // ForwardPipelined transforms a batch with per-entry asynchronous exchanges.
 func (p *Plan) ForwardPipelined(fields []*Field) error {

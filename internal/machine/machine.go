@@ -232,57 +232,6 @@ func Spock() *Model {
 	}
 }
 
-// Frontier returns a projection of the Frontier exascale system the paper's
-// conclusions point to (Spock was its precursor): 4 MI250X per node exposed
-// as 8 GCDs (1 rank per GCD), four Slingshot-11 NICs per node, and a larger
-// fabric before saturation. Used by the exascale-projection experiment; the
-// paper itself has no Frontier numbers, so this preset extrapolates the
-// Spock calibration.
-func Frontier() *Model {
-	return &Model{
-		Name:        "frontier",
-		GPUsPerNode: 8,
-
-		IntraBW:         20e9, // Infinity Fabric, effective per flow in all-to-all
-		IntraLatency:    2e-6,
-		NodeInjectionBW: 80e9, // 4 × Slingshot-11 NICs, practical
-		InterLatency:    1.5e-6,
-
-		HostOverheadP2P:     4e-6,
-		DeviceOverheadP2P:   18e-6,
-		DeviceP2PCongestion: 0.3e-6,
-		HostOverheadColl:    2e-6,
-		DeviceOverheadColl:  4e-6,
-		CollInject:          0.3e-6,
-		CollPipeline:        4,
-		CollCongestion:      0.02,
-		AlltoallwOverhead:   22e-6,
-		AlltoallwBWFactor:   0.55,
-
-		PCIeBW:          32e9, // Infinity Fabric CPU↔GPU
-		StagingOverhead: 5e-6,
-		StagingOverlap:  0.5,
-
-		AlltoallwGPUAware: true,
-
-		SaturationRef: 512, // much larger dragonfly fabric
-		SaturationExp: 1.2,
-
-		GPU: GPU{
-			Name:           "MI250X",
-			FFTThroughput:  2.6e12, // per GCD, effective
-			KernelLaunch:   5e-6,
-			StridedPenalty: 3.0,
-			StridedSetup:   26e-6,
-			MemBW:          1.3e12,
-			PCIeBW:         32e9,
-
-			ChecksumBW:       2.6e12,
-			ChecksumOverhead: 0.1e-6,
-		},
-	}
-}
-
 // Validate checks that all parameters are physically sensible.
 func (m *Model) Validate() error {
 	pos := func(v float64, name string) error {

@@ -268,22 +268,6 @@ func TestAlltoallwBandwidthPenalty(t *testing.T) {
 	}
 }
 
-func TestFrontierPreset(t *testing.T) {
-	f := Frontier()
-	if err := f.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if f.GPUsPerNode != 8 {
-		t.Errorf("Frontier exposes %d GCDs per node, want 8", f.GPUsPerNode)
-	}
-	if f.NodeInjectionBW <= Summit().NodeInjectionBW {
-		t.Error("Frontier node bandwidth should exceed Summit's")
-	}
-	if f.SaturationRef <= Summit().SaturationRef {
-		t.Error("Frontier fabric should saturate later than Summit's")
-	}
-}
-
 func TestFFTR2CCost(t *testing.T) {
 	g := &Summit().GPU
 	if g.FFTR2CCost(512, 0) != 0 {

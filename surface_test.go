@@ -54,7 +54,6 @@ var surfaceKeep = map[string]string{
 	"heffte.NewPhantom":         "facade constructor of size-only fields, the payload of paper-scale runs",
 	"heffte.NewRealPhantom":     "facade constructor; the real counterpart of NewPhantom",
 	"heffte.TableIII":           "facade view of the paper's Table III; LookupTableIII reads it",
-	"heffte.Frontier":           "machine preset next to Summit and Spock",
 	"heffte.ErrMismatchedBoxes": "sentinel error callers match with errors.Is",
 	"heffte.ErrPlanClosed":      "sentinel error callers match with errors.Is",
 	"heffte.ErrRankFailed":      "sentinel error callers match with errors.Is",
@@ -69,6 +68,7 @@ var surfaceKeep = map[string]string{
 	"core.Plan.InverseCtx":     "ForwardCtx's inverse",
 	"core.Plan.OutBox":         "where a plan with InBoxes != OutBoxes leaves its output (README)",
 	"core.RealPlan.OutBox":     "the half-grid box a RealPlan's output lands in, for callers that allocate it",
+	"core.Plan.WireBound":      "the analytic accuracy bound of a compressed wire (README)",
 
 	// Settings kept although no non-test file sets them.
 	"plot.Options.Width":      "only the renderer tests draw at other than the default 60 columns",
