@@ -33,19 +33,28 @@
 //     (lane 0): both read the same elements and store the same bits.
 //   - Vector routines (radix4_amd64.s): on amd64 CPUs with AVX2 the row
 //     engine's first stages and twiddled pass run in pairsRowsAVX2,
-//     quadsRowsAVX2 and radix4RowsAVX2, two lanes per iteration — one 256-bit
-//     load or store when the lanes are adjacent, two 128-bit halves when they
-//     are a lane stride apart or the same element — and so do the real
-//     transform's even/odd split and merge, splitRowsAVX2 and mergeRowsAVX2.
-//     The Go loops in rows.go and real.go are their executable specification
+//     quadsRowsAVX2 and radix4RowsAVX2, two lanes per iteration — one
+//     256-bit load or store when the lanes are adjacent, two 128-bit halves
+//     when they are a lane stride apart or the same element — and so do the
+//     real transform's even/odd split and merge, splitRowsAVX2 and
+//     mergeRowsAVX2. Where the CPU also has AVX-512F and the OS saves the
+//     ZMM state, a group whose rows hold a whole ZMM (w >= 4) runs in
+//     pairsRowsAVX512, quadsRowsAVX512 and radix4RowsAVX512 instead: four
+//     lanes per register, as one 512-bit access or four 128-bit pieces, and
+//     a row's last two lanes, when w is 2 modulo 4, in one two-lane step. A
+//     group of two lanes has no four-lane step and stays on AVX2. AVX-512
+//     has no VADDSUBPD, so its complex product adds the product with the
+//     twiddle's imaginary part broadcast with its real slots negated —
+//     ar·tr + ai·(−ti), which is ar·tr − ai·ti bit for bit. The Go loops in
+//     rows.go and real.go are the executable specification of all of them
 //     and the implementation on every other GOARCH, on CPUs without AVX2 and
-//     in race builds (the detector cannot see assembly loads and stores). The
-//     routines issue the same IEEE multiplies, adds and subtracts in the same
-//     association and never a fused multiply-add — an FMA rounds once where
-//     the reference rounds twice, which would move every payload bit and the
-//     golden fingerprints of internal/core — so the two agree bit for bit.
-//     The choice is made once at package init from CPUID/XGETBV: a property
-//     of the machine, with nothing to set.
+//     in race builds (the detector cannot see assembly loads and stores).
+//     The routines issue the same IEEE multiplies, adds and subtracts in the
+//     same association and never a fused multiply-add — an FMA rounds once
+//     where the reference rounds twice, which would move every payload bit
+//     and the golden fingerprints of internal/core — so all agree bit for
+//     bit. The choice is made once at package init from CPUID/XGETBV: a
+//     property of the machine, with nothing to set.
 //   - Bluestein (fft.go): arbitrary lengths run the chirp-z algorithm over a
 //     power-of-two sub-plan, with the 1/N of the inverse folded into the
 //     output chirp multiply. A group of chirped lines is the lanes of the

@@ -140,31 +140,38 @@ func BenchmarkContigBatch(b *testing.B) {
 }
 
 // All twiddled radix-4 passes of one full group of adjacent lines (tileLines
-// lines of n points), in place on the L1-resident tile, ns/line beside ns/op:
-// the Go reference loop against whatever the machine dispatches to
-// (radix4RowsAVX2 on amd64 with AVX2, the same loop elsewhere and under
-// -race). Zeros stay zeros, so repeated passes do not drift into denormals or
-// overflow.
+// lines of n points: 16, 4 and 2), in place on the L1-resident tile, ns/line
+// beside ns/op: the Go reference loop (ref), then rows4 at each width of the
+// vector routines the machine runs (avx2, avx512; none elsewhere and under
+// -race). A group of two lanes runs the AVX2 routine at either width. Zeros
+// stay zeros, so repeated passes do not drift into denormals or overflow.
 func BenchmarkRadix4Rows(b *testing.B) {
 	for _, n := range []int{128, 512, 4096} {
 		p := NewPlan(n)
 		w := p.tileLines
 		tile := make([]complex128, n*w)
-		for _, v := range []struct {
-			name string
-			pass func(dst []complex128, dpitch, dlane int, src []complex128, w, s int, tw []twiddle3, scale float64, scaled bool)
-		}{{"ref", radix4Rows}, {"dispatched", rows4}} {
-			b.Run(v.name+"/"+itoa(n), func(b *testing.B) {
+		run := func(name string, pass func(dst []complex128, dpitch, dlane int, src []complex128, w, s int, tw []twiddle3, scale float64, scaled bool)) {
+			b.Run(name+"/"+itoa(n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					s := p.firstTabS
 					for _, tw := range p.tw4[Forward] {
-						v.pass(tile, w, 1, tile, w, s, tw, 1, false)
+						pass(tile, w, 1, tile, w, s, tw, 1, false)
 						s *= 4
 					}
 				}
 				requireFinite(b, tile)
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*w), "ns/line")
 			})
+		}
+		run("ref", radix4Rows)
+		for _, wd := range rowWidths() {
+			if !wd.has {
+				b.Logf("%s: CPU or OS without it, or a race build", wd.name)
+				continue
+			}
+			restore := wd.use()
+			run(wd.name, rows4)
+			restore()
 		}
 	}
 }

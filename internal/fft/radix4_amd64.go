@@ -12,8 +12,14 @@ import (
 // execute the Go reference passes). Only tests flip it.
 var useAVX2 = !raceEnabled && cpuHasAVX2()
 
-// The three row routines, the real split and merge routines, cpuid and
-// xgetbv are implemented in radix4_amd64.s.
+// useAVX512 selects the AVX-512 forms of the three row routines, four lanes
+// per register where the AVX2 forms take two. It is fixed at package init
+// like useAVX2, which it implies: the CPU has AVX-512F and the OS saves the
+// ZMM state. Only tests flip it.
+var useAVX512 = useAVX2 && cpuHasAVX512()
+
+// The row routines at both widths, the real split and merge routines, cpuid
+// and xgetbv are implemented in radix4_amd64.s.
 //
 //go:noescape
 func pairsRowsAVX2(tile, data *complex128, w, pitch, lane int, rev *int32, n int)
@@ -23,6 +29,15 @@ func quadsRowsAVX2(tile, data *complex128, w, pitch, lane int, rev *int32, n int
 
 //go:noescape
 func radix4RowsAVX2(dst *complex128, dpitch, dlane int, src *complex128, w, n, s int, tw *twiddle3, scale float64, scaled bool)
+
+//go:noescape
+func pairsRowsAVX512(tile, data *complex128, w, pitch, lane int, rev *int32, n int)
+
+//go:noescape
+func quadsRowsAVX512(tile, data *complex128, w, pitch, lane int, rev *int32, n int, fwd bool)
+
+//go:noescape
+func radix4RowsAVX512(dst *complex128, dpitch, dlane int, src *complex128, w, n, s int, tw *twiddle3, scale float64, scaled bool)
 
 //go:noescape
 func splitRowsAVX2(spec *complex128, ss, sd int, tile *complex128, w, h int, tw *complex128)
@@ -50,6 +65,21 @@ func cpuHasAVX2() bool {
 	}
 	_, ebx, _, _ := cpuid(7, 0)
 	return ebx&(1<<5) != 0
+}
+
+// cpuHasAVX512 reports whether AVX-512F instructions may execute as well: the
+// CPU has AVX2 and AVX-512F, and the OS saves the XMM and YMM state and the
+// opmask and ZMM state (XCR0 bits 1–2 and 5–7).
+func cpuHasAVX512() bool {
+	if !cpuHasAVX2() {
+		return false
+	}
+	const zmm = 1<<5 | 1<<6 | 1<<7 // opmask, ZMM0–15's upper halves, ZMM16–31
+	if xcr0, _ := xgetbv(); xcr0&zmm != zmm {
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&(1<<16) != 0
 }
 
 // rowsFit reports whether the elements i·pitch + l·lane, i < n, l < w, lie
@@ -82,16 +112,27 @@ func checkFirstRows(tile, data []complex128, w, pitch, lane int, p *Plan, r int)
 }
 
 // pairsRowsVec, quadsRowsVec and radix4RowsVec run pairsRows, quadsRows and
-// radix4Rows through their AVX2 routines, after checking every extent the
-// assembly relies on. The first stages take their table from the plan, the
-// only place one is built.
+// radix4Rows through their vector routines, after checking every extent the
+// assembly relies on: the AVX-512 routine where useAVX512 and a row holds a
+// whole ZMM (w >= 4), else the AVX2 routine. A group of two lanes — a line
+// on its own, any group of lines of 1024 points or more — has no four-lane
+// step: the AVX2 routine's loop is its two-lane step alone. The first stages
+// take their table from the plan, the only place one is built.
 func pairsRowsVec(tile, data []complex128, w, pitch, lane int, p *Plan) {
 	checkFirstRows(tile, data, w, pitch, lane, p, 2)
+	if useAVX512 && w >= 4 {
+		pairsRowsAVX512(&tile[0], &data[0], w, pitch, lane, &p.rev[0], len(p.rev))
+		return
+	}
 	pairsRowsAVX2(&tile[0], &data[0], w, pitch, lane, &p.rev[0], len(p.rev))
 }
 
 func quadsRowsVec(tile, data []complex128, w, pitch, lane int, p *Plan, fwd bool) {
 	checkFirstRows(tile, data, w, pitch, lane, p, 4)
+	if useAVX512 && w >= 4 {
+		quadsRowsAVX512(&tile[0], &data[0], w, pitch, lane, &p.rev[0], len(p.rev), fwd)
+		return
+	}
 	quadsRowsAVX2(&tile[0], &data[0], w, pitch, lane, &p.rev[0], len(p.rev), fwd)
 }
 
@@ -102,6 +143,10 @@ func radix4RowsVec(dst []complex128, dpitch, dlane int, src []complex128, w, s i
 	}
 	if s < 1 || n == 0 || n%(4*s) != 0 || len(src) != n*w || len(tw) < s || dpitch < 1 || dlane < 0 || !rowsFit(len(dst), n, w, dpitch, dlane) {
 		panic(fmt.Sprintf("fft: invalid radix-4 row pass w=%d s=%d len(src)=%d dpitch=%d dlane=%d len(dst)=%d len(tw)=%d", w, s, len(src), dpitch, dlane, len(dst), len(tw)))
+	}
+	if useAVX512 && w >= 4 {
+		radix4RowsAVX512(&dst[0], dpitch, dlane, &src[0], w, n, s, &tw[0], scale, scaled)
+		return
 	}
 	radix4RowsAVX2(&dst[0], dpitch, dlane, &src[0], w, n, s, &tw[0], scale, scaled)
 }

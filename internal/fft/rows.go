@@ -20,10 +20,11 @@ package fft
 // Per element the arithmetic is the same whatever the group — a line carries
 // the same bits in a pair, alone or at any (pitch, lane). The three Go loops
 // below are the reference; on amd64 CPUs with AVX2 the routines of
-// radix4_amd64.s run instead, which read the same tables and issue the same
-// multiplies, adds and subtracts in the same association — no fused
-// multiply-add, whose single rounding would change the bits. The loops run
-// as written on every other GOARCH, without AVX2 and in race builds.
+// radix4_amd64.s run instead, four lanes per register where the CPU has
+// AVX-512F and a row holds four, else two. They read the same tables and
+// issue the same multiplies, adds and subtracts in the same association — no
+// fused multiply-add, whose single rounding would change the bits. The loops
+// run as written on every other GOARCH, without AVX2 and in race builds.
 
 // transformRows transforms w lines of a power-of-two plan of at least 8
 // points from src to dst: element i of line l is read at src[i*spitch+l*slane]
@@ -59,8 +60,9 @@ func rowsNested(n, w, pitch, lane int) bool {
 }
 
 // firstRows and rows4 are what transformRows calls for a stage: the vector
-// routine where the machine has one (useAVX2), else the matching Go loop
-// below. Both produce the same bits.
+// routine where the machine has one (useAVX2; the wrappers pick the AVX-512
+// form where useAVX512 and w >= 4), else the matching Go loop below. All
+// produce the same bits.
 func firstRows(tile, data []complex128, w, pitch, lane int, p *Plan, fwd bool) {
 	switch {
 	case useAVX2 && p.preRadix2:

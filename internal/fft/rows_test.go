@@ -25,6 +25,15 @@ func plant(rng *rand.Rand, x []complex128, count, kinds int) {
 	}
 }
 
+// rowWidth is one width of the vector row routines (rowWidths): its name,
+// whether this machine runs it, and use, which selects it and returns what
+// restores the dispatch.
+type rowWidth struct {
+	name string
+	has  bool
+	use  func() (restore func())
+}
+
 // sameBits reports the first index where a and b differ in any bit, NaNs
 // compared as NaN-ness only (which operand's payload survives is not part of
 // the contract), or -1.

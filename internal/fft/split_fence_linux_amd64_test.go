@@ -57,3 +57,49 @@ func TestSplitMergeVecStaysInArrays(t *testing.T) {
 		}
 	}
 }
+
+// TestRowsVecStaysInArrays runs the row routines at each width through a
+// whole transform — the first stage, the in-place passes, the last pass into
+// the caller's lanes — on a data array, a tile and per-pass twiddle tables
+// that each end at the last element the routine may touch, right before a
+// page that faults: a load or store past any of them crashes the test, a
+// 64-byte access where a row ends in a two-lane step among them. Groups of 2,
+// 4, 6 and tileLines lanes at lane 1 (pitch w), n (pitch 1) and 0 (pitch 1,
+// every lane the same line), both directions, radix-2 and radix-4 first
+// stages.
+func TestRowsVecStaysInArrays(t *testing.T) {
+	forEachRowWidth(t, func(t *testing.T) {
+		for _, n := range []int{8, 16, 64, 128} {
+			p := NewPlan(n)
+			for _, w := range []int{2, 4, 6, p.tileLines} {
+				for _, lay := range []struct{ pitch, lane int }{{w, 1}, {1, n}, {1, 0}} {
+					t.Run(fmt.Sprintf("n=%d/w=%d/lane=%d", n, w, lay.lane), func(t *testing.T) {
+						data := fenced(t, (n-1)*lay.pitch+(w-1)*lay.lane+1)
+						for i := range data {
+							data[i] = complex(float64(i), 1)
+						}
+						tile := fenced(t, n*w)
+						for _, dir := range []Direction{Forward, Inverse} {
+							if p.preRadix2 {
+								pairsRowsVec(tile, data, w, lay.pitch, lay.lane, p)
+							} else {
+								quadsRowsVec(tile, data, w, lay.pitch, lay.lane, p, dir == Forward)
+							}
+							passes, s, scale := p.tw4[dir], p.firstTabS, p.outScale(dir)
+							for i, tw := range passes {
+								ftw := unsafe.Slice((*twiddle3)(unsafe.Pointer(&fenced(t, 3*s)[0])), s)
+								copy(ftw, tw[:s])
+								if i < len(passes)-1 {
+									radix4RowsVec(tile, w, 1, tile, w, s, ftw, 1, false)
+								} else {
+									radix4RowsVec(data, lay.pitch, lay.lane, tile, w, s, ftw, scale, scale != 1)
+								}
+								s *= 4
+							}
+						}
+					})
+				}
+			}
+		}
+	})
+}

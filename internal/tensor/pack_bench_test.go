@@ -20,8 +20,8 @@ var packRegimes = []struct {
 
 func benchPack(b *testing.B, unpack bool) {
 	for _, r := range packRegimes {
-		local := make([]complex128, r.own.Volume())
-		buf := make([]complex128, r.sub.Volume())
+		local := seq(r.own.Volume(), 1)
+		buf := seq(r.sub.Volume(), 2)
 		b.Run(r.name, func(b *testing.B) {
 			b.SetBytes(int64(16 * len(buf)))
 			for i := 0; i < b.N; i++ {
@@ -31,7 +31,41 @@ func benchPack(b *testing.B, unpack bool) {
 					Pack(local, r.own, r.sub, buf)
 				}
 			}
+			if unpack {
+				checkBox(b, local, r.own, buf, r.sub, r.sub)
+			} else {
+				checkBox(b, buf, r.sub, local, r.own, r.sub)
+			}
 		})
+	}
+}
+
+// seq returns n distinct complex values, tagged with k in the imaginary part,
+// so a copy from the wrong element or the wrong array shows in checkBox.
+func seq(n, k int) []complex128 {
+	a := make([]complex128, n)
+	for i := range a {
+		a[i] = complex(float64(i+1), float64(k))
+	}
+	return a
+}
+
+// checkBox fails b unless every point of sub holds the same value in dst,
+// laid out as dstOwn, as in src, laid out as srcOwn: walked point by point,
+// so it shares no code with the copy it checks. Benchmarks call it once,
+// after their loop and outside the timer, so a wrong copy fails instead of
+// being timed.
+func checkBox[T comparable](b *testing.B, dst []T, dstOwn Box3, src []T, srcOwn, sub Box3) {
+	b.Helper()
+	b.StopTimer()
+	for i0 := sub.Lo[0]; i0 < sub.Hi[0]; i0++ {
+		for i1 := sub.Lo[1]; i1 < sub.Hi[1]; i1++ {
+			for i2 := sub.Lo[2]; i2 < sub.Hi[2]; i2++ {
+				if d, s := dst[dstOwn.Index(i0, i1, i2)], src[srcOwn.Index(i0, i1, i2)]; d != s {
+					b.Fatalf("point (%d,%d,%d) of %v is %v, want %v", i0, i1, i2, sub, d, s)
+				}
+			}
+		}
 	}
 }
 
@@ -83,35 +117,38 @@ const coldPairs = 64
 // packs does, through a contiguous buffer; then the shortRuns, with one
 // CopyBox each; then the coldShapes, each CopyBox into and out of the next of
 // coldPairs array pairs, as a reshape meets them. All report the payload's
-// GB/s.
+// GB/s, and each checks its destination box once after its loop.
 func BenchmarkCopyBox(b *testing.B) {
 	receivers := []Box3{NewBox(0, 0, 16, 128, 16, 32), NewBox(0, 16, 0, 128, 32, 16), NewBox(16, 0, 0, 32, 128, 16)}
 	for i, r := range packRegimes {
-		src := make([]complex128, r.own.Volume())
-		dst := make([]complex128, receivers[i].Volume())
+		src := seq(r.own.Volume(), 1)
+		dst, dst2 := make([]complex128, receivers[i].Volume()), make([]complex128, receivers[i].Volume())
 		buf := make([]complex128, r.sub.Volume())
 		b.Run(r.name+"/copybox", func(b *testing.B) {
 			b.SetBytes(int64(16 * len(buf)))
 			for n := 0; n < b.N; n++ {
 				CopyBox(dst, receivers[i], src, r.own, r.sub)
 			}
+			checkBox(b, dst, receivers[i], src, r.own, r.sub)
 		})
 		b.Run(r.name+"/pack+unpack", func(b *testing.B) {
 			b.SetBytes(int64(16 * len(buf)))
 			for n := 0; n < b.N; n++ {
 				Pack(src, r.own, r.sub, buf)
-				Unpack(dst, receivers[i], r.sub, buf)
+				Unpack(dst2, receivers[i], r.sub, buf)
 			}
+			checkBox(b, dst2, receivers[i], src, r.own, r.sub)
 		})
 	}
 	for _, r := range shortRuns {
 		if r.real {
-			benchCopyBox[float64](b, r.name, r.dstOwn, r.srcOwn, r.sub)
+			benchCopyBox(b, r.name, r.dstOwn, r.srcOwn, r.sub, func(i int) float64 { return float64(i + 1) })
 		} else {
-			benchCopyBox[complex128](b, r.name, r.dstOwn, r.srcOwn, r.sub)
+			benchCopyBox(b, r.name, r.dstOwn, r.srcOwn, r.sub, func(i int) complex128 { return complex(float64(i+1), 1) })
 		}
 	}
-	// Written once, so every page is mapped before the timing starts.
+	// Written once, so every page is mapped before the timing starts; each
+	// source distinct from the others.
 	ones := func(n int) []complex128 {
 		a := make([]complex128, n)
 		for i := range a {
@@ -122,24 +159,30 @@ func BenchmarkCopyBox(b *testing.B) {
 	for _, r := range coldShapes {
 		var src, dst [coldPairs][]complex128
 		for i := range src {
-			src[i], dst[i] = ones(r.srcOwn.Volume()), ones(r.dstOwn.Volume())
+			src[i], dst[i] = seq(r.srcOwn.Volume(), i), ones(r.dstOwn.Volume())
 		}
 		b.Run("cold/"+r.name, func(b *testing.B) {
 			b.SetBytes(int64(16 * r.sub.Volume()))
 			for n := 0; n < b.N; n++ {
 				CopyBox(dst[n%coldPairs], r.dstOwn, src[n%coldPairs], r.srcOwn, r.sub)
 			}
+			last := (b.N - 1) % coldPairs
+			checkBox(b, dst[last], r.dstOwn, src[last], r.srcOwn, r.sub)
 		})
 	}
 }
 
-func benchCopyBox[T complex128 | float64](b *testing.B, name string, dstOwn, srcOwn, sub Box3) {
+func benchCopyBox[T complex128 | float64](b *testing.B, name string, dstOwn, srcOwn, sub Box3, elem func(i int) T) {
 	src, dst := make([]T, srcOwn.Volume()), make([]T, dstOwn.Volume())
+	for i := range src {
+		src[i] = elem(i)
+	}
 	b.Run(name+"/copybox", func(b *testing.B) {
 		b.SetBytes(int64(sub.Volume()) * int64(unsafe.Sizeof(src[0])))
 		for n := 0; n < b.N; n++ {
 			CopyBox(dst, dstOwn, src, srcOwn, sub)
 		}
+		checkBox(b, dst, dstOwn, src, srcOwn, sub)
 	})
 }
 
